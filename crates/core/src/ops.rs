@@ -8,8 +8,14 @@
 
 use serde::{Deserialize, Serialize};
 
+use std::collections::HashMap;
+
 use qccd_circuit::{native, Instruction, QubitId};
-use qccd_hardware::{JunctionId, MovementKind, OperationTimes, SegmentId, TrapId, WiringMethod};
+use qccd_hardware::{
+    Device, JunctionId, MovementKind, OperationTimes, SegmentId, TrapId, WiringMethod,
+};
+
+use crate::QubitMapping;
 
 /// A hardware resource that serialises the operations using it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -177,6 +183,79 @@ impl RoutedProgram {
     }
 }
 
+/// Replays a routed program from its initial mapping and checks the hardware
+/// invariants the router must uphold: no trap ever holds more ions than its
+/// capacity, an ion is in transit (split out and not yet merged) exactly
+/// while transport primitives act on it, and every gate and gate swap finds
+/// its ions in the trap it names. Returns a description of the first
+/// violation. Exposed for tests and debugging.
+pub fn check_routing_invariants(
+    program: &RoutedProgram,
+    device: &Device,
+    mapping: &QubitMapping,
+) -> Result<(), String> {
+    // `None` while the ion is in transit.
+    let mut location: HashMap<QubitId, Option<TrapId>> = HashMap::new();
+    let mut occupancy: HashMap<TrapId, usize> = HashMap::new();
+    for (&trap, chain) in mapping.chains() {
+        occupancy.insert(trap, chain.len());
+        location.extend(chain.iter().map(|&q| (q, Some(trap))));
+    }
+    let expect_at =
+        |location: &HashMap<_, _>, ion: QubitId, at: Option<TrapId>, op: &RoutedOp| match location
+            .get(&ion)
+        {
+            Some(&found) if found == at => Ok(()),
+            found => Err(format!(
+                "{op:?}: {ion} should be at {at:?}, is at {found:?}"
+            )),
+        };
+    for op in &program.ops {
+        match *op {
+            RoutedOp::Gate {
+                instruction, trap, ..
+            } => {
+                for q in instruction.qubits() {
+                    expect_at(&location, q, Some(trap), op)?;
+                }
+            }
+            RoutedOp::GateSwap {
+                trap, ion, other, ..
+            } => {
+                expect_at(&location, ion, Some(trap), op)?;
+                expect_at(&location, other, Some(trap), op)?;
+            }
+            RoutedOp::Movement {
+                kind, ion, trap, ..
+            } => match (kind, trap) {
+                (MovementKind::Split, Some(t)) => {
+                    expect_at(&location, ion, Some(t), op)?;
+                    *occupancy.entry(t).or_insert(0) -= 1;
+                    location.insert(ion, None);
+                }
+                (MovementKind::Merge, Some(t)) => {
+                    expect_at(&location, ion, None, op)?;
+                    let count = occupancy.entry(t).or_insert(0);
+                    *count += 1;
+                    let capacity = device
+                        .traps()
+                        .get(t.index())
+                        .map_or(0, |trap| trap.capacity);
+                    if *count > capacity {
+                        return Err(format!("{op:?}: trap {t} exceeds its capacity"));
+                    }
+                    location.insert(ion, Some(t));
+                }
+                (MovementKind::Split | MovementKind::Merge, None) => {
+                    return Err(format!("{op:?} names no trap"));
+                }
+                _ => expect_at(&location, ion, None, op)?,
+            },
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,6 +285,35 @@ mod tests {
             chain_len: 1,
         };
         assert_eq!(meas.duration_us(&times, WiringMethod::Standard), 400.0);
+    }
+
+    #[test]
+    fn routing_invariants_catch_overfull_traps_and_misplaced_ions() {
+        let device = Device::linear(2, 1);
+        let chains = [(TrapId(0), vec![q(0)]), (TrapId(1), vec![q(1)])];
+        let mapping = QubitMapping::from_chains(chains.into_iter().collect());
+        let movement = |kind, trap| RoutedOp::Movement {
+            kind,
+            ion: q(0),
+            trap,
+            junction: None,
+            segment: SegmentId(0),
+        };
+        let hop = |dest| RoutedProgram {
+            ops: vec![
+                movement(MovementKind::Split, Some(TrapId(0))),
+                movement(MovementKind::Shuttle, None),
+                movement(MovementKind::Merge, Some(TrapId(dest))),
+            ],
+        };
+        assert_eq!(check_routing_invariants(&hop(0), &device, &mapping), Ok(()));
+        let overfull = check_routing_invariants(&hop(1), &device, &mapping).unwrap_err();
+        assert!(overfull.contains("exceeds its capacity"), "{overfull}");
+        let in_transit = RoutedProgram {
+            ops: vec![movement(MovementKind::Shuttle, None)],
+        };
+        let misplaced = check_routing_invariants(&in_transit, &device, &mapping).unwrap_err();
+        assert!(misplaced.contains("should be at None"), "{misplaced}");
     }
 
     #[test]

@@ -23,10 +23,10 @@
 //!    routed onward to their next destination (or evacuated) so that every
 //!    trap returns to at least one free slot.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use qccd_circuit::{Circuit, QubitId};
-use qccd_hardware::{Device, MovementKind, NodeId, SegmentId, TrapId};
+use qccd_hardware::{Device, JunctionId, MovementKind, NodeId, SegmentId, TrapId};
 use qccd_qec::{CodeLayout, QubitRole};
 
 use crate::routing::DeviceState;
@@ -48,15 +48,142 @@ pub fn route(
     Router::new(circuit, layout, device, mapping)?.run()
 }
 
+/// A path through the routing graph: `(segment, next node)` hops, the
+/// destination trap being the last node.
+type Path = Vec<(SegmentId, NodeId)>;
+
+/// The device's routing graph on dense node indices (traps by
+/// [`TrapId::index`], then junctions), built once per [`route`], with the
+/// scratch its breadth-first searches reuse. Adjacency is stored in exactly
+/// [`Device::neighbours`]' order: BFS tie-breaks, hence the emitted paths,
+/// depend on it.
+struct RoutingGraph {
+    num_traps: usize,
+    /// Node `n`'s edges are `edges[first_edge[n]..first_edge[n + 1]]`.
+    first_edge: Vec<usize>,
+    edges: Vec<(SegmentId, usize)>,
+    /// The search that last reached each node; equal to `epoch` for the
+    /// nodes of the current one, whose `parent` and `hops` are then valid.
+    reached: Vec<u32>,
+    epoch: u32,
+    parent: Vec<(usize, SegmentId)>,
+    hops: Vec<usize>,
+    queue: VecDeque<usize>,
+}
+
+impl RoutingGraph {
+    fn new(device: &Device) -> Self {
+        let num_traps = device.num_traps();
+        let index = |node| match node {
+            NodeId::Trap(t) => t.index(),
+            NodeId::Junction(j) => num_traps + j.index(),
+        };
+        let nodes = device.nodes();
+        debug_assert!(nodes.iter().enumerate().all(|(i, &n)| index(n) == i));
+        let mut first_edge = vec![0];
+        let mut edges = Vec::with_capacity(2 * device.num_segments());
+        for &node in &nodes {
+            edges.extend(
+                device
+                    .neighbours(node)
+                    .iter()
+                    .map(|&(segment, next)| (segment, index(next))),
+            );
+            first_edge.push(edges.len());
+        }
+        RoutingGraph {
+            num_traps,
+            first_edge,
+            edges,
+            reached: vec![0; nodes.len()],
+            epoch: 0,
+            parent: vec![(0, SegmentId(0)); nodes.len()],
+            hops: vec![0; nodes.len()],
+            queue: VecDeque::new(),
+        }
+    }
+
+    fn node(&self, index: usize) -> NodeId {
+        if index < self.num_traps {
+            NodeId::Trap(TrapId(index as u32))
+        } else {
+            NodeId::Junction(JunctionId((index - self.num_traps) as u32))
+        }
+    }
+
+    /// Breadth-first search out of `src`, stopping as soon as `goal` is
+    /// reached (returning `true`). With `avail`, a trap can only be entered
+    /// while it has a free slot this pass — for the merge at the destination,
+    /// or transiently for a pass-through; without, every node is passable.
+    fn search(&mut self, src: TrapId, goal: Option<TrapId>, avail: Option<&[usize]>) -> bool {
+        self.epoch += 1;
+        let goal = goal.map(TrapId::index);
+        self.reached[src.index()] = self.epoch;
+        self.hops[src.index()] = 0;
+        self.queue.clear();
+        self.queue.push_back(src.index());
+        while let Some(node) = self.queue.pop_front() {
+            for &(segment, next) in &self.edges[self.first_edge[node]..self.first_edge[node + 1]] {
+                let full = next < self.num_traps && avail.is_some_and(|slots| slots[next] == 0);
+                if self.reached[next] == self.epoch || full {
+                    continue;
+                }
+                self.reached[next] = self.epoch;
+                self.parent[next] = (node, segment);
+                self.hops[next] = self.hops[node] + 1;
+                if Some(next) == goal {
+                    return true;
+                }
+                self.queue.push_back(next);
+            }
+        }
+        false
+    }
+
+    /// Shortest path from `src` to `dest` under [`Self::search`]'s rules.
+    fn find_path(&mut self, src: TrapId, dest: TrapId, avail: Option<&[usize]>) -> Option<Path> {
+        if !self.search(src, Some(dest), avail) {
+            return None;
+        }
+        let mut path = Vec::with_capacity(self.hops[dest.index()]);
+        let mut cur = dest.index();
+        while cur != src.index() {
+            let (prev, segment) = self.parent[cur];
+            path.push((segment, self.node(cur)));
+            cur = prev;
+        }
+        path.reverse();
+        Some(path)
+    }
+}
+
+/// The traps a path enters, in order.
+fn traps_on(path: &Path) -> impl DoubleEndedIterator<Item = TrapId> + '_ {
+    path.iter().filter_map(|&(_, node)| node.as_trap())
+}
+
 struct Router<'a> {
     circuit: &'a Circuit,
     layout: &'a CodeLayout,
     device: &'a Device,
     state: DeviceState,
-    /// Per-qubit FIFO of pending instruction indices.
-    queues: HashMap<QubitId, VecDeque<usize>>,
-    emitted: Vec<bool>,
+    graph: RoutingGraph,
+    /// Instruction `i` acts on `operands[first_operand[i]..first_operand[i + 1]]`.
+    first_operand: Vec<usize>,
+    operands: Vec<QubitId>,
+    /// FIFO of pending instruction indices per qubit, by [`QubitId::index`].
+    queues: Vec<VecDeque<usize>>,
+    /// The ready front: pending instructions at the head of at least one
+    /// operand queue, ascending. Kept incrementally — an instruction joins
+    /// (through `arrivals`, between emission rounds) when it first heads a
+    /// queue and leaves when it is emitted.
+    front: Vec<usize>,
+    arrivals: Vec<usize>,
+    /// Whether each instruction is on `front` or in `arrivals`.
+    on_front: Vec<bool>,
     num_emitted: usize,
+    /// Free slots per trap still unreserved in the current pass.
+    avail: Vec<usize>,
     ops: Vec<RoutedOp>,
 }
 
@@ -67,25 +194,38 @@ impl<'a> Router<'a> {
         device: &'a Device,
         mapping: &'a QubitMapping,
     ) -> Result<Self, CompileError> {
-        let mut queues: HashMap<QubitId, VecDeque<usize>> = HashMap::new();
+        let mut router = Router {
+            circuit,
+            layout,
+            device,
+            state: DeviceState::new(device, mapping),
+            graph: RoutingGraph::new(device),
+            first_operand: vec![0],
+            operands: Vec::new(),
+            queues: vec![VecDeque::new(); circuit.num_qubits()],
+            front: Vec::new(),
+            arrivals: Vec::new(),
+            on_front: vec![false; circuit.len()],
+            num_emitted: 0,
+            avail: Vec::new(),
+            ops: Vec::new(),
+        };
         for (idx, instruction) in circuit.iter().enumerate() {
             for q in instruction.qubits() {
                 if mapping.trap_of(q).is_none() {
                     return Err(CompileError::UnmappedQubit(q));
                 }
-                queues.entry(q).or_default().push_back(idx);
+                router.queues[q.index()].push_back(idx);
+                router.operands.push(q);
             }
+            router.first_operand.push(router.operands.len());
         }
-        Ok(Router {
-            circuit,
-            layout,
-            device,
-            state: DeviceState::new(device, mapping),
-            queues,
-            emitted: vec![false; circuit.len()],
-            num_emitted: 0,
-            ops: Vec::new(),
-        })
+        for q in 0..router.queues.len() {
+            router.note_queue_head(q);
+        }
+        router.front.append(&mut router.arrivals);
+        router.front.sort_unstable();
+        Ok(router)
     }
 
     fn run(mut self) -> Result<RoutedProgram, CompileError> {
@@ -101,7 +241,7 @@ impl<'a> Router<'a> {
             }
             let ready_cross = self.ready_cross_trap_gates();
             let (moved_ions, blocked) = self.plan_and_emit_moves(&ready_cross);
-            let moved = !moved_ions.is_empty();
+            let moved = moved_ions.contains(&true);
             // Paper's step 9: restore the one-free-slot invariant where it is
             // actually blocking progress, by routing squatting visitors out
             // of the traps that a planned gate could not reach.
@@ -147,19 +287,12 @@ impl<'a> Router<'a> {
                 );
             }
         }
-        let mut fronts: Vec<usize> = self
-            .queues
-            .values()
-            .filter_map(|q| q.front().copied())
-            .collect();
-        fronts.sort_unstable();
-        fronts.dedup();
-        for idx in fronts.iter().take(12) {
-            let instr = self.circuit.instructions()[*idx];
+        for &idx in self.front.iter().take(12) {
+            let instr = self.circuit.instructions()[idx];
             eprintln!(
                 "  front #{idx}: {instr} ready={} local={}",
-                self.is_ready(*idx),
-                self.is_local(*idx)
+                self.is_ready(idx),
+                self.is_local(idx)
             );
         }
     }
@@ -168,86 +301,86 @@ impl<'a> Router<'a> {
     // Readiness bookkeeping.
     // ------------------------------------------------------------------
 
+    fn operands(&self, idx: usize) -> &[QubitId] {
+        &self.operands[self.first_operand[idx]..self.first_operand[idx + 1]]
+    }
+
     fn is_ready(&self, idx: usize) -> bool {
-        !self.emitted[idx]
-            && self.circuit.instructions()[idx]
-                .qubits()
-                .iter()
-                .all(|q| self.queues.get(q).and_then(|f| f.front()) == Some(&idx))
+        self.operands(idx)
+            .iter()
+            .all(|q| self.queues[q.index()].front() == Some(&idx))
     }
 
     fn is_local(&self, idx: usize) -> bool {
-        let qubits = self.circuit.instructions()[idx].qubits();
-        let traps: Vec<Option<TrapId>> = qubits.iter().map(|&q| self.state.trap_of(q)).collect();
-        traps.iter().all(|t| t.is_some()) && traps.windows(2).all(|w| w[0] == w[1])
+        let mut traps = self.operands(idx).iter().map(|&q| self.state.trap_of(q));
+        let first = traps.next().flatten();
+        first.is_some() && traps.all(|trap| trap == first)
+    }
+
+    /// Records the instruction now heading qubit `q`'s queue as an arrival
+    /// to the ready front, unless it is on the front already.
+    fn note_queue_head(&mut self, q: usize) {
+        if let Some(&head) = self.queues[q].front() {
+            if !std::mem::replace(&mut self.on_front[head], true) {
+                self.arrivals.push(head);
+            }
+        }
     }
 
     fn emit_instruction(&mut self, idx: usize) {
         let instruction = self.circuit.instructions()[idx];
-        let qubits = instruction.qubits();
         let trap = self
             .state
-            .trap_of(qubits[0])
+            .trap_of(self.operands(idx)[0])
             .expect("operand must be in a trap");
         self.ops.push(RoutedOp::Gate {
             instruction,
             trap,
             chain_len: self.state.occupancy(trap),
         });
-        for q in qubits {
-            let front = self
-                .queues
-                .get_mut(&q)
-                .and_then(|f| f.pop_front())
-                .expect("queue entry exists");
-            debug_assert_eq!(front, idx);
+        for i in self.first_operand[idx]..self.first_operand[idx + 1] {
+            let q = self.operands[i].index();
+            let head = self.queues[q].pop_front();
+            debug_assert_eq!(head, Some(idx));
+            self.note_queue_head(q);
         }
-        self.emitted[idx] = true;
+        self.on_front[idx] = false;
         self.num_emitted += 1;
     }
 
     /// Emits every ready instruction whose operands already share a trap,
     /// looping until a fixpoint. Returns whether anything was emitted.
+    ///
+    /// Each round walks the front as it stood when the round began, in
+    /// program order, testing readiness live; instructions that reach a queue
+    /// head during the round wait for the next one.
     fn emit_ready_local_instructions(&mut self) -> bool {
         let mut any = false;
         loop {
-            let candidates: Vec<usize> = {
-                let mut front: Vec<usize> = self
-                    .queues
-                    .values()
-                    .filter_map(|q| q.front().copied())
-                    .collect();
-                front.sort_unstable();
-                front.dedup();
-                front
-            };
-            let mut emitted_this_round = false;
-            for idx in candidates {
+            let emitted_before = self.num_emitted;
+            for i in 0..self.front.len() {
+                let idx = self.front[i];
                 if self.is_ready(idx) && self.is_local(idx) {
                     self.emit_instruction(idx);
-                    emitted_this_round = true;
-                    any = true;
                 }
             }
-            if !emitted_this_round {
-                break;
+            if self.num_emitted == emitted_before {
+                return any;
             }
+            any = true;
+            let on_front = &self.on_front;
+            self.front.retain(|&idx| on_front[idx]);
+            self.front.append(&mut self.arrivals);
+            self.front.sort_unstable();
         }
-        any
     }
 
     /// Ready two-qubit gates whose operands currently sit in different traps,
     /// in program order.
     fn ready_cross_trap_gates(&self) -> Vec<usize> {
-        let mut front: Vec<usize> = self
-            .queues
-            .values()
-            .filter_map(|q| q.front().copied())
-            .collect();
-        front.sort_unstable();
-        front.dedup();
-        front
-            .into_iter()
+        self.front
+            .iter()
+            .copied()
             .filter(|&idx| self.is_ready(idx) && !self.is_local(idx))
             .collect()
     }
@@ -269,35 +402,44 @@ impl<'a> Router<'a> {
     // Route planning.
     // ------------------------------------------------------------------
 
+    /// Resets `avail` to every trap's currently free slots.
+    fn reset_avail(&mut self) {
+        let state = &self.state;
+        self.avail.clear();
+        self.avail
+            .extend((0..self.graph.num_traps).map(|t| state.free_slots(TrapId(t as u32))));
+    }
+
+    /// Reserves, for the rest of the pass, one slot in every trap `path`
+    /// enters. Segments and junctions are only time-multiplexed, which the
+    /// scheduler's resource exclusivity enforces, so they are not reserved
+    /// here (reserving them per pass was found to over-serialise large
+    /// codes).
+    fn reserve(&mut self, path: &Path) {
+        for trap in traps_on(path) {
+            self.avail[trap.index()] = self.avail[trap.index()].saturating_sub(1);
+        }
+    }
+
     /// Plans non-conflicting routes for as many ready cross-trap gates as
     /// possible (in priority order) and emits their movement primitives.
-    /// Returns the set of ions that were moved and the traps that blocked a
-    /// planned gate because they were full.
-    fn plan_and_emit_moves(&mut self, ready_cross: &[usize]) -> (HashSet<QubitId>, Vec<TrapId>) {
-        let mut avail: HashMap<TrapId, usize> = self
-            .device
-            .traps()
-            .iter()
-            .map(|t| (t.id, self.state.free_slots(t.id)))
-            .collect();
-        // Segments and junctions are only time-multiplexed (the scheduler
-        // serialises them); they are not reserved per pass.
-        let used_segments: HashSet<SegmentId> = HashSet::new();
-        let used_junctions: HashSet<qccd_hardware::JunctionId> = HashSet::new();
-        let mut busy_ions: HashSet<QubitId> = HashSet::new();
-        type PlannedMove = (QubitId, TrapId, Vec<(SegmentId, NodeId)>);
-        let mut planned: Vec<PlannedMove> = Vec::new();
+    /// Returns which ions were moved (by [`QubitId::index`]) and the traps
+    /// that blocked a planned gate because they were full.
+    fn plan_and_emit_moves(&mut self, ready_cross: &[usize]) -> (Vec<bool>, Vec<TrapId>) {
+        self.reset_avail();
+        let mut busy_ions = vec![false; self.queues.len()];
+        let mut planned: Vec<(QubitId, TrapId, Path)> = Vec::new();
         let mut blocked: Vec<TrapId> = Vec::new();
 
         for &idx in ready_cross {
-            let qubits = self.circuit.instructions()[idx].qubits();
-            let mobile = self.pick_mobile(&qubits);
+            let qubits = self.operands(idx);
+            let mobile = self.pick_mobile(qubits);
             let stationary = if mobile == qubits[0] {
                 qubits[1]
             } else {
                 qubits[0]
             };
-            if busy_ions.contains(&mobile) || busy_ions.contains(&stationary) {
+            if busy_ions[mobile.index()] || busy_ions[stationary.index()] {
                 continue;
             }
             let (Some(src), Some(dest)) =
@@ -308,80 +450,45 @@ impl<'a> Router<'a> {
             if src == dest {
                 continue;
             }
-            if avail.get(&dest).copied().unwrap_or(0) == 0 {
+            if self.avail[dest.index()] == 0 {
                 if self.state.free_slots(dest) == 0 {
                     blocked.push(dest);
                 }
                 continue;
             }
-            if let Some(path) = self.find_path(src, dest, &avail, &used_segments, &used_junctions) {
-                for (_segment, node) in &path {
-                    // Trap capacity along the path is reserved for the whole
-                    // pass; segments and junctions are only time-multiplexed,
-                    // which the scheduler's resource exclusivity enforces, so
-                    // they are not reserved here (reserving them per pass
-                    // was found to over-serialise large codes).
-                    if let NodeId::Trap(t) = node {
-                        if let Some(slots) = avail.get_mut(t) {
-                            *slots = slots.saturating_sub(1);
-                        }
-                    }
-                }
-                busy_ions.insert(mobile);
-                busy_ions.insert(stationary);
+            if let Some(path) = self.graph.find_path(src, dest, Some(&self.avail)) {
+                self.reserve(&path);
+                busy_ions[mobile.index()] = true;
+                busy_ions[stationary.index()] = true;
+                planned.push((mobile, src, path));
+                continue;
+            }
+            // The full path is blocked by full traps (this only happens on
+            // topologies where routes pass through other traps, such as the
+            // linear chain). Make partial progress: move the ion as far along
+            // the ideal route as capacity currently allows, or mark the full
+            // traps on that route so their squatters get evacuated.
+            let Some(ideal) = self.graph.find_path(src, dest, None) else {
+                continue;
+            };
+            let (graph, avail) = (&mut self.graph, &self.avail);
+            let partial = traps_on(&ideal)
+                .rev()
+                .skip(1)
+                .filter(|stop| avail[stop.index()] >= 1)
+                .find_map(|stop| graph.find_path(src, stop, Some(avail)));
+            if let Some(path) = partial {
+                self.reserve(&path);
+                busy_ions[mobile.index()] = true;
                 planned.push((mobile, src, path));
             } else {
-                // The full path is blocked by full traps (this only happens
-                // on topologies where routes pass through other traps, such
-                // as the linear chain). Make partial progress: move the ion
-                // as far along the ideal route as capacity currently allows,
-                // and mark the full traps on that route so their squatters
-                // get evacuated.
-                let unbounded: HashMap<TrapId, usize> =
-                    self.device.traps().iter().map(|t| (t.id, 1)).collect();
-                let Some(ideal) =
-                    self.find_path(src, dest, &unbounded, &used_segments, &used_junctions)
-                else {
-                    continue;
-                };
-                let mut partial: Option<Vec<(SegmentId, NodeId)>> = None;
-                for &(_, node) in ideal.iter().rev().skip(1) {
-                    if let NodeId::Trap(t) = node {
-                        if avail.get(&t).copied().unwrap_or(0) >= 1 {
-                            if let Some(p) =
-                                self.find_path(src, t, &avail, &used_segments, &used_junctions)
-                            {
-                                partial = Some(p);
-                                break;
-                            }
-                        }
-                    }
-                }
-                if let Some(path) = partial {
-                    for (_, node) in &path {
-                        if let NodeId::Trap(t) = node {
-                            if let Some(slots) = avail.get_mut(t) {
-                                *slots = slots.saturating_sub(1);
-                            }
-                        }
-                    }
-                    busy_ions.insert(mobile);
-                    planned.push((mobile, src, path));
-                } else {
-                    for &(_, node) in &ideal {
-                        if let NodeId::Trap(t) = node {
-                            if self.state.free_slots(t) == 0 {
-                                blocked.push(t);
-                            }
-                        }
-                    }
-                }
+                blocked.extend(traps_on(&ideal).filter(|&t| self.state.free_slots(t) == 0));
             }
         }
 
-        let mut moved_ions = HashSet::new();
+        let mut moved_ions = vec![false; self.queues.len()];
         for (ion, src, path) in planned {
-            moved_ions.insert(ion);
+            moved_ions[ion.index()] = true;
             self.emit_move(ion, src, &path);
         }
         blocked.sort_unstable();
@@ -389,66 +496,10 @@ impl<'a> Router<'a> {
         (moved_ions, blocked)
     }
 
-    /// Breadth-first shortest path from `src` to `dest` through nodes and
-    /// segments that are still available in this pass. The returned path is a
-    /// list of `(segment, next node)` hops; the destination trap is the last
-    /// node.
-    fn find_path(
-        &self,
-        src: TrapId,
-        dest: TrapId,
-        avail: &HashMap<TrapId, usize>,
-        used_segments: &HashSet<SegmentId>,
-        used_junctions: &HashSet<qccd_hardware::JunctionId>,
-    ) -> Option<Vec<(SegmentId, NodeId)>> {
-        let start = NodeId::Trap(src);
-        let goal = NodeId::Trap(dest);
-        let mut parent: HashMap<NodeId, (NodeId, SegmentId)> = HashMap::new();
-        let mut visited: HashSet<NodeId> = HashSet::new();
-        visited.insert(start);
-        let mut queue = VecDeque::new();
-        queue.push_back(start);
-        while let Some(node) = queue.pop_front() {
-            for &(segment, next) in self.device.neighbours(node) {
-                if visited.contains(&next) || used_segments.contains(&segment) {
-                    continue;
-                }
-                let allowed = match next {
-                    NodeId::Junction(j) => !used_junctions.contains(&j),
-                    NodeId::Trap(t) => {
-                        // The destination needs one free slot (already
-                        // checked by the caller); intermediate traps need a
-                        // transient slot for the pass-through.
-                        avail.get(&t).copied().unwrap_or(0) >= 1
-                    }
-                };
-                if !allowed {
-                    continue;
-                }
-                visited.insert(next);
-                parent.insert(next, (node, segment));
-                if next == goal {
-                    // Reconstruct.
-                    let mut path = Vec::new();
-                    let mut cur = next;
-                    while cur != start {
-                        let (prev, seg) = parent[&cur];
-                        path.push((seg, cur));
-                        cur = prev;
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                queue.push_back(next);
-            }
-        }
-        None
-    }
-
     /// Emits the full movement sequence taking `ion` from trap `src` along
     /// `path` (gate swaps, split, shuttles, junction crossings, merges) and
     /// updates the device state.
-    fn emit_move(&mut self, ion: QubitId, src: TrapId, path: &[(SegmentId, NodeId)]) {
+    fn emit_move(&mut self, ion: QubitId, src: TrapId, path: &Path) {
         // Bring the ion to the nearest end of its chain.
         while self.state.swaps_to_chain_end(ion) > 0 {
             let chain_len = self.state.occupancy(src);
@@ -512,20 +563,13 @@ impl<'a> Router<'a> {
                         // Passing through a trap: the ion enters at one end
                         // and must reach the other end before splitting out,
                         // swapping past every resident ion.
-                        let residents: Vec<QubitId> = self
-                            .state
-                            .chain(t)
-                            .iter()
-                            .copied()
-                            .filter(|&q| q != ion)
-                            .collect();
-                        let chain_len = self.state.occupancy(t);
-                        for other in residents {
+                        let chain = self.state.chain(t);
+                        for &other in chain.iter().filter(|&&q| q != ion) {
                             self.ops.push(RoutedOp::GateSwap {
                                 trap: t,
                                 ion,
                                 other,
-                                chain_len,
+                                chain_len: chain.len(),
                             });
                         }
                     }
@@ -544,73 +588,73 @@ impl<'a> Router<'a> {
         }
     }
 
-    /// Routes a squatting ion out of `from` towards its home trap. Returns
-    /// `true` if a move was emitted.
-    ///
-    /// The destination preference is: the home trap itself, then the closest
-    /// free trap *on the path towards home* (so repeated evacuations make
-    /// monotone progress and cannot livelock two ions bouncing between the
-    /// same pair of traps), and only as a last resort any nearby free trap.
-    fn evacuate_ion(&mut self, ion: QubitId, from: TrapId) -> bool {
-        let avail: HashMap<TrapId, usize> = self
-            .device
-            .traps()
-            .iter()
-            .map(|t| (t.id, self.state.free_slots(t.id)))
-            .collect();
-        let empty_segments: HashSet<SegmentId> = HashSet::new();
-        let empty_junctions: HashSet<qccd_hardware::JunctionId> = HashSet::new();
+    // ------------------------------------------------------------------
+    // Evacuation.
+    // ------------------------------------------------------------------
 
-        let mut candidates: Vec<TrapId> = Vec::new();
-        if let Some(home) = self.state.home_of(ion) {
-            if home != from {
-                // 1. Home itself.
-                candidates.push(home);
-                // 2. Free traps along the unconstrained shortest path home,
-                //    nearest first (monotone progress towards home).
-                let unbounded: HashMap<TrapId, usize> =
-                    self.device.traps().iter().map(|t| (t.id, 1)).collect();
-                if let Some(ideal) =
-                    self.find_path(from, home, &unbounded, &empty_segments, &empty_junctions)
-                {
-                    for &(_, node) in &ideal {
-                        if let NodeId::Trap(t) = node {
-                            if t != home {
-                                candidates.push(t);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // 3. Any other trap with a free slot, nearest first.
-        let mut others: Vec<(usize, TrapId)> = self
-            .device
-            .traps()
-            .iter()
-            .map(|t| t.id)
-            .filter(|&t| t != from && self.state.free_slots(t) > 0)
-            .filter_map(|t| {
-                self.device
-                    .hop_distance(NodeId::Trap(from), NodeId::Trap(t))
-                    .map(|d| (d, t))
-            })
+    /// The last-resort evacuation targets out of `from`: every other trap
+    /// with a free slot in `avail` that is not in `tried`, nearest first (hops
+    /// from one search out of `from`), ties broken by trap id.
+    fn fallback_traps(&mut self, from: TrapId, tried: &[TrapId]) -> Vec<TrapId> {
+        self.graph.search(from, None, None);
+        let graph = &self.graph;
+        let mut others: Vec<(usize, TrapId)> = (0..graph.num_traps)
+            .filter(|&t| graph.reached[t] == graph.epoch && self.avail[t] > 0)
+            .map(|t| (graph.hops[t], TrapId(t as u32)))
+            .filter(|&(_, t)| t != from && !tried.contains(&t))
             .collect();
         others.sort_unstable();
-        candidates.extend(others.into_iter().map(|(_, t)| t));
+        others.into_iter().map(|(_, t)| t).collect()
+    }
 
-        for dest in candidates {
-            if dest == from || self.state.free_slots(dest) == 0 {
-                continue;
-            }
-            if let Some(path) =
-                self.find_path(from, dest, &avail, &empty_segments, &empty_junctions)
-            {
-                self.emit_move(ion, from, &path);
+    /// Moves `ion` from `from` into `dest` if a path is open right now.
+    fn try_move(&mut self, ion: QubitId, from: TrapId, dest: TrapId) -> bool {
+        if self.avail[dest.index()] == 0 {
+            return false;
+        }
+        let Some(path) = self.graph.find_path(from, dest, Some(&self.avail)) else {
+            return false;
+        };
+        self.emit_move(ion, from, &path);
+        true
+    }
+
+    /// Routes a squatting ion out of `from`. Returns `true` if a move was
+    /// emitted.
+    ///
+    /// The destination preference is: the home trap itself, then the traps
+    /// on the unconstrained shortest path home, nearest first (so repeated
+    /// evacuations make monotone progress and cannot livelock two ions
+    /// bouncing between the same pair of traps), and only when none of those
+    /// can be reached the [`Self::fallback_traps`].
+    fn evacuate_ion(&mut self, ion: QubitId, from: TrapId) -> bool {
+        self.reset_avail();
+        let mut tried = Vec::new();
+        if let Some(home) = self.state.home_of(ion).filter(|&home| home != from) {
+            if self.try_move(ion, from, home) {
                 return true;
             }
+            if let Some(ideal) = self.graph.find_path(from, home, None) {
+                tried.extend(traps_on(&ideal).filter(|&t| t != home));
+            }
+            if tried.iter().any(|&dest| self.try_move(ion, from, dest)) {
+                return true;
+            }
+            tried.push(home);
         }
-        false
+        let fallback = self.fallback_traps(from, &tried);
+        fallback.iter().any(|&dest| self.try_move(ion, from, dest))
+    }
+
+    /// Evacuates the last visitor in `trap`'s chain that is not in `keep`
+    /// (by [`QubitId::index`]) and has somewhere to go.
+    fn evacuate_a_visitor(&mut self, trap: TrapId, keep: &[bool]) -> bool {
+        (0..self.state.occupancy(trap)).rev().any(|pos| {
+            let ion = self.state.chain(trap)[pos];
+            self.state.is_visitor(ion)
+                && keep.get(ion.index()) != Some(&true)
+                && self.evacuate_ion(ion, trap)
+        })
     }
 
     /// Paper's step 9: a full trap that a planned gate could not enter gets
@@ -619,21 +663,11 @@ impl<'a> Router<'a> {
     /// route planner moved this pass are left alone; visitors the planner
     /// failed to move (for example, two ancillas blocking each other head-on
     /// in a linear chain) are evacuated to break the deadlock.
-    fn evacuate_blocked(&mut self, blocked: &[TrapId], moved_ions: &HashSet<QubitId>) -> bool {
+    fn evacuate_blocked(&mut self, blocked: &[TrapId], moved_ions: &[bool]) -> bool {
         let mut any = false;
         for &trap in blocked {
-            if self.state.free_slots(trap) > 0 {
-                continue;
-            }
-            let chain: Vec<QubitId> = self.state.chain(trap).to_vec();
-            for &ion in chain.iter().rev() {
-                if !self.state.is_visitor(ion) || moved_ions.contains(&ion) {
-                    continue;
-                }
-                if self.evacuate_ion(ion, trap) {
-                    any = true;
-                    break;
-                }
+            if self.state.free_slots(trap) == 0 {
+                any |= self.evacuate_a_visitor(trap, moved_ions);
             }
         }
         any
@@ -642,97 +676,23 @@ impl<'a> Router<'a> {
     /// Last-resort progress: move any visiting ion out of a full trap so that
     /// blocked gates can route in a later pass.
     fn try_evacuation(&mut self) -> bool {
-        let full_traps: Vec<TrapId> = self
-            .device
-            .traps()
-            .iter()
-            .map(|t| t.id)
-            .filter(|&t| self.state.free_slots(t) == 0 && self.state.occupancy(t) > 0)
-            .collect();
-        for trap in full_traps {
-            let chain: Vec<QubitId> = self.state.chain(trap).to_vec();
-            for &ion in chain.iter().rev() {
-                if !self.state.is_visitor(ion) {
-                    continue;
-                }
-                if self.evacuate_ion(ion, trap) {
-                    return true;
-                }
-            }
-        }
-        false
+        (0..self.graph.num_traps)
+            .map(|t| TrapId(t as u32))
+            .any(|trap| {
+                self.state.free_slots(trap) == 0
+                    && self.state.occupancy(trap) > 0
+                    && self.evacuate_a_visitor(trap, &[])
+            })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::map_qubits;
+    use crate::{check_routing_invariants, map_qubits};
     use qccd_circuit::Instruction;
     use qccd_qec::{parity_check_round, repetition_code, rotated_surface_code};
-
-    /// Checks the QCCD hardware invariants over a routed program by replaying
-    /// it: trap capacities are never exceeded, segments/junctions hold at
-    /// most one ion, and every two-qubit gate happens with both ions in the
-    /// named trap.
-    fn check_invariants(program: &RoutedProgram, device: &Device, mapping: &QubitMapping) {
-        let mut location: HashMap<QubitId, Option<TrapId>> = HashMap::new();
-        let mut chains: HashMap<TrapId, usize> = HashMap::new();
-        for (&trap, chain) in mapping.chains() {
-            chains.insert(trap, chain.len());
-            for &q in chain {
-                location.insert(q, Some(trap));
-            }
-        }
-        let capacity: HashMap<TrapId, usize> =
-            device.traps().iter().map(|t| (t.id, t.capacity)).collect();
-        for op in &program.ops {
-            match op {
-                RoutedOp::Gate {
-                    instruction, trap, ..
-                } => {
-                    for q in instruction.qubits() {
-                        assert_eq!(
-                            location[&q],
-                            Some(*trap),
-                            "gate {instruction} executed in {trap} but {q} is elsewhere"
-                        );
-                    }
-                }
-                RoutedOp::GateSwap {
-                    trap, ion, other, ..
-                } => {
-                    assert_eq!(location[ion], Some(*trap));
-                    assert_eq!(location[other], Some(*trap));
-                }
-                RoutedOp::Movement {
-                    kind, ion, trap, ..
-                } => match kind {
-                    MovementKind::Split => {
-                        let t = trap.expect("split names a trap");
-                        assert_eq!(location[ion], Some(t));
-                        *chains.get_mut(&t).unwrap() -= 1;
-                        location.insert(*ion, None);
-                    }
-                    MovementKind::Merge => {
-                        let t = trap.expect("merge names a trap");
-                        assert_eq!(location[ion], None, "ion must be in transit before merge");
-                        let count = chains.entry(t).or_insert(0);
-                        *count += 1;
-                        assert!(
-                            *count <= capacity[&t],
-                            "trap {t} exceeded capacity {}",
-                            capacity[&t]
-                        );
-                        location.insert(*ion, Some(t));
-                    }
-                    _ => {
-                        assert_eq!(location[ion], None, "ion must be in transit");
-                    }
-                },
-            }
-        }
-    }
+    use std::collections::HashMap;
 
     fn route_code(
         layout: &CodeLayout,
@@ -765,7 +725,10 @@ mod tests {
         let device = Device::linear(5, 2);
         let (program, mapping) = route_code(&layout, &device, 1);
         assert!(program.num_movement_ops() > 0);
-        check_invariants(&program, &device, &mapping);
+        assert_eq!(
+            check_routing_invariants(&program, &device, &mapping),
+            Ok(())
+        );
         // Every circuit instruction appears exactly once as a gate op.
         assert_eq!(program.num_gate_ops(), parity_check_round(&layout).len());
     }
@@ -776,7 +739,10 @@ mod tests {
         let device = qccd_hardware::TopologySpec::new(qccd_hardware::TopologyKind::Grid, 2)
             .build_for_qubits(layout.num_qubits());
         let (program, mapping) = route_code(&layout, &device, 2);
-        check_invariants(&program, &device, &mapping);
+        assert_eq!(
+            check_routing_invariants(&program, &device, &mapping),
+            Ok(())
+        );
         assert_eq!(
             program.num_gate_ops(),
             2 * parity_check_round(&layout).len()
@@ -790,7 +756,10 @@ mod tests {
         let device = qccd_hardware::TopologySpec::new(qccd_hardware::TopologyKind::Switch, 2)
             .build_for_qubits(layout.num_qubits());
         let (program, mapping) = route_code(&layout, &device, 1);
-        check_invariants(&program, &device, &mapping);
+        assert_eq!(
+            check_routing_invariants(&program, &device, &mapping),
+            Ok(())
+        );
         assert_eq!(program.num_gate_ops(), parity_check_round(&layout).len());
     }
 
@@ -839,6 +808,107 @@ mod tests {
             }
         }
         assert_eq!(per_qubit_original, per_qubit_emitted);
+    }
+
+    /// `Device::linear(7, 2)` hosting one mapped ion, `Q0`, whose home is T5.
+    struct Chain7 {
+        device: Device,
+        layout: CodeLayout,
+        circuit: Circuit,
+        mapping: QubitMapping,
+    }
+
+    const Q0: QubitId = QubitId::new(0);
+
+    fn traps(ids: &[u32]) -> Vec<TrapId> {
+        ids.iter().copied().map(TrapId).collect()
+    }
+
+    impl Chain7 {
+        fn new() -> Self {
+            Chain7 {
+                device: Device::linear(7, 2),
+                layout: repetition_code(2),
+                circuit: Circuit::new(),
+                mapping: QubitMapping::from_chains(HashMap::from([(TrapId(5), vec![Q0])])),
+            }
+        }
+
+        /// A router in which `Q0` squats in T2 and the traps in `full` are
+        /// filled to capacity with other ions.
+        fn router(&self, full: &[u32]) -> Router<'_> {
+            let mut router =
+                Router::new(&self.circuit, &self.layout, &self.device, &self.mapping).unwrap();
+            router.state.remove_ion(Q0);
+            router.state.insert_ion(TrapId(2), Q0);
+            for &t in full {
+                while router.state.free_slots(TrapId(t)) > 0 {
+                    let filler = 10 * t + router.state.occupancy(TrapId(t)) as u32 + 1;
+                    router.state.insert_ion(TrapId(t), QubitId::new(filler));
+                }
+            }
+            router
+        }
+    }
+
+    #[test]
+    fn evacuation_goes_home_when_home_is_reachable() {
+        let chain = Chain7::new();
+        let mut router = chain.router(&[]);
+        assert!(router.evacuate_ion(Q0, TrapId(2)));
+        assert_eq!(router.state.trap_of(Q0), Some(TrapId(5)));
+        assert!(!router.state.is_visitor(Q0));
+        // Home is probed before anything else is even ranked.
+        assert_eq!(router.graph.epoch, 1);
+    }
+
+    #[test]
+    fn evacuation_stops_at_the_nearest_trap_on_the_way_home_when_home_is_full() {
+        let chain = Chain7::new();
+        let mut router = chain.router(&[5]);
+        assert!(router.evacuate_ion(Q0, TrapId(2)));
+        assert_eq!(router.state.trap_of(Q0), Some(TrapId(3)));
+    }
+
+    #[test]
+    fn fallback_traps_are_ranked_by_hops_then_trap_id() {
+        let chain = Chain7::new();
+        let mut router = chain.router(&[]);
+        router.reset_avail();
+        assert_eq!(
+            router.fallback_traps(TrapId(2), &[]),
+            traps(&[1, 3, 0, 4, 5, 6])
+        );
+        // Already-tried and full traps are left out; fullness does not change
+        // the (unconstrained) hop ranking of the rest.
+        let mut router = chain.router(&[0, 3]);
+        router.reset_avail();
+        assert_eq!(
+            router.fallback_traps(TrapId(2), &traps(&[5])),
+            traps(&[1, 4, 6])
+        );
+    }
+
+    #[test]
+    fn full_home_and_full_way_home_fall_through_to_the_nearest_free_trap() {
+        let chain = Chain7::new();
+        let mut router = chain.router(&[3, 4, 5]);
+        assert!(router.evacuate_ion(Q0, TrapId(2)));
+        assert_eq!(router.state.trap_of(Q0), Some(TrapId(1)));
+    }
+
+    #[test]
+    fn a_trap_listed_by_two_tiers_is_probed_once() {
+        // T1 and T3 are full, so nothing is reachable from T2. Home (T5) and
+        // T4 are free, hence probed on the way home; they must not be probed
+        // again as "any free trap" candidates. Searches: T5, the ideal way
+        // home, T4 (T3 is skipped as full), the hop ranking, T0, T6.
+        let chain = Chain7::new();
+        let mut router = chain.router(&[1, 3]);
+        assert!(!router.evacuate_ion(Q0, TrapId(2)));
+        assert_eq!(router.graph.epoch, 6);
+        assert!(router.ops.is_empty());
+        assert_eq!(router.state.trap_of(Q0), Some(TrapId(2)));
     }
 
     #[test]

@@ -6,54 +6,61 @@
 //! within each trap's chain. Chain order matters because an ion must be at a
 //! chain end to be split out (§2), which otherwise costs gate swaps.
 
-use std::collections::HashMap;
-
 use qccd_circuit::QubitId;
 use qccd_hardware::{Device, TrapId};
 
 use crate::QubitMapping;
 
-/// The positions of all ions during routing.
+/// The positions of all ions during routing. Per-trap tables are indexed by
+/// [`TrapId::index`], per-ion tables by [`QubitId::index`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceState {
-    chains: HashMap<TrapId, Vec<QubitId>>,
-    location: HashMap<QubitId, TrapId>,
-    capacity: HashMap<TrapId, usize>,
+    chains: Vec<Vec<QubitId>>,
+    location: Vec<Option<TrapId>>,
+    capacity: Vec<usize>,
     /// The trap each ion was originally mapped to ("home"), used when
     /// evacuating visitors.
-    home: HashMap<QubitId, TrapId>,
+    home: Vec<Option<TrapId>>,
+}
+
+/// The slot of a dense table, grown with defaults to reach `index`.
+fn slot<T: Clone + Default>(table: &mut Vec<T>, index: usize) -> &mut T {
+    if table.len() <= index {
+        table.resize(index + 1, T::default());
+    }
+    &mut table[index]
 }
 
 impl DeviceState {
     /// Initialises the state from the qubit-to-trap mapping.
     pub fn new(device: &Device, mapping: &QubitMapping) -> Self {
-        let mut chains: HashMap<TrapId, Vec<QubitId>> = HashMap::new();
-        let mut location = HashMap::new();
-        let mut home = HashMap::new();
+        let mut state = DeviceState {
+            chains: vec![Vec::new(); device.num_traps()],
+            location: Vec::new(),
+            capacity: Vec::new(),
+            home: Vec::new(),
+        };
+        for trap in device.traps() {
+            *slot(&mut state.capacity, trap.id.index()) = trap.capacity;
+        }
         for (&trap, chain) in mapping.chains() {
-            chains.insert(trap, chain.clone());
+            *slot(&mut state.chains, trap.index()) = chain.clone();
             for &q in chain {
-                location.insert(q, trap);
-                home.insert(q, trap);
+                *slot(&mut state.location, q.index()) = Some(trap);
+                *slot(&mut state.home, q.index()) = Some(trap);
             }
         }
-        let capacity = device.traps().iter().map(|t| (t.id, t.capacity)).collect();
-        DeviceState {
-            chains,
-            location,
-            capacity,
-            home,
-        }
+        state
     }
 
     /// The trap currently holding an ion.
     pub fn trap_of(&self, ion: QubitId) -> Option<TrapId> {
-        self.location.get(&ion).copied()
+        self.location.get(ion.index()).copied().flatten()
     }
 
     /// The trap an ion was originally mapped to.
     pub fn home_of(&self, ion: QubitId) -> Option<TrapId> {
-        self.home.get(&ion).copied()
+        self.home.get(ion.index()).copied().flatten()
     }
 
     /// Returns `true` if the ion is currently outside its home trap.
@@ -63,7 +70,7 @@ impl DeviceState {
 
     /// The ordered ion chain of a trap.
     pub fn chain(&self, trap: TrapId) -> &[QubitId] {
-        self.chains.get(&trap).map(|c| c.as_slice()).unwrap_or(&[])
+        self.chains.get(trap.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Number of ions currently in a trap.
@@ -73,7 +80,7 @@ impl DeviceState {
 
     /// The capacity of a trap.
     pub fn capacity(&self, trap: TrapId) -> usize {
-        self.capacity.get(&trap).copied().unwrap_or(0)
+        self.capacity.get(trap.index()).copied().unwrap_or(0)
     }
 
     /// Free ion slots in a trap.
@@ -104,7 +111,7 @@ impl DeviceState {
     /// an end.
     pub fn swap_towards_end(&mut self, ion: QubitId) -> Option<QubitId> {
         let trap = self.trap_of(ion)?;
-        let chain = self.chains.get_mut(&trap)?;
+        let chain = self.chains.get_mut(trap.index())?;
         let pos = chain.iter().position(|&q| q == ion)?;
         let len = chain.len();
         if pos == 0 || pos == len - 1 {
@@ -124,9 +131,8 @@ impl DeviceState {
     /// Panics if the ion is not currently in a trap.
     pub fn remove_ion(&mut self, ion: QubitId) -> TrapId {
         let trap = self.trap_of(ion).expect("ion must be in a trap");
-        let chain = self.chains.get_mut(&trap).expect("trap chain exists");
-        chain.retain(|&q| q != ion);
-        self.location.remove(&ion);
+        self.chains[trap.index()].retain(|&q| q != ion);
+        self.location[ion.index()] = None;
         trap
     }
 
@@ -140,8 +146,8 @@ impl DeviceState {
             self.free_slots(trap) > 0,
             "trap {trap} is full; cannot merge {ion}"
         );
-        self.chains.entry(trap).or_default().push(ion);
-        self.location.insert(ion, trap);
+        slot(&mut self.chains, trap.index()).push(ion);
+        *slot(&mut self.location, ion.index()) = Some(trap);
     }
 }
 

@@ -389,9 +389,10 @@ mod tests {
 
     #[test]
     fn grid_beats_linear_on_round_time() {
-        // Linear devices with capacity 2 can exceed the router's congestion
-        // handling for 2-D codes (see DESIGN.md limitations), so the
-        // pessimistic linear case is evaluated at capacity 3.
+        // A capacity-2 linear chain leaves one free slot per trap and every
+        // route passes through other traps, so a 2-D code's ancillas block
+        // each other head-on and the router gives up (`RoutingStuck`). The
+        // pessimistic linear case is therefore evaluated at capacity 3.
         let grid = Toolflow::new(ArchitectureConfig::new(
             TopologyKind::Grid,
             2,

@@ -5,13 +5,14 @@
 //! pipeline, and the hardware-level invariants the paper's §4.3 constraints
 //! demand are checked on the result: capacity and exclusivity are never
 //! violated, every gate of the input circuit is executed, and the schedule
-//! is causally consistent.
+//! is causally consistent. One fixed distance-7 point on the recommended
+//! architecture gets the same routing checks.
 
 use proptest::prelude::*;
 
 use qccd_core::{
-    check_resource_exclusivity, cluster_qubits_with_strategy, validate_clustering,
-    ArchitectureConfig, ClusteringStrategy, Compiler,
+    check_resource_exclusivity, check_routing_invariants, cluster_qubits_with_strategy,
+    validate_clustering, ArchitectureConfig, ClusteringStrategy, CompiledProgram, Compiler,
 };
 use qccd_hardware::{TopologyKind, WiringMethod};
 use qccd_qec::{parity_check_round, repetition_code, rotated_surface_code, CodeLayout};
@@ -30,12 +31,38 @@ fn wiring() -> impl Strategy<Value = WiringMethod> {
 
 /// A workload small enough to compile quickly but large enough to force ion
 /// movement: a repetition code on linear devices, the rotated surface code
-/// otherwise.
-fn workload_for(topology: TopologyKind) -> CodeLayout {
+/// at the drawn distance otherwise.
+fn workload_for(topology: TopologyKind, distance: usize) -> CodeLayout {
     match topology {
         TopologyKind::Linear => repetition_code(4),
-        _ => rotated_surface_code(3),
+        _ => rotated_surface_code(distance),
     }
+}
+
+/// The routing-level checks every compiled round must pass: each gate of the
+/// input circuit is executed exactly once, replaying the routed program never
+/// exceeds a trap's capacity or acts on an ion that is elsewhere, and no two
+/// scheduled operations overlap on a trap, segment, junction or ion (nor,
+/// under WISE, on the global transport controller).
+fn check_routed_round(program: &CompiledProgram, layout: &CodeLayout) -> Result<(), String> {
+    let gates = parity_check_round(layout).len();
+    if program.routed.num_gate_ops() != gates {
+        return Err(format!(
+            "{} gate ops for a round of {gates} instructions",
+            program.routed.num_gate_ops()
+        ));
+    }
+    check_routing_invariants(&program.routed, &program.device, &program.mapping)?;
+    check_resource_exclusivity(&program.schedule, program.arch.wiring)
+}
+
+#[test]
+fn distance_seven_round_on_the_recommended_grid_respects_the_hardware_constraints() {
+    let layout = rotated_surface_code(7);
+    let program = Compiler::new(ArchitectureConfig::recommended(1.0))
+        .compile_rounds(&layout, 1)
+        .expect("grid c2 d7 compiles");
+    assert_eq!(check_routed_round(&program, &layout), Ok(()));
 }
 
 proptest! {
@@ -44,11 +71,12 @@ proptest! {
     #[test]
     fn compiled_schedules_respect_the_hardware_constraints(
         topology in topology(),
+        distance in prop_oneof![Just(3usize), Just(5)],
         capacity in 2usize..7,
         wiring in wiring(),
         improvement in prop_oneof![Just(1.0f64), Just(5.0), Just(10.0)],
     ) {
-        let layout = workload_for(topology);
+        let layout = workload_for(topology, distance);
         let arch = ArchitectureConfig::new(topology, capacity, wiring, improvement);
         let compiler = Compiler::new(arch);
         let program = match compiler.compile_rounds(&layout, 1) {
@@ -59,18 +87,10 @@ proptest! {
             Err(_) => return Ok(()),
         };
 
-        // Every gate of the input circuit is executed exactly once.
-        prop_assert_eq!(
-            program.routed.num_gate_ops(),
-            parity_check_round(&layout).len()
-        );
+        prop_assert_eq!(check_routed_round(&program, &layout), Ok(()));
 
         // The mapping is a partition of the code's qubits within capacity.
         prop_assert_eq!(program.mapping.validate(), Ok(()));
-
-        // No two operations overlap on the same trap, segment, junction or
-        // ion, and WISE's global transport serialisation is honoured.
-        prop_assert_eq!(check_resource_exclusivity(&program.schedule, wiring), Ok(()));
 
         // The makespan bounds every per-qubit busy time and is positive.
         prop_assert!(program.elapsed_time_us() > 0.0);
