@@ -80,9 +80,6 @@ serve options:
   --deadline-us <us>       partial-word flush deadline (default: 500)
   --batch-words <n>        64-shot words coalesced per decode job (default: 1)
   --queue-shots <n>        per-stream in-flight bound (default: 4096)
-  --dense-entries <n>      dense-tier LRU entry cap (default: 65536)
-  --no-dense-memo          disable the dense LRU tier (above-cap lanes
-                           decode uncached)
   --no-telemetry           disable the telemetry registry entirely
   --sample-every <n>       stage-timing sample period (default: 16; 1 = all)
   --trace-out <file>       stream sampled stage spans as JSON lines
@@ -114,7 +111,7 @@ loadgen options:
   --trace-out <file>       stream sampled stage spans as JSON lines
                            (in-process only; use `serve --trace-out` for TCP)
   --workers/--deadline-us/--batch-words/--queue-shots   service knobs
-  --dense-entries/--no-dense-memo                       (in-process only)
+                                                        (in-process only)
   --no-telemetry/--sample-every <n>                     telemetry knobs
 
 sweep run/resume options:
@@ -296,7 +293,6 @@ pub fn kind_summary(spec: &ExperimentSpec) -> &'static str {
         ExperimentKind::Surgery(_) => "surgery",
         ExperimentKind::DecoderComparison(_) => "decoder_comparison",
         ExperimentKind::ClusteringAblation(_) => "clustering_ablation",
-        ExperimentKind::DenseTail(_) => "dense_tail",
     }
 }
 
@@ -344,16 +340,6 @@ fn parse_service_flag(
         "--batch-words" => *config = config.with_max_batch_words(parse_number(flag, iter.next())?),
         "--queue-shots" => {
             *config = config.with_stream_queue_shots(parse_number(flag, iter.next())?);
-        }
-        "--dense-entries" => {
-            *config = config.with_memo(
-                config
-                    .memo
-                    .with_dense_max_entries(parse_number(flag, iter.next())?),
-            );
-        }
-        "--no-dense-memo" => {
-            *config = config.with_memo(config.memo.with_dense_max_entries(0));
         }
         "--no-telemetry" => {
             *config = config.with_telemetry(TelemetryConfig::disabled());
@@ -1628,8 +1614,6 @@ mod tests {
             "2",
             "--queue-shots",
             "128",
-            "--dense-entries",
-            "512",
         ]))
         .unwrap();
         assert_eq!(options.addr, "0.0.0.0:9000");
@@ -1637,12 +1621,8 @@ mod tests {
         assert_eq!(options.service.flush_deadline, Duration::from_micros(250));
         assert_eq!(options.service.max_batch_words, 2);
         assert_eq!(options.service.stream_queue_shots, 128);
-        assert_eq!(options.service.memo.dense_max_entries, 512);
-        let dense_off = parse_serve_options(&strings(&["--no-dense-memo"])).unwrap();
-        assert!(!dense_off.service.memo.dense_enabled());
         assert!(parse_serve_options(&strings(&["--workers"])).is_err());
         assert!(parse_serve_options(&strings(&["--workers", "x"])).is_err());
-        assert!(parse_serve_options(&strings(&["--dense-entries"])).is_err());
         assert!(parse_serve_options(&strings(&["--bogus"])).is_err());
     }
 

@@ -200,7 +200,7 @@ pub fn merge_artifact(spec: &ExperimentSpec, store: &PointStore) -> Result<Artif
 // ---------------------------------------------------------------------------
 
 /// Field order of [`CacheStats`] in the JSON codec.
-const CACHE_FIELDS: [&str; 14] = [
+const CACHE_FIELDS: [&str; 8] = [
     "hits",
     "misses",
     "uncacheable",
@@ -209,12 +209,6 @@ const CACHE_FIELDS: [&str; 14] = [
     "sparse_words",
     "dense_words",
     "word_merged",
-    "dense_hits",
-    "dense_misses",
-    "dense_evictions",
-    "cluster_lanes",
-    "cluster_components",
-    "cluster_conflicts",
 ];
 
 fn cache_to_json(cache: &CacheStats) -> Value {
@@ -227,12 +221,6 @@ fn cache_to_json(cache: &CacheStats) -> Value {
         cache.sparse_words,
         cache.dense_words,
         cache.word_merged,
-        cache.dense_hits,
-        cache.dense_misses,
-        cache.dense_evictions,
-        cache.cluster_lanes,
-        cache.cluster_components,
-        cache.cluster_conflicts,
     ];
     let mut map = serde_json::Map::new();
     for (key, value) in CACHE_FIELDS.iter().zip(values) {
@@ -257,12 +245,7 @@ fn cache_from_json(value: &Value) -> Result<CacheStats, String> {
         sparse_words: field("sparse_words")?,
         dense_words: field("dense_words")?,
         word_merged: field("word_merged")?,
-        dense_hits: field("dense_hits")?,
-        dense_misses: field("dense_misses")?,
-        dense_evictions: field("dense_evictions")?,
-        cluster_lanes: field("cluster_lanes")?,
-        cluster_components: field("cluster_components")?,
-        cluster_conflicts: field("cluster_conflicts")?,
+        ..CacheStats::default()
     })
 }
 
@@ -467,13 +450,8 @@ mod tests {
                 quiet_words: 5,
                 sparse_words: 6,
                 dense_words: 7,
-                word_merged: 8,
-                dense_hits: 9,
-                dense_misses: 10,
-                dense_evictions: 11,
-                cluster_lanes: 12,
-                cluster_components: 13,
-                cluster_conflicts: u64::MAX,
+                word_merged: u64::MAX,
+                ..CacheStats::default()
             }),
         };
         let err = LerOutcome {

@@ -15,16 +15,13 @@
 //! cargo run -p qccd-bench --release --bin artifacts -- run --all --cache
 //! ```
 //!
-//! The legacy per-figure binaries (`--bin fig09`, `--bin table2`, …) remain
-//! as thin shims over [`registry::run_legacy`] for artifact-script
-//! compatibility; they run the exact same code path as `artifacts run`, so
-//! their numbers are bit-identical by construction. Tables, timing-series
-//! keys and the table2/table3/ext_* JSON payloads match the legacy output;
-//! the LER artefacts use the unified entry schema (`sampled` points plus a
-//! `lambda` object with confidence intervals).
+//! Tables, timing-series keys and the table2/table3/ext_* JSON payloads keep
+//! the shape the retired per-figure binaries printed; the LER artefacts use
+//! the unified entry schema (`sampled` points plus a `lambda` object with
+//! confidence intervals).
 //!
 //! Shared plumbing lives here: architecture helpers, aligned-table
-//! rendering, JSON artefact dumping, and the [`sweep`] module that shards
+//! rendering, and the [`sweep`] module that shards
 //! whole `(architecture, distance, decoder)` points across a deterministic
 //! worker pool.
 
@@ -37,9 +34,6 @@ pub mod distributed;
 pub mod registry;
 pub mod spec;
 pub mod sweep;
-
-use std::fs;
-use std::path::PathBuf;
 
 use qccd_core::ArchitectureConfig;
 use qccd_decoder::{LambdaFit, SweepEngine};
@@ -92,23 +86,6 @@ pub fn format_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
         line(row, &mut out);
     }
     out
-}
-
-/// Prints an aligned text table to stdout.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    print!("{}", format_table(title, headers, rows));
-}
-
-/// Writes a JSON artefact under `target/experiments/<name>.json`.
-pub fn dump_json(name: &str, value: &serde_json::Value) {
-    let mut path = PathBuf::from("target/experiments");
-    if fs::create_dir_all(&path).is_ok() {
-        path.push(format!("{name}.json"));
-        if let Ok(text) = serde_json::to_string_pretty(value) {
-            let _ = fs::write(&path, text);
-            println!("(wrote {})", path.display());
-        }
-    }
 }
 
 /// Formats a float compactly, using scientific notation for small values.

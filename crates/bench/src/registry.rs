@@ -4,38 +4,32 @@
 //! [`ExperimentRegistry::builtin`] registers all thirteen paper artefacts
 //! (fig08a/fig08b/fig09/fig10/fig11/fig12/fig13a/fig13b/table2/table3/
 //! ext_surgery/ext_decoder_comparison/ext_ablation_clustering) plus the
-//! decoder_dense_tail profile;
+//! rare_event_ler validation;
 //! [`ExperimentRegistry::run`] resolves a name and executes its spec on the
-//! [`SweepEngine`], producing an [`Artifact`]. The legacy per-figure
-//! binaries are thin shims over [`run_legacy`], so `artifacts run <name>`
-//! and `cargo run --bin <name>` are the *same code path* — numbers are
-//! bit-identical by construction, and the golden tests pin them.
+//! [`SweepEngine`], producing an [`Artifact`]. `artifacts run <name>` is
+//! the one way to regenerate an artefact, and the golden tests pin its
+//! numbers.
 
 use std::collections::BTreeMap;
 
 use qccd_baselines::{MuzzleShuttleCompiler, QccdSimCompiler};
-use qccd_circuit::Instruction;
 use qccd_core::{
     cluster_qubits_with_strategy, cut_weight, theoretical, ArchitectureConfig, ClusteringStrategy,
     CompileError, CompiledProgram, Compiler, Toolflow,
 };
-use qccd_decoder::{
-    estimate_logical_error_rate, DecodeScratch, Decoder, DecoderKind, DecodingGraph, LambdaFit,
-    MemoConfig, SweepEngine, UnionFindDecoder, DEFAULT_MEMO_MAX_DEFECTS,
-};
+use qccd_decoder::{estimate_logical_error_rate, DecoderKind, LambdaFit, SweepEngine};
 use qccd_hardware::{estimate_resources, OperationTimes, TopologyKind, WiringMethod};
-use qccd_qec::{memory_experiment, rotated_surface_code, surgery_workload, MemoryBasis, MergeKind};
-use qccd_sim::{sample_detector_chunks, DetectorErrorModel, NoiseChannel, NoisyCircuit};
+use qccd_qec::{rotated_surface_code, surgery_workload, MemoryBasis, MergeKind};
 use serde_json::Value;
 
 use crate::artifact::{Artifact, ArtifactMetadata};
 use crate::spec::{
     ArchPoint, ClusteringAblationSpec, CodeSpec, CompileCase, CompilerBoundsSpec,
-    DecoderComparisonSpec, DenseTailSpec, ExperimentKind, ExperimentSpec, LerOutput, LerSweepSpec,
+    DecoderComparisonSpec, ExperimentKind, ExperimentSpec, LerOutput, LerSweepSpec,
     RareEventLerSpec, SpecError, SurgerySpec, TimingMetric, TimingSweepSpec,
 };
 use crate::sweep::{rare_event_points, run_ler_sweep, LerCurve, LerOutcome, DEFAULT_SWEEP_SEED};
-use crate::{dump_json, fmt_f64, ler_curves_with, print_table};
+use crate::{fmt_f64, ler_curves_with};
 
 /// Errors surfaced when resolving or executing a registered experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -154,7 +148,6 @@ pub fn run_spec(spec: &ExperimentSpec) -> Result<Artifact, RunError> {
         ExperimentKind::Surgery(kind) => run_surgery(kind, spec.seed),
         ExperimentKind::DecoderComparison(kind) => run_decoder_comparison(kind, spec.seed),
         ExperimentKind::ClusteringAblation(kind) => run_clustering_ablation(kind, spec.seed),
-        ExperimentKind::DenseTail(kind) => run_dense_tail(kind, spec.seed),
     };
     Ok(Artifact {
         title: spec.title.clone(),
@@ -164,27 +157,6 @@ pub fn run_spec(spec: &ExperimentSpec) -> Result<Artifact, RunError> {
         data,
         metadata: ArtifactMetadata::for_spec(spec),
     })
-}
-
-/// Executes a registered experiment and prints it exactly like the legacy
-/// binary did: the aligned table, any reading notes, then the JSON artefact
-/// under `target/experiments/<name>.json`. The thirteen legacy binaries are
-/// thin shims over this function.
-pub fn run_legacy(name: &str) {
-    match ExperimentRegistry::builtin().run(name) {
-        Ok(artifact) => {
-            let headers: Vec<&str> = artifact.headers.iter().map(String::as_str).collect();
-            print_table(&artifact.title, &headers, &artifact.rows);
-            for note in &artifact.notes {
-                println!("\n{note}");
-            }
-            dump_json(name, &artifact.data);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 type RunnerOutput = (Vec<String>, Vec<Vec<String>>, Vec<String>, Value);
@@ -1176,163 +1148,8 @@ fn run_clustering_ablation(kind: &ClusteringAblationSpec, seed: u64) -> RunnerOu
     (headers, rows, notes, Value::Array(entries))
 }
 
-/// A rotated-surface-code memory experiment with code-capacity depolarising
-/// noise at rate `p` on every data qubit each round — the same construction
-/// the decoder benchmarks pin their evaluation point on.
-fn code_capacity_memory(d: usize, p: f64) -> NoisyCircuit {
-    let code = rotated_surface_code(d);
-    let exp = memory_experiment(&code, d, MemoryBasis::Z);
-    let data = code.data_qubits();
-    let mut noisy = NoisyCircuit::new();
-    noisy.pad_qubits(exp.circuit.num_qubits());
-    let first_ancilla = code.ancilla_qubits()[0];
-    for instruction in exp.circuit.iter() {
-        if let Instruction::Reset(q) = instruction {
-            if *q == first_ancilla {
-                for &dq in &data {
-                    noisy.push_noise(NoiseChannel::Depolarize1 { qubit: dq, p });
-                }
-            }
-        }
-        noisy.push_gate(*instruction);
-    }
-    for det in exp.circuit.detectors() {
-        noisy.add_detector(det.clone());
-    }
-    for obs in exp.circuit.observables() {
-        noisy.add_observable(obs.clone());
-    }
-    noisy
-}
-
-/// Times `passes` warm batch decodes of `chunk` under `memo`, after one
-/// untimed pass that fills the caches (for the disabled config the untimed
-/// pass just equalises the protocol). Returns the mean wall-clock seconds
-/// per pass and the scratch, so the caller can read the final cache stats.
-fn timed_warm_decode(
-    decoder: &UnionFindDecoder,
-    chunk: &qccd_sim::SyndromeChunk,
-    memo: MemoConfig,
-    passes: u32,
-) -> (f64, DecodeScratch) {
-    let mut scratch = DecodeScratch::with_memo_config(memo);
-    decoder.decode_batch(chunk, &mut scratch);
-    let start = std::time::Instant::now();
-    for _ in 0..passes {
-        decoder.decode_batch(chunk, &mut scratch);
-    }
-    (start.elapsed().as_secs_f64() / f64::from(passes), scratch)
-}
-
-fn run_dense_tail(kind: &DenseTailSpec, seed: u64) -> RunnerOutput {
-    const TIMED_PASSES: u32 = 3;
-    let cap = DEFAULT_MEMO_MAX_DEFECTS;
-    let engine = SweepEngine::new(seed);
-    let outcomes = engine.run(&kind.distances, |task| {
-        let d = *task.point;
-        let noisy = code_capacity_memory(d, kind.p);
-        let dem = DetectorErrorModel::from_circuit(&noisy).expect("valid annotations");
-        let decoder = UnionFindDecoder::new(DecodingGraph::from_dem(&dem));
-        let sampler = sample_detector_chunks(&noisy, kind.shots, task.seed, kind.shots)
-            .expect("valid annotations");
-        let chunk = sampler.sample_chunk(0);
-
-        // Defect-count histogram over the sampled lanes: buckets 0..=cap
-        // count the memoizable tiers, the last bucket is the dense tail
-        // (> cap defects) that the LRU tier and cluster matcher absorb.
-        let mut histogram = vec![0u64; cap + 2];
-        let mut fired = Vec::new();
-        for shot in 0..chunk.num_shots() {
-            chunk.fired_detectors_into(shot, &mut fired);
-            histogram[fired.len().min(cap + 1)] += 1;
-        }
-        let noisy_lanes: u64 = histogram[1..].iter().sum();
-        let dense_lanes = histogram[cap + 1];
-        let dense_share = dense_lanes as f64 / chunk.num_shots() as f64;
-
-        // Per-tier time share: warm passes with the full dense tier, with
-        // the dense LRU switched off (dense lanes replay through the
-        // cluster matcher and union-find every pass), and with the memo
-        // disabled entirely (PR 1's raw batch path).
-        let (full_s, scratch) =
-            timed_warm_decode(&decoder, &chunk, MemoConfig::default(), TIMED_PASSES);
-        let (no_dense_s, _) = timed_warm_decode(
-            &decoder,
-            &chunk,
-            MemoConfig::default().with_dense_max_entries(0),
-            TIMED_PASSES,
-        );
-        let (uncached_s, _) =
-            timed_warm_decode(&decoder, &chunk, MemoConfig::disabled(), TIMED_PASSES);
-        let stats = scratch.cache_stats();
-        let speedup = uncached_s / full_s;
-
-        let row = vec![
-            format!("d={d}"),
-            noisy_lanes.to_string(),
-            dense_lanes.to_string(),
-            fmt_f64(dense_share),
-            fmt_f64(full_s * 1e3),
-            fmt_f64(no_dense_s * 1e3),
-            fmt_f64(uncached_s * 1e3),
-            fmt_f64(speedup),
-        ];
-        let entry = serde_json::json!({
-            "distance": d,
-            "p": kind.p,
-            "shots": kind.shots,
-            "seed": task.seed,
-            "memo_defect_cap": cap,
-            "defect_histogram": histogram,
-            "noisy_lanes": noisy_lanes,
-            "dense_lanes": dense_lanes,
-            "dense_share": dense_share,
-            "warm_full_ms": full_s * 1e3,
-            "warm_no_dense_ms": no_dense_s * 1e3,
-            "uncached_ms": uncached_s * 1e3,
-            "warm_speedup": speedup,
-            "cache": {
-                "quiet_words": stats.quiet_words,
-                "sparse_words": stats.sparse_words,
-                "dense_words": stats.dense_words,
-                "dense_hits": stats.dense_hits,
-                "dense_misses": stats.dense_misses,
-                "dense_evictions": stats.dense_evictions,
-                "cluster_lanes": stats.cluster_lanes,
-                "cluster_components": stats.cluster_components,
-                "cluster_conflicts": stats.cluster_conflicts,
-            },
-        });
-        (row, entry)
-    });
-    let (rows, entries): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
-    let headers = [
-        "Distance",
-        "Noisy lanes",
-        "Dense lanes",
-        "Dense share",
-        "Warm full (ms)",
-        "Warm no-dense (ms)",
-        "Uncached (ms)",
-        "Speedup",
-    ]
-    .map(String::from)
-    .to_vec();
-    let notes = vec![
-        format!(
-            "Reading: lanes with more than {cap} defects are the dense tail the LRU tier and \
-             cluster matcher absorb; the warm full-config pass should beat the uncached pass, \
-             and the gap to the no-dense column is the dense tier's own share."
-        ),
-        "Timings are wall-clock on this machine — the histogram and cache counters are \
-         seed-deterministic, the millisecond columns are not."
-            .to_string(),
-    ];
-    (headers, rows, notes, Value::Array(entries))
-}
-
 // ---------------------------------------------------------------------------
-// Built-in specs (the thirteen paper artefacts plus the decoder profile)
+// Built-in specs (the thirteen paper artefacts plus the rare-event validation)
 // ---------------------------------------------------------------------------
 
 fn ler_spec(
@@ -1646,20 +1463,6 @@ fn builtin_specs() -> Vec<ExperimentSpec> {
         }),
     });
 
-    // Decoder profile: the dense-shot tail the word path's LRU tier and
-    // cluster matcher target. p is biased above the benchmarks' pinned
-    // evaluation point so every distance shows a visible >cap tail.
-    specs.push(ExperimentSpec {
-        name: "decoder_dense_tail".into(),
-        title: "Decoder profile: dense-tail defect histogram and per-tier warm decode time".into(),
-        seed: DEFAULT_SWEEP_SEED,
-        kind: ExperimentKind::DenseTail(DenseTailSpec {
-            distances: vec![3, 5, 7],
-            p: 0.005,
-            shots: 8192,
-        }),
-    });
-
     // Rare-event validation: the importance-sampled estimator against plain
     // Monte Carlo in the low-LER regime (very high gate improvement, where
     // failures are rare events). At 1000X both estimators converge — the
@@ -1712,7 +1515,6 @@ mod tests {
     fn builtin_registry_contains_all_paper_artefacts() {
         let registry = ExperimentRegistry::builtin();
         let expected = [
-            "decoder_dense_tail",
             "ext_ablation_clustering",
             "ext_decoder_comparison",
             "ext_surgery",

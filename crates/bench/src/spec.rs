@@ -185,7 +185,6 @@ fn estimator_to_json(config: &EstimatorConfig) -> Value {
         "memo": {
             "max_defects": config.memo.max_defects,
             "max_entries": config.memo.max_entries,
-            "dense_max_entries": config.memo.dense_max_entries,
         },
         "word_decode": config.word_decode,
         "shared_memo": config.shared_memo,
@@ -205,18 +204,6 @@ fn bool_field_or(value: &Value, key: &str, default: bool) -> Result<bool, SpecEr
         Some(v) if !v.is_null() => v
             .as_bool()
             .ok_or_else(|| SpecError(format!("`{key}` must be a boolean"))),
-        _ => Ok(default),
-    }
-}
-
-/// An optional integer field defaulting to `default` when absent or null
-/// (keeps pre-dense-tier spec files parseable).
-fn usize_field_or(value: &Value, key: &str, default: usize) -> Result<usize, SpecError> {
-    match value.get(key) {
-        Some(v) if !v.is_null() => v
-            .as_u64()
-            .map(|n| n as usize)
-            .ok_or_else(|| SpecError(format!("`{key}` must be an integer"))),
         _ => Ok(default),
     }
 }
@@ -251,11 +238,6 @@ fn estimator_from_json(value: &Value) -> Result<EstimatorConfig, SpecError> {
         memo: MemoConfig {
             max_defects: usize_field(memo, "max_defects")?,
             max_entries: usize_field(memo, "max_entries")?,
-            dense_max_entries: usize_field_or(
-                memo,
-                "dense_max_entries",
-                qccd_decoder::DEFAULT_DENSE_MAX_ENTRIES,
-            )?,
         },
         word_decode: bool_field_or(value, "word_decode", true)?,
         shared_memo: bool_field_or(value, "shared_memo", true)?,
@@ -782,19 +764,6 @@ pub struct ClusteringAblationSpec {
     pub capacities: Vec<usize>,
 }
 
-/// Dense-tail triage profile: the defect-count histogram of a sampled
-/// syndrome stream plus the warm decode time under each memo tier
-/// configuration (full dense tier, dense tier off, memo off).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DenseTailSpec {
-    /// Code distances.
-    pub distances: Vec<usize>,
-    /// Code-capacity depolarising rate per data qubit per round.
-    pub p: f64,
-    /// Sampled shots per distance.
-    pub shots: usize,
-}
-
 /// Importance-sampled rare-event LER validation: every `(configuration,
 /// distance)` point is evaluated twice — plain Monte Carlo with `shots`
 /// shots and importance-sampled with `biased_shots` shots at bias factor
@@ -839,8 +808,6 @@ pub enum ExperimentKind {
     DecoderComparison(DecoderComparisonSpec),
     /// Clustering-strategy ablation.
     ClusteringAblation(ClusteringAblationSpec),
-    /// Dense-tail triage and tier-timing profile.
-    DenseTail(DenseTailSpec),
 }
 
 /// One fully-declarative experiment: a named point of the paper's
@@ -919,12 +886,6 @@ impl ExperimentSpec {
                 "distances": spec.distances.clone(),
                 "capacities": spec.capacities.clone(),
             }),
-            ExperimentKind::DenseTail(spec) => serde_json::json!({
-                "experiment": "dense_tail",
-                "distances": spec.distances.clone(),
-                "p": spec.p,
-                "shots": spec.shots,
-            }),
         };
         serde_json::json!({
             "name": self.name,
@@ -1002,11 +963,6 @@ impl ExperimentSpec {
             "clustering_ablation" => ExperimentKind::ClusteringAblation(ClusteringAblationSpec {
                 distances: usize_list(experiment, "distances")?,
                 capacities: usize_list(experiment, "capacities")?,
-            }),
-            "dense_tail" => ExperimentKind::DenseTail(DenseTailSpec {
-                distances: usize_list(experiment, "distances")?,
-                p: f64_field(experiment, "p")?,
-                shots: usize_field(experiment, "shots")?,
             }),
             other => return err(format!("unknown experiment kind `{other}`")),
         };
@@ -1148,19 +1104,6 @@ impl ExperimentSpec {
                 }
                 Ok(())
             }
-            ExperimentKind::DenseTail(spec) => {
-                if spec.distances.is_empty() {
-                    return err("dense-tail profile needs at least one distance");
-                }
-                distances_at_least_two(&spec.distances, "dense-tail profile")?;
-                if spec.shots == 0 {
-                    return err("dense-tail profile needs a positive shot count");
-                }
-                if !(spec.p.is_finite() && spec.p > 0.0 && spec.p < 1.0) {
-                    return err("dense-tail physical error rate must lie in (0, 1)");
-                }
-                Ok(())
-            }
         }
     }
 
@@ -1219,6 +1162,12 @@ mod tests {
         let text = serde_json::to_string_pretty(&spec.to_json()).unwrap();
         let parsed = ExperimentSpec::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
         assert_eq!(parsed, spec);
+
+        // Unknown keys are ignored, so spec files written when the memo had
+        // more knobs than it has now still load.
+        let mut old = spec.to_json();
+        old["experiment"]["estimator"]["memo"]["retired_knob"] = serde_json::json!(65536);
+        assert_eq!(ExperimentSpec::from_json(&old).unwrap(), spec);
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //!
 //! `artifacts run fig09` must reproduce the committed golden numbers
 //! bit-identically: the registry resolves the `fig09` spec and executes it
-//! through the same `run_spec` path the CLI and the legacy `--bin fig09`
-//! shim use, so a diff here means every consumer drifted. fig09 is
-//! compile-only (no Monte Carlo), so this pins the compiler → scheduler →
-//! performance-model half of the pipeline; `golden_sweep.rs` pins the
-//! sampling/decoding half.
+//! through the same `run_spec` path the CLI uses, so a diff here means
+//! every consumer drifted. fig09 is compile-only (no Monte Carlo), so this
+//! pins the compiler → scheduler → performance-model half of the pipeline;
+//! `golden_sweep.rs` pins the sampling/decoding half.
 //!
 //! Regenerate after an *intentional* change with:
 //!

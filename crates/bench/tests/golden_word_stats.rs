@@ -52,12 +52,6 @@ fn word_path_stats_match_committed_golden() {
             "sparse_words": cache.sparse_words,
             "dense_words": cache.dense_words,
             "word_merged": cache.word_merged,
-            "dense_hits": cache.dense_hits,
-            "dense_misses": cache.dense_misses,
-            "dense_evictions": cache.dense_evictions,
-            "cluster_lanes": cache.cluster_lanes,
-            "cluster_components": cache.cluster_components,
-            "cluster_conflicts": cache.cluster_conflicts,
         },
     }))
     .expect("stats serialize");

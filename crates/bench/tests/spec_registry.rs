@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use qccd_bench::spec::{
     ArchPoint, ClusteringAblationSpec, CodeSpec, CompileCase, CompilerBoundsSpec,
-    DecoderComparisonSpec, DenseTailSpec, ExperimentKind, ExperimentSpec, LerOutput, LerSweepSpec,
+    DecoderComparisonSpec, ExperimentKind, ExperimentSpec, LerOutput, LerSweepSpec,
     RareEventLerSpec, SurgerySpec, TimingMetric, TimingSweepSpec,
 };
 use qccd_bench::ExperimentRegistry;
@@ -226,16 +226,8 @@ fn spec_suite() -> impl Strategy<Value = Vec<ExperimentSpec>> {
                     spec(
                         "clustering",
                         ExperimentKind::ClusteringAblation(ClusteringAblationSpec {
-                            distances: distances.clone(),
-                            capacities: vec![3, 5],
-                        }),
-                    ),
-                    spec(
-                        "dense_tail",
-                        ExperimentKind::DenseTail(DenseTailSpec {
                             distances,
-                            p: 0.001 + (shots % 100) as f64 / 1000.0,
-                            shots,
+                            capacities: vec![3, 5],
                         }),
                     ),
                 ]
@@ -265,7 +257,6 @@ proptest! {
 fn registry_is_complete_and_every_spec_resolves_validates_and_round_trips() {
     let registry = ExperimentRegistry::builtin();
     let expected = [
-        "decoder_dense_tail",
         "ext_ablation_clustering",
         "ext_decoder_comparison",
         "ext_surgery",

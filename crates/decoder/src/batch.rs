@@ -33,25 +33,19 @@
 //! 3. **Sparse memo** — lanes at or below [`MemoConfig::max_defects`]
 //!    probe the hash table ([`decode_lanes`]); misses decode once and
 //!    insert.
-//! 4. **Dense LRU** — lanes *above* the cap probe the bounded
-//!    least-recently-used dense tier keyed by the canonical defect list
-//!    ([`MemoConfig::dense_max_entries`]); recurring dense syndromes
-//!    amortize exactly like sparse ones.
-//! 5. **Cluster matcher** — a dense miss decomposes the lane's defects
-//!    into connected clusters on the decoding graph and decodes each
-//!    cluster independently in one shared scratch epoch (memo-answerable
-//!    clusters short-circuit); cluster results are themselves cached.
-//! 6. **Incremental union-find** — only when clusters merge during growth
-//!    does the lane fall back to a whole-lane union-find decode, after an
-//!    O(touched) undo-log rollback of the scratch (no full reset between
-//!    lanes).
+//! 4. **Union-find** — lanes *above* the cap are counted as
+//!    [`CacheStats::uncacheable`] and decoded by one plain
+//!    [`Decoder::decode_shot`](crate::Decoder::decode_shot), exactly as
+//!    the per-shot reference defines them. Nothing caches these lanes:
+//!    on fresh circuit-level samples an above-cap defect set recurs ~1 %
+//!    of the time, so a probe costs more than it saves (see the README's
+//!    decode-ladder table).
 //!
 //! **Invariant:** every tier is bit-identical to the per-shot reference
 //! loop — [`decode_batch_per_shot`] with the memo disabled. Tiers only
 //! change *where* a prediction comes from, never what it is; the identity
-//! test battery (`tests/prop_word_parallel_identity.rs`,
-//! `tests/prop_dense_tail_identity.rs`) pins this contract across decoders,
-//! configurations and noise levels.
+//! test battery (`tests/prop_word_parallel_identity.rs`) pins this contract
+//! across decoders, configurations and noise levels.
 
 use std::cmp::Ordering;
 
@@ -241,22 +235,6 @@ pub(crate) struct UnionFindScratch {
     pub(crate) order: Vec<usize>,
     pub(crate) queue: std::collections::VecDeque<usize>,
     pub(crate) peel_roots: Vec<usize>,
-    // Dense-tier cluster state (see `union_find::decode_dense_shot`): one
-    // claim flag per node (`id < num_nodes`) and per edge
-    // (`id = num_nodes + edge`), plus the undo log of claimed ids that
-    // makes rollback O(touched) instead of a full `begin`.
-    pub(crate) claims: EpochVec<bool>,
-    pub(crate) claim_log: Vec<u32>,
-    /// Tiny DSU over the fired-defect indices used by the cluster
-    /// decomposition (not epoch-stamped; re-initialised per lane).
-    pub(crate) comp_dsu: Vec<u32>,
-    /// First fired defect (by index) seen adjacent to a quiet detector —
-    /// merges components that share an unfired neighbor before growth.
-    pub(crate) comp_neighbor: EpochVec<u32>,
-    pub(crate) comp_fired: Vec<usize>,
-    pub(crate) comp_key: Vec<u32>,
-    pub(crate) comp_touched: Vec<u32>,
-    pub(crate) lane_touched: Vec<u32>,
 }
 
 impl Default for UnionFindScratch {
@@ -276,14 +254,6 @@ impl Default for UnionFindScratch {
             order: Vec::new(),
             queue: std::collections::VecDeque::new(),
             peel_roots: Vec::new(),
-            claims: EpochVec::new(false),
-            claim_log: Vec::new(),
-            comp_dsu: Vec::new(),
-            comp_neighbor: EpochVec::new(u32::MAX),
-            comp_fired: Vec::new(),
-            comp_key: Vec::new(),
-            comp_touched: Vec::new(),
-            lane_touched: Vec::new(),
         }
     }
 }
@@ -377,50 +347,6 @@ impl UnionFindScratch {
         let state = self.nodes.get(root);
         state.parity && !state.boundary
     }
-
-    /// Claims one id (a node for `id < num_nodes`, otherwise
-    /// `num_nodes + edge`), logging first-time claims so rollback can undo
-    /// them. Returns whether the id was already claimed this lane.
-    pub(crate) fn claim_id(&mut self, id: usize) -> bool {
-        if self.claims.get(id) {
-            true
-        } else {
-            self.claims.set(id, true);
-            self.claim_log.push(id as u32);
-            false
-        }
-    }
-
-    /// Reverts every slot touched since the lane's `begin` by walking the
-    /// claim log — O(touched), not O(graph). The epoch (and `round`) keep
-    /// advancing: an unset slot simply reads as its fresh default again, so
-    /// a whole-lane decode can rerun in the same epoch. The caller
-    /// re-marks the boundary node afterwards.
-    pub(crate) fn rollback(&mut self, num_nodes: usize) {
-        let log = std::mem::take(&mut self.claim_log);
-        for &id in &log {
-            let id = id as usize;
-            self.claims.unset(id);
-            if id < num_nodes {
-                self.nodes.unset(id);
-                self.defect.unset(id);
-                self.peel.unset(id);
-                self.frontier.unset(id);
-                self.peel_adjacency.unset(id);
-            } else {
-                self.edges.unset(id - num_nodes);
-            }
-        }
-        self.claim_log = log;
-        self.claim_log.clear();
-        self.growth_candidates.clear();
-        self.grown_edges.clear();
-        self.active.clear();
-        self.merges.clear();
-        self.order.clear();
-        self.queue.clear();
-        self.peel_roots.clear();
-    }
 }
 
 /// Per-shot working state of the matching decoders (greedy and exact).
@@ -496,9 +422,6 @@ pub struct DecodeScratch {
     pub(crate) matching: MatchingScratch,
     /// Per-decoder prediction cache consulted by the batch decode loop.
     pub(crate) memo: SyndromeMemo,
-    /// Reusable canonical-key buffer of the dense LRU tier (defect lists
-    /// widened to `u32` for probing without per-lane allocation).
-    pub(crate) dense_key: Vec<u32>,
 }
 
 impl DecodeScratch {
@@ -541,12 +464,6 @@ impl DecodeScratch {
         self.memo.len()
     }
 
-    /// Number of entries currently held by the dense LRU tier (bounded by
-    /// [`MemoConfig::dense_max_entries`]).
-    pub fn dense_memo_entries(&self) -> usize {
-        self.memo.dense_len()
-    }
-
     /// Freezes the scratch's warmed memo into a read-mostly
     /// [`MemoSnapshot`] for other workers to adopt. `None` while no decoder
     /// has claimed the memo yet (prefer
@@ -574,7 +491,6 @@ struct BatchBuffers {
     prediction: Vec<bool>,
     memo: SyndromeMemo,
     memo_active: bool,
-    dense_key: Vec<u32>,
 }
 
 impl BatchBuffers {
@@ -627,7 +543,6 @@ impl BatchBuffers {
             prediction,
             memo,
             memo_active,
-            dense_key: std::mem::take(&mut scratch.dense_key),
         }
     }
 
@@ -635,56 +550,6 @@ impl BatchBuffers {
         scratch.word_fired = self.word_fired;
         scratch.shot_prediction = self.prediction;
         scratch.memo = self.memo;
-        scratch.dense_key = self.dense_key;
-    }
-}
-
-/// Packs a per-observable prediction into the memo's `u64` flip bitmask
-/// (callers guarantee ≤64 observables before engaging any memo tier).
-pub(crate) fn pack_prediction(prediction: &[bool]) -> u64 {
-    let mut flips = 0u64;
-    for (observable, &flipped) in prediction.iter().enumerate() {
-        if flipped {
-            flips |= 1u64 << observable;
-        }
-    }
-    flips
-}
-
-/// A borrowed handle onto the scratch's dense LRU tier, handed to
-/// [`Decoder::decode_dense_shot`](crate::Decoder::decode_dense_shot) for
-/// the lanes whose defect count exceeds the sparse memo cap. The handle is
-/// deliberately opaque: decoders probe and fill the tier through it (the
-/// union-find decoder also records cluster-decomposition stats), but the
-/// tier's layout stays private to the crate.
-#[derive(Debug)]
-pub struct DenseTier<'a> {
-    pub(crate) memo: &'a mut SyndromeMemo,
-    pub(crate) key: &'a mut Vec<u32>,
-}
-
-impl DenseTier<'_> {
-    /// Fills the reusable key buffer with the lane's canonical
-    /// (sorted-ascending) defect list.
-    pub(crate) fn fill_key(&mut self, fired_detectors: &[usize]) {
-        self.key.clear();
-        self.key
-            .extend(fired_detectors.iter().map(|&detector| detector as u32));
-    }
-
-    /// Probes the tier for a whole lane's defect list, counting a dense hit
-    /// or miss.
-    pub(crate) fn lookup_lane(&mut self, fired_detectors: &[usize]) -> Option<u64> {
-        self.fill_key(fired_detectors);
-        self.memo.dense_lookup(self.key).map(|(flips, _)| flips)
-    }
-
-    /// Records a decoded lane (`touched` may be empty when the decoder
-    /// tracks no claim information — such entries still answer whole-lane
-    /// probes, just not cluster probes).
-    pub(crate) fn insert_lane(&mut self, fired_detectors: &[usize], flips: u64, touched: &[u32]) {
-        self.fill_key(fired_detectors);
-        self.memo.dense_insert(self.key, flips, touched);
     }
 }
 
@@ -735,20 +600,7 @@ fn decode_lanes<D: Decoder + ?Sized>(
                 buffers.memo.note_uncacheable();
             }
             buffers.prediction.fill(false);
-            if buffers.memo_active && buffers.memo.dense_enabled() {
-                // Dense tier: above-cap lanes probe the bounded LRU before
-                // (and fill it after) the expensive decode. Both batch
-                // loops route dense lanes through this same call in the
-                // same order, so tier state and counters stay identical
-                // between the word-parallel and per-shot paths.
-                let mut dense = DenseTier {
-                    memo: &mut buffers.memo,
-                    key: &mut buffers.dense_key,
-                };
-                decoder.decode_dense_shot(&fired, scratch, &mut dense, &mut buffers.prediction);
-            } else {
-                decoder.decode_shot(&fired, scratch, &mut buffers.prediction);
-            }
+            decoder.decode_shot(&fired, scratch, &mut buffers.prediction);
             for (observable, &flipped) in buffers.prediction.iter().enumerate() {
                 if flipped {
                     out.set(observable, shot);

@@ -8,8 +8,7 @@
 //! [`Decoder::decode_batch_per_shot`](crate::Decoder::decode_batch_per_shot)
 //! call is wrapped in a sampled stage span (`decoder.stage.word_decode` /
 //! `decoder.stage.per_shot_decode`, with shots as the item count) and each
-//! batch's [`CacheStats`] delta is folded into shared `decoder.*` counters
-//! — the same aggregation the service's dense-tier metrics are a view of.
+//! batch's [`CacheStats`] delta is folded into shared `decoder.*` counters.
 //!
 //! # Cost contract
 //!
@@ -51,9 +50,6 @@ struct DecoderStages {
     memo_hits: qccd_telemetry::Counter,
     memo_misses: qccd_telemetry::Counter,
     uncacheable: qccd_telemetry::Counter,
-    dense_hits: qccd_telemetry::Counter,
-    dense_misses: qccd_telemetry::Counter,
-    cluster_lanes: qccd_telemetry::Counter,
 }
 
 impl DecoderStages {
@@ -64,9 +60,6 @@ impl DecoderStages {
             memo_hits: registry.counter("decoder.memo_hits"),
             memo_misses: registry.counter("decoder.memo_misses"),
             uncacheable: registry.counter("decoder.uncacheable"),
-            dense_hits: registry.counter("decoder.dense_hits"),
-            dense_misses: registry.counter("decoder.dense_misses"),
-            cluster_lanes: registry.counter("decoder.cluster_lanes"),
         }
     }
 
@@ -74,9 +67,6 @@ impl DecoderStages {
         self.memo_hits.add(delta.hits);
         self.memo_misses.add(delta.misses);
         self.uncacheable.add(delta.uncacheable);
-        self.dense_hits.add(delta.dense_hits);
-        self.dense_misses.add(delta.dense_misses);
-        self.cluster_lanes.add(delta.cluster_lanes);
     }
 }
 

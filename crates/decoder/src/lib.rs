@@ -58,11 +58,13 @@
 //! all remaining lanes — three-or-more-defect lanes, above-cap lanes of
 //! dense words, and singles/pairs the entry cap or mirror range kept out
 //! of the fast lanes — fall back to the per-shot [`DecodeScratch`] memo
-//! loop (above-cap lanes descending further into the dense tier below).
-//! Tiles of 64 words are scanned with
-//! *sequential* plane-major walks (carry-save counters per word), so the
-//! triage touches each detector plane word exactly once per chunk, where
-//! the per-shot loop's mask scan + per-word gather touches it twice.
+//! loop, where above-cap lanes are one plain [`Decoder::decode_shot`] each
+//! (the four-tier ladder — quiet word → single/pair mirror → sparse memo →
+//! union-find — is laid out in the `batch` module docs). Tiles of 64 words
+//! are scanned with *sequential* plane-major walks (carry-save counters per
+//! word), so the triage touches each detector plane word exactly once per
+//! chunk, where the per-shot loop's mask scan + per-word gather touches it
+//! twice.
 //!
 //! **Bit-identity contract.** The word path produces exactly the same
 //! [`PredictionChunk`] — and the same hit/miss/uncacheable counters — as
@@ -111,26 +113,6 @@
 //! below-threshold workloads the memo answers ~90% of noisy shots and more
 //! than doubles batch decode throughput (see the `decoder` criterion bench).
 //!
-//! # The dense tail
-//!
-//! Lanes whose defect count exceeds [`MemoConfig::max_defects`] used to pay
-//! a full per-shot decode every time. They now descend a ladder of their
-//! own (see the [`batch`] module docs for the complete triage ladder):
-//! first a **bounded dense LRU tier** ([`MemoConfig::dense_max_entries`],
-//! default 2¹⁶ entries with least-recently-used eviction) keyed by the
-//! canonical defect list, so recurring dense syndromes amortize like sparse
-//! ones; on a miss the union-find decoder runs its **cluster matcher** —
-//! the lane's defects are decomposed into connected clusters on the
-//! decoding graph and each cluster is decoded (or answered from the tier)
-//! independently within one shared scratch epoch; only when clusters merge
-//! during growth does the lane roll back via an O(touched) undo log and
-//! decode whole, **incrementally** in the same epoch rather than after a
-//! full scratch reset. Every rung is bit-identical to a plain
-//! [`Decoder::decode_shot`] of the lane (property-tested at biased-high
-//! physical error rates in `tests/prop_dense_tail_identity.rs`), and the
-//! tier's traffic is observable through the `dense_*` / `cluster_*`
-//! counters of [`CacheStats`].
-//!
 //! # Sharded sweeps
 //!
 //! [`SweepEngine`] shards whole `(architecture, distance, decoder, noise)`
@@ -174,7 +156,7 @@ mod scratch;
 mod sweep;
 mod union_find;
 
-pub use batch::{DecodeScratch, DenseTier, PredictionChunk, SyndromeChunk};
+pub use batch::{DecodeScratch, PredictionChunk, SyndromeChunk};
 pub use dem_graph::{DecodingEdge, DecodingGraph, DetectorIndex};
 pub use greedy::GreedyMatchingDecoder;
 pub use instrument::{install_telemetry, uninstall_telemetry};
@@ -183,10 +165,7 @@ pub use ler::{
     estimate_logical_error_rate_with, fit_lambda, fit_lambda_weighted, zero_failure_upper_bound,
     DecoderKind, EstimateReport, EstimatorConfig, LambdaFit, LogicalErrorEstimate,
 };
-pub use memo::{
-    CacheStats, MemoConfig, MemoSnapshot, DEFAULT_DENSE_MAX_ENTRIES, DEFAULT_MEMO_MAX_DEFECTS,
-    MEMO_KEY_CAPACITY,
-};
+pub use memo::{CacheStats, MemoConfig, MemoSnapshot, DEFAULT_MEMO_MAX_DEFECTS, MEMO_KEY_CAPACITY};
 pub use mwpm::{ExactMatchingDecoder, DEFAULT_MAX_EXACT_DEFECTS};
 pub use sweep::{sweep_seed, SweepEngine, SweepTask};
 pub use union_find::UnionFindDecoder;
@@ -231,36 +210,6 @@ pub trait Decoder {
     /// The default (`None`) opts out of memoization entirely.
     fn memo_token(&self) -> Option<std::num::NonZeroU64> {
         None
-    }
-
-    /// Decodes one *dense* lane — a shot whose defect count exceeds the
-    /// sparse memo cap — with access to the bounded dense LRU tier. Called
-    /// by the batch loops only while the tier is enabled and this decoder
-    /// owns the memo; `prediction` arrives pre-cleared.
-    ///
-    /// The implementation owns the tier protocol end to end: it probes the
-    /// whole-lane entry, decodes on a miss, and inserts the result (the
-    /// batch loop does neither). The default implementation does exactly
-    /// that around [`Decoder::decode_shot`]; the union-find decoder
-    /// overrides it with the cluster matcher + incremental-reuse path. Like
-    /// every other tier, the result must be bit-identical to a plain
-    /// `decode_shot` of the same lane.
-    fn decode_dense_shot(
-        &self,
-        fired_detectors: &[usize],
-        scratch: &mut DecodeScratch,
-        dense: &mut DenseTier<'_>,
-        prediction: &mut [bool],
-    ) {
-        if let Some(mut flips) = dense.lookup_lane(fired_detectors) {
-            while flips != 0 {
-                prediction[flips.trailing_zeros() as usize] = true;
-                flips &= flips - 1;
-            }
-            return;
-        }
-        self.decode_shot(fired_detectors, scratch, prediction);
-        dense.insert_lane(fired_detectors, batch::pack_prediction(prediction), &[]);
     }
 
     /// Decodes every shot of a bit-packed syndrome chunk on the

@@ -55,10 +55,6 @@ pub const MEMO_KEY_CAPACITY: usize = 6;
 /// Default cap on the number of cached defect sets per memo.
 pub const DEFAULT_MEMO_MAX_ENTRIES: usize = 1 << 20;
 
-/// Default cap on the number of entries in the dense LRU tier (the
-/// above-cap syndrome→flip cache behind the word path's dense fallback).
-pub const DEFAULT_DENSE_MAX_ENTRIES: usize = 1 << 16;
-
 /// Detector-index range covered by the flat pair-prediction mirror (the
 /// word path's two-defect fast lane): pairs with both detectors below this
 /// bound are answered with one array load instead of a hash probe. Sized so
@@ -82,12 +78,6 @@ pub struct MemoConfig {
     /// new entries are not inserted (keeps memory bounded and behaviour
     /// deterministic).
     pub max_entries: usize,
-    /// Maximum number of entries in the dense LRU tier — the bounded cache
-    /// of *above-cap* defect sets consulted by the dense fallback of the
-    /// batch decode path. Unlike the sparse table, the dense tier evicts
-    /// least-recently-used entries instead of refusing inserts. `0`
-    /// disables the tier (dense lanes always decode from scratch).
-    pub dense_max_entries: usize,
 }
 
 impl Default for MemoConfig {
@@ -95,7 +85,6 @@ impl Default for MemoConfig {
         MemoConfig {
             max_defects: DEFAULT_MEMO_MAX_DEFECTS,
             max_entries: DEFAULT_MEMO_MAX_ENTRIES,
-            dense_max_entries: DEFAULT_DENSE_MAX_ENTRIES,
         }
     }
 }
@@ -106,7 +95,6 @@ impl MemoConfig {
         MemoConfig {
             max_defects: 0,
             max_entries: 0,
-            dense_max_entries: 0,
         }
     }
 
@@ -120,20 +108,6 @@ impl MemoConfig {
     pub fn with_max_entries(mut self, max_entries: usize) -> Self {
         self.max_entries = max_entries;
         self
-    }
-
-    /// Overrides the dense-tier entry cap (`0` switches the dense LRU tier
-    /// off while leaving the sparse memo untouched).
-    pub fn with_dense_max_entries(mut self, dense_max_entries: usize) -> Self {
-        self.dense_max_entries = dense_max_entries;
-        self
-    }
-
-    /// Whether the dense LRU tier is enabled (requires the memo itself to
-    /// be enabled: the tier is keyed and owned exactly like the sparse
-    /// table).
-    pub fn dense_enabled(&self) -> bool {
-        self.enabled() && self.dense_max_entries > 0
     }
 
     /// Whether memoization is enabled at all.
@@ -187,23 +161,12 @@ pub struct CacheStats {
     /// single-defect merge and the flat pair mirror — without touching the
     /// hash table or a decoder (a subset of `hits`).
     pub word_merged: u64,
-    /// Dense-tier LRU probes answered from the cache (whole-lane or
-    /// per-cluster entries). Dense lanes are also counted in `uncacheable`,
-    /// so the sparse hit/miss totals stay comparable across versions.
+    /// Retired in PR 16, kept only because the frozen benchmark package
+    /// reads them; delete with the next `benchmark` PR.
     pub dense_hits: u64,
-    /// Dense-tier LRU probes that missed (the lane or cluster was decoded
-    /// and inserted, evicting the least-recently-used entry at the cap).
+    #[doc(hidden)]
     pub dense_misses: u64,
-    /// Entries evicted from the dense LRU tier to stay under
-    /// [`MemoConfig::dense_max_entries`].
-    pub dense_evictions: u64,
-    /// Dense lanes whose defects split into ≥2 connected clusters on the
-    /// decoding graph (decoded cluster-by-cluster instead of whole-lane).
-    pub cluster_lanes: u64,
-    /// Total clusters across all `cluster_lanes` decompositions.
-    pub cluster_components: u64,
-    /// Cluster decompositions abandoned because two clusters merged during
-    /// growth (rolled back and re-decoded whole-lane).
+    #[doc(hidden)]
     pub cluster_conflicts: u64,
 }
 
@@ -245,12 +208,6 @@ impl CacheStats {
         self.sparse_words += other.sparse_words;
         self.dense_words += other.dense_words;
         self.word_merged += other.word_merged;
-        self.dense_hits += other.dense_hits;
-        self.dense_misses += other.dense_misses;
-        self.dense_evictions += other.dense_evictions;
-        self.cluster_lanes += other.cluster_lanes;
-        self.cluster_components += other.cluster_components;
-        self.cluster_conflicts += other.cluster_conflicts;
     }
 
     /// The counters accumulated since `earlier` was captured from the same
@@ -268,12 +225,7 @@ impl CacheStats {
             sparse_words: delta(self.sparse_words, earlier.sparse_words),
             dense_words: delta(self.dense_words, earlier.dense_words),
             word_merged: delta(self.word_merged, earlier.word_merged),
-            dense_hits: delta(self.dense_hits, earlier.dense_hits),
-            dense_misses: delta(self.dense_misses, earlier.dense_misses),
-            dense_evictions: delta(self.dense_evictions, earlier.dense_evictions),
-            cluster_lanes: delta(self.cluster_lanes, earlier.cluster_lanes),
-            cluster_components: delta(self.cluster_components, earlier.cluster_components),
-            cluster_conflicts: delta(self.cluster_conflicts, earlier.cluster_conflicts),
+            ..CacheStats::default()
         }
     }
 }
@@ -333,154 +285,6 @@ impl Hasher for MemoKeyHasher {
 
 type MemoTable = HashMap<MemoKey, u64, BuildHasherDefault<MemoKeyHasher>>;
 
-/// Slab-list sentinel for [`DenseLru`] links.
-const DENSE_NIL: u32 = u32::MAX;
-
-/// One cached dense decode: canonical (sorted-ascending) defect list, the
-/// observable-flip mask it decodes to, and the non-boundary detectors the
-/// decode touched (needed to claim scratch regions when the entry answers a
-/// *cluster* probe inside a larger lane; empty = unknown, usable only for
-/// whole-lane answers).
-#[derive(Debug, Clone)]
-struct DenseEntry {
-    key: Box<[u32]>,
-    flips: u64,
-    touched: Box<[u32]>,
-    prev: u32,
-    next: u32,
-}
-
-/// A bounded least-recently-used cache of above-cap defect sets: a hash map
-/// from canonical defect list to a slab slot, with slots threaded on an
-/// intrusive doubly-linked recency list (head = most recent). Lookups touch;
-/// inserts evict from the tail once the cap is reached.
-#[derive(Debug, Clone)]
-struct DenseLru {
-    map: HashMap<Box<[u32]>, u32, BuildHasherDefault<MemoKeyHasher>>,
-    slab: Vec<DenseEntry>,
-    free: Vec<u32>,
-    head: u32,
-    tail: u32,
-}
-
-impl Default for DenseLru {
-    fn default() -> Self {
-        DenseLru {
-            map: HashMap::default(),
-            slab: Vec::new(),
-            free: Vec::new(),
-            head: DENSE_NIL,
-            tail: DENSE_NIL,
-        }
-    }
-}
-
-impl DenseLru {
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.slab.clear();
-        self.free.clear();
-        self.head = DENSE_NIL;
-        self.tail = DENSE_NIL;
-    }
-
-    fn detach(&mut self, index: u32) {
-        let (prev, next) = {
-            let entry = &self.slab[index as usize];
-            (entry.prev, entry.next)
-        };
-        if prev != DENSE_NIL {
-            self.slab[prev as usize].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != DENSE_NIL {
-            self.slab[next as usize].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    fn push_front(&mut self, index: u32) {
-        let old_head = self.head;
-        {
-            let entry = &mut self.slab[index as usize];
-            entry.prev = DENSE_NIL;
-            entry.next = old_head;
-        }
-        if old_head != DENSE_NIL {
-            self.slab[old_head as usize].prev = index;
-        } else {
-            self.tail = index;
-        }
-        self.head = index;
-    }
-
-    /// Looks up a defect set and marks it most-recently used. `Box<[u32]>`
-    /// borrows as `[u32]`, so probes allocate nothing.
-    fn get(&mut self, key: &[u32]) -> Option<(u64, &[u32])> {
-        let index = *self.map.get(key)?;
-        if self.head != index {
-            self.detach(index);
-            self.push_front(index);
-        }
-        let entry = &self.slab[index as usize];
-        Some((entry.flips, &entry.touched))
-    }
-
-    /// Inserts (or updates) an entry, evicting least-recently-used entries
-    /// to stay under `cap`; returns the number of evictions.
-    fn insert(&mut self, key: &[u32], flips: u64, touched: &[u32], cap: usize) -> u64 {
-        if cap == 0 {
-            return 0;
-        }
-        if let Some(&index) = self.map.get(key) {
-            let entry = &mut self.slab[index as usize];
-            entry.flips = flips;
-            entry.touched = touched.into();
-            if self.head != index {
-                self.detach(index);
-                self.push_front(index);
-            }
-            return 0;
-        }
-        let mut evicted = 0;
-        while self.map.len() >= cap {
-            let victim = self.tail;
-            debug_assert_ne!(victim, DENSE_NIL, "non-empty map implies a tail");
-            self.detach(victim);
-            let old_key = std::mem::take(&mut self.slab[victim as usize].key);
-            self.map.remove(&old_key);
-            self.free.push(victim);
-            evicted += 1;
-        }
-        let fresh = DenseEntry {
-            key: key.into(),
-            flips,
-            touched: touched.into(),
-            prev: DENSE_NIL,
-            next: DENSE_NIL,
-        };
-        let index = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = fresh;
-                slot
-            }
-            None => {
-                self.slab.push(fresh);
-                (self.slab.len() - 1) as u32
-            }
-        };
-        self.map.insert(key.into(), index);
-        self.push_front(index);
-        evicted
-    }
-}
-
 /// An immutable, cheaply cloneable snapshot of a warmed [`SyndromeMemo`],
 /// shared behind an [`Arc`](std::sync::Arc).
 ///
@@ -509,7 +313,6 @@ struct SnapshotInner {
     single_known: Vec<bool>,
     pair_flips: Vec<u64>,
     pair_known: Vec<u64>,
-    dense: DenseLru,
     prefilled: bool,
     prefilled_count: u64,
 }
@@ -560,11 +363,6 @@ pub(crate) struct SyndromeMemo {
     /// pair. `pair_known` is the matching presence bitset.
     pair_flips: Vec<u64>,
     pair_known: Vec<u64>,
-    /// The bounded LRU tier for above-cap defect sets (whole dense lanes
-    /// and their connected clusters), keyed like the sparse table but with
-    /// unbounded-cardinality keys and tail eviction instead of insert
-    /// refusal.
-    dense: DenseLru,
 }
 
 /// Flat index of an in-range pair, `None` outside the table's range.
@@ -617,7 +415,6 @@ impl SyndromeMemo {
             self.single_known.clear();
             self.pair_flips.clear();
             self.pair_known.clear();
-            self.dense.clear();
         }
     }
 
@@ -635,7 +432,6 @@ impl SyndromeMemo {
                 single_known: self.single_known.clone(),
                 pair_flips: self.pair_flips.clone(),
                 pair_known: self.pair_known.clone(),
-                dense: self.dense.clone(),
                 prefilled: self.prefilled,
                 prefilled_count: self.stats.prefilled,
             }),
@@ -661,7 +457,6 @@ impl SyndromeMemo {
         self.single_known = inner.single_known.clone();
         self.pair_flips = inner.pair_flips.clone();
         self.pair_known = inner.pair_known.clone();
-        self.dense = inner.dense.clone();
         self.prefilled = inner.prefilled;
         self.stats = CacheStats {
             prefilled: inner.prefilled_count,
@@ -813,57 +608,6 @@ impl SyndromeMemo {
     /// Counts a shot that bypassed the memo (defect count above the cap).
     pub(crate) fn note_uncacheable(&mut self) {
         self.stats.uncacheable += 1;
-    }
-
-    /// Whether the dense LRU tier is enabled under the active configuration.
-    pub(crate) fn dense_enabled(&self) -> bool {
-        self.config.dense_enabled()
-    }
-
-    /// Number of entries currently held by the dense LRU tier.
-    pub(crate) fn dense_len(&self) -> usize {
-        self.dense.len()
-    }
-
-    /// Probes the dense tier for a canonical (sorted-ascending) defect
-    /// list, counting a dense hit or miss and marking the entry
-    /// most-recently used. Returns the flip mask and the stored touched-set
-    /// (empty when the entry carries no claim information).
-    pub(crate) fn dense_lookup(&mut self, key: &[u32]) -> Option<(u64, &[u32])> {
-        match self.dense.get(key) {
-            Some(found) => {
-                self.stats.dense_hits += 1;
-                Some(found)
-            }
-            None => {
-                self.stats.dense_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Records a decoded dense defect set, evicting least-recently-used
-    /// entries at the cap (a no-op while the tier is disabled).
-    pub(crate) fn dense_insert(&mut self, key: &[u32], flips: u64, touched: &[u32]) {
-        if !self.dense_enabled() {
-            return;
-        }
-        self.stats.dense_evictions +=
-            self.dense
-                .insert(key, flips, touched, self.config.dense_max_entries);
-    }
-
-    /// Counts one dense lane that decomposed into `components` (≥2)
-    /// connected clusters.
-    pub(crate) fn note_cluster_lane(&mut self, components: u64) {
-        self.stats.cluster_lanes += 1;
-        self.stats.cluster_components += components;
-    }
-
-    /// Counts one abandoned cluster decomposition (clusters merged during
-    /// growth; the lane was rolled back and re-decoded whole).
-    pub(crate) fn note_cluster_conflict(&mut self) {
-        self.stats.cluster_conflicts += 1;
     }
 }
 
@@ -1017,19 +761,13 @@ mod tests {
             sparse_words: 6,
             dense_words: 7,
             word_merged: 1,
-            dense_hits: 2,
-            dense_misses: 3,
-            dense_evictions: 1,
-            cluster_lanes: 2,
-            cluster_components: 5,
-            cluster_conflicts: 1,
+            ..CacheStats::default()
         };
         let b = a;
         a.merge(&b);
         assert_eq!(a.hits, 2);
         assert_eq!(a.dense_words, 14);
-        assert_eq!(a.dense_misses, 6);
-        assert_eq!(a.cluster_components, 10);
+        assert_eq!(a.word_merged, 2);
         assert_eq!(a.words(), 10 + 12 + 14);
         assert_eq!(a.since(&b), b, "doubling then removing one copy");
         // A reset between captures (counter now *below* the baseline)
@@ -1107,79 +845,5 @@ mod tests {
         assert_eq!(memo.single_flip(2), Some(0b1));
         memo.claim(next_memo_token(), 1);
         assert_eq!(memo.single_flip(2), None);
-    }
-
-    #[test]
-    fn dense_lru_evicts_least_recently_used() {
-        let mut lru = DenseLru::default();
-        assert_eq!(lru.insert(&[0, 1, 2, 3, 4], 0b1, &[0, 1, 2, 3, 4], 2), 0);
-        assert_eq!(lru.insert(&[5, 6, 7, 8, 9], 0b0, &[5, 6, 7, 8, 9], 2), 0);
-        assert_eq!(lru.len(), 2);
-        // Touch the older entry so the newer one becomes the LRU victim.
-        assert!(lru.get(&[0, 1, 2, 3, 4]).is_some());
-        assert_eq!(lru.insert(&[1, 2, 3, 4, 5], 0b1, &[], 2), 1);
-        assert_eq!(lru.len(), 2);
-        assert!(lru.get(&[5, 6, 7, 8, 9]).is_none(), "LRU entry was evicted");
-        let (flips, touched) = lru.get(&[0, 1, 2, 3, 4]).expect("touched entry survives");
-        assert_eq!(flips, 0b1);
-        assert_eq!(touched, &[0, 1, 2, 3, 4]);
-        // Updating an existing key evicts nothing and refreshes the value.
-        assert_eq!(lru.insert(&[0, 1, 2, 3, 4], 0b0, &[7], 2), 0);
-        assert_eq!(lru.get(&[0, 1, 2, 3, 4]), Some((0b0, &[7][..])));
-        // Shrinking the cap evicts as many entries as needed in one insert.
-        assert_eq!(lru.insert(&[9, 10, 11, 12, 13], 0b1, &[], 1), 2);
-        assert_eq!(lru.len(), 1);
-    }
-
-    #[test]
-    fn dense_tier_counts_and_respects_configuration() {
-        let mut memo = SyndromeMemo::default();
-        memo.set_config(MemoConfig::default().with_dense_max_entries(2));
-        memo.claim(next_memo_token(), 1);
-        assert!(memo.dense_enabled());
-        assert_eq!(memo.dense_lookup(&[0, 1, 2, 3, 4]), None);
-        memo.dense_insert(&[0, 1, 2, 3, 4], 0b1, &[0, 1, 2, 3, 4]);
-        assert_eq!(
-            memo.dense_lookup(&[0, 1, 2, 3, 4]),
-            Some((0b1, &[0u32, 1, 2, 3, 4][..]))
-        );
-        memo.dense_insert(&[1, 2, 3, 4, 5], 0b0, &[]);
-        memo.dense_insert(&[2, 3, 4, 5, 6], 0b1, &[]);
-        memo.note_cluster_lane(3);
-        memo.note_cluster_conflict();
-        let stats = memo.stats();
-        assert_eq!(stats.dense_hits, 1);
-        assert_eq!(stats.dense_misses, 1);
-        assert_eq!(stats.dense_evictions, 1, "third insert evicts at cap 2");
-        assert_eq!(stats.cluster_lanes, 1);
-        assert_eq!(stats.cluster_components, 3);
-        assert_eq!(stats.cluster_conflicts, 1);
-        assert_eq!(memo.dense_len(), 2);
-
-        // Disabling the tier makes inserts no-ops (probes still count, so
-        // callers gate on `dense_enabled` before probing).
-        memo.set_config(MemoConfig::default().with_dense_max_entries(0));
-        assert!(!memo.dense_enabled());
-        memo.dense_insert(&[7, 8, 9, 10, 11], 0b1, &[]);
-        assert_eq!(memo.dense_len(), 2, "disabled tier refuses inserts");
-        assert!(!MemoConfig::disabled().dense_enabled());
-    }
-
-    #[test]
-    fn dense_tier_survives_snapshot_and_clears_on_claim() {
-        let token = next_memo_token();
-        let mut warm = SyndromeMemo::default();
-        warm.claim(token, 1);
-        warm.dense_insert(&[0, 1, 2, 3, 4], 0b1, &[0, 1, 2, 3, 4]);
-        let snapshot = warm.snapshot().expect("owned memo freezes");
-
-        let mut worker = SyndromeMemo::default();
-        worker.claim(next_memo_token(), 1);
-        worker.adopt(&snapshot);
-        assert_eq!(worker.dense_len(), 1, "dense tier rides the snapshot");
-        assert!(worker.dense_lookup(&[0, 1, 2, 3, 4]).is_some());
-
-        worker.claim(next_memo_token(), 1);
-        assert_eq!(worker.dense_len(), 0, "a new owner clears the tier");
     }
 }

@@ -3,7 +3,11 @@
 //! The paper's logical error rates are produced with Stim plus a
 //! minimum-weight perfect-matching (MWPM) decoder; this repository's default
 //! decoder is weighted union-find, which has the same threshold behaviour
-//! but is slightly pessimistic (see `DESIGN.md`). This module adds an
+//! but is slightly pessimistic: it grows clusters in discretised
+//! half-weight units and peels a spanning forest instead of minimising the
+//! total matching weight, so its correction can be heavier than MWPM's and
+//! its logical error rate somewhat higher at equal physical error rate (the
+//! `ext_decoder_comparison` artefact measures the gap). This module adds an
 //! **exact** matching decoder used as an accuracy reference and as an
 //! ablation point:
 //!

@@ -62,14 +62,6 @@ impl<T: Copy> EpochVec<T> {
     pub(crate) fn written(&self, index: usize) -> bool {
         self.stamps[index] == self.epoch
     }
-
-    /// Reverts one slot to the default *within the current epoch* — the
-    /// O(1) primitive behind the dense tier's O(touched) undo log. Stamp 0
-    /// is never the current epoch (epochs start at 1 and wrap back to 1),
-    /// so the slot reads as unwritten again.
-    pub(crate) fn unset(&mut self, index: usize) {
-        self.stamps[index] = 0;
-    }
 }
 
 /// A pool of reusable `Vec<usize>` lists with epoch-stamped clearing.
@@ -129,13 +121,6 @@ impl VecPool {
         self.stamps[index] = self.epoch;
         self.lists[index] = list;
     }
-
-    /// Reverts one list to empty within the current epoch (the allocation
-    /// is kept and cleared lazily on the next touch). See
-    /// [`EpochVec::unset`].
-    pub(crate) fn unset(&mut self, index: usize) {
-        self.stamps[index] = 0;
-    }
 }
 
 #[cfg(test)]
@@ -153,26 +138,6 @@ mod tests {
         assert_eq!(v.get(3), 7, "new epoch must forget old writes");
         v.begin(8);
         assert_eq!(v.get(7), 7);
-    }
-
-    #[test]
-    fn unset_reverts_a_slot_within_the_epoch() {
-        let mut v: EpochVec<u32> = EpochVec::new(7);
-        v.begin(2);
-        v.set(0, 9);
-        v.set(1, 5);
-        v.unset(0);
-        assert!(!v.written(0));
-        assert_eq!(v.get(0), 7, "unset slot reads as the default again");
-        assert_eq!(v.get(1), 5, "other slots keep their writes");
-        v.set(0, 3);
-        assert_eq!(v.get(0), 3, "an unset slot can be rewritten");
-
-        let mut pool = VecPool::default();
-        pool.begin(1);
-        pool.get_mut(0).extend([1, 2]);
-        pool.unset(0);
-        assert!(pool.get_mut(0).is_empty(), "unset list reads empty");
     }
 
     #[test]

@@ -20,49 +20,12 @@
 //! is recycled between shots with O(1) epoch-stamped resets; the peeling
 //! phase walks only the grown subgraph rather than the full decoding graph,
 //! so quiet shots cost almost nothing.
-//!
-//! For *dense* lanes (defect count above the sparse memo cap) the decoder
-//! overrides [`Decoder::decode_dense_shot`] with a cluster matcher: the
-//! lane's defects are split into connected components of the decoding graph
-//! and decoded one component at a time in a single shared scratch epoch
-//! (components can be answered straight from the dense LRU tier), with a
-//! post-hoc claim check and an O(touched) undo-log rollback to a whole-lane
-//! decode when components turn out to interact. Every path is bit-identical
-//! to [`Decoder::decode_shot`] of the same lane — see the `batch` module
-//! docs for the full triage ladder.
 
 use std::num::NonZeroU64;
 
-use crate::batch::{pack_prediction, UnionFindScratch};
+use crate::batch::{PeelState, UnionFindScratch};
 use crate::memo::next_memo_token;
-use crate::{DecodeScratch, Decoder, DecodingGraph, DenseTier};
-
-/// `find` with path compression over the tiny per-lane component DSU (plain
-/// indices, no epoch stamps — the array is re-initialised per dense lane).
-fn comp_find(dsu: &mut [u32], index: usize) -> usize {
-    let mut root = index;
-    while dsu[root] as usize != root {
-        root = dsu[root] as usize;
-    }
-    let mut cur = index;
-    while cur != root {
-        let next = dsu[cur] as usize;
-        dsu[cur] = root as u32;
-        cur = next;
-    }
-    root
-}
-
-/// Unions two component-DSU entries, keeping the *smaller* index as root so
-/// every component's root is its first member (components then enumerate in
-/// first-member order).
-fn comp_union(dsu: &mut [u32], a: usize, b: usize) {
-    let ra = comp_find(dsu, a);
-    let rb = comp_find(dsu, b);
-    if ra != rb {
-        dsu[ra.max(rb)] = ra.min(rb) as u32;
-    }
-}
+use crate::{DecodeScratch, Decoder, DecodingGraph};
 
 /// Union-find decoder over a decoding graph.
 #[derive(Debug, Clone)]
@@ -248,23 +211,19 @@ impl UnionFindDecoder {
         }
     }
 
-    /// Peeling phase: build a spanning forest of the grown edges recorded
-    /// since `grown_start` (rooted at the boundary where possible) and peel
-    /// defects from the leaves inward, XOR-ing edge observables into
-    /// `prediction`.
+    /// Peeling phase: build a spanning forest of the grown edges (rooted at
+    /// the boundary where possible) and peel defects from the leaves inward,
+    /// XOR-ing edge observables into `prediction`.
     ///
     /// Only the grown subgraph is visited, so the cost is proportional to
-    /// the clusters actually built this shot, not to the graph size. A
-    /// whole-shot decode passes `grown_start == 0`; the dense path's
-    /// cluster matcher peels each component with the marker it recorded
-    /// before growing, so earlier components' forests are left in place.
-    fn peel_from(&self, s: &mut UnionFindScratch, grown_start: usize, prediction: &mut [bool]) {
+    /// the clusters actually built this shot, not to the graph size.
+    fn peel(&self, s: &mut UnionFindScratch, prediction: &mut [bool]) {
         // Roots: the boundary first (so it can absorb defects), then the
         // grown edges' endpoints in ascending order (`peel_roots` is sorted
         // below, so the grown-edge list itself needs no ordering).
         s.peel_roots.clear();
-        for index in grown_start..s.grown_edges.len() {
-            let (a, b) = self.edge_endpoints(s.grown_edges[index]);
+        for &edge in &s.grown_edges {
+            let (a, b) = self.edge_endpoints(edge);
             s.peel_roots.push(a);
             s.peel_roots.push(b);
         }
@@ -272,27 +231,19 @@ impl UnionFindDecoder {
         s.peel_roots.dedup();
 
         s.order.clear();
-        let bfs = |start: usize, force: bool, s: &mut UnionFindScratch| {
+        let bfs = |start: usize, s: &mut UnionFindScratch| {
             if s.peel.written(start) {
-                // `force` re-expands a node that is already part of an
-                // earlier component's forest (only ever the boundary, which
-                // is always a forest root): its adjacency has gained the
-                // new component's grown edges, and the old neighbors are
-                // blocked by their visited flags.
-                if !force {
-                    return;
-                }
-            } else {
-                // A written slot doubles as the visited flag; roots keep
-                // the "no incoming edge" sentinels.
-                s.peel.set(
-                    start,
-                    crate::batch::PeelState {
-                        parent_edge: u32::MAX,
-                        parent_node: u32::MAX,
-                    },
-                );
+                return;
             }
+            // A written slot doubles as the visited flag; roots keep the
+            // "no incoming edge" sentinels.
+            s.peel.set(
+                start,
+                PeelState {
+                    parent_edge: u32::MAX,
+                    parent_node: u32::MAX,
+                },
+            );
             s.queue.clear();
             s.queue.push_back(start);
             while let Some(v) = s.queue.pop_front() {
@@ -306,7 +257,7 @@ impl UnionFindDecoder {
                     if !s.peel.written(next) {
                         s.peel.set(
                             next,
-                            crate::batch::PeelState {
+                            PeelState {
                                 parent_edge: edge as u32,
                                 parent_node: v as u32,
                             },
@@ -319,15 +270,12 @@ impl UnionFindDecoder {
         };
 
         // Root the forest at the boundary first so it can absorb defects.
-        // The new grown edges touch the boundary exactly when it appears in
-        // `peel_roots`; force the walk in case an earlier component already
-        // rooted the boundary.
         if s.peel_roots.binary_search(&self.boundary).is_ok() {
-            bfs(self.boundary, true, s);
+            bfs(self.boundary, s);
         }
         let roots = std::mem::take(&mut s.peel_roots);
         for &v in &roots {
-            bfs(v, false, s);
+            bfs(v, s);
         }
         s.peel_roots = roots;
 
@@ -350,258 +298,6 @@ impl UnionFindDecoder {
         // Any defect absorbed by the boundary is fine; the boundary's defect
         // flag is ignored.
     }
-
-    /// Seeds, grows and peels one defect set inside the scratch's *current*
-    /// epoch — the shared primitive of `decode_shot` (whole shot, fresh
-    /// epoch) and the dense path's cluster matcher (one component at a
-    /// time, shared epoch). Untouched slots read as fresh defaults, so a
-    /// later component is automatically seeded from the lane's shared
-    /// quiet-detector structure; `grown_marker` scopes the peel to the
-    /// edges this call grew.
-    fn decode_component(
-        &self,
-        comp_fired: &[usize],
-        s: &mut UnionFindScratch,
-        prediction: &mut [bool],
-        grown_marker: usize,
-    ) {
-        // Drop stale active roots a previous component's stall guard may
-        // have left behind (the whole-shot path starts empty anyway).
-        s.active.clear();
-        for &d in comp_fired {
-            s.defect.set(d, true);
-            let mut state = s.nodes.get(d);
-            state.parity = true;
-            s.nodes.set(d, state);
-            s.frontier
-                .get_mut(d)
-                .extend_from_slice(self.graph.incident_edges(d));
-        }
-        self.grow(comp_fired, s);
-        self.peel_from(s, grown_marker, prediction);
-    }
-
-    /// Splits a dense lane's (sorted-ascending) defect list into connected
-    /// components of the decoding graph, unioning defects that are direct
-    /// neighbors (hop 1) *or* share an unfired neighbor detector (hop 2 —
-    /// two growth steps meet in the middle, the common case for a data
-    /// error straddling two rounds). Returns the component count; the
-    /// grouping lives in `s.comp_dsu`, rooted at each component's first
-    /// member. The split is a heuristic only — correctness comes from the
-    /// claim protocol, which catches any two components that interact
-    /// during growth no matter how they were grouped.
-    fn decompose(&self, fired_detectors: &[usize], s: &mut UnionFindScratch) -> usize {
-        let n = fired_detectors.len();
-        s.comp_dsu.clear();
-        s.comp_dsu.extend(0..n as u32);
-        s.comp_neighbor.begin(self.graph.num_detectors());
-        for (i, &d) in fired_detectors.iter().enumerate() {
-            for &edge in self.graph.incident_edges(d) {
-                let Some(other) = self.graph.edges()[edge].other(d) else {
-                    // Boundary edges never couple components: a cluster
-                    // touching the boundary stops growing there.
-                    continue;
-                };
-                if let Ok(j) = fired_detectors.binary_search(&other) {
-                    comp_union(&mut s.comp_dsu, i, j);
-                } else {
-                    let owner = s.comp_neighbor.get(other);
-                    if owner == u32::MAX {
-                        s.comp_neighbor.set(other, i as u32);
-                    } else {
-                        comp_union(&mut s.comp_dsu, i, owner as usize);
-                    }
-                }
-            }
-        }
-        (0..n)
-            .filter(|&i| comp_find(&mut s.comp_dsu, i) == i)
-            .count()
-    }
-
-    /// Two-phase claim of one component's touched region (its defect and
-    /// grown-endpoint nodes plus all their incident edges). Phase 1 checks
-    /// every id against earlier components' claims; phase 2 *always* sets
-    /// and logs them — even on conflict — so the rollback log covers this
-    /// component's own writes too. The boundary node is claimed only for
-    /// rollback (when touched) and is exempt from the conflict check:
-    /// sharing the boundary is benign, because a boundary-merged cluster is
-    /// inactive from both sides and the peel never reads union-find state.
-    /// Returns whether this component conflicts with an earlier one.
-    fn claim_component(
-        &self,
-        s: &mut UnionFindScratch,
-        touched: &[u32],
-        boundary_touched: bool,
-    ) -> bool {
-        let num_nodes = self.graph.num_nodes();
-        let mut conflict = false;
-        'check: for &node in touched {
-            let node = node as usize;
-            if s.claims.get(node) {
-                conflict = true;
-                break 'check;
-            }
-            for &edge in self.graph.incident_edges(node) {
-                if s.claims.get(num_nodes + edge) {
-                    conflict = true;
-                    break 'check;
-                }
-            }
-        }
-        for &node in touched {
-            let node = node as usize;
-            s.claim_id(node);
-            for &edge in self.graph.incident_edges(node) {
-                s.claim_id(num_nodes + edge);
-            }
-        }
-        if boundary_touched {
-            s.claim_id(self.boundary);
-        }
-        conflict
-    }
-
-    /// The dense miss path: cluster decomposition with per-cluster memo
-    /// probes, post-hoc conflict detection, and the O(touched) rollback +
-    /// whole-lane fallback. See the `batch` module docs for the ladder this
-    /// implements and the invariants it maintains.
-    fn decode_dense_uncached(
-        &self,
-        fired_detectors: &[usize],
-        scratch: &mut DecodeScratch,
-        dense: &mut DenseTier<'_>,
-        prediction: &mut [bool],
-    ) {
-        let num_nodes = self.graph.num_nodes();
-        let num_edges = self.graph.edges().len();
-        let s = &mut scratch.union_find;
-        s.begin(num_nodes, num_edges);
-        s.claims.begin(num_nodes + num_edges);
-        s.claim_log.clear();
-        s.lane_touched.clear();
-        let mut boundary_state = s.nodes.get(self.boundary);
-        boundary_state.boundary = true;
-        s.nodes.set(self.boundary, boundary_state);
-
-        let components = self.decompose(fired_detectors, s);
-        let mut conflict = false;
-        if components <= 1 {
-            // One cluster: its key equals the lane key that just missed, so
-            // a cluster probe cannot hit; decode whole-lane directly.
-            self.decode_component(fired_detectors, s, prediction, 0);
-        } else {
-            dense.memo.note_cluster_lane(components as u64);
-            let n = fired_detectors.len();
-            for rep in 0..n {
-                if comp_find(&mut s.comp_dsu, rep) != rep {
-                    continue;
-                }
-                let mut comp_fired = std::mem::take(&mut s.comp_fired);
-                comp_fired.clear();
-                for (i, &fired) in fired_detectors.iter().enumerate().skip(rep) {
-                    if comp_find(&mut s.comp_dsu, i) == rep {
-                        comp_fired.push(fired);
-                    }
-                }
-                let mut comp_key = std::mem::take(&mut s.comp_key);
-                comp_key.clear();
-                comp_key.extend(comp_fired.iter().map(|&d| d as u32));
-                let mut comp_touched = std::mem::take(&mut s.comp_touched);
-                comp_touched.clear();
-                let mut boundary_touched = false;
-                // Cluster probe: an entry with touched information answers
-                // the component without growing anything (its claims are
-                // still checked and registered, exactly as if it had been
-                // decoded). Entries without touched information (inserted
-                // by the generic whole-lane default) only answer whole-lane
-                // probes.
-                let mut answered = None;
-                if let Some((flips, touched)) = dense.memo.dense_lookup(&comp_key) {
-                    if !touched.is_empty() {
-                        comp_touched.extend_from_slice(touched);
-                        answered = Some(flips);
-                    }
-                }
-                let flips = match answered {
-                    Some(flips) => flips,
-                    None => {
-                        let marker = s.grown_edges.len();
-                        let before = pack_prediction(prediction);
-                        self.decode_component(&comp_fired, s, prediction, marker);
-                        let after = pack_prediction(prediction);
-                        comp_touched.extend(comp_fired.iter().map(|&d| d as u32));
-                        for index in marker..s.grown_edges.len() {
-                            let (a, b) = self.edge_endpoints(s.grown_edges[index]);
-                            for node in [a, b] {
-                                if node == self.boundary {
-                                    boundary_touched = true;
-                                } else {
-                                    comp_touched.push(node as u32);
-                                }
-                            }
-                        }
-                        comp_touched.sort_unstable();
-                        comp_touched.dedup();
-                        before ^ after
-                    }
-                };
-                let comp_conflict = self.claim_component(s, &comp_touched, boundary_touched);
-                if !comp_conflict {
-                    if answered.is_some() {
-                        // Replay the cached component (XOR like the peel).
-                        let mut bits = flips;
-                        while bits != 0 {
-                            prediction[bits.trailing_zeros() as usize] ^= true;
-                            bits &= bits - 1;
-                        }
-                    } else {
-                        dense.memo.dense_insert(&comp_key, flips, &comp_touched);
-                    }
-                    s.lane_touched.extend_from_slice(&comp_touched);
-                }
-                s.comp_fired = comp_fired;
-                s.comp_key = comp_key;
-                s.comp_touched = comp_touched;
-                if comp_conflict {
-                    conflict = true;
-                    break;
-                }
-            }
-        }
-
-        if conflict {
-            // Two clusters met during growth: the decomposition's isolation
-            // assumption broke, so undo every touched slot (O(touched), not
-            // a full reset) and decode the lane whole in the same epoch.
-            dense.memo.note_cluster_conflict();
-            prediction.fill(false);
-            s.rollback(num_nodes);
-            let mut boundary_state = s.nodes.get(self.boundary);
-            boundary_state.boundary = true;
-            s.nodes.set(self.boundary, boundary_state);
-            self.decode_component(fired_detectors, s, prediction, 0);
-        }
-
-        if conflict || components <= 1 {
-            // Whole-lane touched set, computed from the (single) decode.
-            s.lane_touched.clear();
-            s.lane_touched
-                .extend(fired_detectors.iter().map(|&d| d as u32));
-            for index in 0..s.grown_edges.len() {
-                let (a, b) = self.edge_endpoints(s.grown_edges[index]);
-                for node in [a, b] {
-                    if node != self.boundary {
-                        s.lane_touched.push(node as u32);
-                    }
-                }
-            }
-        }
-        s.lane_touched.sort_unstable();
-        s.lane_touched.dedup();
-        let flips = pack_prediction(prediction);
-        dense.insert_lane(fired_detectors, flips, &s.lane_touched);
-    }
 }
 
 impl Decoder for UnionFindDecoder {
@@ -620,7 +316,17 @@ impl Decoder for UnionFindDecoder {
         let mut boundary_state = s.nodes.get(self.boundary);
         boundary_state.boundary = true;
         s.nodes.set(self.boundary, boundary_state);
-        self.decode_component(fired_detectors, s, prediction, 0);
+        for &d in fired_detectors {
+            s.defect.set(d, true);
+            let mut state = s.nodes.get(d);
+            state.parity = true;
+            s.nodes.set(d, state);
+            s.frontier
+                .get_mut(d)
+                .extend_from_slice(self.graph.incident_edges(d));
+        }
+        self.grow(fired_detectors, s);
+        self.peel(s, prediction);
     }
 
     fn num_observables(&self) -> usize {
@@ -629,26 +335,6 @@ impl Decoder for UnionFindDecoder {
 
     fn memo_token(&self) -> Option<NonZeroU64> {
         Some(self.memo_token)
-    }
-
-    fn decode_dense_shot(
-        &self,
-        fired_detectors: &[usize],
-        scratch: &mut DecodeScratch,
-        dense: &mut DenseTier<'_>,
-        prediction: &mut [bool],
-    ) {
-        if fired_detectors.is_empty() || self.graph.is_empty() {
-            return;
-        }
-        if let Some(mut flips) = dense.lookup_lane(fired_detectors) {
-            while flips != 0 {
-                prediction[flips.trailing_zeros() as usize] = true;
-                flips &= flips - 1;
-            }
-            return;
-        }
-        self.decode_dense_uncached(fired_detectors, scratch, dense, prediction);
     }
 }
 

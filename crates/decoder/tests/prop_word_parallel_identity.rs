@@ -1,21 +1,26 @@
 //! Property battery for the word-parallel batch decode path.
 //!
 //! `decode_batch` (word-parallel triage) must be **bit-identical** to
-//! `decode_batch_per_shot` (the per-shot reference loop) — same prediction
-//! bits *and* the same hit/miss/uncacheable counters — for random decoding
-//! graphs and shot streams, for all decoder kinds, with the memo on, off,
-//! capped or defect-limited, with and without a shared warm snapshot; and
-//! the estimator must produce identical estimates (including early-stop
+//! `decode_batch_per_shot` (the per-shot reference loop) and to a cold
+//! memo-disabled decode — same prediction bits *and* the same
+//! hit/miss/uncacheable counters — for random decoding graphs and shot
+//! streams, for all decoder kinds, with the memo on, off, capped or
+//! defect-limited, with and without a shared warm snapshot; and the
+//! estimator must produce identical estimates (including early-stop
 //! points) whichever path decodes its chunks, across chunk sizes and thread
-//! counts. A non-random sweep pins the same contract on real rotated
-//! surface codes at distances {3, 5, 7}.
+//! counts. The shot streams come in two mixes: quiet-to-heavy lanes, and
+//! lanes that all carry at least five defects (above the default memo cap,
+//! the regime a surface code reaches at physical error rates of 5e-3 and
+//! above), so every word is triaged dense and every lane ends in a plain
+//! `decode_shot`. Non-random sweeps pin the same contract on real rotated
+//! surface codes at distances {3, 5, 7} and at a biased-high error rate.
 
 use proptest::prelude::*;
 
 use qccd_decoder::{
     estimate_logical_error_rate_with, CacheStats, DecodeScratch, Decoder, DecoderKind,
     DecodingGraph, EstimatorConfig, ExactMatchingDecoder, GreedyMatchingDecoder, MemoConfig,
-    SyndromeChunk, UnionFindDecoder,
+    SyndromeChunk, UnionFindDecoder, MEMO_KEY_CAPACITY,
 };
 use qccd_sim::{
     sample_detector_chunks, DemError, DetectorErrorModel, NoiseChannel, NoisyCircuit,
@@ -84,6 +89,16 @@ fn shots(n: usize) -> impl Strategy<Value = Vec<Vec<usize>>> {
     )
 }
 
+/// Heavy shot streams over `n` detectors: every lane fires at least five
+/// detectors, above the default memo defect cap of four, so every word is
+/// triaged dense and every lane is uncacheable.
+fn above_cap_shots(n: usize) -> impl Strategy<Value = Vec<Vec<usize>>> {
+    prop::collection::vec(
+        prop::collection::btree_set(0..n, 5..n + 1).prop_map(|s| s.into_iter().collect()),
+        1..80,
+    )
+}
+
 fn all_decoders(graph: &DecodingGraph) -> Vec<Box<dyn Decoder>> {
     vec![
         Box::new(UnionFindDecoder::new(graph.clone())),
@@ -100,6 +115,62 @@ fn comparable(stats: CacheStats) -> (u64, u64, u64, u64) {
     (stats.hits, stats.misses, stats.uncacheable, stats.prefilled)
 }
 
+/// Word path vs per-shot loop vs a cold memo-disabled decode, for every
+/// decoder kind under every given memo configuration: identical prediction
+/// bits cold and warm, identical comparable stats and entry counts, and no
+/// change from adopting a shared warm snapshot.
+fn check_word_parallel_identity(
+    n: usize,
+    dem: &DetectorErrorModel,
+    syndromes: &[Vec<usize>],
+    memo_configs: &[MemoConfig],
+) -> Result<(), TestCaseError> {
+    let graph = DecodingGraph::from_dem(dem);
+    let packed: Vec<(Vec<usize>, Vec<usize>)> = syndromes
+        .iter()
+        .map(|fired| (fired.clone(), Vec::new()))
+        .collect();
+    let chunk = SyndromeChunk::from_shots(n, 1, &packed);
+
+    for decoder in &all_decoders(&graph) {
+        // The ground truth never touches the memo.
+        let mut cold = DecodeScratch::with_memo_config(MemoConfig::disabled());
+        let truth = decoder.decode_batch_per_shot(&chunk, &mut cold);
+
+        for &memo in memo_configs {
+            // Cold pass, then a warm second pass over the same chunk
+            // through the same scratches.
+            let mut word = DecodeScratch::with_memo_config(memo);
+            let mut per_shot = DecodeScratch::with_memo_config(memo);
+            for pass in 0..2 {
+                let batch = decoder.decode_batch(&chunk, &mut word);
+                let reference = decoder.decode_batch_per_shot(&chunk, &mut per_shot);
+                prop_assert_eq!(&batch, &reference, "word vs per-shot, pass {}", pass);
+                prop_assert_eq!(&batch, &truth, "word vs cold truth, pass {}", pass);
+            }
+            prop_assert_eq!(
+                comparable(word.cache_stats()),
+                comparable(per_shot.cache_stats()),
+                "hit/miss accounting must match the per-shot loop"
+            );
+            prop_assert_eq!(word.memo_entries(), per_shot.memo_entries());
+
+            // A shared warm snapshot adopted into a fresh scratch must
+            // not change a single bit either.
+            if let Some(snapshot) = {
+                let mut warm = DecodeScratch::with_memo_config(memo);
+                decoder.warm_memo_snapshot(chunk.num_detectors(), &mut warm)
+            } {
+                let mut adopted = DecodeScratch::with_memo_config(memo);
+                adopted.adopt_memo_snapshot(&snapshot);
+                let batch = decoder.decode_batch(&chunk, &mut adopted);
+                prop_assert_eq!(&batch, &truth, "adopted snapshot");
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -109,58 +180,32 @@ proptest! {
         extra in extra_edges(),
         syndromes in shots(8),
     ) {
-        let n = 8;
-        let dem = random_dem(n, &probabilities, &extra);
-        let graph = DecodingGraph::from_dem(&dem);
-        let packed: Vec<(Vec<usize>, Vec<usize>)> = syndromes
-            .iter()
-            .map(|fired| (fired.clone(), Vec::new()))
-            .collect();
-        let chunk = SyndromeChunk::from_shots(n, 1, &packed);
-        let memo_configs = [
+        let dem = random_dem(8, &probabilities, &extra);
+        check_word_parallel_identity(8, &dem, &syndromes, &[
             MemoConfig::default(),
             MemoConfig::disabled(),
             MemoConfig::default().with_max_defects(1),
             MemoConfig::default().with_max_entries(3),
-        ];
+        ])?;
+    }
 
-        for decoder in &all_decoders(&graph) {
-            for memo in memo_configs {
-                let mut per_shot = DecodeScratch::with_memo_config(memo);
-                let reference = decoder.decode_batch_per_shot(&chunk, &mut per_shot);
-
-                // Cold word path, then a warm second pass over the same
-                // chunk through the same scratch.
-                let mut word = DecodeScratch::with_memo_config(memo);
-                for pass in 0..2 {
-                    let batch = decoder.decode_batch(&chunk, &mut word);
-                    prop_assert_eq!(&batch, &reference, "pass {}", pass);
-                }
-                prop_assert_eq!(
-                    comparable(word.cache_stats()),
-                    {
-                        // Warm the per-shot reference a second time too so
-                        // the accumulated counters stay comparable.
-                        decoder.decode_batch_per_shot(&chunk, &mut per_shot);
-                        comparable(per_shot.cache_stats())
-                    },
-                    "hit/miss accounting must match the per-shot loop"
-                );
-                prop_assert_eq!(word.memo_entries(), per_shot.memo_entries());
-
-                // A shared warm snapshot adopted into a fresh scratch must
-                // not change a single bit either.
-                if let Some(snapshot) = {
-                    let mut warm = DecodeScratch::with_memo_config(memo);
-                    decoder.warm_memo_snapshot(chunk.num_detectors(), &mut warm)
-                } {
-                    let mut adopted = DecodeScratch::with_memo_config(memo);
-                    adopted.adopt_memo_snapshot(&snapshot);
-                    let batch = decoder.decode_batch(&chunk, &mut adopted);
-                    prop_assert_eq!(&batch, &reference, "adopted snapshot");
-                }
-            }
-        }
+    /// Every lane above the default cap: the whole stream takes the
+    /// uncacheable rung unless the cap is raised to meet it.
+    #[test]
+    fn prop_above_cap_lanes_identity(
+        probabilities in probabilities(),
+        extra in extra_edges(),
+        syndromes in above_cap_shots(12),
+    ) {
+        let dem = random_dem(12, &probabilities, &extra);
+        check_word_parallel_identity(12, &dem, &syndromes, &[
+            MemoConfig::default(),
+            MemoConfig::disabled(),
+            // Raising the cap to the key capacity makes the 5- and
+            // 6-defect lanes cacheable again.
+            MemoConfig::default().with_max_defects(MEMO_KEY_CAPACITY),
+            MemoConfig::default().with_max_entries(3),
+        ])?;
     }
 
     #[test]
@@ -213,64 +258,112 @@ proptest! {
     }
 }
 
+/// A distance-`d` rotated-surface-code memory experiment with depolarizing
+/// noise of strength `p` on every data qubit at the start of each round.
+fn noisy_surface_code(d: usize, p: f64) -> NoisyCircuit {
+    use qccd_circuit::Instruction;
+    use qccd_qec::{memory_experiment, rotated_surface_code, MemoryBasis};
+
+    let code = rotated_surface_code(d);
+    let exp = memory_experiment(&code, d, MemoryBasis::Z);
+    let data = code.data_qubits();
+    let mut noisy = NoisyCircuit::new();
+    noisy.pad_qubits(exp.circuit.num_qubits());
+    let first_ancilla = code.ancilla_qubits()[0];
+    for instruction in exp.circuit.iter() {
+        if let Instruction::Reset(q) = instruction {
+            if *q == first_ancilla {
+                for &dq in &data {
+                    noisy.push_noise(NoiseChannel::Depolarize1 { qubit: dq, p });
+                }
+            }
+        }
+        noisy.push_gate(*instruction);
+    }
+    for det in exp.circuit.detectors() {
+        noisy.add_detector(det.clone());
+    }
+    for obs in exp.circuit.observables() {
+        noisy.add_observable(obs.clone());
+    }
+    noisy
+}
+
+/// One sampled chunk of [`noisy_surface_code`] through every decoder kind:
+/// the word path, the per-shot path and a cold memo-disabled decode must
+/// agree bit for bit over a cold and a warm pass, with identical comparable
+/// stats. Returns the word path's two-pass stats per kind for
+/// regime-specific assertions.
+fn surface_code_word_stats(d: usize, p: f64, shots: usize, seed: u64) -> Vec<CacheStats> {
+    let noisy = noisy_surface_code(d, p);
+    let sampler = sample_detector_chunks(&noisy, shots, seed, shots).expect("valid annotations");
+    let chunk = sampler.sample_chunk(0);
+    let dem = DetectorErrorModel::from_circuit(&noisy).expect("valid annotations");
+    let graph = DecodingGraph::from_dem(&dem);
+    [
+        DecoderKind::UnionFind,
+        DecoderKind::GreedyMatching,
+        DecoderKind::ExactMatching,
+    ]
+    .into_iter()
+    .map(|kind| {
+        let decoder = kind.build(graph.clone());
+        let mut word = DecodeScratch::new();
+        let mut per_shot = DecodeScratch::new();
+        let mut cold = DecodeScratch::with_memo_config(MemoConfig::disabled());
+        let truth = decoder.decode_batch_per_shot(&chunk, &mut cold);
+        for pass in 0..2 {
+            let from_word = decoder.decode_batch(&chunk, &mut word);
+            let reference = decoder.decode_batch_per_shot(&chunk, &mut per_shot);
+            assert_eq!(from_word, reference, "d={d} kind={kind:?} pass={pass}");
+            assert_eq!(from_word, truth, "d={d} kind={kind:?} pass={pass}");
+        }
+        assert_eq!(
+            comparable(word.cache_stats()),
+            comparable(per_shot.cache_stats()),
+            "d={d} kind={kind:?}"
+        );
+        word.cache_stats()
+    })
+    .collect()
+}
+
 /// Rotated surface codes at the paper's sampled distances: the word path
 /// must match the per-shot path bit for bit on real syndrome streams for
 /// every decoder kind.
 #[test]
 fn surface_code_chunks_decode_identically_at_d3_d5_d7() {
-    use qccd_circuit::Instruction;
-    use qccd_qec::{memory_experiment, rotated_surface_code, MemoryBasis};
-
     for d in [3usize, 5, 7] {
-        let code = rotated_surface_code(d);
-        let exp = memory_experiment(&code, d, MemoryBasis::Z);
-        let data = code.data_qubits();
-        let mut noisy = NoisyCircuit::new();
-        noisy.pad_qubits(exp.circuit.num_qubits());
-        let first_ancilla = code.ancilla_qubits()[0];
-        for instruction in exp.circuit.iter() {
-            if let Instruction::Reset(q) = instruction {
-                if *q == first_ancilla {
-                    for &dq in &data {
-                        noisy.push_noise(NoiseChannel::Depolarize1 { qubit: dq, p: 0.01 });
-                    }
-                }
-            }
-            noisy.push_gate(*instruction);
-        }
-        for det in exp.circuit.detectors() {
-            noisy.add_detector(det.clone());
-        }
-        for obs in exp.circuit.observables() {
-            noisy.add_observable(obs.clone());
-        }
-
         let shots = 2048;
-        let sampler = sample_detector_chunks(&noisy, shots, 11, shots).expect("valid annotations");
-        let chunk = sampler.sample_chunk(0);
-        let dem = DetectorErrorModel::from_circuit(&noisy).expect("valid annotations");
-        let graph = DecodingGraph::from_dem(&dem);
-        for kind in [
-            DecoderKind::UnionFind,
-            DecoderKind::GreedyMatching,
-            DecoderKind::ExactMatching,
-        ] {
-            let decoder = kind.build(graph.clone());
-            let mut word = DecodeScratch::new();
-            let mut per_shot = DecodeScratch::new();
-            let from_word = decoder.decode_batch(&chunk, &mut word);
-            let reference = decoder.decode_batch_per_shot(&chunk, &mut per_shot);
-            assert_eq!(from_word, reference, "d={d} kind={kind:?}");
-            assert_eq!(
-                comparable(word.cache_stats()),
-                comparable(per_shot.cache_stats()),
-                "d={d} kind={kind:?}"
-            );
-            let stats = word.cache_stats();
+        for stats in surface_code_word_stats(d, 0.01, shots, 11) {
             assert_eq!(
                 stats.words(),
-                (shots as u64).div_ceil(64),
-                "every word is triaged exactly once (d={d} kind={kind:?})"
+                2 * (shots as u64).div_ceil(64),
+                "every word is triaged exactly once per pass (d={d})"
+            );
+        }
+    }
+}
+
+/// Biased high (~25x the paper's operating point), so most shots carry more
+/// than four defects: above-cap lanes dominate, and each is one plain
+/// `decode_shot` on both paths.
+#[test]
+fn surface_code_above_cap_lanes_are_identical_at_high_p() {
+    for d in [3usize, 5] {
+        for stats in surface_code_word_stats(d, 0.05, 1024, 17) {
+            assert!(
+                stats.uncacheable > 0,
+                "high p must push lanes above the memo cap (d={d})"
+            );
+            assert_eq!(
+                (
+                    stats.dense_hits,
+                    stats.dense_misses,
+                    stats.cluster_conflicts
+                ),
+                (0, 0, 0),
+                "retired counters stay zero (d={d})"
             );
         }
     }

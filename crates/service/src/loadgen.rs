@@ -481,12 +481,6 @@ fn metrics_from_json(metrics_json: &Value) -> ServiceMetrics {
         full_word_flushes: read_u("full_word_flushes"),
         deadline_flushes: read_u("deadline_flushes"),
         close_flushes: read_u("close_flushes"),
-        dense_hits: read_u("dense_hits"),
-        dense_misses: read_u("dense_misses"),
-        dense_evictions: read_u("dense_evictions"),
-        cluster_lanes: read_u("cluster_lanes"),
-        cluster_components: read_u("cluster_components"),
-        cluster_conflicts: read_u("cluster_conflicts"),
         shots_per_sec: read("shots_per_sec"),
         p50_latency_us: read("p50_latency_us"),
         p99_latency_us: read("p99_latency_us"),

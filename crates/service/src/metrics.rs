@@ -12,7 +12,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use qccd_decoder::CacheStats;
 use qccd_telemetry::{quantile_from_counts, Counter, Gauge, Registry, Stage};
 use serde_json::Value;
 
@@ -82,12 +81,6 @@ pub(crate) struct UnifiedMetrics {
     full_word_flushes: Counter,
     deadline_flushes: Counter,
     close_flushes: Counter,
-    dense_hits: Counter,
-    dense_misses: Counter,
-    dense_evictions: Counter,
-    cluster_lanes: Counter,
-    cluster_components: Counter,
-    cluster_conflicts: Counter,
     latency_us: qccd_telemetry::Histogram,
     /// Submit→flush wait of each frame run, booked by the batcher at flush
     /// time from the run's own submit instant.
@@ -108,12 +101,6 @@ impl UnifiedMetrics {
             full_word_flushes: registry.counter("service.flushes.full_word"),
             deadline_flushes: registry.counter("service.flushes.deadline"),
             close_flushes: registry.counter("service.flushes.close"),
-            dense_hits: registry.counter("service.dense_hits"),
-            dense_misses: registry.counter("service.dense_misses"),
-            dense_evictions: registry.counter("service.dense_evictions"),
-            cluster_lanes: registry.counter("service.cluster_lanes"),
-            cluster_components: registry.counter("service.cluster_components"),
-            cluster_conflicts: registry.counter("service.cluster_conflicts"),
             latency_us: registry.histogram("service.latency_us"),
             batcher_wait: registry.stage("service.stage.batcher_wait"),
             decode: registry.stage("service.stage.decode"),
@@ -135,14 +122,6 @@ pub(crate) struct MetricsInner {
     full_word_flushes: AtomicU64,
     deadline_flushes: AtomicU64,
     close_flushes: AtomicU64,
-    /// Dense-tier counters aggregated from every worker's per-batch
-    /// `CacheStats` delta (see [`MetricsInner::note_decode_cache`]).
-    dense_hits: AtomicU64,
-    dense_misses: AtomicU64,
-    dense_evictions: AtomicU64,
-    cluster_lanes: AtomicU64,
-    cluster_components: AtomicU64,
-    cluster_conflicts: AtomicU64,
     /// Nanoseconds (since service start) of the first submission / the most
     /// recent completion — bounds of the active window shots/s is computed
     /// over. 0 = "not yet".
@@ -164,12 +143,6 @@ impl MetricsInner {
             full_word_flushes: AtomicU64::new(0),
             deadline_flushes: AtomicU64::new(0),
             close_flushes: AtomicU64::new(0),
-            dense_hits: AtomicU64::new(0),
-            dense_misses: AtomicU64::new(0),
-            dense_evictions: AtomicU64::new(0),
-            cluster_lanes: AtomicU64::new(0),
-            cluster_components: AtomicU64::new(0),
-            cluster_conflicts: AtomicU64::new(0),
             first_submit_ns: AtomicU64::new(0),
             last_complete_ns: AtomicU64::new(0),
             latency: LatencyHistogram::default(),
@@ -232,31 +205,6 @@ impl MetricsInner {
         mirror.inc();
     }
 
-    /// Folds one decode batch's `CacheStats` delta (the scratch's counters
-    /// after the batch minus before it) into the live dense-tier gauges.
-    pub(crate) fn note_decode_cache(&self, delta: &CacheStats) {
-        self.dense_hits
-            .fetch_add(delta.dense_hits, Ordering::Relaxed);
-        self.dense_misses
-            .fetch_add(delta.dense_misses, Ordering::Relaxed);
-        self.dense_evictions
-            .fetch_add(delta.dense_evictions, Ordering::Relaxed);
-        self.cluster_lanes
-            .fetch_add(delta.cluster_lanes, Ordering::Relaxed);
-        self.cluster_components
-            .fetch_add(delta.cluster_components, Ordering::Relaxed);
-        self.cluster_conflicts
-            .fetch_add(delta.cluster_conflicts, Ordering::Relaxed);
-        self.unified.dense_hits.add(delta.dense_hits);
-        self.unified.dense_misses.add(delta.dense_misses);
-        self.unified.dense_evictions.add(delta.dense_evictions);
-        self.unified.cluster_lanes.add(delta.cluster_lanes);
-        self.unified
-            .cluster_components
-            .add(delta.cluster_components);
-        self.unified.cluster_conflicts.add(delta.cluster_conflicts);
-    }
-
     pub(crate) fn snapshot(&self, streams_open: usize) -> ServiceMetrics {
         let completed = self.completed.load(Ordering::Relaxed);
         let first = self.first_submit_ns.load(Ordering::Relaxed);
@@ -275,12 +223,6 @@ impl MetricsInner {
             full_word_flushes: self.full_word_flushes.load(Ordering::Relaxed),
             deadline_flushes: self.deadline_flushes.load(Ordering::Relaxed),
             close_flushes: self.close_flushes.load(Ordering::Relaxed),
-            dense_hits: self.dense_hits.load(Ordering::Relaxed),
-            dense_misses: self.dense_misses.load(Ordering::Relaxed),
-            dense_evictions: self.dense_evictions.load(Ordering::Relaxed),
-            cluster_lanes: self.cluster_lanes.load(Ordering::Relaxed),
-            cluster_components: self.cluster_components.load(Ordering::Relaxed),
-            cluster_conflicts: self.cluster_conflicts.load(Ordering::Relaxed),
             shots_per_sec: if window_s > 0.0 {
                 completed as f64 / window_s
             } else {
@@ -312,18 +254,6 @@ pub struct ServiceMetrics {
     pub deadline_flushes: u64,
     /// Flushes triggered by the last contributing stream closing.
     pub close_flushes: u64,
-    /// Dense-tier lane-LRU hits across every worker's decode batches.
-    pub dense_hits: u64,
-    /// Dense-tier LRU misses (lane and cluster probes that fell through).
-    pub dense_misses: u64,
-    /// Dense-tier LRU evictions under the configured entry cap.
-    pub dense_evictions: u64,
-    /// Above-cap lanes decomposed by the local cluster matcher.
-    pub cluster_lanes: u64,
-    /// Connected components produced by those decompositions.
-    pub cluster_components: u64,
-    /// Cluster decodes rolled back to a whole-lane union-find pass.
-    pub cluster_conflicts: u64,
     /// Completed frames per second over the active window (first submission
     /// to latest completion).
     pub shots_per_sec: f64,
@@ -346,12 +276,6 @@ impl ServiceMetrics {
             "full_word_flushes": self.full_word_flushes,
             "deadline_flushes": self.deadline_flushes,
             "close_flushes": self.close_flushes,
-            "dense_hits": self.dense_hits,
-            "dense_misses": self.dense_misses,
-            "dense_evictions": self.dense_evictions,
-            "cluster_lanes": self.cluster_lanes,
-            "cluster_components": self.cluster_components,
-            "cluster_conflicts": self.cluster_conflicts,
             "shots_per_sec": self.shots_per_sec,
             "p50_latency_us": self.p50_latency_us,
             "p99_latency_us": self.p99_latency_us,

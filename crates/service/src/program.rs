@@ -66,7 +66,7 @@ impl DecodeProgram {
 
     /// [`DecodeProgram::compile`] with an explicit memo configuration: the
     /// warm snapshot (and every worker scratch adopting it) runs with
-    /// `memo`'s defect/entry caps and dense-tier knobs.
+    /// `memo`'s defect/entry caps.
     ///
     /// # Errors
     ///
@@ -142,8 +142,8 @@ impl DecodeProgram {
         let decoder = decoder_kind.build(DecodingGraph::from_dem(&dem));
         // Warm once per program: every worker adopts this snapshot, so no
         // stream ever pays a cold-start prefill. The snapshot carries the
-        // memo configuration, so adoption installs `memo`'s caps and
-        // dense-tier knobs in every worker scratch.
+        // memo configuration, so adoption installs `memo`'s caps in every
+        // worker scratch.
         let mut warm = DecodeScratch::with_memo_config(memo);
         let snapshot = decoder.warm_memo_snapshot(num_detectors, &mut warm);
         Ok(DecodeProgram {

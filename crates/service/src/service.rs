@@ -45,7 +45,7 @@ pub struct ServiceConfig {
     /// produced). Submission blocks — or `try_submit` refuses — beyond it.
     pub stream_queue_shots: usize,
     /// Memo configuration programs are warmed with and worker scratches
-    /// decode under (defect/entry caps plus the dense-tier LRU knobs).
+    /// decode under (defect/entry caps).
     pub memo: MemoConfig,
     /// Telemetry configuration of the service's unified metrics registry
     /// (per-stage spans, mirrors of the legacy counters). Disabling it
@@ -92,8 +92,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Overrides the memo configuration (defect/entry caps and dense-tier
-    /// knobs) applied to programs compiled by this service.
+    /// Overrides the memo configuration (defect/entry caps) applied to
+    /// programs compiled by this service.
     pub fn with_memo(mut self, memo: MemoConfig) -> Self {
         self.memo = memo;
         self
@@ -627,15 +627,11 @@ fn decode_job(
     let scratch = scratches
         .entry(program.id())
         .or_insert_with(|| DecodeScratch::with_memo_config(program.memo_config()));
-    let before = scratch.cache_stats();
     let prediction =
         program
             .decoder()
             .decode_batch_with_snapshot(&chunk, scratch, program.snapshot());
     span.finish(chunk.num_shots() as u64);
-    shared
-        .metrics
-        .note_decode_cache(&scratch.cache_stats().since(&before));
     flips.clear();
     flips.resize(chunk.num_shots(), 0);
     for observable in 0..prediction.num_observables() {
@@ -1471,71 +1467,6 @@ mod tests {
             0,
         )]));
         c
-    }
-
-    #[test]
-    fn dense_frames_surface_in_the_live_metrics() {
-        let service = DecodeService::new(
-            ServiceConfig::default()
-                .with_workers(1)
-                .with_flush_deadline(Duration::from_micros(50)),
-        );
-        let circuit = six_detector_circuit();
-        let mut handle = service
-            .open_stream_circuit("dense", &circuit, DecoderKind::UnionFind)
-            .unwrap();
-        // Five fired detectors exceed the default memo cap of four: the
-        // lane takes the dense tier. Submitted twice, the second frame is
-        // answered by the lane LRU.
-        let dense_frame = [0usize, 1, 2, 3, 4];
-        for _ in 0..2 {
-            handle.submit(&dense_frame).unwrap();
-        }
-        for _ in 0..2 {
-            let correction = handle.recv().expect("correction");
-            assert_eq!(correction.flips, 1, "detector 0 mirrors observable 0");
-        }
-        let metrics = service.metrics();
-        assert!(
-            metrics.dense_misses >= 1,
-            "the first dense frame misses the lane LRU: {metrics:?}"
-        );
-        assert!(
-            metrics.dense_hits >= 1,
-            "the repeat frame hits the lane LRU: {metrics:?}"
-        );
-        assert_eq!(metrics.cluster_conflicts, 0, "isolated defects never clash");
-        let json = metrics.to_json();
-        assert_eq!(
-            json.get("dense_misses").and_then(|v| v.as_u64()),
-            Some(metrics.dense_misses),
-            "dense counters ride the metrics JSON"
-        );
-        service.shutdown();
-    }
-
-    #[test]
-    fn dense_tier_can_be_disabled_through_the_service_config() {
-        let service = DecodeService::new(
-            ServiceConfig::default()
-                .with_workers(1)
-                .with_flush_deadline(Duration::from_micros(50))
-                .with_memo(qccd_decoder::MemoConfig::default().with_dense_max_entries(0)),
-        );
-        let circuit = six_detector_circuit();
-        let mut handle = service
-            .open_stream_circuit("dense-off", &circuit, DecoderKind::UnionFind)
-            .unwrap();
-        for _ in 0..2 {
-            handle.submit(&[0, 1, 2, 3, 4]).unwrap();
-        }
-        for _ in 0..2 {
-            assert_eq!(handle.recv().expect("correction").flips, 1);
-        }
-        let metrics = service.metrics();
-        assert_eq!(metrics.dense_hits, 0, "disabled tier never counts");
-        assert_eq!(metrics.dense_misses, 0);
-        service.shutdown();
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! These cross-crate tests pin the qualitative conclusions the extension
 //! benches report: the capacity-2 grid keeps its constant round time under
 //! lattice surgery, the geometric clustering is what buys the compiler its
-//! movement advantage, and the decoder substitution documented in DESIGN.md
-//! does not change which configurations are viable.
+//! movement advantage, and the decoder substitution (weighted union-find in
+//! place of the paper's MWPM: same threshold behaviour, slightly higher
+//! logical error rates) does not change which configurations are viable.
 
 use qccd_core::{ArchitectureConfig, ClusteringStrategy, Compiler, Toolflow};
 use qccd_decoder::{estimate_logical_error_rate, DecoderKind};
