@@ -231,18 +231,17 @@ fn bench_memoized_vs_uncached(c: &mut Criterion) {
 ///
 /// Three bit-identical contenders:
 ///
-/// * `word` — the word-parallel default (tiled triage + single/pair merge,
-///   memoized);
+/// * `word` — the word-parallel default (one streaming tile scan that
+///   finds quiet words and gathers defect lists, memoized);
 /// * `per_shot` — the per-shot reference loop at the same memo
-///   configuration (the bit-identity partner; word-level triage is the
-///   only difference);
+///   configuration (the bit-identity partner; mask scan + per-word gather
+///   instead of the tile scan is the only difference);
 /// * `per_shot_unmemoized` — per-shot union-find against the reusable
 ///   scratch with the memo off (what every shot paid before memoization).
 ///
-/// Above-cap lanes are decoded identically by all three, so the
-/// word-vs-`per_shot` delta isolates what the tiled triage + word merges
-/// buy over gather/hash. The triage verdicts are printed alongside the
-/// timings.
+/// Every noisy lane takes the same memo probe in `word` and `per_shot`, so
+/// their delta isolates what the single streaming scan buys over two plane
+/// passes. The per-word verdicts are printed alongside the timings.
 fn bench_word_vs_per_shot(c: &mut Criterion) {
     for point in decode_points() {
         let mut group = c.benchmark_group(format!("word_decode_{}", point.label));
@@ -267,8 +266,8 @@ fn bench_word_vs_per_shot(c: &mut Criterion) {
         );
         group.finish();
 
-        // Identical predictions by contract; print the word triage so
-        // regressions in sparse coverage are visible in CI logs.
+        // Identical predictions by contract; print the word verdicts so
+        // a shift in the quiet/sparse/dense mix is visible in CI logs.
         let mut word = point.fresh_scratch(MemoConfig::default());
         let mut per_shot = point.fresh_scratch(MemoConfig::default());
         for chunk in &point.ring {
@@ -278,13 +277,12 @@ fn bench_word_vs_per_shot(c: &mut Criterion) {
         }
         let stats = word.cache_stats();
         println!(
-            "word_decode_{}/triage: {} quiet / {} sparse / {} dense words, {} of {} noisy shots \
-             word-merged ({:.1}% hit rate)",
+            "word_decode_{}/words: {} quiet / {} sparse / {} dense, {} noisy shots \
+             ({:.1}% hit rate)",
             point.label,
             stats.quiet_words,
             stats.sparse_words,
             stats.dense_words,
-            stats.word_merged,
             stats.decoded(),
             100.0 * stats.hit_rate(),
         );

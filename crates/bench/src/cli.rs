@@ -1089,6 +1089,12 @@ fn serve_command(options: &ServeOptions) -> Result<(), String> {
         server.service().telemetry().set_trace_sink(Arc::new(sink));
         println!("tracing sampled stage spans to {}", path.display());
     }
+    let registry = server.service().telemetry();
+    if registry.is_enabled() {
+        // One service per process, so the process-global decoder hook can
+        // feed this service's registry (`decoder.*` rows of a scrape).
+        qccd_decoder::install_telemetry(&registry);
+    }
     println!("decode service listening on {addr} ({:?})", options.service);
     server.run().map_err(|e| e.to_string())
 }

@@ -200,7 +200,7 @@ pub fn merge_artifact(spec: &ExperimentSpec, store: &PointStore) -> Result<Artif
 // ---------------------------------------------------------------------------
 
 /// Field order of [`CacheStats`] in the JSON codec.
-const CACHE_FIELDS: [&str; 8] = [
+const CACHE_FIELDS: [&str; 7] = [
     "hits",
     "misses",
     "uncacheable",
@@ -208,7 +208,6 @@ const CACHE_FIELDS: [&str; 8] = [
     "quiet_words",
     "sparse_words",
     "dense_words",
-    "word_merged",
 ];
 
 fn cache_to_json(cache: &CacheStats) -> Value {
@@ -220,7 +219,6 @@ fn cache_to_json(cache: &CacheStats) -> Value {
         cache.quiet_words,
         cache.sparse_words,
         cache.dense_words,
-        cache.word_merged,
     ];
     let mut map = serde_json::Map::new();
     for (key, value) in CACHE_FIELDS.iter().zip(values) {
@@ -244,7 +242,6 @@ fn cache_from_json(value: &Value) -> Result<CacheStats, String> {
         quiet_words: field("quiet_words")?,
         sparse_words: field("sparse_words")?,
         dense_words: field("dense_words")?,
-        word_merged: field("word_merged")?,
         ..CacheStats::default()
     })
 }
@@ -449,8 +446,7 @@ mod tests {
                 prefilled: 4,
                 quiet_words: 5,
                 sparse_words: 6,
-                dense_words: 7,
-                word_merged: u64::MAX,
+                dense_words: u64::MAX,
                 ..CacheStats::default()
             }),
         };

@@ -186,8 +186,6 @@ fn estimator_to_json(config: &EstimatorConfig) -> Value {
             "max_defects": config.memo.max_defects,
             "max_entries": config.memo.max_entries,
         },
-        "word_decode": config.word_decode,
-        "shared_memo": config.shared_memo,
     });
     // Emitted only when set so every pre-rare-event spec keeps its canonical
     // encoding — and therefore its content hash and cached artifacts.
@@ -195,17 +193,6 @@ fn estimator_to_json(config: &EstimatorConfig) -> Value {
         value["importance_bias"] = serde_json::json!(bias);
     }
     value
-}
-
-/// An optional boolean field defaulting to `default` when absent or null
-/// (keeps pre-word-path spec files parseable).
-fn bool_field_or(value: &Value, key: &str, default: bool) -> Result<bool, SpecError> {
-    match value.get(key) {
-        Some(v) if !v.is_null() => v
-            .as_bool()
-            .ok_or_else(|| SpecError(format!("`{key}` must be a boolean"))),
-        _ => Ok(default),
-    }
 }
 
 fn estimator_from_json(value: &Value) -> Result<EstimatorConfig, SpecError> {
@@ -239,8 +226,6 @@ fn estimator_from_json(value: &Value) -> Result<EstimatorConfig, SpecError> {
             max_defects: usize_field(memo, "max_defects")?,
             max_entries: usize_field(memo, "max_entries")?,
         },
-        word_decode: bool_field_or(value, "word_decode", true)?,
-        shared_memo: bool_field_or(value, "shared_memo", true)?,
         importance_bias: match value.get("importance_bias") {
             Some(v) if !v.is_null() => Some(
                 v.as_f64()
@@ -1163,10 +1148,11 @@ mod tests {
         let parsed = ExperimentSpec::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
         assert_eq!(parsed, spec);
 
-        // Unknown keys are ignored, so spec files written when the memo had
-        // more knobs than it has now still load.
+        // Unknown keys are ignored, so spec files written when the memo and
+        // the estimator had more knobs than they have now still load.
         let mut old = spec.to_json();
         old["experiment"]["estimator"]["memo"]["retired_knob"] = serde_json::json!(65536);
+        old["experiment"]["estimator"]["retired_switch"] = serde_json::json!(false);
         assert_eq!(ExperimentSpec::from_json(&old).unwrap(), spec);
     }
 

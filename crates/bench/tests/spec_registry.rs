@@ -78,17 +78,11 @@ fn compile_cases() -> impl Strategy<Value = Vec<CompileCase>> {
 fn estimators() -> impl Strategy<Value = EstimatorConfig> {
     (
         (1usize..100_000, any::<bool>(), any::<bool>(), 1usize..8),
-        (any::<bool>(), any::<bool>(), any::<bool>(), 1.0f64..64.0),
+        (any::<bool>(), 1.0f64..64.0),
     )
         .prop_map(
-            |(
-                (chunk_shots, early_stop, disable_memo, max_defects),
-                (word_decode, shared_memo, biased, bias),
-            )| {
-                let mut config = EstimatorConfig::default()
-                    .with_chunk_shots(chunk_shots)
-                    .with_word_decode(word_decode)
-                    .with_shared_memo(shared_memo);
+            |((chunk_shots, early_stop, disable_memo, max_defects), (biased, bias))| {
+                let mut config = EstimatorConfig::default().with_chunk_shots(chunk_shots);
                 if early_stop {
                     config = config.with_target_std_error(1e-3).with_max_failures(100);
                 }

@@ -12,13 +12,13 @@
 //! bit-identity contract between them):
 //!
 //! * [`decode_batch_words`] — the word-parallel default: 64-word tiles are
-//!   scanned with one sequential carry-save pass over the detector planes
-//!   ([`csa_accumulate`], classified per word by
-//!   [`WordTriage::from_counters`]) into quiet / sparse / dense, and
-//!   single-/two-defect lanes are answered with word-level merges from the
-//!   memo's flat mirrors instead of per-shot hashing.
+//!   scanned with one sequential pass over the detector planes that buckets
+//!   every non-zero plane word by tile word, so quiet words are found and
+//!   the noisy lanes' defect lists are gathered by the same streaming walk.
 //! * [`decode_batch_per_shot`] — the per-shot reference loop every decoded
 //!   bit is defined against.
+//!
+//! Both hand the gathered lanes to the same memo probe, [`decode_lanes`].
 //!
 //! # The triage ladder
 //!
@@ -27,13 +27,11 @@
 //!
 //! 1. **Quiet word** — no detector fired anywhere in the 64-shot word: the
 //!    whole word is skipped by the tile scan (no gather, no decode).
-//! 2. **Single / pair mirror** — one- and two-defect lanes are answered
-//!    with word-wide OR merges from the memo's flat single- and pair-flip
-//!    mirrors: one array load per lane class, no hashing, no decoder.
-//! 3. **Sparse memo** — lanes at or below [`MemoConfig::max_defects`]
+//! 2. **Sparse memo** — lanes at or below [`MemoConfig::max_defects`]
 //!    probe the hash table ([`decode_lanes`]); misses decode once and
-//!    insert.
-//! 4. **Union-find** — lanes *above* the cap are counted as
+//!    insert. Single-defect sets are prefilled when the decoder claims the
+//!    memo, so they never miss.
+//! 3. **Union-find** — lanes *above* the cap are counted as
 //!    [`CacheStats::uncacheable`] and decoded by one plain
 //!    [`Decoder::decode_shot`](crate::Decoder::decode_shot), exactly as
 //!    the per-shot reference defines them. Nothing caches these lanes:
@@ -51,7 +49,7 @@ use std::cmp::Ordering;
 
 pub use qccd_sim::SyndromeChunk;
 
-use qccd_sim::{csa_accumulate, BitPlanes, WordTriage, MAX_TRIAGE_CAP};
+use qccd_sim::BitPlanes;
 
 use crate::memo::{MemoSnapshot, SyndromeMemo};
 use crate::scratch::{EpochVec, VecPool};
@@ -107,12 +105,6 @@ impl PredictionChunk {
     /// Marks `observable` as flipped in `shot`.
     pub fn set(&mut self, observable: usize, shot: usize) {
         self.planes.plane_mut(observable)[shot / 64] |= 1u64 << (shot % 64);
-    }
-
-    /// ORs a whole word of lanes into one observable's plane — the
-    /// word-parallel merge primitive of the sparse decode path.
-    pub fn or_word(&mut self, observable: usize, word_index: usize, lanes: u64) {
-        self.planes.plane_mut(observable)[word_index] |= lanes;
     }
 
     /// Unpacks one shot's prediction (convenience for tests and the
@@ -414,7 +406,7 @@ pub struct DecodeScratch {
     /// Per-shot defect lists for one 64-shot word, gathered with one pass
     /// over the detector planes instead of one pass per shot.
     pub(crate) word_fired: Vec<Vec<usize>>,
-    /// Per-word hot-plane buckets of the tile under triage: bucket `w`
+    /// Per-word hot-plane buckets of the tile being scanned: bucket `w`
     /// lists every `(detector, plane word)` with a fired lane in tile word
     /// `w`, in ascending detector order. Reused across tiles.
     pub(crate) tile_hot: Vec<Vec<(u32, u64)>>,
@@ -611,26 +603,24 @@ fn decode_lanes<D: Decoder + ?Sized>(
     }
 }
 
-/// Words per triage tile: the tile scan walks every detector plane
+/// Words per scan tile: the tile scan walks every detector plane
 /// *sequentially* over a 64-word window (cache- and prefetcher-friendly,
-/// unlike a strided per-word column walk) while accumulating per-word
-/// carry-save counters and hot-plane buckets; the per-word decode then runs
-/// against L1/L2-resident buckets.
+/// unlike a strided per-word column walk) while filling the hot-plane
+/// buckets; the per-word decode then runs against L1/L2-resident buckets.
 const TILE_WORDS: usize = 64;
 
 /// The word-parallel batch decode loop (the
 /// [`Decoder::decode_batch`](crate::Decoder::decode_batch) default).
 ///
 /// Words are processed in [`TILE_WORDS`]-word tiles. One sequential pass
-/// over the detector planes per tile accumulates, for every word at once,
-/// the carry-save defect counters and the hot-plane buckets — so triage,
-/// quiet-word detection and gathering share a single streaming walk. Each
-/// noisy word then classifies via [`WordTriage::from_counters`]: its
-/// single-defect lanes whose detector is in the memo's singles table are
-/// answered with word-wide OR merges (no per-shot hashing, no union-find),
-/// and only the leftover lanes reach [`decode_lanes`], which is
-/// bit-identical (predictions *and* hit/miss/uncacheable counters) to the
-/// per-shot reference loop.
+/// over the detector planes per tile buckets, for every word at once, the
+/// non-zero plane words — so quiet-word detection and the defect gather
+/// share a single streaming walk. A word whose bucket ORs to zero under its
+/// lane mask is skipped; every other word's noisy lanes reach
+/// [`decode_lanes`], so predictions *and* hit/miss/uncacheable counters
+/// equal the per-shot reference loop's. While the memo is active each word
+/// is also counted as quiet, dense (at least one of its lanes was
+/// uncacheable) or sparse.
 pub(crate) fn decode_batch_words<D: Decoder + ?Sized>(
     decoder: &D,
     chunk: &SyndromeChunk,
@@ -640,153 +630,56 @@ pub(crate) fn decode_batch_words<D: Decoder + ?Sized>(
     let mut buffers = BatchBuffers::begin(decoder, chunk.num_detectors(), scratch);
     let mut tile_hot = std::mem::take(&mut scratch.tile_hot);
     tile_hot.resize_with(TILE_WORDS, Vec::new);
-    let sparse_cap = if buffers.memo_active {
-        buffers
-            .memo
-            .config()
-            .effective_max_defects()
-            .min(MAX_TRIAGE_CAP)
-    } else {
-        0
-    };
     let words = chunk.words();
     let mut tile_start = 0usize;
     while tile_start < words {
         let tile_len = TILE_WORDS.min(words - tile_start);
         // Phase A — streaming tile scan: sequential over each plane's
-        // window, scattered only into the L1-resident counter arrays and
-        // buckets. Ascending detector order keeps every bucket sorted,
-        // i.e. canonical for the memo key.
-        let mut c1 = [0u64; TILE_WORDS];
-        let mut c2 = [0u64; TILE_WORDS];
-        let mut c4 = [0u64; TILE_WORDS];
-        let mut over = [0u64; TILE_WORDS];
+        // window, scattered only into the buckets. Ascending detector order
+        // keeps every bucket sorted, i.e. canonical for the memo key.
         for bucket in tile_hot.iter_mut().take(tile_len) {
             bucket.clear();
         }
         for detector in 0..chunk.num_detectors() {
             let window = &chunk.detector_plane(detector)[tile_start..tile_start + tile_len];
             for (w, &bits) in window.iter().enumerate() {
-                if bits == 0 {
-                    continue;
+                if bits != 0 {
+                    tile_hot[w].push((detector as u32, bits));
                 }
-                tile_hot[w].push((detector as u32, bits));
-                csa_accumulate(&mut c1[w], &mut c2[w], &mut c4[w], &mut over[w], bits);
             }
         }
-        // Phase B — per-word triage and decode against the hot buckets.
-        for w in 0..tile_len {
+        // Phase B — per-word gather and decode against the hot buckets.
+        for (w, hot) in tile_hot.iter().enumerate().take(tile_len) {
             let word_index = tile_start + w;
-            let triage = WordTriage::from_counters(
-                c1[w],
-                c2[w],
-                c4[w],
-                over[w],
-                sparse_cap,
-                chunk.lane_mask(word_index),
-            );
-            if triage.fired == 0 {
+            let fired =
+                hot.iter().fold(0u64, |any, &(_, bits)| any | bits) & chunk.lane_mask(word_index);
+            if fired == 0 {
                 if buffers.memo_active {
                     buffers.memo.note_quiet_word();
                 }
                 continue;
             }
-            let hot = &tile_hot[w];
-            let mut per_shot = triage.fired;
-            if buffers.memo_active {
-                if triage.dense == 0 {
-                    buffers.memo.note_sparse_word();
-                } else {
-                    buffers.memo.note_dense_word();
-                }
-                // Word-level merge, one fused bucket walk:
-                //
-                // * single-defect lanes are fully described by their
-                //   (unique) hot plane, so the cached prediction of that
-                //   detector is ORed into the output planes for all such
-                //   lanes at once;
-                // * two-defect lanes — the dominant noisy class under
-                //   circuit-level noise — resolve straight from the flat
-                //   pair mirror: the walk recovers both detectors per lane
-                //   (ascending order gives the canonical d1 < d2), no
-                //   defect-list gather, no hash probe.
-                let mut answered = 0u64;
-                let singles = triage.single;
-                let pairs = if sparse_cap >= 2 { triage.pair } else { 0 };
-                if singles | pairs != 0 {
-                    let mut first_seen = 0u64;
-                    let mut first = [0u32; 64];
-                    for &(detector, plane_bits) in hot {
-                        let merge_lanes = plane_bits & singles;
-                        if merge_lanes != 0 {
-                            if let Some(mut flips) = buffers.memo.single_flip(detector as usize) {
-                                answered |= merge_lanes;
-                                while flips != 0 {
-                                    out.or_word(
-                                        flips.trailing_zeros() as usize,
-                                        word_index,
-                                        merge_lanes,
-                                    );
-                                    flips &= flips - 1;
-                                }
-                            }
-                        }
-                        let mut lanes = plane_bits & pairs;
-                        while lanes != 0 {
-                            let lane = lanes.trailing_zeros() as usize;
-                            lanes &= lanes - 1;
-                            let bit = 1u64 << lane;
-                            if first_seen & bit == 0 {
-                                first_seen |= bit;
-                                first[lane] = detector;
-                            } else if let Some(mut flips) = buffers
-                                .memo
-                                .pair_flip(first[lane] as usize, detector as usize)
-                            {
-                                answered |= bit;
-                                let shot = word_index * 64 + lane;
-                                while flips != 0 {
-                                    out.set(flips.trailing_zeros() as usize, shot);
-                                    flips &= flips - 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                // Lanes above the cap (dense words), multi-defect lanes
-                // and fast-lane misses take the per-shot fallback below,
-                // exactly like the reference loop.
-                if answered != 0 {
-                    buffers
-                        .memo
-                        .count_word_merged(u64::from(answered.count_ones()));
-                    per_shot &= !answered;
-                }
-            }
-            if per_shot == 0 {
-                continue;
-            }
-            // Gather the leftover lanes' defect lists from the bucket.
-            let mut bits = per_shot;
+            let mut bits = fired;
             while bits != 0 {
                 buffers.word_fired[bits.trailing_zeros() as usize].clear();
                 bits &= bits - 1;
             }
             for &(detector, plane_bits) in hot {
-                let mut hits = plane_bits & per_shot;
+                let mut hits = plane_bits & fired;
                 while hits != 0 {
                     buffers.word_fired[hits.trailing_zeros() as usize].push(detector as usize);
                     hits &= hits - 1;
                 }
             }
-            decode_lanes(
-                decoder,
-                word_index,
-                per_shot,
-                &mut buffers,
-                scratch,
-                &mut out,
-            );
+            let uncacheable = buffers.memo.stats().uncacheable;
+            decode_lanes(decoder, word_index, fired, &mut buffers, scratch, &mut out);
+            if buffers.memo_active {
+                if buffers.memo.stats().uncacheable == uncacheable {
+                    buffers.memo.note_sparse_word();
+                } else {
+                    buffers.memo.note_dense_word();
+                }
+            }
         }
         tile_start += tile_len;
     }

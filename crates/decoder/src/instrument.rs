@@ -1,14 +1,25 @@
 //! Optional, process-global telemetry hook for the batch decode paths.
 //!
 //! The decoder crate has no service or CLI of its own, so its
-//! instrumentation is a **hook**: hosts (the streaming service, the sweep
-//! tier, the bench harness, tests) install a [`qccd_telemetry::Registry`]
-//! with [`install_telemetry`], and from then on every
-//! [`Decoder::decode_batch`](crate::Decoder::decode_batch) /
+//! instrumentation is a **hook**: a host installs a
+//! [`qccd_telemetry::Registry`] with [`install_telemetry`], and from then
+//! on every [`Decoder::decode_batch`](crate::Decoder::decode_batch) /
 //! [`Decoder::decode_batch_per_shot`](crate::Decoder::decode_batch_per_shot)
 //! call is wrapped in a sampled stage span (`decoder.stage.word_decode` /
 //! `decoder.stage.per_shot_decode`, with shots as the item count) and each
-//! batch's [`CacheStats`] delta is folded into shared `decoder.*` counters.
+//! batch's [`CacheStats`] delta is folded into shared `decoder.*` counters
+//! — the memo outcome per noisy shot (`memo_hits` / `memo_misses` /
+//! `uncacheable`) and the verdict per 64-shot word (`quiet_words` /
+//! `sparse_words` / `dense_words`), which together describe the whole
+//! three-tier mix.
+//!
+//! The hook is process-global, so only a host that runs one service per
+//! process installs it: `artifacts serve` does (with the service's own
+//! registry, when that registry is enabled), as do the decoder bench's
+//! overhead gate and the identity tests. An in-process `DecodeService`
+//! (`loadgen --in-process`, the repository benchmark), the sweep
+//! coordinator and its workers do not, so their scrapes carry no
+//! `decoder.*` rows.
 //!
 //! # Cost contract
 //!
@@ -50,6 +61,9 @@ struct DecoderStages {
     memo_hits: qccd_telemetry::Counter,
     memo_misses: qccd_telemetry::Counter,
     uncacheable: qccd_telemetry::Counter,
+    quiet_words: qccd_telemetry::Counter,
+    sparse_words: qccd_telemetry::Counter,
+    dense_words: qccd_telemetry::Counter,
 }
 
 impl DecoderStages {
@@ -60,6 +74,9 @@ impl DecoderStages {
             memo_hits: registry.counter("decoder.memo_hits"),
             memo_misses: registry.counter("decoder.memo_misses"),
             uncacheable: registry.counter("decoder.uncacheable"),
+            quiet_words: registry.counter("decoder.quiet_words"),
+            sparse_words: registry.counter("decoder.sparse_words"),
+            dense_words: registry.counter("decoder.dense_words"),
         }
     }
 
@@ -67,6 +84,9 @@ impl DecoderStages {
         self.memo_hits.add(delta.hits);
         self.memo_misses.add(delta.misses);
         self.uncacheable.add(delta.uncacheable);
+        self.quiet_words.add(delta.quiet_words);
+        self.sparse_words.add(delta.sparse_words);
+        self.dense_words.add(delta.dense_words);
     }
 }
 
@@ -95,7 +115,7 @@ pub(crate) fn hook_installed() -> bool {
 /// Which batch path a [`timed_batch`] call is reporting for.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum BatchPath {
-    /// The word-parallel triage path.
+    /// The word-parallel tile-scan path.
     Word,
     /// The per-shot reference loop.
     PerShot,

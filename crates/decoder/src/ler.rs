@@ -92,16 +92,6 @@ pub struct EstimatorConfig {
     /// [`DecodeScratch`](crate::DecodeScratch) (memoization is on by
     /// default; it never changes decoded bits).
     pub memo: MemoConfig,
-    /// Decode chunks on the word-parallel [`Decoder::decode_batch`] path
-    /// (the default) or, when `false`, on the per-shot reference loop
-    /// [`Decoder::decode_batch_per_shot`]. Bit-identical either way — the
-    /// switch exists for the identity property tests and the
-    /// word-vs-per-shot benchmarks.
-    pub word_decode: bool,
-    /// Warm the memo once per estimate and share the snapshot with every
-    /// worker thread (see [`Decoder::warm_memo_snapshot`]); on by default.
-    /// Sharing never changes decoded bits.
-    pub shared_memo: bool,
     /// Importance-sampling bias factor. When set, shots are sampled from a
     /// biased copy of the circuit with every noise probability scaled by
     /// this factor (clamped at 0.5), decoded against the *original*
@@ -122,8 +112,6 @@ impl Default for EstimatorConfig {
             target_std_error: None,
             max_failures: None,
             memo: MemoConfig::default(),
-            word_decode: true,
-            shared_memo: true,
             importance_bias: None,
         }
     }
@@ -158,19 +146,6 @@ impl EstimatorConfig {
     /// [`MemoConfig::disabled`] to decode every shot from scratch).
     pub fn with_memo(mut self, memo: MemoConfig) -> Self {
         self.memo = memo;
-        self
-    }
-
-    /// Selects the word-parallel (default) or per-shot reference decode
-    /// loop.
-    pub fn with_word_decode(mut self, word_decode: bool) -> Self {
-        self.word_decode = word_decode;
-        self
-    }
-
-    /// Enables or disables the shared warm memo snapshot.
-    pub fn with_shared_memo(mut self, shared_memo: bool) -> Self {
-        self.shared_memo = shared_memo;
         self
     }
 
@@ -303,8 +278,9 @@ pub struct EstimateReport {
     /// counters (`quiet_words` / `sparse_words` / `dense_words`) and
     /// `uncacheable` depend only on the sampled syndromes and the memo cap,
     /// so they are invariant across thread counts; the hit/miss *split*
-    /// (and `prefilled`/`word_merged`) can shift with worker scheduling
-    /// because each worker warms its own memo copy. Pin
+    /// (and `prefilled`) can shift with worker scheduling because each
+    /// worker adopts the warm snapshot into its own memo copy and learns on
+    /// top of it. Pin
     /// [`EstimatorConfig::num_threads`] to 1 for fully deterministic
     /// counters.
     pub cache: CacheStats,
@@ -360,11 +336,7 @@ fn count_failures(
     if let Some(snapshot) = snapshot {
         scratch.adopt_memo_snapshot(snapshot);
     }
-    let prediction = if config.word_decode {
-        decoder.decode_batch(chunk, scratch)
-    } else {
-        decoder.decode_batch_per_shot(chunk, scratch)
-    };
+    let prediction = decoder.decode_batch(chunk, scratch);
     let cache = scratch.cache_stats().since(&before);
     let words = chunk.words();
     let mut mismatch = vec![0u64; words];
@@ -511,12 +483,8 @@ fn run_pipeline(
     // worker: adoption clones the prefilled table instead of re-deriving it
     // per worker (and per sweep point). Purely a scheduling optimisation —
     // the snapshot holds only predictions this decoder produced.
-    let snapshot = if config.shared_memo {
-        let mut warm = DecodeScratch::with_memo_config(config.memo);
-        decoder.warm_memo_snapshot(sampler.num_detectors(), &mut warm)
-    } else {
-        None
-    };
+    let mut warm = DecodeScratch::with_memo_config(config.memo);
+    let snapshot = decoder.warm_memo_snapshot(sampler.num_detectors(), &mut warm);
     let decode_chunk = |index: usize| {
         // One scratch per worker thread, reused across every chunk that
         // worker decodes.
@@ -642,7 +610,7 @@ pub fn estimate_logical_error_rate_with(
 
 /// [`estimate_logical_error_rate_with`] returning the full
 /// [`EstimateReport`]: the estimate plus the aggregate decoder cache
-/// statistics (word-triage verdicts, hit/miss counters) summed over the
+/// statistics (per-word verdicts, hit/miss counters) summed over the
 /// chunks that contributed to it. The estimate itself is identical; see
 /// [`EstimateReport::cache`] for which counters are scheduling-invariant.
 ///

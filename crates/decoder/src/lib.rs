@@ -37,12 +37,13 @@
 //!
 //! Below threshold almost every shot carries zero or one defect, so
 //! decoding shot by shot wastes the sampler's 64-wide bit-packing.
-//! [`Decoder::decode_batch`] therefore decodes at **word granularity**:
-//! each 64-shot word is triaged with one carry-save pass over the detector
-//! planes ([`qccd_sim::csa_accumulate`] streamed tile-wise, classified per
-//! word by [`qccd_sim::WordTriage::from_counters`];
-//! [`qccd_sim::SyndromeChunk::word_triage`] is the same kernel as a
-//! word-at-a-time view) into
+//! [`Decoder::decode_batch`] therefore scans at **word granularity**: tiles
+//! of 64 words are walked *sequentially*, plane-major, and every non-zero
+//! detector-plane word is bucketed under its 64-shot word. That one
+//! streaming pass both finds the quiet words and gathers the noisy lanes'
+//! defect lists, so it touches each detector plane word exactly once per
+//! chunk, where the per-shot loop's mask scan + per-word gather touches it
+//! twice. Each word then is
 //!
 //! * **all-quiet** — no defect in any lane; the word is done after the one
 //!   scan (the logical frame is decided directly against the observable
@@ -51,20 +52,12 @@
 //!   defects,
 //! * **dense** — some lane exceeds the cap.
 //!
-//! In every noisy word, single-defect lanes are answered *word-parallel*
-//! by ORing the memo's cached per-detector prediction masks into the
-//! output planes, and two-defect lanes resolve from a flat `d1 × d2` pair
-//! mirror of the memo (no per-shot hashing, no union-find, for either);
-//! all remaining lanes — three-or-more-defect lanes, above-cap lanes of
-//! dense words, and singles/pairs the entry cap or mirror range kept out
-//! of the fast lanes — fall back to the per-shot [`DecodeScratch`] memo
-//! loop, where above-cap lanes are one plain [`Decoder::decode_shot`] each
-//! (the four-tier ladder — quiet word → single/pair mirror → sparse memo →
-//! union-find — is laid out in the `batch` module docs). Tiles of 64 words
-//! are scanned with *sequential* plane-major walks (carry-save counters per
-//! word), so the triage touches each detector plane word exactly once per
-//! chunk, where the per-shot loop's mask scan + per-word gather touches it
-//! twice.
+//! Every noisy lane goes through the same per-shot [`DecodeScratch`] memo
+//! probe as the reference loop: lanes at or below the cap look their defect
+//! set up in the hash table (single defects are prefilled, so they always
+//! hit), above-cap lanes are one plain [`Decoder::decode_shot`] each. The
+//! three-tier ladder — quiet word → sparse memo → union-find — is laid out
+//! in the `batch` module docs.
 //!
 //! **Bit-identity contract.** The word path produces exactly the same
 //! [`PredictionChunk`] — and the same hit/miss/uncacheable counters — as
@@ -75,23 +68,23 @@
 //! `tests/prop_word_parallel_identity.rs` for all three [`DecoderKind`]s
 //! and pinned by adversarial edge cases (all-dense words, word-boundary
 //! straddling, ragged final words, zero-shot chunks) in
-//! `tests/word_edge_cases.rs`. The triage verdicts are observable through
+//! `tests/word_edge_cases.rs`. The per-word verdicts are observable through
 //! the `*_words` counters of [`CacheStats`]; they depend only on the
 //! syndrome content and the memo cap, never on scheduling.
 //!
 //! # Shared memo snapshots
 //!
 //! Every worker thread owns its scratch (and memo), so without sharing,
-//! each worker re-prefills the singles table per decoder and re-learns
-//! recurring pairs from scratch. [`Decoder::warm_memo_snapshot`] claims and
-//! prefills the memo once — without decoding any shots — and freezes it
-//! into an `Arc`-shared [`MemoSnapshot`]; workers adopt it with
+//! each worker re-prefills the single-defect entries per decoder and
+//! re-learns recurring pairs from scratch. [`Decoder::warm_memo_snapshot`]
+//! claims and prefills the memo once — without decoding any shots — and
+//! freezes it into an `Arc`-shared [`MemoSnapshot`]; workers adopt it with
 //! [`DecodeScratch::adopt_memo_snapshot`] (a table clone on first contact,
 //! a no-op afterwards) and keep learning private entries on top. The
-//! estimator does this by default ([`EstimatorConfig::shared_memo`]), so
-//! the word path's hit rate survives sharding across workers and sweep
-//! points. Snapshots only ever contain predictions the owning decoder
-//! itself produced, so adoption cannot change decoded bits.
+//! estimator does this once per estimate, so the memo's hit rate survives
+//! sharding across workers and sweep points. Snapshots only ever contain
+//! predictions the owning decoder itself produced, so adoption cannot
+//! change decoded bits.
 //!
 //! # Syndrome memoization
 //!
@@ -215,26 +208,22 @@ pub trait Decoder {
     /// Decodes every shot of a bit-packed syndrome chunk on the
     /// **word-parallel** path.
     ///
-    /// The default implementation triages every 64-shot word with one
-    /// carry-save pass over the detector planes
-    /// ([`qccd_sim::csa_accumulate`] + [`qccd_sim::WordTriage`], streamed
-    /// over 64-word tiles — the same pass gathers the words' hot planes):
+    /// The default implementation streams 64-word tiles of the detector
+    /// planes once, bucketing every non-zero plane word under its 64-shot
+    /// word — the same pass finds the quiet words and gathers the noisy
+    /// lanes' defect lists:
     ///
     /// * **quiet** words (no defect anywhere) are done after the scan;
-    /// * **sparse** words (every lane at or below the memo's defect cap)
-    ///   and **dense** words (some lane above it) both answer their
-    ///   single-defect lanes with word-wide OR merges from the memo's
-    ///   singles table and their two-defect lanes from its flat pair
-    ///   mirror — no per-shot hashing, no union-find — and route every
-    ///   remaining lane through the per-shot [`DecodeScratch`] memo loop
-    ///   (where above-cap lanes count as uncacheable).
+    /// * every noisy lane of a **sparse** word (every lane at or below the
+    ///   memo's defect cap) or a **dense** word (some lane above it) goes
+    ///   through the per-shot [`DecodeScratch`] memo probe, where above-cap
+    ///   lanes count as uncacheable.
     ///
     /// Predictions — and the memo's hit/miss/uncacheable counters — are
     /// **bit-identical** to [`Decoder::decode_batch_per_shot`] and to
     /// calling [`Decoder::decode`] shot by shot, memoized or not; the word
-    /// triage additionally fills the `*_words` counters of
-    /// [`CacheStats`]. Without an active memo the word path degenerates to
-    /// the per-shot loop (minus one redundant plane scan).
+    /// scan additionally fills the `*_words` counters of [`CacheStats`]
+    /// while the memo is active.
     fn decode_batch(&self, chunk: &SyndromeChunk, scratch: &mut DecodeScratch) -> PredictionChunk {
         // One relaxed load when no telemetry hook is installed — the
         // disabled path the criterion overhead gate pins at <2%.

@@ -55,13 +55,6 @@ pub const MEMO_KEY_CAPACITY: usize = 6;
 /// Default cap on the number of cached defect sets per memo.
 pub const DEFAULT_MEMO_MAX_ENTRIES: usize = 1 << 20;
 
-/// Detector-index range covered by the flat pair-prediction mirror (the
-/// word path's two-defect fast lane): pairs with both detectors below this
-/// bound are answered with one array load instead of a hash probe. Sized so
-/// the flat table stays L2-friendly (`256² × 8 B = 512 KiB` per scratch);
-/// larger graphs simply fall back to the hash table for pairs.
-pub const PAIR_TABLE_DETECTORS: usize = 256;
-
 /// Allocates a process-unique memo-ownership token for one decoder instance.
 pub(crate) fn next_memo_token() -> NonZeroU64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
@@ -129,14 +122,11 @@ impl MemoConfig {
 /// engine's word-level scan before the memo is ever consulted. `prefilled`
 /// counts cache *entries* seeded from the decoding graph rather than shots.
 ///
-/// The `*_words` counters describe the word-parallel triage of
+/// The `*_words` counters describe the word-parallel scan of
 /// [`Decoder::decode_batch`](crate::Decoder::decode_batch): every 64-shot
-/// word is classified as quiet (no defect anywhere), sparse (every noisy
-/// lane at or below the memo's defect cap) or dense (at least one lane
-/// above the cap, routed through the per-shot fallback). `word_merged`
-/// counts the noisy shots answered by the word-level single-defect merge —
-/// they are also counted in `hits`, so the hit/miss totals stay comparable
-/// with the per-shot reference path.
+/// word is counted as quiet (no defect anywhere), sparse (every noisy lane
+/// at or below the memo's defect cap) or dense (at least one lane above the
+/// cap, i.e. counted in `uncacheable`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Noisy shots answered from the memo.
@@ -149,18 +139,13 @@ pub struct CacheStats {
     /// decoder first claimed it (see the prefill pass of
     /// [`Decoder::decode_batch`](crate::Decoder::decode_batch)).
     pub prefilled: u64,
-    /// Words of the word-parallel triage with no fired detector.
+    /// Words of the word-parallel scan with no fired detector.
     pub quiet_words: u64,
     /// Noisy words in which every lane was at or below the memo's defect
     /// cap.
     pub sparse_words: u64,
-    /// Words with at least one lane above the cap, decoded on the per-shot
-    /// fallback path.
+    /// Words with at least one lane above the cap.
     pub dense_words: u64,
-    /// Noisy shots answered by the word-parallel fast lanes — the
-    /// single-defect merge and the flat pair mirror — without touching the
-    /// hash table or a decoder (a subset of `hits`).
-    pub word_merged: u64,
     /// Retired in PR 16, kept only because the frozen benchmark package
     /// reads them; delete with the next `benchmark` PR.
     pub dense_hits: u64,
@@ -181,7 +166,7 @@ impl CacheStats {
         self.hits + self.misses + self.uncacheable
     }
 
-    /// All words the word-parallel path triaged.
+    /// All words the word-parallel path scanned.
     pub fn words(&self) -> u64 {
         self.quiet_words + self.sparse_words + self.dense_words
     }
@@ -207,7 +192,6 @@ impl CacheStats {
         self.quiet_words += other.quiet_words;
         self.sparse_words += other.sparse_words;
         self.dense_words += other.dense_words;
-        self.word_merged += other.word_merged;
     }
 
     /// The counters accumulated since `earlier` was captured from the same
@@ -224,7 +208,6 @@ impl CacheStats {
             quiet_words: delta(self.quiet_words, earlier.quiet_words),
             sparse_words: delta(self.sparse_words, earlier.sparse_words),
             dense_words: delta(self.dense_words, earlier.dense_words),
-            word_merged: delta(self.word_merged, earlier.word_merged),
             ..CacheStats::default()
         }
     }
@@ -309,10 +292,6 @@ struct SnapshotInner {
     num_observables: usize,
     config: MemoConfig,
     table: MemoTable,
-    single_flips: Vec<u64>,
-    single_known: Vec<bool>,
-    pair_flips: Vec<u64>,
-    pair_known: Vec<u64>,
     prefilled: bool,
     prefilled_count: u64,
 }
@@ -350,24 +329,6 @@ pub(crate) struct SyndromeMemo {
     stats: CacheStats,
     /// Whether the single-defect prefill pass ran for the current owner.
     prefilled: bool,
-    /// Dense mirror of the table's single-defect entries, indexed by
-    /// detector: the word-parallel sparse path reads predictions from here
-    /// with one array load instead of a hash probe per shot. Maintained
-    /// incrementally on insert/prefill so it always equals "what a memo
-    /// lookup of `[detector]` would return".
-    single_flips: Vec<u64>,
-    single_known: Vec<bool>,
-    /// Flat mirror of the table's two-defect entries, indexed by
-    /// `d1 · PAIR_TABLE_DETECTORS + d2` (with `d1 < d2 <`
-    /// [`PAIR_TABLE_DETECTORS`]); allocated lazily on the first mirrored
-    /// pair. `pair_known` is the matching presence bitset.
-    pair_flips: Vec<u64>,
-    pair_known: Vec<u64>,
-}
-
-/// Flat index of an in-range pair, `None` outside the table's range.
-fn pair_index(d1: usize, d2: usize) -> Option<usize> {
-    (d1 < PAIR_TABLE_DETECTORS && d2 < PAIR_TABLE_DETECTORS).then(|| d1 * PAIR_TABLE_DETECTORS + d2)
 }
 
 impl SyndromeMemo {
@@ -411,15 +372,10 @@ impl SyndromeMemo {
             self.owner = Some(token);
             self.num_observables = num_observables;
             self.prefilled = false;
-            self.single_flips.clear();
-            self.single_known.clear();
-            self.pair_flips.clear();
-            self.pair_known.clear();
         }
     }
 
-    /// Freezes the current entries (and singles mirror) into a shareable
-    /// snapshot. `None` while the memo is unowned.
+    /// Freezes the current entries into a shareable snapshot. `None` while the memo is unowned.
     pub(crate) fn snapshot(&self) -> Option<MemoSnapshot> {
         let owner = self.owner?;
         Some(MemoSnapshot {
@@ -428,10 +384,6 @@ impl SyndromeMemo {
                 num_observables: self.num_observables,
                 config: self.config,
                 table: self.table.clone(),
-                single_flips: self.single_flips.clone(),
-                single_known: self.single_known.clone(),
-                pair_flips: self.pair_flips.clone(),
-                pair_known: self.pair_known.clone(),
                 prefilled: self.prefilled,
                 prefilled_count: self.stats.prefilled,
             }),
@@ -453,10 +405,6 @@ impl SyndromeMemo {
         self.num_observables = inner.num_observables;
         self.config = inner.config;
         self.table = inner.table.clone();
-        self.single_flips = inner.single_flips.clone();
-        self.single_known = inner.single_known.clone();
-        self.pair_flips = inner.pair_flips.clone();
-        self.pair_known = inner.pair_known.clone();
         self.prefilled = inner.prefilled;
         self.stats = CacheStats {
             prefilled: inner.prefilled_count,
@@ -487,82 +435,20 @@ impl SyndromeMemo {
         if self.can_insert() {
             self.table.insert(Self::key(fired_detectors), mask);
             self.stats.prefilled += 1;
-            self.note_single(fired_detectors, mask);
         }
     }
 
-    /// Mirrors a stored single- or two-defect entry into the flat fast-lane
-    /// tables.
-    fn note_single(&mut self, fired_detectors: &[usize], mask: u64) {
-        match fired_detectors {
-            [detector] => {
-                if *detector >= self.single_known.len() {
-                    self.single_known.resize(detector + 1, false);
-                    self.single_flips.resize(detector + 1, 0);
-                }
-                self.single_known[*detector] = true;
-                self.single_flips[*detector] = mask;
-            }
-            [d1, d2] => {
-                if let Some(index) = pair_index(*d1, *d2) {
-                    if self.pair_flips.is_empty() {
-                        self.pair_flips
-                            .resize(PAIR_TABLE_DETECTORS * PAIR_TABLE_DETECTORS, 0);
-                        self.pair_known
-                            .resize(PAIR_TABLE_DETECTORS * PAIR_TABLE_DETECTORS / 64, 0);
-                    }
-                    self.pair_flips[index] = mask;
-                    self.pair_known[index / 64] |= 1u64 << (index % 64);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// The stored prediction of the single-defect set `[detector]`, if the
-    /// table holds one — an array load, no hash probe, no stat counting
-    /// (the word path counts answered lanes in bulk via
-    /// [`SyndromeMemo::count_word_merged`]).
-    pub(crate) fn single_flip(&self, detector: usize) -> Option<u64> {
-        if *self.single_known.get(detector)? {
-            Some(self.single_flips[detector])
-        } else {
-            None
-        }
-    }
-
-    /// The stored prediction of the two-defect set `[d1, d2]` (callers pass
-    /// `d1 < d2`, the canonical key order), if the flat pair mirror holds
-    /// one — an array load, no hash probe, no stat counting.
-    pub(crate) fn pair_flip(&self, d1: usize, d2: usize) -> Option<u64> {
-        let index = pair_index(d1, d2)?;
-        let known = self.pair_known.get(index / 64)?;
-        if known >> (index % 64) & 1 == 1 {
-            Some(self.pair_flips[index])
-        } else {
-            None
-        }
-    }
-
-    /// Counts `count` single- or two-defect shots answered by the
-    /// word-parallel merge: they are hits (the data came from the memo) and
-    /// are also tallied in [`CacheStats::word_merged`].
-    pub(crate) fn count_word_merged(&mut self, count: u64) {
-        self.stats.hits += count;
-        self.stats.word_merged += count;
-    }
-
-    /// Counts one quiet word of the word-parallel triage.
+    /// Counts one quiet word of the word-parallel scan.
     pub(crate) fn note_quiet_word(&mut self) {
         self.stats.quiet_words += 1;
     }
 
-    /// Counts one sparse word of the word-parallel triage.
+    /// Counts one sparse word of the word-parallel scan.
     pub(crate) fn note_sparse_word(&mut self) {
         self.stats.sparse_words += 1;
     }
 
-    /// Counts one dense word of the word-parallel triage.
+    /// Counts one dense word of the word-parallel scan.
     pub(crate) fn note_dense_word(&mut self) {
         self.stats.dense_words += 1;
     }
@@ -601,7 +487,6 @@ impl SyndromeMemo {
     pub(crate) fn insert(&mut self, fired_detectors: &[usize], mask: u64) {
         if self.table.len() < self.config.max_entries {
             self.table.insert(Self::key(fired_detectors), mask);
-            self.note_single(fired_detectors, mask);
         }
     }
 
@@ -760,14 +645,12 @@ mod tests {
             quiet_words: 5,
             sparse_words: 6,
             dense_words: 7,
-            word_merged: 1,
             ..CacheStats::default()
         };
         let b = a;
         a.merge(&b);
         assert_eq!(a.hits, 2);
         assert_eq!(a.dense_words, 14);
-        assert_eq!(a.word_merged, 2);
         assert_eq!(a.words(), 10 + 12 + 14);
         assert_eq!(a.since(&b), b, "doubling then removing one copy");
         // A reset between captures (counter now *below* the baseline)
@@ -783,20 +666,6 @@ mod tests {
         assert_eq!(fresh.since(&earlier).hits, 1);
         assert_eq!(fresh.since(&b).hits, 0, "no growth, no delta");
         assert_eq!(fresh.since(&b).misses, 0);
-    }
-
-    #[test]
-    fn singles_table_mirrors_stored_entries_only() {
-        let mut memo = SyndromeMemo::default();
-        memo.set_config(MemoConfig::default().with_max_entries(2));
-        memo.claim(next_memo_token(), 1);
-        memo.prefill(&[3], 0b1);
-        memo.insert(&[1, 2], 0b1); // pair: not mirrored
-        memo.insert(&[5], 0b0); // dropped at the cap: not mirrored
-        assert_eq!(memo.single_flip(3), Some(0b1));
-        assert_eq!(memo.single_flip(5), None, "capped insert leaves no single");
-        assert_eq!(memo.single_flip(1), None);
-        assert_eq!(memo.single_flip(99), None, "out of range is absent");
     }
 
     #[test]
@@ -821,8 +690,6 @@ mod tests {
         worker.adopt(&snapshot);
         assert_eq!(worker.len(), 3);
         assert!(!worker.needs_prefill());
-        assert_eq!(worker.single_flip(0), Some(0b1));
-        assert_eq!(worker.single_flip(9), None, "stale entries are dropped");
         assert_eq!(worker.lookup(&[1, 2]), Some(0b1));
         assert_eq!(
             worker.stats().prefilled,
@@ -835,15 +702,5 @@ mod tests {
         worker.adopt(&snapshot);
         assert_eq!(worker.len(), 4);
         assert_eq!(worker.stats().hits, 1, "stats survive a no-op adoption");
-    }
-
-    #[test]
-    fn claim_clears_the_singles_mirror() {
-        let mut memo = SyndromeMemo::default();
-        memo.claim(next_memo_token(), 1);
-        memo.prefill(&[2], 0b1);
-        assert_eq!(memo.single_flip(2), Some(0b1));
-        memo.claim(next_memo_token(), 1);
-        assert_eq!(memo.single_flip(2), None);
     }
 }

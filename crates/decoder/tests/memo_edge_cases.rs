@@ -139,7 +139,6 @@ fn cache_stats_count_hits_misses_and_uncacheable_exactly() {
             uncacheable: 1,
             prefilled: 8,
             dense_words: 1,
-            word_merged: 3,
             ..CacheStats::default()
         }
     );
@@ -181,7 +180,6 @@ fn scratch_reuse_across_chunks_keeps_entries_and_accumulates_stats() {
             uncacheable: 0,
             prefilled: 10,
             sparse_words: 1,
-            word_merged: 2,
             ..CacheStats::default()
         }
     );
@@ -198,9 +196,6 @@ fn scratch_reuse_across_chunks_keeps_entries_and_accumulates_stats() {
             uncacheable: 0,
             prefilled: 10,
             sparse_words: 2,
-            // Chunk two: three merged singles plus [3, 4] answered from the
-            // pair mirror warmed by chunk one.
-            word_merged: 6,
             ..CacheStats::default()
         }
     );
@@ -230,7 +225,6 @@ fn entry_cap_bounds_the_table_without_changing_results() {
             uncacheable: 0,
             prefilled: 1,
             sparse_words: 1,
-            word_merged: 2,
             ..CacheStats::default()
         }
     );
@@ -259,7 +253,6 @@ fn scratch_shared_across_decoders_serves_no_stale_predictions() {
             uncacheable: 0,
             prefilled: 9,
             sparse_words: 1,
-            word_merged: 2,
             ..CacheStats::default()
         }
     );
@@ -272,7 +265,6 @@ fn scratch_shared_across_decoders_serves_no_stale_predictions() {
             uncacheable: 0,
             prefilled: 9,
             sparse_words: 1,
-            word_merged: 2,
             ..CacheStats::default()
         },
         "handing the scratch to another decoder restarts stats and prefill"

@@ -3,9 +3,8 @@
 //! The biased estimate must be **bit-identical** — same decoded shot count,
 //! failure count, and the exact f64 bits of the rate and its standard error
 //! — no matter how the pipeline is scheduled: across chunk sizes, thread
-//! counts, and the word-parallel vs per-shot decode paths. The weighted
-//! sums fold block by block in canonical block order, so none of those
-//! knobs may move a single bit. A deterministic companion test pins the
+//! counts and memo configurations. The weighted sums fold block by block
+//! in canonical block order, so none of those knobs may move a single bit. A deterministic companion test pins the
 //! statistical contract: the reweighted estimate agrees with plain Monte
 //! Carlo within two combined standard errors on an overlap point.
 
@@ -50,9 +49,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The importance-sampled estimate is a pure function of
-    /// `(circuit, shots, seed, bias)`: chunk size, thread count, memo
-    /// configuration, and the word-vs-per-shot decode path must all
-    /// reproduce the reference estimate bit for bit.
+    /// `(circuit, shots, seed, bias)`: chunk size, thread count and memo
+    /// configuration must all reproduce the reference estimate bit for bit.
     #[test]
     fn prop_importance_sampled_estimate_is_schedule_invariant(
         seed in 0u64..500,
@@ -72,37 +70,35 @@ proptest! {
             &base.with_chunk_shots(CANONICAL_BLOCK_SHOTS).with_num_threads(1),
         ).expect("valid annotations");
 
-        for (chunk_shots, threads, word, memo) in [
-            (CANONICAL_BLOCK_SHOTS, 4, true, MemoConfig::default()),
-            (3 * CANONICAL_BLOCK_SHOTS, 2, true, MemoConfig::disabled()),
-            (usize::MAX, 3, true, MemoConfig::default().with_max_defects(1)),
-            (2 * CANONICAL_BLOCK_SHOTS, 2, false, MemoConfig::default()),
+        for (chunk_shots, threads, memo) in [
+            (CANONICAL_BLOCK_SHOTS, 4, MemoConfig::default()),
+            (3 * CANONICAL_BLOCK_SHOTS, 2, MemoConfig::disabled()),
+            (usize::MAX, 3, MemoConfig::default().with_max_defects(1)),
         ] {
             let variant = estimate_logical_error_rate_with(
                 &circuit, shots, seed, kind,
                 &base.with_chunk_shots(chunk_shots)
                     .with_num_threads(threads)
-                    .with_word_decode(word)
                     .with_memo(memo),
             ).expect("valid annotations");
             prop_assert_eq!(
                 (variant.shots, variant.failures),
                 (reference.shots, reference.failures),
-                "chunk_shots={} threads={} word={}", chunk_shots, threads, word
+                "chunk_shots={} threads={}", chunk_shots, threads
             );
             prop_assert_eq!(
                 variant.logical_error_rate.to_bits(),
                 reference.logical_error_rate.to_bits(),
                 "weighted rate must not depend on scheduling \
-                 (chunk_shots={} threads={} word={})",
-                chunk_shots, threads, word
+                 (chunk_shots={} threads={})",
+                chunk_shots, threads
             );
             prop_assert_eq!(
                 variant.std_error.to_bits(),
                 reference.std_error.to_bits(),
                 "weighted error bar must not depend on scheduling \
-                 (chunk_shots={} threads={} word={})",
-                chunk_shots, threads, word
+                 (chunk_shots={} threads={})",
+                chunk_shots, threads
             );
         }
     }

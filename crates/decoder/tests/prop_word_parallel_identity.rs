@@ -1,17 +1,17 @@
 //! Property battery for the word-parallel batch decode path.
 //!
-//! `decode_batch` (word-parallel triage) must be **bit-identical** to
+//! `decode_batch` (word-parallel tile scan) must be **bit-identical** to
 //! `decode_batch_per_shot` (the per-shot reference loop) and to a cold
 //! memo-disabled decode — same prediction bits *and* the same
 //! hit/miss/uncacheable counters — for random decoding graphs and shot
 //! streams, for all decoder kinds, with the memo on, off, capped or
 //! defect-limited, with and without a shared warm snapshot; and the
-//! estimator must produce identical estimates (including early-stop
-//! points) whichever path decodes its chunks, across chunk sizes and thread
-//! counts. The shot streams come in two mixes: quiet-to-heavy lanes, and
+//! estimator must count exactly the failures a per-shot reference loop
+//! over the same chunks counts, and the same estimate (including early-stop
+//! points) across chunk sizes, thread counts and memo configurations. The shot streams come in two mixes: quiet-to-heavy lanes, and
 //! lanes that all carry at least five defects (above the default memo cap,
 //! the regime a surface code reaches at physical error rates of 5e-3 and
-//! above), so every word is triaged dense and every lane ends in a plain
+//! above), so every word is counted dense and every lane ends in a plain
 //! `decode_shot`. Non-random sweeps pin the same contract on real rotated
 //! surface codes at distances {3, 5, 7} and at a biased-high error rate.
 
@@ -91,7 +91,7 @@ fn shots(n: usize) -> impl Strategy<Value = Vec<Vec<usize>>> {
 
 /// Heavy shot streams over `n` detectors: every lane fires at least five
 /// detectors, above the default memo defect cap of four, so every word is
-/// triaged dense and every lane is uncacheable.
+/// counted dense and every lane is uncacheable.
 fn above_cap_shots(n: usize) -> impl Strategy<Value = Vec<Vec<usize>>> {
     prop::collection::vec(
         prop::collection::btree_set(0..n, 5..n + 1).prop_map(|s| s.into_iter().collect()),
@@ -109,7 +109,7 @@ fn all_decoders(graph: &DecodingGraph) -> Vec<Box<dyn Decoder>> {
 }
 
 /// The stats components both paths must agree on (the word path
-/// additionally fills the `*_words` triage counters, which the per-shot
+/// additionally fills the `*_words` counters, which the per-shot
 /// loop leaves at zero by construction).
 fn comparable(stats: CacheStats) -> (u64, u64, u64, u64) {
     (stats.hits, stats.misses, stats.uncacheable, stats.prefilled)
@@ -221,40 +221,47 @@ proptest! {
     ) {
         let circuit = noisy_parity_circuit(p);
         let shots = 2 * CANONICAL_BLOCK_SHOTS + 777;
+        // The per-shot side: every chunk through the reference loop with
+        // the memo off, failures counted shot by shot.
+        let dem = DetectorErrorModel::from_circuit(&circuit).expect("valid annotations");
+        let decoder = kind.build(DecodingGraph::from_dem(&dem));
+        let sampler = sample_detector_chunks(&circuit, shots, seed, CANONICAL_BLOCK_SHOTS)
+            .expect("valid annotations");
+        let mut cold = DecodeScratch::with_memo_config(MemoConfig::disabled());
+        let mut per_shot_failures = 0usize;
+        for chunk in sampler.chunks() {
+            let predicted = decoder.decode_batch_per_shot(&chunk, &mut cold);
+            per_shot_failures += (0..chunk.num_shots())
+                .filter(|&shot| predicted.predicted(shot, 0) != chunk.observable_flipped(shot, 0))
+                .count();
+        }
+        let mut estimates = Vec::new();
         for (chunk_shots, threads, memo) in [
             (CANONICAL_BLOCK_SHOTS, 4, MemoConfig::default()),
             (3 * CANONICAL_BLOCK_SHOTS, 2, MemoConfig::disabled()),
             (CANONICAL_BLOCK_SHOTS, 2, MemoConfig::default().with_max_defects(1)),
         ] {
-            let mut base = EstimatorConfig::default()
+            let mut config = EstimatorConfig::default()
                 .with_chunk_shots(chunk_shots)
                 .with_num_threads(threads)
                 .with_memo(memo);
             if early_stop {
                 // Identical early-stop points are part of the contract.
-                base = base.with_max_failures(25);
+                config = config.with_max_failures(25);
             }
-            let word = estimate_logical_error_rate_with(
-                &circuit, shots, seed, kind,
-                &base.with_word_decode(true),
-            ).expect("valid annotations");
-            let per_shot = estimate_logical_error_rate_with(
-                &circuit, shots, seed, kind,
-                &base.with_word_decode(false),
-            ).expect("valid annotations");
-            prop_assert_eq!(
-                (word.shots, word.failures),
-                (per_shot.shots, per_shot.failures),
-                "chunk_shots={} threads={} memo={:?} early_stop={}",
-                chunk_shots, threads, memo, early_stop
-            );
-            // Sharing the warm snapshot must not move the estimate either.
-            let unshared = estimate_logical_error_rate_with(
-                &circuit, shots, seed, kind,
-                &base.with_shared_memo(false),
-            ).expect("valid annotations");
-            prop_assert_eq!((word.shots, word.failures), (unshared.shots, unshared.failures));
+            let word = estimate_logical_error_rate_with(&circuit, shots, seed, kind, &config)
+                .expect("valid annotations");
+            if word.shots == shots {
+                prop_assert_eq!(
+                    word.failures, per_shot_failures,
+                    "chunk_shots={} threads={} memo={:?}", chunk_shots, threads, memo
+                );
+            }
+            estimates.push((word.shots, word.failures));
         }
+        // Chunking, threads and the memo must not move the estimate (or
+        // its early-stop point) either.
+        prop_assert!(estimates.windows(2).all(|pair| pair[0] == pair[1]), "{:?}", estimates);
     }
 }
 
@@ -339,7 +346,7 @@ fn surface_code_chunks_decode_identically_at_d3_d5_d7() {
             assert_eq!(
                 stats.words(),
                 2 * (shots as u64).div_ceil(64),
-                "every word is triaged exactly once per pass (d={d})"
+                "every word is counted exactly once per pass (d={d})"
             );
         }
     }
@@ -430,6 +437,16 @@ fn telemetry_hook_preserves_word_parallel_identity() {
         + snapshot.counter("decoder.memo_misses")
         + snapshot.counter("decoder.uncacheable");
     assert!(mirrored > 0, "memo accounting was not mirrored");
+    // ... and the per-word verdicts, which only the word path produces.
+    let stats = word.cache_stats();
+    assert_eq!(stats.words(), chunk.words() as u64);
+    for (name, expected) in [
+        ("decoder.quiet_words", stats.quiet_words),
+        ("decoder.sparse_words", stats.sparse_words),
+        ("decoder.dense_words", stats.dense_words),
+    ] {
+        assert_eq!(snapshot.counter(name), expected, "{name}");
+    }
 }
 
 /// A three-qubit parity-check circuit with bit-flip noise; small enough that

@@ -1,9 +1,10 @@
 //! Adversarial edge cases for the word-parallel batch decode path: words
 //! that are entirely dense, defect lanes straddling the 64-shot word
 //! boundary, ragged final words, zero-shot chunks, shots above the memo cap
-//! routed to the per-shot fallback, and shared-snapshot adoption — each with
-//! exact `CacheStats` word/sparse/dense counter assertions and bit-identity
-//! against the per-shot reference loop.
+//! decoded directly, and shared-snapshot adoption — each with exact
+//! `CacheStats` word/sparse/dense counter assertions and bit-identity
+//! against the per-shot reference loop — plus a random sweep that checks
+//! the per-word verdicts against a brute-force per-shot defect count.
 
 use qccd_decoder::{
     CacheStats, DecodeScratch, Decoder, DecodingGraph, GreedyMatchingDecoder, MemoConfig,
@@ -101,7 +102,6 @@ fn defects_straddling_the_word_boundary_stay_in_their_word() {
             misses: 2, // the two distinct pairs
             prefilled: 9,
             sparse_words: 2,
-            word_merged: 2,
             ..CacheStats::default()
         }
     );
@@ -123,7 +123,6 @@ fn ragged_final_words_mask_invalid_lanes() {
             hits: 2,
             prefilled: 6,
             sparse_words: 2,
-            word_merged: 2,
             ..CacheStats::default()
         }
     );
@@ -139,7 +138,7 @@ fn zero_shot_chunks_decode_to_zero_words() {
     assert_eq!(batch.num_shots(), 0);
     assert_eq!(batch.words(), 0);
     let stats = scratch.cache_stats();
-    assert_eq!(stats.words(), 0, "no words to triage");
+    assert_eq!(stats.words(), 0, "no words to scan");
     assert_eq!(stats.decoded(), 0);
     assert_eq!(stats.prefilled, 5, "the prefill still warms the memo");
     // The per-shot path agrees on the degenerate chunk.
@@ -148,12 +147,12 @@ fn zero_shot_chunks_decode_to_zero_words() {
 }
 
 #[test]
-fn above_cap_lanes_fall_back_while_dense_word_singles_still_merge() {
+fn above_cap_lanes_decode_directly_while_dense_word_singles_still_hit() {
     let decoder = UnionFindDecoder::new(chain_graph(10));
     // One word mixing a quiet lane, two singles, a pair and a 7-defect lane
     // (above even the key capacity of 6): the oversized lane makes the word
-    // dense and decodes uncacheable on the fallback path, the pair takes a
-    // per-shot miss, and the singles are still answered by the word merge.
+    // dense and decodes uncacheable, the pair takes a miss, and the singles
+    // still hit their prefilled entries.
     let shots = vec![
         vec![],
         vec![4],
@@ -171,7 +170,6 @@ fn above_cap_lanes_fall_back_while_dense_word_singles_still_merge() {
             uncacheable: 1,
             prefilled: 10,
             dense_words: 1,
-            word_merged: 2,
             ..CacheStats::default()
         }
     );
@@ -192,14 +190,13 @@ fn quiet_sparse_and_dense_words_are_counted_exactly() {
     assert_eq!(
         stats,
         CacheStats {
-            hits: 3,        // 3 merged singles (one of them in the dense word)
+            hits: 3,        // 3 prefilled singles (one of them in the dense word)
             misses: 1,      // the pair
             uncacheable: 1, // the 5-defect lane
             prefilled: 8,
             quiet_words: 1,
             sparse_words: 1,
             dense_words: 1,
-            word_merged: 3,
             ..CacheStats::default()
         }
     );
@@ -237,7 +234,7 @@ fn disabled_memo_leaves_every_counter_untouched_on_the_word_path() {
 }
 
 #[test]
-fn adopted_snapshots_answer_the_word_merge_and_report_shared_prefill() {
+fn adopted_snapshots_answer_singles_and_report_shared_prefill() {
     let decoder = UnionFindDecoder::new(chain_graph(7));
     let mut warm = DecodeScratch::new();
     let snapshot = decoder
@@ -255,7 +252,6 @@ fn adopted_snapshots_answer_the_word_merge_and_report_shared_prefill() {
             hits: 3,
             prefilled: 7, // carried over from the shared warm pass
             sparse_words: 1,
-            word_merged: 3,
             ..CacheStats::default()
         }
     );
@@ -289,9 +285,9 @@ fn adopting_a_snapshot_rekeys_a_scratch_owned_by_another_decoder() {
 #[test]
 fn entry_capped_singles_fall_back_per_lane_without_losing_identity() {
     let decoder = UnionFindDecoder::new(chain_graph(8));
-    // Cap of 1 entry: only detector 0's single is prefilled, so the word
-    // merge answers its lanes while the other singles take per-shot misses
-    // whose inserts are dropped at the cap — bit-identical throughout.
+    // Cap of 1 entry: only detector 0's single is prefilled, so its lanes
+    // hit while the other singles take misses whose inserts are dropped at
+    // the cap — bit-identical throughout.
     let memo = MemoConfig::default().with_max_entries(1);
     let shots = vec![vec![0], vec![1], vec![1], vec![0]];
     let chunk = chunk_of(8, &shots);
@@ -303,9 +299,108 @@ fn entry_capped_singles_fall_back_per_lane_without_losing_identity() {
             misses: 2,
             prefilled: 1,
             sparse_words: 1,
-            word_merged: 2,
             ..CacheStats::default()
         }
     );
     assert_eq!((reference.hits, reference.misses), (2, 2));
+}
+
+#[test]
+fn random_chunks_match_a_brute_force_defect_count() {
+    // 300 detectors, so pairs land below, across and above detector 256;
+    // 200 shots, so the final word is ragged. Each word draws its own mix —
+    // quiet, or lanes of up to 2, 5 or 9 defects — so every verdict occurs
+    // under every memo cap tried.
+    const DETECTORS: usize = 300;
+    const SHOTS: usize = 200;
+    let decoder = UnionFindDecoder::new(chain_graph(DETECTORS));
+    let mut state = 0x5eed_u64;
+    let mut next = move |bound: usize| {
+        // SplitMix64.
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % bound as u64) as usize
+    };
+    let mut seen = (0u64, 0u64, 0u64);
+    for round in 0..4 {
+        let mut shots = vec![Vec::new(); SHOTS];
+        for word in shots.chunks_mut(64) {
+            let max_defects = [0, 2, 5, 9][next(4)];
+            for shot in word.iter_mut() {
+                if max_defects == 0 || next(3) == 0 {
+                    continue;
+                }
+                for _ in 0..1 + next(max_defects) {
+                    // Cluster around 256 half the time so pairs straddle it.
+                    let detector = if next(2) == 0 {
+                        250 + next(12)
+                    } else {
+                        next(DETECTORS)
+                    };
+                    if !shot.contains(&detector) {
+                        shot.push(detector);
+                    }
+                }
+            }
+        }
+        let chunk = chunk_of(DETECTORS, &shots);
+        let mut truth = DecodeScratch::with_memo_config(MemoConfig::disabled());
+        let expected = decoder.decode_batch(&chunk, &mut truth);
+
+        for cap in [0usize, 1, 2, 4, 6] {
+            let memo = MemoConfig::default().with_max_defects(cap);
+            let mut word = DecodeScratch::with_memo_config(memo);
+            let mut per_shot = DecodeScratch::with_memo_config(memo);
+            assert_eq!(decoder.decode_batch(&chunk, &mut word), expected);
+            assert_eq!(
+                decoder.decode_batch_per_shot(&chunk, &mut per_shot),
+                expected
+            );
+            let (stats, reference) = (word.cache_stats(), per_shot.cache_stats());
+            if cap == 0 {
+                assert_eq!(stats, CacheStats::default(), "cap 0 disables the memo");
+                continue;
+            }
+            // Brute force: count every shot's defects one at a time.
+            let (mut quiet, mut sparse, mut dense, mut uncacheable) = (0, 0, 0, 0);
+            let mut fired = Vec::new();
+            for word_index in 0..chunk.words() {
+                let (mut noisy, mut above) = (0u64, 0u64);
+                for shot in word_index * 64..SHOTS.min(word_index * 64 + 64) {
+                    chunk.fired_detectors_into(shot, &mut fired);
+                    noisy += u64::from(!fired.is_empty());
+                    above += u64::from(fired.len() > cap);
+                }
+                uncacheable += above;
+                match (noisy, above) {
+                    (0, _) => quiet += 1,
+                    (_, 0) => sparse += 1,
+                    _ => dense += 1,
+                }
+            }
+            assert_eq!(
+                (
+                    stats.quiet_words,
+                    stats.sparse_words,
+                    stats.dense_words,
+                    stats.uncacheable
+                ),
+                (quiet, sparse, dense, uncacheable),
+                "round {round} cap {cap}"
+            );
+            assert_eq!(stats.words(), chunk.words() as u64);
+            seen = (seen.0 + quiet, seen.1 + sparse, seen.2 + dense);
+            assert_eq!(
+                (stats.hits, stats.misses, stats.uncacheable),
+                (reference.hits, reference.misses, reference.uncacheable),
+                "round {round} cap {cap}: memo counters match the per-shot loop"
+            );
+        }
+    }
+    assert!(
+        seen.0 > 0 && seen.1 > 0 && seen.2 > 0,
+        "every verdict drawn: {seen:?}"
+    );
 }

@@ -218,6 +218,18 @@ fn flips_json(flips: u64) -> Value {
     Value::Array(list)
 }
 
+/// The observable bitmask of a correction line — the inverse of
+/// [`flips_json`]. `None` unless `flips` is an array of integers below 64
+/// (a [`Correction`] carries one bit per observable), so a peer's stray
+/// entry is refused rather than shifted out of range or skipped.
+fn parse_flips(value: &Value) -> Option<u64> {
+    let mut flips = 0u64;
+    for entry in value.get("flips")?.as_array()? {
+        flips |= 1u64 << entry.as_u64().filter(|&observable| observable < 64)?;
+    }
+    Some(flips)
+}
+
 fn error_json(message: impl std::fmt::Display) -> Value {
     serde_json::json!({"ok": false, "error": format!("{message}")})
 }
@@ -573,7 +585,7 @@ pub struct NetClient {
     responses: mpsc::Receiver<Value>,
     corrections: Arc<Mutex<HashMap<u64, mpsc::Sender<Correction>>>>,
     /// Malformed or unroutable lines the reader refused to deliver — a
-    /// correction without a valid `stream`/`seq` is *dropped*, never
+    /// correction without a valid `stream`/`seq`/`flips` is *dropped*, never
     /// guessed onto stream 0 (see [`NetClient::take_protocol_errors`]).
     protocol_errors: Arc<Mutex<Vec<String>>>,
     reader: Option<JoinHandle<()>>,
@@ -655,12 +667,10 @@ impl NetClient {
                         note_error(format!("correction without a valid `seq`: {line}"));
                         continue;
                     };
-                    let mut flips = 0u64;
-                    if let Some(list) = value.get("flips").and_then(Value::as_array) {
-                        for observable in list.iter().filter_map(Value::as_u64) {
-                            flips |= 1u64 << observable;
-                        }
-                    }
+                    let Some(flips) = parse_flips(&value) else {
+                        note_error(format!("correction without a valid `flips`: {line}"));
+                        continue;
+                    };
                     let tx = reader_corrections
                         .lock()
                         .expect("correction router lock")

@@ -274,3 +274,57 @@ fn protocol_errors_are_reported_not_fatal() {
     client.shutdown_server().expect("shutdown");
     running.join().expect("server thread").expect("clean exit");
 }
+
+/// A peer that puts garbage into `flips` must not take the reader down or
+/// alias an observable: each bad line is refused whole and surfaced as a
+/// protocol error, and the next well-formed correction still arrives.
+#[test]
+fn malformed_flips_are_protocol_errors_not_reader_panics() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().expect("bound address").to_string();
+    // A fake server: answers `open`, waits for the first submission (so the
+    // client has registered the stream's route), then sends three
+    // corrections with a bad `flips` entry and one good one.
+    let fake = std::thread::spawn(move || {
+        let (socket, _) = listener.accept().expect("client connects");
+        let mut lines = BufReader::new(socket.try_clone().expect("clone socket")).lines();
+        let mut socket = socket;
+        lines.next().expect("open command").expect("readable");
+        writeln!(
+            socket,
+            r#"{{"ok":true,"stream":7,"detectors":4,"observables":1}}"#
+        )
+        .expect("open response");
+        lines.next().expect("frames command").expect("readable");
+        for flips in ["[64]", "[1e3]", r#"["x"]"#, "[0]"] {
+            writeln!(socket, r#"{{"stream":7,"seq":0,"flips":{flips}}}"#).expect("correction");
+        }
+        // Hold the socket open until the client hangs up.
+        while lines.next().is_some() {}
+    });
+
+    let mut client = NetClient::connect(&addr).expect("connect");
+    let stream = client
+        .open_stream("grid", 2, "standard", 5.0, 2, DecoderKind::UnionFind)
+        .expect("fake open");
+    assert_eq!(stream.id, 7);
+    client
+        .submit_frames(stream.id, &[vec![]])
+        .expect("submission reaches the fake server");
+    let correction = stream
+        .corrections
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the reader survives the bad lines and delivers the good one");
+    assert_eq!((correction.seq, correction.flips), (0, 0b1));
+    let errors = client.take_protocol_errors();
+    assert_eq!(errors.len(), 3, "{errors:?}");
+    assert!(errors.iter().all(|e| e.contains("`flips`")), "{errors:?}");
+    assert!(
+        stream.corrections.try_recv().is_err(),
+        "refused lines deliver nothing"
+    );
+    drop(client);
+    fake.join().expect("fake server thread");
+}

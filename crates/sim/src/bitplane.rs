@@ -93,8 +93,8 @@ impl BitPlanes {
 
     /// Iterates one word *column*: the word at index `word` of every plane,
     /// in plane order. The arena is plane-major, so this is a strided walk —
-    /// callers that touch every plane of one word (the word-parallel decode
-    /// triage) use it instead of resolving each plane slice per plane.
+    /// callers that copy out one word of every plane (the shot-major word
+    /// block export) use it instead of resolving each plane slice per plane.
     pub fn column(&self, word: usize) -> impl Iterator<Item = u64> + '_ {
         assert!(word < self.words_per_plane, "word {word} out of range");
         // `get` instead of indexing so an arena with zero planes yields an

@@ -47,108 +47,6 @@ pub fn block_seed(seed: u64, block: u64) -> u64 {
     state
 }
 
-/// Bit-parallel defect-count triage of one 64-shot word of a
-/// [`SyndromeChunk`].
-///
-/// Each mask has one bit per shot lane of the word (invalid lanes of a
-/// ragged final word are always clear). The counts are computed with
-/// carry-save adders over the detector planes, so classifying a whole word
-/// costs one pass over the planes — the same pass that gathers the word's
-/// hot planes — instead of one scan per shot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WordTriage {
-    /// Lanes in which at least one detector fired.
-    pub fired: u64,
-    /// Lanes with *exactly one* fired detector.
-    pub single: u64,
-    /// Lanes with *exactly two* fired detectors (the dominant noisy class
-    /// under circuit-level noise, where one error event usually fires a
-    /// space- or time-like detector pair).
-    pub pair: u64,
-    /// Lanes with more fired detectors than the sparse cap the triage was
-    /// computed for (`0` means every noisy lane is at or below the cap).
-    pub dense: u64,
-}
-
-impl WordTriage {
-    /// Builds the triage masks from raw carry-save counters: `c1`/`c2`/`c4`
-    /// are the count bit-slices, `over` flags lanes that saturated at ≥ 8,
-    /// `valid_lanes` masks off the invalid lanes of a ragged final word.
-    /// This is the word-granular kernel behind [`SyndromeChunk::word_triage`];
-    /// it is public so batch decoders can run the same classification over
-    /// *tiled* counter accumulations (sequential plane-major scans) instead
-    /// of one strided column walk per word.
-    pub fn from_counters(
-        c1: u64,
-        c2: u64,
-        c4: u64,
-        over: u64,
-        sparse_cap: usize,
-        valid_lanes: u64,
-    ) -> Self {
-        assert!(
-            sparse_cap <= MAX_TRIAGE_CAP,
-            "sparse cap {sparse_cap} exceeds the {MAX_TRIAGE_CAP}-defect triage range"
-        );
-        WordTriage {
-            fired: (c1 | c2 | c4 | over) & valid_lanes,
-            single: c1 & !(c2 | c4 | over) & valid_lanes,
-            pair: c2 & !(c1 | c4 | over) & valid_lanes,
-            dense: count_exceeds(c1, c2, c4, over, sparse_cap) & valid_lanes,
-        }
-    }
-
-    /// Whether no detector fired anywhere in the word.
-    pub fn is_quiet(&self) -> bool {
-        self.fired == 0
-    }
-
-    /// Whether the word is noisy but every lane is at or below the sparse
-    /// cap.
-    pub fn is_sparse(&self) -> bool {
-        self.fired != 0 && self.dense == 0
-    }
-
-    /// Lanes with at least two fired detectors.
-    pub fn multi(&self) -> u64 {
-        self.fired & !self.single
-    }
-}
-
-/// Largest sparse cap [`SyndromeChunk::word_triage`] can classify exactly
-/// (the carry-save counters saturate at 8 defects per lane).
-pub const MAX_TRIAGE_CAP: usize = 7;
-
-/// Adds one detector-plane word into a lane-wise carry-save counter
-/// (`c1`/`c2`/`c4` count bit-slices, `over` = saturated at ≥ 8). This is
-/// *the* defect-count adder: [`SyndromeChunk::word_triage`] folds a word
-/// column through it, and batch decoders stream whole plane tiles through
-/// it before classifying each word with [`WordTriage::from_counters`].
-#[inline]
-pub fn csa_accumulate(c1: &mut u64, c2: &mut u64, c4: &mut u64, over: &mut u64, bits: u64) {
-    let carry1 = *c1 & bits;
-    *c1 ^= bits;
-    let carry2 = *c2 & carry1;
-    *c2 ^= carry1;
-    *over |= *c4 & carry2;
-    *c4 ^= carry2;
-}
-
-/// Lanes whose 3-bit carry-save count `(c4 c2 c1)` — with `over` flagging
-/// saturation at ≥ 8 — exceeds `cap`.
-fn count_exceeds(c1: u64, c2: u64, c4: u64, over: u64, cap: usize) -> u64 {
-    match cap {
-        0 => c1 | c2 | c4 | over,
-        1 => c2 | c4 | over,
-        2 => (c2 & c1) | c4 | over,
-        3 => c4 | over,
-        4 => (c4 & (c2 | c1)) | over,
-        5 => (c4 & c2) | over,
-        6 => (c4 & c2 & c1) | over,
-        _ => over,
-    }
-}
-
 /// Bit-packed detector events and observable flips for one chunk of shots.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SyndromeChunk {
@@ -339,56 +237,6 @@ impl SyndromeChunk {
         } else {
             u64::MAX
         }
-    }
-
-    /// Classifies the defect counts of one 64-shot word in a single pass
-    /// over the detector planes (carry-save bit counters): which lanes are
-    /// noisy at all, which carry exactly one defect, and which carry more
-    /// than `sparse_cap` defects. `sparse_cap` must be at most
-    /// [`MAX_TRIAGE_CAP`].
-    pub fn word_triage(&self, word_index: usize, sparse_cap: usize) -> WordTriage {
-        self.triage_column(word_index, sparse_cap, |_, _| {})
-    }
-
-    /// [`SyndromeChunk::word_triage`], additionally collecting the word's
-    /// *hot planes* — every `(detector, plane word)` pair with at least one
-    /// fired lane, in ascending detector order — into `hot` (cleared first).
-    /// This is the decoder's gather primitive: the triage pass and the
-    /// defect-gather pass share one walk over the planes.
-    pub fn word_triage_into(
-        &self,
-        word_index: usize,
-        sparse_cap: usize,
-        hot: &mut Vec<(u32, u64)>,
-    ) -> WordTriage {
-        hot.clear();
-        self.triage_column(word_index, sparse_cap, |detector, word| {
-            hot.push((detector, word));
-        })
-    }
-
-    /// A word-iterator view over the chunk: the [`WordTriage`] of every
-    /// word, in word order.
-    pub fn word_triages(&self, sparse_cap: usize) -> impl Iterator<Item = WordTriage> + '_ {
-        (0..self.words).map(move |word| self.word_triage(word, sparse_cap))
-    }
-
-    fn triage_column(
-        &self,
-        word_index: usize,
-        sparse_cap: usize,
-        mut on_hot: impl FnMut(u32, u64),
-    ) -> WordTriage {
-        assert!(word_index < self.words, "word {word_index} out of range");
-        let (mut c1, mut c2, mut c4, mut over) = (0u64, 0u64, 0u64, 0u64);
-        for (detector, word) in self.detectors.column(word_index).enumerate() {
-            if word == 0 {
-                continue;
-            }
-            on_hot(detector as u32, word);
-            csa_accumulate(&mut c1, &mut c2, &mut c4, &mut over, word);
-        }
-        WordTriage::from_counters(c1, c2, c4, over, sparse_cap, self.lane_mask(word_index))
     }
 
     /// Mutable access for the sampler while folding measurement planes in.
@@ -919,90 +767,11 @@ mod tests {
     }
 
     #[test]
-    fn word_triage_classifies_counts_exactly() {
-        // Lane 0: 1 defect, lane 1: 2, lane 2: 3, lane 3: 5, lane 4: 0,
-        // lane 63: 1 (word boundary), lane 64: 9 (second word, saturating).
-        let mut shots = vec![
-            (vec![0], vec![]),
-            (vec![0, 1], vec![]),
-            (vec![0, 1, 2], vec![]),
-            (vec![0, 1, 2, 3, 4], vec![]),
-            (vec![], vec![]),
-        ];
-        shots.resize(63, (vec![], vec![]));
-        shots.push((vec![7], vec![]));
-        shots.push(((0..9).collect(), vec![]));
-        let chunk = SyndromeChunk::from_shots(10, 0, &shots);
-        assert_eq!(chunk.words(), 2);
-
-        let t0 = chunk.word_triage(0, 4);
-        assert_eq!(t0.fired, 0b1111 | (1 << 63));
-        assert_eq!(t0.single, 0b0001 | (1 << 63));
-        assert_eq!(t0.pair, 0b0010, "only the 2-defect lane is a pair");
-        assert_eq!(t0.dense, 0b1000, "only the 5-defect lane exceeds cap 4");
-        assert_eq!(t0.multi(), 0b1110);
-        assert!(!t0.is_quiet() && !t0.is_sparse());
-
-        // Tighter and looser caps move the dense boundary.
-        assert_eq!(chunk.word_triage(0, 1).dense, 0b1110);
-        assert_eq!(chunk.word_triage(0, 2).dense, 0b1100);
-        assert_eq!(chunk.word_triage(0, 5).dense, 0);
-        assert!(chunk.word_triage(0, 5).is_sparse());
-
-        // The 9-defect lane saturates the counters but stays dense for every
-        // cap, and is never mistaken for a single.
-        let t1 = chunk.word_triage(1, 7);
-        assert_eq!(t1.fired, 0b1);
-        assert_eq!(t1.single, 0);
-        assert_eq!(t1.dense, 0b1);
-    }
-
-    #[test]
-    fn word_triage_into_gathers_hot_planes_in_detector_order() {
-        let shots = vec![(vec![2, 5], vec![]), (vec![5], vec![]), (vec![], vec![])];
-        let chunk = SyndromeChunk::from_shots(7, 0, &shots);
-        let mut hot = vec![(9u32, 9u64)];
-        let triage = chunk.word_triage_into(0, 4, &mut hot);
-        assert_eq!(hot, vec![(2, 0b001), (5, 0b011)]);
-        assert_eq!(triage.fired, 0b011);
-        assert_eq!(triage.single, 0b010);
-        assert_eq!(triage.pair, 0b001);
-        assert_eq!(triage.dense, 0);
-    }
-
-    #[test]
-    fn word_triage_masks_ragged_tail_lanes() {
-        // 65 shots: the final word has one valid lane.
-        let mut shots = vec![(vec![0], vec![]); 65];
-        shots[64] = (vec![0, 1], vec![]);
-        let chunk = SyndromeChunk::from_shots(3, 0, &shots);
-        let triages: Vec<WordTriage> = chunk.word_triages(4).collect();
-        assert_eq!(triages.len(), 2);
-        assert_eq!(triages[0].fired, u64::MAX);
-        assert_eq!(triages[0].single, u64::MAX);
-        assert_eq!(triages[1].fired, 0b1);
-        assert_eq!(triages[1].single, 0);
-        assert_eq!(triages[1].pair, 0b1);
-        assert_eq!(triages[1].multi(), 0b1);
-        assert_eq!(chunk.word_triage(1, 1).dense, 0b1);
-    }
-
-    #[test]
     fn zero_shot_chunks_have_no_words() {
         let chunk = SyndromeChunk::from_shots(4, 1, &[]);
         assert_eq!(chunk.num_shots(), 0);
         assert_eq!(chunk.words(), 0);
         assert!(chunk.fired_shot_mask().is_empty());
-        assert_eq!(chunk.word_triages(4).count(), 0);
-    }
-
-    #[test]
-    fn word_triage_of_a_quiet_word_is_quiet() {
-        let chunk = SyndromeChunk::zeroed(0, 0, 100, 6, 1);
-        for triage in chunk.word_triages(4) {
-            assert!(triage.is_quiet());
-            assert_eq!(triage, WordTriage::default());
-        }
     }
 
     #[test]

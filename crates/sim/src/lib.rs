@@ -60,8 +60,8 @@ mod tableau;
 
 pub use bitplane::BitPlanes;
 pub use chunk::{
-    block_seed, csa_accumulate, sample_detector_chunks, DetectorChunkSampler, SyndromeChunk,
-    SyndromeChunkBuilder, WordTriage, CANONICAL_BLOCK_SHOTS, MAX_TRIAGE_CAP,
+    block_seed, sample_detector_chunks, DetectorChunkSampler, SyndromeChunk, SyndromeChunkBuilder,
+    CANONICAL_BLOCK_SHOTS,
 };
 pub use dem::{DemError, DetectorErrorModel};
 pub use frame::FrameSampler;
