@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qccd_circuit::{Instruction, QubitId};
 use qccd_qec::{memory_experiment, rotated_surface_code, MemoryBasis};
-use qccd_sim::{sample_detectors, NoiseChannel, NoisyCircuit};
+use qccd_sim::{sample_detector_chunks, NoiseChannel, NoisyCircuit};
 
 fn noisy_memory(d: usize, p: f64) -> NoisyCircuit {
     let code = rotated_surface_code(d);
@@ -39,7 +39,11 @@ fn bench_frame_sampling(c: &mut Criterion) {
     for d in [3usize, 5] {
         let circuit = noisy_memory(d, 1e-3);
         group.bench_with_input(BenchmarkId::from_parameter(d), &d, |b, _| {
-            b.iter(|| sample_detectors(&circuit, 4096, 7).expect("samples"));
+            b.iter(|| {
+                sample_detector_chunks(&circuit, 4096, 7, 4096)
+                    .expect("samples")
+                    .sample_chunk(0)
+            });
         });
     }
     group.finish();

@@ -80,7 +80,7 @@ serve options:
   --deadline-us <us>       partial-word flush deadline (default: 500)
   --batch-words <n>        64-shot words coalesced per decode job (default: 1)
   --queue-shots <n>        per-stream in-flight bound (default: 4096)
-  --no-telemetry           disable the telemetry registry entirely
+  --no-telemetry           disable stage spans and telemetry exposition
   --sample-every <n>       stage-timing sample period (default: 16; 1 = all)
   --trace-out <file>       stream sampled stage spans as JSON lines
 

@@ -133,58 +133,6 @@ impl SweepEngine {
             None => body(),
         }
     }
-
-    /// Evaluates only the points at `indices`, returning results in the
-    /// order the indices were given.
-    ///
-    /// Each selected point keeps the seed of its position in the **full**
-    /// grid — `point_seed(indices[k])`, not `point_seed(k)` — so a subset
-    /// evaluation is bit-identical to the same points of a full
-    /// [`run`](Self::run). This is the resume primitive of the sweeprun
-    /// orchestration tier: a partially complete sweep recomputes exactly
-    /// its missing indices and merges with stored results.
-    ///
-    /// Indices out of range for `points` are a contract violation and
-    /// panic, like slice indexing.
-    pub fn run_sparse<C, R, F>(&self, points: &[C], indices: &[usize], eval: F) -> Vec<R>
-    where
-        C: Sync,
-        R: Send,
-        F: Fn(SweepTask<'_, C>) -> R + Sync,
-    {
-        let budget = rayon::current_num_threads().max(1);
-        let outer = self
-            .num_threads
-            .unwrap_or(budget)
-            .clamp(1, indices.len().max(1));
-        let inner_pool = rayon::ThreadPoolBuilder::new()
-            .num_threads((budget / outer).max(1))
-            .build()
-            .expect("thread pool construction cannot fail");
-        let body = || {
-            (0..indices.len())
-                .into_par_iter()
-                .map(|slot| {
-                    let index = indices[slot];
-                    inner_pool.install(|| {
-                        eval(SweepTask {
-                            index,
-                            point: &points[index],
-                            seed: self.point_seed(index),
-                        })
-                    })
-                })
-                .collect()
-        };
-        match self.num_threads {
-            Some(threads) => rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool construction cannot fail")
-                .install(body),
-            None => body(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -230,22 +178,6 @@ mod tests {
             let engine = SweepEngine::new(5).with_num_threads(threads);
             assert_eq!(engine.run(&points, eval), reference, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn sparse_run_matches_full_run_at_the_same_indices() {
-        let engine = SweepEngine::new(2026).with_num_threads(3);
-        let points: Vec<u64> = (100..120).collect();
-        let eval = |task: SweepTask<'_, u64>| (task.index, task.seed ^ *task.point);
-        let full = engine.run(&points, eval);
-        let indices = [17usize, 3, 0, 11];
-        let sparse = engine.run_sparse(&points, &indices, eval);
-        assert_eq!(sparse.len(), indices.len());
-        for (slot, &index) in indices.iter().enumerate() {
-            assert_eq!(sparse[slot], full[index]);
-        }
-        let none: Vec<(usize, u64)> = engine.run_sparse(&points, &[], eval);
-        assert!(none.is_empty());
     }
 
     #[test]

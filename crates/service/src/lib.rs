@@ -11,8 +11,8 @@
 //!
 //! ```text
 //! client streams ──► per-stream sessions ──► per-program batcher shards
-//!   (own lock, inflight          (frames or shot-major   (own lock, pending
-//!    + reorder state)             64-shot word blocks)    word + spare pool)
+//!   (own lock, inflight          (index frames or shot-  (own lock, pending
+//!    + reorder state)             major word blocks)      planes + spare pool)
 //!                                                  │ flush on full word,
 //!                                                  │ deadline (dedicated
 //!                                                  ▼ flusher thread), close
@@ -31,20 +31,25 @@
 //!   and warms one [`MemoSnapshot`](qccd_decoder::MemoSnapshot) per
 //!   [`DecodeProgram`] that every worker adopts.
 //! * Pending frames from **all** streams of a program are coalesced by that
-//!   program's **batcher shard** into 64-shot words (the unit the PR-4
-//!   word-parallel triage path decodes at full tilt) and flushed on a full
-//!   word, when the oldest pending frame hits the configured deadline (a
-//!   dedicated flusher thread waits out the exact deadline, so a busy
-//!   worker pool never delays a partial word), or when the last stream
-//!   contributing to the word closes. Each shard has its own mutex:
-//!   submissions to different programs never contend, and delivery state
-//!   lives behind each stream's own lock — there is no global hot-path
-//!   lock.
-//! * Shot-major clients (the loadgen harness, co-located front-ends) can
-//!   submit pre-transposed [`WordBlock`]s
-//!   ([`StreamSender::submit_word_batch`], the `frames_packed` wire
-//!   command): the batcher folds each 64-shot plane word in with a
-//!   shift-OR, deleting the per-frame transpose from the hot path.
+//!   program's **batcher shard** into 64-shot words (the unit
+//!   `decode_batch`'s tile scan works in). A frame is **written where it is
+//!   decoded**: submission sets its bits in the detector planes of the
+//!   pending chunk ([`SyndromeChunkBuilder`](qccd_sim::SyndromeChunkBuilder)),
+//!   so a flush hands the planes to a worker as they are — nothing is
+//!   staged or transposed later. A batch is flushed on a full word, when
+//!   the oldest pending frame hits the configured deadline (a dedicated
+//!   flusher thread waits out the exact deadline, so a busy worker pool
+//!   never delays a partial word), or when the last stream contributing to
+//!   the word closes. Each shard has its own mutex: submissions to
+//!   different programs never contend, and delivery state lives behind each
+//!   stream's own lock — there is no global hot-path lock.
+//! * Two frame vocabularies: index frames ([`StreamSender::submit`] /
+//!   [`StreamSender::submit_batch`], the `frame`/`frames` wire commands)
+//!   list one shot's fired detectors and cost one bit-set each; shot-major
+//!   clients (the loadgen harness, co-located front-ends) submit
+//!   pre-transposed [`WordBlock`]s ([`StreamSender::submit_word_batch`], the
+//!   `frames_packed` wire command), where each non-zero 64-shot plane word
+//!   lands with one shift-OR and there is no per-frame work at all.
 //! * Per-stream queues are bounded ([`ServiceConfig::stream_queue_shots`]):
 //!   submission blocks (or [`StreamSender::try_submit`] refuses) once a
 //!   stream has that many frames in flight — backpressure instead of
@@ -58,7 +63,9 @@
 //!   `tests/prop_service_identity.rs`).
 //! * [`DecodeService::metrics`] exposes live counters: queue depth,
 //!   shots/s, flush-cause split and a log-bucketed submit→correction
-//!   latency histogram (p50/p99).
+//!   latency histogram (p50/p99). They are a view over the `service.*`
+//!   cells of the service's telemetry registry
+//!   ([`DecodeService::telemetry_snapshot`]) — one store, written once.
 //!
 //! The [`net`] module wires the service to a `std::net` TCP JSON-lines
 //! front-end (the `artifacts serve` subcommand), and [`loadgen`] replays

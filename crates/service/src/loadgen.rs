@@ -335,20 +335,6 @@ pub fn sample_frames(
     )?))
 }
 
-/// [`sample_frames`] in the detector-major **packed** wire format
-/// ([`qccd_sim::SyndromeChunk::packed_frame_into`]) — what a real client
-/// would put on the wire, and the fastest ingestion path
-/// ([`crate::StreamSender::submit_packed_batch`]).
-pub fn sample_packed_frames(
-    circuit: &NoisyCircuit,
-    shots: usize,
-    seed: u64,
-) -> Result<Vec<Vec<u64>>, ServiceError> {
-    Ok(packed_frames_from_chunks(&sampled_chunks(
-        circuit, shots, seed,
-    )?))
-}
-
 /// Samples the replayed syndromes once; both the wire frames and the
 /// offline reference derive from these chunks.
 fn sampled_chunks(
@@ -369,19 +355,6 @@ fn index_frames_from_chunks(chunks: &[qccd_sim::SyndromeChunk]) -> Vec<Vec<usize
         for shot in 0..chunk.num_shots() {
             chunk.fired_detectors_into(shot, &mut fired);
             frames.push(fired.clone());
-        }
-    }
-    frames
-}
-
-/// The chunks' shots as detector-major packed frames, in global shot order.
-fn packed_frames_from_chunks(chunks: &[qccd_sim::SyndromeChunk]) -> Vec<Vec<u64>> {
-    let mut frames = Vec::new();
-    let mut packed = Vec::new();
-    for chunk in chunks {
-        for shot in 0..chunk.num_shots() {
-            chunk.packed_frame_into(shot, &mut packed);
-            frames.push(packed.clone());
         }
     }
     frames
@@ -504,19 +477,15 @@ pub fn run_in_process(
     let shots = options.shots.max(1);
     // One sampling pass feeds both the wire frames and the offline
     // reference; one program serves both the streams and the baseline.
-    // Producing the wire representation (packed frames, or the shot-major
+    // Producing the wire representation (index frames, or the shot-major
     // block transpose) is the trap-side client's job, so it happens before
     // the clock starts.
     let chunks = sampled_chunks(circuit, shots, options.seed)?;
     let program = std::sync::Arc::new(DecodeProgram::from_circuit(key, circuit.clone(), decoder)?);
-    let frames = (!options.shot_major).then(|| packed_frames_from_chunks(&chunks));
-    let blocks = options.shot_major.then(|| {
-        shot_major_blocks(
-            &index_frames_from_chunks(&chunks),
-            streams,
-            program.num_detectors(),
-        )
-    });
+    let frames = index_frames_from_chunks(&chunks);
+    let blocks = options
+        .shot_major
+        .then(|| shot_major_blocks(&frames, streams, program.num_detectors()));
     let offline = options
         .verify
         .then(|| offline_from_chunks(&program, &chunks));
@@ -567,8 +536,7 @@ pub fn run_in_process(
             }
         }
     } else {
-        let frames = frames.as_ref().expect("frames sampled when not shot-major");
-        let mut per_stream: Vec<Vec<&[u64]>> =
+        let mut per_stream: Vec<Vec<&[usize]>> =
             vec![Vec::with_capacity(64 * words_per_burst); streams];
         let burst = 64 * words_per_burst * streams;
         while submitted < shots {
@@ -582,7 +550,7 @@ pub fn run_in_process(
             }
             for (s, bucket) in per_stream.iter().enumerate() {
                 if !bucket.is_empty() {
-                    senders[s].submit_packed_batch(bucket)?;
+                    senders[s].submit_batch(bucket)?;
                 }
             }
             submitted = end;

@@ -19,20 +19,22 @@
 //! {"cmd":"shutdown"}
 //! ```
 //!
-//! `metrics` answers with the legacy counter object under `"metrics"`
-//! **and** the unified telemetry snapshot (stage spans, histograms) under
+//! `metrics` answers with the [`ServiceMetrics`](crate::ServiceMetrics)
+//! object under `"metrics"` **and** the telemetry registry snapshot (the
+//! same cells by name, plus stage spans and histograms) under
 //! `"telemetry"`; with `"format":"text"` it instead answers
 //! `{"ok":true,"text":...}` carrying a Prometheus-style exposition of the
 //! same snapshot.
 //!
-//! Every command except `frame`/`frames` is answered synchronously with an
-//! `{"ok":...}` object (in request order). Frames are answered
-//! *asynchronously*, one `{"stream":S,"seq":Q,"flips":[..]}` line per frame
-//! in per-stream submission order, interleaved with command responses;
-//! `flips` lists the flipped logical observables. An invalid frame batch
-//! produces an `{"ok":false,"async":true,"stream":S,"error":...}` line
-//! instead (nothing from that line is enqueued) — the `"async"` tag tells
-//! clients not to pair it with a pending command response.
+//! Every command except `frame`/`frames`/`frames_packed` is answered
+//! synchronously with an `{"ok":...}` object (in request order). Frames are
+//! answered *asynchronously*, one `{"stream":S,"seq":Q,"flips":[..]}` line
+//! per frame in per-stream submission order, interleaved with command
+//! responses; `flips` lists the flipped logical observables. An invalid
+//! frame batch produces an
+//! `{"ok":false,"async":true,"stream":S,"error":...}` line instead (nothing
+//! from that line is enqueued) — the `"async"` tag tells clients not to pair
+//! it with a pending command response.
 //!
 //! `frames_packed` is the **shot-major** wire mode: each block carries up to
 //! 64 shots pre-transposed into one `u64` plane word per detector (bit `s`
@@ -40,9 +42,13 @@
 //! [`WordBlock`](crate::WordBlock) layout), so the per-frame transpose
 //! disappears from the service hot path. The vendored JSON layer preserves
 //! `u64` values exactly, so plane words round-trip bit-for-bit.
+//!
+//! A line may not exceed [`MAX_LINE_BYTES`]: the server answers a longer one
+//! with `{"ok":false,"error":"line exceeds … bytes"}` and closes that
+//! connection; the client records a protocol error and stops reading.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -54,6 +60,11 @@ use qccd_decoder::DecoderKind;
 use serde_json::Value;
 
 use crate::service::{Correction, DecodeService, ServiceConfig, StreamSender, WordBlock};
+
+/// Longest line either side buffers, in bytes — more than 25× the largest
+/// legitimate one (a 16-block `frames_packed` burst at d = 9). A peer that
+/// never sends a newline is cut off here instead of growing the process.
+pub const MAX_LINE_BYTES: usize = 8 << 20;
 
 /// Parses the wire name of a decoder kind.
 pub fn parse_decoder(name: &str) -> Result<DecoderKind, String> {
@@ -287,9 +298,16 @@ fn serve_connection(
         }
         // `read_line` may return a timeout error with a partial line
         // already appended; `line` is only cleared after a complete line is
-        // processed, so partial reads accumulate correctly.
-        match reader.read_line(&mut line) {
+        // processed, so partial reads accumulate correctly — up to one byte
+        // past the cap, which is how an over-long line is recognised.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match reader.by_ref().take(room).read_line(&mut line) {
             Ok(0) => break,
+            Ok(_) if line.len() > MAX_LINE_BYTES && !line.ends_with('\n') => {
+                let message = format!("line exceeds {MAX_LINE_BYTES} bytes");
+                write_line(writer, &error_json(message))?;
+                break;
+            }
             Ok(_) => {
                 let done = handle_line(&line, service, shutdown, writer, senders, pumps)?;
                 line.clear();
@@ -396,74 +414,18 @@ fn dispatch(
             }
             Err(e) => write_line(writer, &error_json(e))?,
         },
-        "frame" | "frames" => {
+        "frame" | "frames" | "frames_packed" => {
             let id = request
                 .get("stream")
                 .and_then(Value::as_u64)
                 .unwrap_or(u64::MAX);
+            let outcome = match senders.get(&id) {
+                Some(sender) => submit_line(cmd, request, sender),
+                None => Err(format!("unknown stream {id}")),
+            };
             // Frames are fire-and-forget, so their errors are emitted as
             // *asynchronous* lines, tagged `"async": true` — clients must
             // not pair them with a pending command response.
-            let Some(sender) = senders.get(&id) else {
-                let mut response = error_json(format!("unknown stream {id}"));
-                response["async"] = Value::Bool(true);
-                response["stream"] = Value::from(id);
-                write_line(writer, &response)?;
-                return Ok(false);
-            };
-            let parsed: Result<Vec<Vec<usize>>, String> = if cmd == "frame" {
-                parse_detectors(request.get("detectors")).map(|fired| vec![fired])
-            } else {
-                request
-                    .get("frames")
-                    .and_then(Value::as_array)
-                    .ok_or("`frames` must be an array of frames".to_string())
-                    .and_then(|frames| {
-                        frames
-                            .iter()
-                            .map(|frame| parse_detectors(Some(frame)))
-                            .collect()
-                    })
-            };
-            // One batched submission per line: the whole line parses and
-            // validates before anything is enqueued, and the service lock
-            // is paid once instead of once per frame.
-            let outcome = parsed.and_then(|frames| {
-                let refs: Vec<&[usize]> = frames.iter().map(Vec::as_slice).collect();
-                sender.submit_batch(&refs).map_err(|e| e.to_string())
-            });
-            if let Err(e) = outcome {
-                let mut response = error_json(e);
-                response["async"] = Value::Bool(true);
-                response["stream"] = Value::from(id);
-                write_line(writer, &response)?;
-            }
-        }
-        "frames_packed" => {
-            let id = request
-                .get("stream")
-                .and_then(Value::as_u64)
-                .unwrap_or(u64::MAX);
-            let Some(sender) = senders.get(&id) else {
-                let mut response = error_json(format!("unknown stream {id}"));
-                response["async"] = Value::Bool(true);
-                response["stream"] = Value::from(id);
-                write_line(writer, &response)?;
-                return Ok(false);
-            };
-            // Parse the whole line before anything is enqueued, mirroring
-            // `frames`: shot-major blocks of up to 64 pre-transposed shots.
-            let parsed = parse_word_blocks(request.get("blocks"));
-            let outcome = parsed.and_then(|blocks| {
-                let refs: Vec<WordBlock<'_>> = blocks
-                    .iter()
-                    .map(|(count, planes)| WordBlock {
-                        planes,
-                        count: *count,
-                    })
-                    .collect();
-                sender.submit_word_batch(&refs).map_err(|e| e.to_string())
-            });
             if let Err(e) = outcome {
                 let mut response = error_json(e);
                 response["async"] = Value::Bool(true);
@@ -487,6 +449,38 @@ fn dispatch(
         other => write_line(writer, &error_json(format!("unknown command `{other}`")))?,
     }
     Ok(false)
+}
+
+/// Submits one `frame` / `frames` / `frames_packed` line as one batch: the
+/// whole line parses and validates before anything is enqueued, and the
+/// service locks are paid once per line instead of once per frame.
+fn submit_line(cmd: &str, request: &Value, sender: &StreamSender) -> Result<(), String> {
+    let submitted = if cmd == "frames_packed" {
+        let blocks = parse_word_blocks(request.get("blocks"))?;
+        let refs: Vec<WordBlock<'_>> = blocks
+            .iter()
+            .map(|(count, planes)| WordBlock {
+                planes,
+                count: *count,
+            })
+            .collect();
+        sender.submit_word_batch(&refs)
+    } else {
+        let frames: Vec<Vec<usize>> = if cmd == "frame" {
+            vec![parse_detectors(request.get("detectors"))?]
+        } else {
+            request
+                .get("frames")
+                .and_then(Value::as_array)
+                .ok_or("`frames` must be an array of frames")?
+                .iter()
+                .map(|frame| parse_detectors(Some(frame)))
+                .collect::<Result<_, _>>()?
+        };
+        let refs: Vec<&[usize]> = frames.iter().map(Vec::as_slice).collect();
+        sender.submit_batch(&refs)
+    };
+    submitted.map(drop).map_err(|e| e.to_string())
 }
 
 /// Parses one frame's detector list strictly: anything other than an array
@@ -632,13 +626,24 @@ impl NetClient {
                     errors.push(message);
                 }
             };
-            let reader = BufReader::new(reader_stream);
-            for line in reader.lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
+            let mut reader = BufReader::new(reader_stream);
+            let mut buffer = String::new();
+            loop {
+                buffer.clear();
+                let room = MAX_LINE_BYTES as u64 + 1;
+                match reader.by_ref().take(room).read_line(&mut buffer) {
+                    Ok(0) | Err(_) => break,
+                    Ok(_) if buffer.len() > MAX_LINE_BYTES && !buffer.ends_with('\n') => {
+                        note_error(format!("server line exceeds {MAX_LINE_BYTES} bytes"));
+                        break;
+                    }
+                    Ok(_) => {}
+                }
+                let line = buffer.trim();
+                if line.is_empty() {
                     continue;
                 }
-                let Ok(value) = serde_json::from_str(&line) else {
+                let Ok(value) = serde_json::from_str(line) else {
                     note_error(format!("unparseable server line: {line}"));
                     continue;
                 };
@@ -847,9 +852,9 @@ impl NetClient {
         Ok(response.get("metrics").cloned().unwrap_or(Value::Null))
     }
 
-    /// Fetches the full `metrics` response — the legacy counter object
-    /// under `"metrics"` plus the unified telemetry snapshot under
-    /// `"telemetry"`.
+    /// Fetches the full `metrics` response — the
+    /// [`ServiceMetrics`](crate::ServiceMetrics) object under `"metrics"`
+    /// plus the telemetry registry snapshot under `"telemetry"`.
     ///
     /// # Errors
     ///

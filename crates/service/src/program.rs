@@ -18,8 +18,8 @@ fn next_program_id() -> u64 {
 /// `(architecture, distance, decoder)` configuration: the noisy circuit the
 /// syndromes are assumed to come from, the decoder over its detector error
 /// model, and a warm [`MemoSnapshot`] every service worker adopts before
-/// decoding a batch (warmed exactly once per program, so the word path's
-/// singles/pair fast lanes are hot from the first frame).
+/// decoding a batch (warmed exactly once per program, so the sparse memo
+/// answers single-defect lanes from the first frame).
 pub struct DecodeProgram {
     id: u64,
     key: String,

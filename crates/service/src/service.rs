@@ -47,10 +47,11 @@ pub struct ServiceConfig {
     /// Memo configuration programs are warmed with and worker scratches
     /// decode under (defect/entry caps).
     pub memo: MemoConfig,
-    /// Telemetry configuration of the service's unified metrics registry
-    /// (per-stage spans, mirrors of the legacy counters). Disabling it
-    /// reduces every instrumentation site to a single branch; the legacy
-    /// [`ServiceMetrics`] snapshot keeps working either way.
+    /// Telemetry configuration of the service's metrics registry (per-stage
+    /// spans, exposition of the `service.*` cells). Disabling it reduces
+    /// every span to a single branch and empties
+    /// [`DecodeService::telemetry_snapshot`]; the [`ServiceMetrics`] view
+    /// keeps working either way.
     pub telemetry: TelemetryConfig,
 }
 
@@ -165,12 +166,11 @@ struct FrameRun {
     submitted: Instant,
 }
 
-/// One burst of frames in any wire representation: fired-detector index
-/// lists, detector-major packed words, or shot-major word blocks.
+/// One burst of frames in either vocabulary: fired-detector index lists or
+/// shot-major word blocks.
 #[derive(Debug, Clone, Copy)]
 enum FrameBatch<'a> {
     Indices(&'a [&'a [usize]]),
-    Packed(&'a [&'a [u64]]),
     Blocks(&'a [WordBlock<'a>]),
 }
 
@@ -179,7 +179,6 @@ impl<'a> FrameBatch<'a> {
     fn shots(&self) -> usize {
         match self {
             FrameBatch::Indices(frames) => frames.len(),
-            FrameBatch::Packed(frames) => frames.len(),
             FrameBatch::Blocks(blocks) => blocks.iter().map(|b| b.count).sum(),
         }
     }
@@ -189,7 +188,7 @@ impl<'a> FrameBatch<'a> {
     /// pre-transposed and never split).
     fn min_take(&self) -> usize {
         match self {
-            FrameBatch::Indices(_) | FrameBatch::Packed(_) => 1,
+            FrameBatch::Indices(_) => 1,
             FrameBatch::Blocks(blocks) => blocks.first().map_or(1, |b| b.count),
         }
     }
@@ -202,11 +201,6 @@ impl<'a> FrameBatch<'a> {
                 let take = frames.len().min(room);
                 let (a, b) = frames.split_at(take);
                 (FrameBatch::Indices(a), FrameBatch::Indices(b), take)
-            }
-            FrameBatch::Packed(frames) => {
-                let take = frames.len().min(room);
-                let (a, b) = frames.split_at(take);
-                (FrameBatch::Packed(a), FrameBatch::Packed(b), take)
             }
             FrameBatch::Blocks(blocks) => {
                 let mut shots = 0;
@@ -232,23 +226,6 @@ impl<'a> FrameBatch<'a> {
                     if let Some(&bad) = fired.iter().find(|&&d| d >= num_detectors) {
                         return Err(ServiceError::DetectorOutOfRange {
                             detector: bad,
-                            num_detectors,
-                        });
-                    }
-                }
-            }
-            FrameBatch::Packed(frames) => {
-                let frame_words = num_detectors.div_ceil(64);
-                let tail_mask = if num_detectors.is_multiple_of(64) {
-                    u64::MAX
-                } else {
-                    (1u64 << (num_detectors % 64)) - 1
-                };
-                for packed in *frames {
-                    let tail_ok = packed.last().is_none_or(|&last| last & !tail_mask == 0);
-                    if packed.len() != frame_words || !tail_ok {
-                        return Err(ServiceError::DetectorOutOfRange {
-                            detector: num_detectors,
                             num_detectors,
                         });
                     }
@@ -285,19 +262,11 @@ impl<'a> FrameBatch<'a> {
         }
         Ok(())
     }
-
-    fn push_into(&self, index: usize, builder: &mut SyndromeChunkBuilder) {
-        match self {
-            FrameBatch::Indices(frames) => builder.push_frame(frames[index]),
-            FrameBatch::Packed(frames) => builder.push_packed_frame(frames[index]),
-            FrameBatch::Blocks(_) => unreachable!("blocks are pushed whole"),
-        }
-    }
 }
 
-/// The reusable allocations of one batch: the frame-ingestion builder and
-/// the routing list. Recycled through [`ShardState::spares`] so the
-/// steady-state submit path allocates nothing.
+/// The reusable allocations of one batch: the chunk builder (the bit planes
+/// frames are written into) and the routing list. Recycled through
+/// [`ShardState::spares`] so the steady-state submit path allocates nothing.
 #[derive(Debug)]
 struct BatchParts {
     builder: SyndromeChunkBuilder,
@@ -311,10 +280,11 @@ struct PendingBatch {
     oldest: Instant,
 }
 
-/// A flushed decode job: the packed frames of any number of streams plus
-/// the routing information to hand each lane's correction back. The
-/// frame→plane transpose (`builder.finish`) runs on the *worker*, outside
-/// every service lock.
+/// A flushed decode job: the frames of any number of streams, already in
+/// the bit planes the decoder reads (submission wrote them there), plus the
+/// routing information to hand each lane's correction back. The worker's
+/// `builder.finish` only hands the planes over and allocates the builder's
+/// zeroed replacement — outside every service lock.
 #[derive(Debug)]
 struct DecodeJob {
     shard: Arc<ProgramShard>,
@@ -440,7 +410,7 @@ struct Shared {
     next_stream: AtomicU64,
     shutdown: AtomicBool,
     metrics: MetricsInner,
-    /// The unified telemetry registry (a no-op registry when disabled).
+    /// The telemetry registry (a no-op registry when disabled).
     telemetry: Registry,
     config: ServiceConfig,
 }
@@ -459,8 +429,7 @@ impl Shared {
     }
 
     /// Flushes a shard's pending batch into the job queue. Caller holds the
-    /// shard lock. The transpose into a bit-packed chunk is deferred to the
-    /// worker, so the flush itself is O(1).
+    /// shard lock. The batch moves as it is, so the flush itself is O(1).
     fn flush_shard(&self, shard: &Arc<ProgramShard>, state: &mut ShardState, cause: FlushCause) {
         let Some(batch) = state.pending.take() else {
             return;
@@ -481,7 +450,7 @@ impl Shared {
         );
         // Each run's submit→flush wait, from its own submit instant (the
         // enabled check keeps the disabled-telemetry flush O(1)).
-        let batcher_wait = &self.metrics.unified.batcher_wait;
+        let batcher_wait = &self.metrics.batcher_wait;
         if batcher_wait.is_enabled() {
             let now = Instant::now();
             for run in &batch.parts.runs {
@@ -551,7 +520,7 @@ fn route_corrections(
     mut parts: BatchParts,
     flips_per_lane: &[u64],
 ) {
-    let span = shared.metrics.unified.delivery.start();
+    let span = shared.metrics.delivery.start();
     let now = Instant::now();
     let mut offset = 0usize;
     let mut finished: Vec<u64> = Vec::new();
@@ -619,10 +588,10 @@ fn decode_job(
 ) {
     let DecodeJob { shard, mut parts } = job;
     let program = Arc::clone(&shard.program);
-    // Transpose the packed frames into bit planes and decode — both
-    // outside every service lock. The stage span times around the decode;
-    // it never touches the data, so corrections stay bit-identical.
-    let span = shared.metrics.unified.decode.start();
+    // Take the chunk and decode it, outside every service lock. The stage
+    // span times around the decode; it never touches the data, so
+    // corrections stay bit-identical.
+    let span = shared.metrics.decode.start();
     let chunk = parts.builder.finish(0, 0);
     let scratch = scratches
         .entry(program.id())
@@ -939,17 +908,18 @@ impl DecodeService {
         })
     }
 
-    /// The service's unified telemetry registry: per-stage spans
-    /// (`service.stage.batcher_wait` / `decode` / `delivery`), mirrors of
-    /// every legacy counter, and anything a host registers alongside.
-    /// Cloning is cheap; clones observe the same metrics. A no-op registry
-    /// when the service was configured with telemetry disabled.
+    /// The service's telemetry registry: per-stage spans
+    /// (`service.stage.batcher_wait` / `decode` / `delivery`), the
+    /// `service.*` cells [`ServiceMetrics`] is read from, and anything a
+    /// host registers alongside. Cloning is cheap; clones observe the same
+    /// metrics. A no-op registry when the service was configured with
+    /// telemetry disabled.
     pub fn telemetry(&self) -> Registry {
         self.shared.telemetry.clone()
     }
 
-    /// A deterministic point-in-time snapshot of the unified telemetry
-    /// registry (empty when telemetry is disabled).
+    /// A deterministic point-in-time snapshot of the telemetry registry
+    /// (empty when telemetry is disabled).
     pub fn telemetry_snapshot(&self) -> RegistrySnapshot {
         self.shared.telemetry.snapshot()
     }
@@ -1141,24 +1111,6 @@ impl StreamSender {
         self.submit_batch_inner(FrameBatch::Indices(frames), true)
     }
 
-    /// [`StreamSender::submit_batch`] for frames already in the
-    /// detector-major **packed** wire format (bit `d` = detector `d` fired,
-    /// `ceil(num_detectors / 64)` words per frame — what
-    /// [`qccd_sim::SyndromeChunk::packed_frame_into`] produces). Packed
-    /// ingestion is a word-level copy per frame.
-    ///
-    /// # Errors
-    ///
-    /// As [`StreamSender::submit_batch`]; a frame with the wrong word count
-    /// or with out-of-range detector bits set is rejected
-    /// ([`ServiceError::DetectorOutOfRange`]) before anything is submitted.
-    pub fn submit_packed_batch(
-        &self,
-        frames: &[&[u64]],
-    ) -> Result<std::ops::Range<u64>, ServiceError> {
-        self.submit_batch_inner(FrameBatch::Packed(frames), true)
-    }
-
     /// [`StreamSender::submit_batch`] for **shot-major** [`WordBlock`]s:
     /// pre-transposed 64-shot words the batcher ingests with a shift-OR per
     /// detector instead of a per-frame bit scatter — the fastest path
@@ -1240,21 +1192,21 @@ impl StreamSender {
         let now = Instant::now();
         let mut state = self.shard.state.lock().expect("program shard lock");
         match burst {
-            FrameBatch::Indices(_) | FrameBatch::Packed(_) => {
-                let total = burst.shots();
-                let mut index = 0;
-                while index < total {
+            FrameBatch::Indices(mut frames) => {
+                while !frames.is_empty() {
                     let batch = self.ensure_pending(&mut state, now);
                     // One frame run (and one bookkeeping record) per
                     // flush-bounded segment, not per frame.
-                    let segment =
-                        (total - index).min(flush_shots - batch.parts.builder.pending_frames());
-                    for i in index..index + segment {
-                        burst.push_into(i, &mut batch.parts.builder);
+                    let segment = frames
+                        .len()
+                        .min(flush_shots - batch.parts.builder.pending_frames());
+                    let (head, rest) = frames.split_at(segment);
+                    for fired in head {
+                        batch.parts.builder.push_frame(fired);
                     }
+                    frames = rest;
                     push_run(&mut batch.parts.runs, &self.core, seq, segment as u32, now);
                     seq += segment as u64;
-                    index += segment;
                     if batch.parts.builder.pending_frames() >= flush_shots {
                         shared.flush_shard(&self.shard, &mut state, FlushCause::FullWord);
                     }
@@ -1501,6 +1453,31 @@ mod tests {
         assert_eq!(metrics.queue_depth, 0);
         assert!(metrics.words_flushed >= 5);
         assert!(metrics.p50_latency_us > 0.0);
+        service.shutdown();
+    }
+
+    #[test]
+    fn metrics_keep_counting_with_telemetry_disabled() {
+        let service = DecodeService::new(
+            ServiceConfig::default()
+                .with_flush_deadline(Duration::from_micros(50))
+                .with_telemetry(TelemetryConfig::disabled()),
+        );
+        let mut handle = service
+            .open_stream_circuit("quiet", &mirror_circuit(), DecoderKind::UnionFind)
+            .unwrap();
+        for _ in 0..70 {
+            handle.submit(&[0]).unwrap();
+        }
+        for _ in 0..70 {
+            handle.recv().expect("correction");
+        }
+        let metrics = service.metrics();
+        assert_eq!(metrics.frames_submitted, 70);
+        assert_eq!(metrics.frames_completed, 70);
+        assert_eq!(metrics.queue_depth, 0);
+        assert!(metrics.p50_latency_us > 0.0);
+        assert!(service.telemetry_snapshot().is_empty());
         service.shutdown();
     }
 

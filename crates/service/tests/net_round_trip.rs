@@ -6,6 +6,7 @@
 use std::time::Duration;
 
 use qccd_decoder::DecoderKind;
+use qccd_service::net::MAX_LINE_BYTES;
 use qccd_service::{loadgen, LoadgenOptions, NetClient, NetServer, ServiceConfig};
 use serde_json::Value;
 
@@ -325,6 +326,66 @@ fn malformed_flips_are_protocol_errors_not_reader_panics() {
         stream.corrections.try_recv().is_err(),
         "refused lines deliver nothing"
     );
+    drop(client);
+    fake.join().expect("fake server thread");
+}
+
+/// A peer that never sends a newline is cut off at the line cap — told why,
+/// then disconnected — instead of growing the server's line buffer without
+/// bound; other connections are untouched.
+#[test]
+fn an_endless_line_is_refused_and_closes_only_its_connection() {
+    use std::io::{Read, Write};
+
+    let server =
+        NetServer::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind ephemeral port");
+    let addr = server.local_addr().expect("bound address").to_string();
+    let running = std::thread::spawn(move || server.run());
+
+    let mut hostile = std::net::TcpStream::connect(&addr).expect("raw connection");
+    hostile
+        .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+        .expect("the server reads up to one byte past the cap");
+    let mut answer = String::new();
+    hostile
+        .read_to_string(&mut answer)
+        .expect("error line, then the server hangs up");
+    assert_eq!(
+        answer,
+        format!("{{\"error\":\"line exceeds {MAX_LINE_BYTES} bytes\",\"ok\":false}}\n")
+    );
+
+    let mut client = NetClient::connect(&addr).expect("second connection");
+    client.ping().expect("the server still answers");
+    client.shutdown_server().expect("shutdown");
+    running.join().expect("server thread").expect("clean exit");
+}
+
+/// The client's reader applies the same cap to server lines: it records a
+/// protocol error and stops, so a pending command fails instead of the
+/// client buffering forever.
+#[test]
+fn an_endless_server_line_stops_the_client_reader() {
+    use std::io::{Read, Write};
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().expect("bound address").to_string();
+    let fake = std::thread::spawn(move || {
+        let (mut socket, _) = listener.accept().expect("client connects");
+        socket
+            .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+            .expect("the client reads up to one byte past the cap");
+        // Hold the socket open until the client hangs up, so it is the cap
+        // and not end-of-stream that stops the reader.
+        let mut rest = Vec::new();
+        let _ = socket.read_to_end(&mut rest);
+    });
+
+    let mut client = NetClient::connect(&addr).expect("connect");
+    assert!(client.ping().is_err(), "the reader is gone");
+    let errors = client.take_protocol_errors();
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    assert!(errors[0].contains("exceeds"), "{errors:?}");
     drop(client);
     fake.join().expect("fake server thread");
 }

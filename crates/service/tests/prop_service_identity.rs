@@ -57,7 +57,7 @@ proptest! {
     /// The satellite contract: per-stream corrections from the service are
     /// bit-identical to offline `decode_batch` on the same frames, across
     /// stream counts, deadlines, coalescing, worker counts and wire modes
-    /// (per-shot packed frames vs pre-transposed shot-major word blocks).
+    /// (per-shot index frames vs pre-transposed shot-major word blocks).
     /// The loadgen asserts ordered, complete delivery internally and
     /// counts mismatches.
     #[test]
@@ -109,8 +109,8 @@ proptest! {
 }
 
 /// Builder-ingested frames decode identically to the sampler's own chunks:
-/// the frame-transpose path of `qccd_sim::SyndromeChunkBuilder` feeds the
-/// decoder the same bits the offline pipeline sees.
+/// `qccd_sim::SyndromeChunkBuilder::push_frame` feeds the decoder the same
+/// bits the offline pipeline sees.
 #[test]
 fn builder_chunks_decode_identically_to_sampled_chunks() {
     let circuit = noisy_parity_circuit(0.15);
@@ -141,9 +141,9 @@ fn builder_chunks_decode_identically_to_sampled_chunks() {
     }
 }
 
-/// Telemetry at full sampling (every span timed, every counter mirrored)
-/// must stay an observer: corrections remain bit-identical to the offline
-/// decode, and the run leaves non-zero per-stage telemetry behind.
+/// Telemetry at full sampling (every span timed) must stay an observer:
+/// corrections remain bit-identical to the offline decode, and the run
+/// leaves non-zero per-stage telemetry behind.
 #[test]
 fn full_sampling_telemetry_preserves_bit_identity() {
     let circuit = noisy_parity_circuit(0.12);

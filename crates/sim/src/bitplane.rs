@@ -122,6 +122,19 @@ impl BitPlanes {
             .sum()
     }
 
+    /// Re-lays every plane at `words_per_plane` words: a wider plane is
+    /// zero-extended, a narrower one keeps its leading words.
+    pub fn relay(&mut self, words_per_plane: usize) {
+        let keep = self.words_per_plane.min(words_per_plane);
+        let mut data = Vec::with_capacity(self.num_planes() * words_per_plane);
+        for index in 0..self.num_planes() {
+            data.extend_from_slice(&self.plane(index)[..keep]);
+            data.resize((index + 1) * words_per_plane, 0);
+        }
+        self.words_per_plane = words_per_plane;
+        self.data = data;
+    }
+
     /// Drops all planes, keeping the allocation.
     pub fn clear(&mut self) {
         self.data.clear();
@@ -155,6 +168,22 @@ mod tests {
         arena.push_plane(&[5, 6]);
         assert_eq!(arena.column(0).collect::<Vec<_>>(), vec![1, 3, 5]);
         assert_eq!(arena.column(1).collect::<Vec<_>>(), vec![2, 4, 6]);
+    }
+
+    #[test]
+    fn relay_widens_with_zeros_and_narrows_to_the_leading_words() {
+        let mut arena = BitPlanes::new(2);
+        arena.push_plane(&[1, 2]);
+        arena.push_plane(&[3, 4]);
+        arena.relay(3);
+        assert_eq!(arena.num_planes(), 2);
+        assert_eq!(arena.plane(0), &[1, 2, 0]);
+        assert_eq!(arena.plane(1), &[3, 4, 0]);
+        arena.relay(1);
+        assert_eq!(arena.plane(0), &[1]);
+        assert_eq!(arena.plane(1), &[3]);
+        arena.relay(0);
+        assert_eq!(arena, BitPlanes::zeroed(2, 0));
     }
 
     #[test]

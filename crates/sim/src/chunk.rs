@@ -1,12 +1,11 @@
 //! Chunked, streaming detector sampling.
 //!
-//! [`sample_detectors`](crate::sample_detectors) materialises every shot of
-//! an experiment at once, so its peak memory is `O(shots × measurements)`.
-//! The chunked API bounds peak memory by the chunk size instead: a
-//! [`DetectorChunkSampler`] describes the whole experiment but samples one
-//! [`SyndromeChunk`] of shots at a time, each holding only bit-packed
-//! *detector* and *observable* planes (measurement planes live just long
-//! enough to be folded into the chunk).
+//! Materialising every shot of an experiment at once costs
+//! `O(shots × measurements)` memory. The chunked API bounds peak memory by
+//! the chunk size instead: a [`DetectorChunkSampler`] describes the whole
+//! experiment but samples one [`SyndromeChunk`] of shots at a time, each
+//! holding only bit-packed *detector* and *observable* planes (measurement
+//! planes live just long enough to be folded into the chunk).
 //!
 //! # Determinism
 //!
@@ -164,31 +163,6 @@ impl SyndromeChunk {
         }
     }
 
-    /// Number of `u64` words a detector-major packed frame of this chunk
-    /// occupies (`ceil(num_detectors / 64)`).
-    pub fn frame_words(&self) -> usize {
-        self.num_detectors.div_ceil(64)
-    }
-
-    /// Extracts one shot as a **detector-major packed frame** into `out`
-    /// (cleared and resized to [`SyndromeChunk::frame_words`] first): bit
-    /// `d` of the frame is set iff detector `d` fired in the shot. This is
-    /// the wire format streaming clients replay into a
-    /// [`SyndromeChunkBuilder`] — the transpose of the chunk's shot-major
-    /// bit planes.
-    pub fn packed_frame_into(&self, shot: usize, out: &mut Vec<u64>) {
-        assert!(shot < self.num_shots, "shot {shot} out of range");
-        out.clear();
-        out.resize(self.frame_words(), 0);
-        let word = shot / 64;
-        let bit = shot % 64;
-        for d in 0..self.num_detectors {
-            if (self.detectors.plane(d)[word] >> bit) & 1 == 1 {
-                out[d / 64] |= 1u64 << (d % 64);
-            }
-        }
-    }
-
     /// Extracts one 64-shot word of the chunk as a **shot-major word
     /// block** into `out` (cleared first): one `u64` per detector, bit `s`
     /// of word `d` set iff detector `d` fired in shot
@@ -251,49 +225,35 @@ impl SyndromeChunk {
 }
 
 /// Incremental frame ingestion: packs a stream of per-shot syndromes
-/// (arriving one *frame* at a time, as from a real-time decoder client) into
-/// the bit-plane [`SyndromeChunk`] layout batch decoders consume.
+/// (arriving as from a real-time decoder client) into the bit-plane
+/// [`SyndromeChunk`] layout batch decoders consume.
 ///
-/// Frames are detector-major — either a fired-detector index list
-/// ([`SyndromeChunkBuilder::push_frame`]) or a packed `u64` bitmap with bit
-/// `d` = "detector `d` fired" ([`SyndromeChunkBuilder::push_packed_frame`],
-/// the transpose of [`SyndromeChunk::packed_frame_into`]). `finish` performs
-/// the frame→plane transpose; shot order within the produced chunk is the
-/// ingestion order. Observable planes are left zeroed: an online client does
-/// not know the logical frame — that is what the decoder predicts.
+/// The builder *is* the detector planes of the chunk under construction:
+/// every push writes where the decoder will read, and `finish` hands the
+/// planes over. Shot order within the produced chunk is the ingestion order.
+/// Two vocabularies interleave freely within one batch:
 ///
-/// Shot-major clients can instead ship whole pre-transposed 64-shot word
-/// blocks ([`SyndromeChunkBuilder::push_word_block`], the transpose of
-/// [`SyndromeChunk::word_block_into`]): one `u64` per detector with bit `s` =
-/// "shot `s` fired detector `d`". `finish` folds those in with two shift-OR
-/// ops per detector instead of a per-frame bit scatter, and the two ingestion
-/// styles interleave freely within one batch.
+/// * [`SyndromeChunkBuilder::push_frame`] — one shot as a fired-detector
+///   index list: one bit set per fired detector;
+/// * [`SyndromeChunkBuilder::push_word_block`] — up to 64 pre-transposed
+///   shots, one `u64` per detector with bit `s` = "shot `s` fired detector
+///   `d`" (the transpose of [`SyndromeChunk::word_block_into`]): one shift-OR
+///   per non-zero plane word, two when the block straddles a word boundary.
 ///
-/// The builder is reusable: `finish` drains the pending frames and the
-/// builder keeps its allocations for the next batch.
+/// Observable planes are left zeroed: an online client does not know the
+/// logical frame — that is what the decoder predicts.
+///
+/// Planes start one word (64 shots) wide and double on demand. The builder
+/// is reusable: `finish` leaves zeroed planes of the width reached, so a
+/// recycled builder ingests its next batch without allocating.
 #[derive(Debug, Clone)]
 pub struct SyndromeChunkBuilder {
     num_detectors: usize,
     num_observables: usize,
-    frame_words: usize,
-    /// Row-major packed frames, `frame_words` words per frame.
-    rows: Vec<u64>,
-    /// Shot-major word blocks, `num_detectors` words per block.
-    blocks: Vec<u64>,
-    /// Ingestion order across the two storage arenas.
-    segments: Vec<Segment>,
+    /// Detector planes of the chunk under construction; all zero beyond the
+    /// pending frames.
+    planes: BitPlanes,
     num_frames: usize,
-}
-
-/// One contiguous run of same-layout frames inside the builder.
-#[derive(Debug, Clone, Copy)]
-enum Segment {
-    /// `count` detector-major frames starting at frame index `start` of
-    /// `rows`.
-    Rows { start: usize, count: usize },
-    /// `count` shots of one shot-major word block starting at word index
-    /// `base` of `blocks`.
-    Block { base: usize, count: usize },
 }
 
 impl SyndromeChunkBuilder {
@@ -303,23 +263,9 @@ impl SyndromeChunkBuilder {
         SyndromeChunkBuilder {
             num_detectors,
             num_observables,
-            frame_words: num_detectors.div_ceil(64),
-            rows: Vec::new(),
-            blocks: Vec::new(),
-            segments: Vec::new(),
+            planes: BitPlanes::zeroed(num_detectors, 1),
             num_frames: 0,
         }
-    }
-
-    /// Records `count` more detector-major frames, merging into the tail
-    /// segment when it is already a `Rows` run.
-    fn note_rows(&mut self, start: usize, count: usize) {
-        if let Some(Segment::Rows { count: tail, .. }) = self.segments.last_mut() {
-            *tail += count;
-        } else {
-            self.segments.push(Segment::Rows { start, count });
-        }
-        self.num_frames += count;
     }
 
     /// Number of detectors per frame.
@@ -337,6 +283,14 @@ impl SyndromeChunkBuilder {
         self.num_frames == 0
     }
 
+    /// Widens the planes, to the next power of two words, once `shots` shots
+    /// no longer fit.
+    fn reserve_shots(&mut self, shots: usize) {
+        if shots > self.planes.words_per_plane() * 64 {
+            self.planes.relay(shots.div_ceil(64).next_power_of_two());
+        }
+    }
+
     /// Ingests one frame as a fired-detector index list (indices out of
     /// range are rejected).
     ///
@@ -344,34 +298,13 @@ impl SyndromeChunkBuilder {
     ///
     /// Panics if any index is `>= num_detectors`.
     pub fn push_frame(&mut self, fired: &[usize]) {
-        let frame = self.rows.len() / self.frame_words;
-        let start = self.rows.len();
-        self.rows.resize(start + self.frame_words, 0);
+        self.reserve_shots(self.num_frames + 1);
+        let (word, bit) = (self.num_frames / 64, self.num_frames % 64);
         for &d in fired {
             assert!(d < self.num_detectors, "detector {d} out of range");
-            self.rows[start + d / 64] |= 1u64 << (d % 64);
+            self.planes.plane_mut(d)[word] |= 1u64 << bit;
         }
-        self.note_rows(frame, 1);
-    }
-
-    /// Ingests one packed frame (bit `d` = detector `d` fired). The slice
-    /// must hold exactly `ceil(num_detectors / 64)` words; bits beyond
-    /// `num_detectors` in the final word must be clear.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a wrong word count or set out-of-range bits.
-    pub fn push_packed_frame(&mut self, packed: &[u64]) {
-        assert_eq!(packed.len(), self.frame_words, "wrong frame word count");
-        if !self.num_detectors.is_multiple_of(64) {
-            if let Some(&last) = packed.last() {
-                let valid = (1u64 << (self.num_detectors % 64)) - 1;
-                assert_eq!(last & !valid, 0, "frame sets out-of-range detector bits");
-            }
-        }
-        let frame = self.rows.len() / self.frame_words;
-        self.rows.extend_from_slice(packed);
-        self.note_rows(frame, 1);
+        self.num_frames += 1;
     }
 
     /// Ingests a **shot-major word block**: `planes` holds exactly
@@ -379,9 +312,6 @@ impl SyndromeChunkBuilder {
     /// fired detector `d`", carrying `count` shots (1..=64). Bits at or
     /// above `count` must be clear in every word — the builder trusts the
     /// block's lane occupancy verbatim.
-    ///
-    /// This is the zero-transpose ingestion path: `finish` ORs each plane
-    /// word straight into the chunk's bit planes.
     ///
     /// # Panics
     ///
@@ -400,70 +330,48 @@ impl SyndromeChunkBuilder {
                 "block sets out-of-range shot bits"
             );
         }
-        let base = self.blocks.len();
-        self.blocks.extend_from_slice(planes);
-        self.segments.push(Segment::Block { base, count });
+        self.reserve_shots(self.num_frames + count);
+        let (word, bit) = (self.num_frames / 64, self.num_frames % 64);
+        let straddles = bit + count > 64;
+        for (d, &bits) in planes.iter().enumerate() {
+            if bits == 0 {
+                continue;
+            }
+            let plane = self.planes.plane_mut(d);
+            plane[word] |= bits << bit;
+            if straddles {
+                plane[word + 1] |= bits >> (64 - bit);
+            }
+        }
         self.num_frames += count;
     }
 
-    /// Transposes the pending frames into a [`SyndromeChunk`] (shot `s` of
-    /// the chunk is the `s`-th ingested frame; observables zeroed) and
-    /// resets the builder for the next batch. `chunk_index` and
-    /// `shot_offset` are recorded verbatim for the caller's bookkeeping.
+    /// Hands the pending frames over as a [`SyndromeChunk`] (shot `s` of the
+    /// chunk is the `s`-th ingested frame; observables zeroed) and resets
+    /// the builder for the next batch. `chunk_index` and `shot_offset` are
+    /// recorded verbatim for the caller's bookkeeping.
     pub fn finish(&mut self, chunk_index: usize, shot_offset: usize) -> SyndromeChunk {
-        let mut chunk = SyndromeChunk::zeroed(
+        let num_shots = std::mem::take(&mut self.num_frames);
+        let words = num_shots.div_ceil(64);
+        let width = self.planes.words_per_plane();
+        let mut detectors = std::mem::replace(
+            &mut self.planes,
+            BitPlanes::zeroed(self.num_detectors, width),
+        );
+        if words != width {
+            // A batch flushed below the width reached (deadline or close).
+            detectors.relay(words);
+        }
+        SyndromeChunk {
             chunk_index,
             shot_offset,
-            self.num_frames,
-            self.num_detectors,
-            self.num_observables,
-        );
-        let mut shot = 0usize;
-        for &segment in &self.segments {
-            match segment {
-                Segment::Rows { start, count } => {
-                    for i in 0..count {
-                        let frame = start + i;
-                        let row =
-                            &self.rows[frame * self.frame_words..(frame + 1) * self.frame_words];
-                        let (word, bit) = (shot / 64, shot % 64);
-                        for (w, &bits) in row.iter().enumerate() {
-                            let mut rest = bits;
-                            while rest != 0 {
-                                let d = w * 64 + rest.trailing_zeros() as usize;
-                                rest &= rest - 1;
-                                chunk.detectors.plane_mut(d)[word] |= 1u64 << bit;
-                            }
-                        }
-                        shot += 1;
-                    }
-                }
-                Segment::Block { base, count } => {
-                    // Shot-major fast path: each plane word lands with one
-                    // shift-OR (two when the block straddles a word
-                    // boundary) — no per-frame bit scatter.
-                    let (word, bit) = (shot / 64, shot % 64);
-                    let planes = &self.blocks[base..base + self.num_detectors];
-                    for (d, &bits) in planes.iter().enumerate() {
-                        if bits == 0 {
-                            continue;
-                        }
-                        let plane = chunk.detectors.plane_mut(d);
-                        plane[word] |= bits << bit;
-                        if bit != 0 && bit + count > 64 {
-                            plane[word + 1] |= bits >> (64 - bit);
-                        }
-                    }
-                    shot += count;
-                }
-            }
+            num_shots,
+            num_detectors: self.num_detectors,
+            num_observables: self.num_observables,
+            words,
+            detectors,
+            observables: BitPlanes::zeroed(self.num_observables, words),
         }
-        debug_assert_eq!(shot, self.num_frames);
-        self.rows.clear();
-        self.blocks.clear();
-        self.segments.clear();
-        self.num_frames = 0;
-        chunk
     }
 }
 
@@ -646,7 +554,7 @@ impl<'c> DetectorChunkSampler<'c> {
     }
 }
 
-/// Convenience constructor mirroring [`crate::sample_detectors`]: a chunked
+/// Convenience constructor for [`DetectorChunkSampler::new`]: a chunked
 /// sampler whose peak memory is `O(chunk_shots × detectors)` instead of
 /// `O(total_shots × measurements)`.
 ///
@@ -775,72 +683,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_frames_round_trip_through_the_builder() {
-        let circuit = noisy_single_qubit(0.5);
-        let sampler = sample_detector_chunks(&circuit, 130, 3, 256).unwrap();
-        let chunk = sampler.sample_chunk(0);
-        let mut builder = SyndromeChunkBuilder::new(chunk.num_detectors(), 1);
-        let mut packed = Vec::new();
-        for shot in 0..chunk.num_shots() {
-            chunk.packed_frame_into(shot, &mut packed);
-            builder.push_packed_frame(&packed);
-        }
-        assert_eq!(builder.pending_frames(), chunk.num_shots());
-        let rebuilt = builder.finish(7, 42);
-        assert_eq!(rebuilt.chunk_index(), 7);
-        assert_eq!(rebuilt.shot_offset(), 42);
-        assert_eq!(rebuilt.num_shots(), chunk.num_shots());
-        for shot in 0..chunk.num_shots() {
-            assert_eq!(
-                rebuilt.detector_fired(shot, 0),
-                chunk.detector_fired(shot, 0)
-            );
-            // Observables stay zeroed: online clients don't know the frame.
-            assert!(!rebuilt.observable_flipped(shot, 0));
-        }
-        // The builder is reusable and empty again.
-        assert!(builder.is_empty());
-        assert_eq!(builder.finish(0, 0).num_shots(), 0);
-    }
-
-    #[test]
-    fn builder_index_and_packed_frames_agree_across_word_boundaries() {
-        // 70 detectors so frames span two words; 70 frames so the chunk's
-        // shot planes span two words as well.
-        let num_detectors = 70;
-        let mut by_index = SyndromeChunkBuilder::new(num_detectors, 2);
-        let mut by_packed = SyndromeChunkBuilder::new(num_detectors, 2);
-        let mut frames = Vec::new();
-        for s in 0..70usize {
-            let fired: Vec<usize> = (0..num_detectors)
-                .filter(|d| (d * 7 + s) % 9 == 0)
-                .collect();
-            by_index.push_frame(&fired);
-            let mut packed = vec![0u64; 2];
-            for &d in &fired {
-                packed[d / 64] |= 1 << (d % 64);
-            }
-            by_packed.push_packed_frame(&packed);
-            frames.push(fired);
-        }
-        let a = by_index.finish(0, 0);
-        let b = by_packed.finish(0, 0);
-        assert_eq!(a, b);
-        let mut fired = Vec::new();
-        for (s, expected) in frames.iter().enumerate() {
-            a.fired_detectors_into(s, &mut fired);
-            assert_eq!(&fired, expected, "shot {s}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out-of-range")]
-    fn builder_rejects_out_of_range_packed_bits() {
-        let mut builder = SyndromeChunkBuilder::new(3, 1);
-        builder.push_packed_frame(&[0b1000]);
-    }
-
-    #[test]
     fn word_blocks_round_trip_through_the_builder() {
         let circuit = noisy_single_qubit(0.5);
         let sampler = sample_detector_chunks(&circuit, 130, 3, 256).unwrap();
@@ -853,7 +695,10 @@ mod tests {
             builder.push_word_block(&planes, count);
         }
         assert_eq!(builder.pending_frames(), chunk.num_shots());
-        let rebuilt = builder.finish(0, 0);
+        let rebuilt = builder.finish(7, 42);
+        assert_eq!(rebuilt.chunk_index(), 7);
+        assert_eq!(rebuilt.shot_offset(), 42);
+        assert_eq!(rebuilt.num_shots(), chunk.num_shots());
         for shot in 0..chunk.num_shots() {
             for d in 0..chunk.num_detectors() {
                 assert_eq!(
@@ -862,13 +707,18 @@ mod tests {
                     "shot {shot} detector {d}"
                 );
             }
+            // Observables stay zeroed: online clients don't know the frame.
+            assert!(!rebuilt.observable_flipped(shot, 0));
         }
+        // The builder is reusable and empty again.
+        assert!(builder.is_empty());
+        assert_eq!(builder.finish(0, 0).num_shots(), 0);
     }
 
     #[test]
     fn word_blocks_and_frames_interleave_across_word_boundaries() {
         // 70 detectors, and a block pushed at shot offset 37 so it
-        // straddles the chunk's 64-shot word boundary in `finish`.
+        // straddles the chunk's 64-shot word boundary.
         let num_detectors = 70;
         let fired_in = |s: usize| -> Vec<usize> {
             (0..num_detectors)
@@ -900,23 +750,25 @@ mod tests {
     }
 
     #[test]
-    fn word_block_into_matches_packed_frames() {
+    fn word_block_into_matches_fired_detectors() {
         let circuit = noisy_single_qubit(0.4);
         let sampler = sample_detector_chunks(&circuit, 100, 9, 256).unwrap();
         let chunk = sampler.sample_chunk(0);
         let mut planes = Vec::new();
-        let mut packed = Vec::new();
+        let mut fired = Vec::new();
         for word in 0..chunk.words() {
             chunk.word_block_into(word, &mut planes);
             assert_eq!(planes.len(), chunk.num_detectors());
             let count = (chunk.num_shots() - word * 64).min(64);
             for s in 0..count {
                 let shot = word * 64 + s;
-                chunk.packed_frame_into(shot, &mut packed);
-                for d in 0..chunk.num_detectors() {
-                    let from_block = planes[d] >> s & 1 == 1;
-                    let from_frame = packed[d / 64] >> (d % 64) & 1 == 1;
-                    assert_eq!(from_block, from_frame, "shot {shot} detector {d}");
+                chunk.fired_detectors_into(shot, &mut fired);
+                for (d, &plane) in planes.iter().enumerate() {
+                    assert_eq!(
+                        plane >> s & 1 == 1,
+                        fired.contains(&d),
+                        "shot {shot} detector {d}"
+                    );
                 }
             }
         }

@@ -16,19 +16,20 @@
 //! * [`DetectorErrorModel`] — per-mechanism symptom extraction (which
 //!   detectors and observables each elementary fault flips), consumed by the
 //!   decoders in `qccd-decoder`;
-//! * [`sample_detectors`] / [`verify_detectors`] — the high-level API;
+//! * [`verify_detectors`] — checks detector determinism on the tableau
+//!   simulator;
 //! * [`sample_detector_chunks`] / [`DetectorChunkSampler`] — the chunked,
-//!   streaming API: peak memory bounded by the chunk size, deterministic
-//!   per-block seeds (bit-identical outcomes for a fixed `(shots, seed)`
-//!   regardless of chunk size or thread count), `&self` sampling so chunks
-//!   can be produced from many threads at once. All bit-planes live in flat
-//!   [`BitPlanes`] arenas.
+//!   streaming sampling API: peak memory bounded by the chunk size,
+//!   deterministic per-block seeds (bit-identical outcomes for a fixed
+//!   `(shots, seed)` regardless of chunk size or thread count), `&self`
+//!   sampling so chunks can be produced from many threads at once. All
+//!   bit-planes live in flat [`BitPlanes`] arenas.
 //!
 //! # Example
 //!
 //! ```
 //! use qccd_circuit::{Detector, Instruction, LogicalObservable, MeasurementRef, QubitId};
-//! use qccd_sim::{sample_detectors, verify_detectors, NoiseChannel, NoisyCircuit};
+//! use qccd_sim::{sample_detector_chunks, verify_detectors, NoiseChannel, NoisyCircuit};
 //!
 //! // A single qubit that is reset, possibly flipped, and measured.
 //! let q = QubitId::new(0);
@@ -40,8 +41,10 @@
 //! circuit.add_observable(LogicalObservable::new(vec![MeasurementRef::new(q, 0)]));
 //!
 //! verify_detectors(&circuit, &[0, 1])?;
-//! let samples = sample_detectors(&circuit, 4096, 7).expect("annotations are valid");
-//! let rate = samples.detector_fire_counts()[0] as f64 / samples.num_shots() as f64;
+//! let sampler = sample_detector_chunks(&circuit, 4096, 7, 4096).expect("annotations are valid");
+//! let samples = sampler.sample_chunk(0);
+//! let fired: u32 = samples.detector_plane(0).iter().map(|w| w.count_ones()).sum();
+//! let rate = f64::from(fired) / samples.num_shots() as f64;
 //! assert!((rate - 0.25).abs() < 0.05);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -67,5 +70,5 @@ pub use dem::{DemError, DetectorErrorModel};
 pub use frame::FrameSampler;
 pub use noisy_circuit::{NoiseChannel, NoisyCircuit, NoisyOp, ResolvedAnnotations};
 pub use rare_event::{bias_circuit, BiasedCircuit, MAX_BIASED_PROBABILITY};
-pub use sampler::{sample_detectors, verify_detectors, DetectorSamples, VerificationError};
+pub use sampler::{verify_detectors, VerificationError};
 pub use tableau::TableauSimulator;

@@ -1,93 +1,11 @@
-//! High-level sampling API.
-//!
-//! This module glues the pieces together:
-//!
-//! * [`verify_detectors`] uses the exact tableau simulator to confirm that
-//!   every detector of a circuit has even parity when executed without
-//!   noise (the defining property of a detector);
-//! * [`sample_detectors`] runs the batch Pauli-frame sampler and returns
-//!   per-shot detector events and logical-observable flips, bit-packed.
-
-use serde::{Deserialize, Serialize};
+//! Detector verification: [`verify_detectors`] uses the exact tableau
+//! simulator to confirm that every detector of a circuit has even parity
+//! when executed without noise (the defining property of a detector).
+//! Sampling lives in [`sample_detector_chunks`](crate::sample_detector_chunks).
 
 use qccd_circuit::MeasurementRef;
 
-use crate::{BitPlanes, FrameSampler, NoisyCircuit, NoisyOp, TableauSimulator};
-
-/// Bit-packed detector and observable outcomes for a batch of shots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DetectorSamples {
-    num_shots: usize,
-    num_detectors: usize,
-    num_observables: usize,
-    /// Detector bit-planes: bit `s % 64` of word `s / 64` of plane `d` is
-    /// detector `d`'s outcome in shot `s`.
-    detectors: BitPlanes,
-    /// Same layout for logical observables.
-    observables: BitPlanes,
-}
-
-impl DetectorSamples {
-    /// Number of shots sampled.
-    pub fn num_shots(&self) -> usize {
-        self.num_shots
-    }
-
-    /// Number of detectors per shot.
-    pub fn num_detectors(&self) -> usize {
-        self.num_detectors
-    }
-
-    /// Number of logical observables per shot.
-    pub fn num_observables(&self) -> usize {
-        self.num_observables
-    }
-
-    /// Whether detector `detector` fired in shot `shot`.
-    pub fn detector_fired(&self, shot: usize, detector: usize) -> bool {
-        self.detectors.bit(detector, shot)
-    }
-
-    /// Whether observable `observable` was flipped in shot `shot`.
-    pub fn observable_flipped(&self, shot: usize, observable: usize) -> bool {
-        self.observables.bit(observable, shot)
-    }
-
-    /// The bit-plane of one detector.
-    pub fn detector_plane(&self, detector: usize) -> &[u64] {
-        self.detectors.plane(detector)
-    }
-
-    /// The bit-plane of one observable.
-    pub fn observable_plane(&self, observable: usize) -> &[u64] {
-        self.observables.plane(observable)
-    }
-
-    /// The indices of all detectors that fired in a shot.
-    pub fn fired_detectors(&self, shot: usize) -> Vec<usize> {
-        (0..self.num_detectors)
-            .filter(|&d| self.detector_fired(shot, d))
-            .collect()
-    }
-
-    /// Number of shots in which each detector fired.
-    pub fn detector_fire_counts(&self) -> Vec<usize> {
-        (0..self.num_detectors)
-            .map(|d| self.detectors.count_ones(d))
-            .collect()
-    }
-
-    /// Number of shots in which the given observable flipped.
-    pub fn observable_flip_count(&self, observable: usize) -> usize {
-        self.observables.count_ones(observable)
-    }
-
-    /// Average number of fired detectors per shot.
-    pub fn mean_detection_events(&self) -> f64 {
-        let total: usize = self.detector_fire_counts().iter().sum();
-        total as f64 / self.num_shots as f64
-    }
-}
+use crate::{NoisyCircuit, NoisyOp, TableauSimulator};
 
 /// Problems found while verifying a circuit's detectors.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,47 +74,28 @@ pub fn verify_detectors(circuit: &NoisyCircuit, seeds: &[u64]) -> Result<(), Ver
     Ok(())
 }
 
-/// Samples `num_shots` executions of a noisy circuit and returns the
-/// detector events and logical-observable flips.
-///
-/// # Errors
-///
-/// Returns the first dangling [`MeasurementRef`] if an annotation references
-/// a measurement that does not exist.
-pub fn sample_detectors(
-    circuit: &NoisyCircuit,
-    num_shots: usize,
-    seed: u64,
-) -> Result<DetectorSamples, MeasurementRef> {
-    let (detectors, observables) = circuit.resolve_annotations()?;
-    let mut sampler = FrameSampler::new(circuit.num_qubits(), num_shots, seed);
-    sampler.run(circuit);
-    let words = num_shots.div_ceil(64);
-
-    let combine = |annotations: &[Vec<usize>]| -> BitPlanes {
-        let mut planes = BitPlanes::zeroed(annotations.len(), words);
-        for (index, measurement_indices) in annotations.iter().enumerate() {
-            for &m in measurement_indices {
-                planes.xor_plane(index, sampler.measurement_plane(m));
-            }
-        }
-        planes
-    };
-
-    Ok(DetectorSamples {
-        num_shots,
-        num_detectors: detectors.len(),
-        num_observables: observables.len(),
-        detectors: combine(&detectors),
-        observables: combine(&observables),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NoiseChannel;
+    use crate::{sample_detector_chunks, NoiseChannel, SyndromeChunk};
     use qccd_circuit::{Detector, Instruction, LogicalObservable, QubitId};
+
+    /// Every shot as one chunk.
+    fn sample(circuit: &NoisyCircuit, shots: usize, seed: u64) -> SyndromeChunk {
+        sample_detector_chunks(circuit, shots, seed, shots)
+            .unwrap()
+            .sample_chunk(0)
+    }
+
+    fn popcount(plane: &[u64]) -> usize {
+        plane.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    fn detector_fire_counts(samples: &SyndromeChunk) -> Vec<usize> {
+        (0..samples.num_detectors())
+            .map(|d| popcount(samples.detector_plane(d)))
+            .collect()
+    }
 
     fn q(i: u32) -> QubitId {
         QubitId::new(i)
@@ -259,11 +158,10 @@ mod tests {
     #[test]
     fn noiseless_sampling_fires_nothing() {
         let circuit = tiny_parity_circuit(0.0);
-        let samples = sample_detectors(&circuit, 500, 1).unwrap();
+        let samples = sample(&circuit, 500, 1);
         assert_eq!(samples.num_shots(), 500);
-        assert_eq!(samples.detector_fire_counts(), vec![0, 0]);
-        assert_eq!(samples.observable_flip_count(0), 0);
-        assert_eq!(samples.mean_detection_events(), 0.0);
+        assert_eq!(detector_fire_counts(&samples), vec![0, 0]);
+        assert_eq!(popcount(samples.observable_plane(0)), 0);
     }
 
     #[test]
@@ -271,10 +169,10 @@ mod tests {
         let p = 0.2;
         let circuit = tiny_parity_circuit(p);
         let shots = 20_000;
-        let samples = sample_detectors(&circuit, shots, 7).unwrap();
+        let samples = sample(&circuit, shots, 7);
         // The first-round error flips detector 0; detector 1 compares rounds
         // so it is flipped by the second-round error only.
-        let counts = samples.detector_fire_counts();
+        let counts = detector_fire_counts(&samples);
         for (d, count) in counts.iter().enumerate() {
             let rate = *count as f64 / shots as f64;
             assert!(
@@ -284,7 +182,7 @@ mod tests {
         }
         // The data qubit 0 ends up flipped if either round's error fired —
         // the observable flip rate is p ⊕ p = 2p(1−p).
-        let obs_rate = samples.observable_flip_count(0) as f64 / shots as f64;
+        let obs_rate = popcount(samples.observable_plane(0)) as f64 / shots as f64;
         let expected = 2.0 * p * (1.0 - p);
         assert!(
             (obs_rate - expected).abs() < 0.02,
@@ -295,14 +193,16 @@ mod tests {
     #[test]
     fn per_shot_accessors_are_consistent_with_counts() {
         let circuit = tiny_parity_circuit(0.3);
-        let samples = sample_detectors(&circuit, 257, 3).unwrap();
+        let samples = sample(&circuit, 257, 3);
         let mut recount = vec![0usize; samples.num_detectors()];
+        let mut fired = Vec::new();
         for shot in 0..samples.num_shots() {
-            for d in samples.fired_detectors(shot) {
+            samples.fired_detectors_into(shot, &mut fired);
+            for &d in &fired {
                 recount[d] += 1;
             }
         }
-        assert_eq!(recount, samples.detector_fire_counts());
+        assert_eq!(recount, detector_fire_counts(&samples));
     }
 
     #[test]
@@ -310,7 +210,7 @@ mod tests {
         let mut circuit = NoisyCircuit::new();
         circuit.push_gate(Instruction::Measure(q(0)));
         circuit.add_detector(Detector::new(vec![mref(0, 5)]));
-        assert!(sample_detectors(&circuit, 10, 0).is_err());
+        assert!(sample_detector_chunks(&circuit, 10, 0, 10).is_err());
         assert!(matches!(
             verify_detectors(&circuit, &[0]),
             Err(VerificationError::DanglingMeasurement(_))

@@ -5,7 +5,7 @@
 use qccd_qec::{
     memory_experiment, repetition_code, rotated_surface_code, unrotated_surface_code, MemoryBasis,
 };
-use qccd_sim::{sample_detectors, verify_detectors, DetectorErrorModel, NoisyCircuit};
+use qccd_sim::{sample_detector_chunks, verify_detectors, DetectorErrorModel, NoisyCircuit};
 
 #[test]
 fn repetition_code_detectors_are_deterministic() {
@@ -62,9 +62,11 @@ fn noiseless_memory_experiment_never_fires_detectors() {
     let code = rotated_surface_code(3);
     let exp = memory_experiment(&code, 3, MemoryBasis::Z);
     let noisy = NoisyCircuit::from_circuit(&exp.circuit);
-    let samples = sample_detectors(&noisy, 2048, 11).expect("annotations resolve");
-    assert!(samples.detector_fire_counts().iter().all(|&c| c == 0));
-    assert_eq!(samples.observable_flip_count(0), 0);
+    let samples = sample_detector_chunks(&noisy, 2048, 11, 2048)
+        .expect("annotations resolve")
+        .sample_chunk(0);
+    assert!((0..samples.num_detectors()).all(|d| samples.detector_plane(d).iter().all(|&w| w == 0)));
+    assert!(samples.observable_plane(0).iter().all(|&w| w == 0));
 }
 
 #[test]

@@ -10,9 +10,22 @@
 use proptest::prelude::*;
 
 use qccd_circuit::{Detector, Instruction, LogicalObservable, MeasurementRef, QubitId};
-use qccd_sim::{sample_detectors, verify_detectors, NoiseChannel, NoisyCircuit};
+use qccd_sim::{
+    sample_detector_chunks, verify_detectors, NoiseChannel, NoisyCircuit, SyndromeChunk,
+};
 
 const NUM_QUBITS: u32 = 5;
+
+/// Every shot as one chunk.
+fn sample(circuit: &NoisyCircuit, shots: usize, seed: u64) -> SyndromeChunk {
+    sample_detector_chunks(circuit, shots, seed, shots)
+        .expect("annotations are valid")
+        .sample_chunk(0)
+}
+
+fn popcount(plane: &[u64]) -> usize {
+    plane.iter().map(|w| w.count_ones() as usize).sum()
+}
 
 /// A random unitary Clifford layer (no measurements, no resets).
 fn clifford_layer() -> impl Strategy<Value = Vec<Instruction>> {
@@ -84,9 +97,11 @@ proptest! {
         // The tableau reference confirms every detector is deterministic.
         verify_detectors(&circuit, &[seed, seed + 1]).expect("detectors are deterministic");
         // The frame sampler agrees: no detection events, no observable flips.
-        let samples = sample_detectors(&circuit, 64, seed).expect("annotations are valid");
-        prop_assert_eq!(samples.mean_detection_events(), 0.0);
-        prop_assert_eq!(samples.observable_flip_count(0), 0);
+        let samples = sample(&circuit, 64, seed);
+        for detector in 0..samples.num_detectors() {
+            prop_assert_eq!(popcount(samples.detector_plane(detector)), 0);
+        }
+        prop_assert_eq!(popcount(samples.observable_plane(0)), 0);
     }
 
     #[test]
@@ -127,9 +142,9 @@ proptest! {
         circuit = with_error;
 
         let shots = 32;
-        let samples = sample_detectors(&circuit, shots, seed).expect("annotations are valid");
-        let counts = samples.detector_fire_counts();
-        for (detector, &count) in counts.iter().enumerate() {
+        let samples = sample(&circuit, shots, seed);
+        for detector in 0..samples.num_detectors() {
+            let count = popcount(samples.detector_plane(detector));
             if detector == victim as usize {
                 prop_assert_eq!(count, shots, "victim detector must always fire");
             } else {
@@ -138,7 +153,7 @@ proptest! {
         }
         // The observable tracks qubit 0's measurement.
         let expected_flips = if victim == 0 { shots } else { 0 };
-        prop_assert_eq!(samples.observable_flip_count(0), expected_flips);
+        prop_assert_eq!(popcount(samples.observable_plane(0)), expected_flips);
     }
 
     #[test]
@@ -153,8 +168,8 @@ proptest! {
         circuit.add_detector(Detector::new(vec![MeasurementRef::new(q, 0)]));
 
         let shots = 4096;
-        let samples = sample_detectors(&circuit, shots, seed).expect("annotations are valid");
-        let rate = samples.detector_fire_counts()[0] as f64 / shots as f64;
+        let samples = sample(&circuit, shots, seed);
+        let rate = popcount(samples.detector_plane(0)) as f64 / shots as f64;
         let sigma = (p * (1.0 - p) / shots as f64).sqrt();
         prop_assert!(
             (rate - p).abs() < 6.0 * sigma + 1e-3,

@@ -220,6 +220,54 @@ mod e2e_tests {
         let _ = std::fs::remove_dir_all(&base);
     }
 
+    /// A peer that never sends a newline is cut off at the line cap (told
+    /// why, then disconnected) instead of growing the coordinator; the run
+    /// still completes through a well-behaved worker.
+    #[test]
+    fn an_endless_line_is_refused_and_the_run_still_completes() {
+        use std::io::{Read, Write};
+
+        let base = temp_base("endless");
+        let job = MockJob::new(4);
+        let store = open_store(&base, &job);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+
+        std::thread::scope(|scope| {
+            let store = &store;
+            let job = &job;
+            // No local workers: the run cannot finish before the hostile
+            // connection has been dealt with.
+            let coordinator = scope.spawn(move || {
+                run_job(
+                    job,
+                    store,
+                    CoordinatorConfig {
+                        listener: Some(listener),
+                        local_workers: 0,
+                        scheduler: fast_scheduler(),
+                        ..CoordinatorConfig::default()
+                    },
+                )
+            });
+            let mut hostile = std::net::TcpStream::connect(&addr).unwrap();
+            hostile
+                .write_all(&vec![b'x'; crate::net::MAX_LINE_BYTES + 1])
+                .expect("the coordinator reads up to one byte past the cap");
+            let mut answer = String::new();
+            hostile
+                .read_to_string(&mut answer)
+                .expect("error line, then the coordinator hangs up");
+            assert!(answer.contains("line exceeds"), "{answer}");
+
+            let summary = run_worker(&addr, &mock_factory, WorkerOptions::default()).unwrap();
+            assert_eq!(summary.completed, 4);
+            let summary = coordinator.join().unwrap().unwrap();
+            assert_eq!((summary.computed, summary.resumed), (4, 0));
+        });
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
     #[test]
     fn poisoned_points_retry_then_fail_terminally() {
         let base = temp_base("poison");

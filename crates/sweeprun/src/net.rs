@@ -15,6 +15,11 @@ use serde_json::Value;
 /// Granularity at which blocked reads re-check shutdown / the deadline.
 pub(crate) const READ_POLL: Duration = Duration::from_millis(200);
 
+/// Longest line buffered from a peer, in bytes. One that never sends a
+/// newline is an error here (a dead connection to every caller) instead of
+/// growing the process.
+pub(crate) const MAX_LINE_BYTES: usize = 8 << 20;
+
 /// Why a receive attempt produced no value.
 enum Pause {
     /// The read timed out for one poll slice; caller decides whether to
@@ -29,6 +34,8 @@ enum Pause {
 pub(crate) struct JsonLines {
     stream: TcpStream,
     buffer: Vec<u8>,
+    /// Leading bytes of `buffer` already known to hold no newline.
+    scanned: usize,
 }
 
 impl JsonLines {
@@ -44,6 +51,7 @@ impl JsonLines {
         Ok(JsonLines {
             stream,
             buffer: Vec::new(),
+            scanned: 0,
         })
     }
 
@@ -58,8 +66,9 @@ impl JsonLines {
 
     /// Pulls the next complete line out of the buffer, if one is there.
     fn buffered_line(&mut self) -> Result<Option<Value>, String> {
-        while let Some(pos) = self.buffer.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = self.buffer.drain(..=pos).collect();
+        while let Some(pos) = self.buffer[self.scanned..].iter().position(|&b| b == b'\n') {
+            let line: Vec<u8> = self.buffer.drain(..=self.scanned + pos).collect();
+            self.scanned = 0;
             let text = String::from_utf8(line).map_err(|e| format!("non-UTF-8 line: {e}"))?;
             let text = text.trim();
             if text.is_empty() {
@@ -68,6 +77,10 @@ impl JsonLines {
             return serde_json::from_str(text)
                 .map(Some)
                 .map_err(|e| format!("malformed line: {e}"));
+        }
+        self.scanned = self.buffer.len();
+        if self.scanned > MAX_LINE_BYTES {
+            return Err(format!("line exceeds {MAX_LINE_BYTES} bytes"));
         }
         Ok(None)
     }

@@ -202,6 +202,18 @@ mod tests {
         assert_eq!(snap.count, 100);
         assert_eq!(snap.max, 100);
         assert_eq!(snap.mean(), 55.0);
+
+        // Uniform 25/25/25/25 over four buckets: each quartile boundary
+        // lands exactly on its bucket's upper edge.
+        let cell = HistogramCell::default();
+        for value in [2u64, 4, 8, 16] {
+            cell.record_n(value, 25);
+        }
+        let snap = cell.snapshot();
+        assert_eq!(snap.quantile(0.25), 4.0);
+        assert_eq!(snap.quantile(0.50), 8.0);
+        assert_eq!(snap.quantile(0.75), 16.0);
+        assert_eq!(snap.quantile(1.00), 32.0);
     }
 
     #[test]
