@@ -30,13 +30,10 @@ pub struct ArtifactMetadata {
     /// (the sweep/estimator determinism contract; pinned by the golden and
     /// property tests).
     pub thread_invariant: bool,
-    /// Whether this artifact was served from the [cache](crate::cache)
-    /// instead of being recomputed.
-    pub from_cache: bool,
 }
 
 impl ArtifactMetadata {
-    /// Metadata for a fresh (non-cached) run of `spec`.
+    /// Metadata for a run of `spec`.
     pub fn for_spec(spec: &ExperimentSpec) -> Self {
         ArtifactMetadata {
             spec_name: spec.name.clone(),
@@ -44,7 +41,6 @@ impl ArtifactMetadata {
             seed: spec.seed,
             git_describe: git_describe(),
             thread_invariant: true,
-            from_cache: false,
         }
     }
 }
@@ -98,7 +94,6 @@ impl Artifact {
                 "seed": self.metadata.seed,
                 "git_describe": self.metadata.git_describe,
                 "thread_invariant": self.metadata.thread_invariant,
-                "from_cache": self.metadata.from_cache,
             },
         })
     }
@@ -142,7 +137,6 @@ impl Artifact {
                 seed: metadata["seed"].as_u64().unwrap_or_default(),
                 git_describe: metadata["git_describe"].as_str().map(str::to_string),
                 thread_invariant: metadata["thread_invariant"].as_bool().unwrap_or_default(),
-                from_cache: metadata["from_cache"].as_bool().unwrap_or_default(),
             },
         })
     }
@@ -157,17 +151,12 @@ impl Artifact {
             out.push('\n');
         }
         let provenance = format!(
-            "\n[{} spec {}{}{}]\n",
+            "\n[{} spec {}{}]\n",
             self.metadata.spec_name,
             self.metadata.spec_hash,
             match &self.metadata.git_describe {
                 Some(describe) => format!(" @ {describe}"),
                 None => String::new(),
-            },
-            if self.metadata.from_cache {
-                " (cached)"
-            } else {
-                ""
             },
         );
         out.push_str(&provenance);
@@ -289,7 +278,6 @@ mod tests {
                 seed: 2026,
                 git_describe: Some("abc123".into()),
                 thread_invariant: true,
-                from_cache: false,
             },
         }
     }

@@ -1,18 +1,17 @@
 //! Experiment-spec glue for the sweeprun orchestration tier.
 //!
 //! qccd-sweeprun is domain-agnostic: it schedules, persists, and
-//! distributes any [`PointJob`]. This module supplies the LER-sweep flavour
-//! of that job — the grid is [`ler_sweep_points`] of the spec, point seeds
+//! distributes any [`PointJob`]. This module supplies the experiment-spec
+//! flavour of that job — the grid is the spec's [`point_grid`], point seeds
 //! come from the same [`SweepEngine`] a single-process `artifacts run`
-//! would use, and each point evaluates through the shared
-//! [`evaluate_ler_point`] body. Because index assignment, seeds, and the
-//! evaluation body are all identical to the in-process path, an artifact
-//! [merged](merge_artifact) from a point store is bit-identical to
-//! `run_spec` output (modulo `from_cache`/timing metadata).
+//! would use, each point evaluates through the shared
+//! [`evaluate_ler_point`] body, and [`merge_artifact`] assembles the stored
+//! outcomes with the [`artifact_from_outcomes`] that `run_spec` itself
+//! calls — so a merged artifact is bit-identical to `run_spec` output.
 //!
-//! Only [`ExperimentKind::LerSweep`] and [`ExperimentKind::RareEventLer`]
-//! specs are orchestrable: they are the Monte-Carlo sweeps that run for days
-//! below threshold, and their outcomes are pure functions of
+//! Only specs with a point grid (LER sweeps and rare-event comparisons) are
+//! orchestrable: they are the Monte-Carlo sweeps that run for days below
+//! threshold, and their outcomes are pure functions of
 //! `(spec, index, seed)`. Timing sweeps measure wall-clock and would break
 //! bit-identity.
 
@@ -21,18 +20,15 @@ use serde_json::Value;
 use qccd_decoder::{CacheStats, LogicalErrorEstimate, SweepEngine};
 use qccd_sweeprun::{JobDescriptor, PointJob, PointStore};
 
+use crate::registry::{artifact_from_outcomes, not_a_grid, point_grid};
 use crate::spec::{decoder_from_name, decoder_name};
-use crate::sweep::{evaluate_ler_point, ler_sweep_points, rare_event_points, LerOutcome, LerPoint};
-use crate::{
-    ler_artifact_from_outcomes, rare_event_artifact_from_outcomes,
-    registry::{ler_sweep_configurations, rare_event_configurations},
-    Artifact, ExperimentKind, ExperimentSpec,
-};
+use crate::sweep::{evaluate_ler_point, LerOutcome, LerPoint};
+use crate::{Artifact, ExperimentSpec};
 
 /// Job kind tag understood by [`job_factory`].
 pub const JOB_KIND: &str = "experiment_spec";
 
-/// A LER-sweep experiment spec as a sweeprun [`PointJob`].
+/// A grid experiment spec as a sweeprun [`PointJob`].
 pub struct SpecPointJob {
     spec: ExperimentSpec,
     points: Vec<LerPoint>,
@@ -57,39 +53,13 @@ impl SpecPointJob {
 ///
 /// # Errors
 ///
-/// Fails for invalid specs and for kinds other than
-/// [`ExperimentKind::LerSweep`] and [`ExperimentKind::RareEventLer`] (see
-/// the [module docs](self)).
+/// Fails for invalid specs and for kinds without a [`point_grid`] (see the
+/// [module docs](self)).
 pub fn spec_point_job(spec: &ExperimentSpec) -> Result<SpecPointJob, String> {
     spec.validate().map_err(|e| e.to_string())?;
-    let points = match &spec.kind {
-        ExperimentKind::LerSweep(kind) => ler_sweep_points(
-            &ler_sweep_configurations(kind),
-            &kind.sample_distances,
-            kind.shots,
-            kind.decoder,
-            kind.estimator,
-        ),
-        ExperimentKind::RareEventLer(kind) => rare_event_points(
-            &rare_event_configurations(kind),
-            &kind.sample_distances,
-            kind.shots,
-            kind.biased_shots,
-            kind.bias,
-            kind.decoder,
-            kind.estimator,
-        ),
-        _ => {
-            return Err(format!(
-                "`{}` is not a LER sweep; only LER and rare-event sweeps support point-store \
-                 orchestration",
-                spec.name
-            ));
-        }
-    };
     Ok(SpecPointJob {
         spec: spec.clone(),
-        points,
+        points: point_grid(spec).ok_or_else(|| not_a_grid(spec).to_string())?,
         engine: SweepEngine::new(spec.seed),
     })
 }
@@ -187,12 +157,7 @@ pub fn merge_artifact(spec: &ExperimentSpec, store: &PointStore) -> Result<Artif
             .ok_or_else(|| format!("point {index} vanished mid-merge"))?;
         outcomes.push(outcome_from_json(&payload)?);
     }
-    match &spec.kind {
-        ExperimentKind::RareEventLer(_) => {
-            rare_event_artifact_from_outcomes(spec, &outcomes).map_err(|e| e.to_string())
-        }
-        _ => ler_artifact_from_outcomes(spec, &outcomes).map_err(|e| e.to_string()),
-    }
+    artifact_from_outcomes(spec, &outcomes).map_err(|e| e.to_string())
 }
 
 // ---------------------------------------------------------------------------
@@ -342,6 +307,7 @@ pub fn outcome_from_json(value: &Value) -> Result<LerOutcome, String> {
 mod tests {
     use super::*;
     use crate::registry::ExperimentRegistry;
+    use crate::ExperimentKind;
     use qccd_decoder::DecoderKind;
 
     /// The registry's smallest real LER sweep for tests.
@@ -423,6 +389,30 @@ mod tests {
         assert_eq!(merged.metadata.spec_hash, reference.metadata.spec_hash);
 
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn run_spec_equals_assembly_of_its_outcomes_after_a_codec_round_trip() {
+        for spec in [tiny_spec(), tiny_rare_event_spec()] {
+            let reference = crate::run_spec(&spec).unwrap();
+            let points = point_grid(&spec).expect("both tiny specs are grids");
+            let outcomes: Vec<LerOutcome> =
+                crate::run_ler_sweep(&SweepEngine::new(spec.seed), &points)
+                    .iter()
+                    .map(|outcome| {
+                        // Through a serialized string, like the store does.
+                        let text = outcome_to_json(outcome).to_string();
+                        outcome_from_json(&serde_json::from_str(&text).unwrap()).unwrap()
+                    })
+                    .collect();
+            let assembled = artifact_from_outcomes(&spec, &outcomes).unwrap();
+            assert_eq!(
+                assembled.to_json().to_string(),
+                reference.to_json().to_string(),
+                "{}",
+                spec.name
+            );
+        }
     }
 
     #[test]
@@ -545,8 +535,8 @@ mod tests {
         assert_eq!(summary.computed, 4);
 
         let merged = merge_artifact(&spec, &store).unwrap();
-        // Everything but the cache marker must match bit for bit — the
-        // acceptance criterion of the orchestration tier.
+        // Everything must match bit for bit — the acceptance criterion of
+        // the orchestration tier.
         assert_eq!(merged.title, reference.title);
         assert_eq!(merged.headers, reference.headers);
         assert_eq!(merged.rows, reference.rows);

@@ -7,28 +7,33 @@
 //! [`ExperimentSpec`] (workload × architecture grid × distances × noise
 //! scaling × decoder × estimator config × outputs) describes each artefact,
 //! the [`registry`] registers all thirteen paper artefacts as named specs,
-//! and the single `artifacts` binary resolves, runs, caches and emits them:
+//! and the single `artifacts` binary resolves, runs and emits them:
 //!
 //! ```text
 //! cargo run -p qccd-bench --release --bin artifacts -- list
 //! cargo run -p qccd-bench --release --bin artifacts -- run fig09 --format json --out out/
-//! cargo run -p qccd-bench --release --bin artifacts -- run --all --cache
+//! cargo run -p qccd-bench --release --bin artifacts -- sweep run fig10 --store sweeps/
 //! ```
+//!
+//! Every builtin artefact regenerates in seconds, so nothing caches whole
+//! artefacts; the one persistent result store is the sweeprun point store
+//! behind `artifacts sweep run`, which keeps the per-point outcomes of the
+//! only artefacts that can get expensive (LER and rare-event grids with
+//! user-sized shot counts) and re-merges a finished store in milliseconds
+//! (see [`distributed`]).
 //!
 //! Tables, timing-series keys and the table2/table3/ext_* JSON payloads keep
 //! the shape the retired per-figure binaries printed; the LER artefacts use
 //! the unified entry schema (`sampled` points plus a `lambda` object with
 //! confidence intervals).
 //!
-//! Shared plumbing lives here: architecture helpers, aligned-table
-//! rendering, and the [`sweep`] module that shards
-//! whole `(architecture, distance, decoder)` points across a deterministic
-//! worker pool.
+//! Shared plumbing lives here: aligned-table rendering, and the [`sweep`]
+//! module that shards whole `(architecture, distance, decoder)` points
+//! across a deterministic worker pool.
 
 #![warn(missing_docs)]
 
 pub mod artifact;
-pub mod cache;
 pub mod cli;
 pub mod distributed;
 pub mod registry;
@@ -36,23 +41,18 @@ pub mod spec;
 pub mod sweep;
 
 use qccd_core::ArchitectureConfig;
-use qccd_decoder::{LambdaFit, SweepEngine};
 use qccd_hardware::{TopologyKind, WiringMethod};
 
 pub use artifact::{validate_artifact_json, Artifact, ArtifactMetadata};
-pub use cache::{ArtifactCache, CacheEntry, EntryStatus};
 pub use distributed::{job_factory, merge_artifact, spec_point_job, SpecPointJob};
-pub use registry::{
-    ler_artifact_from_outcomes, rare_event_artifact_from_outcomes, run_spec, ExperimentRegistry,
-    RunError,
-};
+pub use registry::{artifact_from_outcomes, point_grid, run_spec, ExperimentRegistry, RunError};
 pub use spec::{
     ArchPoint, CodeSpec, CompileCase, ExperimentKind, ExperimentSpec, LerOutput, LerSweepSpec,
     RareEventLerSpec, SpecError, TimingMetric, TimingSweepSpec,
 };
 pub use sweep::{
-    evaluate_ler_point, ler_curves, ler_curves_from_outcomes, ler_curves_with, ler_sweep_points,
-    rare_event_points, run_ler_sweep, LerCurve, LerOutcome, LerPoint, DEFAULT_SWEEP_SEED,
+    evaluate_ler_point, ler_curves_from_outcomes, ler_sweep_points, rare_event_points,
+    run_ler_sweep, LerCurve, LerOutcome, LerPoint, DEFAULT_SWEEP_SEED,
 };
 
 /// Renders an aligned text table (the pretty emitter of every artifact).
@@ -110,37 +110,8 @@ pub fn grid_arch(capacity: usize, improvement: f64) -> ArchitectureConfig {
     )
 }
 
-/// Builds an architecture for any topology/wiring combination.
-pub fn arch(
-    topology: TopologyKind,
-    capacity: usize,
-    wiring: WiringMethod,
-    improvement: f64,
-) -> ArchitectureConfig {
-    ArchitectureConfig::new(topology, capacity, wiring, improvement)
-}
-
-/// Samples the logical error rate at the given distances and fits the
-/// exponential suppression law; returns the points and the fit.
-///
-/// Built on the sharded [`sweep`] engine: the distances run in parallel
-/// with deterministic per-point seeds, and the fit is weighted by each
-/// point's Monte-Carlo standard error.
-pub fn ler_curve(
-    architecture: &ArchitectureConfig,
-    distances: &[usize],
-    shots: usize,
-) -> (Vec<(usize, f64)>, Option<LambdaFit>) {
-    let engine = SweepEngine::new(DEFAULT_SWEEP_SEED);
-    let configurations = vec![(architecture.label(), architecture.clone())];
-    let curve = ler_curves(&engine, &configurations, distances, shots)
-        .pop()
-        .expect("one configuration yields one curve");
-    (curve.rate_points(), curve.fit)
-}
-
-/// Monte-Carlo shot count used by the figure generators. Kept moderate so
-/// every figure regenerates in minutes; increase for tighter error bars.
+/// Monte-Carlo shot count of the builtin LER specs. Kept moderate so every
+/// figure regenerates in seconds; increase for tighter error bars.
 pub const DEFAULT_SHOTS: usize = 2_000;
 
 #[cfg(test)]
@@ -156,8 +127,8 @@ mod tests {
 
     #[test]
     fn arch_helpers() {
-        assert_eq!(grid_arch(2, 5.0).capacity(), 2);
-        let a = arch(TopologyKind::Switch, 3, WiringMethod::Wise, 1.0);
-        assert_eq!(a.wiring, WiringMethod::Wise);
+        let arch = grid_arch(2, 5.0);
+        assert_eq!(arch.capacity(), 2);
+        assert_eq!(arch.wiring, WiringMethod::Standard);
     }
 }

@@ -23,13 +23,16 @@ use qccd_qec::{rotated_surface_code, surgery_workload, MemoryBasis, MergeKind};
 use serde_json::Value;
 
 use crate::artifact::{Artifact, ArtifactMetadata};
+use crate::fmt_f64;
 use crate::spec::{
     ArchPoint, ClusteringAblationSpec, CodeSpec, CompileCase, CompilerBoundsSpec,
     DecoderComparisonSpec, ExperimentKind, ExperimentSpec, LerOutput, LerSweepSpec,
     RareEventLerSpec, SpecError, SurgerySpec, TimingMetric, TimingSweepSpec,
 };
-use crate::sweep::{rare_event_points, run_ler_sweep, LerCurve, LerOutcome, DEFAULT_SWEEP_SEED};
-use crate::{fmt_f64, ler_curves_with};
+use crate::sweep::{
+    ler_curves_from_outcomes, ler_sweep_points, rare_event_points, run_ler_sweep, LerCurve,
+    LerOutcome, LerPoint, DEFAULT_SWEEP_SEED,
+};
 
 /// Errors surfaced when resolving or executing a registered experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,16 +135,25 @@ impl ExperimentRegistry {
 
 /// Executes one experiment spec end to end and returns its artifact.
 ///
+/// A spec with a [`point_grid`] runs its points on the in-process
+/// [`SweepEngine`] and assembles them with [`artifact_from_outcomes`] — the
+/// function a point-store merge calls with the same outcomes.
+///
 /// # Errors
 ///
 /// Returns [`RunError::Invalid`] when the spec fails validation. Compile
 /// failures of individual points do not fail the run — they are rendered
-/// into the affected cells, exactly as the legacy binaries did.
+/// into the affected cells.
 pub fn run_spec(spec: &ExperimentSpec) -> Result<Artifact, RunError> {
     spec.validate().map_err(RunError::Invalid)?;
-    let (headers, rows, notes, data) = match &spec.kind {
-        ExperimentKind::LerSweep(kind) => run_ler_sweep_spec(kind, spec.seed),
-        ExperimentKind::RareEventLer(kind) => run_rare_event_ler(kind, spec.seed),
+    if let Some(points) = point_grid(spec) {
+        let outcomes = run_ler_sweep(&SweepEngine::new(spec.seed), &points);
+        return artifact_from_outcomes(spec, &outcomes);
+    }
+    let output = match &spec.kind {
+        ExperimentKind::LerSweep(_) | ExperimentKind::RareEventLer(_) => {
+            unreachable!("grid kinds returned above")
+        }
         ExperimentKind::TimingSweep(kind) => run_timing_sweep(kind, spec.seed),
         ExperimentKind::CompilerBounds(kind) => run_compiler_bounds(kind, spec.seed),
         ExperimentKind::BaselineComparison(kind) => run_baseline_comparison(kind),
@@ -149,17 +161,108 @@ pub fn run_spec(spec: &ExperimentSpec) -> Result<Artifact, RunError> {
         ExperimentKind::DecoderComparison(kind) => run_decoder_comparison(kind, spec.seed),
         ExperimentKind::ClusteringAblation(kind) => run_clustering_ablation(kind, spec.seed),
     };
-    Ok(Artifact {
+    Ok(artifact(spec, output))
+}
+
+type RunnerOutput = (Vec<String>, Vec<Vec<String>>, Vec<String>, Value);
+
+fn artifact(spec: &ExperimentSpec, (headers, rows, notes, data): RunnerOutput) -> Artifact {
+    Artifact {
         title: spec.title.clone(),
         headers,
         rows,
         notes,
         data,
         metadata: ArtifactMetadata::for_spec(spec),
-    })
+    }
 }
 
-type RunnerOutput = (Vec<String>, Vec<Vec<String>>, Vec<String>, Value);
+// ---------------------------------------------------------------------------
+// Point grids: the Monte-Carlo sweeps whose points are independent
+// ---------------------------------------------------------------------------
+
+/// The built `(label, architecture)` pairs of a grid spec, in grid order.
+fn configurations(points: &[ArchPoint]) -> Vec<(String, ArchitectureConfig)> {
+    points
+        .iter()
+        .map(|point| (point.display_label(), point.build()))
+        .collect()
+}
+
+/// The flat grid of independent Monte-Carlo points of `spec`, in the index
+/// (and therefore seed) order every execution tier agrees on:
+/// [`ler_sweep_points`] of an [`ExperimentKind::LerSweep`],
+/// [`rare_event_points`] of an [`ExperimentKind::RareEventLer`]. `None` for
+/// the other kinds, which are not grids of such points (timing sweeps
+/// measure wall-clock; the rest are single compiles).
+pub fn point_grid(spec: &ExperimentSpec) -> Option<Vec<LerPoint>> {
+    match &spec.kind {
+        ExperimentKind::LerSweep(kind) => Some(ler_sweep_points(
+            &configurations(&kind.configurations),
+            &kind.sample_distances,
+            kind.shots,
+            kind.decoder,
+            kind.estimator,
+        )),
+        ExperimentKind::RareEventLer(kind) => Some(rare_event_points(
+            &configurations(&kind.configurations),
+            &kind.sample_distances,
+            kind.shots,
+            kind.biased_shots,
+            kind.bias,
+            kind.decoder,
+            kind.estimator,
+        )),
+        _ => None,
+    }
+}
+
+/// The error of asking a spec without a [`point_grid`] for one.
+pub(crate) fn not_a_grid(spec: &ExperimentSpec) -> SpecError {
+    SpecError(format!(
+        "`{}` is not a LER sweep; only LER and rare-event sweeps support point-store \
+         orchestration",
+        spec.name
+    ))
+}
+
+/// Assembles the artifact of a grid spec from its per-point outcomes, which
+/// must be the full [`point_grid`] in order. [`run_spec`] calls this with
+/// the outcomes of an in-process sweep and
+/// [`merge_artifact`](crate::merge_artifact) with the ones read back from a
+/// point store, so the two produce the same artifact by construction.
+///
+/// # Errors
+///
+/// Returns [`RunError::Invalid`] when the spec fails validation, has no
+/// point grid, or the outcome count does not match the grid.
+pub fn artifact_from_outcomes(
+    spec: &ExperimentSpec,
+    outcomes: &[LerOutcome],
+) -> Result<Artifact, RunError> {
+    spec.validate().map_err(RunError::Invalid)?;
+    let expected = point_grid(spec)
+        .ok_or_else(|| RunError::Invalid(not_a_grid(spec)))?
+        .len();
+    if outcomes.len() != expected {
+        return Err(RunError::Invalid(SpecError(format!(
+            "`{}` expects {expected} outcomes, got {}",
+            spec.name,
+            outcomes.len()
+        ))));
+    }
+    let output = match &spec.kind {
+        ExperimentKind::LerSweep(kind) => {
+            let configurations = configurations(&kind.configurations);
+            let curves =
+                ler_curves_from_outcomes(&configurations, &kind.sample_distances, outcomes);
+            ler_sweep_output(kind, &configurations, &curves)
+        }
+        ExperimentKind::RareEventLer(kind) => rare_event_output(kind, outcomes),
+        _ => unreachable!("only the two grid kinds have a point grid"),
+    };
+    Ok(artifact(spec, output))
+}
 
 // ---------------------------------------------------------------------------
 // LER sweeps (Figures 8b, 10, 11, 12, 13a, 13b)
@@ -249,75 +352,6 @@ fn resources_at_target(
     ))
 }
 
-fn run_ler_sweep_spec(kind: &LerSweepSpec, seed: u64) -> RunnerOutput {
-    let configurations = ler_sweep_configurations(kind);
-    let engine = SweepEngine::new(seed);
-    let curves = ler_curves_with(
-        &engine,
-        &configurations,
-        &kind.sample_distances,
-        kind.shots,
-        kind.decoder,
-        kind.estimator,
-    );
-    ler_sweep_output(kind, &configurations, &curves)
-}
-
-/// The built `(label, architecture)` pairs of a LER-sweep spec, in grid
-/// order.
-pub(crate) fn ler_sweep_configurations(kind: &LerSweepSpec) -> Vec<(String, ArchitectureConfig)> {
-    kind.configurations
-        .iter()
-        .map(|point| (point.display_label(), point.build()))
-        .collect()
-}
-
-/// Assembles a LER-sweep artifact of `spec` from per-point outcomes that
-/// were computed elsewhere — the merge half of the sweeprun orchestration
-/// tier. `outcomes` must be the full grid in [`crate::ler_sweep_points`]
-/// order.
-///
-/// [`run_spec`] routes its own in-process results through the exact same
-/// [`ler_sweep_output`] assembly, so an artifact merged from a distributed
-/// or resumed point store is bit-identical to a single-process run (modulo
-/// [`ArtifactMetadata::from_cache`]).
-///
-/// # Errors
-///
-/// Returns [`RunError::Invalid`] when the spec fails validation, is not a
-/// LER sweep, or the outcome count does not match the spec's grid.
-pub fn ler_artifact_from_outcomes(
-    spec: &ExperimentSpec,
-    outcomes: &[crate::LerOutcome],
-) -> Result<Artifact, RunError> {
-    spec.validate().map_err(RunError::Invalid)?;
-    let ExperimentKind::LerSweep(kind) = &spec.kind else {
-        return Err(RunError::Invalid(crate::spec::SpecError(format!(
-            "`{}` is not a LER sweep; only LER sweeps support point-store orchestration",
-            spec.name
-        ))));
-    };
-    let configurations = ler_sweep_configurations(kind);
-    let expected = configurations.len() * kind.sample_distances.len();
-    if outcomes.len() != expected {
-        return Err(RunError::Invalid(crate::spec::SpecError(format!(
-            "`{}` expects {expected} outcomes, got {}",
-            spec.name,
-            outcomes.len()
-        ))));
-    }
-    let curves = crate::ler_curves_from_outcomes(&configurations, &kind.sample_distances, outcomes);
-    let (headers, rows, notes, data) = ler_sweep_output(kind, &configurations, &curves);
-    Ok(Artifact {
-        title: spec.title.clone(),
-        headers,
-        rows,
-        notes,
-        data,
-        metadata: ArtifactMetadata::for_spec(spec),
-    })
-}
-
 fn ler_sweep_output(
     kind: &LerSweepSpec,
     configurations: &[(String, ArchitectureConfig)],
@@ -386,7 +420,7 @@ fn ler_sweep_output(
                         let mut projected = Vec::new();
                         for &d in distances {
                             let p = fit.project(d);
-                            row.push(fmt_f64(p));
+                            row.push(fmt_rate(p));
                             projected.push(serde_json::json!({"d": d, "ler": p}));
                         }
                         entry["projection"] = Value::Array(projected);
@@ -483,7 +517,7 @@ fn sampled_rate_cell(curve: &LerCurve, d: usize) -> String {
         Some(outcome) => match &outcome.result {
             Ok(est) => match est.upper_bound_95() {
                 Some(bound) => upper_bound_cell(bound),
-                None => fmt_f64(est.logical_error_rate),
+                None => fmt_rate(est.logical_error_rate),
             },
             Err(_) => "NaN".into(),
         },
@@ -498,20 +532,21 @@ fn upper_bound_cell(bound: f64) -> String {
     format!("< {bound:.1e}")
 }
 
+/// Formats a logical error rate (or its standard error) for a table cell:
+/// always scientific with three significant digits, for the reason
+/// [`upper_bound_cell`] gives — `fmt_f64` prints 3/1024 and 13/1024 alike
+/// as `0.0`.
+fn fmt_rate(rate: f64) -> String {
+    if rate == 0.0 {
+        "0".to_string()
+    } else {
+        format!("{rate:.2e}")
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Rare-event LER comparison (importance-sampling validation)
 // ---------------------------------------------------------------------------
-
-/// The built `(label, architecture)` pairs of a rare-event comparison spec,
-/// in grid order.
-pub(crate) fn rare_event_configurations(
-    kind: &RareEventLerSpec,
-) -> Vec<(String, ArchitectureConfig)> {
-    kind.configurations
-        .iter()
-        .map(|point| (point.display_label(), point.build()))
-        .collect()
-}
 
 /// JSON encoding of one estimate (plain or biased) in the rare-event
 /// artifact.
@@ -537,8 +572,8 @@ fn rare_event_estimate_cell(outcome: &LerOutcome) -> String {
             Some(bound) => upper_bound_cell(bound),
             None => format!(
                 "{} +/- {}",
-                fmt_f64(est.logical_error_rate),
-                fmt_f64(est.std_error)
+                fmt_rate(est.logical_error_rate),
+                fmt_rate(est.std_error)
             ),
         },
         Err(_) => "compile error".to_string(),
@@ -596,63 +631,6 @@ fn rare_event_efficiency(
     let rp = plain.std_error / plain.logical_error_rate;
     let rb = biased.std_error / biased.logical_error_rate;
     Some((plain.shots as f64 * rp * rp) / (biased.shots as f64 * rb * rb))
-}
-
-fn run_rare_event_ler(kind: &RareEventLerSpec, seed: u64) -> RunnerOutput {
-    let configurations = rare_event_configurations(kind);
-    let points = rare_event_points(
-        &configurations,
-        &kind.sample_distances,
-        kind.shots,
-        kind.biased_shots,
-        kind.bias,
-        kind.decoder,
-        kind.estimator,
-    );
-    let engine = SweepEngine::new(seed);
-    let outcomes = run_ler_sweep(&engine, &points);
-    rare_event_output(kind, &outcomes)
-}
-
-/// Assembles a rare-event artifact of `spec` from per-point outcomes
-/// computed elsewhere — the merge half of the sweeprun orchestration tier
-/// for [`ExperimentKind::RareEventLer`] specs. `outcomes` must be the full
-/// grid in [`crate::rare_event_points`] order. [`run_spec`] routes its own
-/// results through the same assembly, so a merged artifact is bit-identical
-/// to a single-process run (modulo cache metadata).
-///
-/// # Errors
-///
-/// Returns [`RunError::Invalid`] when the spec fails validation, is not a
-/// rare-event comparison, or the outcome count does not match the grid.
-pub fn rare_event_artifact_from_outcomes(
-    spec: &ExperimentSpec,
-    outcomes: &[LerOutcome],
-) -> Result<Artifact, RunError> {
-    spec.validate().map_err(RunError::Invalid)?;
-    let ExperimentKind::RareEventLer(kind) = &spec.kind else {
-        return Err(RunError::Invalid(SpecError(format!(
-            "`{}` is not a rare-event LER comparison",
-            spec.name
-        ))));
-    };
-    let expected = kind.configurations.len() * kind.sample_distances.len() * 2;
-    if outcomes.len() != expected {
-        return Err(RunError::Invalid(SpecError(format!(
-            "`{}` expects {expected} outcomes, got {}",
-            spec.name,
-            outcomes.len()
-        ))));
-    }
-    let (headers, rows, notes, data) = rare_event_output(kind, outcomes);
-    Ok(Artifact {
-        title: spec.title.clone(),
-        headers,
-        rows,
-        notes,
-        data,
-        metadata: ArtifactMetadata::for_spec(spec),
-    })
 }
 
 fn rare_event_output(kind: &RareEventLerSpec, outcomes: &[LerOutcome]) -> RunnerOutput {
@@ -1043,7 +1021,7 @@ fn run_decoder_comparison(kind: &DecoderComparisonSpec, seed: u64) -> RunnerOutp
         for &decoder in &decoders {
             let estimate = estimate_logical_error_rate(&noisy, shots, task.seed, decoder)
                 .expect("compiled circuits carry consistent annotations");
-            row.push(fmt_f64(estimate.logical_error_rate));
+            row.push(fmt_rate(estimate.logical_error_rate));
             entry[format!("{decoder:?}")] = serde_json::json!(estimate.logical_error_rate);
         }
         (row, entry)
@@ -1607,6 +1585,53 @@ mod tests {
             ..fit
         };
         assert!(distance_with_ci(&above, 1e-9).is_none());
+    }
+
+    #[test]
+    fn artifact_from_outcomes_rejects_non_grid_specs_and_wrong_counts() {
+        let registry = ExperimentRegistry::builtin();
+        let table2 = registry.get("table2").unwrap();
+        assert!(point_grid(table2).is_none());
+        assert_eq!(
+            artifact_from_outcomes(table2, &[]),
+            Err(RunError::Invalid(not_a_grid(table2)))
+        );
+        let fig10 = registry.get("fig10").unwrap();
+        assert_eq!(point_grid(fig10).unwrap().len(), 18);
+        let err = artifact_from_outcomes(fig10, &[]).unwrap_err();
+        assert!(
+            err.to_string().contains("expects 18 outcomes, got 0"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn sampled_rates_keep_their_leading_digit() {
+        // 3/1024 and 13/1024 both printed `0.0` through `fmt_f64`.
+        let outcome = |distance, failures| LerOutcome {
+            label: "g".into(),
+            distance,
+            decoder: DecoderKind::default(),
+            seed: 0,
+            shots_requested: 1024,
+            result: Ok(qccd_decoder::LogicalErrorEstimate {
+                shots: 1024,
+                failures,
+                logical_error_rate: failures as f64 / 1024.0,
+                std_error: 1e-3,
+            }),
+            cache: None,
+        };
+        let curve = LerCurve {
+            label: "g".into(),
+            points: Vec::new(),
+            fit: None,
+            outcomes: vec![outcome(3, 3), outcome(5, 13)],
+        };
+        assert_eq!(sampled_rate_cell(&curve, 3), "2.93e-3");
+        assert_eq!(sampled_rate_cell(&curve, 5), "1.27e-2");
+        assert_eq!(sampled_rate_cell(&curve, 7), "NaN");
+        assert_eq!(fmt_rate(0.0), "0");
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!
 //! [`ExperimentSpec::content_hash`] is an FNV-1a hash of the canonical
 //! compact JSON encoding, so any semantic change to a spec changes its hash
-//! while formatting cannot. The [artifact cache](crate::cache) keys cached
-//! results by this hash.
+//! while formatting cannot. A sweep's point store
+//! ([`crate::distributed`]) is keyed by this hash.
 
 use qccd_core::ArchitectureConfig;
 use qccd_decoder::{DecoderKind, EstimatorConfig, MemoConfig};
@@ -113,36 +113,11 @@ fn f64_list(value: &Value, key: &str) -> Result<Vec<f64>, SpecError> {
         .collect()
 }
 
-fn topology_name(kind: TopologyKind) -> &'static str {
-    match kind {
-        TopologyKind::Grid => "grid",
-        TopologyKind::Linear => "linear",
-        TopologyKind::Switch => "switch",
-    }
-}
-
-fn topology_from_name(name: &str) -> Result<TopologyKind, SpecError> {
-    match name {
-        "grid" => Ok(TopologyKind::Grid),
-        "linear" => Ok(TopologyKind::Linear),
-        "switch" => Ok(TopologyKind::Switch),
-        other => err(format!("unknown topology `{other}`")),
-    }
-}
-
-fn wiring_name(wiring: WiringMethod) -> &'static str {
-    match wiring {
-        WiringMethod::Standard => "standard",
-        WiringMethod::Wise => "wise",
-    }
-}
-
-fn wiring_from_name(name: &str) -> Result<WiringMethod, SpecError> {
-    match name {
-        "standard" => Ok(WiringMethod::Standard),
-        "wise" => Ok(WiringMethod::Wise),
-        other => err(format!("unknown wiring `{other}`")),
-    }
+/// Parses a `grid|linear|switch` / `standard|wise` name (the `Display`
+/// spelling `to_json` writes) with the spec codec's error text.
+fn parse_name<T: std::str::FromStr>(what: &str, name: &str) -> Result<T, SpecError> {
+    name.parse()
+        .map_err(|_| SpecError(format!("unknown {what} `{name}`")))
 }
 
 /// Canonical spec name of a decoder kind.
@@ -188,7 +163,7 @@ fn estimator_to_json(config: &EstimatorConfig) -> Value {
         },
     });
     // Emitted only when set so every pre-rare-event spec keeps its canonical
-    // encoding — and therefore its content hash and cached artifacts.
+    // encoding — and therefore its content hash and point store.
     if let Some(bias) = config.importance_bias {
         value["importance_bias"] = serde_json::json!(bias);
     }
@@ -312,9 +287,9 @@ impl ArchPoint {
     pub fn to_json(&self) -> Value {
         serde_json::json!({
             "label": self.label,
-            "topology": topology_name(self.topology),
+            "topology": self.topology.to_string(),
             "capacity": self.capacity,
-            "wiring": wiring_name(self.wiring),
+            "wiring": self.wiring.to_string(),
             "gate_improvement": self.gate_improvement,
         })
     }
@@ -334,9 +309,9 @@ impl ArchPoint {
                 ),
                 _ => None,
             },
-            topology: topology_from_name(&str_field(value, "topology")?)?,
+            topology: parse_name("topology", &str_field(value, "topology")?)?,
             capacity: usize_field(value, "capacity")?,
-            wiring: wiring_from_name(&str_field(value, "wiring")?)?,
+            wiring: parse_name("wiring", &str_field(value, "wiring")?)?,
             gate_improvement: f64_field(value, "gate_improvement")?,
         })
     }
@@ -472,7 +447,7 @@ impl CompileCase {
         serde_json::json!({
             "label": self.label,
             "code": self.code.to_json(),
-            "topology": topology_name(self.topology),
+            "topology": self.topology.to_string(),
             "capacity": self.capacity,
         })
     }
@@ -486,7 +461,7 @@ impl CompileCase {
         Ok(CompileCase {
             label: str_field(value, "label")?,
             code: CodeSpec::from_json(field(value, "code")?)?,
-            topology: topology_from_name(&str_field(value, "topology")?)?,
+            topology: parse_name("topology", &str_field(value, "topology")?)?,
             capacity: usize_field(value, "capacity")?,
         })
     }
@@ -1099,7 +1074,7 @@ impl ExperimentSpec {
     }
 
     /// A stable content hash of the spec (FNV-1a over the canonical JSON),
-    /// used to key the artifact cache: any semantic change to the spec
+    /// used to key a sweep's point store: any semantic change to the spec
     /// changes the hash; formatting cannot.
     pub fn content_hash(&self) -> String {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1242,6 +1217,11 @@ mod tests {
         });
         assert!(ExperimentSpec::from_json(&bad_kind).is_err());
         assert!(decoder_from_name("quantum").is_err());
-        assert!(topology_from_name("torus").is_err());
+        let mut torus = ArchPoint::grid(2, 1.0).to_json();
+        torus["topology"] = Value::from("torus");
+        assert_eq!(
+            ArchPoint::from_json(&torus),
+            err("unknown topology `torus`")
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Sharded logical-error-rate sweeps over architecture points.
 //!
-//! The figure/table binaries evaluate grids of `(architecture, distance,
-//! decoder)` points. This module flattens such grids into [`LerPoint`]s and
+//! The LER artefacts evaluate grids of `(architecture, distance, decoder)`
+//! points. This module flattens such grids into [`LerPoint`]s and
 //! shards them across a [`SweepEngine`] worker pool — whole points run in
 //! parallel in the outer pool while each point's Monte-Carlo pipeline keeps
 //! its inner chunk parallelism.
@@ -14,14 +14,13 @@
 //! scheduling. The golden regression test in `tests/golden_sweep.rs` pins
 //! this end to end (compiler → sampler → decoder → estimator).
 
-use qccd_core::{ArchitectureConfig, Toolflow, ToolflowSpec};
+use qccd_core::{ArchitectureConfig, Toolflow};
 use qccd_decoder::{
     fit_lambda_weighted, CacheStats, DecoderKind, EstimatorConfig, LambdaFit, LogicalErrorEstimate,
     SweepEngine,
 };
 
-/// Engine seed used by the figure/table binaries (matches the historical
-/// `Toolflow` default).
+/// Engine seed of the builtin specs (matches the `Toolflow` default).
 pub const DEFAULT_SWEEP_SEED: u64 = 2026;
 
 /// One logical-error-rate sweep point.
@@ -71,20 +70,6 @@ impl LerPoint {
         self.estimator = estimator;
         self
     }
-
-    /// The declarative [`ToolflowSpec`] this point lowers onto for a given
-    /// sampling seed.
-    pub fn toolflow_spec(&self, seed: u64) -> ToolflowSpec {
-        ToolflowSpec {
-            arch: self.arch.clone(),
-            distance: self.distance,
-            shots: self.shots,
-            seed,
-            decoder: self.decoder,
-            estimator: self.estimator,
-            estimate_ler: true,
-        }
-    }
 }
 
 /// The result of one sweep point.
@@ -109,23 +94,25 @@ pub struct LerOutcome {
     pub cache: Option<CacheStats>,
 }
 
-/// Evaluates one sweep point at an explicit sampling seed, through the
-/// declarative toolflow entry point ([`Toolflow::run_spec`]: compile →
-/// sample → batch decode).
+/// Evaluates one sweep point at an explicit sampling seed through
+/// [`Toolflow::estimate`] (compile the memory experiment → sample → batch
+/// decode).
 ///
 /// This is the single evaluation body shared by every execution tier —
 /// [`run_ler_sweep`]'s in-process sharding, and the sweeprun store/worker
 /// paths in [`crate::distributed`] — so the outcome is a pure function of
-/// `(point, seed)` no matter which tier computed it.
+/// `(point, seed)` no matter which tier computed it. A point that does not
+/// compile carries the error of that `d`-round compile.
 pub fn evaluate_ler_point(point: &LerPoint, seed: u64) -> LerOutcome {
-    let (result, cache) = match Toolflow::run_spec_report(&point.toolflow_spec(seed)) {
-        Ok(report) => (
-            Ok(report
-                .metrics
-                .logical_error
-                .expect("evaluate(_, true) always estimates the LER")),
-            report.decode_cache,
-        ),
+    let toolflow = Toolflow {
+        arch: point.arch.clone(),
+        shots: point.shots,
+        seed,
+        decoder: point.decoder,
+        estimator: point.estimator,
+    };
+    let (result, cache) = match toolflow.estimate(point.distance) {
+        Ok(report) => (Ok(report.estimate), Some(report.cache)),
         Err(e) => (Err(e.to_string()), None),
     };
     LerOutcome {
@@ -163,46 +150,6 @@ impl LerCurve {
     pub fn rate_points(&self) -> Vec<(usize, f64)> {
         self.points.iter().map(|&(d, p, _)| (d, p)).collect()
     }
-}
-
-/// Samples the logical error rate of every `configuration × distance` pair
-/// in one sharded sweep and fits each configuration's suppression curve with
-/// standard-error weighting.
-///
-/// Point indices (and therefore seeds) are assigned configuration-major:
-/// configuration `c`, distance `d` gets index `c · distances.len() + d`.
-/// Compile failures are reported to stderr and excluded from the fit,
-/// mirroring the previous serial behaviour.
-pub fn ler_curves(
-    engine: &SweepEngine,
-    configurations: &[(String, ArchitectureConfig)],
-    distances: &[usize],
-    shots: usize,
-) -> Vec<LerCurve> {
-    ler_curves_with(
-        engine,
-        configurations,
-        distances,
-        shots,
-        DecoderKind::default(),
-        EstimatorConfig::default(),
-    )
-}
-
-/// [`ler_curves`] with an explicit decoder and Monte-Carlo pipeline
-/// configuration on every point (the experiment registry's entry point;
-/// the defaults reproduce [`ler_curves`] bit-identically).
-pub fn ler_curves_with(
-    engine: &SweepEngine,
-    configurations: &[(String, ArchitectureConfig)],
-    distances: &[usize],
-    shots: usize,
-    decoder: DecoderKind,
-    estimator: EstimatorConfig,
-) -> Vec<LerCurve> {
-    let points = ler_sweep_points(configurations, distances, shots, decoder, estimator);
-    let outcomes = run_ler_sweep(engine, &points);
-    ler_curves_from_outcomes(configurations, distances, &outcomes)
 }
 
 /// The flat configuration-major point grid of a LER sweep: configuration
@@ -333,36 +280,16 @@ mod tests {
 
     #[test]
     fn empty_distances_yield_one_empty_curve_per_configuration() {
-        let engine = SweepEngine::new(1);
         let configurations = vec![
             ("a".to_string(), grid_arch(2, 10.0)),
             ("b".to_string(), grid_arch(3, 10.0)),
         ];
-        let curves = ler_curves(&engine, &configurations, &[], 64);
+        let curves = ler_curves_from_outcomes(&configurations, &[], &[]);
         assert_eq!(curves.len(), 2);
         for curve in &curves {
             assert!(curve.points.is_empty());
             assert!(curve.fit.is_none());
             assert!(curve.outcomes.is_empty());
-        }
-    }
-
-    #[test]
-    fn ler_curves_with_defaults_is_identical_to_ler_curves() {
-        let engine = SweepEngine::new(3);
-        let configurations = vec![("g".to_string(), grid_arch(2, 10.0))];
-        let plain = ler_curves(&engine, &configurations, &[2, 3], 64);
-        let explicit = ler_curves_with(
-            &engine,
-            &configurations,
-            &[2, 3],
-            64,
-            DecoderKind::default(),
-            EstimatorConfig::default(),
-        );
-        assert_eq!(plain.len(), explicit.len());
-        for (a, b) in plain.iter().zip(&explicit) {
-            assert_eq!(a.points, b.points);
         }
     }
 
@@ -407,7 +334,16 @@ mod tests {
             ("a".to_string(), grid_arch(2, 10.0)),
             ("b".to_string(), grid_arch(3, 10.0)),
         ];
-        let curves = ler_curves(&engine, &configurations, &[2, 3], 64);
+        let distances = [2usize, 3];
+        let points = ler_sweep_points(
+            &configurations,
+            &distances,
+            64,
+            DecoderKind::default(),
+            EstimatorConfig::default(),
+        );
+        let outcomes = run_ler_sweep(&engine, &points);
+        let curves = ler_curves_from_outcomes(&configurations, &distances, &outcomes);
         assert_eq!(curves.len(), 2);
         assert_eq!(curves[0].label, "a");
         assert_eq!(curves[1].label, "b");

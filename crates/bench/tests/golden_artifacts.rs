@@ -81,5 +81,4 @@ fn fig09_artifact_is_stable_across_runs_and_carries_provenance() {
         registry.get("fig09").unwrap().content_hash()
     );
     assert!(a.metadata.thread_invariant);
-    assert!(!a.metadata.from_cache);
 }

@@ -36,9 +36,11 @@ fn pinned_spec() -> ToolflowSpec {
 
 #[test]
 fn word_path_stats_match_committed_golden() {
-    let report = Toolflow::run_spec_report(&pinned_spec()).expect("pinned spec evaluates");
-    let estimate = report.metrics.logical_error.expect("estimate ran");
-    let cache = report.decode_cache.expect("cache stats ran");
+    let spec = pinned_spec();
+    let report = Toolflow::from_spec(&spec)
+        .estimate(spec.distance)
+        .expect("pinned spec evaluates");
+    let (estimate, cache) = (report.estimate, report.cache);
     assert_eq!(cache.words(), 64, "4096 shots scan as 64 words");
     let rendered = serde_json::to_string_pretty(&serde_json::json!({
         "shots": estimate.shots,

@@ -116,7 +116,8 @@ impl ProgramCache {
 }
 
 /// The process-wide shared cache used by
-/// [`Toolflow::evaluate_report`](crate::Toolflow::evaluate_report) for its
+/// [`Toolflow::evaluate`](crate::Toolflow::evaluate) and
+/// [`Toolflow::estimate`](crate::Toolflow::estimate) for their
 /// rotated-surface-code workloads.
 pub fn shared() -> &'static ProgramCache {
     static SHARED: OnceLock<ProgramCache> = OnceLock::new();

@@ -71,4 +71,4 @@ pub use metrics::Metrics;
 pub use ops::{check_routing_invariants, Resource, RoutedOp, RoutedProgram};
 pub use routing::{route, DeviceState};
 pub use schedule::{check_resource_exclusivity, schedule, Schedule, ScheduledOp};
-pub use toolflow::{Toolflow, ToolflowReport, ToolflowSpec};
+pub use toolflow::{Toolflow, ToolflowSpec};

@@ -7,10 +7,12 @@
 //! rate / power requirements and (optionally) the Monte-Carlo logical error
 //! rate with below-threshold extrapolation.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use qccd_decoder::{
-    estimate_logical_error_rate_report, fit_lambda_weighted, CacheStats, DecoderKind,
+    estimate_logical_error_rate_report, fit_lambda_weighted, DecoderKind, EstimateReport,
     EstimatorConfig, LambdaFit, LogicalErrorEstimate, SweepEngine,
 };
 use qccd_hardware::estimate_resources;
@@ -20,9 +22,7 @@ use crate::{ArchitectureConfig, CompileError, CompiledProgram, Compiler, Metrics
 
 /// One declarative evaluation point: everything [`Toolflow::run_spec`] needs
 /// to produce a [`Metrics`] — the architecture under test, the workload
-/// distance, and the full sampling/decoding configuration. This is the thin
-/// execution contract the `qccd-bench` experiment registry (and its
-/// `artifacts` CLI) lowers each spec point onto.
+/// distance, and the full sampling/decoding configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ToolflowSpec {
     /// The candidate architecture.
@@ -56,23 +56,6 @@ impl ToolflowSpec {
             estimate_ler: true,
         }
     }
-}
-
-/// A [`Toolflow`] evaluation result: the paper's metrics plus the decoder
-/// cache statistics of the Monte-Carlo run (when one ran).
-///
-/// The cache statistics are diagnostics, kept out of [`Metrics`] on
-/// purpose: the word-triage counters are scheduling-invariant but the
-/// hit/miss split can shift with worker scheduling, so they must not
-/// participate in `Metrics` equality (see
-/// [`EstimateReport`](qccd_decoder::EstimateReport)).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ToolflowReport {
-    /// The evaluation metrics ([`Toolflow::evaluate`]'s return value).
-    pub metrics: Metrics,
-    /// Aggregate decoder cache statistics of the logical-error estimate
-    /// (`None` when no estimate ran).
-    pub decode_cache: Option<CacheStats>,
 }
 
 /// The end-to-end evaluation toolflow for one candidate architecture.
@@ -116,12 +99,6 @@ impl Toolflow {
         self
     }
 
-    /// Overrides the Monte-Carlo pipeline configuration.
-    pub fn with_estimator_config(mut self, estimator: EstimatorConfig) -> Self {
-        self.estimator = estimator;
-        self
-    }
-
     /// Builds the toolflow a [`ToolflowSpec`] describes.
     pub fn from_spec(spec: &ToolflowSpec) -> Self {
         Toolflow {
@@ -134,11 +111,9 @@ impl Toolflow {
     }
 
     /// Evaluates one declarative spec point end to end (compile → model →
-    /// optionally sample/decode). This is the entry point the experiment
-    /// registry and the `artifacts` CLI lower every sweep point onto; it is
-    /// exactly equivalent to building the toolflow by hand and calling
-    /// [`Toolflow::evaluate`], so results are bit-identical to the
-    /// imperative path.
+    /// optionally sample/decode). It is exactly equivalent to building the
+    /// toolflow by hand and calling [`Toolflow::evaluate`], so results are
+    /// bit-identical to the imperative path.
     ///
     /// # Errors
     ///
@@ -147,30 +122,9 @@ impl Toolflow {
         Toolflow::from_spec(spec).evaluate(spec.distance, spec.estimate_ler)
     }
 
-    /// [`Toolflow::run_spec`] returning the full [`ToolflowReport`]
-    /// (metrics plus the decoder cache statistics of the Monte-Carlo run).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompileError`]s from the compiler.
-    pub fn run_spec_report(spec: &ToolflowSpec) -> Result<ToolflowReport, CompileError> {
-        Toolflow::from_spec(spec).evaluate_report(spec.distance, spec.estimate_ler)
-    }
-
     /// Evaluates the architecture on the rotated surface code of the given
     /// distance (the paper's primary workload: a logical identity of `d`
     /// rounds).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompileError`]s from the compiler.
-    pub fn evaluate(&self, distance: usize, estimate_ler: bool) -> Result<Metrics, CompileError> {
-        self.evaluate_report(distance, estimate_ler)
-            .map(|report| report.metrics)
-    }
-
-    /// [`Toolflow::evaluate`] returning the metrics together with the
-    /// decoder cache statistics of the Monte-Carlo run.
     ///
     /// Rotated-surface-code compiles are memoized in the process-wide
     /// [`compile_cache`](crate::compile_cache): every sweep point, spec and
@@ -181,26 +135,56 @@ impl Toolflow {
     /// # Errors
     ///
     /// Propagates [`CompileError`]s from the compiler.
-    pub fn evaluate_report(
-        &self,
-        distance: usize,
-        estimate_ler: bool,
-    ) -> Result<ToolflowReport, CompileError> {
+    pub fn evaluate(&self, distance: usize, estimate_ler: bool) -> Result<Metrics, CompileError> {
         let layout = rotated_surface_code(distance);
-        let rounds = distance.max(1);
-        let cache = crate::compile_cache::shared();
-        let compiler = Compiler::new(self.arch.clone());
         // One round for the cycle-time and movement metrics.
-        let round_program = cache.get_or_compile(
+        let round_program = crate::compile_cache::shared().get_or_compile(
             &crate::compile_cache::rounds_key(&self.arch, distance, 1),
-            || compiler.compile_rounds(&layout, 1),
+            || Compiler::new(self.arch.clone()).compile_rounds(&layout, 1),
         )?;
         // The full experiment for shot time and (optionally) the LER.
-        let shot_program = cache.get_or_compile(
-            &crate::compile_cache::memory_key(&self.arch, distance, rounds, MemoryBasis::Z),
-            || compiler.compile_memory_experiment(&layout, rounds, MemoryBasis::Z),
-        )?;
-        Ok(self.report_from_programs(&layout, &round_program, &shot_program, estimate_ler))
+        let shot_program = self.memory_program(distance)?;
+        Ok(self.metrics_from_programs(&layout, &round_program, &shot_program, estimate_ler))
+    }
+
+    /// The Monte-Carlo logical error estimate at `distance`, with the
+    /// decoder cache statistics of the run: the memoized compile of the
+    /// `d`-round memory experiment, its noisy circuit, and the batch
+    /// estimator — nothing else. [`Toolflow::evaluate`]`(d, true)` reports
+    /// exactly this estimate as its `logical_error`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CompileError`]s from the compiler.
+    pub fn estimate(&self, distance: usize) -> Result<EstimateReport, CompileError> {
+        let program = self.memory_program(distance)?;
+        Ok(self.estimate_program(&program))
+    }
+
+    /// The memoized `d`-round, Z-basis memory experiment of the distance-`d`
+    /// rotated surface code on this architecture.
+    fn memory_program(&self, distance: usize) -> Result<Arc<CompiledProgram>, CompileError> {
+        crate::compile_cache::shared().get_or_compile(
+            &crate::compile_cache::memory_key(&self.arch, distance, distance, MemoryBasis::Z),
+            || {
+                Compiler::new(self.arch.clone()).compile_memory_experiment(
+                    &rotated_surface_code(distance),
+                    distance,
+                    MemoryBasis::Z,
+                )
+            },
+        )
+    }
+
+    fn estimate_program(&self, shot_program: &CompiledProgram) -> EstimateReport {
+        estimate_logical_error_rate_report(
+            &shot_program.to_noisy_circuit(),
+            self.shots,
+            self.seed,
+            self.decoder,
+            &self.estimator,
+        )
+        .expect("compiled circuits carry consistent annotations")
     }
 
     /// Evaluates the architecture on an arbitrary code layout, running
@@ -215,21 +199,6 @@ impl Toolflow {
         rounds: usize,
         estimate_ler: bool,
     ) -> Result<Metrics, CompileError> {
-        self.evaluate_layout_report(layout, rounds, estimate_ler)
-            .map(|report| report.metrics)
-    }
-
-    /// [`Toolflow::evaluate_layout`] returning the full report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompileError`]s from the compiler.
-    pub fn evaluate_layout_report(
-        &self,
-        layout: &CodeLayout,
-        rounds: usize,
-        estimate_ler: bool,
-    ) -> Result<ToolflowReport, CompileError> {
         let compiler = Compiler::new(self.arch.clone());
 
         // One round for the cycle-time and movement metrics.
@@ -237,50 +206,31 @@ impl Toolflow {
         // The full experiment for shot time and (optionally) the LER.
         let shot_program =
             compiler.compile_memory_experiment(layout, rounds.max(1), MemoryBasis::Z)?;
-        Ok(self.report_from_programs(layout, &round_program, &shot_program, estimate_ler))
+        Ok(self.metrics_from_programs(layout, &round_program, &shot_program, estimate_ler))
     }
 
     /// The model/estimate stage shared by the cached rotated-surface path
-    /// ([`Toolflow::evaluate_report`]) and the arbitrary-layout path
-    /// ([`Toolflow::evaluate_layout_report`]).
-    fn report_from_programs(
+    /// ([`Toolflow::evaluate`]) and the arbitrary-layout path
+    /// ([`Toolflow::evaluate_layout`]).
+    fn metrics_from_programs(
         &self,
         layout: &CodeLayout,
         round_program: &CompiledProgram,
         shot_program: &CompiledProgram,
         estimate_ler: bool,
-    ) -> ToolflowReport {
-        let (logical_error, decode_cache) = if estimate_ler {
-            let noisy = shot_program.to_noisy_circuit();
-            let report = estimate_logical_error_rate_report(
-                &noisy,
-                self.shots,
-                self.seed,
-                self.decoder,
-                &self.estimator,
-            )
-            .expect("compiled circuits carry consistent annotations");
-            (Some(report.estimate), Some(report.cache))
-        } else {
-            (None, None)
-        };
-
-        let resources = estimate_resources(&round_program.device, self.arch.wiring);
-        ToolflowReport {
-            metrics: Metrics {
-                architecture: self.arch.label(),
-                code_distance: layout.distance(),
-                num_physical_qubits: layout.num_qubits(),
-                num_traps: round_program.device.num_traps(),
-                num_junctions: round_program.device.num_junctions(),
-                qec_round_time_us: round_program.elapsed_time_us(),
-                shot_time_us: shot_program.elapsed_time_us(),
-                movement_ops_per_round: round_program.movement_ops(),
-                movement_time_per_round_us: round_program.movement_time_us(),
-                resources,
-                logical_error,
-            },
-            decode_cache,
+    ) -> Metrics {
+        Metrics {
+            architecture: self.arch.label(),
+            code_distance: layout.distance(),
+            num_physical_qubits: layout.num_qubits(),
+            num_traps: round_program.device.num_traps(),
+            num_junctions: round_program.device.num_junctions(),
+            qec_round_time_us: round_program.elapsed_time_us(),
+            shot_time_us: shot_program.elapsed_time_us(),
+            movement_ops_per_round: round_program.movement_ops(),
+            movement_time_per_round_us: round_program.movement_time_us(),
+            resources: estimate_resources(&round_program.device, self.arch.wiring),
+            logical_error: estimate_ler.then(|| self.estimate_program(shot_program).estimate),
         }
     }
 
@@ -319,23 +269,6 @@ impl Toolflow {
             ));
         }
         Ok(points)
-    }
-
-    /// Estimates the logical error rate at each of the given distances and
-    /// returns the `(distance, per-shot LER)` points.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompileError`]s from the compiler.
-    pub fn logical_error_vs_distance(
-        &self,
-        distances: &[usize],
-    ) -> Result<Vec<(usize, f64)>, CompileError> {
-        Ok(self
-            .logical_error_estimates(distances)?
-            .into_iter()
-            .map(|(d, estimate)| (d, estimate.logical_error_rate))
-            .collect())
     }
 
     /// Fits the exponential suppression law to sampled logical error rates so
@@ -456,30 +389,19 @@ mod tests {
     }
 
     #[test]
-    fn run_spec_report_carries_cache_statistics() {
-        let arch = ArchitectureConfig::recommended(5.0);
-        let spec = ToolflowSpec {
-            shots: 256,
-            seed: 7,
-            ..ToolflowSpec::new(arch, 3)
-        };
-        let report = Toolflow::run_spec_report(&spec).unwrap();
-        assert_eq!(report.metrics, Toolflow::run_spec(&spec).unwrap());
-        let cache = report.decode_cache.expect("estimate ran");
+    fn estimate_is_the_logical_error_of_evaluate_with_cache_statistics() {
+        let toolflow = Toolflow::new(ArchitectureConfig::recommended(5.0))
+            .with_shots(256)
+            .with_seed(7);
+        let report = toolflow.estimate(3).unwrap();
+        let metrics = toolflow.evaluate(3, true).unwrap();
+        assert_eq!(Some(report.estimate), metrics.logical_error);
         // 256 shots = 4 words, all triaged exactly once.
-        assert_eq!(cache.words(), 4);
+        assert_eq!(report.cache.words(), 256 / 64);
         assert_eq!(
-            cache.quiet_words + cache.sparse_words + cache.dense_words,
-            cache.words()
+            report.cache.quiet_words + report.cache.sparse_words + report.cache.dense_words,
+            report.cache.words()
         );
-        // Without an estimate there are no cache statistics.
-        let compile_only = ToolflowSpec {
-            estimate_ler: false,
-            ..spec
-        };
-        let report = Toolflow::run_spec_report(&compile_only).unwrap();
-        assert!(report.decode_cache.is_none());
-        assert!(report.metrics.logical_error.is_none());
     }
 
     #[test]
@@ -497,8 +419,8 @@ mod tests {
 
     #[test]
     fn cached_and_uncached_compiles_produce_identical_metrics() {
-        // evaluate_report routes through the shared program cache; the
-        // uncached arbitrary-layout path must produce the same metrics.
+        // evaluate routes through the shared program cache; the uncached
+        // arbitrary-layout path must produce the same metrics.
         let toolflow = Toolflow::new(ArchitectureConfig::recommended(5.0)).with_shots(256);
         let cached = toolflow.evaluate(3, true).unwrap();
         let uncached = toolflow

@@ -456,15 +456,6 @@ impl DecodeScratch {
         self.memo.len()
     }
 
-    /// Freezes the scratch's warmed memo into a read-mostly
-    /// [`MemoSnapshot`] for other workers to adopt. `None` while no decoder
-    /// has claimed the memo yet (prefer
-    /// [`Decoder::warm_memo_snapshot`](crate::Decoder::warm_memo_snapshot),
-    /// which warms first).
-    pub fn memo_snapshot(&self) -> Option<MemoSnapshot> {
-        self.memo.snapshot()
-    }
-
     /// Adopts a shared memo snapshot: the scratch's memo becomes a clone of
     /// the snapshot (owner, entries, prefill state), exactly as if this
     /// scratch had been warmed by the snapshot's decoder itself. A no-op

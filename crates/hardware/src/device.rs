@@ -92,6 +92,20 @@ impl std::fmt::Display for TopologyKind {
     }
 }
 
+/// Inverse of the [`Display`](std::fmt::Display) names.
+impl std::str::FromStr for TopologyKind {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, String> {
+        match name {
+            "grid" => Ok(TopologyKind::Grid),
+            "linear" => Ok(TopologyKind::Linear),
+            "switch" => Ok(TopologyKind::Switch),
+            other => Err(format!("unknown topology `{other}` (grid|linear|switch)")),
+        }
+    }
+}
+
 /// Errors produced when constructing or validating a [`Device`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeviceError {
@@ -400,6 +414,18 @@ mod tests {
         assert_eq!(device.total_ion_capacity(), 4);
         assert_eq!(device.mappable_qubits(), 2);
         assert_eq!(device.kind(), TopologyKind::Linear);
+    }
+
+    #[test]
+    fn topology_from_str_inverts_display() {
+        for kind in [
+            TopologyKind::Grid,
+            TopologyKind::Linear,
+            TopologyKind::Switch,
+        ] {
+            assert_eq!(kind.to_string().parse(), Ok(kind));
+        }
+        assert!("torus".parse::<TopologyKind>().is_err());
     }
 
     #[test]

@@ -48,6 +48,19 @@ impl fmt::Display for WiringMethod {
     }
 }
 
+/// Inverse of the [`Display`](fmt::Display) names.
+impl std::str::FromStr for WiringMethod {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, String> {
+        match name {
+            "standard" => Ok(WiringMethod::Standard),
+            "wise" => Ok(WiringMethod::Wise),
+            other => Err(format!("unknown wiring `{other}` (standard|wise)")),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,5 +81,13 @@ mod tests {
     fn display() {
         assert_eq!(WiringMethod::Standard.to_string(), "standard");
         assert_eq!(WiringMethod::Wise.to_string(), "wise");
+    }
+
+    #[test]
+    fn from_str_inverts_display() {
+        for wiring in [WiringMethod::Standard, WiringMethod::Wise] {
+            assert_eq!(wiring.to_string().parse(), Ok(wiring));
+        }
+        assert!("twisted-pair".parse::<WiringMethod>().is_err());
     }
 }

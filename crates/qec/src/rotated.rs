@@ -14,9 +14,7 @@
 //! string of Z along the first data row; the logical X operator is a vertical
 //! string of X along the first data column.
 
-use qccd_circuit::QubitId;
-
-use crate::{CodeLayout, Coord, QubitInfo, QubitRole, Stabilizer, StabilizerBasis};
+use crate::CodeLayout;
 
 /// Builds the distance-`d` rotated surface code layout.
 ///
@@ -35,106 +33,14 @@ use crate::{CodeLayout, Coord, QubitInfo, QubitRole, Stabilizer, StabilizerBasis
 /// ```
 pub fn rotated_surface_code(distance: usize) -> CodeLayout {
     assert!(distance >= 2, "surface code distance must be at least 2");
-    let d = distance as i64;
-
-    let mut qubits = Vec::new();
-    // Data qubits: row-major d×d grid, ids 0..d².
-    let data_id = |r: i64, c: i64| QubitId::new((r * d + c) as u32);
-    for r in 0..d {
-        for c in 0..d {
-            qubits.push(QubitInfo {
-                id: data_id(r, c),
-                coord: Coord::new(2 * r, 2 * c),
-                role: QubitRole::Data,
-            });
-        }
-    }
-
-    // Ancilla qubits: plaquette corners (i, j) with i, j ∈ 0..=d, which sit
-    // between data rows (i-1, i) and data columns (j-1, j).
-    let mut stabilizers = Vec::new();
-    let mut next_id = (d * d) as u32;
-    for i in 0..=d {
-        for j in 0..=d {
-            // The four candidate data neighbours, by corner.
-            let nw = neighbour(i - 1, j - 1, d);
-            let ne = neighbour(i - 1, j, d);
-            let sw = neighbour(i, j - 1, d);
-            let se = neighbour(i, j, d);
-            let present = [nw, ne, sw, se].iter().filter(|n| n.is_some()).count();
-            if present < 2 {
-                // Corners of the dual lattice: no check.
-                continue;
-            }
-            let basis = if (i + j) % 2 == 0 {
-                StabilizerBasis::Z
-            } else {
-                StabilizerBasis::X
-            };
-            if present == 2 {
-                // Boundary checks: X-type only on the top/bottom boundaries,
-                // Z-type only on the left/right boundaries.
-                let on_top_bottom = i == 0 || i == d;
-                let on_left_right = j == 0 || j == d;
-                let keep = match basis {
-                    StabilizerBasis::X => on_top_bottom && !on_left_right,
-                    StabilizerBasis::Z => on_left_right && !on_top_bottom,
-                };
-                if !keep {
-                    continue;
-                }
-            }
-            let ancilla = QubitId::new(next_id);
-            next_id += 1;
-            qubits.push(QubitInfo {
-                id: ancilla,
-                coord: Coord::new(2 * i - 1, 2 * j - 1),
-                role: QubitRole::Ancilla,
-            });
-            // Entangling schedule: the standard "Z/N" orderings that avoid
-            // same-step conflicts and bad hook errors.
-            let schedule = match basis {
-                StabilizerBasis::X => vec![nw, ne, sw, se],
-                StabilizerBasis::Z => vec![nw, sw, ne, se],
-            }
-            .into_iter()
-            .map(|n| n.map(|(r, c)| data_id(r, c)))
-            .collect();
-            stabilizers.push(Stabilizer {
-                ancilla,
-                basis,
-                schedule,
-            });
-        }
-    }
-
-    // Logical Z: horizontal Z string along data row 0 (connects the two
-    // Z-type boundaries). Logical X: vertical X string along data column 0.
-    let logical_z = (0..d).map(|c| data_id(0, c)).collect();
-    let logical_x = (0..d).map(|r| data_id(r, 0)).collect();
-
-    CodeLayout::new(
-        format!("rotated_surface_d{distance}"),
-        distance,
-        qubits,
-        stabilizers,
-        logical_z,
-        logical_x,
-    )
-}
-
-/// Returns `(r, c)` if the data coordinate is inside the d×d grid.
-fn neighbour(r: i64, c: i64, d: i64) -> Option<(i64, i64)> {
-    if r >= 0 && r < d && c >= 0 && c < d {
-        Some((r, c))
-    } else {
-        None
-    }
+    crate::rectangular::rotated_patch(format!("rotated_surface_d{distance}"), distance, distance)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StabilizerBasis;
+    use qccd_circuit::QubitId;
     use std::collections::HashSet;
 
     #[test]

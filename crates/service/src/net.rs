@@ -94,18 +94,8 @@ pub fn parse_arch(
     wiring: &str,
     gate_improvement: f64,
 ) -> Result<ArchitectureConfig, String> {
-    use qccd_hardware::{TopologyKind, WiringMethod};
-    let topology = match topology {
-        "grid" => TopologyKind::Grid,
-        "linear" => TopologyKind::Linear,
-        "switch" => TopologyKind::Switch,
-        other => return Err(format!("unknown topology `{other}` (grid|linear|switch)")),
-    };
-    let wiring = match wiring {
-        "standard" => WiringMethod::Standard,
-        "wise" => WiringMethod::Wise,
-        other => return Err(format!("unknown wiring `{other}` (standard|wise)")),
-    };
+    let topology: qccd_hardware::TopologyKind = topology.parse()?;
+    let wiring: qccd_hardware::WiringMethod = wiring.parse()?;
     if capacity == 0 {
         return Err("capacity must be positive".into());
     }

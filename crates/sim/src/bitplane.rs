@@ -74,18 +74,6 @@ impl BitPlanes {
         index
     }
 
-    /// Appends a zeroed plane and returns its index.
-    pub fn push_zero_plane(&mut self) -> usize {
-        let index = self.num_planes();
-        self.data.resize(self.data.len() + self.words_per_plane, 0);
-        index
-    }
-
-    /// Reserves capacity for `additional` more planes.
-    pub fn reserve_planes(&mut self, additional: usize) {
-        self.data.reserve(additional * self.words_per_plane);
-    }
-
     /// Tests one bit of one plane.
     pub fn bit(&self, plane: usize, bit: usize) -> bool {
         (self.plane(plane)[bit / 64] >> (bit % 64)) & 1 == 1
@@ -105,21 +93,6 @@ impl BitPlanes {
             .iter()
             .step_by(self.words_per_plane)
             .copied()
-    }
-
-    /// XORs `source` into the given plane.
-    pub fn xor_plane(&mut self, index: usize, source: &[u64]) {
-        for (dst, &src) in self.plane_mut(index).iter_mut().zip(source) {
-            *dst ^= src;
-        }
-    }
-
-    /// Number of set bits in one plane.
-    pub fn count_ones(&self, index: usize) -> usize {
-        self.plane(index)
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
     }
 
     /// Re-lays every plane at `words_per_plane` words: a wider plane is
@@ -157,7 +130,8 @@ mod tests {
         assert!(arena.bit(0, 1));
         assert!(!arena.bit(0, 0));
         assert!(arena.bit(1, 64));
-        assert_eq!(arena.count_ones(0), 2);
+        let ones: u32 = arena.plane(0).iter().map(|w| w.count_ones()).sum();
+        assert_eq!(ones, 2);
     }
 
     #[test]
@@ -184,16 +158,6 @@ mod tests {
         assert_eq!(arena.plane(1), &[3]);
         arena.relay(0);
         assert_eq!(arena, BitPlanes::zeroed(2, 0));
-    }
-
-    #[test]
-    fn zeroed_and_xor() {
-        let mut arena = BitPlanes::zeroed(3, 1);
-        arena.xor_plane(1, &[0b11]);
-        arena.xor_plane(1, &[0b01]);
-        assert_eq!(arena.plane(0), &[0]);
-        assert_eq!(arena.plane(1), &[0b10]);
-        assert_eq!(arena.count_ones(1), 1);
     }
 
     #[test]

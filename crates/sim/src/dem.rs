@@ -290,11 +290,6 @@ impl DetectorErrorModel {
         })
     }
 
-    /// Total expected number of mechanism firings per shot.
-    pub fn expected_errors_per_shot(&self) -> f64 {
-        self.errors.iter().map(|e| e.probability).sum()
-    }
-
     /// Number of mechanisms that are not graph-like (flip more than two
     /// detectors); decoders must decompose these.
     pub fn num_hyperedges(&self) -> usize {

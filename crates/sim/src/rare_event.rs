@@ -41,14 +41,6 @@ pub struct BiasedCircuit {
     pub bias: f64,
 }
 
-impl BiasedCircuit {
-    /// The total log weight of a shot given the accumulated sum of fire
-    /// increments recorded for it.
-    pub fn shot_log_weight(&self, fire_sum: f64) -> f64 {
-        self.base_log_weight + fire_sum
-    }
-}
-
 /// Builds the importance-sampling companion of `circuit`: every noise
 /// channel's total probability `p` is scaled to `q = min(bias · p, 0.5)`
 /// (never below `p`), while gates, detectors and observables are copied

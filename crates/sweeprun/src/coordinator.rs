@@ -29,7 +29,7 @@
 
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use qccd_telemetry::{
@@ -217,6 +217,9 @@ struct RunContext<'a> {
     job: &'a dyn PointJob,
     store: &'a PointStore,
     scheduler: Mutex<Scheduler>,
+    /// Notified (with `scheduler`) whenever a point becomes terminal, so
+    /// [`run_job`] learns of the last one without waiting out its poll.
+    terminal: Condvar,
     shutdown: AtomicBool,
     lease_timeout_ms: u64,
     /// Points already on disk when the run started (resume credit).
@@ -246,6 +249,7 @@ impl<'a> RunContext<'a> {
             job,
             store,
             scheduler: Mutex::new(scheduler),
+            terminal: Condvar::new(),
             shutdown: AtomicBool::new(false),
             lease_timeout_ms,
             resumed,
@@ -279,7 +283,42 @@ impl<'a> RunContext<'a> {
             .set(progress.workers.len() as i64);
     }
 
-    fn record_eval_failure(&self, worker: u64, index: usize, error: &str) {
+    /// Asks the scheduler for `worker`'s next point.
+    fn lease(&self, worker: u64) -> LeaseReply {
+        let span = self.stage_lease.start();
+        let reply = self.scheduler.lock().unwrap().lease(worker, Instant::now());
+        span.finish(1);
+        reply
+    }
+
+    /// Persists `payload`, then marks the point done: a crash in between
+    /// leaves it pending, and a redundant write of a duplicate is
+    /// byte-identical and therefore harmless.
+    fn complete(
+        &self,
+        worker: u64,
+        index: usize,
+        payload: &Value,
+    ) -> Result<CompleteReply, String> {
+        let span = self.stage_persist.start();
+        let stored = self.store.store_point(index, payload);
+        span.finish(1);
+        stored?;
+        let reply = self
+            .scheduler
+            .lock()
+            .unwrap()
+            .complete(index, worker, Instant::now());
+        if reply == CompleteReply::Accepted {
+            self.points_completed.inc();
+            self.terminal.notify_one();
+        }
+        Ok(reply)
+    }
+
+    /// Reports a failed evaluation; an exhausted point is recorded in the
+    /// store's `failed/` directory.
+    fn fail(&self, worker: u64, index: usize, error: &str) -> Result<FailReply, String> {
         self.eval_failures.inc();
         let (reply, attempts) = {
             let mut scheduler = self.scheduler.lock().unwrap();
@@ -287,10 +326,11 @@ impl<'a> RunContext<'a> {
             (reply, scheduler.attempts(index))
         };
         if reply == FailReply::Exhausted {
-            if let Err(e) = self.store.record_failure(index, error, attempts) {
-                eprintln!("sweep: recording failure for point {index} failed: {e}");
-            }
+            let recorded = self.store.record_failure(index, error, attempts);
+            self.terminal.notify_one();
+            recorded?;
         }
+        Ok(reply)
     }
 
     /// A local in-process worker: lease → eval → persist → complete.
@@ -300,37 +340,20 @@ impl<'a> RunContext<'a> {
             .lock()
             .unwrap()
             .register_worker(Instant::now());
-        loop {
-            if self.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-            let span = self.stage_lease.start();
-            let reply = self.scheduler.lock().unwrap().lease(worker, Instant::now());
-            span.finish(1);
-            match reply {
+        while !self.shutdown.load(Ordering::Relaxed) {
+            match self.lease(worker) {
                 LeaseReply::Point(index) => {
-                    let seed = self.store.seed(index);
                     let span = self.stage_eval.start();
-                    let evaluated = self.job.eval(index, seed);
+                    let evaluated = self.job.eval(index, self.store.seed(index));
                     span.finish(1);
-                    match evaluated {
-                        Ok(payload) => {
-                            let span = self.stage_persist.start();
-                            let stored = self.store.store_point(index, &payload);
-                            span.finish(1);
-                            match stored {
-                                Ok(()) => {
-                                    self.scheduler.lock().unwrap().complete(
-                                        index,
-                                        worker,
-                                        Instant::now(),
-                                    );
-                                    self.points_completed.inc();
-                                }
-                                Err(e) => self.record_eval_failure(worker, index, &e),
-                            }
+                    let failure = match evaluated {
+                        Ok(payload) => self.complete(worker, index, &payload).err(),
+                        Err(error) => Some(error),
+                    };
+                    if let Some(error) = failure {
+                        if let Err(e) = self.fail(worker, index, &error) {
+                            eprintln!("sweep: recording failure for point {index} failed: {e}");
                         }
-                        Err(error) => self.record_eval_failure(worker, index, &error),
                     }
                 }
                 LeaseReply::Wait => std::thread::sleep(Duration::from_millis(20)),
@@ -410,10 +433,7 @@ impl<'a> RunContext<'a> {
                     Ok(worker) => worker,
                     Err(response) => return response,
                 };
-                let span = self.stage_lease.start();
-                let reply = self.scheduler.lock().unwrap().lease(worker, Instant::now());
-                span.finish(1);
-                match reply {
+                match self.lease(worker) {
                     LeaseReply::Point(index) => serde_json::json!({
                         "point": {
                             "index": index as u64,
@@ -436,26 +456,13 @@ impl<'a> RunContext<'a> {
                 let Some(payload) = request.get("payload") else {
                     return err("`complete` needs a `payload`".to_string());
                 };
-                // Persist before acknowledging; a redundant write of a
-                // duplicate is byte-identical and therefore harmless.
-                let span = self.stage_persist.start();
-                let stored = self.store.store_point(index, payload);
-                span.finish(1);
-                if let Err(e) = stored {
-                    return err(e);
+                match self.complete(worker, index, payload) {
+                    Ok(reply) => serde_json::json!({
+                        "ok": true,
+                        "duplicate": reply == CompleteReply::Duplicate,
+                    }),
+                    Err(e) => err(e),
                 }
-                let reply = self
-                    .scheduler
-                    .lock()
-                    .unwrap()
-                    .complete(index, worker, Instant::now());
-                if reply == CompleteReply::Accepted {
-                    self.points_completed.inc();
-                }
-                serde_json::json!({
-                    "ok": true,
-                    "duplicate": reply == CompleteReply::Duplicate,
-                })
             }
             "fail" => {
                 let worker = match worker_id() {
@@ -470,21 +477,11 @@ impl<'a> RunContext<'a> {
                     .get("error")
                     .and_then(Value::as_str)
                     .unwrap_or("unspecified worker error");
-                self.eval_failures.inc();
-                let (reply, attempts) = {
-                    let mut scheduler = self.scheduler.lock().unwrap();
-                    let reply = scheduler.fail(index, worker, Instant::now());
-                    (reply, scheduler.attempts(index))
-                };
-                if reply == FailReply::Exhausted {
-                    if let Err(e) = self.store.record_failure(index, error, attempts) {
-                        return err(e);
-                    }
-                }
-                let disposition = match reply {
-                    FailReply::Retry => "retry",
-                    FailReply::Exhausted => "exhausted",
-                    FailReply::Stale => "stale",
+                let disposition = match self.fail(worker, index, error) {
+                    Ok(FailReply::Retry) => "retry",
+                    Ok(FailReply::Exhausted) => "exhausted",
+                    Ok(FailReply::Stale) => "stale",
+                    Err(e) => return err(e),
                 };
                 serde_json::json!({ "ok": true, "disposition": disposition })
             }
@@ -624,7 +621,16 @@ pub fn run_job(
                 if finished {
                     return Ok(());
                 }
-                std::thread::sleep(Duration::from_millis(25));
+                // Woken when a point turns terminal; the 25 ms ceiling keeps
+                // lease reaping and the report cadence, and bounds the cost
+                // of a notification that lands before this wait begins.
+                let scheduler = context.scheduler.lock().unwrap();
+                drop(
+                    context
+                        .terminal
+                        .wait_timeout(scheduler, Duration::from_millis(25))
+                        .unwrap(),
+                );
             }
         };
         let result = body();
