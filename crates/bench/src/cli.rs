@@ -22,6 +22,7 @@
 //! testable; `src/bin/artifacts.rs` is a two-line shim over [`run`].
 
 use std::fs;
+use std::io::{ErrorKind, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -716,23 +717,29 @@ pub fn parse_sweep_worker_options(args: &[String]) -> Result<SweepWorkerOptions,
     })
 }
 
-/// Writes a rendered artifact to `<out>/<name>.<ext>` or stdout.
+/// Writes a rendered artifact to `<out>/<name>.<ext>` or to `stdout`. A
+/// reader that closed the pipe early (`artifacts run fig10 | head`) has
+/// everything it asked for, so a broken pipe is success.
 fn emit_rendered(
     name: &str,
     rendered: &str,
     format: OutputFormat,
     out: &Option<PathBuf>,
+    stdout: &mut impl Write,
 ) -> Result<(), String> {
-    match out {
+    let printed = match out {
         Some(dir) => {
             fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
             let path = dir.join(format!("{name}.{}", format.extension()));
             fs::write(&path, rendered).map_err(|e| format!("cannot write {path:?}: {e}"))?;
-            println!("(wrote {})", path.display());
+            writeln!(stdout, "(wrote {})", path.display())
         }
-        None => println!("{rendered}"),
+        None => writeln!(stdout, "{rendered}"),
+    };
+    match printed {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("cannot write stdout: {e}")),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// Resolves the single spec a sweep subcommand names.
@@ -825,6 +832,7 @@ fn sweep_run_command(
         &options.format.render(&artifact),
         options.format,
         &options.out,
+        &mut std::io::stdout().lock(),
     )
 }
 
@@ -1129,6 +1137,7 @@ fn run_command(options: &RunOptions, registry: &ExperimentRegistry) -> Result<()
             &options.format.render(&artifact),
             options.format,
             &options.out,
+            &mut std::io::stdout().lock(),
         )?;
     }
     Ok(())
@@ -1200,6 +1209,33 @@ mod tests {
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// A stdout whose reader has gone away (or, for any other kind, broke).
+    struct FailingStdout(ErrorKind);
+
+    impl Write for FailingStdout {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn emit_rendered_treats_a_closed_pipe_as_success() {
+        let mut printed = Vec::new();
+        emit_rendered("x", "table", OutputFormat::Pretty, &None, &mut printed).unwrap();
+        assert_eq!(printed, b"table\n");
+        let emit = |kind| {
+            let mut stdout = FailingStdout(kind);
+            emit_rendered("x", "table", OutputFormat::Pretty, &None, &mut stdout)
+        };
+        emit(ErrorKind::BrokenPipe).unwrap();
+        let err = emit(ErrorKind::PermissionDenied).unwrap_err();
+        assert!(err.starts_with("cannot write stdout"), "{err}");
     }
 
     #[test]

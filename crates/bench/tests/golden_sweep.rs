@@ -22,7 +22,8 @@ use qccd_core::ArchitectureConfig;
 use qccd_decoder::{DecoderKind, SweepEngine};
 use qccd_hardware::{TopologyKind, WiringMethod};
 
-const GOLDEN_SHOTS: usize = 1024;
+// Enough shots that the distance-3 points pin non-zero failure counts.
+const GOLDEN_SHOTS: usize = 16_384;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))

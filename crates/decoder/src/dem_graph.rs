@@ -7,21 +7,25 @@
 //! log-likelihood ratios `ln((1−p)/p)`.
 //!
 //! Circuit-level noise also produces *hyperedges* — mechanisms flipping more
-//! than two detectors (for example a Y error on a data qubit flips two X-type
-//! and two Z-type checks). These are decomposed into graph-like edges:
-//! the detectors of a hyperedge are grouped by the connected component they
-//! belong to in the graph formed by the ordinary two-detector edges (in a
-//! surface code these components are exactly the X-check and Z-check
-//! subgraphs), and each group becomes one edge. Observable flips are
-//! assigned to the decomposed parts by looking up matching graph-like
-//! mechanisms, with any residual assigned to the last part so that the total
-//! symptom is preserved.
+//! than two detectors (for example a correlated fault on two data ions of one
+//! chain). A hyperedge is split only into symptoms that one-/two-detector
+//! mechanisms of the same model already produce and whose observables XOR to
+//! the hyperedge's own (Stim's `decompose_errors` rule): depth-first over
+//! "the first remaining detector alone, or paired with each later one", the
+//! first split in index order wins. Its probability is added to those
+//! existing edges; a hyperedge with no such split is left out of the graph
+//! and counted. No edge is ever created that a single fault does not produce.
+//!
+//! Parallel mechanisms merge into one edge per endpoint pair. Probabilities
+//! combine as the parity of independent events; the edge carries the
+//! observables of its likeliest constituent, and every merge that discarded
+//! a differing observable set is counted.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use qccd_sim::{DemError, DetectorErrorModel};
+use qccd_sim::DetectorErrorModel;
 
 /// Index of a detector vertex in the decoding graph.
 pub type DetectorIndex = usize;
@@ -61,155 +65,93 @@ pub struct DecodingGraph {
     edges: Vec<DecodingEdge>,
     /// For each detector, the indices of its incident edges.
     adjacency: Vec<Vec<usize>>,
-    /// Number of hyperedges that had to be decomposed.
+    /// Number of hyperedges split into existing edges.
     decomposed_hyperedges: usize,
+    /// Number of hyperedges with no split into existing edges (left out).
+    undecomposed_hyperedges: usize,
+    /// Number of parallel-edge merges that discarded a differing
+    /// observable set.
+    observable_conflicts: usize,
+}
+
+/// Endpoints of an edge: a detector and a second detector or the boundary.
+type Endpoints = (DetectorIndex, Option<DetectorIndex>);
+
+/// One edge under construction: all mechanisms seen between its endpoints.
+struct Merged {
+    /// Parity-combined probability of every constituent.
+    probability: f64,
+    /// Probability of the likeliest graph-like constituent, whose
+    /// observables the edge carries.
+    likeliest: f64,
+    observables: Vec<u32>,
 }
 
 impl DecodingGraph {
     /// Builds the decoding graph of a detector error model.
     pub fn from_dem(dem: &DetectorErrorModel) -> Self {
         let num_detectors = dem.num_detectors;
+        let combine = |p: f64, q: f64| p * (1.0 - q) + q * (1.0 - p);
 
-        // Union-find over detectors using the ordinary two-detector edges to
-        // identify the graph-like components (X-type vs Z-type subgraphs in
-        // a surface code).
-        let mut component: Vec<usize> = (0..num_detectors).collect();
-        fn find(component: &mut [usize], x: usize) -> usize {
-            let mut root = x;
-            while component[root] != root {
-                root = component[root];
+        // Graph-like mechanisms become edges, merged by endpoints. A
+        // mechanism with no detector symptom cannot be decoded; it
+        // contributes directly to the logical error floor and is ignored.
+        let mut merged: BTreeMap<Endpoints, Merged> = BTreeMap::new();
+        let mut observable_conflicts = 0;
+        for error in dem.errors.iter().filter(|e| e.is_graphlike()) {
+            let Some(&a) = error.detectors.first() else {
+                continue;
+            };
+            let key = (a as usize, error.detectors.get(1).map(|&b| b as usize));
+            let edge = merged.entry(key).or_insert_with(|| Merged {
+                probability: 0.0,
+                likeliest: 0.0,
+                observables: error.observables.clone(),
+            });
+            edge.probability = combine(edge.probability, error.probability);
+            if edge.observables != error.observables {
+                observable_conflicts += 1;
             }
-            let mut cur = x;
-            while component[cur] != root {
-                let next = component[cur];
-                component[cur] = root;
-                cur = next;
-            }
-            root
-        }
-        for error in &dem.errors {
-            if error.detectors.len() == 2 {
-                let a = find(&mut component, error.detectors[0] as usize);
-                let b = find(&mut component, error.detectors[1] as usize);
-                if a != b {
-                    component[a] = b;
-                }
-            }
-        }
-
-        // Graph-like mechanisms become edges directly; remember their
-        // symptom → observables mapping for hyperedge decomposition.
-        let mut edges: Vec<DecodingEdge> = Vec::new();
-        let mut graphlike_observables: HashMap<Vec<u32>, Vec<u32>> = HashMap::new();
-        let mut hyperedges: Vec<&DemError> = Vec::new();
-        for error in &dem.errors {
-            match error.detectors.len() {
-                0 => {
-                    // A mechanism with no detector symptom cannot be decoded;
-                    // it contributes directly to the logical error floor and
-                    // is ignored by matching decoders.
-                }
-                1 => {
-                    edges.push(Self::make_edge(
-                        error.detectors[0] as usize,
-                        None,
-                        error.probability,
-                        error.observables.clone(),
-                    ));
-                    graphlike_observables
-                        .entry(error.detectors.clone())
-                        .or_insert_with(|| error.observables.clone());
-                }
-                2 => {
-                    edges.push(Self::make_edge(
-                        error.detectors[0] as usize,
-                        Some(error.detectors[1] as usize),
-                        error.probability,
-                        error.observables.clone(),
-                    ));
-                    graphlike_observables
-                        .entry(error.detectors.clone())
-                        .or_insert_with(|| error.observables.clone());
-                }
-                _ => hyperedges.push(error),
+            if error.probability > edge.likeliest {
+                edge.likeliest = error.probability;
+                edge.observables.clone_from(&error.observables);
             }
         }
 
-        // Decompose hyperedges.
-        let decomposed_hyperedges = hyperedges.len();
-        for error in hyperedges {
-            // Group the detectors by component.
-            let mut groups: HashMap<usize, Vec<u32>> = HashMap::new();
-            for &d in &error.detectors {
-                let root = find(&mut component, d as usize);
-                groups.entry(root).or_default().push(d);
-            }
-            let mut parts: Vec<Vec<u32>> = Vec::new();
-            for (_, mut group) in groups {
-                group.sort_unstable();
-                // Split oversized groups into pairs (plus a possible single).
-                while group.len() > 2 {
-                    let pair = vec![group[0], group[1]];
-                    group.drain(0..2);
-                    parts.push(pair);
-                }
-                parts.push(group);
-            }
-            // Assign observables: use the observables of a matching
-            // graph-like mechanism when one exists; put any residual on the
-            // last part so the total symptom is preserved.
-            let mut assigned: Vec<Vec<u32>> = Vec::with_capacity(parts.len());
-            let mut residual: Vec<u32> = error.observables.clone();
+        // Hyperedges add their probability to the existing edges they split
+        // into, or are left out.
+        let mut decomposed_hyperedges = 0;
+        let mut undecomposed_hyperedges = 0;
+        for error in dem.errors.iter().filter(|e| !e.is_graphlike()) {
+            let Some(parts) = split(&error.detectors, &error.observables, &merged) else {
+                undecomposed_hyperedges += 1;
+                continue;
+            };
+            decomposed_hyperedges += 1;
             for part in &parts {
-                let obs = graphlike_observables.get(part).cloned().unwrap_or_default();
-                residual = xor_sets(&residual, &obs);
-                assigned.push(obs);
-            }
-            if let Some(last) = assigned.last_mut() {
-                *last = xor_sets(last, &residual);
-            }
-            for (part, observables) in parts.into_iter().zip(assigned) {
-                match part.len() {
-                    1 => edges.push(Self::make_edge(
-                        part[0] as usize,
-                        None,
-                        error.probability,
-                        observables,
-                    )),
-                    2 => edges.push(Self::make_edge(
-                        part[0] as usize,
-                        Some(part[1] as usize),
-                        error.probability,
-                        observables,
-                    )),
-                    _ => unreachable!("parts are singles or pairs"),
-                }
+                let edge = merged.get_mut(part).expect("split uses existing edges");
+                edge.probability = combine(edge.probability, error.probability);
             }
         }
 
-        // Merge parallel edges (same endpoints and observables) by combining
-        // probabilities; this keeps the graph small.
-        let mut merged: HashMap<(usize, Option<usize>, Vec<u32>), f64> = HashMap::new();
-        for edge in edges {
-            let key = (edge.a, edge.b, edge.observables.clone());
-            let p = merged.entry(key).or_insert(0.0);
-            *p = *p * (1.0 - edge.probability) + edge.probability * (1.0 - *p);
-        }
-        let mut edges: Vec<DecodingEdge> = merged
+        let edges: Vec<DecodingEdge> = merged
             .into_iter()
-            .map(|((a, b, observables), probability)| {
-                Self::make_edge(a, b, probability, observables)
+            .map(|((a, b), edge)| {
+                let p = edge.probability.clamp(1e-12, 0.5);
+                DecodingEdge {
+                    a,
+                    b,
+                    probability: edge.probability,
+                    weight: ((1.0 - p) / p).ln().max(0.0),
+                    observables: edge.observables,
+                }
             })
             .collect();
-        edges.sort_by(|x, y| (x.a, x.b, &x.observables).cmp(&(y.a, y.b, &y.observables)));
-
         let mut adjacency = vec![Vec::new(); num_detectors];
         for (i, edge) in edges.iter().enumerate() {
             adjacency[edge.a].push(i);
             if let Some(b) = edge.b {
-                if b != edge.a {
-                    adjacency[b].push(i);
-                }
+                adjacency[b].push(i);
             }
         }
 
@@ -219,23 +161,8 @@ impl DecodingGraph {
             edges,
             adjacency,
             decomposed_hyperedges,
-        }
-    }
-
-    fn make_edge(
-        a: usize,
-        b: Option<usize>,
-        probability: f64,
-        observables: Vec<u32>,
-    ) -> DecodingEdge {
-        let p = probability.clamp(1e-12, 0.5);
-        let weight = ((1.0 - p) / p).ln().max(0.0);
-        DecodingEdge {
-            a,
-            b,
-            probability,
-            weight,
-            observables,
+            undecomposed_hyperedges,
+            observable_conflicts,
         }
     }
 
@@ -266,9 +193,23 @@ impl DecodingGraph {
         &self.adjacency[detector]
     }
 
-    /// Number of hyperedges that were decomposed during construction.
+    /// Number of hyperedges that were split into existing edges.
     pub fn decomposed_hyperedges(&self) -> usize {
         self.decomposed_hyperedges
+    }
+
+    /// Number of hyperedges left out of the graph because no split into
+    /// existing edges reproduces their observables.
+    pub fn undecomposed_hyperedges(&self) -> usize {
+        self.undecomposed_hyperedges
+    }
+
+    /// Number of parallel-edge merges that discarded an observable set
+    /// differing from the one the edge carries: two faults with one symptom
+    /// and different logical effects, which no matching decoder can tell
+    /// apart.
+    pub fn observable_conflicts(&self) -> usize {
+        self.observable_conflicts
     }
 
     /// Returns `true` if the graph has no edges (e.g. a noiseless circuit).
@@ -277,17 +218,40 @@ impl DecodingGraph {
     }
 }
 
-/// Symmetric difference of two sorted observable-index sets.
-fn xor_sets(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut counts: HashMap<u32, usize> = HashMap::new();
-    for &x in a.iter().chain(b.iter()) {
-        *counts.entry(x).or_insert(0) += 1;
+/// Depth-first search for a split of `detectors` into endpoint sets of
+/// existing edges whose observables XOR to `observables`: the first detector
+/// is taken alone or paired with each later one, in index order.
+fn split(
+    detectors: &[u32],
+    observables: &[u32],
+    known: &BTreeMap<Endpoints, Merged>,
+) -> Option<Vec<Endpoints>> {
+    let Some((&first, rest)) = detectors.split_first() else {
+        return observables.is_empty().then(Vec::new);
+    };
+    for partner in std::iter::once(None).chain((0..rest.len()).map(Some)) {
+        let key = (first as usize, partner.map(|i| rest[i] as usize));
+        let Some(edge) = known.get(&key) else {
+            continue;
+        };
+        let mut remaining = rest.to_vec();
+        if let Some(i) = partner {
+            remaining.remove(i);
+        }
+        let owed = xor_sets(observables, &edge.observables);
+        if let Some(mut parts) = split(&remaining, &owed, known) {
+            parts.push(key);
+            return Some(parts);
+        }
     }
-    let mut out: Vec<u32> = counts
-        .into_iter()
-        .filter(|(_, c)| c % 2 == 1)
-        .map(|(x, _)| x)
-        .collect();
+    None
+}
+
+/// Symmetric difference of two observable-index sets, sorted.
+fn xor_sets(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let only_a = a.iter().filter(|x| !b.contains(x));
+    let only_b = b.iter().filter(|x| !a.contains(x));
+    let mut out: Vec<u32> = only_a.chain(only_b).copied().collect();
     out.sort_unstable();
     out
 }
@@ -295,6 +259,7 @@ fn xor_sets(a: &[u32], b: &[u32]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qccd_sim::DemError;
 
     fn dem(
         errors: Vec<DemError>,
@@ -306,6 +271,11 @@ mod tests {
             num_observables,
             errors,
         }
+    }
+
+    fn edge(graph: &DecodingGraph, a: usize, b: Option<usize>) -> &DecodingEdge {
+        let found = graph.edges().iter().find(|e| e.a == a && e.b == b);
+        found.unwrap_or_else(|| panic!("no edge ({a}, {b:?})"))
     }
 
     fn err(p: f64, detectors: Vec<u32>, observables: Vec<u32>) -> DemError {
@@ -334,10 +304,10 @@ mod tests {
     }
 
     #[test]
-    fn hyperedge_is_decomposed_along_components() {
+    fn hyperedge_splits_into_existing_edges() {
         // Detectors 0-1 are connected by a 2-detector mechanism, and 2-3 by
-        // another; a 4-detector hyperedge across both components must split
-        // into the pairs {0,1} and {2,3}.
+        // another; a 4-detector hyperedge across both must split into the
+        // pairs {0,1} and {2,3}.
         let model = dem(
             vec![
                 err(0.01, vec![0, 1], vec![]),
@@ -349,23 +319,104 @@ mod tests {
         );
         let graph = DecodingGraph::from_dem(&model);
         assert_eq!(graph.decomposed_hyperedges(), 1);
+        assert_eq!(graph.undecomposed_hyperedges(), 0);
         // The hyperedge parts merge into the existing parallel edges.
         assert_eq!(graph.edges().len(), 2);
-        let e01 = graph
-            .edges()
-            .iter()
-            .find(|e| e.a == 0 && e.b == Some(1))
-            .unwrap();
-        let e23 = graph
-            .edges()
-            .iter()
-            .find(|e| e.a == 2 && e.b == Some(3))
-            .unwrap();
+        let e01 = edge(&graph, 0, Some(1));
+        let e23 = edge(&graph, 2, Some(3));
         // Probabilities were combined.
         assert!(e01.probability > 0.05 && e01.probability < 0.07);
         // Observable assignment follows the matching graph-like mechanism.
         assert!(e01.observables.is_empty());
         assert_eq!(e23.observables, vec![0]);
+    }
+
+    #[test]
+    fn first_valid_split_in_index_order_wins() {
+        // {0,1,2,3} splits as {0}+{1}+{2,3}, {0,1}+{2,3} or {0,2}+{1,3};
+        // "first detector alone" is tried before any pairing.
+        let model = dem(
+            vec![
+                err(0.01, vec![0], vec![]),
+                err(0.01, vec![1], vec![]),
+                err(0.01, vec![0, 1], vec![]),
+                err(0.01, vec![2, 3], vec![]),
+                err(0.01, vec![0, 2], vec![]),
+                err(0.01, vec![1, 3], vec![]),
+                err(0.25, vec![0, 1, 2, 3], vec![]),
+            ],
+            4,
+            0,
+        );
+        let graph = DecodingGraph::from_dem(&model);
+        assert_eq!(graph.decomposed_hyperedges(), 1);
+        assert_eq!(graph.edges().len(), 6);
+        for (a, b, grew) in [
+            (0, None, true),
+            (1, None, true),
+            (2, Some(3), true),
+            (0, Some(1), false),
+            (0, Some(2), false),
+            (1, Some(3), false),
+        ] {
+            assert_eq!(edge(&graph, a, b).probability > 0.2, grew, "({a}, {b:?})");
+        }
+    }
+
+    #[test]
+    fn split_must_reproduce_the_observables() {
+        // {0,1}+{2,3} comes first in index order but flips no observable;
+        // the hyperedge flips observable 0, which only {0,2}+{1,3} explains.
+        let model = dem(
+            vec![
+                err(0.01, vec![0, 1], vec![]),
+                err(0.01, vec![2, 3], vec![]),
+                err(0.01, vec![0, 2], vec![0]),
+                err(0.01, vec![1, 3], vec![]),
+                err(0.25, vec![0, 1, 2, 3], vec![0]),
+            ],
+            4,
+            1,
+        );
+        let graph = DecodingGraph::from_dem(&model);
+        assert_eq!(graph.decomposed_hyperedges(), 1);
+        assert!(edge(&graph, 0, Some(1)).probability < 0.2);
+        assert!(edge(&graph, 0, Some(2)).probability > 0.2);
+        assert!(edge(&graph, 1, Some(3)).probability > 0.2);
+        assert_eq!(edge(&graph, 0, Some(2)).observables, vec![0]);
+    }
+
+    #[test]
+    fn hyperedge_without_a_split_is_left_out_and_counted() {
+        let model = dem(
+            vec![
+                err(0.01, vec![0, 1], vec![]),
+                err(0.05, vec![0, 1, 2], vec![]),
+                err(0.05, vec![0, 1, 2, 3], vec![0]),
+            ],
+            4,
+            1,
+        );
+        let graph = DecodingGraph::from_dem(&model);
+        assert_eq!(graph.decomposed_hyperedges(), 0);
+        assert_eq!(graph.undecomposed_hyperedges(), 2);
+        assert_eq!(graph.edges().len(), 1);
+        assert_eq!(graph.edges()[0].probability, 0.01);
+        assert!(graph.incident_edges(2).is_empty());
+    }
+
+    #[test]
+    fn conflicting_parallel_mechanisms_keep_the_likelier_observables() {
+        let model = dem(
+            vec![err(0.1, vec![0, 1], vec![]), err(0.2, vec![0, 1], vec![0])],
+            2,
+            1,
+        );
+        let graph = DecodingGraph::from_dem(&model);
+        assert_eq!(graph.edges().len(), 1);
+        assert_eq!(graph.edges()[0].observables, vec![0]);
+        assert!((graph.edges()[0].probability - 0.26).abs() < 1e-12);
+        assert_eq!(graph.observable_conflicts(), 1);
     }
 
     #[test]
@@ -378,6 +429,7 @@ mod tests {
         let graph = DecodingGraph::from_dem(&model);
         assert_eq!(graph.edges().len(), 1);
         assert!((graph.edges()[0].probability - 0.18).abs() < 1e-12);
+        assert_eq!(graph.observable_conflicts(), 0);
     }
 
     #[test]

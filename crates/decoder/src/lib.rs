@@ -4,7 +4,8 @@
 //! architecture study:
 //!
 //! * [`DecodingGraph`] — matching graph construction from a detector error
-//!   model (with hyperedge decomposition);
+//!   model (hyperedges are split only into edges that single faults of the
+//!   same model produce; what cannot be split is left out and counted);
 //! * [`UnionFindDecoder`] — weighted union-find decoder (the default);
 //! * [`GreedyMatchingDecoder`] — greedy shortest-path matching baseline;
 //! * [`estimate_logical_error_rate`] — Monte-Carlo logical error rate

@@ -65,9 +65,8 @@ impl NoiseParams {
     /// paper's stated anchor (§5.1): a 5X gate improvement corresponds to
     /// ≈10⁻³ depolarising error per qubit gate at the motional energies a
     /// capacity-2 ancilla reaches mid-round after its Table-1 transport
-    /// sequence (n̄ of a few tens of quanta). Larger values push every
-    /// configuration above the surface-code threshold, which contradicts the
-    /// paper's Figure 10.
+    /// sequence (n̄ of a few tens of quanta). The calibration is to be
+    /// re-derived against the §5.1 anchor (ROADMAP item 2 (i)).
     ///
     /// # Panics
     ///

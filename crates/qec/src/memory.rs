@@ -6,15 +6,19 @@
 //! carries the detector and logical-observable annotations needed to compute
 //! a logical error rate with the stabilizer simulator and decoder.
 //!
-//! Detector structure (for a Z-basis memory experiment):
+//! Detector structure: only checks of the memory's deterministic basis
+//! (Z-type for a Z-basis memory) are annotated, `rounds + 1` detectors each.
+//! A CSS code is decoded one basis at a time, and only that basis's
+//! detectors can see a fault that flips the observable; the other basis's
+//! checks are still measured every round — they are the code — but their
+//! outcomes cannot change any decoded answer, so they carry no detectors.
 //!
-//! * round 0, Z-type checks: the outcome is deterministic because the data
-//!   qubits start in |0⟩, so each first-round Z measurement is its own
-//!   detector;
-//! * rounds `r ≥ 1`, all checks: the detector compares the outcome with the
-//!   previous round's outcome for the same ancilla;
-//! * final data measurement: each Z-type check can be reconstructed from the
-//!   data measurements, and is compared with the last ancilla measurement.
+//! * round 0: the outcome is deterministic because the data qubits start in
+//!   the memory basis, so each first-round measurement is its own detector;
+//! * rounds `r ≥ 1`: the detector compares the outcome with the previous
+//!   round's outcome for the same ancilla;
+//! * final data measurement: each check is reconstructed from the data
+//!   measurements and compared with the last ancilla measurement.
 //!
 //! The logical observable is the parity of the final measurements of the
 //! data qubits supporting the logical Z (or X) operator.
@@ -106,18 +110,21 @@ pub fn memory_experiment(
         circuit.push(instruction);
     }
 
-    // Detectors.
+    // Detectors: only the deterministic basis is annotated. A fault that
+    // flips the logical observable is seen by checks of that basis alone,
+    // so the other basis's syndrome cannot change any decoded answer.
     let deterministic = basis.deterministic_basis();
     let last_round = (rounds - 1) as u32;
     for stab in layout.stabilizers() {
-        let coord = layout.coord(stab.ancilla);
-        // First-round detectors only for the deterministic basis.
-        if stab.basis == deterministic {
-            circuit.add_detector(Detector::with_coordinate(
-                vec![MeasurementRef::new(stab.ancilla, 0)],
-                [coord.row as f64, coord.col as f64, 0.0],
-            ));
+        if stab.basis != deterministic {
+            continue;
         }
+        let coord = layout.coord(stab.ancilla);
+        // First round: the outcome itself is deterministic.
+        circuit.add_detector(Detector::with_coordinate(
+            vec![MeasurementRef::new(stab.ancilla, 0)],
+            [coord.row as f64, coord.col as f64, 0.0],
+        ));
         // Round-to-round comparison detectors.
         for r in 1..rounds as u32 {
             circuit.add_detector(Detector::with_coordinate(
@@ -128,17 +135,15 @@ pub fn memory_experiment(
                 [coord.row as f64, coord.col as f64, r as f64],
             ));
         }
-        // Final data-measurement detectors for the deterministic basis.
-        if stab.basis == deterministic {
-            let mut measurements = vec![MeasurementRef::new(stab.ancilla, last_round)];
-            for data in stab.data_support() {
-                measurements.push(MeasurementRef::new(data, 0));
-            }
-            circuit.add_detector(Detector::with_coordinate(
-                measurements,
-                [coord.row as f64, coord.col as f64, rounds as f64],
-            ));
+        // Final round: the check reconstructed from the data measurements.
+        let mut measurements = vec![MeasurementRef::new(stab.ancilla, last_round)];
+        for data in stab.data_support() {
+            measurements.push(MeasurementRef::new(data, 0));
         }
+        circuit.add_detector(Detector::with_coordinate(
+            measurements,
+            [coord.row as f64, coord.col as f64, rounds as f64],
+        ));
     }
 
     // Logical observable: the final measurements of the logical operator's
@@ -184,8 +189,7 @@ mod tests {
 
     #[test]
     fn detector_count_formula() {
-        // For rounds R: deterministic-basis checks contribute R+1 detectors
-        // each; the other basis contributes R-1 each.
+        // Only deterministic-basis checks are annotated: R+1 detectors each.
         let layout = rotated_surface_code(3);
         let rounds = 4;
         let exp = memory_experiment(&layout, rounds, MemoryBasis::Z);
@@ -194,9 +198,28 @@ mod tests {
             .iter()
             .filter(|s| s.basis == StabilizerBasis::Z)
             .count();
-        let x_checks = layout.stabilizers().len() - z_checks;
-        let expected = z_checks * (rounds + 1) + x_checks * (rounds - 1);
-        assert_eq!(exp.num_detectors, expected);
+        assert_eq!(exp.num_detectors, z_checks * (rounds + 1));
+    }
+
+    #[test]
+    fn no_detector_references_the_other_basis() {
+        for layout in [rotated_surface_code(3), unrotated_surface_code(3)] {
+            for basis in [MemoryBasis::Z, MemoryBasis::X] {
+                let exp = memory_experiment(&layout, 3, basis);
+                let other: Vec<_> = layout
+                    .stabilizers()
+                    .iter()
+                    .filter(|s| s.basis != basis.deterministic_basis())
+                    .map(|s| s.ancilla)
+                    .collect();
+                assert!(!other.is_empty());
+                for detector in exp.circuit.detectors() {
+                    for m in &detector.measurements {
+                        assert!(!other.contains(&m.qubit), "{basis:?}: {detector:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,16 +44,46 @@ fn logical_error_rate_improves_with_gate_improvement() {
 }
 
 #[test]
-fn union_find_and_greedy_decoders_agree_on_magnitude() {
+fn logical_error_rate_falls_with_distance() {
+    let evaluate = |distance: usize| {
+        Toolflow::new(ArchitectureConfig::recommended(5.0))
+            .with_shots(50_000)
+            .evaluate(distance, true)
+            .unwrap()
+            .logical_error_rate()
+            .unwrap()
+    };
+    let (d3, d5) = (evaluate(3), evaluate(5));
+    assert!(
+        d3 > 0.0 && d5 < d3 / 2.0,
+        "d = 5 ({d5}) must beat d = 3 ({d3})"
+    );
+}
+
+#[test]
+fn decoders_rank_exact_union_find_greedy() {
+    // At d = 3 greedy matching mis-decodes a third of the *single* faults
+    // (a cheap boundary match beats the true edge), so the comparison is
+    // made at d = 5, where all three decode every single fault.
     let compiler = Compiler::new(ArchitectureConfig::recommended(5.0));
-    let layout = rotated_surface_code(3);
+    let layout = rotated_surface_code(5);
     let noisy = compiler
-        .compile_memory_experiment(&layout, 3, MemoryBasis::Z)
+        .compile_memory_experiment(&layout, 5, MemoryBasis::Z)
         .unwrap()
         .to_noisy_circuit();
-    let uf = estimate_logical_error_rate(&noisy, 4_000, 5, DecoderKind::UnionFind).unwrap();
-    let greedy =
-        estimate_logical_error_rate(&noisy, 4_000, 5, DecoderKind::GreedyMatching).unwrap();
-    assert!(uf.logical_error_rate <= greedy.logical_error_rate * 5.0 + 0.02);
-    assert!(greedy.logical_error_rate <= uf.logical_error_rate * 5.0 + 0.02);
+    let [exact, uf, greedy] = [
+        DecoderKind::ExactMatching,
+        DecoderKind::UnionFind,
+        DecoderKind::GreedyMatching,
+    ]
+    .map(|kind| estimate_logical_error_rate(&noisy, 50_000, 5, kind).unwrap());
+    assert!(uf.failures > 0, "the comparison needs resolved estimates");
+    assert!(
+        exact.logical_error_rate <= uf.logical_error_rate * 2.0 + 2.0 * uf.std_error,
+        "exact {exact:?} vs union-find {uf:?}"
+    );
+    assert!(
+        uf.logical_error_rate <= greedy.logical_error_rate,
+        "union-find {uf:?} vs greedy {greedy:?}"
+    );
 }
