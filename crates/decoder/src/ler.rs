@@ -39,8 +39,7 @@ use serde::{Deserialize, Serialize};
 
 use qccd_circuit::MeasurementRef;
 use qccd_sim::{
-    bias_circuit, sample_detector_chunks, DetectorChunkSampler, DetectorErrorModel, NoisyCircuit,
-    SyndromeChunk, CANONICAL_BLOCK_SHOTS,
+    DetectorChunkSampler, FaultTable, NoisyCircuit, SyndromeChunk, CANONICAL_BLOCK_SHOTS,
 };
 
 use crate::{
@@ -93,11 +92,12 @@ pub struct EstimatorConfig {
     /// default; it never changes decoded bits).
     pub memo: MemoConfig,
     /// Importance-sampling bias factor. When set, shots are sampled from a
-    /// biased copy of the circuit with every noise probability scaled by
-    /// this factor (clamped at 0.5), decoded against the *original*
-    /// circuit's decoding graph, and each failing shot is reweighted by its
-    /// likelihood ratio — an unbiased rare-event estimator with delta-method
-    /// error bars (see [`qccd_sim::bias_circuit`]). Still deterministic per
+    /// biased copy of the circuit's fault table with every noise probability
+    /// scaled by this factor (clamped at 0.5), decoded against the
+    /// *original* circuit's decoding graph, and each failing shot is
+    /// reweighted by its likelihood ratio — an unbiased rare-event estimator
+    /// with delta-method error bars (see [`FaultTable::biased`]). Still
+    /// deterministic per
     /// `(shots, seed)`: weights are folded in canonical block order, so the
     /// estimate is bit-identical across chunk sizes and thread counts. Must
     /// be a finite factor ≥ 1; `None` (the default) is plain Monte Carlo.
@@ -626,23 +626,21 @@ pub fn estimate_logical_error_rate_report(
     config: &EstimatorConfig,
 ) -> Result<EstimateReport, MeasurementRef> {
     // The decoder (and its decoding graph / fault priors) always comes from
-    // the *original* circuit: importance sampling biases only what is
+    // the *original* fault table: importance sampling biases only what is
     // sampled, never how syndromes are decoded, so biased and plain runs
     // estimate the same quantity.
-    let dem = DetectorErrorModel::from_circuit(circuit)?;
-    let graph = DecodingGraph::from_dem(&dem);
+    let table = FaultTable::from_circuit(circuit)?;
+    let graph = DecodingGraph::from_dem(&table.dem());
     let decoder = decoder_kind.build(graph);
-    let biased = config
-        .importance_bias
-        .map(|bias| bias_circuit(circuit, bias));
-    let (sampled_circuit, weights) = match &biased {
+    let biased = config.importance_bias.map(|bias| table.biased(bias));
+    let (sampled, weights) = match &biased {
         Some(biased) => (
-            &biased.circuit,
+            &biased.table,
             Some((biased.fire_log_ratios.as_slice(), biased.base_log_weight)),
         ),
-        None => (circuit, None),
+        None => (&table, None),
     };
-    let sampler = sample_detector_chunks(sampled_circuit, shots, seed, config.chunk_shots)?;
+    let sampler = DetectorChunkSampler::from_table(sampled, shots, seed, config.chunk_shots);
     let report = match config.num_threads {
         Some(threads) => rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -1298,7 +1296,9 @@ mod tests {
         let p = 0.02;
         let code = repetition_code(5);
         let circuit = noisy_memory(&code, 2, p);
-        let shots = 16 * CANONICAL_BLOCK_SHOTS;
+        // ~13 plain failures expected: a zero-failure stream is a 2e-6 event,
+        // not a seed to be hunted.
+        let shots = 64 * CANONICAL_BLOCK_SHOTS;
         let plain = estimate_logical_error_rate_with(
             &circuit,
             shots,

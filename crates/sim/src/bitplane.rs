@@ -108,6 +108,22 @@ impl BitPlanes {
         self.data = data;
     }
 
+    /// `plane[dst] ^= plane[src]`.
+    pub(crate) fn xor_planes(&mut self, dst: usize, src: usize) {
+        for k in 0..self.words_per_plane {
+            let word = self.data[src * self.words_per_plane + k];
+            self.data[dst * self.words_per_plane + k] ^= word;
+        }
+    }
+
+    /// Exchanges the contents of two planes.
+    pub(crate) fn swap_planes(&mut self, a: usize, b: usize) {
+        for k in 0..self.words_per_plane {
+            self.data
+                .swap(a * self.words_per_plane + k, b * self.words_per_plane + k);
+        }
+    }
+
     /// Drops all planes, keeping the allocation.
     pub fn clear(&mut self) {
         self.data.clear();

@@ -1,11 +1,25 @@
 //! Chunked, streaming detector sampling.
 //!
 //! Materialising every shot of an experiment at once costs
-//! `O(shots × measurements)` memory. The chunked API bounds peak memory by
-//! the chunk size instead: a [`DetectorChunkSampler`] describes the whole
+//! `O(shots × detectors)` memory. The chunked API bounds peak memory by the
+//! chunk size instead: a [`DetectorChunkSampler`] describes the whole
 //! experiment but samples one [`SyndromeChunk`] of shots at a time, each
-//! holding only bit-packed *detector* and *observable* planes (measurement
-//! planes live just long enough to be folded into the chunk).
+//! holding only bit-packed *detector* and *observable* planes.
+//!
+//! # Sampling
+//!
+//! Shots are sampled from the circuit's [`FaultTable`], not by running the
+//! circuit: every component of every noise channel has a fixed signature
+//! (the detectors and observables it flips), so a shot's detector events are
+//! the XOR of the signatures of the faults that occur in it. The cost is
+//! proportional to the number of faults placed, not to `ops × shots`.
+//! Channels are bucketed by the binary exponent of their probability; each
+//! bucket is one geometric-skipping walk at its largest probability over the
+//! flattened `channels × shots` index space of a block, thinned per channel,
+//! so a bucket proposes at most twice the faults it places. A channel that
+//! fires picks one of its components uniformly — the channel's mutually
+//! exclusive Paulis, not the detector error model's independent-mechanism
+//! approximation.
 //!
 //! # Determinism
 //!
@@ -16,16 +30,22 @@
 //! merely groups of consecutive blocks handed to one worker, so for a fixed
 //! `(total_shots, seed)` the sampled outcomes are bit-identical regardless
 //! of the chunk size or of how many threads pull chunks. This is what makes
-//! `estimate_logical_error_rate` reproducible across machine shapes.
+//! `estimate_logical_error_rate` reproducible across machine shapes. The
+//! stream itself is versioned by the repository's goldens, not promised
+//! across releases: a change to the sampler may regenerate it, deliberately.
 //!
 //! Because `sample_chunk` takes `&self`, one sampler can be shared across
 //! worker threads and chunks can be produced in any order, or in parallel.
 
+use std::borrow::Cow;
+
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use qccd_circuit::MeasurementRef;
 
-use crate::{BitPlanes, FrameSampler, NoisyCircuit};
+use crate::{BitPlanes, FaultTable, NoisyCircuit};
 
 /// Number of shots per canonical sampling block (a multiple of 64 so blocks
 /// align with bit-plane words).
@@ -212,16 +232,6 @@ impl SyndromeChunk {
             u64::MAX
         }
     }
-
-    /// Mutable access for the sampler while folding measurement planes in.
-    pub(crate) fn detectors_mut(&mut self) -> &mut BitPlanes {
-        &mut self.detectors
-    }
-
-    /// Mutable access for the sampler while folding measurement planes in.
-    pub(crate) fn observables_mut(&mut self) -> &mut BitPlanes {
-        &mut self.observables
-    }
 }
 
 /// Incremental frame ingestion: packs a stream of per-shot syndromes
@@ -375,20 +385,84 @@ impl SyndromeChunkBuilder {
     }
 }
 
+/// Channels whose probabilities share a binary exponent, walked together.
+#[derive(Debug, Clone)]
+struct Bucket {
+    /// Largest probability in the bucket (at most 1).
+    p_max: f64,
+    /// `(channel, probability)`, in op order.
+    channels: Vec<(u32, f64)>,
+}
+
+impl Bucket {
+    /// Calls `fire(rng, channel, shot)` for every `(channel, shot)` of a
+    /// `shots`-shot block in which a channel of this bucket fires: one
+    /// geometric-skipping walk at `p_max` over the flattened index space
+    /// (candidate `i` is channel `i / shots` of the bucket in shot
+    /// `i % shots`), each candidate kept with probability `p / p_max`.
+    fn walk(
+        &self,
+        rng: &mut ChaCha8Rng,
+        shots: usize,
+        mut fire: impl FnMut(&mut ChaCha8Rng, usize, usize),
+    ) {
+        let shots = shots as u64;
+        let candidates = self.channels.len() as u64 * shots;
+        let certain = self.p_max >= 1.0;
+        let log_miss = (-self.p_max).ln_1p();
+        let mut next = 0u64;
+        loop {
+            if !certain {
+                // Geometric gap to the next candidate; `1 - u` avoids
+                // ln(0), and the cast saturates.
+                let u: f64 = rng.gen();
+                next = next.saturating_add(((1.0 - u).ln() / log_miss) as u64);
+            }
+            if next >= candidates {
+                break;
+            }
+            let (channel, p) = self.channels[(next / shots) as usize];
+            let shot = (next % shots) as usize;
+            next += 1;
+            if p == self.p_max || rng.gen::<f64>() * self.p_max < p {
+                fire(rng, channel as usize, shot);
+            }
+        }
+    }
+}
+
+/// Groups the channels that can fire by the binary exponent of their
+/// probability, so that within a bucket `p_max < 2 p`.
+fn bucket_channels(probabilities: &[f64]) -> Vec<Bucket> {
+    let mut by_exponent = std::collections::BTreeMap::<u64, Bucket>::new();
+    for (channel, &p) in probabilities.iter().enumerate() {
+        if p > 0.0 {
+            let p = p.min(1.0);
+            let bucket = by_exponent.entry(p.to_bits() >> 52).or_insert(Bucket {
+                p_max: 0.0,
+                channels: Vec::new(),
+            });
+            bucket.p_max = bucket.p_max.max(p);
+            bucket.channels.push((channel as u32, p));
+        }
+    }
+    by_exponent.into_values().collect()
+}
+
 /// A chunked, thread-shareable detector sampler over one noisy circuit.
 ///
-/// See the [module docs](self) for the determinism contract.
+/// See the [module docs](self) for the sampling method and the determinism
+/// contract.
 #[derive(Debug, Clone)]
-pub struct DetectorChunkSampler<'c> {
-    circuit: &'c NoisyCircuit,
-    detectors: Vec<Vec<usize>>,
-    observables: Vec<Vec<usize>>,
+pub struct DetectorChunkSampler<'t> {
+    table: Cow<'t, FaultTable>,
+    buckets: Vec<Bucket>,
     total_shots: usize,
     seed: u64,
     blocks_per_chunk: usize,
 }
 
-impl<'c> DetectorChunkSampler<'c> {
+impl<'t> DetectorChunkSampler<'t> {
     /// Creates a sampler for `total_shots` shots of `circuit`, cutting the
     /// work into chunks of (at least) `chunk_shots` shots. The chunk size is
     /// rounded up to a whole number of canonical blocks; it affects peak
@@ -399,13 +473,34 @@ impl<'c> DetectorChunkSampler<'c> {
     /// Returns the first dangling [`MeasurementRef`] if the circuit's
     /// annotations are inconsistent.
     pub fn new(
-        circuit: &'c NoisyCircuit,
+        circuit: &'t NoisyCircuit,
         total_shots: usize,
         seed: u64,
         chunk_shots: usize,
     ) -> Result<Self, MeasurementRef> {
+        let table = FaultTable::from_circuit(circuit)?;
+        Ok(Self::over(
+            Cow::Owned(table),
+            total_shots,
+            seed,
+            chunk_shots,
+        ))
+    }
+
+    /// [`DetectorChunkSampler::new`] over a fault table the caller already
+    /// holds — the same bits as `new` on the table's circuit, without a
+    /// second pass over it.
+    pub fn from_table(
+        table: &'t FaultTable,
+        total_shots: usize,
+        seed: u64,
+        chunk_shots: usize,
+    ) -> Self {
+        Self::over(Cow::Borrowed(table), total_shots, seed, chunk_shots)
+    }
+
+    fn over(table: Cow<'t, FaultTable>, total_shots: usize, seed: u64, chunk_shots: usize) -> Self {
         assert!(total_shots > 0, "need at least one shot");
-        let (detectors, observables) = circuit.resolve_annotations()?;
         // Clamp to the experiment's block count so arbitrarily large
         // "one big chunk" requests (e.g. `usize::MAX`) cannot overflow the
         // chunk-extent arithmetic.
@@ -414,14 +509,13 @@ impl<'c> DetectorChunkSampler<'c> {
             .max(1)
             .div_ceil(CANONICAL_BLOCK_SHOTS)
             .min(total_blocks);
-        Ok(DetectorChunkSampler {
-            circuit,
-            detectors,
-            observables,
+        DetectorChunkSampler {
+            buckets: bucket_channels(table.probabilities()),
+            table,
             total_shots,
             seed,
             blocks_per_chunk,
-        })
+        }
     }
 
     /// Total number of shots across all chunks.
@@ -431,12 +525,12 @@ impl<'c> DetectorChunkSampler<'c> {
 
     /// Number of detectors per shot.
     pub fn num_detectors(&self) -> usize {
-        self.detectors.len()
+        self.table.num_detectors()
     }
 
     /// Number of logical observables per shot.
     pub fn num_observables(&self) -> usize {
-        self.observables.len()
+        self.table.num_observables()
     }
 
     /// Number of canonical sampling blocks.
@@ -477,7 +571,7 @@ impl<'c> DetectorChunkSampler<'c> {
     ///
     /// `fire_log_ratios[k]` is the log-likelihood-ratio increment applied to
     /// a shot whenever the `k`-th noise channel (in op order) fires in it —
-    /// see [`crate::BiasedCircuit::fire_log_ratios`]. `log_weights` is
+    /// see [`crate::BiasedTable::fire_log_ratios`]. `log_weights` is
     /// resized to the chunk's shot count; entry `s` holds the accumulated
     /// increments for local shot `s` (global shot `shot_offset + s`), with
     /// the shot-independent base term left to the caller. The sampled chunk
@@ -499,7 +593,12 @@ impl<'c> DetectorChunkSampler<'c> {
         let chunk_shots = self.shots_in_chunk(chunk_index);
         let first_block = chunk_index * self.blocks_per_chunk;
         let shot_offset = first_block * CANONICAL_BLOCK_SHOTS;
-        if let Some((_, log_weights)) = weights.as_mut() {
+        if let Some((ratios, log_weights)) = weights.as_mut() {
+            assert_eq!(
+                ratios.len(),
+                self.table.num_channels(),
+                "one log-ratio per noise channel"
+            );
             log_weights.clear();
             log_weights.resize(chunk_shots, 0.0);
         }
@@ -507,42 +606,36 @@ impl<'c> DetectorChunkSampler<'c> {
             chunk_index,
             shot_offset,
             chunk_shots,
-            self.detectors.len(),
-            self.observables.len(),
+            self.num_detectors(),
+            self.num_observables(),
         );
         let last_block = (first_block + self.blocks_per_chunk).min(self.num_blocks());
         for block in first_block..last_block {
             let block_shots = self.shots_in_block(block);
-            let word_offset = (block - first_block) * (CANONICAL_BLOCK_SHOTS / 64);
-            let block_words = block_shots.div_ceil(64);
-            let mut sampler = FrameSampler::new(
-                self.circuit.num_qubits(),
-                block_shots,
-                block_seed(self.seed, block as u64),
-            );
-            match weights.as_mut() {
-                Some((ratios, log_weights)) => {
-                    let local = (block - first_block) * CANONICAL_BLOCK_SHOTS;
-                    sampler.run_recording(
-                        self.circuit,
-                        ratios,
-                        &mut log_weights[local..local + block_shots],
-                    );
-                }
-                None => sampler.run(self.circuit),
-            }
-            let fold = |annotations: &[Vec<usize>], planes: &mut BitPlanes| {
-                for (index, measurement_indices) in annotations.iter().enumerate() {
-                    let dst = &mut planes.plane_mut(index)[word_offset..word_offset + block_words];
-                    for &m in measurement_indices {
-                        for (d, &s) in dst.iter_mut().zip(sampler.measurement_plane(m)) {
-                            *d ^= s;
-                        }
+            let first_shot = (block - first_block) * CANONICAL_BLOCK_SHOTS;
+            let mut rng = ChaCha8Rng::seed_from_u64(block_seed(self.seed, block as u64));
+            for bucket in &self.buckets {
+                bucket.walk(&mut rng, block_shots, |rng, channel, shot| {
+                    let shot = first_shot + shot;
+                    if let Some((ratios, log_weights)) = weights.as_mut() {
+                        log_weights[shot] += ratios[channel];
                     }
-                }
-            };
-            fold(&self.detectors, chunk.detectors_mut());
-            fold(&self.observables, chunk.observables_mut());
+                    // The channel's Paulis are mutually exclusive: one fires.
+                    let components = self.table.component_ids(channel);
+                    let component = match components.len() {
+                        1 => components[0],
+                        n => components[rng.gen_range(0..n)],
+                    };
+                    let (detectors, observables) = self.table.signature(component);
+                    let (word, bit) = (shot / 64, 1u64 << (shot % 64));
+                    for &d in detectors {
+                        chunk.detectors.plane_mut(d as usize)[word] ^= bit;
+                    }
+                    for &o in observables {
+                        chunk.observables.plane_mut(o as usize)[word] ^= bit;
+                    }
+                });
+            }
         }
         chunk
     }
@@ -556,7 +649,7 @@ impl<'c> DetectorChunkSampler<'c> {
 
 /// Convenience constructor for [`DetectorChunkSampler::new`]: a chunked
 /// sampler whose peak memory is `O(chunk_shots × detectors)` instead of
-/// `O(total_shots × measurements)`.
+/// `O(total_shots × detectors)`.
 ///
 /// # Errors
 ///

@@ -1,86 +1,21 @@
-//! Detector error model (DEM) extraction.
+//! Detector error model (DEM).
 //!
 //! A detector error model lists every *elementary error mechanism* of a noisy
-//! circuit — one entry per possible Pauli fault of every noise channel —
-//! together with the set of detectors it flips and the logical observables it
-//! flips. Decoders work entirely from this model; it plays the same role as
-//! Stim's `DetectorErrorModel`.
+//! circuit together with the set of detectors it flips and the logical
+//! observables it flips. Decoders work entirely from this model; it plays the
+//! same role as Stim's `DetectorErrorModel`.
 //!
-//! Extraction runs in a single **reverse pass** over the circuit. For every
-//! qubit we maintain two *sensitivity sets*: the detectors/observables that
-//! an X (resp. Z) error at the current position would flip. Walking
-//! backwards:
-//!
-//! * a Z-basis measurement adds its detectors to the X sensitivity of the
-//!   measured qubit and clears the Z sensitivity (post-collapse Z errors are
-//!   gauge);
-//! * a reset clears both sensitivities (errors before a reset are erased);
-//! * a unitary gate transforms sensitivities according to its conjugation
-//!   action (`sens_before(P) = sens_after(U P U†)`);
-//! * a noise channel emits one error mechanism per elementary Pauli fault,
-//!   with the currently-accumulated sensitivity as its symptom set.
-//!
-//! Mechanisms with identical symptom sets are merged by combining their
-//! probabilities (`p ← p₁(1−p₂) + p₂(1−p₁)`).
-
-use std::collections::HashMap;
+//! The reverse sensitivity pass that finds the mechanisms lives in
+//! [`crate::FaultTable`], which keeps them per noise channel for the sampler;
+//! the model is that table folded by symptom set. Mechanisms with identical
+//! symptom sets are merged by combining their probabilities
+//! (`p ← p₁(1−p₂) + p₂(1−p₁)`).
 
 use serde::{Deserialize, Serialize};
 
-use qccd_circuit::{Instruction, MeasurementRef};
+use qccd_circuit::MeasurementRef;
 
-use crate::{NoiseChannel, NoisyCircuit, NoisyOp};
-
-/// A set of detector / observable indices, packed as a bitset.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-struct SymptomSet {
-    words: Vec<u64>,
-}
-
-impl SymptomSet {
-    fn new(bits: usize) -> Self {
-        SymptomSet {
-            words: vec![0; bits.div_ceil(64)],
-        }
-    }
-
-    fn set(&mut self, bit: usize) {
-        self.words[bit / 64] |= 1 << (bit % 64);
-    }
-
-    fn xor_assign(&mut self, other: &SymptomSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a ^= b;
-        }
-    }
-
-    fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
-    }
-
-    fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    fn ones(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (w, &word) in self.words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                out.push(w * 64 + b);
-                bits &= bits - 1;
-            }
-        }
-        out
-    }
-
-    fn xor_of(a: &SymptomSet, b: &SymptomSet) -> SymptomSet {
-        let mut out = a.clone();
-        out.xor_assign(b);
-        out
-    }
-}
+use crate::{FaultTable, NoisyCircuit};
 
 /// One elementary error mechanism of a detector error model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -120,174 +55,7 @@ impl DetectorErrorModel {
     /// Returns the first dangling [`MeasurementRef`] if a detector or
     /// observable references a measurement that does not exist.
     pub fn from_circuit(circuit: &NoisyCircuit) -> Result<Self, MeasurementRef> {
-        let (detectors, observables) = circuit.resolve_annotations()?;
-        let num_detectors = detectors.len();
-        let num_observables = observables.len();
-        let bits = num_detectors + num_observables;
-
-        // measurement index -> symptom bits that include it.
-        let num_measurements = circuit.num_measurements();
-        let mut meas_symptoms: Vec<SymptomSet> = vec![SymptomSet::new(bits); num_measurements];
-        for (d, measurement_indices) in detectors.iter().enumerate() {
-            for &m in measurement_indices {
-                meas_symptoms[m].set(d);
-            }
-        }
-        for (o, measurement_indices) in observables.iter().enumerate() {
-            for &m in measurement_indices {
-                meas_symptoms[m].set(num_detectors + o);
-            }
-        }
-
-        let n = circuit.num_qubits();
-        let mut sens_x: Vec<SymptomSet> = vec![SymptomSet::new(bits); n];
-        let mut sens_z: Vec<SymptomSet> = vec![SymptomSet::new(bits); n];
-
-        // Accumulate mechanisms keyed by symptom set.
-        let mut merged: HashMap<SymptomSet, f64> = HashMap::new();
-        let mut record = |symptoms: &SymptomSet, probability: f64| {
-            if symptoms.is_empty() || probability <= 0.0 {
-                return;
-            }
-            let entry = merged.entry(symptoms.clone()).or_insert(0.0);
-            // p <- p(1-q) + q(1-p): parity of independent events.
-            *entry = *entry * (1.0 - probability) + probability * (1.0 - *entry);
-        };
-
-        let mut next_measurement = num_measurements;
-        for op in circuit.ops().iter().rev() {
-            match op {
-                NoisyOp::Gate(instruction) => match *instruction {
-                    Instruction::Measure(q) => {
-                        next_measurement -= 1;
-                        sens_x[q.index()].xor_assign(&meas_symptoms[next_measurement]);
-                        sens_z[q.index()].clear();
-                    }
-                    Instruction::MeasureX(q) => {
-                        next_measurement -= 1;
-                        sens_z[q.index()].xor_assign(&meas_symptoms[next_measurement]);
-                        sens_x[q.index()].clear();
-                    }
-                    Instruction::Reset(q) => {
-                        sens_x[q.index()].clear();
-                        sens_z[q.index()].clear();
-                    }
-                    Instruction::I(_)
-                    | Instruction::X(_)
-                    | Instruction::Y(_)
-                    | Instruction::Z(_) => {}
-                    Instruction::H(q) => {
-                        let q = q.index();
-                        std::mem::swap(&mut sens_x[q], &mut sens_z[q]);
-                    }
-                    Instruction::S(q) | Instruction::Sdg(q) => {
-                        // X → Y = X·Z.
-                        let q = q.index();
-                        let z = sens_z[q].clone();
-                        sens_x[q].xor_assign(&z);
-                    }
-                    Instruction::SqrtX(q) | Instruction::SqrtXdg(q) => {
-                        // Z → Y = X·Z.
-                        let q = q.index();
-                        let x = sens_x[q].clone();
-                        sens_z[q].xor_assign(&x);
-                    }
-                    Instruction::Cnot { control, target } => {
-                        let (c, t) = (control.index(), target.index());
-                        // X_c → X_c X_t ; Z_t → Z_c Z_t.
-                        let xt = sens_x[t].clone();
-                        sens_x[c].xor_assign(&xt);
-                        let zc = sens_z[c].clone();
-                        sens_z[t].xor_assign(&zc);
-                    }
-                    Instruction::Cz(a, b) => {
-                        let (a, b) = (a.index(), b.index());
-                        let zb = sens_z[b].clone();
-                        sens_x[a].xor_assign(&zb);
-                        let za = sens_z[a].clone();
-                        sens_x[b].xor_assign(&za);
-                    }
-                    Instruction::Swap(a, b) => {
-                        let (a, b) = (a.index(), b.index());
-                        sens_x.swap(a, b);
-                        sens_z.swap(a, b);
-                    }
-                    Instruction::Ms(a, b) => {
-                        // X unchanged; Z_a → X_a Z_a X_b ; Z_b → X_a X_b Z_b.
-                        let (a, b) = (a.index(), b.index());
-                        let xa = sens_x[a].clone();
-                        let xb = sens_x[b].clone();
-                        sens_z[a].xor_assign(&xa);
-                        sens_z[a].xor_assign(&xb);
-                        sens_z[b].xor_assign(&xa);
-                        sens_z[b].xor_assign(&xb);
-                    }
-                },
-                NoisyOp::Noise(channel) => match *channel {
-                    NoiseChannel::BitFlip { qubit, p } => {
-                        record(&sens_x[qubit.index()], p);
-                    }
-                    NoiseChannel::PhaseFlip { qubit, p } => {
-                        record(&sens_z[qubit.index()], p);
-                    }
-                    NoiseChannel::Depolarize1 { qubit, p } => {
-                        let q = qubit.index();
-                        let each = p / 3.0;
-                        record(&sens_x[q], each);
-                        record(&sens_z[q], each);
-                        record(&SymptomSet::xor_of(&sens_x[q], &sens_z[q]), each);
-                    }
-                    NoiseChannel::Depolarize2 { a, b, p } => {
-                        let (a, b) = (a.index(), b.index());
-                        let each = p / 15.0;
-                        for code in 1u8..16 {
-                            let mut symptoms = SymptomSet::new(bits);
-                            if code & 1 != 0 {
-                                symptoms.xor_assign(&sens_x[a]);
-                            }
-                            if code & 2 != 0 {
-                                symptoms.xor_assign(&sens_z[a]);
-                            }
-                            if code & 4 != 0 {
-                                symptoms.xor_assign(&sens_x[b]);
-                            }
-                            if code & 8 != 0 {
-                                symptoms.xor_assign(&sens_z[b]);
-                            }
-                            record(&symptoms, each);
-                        }
-                    }
-                },
-            }
-        }
-        debug_assert_eq!(next_measurement, 0, "every measurement must be visited");
-
-        let mut errors: Vec<DemError> = merged
-            .into_iter()
-            .map(|(symptoms, probability)| {
-                let mut detectors = Vec::new();
-                let mut observable_indices = Vec::new();
-                for bit in symptoms.ones() {
-                    if bit < num_detectors {
-                        detectors.push(bit as u32);
-                    } else {
-                        observable_indices.push((bit - num_detectors) as u32);
-                    }
-                }
-                DemError {
-                    probability,
-                    detectors,
-                    observables: observable_indices,
-                }
-            })
-            .collect();
-        errors.sort_by(|a, b| (&a.detectors, &a.observables).cmp(&(&b.detectors, &b.observables)));
-
-        Ok(DetectorErrorModel {
-            num_detectors,
-            num_observables,
-            errors,
-        })
+        Ok(FaultTable::from_circuit(circuit)?.dem())
     }
 
     /// Number of mechanisms that are not graph-like (flip more than two
@@ -300,7 +68,8 @@ impl DetectorErrorModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qccd_circuit::{Detector, LogicalObservable, QubitId};
+    use crate::NoiseChannel;
+    use qccd_circuit::{Detector, Instruction, LogicalObservable, QubitId};
 
     fn q(i: u32) -> QubitId {
         QubitId::new(i)

@@ -1,12 +1,16 @@
 //! Bit-packed Pauli-frame sampler.
 //!
-//! The frame sampler is the workhorse used to estimate logical error rates:
-//! it simulates many shots of a noisy stabilizer circuit simultaneously by
-//! tracking, for every shot, only the Pauli *frame* — the difference between
-//! the noisy execution and a noiseless reference execution. Because detector
-//! parities are deterministic (even) in the reference execution, a detector
-//! fires in a shot exactly when the XOR of its measurements' frame-induced
-//! flips is odd. The same reasoning yields logical-observable flips.
+//! Reference implementation: the oracle the signature sampler
+//! ([`crate::DetectorChunkSampler`]) is tested against; not on any
+//! production path.
+//!
+//! The frame sampler simulates many shots of a noisy stabilizer circuit
+//! simultaneously by tracking, for every shot, only the Pauli *frame* — the
+//! difference between the noisy execution and a noiseless reference
+//! execution. Because detector parities are deterministic (even) in the
+//! reference execution, a detector fires in a shot exactly when the XOR of
+//! its measurements' frame-induced flips is odd. The same reasoning yields
+//! logical-observable flips.
 //!
 //! The frame of 64 shots is packed into each `u64` word, so a circuit with
 //! `G` operations and `S` shots costs `O(G · S / 64)` word operations.
@@ -122,44 +126,6 @@ impl FrameSampler {
         }
     }
 
-    /// Runs an entire noisy circuit while accumulating per-shot log
-    /// likelihood-ratio weights for importance sampling.
-    ///
-    /// `fire_log_ratios[k]` is the log-likelihood-ratio increment applied to
-    /// a shot whenever the `k`-th noise channel (in op order) fires in it;
-    /// `log_weights[shot]` accumulates the per-shot sum. The caller is
-    /// responsible for adding the shot-independent base term. The RNG stream
-    /// is consumed exactly as in [`FrameSampler::run`], so the sampled
-    /// syndromes are bit-identical to an unrecorded run of the same circuit.
-    pub fn run_recording(
-        &mut self,
-        circuit: &NoisyCircuit,
-        fire_log_ratios: &[f64],
-        log_weights: &mut [f64],
-    ) {
-        assert_eq!(
-            log_weights.len(),
-            self.num_shots,
-            "one log-weight slot per shot"
-        );
-        let mut channel = 0usize;
-        for op in circuit.ops() {
-            match op {
-                NoisyOp::Gate(instruction) => self.apply_gate(instruction),
-                NoisyOp::Noise(noise) => {
-                    let ratio = fire_log_ratios[channel];
-                    channel += 1;
-                    self.apply_noise_recording(noise, |shot| log_weights[shot] += ratio);
-                }
-            }
-        }
-        assert_eq!(
-            channel,
-            fire_log_ratios.len(),
-            "one log-ratio per noise channel"
-        );
-    }
-
     /// Applies a Clifford gate / measurement / reset to every shot's frame.
     pub fn apply_gate(&mut self, instruction: &Instruction) {
         use Instruction::*;
@@ -253,33 +219,17 @@ impl FrameSampler {
 
     /// Applies a stochastic noise channel to every shot's frame.
     pub fn apply_noise(&mut self, channel: &NoiseChannel) {
-        self.apply_noise_recording(channel, |_| {});
-    }
-
-    /// Applies a stochastic noise channel, invoking `on_fire(shot)` once for
-    /// every shot in which the channel fires.
-    ///
-    /// The callback never touches the sampler's RNG, so the random stream —
-    /// and therefore every sampled frame — is bit-identical to
-    /// [`FrameSampler::apply_noise`] on the same channel.
-    pub fn apply_noise_recording(
-        &mut self,
-        channel: &NoiseChannel,
-        mut on_fire: impl FnMut(usize),
-    ) {
         match *channel {
             NoiseChannel::BitFlip { qubit, p } => {
                 let shots = self.sample_shots(p);
                 for shot in shots {
                     self.flip_x(qubit.index(), shot);
-                    on_fire(shot);
                 }
             }
             NoiseChannel::PhaseFlip { qubit, p } => {
                 let shots = self.sample_shots(p);
                 for shot in shots {
                     self.flip_z(qubit.index(), shot);
-                    on_fire(shot);
                 }
             }
             NoiseChannel::Depolarize1 { qubit, p } => {
@@ -294,7 +244,6 @@ impl FrameSampler {
                         }
                         _ => self.flip_z(qubit.index(), shot),
                     }
-                    on_fire(shot);
                 }
             }
             NoiseChannel::Depolarize2 { a, b, p } => {
@@ -316,7 +265,6 @@ impl FrameSampler {
                     if zb {
                         self.flip_z(b.index(), shot);
                     }
-                    on_fire(shot);
                 }
             }
         }

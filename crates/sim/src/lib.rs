@@ -11,19 +11,24 @@
 //!   channels, plus detector / logical-observable annotations;
 //! * [`TableauSimulator`] — an exact Aaronson–Gottesman CHP simulator, used
 //!   as the reference implementation and to verify detector determinism;
-//! * [`FrameSampler`] — a bit-packed Pauli-frame sampler that simulates tens
-//!   of thousands of shots in parallel;
-//! * [`DetectorErrorModel`] — per-mechanism symptom extraction (which
-//!   detectors and observables each elementary fault flips), consumed by the
-//!   decoders in `qccd-decoder`;
+//! * [`FrameSampler`] — a bit-packed Pauli-frame sampler that runs the
+//!   circuit over thousands of shots in parallel: the second reference, the
+//!   oracle the production sampler is tested against;
+//! * [`FaultTable`] — one reverse pass over the circuit that finds, for
+//!   every component of every noise channel, the detectors and observables
+//!   it flips; both of the next two are read from it;
+//! * [`DetectorErrorModel`] — the table folded by symptom set (which
+//!   detectors and observables each elementary fault flips, with what
+//!   probability), consumed by the decoders in `qccd-decoder`;
+//! * [`sample_detector_chunks`] / [`DetectorChunkSampler`] — the production
+//!   sampler: places faults from the table instead of running the circuit,
+//!   so a block costs its faults, not `ops × shots`. Chunked and streaming:
+//!   peak memory bounded by the chunk size, deterministic per-block seeds
+//!   (bit-identical outcomes for a fixed `(shots, seed)` regardless of chunk
+//!   size or thread count), `&self` sampling so chunks can be produced from
+//!   many threads at once. All bit-planes live in flat [`BitPlanes`] arenas;
 //! * [`verify_detectors`] — checks detector determinism on the tableau
-//!   simulator;
-//! * [`sample_detector_chunks`] / [`DetectorChunkSampler`] — the chunked,
-//!   streaming sampling API: peak memory bounded by the chunk size,
-//!   deterministic per-block seeds (bit-identical outcomes for a fixed
-//!   `(shots, seed)` regardless of chunk size or thread count), `&self`
-//!   sampling so chunks can be produced from many threads at once. All
-//!   bit-planes live in flat [`BitPlanes`] arenas.
+//!   simulator.
 //!
 //! # Example
 //!
@@ -55,6 +60,7 @@
 mod bitplane;
 mod chunk;
 mod dem;
+mod fault_table;
 mod frame;
 mod noisy_circuit;
 mod rare_event;
@@ -67,8 +73,9 @@ pub use chunk::{
     CANONICAL_BLOCK_SHOTS,
 };
 pub use dem::{DemError, DetectorErrorModel};
+pub use fault_table::FaultTable;
 pub use frame::FrameSampler;
 pub use noisy_circuit::{NoiseChannel, NoisyCircuit, NoisyOp, ResolvedAnnotations};
-pub use rare_event::{bias_circuit, BiasedCircuit, MAX_BIASED_PROBABILITY};
+pub use rare_event::{BiasedTable, MAX_BIASED_PROBABILITY};
 pub use sampler::{verify_detectors, VerificationError};
 pub use tableau::TableauSimulator;
