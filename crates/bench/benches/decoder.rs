@@ -8,7 +8,7 @@ use qccd_circuit::Instruction;
 use qccd_core::{ArchitectureConfig, Compiler};
 use qccd_decoder::{
     estimate_logical_error_rate, DecodeScratch, Decoder, DecoderKind, DecodingGraph, MemoConfig,
-    MemoSnapshot, PredictionChunk, UnionFindDecoder,
+    PredictionChunk, UnionFindDecoder,
 };
 use qccd_qec::{memory_experiment, rotated_surface_code, MemoryBasis};
 use qccd_sim::{
@@ -111,12 +111,10 @@ fn bench_batch_vs_per_shot(c: &mut Criterion) {
 const RING_CHUNKS: usize = 4;
 
 /// One decode evaluation point the way an estimator worker meets it: a
-/// decoder, its memo snapshot warmed once, and a ring of distinct
-/// pre-sampled chunks.
+/// decoder and a ring of distinct pre-sampled chunks.
 struct DecodePoint {
     label: String,
     decoder: UnionFindDecoder,
-    snapshot: Option<MemoSnapshot>,
     ring: Vec<SyndromeChunk>,
 }
 
@@ -124,26 +122,13 @@ impl DecodePoint {
     fn new(label: String, noisy: &NoisyCircuit, chunk_shots: usize) -> Self {
         let dem = DetectorErrorModel::from_circuit(noisy).expect("valid annotations");
         let decoder = UnionFindDecoder::new(DecodingGraph::from_dem(&dem));
-        let snapshot = decoder.warm_memo_snapshot(dem.num_detectors, &mut DecodeScratch::new());
         let sampler = sample_detector_chunks(noisy, RING_CHUNKS * chunk_shots, 11, chunk_shots)
             .expect("valid annotations");
         DecodePoint {
             label,
             decoder,
-            snapshot,
             ring: (0..RING_CHUNKS).map(|i| sampler.sample_chunk(i)).collect(),
         }
-    }
-
-    /// A scratch as a worker holds it on arriving at this point: nothing
-    /// learned yet beyond the shared warm snapshot (memo-disabled scratches
-    /// adopt nothing).
-    fn fresh_scratch(&self, memo: MemoConfig) -> DecodeScratch {
-        let mut scratch = DecodeScratch::with_memo_config(memo);
-        if let Some(snapshot) = self.snapshot.as_ref().filter(|_| memo.enabled()) {
-            scratch.adopt_memo_snapshot(snapshot);
-        }
-        scratch
     }
 
     /// Times `decode` over the ring, each iteration on a fresh scratch and
@@ -162,7 +147,11 @@ impl DecodePoint {
             b.iter(|| {
                 let chunk = &self.ring[next % RING_CHUNKS];
                 next += 1;
-                decode(&self.decoder, chunk, &mut self.fresh_scratch(memo))
+                decode(
+                    &self.decoder,
+                    chunk,
+                    &mut DecodeScratch::with_memo_config(memo),
+                )
             });
         });
     }
@@ -210,7 +199,7 @@ fn bench_memoized_vs_uncached(c: &mut Criterion) {
         );
         group.finish();
 
-        let mut scratch = point.fresh_scratch(MemoConfig::default());
+        let mut scratch = DecodeScratch::new();
         point.decoder.decode_batch(&point.ring[0], &mut scratch);
         let stats = scratch.cache_stats();
         println!(
@@ -268,8 +257,8 @@ fn bench_word_vs_per_shot(c: &mut Criterion) {
 
         // Identical predictions by contract; print the word verdicts so
         // a shift in the quiet/sparse/dense mix is visible in CI logs.
-        let mut word = point.fresh_scratch(MemoConfig::default());
-        let mut per_shot = point.fresh_scratch(MemoConfig::default());
+        let mut word = DecodeScratch::new();
+        let mut per_shot = DecodeScratch::new();
         for chunk in &point.ring {
             let a = point.decoder.decode_batch(chunk, &mut word);
             let b = point.decoder.decode_batch_per_shot(chunk, &mut per_shot);

@@ -98,49 +98,6 @@ impl Artifact {
         })
     }
 
-    /// Parses an artifact back from its JSON encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first schema violation.
-    pub fn from_json(value: &Value) -> Result<Self, String> {
-        validate_artifact_json(value)?;
-        let string_list = |v: &Value| -> Vec<String> {
-            v.as_array()
-                .map(|items| {
-                    items
-                        .iter()
-                        .filter_map(|s| s.as_str().map(str::to_string))
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
-        let metadata = &value["metadata"];
-        Ok(Artifact {
-            title: value["title"].as_str().unwrap_or_default().to_string(),
-            headers: string_list(&value["headers"]),
-            rows: value["rows"]
-                .as_array()
-                .map(|rows| rows.iter().map(&string_list).collect())
-                .unwrap_or_default(),
-            notes: string_list(&value["notes"]),
-            data: value["data"].clone(),
-            metadata: ArtifactMetadata {
-                spec_name: metadata["spec_name"]
-                    .as_str()
-                    .unwrap_or_default()
-                    .to_string(),
-                spec_hash: metadata["spec_hash"]
-                    .as_str()
-                    .unwrap_or_default()
-                    .to_string(),
-                seed: metadata["seed"].as_u64().unwrap_or_default(),
-                git_describe: metadata["git_describe"].as_str().map(str::to_string),
-                thread_invariant: metadata["thread_invariant"].as_bool().unwrap_or_default(),
-            },
-        })
-    }
-
     /// Renders the aligned pretty table (plus notes and provenance) as text.
     pub fn render_pretty(&self) -> String {
         let headers: Vec<&str> = self.headers.iter().map(String::as_str).collect();
@@ -280,14 +237,6 @@ mod tests {
                 thread_invariant: true,
             },
         }
-    }
-
-    #[test]
-    fn artifact_round_trips_through_json() {
-        let artifact = sample();
-        let text = serde_json::to_string_pretty(&artifact.to_json()).unwrap();
-        let parsed = Artifact::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(parsed, artifact);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The single experiment driver: resolves named specs through the
 //! [`qccd_bench::registry`], runs them on the sweep engine, and emits
-//! pretty/CSV/JSON artifacts with optional content-hash caching. Run with
-//! `-- --help` for usage.
+//! pretty/CSV/JSON artifacts. Run with `-- --help` for usage.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -165,11 +165,10 @@ pub fn merge_artifact(spec: &ExperimentSpec, store: &PointStore) -> Result<Artif
 // ---------------------------------------------------------------------------
 
 /// Field order of [`CacheStats`] in the JSON codec.
-const CACHE_FIELDS: [&str; 7] = [
+const CACHE_FIELDS: [&str; 6] = [
     "hits",
     "misses",
     "uncacheable",
-    "prefilled",
     "quiet_words",
     "sparse_words",
     "dense_words",
@@ -180,7 +179,6 @@ fn cache_to_json(cache: &CacheStats) -> Value {
         cache.hits,
         cache.misses,
         cache.uncacheable,
-        cache.prefilled,
         cache.quiet_words,
         cache.sparse_words,
         cache.dense_words,
@@ -203,7 +201,6 @@ fn cache_from_json(value: &Value) -> Result<CacheStats, String> {
         hits: field("hits")?,
         misses: field("misses")?,
         uncacheable: field("uncacheable")?,
-        prefilled: field("prefilled")?,
         quiet_words: field("quiet_words")?,
         sparse_words: field("sparse_words")?,
         dense_words: field("dense_words")?,
@@ -433,7 +430,6 @@ mod tests {
                 hits: 1,
                 misses: 2,
                 uncacheable: 3,
-                prefilled: 4,
                 quiet_words: 5,
                 sparse_words: 6,
                 dense_words: u64::MAX,
@@ -474,6 +470,15 @@ mod tests {
             }
             assert_eq!(decoded.cache, outcome.cache);
         }
+        // Point files written by earlier commits carry one more cache key;
+        // they still resume and merge.
+        let mut older = outcome_to_json(&ok);
+        older["cache"]["prefilled"] = Value::from(72u64);
+        let decoded = outcome_from_json(&older).unwrap();
+        assert_eq!(
+            outcome_to_json(&decoded).to_string(),
+            outcome_to_json(&ok).to_string()
+        );
     }
 
     #[test]

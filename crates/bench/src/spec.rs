@@ -951,6 +951,16 @@ impl ExperimentSpec {
                 None => Ok(()),
             }
         }
+        // `FaultTable::biased` asserts the same condition; a user file must
+        // be refused here, not abort the worker pool.
+        fn bias_at_least_one(bias: Option<f64>, what: &str) -> Result<(), SpecError> {
+            match bias {
+                Some(bias) if !(bias.is_finite() && bias >= 1.0) => err(format!(
+                    "{what} must be a finite factor of at least 1, got {bias}"
+                )),
+                _ => Ok(()),
+            }
+        }
         if self.name.is_empty() {
             return err("spec name must be non-empty");
         }
@@ -969,6 +979,7 @@ impl ExperimentSpec {
                 if spec.shots == 0 {
                     return err("LER sweep needs a positive shot count");
                 }
+                bias_at_least_one(spec.estimator.importance_bias, "`importance_bias`")?;
                 for point in &spec.configurations {
                     point.validate()?;
                 }
@@ -988,9 +999,8 @@ impl ExperimentSpec {
                 if spec.shots == 0 || spec.biased_shots == 0 {
                     return err("rare-event LER comparison needs positive shot counts");
                 }
-                if !(spec.bias.is_finite() && spec.bias >= 1.0) {
-                    return err("rare-event bias must be a finite factor of at least 1");
-                }
+                bias_at_least_one(Some(spec.bias), "rare-event bias")?;
+                bias_at_least_one(spec.estimator.importance_bias, "`importance_bias`")?;
                 for point in &spec.configurations {
                     point.validate()?;
                 }
@@ -1163,6 +1173,17 @@ mod tests {
             s.sample_distances = vec![3, 1];
         }
         assert!(bad_distance.validate().is_err());
+
+        // A bias below 1 would trip `FaultTable::biased`'s assert inside the
+        // worker pool.
+        for bias in [0.5, f64::NAN, f64::INFINITY] {
+            let mut bad_bias = sample_spec();
+            if let ExperimentKind::LerSweep(ref mut s) = bad_bias.kind {
+                s.estimator.importance_bias = Some(bias);
+            }
+            let message = bad_bias.validate().unwrap_err().to_string();
+            assert!(message.contains("finite factor of at least 1"), "{message}");
+        }
         let surgery_d1 = ExperimentSpec {
             name: "s".into(),
             title: "s".into(),

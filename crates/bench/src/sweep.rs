@@ -145,13 +145,6 @@ pub struct LerCurve {
     pub outcomes: Vec<LerOutcome>,
 }
 
-impl LerCurve {
-    /// The `(distance, LER)` pairs (dropping the standard errors).
-    pub fn rate_points(&self) -> Vec<(usize, f64)> {
-        self.points.iter().map(|&(d, p, _)| (d, p)).collect()
-    }
-}
-
 /// The flat configuration-major point grid of a LER sweep: configuration
 /// `c`, distance `d` gets index `c · distances.len() + d` — the index (and
 /// therefore seed) assignment every execution tier must agree on.
@@ -349,7 +342,6 @@ mod tests {
         assert_eq!(curves[1].label, "b");
         for curve in &curves {
             assert_eq!(curve.outcomes.len(), 2);
-            assert_eq!(curve.rate_points().len(), curve.points.len());
         }
     }
 }

@@ -49,7 +49,6 @@ fn word_path_stats_match_committed_golden() {
             "hits": cache.hits,
             "misses": cache.misses,
             "uncacheable": cache.uncacheable,
-            "prefilled": cache.prefilled,
             "quiet_words": cache.quiet_words,
             "sparse_words": cache.sparse_words,
             "dense_words": cache.dense_words,

@@ -28,9 +28,8 @@
 //! 1. **Quiet word** — no detector fired anywhere in the 64-shot word: the
 //!    whole word is skipped by the tile scan (no gather, no decode).
 //! 2. **Sparse memo** — lanes at or below [`MemoConfig::max_defects`]
-//!    probe the hash table ([`decode_lanes`]); misses decode once and
-//!    insert. Single-defect sets are prefilled when the decoder claims the
-//!    memo, so they never miss.
+//!    probe the hash table ([`decode_lanes`]); misses — the first sight
+//!    of any set, single defects included — decode once and insert.
 //! 3. **Union-find** — lanes *above* the cap are counted as
 //!    [`CacheStats::uncacheable`] and decoded by one plain
 //!    [`Decoder::decode_shot`](crate::Decoder::decode_shot), exactly as
@@ -51,7 +50,7 @@ pub use qccd_sim::SyndromeChunk;
 
 use qccd_sim::BitPlanes;
 
-use crate::memo::{MemoSnapshot, SyndromeMemo};
+use crate::memo::SyndromeMemo;
 use crate::scratch::{EpochVec, VecPool};
 use crate::{CacheStats, Decoder, MemoConfig};
 
@@ -397,9 +396,10 @@ impl MatchingScratch {
 /// The scratch also hosts the per-decoder [syndrome memo](crate::memo):
 /// cached predictions survive across chunks (they are keyed by defect set,
 /// not by shot), are cleared automatically when the scratch is used with a
-/// different decoder, and never change decoded bits — see the memo module
-/// docs for the bit-identity contract. Memoization is on by default;
-/// configure or disable it with [`DecodeScratch::set_memo_config`].
+/// different decoder (the counters are not), and never change decoded bits
+/// — see the memo module docs for the bit-identity contract. Memoization is
+/// on by default; configure or disable it with
+/// [`DecodeScratch::set_memo_config`].
 #[derive(Debug, Clone, Default)]
 pub struct DecodeScratch {
     pub(crate) shot_prediction: Vec<bool>,
@@ -440,8 +440,9 @@ impl DecodeScratch {
         self.memo.set_config(config);
     }
 
-    /// Accumulated memo hit/miss counters (across every chunk decoded with
-    /// this scratch since the last reset or change of decoder).
+    /// Accumulated memo hit/miss counters, across every chunk decoded with
+    /// this scratch — by any decoder — since the last
+    /// [`DecodeScratch::reset_cache_stats`]. They only grow in between.
     pub fn cache_stats(&self) -> CacheStats {
         self.memo.stats()
     }
@@ -455,20 +456,11 @@ impl DecodeScratch {
     pub fn memo_entries(&self) -> usize {
         self.memo.len()
     }
-
-    /// Adopts a shared memo snapshot: the scratch's memo becomes a clone of
-    /// the snapshot (owner, entries, prefill state), exactly as if this
-    /// scratch had been warmed by the snapshot's decoder itself. A no-op
-    /// when the memo already belongs to that decoder, so repeated adoption
-    /// per chunk is free and locally learned entries survive.
-    pub fn adopt_memo_snapshot(&mut self, snapshot: &MemoSnapshot) {
-        self.memo.adopt(snapshot);
-    }
 }
 
 /// Reusable buffers moved out of the scratch for the duration of one batch
 /// decode, so the scratch itself can be lent to `decode_shot` without
-/// aliasing. Construction claims (and, when needed, prefills) the memo.
+/// aliasing. Construction claims the memo; it decodes nothing.
 struct BatchBuffers {
     word_fired: Vec<Vec<usize>>,
     prediction: Vec<bool>,
@@ -477,11 +469,7 @@ struct BatchBuffers {
 }
 
 impl BatchBuffers {
-    fn begin<D: Decoder + ?Sized>(
-        decoder: &D,
-        num_detectors: usize,
-        scratch: &mut DecodeScratch,
-    ) -> Self {
+    fn begin<D: Decoder + ?Sized>(decoder: &D, scratch: &mut DecodeScratch) -> Self {
         let mut word_fired = std::mem::take(&mut scratch.word_fired);
         word_fired.resize_with(64, Vec::new);
         let mut prediction = std::mem::take(&mut scratch.shot_prediction);
@@ -498,29 +486,6 @@ impl BatchBuffers {
             }
             _ => false,
         };
-        if memo_active && memo.needs_prefill() {
-            // Seed every single-defect prediction up front (one decode per
-            // detector, i.e. one shortest path for the matching decoders).
-            // This removes the cold-start miss per worker and makes hit
-            // rates independent of the chunk order in which defects first
-            // appear. Predictions come from `decode_shot` itself, so the
-            // bit-identity contract is untouched.
-            for detector in 0..num_detectors {
-                if !memo.can_insert() {
-                    break;
-                }
-                prediction.fill(false);
-                decoder.decode_shot(&[detector], scratch, &mut prediction);
-                let mut flips = 0u64;
-                for (observable, &flipped) in prediction.iter().enumerate() {
-                    if flipped {
-                        flips |= 1u64 << observable;
-                    }
-                }
-                memo.prefill(&[detector], flips);
-            }
-            memo.mark_prefilled();
-        }
         BatchBuffers {
             word_fired,
             prediction,
@@ -618,7 +583,7 @@ pub(crate) fn decode_batch_words<D: Decoder + ?Sized>(
     scratch: &mut DecodeScratch,
 ) -> PredictionChunk {
     let mut out = PredictionChunk::zeroed(decoder.num_observables(), chunk.num_shots());
-    let mut buffers = BatchBuffers::begin(decoder, chunk.num_detectors(), scratch);
+    let mut buffers = BatchBuffers::begin(decoder, scratch);
     let mut tile_hot = std::mem::take(&mut scratch.tile_hot);
     tile_hot.resize_with(TILE_WORDS, Vec::new);
     let words = chunk.words();
@@ -689,7 +654,7 @@ pub(crate) fn decode_batch_per_shot<D: Decoder + ?Sized>(
 ) -> PredictionChunk {
     let mut out = PredictionChunk::zeroed(decoder.num_observables(), chunk.num_shots());
     let mask = chunk.fired_shot_mask();
-    let mut buffers = BatchBuffers::begin(decoder, chunk.num_detectors(), scratch);
+    let mut buffers = BatchBuffers::begin(decoder, scratch);
     // Resolve the plane slices once; the gather loop below touches every
     // plane per word and must not re-derive the slice each time.
     let planes: Vec<&[u64]> = (0..chunk.num_detectors())
@@ -718,25 +683,6 @@ pub(crate) fn decode_batch_per_shot<D: Decoder + ?Sized>(
     }
     buffers.finish(scratch);
     out
-}
-
-/// Claims and prefills `decoder`'s memo inside `scratch` without decoding
-/// any shots, then freezes it into a shareable snapshot (the
-/// [`Decoder::warm_memo_snapshot`](crate::Decoder::warm_memo_snapshot)
-/// default).
-pub(crate) fn warm_memo_snapshot<D: Decoder + ?Sized>(
-    decoder: &D,
-    num_detectors: usize,
-    scratch: &mut DecodeScratch,
-) -> Option<MemoSnapshot> {
-    decoder.memo_token()?;
-    if !scratch.memo.config().enabled() || decoder.num_observables() > 64 {
-        return None;
-    }
-    let buffers = BatchBuffers::begin(decoder, num_detectors, scratch);
-    let snapshot = buffers.memo.snapshot();
-    buffers.finish(scratch);
-    snapshot
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@ use qccd_sim::{
 
 use crate::{
     CacheStats, DecodeScratch, Decoder, DecodingGraph, ExactMatchingDecoder, GreedyMatchingDecoder,
-    MemoConfig, MemoSnapshot, UnionFindDecoder,
+    MemoConfig, UnionFindDecoder,
 };
 
 /// Which decoder to use for logical error rate estimation.
@@ -278,9 +278,8 @@ pub struct EstimateReport {
     /// counters (`quiet_words` / `sparse_words` / `dense_words`) and
     /// `uncacheable` depend only on the sampled syndromes and the memo cap,
     /// so they are invariant across thread counts; the hit/miss *split*
-    /// (and `prefilled`) can shift with worker scheduling because each
-    /// worker adopts the warm snapshot into its own memo copy and learns on
-    /// top of it. Pin
+    /// can shift with worker scheduling because each worker learns its own
+    /// memo (a set costs one miss per worker that meets it). Pin
     /// [`EstimatorConfig::num_threads`] to 1 for fully deterministic
     /// counters.
     pub cache: CacheStats,
@@ -314,28 +313,10 @@ fn count_failures(
     decoder: &dyn Decoder,
     scratch: &mut DecodeScratch,
     config: &EstimatorConfig,
-    snapshot: Option<&MemoSnapshot>,
     weights: Option<(&[f64], f64)>,
 ) -> (Vec<u32>, Vec<(f64, f64)>, CacheStats) {
     scratch.set_memo_config(config.memo);
-    // Baseline for this chunk's counter delta. When the memo will engage
-    // for a decoder the scratch does not belong to yet, the claim (or
-    // snapshot adoption) below zeroes the counters before any counting, so
-    // the baseline is zero; capturing it this way keeps the delta exact —
-    // including the prefill the (re-)warming contributes to the worker's
-    // first chunk. When the memo stays inert (disabled, no token, >64
-    // observables) the counters cannot move, so the delta is zero either
-    // way.
-    let engages =
-        config.memo.enabled() && decoder.memo_token().is_some() && decoder.num_observables() <= 64;
-    let before = if engages && scratch.memo.owner() != decoder.memo_token() {
-        CacheStats::default()
-    } else {
-        scratch.cache_stats()
-    };
-    if let Some(snapshot) = snapshot {
-        scratch.adopt_memo_snapshot(snapshot);
-    }
+    let before = scratch.cache_stats();
     let prediction = decoder.decode_batch(chunk, scratch);
     let cache = scratch.cache_stats().since(&before);
     let words = chunk.words();
@@ -479,12 +460,6 @@ fn run_pipeline(
     weights: Option<(&[f64], f64)>,
 ) -> EstimateReport {
     let num_chunks = sampler.num_chunks();
-    // Warm the memo once and share the read-mostly snapshot with every
-    // worker: adoption clones the prefilled table instead of re-deriving it
-    // per worker (and per sweep point). Purely a scheduling optimisation —
-    // the snapshot holds only predictions this decoder produced.
-    let mut warm = DecodeScratch::with_memo_config(config.memo);
-    let snapshot = decoder.warm_memo_snapshot(sampler.num_detectors(), &mut warm);
     let decode_chunk = |index: usize| {
         // One scratch per worker thread, reused across every chunk that
         // worker decodes.
@@ -510,7 +485,6 @@ fn run_pipeline(
                 decoder,
                 &mut scratch.borrow_mut(),
                 config,
-                snapshot.as_ref(),
                 shot_weights,
             )
         });

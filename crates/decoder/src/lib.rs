@@ -55,8 +55,9 @@
 //!
 //! Every noisy lane goes through the same per-shot [`DecodeScratch`] memo
 //! probe as the reference loop: lanes at or below the cap look their defect
-//! set up in the hash table (single defects are prefilled, so they always
-//! hit), above-cap lanes are one plain [`Decoder::decode_shot`] each. The
+//! set up in the hash table (the first sight of a set is a miss, decoded
+//! and inserted), above-cap lanes are one plain [`Decoder::decode_shot`]
+//! each. The
 //! three-tier ladder — quiet word → sparse memo → union-find — is laid out
 //! in the `batch` module docs.
 //!
@@ -73,20 +74,6 @@
 //! the `*_words` counters of [`CacheStats`]; they depend only on the
 //! syndrome content and the memo cap, never on scheduling.
 //!
-//! # Shared memo snapshots
-//!
-//! Every worker thread owns its scratch (and memo), so without sharing,
-//! each worker re-prefills the single-defect entries per decoder and
-//! re-learns recurring pairs from scratch. [`Decoder::warm_memo_snapshot`]
-//! claims and prefills the memo once — without decoding any shots — and
-//! freezes it into an `Arc`-shared [`MemoSnapshot`]; workers adopt it with
-//! [`DecodeScratch::adopt_memo_snapshot`] (a table clone on first contact,
-//! a no-op afterwards) and keep learning private entries on top. The
-//! estimator does this once per estimate, so the memo's hit rate survives
-//! sharding across workers and sweep points. Snapshots only ever contain
-//! predictions the owning decoder itself produced, so adoption cannot
-//! change decoded bits.
-//!
 //! # Syndrome memoization
 //!
 //! Below threshold the same small defect sets (single defects, adjacent
@@ -94,16 +81,15 @@
 //! consults a per-decoder [memo table](memo) before running
 //! union-find/matching: predictions of defect sets with at most
 //! [`MemoConfig::max_defects`] defects (default 4) are cached inside the
-//! worker's [`DecodeScratch`] and replayed on recurrence. When a decoder
-//! first claims a memo, every *single-defect* prediction is prefilled from
-//! one `decode_shot` per detector (one shortest path each for the matching
-//! decoders), so workers never pay a cold-start miss on the most common
-//! defect sets and hit rates are independent of chunk order; prefilled
-//! entries are counted by [`CacheStats::prefilled`]. The memo is a
-//! **pure cache** — memoized decoding is bit-identical to the uncached path
-//! (property-tested in `tests/prop_memo_decode.rs` for all three
-//! [`DecoderKind`]s), hit rates are observable via [`CacheStats`], and
-//! [`MemoConfig::disabled`] restores the raw path. On the paper's deep
+//! worker's [`DecodeScratch`] and replayed on recurrence. Nothing is
+//! computed ahead of the traffic: every set, single defects included, is
+//! learned on first sight (one miss, one `decode_shot`, one insert), so the
+//! number of misses of a scratch is the number of distinct cacheable sets
+//! it has seen, whatever the chunk order, and each worker learns its own
+//! table. The memo is a **pure cache** — memoized decoding is bit-identical
+//! to the uncached path (property-tested in `tests/prop_memo_decode.rs` for
+//! all three [`DecoderKind`]s), hit rates are observable via
+//! [`CacheStats`], and [`MemoConfig::disabled`] restores the raw path. On the paper's deep
 //! below-threshold workloads the memo answers ~90% of noisy shots and more
 //! than doubles batch decode throughput (see the `decoder` criterion bench).
 //!
@@ -159,7 +145,7 @@ pub use ler::{
     estimate_logical_error_rate_with, fit_lambda, fit_lambda_weighted, zero_failure_upper_bound,
     DecoderKind, EstimateReport, EstimatorConfig, LambdaFit, LogicalErrorEstimate,
 };
-pub use memo::{CacheStats, MemoConfig, MemoSnapshot, DEFAULT_MEMO_MAX_DEFECTS, MEMO_KEY_CAPACITY};
+pub use memo::{CacheStats, MemoConfig, DEFAULT_MEMO_MAX_DEFECTS, MEMO_KEY_CAPACITY};
 pub use mwpm::{ExactMatchingDecoder, DEFAULT_MAX_EXACT_DEFECTS};
 pub use sweep::{sweep_seed, SweepEngine, SweepTask};
 pub use union_find::UnionFindDecoder;
@@ -243,25 +229,6 @@ pub trait Decoder {
         )
     }
 
-    /// [`Decoder::decode_batch`] after adopting a shared warm
-    /// [`MemoSnapshot`] into `scratch` (a no-op when the scratch already
-    /// belongs to the snapshot's decoder, so calling this per batch is
-    /// free). This is the entry point online services use: every batch — a
-    /// full 64-shot word, several words, or a deadline-flushed *partial*
-    /// word — decodes against the same warm table regardless of which
-    /// worker picks it up, and adoption never changes decoded bits.
-    fn decode_batch_with_snapshot(
-        &self,
-        chunk: &SyndromeChunk,
-        scratch: &mut DecodeScratch,
-        snapshot: Option<&MemoSnapshot>,
-    ) -> PredictionChunk {
-        if let Some(snapshot) = snapshot {
-            scratch.adopt_memo_snapshot(snapshot);
-        }
-        self.decode_batch(chunk, scratch)
-    }
-
     /// Decodes every shot of a chunk on the **per-shot reference** path:
     /// scan the fired-shot mask, gather every noisy lane's defect list,
     /// decode lane by lane (consulting the memo exactly like the word
@@ -287,19 +254,22 @@ pub trait Decoder {
         )
     }
 
-    /// Claims and prefills this decoder's [syndrome memo](memo) inside
-    /// `scratch` — without decoding any shots — and freezes it into a
-    /// read-mostly [`MemoSnapshot`] that worker threads can adopt via
-    /// [`DecodeScratch::adopt_memo_snapshot`]. Returns `None` when the
-    /// decoder opts out of memoization, the scratch's memo is disabled, or
-    /// more than 64 observables are predicted. Warming is deterministic
-    /// (the prefill is a pure function of the decoding graph), so sharing
-    /// the snapshot never changes decoded bits.
-    fn warm_memo_snapshot(
+    /// Kept only because the frozen benchmark package calls it; delete with
+    /// the next `benchmark` PR. Nothing warms a memo, so there is never one.
+    #[doc(hidden)]
+    fn warm_memo_snapshot(&self, _: usize, _: &mut DecodeScratch) -> Option<()> {
+        None
+    }
+
+    /// Kept only because the frozen benchmark package calls it; delete with
+    /// the next `benchmark` PR. A plain [`Decoder::decode_batch`].
+    #[doc(hidden)]
+    fn decode_batch_with_snapshot(
         &self,
-        num_detectors: usize,
+        chunk: &SyndromeChunk,
         scratch: &mut DecodeScratch,
-    ) -> Option<MemoSnapshot> {
-        batch::warm_memo_snapshot(self, num_detectors, scratch)
+        _: Option<&()>,
+    ) -> PredictionChunk {
+        self.decode_batch(chunk, scratch)
     }
 }

@@ -19,24 +19,22 @@
 //! # Ownership
 //!
 //! The memo lives inside [`DecodeScratch`](crate::DecodeScratch) (one per
-//! worker thread, reused across chunks) but is *owned* by a decoder
-//! instance: each decoder carries a unique memo token, and the memo clears
-//! itself whenever it is handed to a decoder with a different token, so a
-//! scratch can be shared across decoders without serving stale predictions.
+//! worker thread, reused across chunks) but its *entries* are owned by a
+//! decoder instance: each decoder carries a unique memo token, and the memo
+//! drops its entries whenever it is handed to a decoder with a different
+//! token, so a scratch can be shared across decoders without serving stale
+//! predictions. The counters belong to the scratch, not to the owner: they
+//! only grow until
+//! [`DecodeScratch::reset_cache_stats`](crate::DecodeScratch::reset_cache_stats).
 //!
-//! # Sharing across workers
+//! # Learning
 //!
-//! A warmed memo can be frozen into a [`MemoSnapshot`] — an immutable,
-//! `Arc`-shared copy of the table — and adopted into other scratches with
-//! [`DecodeScratch::adopt_memo_snapshot`](crate::DecodeScratch::adopt_memo_snapshot).
-//! Adoption replaces a differently-owned memo with a clone of the snapshot
-//! (exactly what that worker's own claim-plus-prefill would have produced,
-//! plus whatever the snapshot had already learned) and is a no-op when the
-//! scratch already belongs to the snapshot's decoder. The estimator uses
-//! this to warm the memo once per evaluation point and hand the same
-//! read-mostly base table to every worker thread; because the snapshot
-//! only ever contains predictions the owning decoder itself produced, the
-//! bit-identity contract is unaffected.
+//! Nothing is computed ahead of the traffic. Every cacheable defect set —
+//! single defects included — misses once, is decoded by the owning decoder
+//! and inserted, so for one scratch and one decoder `misses` is the number
+//! of distinct cacheable sets seen (while the entry cap admits them),
+//! whatever order the shots arrive in. Workers learn independently; there
+//! is no shared table.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -114,13 +112,12 @@ impl MemoConfig {
     }
 }
 
-/// Hit/miss counters of one memo (accumulated across chunks until
-/// [`DecodeScratch::reset_cache_stats`](crate::DecodeScratch::reset_cache_stats)
-/// or a change of owning decoder).
+/// Hit/miss counters of one memo (accumulated across chunks — and across
+/// changes of owning decoder — until
+/// [`DecodeScratch::reset_cache_stats`](crate::DecodeScratch::reset_cache_stats)).
 ///
 /// Only *noisy* shots are counted — quiet shots are skipped by the batch
-/// engine's word-level scan before the memo is ever consulted. `prefilled`
-/// counts cache *entries* seeded from the decoding graph rather than shots.
+/// engine's word-level scan before the memo is ever consulted.
 ///
 /// The `*_words` counters describe the word-parallel scan of
 /// [`Decoder::decode_batch`](crate::Decoder::decode_batch): every 64-shot
@@ -135,10 +132,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Noisy shots with more defects than the memo cap (decoded directly).
     pub uncacheable: u64,
-    /// Single-defect entries precomputed into the memo when the owning
-    /// decoder first claimed it (see the prefill pass of
-    /// [`Decoder::decode_batch`](crate::Decoder::decode_batch)).
-    pub prefilled: u64,
     /// Words of the word-parallel scan with no fired detector.
     pub quiet_words: u64,
     /// Noisy words in which every lane was at or below the memo's defect
@@ -188,26 +181,23 @@ impl CacheStats {
         self.hits += other.hits;
         self.misses += other.misses;
         self.uncacheable += other.uncacheable;
-        self.prefilled += other.prefilled;
         self.quiet_words += other.quiet_words;
         self.sparse_words += other.sparse_words;
         self.dense_words += other.dense_words;
     }
 
     /// The counters accumulated since `earlier` was captured from the same
-    /// memo. Counters only grow between captures except when another
-    /// decoder claims the memo (which zeroes them *before* any counting);
-    /// a field that shrank is therefore reported as its post-reset value.
+    /// scratch, with no
+    /// [`DecodeScratch::reset_cache_stats`](crate::DecodeScratch::reset_cache_stats)
+    /// in between (the only thing that makes a counter shrink).
     pub fn since(&self, earlier: &CacheStats) -> CacheStats {
-        let delta = |now: u64, then: u64| if now >= then { now - then } else { now };
         CacheStats {
-            hits: delta(self.hits, earlier.hits),
-            misses: delta(self.misses, earlier.misses),
-            uncacheable: delta(self.uncacheable, earlier.uncacheable),
-            prefilled: delta(self.prefilled, earlier.prefilled),
-            quiet_words: delta(self.quiet_words, earlier.quiet_words),
-            sparse_words: delta(self.sparse_words, earlier.sparse_words),
-            dense_words: delta(self.dense_words, earlier.dense_words),
+            hits: self.hits - earlier.hits,
+            misses: self.misses - earlier.misses,
+            uncacheable: self.uncacheable - earlier.uncacheable,
+            quiet_words: self.quiet_words - earlier.quiet_words,
+            sparse_words: self.sparse_words - earlier.sparse_words,
+            dense_words: self.dense_words - earlier.dense_words,
             ..CacheStats::default()
         }
     }
@@ -268,51 +258,6 @@ impl Hasher for MemoKeyHasher {
 
 type MemoTable = HashMap<MemoKey, u64, BuildHasherDefault<MemoKeyHasher>>;
 
-/// An immutable, cheaply cloneable snapshot of a warmed [`SyndromeMemo`],
-/// shared behind an [`Arc`](std::sync::Arc).
-///
-/// Snapshots are the cross-worker memo-sharing primitive: one scratch is
-/// warmed (claim + single-defect prefill via
-/// [`Decoder::warm_memo_snapshot`](crate::Decoder::warm_memo_snapshot)),
-/// its memo is frozen into a snapshot, and every worker thread adopts the
-/// snapshot into its own [`DecodeScratch`](crate::DecodeScratch) — a clone
-/// of the table instead of a re-prefill per worker, so the word path's hit
-/// rate (and the prefill cost) survives sharding across workers and sweep
-/// points. Adoption is a no-op when the scratch's memo already belongs to
-/// the snapshot's decoder, so workers keep the extra entries they learn on
-/// top of the shared base.
-#[derive(Debug, Clone)]
-pub struct MemoSnapshot {
-    inner: std::sync::Arc<SnapshotInner>,
-}
-
-#[derive(Debug)]
-struct SnapshotInner {
-    owner: NonZeroU64,
-    num_observables: usize,
-    config: MemoConfig,
-    table: MemoTable,
-    prefilled: bool,
-    prefilled_count: u64,
-}
-
-impl MemoSnapshot {
-    /// Number of defect sets frozen in the snapshot.
-    pub fn len(&self) -> usize {
-        self.inner.table.len()
-    }
-
-    /// Whether the snapshot holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.inner.table.is_empty()
-    }
-
-    /// Number of observables the frozen predictions cover.
-    pub fn num_observables(&self) -> usize {
-        self.inner.num_observables
-    }
-}
-
 /// The per-decoder prediction cache (see the [module docs](self)).
 ///
 /// Predictions are stored as a `u64` observable-flip bitmask, so memoization
@@ -327,8 +272,6 @@ pub(crate) struct SyndromeMemo {
     config: MemoConfig,
     table: MemoTable,
     stats: CacheStats,
-    /// Whether the single-defect prefill pass ran for the current owner.
-    prefilled: bool,
 }
 
 impl SyndromeMemo {
@@ -348,11 +291,6 @@ impl SyndromeMemo {
         self.stats
     }
 
-    /// Memo token of the current owner (`None` while unowned).
-    pub(crate) fn owner(&self) -> Option<NonZeroU64> {
-        self.owner
-    }
-
     /// Resets the hit/miss counters (entries are kept).
     pub(crate) fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
@@ -364,77 +302,13 @@ impl SyndromeMemo {
     }
 
     /// Claims the memo for the decoder with the given token, clearing any
-    /// entries (and stats) cached for a different decoder.
+    /// entries cached for a different decoder. Counters are the scratch's,
+    /// not the owner's, and keep counting.
     pub(crate) fn claim(&mut self, token: NonZeroU64, num_observables: usize) {
         if self.owner != Some(token) || self.num_observables != num_observables {
             self.table.clear();
-            self.stats = CacheStats::default();
             self.owner = Some(token);
             self.num_observables = num_observables;
-            self.prefilled = false;
-        }
-    }
-
-    /// Freezes the current entries into a shareable snapshot. `None` while the memo is unowned.
-    pub(crate) fn snapshot(&self) -> Option<MemoSnapshot> {
-        let owner = self.owner?;
-        Some(MemoSnapshot {
-            inner: std::sync::Arc::new(SnapshotInner {
-                owner,
-                num_observables: self.num_observables,
-                config: self.config,
-                table: self.table.clone(),
-                prefilled: self.prefilled,
-                prefilled_count: self.stats.prefilled,
-            }),
-        })
-    }
-
-    /// Installs a snapshot's entries, adopting its owner. A no-op when the
-    /// memo already belongs to the snapshot's decoder (the worker keeps any
-    /// extra entries it has learned on top of the shared base); otherwise
-    /// the memo is re-keyed exactly as a fresh claim-plus-prefill would
-    /// leave it, with `prefilled` carried over so stats stay comparable
-    /// with per-worker warming.
-    pub(crate) fn adopt(&mut self, snapshot: &MemoSnapshot) {
-        let inner = &*snapshot.inner;
-        if self.owner == Some(inner.owner) && self.num_observables == inner.num_observables {
-            return;
-        }
-        self.owner = Some(inner.owner);
-        self.num_observables = inner.num_observables;
-        self.config = inner.config;
-        self.table = inner.table.clone();
-        self.prefilled = inner.prefilled;
-        self.stats = CacheStats {
-            prefilled: inner.prefilled_count,
-            ..CacheStats::default()
-        };
-    }
-
-    /// Whether the single-defect prefill pass still has to run for the
-    /// current owner.
-    pub(crate) fn needs_prefill(&self) -> bool {
-        !self.prefilled
-    }
-
-    /// Marks the prefill pass as done for the current owner (kept across
-    /// chunks; reset only when another decoder claims the memo).
-    pub(crate) fn mark_prefilled(&mut self) {
-        self.prefilled = true;
-    }
-
-    /// Whether the entry cap still admits insertions.
-    pub(crate) fn can_insert(&self) -> bool {
-        self.table.len() < self.config.max_entries
-    }
-
-    /// Seeds one precomputed single-defect prediction, counting it in
-    /// [`CacheStats::prefilled`] (dropped silently at the entry cap).
-    pub(crate) fn prefill(&mut self, fired_detectors: &[usize], mask: u64) {
-        if self.can_insert() {
-            self.table.insert(Self::key(fired_detectors), mask);
-            self.stats.prefilled += 1;
         }
     }
 
@@ -520,11 +394,10 @@ mod tests {
             hits: 6,
             misses: 2,
             uncacheable: 2,
-            prefilled: 5,
             ..CacheStats::default()
         };
         assert_eq!(stats.attempts(), 8);
-        assert_eq!(stats.decoded(), 10, "prefilled entries are not shots");
+        assert_eq!(stats.decoded(), 10);
         assert!((stats.hit_rate() - 0.6).abs() < 1e-12);
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
@@ -552,34 +425,9 @@ mod tests {
     }
 
     #[test]
-    fn prefill_counts_entries_and_respects_the_cap() {
-        let mut memo = SyndromeMemo::default();
-        memo.set_config(MemoConfig::default().with_max_entries(2));
-        let token = next_memo_token();
-        memo.claim(token, 1);
-        assert!(memo.needs_prefill());
-        memo.prefill(&[0], 0b1);
-        memo.prefill(&[1], 0);
-        memo.prefill(&[2], 0b1);
-        memo.mark_prefilled();
-        assert!(!memo.needs_prefill());
-        assert_eq!(memo.len(), 2, "cap bounds prefill too");
-        assert_eq!(memo.stats().prefilled, 2);
-        // Prefilled entries answer lookups as ordinary hits.
-        assert_eq!(memo.lookup(&[0]), Some(0b1));
-        assert_eq!(memo.lookup(&[2]), None);
-        assert_eq!(memo.stats().hits, 1);
-        assert_eq!(memo.stats().misses, 1);
-        // Re-claim by the same owner keeps the prefill; a new owner resets.
-        memo.claim(token, 1);
-        assert!(!memo.needs_prefill());
-        memo.claim(next_memo_token(), 1);
-        assert!(memo.needs_prefill());
-        assert_eq!(memo.stats().prefilled, 0);
-    }
-
-    #[test]
     fn claim_by_other_decoder_clears_entries_and_stats() {
+        // Despite the name (kept for the test floor), the stats survive:
+        // counters are the scratch's, only the entries are the owner's.
         let mut memo = SyndromeMemo::default();
         let a = next_memo_token();
         let b = next_memo_token();
@@ -590,11 +438,12 @@ mod tests {
         memo.claim(a, 1);
         assert_eq!(memo.len(), 1);
         assert_eq!(memo.stats().hits, 1);
-        // A different owner starts from scratch.
+        // A different owner starts from an empty table; the counters are
+        // the scratch's and keep counting.
         memo.claim(b, 1);
         assert_eq!(memo.len(), 0);
-        assert_eq!(memo.stats(), CacheStats::default());
         assert_eq!(memo.lookup(&[0]), None);
+        assert_eq!((memo.stats().hits, memo.stats().misses), (1, 1));
     }
 
     #[test]
@@ -641,7 +490,6 @@ mod tests {
             hits: 1,
             misses: 2,
             uncacheable: 3,
-            prefilled: 4,
             quiet_words: 5,
             sparse_words: 6,
             dense_words: 7,
@@ -653,54 +501,5 @@ mod tests {
         assert_eq!(a.dense_words, 14);
         assert_eq!(a.words(), 10 + 12 + 14);
         assert_eq!(a.since(&b), b, "doubling then removing one copy");
-        // A reset between captures (counter now *below* the baseline)
-        // reports the post-reset value.
-        let earlier = CacheStats {
-            hits: 5,
-            ..CacheStats::default()
-        };
-        let fresh = CacheStats {
-            hits: 1,
-            ..CacheStats::default()
-        };
-        assert_eq!(fresh.since(&earlier).hits, 1);
-        assert_eq!(fresh.since(&b).hits, 0, "no growth, no delta");
-        assert_eq!(fresh.since(&b).misses, 0);
-    }
-
-    #[test]
-    fn snapshot_round_trips_through_adoption() {
-        let token = next_memo_token();
-        let mut warm = SyndromeMemo::default();
-        assert!(warm.snapshot().is_none(), "unowned memos cannot freeze");
-        warm.claim(token, 1);
-        warm.prefill(&[0], 0b1);
-        warm.prefill(&[4], 0);
-        warm.mark_prefilled();
-        warm.insert(&[1, 2], 0b1);
-        let snapshot = warm.snapshot().expect("owned memo freezes");
-        assert_eq!(snapshot.len(), 3);
-        assert!(!snapshot.is_empty());
-        assert_eq!(snapshot.num_observables(), 1);
-
-        // A differently-owned memo adopts the full state.
-        let mut worker = SyndromeMemo::default();
-        worker.claim(next_memo_token(), 1);
-        worker.insert(&[9], 0b1);
-        worker.adopt(&snapshot);
-        assert_eq!(worker.len(), 3);
-        assert!(!worker.needs_prefill());
-        assert_eq!(worker.lookup(&[1, 2]), Some(0b1));
-        assert_eq!(
-            worker.stats().prefilled,
-            2,
-            "adoption reports the shared prefill"
-        );
-
-        // Re-adoption by the same owner keeps locally learned entries.
-        worker.insert(&[2, 3], 0);
-        worker.adopt(&snapshot);
-        assert_eq!(worker.len(), 4);
-        assert_eq!(worker.stats().hits, 1, "stats survive a no-op adoption");
     }
 }

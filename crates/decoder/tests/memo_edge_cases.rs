@@ -1,6 +1,7 @@
 //! Edge-case tests for the syndrome memo: empty syndromes, defect counts
 //! above the cap, entry caps, cross-chunk scratch reuse (epoch-stamp reuse),
-//! the single-defect prefill pass and `CacheStats` counter correctness.
+//! first-sight learning of single defects and `CacheStats` counter
+//! correctness.
 
 use qccd_decoder::{
     CacheStats, DecodeScratch, Decoder, DecodingGraph, GreedyMatchingDecoder, MemoConfig,
@@ -52,35 +53,32 @@ fn quiet_chunk_prefills_but_decodes_nothing() {
     for shot in 0..3 {
         assert_eq!(batch.shot_prediction(shot), vec![false]);
     }
-    // The prefill pass seeds one entry per detector; no shot ever consults
-    // the memo, so the hit/miss/uncacheable counters stay zero.
+    // Nothing is decoded ahead of the traffic and no shot consults the
+    // memo: the table stays empty and only the quiet word is counted.
     assert_eq!(
         scratch.cache_stats(),
         CacheStats {
-            hits: 0,
-            misses: 0,
-            uncacheable: 0,
-            prefilled: 6,
             quiet_words: 1,
             ..CacheStats::default()
         }
     );
-    assert_eq!(scratch.memo_entries(), 6);
+    assert_eq!(scratch.memo_entries(), 0);
 }
 
 #[test]
 fn single_defect_shots_hit_the_prefilled_memo_immediately() {
-    // The very first single-defect shot a worker decodes must be a hit —
-    // that is the point of the prefill pass (no cold-start miss, hit rates
-    // independent of which chunk order defects first appear in).
+    // A single defect is learned like every other cacheable set: its first
+    // sight is a miss (one decode, one insert), every later one a hit.
     let decoder = UnionFindDecoder::new(chain_graph(7));
     let mut scratch = DecodeScratch::new();
     let chunk = chunk_of(7, &[vec![3], vec![6], vec![0]]);
     let batch = decoder.decode_batch(&chunk, &mut scratch);
     let stats = scratch.cache_stats();
-    assert_eq!(stats.hits, 3, "every first-seen single defect is a hit");
-    assert_eq!(stats.misses, 0);
-    assert_eq!(stats.prefilled, 7);
+    assert_eq!(stats.hits, 0, "nothing is cached before it is seen");
+    assert_eq!(stats.misses, 3, "every first-seen single defect is a miss");
+    assert_eq!(scratch.memo_entries(), 3);
+    assert_eq!(decoder.decode_batch(&chunk, &mut scratch), batch);
+    assert_eq!(scratch.cache_stats().since(&stats).hits, 3);
     for (shot, fired) in [vec![3], vec![6], vec![0]].iter().enumerate() {
         assert_eq!(batch.shot_prediction(shot), decoder.decode(fired));
     }
@@ -103,16 +101,11 @@ fn defect_count_above_the_cap_bypasses_the_memo() {
             hits: 0,
             misses: 0,
             uncacheable: 2,
-            prefilled: 8,
             dense_words: 1,
             ..CacheStats::default()
         }
     );
-    assert_eq!(
-        scratch.memo_entries(),
-        8,
-        "only the prefilled singles are cached; oversized sets never are"
-    );
+    assert_eq!(scratch.memo_entries(), 0, "oversized sets are never cached");
     assert_eq!(stats.hit_rate(), 0.0);
 }
 
@@ -121,9 +114,9 @@ fn cache_stats_count_hits_misses_and_uncacheable_exactly() {
     let decoder = UnionFindDecoder::new(chain_graph(8));
     let mut scratch = DecodeScratch::new();
     let shots = vec![
-        vec![0],             // hit (prefilled)
+        vec![0],             // miss (first sight)
         vec![0],             // hit
-        vec![1, 2],          // miss (pairs are not prefilled)
+        vec![1, 2],          // miss
         vec![],              // quiet: not counted
         vec![0, 1, 2, 3, 4], // uncacheable (5 > cap 4)
         vec![0],             // hit
@@ -134,22 +127,17 @@ fn cache_stats_count_hits_misses_and_uncacheable_exactly() {
     assert_eq!(
         stats,
         CacheStats {
-            hits: 3,
-            misses: 1,
+            hits: 2,
+            misses: 2,
             uncacheable: 1,
-            prefilled: 8,
             dense_words: 1,
             ..CacheStats::default()
         }
     );
     assert_eq!(stats.attempts(), 4);
-    assert_eq!(
-        stats.decoded(),
-        5,
-        "prefilled entries are not decoded shots"
-    );
-    assert!((stats.hit_rate() - 0.6).abs() < 1e-12);
-    assert_eq!(scratch.memo_entries(), 9);
+    assert_eq!(stats.decoded(), 5);
+    assert!((stats.hit_rate() - 0.4).abs() < 1e-12);
+    assert_eq!(scratch.memo_entries(), 2);
     // Every shot still matches the uncached per-shot decode.
     for (shot, fired) in shots.iter().enumerate() {
         assert_eq!(batch.shot_prediction(shot), decoder.decode(fired));
@@ -157,15 +145,14 @@ fn cache_stats_count_hits_misses_and_uncacheable_exactly() {
     // Counter reset keeps the entries.
     scratch.reset_cache_stats();
     assert_eq!(scratch.cache_stats(), CacheStats::default());
-    assert_eq!(scratch.memo_entries(), 9);
+    assert_eq!(scratch.memo_entries(), 2);
 }
 
 #[test]
 fn scratch_reuse_across_chunks_keeps_entries_and_accumulates_stats() {
     // The per-shot scratch buffers are invalidated between shots/chunks by
     // epoch stamping; the memo must survive those epoch bumps so later
-    // chunks hit entries cached (or prefilled) by earlier ones, and the
-    // prefill pass must run only once per owning decoder.
+    // chunks hit entries cached by earlier ones.
     let decoder = UnionFindDecoder::new(chain_graph(10));
     let mut warm = DecodeScratch::new();
     let first = chunk_of(10, &[vec![2], vec![3, 4], vec![2]]);
@@ -175,31 +162,29 @@ fn scratch_reuse_across_chunks_keeps_entries_and_accumulates_stats() {
     assert_eq!(
         warm.cache_stats(),
         CacheStats {
-            hits: 2,
-            misses: 1,
+            hits: 1,
+            misses: 2,
             uncacheable: 0,
-            prefilled: 10,
             sparse_words: 1,
             ..CacheStats::default()
         }
     );
-    assert_eq!(warm.memo_entries(), 11);
+    assert_eq!(warm.memo_entries(), 2);
 
     let second_batch = decoder.decode_batch(&second, &mut warm);
-    // [2] and [9] are prefilled singles, [3,4] is warm from the first
-    // chunk: everything hits, and no second prefill pass runs.
+    // [2] and [3,4] are warm from the first chunk; [9] is new and misses
+    // once.
     assert_eq!(
         warm.cache_stats(),
         CacheStats {
-            hits: 6,
-            misses: 1,
+            hits: 4,
+            misses: 3,
             uncacheable: 0,
-            prefilled: 10,
             sparse_words: 2,
             ..CacheStats::default()
         }
     );
-    assert_eq!(warm.memo_entries(), 11);
+    assert_eq!(warm.memo_entries(), 3);
 
     // Bit-identical to fresh uncached decodes of both chunks.
     let mut cold = DecodeScratch::with_memo_config(MemoConfig::disabled());
@@ -214,16 +199,15 @@ fn entry_cap_bounds_the_table_without_changing_results() {
     let shots = vec![vec![0], vec![1], vec![1], vec![0]];
     let chunk = chunk_of(8, &shots);
     let batch = decoder.decode_batch(&chunk, &mut capped);
-    assert_eq!(capped.memo_entries(), 1, "cap holds (prefill stops at it)");
-    // Prefill caches [0] only; [0] hits twice, [1] misses twice (its insert
-    // is dropped at the cap).
+    assert_eq!(capped.memo_entries(), 1, "cap holds");
+    // The first [0] misses and takes the only slot, so the last one hits;
+    // [1] misses twice (its insert is dropped at the cap).
     assert_eq!(
         capped.cache_stats(),
         CacheStats {
-            hits: 2,
-            misses: 2,
+            hits: 1,
+            misses: 3,
             uncacheable: 0,
-            prefilled: 1,
             sparse_words: 1,
             ..CacheStats::default()
         }
@@ -236,8 +220,8 @@ fn entry_cap_bounds_the_table_without_changing_results() {
 #[test]
 fn scratch_shared_across_decoders_serves_no_stale_predictions() {
     // The union-find and greedy decoders may disagree on some syndromes; a
-    // shared scratch must re-key (and re-prefill) the memo per decoder
-    // rather than serve one decoder's cached prediction to the other.
+    // shared scratch must re-key the memo per decoder rather than serve one
+    // decoder's cached prediction to the other.
     let graph = chain_graph(9);
     let uf = UnionFindDecoder::new(graph.clone());
     let greedy = GreedyMatchingDecoder::new(graph);
@@ -248,27 +232,28 @@ fn scratch_shared_across_decoders_serves_no_stale_predictions() {
     assert_eq!(
         shared.cache_stats(),
         CacheStats {
-            hits: 2,
-            misses: 1,
+            hits: 0,
+            misses: 3,
             uncacheable: 0,
-            prefilled: 9,
             sparse_words: 1,
             ..CacheStats::default()
         }
     );
+    assert_eq!(shared.memo_entries(), 3);
     let from_greedy = greedy.decode_batch(&chunk, &mut shared);
     assert_eq!(
         shared.cache_stats(),
         CacheStats {
-            hits: 2,
-            misses: 1,
+            hits: 0,
+            misses: 6,
             uncacheable: 0,
-            prefilled: 9,
-            sparse_words: 1,
+            sparse_words: 2,
             ..CacheStats::default()
         },
-        "handing the scratch to another decoder restarts stats and prefill"
+        "the other decoder finds the entries cleared (three more misses, no \
+         hit) while the scratch's counters keep accumulating"
     );
+    assert_eq!(shared.memo_entries(), 3);
 
     let mut cold = DecodeScratch::with_memo_config(MemoConfig::disabled());
     assert_eq!(from_uf, uf.decode_batch(&chunk, &mut cold));
@@ -281,7 +266,8 @@ fn disabling_the_memo_mid_scratch_stops_consulting_it() {
     let mut scratch = DecodeScratch::new();
     let chunk = chunk_of(6, &[vec![2], vec![2]]);
     decoder.decode_batch(&chunk, &mut scratch);
-    assert_eq!(scratch.cache_stats().hits, 2, "prefilled singles hit");
+    let stats = scratch.cache_stats();
+    assert_eq!((stats.misses, stats.hits), (1, 1), "learned, then hit");
     scratch.set_memo_config(MemoConfig::disabled());
     let stats_before = scratch.cache_stats();
     let batch = decoder.decode_batch(&chunk, &mut scratch);
@@ -295,9 +281,9 @@ fn disabling_the_memo_mid_scratch_stops_consulting_it() {
 
 #[test]
 fn hit_rate_is_independent_of_chunk_order() {
-    // Before prefill, whichever chunk a worker happened to decode first paid
-    // the cold-start misses; with prefill the hit counts of a shot multiset
-    // are order-independent.
+    // Every distinct cacheable set misses exactly once per scratch, wherever
+    // it first appears, so the counters of a shot multiset do not depend on
+    // the order its chunks are decoded in.
     let decoder = UnionFindDecoder::new(chain_graph(8));
     let a = chunk_of(8, &[vec![1], vec![5]]);
     let b = chunk_of(8, &[vec![5], vec![1]]);
@@ -311,6 +297,7 @@ fn hit_rate_is_independent_of_chunk_order() {
     decoder.decode_batch(&a, &mut backward);
 
     assert_eq!(forward.cache_stats(), backward.cache_stats());
-    assert_eq!(forward.cache_stats().hits, 4);
-    assert_eq!(forward.cache_stats().misses, 0);
+    assert_eq!(forward.cache_stats().hits, 2);
+    assert_eq!(forward.cache_stats().misses, 2, "misses == distinct sets");
+    assert_eq!(forward.memo_entries(), 2);
 }

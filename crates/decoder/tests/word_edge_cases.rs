@@ -1,14 +1,12 @@
 //! Adversarial edge cases for the word-parallel batch decode path: words
 //! that are entirely dense, defect lanes straddling the 64-shot word
-//! boundary, ragged final words, zero-shot chunks, shots above the memo cap
-//! decoded directly, and shared-snapshot adoption — each with exact
-//! `CacheStats` word/sparse/dense counter assertions and bit-identity
+//! boundary, ragged final words, zero-shot chunks and shots above the memo
+//! cap decoded directly — each with exact `CacheStats` word/sparse/dense counter assertions and bit-identity
 //! against the per-shot reference loop — plus a random sweep that checks
 //! the per-word verdicts against a brute-force per-shot defect count.
 
 use qccd_decoder::{
-    CacheStats, DecodeScratch, Decoder, DecodingGraph, GreedyMatchingDecoder, MemoConfig,
-    SyndromeChunk, UnionFindDecoder,
+    CacheStats, DecodeScratch, Decoder, DecodingGraph, MemoConfig, SyndromeChunk, UnionFindDecoder,
 };
 use qccd_sim::{DemError, DetectorErrorModel};
 
@@ -73,7 +71,6 @@ fn all_dense_words_route_every_lane_to_the_fallback() {
         stats,
         CacheStats {
             uncacheable: 64,
-            prefilled: 8,
             dense_words: 1,
             ..CacheStats::default()
         }
@@ -98,9 +95,8 @@ fn defects_straddling_the_word_boundary_stay_in_their_word() {
     assert_eq!(
         stats,
         CacheStats {
-            hits: 2,   // the two prefilled singles, one per word
-            misses: 2, // the two distinct pairs
-            prefilled: 9,
+            hits: 1,   // [7] again, in the next word
+            misses: 3, // the two distinct pairs and the first [7]
             sparse_words: 2,
             ..CacheStats::default()
         }
@@ -120,8 +116,7 @@ fn ragged_final_words_mask_invalid_lanes() {
     assert_eq!(
         stats,
         CacheStats {
-            hits: 2,
-            prefilled: 6,
+            misses: 2,
             sparse_words: 2,
             ..CacheStats::default()
         }
@@ -140,7 +135,7 @@ fn zero_shot_chunks_decode_to_zero_words() {
     let stats = scratch.cache_stats();
     assert_eq!(stats.words(), 0, "no words to scan");
     assert_eq!(stats.decoded(), 0);
-    assert_eq!(stats.prefilled, 5, "the prefill still warms the memo");
+    assert_eq!(scratch.memo_entries(), 0, "nothing seen, nothing learned");
     // The per-shot path agrees on the degenerate chunk.
     let mut per_shot = DecodeScratch::new();
     assert_eq!(batch, decoder.decode_batch_per_shot(&chunk, &mut per_shot));
@@ -151,8 +146,8 @@ fn above_cap_lanes_decode_directly_while_dense_word_singles_still_hit() {
     let decoder = UnionFindDecoder::new(chain_graph(10));
     // One word mixing a quiet lane, two singles, a pair and a 7-defect lane
     // (above even the key capacity of 6): the oversized lane makes the word
-    // dense and decodes uncacheable, the pair takes a miss, and the singles
-    // still hit their prefilled entries.
+    // dense and decodes uncacheable, while the pair and the singles still go
+    // through the memo (first sight of each: a miss).
     let shots = vec![
         vec![],
         vec![4],
@@ -165,10 +160,8 @@ fn above_cap_lanes_decode_directly_while_dense_word_singles_still_hit() {
     assert_eq!(
         stats,
         CacheStats {
-            hits: 2,
-            misses: 1,
+            misses: 3,
             uncacheable: 1,
-            prefilled: 10,
             dense_words: 1,
             ..CacheStats::default()
         }
@@ -190,10 +183,9 @@ fn quiet_sparse_and_dense_words_are_counted_exactly() {
     assert_eq!(
         stats,
         CacheStats {
-            hits: 3,        // 3 prefilled singles (one of them in the dense word)
-            misses: 1,      // the pair
+            hits: 1,        // the second [1]
+            misses: 3,      // [1], the pair, and [6] in the dense word
             uncacheable: 1, // the 5-defect lane
-            prefilled: 8,
             quiet_words: 1,
             sparse_words: 1,
             dense_words: 1,
@@ -234,59 +226,10 @@ fn disabled_memo_leaves_every_counter_untouched_on_the_word_path() {
 }
 
 #[test]
-fn adopted_snapshots_answer_singles_and_report_shared_prefill() {
-    let decoder = UnionFindDecoder::new(chain_graph(7));
-    let mut warm = DecodeScratch::new();
-    let snapshot = decoder
-        .warm_memo_snapshot(7, &mut warm)
-        .expect("memoizing decoder warms");
-    assert_eq!(snapshot.len(), 7, "one single-defect entry per detector");
-
-    let mut worker = DecodeScratch::new();
-    worker.adopt_memo_snapshot(&snapshot);
-    let chunk = chunk_of(7, &[vec![3], vec![6], vec![0]]);
-    let batch = decoder.decode_batch(&chunk, &mut worker);
-    assert_eq!(
-        worker.cache_stats(),
-        CacheStats {
-            hits: 3,
-            prefilled: 7, // carried over from the shared warm pass
-            sparse_words: 1,
-            ..CacheStats::default()
-        }
-    );
-    for (shot, fired) in [vec![3], vec![6], vec![0]].iter().enumerate() {
-        assert_eq!(batch.shot_prediction(shot), decoder.decode(fired));
-    }
-}
-
-#[test]
-fn adopting_a_snapshot_rekeys_a_scratch_owned_by_another_decoder() {
-    let graph = chain_graph(9);
-    let uf = UnionFindDecoder::new(graph.clone());
-    let greedy = GreedyMatchingDecoder::new(graph);
-    let chunk = chunk_of(9, &[vec![0], vec![4, 5], vec![8]]);
-
-    // Warm a scratch with the greedy decoder, then adopt the union-find
-    // snapshot into it: predictions must come from union-find, never from
-    // the stale greedy entries.
-    let mut scratch = DecodeScratch::new();
-    greedy.decode_batch(&chunk, &mut scratch);
-    let mut warm = DecodeScratch::new();
-    let snapshot = uf.warm_memo_snapshot(9, &mut warm).expect("uf warms");
-    scratch.adopt_memo_snapshot(&snapshot);
-    let adopted = uf.decode_batch(&chunk, &mut scratch);
-
-    let mut cold = DecodeScratch::with_memo_config(MemoConfig::disabled());
-    assert_eq!(adopted, uf.decode_batch(&chunk, &mut cold));
-    assert_eq!(scratch.cache_stats().prefilled, 9);
-}
-
-#[test]
 fn entry_capped_singles_fall_back_per_lane_without_losing_identity() {
     let decoder = UnionFindDecoder::new(chain_graph(8));
-    // Cap of 1 entry: only detector 0's single is prefilled, so its lanes
-    // hit while the other singles take misses whose inserts are dropped at
+    // Cap of 1 entry: the first [0] takes the only slot, so the last lane
+    // hits while the other singles take misses whose inserts are dropped at
     // the cap — bit-identical throughout.
     let memo = MemoConfig::default().with_max_entries(1);
     let shots = vec![vec![0], vec![1], vec![1], vec![0]];
@@ -295,14 +238,13 @@ fn entry_capped_singles_fall_back_per_lane_without_losing_identity() {
     assert_eq!(
         stats,
         CacheStats {
-            hits: 2,
-            misses: 2,
-            prefilled: 1,
+            hits: 1,
+            misses: 3,
             sparse_words: 1,
             ..CacheStats::default()
         }
     );
-    assert_eq!((reference.hits, reference.misses), (2, 2));
+    assert_eq!((reference.hits, reference.misses), (1, 3));
 }
 
 #[test]

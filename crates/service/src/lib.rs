@@ -18,7 +18,7 @@
 //!                                                  ▼ flusher thread), close
 //!                                            decode job queue
 //!                                                  │
-//!                              worker pool (shared warm MemoSnapshot)
+//!                              worker pool (one memo per worker, program)
 //!                                                  │
 //!                per-stream reorder (stream's own lock) ──► ordered
 //!                                                  corrections back
@@ -27,9 +27,10 @@
 //! * [`DecodeService::open_stream`] compiles `(architecture, distance)`
 //!   through the shared
 //!   [`compile cache`](qccd_core::compile_cache) — opening many
-//!   streams of the same configuration compiles once — builds the decoder,
-//!   and warms one [`MemoSnapshot`](qccd_decoder::MemoSnapshot) per
-//!   [`DecodeProgram`] that every worker adopts.
+//!   streams of the same configuration compiles once — and builds the
+//!   decoder, one [`DecodeProgram`] per configuration. Nothing is decoded
+//!   ahead of the first frame: each worker keeps one scratch per program
+//!   whose memo learns the recurring defect sets as they arrive.
 //! * Pending frames from **all** streams of a program are coalesced by that
 //!   program's **batcher shard** into 64-shot words (the unit
 //!   `decode_batch`'s tile scan works in). A frame is **written where it is

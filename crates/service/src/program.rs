@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use qccd_core::{compile_cache, ArchitectureConfig, Compiler};
-use qccd_decoder::{DecodeScratch, Decoder, DecoderKind, DecodingGraph, MemoConfig, MemoSnapshot};
+use qccd_decoder::{DecodeScratch, Decoder, DecoderKind, DecodingGraph, MemoConfig};
 use qccd_qec::{rotated_surface_code, MemoryBasis};
 use qccd_sim::{DetectorErrorModel, NoisyCircuit};
 
@@ -17,9 +17,9 @@ fn next_program_id() -> u64 {
 /// One compiled decoding setup shared by every stream of the same
 /// `(architecture, distance, decoder)` configuration: the noisy circuit the
 /// syndromes are assumed to come from, the decoder over its detector error
-/// model, and a warm [`MemoSnapshot`] every service worker adopts before
-/// decoding a batch (warmed exactly once per program, so the sparse memo
-/// answers single-defect lanes from the first frame).
+/// model, and the memo configuration every worker scratch decodes under.
+/// Nothing is decoded at build time: each worker's memo learns the
+/// program's recurring defect sets from the frames it is handed.
 pub struct DecodeProgram {
     id: u64,
     key: String,
@@ -29,7 +29,6 @@ pub struct DecodeProgram {
     decoder_kind: DecoderKind,
     decoder: Box<dyn Decoder + Send + Sync>,
     memo: MemoConfig,
-    snapshot: Option<MemoSnapshot>,
 }
 
 impl std::fmt::Debug for DecodeProgram {
@@ -40,7 +39,6 @@ impl std::fmt::Debug for DecodeProgram {
             .field("num_detectors", &self.num_detectors)
             .field("num_observables", &self.num_observables)
             .field("decoder_kind", &self.decoder_kind)
-            .field("warm_entries", &self.snapshot.as_ref().map(|s| s.len()))
             .finish()
     }
 }
@@ -64,9 +62,9 @@ impl DecodeProgram {
         Self::compile_with_memo(arch, distance, decoder, MemoConfig::default())
     }
 
-    /// [`DecodeProgram::compile`] with an explicit memo configuration: the
-    /// warm snapshot (and every worker scratch adopting it) runs with
-    /// `memo`'s defect/entry caps.
+    /// [`DecodeProgram::compile`] with an explicit memo configuration:
+    /// every worker scratch decodes this program under `memo`'s
+    /// defect/entry caps.
     ///
     /// # Errors
     ///
@@ -140,12 +138,6 @@ impl DecodeProgram {
         let num_detectors = dem.num_detectors;
         let num_observables = dem.num_observables;
         let decoder = decoder_kind.build(DecodingGraph::from_dem(&dem));
-        // Warm once per program: every worker adopts this snapshot, so no
-        // stream ever pays a cold-start prefill. The snapshot carries the
-        // memo configuration, so adoption installs `memo`'s caps in every
-        // worker scratch.
-        let mut warm = DecodeScratch::with_memo_config(memo);
-        let snapshot = decoder.warm_memo_snapshot(num_detectors, &mut warm);
         Ok(DecodeProgram {
             id: next_program_id(),
             key: key.into(),
@@ -155,7 +147,6 @@ impl DecodeProgram {
             decoder_kind,
             decoder,
             memo,
-            snapshot,
         })
     }
 
@@ -184,8 +175,8 @@ impl DecodeProgram {
         self.decoder_kind
     }
 
-    /// The memo configuration the program was warmed with (what every
-    /// worker scratch decodes under after adopting the snapshot).
+    /// The memo configuration every worker scratch decodes this program
+    /// under.
     pub fn memo_config(&self) -> MemoConfig {
         self.memo
     }
@@ -197,26 +188,20 @@ impl DecodeProgram {
     }
 
     /// Decodes one bit-packed chunk exactly as a service worker would —
-    /// word-parallel, with the program's warm snapshot adopted into
-    /// `scratch` first. This is the offline baseline the load generator
+    /// word-parallel, under the program's memo configuration (installed in
+    /// `scratch` first). This is the offline baseline the load generator
     /// verifies the streamed corrections against.
     pub fn decode_batch(
         &self,
         chunk: &qccd_sim::SyndromeChunk,
         scratch: &mut DecodeScratch,
     ) -> qccd_decoder::PredictionChunk {
-        self.decoder
-            .decode_batch_with_snapshot(chunk, scratch, self.snapshot.as_ref())
+        scratch.set_memo_config(self.memo);
+        self.decoder.decode_batch(chunk, scratch)
     }
 
     /// The decoder instance.
     pub(crate) fn decoder(&self) -> &(dyn Decoder + Send + Sync) {
         self.decoder.as_ref()
-    }
-
-    /// The warm memo snapshot workers adopt (absent when the decoder or
-    /// memo opts out).
-    pub(crate) fn snapshot(&self) -> Option<&MemoSnapshot> {
-        self.snapshot.as_ref()
     }
 }

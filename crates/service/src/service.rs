@@ -44,8 +44,8 @@ pub struct ServiceConfig {
     /// Per-stream bound on frames in flight (submitted, correction not yet
     /// produced). Submission blocks — or `try_submit` refuses — beyond it.
     pub stream_queue_shots: usize,
-    /// Memo configuration programs are warmed with and worker scratches
-    /// decode under (defect/entry caps).
+    /// Memo configuration worker scratches decode under (defect/entry
+    /// caps).
     pub memo: MemoConfig,
     /// Telemetry configuration of the service's metrics registry (per-stage
     /// spans, exposition of the `service.*` cells). Disabling it reduces
@@ -596,10 +596,7 @@ fn decode_job(
     let scratch = scratches
         .entry(program.id())
         .or_insert_with(|| DecodeScratch::with_memo_config(program.memo_config()));
-    let prediction =
-        program
-            .decoder()
-            .decode_batch_with_snapshot(&chunk, scratch, program.snapshot());
+    let prediction = program.decoder().decode_batch(&chunk, scratch);
     span.finish(chunk.num_shots() as u64);
     flips.clear();
     flips.resize(chunk.num_shots(), 0);
@@ -765,8 +762,8 @@ impl DecodeService {
 
     /// Opens a stream decoding the paper's memory workload for
     /// `(arch, distance)` with `decoder`. Streams of the same configuration
-    /// share one [`DecodeProgram`] (one compile, one decoder, one warm memo
-    /// snapshot) and coalesce into the same 64-shot words.
+    /// share one [`DecodeProgram`] (one compile, one decoder) and coalesce
+    /// into the same 64-shot words.
     ///
     /// # Errors
     ///
@@ -836,7 +833,7 @@ impl DecodeService {
             .expect("program registry lock")
             .get(key)
             .cloned();
-        // Build (compile + warm) outside every lock; a racing open of the
+        // Build (compile + graph) outside every lock; a racing open of the
         // same key keeps the first-registered program.
         let program = match existing {
             Some(program) => program,
