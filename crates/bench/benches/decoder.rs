@@ -278,89 +278,11 @@ fn bench_word_vs_per_shot(c: &mut Criterion) {
     }
 }
 
-/// Telemetry overhead gate on the word-decode hot path (d = 5, p = 2e-3,
-/// 1e5 shots — the `word_decode_100000_shots_d5` regime).
-///
-/// The decoder's telemetry hook in its measurable disabled mode — hook
-/// installed with a *disabled* registry, so every instrumentation branch is
-/// reached but no cell is written — must add **<2%** to the word-parallel
-/// batch decode. Interleaved min-of-N wall times keep the comparison robust
-/// to ambient machine noise, and the assertion also runs under criterion's
-/// `--test` smoke mode, so CI's bench smoke gates it.
-fn bench_telemetry_overhead_gate(c: &mut Criterion) {
-    use qccd_decoder::{install_telemetry, uninstall_telemetry};
-    use qccd_telemetry::Registry;
-
-    let d = 5usize;
-    let shots = 100_000;
-    let noisy = code_capacity_memory(d, 0.002);
-    let dem = DetectorErrorModel::from_circuit(&noisy).expect("valid annotations");
-    let decoder = UnionFindDecoder::new(DecodingGraph::from_dem(&dem));
-    let sampler = sample_detector_chunks(&noisy, shots, 11, shots).expect("valid annotations");
-    let chunk: SyndromeChunk = sampler.sample_chunk(0);
-
-    let mut group = c.benchmark_group(format!("telemetry_overhead_{shots}_shots_d{d}"));
-    group.sample_size(10);
-    group.bench_function("baseline", |b| {
-        uninstall_telemetry();
-        let mut scratch = DecodeScratch::new();
-        b.iter(|| decoder.decode_batch(&chunk, &mut scratch));
-    });
-    group.bench_function("hook_disabled", |b| {
-        install_telemetry(&Registry::disabled());
-        let mut scratch = DecodeScratch::new();
-        b.iter(|| decoder.decode_batch(&chunk, &mut scratch));
-        uninstall_telemetry();
-    });
-    group.finish();
-
-    // The gate proper. Warm both scratches first so every timed pass does
-    // identical (fully memo-warm) work, then alternate baseline and hooked
-    // passes and compare the minima.
-    let time_pass = |scratch: &mut DecodeScratch| {
-        let start = std::time::Instant::now();
-        let batch = decoder.decode_batch(&chunk, scratch);
-        (start.elapsed(), batch)
-    };
-    uninstall_telemetry();
-    let mut base_scratch = DecodeScratch::new();
-    let mut hook_scratch = DecodeScratch::new();
-    let (_, expected) = time_pass(&mut base_scratch);
-    let _ = time_pass(&mut hook_scratch);
-    let registry = Registry::disabled();
-    let mut best_base = std::time::Duration::MAX;
-    let mut best_hook = std::time::Duration::MAX;
-    for _ in 0..7 {
-        uninstall_telemetry();
-        let (t, batch) = time_pass(&mut base_scratch);
-        assert_eq!(batch, expected, "baseline pass changed predictions");
-        best_base = best_base.min(t);
-        install_telemetry(&registry);
-        let (t, batch) = time_pass(&mut hook_scratch);
-        assert_eq!(batch, expected, "hooked pass changed predictions");
-        best_hook = best_hook.min(t);
-    }
-    uninstall_telemetry();
-    // <2% relative, plus a tiny absolute slack so a sub-millisecond decode
-    // cannot fail on timer granularity alone.
-    let limit = best_base.mul_f64(1.02) + std::time::Duration::from_micros(200);
-    assert!(
-        best_hook <= limit,
-        "disabled telemetry hook exceeds the 2% overhead gate: baseline {best_base:?}, \
-         hooked {best_hook:?} (limit {limit:?})"
-    );
-    println!(
-        "telemetry_overhead_{shots}_shots_d{d}/gate: baseline {best_base:?}, hook-disabled \
-         {best_hook:?} (limit {limit:?})"
-    );
-}
-
 criterion_group!(
     benches,
     bench_ler_estimation,
     bench_batch_vs_per_shot,
     bench_memoized_vs_uncached,
-    bench_word_vs_per_shot,
-    bench_telemetry_overhead_gate
+    bench_word_vs_per_shot
 );
 criterion_main!(benches);

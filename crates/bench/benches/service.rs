@@ -19,6 +19,7 @@
 //! offline baseline does no ingestion, batching, routing or delivery at
 //! all).
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -70,8 +71,9 @@ fn bench_service_vs_offline(c: &mut Criterion) {
     let d = 5usize;
     let shots = 50_000;
     let circuit = code_capacity_memory(d, 0.002);
-    let program =
-        DecodeProgram::from_circuit("bench", circuit.clone(), DecoderKind::UnionFind).unwrap();
+    let program = Arc::new(
+        DecodeProgram::from_circuit("bench", circuit.clone(), DecoderKind::UnionFind).unwrap(),
+    );
     let sampler = sample_detector_chunks(&circuit, shots, 11, 16 * 4096).unwrap();
     let chunks: Vec<_> = sampler.chunks().collect();
 
@@ -103,14 +105,8 @@ fn bench_service_vs_offline(c: &mut Criterion) {
                 verify: false, // identity is pinned by the property suite
                 ..LoadgenOptions::default()
             };
-            let report = loadgen::run_in_process(
-                &service,
-                "bench",
-                &circuit,
-                DecoderKind::UnionFind,
-                &options,
-            )
-            .expect("loadgen runs");
+            let report =
+                loadgen::run_in_process(&service, &program, &options).expect("loadgen runs");
             service.shutdown();
             report.shots
         });
@@ -129,14 +125,7 @@ fn bench_service_vs_offline(c: &mut Criterion) {
         verify: true,
         ..LoadgenOptions::default()
     };
-    let report = loadgen::run_in_process(
-        &service,
-        "bench",
-        &circuit,
-        DecoderKind::UnionFind,
-        &options,
-    )
-    .expect("loadgen runs");
+    let report = loadgen::run_in_process(&service, &program, &options).expect("loadgen runs");
     service.shutdown();
     assert_eq!(report.mismatches, 0, "service must stay bit-identical");
     println!(

@@ -913,12 +913,6 @@ fn serve_command(options: &ServeOptions) -> Result<(), String> {
         server.service().telemetry().set_trace_sink(Arc::new(sink));
         println!("tracing sampled stage spans to {}", path.display());
     }
-    let registry = server.service().telemetry();
-    if registry.is_enabled() {
-        // One service per process, so the process-global decoder hook can
-        // feed this service's registry (`decoder.*` rows of a scrape).
-        qccd_decoder::install_telemetry(&registry);
-    }
     println!("decode service listening on {addr} ({:?})", options.service);
     server.run().map_err(|e| e.to_string())
 }
@@ -983,6 +977,7 @@ fn loadgen_command(options: &LoadgenCliOptions) -> Result<(), String> {
             options.improvement,
         )?;
         let program = DecodeProgram::compile(&arch, options.distance, options.decoder)
+            .map(Arc::new)
             .map_err(|e| e.to_string())?;
         let service = DecodeService::new(options.service);
         if let Some(path) = &options.trace_out {
@@ -996,14 +991,8 @@ fn loadgen_command(options: &LoadgenCliOptions) -> Result<(), String> {
                 Some(registry.snapshot())
             }));
         }
-        let report = loadgen::run_in_process(
-            &service,
-            program.key(),
-            program.circuit(),
-            options.decoder,
-            &options.load,
-        )
-        .map_err(|e| e.to_string());
+        let report =
+            loadgen::run_in_process(&service, &program, &options.load).map_err(|e| e.to_string());
         stop.store(true, Ordering::Relaxed);
         service.shutdown();
         report?

@@ -46,6 +46,8 @@
 #![warn(missing_debug_implementations)]
 
 mod arch;
+#[doc(hidden)]
+#[rustfmt::skip]
 pub mod compile_cache;
 mod compiler;
 mod error;
@@ -59,7 +61,6 @@ pub mod theoretical;
 mod toolflow;
 
 pub use arch::ArchitectureConfig;
-pub use compile_cache::{ProgramCache, ProgramCacheStats};
 pub use compiler::{CompiledProgram, Compiler};
 pub use error::CompileError;
 pub use lower::lower_to_noisy_circuit;

@@ -6,8 +6,11 @@
 //! QEC round time, shot time, movement operations, electrode / DAC / data
 //! rate / power requirements and (optionally) the Monte-Carlo logical error
 //! rate with below-threshold extrapolation.
-
-use std::sync::Arc;
+//!
+//! Metrics come from one path, [`Toolflow::evaluate_layout`], with no memo
+//! behind it: a compile takes milliseconds, so every evaluation compiles its
+//! own programs, and a caller that reuses a program (the decode service's
+//! program registry) holds the compiled value itself.
 
 use serde::{Deserialize, Serialize};
 
@@ -124,56 +127,31 @@ impl Toolflow {
 
     /// Evaluates the architecture on the rotated surface code of the given
     /// distance (the paper's primary workload: a logical identity of `d`
-    /// rounds).
-    ///
-    /// Rotated-surface-code compiles are memoized in the process-wide
-    /// [`compile_cache`](crate::compile_cache): every sweep point, spec and
-    /// decode-service stream sharing this `(architecture, distance)` pair
-    /// reuses the same compiled programs. Compilation is pure, so caching
-    /// never changes the metrics.
+    /// rounds) — [`Toolflow::evaluate_layout`] of that code for `d` rounds.
     ///
     /// # Errors
     ///
     /// Propagates [`CompileError`]s from the compiler.
     pub fn evaluate(&self, distance: usize, estimate_ler: bool) -> Result<Metrics, CompileError> {
-        let layout = rotated_surface_code(distance);
-        // One round for the cycle-time and movement metrics.
-        let round_program = crate::compile_cache::shared().get_or_compile(
-            &crate::compile_cache::rounds_key(&self.arch, distance, 1),
-            || Compiler::new(self.arch.clone()).compile_rounds(&layout, 1),
-        )?;
-        // The full experiment for shot time and (optionally) the LER.
-        let shot_program = self.memory_program(distance)?;
-        Ok(self.metrics_from_programs(&layout, &round_program, &shot_program, estimate_ler))
+        self.evaluate_layout(&rotated_surface_code(distance), distance, estimate_ler)
     }
 
     /// The Monte-Carlo logical error estimate at `distance`, with the
-    /// decoder cache statistics of the run: the memoized compile of the
-    /// `d`-round memory experiment, its noisy circuit, and the batch
-    /// estimator — nothing else. [`Toolflow::evaluate`]`(d, true)` reports
-    /// exactly this estimate as its `logical_error`.
+    /// decoder cache statistics of the run: the compile of the `d`-round
+    /// memory experiment, its noisy circuit, and the batch estimator —
+    /// nothing else. [`Toolflow::evaluate`]`(d, true)` reports exactly this
+    /// estimate as its `logical_error`.
     ///
     /// # Errors
     ///
     /// Propagates [`CompileError`]s from the compiler.
     pub fn estimate(&self, distance: usize) -> Result<EstimateReport, CompileError> {
-        let program = self.memory_program(distance)?;
+        let program = Compiler::new(self.arch.clone()).compile_memory_experiment(
+            &rotated_surface_code(distance),
+            distance.max(1),
+            MemoryBasis::Z,
+        )?;
         Ok(self.estimate_program(&program))
-    }
-
-    /// The memoized `d`-round, Z-basis memory experiment of the distance-`d`
-    /// rotated surface code on this architecture.
-    fn memory_program(&self, distance: usize) -> Result<Arc<CompiledProgram>, CompileError> {
-        crate::compile_cache::shared().get_or_compile(
-            &crate::compile_cache::memory_key(&self.arch, distance, distance, MemoryBasis::Z),
-            || {
-                Compiler::new(self.arch.clone()).compile_memory_experiment(
-                    &rotated_surface_code(distance),
-                    distance,
-                    MemoryBasis::Z,
-                )
-            },
-        )
     }
 
     fn estimate_program(&self, shot_program: &CompiledProgram) -> EstimateReport {
@@ -206,20 +184,7 @@ impl Toolflow {
         // The full experiment for shot time and (optionally) the LER.
         let shot_program =
             compiler.compile_memory_experiment(layout, rounds.max(1), MemoryBasis::Z)?;
-        Ok(self.metrics_from_programs(layout, &round_program, &shot_program, estimate_ler))
-    }
-
-    /// The model/estimate stage shared by the cached rotated-surface path
-    /// ([`Toolflow::evaluate`]) and the arbitrary-layout path
-    /// ([`Toolflow::evaluate_layout`]).
-    fn metrics_from_programs(
-        &self,
-        layout: &CodeLayout,
-        round_program: &CompiledProgram,
-        shot_program: &CompiledProgram,
-        estimate_ler: bool,
-    ) -> Metrics {
-        Metrics {
+        Ok(Metrics {
             architecture: self.arch.label(),
             code_distance: layout.distance(),
             num_physical_qubits: layout.num_qubits(),
@@ -230,8 +195,8 @@ impl Toolflow {
             movement_ops_per_round: round_program.movement_ops(),
             movement_time_per_round_us: round_program.movement_time_us(),
             resources: estimate_resources(&round_program.device, self.arch.wiring),
-            logical_error: estimate_ler.then(|| self.estimate_program(shot_program).estimate),
-        }
+            logical_error: estimate_ler.then(|| self.estimate_program(&shot_program).estimate),
+        })
     }
 
     /// Estimates the logical error rate at each of the given distances,
@@ -418,23 +383,17 @@ mod tests {
     }
 
     #[test]
-    fn cached_and_uncached_compiles_produce_identical_metrics() {
-        // evaluate routes through the shared program cache; the uncached
-        // arbitrary-layout path must produce the same metrics.
+    fn evaluate_is_deterministic_and_equals_evaluate_layout() {
+        // evaluate is evaluate_layout of the rotated surface code, and a
+        // second evaluation is a pure replay.
         let toolflow = Toolflow::new(ArchitectureConfig::recommended(5.0)).with_shots(256);
-        let cached = toolflow.evaluate(3, true).unwrap();
-        let uncached = toolflow
+        let first = toolflow.evaluate(3, true).unwrap();
+        let layout = toolflow
             .evaluate_layout(&rotated_surface_code(3), 3, true)
             .unwrap();
-        assert_eq!(cached, uncached);
-        // A second cached evaluation is a pure replay.
+        assert_eq!(first, layout);
         let again = toolflow.evaluate(3, true).unwrap();
-        assert_eq!(cached, again);
-        let stats = crate::compile_cache::shared().stats();
-        assert!(
-            stats.hits >= 2,
-            "repeat evaluation hits the cache: {stats:?}"
-        );
+        assert_eq!(first, again);
     }
 
     #[test]

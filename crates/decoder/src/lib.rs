@@ -128,7 +128,6 @@
 mod batch;
 mod dem_graph;
 mod greedy;
-pub mod instrument;
 mod ler;
 pub mod memo;
 mod mwpm;
@@ -139,7 +138,6 @@ mod union_find;
 pub use batch::{DecodeScratch, PredictionChunk, SyndromeChunk};
 pub use dem_graph::{DecodingEdge, DecodingGraph, DetectorIndex};
 pub use greedy::GreedyMatchingDecoder;
-pub use instrument::{install_telemetry, uninstall_telemetry};
 pub use ler::{
     estimate_logical_error_rate, estimate_logical_error_rate_report,
     estimate_logical_error_rate_with, fit_lambda, fit_lambda_weighted, zero_failure_upper_bound,
@@ -212,21 +210,7 @@ pub trait Decoder {
     /// scan additionally fills the `*_words` counters of [`CacheStats`]
     /// while the memo is active.
     fn decode_batch(&self, chunk: &SyndromeChunk, scratch: &mut DecodeScratch) -> PredictionChunk {
-        // One relaxed load when no telemetry hook is installed — the
-        // disabled path the criterion overhead gate pins at <2%.
-        if !instrument::hook_installed() {
-            return batch::decode_batch_words(self, chunk, scratch);
-        }
-        instrument::timed_batch(
-            instrument::BatchPath::Word,
-            chunk.num_shots() as u64,
-            || {
-                let before = scratch.cache_stats();
-                let result = batch::decode_batch_words(self, chunk, scratch);
-                let delta = scratch.cache_stats().since(&before);
-                (result, delta)
-            },
-        )
+        batch::decode_batch_words(self, chunk, scratch)
     }
 
     /// Decodes every shot of a chunk on the **per-shot reference** path:
@@ -239,19 +223,7 @@ pub trait Decoder {
         chunk: &SyndromeChunk,
         scratch: &mut DecodeScratch,
     ) -> PredictionChunk {
-        if !instrument::hook_installed() {
-            return batch::decode_batch_per_shot(self, chunk, scratch);
-        }
-        instrument::timed_batch(
-            instrument::BatchPath::PerShot,
-            chunk.num_shots() as u64,
-            || {
-                let before = scratch.cache_stats();
-                let result = batch::decode_batch_per_shot(self, chunk, scratch);
-                let delta = scratch.cache_stats().since(&before);
-                (result, delta)
-            },
-        )
+        batch::decode_batch_per_shot(self, chunk, scratch)
     }
 
     /// Kept only because the frozen benchmark package calls it; delete with

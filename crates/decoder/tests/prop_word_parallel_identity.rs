@@ -363,79 +363,6 @@ fn surface_code_above_cap_lanes_are_identical_at_high_p() {
     }
 }
 
-/// The decoder telemetry hook at full sampling is a pure observer: with it
-/// installed, the word path still matches the per-shot path bit for bit
-/// (predictions and counters), and the registry records the batch traffic
-/// it watched.
-#[test]
-fn telemetry_hook_preserves_word_parallel_identity() {
-    use qccd_decoder::{install_telemetry, uninstall_telemetry};
-    use qccd_telemetry::{Registry, TelemetryConfig};
-
-    let circuit = noisy_parity_circuit(0.08);
-    let shots = 4096;
-    let sampler = sample_detector_chunks(&circuit, shots, 23, shots).expect("valid annotations");
-    let chunk = sampler.sample_chunk(0);
-    let dem = DetectorErrorModel::from_circuit(&circuit).expect("valid annotations");
-    let graph = DecodingGraph::from_dem(&dem);
-
-    // Reference run without the hook.
-    let decoder = DecoderKind::UnionFind.build(graph.clone());
-    let mut scratch = DecodeScratch::new();
-    let reference = decoder.decode_batch(&chunk, &mut scratch);
-    let reference_stats = comparable(scratch.cache_stats());
-
-    let registry = Registry::new(TelemetryConfig::full_sampling());
-    install_telemetry(&registry);
-    let mut word = DecodeScratch::new();
-    let mut per_shot = DecodeScratch::new();
-    let observed = decoder.decode_batch(&chunk, &mut word);
-    let observed_per_shot = decoder.decode_batch_per_shot(&chunk, &mut per_shot);
-    uninstall_telemetry();
-
-    assert_eq!(observed, reference, "hooked word path changed predictions");
-    assert_eq!(
-        observed_per_shot, reference,
-        "hooked per-shot path diverged"
-    );
-    assert_eq!(comparable(word.cache_stats()), reference_stats);
-    assert_eq!(comparable(per_shot.cache_stats()), reference_stats);
-
-    let snapshot = registry.snapshot();
-    assert_eq!(
-        snapshot.counter("decoder.stage.word_decode_items"),
-        shots as u64
-    );
-    assert_eq!(
-        snapshot.counter("decoder.stage.per_shot_decode_items"),
-        shots as u64
-    );
-    assert!(snapshot.counter("decoder.stage.word_decode_calls") > 0);
-    assert!(
-        snapshot
-            .histogram("decoder.stage.word_decode_us")
-            .map(|h| h.count)
-            .unwrap_or(0)
-            > 0,
-        "full sampling records batch durations"
-    );
-    // The hook also mirrors the memo accounting it saw.
-    let mirrored = snapshot.counter("decoder.memo_hits")
-        + snapshot.counter("decoder.memo_misses")
-        + snapshot.counter("decoder.uncacheable");
-    assert!(mirrored > 0, "memo accounting was not mirrored");
-    // ... and the per-word verdicts, which only the word path produces.
-    let stats = word.cache_stats();
-    assert_eq!(stats.words(), chunk.words() as u64);
-    for (name, expected) in [
-        ("decoder.quiet_words", stats.quiet_words),
-        ("decoder.sparse_words", stats.sparse_words),
-        ("decoder.dense_words", stats.dense_words),
-    ] {
-        assert_eq!(snapshot.counter(name), expected, "{name}");
-    }
-}
-
 /// A three-qubit parity-check circuit with bit-flip noise; small enough that
 /// the property test stays fast at tens of thousands of shots.
 fn noisy_parity_circuit(p: f64) -> NoisyCircuit {

@@ -24,13 +24,14 @@
 //!                                                  corrections back
 //! ```
 //!
-//! * [`DecodeService::open_stream`] compiles `(architecture, distance)`
-//!   through the shared
-//!   [`compile cache`](qccd_core::compile_cache) — opening many
-//!   streams of the same configuration compiles once — and builds the
-//!   decoder, one [`DecodeProgram`] per configuration. Nothing is decoded
-//!   ahead of the first frame: each worker keeps one scratch per program
-//!   whose memo learns the recurring defect sets as they arrive.
+//! * [`DecodeService::open_stream`] compiles `(architecture, distance)` and
+//!   builds the decoder, one [`DecodeProgram`] per configuration, held in
+//!   the service's program registry — opening many streams of the same
+//!   configuration compiles once. A caller that already holds a program
+//!   opens streams on it with [`DecodeService::open_stream_program`].
+//!   Nothing is decoded ahead of the first frame: each worker keeps one
+//!   scratch per program whose memo learns the recurring defect sets as
+//!   they arrive.
 //! * Pending frames from **all** streams of a program are coalesced by that
 //!   program's **batcher shard** into 64-shot words (the unit
 //!   `decode_batch`'s tile scan works in). A frame is **written where it is
@@ -67,6 +68,11 @@
 //!   latency histogram (p50/p99). They are a view over the `service.*`
 //!   cells of the service's telemetry registry
 //!   ([`DecodeService::telemetry_snapshot`]) — one store, written once.
+//!   The same registry carries the workers' decoder counters
+//!   (`decoder.{memo_hits,memo_misses,uncacheable}` per noisy shot,
+//!   `decoder.{quiet,sparse,dense}_words` per 64-shot word): each worker
+//!   sums its scratches' deltas locally and publishes them when it runs out
+//!   of jobs, so the decode path makes no atomic write for them.
 //!
 //! The [`net`] module wires the service to a `std::net` TCP JSON-lines
 //! front-end (the `artifacts serve` subcommand), and [`loadgen`] replays

@@ -461,34 +461,31 @@ fn metrics_from_json(metrics_json: &Value) -> ServiceMetrics {
 }
 
 /// Drives an **in-process** [`DecodeService`] with replayed frames of
-/// `circuit` and verifies bit-identity against the offline batch decode.
+/// `program`'s circuit and verifies bit-identity against the offline batch
+/// decode. The caller's program serves both the streams and the baseline.
 ///
 /// # Errors
 ///
 /// Propagates stream-opening and submission failures.
 pub fn run_in_process(
     service: &DecodeService,
-    key: &str,
-    circuit: &NoisyCircuit,
-    decoder: DecoderKind,
+    program: &Arc<DecodeProgram>,
     options: &LoadgenOptions,
 ) -> Result<LoadgenReport, ServiceError> {
     let streams = options.streams.max(1);
     let shots = options.shots.max(1);
     // One sampling pass feeds both the wire frames and the offline
-    // reference; one program serves both the streams and the baseline.
-    // Producing the wire representation (index frames, or the shot-major
-    // block transpose) is the trap-side client's job, so it happens before
-    // the clock starts.
-    let chunks = sampled_chunks(circuit, shots, options.seed)?;
-    let program = std::sync::Arc::new(DecodeProgram::from_circuit(key, circuit.clone(), decoder)?);
+    // reference. Producing the wire representation (index frames, or the
+    // shot-major block transpose) is the trap-side client's job, so it
+    // happens before the clock starts.
+    let chunks = sampled_chunks(program.circuit(), shots, options.seed)?;
     let frames = index_frames_from_chunks(&chunks);
     let blocks = options
         .shot_major
         .then(|| shot_major_blocks(&frames, streams, program.num_detectors()));
     let offline = options
         .verify
-        .then(|| offline_from_chunks(&program, &chunks));
+        .then(|| offline_from_chunks(program, &chunks));
 
     let mut senders = Vec::with_capacity(streams);
     let mut collectors = Vec::with_capacity(streams);
@@ -496,7 +493,7 @@ pub fn run_in_process(
         .map(|s| shots / streams + usize::from(s < shots % streams))
         .collect();
     for expected in per_stream_shots.iter().copied() {
-        let (sender, mut receiver) = service.open_stream_program(&program)?.split();
+        let (sender, mut receiver) = service.open_stream_program(program)?.split();
         senders.push(sender);
         collectors.push(std::thread::spawn(move || {
             let mut corrections = Vec::with_capacity(expected);

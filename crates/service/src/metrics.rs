@@ -3,15 +3,16 @@
 //!
 //! There is one store: cells of a [`qccd_telemetry::Registry`], registered
 //! under `service.*` names next to the per-stage spans
-//! (`service.stage.batcher_wait` / `decode` / `delivery`). The registry
-//! snapshot is what the `metrics` command exports as JSON and
-//! Prometheus-style text; [`ServiceMetrics`] (stable JSON keys, served by the
-//! TCP front-end since the first service release) is a view read from the
-//! same cells.
+//! (`service.stage.batcher_wait` / `decode` / `delivery`) and the workers'
+//! `decoder.*` counters. The registry snapshot is what the `metrics` command
+//! exports as JSON and Prometheus-style text; [`ServiceMetrics`] (stable
+//! JSON keys, served by the TCP front-end since the first service release)
+//! is a view read from the same cells.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use qccd_decoder::CacheStats;
 use qccd_telemetry::{Counter, Gauge, Histogram, Registry, Stage};
 use serde_json::Value;
 
@@ -54,6 +55,14 @@ pub(crate) struct MetricsInner {
     pub(crate) decode: Stage,
     /// Correction routing (reorder heaps, channel sends, backpressure).
     pub(crate) delivery: Stage,
+    /// The workers' decoder counters: memo outcome per noisy shot and
+    /// verdict per 64-shot word (see [`MetricsInner::publish_decoded`]).
+    memo_hits: Counter,
+    memo_misses: Counter,
+    uncacheable: Counter,
+    quiet_words: Counter,
+    sparse_words: Counter,
+    dense_words: Counter,
 }
 
 impl MetricsInner {
@@ -82,7 +91,33 @@ impl MetricsInner {
             batcher_wait: registry.stage("service.stage.batcher_wait"),
             decode: registry.stage("service.stage.decode"),
             delivery: registry.stage("service.stage.delivery"),
+            memo_hits: registry.counter("decoder.memo_hits"),
+            memo_misses: registry.counter("decoder.memo_misses"),
+            uncacheable: registry.counter("decoder.uncacheable"),
+            quiet_words: registry.counter("decoder.quiet_words"),
+            sparse_words: registry.counter("decoder.sparse_words"),
+            dense_words: registry.counter("decoder.dense_words"),
         }
+    }
+
+    /// Adds a worker's decoder counters accumulated since its last publish
+    /// and zeroes them. Workers call this only when they run out of jobs
+    /// (and once on exit), so the decode path itself writes no atomics for
+    /// these; zero fields are skipped.
+    pub(crate) fn publish_decoded(&self, decoded: &mut CacheStats) {
+        for (counter, value) in [
+            (&self.memo_hits, decoded.hits),
+            (&self.memo_misses, decoded.misses),
+            (&self.uncacheable, decoded.uncacheable),
+            (&self.quiet_words, decoded.quiet_words),
+            (&self.sparse_words, decoded.sparse_words),
+            (&self.dense_words, decoded.dense_words),
+        ] {
+            if value > 0 {
+                counter.add(value);
+            }
+        }
+        *decoded = CacheStats::default();
     }
 
     fn now_ns(&self) -> u64 {

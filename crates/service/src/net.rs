@@ -518,6 +518,11 @@ fn parse_word_blocks(value: Option<&Value>) -> Result<Vec<(usize, Vec<u64>)>, St
         .collect()
 }
 
+/// Largest code distance a peer may `open`: the largest anything in this
+/// repository compiles. Guards the connection thread against a request
+/// that would compile an unbounded code.
+const MAX_OPEN_DISTANCE: usize = 25;
+
 fn open_from_request(
     request: &Value,
     service: &Arc<DecodeService>,
@@ -541,6 +546,9 @@ fn open_from_request(
         .ok_or("open needs a `distance`")? as usize;
     if distance < 2 {
         return Err("distance must be at least 2".into());
+    }
+    if distance > MAX_OPEN_DISTANCE {
+        return Err(format!("distance must be at most {MAX_OPEN_DISTANCE}"));
     }
     let decoder = parse_decoder(
         request

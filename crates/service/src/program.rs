@@ -2,7 +2,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use qccd_core::{compile_cache, ArchitectureConfig, Compiler};
+use qccd_core::{ArchitectureConfig, Compiler};
 use qccd_decoder::{DecodeScratch, Decoder, DecoderKind, DecodingGraph, MemoConfig};
 use qccd_qec::{rotated_surface_code, MemoryBasis};
 use qccd_sim::{DetectorErrorModel, NoisyCircuit};
@@ -44,10 +44,10 @@ impl std::fmt::Debug for DecodeProgram {
 }
 
 impl DecodeProgram {
-    /// Compiles the paper's memory workload for `(arch, distance)` — through
-    /// the process-wide [`compile_cache`], so repeated `open_stream`s of the
-    /// same configuration compile once — and builds the decode setup over
-    /// its detector error model.
+    /// Compiles the paper's memory workload for `(arch, distance)` and
+    /// builds the decode setup over its detector error model. Nothing is
+    /// cached here: repeated `open_stream`s of one configuration share the
+    /// program the service's registry already holds.
     ///
     /// # Errors
     ///
@@ -75,14 +75,12 @@ impl DecodeProgram {
         decoder: DecoderKind,
         memo: MemoConfig,
     ) -> Result<Self, ServiceError> {
-        let rounds = distance.max(1);
-        let compile_key = compile_cache::memory_key(arch, distance, rounds, MemoryBasis::Z);
-        let layout = rotated_surface_code(distance);
-        let compiler = Compiler::new(arch.clone());
-        let program = compile_cache::shared()
-            .get_or_compile(&compile_key, || {
-                compiler.compile_memory_experiment(&layout, rounds, MemoryBasis::Z)
-            })
+        let program = Compiler::new(arch.clone())
+            .compile_memory_experiment(
+                &rotated_surface_code(distance),
+                distance.max(1),
+                MemoryBasis::Z,
+            )
             .map_err(|e| ServiceError::Compile(e.to_string()))?;
         DecodeProgram::from_circuit_with_memo(
             DecodeProgram::config_key(arch, distance, decoder),
@@ -96,9 +94,8 @@ impl DecodeProgram {
     /// configuration — what [`DecodeProgram::compile`] registers under and
     /// what stream-opening deduplicates by.
     pub fn config_key(arch: &ArchitectureConfig, distance: usize, decoder: DecoderKind) -> String {
-        let compile_key =
-            compile_cache::memory_key(arch, distance, distance.max(1), MemoryBasis::Z);
-        format!("{compile_key}|{decoder:?}")
+        let rounds = distance.max(1);
+        format!("memory|d{distance}|r{rounds}|Z|{arch:?}|{decoder:?}")
     }
 
     /// Builds a decode program over an arbitrary noisy circuit (the

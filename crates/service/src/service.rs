@@ -20,8 +20,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use qccd_core::ArchitectureConfig;
-use qccd_decoder::{DecodeScratch, DecoderKind, MemoConfig};
-use qccd_sim::{NoisyCircuit, SyndromeChunkBuilder};
+use qccd_decoder::{CacheStats, DecodeScratch, DecoderKind, MemoConfig};
+use qccd_sim::SyndromeChunkBuilder;
 use qccd_telemetry::{Registry, RegistrySnapshot, TelemetryConfig};
 
 use crate::metrics::{FlushStat, MetricsInner, ServiceMetrics};
@@ -579,12 +579,14 @@ fn route_corrections(
 }
 
 /// Decodes one job and routes its corrections (shared by workers and the
-/// shutdown drain).
+/// shutdown drain). The scratch's counter delta is summed into the
+/// caller's `decoded` with plain adds; the caller publishes it.
 fn decode_job(
     shared: &Shared,
     job: DecodeJob,
     scratches: &mut HashMap<u64, DecodeScratch>,
     flips: &mut Vec<u64>,
+    decoded: &mut CacheStats,
 ) {
     let DecodeJob { shard, mut parts } = job;
     let program = Arc::clone(&shard.program);
@@ -596,8 +598,10 @@ fn decode_job(
     let scratch = scratches
         .entry(program.id())
         .or_insert_with(|| DecodeScratch::with_memo_config(program.memo_config()));
+    let before = scratch.cache_stats();
     let prediction = program.decoder().decode_batch(&chunk, scratch);
     span.finish(chunk.num_shots() as u64);
+    decoded.merge(&scratch.cache_stats().since(&before));
     flips.clear();
     flips.resize(chunk.num_shots(), 0);
     for observable in 0..prediction.num_observables() {
@@ -620,6 +624,9 @@ fn worker_loop(shared: Arc<Shared>) {
     // decoder across interleaved jobs of different programs.
     let mut scratches: HashMap<u64, DecodeScratch> = HashMap::new();
     let mut flips: Vec<u64> = Vec::new();
+    // Decoder counters since the last publish: published only when the
+    // worker runs out of jobs, never per job.
+    let mut decoded = CacheStats::default();
     loop {
         let job = {
             let mut jobs = shared.queue.jobs.lock().expect("job queue lock");
@@ -630,12 +637,14 @@ fn worker_loop(shared: Arc<Shared>) {
                 if shared.is_shutdown() {
                     break None;
                 }
+                shared.metrics.publish_decoded(&mut decoded);
                 jobs = shared.queue.ready.wait(jobs).expect("job queue lock");
             }
         };
         let Some(job) = job else { break };
-        decode_job(&shared, job, &mut scratches, &mut flips);
+        decode_job(&shared, job, &mut scratches, &mut flips, &mut decoded);
     }
+    shared.metrics.publish_decoded(&mut decoded);
 }
 
 /// The dedicated deadline flusher: waits out each armed shard's exact
@@ -782,30 +791,12 @@ impl DecodeService {
         })
     }
 
-    /// Opens a stream decoding an arbitrary noisy circuit under `key`
-    /// (streams sharing a key share the program — the replay/load-generation
-    /// entry point).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DecodeProgram::from_circuit`] errors;
-    /// [`ServiceError::StreamClosed`] after shutdown.
-    pub fn open_stream_circuit(
-        &self,
-        key: &str,
-        circuit: &NoisyCircuit,
-        decoder: DecoderKind,
-    ) -> Result<StreamHandle, ServiceError> {
-        let memo = self.shared.config.memo;
-        self.open_stream_with(key, || {
-            DecodeProgram::from_circuit_with_memo(key, circuit.clone(), decoder, memo).map(Arc::new)
-        })
-    }
-
     /// Opens a stream over a caller-built [`DecodeProgram`] (registered
     /// under the program's own key; streams sharing the key share the
-    /// registered program). Lets replay tools reuse one program for both
-    /// the service streams and their offline verification reference.
+    /// registered program) — the entry point for arbitrary circuits via
+    /// [`DecodeProgram::from_circuit`]. Lets replay tools reuse one program
+    /// for both the service streams and their offline verification
+    /// reference.
     ///
     /// # Errors
     ///
@@ -979,6 +970,7 @@ impl DecodeService {
         self.flush_all_shards();
         let mut scratches: HashMap<u64, DecodeScratch> = HashMap::new();
         let mut flips: Vec<u64> = Vec::new();
+        let mut decoded = CacheStats::default();
         loop {
             let job = self
                 .shared
@@ -988,10 +980,13 @@ impl DecodeService {
                 .expect("job queue lock")
                 .pop_front();
             match job {
-                Some(job) => decode_job(&self.shared, job, &mut scratches, &mut flips),
+                Some(job) => {
+                    decode_job(&self.shared, job, &mut scratches, &mut flips, &mut decoded)
+                }
                 None => break,
             }
         }
+        self.shared.metrics.publish_decoded(&mut decoded);
         // End every stream: drop the delivery senders so receivers observe
         // end-of-stream after draining, and wake blocked submitters.
         let streams: Vec<Arc<StreamCore>> = {
@@ -1384,7 +1379,7 @@ impl StreamReceiver {
 mod tests {
     use super::*;
     use qccd_circuit::{Detector, Instruction, LogicalObservable, MeasurementRef, QubitId};
-    use qccd_sim::NoiseChannel;
+    use qccd_sim::{NoiseChannel, NoisyCircuit};
 
     /// A one-qubit circuit whose single detector mirrors its single
     /// observable: the decoder's correction for frame `[0]` is flip, for
@@ -1418,6 +1413,63 @@ mod tests {
         c
     }
 
+    /// Opens a stream over a union-find program of `circuit` under `key`.
+    fn open(
+        service: &DecodeService,
+        key: &str,
+        circuit: &NoisyCircuit,
+    ) -> Result<StreamHandle, ServiceError> {
+        let program = DecodeProgram::from_circuit(key, circuit.clone(), DecoderKind::UnionFind)?;
+        service.open_stream_program(&Arc::new(program))
+    }
+
+    #[test]
+    fn decoder_counters_are_exact() {
+        let service = DecodeService::new(
+            ServiceConfig::default()
+                .with_workers(1)
+                .with_flush_deadline(Duration::from_millis(5))
+                .with_telemetry(TelemetryConfig::full_sampling()),
+        );
+        let handle = open(&service, "counted", &six_detector_circuit()).unwrap();
+        // A quiet word, a sparse word, a word with above-cap lanes and a
+        // partial sparse word.
+        let quiet = vec![Vec::new(); 64];
+        let sparse: Vec<Vec<usize>> = (0..64)
+            .map(|i| if i % 2 == 0 { vec![i % 6] } else { vec![] })
+            .collect();
+        let dense: Vec<Vec<usize>> = (0..64)
+            .map(|i| match i % 8 {
+                0 => vec![0, 1, 2, 3, 4],
+                1 => vec![5],
+                _ => vec![],
+            })
+            .collect();
+        let tail = vec![vec![3]; 10];
+        let mut noisy = 0u64;
+        for frames in [&quiet, &sparse, &dense, &tail] {
+            noisy += frames.iter().filter(|f| !f.is_empty()).count() as u64;
+            let refs: Vec<&[usize]> = frames.iter().map(Vec::as_slice).collect();
+            handle.sender.submit_batch(&refs).unwrap();
+        }
+        service.shutdown();
+        let snap = service.telemetry_snapshot();
+        let words = snap.counter("decoder.quiet_words")
+            + snap.counter("decoder.sparse_words")
+            + snap.counter("decoder.dense_words");
+        assert_eq!(words, snap.counter("service.words_flushed"));
+        assert_eq!(words, 4);
+        assert_eq!(snap.counter("decoder.quiet_words"), 1);
+        assert_eq!(snap.counter("decoder.dense_words"), 1);
+        assert_eq!(
+            snap.counter("decoder.memo_hits")
+                + snap.counter("decoder.memo_misses")
+                + snap.counter("decoder.uncacheable"),
+            noisy
+        );
+        assert_eq!(snap.counter("decoder.uncacheable"), 8);
+    }
+
     #[test]
     fn corrections_come_back_in_order_with_correct_flips() {
         let service = DecodeService::new(
@@ -1426,9 +1478,7 @@ mod tests {
                 .with_flush_deadline(Duration::from_micros(50)),
         );
         let circuit = mirror_circuit();
-        let mut handle = service
-            .open_stream_circuit("mirror", &circuit, DecoderKind::UnionFind)
-            .unwrap();
+        let mut handle = open(&service, "mirror", &circuit).unwrap();
         assert_eq!(handle.sender.num_detectors(), 1);
         assert_eq!(handle.sender.num_observables(), 1);
         let fired: Vec<bool> = (0..300).map(|i| i % 3 == 0).collect();
@@ -1460,9 +1510,7 @@ mod tests {
                 .with_flush_deadline(Duration::from_micros(50))
                 .with_telemetry(TelemetryConfig::disabled()),
         );
-        let mut handle = service
-            .open_stream_circuit("quiet", &mirror_circuit(), DecoderKind::UnionFind)
-            .unwrap();
+        let mut handle = open(&service, "quiet", &mirror_circuit()).unwrap();
         for _ in 0..70 {
             handle.submit(&[0]).unwrap();
         }
@@ -1484,12 +1532,8 @@ mod tests {
             ServiceConfig::default().with_flush_deadline(Duration::from_millis(5)),
         );
         let circuit = mirror_circuit();
-        let mut a = service
-            .open_stream_circuit("shared", &circuit, DecoderKind::UnionFind)
-            .unwrap();
-        let mut b = service
-            .open_stream_circuit("shared", &circuit, DecoderKind::UnionFind)
-            .unwrap();
+        let mut a = open(&service, "shared", &circuit).unwrap();
+        let mut b = open(&service, "shared", &circuit).unwrap();
         // 32 frames per stream coalesce into exactly one full 64-shot word.
         for i in 0..32 {
             a.submit(if i % 2 == 0 { &[0][..] } else { &[][..] })
@@ -1519,9 +1563,7 @@ mod tests {
             ServiceConfig::default().with_flush_deadline(Duration::from_micros(100)),
         );
         let circuit = mirror_circuit();
-        let mut handle = service
-            .open_stream_circuit("partial", &circuit, DecoderKind::UnionFind)
-            .unwrap();
+        let mut handle = open(&service, "partial", &circuit).unwrap();
         handle.submit(&[0]).unwrap();
         // A lone frame cannot fill a word; only the deadline can flush it.
         let correction = handle
@@ -1544,9 +1586,7 @@ mod tests {
                 .with_flush_deadline(Duration::from_millis(5)),
         );
         let circuit = mirror_circuit();
-        let mut handle = service
-            .open_stream_circuit("blocks", &circuit, DecoderKind::UnionFind)
-            .unwrap();
+        let mut handle = open(&service, "blocks", &circuit).unwrap();
         // Shot-major: one plane word for the single detector, odd shots fire.
         let planes = [0xAAAA_AAAA_AAAA_AAAAu64];
         let range = handle
@@ -1583,9 +1623,7 @@ mod tests {
                 .with_flush_deadline(Duration::from_micros(100)),
         );
         let circuit = mirror_circuit();
-        let mut handle = service
-            .open_stream_circuit("mixed", &circuit, DecoderKind::UnionFind)
-            .unwrap();
+        let mut handle = open(&service, "mixed", &circuit).unwrap();
         handle.submit(&[0]).unwrap();
         handle.submit(&[]).unwrap();
         // A 5-shot block (shots 1 and 3 fire) follows two plain frames.
@@ -1616,9 +1654,7 @@ mod tests {
     fn malformed_word_blocks_are_rejected() {
         let service = DecodeService::new(ServiceConfig::default().with_stream_queue_shots(8));
         let circuit = mirror_circuit();
-        let handle = service
-            .open_stream_circuit("badblocks", &circuit, DecoderKind::UnionFind)
-            .unwrap();
+        let handle = open(&service, "badblocks", &circuit).unwrap();
         let planes = [0u64];
         // Wrong plane count.
         assert!(matches!(
@@ -1668,12 +1704,8 @@ mod tests {
                 .with_flush_deadline(Duration::from_secs(5)),
         );
         let circuit = mirror_circuit();
-        let mut a = service
-            .open_stream_circuit("idle-close", &circuit, DecoderKind::UnionFind)
-            .unwrap();
-        let mut b = service
-            .open_stream_circuit("idle-close", &circuit, DecoderKind::UnionFind)
-            .unwrap();
+        let mut a = open(&service, "idle-close", &circuit).unwrap();
+        let mut b = open(&service, "idle-close", &circuit).unwrap();
         for _ in 0..3 {
             a.submit(&[0]).unwrap();
         }
@@ -1708,12 +1740,8 @@ mod tests {
                 .with_flush_deadline(Duration::from_secs(5)),
         );
         let circuit = mirror_circuit();
-        let mut a = service
-            .open_stream_circuit("shared-close", &circuit, DecoderKind::UnionFind)
-            .unwrap();
-        let mut b = service
-            .open_stream_circuit("shared-close", &circuit, DecoderKind::UnionFind)
-            .unwrap();
+        let mut a = open(&service, "shared-close", &circuit).unwrap();
+        let mut b = open(&service, "shared-close", &circuit).unwrap();
         for _ in 0..2 {
             a.submit(&[0]).unwrap();
             b.submit(&[0]).unwrap();
@@ -1749,9 +1777,7 @@ mod tests {
                 .with_stream_queue_shots(4),
         );
         let circuit = mirror_circuit();
-        let mut handle = service
-            .open_stream_circuit("bp", &circuit, DecoderKind::UnionFind)
-            .unwrap();
+        let mut handle = open(&service, "bp", &circuit).unwrap();
         for _ in 0..4 {
             handle.sender.try_submit(&[0]).expect("queue has room");
         }
@@ -1775,9 +1801,7 @@ mod tests {
     fn bad_frames_and_closed_streams_error() {
         let service = DecodeService::new(ServiceConfig::default());
         let circuit = mirror_circuit();
-        let handle = service
-            .open_stream_circuit("err", &circuit, DecoderKind::UnionFind)
-            .unwrap();
+        let handle = open(&service, "err", &circuit).unwrap();
         assert_eq!(
             handle.submit(&[7]),
             Err(ServiceError::DetectorOutOfRange {
@@ -1788,9 +1812,7 @@ mod tests {
         handle.sender.close();
         assert_eq!(handle.submit(&[]), Err(ServiceError::StreamClosed));
         service.shutdown();
-        assert!(service
-            .open_stream_circuit("late", &circuit, DecoderKind::UnionFind)
-            .is_err());
+        assert!(open(&service, "late", &circuit).is_err());
     }
 
     #[test]
@@ -1801,9 +1823,7 @@ mod tests {
                 .with_flush_deadline(Duration::from_secs(30)),
         );
         let circuit = mirror_circuit();
-        let mut handle = service
-            .open_stream_circuit("drain", &circuit, DecoderKind::UnionFind)
-            .unwrap();
+        let mut handle = open(&service, "drain", &circuit).unwrap();
         for _ in 0..10 {
             handle.submit(&[0]).unwrap();
         }
@@ -1825,12 +1845,8 @@ mod tests {
                 .with_workers(2)
                 .with_flush_deadline(Duration::from_secs(5)),
         );
-        let mut a = service
-            .open_stream_circuit("prog-a", &mirror_circuit(), DecoderKind::UnionFind)
-            .unwrap();
-        let mut b = service
-            .open_stream_circuit("prog-b", &six_detector_circuit(), DecoderKind::UnionFind)
-            .unwrap();
+        let mut a = open(&service, "prog-a", &mirror_circuit()).unwrap();
+        let mut b = open(&service, "prog-b", &six_detector_circuit()).unwrap();
         a.submit(&[0]).unwrap();
         for _ in 0..64 {
             b.submit(&[0]).unwrap();

@@ -263,6 +263,11 @@ fn protocol_errors_are_reported_not_fatal() {
     assert!(client
         .open_stream("grid", 2, "standard", 1.0, 0, DecoderKind::UnionFind)
         .is_err());
+    // An unbounded distance is refused before anything compiles.
+    let too_large = client
+        .open_stream("grid", 2, "standard", 1.0, 100_000, DecoderKind::UnionFind)
+        .expect_err("distance above the cap");
+    assert!(too_large.contains("at most 25"), "{too_large}");
     // A good open still works afterwards, and metrics round-trip.
     let stream = client
         .open_stream("grid", 2, "standard", 5.0, 2, DecoderKind::UnionFind)

@@ -7,6 +7,7 @@
 //! counterpart of the PR-4 bit-identity contract: batching boundaries are
 //! scheduling, never semantics.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -51,6 +52,10 @@ fn noisy_parity_circuit(p: f64) -> NoisyCircuit {
     c
 }
 
+fn program(key: &str, circuit: &NoisyCircuit, kind: DecoderKind) -> Arc<DecodeProgram> {
+    Arc::new(DecodeProgram::from_circuit(key, circuit.clone(), kind).expect("valid circuit"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -91,7 +96,7 @@ proptest! {
             verify: true,
             ..LoadgenOptions::default()
         };
-        let report = loadgen::run_in_process(&service, "prop", &circuit, kind, &options)
+        let report = loadgen::run_in_process(&service, &program("prop", &circuit, kind), &options)
             .expect("loadgen runs");
         prop_assert_eq!(report.mismatches, 0,
             "workers={} streams={} shots={} deadline={}µs words={} shot_major={} kind={:?}",
@@ -162,9 +167,7 @@ fn full_sampling_telemetry_preserves_bit_identity() {
     };
     let report = loadgen::run_in_process(
         &service,
-        "telemetry",
-        &circuit,
-        DecoderKind::UnionFind,
+        &program("telemetry", &circuit, DecoderKind::UnionFind),
         &options,
     )
     .unwrap();
@@ -214,9 +217,7 @@ fn paced_replay_stays_bit_identical() {
     };
     let report = loadgen::run_in_process(
         &service,
-        "paced",
-        &circuit,
-        DecoderKind::UnionFind,
+        &program("paced", &circuit, DecoderKind::UnionFind),
         &options,
     )
     .unwrap();
