@@ -23,7 +23,6 @@
 
 use std::fs;
 use std::io::{ErrorKind, Write};
-use std::net::TcpListener;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -36,15 +35,15 @@ use qccd_service::{
     loadgen, DecodeProgram, DecodeService, LoadgenOptions, NetClient, NetServer, ServiceConfig,
 };
 use qccd_sweeprun::{
-    query_status, render_progress_line, render_worker_lines, run_job, run_worker,
-    CoordinatorConfig, PointJob, PointStore, SchedulerConfig, StoreState, WorkerOptions,
+    render_progress_line, render_worker_lines, run_job, CoordinatorConfig, PointJob, PointStore,
+    SchedulerConfig, StoreState,
 };
 use qccd_telemetry::{
     cursor_home, render_dashboard, snapshot_from_json, RegistrySnapshot, TelemetryConfig, TraceSink,
 };
 
 use crate::artifact::{validate_artifact_json, Artifact};
-use crate::distributed::{job_factory, merge_artifact, spec_point_job};
+use crate::distributed::{merge_artifact, spec_point_job};
 use crate::registry::{run_spec, ExperimentRegistry};
 use crate::spec::{ExperimentKind, ExperimentSpec};
 
@@ -63,7 +62,6 @@ commands:
   sweep run [options]      run a LER sweep through the resumable point store
   sweep resume [options]   alias of `sweep run` (only missing points recompute)
   sweep status [options]   print a sweep's progress snapshot
-  sweep worker [options]   join a coordinator as a remote evaluation worker
 
 run options:
   --all                    run every registered spec
@@ -115,35 +113,25 @@ loadgen options:
 sweep run/resume options:
   <name> | --spec <file.json>   the LER-sweep spec to run (exactly one)
   --store <dir>            point-store base (default: target/experiments/sweep)
-  --listen <host:port>     accept remote `sweep worker` processes (port 0
-                           picks a free port; the bound address is printed)
-  --local-workers <n>      in-process evaluation threads (default: 1;
-                           0 needs --listen)
-  --lease-timeout-ms <ms>  requeue a silent worker's lease after this
-                           (default: 60000)
+  --local-workers <n>      evaluation threads (default: 1)
   --max-attempts <n>       evaluation attempts per point (default: 3)
   --backoff-ms <ms>        first retry delay, doubling per retry (default: 250)
   --progress-interval-ms <ms>   progress line / status.json period
                            (default: 2000)
   --quiet                  suppress the live progress line on stderr
-  --no-telemetry           disable the coordinator's telemetry registry
+  --no-telemetry           disable the run's telemetry registry
   --sample-every <n>       stage-timing sample period (default: 16; 1 = all)
   --format <pretty|json|csv>    merged-artifact format (default: pretty)
   --out <dir>              write the merged artifact to <dir>/<name>.<ext>
 
 sweep status options:
-  --addr <host:port>       query a live coordinator, or:
   <name> | --spec <file.json> [--store <dir>]   read the store's status.json
   --format <pretty|json>   summary (incl. per-worker EWMA throughput and
-                           heartbeat age) or the full snapshot
+                           last-seen age) or the full snapshot
 
 metrics options:
   --addr <host:port>       a running `artifacts serve` to scrape (required)
-  --text                   Prometheus-style text instead of the JSON snapshot
-
-sweep worker options:
-  --addr <host:port>       coordinator to join (required)
-  --throttle-ms <ms>       artificial delay before each evaluation (test hook)";
+  --text                   Prometheus-style text instead of the JSON snapshot";
 
 /// Output format of `artifacts run`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -511,17 +499,15 @@ pub struct SweepRunOptions {
     pub spec_file: Option<PathBuf>,
     /// Point-store base directory.
     pub store: PathBuf,
-    /// Listen address for remote workers (`None` = local-only run).
-    pub listen: Option<String>,
-    /// In-process evaluation threads.
+    /// Evaluation threads.
     pub local_workers: usize,
-    /// Lease/retry tuning.
+    /// Retry tuning.
     pub scheduler: SchedulerConfig,
     /// Progress line / `status.json` period.
     pub progress_interval: Duration,
     /// Suppress the live progress line on stderr.
     pub quiet: bool,
-    /// Coordinator telemetry registry configuration.
+    /// The run's telemetry registry configuration.
     pub telemetry: TelemetryConfig,
     /// Merged-artifact output format.
     pub format: OutputFormat,
@@ -535,7 +521,6 @@ impl Default for SweepRunOptions {
             name: None,
             spec_file: None,
             store: PathBuf::from("target/experiments/sweep"),
-            listen: None,
             local_workers: 1,
             scheduler: SchedulerConfig::default(),
             progress_interval: Duration::from_millis(2000),
@@ -552,7 +537,7 @@ impl Default for SweepRunOptions {
 /// # Errors
 ///
 /// Returns a usage message on unknown flags, missing values, an empty or
-/// ambiguous spec selection, or a configuration that cannot make progress.
+/// ambiguous spec selection, no evaluation threads or no attempts.
 pub fn parse_sweep_run_options(args: &[String]) -> Result<SweepRunOptions, String> {
     let mut options = SweepRunOptions::default();
     let mut iter = args.iter();
@@ -566,14 +551,7 @@ pub fn parse_sweep_run_options(args: &[String]) -> Result<SweepRunOptions, Strin
                 let value = iter.next().ok_or("--store needs a directory")?;
                 options.store = PathBuf::from(value);
             }
-            "--listen" => {
-                options.listen = Some(iter.next().ok_or("--listen needs a host:port")?.clone());
-            }
             "--local-workers" => options.local_workers = parse_number(arg, iter.next())?,
-            "--lease-timeout-ms" => {
-                options.scheduler.lease_timeout =
-                    Duration::from_millis(parse_number(arg, iter.next())?);
-            }
             "--max-attempts" => options.scheduler.max_attempts = parse_number(arg, iter.next())?,
             "--backoff-ms" => {
                 options.scheduler.backoff_base =
@@ -611,8 +589,8 @@ pub fn parse_sweep_run_options(args: &[String]) -> Result<SweepRunOptions, Strin
     if options.name.is_some() == options.spec_file.is_some() {
         return Err("sweep needs exactly one spec: a registry name or --spec <file>".into());
     }
-    if options.local_workers == 0 && options.listen.is_none() {
-        return Err("--local-workers 0 needs --listen (someone has to evaluate points)".into());
+    if options.local_workers == 0 {
+        return Err("--local-workers must be at least 1".into());
     }
     if options.scheduler.max_attempts == 0 {
         return Err("--max-attempts must be at least 1".into());
@@ -623,8 +601,6 @@ pub fn parse_sweep_run_options(args: &[String]) -> Result<SweepRunOptions, Strin
 /// Parsed `artifacts sweep status` options.
 #[derive(Debug)]
 pub struct SweepStatusOptions {
-    /// Live coordinator to query (mutually exclusive with the store path).
-    pub addr: Option<String>,
     /// Registry spec name locating the store.
     pub name: Option<String>,
     /// Spec file locating the store.
@@ -639,11 +615,10 @@ pub struct SweepStatusOptions {
 ///
 /// # Errors
 ///
-/// Returns a usage message on unknown flags, missing values, or a target
-/// that is neither an address nor a spec.
+/// Returns a usage message on unknown flags, missing values, or not
+/// exactly one spec.
 pub fn parse_sweep_status_options(args: &[String]) -> Result<SweepStatusOptions, String> {
     let mut options = SweepStatusOptions {
-        addr: None,
         name: None,
         spec_file: None,
         store: PathBuf::from("target/experiments/sweep"),
@@ -652,7 +627,6 @@ pub fn parse_sweep_status_options(args: &[String]) -> Result<SweepStatusOptions,
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--addr" => options.addr = Some(iter.next().ok_or("--addr needs a host:port")?.clone()),
             "--spec" => {
                 let value = iter.next().ok_or("--spec needs a JSON file path")?;
                 options.spec_file = Some(PathBuf::from(value));
@@ -675,46 +649,10 @@ pub fn parse_sweep_status_options(args: &[String]) -> Result<SweepStatusOptions,
             }
         }
     }
-    let has_spec = options.name.is_some() || options.spec_file.is_some();
-    if options.addr.is_some() == has_spec {
-        return Err("status needs one target: --addr <host:port>, or a spec (+ --store)".into());
-    }
-    if options.name.is_some() && options.spec_file.is_some() {
-        return Err("status takes a registry name or --spec, not both".into());
+    if options.name.is_some() == options.spec_file.is_some() {
+        return Err("status needs exactly one spec: a registry name or --spec <file>".into());
     }
     Ok(options)
-}
-
-/// Parsed `artifacts sweep worker` options.
-#[derive(Debug)]
-pub struct SweepWorkerOptions {
-    /// Coordinator address.
-    pub addr: String,
-    /// Artificial delay before each evaluation (kill-test hook).
-    pub throttle: Duration,
-}
-
-/// Parses the arguments of `artifacts sweep worker`.
-///
-/// # Errors
-///
-/// Returns a usage message on unknown flags, missing values, or a missing
-/// `--addr`.
-pub fn parse_sweep_worker_options(args: &[String]) -> Result<SweepWorkerOptions, String> {
-    let mut addr = None;
-    let mut throttle = Duration::ZERO;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--addr" => addr = Some(iter.next().ok_or("--addr needs a host:port")?.clone()),
-            "--throttle-ms" => throttle = Duration::from_millis(parse_number(arg, iter.next())?),
-            flag => return Err(format!("unknown worker flag `{flag}`")),
-        }
-    }
-    Ok(SweepWorkerOptions {
-        addr: addr.ok_or("worker needs --addr <host:port>")?,
-        throttle,
-    })
 }
 
 /// Writes a rendered artifact to `<out>/<name>.<ext>` or to `stdout`. A
@@ -781,25 +719,10 @@ fn sweep_run_command(
             store.root().display(),
         );
     }
-    let listener = match &options.listen {
-        Some(addr) => {
-            let listener =
-                TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
-            let bound = listener
-                .local_addr()
-                .map_err(|e| format!("cannot resolve bound address: {e}"))?;
-            // The integration tests (and scripts driving workers) parse this
-            // line to learn the port when `--listen` used port 0.
-            println!("sweep coordinator listening on {bound}");
-            Some(listener)
-        }
-        None => None,
-    };
     let summary = run_job(
         &job,
         &store,
         CoordinatorConfig {
-            listener,
             local_workers: options.local_workers,
             scheduler: options.scheduler,
             progress_interval: options.progress_interval,
@@ -808,16 +731,13 @@ fn sweep_run_command(
         },
     )?;
     println!(
-        "sweep `{}`: {} computed, {} resumed, {} failed in {:.1}s \
-         (requeues {}, retries {}, duplicates {})",
+        "sweep `{}`: {} computed, {} resumed, {} failed in {:.1}s (retries {})",
         spec.name,
         summary.computed,
         summary.resumed,
         summary.progress.failed,
         summary.elapsed.as_secs_f64(),
-        summary.progress.counters.requeues,
         summary.progress.counters.retries,
-        summary.progress.counters.duplicates,
     );
     if summary.progress.failed > 0 {
         return Err(format!(
@@ -853,10 +773,6 @@ fn sweep_status_command(
             }
         }
     };
-    if let Some(addr) = &options.addr {
-        emit(&query_status(addr)?);
-        return Ok(());
-    }
     let spec = resolve_sweep_spec(&options.name, &options.spec_file, registry)?;
     let job = spec_point_job(&spec)?;
     let (store, _) = PointStore::open(&options.store, &job.descriptor(), job.seed_table())?;
@@ -873,30 +789,14 @@ fn sweep_status_command(
     Ok(())
 }
 
-fn sweep_worker_command(options: &SweepWorkerOptions) -> Result<(), String> {
-    let summary = run_worker(
-        &options.addr,
-        &job_factory,
-        WorkerOptions {
-            throttle: options.throttle,
-        },
-    )?;
-    println!(
-        "worker {}: {} completed, {} failed",
-        summary.worker_id, summary.completed, summary.failed,
-    );
-    Ok(())
-}
-
 fn sweep_command(args: &[String], registry: &ExperimentRegistry) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("run") | Some("resume") => {
             sweep_run_command(parse_sweep_run_options(&args[1..])?, registry)
         }
         Some("status") => sweep_status_command(&parse_sweep_status_options(&args[1..])?, registry),
-        Some("worker") => sweep_worker_command(&parse_sweep_worker_options(&args[1..])?),
         other => Err(format!(
-            "sweep needs an action (run|resume|status|worker), got {other:?}"
+            "sweep needs an action (run|resume|status), got {other:?}"
         )),
     }
 }
@@ -1569,12 +1469,8 @@ mod tests {
             "fig07",
             "--store",
             "mystore",
-            "--listen",
-            "127.0.0.1:0",
             "--local-workers",
             "3",
-            "--lease-timeout-ms",
-            "500",
             "--max-attempts",
             "5",
             "--backoff-ms",
@@ -1590,9 +1486,7 @@ mod tests {
         .unwrap();
         assert_eq!(options.name.as_deref(), Some("fig07"));
         assert_eq!(options.store, PathBuf::from("mystore"));
-        assert_eq!(options.listen.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(options.local_workers, 3);
-        assert_eq!(options.scheduler.lease_timeout, Duration::from_millis(500));
         assert_eq!(options.scheduler.max_attempts, 5);
         assert_eq!(options.scheduler.backoff_base, Duration::from_millis(10));
         assert_eq!(options.progress_interval, Duration::from_millis(100));
@@ -1600,45 +1494,50 @@ mod tests {
         assert_eq!(options.format, OutputFormat::Json);
         assert_eq!(options.out, Some(PathBuf::from("out")));
 
-        // Exactly one spec, a worker somewhere, and a sane attempt budget.
+        // Exactly one spec, at least one worker, and a sane attempt budget.
         assert!(parse_sweep_run_options(&strings(&[])).is_err());
         assert!(parse_sweep_run_options(&strings(&["a", "b"])).is_err());
         assert!(parse_sweep_run_options(&strings(&["a", "--spec", "b.json"])).is_err());
-        assert!(parse_sweep_run_options(&strings(&["a", "--local-workers", "0"])).is_err());
-        assert!(parse_sweep_run_options(&strings(&[
-            "a",
-            "--local-workers",
-            "0",
-            "--listen",
-            "127.0.0.1:0"
-        ]))
-        .is_ok());
+        assert_eq!(
+            parse_sweep_run_options(&strings(&["a", "--local-workers", "0"])).unwrap_err(),
+            "--local-workers must be at least 1"
+        );
         assert!(parse_sweep_run_options(&strings(&["a", "--max-attempts", "0"])).is_err());
         assert!(parse_sweep_run_options(&strings(&["a", "--bogus"])).is_err());
+
+        // `--listen`, `--lease-timeout-ms` and `worker` are refused through
+        // the unknown-flag and missing-action paths.
+        for flag in ["--listen", "--lease-timeout-ms"] {
+            assert_eq!(
+                parse_sweep_run_options(&strings(&["a", flag, "500"])).unwrap_err(),
+                format!("unknown sweep flag `{flag}`")
+            );
+        }
+        let err = run(&strings(&["sweep", "worker", "--addr", "127.0.0.1:1"])).unwrap_err();
+        assert!(
+            err.starts_with("sweep needs an action (run|resume|status)"),
+            "{err}"
+        );
     }
 
     #[test]
-    fn sweep_status_and_worker_options_parse_and_reject() {
-        let live =
-            parse_sweep_status_options(&strings(&["--addr", "h:1", "--format", "json"])).unwrap();
-        assert_eq!(live.addr.as_deref(), Some("h:1"));
-        assert!(live.json);
+    fn sweep_status_options_parse_and_reject() {
         let stored = parse_sweep_status_options(&strings(&["fig07", "--store", "s"])).unwrap();
         assert_eq!(stored.name.as_deref(), Some("fig07"));
         assert_eq!(stored.store, PathBuf::from("s"));
         assert!(!stored.json);
-        // One target: an address or a spec, never both or neither.
+        let file = parse_sweep_status_options(&strings(&["--spec", "f.json", "--format", "json"]))
+            .unwrap();
+        assert_eq!(file.spec_file, Some(PathBuf::from("f.json")));
+        assert!(file.json);
+        // Exactly one spec, never both or neither.
         assert!(parse_sweep_status_options(&strings(&[])).is_err());
-        assert!(parse_sweep_status_options(&strings(&["--addr", "h:1", "fig07"])).is_err());
+        assert!(parse_sweep_status_options(&strings(&["fig07", "--spec", "f.json"])).is_err());
+        assert_eq!(
+            parse_sweep_status_options(&strings(&["--addr", "h:1", "fig07"])).unwrap_err(),
+            "unknown status flag `--addr`"
+        );
         assert!(parse_sweep_status_options(&strings(&["--format", "yaml", "x"])).is_err());
-
-        let worker =
-            parse_sweep_worker_options(&strings(&["--addr", "h:1", "--throttle-ms", "50"]))
-                .unwrap();
-        assert_eq!(worker.addr, "h:1");
-        assert_eq!(worker.throttle, Duration::from_millis(50));
-        assert!(parse_sweep_worker_options(&strings(&[])).is_err());
-        assert!(parse_sweep_worker_options(&strings(&["--bogus"])).is_err());
     }
 
     /// The registry's smallest real LER sweep, shrunk for a fast CLI test.

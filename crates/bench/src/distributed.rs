@@ -1,17 +1,17 @@
-//! Experiment-spec glue for the sweeprun orchestration tier.
+//! Experiment-spec glue for the resumable sweep runner.
 //!
-//! qccd-sweeprun is domain-agnostic: it schedules, persists, and
-//! distributes any [`PointJob`]. This module supplies the experiment-spec
-//! flavour of that job — the grid is the spec's [`point_grid`], point seeds
+//! qccd-sweeprun is domain-agnostic: it schedules, persists and resumes any
+//! [`PointJob`]. This module supplies the experiment-spec flavour of that
+//! job — the grid is the spec's [`point_grid`], point seeds
 //! come from the same [`SweepEngine`] a single-process `artifacts run`
 //! would use, each point evaluates through the shared
 //! [`evaluate_ler_point`] body, and [`merge_artifact`] assembles the stored
 //! outcomes with the [`artifact_from_outcomes`] that `run_spec` itself
 //! calls — so a merged artifact is bit-identical to `run_spec` output.
 //!
-//! Only specs with a point grid (LER sweeps and rare-event comparisons) are
-//! orchestrable: they are the Monte-Carlo sweeps that run for days below
-//! threshold, and their outcomes are pure functions of
+//! Only specs with a point grid (LER sweeps and rare-event comparisons) run
+//! through the store: they are the Monte-Carlo sweeps whose cost grows with
+//! the shot count a user asks for, and their outcomes are pure functions of
 //! `(spec, index, seed)`. Timing sweeps measure wall-clock and would break
 //! bit-identity.
 
@@ -25,7 +25,7 @@ use crate::spec::{decoder_from_name, decoder_name};
 use crate::sweep::{evaluate_ler_point, LerOutcome, LerPoint};
 use crate::{Artifact, ExperimentSpec};
 
-/// Job kind tag understood by [`job_factory`].
+/// Job kind tag recorded in the store manifest.
 pub const JOB_KIND: &str = "experiment_spec";
 
 /// A grid experiment spec as a sweeprun [`PointJob`].
@@ -100,29 +100,6 @@ impl PointJob for SpecPointJob {
     }
 }
 
-/// Rebuilds a [`SpecPointJob`] from a wire descriptor — the factory handed
-/// to `sweeprun::run_worker`. Verifies the rebuilt spec's content hash
-/// against the descriptor so coordinator/worker version skew is refused.
-///
-/// # Errors
-///
-/// Fails on unknown job kinds, unparseable spec payloads, or hash
-/// mismatches.
-pub fn job_factory(descriptor: &JobDescriptor) -> Result<Box<dyn PointJob>, String> {
-    if descriptor.kind != JOB_KIND {
-        return Err(format!("unknown job kind `{}`", descriptor.kind));
-    }
-    let spec = ExperimentSpec::from_json(&descriptor.payload).map_err(|e| e.to_string())?;
-    if spec.content_hash() != descriptor.hash {
-        return Err(format!(
-            "rebuilt spec hashes to {}, descriptor says {} — coordinator/worker version skew",
-            spec.content_hash(),
-            descriptor.hash
-        ));
-    }
-    Ok(Box::new(spec_point_job(&spec)?))
-}
-
 /// Merges a completed point store back into the spec's artifact.
 ///
 /// # Errors
@@ -161,7 +138,7 @@ pub fn merge_artifact(spec: &ExperimentSpec, store: &PointStore) -> Result<Artif
 }
 
 // ---------------------------------------------------------------------------
-// Outcome wire/store codec
+// Outcome store codec
 // ---------------------------------------------------------------------------
 
 /// Field order of [`CacheStats`] in the JSON codec.
@@ -208,7 +185,7 @@ fn cache_from_json(value: &Value) -> Result<CacheStats, String> {
     })
 }
 
-/// Serializes one sweep outcome for the point store / the wire.
+/// Serializes one sweep outcome for the point store.
 ///
 /// Integers stay `u64` and the two LER floats round-trip exactly through
 /// the vendored serde_json (shortest-representation `Display`), so decoding
@@ -479,26 +456,6 @@ mod tests {
             outcome_to_json(&decoded).to_string(),
             outcome_to_json(&ok).to_string()
         );
-    }
-
-    #[test]
-    fn job_round_trips_through_the_factory() {
-        let spec = tiny_spec();
-        let job = spec_point_job(&spec).unwrap();
-        assert_eq!(job.num_points(), 4);
-        let descriptor = job.descriptor();
-        assert_eq!(descriptor.hash, spec.content_hash());
-        let rebuilt = job_factory(&descriptor).unwrap();
-        assert_eq!(rebuilt.num_points(), job.num_points());
-        for index in 0..job.num_points() {
-            assert_eq!(rebuilt.point_seed(index), job.point_seed(index));
-        }
-
-        // Skewed payloads are refused.
-        let mut skewed = descriptor.clone();
-        skewed.hash = "0000000000000000".to_string();
-        let err = job_factory(&skewed).err().expect("skew must be refused");
-        assert!(err.contains("version skew"), "unexpected error: {err}");
     }
 
     #[test]

@@ -44,7 +44,7 @@ use qccd_core::ArchitectureConfig;
 use qccd_hardware::{TopologyKind, WiringMethod};
 
 pub use artifact::{validate_artifact_json, Artifact, ArtifactMetadata};
-pub use distributed::{job_factory, merge_artifact, spec_point_job, SpecPointJob};
+pub use distributed::{merge_artifact, spec_point_job, SpecPointJob};
 pub use registry::{artifact_from_outcomes, point_grid, run_spec, ExperimentRegistry, RunError};
 pub use spec::{
     ArchPoint, CodeSpec, CompileCase, ExperimentKind, ExperimentSpec, LerOutput, LerSweepSpec,

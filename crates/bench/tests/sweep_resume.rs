@@ -1,17 +1,15 @@
-//! End-to-end kill-and-resume smoke test of the distributed sweep tier.
+//! End-to-end kill-and-resume smoke test of the resumable sweep runner.
 //!
-//! Drives the real `artifacts` binary: a coordinator (`sweep run --listen`)
-//! with no local workers, two remote worker processes, one of which is
-//! SIGKILLed mid-lease. The coordinator must requeue the orphaned lease,
-//! the surviving worker must finish the grid, and the merged artifact must
-//! be bit-identical to an uninterrupted in-process `run_spec` — the
-//! acceptance criterion of the orchestration tier.
+//! Drives the real `artifacts` binary: a `sweep run` with one local worker
+//! is SIGKILLed once its first point is on disk, a stray temp file is
+//! planted where a torn write would leave one, and `sweep resume` must
+//! compute exactly the points that were missing and merge an artifact
+//! byte-identical to an uninterrupted in-process `run_spec`.
 
 use std::fs;
-use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use qccd_bench::{run_spec, ExperimentKind, ExperimentRegistry, ExperimentSpec};
 use serde_json::Value;
@@ -48,8 +46,9 @@ impl Drop for Reaper {
     }
 }
 
-/// The registry's smallest real LER sweep, shrunk so the whole scenario
-/// runs in seconds.
+/// The registry's smallest real LER sweep, cut to three d = 5 points at 1X
+/// gates: each takes over 100 ms in a release build, so a kill after the
+/// first point lands mid-run.
 fn tiny_spec() -> ExperimentSpec {
     let registry = ExperimentRegistry::builtin();
     let mut spec = registry
@@ -60,9 +59,12 @@ fn tiny_spec() -> ExperimentSpec {
         .expect("the registry has LER sweeps")
         .clone();
     if let ExperimentKind::LerSweep(kind) = &mut spec.kind {
-        kind.configurations.truncate(2);
-        kind.sample_distances = vec![2, 3];
-        kind.shots = 64;
+        kind.configurations.truncate(3);
+        for configuration in &mut kind.configurations {
+            configuration.gate_improvement = 1.0;
+        }
+        kind.sample_distances = vec![5];
+        kind.shots = 80_000;
     }
     spec.name = "resume-smoke".to_string();
     spec
@@ -74,26 +76,39 @@ fn artifacts(args: &[&str]) -> Command {
     command
 }
 
-/// Everything but volatile provenance must match bit for bit.
-fn assert_artifacts_match(merged: &Value, reference: &Value) {
-    for key in ["title", "headers", "rows", "notes", "data"] {
-        assert_eq!(
-            merged.get(key),
-            reference.get(key),
-            "artifact `{key}` differs between the distributed and local runs"
-        );
+/// The finished point files under `store` (the single job directory's
+/// `points/`), or `None` before the run has created it.
+fn point_files(store: &Path) -> Option<(PathBuf, usize)> {
+    let job_dir = fs::read_dir(store).ok()?.next()?.ok()?.path();
+    let points = job_dir.join("points");
+    let count = fs::read_dir(&points)
+        .ok()?
+        .filter_map(Result::ok)
+        .filter(|entry| entry.file_name().to_string_lossy().starts_with("point-"))
+        .count();
+    Some((points, count))
+}
+
+/// `(computed, resumed)` from a `sweep run` summary line
+/// (``sweep `name`: C computed, R resumed, ...``).
+fn summary_counts(stdout: &str) -> (usize, usize) {
+    let words: Vec<&str> = stdout
+        .lines()
+        .find_map(|line| line.split_once("`: ")?.1.split_once(" failed"))
+        .unwrap_or_else(|| panic!("no summary line in:\n{stdout}"))
+        .0
+        .split_whitespace()
+        .collect();
+    match words[..] {
+        [computed, "computed,", resumed, "resumed,", _] => {
+            (computed.parse().unwrap(), resumed.parse().unwrap())
+        }
+        _ => panic!("unexpected summary {words:?}"),
     }
-    let hash = |value: &Value| {
-        value
-            .get("metadata")
-            .and_then(|m| m.get("spec_hash"))
-            .cloned()
-    };
-    assert_eq!(hash(merged), hash(reference), "spec hashes differ");
 }
 
 #[test]
-fn killed_worker_is_requeued_and_the_resumed_artifact_is_bit_identical() {
+fn killed_local_run_resumes_to_a_bit_identical_artifact() {
     let dir = TempDir::new();
     let spec = tiny_spec();
     let spec_path = dir.path("spec.json");
@@ -107,12 +122,8 @@ fn killed_worker_is_requeued_and_the_resumed_artifact_is_bit_identical() {
     let spec_arg = spec_path.to_str().unwrap();
     let store_arg = store.to_str().unwrap();
 
-    // The uninterrupted single-process reference.
-    let reference = run_spec(&spec).expect("reference run succeeds").to_json();
-
-    // Coordinator: remote workers only, a short lease so the killed
-    // worker's point requeues quickly.
-    let mut coordinator = Reaper(
+    // 1. A local run with one worker ...
+    let mut run = Reaper(
         artifacts(&[
             "sweep",
             "run",
@@ -120,99 +131,45 @@ fn killed_worker_is_requeued_and_the_resumed_artifact_is_bit_identical() {
             spec_arg,
             "--store",
             store_arg,
-            "--listen",
-            "127.0.0.1:0",
             "--local-workers",
-            "0",
-            "--lease-timeout-ms",
-            "500",
-            "--backoff-ms",
-            "10",
-            "--progress-interval-ms",
-            "100",
+            "1",
             "--quiet",
-            "--format",
-            "json",
-            "--out",
-            out.to_str().unwrap(),
         ])
-        .stdout(Stdio::piped())
+        .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
-        .expect("coordinator spawns"),
+        .expect("sweep run spawns"),
     );
-    let mut stdout = BufReader::new(coordinator.0.stdout.take().expect("stdout piped"));
-    let addr = loop {
-        let mut line = String::new();
-        assert_ne!(
-            stdout.read_line(&mut line).expect("coordinator stdout"),
-            0,
-            "coordinator exited before announcing its address"
-        );
-        if let Some(addr) = line.trim().strip_prefix("sweep coordinator listening on ") {
-            break addr.to_string();
+
+    // 2. ... SIGKILLed as soon as its first point is on disk. If the run
+    // finishes first the kill lands on a finished process, and every
+    // assertion below still holds.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let points = loop {
+        if let Some((points, count)) = point_files(&store) {
+            if count > 0 {
+                break points;
+            }
         }
+        assert!(
+            run.0.try_wait().expect("poll sweep run").is_none(),
+            "sweep run exited without writing a point"
+        );
+        assert!(Instant::now() < deadline, "no point after 120 s");
+        std::thread::sleep(Duration::from_millis(2));
     };
+    run.0.kill().expect("SIGKILL the run");
+    run.0.wait().expect("reap the run");
 
-    // Worker 1 leases a point immediately, then stalls in its throttle —
-    // long enough that it is still mid-lease when killed.
-    let mut stalled = Reaper(
-        artifacts(&["sweep", "worker", "--addr", &addr, "--throttle-ms", "10000"])
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("stalled worker spawns"),
-    );
-    // Give it time to connect and take its lease before competition starts.
-    std::thread::sleep(Duration::from_millis(700));
+    // 3. A torn write leaves a temp file behind; plant one.
+    fs::write(points.join(".tmp-4242-0"), "{\"index\":").unwrap();
+    let (_, on_disk) = point_files(&store).expect("the store exists");
+    let total = 3;
+    assert!((1..=total).contains(&on_disk), "{on_disk} points on disk");
+    println!("killed with {on_disk} of {total} points on disk");
 
-    // Worker 2 does the actual work.
-    let worker = Reaper(
-        artifacts(&["sweep", "worker", "--addr", &addr])
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("second worker spawns"),
-    );
-
-    // SIGKILL the stalled worker mid-lease: no goodbye, no more heartbeats.
-    std::thread::sleep(Duration::from_millis(200));
-    stalled.0.kill().expect("kill the stalled worker");
-    stalled.0.wait().expect("reap the stalled worker");
-
-    // The coordinator must requeue the orphaned point after the lease
-    // timeout, hand it to the surviving worker, finish, and merge.
-    let status = coordinator.0.wait().expect("coordinator exits");
-    assert!(status.success(), "coordinator failed: {status:?}");
-    drop(worker); // exits on its own once the run finishes; reap it
-
-    let merged_text = fs::read_to_string(out.join(format!("{}.json", spec.name)))
-        .expect("the coordinator wrote the merged artifact");
-    let merged = serde_json::from_str(&merged_text).expect("merged artifact is JSON");
-    assert_artifacts_match(&merged, &reference);
-
-    // The requeue is visible in `sweep status` (reading the final
-    // status.json snapshot the coordinator persisted).
-    let status_out = artifacts(&[
-        "sweep", "status", "--spec", spec_arg, "--store", store_arg, "--format", "json",
-    ])
-    .output()
-    .expect("sweep status runs");
-    assert!(status_out.status.success());
-    let snapshot =
-        serde_json::from_str(&String::from_utf8_lossy(&status_out.stdout)).expect("status JSON");
-    let count = |key: &str| snapshot.get(key).and_then(Value::as_u64).unwrap_or(0);
-    assert!(
-        count("requeues") >= 1,
-        "the killed worker's lease was never requeued: {snapshot}"
-    );
-    assert_eq!(count("failed"), 0, "no point may fail: {snapshot}");
-    assert_eq!(count("done"), count("total"), "incomplete: {snapshot}");
-
-    // Resume on the completed store: nothing recomputes, and the re-merged
-    // artifact is byte-identical.
-    let resume_out = dir.path("resume-out");
-    let resume = artifacts(&[
+    // 4. Resume computes exactly the missing points.
+    let resumed = artifacts(&[
         "sweep",
         "resume",
         "--spec",
@@ -223,19 +180,39 @@ fn killed_worker_is_requeued_and_the_resumed_artifact_is_bit_identical() {
         "--format",
         "json",
         "--out",
-        resume_out.to_str().unwrap(),
+        out.to_str().unwrap(),
     ])
     .output()
     .expect("sweep resume runs");
-    assert!(resume.status.success(), "resume failed: {resume:?}");
-    let resume_stdout = String::from_utf8_lossy(&resume.stdout);
-    assert!(
-        resume_stdout.contains("0 computed, 4 resumed"),
-        "resume recomputed points it should have kept:\n{resume_stdout}"
-    );
+    assert!(resumed.status.success(), "resume failed: {resumed:?}");
+    let (computed, resumed_points) = summary_counts(&String::from_utf8_lossy(&resumed.stdout));
+    assert_eq!(computed + resumed_points, total);
+    assert_eq!(resumed_points, on_disk);
+    assert_eq!(computed, total - on_disk);
+
+    // The merged artifact is byte-identical to the uninterrupted
+    // single-process reference (`--format json` output).
+    let reference = run_spec(&spec).expect("reference run succeeds").to_json();
     assert_eq!(
-        fs::read_to_string(resume_out.join(format!("{}.json", spec.name))).unwrap(),
-        merged_text,
-        "resume must reproduce the artifact bit for bit"
+        fs::read_to_string(out.join(format!("{}.json", spec.name))).unwrap(),
+        serde_json::to_string_pretty(&reference).unwrap(),
+        "the resumed artifact differs from run_spec"
     );
+
+    // The final status snapshot is complete and carries no requeue or
+    // duplicate counters.
+    let status = artifacts(&[
+        "sweep", "status", "--spec", spec_arg, "--store", store_arg, "--format", "json",
+    ])
+    .output()
+    .expect("sweep status runs");
+    assert!(status.status.success());
+    let snapshot: Value =
+        serde_json::from_str(&String::from_utf8_lossy(&status.stdout)).expect("status JSON");
+    let count = |key: &str| snapshot.get(key).and_then(Value::as_u64);
+    assert_eq!(count("done"), Some(total as u64), "{snapshot}");
+    assert_eq!(count("failed"), Some(0), "{snapshot}");
+    for gone in ["requeues", "duplicates"] {
+        assert!(snapshot.get(gone).is_none(), "{gone}: {snapshot}");
+    }
 }

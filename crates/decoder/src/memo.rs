@@ -425,9 +425,8 @@ mod tests {
     }
 
     #[test]
-    fn claim_by_other_decoder_clears_entries_and_stats() {
-        // Despite the name (kept for the test floor), the stats survive:
-        // counters are the scratch's, only the entries are the owner's.
+    fn claim_by_other_decoder_clears_entries_but_counters_accumulate() {
+        // Counters are the scratch's, only the entries are the owner's.
         let mut memo = SyndromeMemo::default();
         let a = next_memo_token();
         let b = next_memo_token();

@@ -45,7 +45,7 @@ fn chunk_of(n: usize, shots: &[Vec<usize>]) -> SyndromeChunk {
 }
 
 #[test]
-fn quiet_chunk_prefills_but_decodes_nothing() {
+fn quiet_chunk_prefills_nothing_and_decodes_nothing() {
     let decoder = UnionFindDecoder::new(chain_graph(6));
     let mut scratch = DecodeScratch::new();
     let chunk = chunk_of(6, &[vec![], vec![], vec![]]);
@@ -66,7 +66,7 @@ fn quiet_chunk_prefills_but_decodes_nothing() {
 }
 
 #[test]
-fn single_defect_shots_hit_the_prefilled_memo_immediately() {
+fn single_defect_shots_miss_on_first_sight_then_hit() {
     // A single defect is learned like every other cacheable set: its first
     // sight is a miss (one decode, one insert), every later one a hit.
     let decoder = UnionFindDecoder::new(chain_graph(7));

@@ -1,35 +1,32 @@
-//! The job abstraction the orchestration tier runs.
+//! The job abstraction the sweep runner runs.
 //!
 //! A [`PointJob`] is a fixed grid of independently evaluable points with
-//! deterministic per-point seeds. The orchestrator never looks inside a
-//! point: it hands `(index, seed)` pairs to [`PointJob::eval`] and persists
-//! the returned JSON payload under the point's key, so any domain (LER
-//! sweeps, timing grids, calibration scans) plugs in by implementing the
-//! trait and providing a [`JobFactory`] that rebuilds the job on a remote
-//! worker from the wire descriptor.
+//! deterministic per-point seeds. The runner never looks inside a point: it
+//! hands `(index, seed)` pairs to [`PointJob::eval`] and persists the
+//! returned JSON payload under the point's key, so any domain (LER sweeps,
+//! timing grids, calibration scans) plugs in by implementing the trait.
 
 use serde_json::Value;
 
-/// The wire identity of a job: enough for a remote worker (or a resumed
-/// coordinator) to rebuild the exact same [`PointJob`].
+/// The identity of a job, recorded in the store manifest so that a resumed
+/// run can check it is running the same job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobDescriptor {
-    /// Job family understood by the [`JobFactory`] (e.g.
-    /// `"experiment_spec"`).
+    /// Job family (e.g. `"experiment_spec"`).
     pub kind: String,
     /// Human-readable job name (e.g. the spec's registry name).
     pub name: String,
     /// Content hash of the job definition. Two jobs with the same hash
     /// must evaluate every point bit-identically; the hash keys the
     /// [point store](crate::store::PointStore) directory and guards
-    /// against version skew between coordinator and workers.
+    /// against resuming a store with a different job.
     pub hash: String,
     /// The job definition itself (e.g. the full experiment-spec JSON).
     pub payload: Value,
 }
 
 impl JobDescriptor {
-    /// Serializes the descriptor for the wire / the store manifest.
+    /// Serializes the descriptor for the store manifest.
     pub fn to_json(&self) -> Value {
         serde_json::json!({
             "kind": self.kind,
@@ -69,12 +66,11 @@ impl JobDescriptor {
 /// # Contract
 ///
 /// `eval(index, seed)` must be a pure function of `(descriptor, index,
-/// seed)`: bit-identical on every host, any number of times. The
-/// orchestrator relies on this for idempotent duplicate resolution (two
-/// workers completing the same point must agree) and for resume
-/// bit-identity (a recomputed point equals the one a killed run lost).
+/// seed)`: bit-identical on every thread, any number of times. The runner
+/// relies on this for resume bit-identity (a recomputed point equals the
+/// one a killed run lost).
 pub trait PointJob: Send + Sync {
-    /// The job's wire identity.
+    /// The job's identity.
     fn descriptor(&self) -> JobDescriptor;
 
     /// Number of points in the grid.
@@ -94,15 +90,11 @@ pub trait PointJob: Send + Sync {
     fn eval(&self, index: usize, seed: u64) -> Result<Value, String>;
 }
 
-/// Rebuilds a [`PointJob`] from a wire descriptor — how a remote worker
-/// materializes the job its coordinator is running.
-pub type JobFactory<'a> = dyn Fn(&JobDescriptor) -> Result<Box<dyn PointJob>, String> + Sync + 'a;
-
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
 
-    /// A deterministic toy job for orchestrator tests: point `i` evaluates
+    /// A deterministic toy job for runner tests: point `i` evaluates
     /// to `{"index": i, "value": seed ^ i}`.
     #[derive(Debug, Clone)]
     pub struct MockJob {

@@ -1,8 +1,7 @@
 //! # qccd-sweeprun
 //!
-//! Distributed, resumable sweep orchestration: the execution tier that
-//! turns week-long below-threshold extrapolation sweeps into
-//! interruptible, distributable jobs (ROADMAP item 3).
+//! Resumable sweep running on one host: a killed sweep restarts where it
+//! stopped, and its merged result is bit-identical to an uninterrupted run.
 //!
 //! Three layers, bottom up:
 //!
@@ -12,53 +11,46 @@
 //!   only the missing points; because every point payload is a pure
 //!   function of `(job, index, seed)`, the merged artifact is bit-identical
 //!   to an uninterrupted single-process run.
-//! - [`scheduler::Scheduler`] — the coordinator's in-memory lease ledger:
-//!   lease timeout → requeue, bounded retry with exponential backoff,
-//!   idempotent duplicate-completion resolution by point key, and progress
-//!   counters (`done/leased/pending/failed`, requeues, retries,
-//!   duplicates, per-worker throughput).
-//! - [`coordinator`] / [`worker`] — a TCP JSON-lines protocol (same
-//!   patterns as the service crate's net layer) connecting one coordinator
-//!   to any number of worker processes, plus in-process local workers for
-//!   the single-host path.
+//! - [`scheduler::Scheduler`] — the run's in-memory ledger: which worker
+//!   thread holds which point, bounded retry with exponential backoff, and
+//!   progress counters (`done/leased/pending/failed`, retries, per-worker
+//!   throughput).
+//! - [`coordinator::run_job`] — local worker threads that lease, evaluate
+//!   and persist points until the grid is done, with a `status.json`
+//!   progress snapshot.
 //!
 //! The crate is deliberately domain-agnostic: anything that can describe
 //! itself as a [`job::PointJob`] — a fixed grid of points with
 //! deterministic seeds and JSON-serializable results — can be stored,
-//! scheduled, distributed, and resumed. The bench crate supplies the
-//! experiment-spec flavored job on top.
+//! scheduled and resumed. The bench crate supplies the experiment-spec
+//! flavored job on top.
 
 #![warn(missing_docs)]
 
 pub mod coordinator;
 pub mod job;
-mod net;
 pub mod scheduler;
 pub mod store;
-pub mod worker;
 
 pub use coordinator::{
     render_progress_line, render_worker_lines, run_job, snapshot_json, CoordinatorConfig,
-    RunSummary, PROTOCOL_VERSION,
+    RunSummary,
 };
-pub use job::{JobDescriptor, JobFactory, PointJob};
+pub use job::{JobDescriptor, PointJob};
 pub use scheduler::{Progress, Scheduler, SchedulerConfig, WorkerView};
 pub use store::{write_atomic, PointStore, StoreState};
-pub use worker::{query_status, run_worker, WorkerOptions, WorkerSummary};
 
 #[cfg(test)]
 mod e2e_tests {
-    use std::net::TcpListener;
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     use serde_json::Value;
 
     use crate::job::testutil::MockJob;
     use crate::job::{JobDescriptor, PointJob};
-    use crate::{
-        run_job, run_worker, CoordinatorConfig, PointStore, SchedulerConfig, WorkerOptions,
-    };
+    use crate::{run_job, CoordinatorConfig, PointStore, SchedulerConfig};
 
     fn temp_base(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -76,21 +68,8 @@ mod e2e_tests {
         PointStore::open(base, &job.descriptor(), seeds).unwrap().0
     }
 
-    fn mock_factory(descriptor: &JobDescriptor) -> Result<Box<dyn PointJob>, String> {
-        if descriptor.kind != "mock" {
-            return Err(format!("unknown job kind {}", descriptor.kind));
-        }
-        let points = descriptor
-            .payload
-            .get("points")
-            .and_then(Value::as_u64)
-            .ok_or("mock payload lacks points")? as usize;
-        Ok(Box::new(MockJob::new(points)))
-    }
-
     fn fast_scheduler() -> SchedulerConfig {
         SchedulerConfig {
-            lease_timeout: Duration::from_millis(500),
             max_attempts: 3,
             backoff_base: Duration::from_millis(10),
         }
@@ -173,102 +152,6 @@ mod e2e_tests {
     }
 
     #[test]
-    fn tcp_workers_complete_a_distributed_run() {
-        let base = temp_base("tcp");
-        let job = MockJob::new(10);
-        let store = open_store(&base, &job);
-
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-
-        std::thread::scope(|scope| {
-            let store = &store;
-            let job = &job;
-            let coordinator = scope.spawn(move || {
-                run_job(
-                    job,
-                    store,
-                    CoordinatorConfig {
-                        listener: Some(listener),
-                        local_workers: 0,
-                        scheduler: fast_scheduler(),
-                        ..CoordinatorConfig::default()
-                    },
-                )
-            });
-            let workers: Vec<_> = (0..2)
-                .map(|_| {
-                    let addr = addr.clone();
-                    scope.spawn(move || run_worker(&addr, &mock_factory, WorkerOptions::default()))
-                })
-                .collect();
-
-            let summary = coordinator.join().unwrap().unwrap();
-            assert_eq!((summary.computed, summary.resumed), (10, 0));
-            let completed: usize = workers
-                .into_iter()
-                .map(|w| w.join().unwrap().unwrap().completed)
-                .sum();
-            assert_eq!(completed, 10);
-        });
-
-        // Distributed payloads match a pure local evaluation bit for bit.
-        for index in 0..10 {
-            let expected = job.eval(index, job.point_seed(index)).unwrap();
-            assert_eq!(store.load_point(index).unwrap(), Some(expected));
-        }
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
-    /// A peer that never sends a newline is cut off at the line cap (told
-    /// why, then disconnected) instead of growing the coordinator; the run
-    /// still completes through a well-behaved worker.
-    #[test]
-    fn an_endless_line_is_refused_and_the_run_still_completes() {
-        use std::io::{Read, Write};
-
-        let base = temp_base("endless");
-        let job = MockJob::new(4);
-        let store = open_store(&base, &job);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-
-        std::thread::scope(|scope| {
-            let store = &store;
-            let job = &job;
-            // No local workers: the run cannot finish before the hostile
-            // connection has been dealt with.
-            let coordinator = scope.spawn(move || {
-                run_job(
-                    job,
-                    store,
-                    CoordinatorConfig {
-                        listener: Some(listener),
-                        local_workers: 0,
-                        scheduler: fast_scheduler(),
-                        ..CoordinatorConfig::default()
-                    },
-                )
-            });
-            let mut hostile = std::net::TcpStream::connect(&addr).unwrap();
-            hostile
-                .write_all(&vec![b'x'; crate::net::MAX_LINE_BYTES + 1])
-                .expect("the coordinator reads up to one byte past the cap");
-            let mut answer = String::new();
-            hostile
-                .read_to_string(&mut answer)
-                .expect("error line, then the coordinator hangs up");
-            assert!(answer.contains("line exceeds"), "{answer}");
-
-            let summary = run_worker(&addr, &mock_factory, WorkerOptions::default()).unwrap();
-            assert_eq!(summary.completed, 4);
-            let summary = coordinator.join().unwrap().unwrap();
-            assert_eq!((summary.computed, summary.resumed), (4, 0));
-        });
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
-    #[test]
     fn poisoned_points_retry_then_fail_terminally() {
         let base = temp_base("poison");
         let job = MockJob {
@@ -296,37 +179,66 @@ mod e2e_tests {
         let _ = std::fs::remove_dir_all(&base);
     }
 
-    #[test]
-    fn version_skew_is_rejected_by_the_worker() {
-        let base = temp_base("skew");
-        let job = MockJob::new(3);
-        let store = open_store(&base, &job);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
+    /// `MockJob` that counts `eval` calls per point and spends `slow_eval`
+    /// on point `slow`.
+    struct CountingJob {
+        inner: MockJob,
+        slow: usize,
+        slow_eval: Duration,
+        evals: Vec<AtomicUsize>,
+    }
 
-        std::thread::scope(|scope| {
-            let store = &store;
-            let job = &job;
-            let coordinator = scope.spawn(move || {
-                run_job(
-                    job,
-                    store,
-                    CoordinatorConfig {
-                        listener: Some(listener),
-                        local_workers: 1, // keeps the run finishing regardless
-                        scheduler: fast_scheduler(),
-                        ..CoordinatorConfig::default()
-                    },
-                )
-            });
-            // A factory that rebuilds a *different* grid must be refused.
-            let skewed = |_: &JobDescriptor| -> Result<Box<dyn PointJob>, String> {
-                Ok(Box::new(MockJob::new(999)))
-            };
-            let err = run_worker(&addr, &skewed, WorkerOptions::default()).unwrap_err();
-            assert!(err.contains("version skew"), "unexpected error: {err}");
-            coordinator.join().unwrap().unwrap();
-        });
+    impl PointJob for CountingJob {
+        fn descriptor(&self) -> JobDescriptor {
+            self.inner.descriptor()
+        }
+
+        fn num_points(&self) -> usize {
+            self.inner.num_points()
+        }
+
+        fn point_seed(&self, index: usize) -> u64 {
+            self.inner.point_seed(index)
+        }
+
+        fn eval(&self, index: usize, seed: u64) -> Result<Value, String> {
+            self.evals[index].fetch_add(1, Ordering::Relaxed);
+            if index == self.slow {
+                std::thread::sleep(self.slow_eval);
+            }
+            self.inner.eval(index, seed)
+        }
+    }
+
+    /// A worker keeps the point it leased until it reports on it, however
+    /// long the evaluation takes, so no point is evaluated twice.
+    #[test]
+    fn every_missing_point_is_evaluated_exactly_once() {
+        let base = temp_base("once");
+        let job = CountingJob {
+            inner: MockJob::new(6),
+            slow: 0,
+            slow_eval: Duration::from_secs(1),
+            evals: (0..6).map(|_| AtomicUsize::new(0)).collect(),
+        };
+        let store = open_store(&base, &job.inner);
+        let summary = run_job(
+            &job,
+            &store,
+            CoordinatorConfig {
+                local_workers: 2,
+                scheduler: fast_scheduler(),
+                ..CoordinatorConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!((summary.computed, summary.resumed), (6, 0));
+        let evals: Vec<usize> = job
+            .evals
+            .iter()
+            .map(|count| count.load(Ordering::Relaxed))
+            .collect();
+        assert_eq!(evals, vec![1; 6]);
         let _ = std::fs::remove_dir_all(&base);
     }
 }

@@ -1,29 +1,21 @@
-//! Lease-based point scheduler: the coordinator's in-memory brain.
+//! Point scheduler: the run's in-memory ledger of which point each local
+//! worker holds.
 //!
-//! Leases live only in coordinator memory — a killed coordinator loses them,
-//! which is safe because on resume every point without a finished file in
-//! the [store](crate::store::PointStore) simply starts over as pending.
+//! The ledger lives only in memory — a killed run loses it, which is safe
+//! because on resume every point without a finished file in the
+//! [store](crate::store::PointStore) simply starts over as pending.
 //!
-//! Failure semantics:
-//! - a lease whose holder stops heartbeating past the timeout is *requeued*
-//!   (counted, not charged against the point's retry budget);
-//! - an evaluation error *retries* with exponential backoff until the
-//!   bounded attempt budget is spent, then the point goes terminally
-//!   `Failed`;
-//! - completions are idempotent by point key — the first wins, later ones
-//!   (e.g. from a worker that lost its lease but finished anyway) are
-//!   counted as duplicates and discarded, which is sound because payloads
-//!   are pure functions of `(job, index, seed)`.
+//! Every point is evaluated once per attempt: a leased point stays with its
+//! worker thread until that thread reports it done or failed. An evaluation
+//! error *retries* with exponential backoff until the bounded attempt budget
+//! is spent, then the point goes terminally `Failed`.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for lease and retry behaviour.
+/// Tuning knobs for retry behaviour.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedulerConfig {
-    /// A lease not refreshed (lease/complete/heartbeat) for this long is
-    /// requeued.
-    pub lease_timeout: Duration,
     /// Total evaluation attempts per point before it is terminally failed.
     pub max_attempts: u32,
     /// First retry delay; doubles per subsequent retry of the same point.
@@ -33,7 +25,6 @@ pub struct SchedulerConfig {
 impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
-            lease_timeout: Duration::from_secs(60),
             max_attempts: 3,
             backoff_base: Duration::from_millis(250),
         }
@@ -46,10 +37,7 @@ enum PointState {
     Pending {
         not_before: Option<Instant>,
     },
-    Leased {
-        worker: u64,
-        expires: Instant,
-    },
+    Leased,
     Done,
     Failed,
 }
@@ -66,15 +54,6 @@ pub enum LeaseReply {
     Finished,
 }
 
-/// Outcome of reporting a completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompleteReply {
-    /// First completion for this point — the payload was kept.
-    Accepted,
-    /// The point was already done; the payload is redundant and discarded.
-    Duplicate,
-}
-
 /// Outcome of reporting an evaluation failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailReply {
@@ -82,20 +61,18 @@ pub enum FailReply {
     Retry,
     /// The attempt budget is spent; the point is terminally failed.
     Exhausted,
-    /// The point had already completed (e.g. via a duplicate lease); the
-    /// failure report is moot.
-    Stale,
 }
 
 /// Monotonic event counters surfaced in `artifacts sweep status`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerCounters {
-    /// Leases reclaimed after their holder stopped heartbeating.
+    /// Always 0: nothing requeues a point any more. Kept only because the
+    /// frozen benchmark package reads it — delete with the next benchmark
+    /// PR.
+    #[doc(hidden)]
     pub requeues: u64,
     /// Evaluation failures that were handed back out for another attempt.
     pub retries: u64,
-    /// Completions discarded because the point was already done.
-    pub duplicates: u64,
 }
 
 /// Time constant of the per-worker completion-rate EWMA: contributions
@@ -111,7 +88,7 @@ struct WorkerStats {
     ewma_points_per_sec: f64,
     /// Previous completion instant (rate-sample baseline).
     last_complete: Option<Instant>,
-    /// Last liveness signal: lease, completion, failure or heartbeat.
+    /// Last lease, completion or failure report.
     last_seen: Instant,
 }
 
@@ -143,15 +120,14 @@ impl WorkerStats {
 /// One worker's row in a [`Progress`] snapshot.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkerView {
-    /// Coordinator-assigned worker id.
+    /// Run-assigned worker id.
     pub worker: u64,
     /// Points this worker completed.
     pub completed: u64,
     /// Time-decayed completion rate (points/sec; 0 until the second
     /// completion).
     pub ewma_points_per_sec: f64,
-    /// Seconds since the worker's last liveness signal (lease, completion,
-    /// failure or heartbeat).
+    /// Seconds since the worker last leased, completed or failed a point.
     pub since_last_seen_secs: f64,
 }
 
@@ -160,7 +136,7 @@ pub struct WorkerView {
 pub struct Progress {
     /// Finished points (includes those already on disk before this run).
     pub done: usize,
-    /// Points currently leased to a worker.
+    /// Points a worker is evaluating.
     pub leased: usize,
     /// Points waiting for a worker (including backoff waits).
     pub pending: usize,
@@ -170,7 +146,7 @@ pub struct Progress {
     pub counters: SchedulerCounters,
     /// Completions per worker id, for per-worker throughput.
     pub per_worker: Vec<(u64, u64)>,
-    /// Per-worker live statistics (EWMA throughput, heartbeat age), one row
+    /// Per-worker live statistics (EWMA throughput, last-seen age), one row
     /// per registered worker in id order.
     pub workers: Vec<WorkerView>,
 }
@@ -187,7 +163,7 @@ impl Progress {
     }
 }
 
-/// The coordinator's lease ledger over one job's missing points.
+/// The run's ledger over one job's missing points.
 #[derive(Debug)]
 pub struct Scheduler {
     config: SchedulerConfig,
@@ -226,7 +202,7 @@ impl Scheduler {
         }
     }
 
-    /// Hands out a fresh worker id (used by the hello handshake).
+    /// Hands out a fresh worker id.
     pub fn register_worker(&mut self, now: Instant) -> u64 {
         let id = self.next_worker_id;
         self.next_worker_id += 1;
@@ -234,7 +210,7 @@ impl Scheduler {
         id
     }
 
-    /// Records a liveness signal from `worker` (any scheduler call counts).
+    /// Records that `worker` was seen at `now`.
     fn touch(&mut self, worker: u64, now: Instant) -> &mut WorkerStats {
         let stats = self
             .workers
@@ -244,41 +220,20 @@ impl Scheduler {
         stats
     }
 
-    /// Reclaims every lease whose deadline has passed.
-    fn reap_expired(&mut self, now: Instant) {
-        for state in self.states.values_mut() {
-            if let PointState::Leased { expires, .. } = state {
-                if *expires <= now {
-                    *state = PointState::Pending { not_before: None };
-                    self.counters.requeues += 1;
-                }
-            }
-        }
-    }
-
-    /// Assigns the lowest eligible pending index to `worker`, refreshing the
-    /// worker's other leases as a side effect (a lease request proves
-    /// liveness just as well as a heartbeat).
+    /// Assigns the lowest eligible pending index to `worker`.
     pub fn lease(&mut self, worker: u64, now: Instant) -> LeaseReply {
-        self.reap_expired(now);
-        self.heartbeat(worker, now);
+        self.touch(worker, now);
         let mut saw_wait = false;
         for &index in &self.order {
             match &self.states[&index] {
                 PointState::Pending { not_before } => {
                     if not_before.is_none_or(|t| t <= now) {
-                        self.states.insert(
-                            index,
-                            PointState::Leased {
-                                worker,
-                                expires: now + self.config.lease_timeout,
-                            },
-                        );
+                        self.states.insert(index, PointState::Leased);
                         return LeaseReply::Point(index);
                     }
                     saw_wait = true;
                 }
-                PointState::Leased { .. } => saw_wait = true,
+                PointState::Leased => saw_wait = true,
                 PointState::Done | PointState::Failed => {}
             }
         }
@@ -289,49 +244,47 @@ impl Scheduler {
         }
     }
 
-    /// Records a completion for `index` by `worker`; idempotent by point
-    /// key.
-    pub fn complete(&mut self, index: usize, worker: u64, now: Instant) -> CompleteReply {
-        self.reap_expired(now);
-        match self.states.get(&index) {
-            None | Some(PointState::Done) => {
-                self.counters.duplicates += 1;
-                CompleteReply::Duplicate
-            }
-            Some(_) => {
-                self.states.insert(index, PointState::Done);
-                self.touch(worker, now).note_complete(now);
-                CompleteReply::Accepted
-            }
+    /// Marks the leased point `index` done by `worker`. Returns `false`,
+    /// changing nothing, if `index` is not leased.
+    pub fn complete(&mut self, index: usize, worker: u64, now: Instant) -> bool {
+        if self.states.get(&index) != Some(&PointState::Leased) {
+            return false;
         }
+        self.states.insert(index, PointState::Done);
+        self.touch(worker, now).note_complete(now);
+        true
     }
 
-    /// Records an evaluation failure; retries with exponential backoff
-    /// until `max_attempts` is spent.
+    /// Records an evaluation failure of the leased point `index`; retries
+    /// with exponential backoff until `max_attempts` is spent.
+    ///
+    /// # Panics
+    ///
+    /// If `index` is not leased: only the worker holding a point reports
+    /// on it.
     pub fn fail(&mut self, index: usize, worker: u64, now: Instant) -> FailReply {
+        assert_eq!(
+            self.states.get(&index),
+            Some(&PointState::Leased),
+            "point {index} failed without being leased"
+        );
         self.touch(worker, now);
-        match self.states.get(&index) {
-            None | Some(PointState::Done) | Some(PointState::Failed) => FailReply::Stale,
-            Some(_) => {
-                let attempts = self.attempts.entry(index).or_insert(0);
-                *attempts += 1;
-                if *attempts >= self.config.max_attempts {
-                    self.states.insert(index, PointState::Failed);
-                    FailReply::Exhausted
-                } else {
-                    let exponent = attempts.saturating_sub(1).min(16);
-                    let delay = self.config.backoff_base * 2u32.pow(exponent);
-                    self.states.insert(
-                        index,
-                        PointState::Pending {
-                            not_before: Some(now + delay),
-                        },
-                    );
-                    self.counters.retries += 1;
-                    FailReply::Retry
-                }
-            }
+        let attempts = self.attempts.entry(index).or_insert(0);
+        *attempts += 1;
+        if *attempts >= self.config.max_attempts {
+            self.states.insert(index, PointState::Failed);
+            return FailReply::Exhausted;
         }
+        let exponent = attempts.saturating_sub(1).min(16);
+        let delay = self.config.backoff_base * 2u32.pow(exponent);
+        self.states.insert(
+            index,
+            PointState::Pending {
+                not_before: Some(now + delay),
+            },
+        );
+        self.counters.retries += 1;
+        FailReply::Retry
     }
 
     /// Attempts already charged to `index`.
@@ -339,32 +292,8 @@ impl Scheduler {
         self.attempts.get(&index).copied().unwrap_or(0)
     }
 
-    /// Extends every lease held by `worker` — the liveness signal that
-    /// keeps long evaluations from being requeued under them.
-    ///
-    /// Expired leases are reaped *first*: a heartbeat arriving after the
-    /// lease deadline (e.g. from a worker that was SIGSTOPped past the
-    /// timeout) must not resurrect a lease the scheduler is entitled to hand
-    /// to someone else — only leases that are still live get extended.
-    pub fn heartbeat(&mut self, worker: u64, now: Instant) {
-        self.reap_expired(now);
-        self.touch(worker, now);
-        for state in self.states.values_mut() {
-            if let PointState::Leased {
-                worker: holder,
-                expires,
-            } = state
-            {
-                if *holder == worker {
-                    *expires = now + self.config.lease_timeout;
-                }
-            }
-        }
-    }
-
-    /// Progress at `now` (after reaping expired leases).
-    pub fn progress(&mut self, now: Instant) -> Progress {
-        self.reap_expired(now);
+    /// Progress at `now`.
+    pub fn progress(&self, now: Instant) -> Progress {
         let mut progress = Progress {
             done: self.done_offset,
             ..Progress::default()
@@ -372,7 +301,7 @@ impl Scheduler {
         for state in self.states.values() {
             match state {
                 PointState::Pending { .. } => progress.pending += 1,
-                PointState::Leased { .. } => progress.leased += 1,
+                PointState::Leased => progress.leased += 1,
                 PointState::Done => progress.done += 1,
                 PointState::Failed => progress.failed += 1,
             }
@@ -402,9 +331,8 @@ impl Scheduler {
 mod tests {
     use super::*;
 
-    fn config(lease_ms: u64, attempts: u32, backoff_ms: u64) -> SchedulerConfig {
+    fn config(attempts: u32, backoff_ms: u64) -> SchedulerConfig {
         SchedulerConfig {
-            lease_timeout: Duration::from_millis(lease_ms),
             max_attempts: attempts,
             backoff_base: Duration::from_millis(backoff_ms),
         }
@@ -412,7 +340,7 @@ mod tests {
 
     #[test]
     fn leases_in_index_order_and_finishes() {
-        let mut s = Scheduler::new(vec![2, 0, 7], 5, config(1000, 3, 10));
+        let mut s = Scheduler::new(vec![2, 0, 7], 5, config(3, 10));
         let now = Instant::now();
         let w = s.register_worker(now);
         assert_eq!(s.lease(w, now), LeaseReply::Point(0));
@@ -420,7 +348,7 @@ mod tests {
         assert_eq!(s.lease(w, now), LeaseReply::Point(7));
         assert_eq!(s.lease(w, now), LeaseReply::Wait);
         for index in [0, 2, 7] {
-            assert_eq!(s.complete(index, w, now), CompleteReply::Accepted);
+            assert!(s.complete(index, w, now));
         }
         assert_eq!(s.lease(w, now), LeaseReply::Finished);
         let progress = s.progress(now);
@@ -430,91 +358,8 @@ mod tests {
     }
 
     #[test]
-    fn expired_leases_requeue_to_other_workers() {
-        let mut s = Scheduler::new(vec![0], 0, config(100, 3, 10));
-        let t0 = Instant::now();
-        let w1 = s.register_worker(t0);
-        let w2 = s.register_worker(t0);
-        assert_eq!(s.lease(w1, t0), LeaseReply::Point(0));
-        // Before the timeout the point is unavailable; heartbeats extend it.
-        assert_eq!(
-            s.lease(w2, t0 + Duration::from_millis(50)),
-            LeaseReply::Wait
-        );
-        s.heartbeat(w1, t0 + Duration::from_millis(90));
-        assert_eq!(
-            s.lease(w2, t0 + Duration::from_millis(150)),
-            LeaseReply::Wait
-        );
-        // Once w1 goes silent past the timeout, w2 inherits the point.
-        assert_eq!(
-            s.lease(w2, t0 + Duration::from_millis(200)),
-            LeaseReply::Point(0)
-        );
-        assert_eq!(
-            s.progress(t0 + Duration::from_millis(200))
-                .counters
-                .requeues,
-            1
-        );
-    }
-
-    #[test]
-    fn late_heartbeat_does_not_resurrect_an_expired_lease() {
-        // SIGSTOP-style regression: w1 takes a lease, goes silent past the
-        // timeout (no intervening scheduler call reaps it), then its delayed
-        // heartbeat arrives. The heartbeat must requeue the expired lease,
-        // not extend it — otherwise a stopped worker can starve the point
-        // indefinitely with heartbeats that always arrive just too late.
-        let mut s = Scheduler::new(vec![0], 0, config(100, 3, 10));
-        let t0 = Instant::now();
-        let w1 = s.register_worker(t0);
-        let w2 = s.register_worker(t0);
-        assert_eq!(s.lease(w1, t0), LeaseReply::Point(0));
-        // Well past the deadline, w1's heartbeat is the first call the
-        // scheduler sees.
-        s.heartbeat(w1, t0 + Duration::from_millis(250));
-        // The point must be assignable to w2 immediately, and the requeue
-        // must have been counted.
-        assert_eq!(
-            s.lease(w2, t0 + Duration::from_millis(260)),
-            LeaseReply::Point(0)
-        );
-        let progress = s.progress(t0 + Duration::from_millis(260));
-        assert_eq!(progress.counters.requeues, 1);
-        assert_eq!(progress.leased, 1);
-        // A still-live lease is extended as before: w2 heartbeats at 300ms,
-        // pushing its deadline to 400ms, so the point is not reassignable at
-        // 350ms.
-        s.heartbeat(w2, t0 + Duration::from_millis(300));
-        assert_eq!(
-            s.lease(w1, t0 + Duration::from_millis(350)),
-            LeaseReply::Wait
-        );
-    }
-
-    #[test]
-    fn duplicate_completion_is_idempotent() {
-        let mut s = Scheduler::new(vec![0], 0, config(50, 3, 10));
-        let t0 = Instant::now();
-        let w1 = s.register_worker(t0);
-        let w2 = s.register_worker(t0);
-        assert_eq!(s.lease(w1, t0), LeaseReply::Point(0));
-        // w1's lease expires; w2 picks the point up and finishes first.
-        let t1 = t0 + Duration::from_millis(100);
-        assert_eq!(s.lease(w2, t1), LeaseReply::Point(0));
-        assert_eq!(s.complete(0, w2, t1), CompleteReply::Accepted);
-        // w1 finishes anyway: discarded, counted, and credited to nobody new.
-        assert_eq!(s.complete(0, w1, t1), CompleteReply::Duplicate);
-        let progress = s.progress(t1);
-        assert_eq!(progress.done, 1);
-        assert_eq!(progress.counters.duplicates, 1);
-        assert_eq!(progress.per_worker, vec![(w1, 0), (w2, 1)]);
-    }
-
-    #[test]
     fn bounded_retry_with_backoff_then_terminal_failure() {
-        let mut s = Scheduler::new(vec![0], 0, config(1000, 3, 20));
+        let mut s = Scheduler::new(vec![0], 0, config(3, 20));
         let t0 = Instant::now();
         let w = s.register_worker(t0);
         assert_eq!(s.lease(w, t0), LeaseReply::Point(0));
@@ -534,13 +379,11 @@ mod tests {
         assert_eq!((progress.failed, progress.done), (1, 0));
         assert_eq!(progress.counters.retries, 2);
         assert_eq!(s.attempts(0), 3);
-        // A stale failure report after the terminal state changes nothing.
-        assert_eq!(s.fail(0, w, t2), FailReply::Stale);
     }
 
     #[test]
     fn worker_views_track_ewma_throughput_and_heartbeat_age() {
-        let mut s = Scheduler::new((0..40).collect(), 0, config(60_000, 3, 10));
+        let mut s = Scheduler::new((0..40).collect(), 0, config(3, 10));
         let t0 = Instant::now();
         let w1 = s.register_worker(t0);
         let w2 = s.register_worker(t0);
@@ -553,7 +396,7 @@ mod tests {
                 panic!("expected a point");
             };
             last = now + Duration::from_secs(1);
-            assert_eq!(s.complete(index, w1, last), CompleteReply::Accepted);
+            assert!(s.complete(index, w1, last));
         }
         let progress = s.progress(last + Duration::from_secs(5));
         assert_eq!(progress.per_worker, vec![(w1, 20), (w2, 0)]);

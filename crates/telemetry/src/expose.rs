@@ -1,8 +1,8 @@
 //! Exposition: a registry snapshot as JSON and as Prometheus-style text.
 //!
 //! Both formats render the same [`RegistrySnapshot`], so the service TCP
-//! front-end, the sweep coordinator's status connection, and the CLI all
-//! serve one unified view. The text format follows the Prometheus
+//! front-end, a sweep store's `status.json`, and the CLI all serve one
+//! unified view. The text format follows the Prometheus
 //! text-exposition conventions: `# TYPE` lines, sanitized metric names,
 //! cumulative `_bucket{le="…"}` lines plus `_sum`/`_count` per histogram.
 
@@ -48,7 +48,7 @@ fn histogram_json(hist: &HistogramSnapshot) -> Value {
 }
 
 /// The snapshot as a JSON object — the `telemetry` field of the service's
-/// `metrics` response and the sweep coordinator's `status` response.
+/// `metrics` response and of a sweep store's `status.json`.
 pub fn snapshot_to_json(snapshot: &RegistrySnapshot) -> Value {
     let mut counters = serde_json::json!({});
     for (name, value) in &snapshot.counters {

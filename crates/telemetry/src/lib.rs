@@ -21,9 +21,9 @@
 //!   JSON-lines [`TraceSink`] (`--trace-out`).
 //! - Exposition — [`snapshot_to_json`] and Prometheus-style
 //!   [`snapshot_to_text`] render the same [`RegistrySnapshot`] served by
-//!   the service TCP front-end and the sweep coordinator's status
-//!   connection, and [`render_dashboard`] is the `top`-style live panel the
-//!   loadgen's `--top` mode draws.
+//!   the service TCP front-end and written to a sweep store's
+//!   `status.json`, and [`render_dashboard`] is the `top`-style live panel
+//!   the loadgen's `--top` mode draws.
 
 #![warn(missing_docs)]
 
