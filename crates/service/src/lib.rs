@@ -100,7 +100,8 @@ pub use program::DecodeProgram;
 // direct qccd-telemetry dependency.
 pub use qccd_telemetry::{Registry as TelemetryRegistry, RegistrySnapshot, TelemetryConfig};
 pub use service::{
-    Correction, DecodeService, ServiceConfig, StreamHandle, StreamReceiver, StreamSender, WordBlock,
+    Correction, CorrectionReceiver, DecodeService, ServiceConfig, StreamHandle, StreamReceiver,
+    StreamSender, WordBlock,
 };
 
 /// Errors surfaced by the decode service.

@@ -28,10 +28,21 @@
 //!
 //! Every command except `frame`/`frames`/`frames_packed` is answered
 //! synchronously with an `{"ok":...}` object (in request order). Frames are
-//! answered *asynchronously*, one `{"stream":S,"seq":Q,"flips":[..]}` line
-//! per frame in per-stream submission order, interleaved with command
-//! responses; `flips` lists the flipped logical observables. An invalid
-//! frame batch produces an
+//! answered *asynchronously*, in per-stream submission order and
+//! interleaved with command responses, by **run lines** — one per run of
+//! consecutive corrections the service decoded together:
+//!
+//! ```text
+//! {"stream":S,"seq":Q,"count":N,"planes":[5,0,1,0]}
+//! ```
+//!
+//! A run line answers shots `Q..Q+N` of stream `S` (`N ≥ 1`). `planes` is
+//! observable-major, the mirror of `frames_packed`: ⌈N/64⌉ `u64` words per
+//! observable (the observable count is the `open` response's
+//! `"observables"`), and bit `j` of word `w` of observable `o` set means
+//! shot `Q+64w+j` flipped observable `o`; bits past shot `N` are clear.
+//! The server writes every run that is ready under one writer lock and one
+//! flush. An invalid frame batch produces an
 //! `{"ok":false,"async":true,"stream":S,"error":...}` line instead (nothing
 //! from that line is enqueued) — the `"async"` tag tells clients not to pair
 //! it with a pending command response.
@@ -43,11 +54,17 @@
 //! disappears from the service hot path. The vendored JSON layer preserves
 //! `u64` values exactly, so plane words round-trip bit-for-bit.
 //!
+//! The server counts what it sends in the service's registry
+//! ([`DecodeService::telemetry`]): `service.net.correction_lines` run lines
+//! carrying `service.net.corrections_sent` corrections, so their ratio is
+//! the mean run length on the wire.
+//!
 //! A line may not exceed [`MAX_LINE_BYTES`]: the server answers a longer one
 //! with `{"ok":false,"error":"line exceeds … bytes"}` and closes that
 //! connection; the client records a protocol error and stops reading.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,9 +74,13 @@ use std::time::Duration;
 
 use qccd_core::ArchitectureConfig;
 use qccd_decoder::DecoderKind;
+use qccd_telemetry::Counter;
 use serde_json::Value;
 
-use crate::service::{Correction, DecodeService, ServiceConfig, StreamSender, WordBlock};
+use crate::service::{
+    CorrectionReceiver, CorrectionRun, DecodeService, ServiceConfig, StreamReceiver, StreamSender,
+    WordBlock,
+};
 
 /// Longest line either side buffers, in bytes — more than 25× the largest
 /// legitimate one (a 16-block `frames_packed` burst at d = 9). A peer that
@@ -193,8 +214,8 @@ impl NetServer {
 
 type SharedWriter = Arc<Mutex<BufWriter<TcpStream>>>;
 
-fn write_line(writer: &SharedWriter, value: &Value) -> io::Result<()> {
-    let text = serde_json::to_string(value).expect("response serialization cannot fail");
+/// Writes `text` (whole lines) under one writer lock and one flush.
+fn write_text(writer: &SharedWriter, text: &str) -> io::Result<()> {
     // A panic on a sibling thread of this connection (e.g. a correction
     // pump) poisons the shared writer. Treat that as a dead connection —
     // every writer backs off and the handler tears the connection down —
@@ -205,30 +226,118 @@ fn write_line(writer: &SharedWriter, value: &Value) -> io::Result<()> {
             "connection writer poisoned by a panicked sibling thread",
         )
     })?;
-    writeln!(writer, "{text}")?;
+    writer.write_all(text.as_bytes())?;
     writer.flush()
 }
 
-fn flips_json(flips: u64) -> Value {
-    let mut list = Vec::new();
-    let mut rest = flips;
-    while rest != 0 {
-        list.push(Value::from(rest.trailing_zeros() as u64));
-        rest &= rest - 1;
-    }
-    Value::Array(list)
+fn write_line(writer: &SharedWriter, value: &Value) -> io::Result<()> {
+    let mut text = serde_json::to_string(value).expect("response serialization cannot fail");
+    text.push('\n');
+    write_text(writer, &text)
 }
 
-/// The observable bitmask of a correction line — the inverse of
-/// [`flips_json`]. `None` unless `flips` is an array of integers below 64
-/// (a [`Correction`] carries one bit per observable), so a peer's stray
-/// entry is refused rather than shifted out of range or skipped.
-fn parse_flips(value: &Value) -> Option<u64> {
-    let mut flips = 0u64;
-    for entry in value.get("flips")?.as_array()? {
-        flips |= 1u64 << entry.as_u64().filter(|&observable| observable < 64)?;
+/// Appends the run line of `run` on `stream` to `out` (see the module doc):
+/// each observable's bit of every shot, packed 64 shots to a word.
+fn push_run_line(out: &mut String, stream: u64, num_observables: usize, run: &CorrectionRun) {
+    let _ = write!(
+        out,
+        r#"{{"stream":{stream},"seq":{},"count":{},"planes":["#,
+        run.first_seq,
+        run.flips.len()
+    );
+    let mut separator = "";
+    for observable in 0..num_observables {
+        for shots in run.flips.chunks(64) {
+            let word = shots.iter().enumerate().fold(0u64, |word, (j, &flips)| {
+                word | ((flips >> observable) & 1) << j
+            });
+            let _ = write!(out, "{separator}{word}");
+            separator = ",";
+        }
     }
-    Some(flips)
+    out.push_str("]}\n");
+}
+
+/// Forwards a stream's corrections to the connection until the stream
+/// ends: every run ready at a wake-up becomes one run line, and the lines
+/// go out under one writer lock and one flush.
+fn pump_corrections(
+    stream: u64,
+    num_observables: usize,
+    receiver: StreamReceiver,
+    writer: SharedWriter,
+    lines: Counter,
+    sent: Counter,
+) {
+    let mut text = String::new();
+    while let Some(first) = receiver.recv_run() {
+        text.clear();
+        let (mut runs, mut shots) = (0, 0);
+        for run in std::iter::once(first).chain(std::iter::from_fn(|| receiver.try_recv_run())) {
+            push_run_line(&mut text, stream, num_observables, &run);
+            runs += 1;
+            shots += run.len();
+        }
+        if write_text(&writer, &text).is_err() {
+            break;
+        }
+        lines.add(runs);
+        sent.add(shots);
+    }
+}
+
+/// One client-side route: the stream's channel and its observable count
+/// (from the `open` response), which a run line's `planes` must match.
+struct Route {
+    tx: mpsc::Sender<CorrectionRun>,
+    num_observables: usize,
+}
+
+/// Reads a run line (see the module doc) back into a [`CorrectionRun`].
+/// The whole line is refused — nothing of it delivered — unless `count`
+/// is in `1..=MAX_LINE_BYTES`, `seq + count` fits a `u64`, `planes` holds
+/// exactly `num_observables × ⌈count/64⌉` integer words and no bit names a
+/// shot past `count`. The cap bounds what one line can make the reader
+/// allocate (64 MiB of flip masks, even for a stream without observables,
+/// whose `planes` is empty at any count); a run is one decode job's shots
+/// of one stream, far below it.
+fn parse_run(value: &Value, num_observables: usize) -> Result<CorrectionRun, &'static str> {
+    let seq = value
+        .get("seq")
+        .and_then(Value::as_u64)
+        .ok_or("no valid `seq`")?;
+    let count = value
+        .get("count")
+        .and_then(Value::as_u64)
+        .filter(|count| (1..=MAX_LINE_BYTES as u64).contains(count))
+        .ok_or("`count` must be an integer in 1..=MAX_LINE_BYTES")?;
+    if seq.checked_add(count).is_none() {
+        return Err("`seq + count` overflows");
+    }
+    let count = count as usize;
+    let words = count.div_ceil(64);
+    let planes = value
+        .get("planes")
+        .and_then(Value::as_array)
+        .filter(|planes| planes.len() == words * num_observables)
+        .ok_or("`planes` must hold ⌈count/64⌉ words per observable")?;
+    let mut flips = vec![0u64; count];
+    for (index, word) in planes.iter().enumerate() {
+        let (observable, first_shot) = (index / words, 64 * (index % words));
+        let mut bits = word.as_u64().ok_or("plane words must be u64 integers")?;
+        while bits != 0 {
+            let shot = first_shot + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let mask = flips
+                .get_mut(shot)
+                .ok_or("a plane sets a bit past `count`")?;
+            *mask |= 1 << observable;
+        }
+    }
+    Ok(CorrectionRun {
+        first_seq: seq,
+        flips,
+    })
 }
 
 fn error_json(message: impl std::fmt::Display) -> Value {
@@ -378,27 +487,22 @@ fn dispatch(
         }
         "open" => match open_from_request(request, service) {
             Ok(handle) => {
-                let (sender, mut receiver) = handle.split();
+                let (sender, receiver) = handle.split();
                 let id = sender.id();
+                let observables = sender.num_observables();
                 let response = serde_json::json!({
                     "ok": true,
                     "stream": id,
                     "detectors": sender.num_detectors() as u64,
-                    "observables": sender.num_observables() as u64,
+                    "observables": observables as u64,
                 });
                 senders.insert(id, sender);
                 let pump_writer = Arc::clone(writer);
+                let registry = service.telemetry();
+                let lines = registry.counter("service.net.correction_lines");
+                let sent = registry.counter("service.net.corrections_sent");
                 pumps.push(std::thread::spawn(move || {
-                    while let Some(Correction { seq, flips }) = receiver.recv() {
-                        let line = serde_json::json!({
-                            "stream": id,
-                            "seq": seq,
-                            "flips": flips_json(flips),
-                        });
-                        if write_line(&pump_writer, &line).is_err() {
-                            break;
-                        }
-                    }
+                    pump_corrections(id, observables, receiver, pump_writer, lines, sent);
                 }));
                 write_line(writer, &response)?;
             }
@@ -570,15 +674,16 @@ fn open_from_request(
 /// generator and the CI smoke test.
 ///
 /// Commands are synchronous (one response per command, in order);
-/// corrections arrive asynchronously and are routed into per-stream
-/// channels.
+/// corrections arrive asynchronously as run lines, each routed whole into
+/// its stream's channel.
 pub struct NetClient {
     writer: BufWriter<TcpStream>,
     responses: mpsc::Receiver<Value>,
-    corrections: Arc<Mutex<HashMap<u64, mpsc::Sender<Correction>>>>,
-    /// Malformed or unroutable lines the reader refused to deliver — a
-    /// correction without a valid `stream`/`seq`/`flips` is *dropped*, never
-    /// guessed onto stream 0 (see [`NetClient::take_protocol_errors`]).
+    routes: Arc<Mutex<HashMap<u64, Route>>>,
+    /// Malformed or unroutable lines the reader refused to deliver — a run
+    /// line that fails [`parse_run`] or names an unknown stream is
+    /// *dropped* whole, never guessed onto another stream (see
+    /// [`NetClient::take_protocol_errors`]).
     protocol_errors: Arc<Mutex<Vec<String>>>,
     reader: Option<JoinHandle<()>>,
 }
@@ -598,8 +703,8 @@ pub struct NetStream {
     pub num_detectors: usize,
     /// Observables per correction.
     pub num_observables: usize,
-    /// Ordered corrections for this stream.
-    pub corrections: mpsc::Receiver<Correction>,
+    /// Ordered corrections for this stream, flattened from its run lines.
+    pub corrections: CorrectionReceiver,
 }
 
 impl NetClient {
@@ -612,10 +717,9 @@ impl NetClient {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         let (response_tx, responses) = mpsc::channel();
-        let corrections: Arc<Mutex<HashMap<u64, mpsc::Sender<Correction>>>> =
-            Arc::new(Mutex::new(HashMap::new()));
+        let routes: Arc<Mutex<HashMap<u64, Route>>> = Arc::new(Mutex::new(HashMap::new()));
         let protocol_errors: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let reader_corrections = Arc::clone(&corrections);
+        let reader_routes = Arc::clone(&routes);
         let reader_errors = Arc::clone(&protocol_errors);
         let reader_stream = stream.try_clone()?;
         let reader = std::thread::spawn(move || {
@@ -657,33 +761,25 @@ impl NetClient {
                 }
                 let is_correction = value.get("seq").is_some() && value.get("ok").is_none();
                 if is_correction {
-                    // Route strictly: a correction without a well-formed
-                    // `stream` or `seq` is dropped and surfaced as a
-                    // protocol error — never defaulted onto stream 0,
-                    // which would silently corrupt whichever stream
-                    // happened to open first.
+                    // Route strictly: a run line without a well-formed
+                    // `stream` is dropped and surfaced as a protocol error
+                    // — never defaulted onto stream 0, which would
+                    // silently corrupt whichever stream happened to open
+                    // first.
                     let Some(stream) = value.get("stream").and_then(Value::as_u64) else {
-                        note_error(format!("correction without a valid `stream`: {line}"));
+                        note_error(format!("run line without a valid `stream`: {line}"));
                         continue;
                     };
-                    let Some(seq) = value.get("seq").and_then(Value::as_u64) else {
-                        note_error(format!("correction without a valid `seq`: {line}"));
+                    let routes = reader_routes.lock().expect("correction router lock");
+                    let Some(route) = routes.get(&stream) else {
+                        note_error(format!("correction for unknown stream {stream}"));
                         continue;
                     };
-                    let Some(flips) = parse_flips(&value) else {
-                        note_error(format!("correction without a valid `flips`: {line}"));
-                        continue;
-                    };
-                    let tx = reader_corrections
-                        .lock()
-                        .expect("correction router lock")
-                        .get(&stream)
-                        .cloned();
-                    match tx {
-                        Some(tx) => {
-                            let _ = tx.send(Correction { seq, flips });
+                    match parse_run(&value, route.num_observables) {
+                        Ok(run) => {
+                            let _ = route.tx.send(run);
                         }
-                        None => note_error(format!("correction for unknown stream {stream}")),
+                        Err(why) => note_error(format!("malformed run line ({why}): {line}")),
                     }
                 } else {
                     let _ = response_tx.send(value);
@@ -693,15 +789,15 @@ impl NetClient {
         Ok(NetClient {
             writer: BufWriter::new(stream),
             responses,
-            corrections,
+            routes,
             protocol_errors,
             reader: Some(reader),
         })
     }
 
     /// Drains the protocol errors the reader refused to deliver (malformed
-    /// correction lines, corrections for unknown streams, async server
-    /// errors). An empty result means every server line routed cleanly.
+    /// run lines, runs for unknown streams, async server errors). An empty
+    /// result means every server line routed cleanly.
     pub fn take_protocol_errors(&self) -> Vec<String> {
         std::mem::take(&mut *self.protocol_errors.lock().expect("protocol error lock"))
     }
@@ -760,22 +856,29 @@ impl NetClient {
             .get("stream")
             .and_then(Value::as_u64)
             .ok_or("open response lacks a stream id")?;
+        // A correction is a `u64` flip mask: one bit per observable.
+        let num_observables = response
+            .get("observables")
+            .and_then(Value::as_u64)
+            .filter(|&observables| observables <= 64)
+            .ok_or("open response lacks an observable count of at most 64")?
+            as usize;
         let (tx, rx) = mpsc::channel();
-        self.corrections
-            .lock()
-            .expect("correction router lock")
-            .insert(id, tx);
+        self.routes.lock().expect("correction router lock").insert(
+            id,
+            Route {
+                tx,
+                num_observables,
+            },
+        );
         Ok(NetStream {
             id,
             num_detectors: response
                 .get("detectors")
                 .and_then(Value::as_u64)
                 .unwrap_or(0) as usize,
-            num_observables: response
-                .get("observables")
-                .and_then(Value::as_u64)
-                .unwrap_or(0) as usize,
-            corrections: rx,
+            num_observables,
+            corrections: CorrectionReceiver::new(rx),
         })
     }
 
@@ -790,11 +893,11 @@ impl NetClient {
             .iter()
             .map(|fired| Value::Array(fired.iter().map(|&d| Value::from(d as u64)).collect()))
             .collect();
-        self.send(&serde_json::json!({
-            "cmd": "frames",
-            "stream": stream,
-            "frames": Value::Array(frames_json),
-        }))
+        self.send(&object([
+            ("cmd", Value::from("frames")),
+            ("stream", Value::from(stream)),
+            ("frames", Value::Array(frames_json)),
+        ]))
     }
 
     /// Submits shot-major 64-shot word blocks on a stream (fire-and-forget;
@@ -816,17 +919,20 @@ impl NetClient {
         let blocks_json: Vec<Value> = blocks
             .iter()
             .map(|(planes, count)| {
-                serde_json::json!({
-                    "count": *count as u64,
-                    "planes": Value::Array(planes.iter().map(|&w| Value::from(w)).collect()),
-                })
+                object([
+                    ("count", Value::from(*count)),
+                    (
+                        "planes",
+                        Value::Array(planes.iter().map(|&w| Value::from(w)).collect()),
+                    ),
+                ])
             })
             .collect();
-        self.send(&serde_json::json!({
-            "cmd": "frames_packed",
-            "stream": stream,
-            "blocks": Value::Array(blocks_json),
-        }))
+        self.send(&object([
+            ("cmd", Value::from("frames_packed")),
+            ("stream", Value::from(stream)),
+            ("blocks", Value::Array(blocks_json)),
+        ]))
     }
 
     /// Closes a stream (already-submitted frames still decode).
@@ -899,6 +1005,17 @@ impl Drop for NetClient {
             let _ = reader.join();
         }
     }
+}
+
+/// A JSON object that takes ownership of its fields — unlike `json!`,
+/// which deep-clones every `Value` argument — for the per-burst requests.
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
+    )
 }
 
 fn expect_ok(response: &Value) -> Result<(), String> {

@@ -12,6 +12,7 @@
 //! paths (open, close, metrics, shutdown) — never nested inside a stream
 //! or shard lock.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -292,17 +293,18 @@ struct DecodeJob {
 }
 
 /// A contiguous run of corrections of one stream (`seq` =
-/// `first_seq + index`). Corrections travel the delivery channel in runs —
-/// one send per run instead of one per frame — and the
-/// [`StreamReceiver`] flattens them back into single [`Correction`]s.
+/// `first_seq + index`). Corrections travel the delivery channel — and the
+/// wire — in runs, one send or line per run instead of one per frame, and
+/// a [`RunCursor`] flattens them back into single [`Correction`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct CorrectionRun {
-    first_seq: u64,
-    flips: Vec<u64>,
+pub(crate) struct CorrectionRun {
+    pub(crate) first_seq: u64,
+    /// Never empty.
+    pub(crate) flips: Vec<u64>,
 }
 
 impl CorrectionRun {
-    fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.flips.len() as u64
     }
 }
@@ -891,7 +893,7 @@ impl DecodeService {
             receiver: StreamReceiver {
                 id,
                 rx,
-                current: None,
+                cursor: RunCursor::default(),
             },
         })
     }
@@ -1308,27 +1310,27 @@ impl StreamSender {
     }
 }
 
-/// The receiving half of a stream: corrections arrive in submission order.
-///
-/// Corrections travel the delivery channel as contiguous runs (one channel
-/// send per decoded run, not per frame); the receiver flattens them back
-/// into single [`Correction`]s, so the API stays frame-granular.
-#[derive(Debug)]
-pub struct StreamReceiver {
-    id: u64,
-    rx: mpsc::Receiver<CorrectionRun>,
+/// Flattens a stream's correction runs back into single [`Correction`]s:
+/// the one routine behind both receivers, so their APIs stay
+/// frame-granular while corrections travel as runs (one channel send per
+/// decoded run, not per frame).
+#[derive(Debug, Default)]
+struct RunCursor {
     /// The run currently being flattened and the next index within it.
     current: Option<(CorrectionRun, usize)>,
 }
 
-impl StreamReceiver {
-    /// The stream id (diagnostics).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    fn next_buffered(&mut self) -> Option<Correction> {
-        let (run, index) = self.current.as_mut()?;
+impl RunCursor {
+    /// The next correction of the run being flattened, else the first of
+    /// the run `next_run` yields.
+    fn next<E>(
+        &mut self,
+        next_run: impl FnOnce() -> Result<CorrectionRun, E>,
+    ) -> Result<Correction, E> {
+        let (run, index) = match &mut self.current {
+            Some(current) => current,
+            empty => empty.insert((next_run()?, 0)),
+        };
         let correction = Correction {
             seq: run.first_seq + *index as u64,
             flips: run.flips[*index],
@@ -1337,41 +1339,101 @@ impl StreamReceiver {
         if *index == run.flips.len() {
             self.current = None;
         }
-        Some(correction)
+        Ok(correction)
+    }
+}
+
+/// Ordered corrections of one stream behind `&self`, received the way
+/// [`mpsc::Receiver`] receives — the TCP client's
+/// [`NetStream`](crate::net::NetStream) hands one to each stream's
+/// collector.
+#[derive(Debug)]
+pub struct CorrectionReceiver {
+    rx: mpsc::Receiver<CorrectionRun>,
+    cursor: RefCell<RunCursor>,
+}
+
+impl CorrectionReceiver {
+    pub(crate) fn new(rx: mpsc::Receiver<CorrectionRun>) -> Self {
+        CorrectionReceiver {
+            rx,
+            cursor: RefCell::default(),
+        }
     }
 
-    fn buffer(&mut self, run: CorrectionRun) -> Correction {
-        debug_assert!(!run.flips.is_empty(), "runs are never empty");
-        self.current = Some((run, 0));
-        self.next_buffered().expect("freshly buffered run")
+    /// Blocks for the next in-order correction.
+    ///
+    /// # Errors
+    ///
+    /// [`mpsc::RecvError`] once the stream is closed and fully drained.
+    pub fn recv(&self) -> Result<Correction, mpsc::RecvError> {
+        self.cursor.borrow_mut().next(|| self.rx.recv())
+    }
+
+    /// Non-blocking receive.
+    ///
+    /// # Errors
+    ///
+    /// [`mpsc::TryRecvError::Empty`] when nothing is ready,
+    /// [`mpsc::TryRecvError::Disconnected`] at end-of-stream.
+    pub fn try_recv(&self) -> Result<Correction, mpsc::TryRecvError> {
+        self.cursor.borrow_mut().next(|| self.rx.try_recv())
+    }
+
+    /// Receive with a timeout.
+    ///
+    /// # Errors
+    ///
+    /// [`mpsc::RecvTimeoutError::Timeout`] when nothing arrived in time,
+    /// [`mpsc::RecvTimeoutError::Disconnected`] at end-of-stream.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Correction, mpsc::RecvTimeoutError> {
+        self.cursor
+            .borrow_mut()
+            .next(|| self.rx.recv_timeout(timeout))
+    }
+}
+
+/// The receiving half of a stream: corrections arrive in submission order.
+#[derive(Debug)]
+pub struct StreamReceiver {
+    id: u64,
+    rx: mpsc::Receiver<CorrectionRun>,
+    cursor: RunCursor,
+}
+
+impl StreamReceiver {
+    /// The stream id (diagnostics).
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Blocks for the next whole run, unflattened — for a consumer that
+    /// forwards runs as they are (the TCP correction pump). Not to be mixed
+    /// with the per-correction receives on one receiver. `None` once the
+    /// stream is closed and fully drained.
+    pub(crate) fn recv_run(&self) -> Option<CorrectionRun> {
+        self.rx.recv().ok()
+    }
+
+    /// Non-blocking [`StreamReceiver::recv_run`].
+    pub(crate) fn try_recv_run(&self) -> Option<CorrectionRun> {
+        self.rx.try_recv().ok()
     }
 
     /// Blocks for the next in-order correction; `None` once the stream is
     /// closed and fully drained.
     pub fn recv(&mut self) -> Option<Correction> {
-        if let Some(correction) = self.next_buffered() {
-            return Some(correction);
-        }
-        self.rx.recv().ok().map(|run| self.buffer(run))
+        self.cursor.next(|| self.rx.recv()).ok()
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&mut self) -> Option<Correction> {
-        if let Some(correction) = self.next_buffered() {
-            return Some(correction);
-        }
-        self.rx.try_recv().ok().map(|run| self.buffer(run))
+        self.cursor.next(|| self.rx.try_recv()).ok()
     }
 
     /// Receive with a timeout (`None` on timeout or end-of-stream).
     pub fn recv_timeout(&mut self, timeout: Duration) -> Option<Correction> {
-        if let Some(correction) = self.next_buffered() {
-            return Some(correction);
-        }
-        self.rx
-            .recv_timeout(timeout)
-            .ok()
-            .map(|run| self.buffer(run))
+        self.cursor.next(|| self.rx.recv_timeout(timeout)).ok()
     }
 }
 

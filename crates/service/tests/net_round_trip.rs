@@ -20,6 +20,7 @@ fn tcp_round_trip_with_loadgen_and_shutdown() {
     )
     .expect("bind ephemeral port");
     let addr = server.local_addr().expect("bound address").to_string();
+    let service = std::sync::Arc::clone(server.service());
     let running = std::thread::spawn(move || server.run());
 
     let options = LoadgenOptions {
@@ -50,6 +51,12 @@ fn tcp_round_trip_with_loadgen_and_shutdown() {
         .join()
         .expect("server thread")
         .expect("server exits cleanly after shutdown command");
+    // Every pump has been joined: each correction went out exactly once,
+    // inside run lines of more than one shot on average.
+    let snapshot = service.telemetry_snapshot();
+    let lines = snapshot.counter("service.net.correction_lines");
+    assert_eq!(snapshot.counter("service.net.corrections_sent"), 1024);
+    assert!(0 < lines && lines < 1024, "{lines} run lines");
 }
 
 /// The saturation-harness shape: several TCP connections, each with its own
@@ -281,56 +288,153 @@ fn protocol_errors_are_reported_not_fatal() {
     running.join().expect("server thread").expect("clean exit");
 }
 
-/// A peer that puts garbage into `flips` must not take the reader down or
-/// alias an observable: each bad line is refused whole and surfaced as a
-/// protocol error, and the next well-formed correction still arrives.
-#[test]
-fn malformed_flips_are_protocol_errors_not_reader_panics() {
+/// A fake server for the client's reader: answers one `open` per entry of
+/// `streams` with that `(id, observables)`, waits for one submission (so
+/// the client has registered every route), then sends `lines` and holds
+/// the socket open until the client hangs up.
+fn fake_server(
+    streams: &'static [(u64, u64)],
+    lines: Vec<String>,
+) -> (String, std::thread::JoinHandle<()>) {
     use std::io::{BufRead, BufReader, Write};
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("bound address").to_string();
-    // A fake server: answers `open`, waits for the first submission (so the
-    // client has registered the stream's route), then sends three
-    // corrections with a bad `flips` entry and one good one.
     let fake = std::thread::spawn(move || {
-        let (socket, _) = listener.accept().expect("client connects");
-        let mut lines = BufReader::new(socket.try_clone().expect("clone socket")).lines();
-        let mut socket = socket;
-        lines.next().expect("open command").expect("readable");
-        writeln!(
-            socket,
-            r#"{{"ok":true,"stream":7,"detectors":4,"observables":1}}"#
-        )
-        .expect("open response");
-        lines.next().expect("frames command").expect("readable");
-        for flips in ["[64]", "[1e3]", r#"["x"]"#, "[0]"] {
-            writeln!(socket, r#"{{"stream":7,"seq":0,"flips":{flips}}}"#).expect("correction");
+        let (mut socket, _) = listener.accept().expect("client connects");
+        let mut requests = BufReader::new(socket.try_clone().expect("clone socket")).lines();
+        for (id, observables) in streams {
+            requests.next().expect("open command").expect("readable");
+            writeln!(
+                socket,
+                r#"{{"ok":true,"stream":{id},"detectors":4,"observables":{observables}}}"#
+            )
+            .expect("open response");
         }
-        // Hold the socket open until the client hangs up.
-        while lines.next().is_some() {}
+        requests.next().expect("frames command").expect("readable");
+        for line in lines {
+            writeln!(socket, "{line}").expect("run line");
+        }
+        while requests.next().is_some() {}
     });
+    (addr, fake)
+}
 
-    let mut client = NetClient::connect(&addr).expect("connect");
-    let stream = client
-        .open_stream("grid", 2, "standard", 5.0, 2, DecoderKind::UnionFind)
-        .expect("fake open");
-    assert_eq!(stream.id, 7);
+/// Opens every stream of a [`fake_server`] and submits one frame.
+fn open_fake_streams(
+    addr: &str,
+    fake: &[(u64, u64)],
+) -> (NetClient, Vec<qccd_service::net::NetStream>) {
+    let mut client = NetClient::connect(addr).expect("connect");
+    let streams: Vec<_> = fake
+        .iter()
+        .map(|&(id, observables)| {
+            let stream = client
+                .open_stream("grid", 2, "standard", 5.0, 2, DecoderKind::UnionFind)
+                .expect("fake open");
+            assert_eq!(
+                (stream.id, stream.num_observables as u64),
+                (id, observables)
+            );
+            stream
+        })
+        .collect();
     client
-        .submit_frames(stream.id, &[vec![]])
+        .submit_frames(fake[0].0, &[vec![]])
         .expect("submission reaches the fake server");
-    let correction = stream
-        .corrections
-        .recv_timeout(Duration::from_secs(30))
-        .expect("the reader survives the bad lines and delivers the good one");
-    assert_eq!((correction.seq, correction.flips), (0, 0b1));
+    (client, streams)
+}
+
+/// A peer that sends a malformed run line must not take the reader down,
+/// alias an observable or reach another stream: each bad line is refused
+/// whole and surfaced as one protocol error, and the next well-formed run
+/// still arrives.
+#[test]
+fn malformed_run_lines_are_protocol_errors_not_reader_panics() {
+    let bad = [
+        // `count` 0, and a `count` past the line cap on a stream whose
+        // empty `planes` would otherwise fit any count.
+        r#"{"stream":7,"seq":0,"count":0,"planes":[]}"#,
+        r#"{"stream":5,"seq":0,"count":4294967296,"planes":[]}"#,
+        // Two observables need two words for one shot.
+        r#"{"stream":7,"seq":0,"count":1,"planes":[1]}"#,
+        r#"{"stream":7,"seq":0,"count":65,"planes":[0,0]}"#,
+        // A bit past `count`, in either observable's last word.
+        r#"{"stream":7,"seq":0,"count":2,"planes":[4,0]}"#,
+        r#"{"stream":7,"seq":0,"count":65,"planes":[0,0,0,2]}"#,
+        // `seq + count` overflows u64.
+        r#"{"stream":7,"seq":18446744073709551615,"count":1,"planes":[0,0]}"#,
+        // Non-integer words.
+        r#"{"stream":7,"seq":0,"count":1,"planes":[1e3,0]}"#,
+        r#"{"stream":7,"seq":0,"count":1,"planes":[0,-1]}"#,
+        r#"{"stream":7,"seq":0,"count":1,"planes":["x",0]}"#,
+        // An unknown stream, and no stream at all.
+        r#"{"stream":8,"seq":0,"count":1,"planes":[1,0]}"#,
+        r#"{"seq":0,"count":1,"planes":[1,0]}"#,
+    ];
+    let good = r#"{"stream":7,"seq":0,"count":3,"planes":[5,2]}"#;
+    let lines = bad.iter().chain([&good]).map(|l| l.to_string()).collect();
+    const STREAMS: &[(u64, u64)] = &[(7, 2), (9, 2), (5, 0)];
+    let (addr, fake) = fake_server(STREAMS, lines);
+    let (client, streams) = open_fake_streams(&addr, STREAMS);
+
+    for (seq, flips) in [(0, 0b01), (1, 0b10), (2, 0b01)] {
+        let correction = streams[0]
+            .corrections
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the reader survives the bad lines and delivers the good one");
+        assert_eq!((correction.seq, correction.flips), (seq, flips));
+    }
     let errors = client.take_protocol_errors();
-    assert_eq!(errors.len(), 3, "{errors:?}");
-    assert!(errors.iter().all(|e| e.contains("`flips`")), "{errors:?}");
-    assert!(
-        stream.corrections.try_recv().is_err(),
-        "refused lines deliver nothing"
-    );
+    assert_eq!(errors.len(), bad.len(), "{errors:?}");
+    for stream in &streams {
+        assert!(
+            stream.corrections.try_recv().is_err(),
+            "refused lines deliver nothing, to any stream"
+        );
+    }
+    drop(client);
+    fake.join().expect("fake server thread");
+}
+
+/// Run lines of 1, 64, 65 and 130 shots from a non-zero `seq`, two
+/// observables: every shot flattens to its own `Correction`, in order.
+#[test]
+fn run_lines_flatten_into_ordered_corrections() {
+    // Shot `seq` flips a pattern of both observables that changes within
+    // every word.
+    let flips = |seq: u64| (seq * 7 + seq / 3) % 4;
+    let mut lines = Vec::new();
+    let mut seq = 1000u64;
+    for count in [1u64, 64, 65, 130] {
+        let words = count.div_ceil(64) as usize;
+        let mut planes = vec![0u64; 2 * words];
+        for shot in 0..count {
+            for observable in 0..2 {
+                if (flips(seq + shot) >> observable) & 1 == 1 {
+                    planes[observable * words + (shot / 64) as usize] |= 1 << (shot % 64);
+                }
+            }
+        }
+        let planes: Vec<String> = planes.iter().map(u64::to_string).collect();
+        lines.push(format!(
+            r#"{{"stream":3,"seq":{seq},"count":{count},"planes":[{}]}}"#,
+            planes.join(",")
+        ));
+        seq += count;
+    }
+    let (addr, fake) = fake_server(&[(3, 2)], lines);
+    let (client, streams) = open_fake_streams(&addr, &[(3, 2)]);
+
+    for seq in 1000..seq {
+        let correction = streams[0]
+            .corrections
+            .recv_timeout(Duration::from_secs(30))
+            .expect("every shot of every run");
+        assert_eq!((correction.seq, correction.flips), (seq, flips(seq)));
+    }
+    assert!(streams[0].corrections.try_recv().is_err());
+    assert!(client.take_protocol_errors().is_empty());
     drop(client);
     fake.join().expect("fake server thread");
 }
