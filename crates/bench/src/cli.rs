@@ -36,14 +36,14 @@ use qccd_service::{
 };
 use qccd_sweeprun::{
     render_progress_line, render_worker_lines, run_job, CoordinatorConfig, PointJob, PointStore,
-    SchedulerConfig, StoreState,
+    StoreState,
 };
 use qccd_telemetry::{
     cursor_home, render_dashboard, snapshot_from_json, RegistrySnapshot, TelemetryConfig, TraceSink,
 };
 
 use crate::artifact::{validate_artifact_json, Artifact};
-use crate::distributed::{merge_artifact, spec_point_job};
+use crate::point_job::{merge_artifact, spec_point_job};
 use crate::registry::{run_spec, ExperimentRegistry};
 use crate::spec::{ExperimentKind, ExperimentSpec};
 
@@ -114,8 +114,6 @@ sweep run/resume options:
   <name> | --spec <file.json>   the LER-sweep spec to run (exactly one)
   --store <dir>            point-store base (default: target/experiments/sweep)
   --local-workers <n>      evaluation threads (default: 1)
-  --max-attempts <n>       evaluation attempts per point (default: 3)
-  --backoff-ms <ms>        first retry delay, doubling per retry (default: 250)
   --progress-interval-ms <ms>   progress line / status.json period
                            (default: 2000)
   --quiet                  suppress the live progress line on stderr
@@ -501,8 +499,6 @@ pub struct SweepRunOptions {
     pub store: PathBuf,
     /// Evaluation threads.
     pub local_workers: usize,
-    /// Retry tuning.
-    pub scheduler: SchedulerConfig,
     /// Progress line / `status.json` period.
     pub progress_interval: Duration,
     /// Suppress the live progress line on stderr.
@@ -522,7 +518,6 @@ impl Default for SweepRunOptions {
             spec_file: None,
             store: PathBuf::from("target/experiments/sweep"),
             local_workers: 1,
-            scheduler: SchedulerConfig::default(),
             progress_interval: Duration::from_millis(2000),
             quiet: false,
             telemetry: TelemetryConfig::default(),
@@ -537,7 +532,7 @@ impl Default for SweepRunOptions {
 /// # Errors
 ///
 /// Returns a usage message on unknown flags, missing values, an empty or
-/// ambiguous spec selection, no evaluation threads or no attempts.
+/// ambiguous spec selection or no evaluation threads.
 pub fn parse_sweep_run_options(args: &[String]) -> Result<SweepRunOptions, String> {
     let mut options = SweepRunOptions::default();
     let mut iter = args.iter();
@@ -552,11 +547,6 @@ pub fn parse_sweep_run_options(args: &[String]) -> Result<SweepRunOptions, Strin
                 options.store = PathBuf::from(value);
             }
             "--local-workers" => options.local_workers = parse_number(arg, iter.next())?,
-            "--max-attempts" => options.scheduler.max_attempts = parse_number(arg, iter.next())?,
-            "--backoff-ms" => {
-                options.scheduler.backoff_base =
-                    Duration::from_millis(parse_number(arg, iter.next())?);
-            }
             "--progress-interval-ms" => {
                 options.progress_interval = Duration::from_millis(parse_number(arg, iter.next())?);
             }
@@ -591,9 +581,6 @@ pub fn parse_sweep_run_options(args: &[String]) -> Result<SweepRunOptions, Strin
     }
     if options.local_workers == 0 {
         return Err("--local-workers must be at least 1".into());
-    }
-    if options.scheduler.max_attempts == 0 {
-        return Err("--max-attempts must be at least 1".into());
     }
     Ok(options)
 }
@@ -724,7 +711,6 @@ fn sweep_run_command(
         &store,
         CoordinatorConfig {
             local_workers: options.local_workers,
-            scheduler: options.scheduler,
             progress_interval: options.progress_interval,
             quiet: options.quiet,
             telemetry: options.telemetry,
@@ -1471,10 +1457,6 @@ mod tests {
             "mystore",
             "--local-workers",
             "3",
-            "--max-attempts",
-            "5",
-            "--backoff-ms",
-            "10",
             "--progress-interval-ms",
             "100",
             "--quiet",
@@ -1487,14 +1469,12 @@ mod tests {
         assert_eq!(options.name.as_deref(), Some("fig07"));
         assert_eq!(options.store, PathBuf::from("mystore"));
         assert_eq!(options.local_workers, 3);
-        assert_eq!(options.scheduler.max_attempts, 5);
-        assert_eq!(options.scheduler.backoff_base, Duration::from_millis(10));
         assert_eq!(options.progress_interval, Duration::from_millis(100));
         assert!(options.quiet);
         assert_eq!(options.format, OutputFormat::Json);
         assert_eq!(options.out, Some(PathBuf::from("out")));
 
-        // Exactly one spec, at least one worker, and a sane attempt budget.
+        // Exactly one spec and at least one worker.
         assert!(parse_sweep_run_options(&strings(&[])).is_err());
         assert!(parse_sweep_run_options(&strings(&["a", "b"])).is_err());
         assert!(parse_sweep_run_options(&strings(&["a", "--spec", "b.json"])).is_err());
@@ -1502,12 +1482,16 @@ mod tests {
             parse_sweep_run_options(&strings(&["a", "--local-workers", "0"])).unwrap_err(),
             "--local-workers must be at least 1"
         );
-        assert!(parse_sweep_run_options(&strings(&["a", "--max-attempts", "0"])).is_err());
         assert!(parse_sweep_run_options(&strings(&["a", "--bogus"])).is_err());
 
-        // `--listen`, `--lease-timeout-ms` and `worker` are refused through
-        // the unknown-flag and missing-action paths.
-        for flag in ["--listen", "--lease-timeout-ms"] {
+        // `--listen`, `--lease-timeout-ms`, the retry knobs and `worker` are
+        // refused through the unknown-flag and missing-action paths.
+        for flag in [
+            "--listen",
+            "--lease-timeout-ms",
+            "--max-attempts",
+            "--backoff-ms",
+        ] {
             assert_eq!(
                 parse_sweep_run_options(&strings(&["a", flag, "500"])).unwrap_err(),
                 format!("unknown sweep flag `{flag}`")

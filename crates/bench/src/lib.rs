@@ -20,7 +20,7 @@
 //! behind `artifacts sweep run`, which keeps the per-point outcomes of the
 //! only artefacts that can get expensive (LER and rare-event grids with
 //! user-sized shot counts) and re-merges a finished store in milliseconds
-//! (see [`distributed`]).
+//! (see [`point_job`]).
 //!
 //! Tables, timing-series keys and the table2/table3/ext_* JSON payloads keep
 //! the shape the retired per-figure binaries printed; the LER artefacts use
@@ -35,7 +35,7 @@
 
 pub mod artifact;
 pub mod cli;
-pub mod distributed;
+pub mod point_job;
 pub mod registry;
 pub mod spec;
 pub mod sweep;
@@ -44,7 +44,7 @@ use qccd_core::ArchitectureConfig;
 use qccd_hardware::{TopologyKind, WiringMethod};
 
 pub use artifact::{validate_artifact_json, Artifact, ArtifactMetadata};
-pub use distributed::{merge_artifact, spec_point_job, SpecPointJob};
+pub use point_job::{merge_artifact, spec_point_job, SpecPointJob};
 pub use registry::{artifact_from_outcomes, point_grid, run_spec, ExperimentRegistry, RunError};
 pub use spec::{
     ArchPoint, CodeSpec, CompileCase, ExperimentKind, ExperimentSpec, LerOutput, LerSweepSpec,

@@ -1,6 +1,6 @@
 //! Experiment-spec glue for the resumable sweep runner.
 //!
-//! qccd-sweeprun is domain-agnostic: it schedules, persists and resumes any
+//! qccd-sweeprun is domain-agnostic: it runs, persists and resumes any
 //! [`PointJob`]. This module supplies the experiment-spec flavour of that
 //! job — the grid is the spec's [`point_grid`], point seeds
 //! come from the same [`SweepEngine`] a single-process `artifacts run`
@@ -94,8 +94,9 @@ impl PointJob for SpecPointJob {
             ));
         }
         // Compile failures round-trip inside the payload (they render as
-        // table cells); an Err here is reserved for infrastructure faults
-        // the scheduler should retry.
+        // table cells); an Err here means the point cannot be evaluated at
+        // all (an index or seed that is not this spec's), which the runner
+        // records under `failed/`.
         Ok(outcome_to_json(&evaluate_ler_point(point, seed)))
     }
 }
@@ -332,10 +333,8 @@ mod tests {
         let spec = tiny_rare_event_spec();
         let reference = crate::run_spec(&spec).unwrap();
 
-        let base = std::env::temp_dir().join(format!(
-            "qccd-distributed-rare-event-{}",
-            std::process::id()
-        ));
+        let base =
+            std::env::temp_dir().join(format!("qccd-point-job-rare-event-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
         std::fs::create_dir_all(&base).unwrap();
 
@@ -474,12 +473,12 @@ mod tests {
     }
 
     #[test]
-    fn distributed_merge_is_bit_identical_to_run_spec() {
+    fn store_merge_is_bit_identical_to_run_spec() {
         let spec = tiny_spec();
         let reference = crate::run_spec(&spec).unwrap();
 
         let base =
-            std::env::temp_dir().join(format!("qccd-distributed-merge-{}", std::process::id()));
+            std::env::temp_dir().join(format!("qccd-point-job-merge-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
         std::fs::create_dir_all(&base).unwrap();
 

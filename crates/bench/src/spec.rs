@@ -22,7 +22,7 @@
 //! [`ExperimentSpec::content_hash`] is an FNV-1a hash of the canonical
 //! compact JSON encoding, so any semantic change to a spec changes its hash
 //! while formatting cannot. A sweep's point store
-//! ([`crate::distributed`]) is keyed by this hash.
+//! ([`crate::point_job`]) is keyed by this hash.
 
 use qccd_core::ArchitectureConfig;
 use qccd_decoder::{DecoderKind, EstimatorConfig, MemoConfig};

@@ -99,8 +99,8 @@ pub struct LerOutcome {
 /// decode).
 ///
 /// This is the single evaluation body shared by every execution tier —
-/// [`run_ler_sweep`]'s in-process sharding, and the sweeprun store/worker
-/// paths in [`crate::distributed`] — so the outcome is a pure function of
+/// [`run_ler_sweep`]'s in-process sharding, and the sweeprun point store
+/// through [`crate::point_job`] — so the outcome is a pure function of
 /// `(point, seed)` no matter which tier computed it. A point that does not
 /// compile carries the error of that `d`-round compile.
 pub fn evaluate_ler_point(point: &LerPoint, seed: u64) -> LerOutcome {

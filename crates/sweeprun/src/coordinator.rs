@@ -1,37 +1,46 @@
-//! The run driver: takes one job to completion over the point store with
-//! local worker threads.
-//!
-//! A run owns the [`Scheduler`] and the [`PointStore`]; each worker thread
-//! leases a point, evaluates it and reports back until nothing is left.
+//! The run driver: worker threads claim the store's missing points in
+//! ascending grid order from one shared cursor, evaluate and persist them,
+//! and report each outcome to the thread running [`run_job`], which alone
+//! keeps the [`Progress`] and rewrites `status.json`.
 //!
 //! Completion ordering is persist-then-acknowledge: a point's file is
-//! written (atomically) *before* the scheduler marks it done, so a crash in
-//! between merely leaves the point pending — it is recomputed, never lost
-//! half-recorded.
+//! written (atomically) *before* its worker reports it done, so a crash in
+//! between merely leaves the point missing — it is recomputed, never lost
+//! half-recorded. A failed attempt (an `Err` or a panic) is retried by the
+//! same worker, 3 attempts in all, then recorded in `failed/`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use qccd_telemetry::{snapshot_to_json, Counter, Registry, Stage, TelemetryConfig};
 use serde_json::Value;
 
 use crate::job::{JobDescriptor, PointJob};
-use crate::scheduler::{FailReply, LeaseReply, Progress, Scheduler, SchedulerConfig};
 use crate::store::PointStore;
+
+/// Evaluation attempts per point before it is recorded as failed.
+const MAX_ATTEMPTS: u32 = 3;
+
+/// Delay before the first retry of a point; doubles per further retry.
+const BACKOFF_BASE: Duration = Duration::from_millis(250);
+
+/// Time constant of the per-worker completion-rate EWMA: contributions
+/// decay with `exp(-age / 30 s)`, so the estimate tracks the last
+/// half-minute of work instead of the whole run.
+const EWMA_TAU_SECS: f64 = 30.0;
 
 /// Configuration for one run.
 pub struct CoordinatorConfig {
     /// Evaluation threads.
     pub local_workers: usize,
-    /// Retry tuning.
-    pub scheduler: SchedulerConfig,
     /// How often to reprint progress and rewrite `status.json`.
     pub progress_interval: Duration,
     /// Suppress the live progress line on stderr.
     pub quiet: bool,
-    /// Telemetry registry configuration for this run (stage timings, point
-    /// counters; exposed through `status.json`).
+    /// Telemetry for this run (stage timings, point counters; `status.json`).
     pub telemetry: TelemetryConfig,
 }
 
@@ -39,7 +48,6 @@ impl Default for CoordinatorConfig {
     fn default() -> Self {
         CoordinatorConfig {
             local_workers: 1,
-            scheduler: SchedulerConfig::default(),
             progress_interval: Duration::from_secs(2),
             quiet: true,
             telemetry: TelemetryConfig::default(),
@@ -60,6 +68,104 @@ pub struct RunSummary {
     pub elapsed: Duration,
 }
 
+/// Monotonic event counters surfaced in `artifacts sweep status`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunCounters {
+    /// Always 0: nothing requeues a point any more. Kept only because the
+    /// frozen benchmark package reads it — delete with the next benchmark
+    /// PR.
+    #[doc(hidden)]
+    pub requeues: u64,
+    /// Failed evaluation attempts that were retried.
+    pub retries: u64,
+}
+
+/// Live statistics of one worker thread.
+#[derive(Debug, Clone, Copy)]
+struct WorkerStats {
+    completed: u64,
+    /// Time-decayed completions/sec estimate (see [`EWMA_TAU_SECS`]).
+    ewma_points_per_sec: f64,
+    /// Previous completion instant (rate-sample baseline).
+    last_complete: Option<Instant>,
+    /// Start of the run, or the worker's last reported outcome.
+    last_seen: Instant,
+}
+
+impl WorkerStats {
+    fn new(now: Instant) -> Self {
+        WorkerStats {
+            completed: 0,
+            ewma_points_per_sec: 0.0,
+            last_complete: None,
+            last_seen: now,
+        }
+    }
+
+    /// Folds one completion at `now` into the EWMA: the instantaneous rate
+    /// `1/dt` since the previous completion, blended with a weight of
+    /// `1 − exp(−dt/τ)` so irregular sample spacing decays correctly.
+    fn note_complete(&mut self, now: Instant) {
+        self.completed += 1;
+        if let Some(last) = self.last_complete {
+            let dt = now.saturating_duration_since(last).as_secs_f64().max(1e-9);
+            let inst = 1.0 / dt;
+            let alpha = 1.0 - (-dt / EWMA_TAU_SECS).exp();
+            self.ewma_points_per_sec += alpha * (inst - self.ewma_points_per_sec);
+        }
+        self.last_complete = Some(now);
+    }
+}
+
+/// Aggregate progress of a run.
+#[derive(Debug, Clone, Default)]
+pub struct Progress {
+    /// Finished points (includes those already on disk before this run).
+    pub done: usize,
+    /// Points a worker is evaluating.
+    pub leased: usize,
+    /// Points no worker has claimed yet.
+    pub pending: usize,
+    /// Terminally failed points.
+    pub failed: usize,
+    /// Event counters.
+    pub counters: RunCounters,
+    /// One row per worker thread, in id order.
+    workers: Vec<WorkerStats>,
+}
+
+impl Progress {
+    /// Grid size this progress describes.
+    pub fn total(&self) -> usize {
+        self.done + self.leased + self.pending + self.failed
+    }
+
+    /// Folds one worker report into the tallies; `leased` and `pending`
+    /// are set from the claim cursor by the caller.
+    fn record(&mut self, (worker, outcome, at): Event) {
+        let stats = &mut self.workers[worker];
+        stats.last_seen = at;
+        match outcome {
+            Outcome::Done => {
+                stats.note_complete(at);
+                self.done += 1;
+            }
+            Outcome::Retried => self.counters.retries += 1,
+            Outcome::Failed => self.failed += 1,
+        }
+    }
+}
+
+/// What became of one attempt at a point.
+enum Outcome {
+    Done,
+    Retried,
+    Failed,
+}
+
+/// One worker report: worker id, outcome, and when it happened.
+type Event = (usize, Outcome, Instant);
+
 /// Renders the canonical status snapshot — the shape written to
 /// `status.json` and printed by `artifacts sweep status`.
 pub fn snapshot_json(
@@ -68,34 +174,27 @@ pub fn snapshot_json(
     computed: usize,
     elapsed_secs: f64,
 ) -> Value {
-    let rate = if elapsed_secs > 0.0 {
-        computed as f64 / elapsed_secs
-    } else {
-        0.0
-    };
-    let outstanding = progress.pending + progress.leased;
+    let per_sec = |count: u64| count as f64 / elapsed_secs.max(1e-9);
+    let rate = per_sec(computed as u64);
     let eta_secs = if rate > 0.0 {
-        outstanding as f64 / rate
+        (progress.pending + progress.leased) as f64 / rate
     } else {
         0.0
     };
+    let now = Instant::now();
     let workers: Vec<Value> = progress
         .workers
         .iter()
-        .map(|view| {
-            let worker_rate = if elapsed_secs > 0.0 {
-                view.completed as f64 / elapsed_secs
-            } else {
-                0.0
-            };
+        .enumerate()
+        .map(|(id, stats)| {
             serde_json::json!({
-                "id": view.worker,
-                "completed": view.completed,
-                "points_per_sec": worker_rate,
-                "ewma_points_per_sec": view.ewma_points_per_sec,
-                // Seconds since the worker last leased, completed or failed
-                // a point; the key's name predates the local-only runner.
-                "since_heartbeat_secs": view.since_last_seen_secs,
+                "id": id as u64,
+                "completed": stats.completed,
+                "points_per_sec": per_sec(stats.completed),
+                "ewma_points_per_sec": stats.ewma_points_per_sec,
+                // Seconds since the worker last reported an outcome; the
+                // key's name predates the local-only runner.
+                "since_heartbeat_secs": now.saturating_duration_since(stats.last_seen).as_secs_f64(),
             })
         })
         .collect();
@@ -119,18 +218,7 @@ pub fn snapshot_json(
 /// One-line human rendering of a snapshot, for the live progress display.
 pub fn render_progress_line(snapshot: &Value) -> String {
     let get = |key: &str| snapshot.get(key).and_then(Value::as_u64).unwrap_or(0);
-    let rate = snapshot
-        .get("points_per_sec")
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0);
-    let eta = snapshot
-        .get("eta_secs")
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0);
-    let uptime = snapshot
-        .get("uptime_secs")
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0);
+    let float = |key: &str| snapshot.get(key).and_then(Value::as_f64).unwrap_or(0.0);
     format!(
         "sweep: {}/{} done, {} leased, {} pending, {} failed | {:.2} pts/s, ETA {:.0}s, up {:.0}s | retries {}",
         get("done"),
@@ -138,9 +226,9 @@ pub fn render_progress_line(snapshot: &Value) -> String {
         get("leased"),
         get("pending"),
         get("failed"),
-        rate,
-        eta,
-        uptime,
+        float("points_per_sec"),
+        float("eta_secs"),
+        float("uptime_secs"),
         get("retries"),
     )
 }
@@ -156,13 +244,10 @@ pub fn render_worker_lines(snapshot: &Value) -> Vec<String> {
         .iter()
         .map(|worker| {
             let read_u64 = |key: &str| worker.get(key).and_then(Value::as_u64).unwrap_or(0);
-            let id = read_u64("id");
-            let completed = read_u64("completed");
-            let ewma = worker
-                .get("ewma_points_per_sec")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0);
-            match worker.get("since_heartbeat_secs").and_then(Value::as_f64) {
+            let (id, completed) = (read_u64("id"), read_u64("completed"));
+            let read_f64 = |key: &str| worker.get(key).and_then(Value::as_f64);
+            let ewma = read_f64("ewma_points_per_sec").unwrap_or(0.0);
+            match read_f64("since_heartbeat_secs") {
                 Some(age) => format!(
                     "  worker {id}: {completed} done, {ewma:.2} pts/s (ewma), \
                      last seen {age:.1}s ago"
@@ -177,133 +262,60 @@ pub fn render_worker_lines(snapshot: &Value) -> Vec<String> {
 struct RunContext<'a> {
     job: &'a dyn PointJob,
     store: &'a PointStore,
-    scheduler: Mutex<Scheduler>,
-    /// Notified (with `scheduler`) whenever a point becomes terminal, so
-    /// [`run_job`] learns of the last one without waiting out its poll.
-    terminal: Condvar,
-    shutdown: AtomicBool,
-    /// Unified telemetry for this run: stage timings plus point counters,
-    /// exposed through `status.json`.
-    telemetry: Registry,
-    stage_lease: Stage,
+    /// The store's missing indices, ascending.
+    missing: Vec<usize>,
+    /// Next slot of `missing` to claim; at or past its end, nothing is left.
+    cursor: AtomicUsize,
     stage_eval: Stage,
     stage_persist: Stage,
     points_completed: Counter,
     eval_failures: Counter,
 }
 
-impl<'a> RunContext<'a> {
-    fn new(
-        job: &'a dyn PointJob,
-        store: &'a PointStore,
-        scheduler: Scheduler,
-        telemetry: Registry,
-    ) -> Self {
-        RunContext {
-            job,
-            store,
-            scheduler: Mutex::new(scheduler),
-            terminal: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            stage_lease: telemetry.stage("sweep.stage.lease"),
-            stage_eval: telemetry.stage("sweep.stage.eval"),
-            stage_persist: telemetry.stage("sweep.stage.persist"),
-            points_completed: telemetry.counter("sweep.points_completed"),
-            eval_failures: telemetry.counter("sweep.eval_failures"),
-            telemetry,
-        }
-    }
-
-    /// Mirrors the progress split into registry gauges so the telemetry
-    /// object of `status.json` carries it.
-    fn update_progress_gauges(&self, progress: &Progress) {
-        self.telemetry
-            .gauge("sweep.points_done")
-            .set(progress.done as i64);
-        self.telemetry
-            .gauge("sweep.points_leased")
-            .set(progress.leased as i64);
-        self.telemetry
-            .gauge("sweep.points_pending")
-            .set(progress.pending as i64);
-        self.telemetry
-            .gauge("sweep.points_failed")
-            .set(progress.failed as i64);
-        self.telemetry
-            .gauge("sweep.workers")
-            .set(progress.workers.len() as i64);
-    }
-
-    /// Asks the scheduler for `worker`'s next point.
-    fn lease(&self, worker: u64) -> LeaseReply {
-        let span = self.stage_lease.start();
-        let reply = self.scheduler.lock().unwrap().lease(worker, Instant::now());
+impl RunContext<'_> {
+    /// One attempt at `index`: evaluate (a panic becomes an `Err`), then
+    /// persist.
+    fn attempt(&self, index: usize) -> Result<(), String> {
+        let span = self.stage_eval.start();
+        let evaluated = catch_unwind(AssertUnwindSafe(|| {
+            self.job.eval(index, self.store.seed(index))
+        }))
+        .unwrap_or_else(|panic| {
+            let message = (panic.downcast_ref::<&str>().copied())
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            Err(format!("point {index} panicked: {message}"))
+        });
         span.finish(1);
-        reply
-    }
-
-    /// Persists `payload`, then marks the point done: a crash in between
-    /// leaves it pending.
-    fn complete(&self, worker: u64, index: usize, payload: &Value) -> Result<(), String> {
+        let payload = evaluated?;
         let span = self.stage_persist.start();
-        let stored = self.store.store_point(index, payload);
+        let stored = self.store.store_point(index, &payload);
         span.finish(1);
-        stored?;
-        let accepted = self
-            .scheduler
-            .lock()
-            .unwrap()
-            .complete(index, worker, Instant::now());
-        if accepted {
-            self.points_completed.inc();
-            self.terminal.notify_one();
-        }
-        Ok(())
+        stored
     }
 
-    /// Reports a failed evaluation; an exhausted point is recorded in the
-    /// store's `failed/` directory.
-    fn fail(&self, worker: u64, index: usize, error: &str) -> Result<(), String> {
-        self.eval_failures.inc();
-        let (reply, attempts) = {
-            let mut scheduler = self.scheduler.lock().unwrap();
-            let reply = scheduler.fail(index, worker, Instant::now());
-            (reply, scheduler.attempts(index))
-        };
-        if reply == FailReply::Exhausted {
-            let recorded = self.store.record_failure(index, error, attempts);
-            self.terminal.notify_one();
-            recorded?;
-        }
-        Ok(())
-    }
-
-    /// One worker thread: lease → eval → persist → complete.
-    fn local_worker(&self) {
-        let worker = self
-            .scheduler
-            .lock()
-            .unwrap()
-            .register_worker(Instant::now());
-        while !self.shutdown.load(Ordering::Relaxed) {
-            match self.lease(worker) {
-                LeaseReply::Point(index) => {
-                    let span = self.stage_eval.start();
-                    let evaluated = self.job.eval(index, self.store.seed(index));
-                    span.finish(1);
-                    let failure = match evaluated {
-                        Ok(payload) => self.complete(worker, index, &payload).err(),
-                        Err(error) => Some(error),
-                    };
-                    if let Some(error) = failure {
-                        if let Err(e) = self.fail(worker, index, &error) {
-                            eprintln!("sweep: recording failure for point {index} failed: {e}");
-                        }
+    /// One worker thread: claim → attempt (retrying inline) → report, until
+    /// the cursor runs past the end.
+    fn worker(&self, worker: usize, events: &Sender<Event>) {
+        while let Some(&index) = self.missing.get(self.cursor.fetch_add(1, Relaxed)) {
+            let mut attempts = 1;
+            let outcome = loop {
+                let Err(error) = self.attempt(index) else {
+                    self.points_completed.inc();
+                    break Outcome::Done;
+                };
+                self.eval_failures.inc();
+                if attempts == MAX_ATTEMPTS {
+                    if let Err(e) = self.store.record_failure(index, &error, attempts) {
+                        eprintln!("sweep: recording failure for point {index} failed: {e}");
                     }
+                    break Outcome::Failed;
                 }
-                LeaseReply::Wait => std::thread::sleep(Duration::from_millis(20)),
-                LeaseReply::Finished => return,
-            }
+                let _ = events.send((worker, Outcome::Retried, Instant::now()));
+                std::thread::sleep(BACKOFF_BASE * 2u32.pow(attempts - 1));
+                attempts += 1;
+            };
+            let _ = events.send((worker, outcome, Instant::now()));
         }
     }
 }
@@ -312,11 +324,12 @@ impl<'a> RunContext<'a> {
 ///
 /// Missing points are taken from the store, so calling this on a partially
 /// filled store *is* resume. Returns once every point is done or has
-/// exhausted its retries.
+/// exhausted its attempts.
 ///
 /// # Errors
 ///
-/// Fails on store I/O errors or when work is outstanding but there are no
+/// Fails on a `status.json` write error (workers finish the point they hold
+/// and claim nothing new) or when points are missing but there are no
 /// local workers.
 pub fn run_job(
     job: &dyn PointJob,
@@ -325,89 +338,134 @@ pub fn run_job(
 ) -> Result<RunSummary, String> {
     let start = Instant::now();
     let missing = store.missing_indices();
-    let resumed = store.num_points() - missing.len();
-    if missing.is_empty() {
-        let progress = Scheduler::new(Vec::new(), resumed, config.scheduler).progress(start);
-        let mut snapshot = snapshot_json(&job.descriptor(), &progress, 0, 0.0);
-        // Keep the status shape uniform: an already-complete run still
-        // carries a (trivial) telemetry object.
-        snapshot["telemetry"] = snapshot_to_json(&Registry::new(config.telemetry).snapshot());
-        store.write_status(&snapshot)?;
-        return Ok(RunSummary {
-            computed: 0,
-            resumed,
-            progress,
-            elapsed: start.elapsed(),
-        });
+    let outstanding = missing.len();
+    let resumed = store.num_points() - outstanding;
+    if outstanding > 0 && config.local_workers == 0 {
+        return Err(format!("{outstanding} points to run but no workers"));
     }
-    if config.local_workers == 0 {
-        return Err(format!(
-            "{} points outstanding but no local workers",
-            missing.len()
-        ));
-    }
+    let workers = config.local_workers.min(outstanding);
 
-    let context = RunContext::new(
+    let telemetry = Registry::new(config.telemetry);
+    let context = RunContext {
         job,
         store,
-        Scheduler::new(missing, resumed, config.scheduler),
-        Registry::new(config.telemetry),
-    );
+        cursor: AtomicUsize::new(0),
+        stage_eval: telemetry.stage("sweep.stage.eval"),
+        stage_persist: telemetry.stage("sweep.stage.persist"),
+        points_completed: telemetry.counter("sweep.points_completed"),
+        eval_failures: telemetry.counter("sweep.eval_failures"),
+        missing,
+    };
     let context = &context;
+    let mut progress = Progress {
+        done: resumed,
+        workers: vec![WorkerStats::new(start); workers],
+        ..Progress::default()
+    };
 
-    let run = std::thread::scope(|scope| {
-        for _ in 0..config.local_workers {
-            scope.spawn(move || context.local_worker());
+    // Brings `leased`/`pending` up to date from the cursor, mirrors the
+    // split into registry gauges and rewrites `status.json`.
+    let report = |progress: &mut Progress| -> Result<(), String> {
+        let claimed = context.cursor.load(Relaxed).min(outstanding);
+        progress.pending = outstanding - claimed;
+        progress.leased = claimed - (progress.done - resumed) - progress.failed;
+        for (gauge, value) in [
+            ("sweep.points_done", progress.done),
+            ("sweep.points_leased", progress.leased),
+            ("sweep.points_pending", progress.pending),
+            ("sweep.points_failed", progress.failed),
+            ("sweep.workers", workers),
+        ] {
+            telemetry.gauge(gauge).set(value as i64);
         }
-        // Progress loop doubles as the completion detector.
-        let body = || -> Result<(), String> {
-            let mut last_report: Option<Instant> = None;
-            loop {
-                let progress = context.scheduler.lock().unwrap().progress(Instant::now());
-                let finished = progress.finished();
-                if finished || last_report.is_none_or(|t| t.elapsed() >= config.progress_interval) {
-                    context.update_progress_gauges(&progress);
-                    let mut snapshot = snapshot_json(
-                        &job.descriptor(),
-                        &progress,
-                        progress.done.saturating_sub(resumed),
-                        start.elapsed().as_secs_f64(),
-                    );
-                    snapshot["telemetry"] = snapshot_to_json(&context.telemetry.snapshot());
-                    store.write_status(&snapshot)?;
-                    if !config.quiet {
-                        eprintln!("{}", render_progress_line(&snapshot));
-                    }
-                    last_report = Some(Instant::now());
-                }
-                if finished {
-                    return Ok(());
-                }
-                // Woken when a point turns terminal; the 25 ms ceiling keeps
-                // the report cadence and bounds the cost of a notification
-                // that lands before this wait begins.
-                let scheduler = context.scheduler.lock().unwrap();
-                drop(
-                    context
-                        .terminal
-                        .wait_timeout(scheduler, Duration::from_millis(25))
-                        .unwrap(),
-                );
-            }
-        };
-        let result = body();
-        // Always release the worker threads, including on the error paths,
-        // or the scope join would hang.
-        context.shutdown.store(true, Ordering::Relaxed);
-        result
-    });
-    run?;
+        let mut snapshot = snapshot_json(
+            &job.descriptor(),
+            progress,
+            progress.done - resumed,
+            start.elapsed().as_secs_f64(),
+        );
+        snapshot["telemetry"] = snapshot_to_json(&telemetry.snapshot());
+        store.write_status(&snapshot)?;
+        if !config.quiet && workers > 0 {
+            eprintln!("{}", render_progress_line(&snapshot));
+        }
+        Ok(())
+    };
 
-    let progress = context.scheduler.lock().unwrap().progress(Instant::now());
+    let (sender, events) = mpsc::channel();
+    std::thread::scope(|scope| {
+        for worker in 0..workers {
+            let sender = sender.clone();
+            scope.spawn(move || context.worker(worker, &sender));
+        }
+        drop(sender);
+        let mut next_report = Instant::now();
+        loop {
+            let wait = next_report.saturating_duration_since(Instant::now());
+            let finished = match events.recv_timeout(wait) {
+                Ok(event) => {
+                    progress.record(event);
+                    false
+                }
+                Err(RecvTimeoutError::Timeout) => false,
+                Err(RecvTimeoutError::Disconnected) => true,
+            };
+            if finished || Instant::now() >= next_report {
+                if let Err(error) = report(&mut progress) {
+                    context.cursor.store(outstanding, Relaxed);
+                    return Err(error);
+                }
+                next_report = Instant::now() + config.progress_interval;
+            }
+            if finished {
+                return Ok(());
+            }
+        }
+    })?;
+
     Ok(RunSummary {
-        computed: progress.done.saturating_sub(resumed),
+        computed: progress.done - resumed,
         resumed,
         progress,
         elapsed: start.elapsed(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn worker_views_track_ewma_throughput_and_heartbeat_age() {
+        let t0 = Instant::now();
+        let mut progress = Progress {
+            workers: vec![WorkerStats::new(t0); 2],
+            ..Progress::default()
+        };
+        // Worker 0 completes one point per second for 20 seconds; worker 1
+        // never reports.
+        let mut last = t0;
+        for i in 1..=20u64 {
+            last = t0 + Duration::from_secs(i);
+            progress.record((0, Outcome::Done, last));
+        }
+        assert_eq!(progress.done, 20);
+        let [w0, w1] = progress.workers[..] else {
+            panic!("expected two worker rows");
+        };
+        assert_eq!(w0.completed, 20);
+        // Steady 1 pt/s sampled 19 times with τ=30 s: the EWMA has converged
+        // to 1 − exp(−19/30) ≈ 0.469 of the true rate and can never exceed
+        // it.
+        assert!(
+            w0.ewma_points_per_sec > 0.4 && w0.ewma_points_per_sec < 1.0,
+            "ewma {} out of range",
+            w0.ewma_points_per_sec
+        );
+        // Worker 0 was last seen at its final completion; worker 1 not
+        // since the run started.
+        assert_eq!(w0.last_seen, last);
+        assert_eq!((w1.completed, w1.ewma_points_per_sec), (0, 0.0));
+        assert_eq!(w1.last_seen, t0);
+    }
 }

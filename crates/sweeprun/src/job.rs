@@ -83,10 +83,11 @@ pub trait PointJob: Send + Sync {
     ///
     /// # Errors
     ///
-    /// An `Err` marks the point *failed* (subject to the scheduler's
-    /// bounded retry); domain-level soft failures that should surface in
-    /// the merged output (e.g. a compile error rendered into a table row)
-    /// belong *inside* an `Ok` payload instead.
+    /// An `Err` (or a panic) fails this attempt; the runner retries the
+    /// point a bounded number of times before recording it as failed.
+    /// Domain-level soft failures that should surface in the merged output
+    /// (e.g. a compile error rendered into a table row) belong *inside* an
+    /// `Ok` payload instead.
     fn eval(&self, index: usize, seed: u64) -> Result<Value, String>;
 }
 

@@ -3,7 +3,7 @@
 //! Resumable sweep running on one host: a killed sweep restarts where it
 //! stopped, and its merged result is bit-identical to an uninterrupted run.
 //!
-//! Three layers, bottom up:
+//! Two layers, bottom up:
 //!
 //! - [`store::PointStore`] — a content-hash-keyed persistent store of
 //!   per-point results (key = job hash × grid index × per-point seed) with
@@ -11,46 +11,43 @@
 //!   only the missing points; because every point payload is a pure
 //!   function of `(job, index, seed)`, the merged artifact is bit-identical
 //!   to an uninterrupted single-process run.
-//! - [`scheduler::Scheduler`] — the run's in-memory ledger: which worker
-//!   thread holds which point, bounded retry with exponential backoff, and
-//!   progress counters (`done/leased/pending/failed`, retries, per-worker
-//!   throughput).
-//! - [`coordinator::run_job`] — local worker threads that lease, evaluate
-//!   and persist points until the grid is done, with a `status.json`
-//!   progress snapshot.
+//! - [`coordinator::run_job`] — local worker threads that claim points
+//!   in ascending grid order from one shared cursor over the store's
+//!   missing indices, evaluate and persist them, retrying a failed point
+//!   inline (3 attempts, doubling backoff) before recording it as failed.
+//!   The calling thread folds the workers' reports into [`Progress`] and a
+//!   `status.json` snapshot.
 //!
 //! The crate is deliberately domain-agnostic: anything that can describe
 //! itself as a [`job::PointJob`] — a fixed grid of points with
 //! deterministic seeds and JSON-serializable results — can be stored,
-//! scheduled and resumed. The bench crate supplies the experiment-spec
+//! run and resumed. The bench crate supplies the experiment-spec
 //! flavored job on top.
 
 #![warn(missing_docs)]
 
 pub mod coordinator;
 pub mod job;
-pub mod scheduler;
 pub mod store;
 
 pub use coordinator::{
-    render_progress_line, render_worker_lines, run_job, snapshot_json, CoordinatorConfig,
+    render_progress_line, render_worker_lines, run_job, snapshot_json, CoordinatorConfig, Progress,
     RunSummary,
 };
 pub use job::{JobDescriptor, PointJob};
-pub use scheduler::{Progress, Scheduler, SchedulerConfig, WorkerView};
 pub use store::{write_atomic, PointStore, StoreState};
 
 #[cfg(test)]
 mod e2e_tests {
     use std::path::PathBuf;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
+    use std::sync::Mutex;
+    use std::time::{Duration, Instant};
 
     use serde_json::Value;
 
     use crate::job::testutil::MockJob;
     use crate::job::{JobDescriptor, PointJob};
-    use crate::{run_job, CoordinatorConfig, PointStore, SchedulerConfig};
+    use crate::{run_job, CoordinatorConfig, PointStore};
 
     fn temp_base(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -68,10 +65,10 @@ mod e2e_tests {
         PointStore::open(base, &job.descriptor(), seeds).unwrap().0
     }
 
-    fn fast_scheduler() -> SchedulerConfig {
-        SchedulerConfig {
-            max_attempts: 3,
-            backoff_base: Duration::from_millis(10),
+    fn workers(local_workers: usize) -> CoordinatorConfig {
+        CoordinatorConfig {
+            local_workers,
+            ..CoordinatorConfig::default()
         }
     }
 
@@ -81,16 +78,7 @@ mod e2e_tests {
         let job = MockJob::new(12);
 
         let store = open_store(&base, &job);
-        let summary = run_job(
-            &job,
-            &store,
-            CoordinatorConfig {
-                local_workers: 3,
-                scheduler: fast_scheduler(),
-                ..CoordinatorConfig::default()
-            },
-        )
-        .unwrap();
+        let summary = run_job(&job, &store, workers(3)).unwrap();
         assert_eq!((summary.computed, summary.resumed), (12, 0));
         let first: Vec<Value> = (0..12)
             .map(|i| store.load_point(i).unwrap().unwrap())
@@ -107,16 +95,7 @@ mod e2e_tests {
             .unwrap();
         }
         let store = open_store(&base, &job);
-        let summary = run_job(
-            &job,
-            &store,
-            CoordinatorConfig {
-                local_workers: 2,
-                scheduler: fast_scheduler(),
-                ..CoordinatorConfig::default()
-            },
-        )
-        .unwrap();
+        let summary = run_job(&job, &store, workers(2)).unwrap();
         assert_eq!((summary.computed, summary.resumed), (3, 9));
         for (index, payload) in first.iter().enumerate() {
             assert_eq!(store.load_point(index).unwrap().as_ref(), Some(payload));
@@ -151,6 +130,8 @@ mod e2e_tests {
         let _ = std::fs::remove_dir_all(&base);
     }
 
+    /// Every attempt at a poisoned point fails: the worker retries it twice,
+    /// backing off 250 ms then 500 ms, and records it under `failed/`.
     #[test]
     fn poisoned_points_retry_then_fail_terminally() {
         let base = temp_base("poison");
@@ -159,19 +140,15 @@ mod e2e_tests {
             poisoned: vec![1],
         };
         let store = open_store(&base, &job);
-        let summary = run_job(
-            &job,
-            &store,
-            CoordinatorConfig {
-                local_workers: 2,
-                scheduler: fast_scheduler(),
-                ..CoordinatorConfig::default()
-            },
-        )
-        .unwrap();
+        let summary = run_job(&job, &store, workers(2)).unwrap();
         assert_eq!(summary.progress.failed, 1);
         assert_eq!(summary.progress.done, 3);
         assert_eq!(summary.progress.counters.retries, 2);
+        assert!(
+            summary.elapsed >= Duration::from_millis(750),
+            "two backoffs take at least 750 ms, the run took {:?}",
+            summary.elapsed
+        );
         let failures = store.failures();
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].0, 1);
@@ -179,13 +156,39 @@ mod e2e_tests {
         let _ = std::fs::remove_dir_all(&base);
     }
 
-    /// `MockJob` that counts `eval` calls per point and spends `slow_eval`
-    /// on point `slow`.
+    /// `MockJob` that records the order and time of its `eval` calls, spends
+    /// `slow_eval` on point `slow` and panics on point `panics`.
     struct CountingJob {
         inner: MockJob,
-        slow: usize,
+        slow: Option<usize>,
         slow_eval: Duration,
-        evals: Vec<AtomicUsize>,
+        panics: Option<usize>,
+        order: Mutex<Vec<(usize, Instant)>>,
+    }
+
+    impl CountingJob {
+        fn new(points: usize) -> Self {
+            CountingJob {
+                inner: MockJob::new(points),
+                slow: None,
+                slow_eval: Duration::ZERO,
+                panics: None,
+                order: Mutex::new(Vec::new()),
+            }
+        }
+
+        fn evaluated(&self) -> Vec<usize> {
+            self.order.lock().unwrap().iter().map(|&(i, _)| i).collect()
+        }
+
+        fn attempts_at(&self, index: usize) -> Vec<Instant> {
+            let order = self.order.lock().unwrap();
+            order
+                .iter()
+                .filter(|&&(i, _)| i == index)
+                .map(|&(_, t)| t)
+                .collect()
+        }
     }
 
     impl PointJob for CountingJob {
@@ -202,43 +205,108 @@ mod e2e_tests {
         }
 
         fn eval(&self, index: usize, seed: u64) -> Result<Value, String> {
-            self.evals[index].fetch_add(1, Ordering::Relaxed);
-            if index == self.slow {
+            self.order.lock().unwrap().push((index, Instant::now()));
+            if self.slow == Some(index) {
                 std::thread::sleep(self.slow_eval);
+            }
+            if self.panics == Some(index) {
+                panic!("eval blew up on point {index}");
             }
             self.inner.eval(index, seed)
         }
     }
 
-    /// A worker keeps the point it leased until it reports on it, however
+    /// A worker keeps the point it claimed until it reports on it, however
     /// long the evaluation takes, so no point is evaluated twice.
     #[test]
     fn every_missing_point_is_evaluated_exactly_once() {
         let base = temp_base("once");
         let job = CountingJob {
-            inner: MockJob::new(6),
-            slow: 0,
+            slow: Some(0),
             slow_eval: Duration::from_secs(1),
-            evals: (0..6).map(|_| AtomicUsize::new(0)).collect(),
+            ..CountingJob::new(6)
         };
         let store = open_store(&base, &job.inner);
-        let summary = run_job(
-            &job,
-            &store,
-            CoordinatorConfig {
-                local_workers: 2,
-                scheduler: fast_scheduler(),
-                ..CoordinatorConfig::default()
-            },
-        )
-        .unwrap();
+        let summary = run_job(&job, &store, workers(2)).unwrap();
         assert_eq!((summary.computed, summary.resumed), (6, 0));
-        let evals: Vec<usize> = job
-            .evals
-            .iter()
-            .map(|count| count.load(Ordering::Relaxed))
-            .collect();
-        assert_eq!(evals, vec![1; 6]);
+        let mut evaluated = job.evaluated();
+        evaluated.sort_unstable();
+        assert_eq!(evaluated, (0..6).collect::<Vec<_>>());
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// One worker over a partially filled store claims exactly the missing
+    /// points, in ascending grid order.
+    #[test]
+    fn claims_follow_ascending_grid_order_after_partial_resume() {
+        let base = temp_base("order");
+        let job = CountingJob::new(8);
+        let store = open_store(&base, &job.inner);
+        for index in [0, 2, 3, 7] {
+            let payload = job.inner.eval(index, store.seed(index)).unwrap();
+            store.store_point(index, &payload).unwrap();
+        }
+        let store = open_store(&base, &job.inner);
+        let summary = run_job(&job, &store, workers(1)).unwrap();
+        assert_eq!(job.evaluated(), vec![1, 4, 5, 6]);
+        assert_eq!((summary.computed, summary.resumed), (4, 4));
+        assert_eq!((summary.progress.done, summary.progress.total()), (8, 8));
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// A failing point is attempted exactly 3 times, 250 ms then 500 ms
+    /// apart, then recorded as failed; the other points are unaffected.
+    #[test]
+    fn retries_back_off_then_fail_terminally() {
+        let base = temp_base("backoff");
+        let job = CountingJob {
+            inner: MockJob {
+                points: 3,
+                poisoned: vec![0],
+            },
+            ..CountingJob::new(3)
+        };
+        let store = open_store(&base, &job.inner);
+        let summary = run_job(&job, &store, workers(1)).unwrap();
+        let attempts = job.attempts_at(0);
+        assert_eq!(attempts.len(), 3);
+        assert!(attempts[1] - attempts[0] >= Duration::from_millis(250));
+        assert!(attempts[2] - attempts[1] >= Duration::from_millis(500));
+        assert_eq!((summary.progress.failed, summary.progress.done), (1, 2));
+        assert_eq!(summary.progress.counters.retries, 2);
+        assert_eq!(store.failures().len(), 1);
+        assert_eq!(store.failures()[0].0, 0);
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// A panicking `eval` is a failed attempt like an `Err`: retried, then
+    /// recorded with the panic message, and the run still ends.
+    #[test]
+    fn panicking_eval_fails_the_point_instead_of_hanging_the_run() {
+        let base = temp_base("panic");
+        let (done, finished) = std::sync::mpsc::channel();
+        let runner_base = base.clone();
+        std::thread::spawn(move || {
+            let job = CountingJob {
+                panics: Some(2),
+                ..CountingJob::new(4)
+            };
+            let store = open_store(&runner_base, &job.inner);
+            let summary = run_job(&job, &store, workers(2));
+            let _ = done.send((summary, store.failures()));
+        });
+        let (summary, failures) = finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("run_job returns despite a panicking eval");
+        let summary = summary.unwrap();
+        assert_eq!((summary.progress.failed, summary.progress.done), (1, 3));
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].0, 2);
+        assert!(
+            failures[0].1.contains("eval blew up on point 2"),
+            "{}",
+            failures[0].1
+        );
         let _ = std::fs::remove_dir_all(&base);
     }
 }
