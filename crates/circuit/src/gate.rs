@@ -11,7 +11,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::QubitId;
+use crate::{QubitId, Qubits};
 
 /// A single instruction of a Clifford + measurement circuit.
 ///
@@ -79,7 +79,7 @@ pub enum Instruction {
 
 impl Instruction {
     /// Returns the qubits this instruction acts on, in operand order.
-    pub fn qubits(&self) -> Vec<QubitId> {
+    pub fn qubits(&self) -> Qubits {
         match *self {
             Instruction::I(q)
             | Instruction::X(q)
@@ -92,10 +92,10 @@ impl Instruction {
             | Instruction::SqrtXdg(q)
             | Instruction::Measure(q)
             | Instruction::MeasureX(q)
-            | Instruction::Reset(q) => vec![q],
-            Instruction::Cnot { control, target } => vec![control, target],
+            | Instruction::Reset(q) => Qubits::one(q),
+            Instruction::Cnot { control, target } => Qubits::two(control, target),
             Instruction::Cz(a, b) | Instruction::Swap(a, b) | Instruction::Ms(a, b) => {
-                vec![a, b]
+                Qubits::two(a, b)
             }
         }
     }
@@ -157,9 +157,8 @@ impl Instruction {
 
 impl fmt::Display for Instruction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let qubits = self.qubits();
         write!(f, "{}", self.name())?;
-        for q in qubits {
+        for q in self.qubits() {
             write!(f, " {q}")?;
         }
         Ok(())
@@ -186,6 +185,43 @@ mod tests {
             vec![q(1), q(2)]
         );
         assert_eq!(Instruction::Swap(q(5), q(6)).qubits(), vec![q(5), q(6)]);
+    }
+
+    #[test]
+    fn every_variant_lists_its_operands_in_order() {
+        let (a, b) = (q(7), q(2));
+        let cases = [
+            (Instruction::I(a), vec![a]),
+            (Instruction::X(a), vec![a]),
+            (Instruction::Y(a), vec![a]),
+            (Instruction::Z(a), vec![a]),
+            (Instruction::H(a), vec![a]),
+            (Instruction::S(a), vec![a]),
+            (Instruction::Sdg(a), vec![a]),
+            (Instruction::SqrtX(a), vec![a]),
+            (Instruction::SqrtXdg(a), vec![a]),
+            (
+                Instruction::Cnot {
+                    control: a,
+                    target: b,
+                },
+                vec![a, b],
+            ),
+            (Instruction::Cz(a, b), vec![a, b]),
+            (Instruction::Swap(a, b), vec![a, b]),
+            (Instruction::Ms(a, b), vec![a, b]),
+            (Instruction::Measure(a), vec![a]),
+            (Instruction::MeasureX(a), vec![a]),
+            (Instruction::Reset(a), vec![a]),
+        ];
+        for (instruction, expected) in cases {
+            assert_eq!(instruction.qubits(), expected, "{instruction}");
+            assert_eq!(
+                instruction.qubits().into_iter().collect::<Vec<_>>(),
+                expected
+            );
+            assert_eq!(instruction.is_two_qubit(), expected.len() == 2);
+        }
     }
 
     #[test]

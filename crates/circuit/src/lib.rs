@@ -7,6 +7,7 @@
 //! workspace:
 //!
 //! * [`QubitId`] / [`MeasurementIndex`] / [`MeasurementRef`] — identifiers,
+//!   and [`Qubits`], the inline operand list of an instruction,
 //! * [`Instruction`] and [`Circuit`] — Clifford + measurement circuits with
 //!   detector and logical-observable annotations,
 //! * [`Pauli`] and [`SparsePauli`] — Pauli algebra,
@@ -50,4 +51,4 @@ pub use circuit::{Circuit, CircuitStats, Detector, LogicalObservable, Measuremen
 pub use gate::Instruction;
 pub use native::{NativeGateKind, NativeGateOp, NativeOpCounts, RotationAxis};
 pub use pauli::{Pauli, SparsePauli};
-pub use qubit::{MeasurementIndex, QubitId};
+pub use qubit::{MeasurementIndex, QubitId, Qubits};

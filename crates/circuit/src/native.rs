@@ -20,7 +20,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Circuit, Instruction, QubitId};
+use crate::{Circuit, Instruction, QubitId, Qubits};
 
 /// Rotation axis of a single-ion rotation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -86,12 +86,12 @@ impl NativeGateOp {
     }
 
     /// The qubits this operation acts on.
-    pub fn qubits(&self) -> Vec<QubitId> {
+    pub fn qubits(&self) -> Qubits {
         match *self {
-            NativeGateOp::Ms(a, b) => vec![a, b],
+            NativeGateOp::Ms(a, b) => Qubits::two(a, b),
             NativeGateOp::Rotation { qubit, .. }
             | NativeGateOp::Measure(qubit)
-            | NativeGateOp::Reset(qubit) => vec![qubit],
+            | NativeGateOp::Reset(qubit) => Qubits::one(qubit),
         }
     }
 

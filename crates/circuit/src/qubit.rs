@@ -71,6 +71,94 @@ impl From<QubitId> for usize {
     }
 }
 
+/// The one or two qubits an instruction or noise channel acts on, held
+/// inline so that reading an operand list allocates nothing.
+///
+/// Derefs to `[QubitId]` (operand order) and iterates by value.
+///
+/// # Examples
+///
+/// ```
+/// use qccd_circuit::{Qubits, QubitId};
+///
+/// let pair = Qubits::two(QubitId::new(4), QubitId::new(1));
+/// assert_eq!(pair.len(), 2);
+/// assert_eq!(pair[1], QubitId::new(1));
+/// assert_eq!(pair.into_iter().map(QubitId::index).sum::<usize>(), 5);
+/// ```
+#[derive(Clone, Copy, Eq)]
+pub struct Qubits {
+    ids: [QubitId; 2],
+    len: u8,
+}
+
+impl Qubits {
+    /// A single qubit.
+    #[inline]
+    pub const fn one(q: QubitId) -> Self {
+        Qubits {
+            ids: [q, q],
+            len: 1,
+        }
+    }
+
+    /// Two qubits, in operand order.
+    #[inline]
+    pub const fn two(a: QubitId, b: QubitId) -> Self {
+        Qubits {
+            ids: [a, b],
+            len: 2,
+        }
+    }
+}
+
+impl std::ops::Deref for Qubits {
+    type Target = [QubitId];
+
+    #[inline]
+    fn deref(&self) -> &[QubitId] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for Qubits {
+    fn eq(&self, other: &Qubits) -> bool {
+        **self == **other
+    }
+}
+
+impl PartialEq<Vec<QubitId>> for Qubits {
+    fn eq(&self, other: &Vec<QubitId>) -> bool {
+        **self == other[..]
+    }
+}
+
+impl fmt::Debug for Qubits {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl IntoIterator for Qubits {
+    type Item = QubitId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<QubitId, 2>>;
+
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        self.ids.into_iter().take(usize::from(self.len))
+    }
+}
+
+impl<'a> IntoIterator for &'a Qubits {
+    type Item = &'a QubitId;
+    type IntoIter = std::slice::Iter<'a, QubitId>;
+
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// Index of a measurement record produced by a circuit.
 ///
 /// Measurement results are numbered in the order the measurement
@@ -141,6 +229,21 @@ mod tests {
         set.insert(QubitId::new(1));
         set.insert(QubitId::new(2));
         assert_eq!(set.len(), 2);
+    }
+
+    #[test]
+    fn qubits_hold_one_or_two_ids_in_operand_order() {
+        let (a, b) = (QubitId::new(9), QubitId::new(2));
+        let one = Qubits::one(a);
+        let two = Qubits::two(a, b);
+        assert_eq!(*one, [a]);
+        assert_eq!(*two, [a, b]);
+        assert_eq!(two, vec![a, b]);
+        assert_ne!(Qubits::two(a, b), Qubits::two(b, a));
+        assert_ne!(one, Qubits::two(a, a));
+        assert_eq!(one.into_iter().collect::<Vec<_>>(), vec![a]);
+        assert_eq!((&two).into_iter().copied().collect::<Vec<_>>(), vec![a, b]);
+        assert_eq!(format!("{two:?}"), format!("{:?}", vec![a, b]));
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use mapping::{
     map_qubits_with_strategy, validate_clustering, ClusteringStrategy, QubitCluster, QubitMapping,
 };
 pub use metrics::Metrics;
-pub use ops::{check_routing_invariants, Resource, RoutedOp, RoutedProgram};
+pub use ops::{check_routing_invariants, Resource, Resources, RoutedOp, RoutedProgram};
 pub use routing::{route, DeviceState};
 pub use schedule::{check_resource_exclusivity, schedule, Schedule, ScheduledOp};
 pub use toolflow::{Toolflow, ToolflowSpec};

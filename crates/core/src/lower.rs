@@ -19,8 +19,14 @@
 //! The detector and logical-observable annotations of the original circuit
 //! are carried over unchanged (they are expressed in per-qubit measurement
 //! order, which the compiler preserves).
-
-use std::collections::HashMap;
+//!
+//! The pass walks [`Schedule::ops_in_time_order`] and keeps its per-qubit
+//! state dense: each qubit's last release time in a `Vec<f64>` indexed by
+//! [`QubitId::index`] and its motional energy in the `Vec`-backed
+//! [`HeatingLedger`]. Operand lists are the inline [`Qubits`], so replaying
+//! an operation hashes and allocates nothing beyond the output circuit.
+//!
+//! [`Qubits`]: qccd_circuit::Qubits
 
 use qccd_circuit::{Circuit, Instruction, QubitId};
 use qccd_noise::{HeatingLedger, NoiseParams};
@@ -38,7 +44,15 @@ pub fn lower_to_noisy_circuit(
     let mut noisy = NoisyCircuit::new();
     noisy.pad_qubits(circuit.num_qubits());
     let mut ledger = HeatingLedger::new(params.base_nbar);
-    let mut last_release: HashMap<QubitId, f64> = HashMap::new();
+    // When each qubit was last released by a gate (0 before its first),
+    // with a slot for every qubit the schedule touches.
+    let num_qubits = schedule
+        .ops
+        .iter()
+        .flat_map(|s| s.op.ions())
+        .map(|q| q.index() + 1)
+        .fold(circuit.num_qubits(), usize::max);
+    let mut last_release = vec![0.0; num_qubits];
 
     for scheduled in schedule.ops_in_time_order() {
         match &scheduled.op {
@@ -52,17 +66,11 @@ pub fn lower_to_noisy_circuit(
                 ..
             } => {
                 // Three physical MS gates: depolarise both ions accordingly.
+                emit_idle_dephasing(&mut noisy, params, &last_release, *ion, scheduled.start_us);
                 emit_idle_dephasing(
                     &mut noisy,
                     params,
-                    &mut last_release,
-                    *ion,
-                    scheduled.start_us,
-                );
-                emit_idle_dephasing(
-                    &mut noisy,
-                    params,
-                    &mut last_release,
+                    &last_release,
                     *other,
                     scheduled.start_us,
                 );
@@ -77,8 +85,8 @@ pub fn lower_to_noisy_circuit(
                     b: *other,
                     p,
                 });
-                last_release.insert(*ion, scheduled.end_us);
-                last_release.insert(*other, scheduled.end_us);
+                last_release[ion.index()] = scheduled.end_us;
+                last_release[other.index()] = scheduled.end_us;
             }
             RoutedOp::Gate {
                 instruction,
@@ -87,13 +95,7 @@ pub fn lower_to_noisy_circuit(
             } => {
                 let qubits = instruction.qubits();
                 for &q in &qubits {
-                    emit_idle_dephasing(
-                        &mut noisy,
-                        params,
-                        &mut last_release,
-                        q,
-                        scheduled.start_us,
-                    );
+                    emit_idle_dephasing(&mut noisy, params, &last_release, q, scheduled.start_us);
                 }
                 match instruction {
                     Instruction::Measure(q) | Instruction::MeasureX(q) => {
@@ -138,8 +140,8 @@ pub fn lower_to_noisy_circuit(
                         });
                     }
                 }
-                for &q in &qubits {
-                    last_release.insert(q, scheduled.end_us);
+                for q in qubits {
+                    last_release[q.index()] = scheduled.end_us;
                 }
             }
         }
@@ -157,12 +159,11 @@ pub fn lower_to_noisy_circuit(
 fn emit_idle_dephasing(
     noisy: &mut NoisyCircuit,
     params: &NoiseParams,
-    last_release: &mut HashMap<QubitId, f64>,
+    last_release: &[f64],
     qubit: QubitId,
     now_us: f64,
 ) {
-    let last = last_release.get(&qubit).copied().unwrap_or(0.0);
-    let idle = now_us - last;
+    let idle = now_us - last_release[qubit.index()];
     if idle > 1e-9 {
         noisy.push_noise(NoiseChannel::PhaseFlip {
             qubit,
@@ -332,6 +333,32 @@ mod tests {
         let noisy = lower_to_noisy_circuit(&s, &circuit, &NoiseParams::standard(1.0));
         assert_eq!(noisy.detectors().len(), 1);
         assert!(noisy.resolve_annotations().is_ok());
+    }
+
+    #[test]
+    fn qubits_beyond_the_circuit_get_release_slots() {
+        // The schedule names qubits 3 and 6; the circuit declares none.
+        let s = build(vec![
+            RoutedOp::GateSwap {
+                trap: TrapId(0),
+                ion: q(3),
+                other: q(6),
+                chain_len: 2,
+            },
+            RoutedOp::Gate {
+                instruction: Instruction::Measure(q(3)),
+                trap: TrapId(1),
+                chain_len: 1,
+            },
+        ]);
+        let noisy = lower_to_noisy_circuit(&s, &Circuit::new(), &NoiseParams::standard(1.0));
+        assert_eq!(noisy.num_qubits(), 7);
+        assert_eq!(noisy.num_measurements(), 1);
+        // The measurement follows the swap directly: no idle dephasing.
+        assert!(!noisy
+            .ops()
+            .iter()
+            .any(|op| matches!(op, NoisyOp::Noise(NoiseChannel::PhaseFlip { .. }))));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use std::collections::HashMap;
 
-use qccd_circuit::{native, Instruction, QubitId};
+use qccd_circuit::{native, Instruction, QubitId, Qubits};
 use qccd_hardware::{
     Device, JunctionId, MovementKind, OperationTimes, SegmentId, TrapId, WiringMethod,
 };
@@ -32,6 +32,44 @@ pub enum Resource {
     /// The shared control system; used by the WISE wiring model to serialise
     /// all ion-transport primitives against each other.
     TransportController,
+}
+
+/// The resources one operation occupies, held inline: at most five (a
+/// movement's ion, segment, trap, junction and, under WISE, the transport
+/// controller). Derefs to `[Resource]` in the order
+/// [`RoutedOp::resources`] lists them.
+#[derive(Clone, Copy)]
+pub struct Resources {
+    items: [Resource; 5],
+    len: u8,
+}
+
+impl Resources {
+    fn new() -> Self {
+        Resources {
+            items: [Resource::TransportController; 5],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, resource: Resource) {
+        self.items[usize::from(self.len)] = resource;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Resources {
+    type Target = [Resource];
+
+    fn deref(&self) -> &[Resource] {
+        &self.items[..usize::from(self.len)]
+    }
+}
+
+impl std::fmt::Debug for Resources {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// One routed operation.
@@ -102,22 +140,24 @@ impl RoutedOp {
     }
 
     /// The resources this operation occupies for its whole duration.
-    pub fn resources(&self, wiring: WiringMethod) -> Vec<Resource> {
-        match self {
+    pub fn resources(&self, wiring: WiringMethod) -> Resources {
+        let mut r = Resources::new();
+        match *self {
             RoutedOp::Gate {
                 instruction, trap, ..
             } => {
-                let mut r = vec![Resource::Trap(*trap)];
-                r.extend(instruction.qubits().into_iter().map(Resource::Ion));
-                r
+                r.push(Resource::Trap(trap));
+                for q in instruction.qubits() {
+                    r.push(Resource::Ion(q));
+                }
             }
             RoutedOp::GateSwap {
                 trap, ion, other, ..
-            } => vec![
-                Resource::Trap(*trap),
-                Resource::Ion(*ion),
-                Resource::Ion(*other),
-            ],
+            } => {
+                r.push(Resource::Trap(trap));
+                r.push(Resource::Ion(ion));
+                r.push(Resource::Ion(other));
+            }
             RoutedOp::Movement {
                 ion,
                 trap,
@@ -125,27 +165,28 @@ impl RoutedOp {
                 segment,
                 ..
             } => {
-                let mut r = vec![Resource::Ion(*ion), Resource::Segment(*segment)];
+                r.push(Resource::Ion(ion));
+                r.push(Resource::Segment(segment));
                 if let Some(t) = trap {
-                    r.push(Resource::Trap(*t));
+                    r.push(Resource::Trap(t));
                 }
                 if let Some(j) = junction {
-                    r.push(Resource::Junction(*j));
+                    r.push(Resource::Junction(j));
                 }
                 if wiring.transport_type_exclusive() {
                     r.push(Resource::TransportController);
                 }
-                r
             }
         }
+        r
     }
 
     /// The qubits (ions) involved in this operation.
-    pub fn ions(&self) -> Vec<QubitId> {
-        match self {
+    pub fn ions(&self) -> Qubits {
+        match *self {
             RoutedOp::Gate { instruction, .. } => instruction.qubits(),
-            RoutedOp::GateSwap { ion, other, .. } => vec![*ion, *other],
-            RoutedOp::Movement { ion, .. } => vec![*ion],
+            RoutedOp::GateSwap { ion, other, .. } => Qubits::two(ion, other),
+            RoutedOp::Movement { ion, .. } => Qubits::one(ion),
         }
     }
 }
@@ -359,6 +400,89 @@ mod tests {
         assert!(wise.contains(&Resource::TransportController));
         assert!(standard.contains(&Resource::Segment(SegmentId(5))));
         assert!(standard.contains(&Resource::Ion(q(2))));
+    }
+
+    #[test]
+    fn resource_lists_name_what_each_op_occupies_in_order() {
+        use Resource::{Ion, Junction, Segment, TransportController, Trap};
+        let movement = |trap, junction| RoutedOp::Movement {
+            kind: MovementKind::Shuttle,
+            ion: q(3),
+            trap,
+            junction,
+            segment: SegmentId(8),
+        };
+        let t = TrapId(4);
+        let cases = [
+            (
+                RoutedOp::Gate {
+                    instruction: Instruction::H(q(1)),
+                    trap: t,
+                    chain_len: 1,
+                },
+                vec![Trap(t), Ion(q(1))],
+                vec![],
+            ),
+            (
+                RoutedOp::Gate {
+                    instruction: Instruction::Cnot {
+                        control: q(2),
+                        target: q(1),
+                    },
+                    trap: t,
+                    chain_len: 2,
+                },
+                vec![Trap(t), Ion(q(2)), Ion(q(1))],
+                vec![],
+            ),
+            (
+                RoutedOp::GateSwap {
+                    trap: t,
+                    ion: q(5),
+                    other: q(0),
+                    chain_len: 3,
+                },
+                vec![Trap(t), Ion(q(5)), Ion(q(0))],
+                vec![],
+            ),
+            (
+                movement(None, None),
+                vec![Ion(q(3)), Segment(SegmentId(8))],
+                vec![TransportController],
+            ),
+            (
+                movement(Some(t), None),
+                vec![Ion(q(3)), Segment(SegmentId(8)), Trap(t)],
+                vec![TransportController],
+            ),
+            (
+                movement(Some(t), Some(JunctionId(6))),
+                vec![
+                    Ion(q(3)),
+                    Segment(SegmentId(8)),
+                    Trap(t),
+                    Junction(JunctionId(6)),
+                ],
+                vec![TransportController],
+            ),
+        ];
+        for (op, standard, wise_extra) in cases {
+            assert_eq!(
+                op.resources(WiringMethod::Standard)[..],
+                standard[..],
+                "{op:?}"
+            );
+            let wise: Vec<Resource> = standard.iter().chain(&wise_extra).copied().collect();
+            assert_eq!(op.resources(WiringMethod::Wise)[..], wise[..], "{op:?}");
+            let ions: Vec<QubitId> = standard
+                .iter()
+                .filter_map(|r| match r {
+                    Ion(q) => Some(*q),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(op.ions(), ions, "{op:?}");
+        }
     }
 
     #[test]

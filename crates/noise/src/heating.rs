@@ -9,9 +9,13 @@
 //! operations (measurement followed by reset, or explicit sympathetic
 //! cooling) return the ion to its base value.
 //!
+//! The ledger is a dense `Vec` indexed by [`QubitId::index`], grown when an
+//! ion past its end is first heated; an ion it does not cover reads the base
+//! n̄. WISE's cooling before every two-qubit gate is modelled by the
+//! `cooled` error rates of [`NoiseParams::wise_cooled`], not by the ledger.
+//!
 //! [`NoiseParams::two_qubit_gate_error`]: crate::NoiseParams::two_qubit_gate_error
-
-use std::collections::HashMap;
+//! [`NoiseParams::wise_cooled`]: crate::NoiseParams::wise_cooled
 
 use serde::{Deserialize, Serialize};
 
@@ -34,7 +38,9 @@ pub fn movement_heating(kind: MovementKind) -> f64 {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct HeatingLedger {
     base_nbar: f64,
-    nbar: HashMap<QubitId, f64>,
+    /// n̄ per ion, indexed by [`QubitId::index`]; ions past the end are at
+    /// `base_nbar`.
+    nbar: Vec<f64>,
 }
 
 impl HeatingLedger {
@@ -42,13 +48,16 @@ impl HeatingLedger {
     pub fn new(base_nbar: f64) -> Self {
         HeatingLedger {
             base_nbar,
-            nbar: HashMap::new(),
+            nbar: Vec::new(),
         }
     }
 
     /// The current motional energy of an ion.
     pub fn nbar(&self, ion: QubitId) -> f64 {
-        self.nbar.get(&ion).copied().unwrap_or(self.base_nbar)
+        self.nbar
+            .get(ion.index())
+            .copied()
+            .unwrap_or(self.base_nbar)
     }
 
     /// The motional energy relevant to a two-qubit gate between two ions:
@@ -62,29 +71,20 @@ impl HeatingLedger {
     pub fn record_movement(&mut self, ion: QubitId, kind: MovementKind) {
         let added = movement_heating(kind);
         if added > 0.0 {
-            let entry = self.nbar.entry(ion).or_insert(self.base_nbar);
-            *entry += added;
+            let i = ion.index();
+            if self.nbar.len() <= i {
+                self.nbar.resize(i + 1, self.base_nbar);
+            }
+            self.nbar[i] += added;
         }
     }
 
     /// Cools an ion back to the base motional energy (e.g. after measurement
     /// and re-preparation, or sympathetic cooling).
     pub fn cool(&mut self, ion: QubitId) {
-        self.nbar.insert(ion, self.base_nbar);
-    }
-
-    /// Cools every ion (used by the WISE cooling model, which recools before
-    /// every two-qubit gate).
-    pub fn cool_all(&mut self) {
-        self.nbar.clear();
-    }
-
-    /// The hottest ion currently tracked, if any ion has been heated.
-    pub fn hottest(&self) -> Option<(QubitId, f64)> {
-        self.nbar
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(&q, &n)| (q, n))
+        if let Some(nbar) = self.nbar.get_mut(ion.index()) {
+            *nbar = self.base_nbar;
+        }
     }
 }
 
@@ -126,13 +126,22 @@ mod tests {
     }
 
     #[test]
-    fn hottest_and_cool_all() {
-        let mut ledger = HeatingLedger::new(0.0);
-        assert_eq!(ledger.hottest(), None);
+    fn ions_first_seen_out_of_order_grow_the_ledger_at_base() {
+        let mut ledger = HeatingLedger::new(0.5);
+        // Cooling or reading an ion the ledger does not cover leaves it at
+        // base and does not grow it.
+        ledger.cool(q(9));
+        assert_eq!(ledger.nbar(q(9)), 0.5);
         ledger.record_movement(q(3), MovementKind::Merge);
-        ledger.record_movement(q(5), MovementKind::Shuttle);
-        assert_eq!(ledger.hottest().unwrap().0, q(3));
-        ledger.cool_all();
-        assert_eq!(ledger.hottest(), None);
+        ledger.record_movement(q(7), MovementKind::JunctionExit);
+        ledger.record_movement(q(1), MovementKind::Shuttle);
+        // A primitive that adds no heat leaves an uncovered ion uncovered.
+        ledger.record_movement(q(12), MovementKind::GateSwap);
+        assert_eq!(ledger.nbar, vec![0.5, 0.6, 0.5, 6.5, 0.5, 0.5, 0.5, 3.5]);
+        assert_eq!(ledger.nbar(q(12)), 0.5);
+        assert_eq!(ledger.pair_nbar(q(7), q(40)), 3.5);
+        ledger.cool(q(3));
+        assert_eq!(ledger.nbar(q(3)), 0.5);
+        assert_eq!(ledger.nbar(q(7)), 3.5);
     }
 }

@@ -7,8 +7,12 @@
 //!   two-qubit depolarising noise with heating dependence, imperfect reset
 //!   and measurement), with gate-improvement scaling and the WISE cooling
 //!   variant;
-//! * [`HeatingLedger`] and [`movement_heating`] — motional-energy
-//!   bookkeeping driven by the ion-transport primitives of Table 1.
+//! * [`HeatingLedger`] and [`movement_heating`] — per-ion motional-energy
+//!   bookkeeping driven by the ion-transport primitives of Table 1 (a dense
+//!   `Vec` by qubit index; ions heat on movement and cool on measurement or
+//!   reset). WISE's cooling before every two-qubit gate is not a ledger
+//!   operation: it is the `cooled` error model of
+//!   [`NoiseParams::wise_cooled`].
 //!
 //! The compiler toolflow in `qccd-core` uses these models to lower a
 //! scheduled QCCD program into a noisy stabilizer circuit for `qccd-sim`.

@@ -12,7 +12,9 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use qccd_circuit::{Circuit, Detector, Instruction, LogicalObservable, MeasurementRef, QubitId};
+use qccd_circuit::{
+    Circuit, Detector, Instruction, LogicalObservable, MeasurementRef, QubitId, Qubits,
+};
 
 /// Resolved annotation lists: per-detector and per-observable measurement
 /// indices, as returned by [`NoisyCircuit::resolve_annotations`].
@@ -60,12 +62,12 @@ pub enum NoiseChannel {
 
 impl NoiseChannel {
     /// The qubits this channel can corrupt.
-    pub fn qubits(&self) -> Vec<QubitId> {
+    pub fn qubits(&self) -> Qubits {
         match *self {
             NoiseChannel::Depolarize1 { qubit, .. }
             | NoiseChannel::BitFlip { qubit, .. }
-            | NoiseChannel::PhaseFlip { qubit, .. } => vec![qubit],
-            NoiseChannel::Depolarize2 { a, b, .. } => vec![a, b],
+            | NoiseChannel::PhaseFlip { qubit, .. } => Qubits::one(qubit),
+            NoiseChannel::Depolarize2 { a, b, .. } => Qubits::two(a, b),
         }
     }
 
@@ -379,5 +381,20 @@ mod tests {
         assert_eq!(c.total_probability(), 0.05);
         assert!(!c.is_trivial());
         assert!(c.to_string().contains("DEPOLARIZE2"));
+    }
+
+    #[test]
+    fn every_channel_lists_its_qubits_in_order() {
+        let (a, b, p) = (q(6), q(1), 0.01);
+        let cases = [
+            (NoiseChannel::Depolarize1 { qubit: a, p }, vec![a]),
+            (NoiseChannel::Depolarize2 { a, b, p }, vec![a, b]),
+            (NoiseChannel::BitFlip { qubit: a, p }, vec![a]),
+            (NoiseChannel::PhaseFlip { qubit: a, p }, vec![a]),
+        ];
+        for (channel, expected) in cases {
+            assert_eq!(channel.qubits(), expected, "{channel}");
+            assert_eq!(channel.qubits().into_iter().collect::<Vec<_>>(), expected);
+        }
     }
 }
