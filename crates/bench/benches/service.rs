@@ -2,22 +2,20 @@
 //! loadgen against the offline word-parallel batch decode, at the paper's
 //! deep below-threshold sampling point (d = 5, p = 2e-3).
 //!
-//! The acceptance target (asserted by the perf harness reading this bench)
-//! is that the multi-stream service sustains **≥ 80%** of the offline
+//! The service's target is to sustain **≥ 80%** of the offline
 //! single-thread `decode_batch` shots/s on the same frames while staying
 //! bit-identical — the loadgen report printed after the groups carries the
-//! measured ratio, the p50/p99 latency and the mismatch count (always 0 by
-//! the identity property suite).
+//! measured ratio, the client-side p50/p99 latency and the mismatch count
+//! (always 0 by the identity property suite). Nothing asserts the ratio:
+//! measured throughput lives in the committed `BENCH_*.json` ledgers.
 //!
 //! The ratio is core-count sensitive: submission, decode and delivery are
 //! pipeline stages that overlap on separate cores, while on a single-core
 //! runner every stage timeshares with the decode itself and the measured
-//! ratio is the end-to-end overhead floor (~85–95% there on sustained
-//! replays with the sharded batcher and shot-major word-block submission;
-//! this 50k-shot pass finishes in milliseconds and is scheduler-noise
-//! dominated, so read the ratio from longer runs when it matters — the
-//! offline baseline does no ingestion, batching, routing or delivery at
-//! all).
+//! ratio is the end-to-end overhead floor. This 50k-shot pass finishes in
+//! milliseconds and is scheduler-noise dominated, so read the ratio from
+//! longer runs when it matters — the offline baseline does no ingestion,
+//! batching, routing or delivery at all.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -114,8 +112,7 @@ fn bench_service_vs_offline(c: &mut Criterion) {
     group.finish();
 
     // One verified loadgen pass: print the acceptance numbers (throughput
-    // ratio vs offline, latency percentiles, flush split) for CI logs and
-    // the perf harness.
+    // ratio vs offline, latency percentiles, flush split) for CI logs.
     let service = DecodeService::new(service_config());
     let options = LoadgenOptions {
         streams: 8,

@@ -477,6 +477,9 @@ pub fn parse_loadgen_options(args: &[String]) -> Result<LoadgenCliOptions, Strin
     if options.frontier == Some(0) {
         return Err("--frontier needs at least 1 point".into());
     }
+    if matches!(options.load.rate, Some(rate) if !(rate.is_finite() && rate > 0.0)) {
+        return Err("--rate must be a finite positive number of shots/s".into());
+    }
     if options.trace_out.is_some() && !options.in_process {
         return Err(
             "--trace-out needs --in-process (a TCP server traces via `serve --trace-out`)".into(),
@@ -1362,6 +1365,12 @@ mod tests {
         assert!(parse_loadgen_options(&strings(&["--in-process", "--connections", "2"])).is_err());
         assert!(parse_loadgen_options(&strings(&["--addr", "x:1", "--frontier", "0"])).is_err());
         assert!(parse_loadgen_options(&strings(&["--addr", "x:1", "--wire", "sideways"])).is_err());
+        // A rate the pacer cannot schedule toward is refused, not run
+        // unthrottled.
+        for rate in ["nan", "inf", "-inf", "0", "-0", "-50000"] {
+            let args = strings(&["--in-process", "--rate", rate]);
+            assert!(parse_loadgen_options(&args).is_err(), "--rate {rate}");
+        }
 
         let options = parse_loadgen_options(&strings(&[
             "--addr",

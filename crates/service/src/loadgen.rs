@@ -5,28 +5,35 @@
 //! [`Decoder::decode_batch`](qccd_decoder::Decoder::decode_batch) on the
 //! same frames, and reports throughput and latency.
 //!
-//! Shots are distributed round-robin: global shot `i` goes to stream
-//! `i % streams` as its `i / streams`-th frame, so the offline reference
-//! and the per-stream corrections can be compared one to one. Over TCP,
-//! stream `s` is driven by connection `s % connections`, each connection
-//! on its own submission thread — the saturation harness that exercises
-//! the sharded hot path from many sockets at once.
+//! Both transports run **one replay**. The program's chunks are sampled
+//! once, global shot `i` going to stream `i % streams` as its
+//! `i / streams`-th frame, and each stream's wire form (index frames or
+//! shot-major word blocks) is built before the clock starts. One paced loop
+//! submits per-stream bursts of `words` 64-shot words (the service's
+//! `max_batch_words` in process, one per protocol line over TCP); per-stream
+//! collectors stamp each arrival; one verifier counts missing, out-of-order
+//! and mismatched corrections and measures latency on the client. Only
+//! opening a stream and submitting a burst depend on the transport. Over
+//! TCP, stream `s` rides connection `s % connections`, each connection on
+//! its own submission thread.
 //!
-//! [`run_frontier_over_tcp`] sweeps the throughput/latency **frontier**:
-//! one unthrottled calibration run finds the saturation rate, then
-//! throttled replays at fractions of it map out how latency grows as the
-//! offered load approaches saturation.
+//! [`run_frontier_over_tcp`] sweeps the throughput/latency **frontier** over
+//! that one replay: an unthrottled calibration run finds the saturation
+//! rate, then throttled runs at fractions of it show how latency grows as
+//! the offered load approaches saturation.
 
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use qccd_decoder::{DecodeScratch, DecoderKind};
-use qccd_sim::{sample_detector_chunks, NoisyCircuit};
-use qccd_telemetry::{snapshot_from_json, RegistrySnapshot};
+use qccd_sim::{sample_detector_chunks, NoisyCircuit, SyndromeChunk};
+use qccd_telemetry::snapshot_from_json;
 use serde_json::Value;
 
-use crate::net::NetClient;
-use crate::service::{DecodeService, WordBlock};
+pub use crate::metrics::{StageBreakdown, StageSummary};
+use crate::net::{NetClient, NetStream};
+use crate::service::{DecodeService, StreamSender, WordBlock};
 use crate::{Correction, DecodeProgram, ServiceError, ServiceMetrics};
 
 /// Load-generation parameters.
@@ -69,100 +76,6 @@ impl Default for LoadgenOptions {
     }
 }
 
-/// Latency summary of one pipeline stage, read from the unified telemetry
-/// snapshot: exact call/item counters plus quantiles of the (sampled)
-/// duration histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct StageSummary {
-    /// Stage invocations (exact, unsampled).
-    pub calls: u64,
-    /// Items (frames/shots) the stage processed (exact, unsampled).
-    pub items: u64,
-    /// Invocations that were timed (at sampling period 1 this equals
-    /// `calls`).
-    pub timed: u64,
-    /// Mean duration of the timed invocations (µs).
-    pub mean_us: f64,
-    /// Median duration (µs, linearly interpolated).
-    pub p50_us: f64,
-    /// 99th-percentile duration (µs, linearly interpolated).
-    pub p99_us: f64,
-}
-
-impl StageSummary {
-    fn from_snapshot(snapshot: &RegistrySnapshot, stage: &str) -> Option<StageSummary> {
-        let hist = snapshot.histogram(&format!("{stage}_us"))?;
-        Some(StageSummary {
-            calls: snapshot.counter(&format!("{stage}_calls")),
-            items: snapshot.counter(&format!("{stage}_items")),
-            timed: hist.count,
-            mean_us: hist.mean(),
-            p50_us: hist.quantile(0.50),
-            p99_us: hist.quantile(0.99),
-        })
-    }
-
-    fn to_json(self) -> Value {
-        serde_json::json!({
-            "calls": self.calls,
-            "items": self.items,
-            "timed": self.timed,
-            "mean_us": self.mean_us,
-            "p50_us": self.p50_us,
-            "p99_us": self.p99_us,
-        })
-    }
-}
-
-/// Per-stage latency breakdown of the service pipeline: how long frames
-/// waited in the batcher, how long decode jobs took, and how long
-/// correction routing took.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct StageBreakdown {
-    /// Submit→flush wait in the batcher (items = frames).
-    pub batcher_wait: StageSummary,
-    /// Transpose + decode of one job (items = shots).
-    pub decode: StageSummary,
-    /// Correction routing and delivery (items = shots).
-    pub delivery: StageSummary,
-}
-
-impl StageBreakdown {
-    /// Reads the breakdown out of a unified telemetry snapshot (`None`
-    /// when the service ran with telemetry disabled).
-    pub fn from_snapshot(snapshot: &RegistrySnapshot) -> Option<StageBreakdown> {
-        Some(StageBreakdown {
-            batcher_wait: StageSummary::from_snapshot(snapshot, "service.stage.batcher_wait")?,
-            decode: StageSummary::from_snapshot(snapshot, "service.stage.decode")?,
-            delivery: StageSummary::from_snapshot(snapshot, "service.stage.delivery")?,
-        })
-    }
-
-    /// The breakdown as a JSON object.
-    pub fn to_json(&self) -> Value {
-        serde_json::json!({
-            "batcher_wait": self.batcher_wait.to_json(),
-            "decode": self.decode.to_json(),
-            "delivery": self.delivery.to_json(),
-        })
-    }
-
-    /// One table line per stage.
-    pub fn render_pretty(&self) -> String {
-        let row = |name: &str, s: &StageSummary| {
-            format!(
-                "  {name:<13} {:>9} calls {:>11} items   mean {:>8.1} µs   p50 {:>8.1} µs   p99 {:>8.1} µs\n",
-                s.calls, s.items, s.mean_us, s.p50_us, s.p99_us
-            )
-        };
-        let mut out = String::from("per-stage breakdown (timing sampled):\n");
-        out.push_str(&row("batcher_wait", &self.batcher_wait));
-        out.push_str(&row("decode", &self.decode));
-        out.push_str(&row("delivery", &self.delivery));
-        out
-    }
-}
-
 /// The load generator's result: throughput, latency and the bit-identity
 /// verdict.
 #[derive(Debug, Clone, PartialEq)]
@@ -183,11 +96,12 @@ pub struct LoadgenReport {
     /// `shots_per_sec / offline_shots_per_sec` — the acceptance headroom
     /// (the service target is ≥ 0.8 at d=5, p=2e-3).
     pub throughput_ratio: Option<f64>,
-    /// Corrections differing from the offline reference (must be 0).
+    /// Corrections missing, out of order, or differing from the offline
+    /// reference (must be 0).
     pub mismatches: usize,
-    /// Median submit→correction latency (µs). Over TCP this is measured
-    /// client-side (submit wall-clock to correction arrival), so it
-    /// includes the wire.
+    /// Median submit→correction latency (µs), measured on the client in
+    /// both modes: from submitting a shot's burst to the correction's
+    /// arrival at its stream's collector (over TCP, the wire included).
     pub p50_latency_us: f64,
     /// 99th-percentile submit→correction latency (µs).
     pub p99_latency_us: f64,
@@ -207,22 +121,13 @@ impl LoadgenReport {
             "connections": self.connections as u64,
             "wall_seconds": self.wall_seconds,
             "shots_per_sec": self.shots_per_sec,
-            "offline_shots_per_sec": match self.offline_shots_per_sec {
-                Some(v) => Value::from(v),
-                None => Value::Null,
-            },
-            "throughput_ratio": match self.throughput_ratio {
-                Some(v) => Value::from(v),
-                None => Value::Null,
-            },
+            "offline_shots_per_sec": self.offline_shots_per_sec,
+            "throughput_ratio": self.throughput_ratio,
             "mismatches": self.mismatches as u64,
             "p50_latency_us": self.p50_latency_us,
             "p99_latency_us": self.p99_latency_us,
             "metrics": self.metrics.to_json(),
-            "stages": match &self.stages {
-                Some(stages) => stages.to_json(),
-                None => Value::Null,
-            },
+            "stages": self.stages.map(|stages| stages.to_json()),
         })
     }
 
@@ -293,19 +198,12 @@ impl FrontierReport {
     pub fn to_json(&self) -> Value {
         serde_json::json!({
             "calibration": self.calibration.to_json(),
-            "points": Value::Array(
-                self.points
-                    .iter()
-                    .map(|p| {
-                        serde_json::json!({
-                            "target_rate": p.target_rate,
-                            "shots_per_sec": p.shots_per_sec,
-                            "p50_latency_us": p.p50_latency_us,
-                            "p99_latency_us": p.p99_latency_us,
-                        })
-                    })
-                    .collect(),
-            ),
+            "points": self.points.iter().map(|p| serde_json::json!({
+                "target_rate": p.target_rate,
+                "shots_per_sec": p.shots_per_sec,
+                "p50_latency_us": p.p50_latency_us,
+                "p99_latency_us": p.p99_latency_us,
+            })).collect::<Vec<_>>(),
         })
     }
 
@@ -330,133 +228,268 @@ pub fn sample_frames(
     shots: usize,
     seed: u64,
 ) -> Result<Vec<Vec<usize>>, ServiceError> {
-    Ok(index_frames_from_chunks(&sampled_chunks(
-        circuit, shots, seed,
-    )?))
+    Ok(deal_frames(&sampled_chunks(circuit, shots, seed)?, 1).remove(0))
 }
 
-/// Samples the replayed syndromes once; both the wire frames and the
-/// offline reference derive from these chunks.
 fn sampled_chunks(
     circuit: &NoisyCircuit,
     shots: usize,
     seed: u64,
-) -> Result<Vec<qccd_sim::SyndromeChunk>, ServiceError> {
+) -> Result<Vec<SyndromeChunk>, ServiceError> {
     let sampler = sample_detector_chunks(circuit, shots, seed, 16 * 4096)
         .map_err(|e| ServiceError::InvalidCircuit(format!("{e:?}")))?;
     Ok(sampler.chunks().collect())
 }
 
-/// The chunks' shots as fired-detector index lists, in global shot order.
-fn index_frames_from_chunks(chunks: &[qccd_sim::SyndromeChunk]) -> Vec<Vec<usize>> {
-    let mut frames = Vec::new();
-    let mut fired = Vec::new();
-    for chunk in chunks {
-        for shot in 0..chunk.num_shots() {
-            chunk.fired_detectors_into(shot, &mut fired);
-            frames.push(fired.clone());
-        }
-    }
-    frames
-}
-
-/// Pre-transposes the round-robin replay into **shot-major word blocks**:
-/// `result[s]` is stream `s`'s frames (global shots `s, s+streams, …`)
-/// packed 64 shots at a time into `(planes, count)` — one `u64` plane per
-/// detector, bit `j` of plane `d` set iff the block's `j`-th shot fired
-/// detector `d`. This is the trap-side client's representation, so the
-/// transpose happens before the replay clock starts.
-fn shot_major_blocks(
-    frames: &[Vec<usize>],
-    streams: usize,
-    num_detectors: usize,
-) -> Vec<Vec<(Vec<u64>, usize)>> {
-    let mut per_stream: Vec<Vec<(Vec<u64>, usize)>> = vec![Vec::new(); streams];
-    for (i, fired) in frames.iter().enumerate() {
-        let blocks = &mut per_stream[i % streams];
-        let bit = (i / streams) % 64;
-        if bit == 0 {
-            blocks.push((vec![0u64; num_detectors], 0));
-        }
-        let block = blocks.last_mut().expect("block pushed above");
-        for &detector in fired {
-            block.0[detector] |= 1u64 << bit;
-        }
-        block.1 += 1;
+/// The chunks' shots as fired-detector index lists, dealt round-robin:
+/// global shot `i` is stream `i % streams`'s `(i / streams)`-th frame.
+fn deal_frames(chunks: &[SyndromeChunk], streams: usize) -> Vec<Vec<Vec<usize>>> {
+    let mut per_stream = vec![Vec::new(); streams];
+    let shots = chunks
+        .iter()
+        .flat_map(|chunk| (0..chunk.num_shots()).map(move |shot| (chunk, shot)));
+    for (i, (chunk, shot)) in shots.enumerate() {
+        let mut fired = Vec::new();
+        chunk.fired_detectors_into(shot, &mut fired);
+        per_stream[i % streams].push(fired);
     }
     per_stream
+}
+
+/// One stream's frames as shot-major word blocks `(planes, count)`, 64
+/// shots a block: bit `j` of plane `d` is set iff the block's `j`-th shot
+/// fired detector `d`.
+fn shot_major_blocks(frames: &[Vec<usize>], num_detectors: usize) -> Vec<(Vec<u64>, usize)> {
+    frames
+        .chunks(64)
+        .map(|block| {
+            let mut planes = vec![0u64; num_detectors];
+            for (j, fired) in block.iter().enumerate() {
+                for &detector in fired {
+                    planes[detector] |= 1u64 << j;
+                }
+            }
+            (planes, block.len())
+        })
+        .collect()
 }
 
 /// Decodes the sampled chunks offline on the word-parallel batch path (one
 /// warm scratch, one thread) and returns the per-shot flip masks plus the
 /// decode wall time — the baseline the service throughput is measured
 /// against.
-fn offline_from_chunks(
-    program: &DecodeProgram,
-    chunks: &[qccd_sim::SyndromeChunk],
-) -> (Vec<u64>, f64) {
+fn decode_offline(program: &DecodeProgram, chunks: &[SyndromeChunk]) -> (Vec<u64>, f64) {
     let mut scratch = DecodeScratch::new();
     let mut flips = Vec::new();
     let start = Instant::now();
     for chunk in chunks {
         let prediction = program.decode_batch(chunk, &mut scratch);
-        for shot in 0..chunk.num_shots() {
-            let mut mask = 0u64;
-            for observable in 0..prediction.num_observables() {
-                if prediction.predicted(shot, observable) {
-                    mask |= 1u64 << observable;
-                }
-            }
-            flips.push(mask);
-        }
+        flips.extend((0..chunk.num_shots()).map(|shot| {
+            (0..prediction.num_observables())
+                .filter(|&observable| prediction.predicted(shot, observable))
+                .fold(0u64, |mask, observable| mask | 1 << observable)
+        }));
     }
     (flips, start.elapsed().as_secs_f64())
 }
 
-/// Sleep-based pacing toward `rate` shots/s: called before submitting shot
-/// `index`, sleeps off any accumulated lead over the target schedule.
+/// Sleep-based pacing toward `rate` shots/s: called before submitting
+/// global shot `index`, sleeps off any lead over the target schedule. A
+/// rate whose schedule is not a valid [`Duration`] — NaN, not positive, or
+/// so small it overflows — paces nothing.
 fn pace(start: Instant, index: usize, rate: Option<f64>) {
-    let Some(rate) = rate else { return };
-    if rate <= 0.0 {
-        return;
-    }
-    let due = Duration::from_secs_f64(index as f64 / rate);
-    let elapsed = start.elapsed();
-    if due > elapsed {
-        let lead = due - elapsed;
+    let due = rate.and_then(|rate| Duration::try_from_secs_f64(index as f64 / rate).ok());
+    if let Some(lead) = due.and_then(|due| due.checked_sub(start.elapsed())) {
         if lead > Duration::from_micros(50) {
             std::thread::sleep(lead);
         }
     }
 }
 
-/// `p`-th percentile (0..=100) of an unsorted latency sample, in place.
-fn percentile_us(samples: &mut [f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let rank = ((p / 100.0) * (samples.len() - 1) as f64).round() as usize;
-    samples[rank.min(samples.len() - 1)]
+/// The median and 99th percentile of a latency sample (0 when empty).
+fn p50_p99(mut samples: Vec<f64>) -> (f64, f64) {
+    samples.sort_by(f64::total_cmp);
+    let rank = |p: f64| (p * samples.len().saturating_sub(1) as f64).round() as usize;
+    let at = |p| samples.get(rank(p)).copied().unwrap_or(0.0);
+    (at(0.50), at(0.99))
 }
 
-/// Reconstructs a [`ServiceMetrics`] snapshot from the server's `metrics`
-/// JSON (the wire inverse of [`ServiceMetrics::to_json`]).
-fn metrics_from_json(metrics_json: &Value) -> ServiceMetrics {
-    let read = |key: &str| metrics_json.get(key).and_then(Value::as_f64).unwrap_or(0.0);
-    let read_u = |key: &str| metrics_json.get(key).and_then(Value::as_u64).unwrap_or(0);
-    ServiceMetrics {
-        streams_open: read_u("streams_open") as usize,
-        frames_submitted: read_u("frames_submitted"),
-        frames_completed: read_u("frames_completed"),
-        queue_depth: read_u("queue_depth"),
-        words_flushed: read_u("words_flushed"),
-        full_word_flushes: read_u("full_word_flushes"),
-        deadline_flushes: read_u("deadline_flushes"),
-        close_flushes: read_u("close_flushes"),
-        shots_per_sec: read("shots_per_sec"),
-        p50_latency_us: read("p50_latency_us"),
-        p99_latency_us: read("p99_latency_us"),
+/// A correction and the instant its stream's collector received it.
+type Arrival = (Correction, Instant);
+
+/// Spawns one stream's collector: up to `expected` corrections through
+/// `recv` (a receive with a timeout), each stamped on arrival. It stops at
+/// end of stream or after two minutes without one; the verifier counts the
+/// rest missing.
+fn spawn_collector(
+    expected: usize,
+    mut recv: impl FnMut(Duration) -> Option<Correction> + Send + 'static,
+) -> JoinHandle<Vec<Arrival>> {
+    std::thread::spawn(move || {
+        let arrive = |correction| (correction, Instant::now());
+        std::iter::from_fn(|| recv(Duration::from_secs(120)).map(arrive))
+            .take(expected)
+            .collect()
+    })
+}
+
+fn join_collectors(collectors: Vec<JoinHandle<Vec<Arrival>>>) -> Vec<Vec<Arrival>> {
+    collectors
+        .into_iter()
+        .map(|collector| collector.join().expect("a collector only receives"))
+        .collect()
+}
+
+/// A replay's wire form, per stream: index frames or shot-major blocks.
+enum Wire {
+    Frames(Vec<Vec<Vec<usize>>>),
+    Blocks(Vec<Vec<(Vec<u64>, usize)>>),
+}
+
+/// One burst of one stream's wire form.
+enum Burst<'a> {
+    Frames(&'a [Vec<usize>]),
+    Blocks(&'a [(Vec<u64>, usize)]),
+}
+
+/// What the verifier found across every stream of a replay.
+#[derive(Default)]
+struct Verdict {
+    /// Expected corrections that never arrived.
+    missing: usize,
+    /// Arrivals whose `seq` is not their position (a lost, duplicated or
+    /// reordered correction shifts the ones after it).
+    out_of_order: usize,
+    /// In-order corrections that differ from the offline reference.
+    mismatched: usize,
+    /// Submit→arrival latency of every arrival (µs).
+    latencies_us: Vec<f64>,
+}
+
+/// The replay both transports run, sampled once.
+struct Replay {
+    per_stream_shots: Vec<usize>,
+    /// 64-shot words per burst.
+    words: usize,
+    wire: Wire,
+    /// Offline flip masks in global shot order and the offline decode
+    /// seconds (`None` unless verifying).
+    offline: Option<(Vec<u64>, f64)>,
+}
+
+impl Replay {
+    /// One sampling pass of `program`'s circuit feeds both the offline
+    /// reference and the wire form, submitted `words` words a burst. The
+    /// wire form is the trap-side client's to produce, so it is built here,
+    /// before any clock starts.
+    fn sample(
+        program: &DecodeProgram,
+        options: &LoadgenOptions,
+        words: usize,
+    ) -> Result<Self, ServiceError> {
+        let chunks = sampled_chunks(program.circuit(), options.shots.max(1), options.seed)?;
+        let offline = options.verify.then(|| decode_offline(program, &chunks));
+        let frames = deal_frames(&chunks, options.streams.max(1));
+        let per_stream_shots = frames.iter().map(Vec::len).collect();
+        let wire = if options.shot_major {
+            let blocks = |frames: &Vec<_>| shot_major_blocks(frames, program.num_detectors());
+            Wire::Blocks(frames.iter().map(blocks).collect())
+        } else {
+            Wire::Frames(frames)
+        };
+        Ok(Replay {
+            per_stream_shots,
+            words,
+            wire,
+            offline,
+        })
+    }
+
+    /// The paced submission loop of both transports. Round `r` hands burst
+    /// `r` of each of `streams` to `submit(stream, burst)`, paced to the
+    /// global index of the burst's first shot and stamped as it goes out.
+    /// Returns every stream's burst stamps (none for streams not given).
+    fn submit<R, E>(
+        &self,
+        streams: impl Iterator<Item = usize> + Clone,
+        start: Instant,
+        rate: Option<f64>,
+        mut submit: impl FnMut(usize, Burst<'_>) -> Result<R, E>,
+    ) -> Result<Vec<Vec<Instant>>, E> {
+        let (words, per_burst) = (self.words, 64 * self.words);
+        let round_shots = per_burst * self.per_stream_shots.len();
+        let most = streams.clone().map(|s| self.per_stream_shots[s]).max();
+        let mut stamps = vec![Vec::new(); self.per_stream_shots.len()];
+        for round in 0..most.unwrap_or(0).div_ceil(per_burst) {
+            for s in streams.clone() {
+                let burst = match &self.wire {
+                    Wire::Frames(all) => all[s].chunks(per_burst).nth(round).map(Burst::Frames),
+                    Wire::Blocks(all) => all[s].chunks(words).nth(round).map(Burst::Blocks),
+                };
+                let Some(burst) = burst else { continue };
+                pace(start, round * round_shots + s, rate);
+                stamps[s].push(Instant::now());
+                submit(s, burst)?;
+            }
+        }
+        Ok(stamps)
+    }
+
+    /// The shared verifier: checks each stream's arrivals against its shot
+    /// count, their order and (when verifying) the offline reference, and
+    /// times each from the stamp of the burst that carried its frame.
+    fn verify(&self, arrivals: &[Vec<Arrival>], stamps: &[Vec<Instant>]) -> Verdict {
+        let (streams, per_burst) = (self.per_stream_shots.len(), 64 * self.words);
+        let reference = self.offline.as_ref().map(|(flips, _)| flips);
+        let mut verdict = Verdict::default();
+        for (s, arrived) in arrivals.iter().enumerate() {
+            verdict.missing += self.per_stream_shots[s].saturating_sub(arrived.len());
+            for (q, (correction, at)) in arrived.iter().enumerate() {
+                if correction.seq != q as u64 {
+                    verdict.out_of_order += 1;
+                } else if reference
+                    .is_some_and(|r| r.get(q * streams + s) != Some(&correction.flips))
+                {
+                    verdict.mismatched += 1;
+                }
+                if let Some(submitted) = stamps[s].get(q / per_burst) {
+                    let latency = at.saturating_duration_since(*submitted);
+                    verdict.latencies_us.push(latency.as_secs_f64() * 1e6);
+                }
+            }
+        }
+        verdict
+    }
+
+    fn report(
+        &self,
+        verdict: Verdict,
+        wall_seconds: f64,
+        connections: usize,
+        metrics: ServiceMetrics,
+        stages: Option<StageBreakdown>,
+    ) -> LoadgenReport {
+        let shots: usize = self.per_stream_shots.iter().sum();
+        let (p50_latency_us, p99_latency_us) = p50_p99(verdict.latencies_us);
+        let offline_shots_per_sec = self
+            .offline
+            .as_ref()
+            .map(|(_, seconds)| shots as f64 / seconds.max(1e-9));
+        let shots_per_sec = shots as f64 / wall_seconds.max(1e-9);
+        LoadgenReport {
+            shots,
+            streams: self.per_stream_shots.len(),
+            connections,
+            wall_seconds,
+            shots_per_sec,
+            offline_shots_per_sec,
+            throughput_ratio: offline_shots_per_sec.map(|offline| shots_per_sec / offline),
+            mismatches: verdict.missing + verdict.out_of_order + verdict.mismatched,
+            p50_latency_us,
+            p99_latency_us,
+            metrics,
+            stages,
+        }
     }
 }
 
@@ -472,254 +505,108 @@ pub fn run_in_process(
     program: &Arc<DecodeProgram>,
     options: &LoadgenOptions,
 ) -> Result<LoadgenReport, ServiceError> {
-    let streams = options.streams.max(1);
-    let shots = options.shots.max(1);
-    // One sampling pass feeds both the wire frames and the offline
-    // reference. Producing the wire representation (index frames, or the
-    // shot-major block transpose) is the trap-side client's job, so it
-    // happens before the clock starts.
-    let chunks = sampled_chunks(program.circuit(), shots, options.seed)?;
-    let frames = index_frames_from_chunks(&chunks);
-    let blocks = options
-        .shot_major
-        .then(|| shot_major_blocks(&frames, streams, program.num_detectors()));
-    let offline = options
-        .verify
-        .then(|| offline_from_chunks(program, &chunks));
-
-    let mut senders = Vec::with_capacity(streams);
-    let mut collectors = Vec::with_capacity(streams);
-    let per_stream_shots: Vec<usize> = (0..streams)
-        .map(|s| shots / streams + usize::from(s < shots % streams))
-        .collect();
-    for expected in per_stream_shots.iter().copied() {
+    // Bursts of several words: `submit_*_batch` pays the shard lock once
+    // per burst instead of once per frame, which is what lets the replay
+    // keep up with the word-parallel decode itself.
+    let replay = Replay::sample(program, options, service.config().max_batch_words.max(1))?;
+    let (mut senders, mut collectors) = (Vec::new(), Vec::new());
+    for &expected in &replay.per_stream_shots {
         let (sender, mut receiver) = service.open_stream_program(program)?.split();
         senders.push(sender);
-        collectors.push(std::thread::spawn(move || {
-            let mut corrections = Vec::with_capacity(expected);
-            while let Some(correction) = receiver.recv() {
-                corrections.push(correction);
-            }
-            corrections
+        collectors.push(spawn_collector(expected, move |wait| {
+            receiver.recv_timeout(wait)
+        }));
+    }
+    let submit = |s: usize, burst: Burst<'_>| match burst {
+        Burst::Frames(frames) => {
+            let frames: Vec<&[usize]> = frames.iter().map(Vec::as_slice).collect();
+            senders[s].submit_batch(&frames)
+        }
+        Burst::Blocks(blocks) => {
+            let blocks: Vec<_> = blocks
+                .iter()
+                .map(|&(ref planes, count)| WordBlock { planes, count })
+                .collect();
+            senders[s].submit_word_batch(&blocks)
+        }
+    };
+    let start = Instant::now();
+    let stamps = replay.submit(0..senders.len(), start, options.rate, submit);
+    // Closing ends every collector, after a failed submission too.
+    senders.iter().for_each(StreamSender::close);
+    let stamps = stamps?;
+    let arrivals = join_collectors(collectors);
+    let wall_seconds = start.elapsed().as_secs_f64();
+    let verdict = replay.verify(&arrivals, &stamps);
+    let stages = StageBreakdown::from_snapshot(&service.telemetry_snapshot());
+    Ok(replay.report(verdict, wall_seconds, 1, service.metrics(), stages))
+}
+
+/// Runs `replay` against the server at `addr`, opening each stream with
+/// `open`: stream `s` rides connection `s % connections`, each connection
+/// on its own submission thread, one word per protocol line.
+fn replay_over_tcp(
+    addr: &str,
+    open: &dyn Fn(&mut NetClient) -> Result<NetStream, String>,
+    replay: &Replay,
+    connections: usize,
+    rate: Option<f64>,
+    shutdown_after: bool,
+) -> Result<LoadgenReport, String> {
+    let streams = replay.per_stream_shots.len();
+    let connections = connections.clamp(1, streams);
+    let on_connection = |c: usize| (c..streams).step_by(connections);
+    let mut clients = (0..connections)
+        .map(|_| NetClient::connect(addr))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| e.to_string())?;
+    let (mut ids, mut collectors) = (Vec::new(), Vec::new());
+    for (s, &expected) in replay.per_stream_shots.iter().enumerate() {
+        let stream = open(&mut clients[s % connections])?;
+        ids.push(stream.id);
+        collectors.push(spawn_collector(expected, move |timeout| {
+            stream.corrections.recv_timeout(timeout).ok()
         }));
     }
 
-    // Submit in bursts of several full words per stream: `submit_*_batch`
-    // pays the shard lock once per burst instead of once per frame, which
-    // is what lets the replay keep up with the word-parallel decode itself.
-    // Global shot `i` still maps to stream `i % streams`, frame
-    // `i / streams`.
-    let start = Instant::now();
-    let words_per_burst = service.config().max_batch_words.max(1);
-    let mut submitted = 0usize;
-    if let Some(blocks) = &blocks {
-        let mut cursor = vec![0usize; streams];
-        while submitted < shots {
-            pace(start, submitted, options.rate);
-            for (s, stream_blocks) in blocks.iter().enumerate() {
-                let end = (cursor[s] + words_per_burst).min(stream_blocks.len());
-                if cursor[s] < end {
-                    let refs: Vec<WordBlock<'_>> = stream_blocks[cursor[s]..end]
-                        .iter()
-                        .map(|(planes, count)| WordBlock {
-                            planes,
-                            count: *count,
-                        })
-                        .collect();
-                    submitted += refs.iter().map(|b| b.count).sum::<usize>();
-                    senders[s].submit_word_batch(&refs)?;
-                    cursor[s] = end;
-                }
-            }
-        }
-    } else {
-        let mut per_stream: Vec<Vec<&[usize]>> =
-            vec![Vec::with_capacity(64 * words_per_burst); streams];
-        let burst = 64 * words_per_burst * streams;
-        while submitted < shots {
-            pace(start, submitted, options.rate);
-            let end = (submitted + burst).min(shots);
-            for bucket in per_stream.iter_mut() {
-                bucket.clear();
-            }
-            for (i, frame) in frames[submitted..end].iter().enumerate() {
-                per_stream[(submitted + i) % streams].push(frame.as_slice());
-            }
-            for (s, bucket) in per_stream.iter().enumerate() {
-                if !bucket.is_empty() {
-                    senders[s].submit_batch(bucket)?;
-                }
-            }
-            submitted = end;
-        }
-    }
-    for sender in &senders {
-        sender.close();
-    }
-    let collected: Vec<Vec<Correction>> = collectors
-        .into_iter()
-        .map(|collector| collector.join().expect("collector panicked"))
-        .collect();
-    let wall_seconds = start.elapsed().as_secs_f64();
-
-    let mut mismatches = 0usize;
-    for (s, corrections) in collected.iter().enumerate() {
-        assert_eq!(
-            corrections.len(),
-            per_stream_shots[s],
-            "stream {s} delivered every correction"
-        );
-        for (q, correction) in corrections.iter().enumerate() {
-            assert_eq!(correction.seq, q as u64, "stream {s} ordered delivery");
-            if let Some((reference, _)) = &offline {
-                if reference[q * streams + s] != correction.flips {
-                    mismatches += 1;
-                }
-            }
-        }
-    }
-
-    let metrics = service.metrics();
-    let stages = StageBreakdown::from_snapshot(&service.telemetry_snapshot());
-    let offline_shots_per_sec = offline
-        .as_ref()
-        .map(|(_, seconds)| shots as f64 / seconds.max(1e-9));
-    let shots_per_sec = shots as f64 / wall_seconds.max(1e-9);
-    Ok(LoadgenReport {
-        shots,
-        streams,
-        connections: 1,
-        wall_seconds,
-        shots_per_sec,
-        offline_shots_per_sec,
-        throughput_ratio: offline_shots_per_sec.map(|offline| shots_per_sec / offline),
-        mismatches,
-        p50_latency_us: metrics.p50_latency_us,
-        p99_latency_us: metrics.p99_latency_us,
-        metrics,
-        stages,
-    })
-}
-
-/// What one TCP connection thread brings home: its streams' ordered
-/// corrections (tagged with the global stream index), the client-side
-/// submit→arrival latencies, and any protocol errors its reader refused
-/// to deliver.
-struct ConnectionResult {
-    per_stream: Vec<(usize, Vec<Correction>)>,
-    latencies_us: Vec<f64>,
-    protocol_errors: Vec<String>,
-}
-
-/// One connection's share of the replay: submits its streams' shots in
-/// global order (paced against the shared schedule), collects corrections
-/// per stream, and measures client-side latency.
-#[allow(clippy::too_many_arguments)]
-fn drive_connection(
-    mut client: NetClient,
-    streams_on_conn: Vec<(usize, crate::net::NetStream)>,
-    frames: Arc<Vec<Vec<usize>>>,
-    streams: usize,
-    per_stream_shots: Arc<Vec<usize>>,
-    start: Instant,
-    rate: Option<f64>,
-    shot_major: bool,
-    num_detectors: usize,
-) -> Result<ConnectionResult, String> {
-    let mut collectors = Vec::with_capacity(streams_on_conn.len());
-    // Maps a global stream index to its slot on this connection.
-    let mut slot_of = std::collections::HashMap::new();
-    let mut ids = Vec::with_capacity(streams_on_conn.len());
-    for (slot, (global, stream)) in streams_on_conn.into_iter().enumerate() {
-        slot_of.insert(global, slot);
-        ids.push(stream.id);
-        let expected = per_stream_shots[global];
-        collectors.push((
-            global,
-            std::thread::spawn(move || {
-                let mut corrections = Vec::with_capacity(expected);
-                for _ in 0..expected {
-                    match stream.corrections.recv_timeout(Duration::from_secs(120)) {
-                        Ok(correction) => corrections.push((correction, Instant::now())),
-                        Err(_) => break,
-                    }
-                }
-                corrections
-            }),
-        ));
-    }
-
-    // Submission: walk the global shot order, keep only this connection's
-    // streams, buffer up to 64 frames per stream per protocol line. For
-    // shot-major mode the 64-frame buffer is transposed into one
-    // `frames_packed` word block at flush time.
-    let mut buffered: Vec<Vec<&[usize]>> = vec![Vec::with_capacity(64); ids.len()];
-    let mut submit_times: Vec<Vec<Instant>> = vec![Vec::new(); ids.len()];
-    let mut planes = vec![0u64; num_detectors];
-    let flush = |client: &mut NetClient,
-                 slot: usize,
-                 buffered: &mut Vec<&[usize]>,
-                 submit_times: &mut Vec<Instant>,
-                 planes: &mut Vec<u64>|
-     -> Result<(), String> {
-        if buffered.is_empty() {
-            return Ok(());
-        }
-        let now = Instant::now();
-        submit_times.extend(std::iter::repeat_n(now, buffered.len()));
-        if shot_major {
-            planes.iter_mut().for_each(|w| *w = 0);
-            for (j, fired) in buffered.iter().enumerate() {
-                for &detector in *fired {
-                    planes[detector] |= 1u64 << j;
-                }
-            }
-            client.submit_packed_words(ids[slot], &[(planes.clone(), buffered.len())])?;
-        } else {
-            let frames: Vec<Vec<usize>> = buffered.iter().map(|f| f.to_vec()).collect();
-            client.submit_frames(ids[slot], &frames)?;
-        }
-        buffered.clear();
-        Ok(())
+    // Each connection's submission thread: its streams' bursts, one word
+    // per protocol line, then its streams' closes.
+    let (ids, start) = (&ids, Instant::now());
+    let drive = |c: usize, client: &mut NetClient| {
+        let stamps = replay.submit(on_connection(c), start, rate, |s, burst| match burst {
+            Burst::Frames(frames) => client.submit_frames(ids[s], frames),
+            Burst::Blocks(blocks) => client.submit_packed_words(ids[s], blocks),
+        })?;
+        on_connection(c).try_for_each(|s| client.close_stream(ids[s]))?;
+        Ok::<_, String>(stamps)
     };
-    for (i, frame) in frames.iter().enumerate() {
-        let Some(&slot) = slot_of.get(&(i % streams)) else {
-            continue;
-        };
-        pace(start, i, rate);
-        buffered[slot].push(frame.as_slice());
-        if buffered[slot].len() >= 64 {
-            let (bucket, times) = (&mut buffered[slot], &mut submit_times[slot]);
-            flush(&mut client, slot, bucket, times, &mut planes)?;
+    let mut submitted = vec![Ok(Vec::new()); connections];
+    std::thread::scope(|scope| {
+        for ((c, client), outcome) in clients.iter_mut().enumerate().zip(&mut submitted) {
+            scope.spawn(move || *outcome = drive(c, client));
         }
+    });
+    let mut submitted = submitted.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let stamps: Vec<_> = (0..streams)
+        .map(|s| std::mem::take(&mut submitted[s % connections][s]))
+        .collect();
+    let arrivals = join_collectors(collectors);
+    let wall_seconds = start.elapsed().as_secs_f64();
+    let mut errors = clients.iter().flat_map(NetClient::take_protocol_errors);
+    if let Some(first) = errors.next() {
+        let count = 1 + errors.count();
+        return Err(format!("{count} protocol errors, first: {first}"));
     }
-    for slot in 0..ids.len() {
-        let (bucket, times) = (&mut buffered[slot], &mut submit_times[slot]);
-        flush(&mut client, slot, bucket, times, &mut planes)?;
-    }
-    for &id in &ids {
-        client.close_stream(id)?;
-    }
+    let verdict = replay.verify(&arrivals, &stamps);
 
-    let mut per_stream = Vec::with_capacity(collectors.len());
-    let mut latencies_us = Vec::new();
-    for (global, collector) in collectors {
-        let collected = collector.join().expect("collector panicked");
-        let slot = slot_of[&global];
-        let mut corrections = Vec::with_capacity(collected.len());
-        for (correction, arrival) in collected {
-            if let Some(submitted) = submit_times[slot].get(correction.seq as usize) {
-                latencies_us.push(arrival.duration_since(*submitted).as_secs_f64() * 1e6);
-            }
-            corrections.push(correction);
-        }
-        per_stream.push((global, corrections));
+    let mut tail = NetClient::connect(addr).map_err(|e| e.to_string())?;
+    let full = tail.metrics_full()?;
+    let metrics = ServiceMetrics::from_json(&full["metrics"]);
+    let stages = StageBreakdown::from_snapshot(&snapshot_from_json(&full["telemetry"]));
+    if shutdown_after {
+        tail.shutdown_server()?;
     }
-    Ok(ConnectionResult {
-        per_stream,
-        latencies_us,
-        protocol_errors: client.take_protocol_errors(),
-    })
+    Ok(replay.report(verdict, wall_seconds, connections, metrics, stages))
 }
 
 /// Drives a **remote** JSON-lines decode server with replayed frames for
@@ -749,160 +636,22 @@ pub fn run_over_tcp(
     options: &LoadgenOptions,
     shutdown_after: bool,
 ) -> Result<LoadgenReport, String> {
-    let (topology, wiring) = wire;
-    let arch = crate::net::parse_arch(topology, capacity, wiring, gate_improvement)?;
-    let program = DecodeProgram::compile(&arch, distance, decoder).map_err(|e| e.to_string())?;
-    let streams = options.streams.max(1);
-    let connections = options.connections.clamp(1, streams);
-    let shots = options.shots.max(1);
-    // One sampling pass feeds both the wire frames (index lists — the JSON
-    // protocol's vocabulary; shot-major blocks are transposed from them at
-    // flush time) and the offline verification reference.
-    let chunks =
-        sampled_chunks(program.circuit(), shots, options.seed).map_err(|e| e.to_string())?;
-    let frames = Arc::new(index_frames_from_chunks(&chunks));
-    let offline = options
-        .verify
-        .then(|| offline_from_chunks(&program, &chunks));
-    drop(chunks);
-    let per_stream_shots: Arc<Vec<usize>> = Arc::new(
-        (0..streams)
-            .map(|s| shots / streams + usize::from(s < shots % streams))
-            .collect(),
-    );
-
-    // Connect and open every stream before the clock starts: stream `s`
-    // rides connection `s % connections`.
-    let mut conn_streams: Vec<Vec<(usize, crate::net::NetStream)>> = Vec::new();
-    let mut clients = Vec::with_capacity(connections);
-    for _ in 0..connections {
-        let mut client = NetClient::connect(addr).map_err(|e| e.to_string())?;
-        client.ping()?;
-        clients.push(client);
-        conn_streams.push(Vec::new());
-    }
-    for s in 0..streams {
-        let conn = s % connections;
-        let stream = clients[conn].open_stream(
-            topology,
-            capacity,
-            wiring,
-            gate_improvement,
-            distance,
-            decoder,
-        )?;
-        conn_streams[conn].push((s, stream));
-    }
-
-    let start = Instant::now();
-    let num_detectors = program.num_detectors();
-    let workers: Vec<_> = clients
-        .into_iter()
-        .zip(conn_streams)
-        .map(|(client, streams_on_conn)| {
-            let frames = Arc::clone(&frames);
-            let per_stream_shots = Arc::clone(&per_stream_shots);
-            let rate = options.rate;
-            let shot_major = options.shot_major;
-            std::thread::spawn(move || {
-                drive_connection(
-                    client,
-                    streams_on_conn,
-                    frames,
-                    streams,
-                    per_stream_shots,
-                    start,
-                    rate,
-                    shot_major,
-                    num_detectors,
-                )
-            })
-        })
-        .collect();
-    let mut results = Vec::with_capacity(workers.len());
-    for worker in workers {
-        results.push(worker.join().expect("connection thread panicked")?);
-    }
-    let wall_seconds = start.elapsed().as_secs_f64();
-
-    let protocol_errors: Vec<&String> = results
-        .iter()
-        .flat_map(|r| r.protocol_errors.iter())
-        .collect();
-    if !protocol_errors.is_empty() {
-        return Err(format!(
-            "{} protocol errors, first: {}",
-            protocol_errors.len(),
-            protocol_errors[0]
-        ));
-    }
-
-    let mut mismatches = 0usize;
-    let mut missing = 0usize;
-    let mut latencies_us = Vec::new();
-    for result in &results {
-        latencies_us.extend_from_slice(&result.latencies_us);
-        for (s, corrections) in &result.per_stream {
-            missing += per_stream_shots[*s] - corrections.len();
-            for (q, correction) in corrections.iter().enumerate() {
-                if correction.seq != q as u64 {
-                    mismatches += 1;
-                } else if let Some((reference, _)) = &offline {
-                    if reference[q * streams + s] != correction.flips {
-                        mismatches += 1;
-                    }
-                }
-            }
-        }
-    }
-    if missing > 0 {
-        return Err(format!("{missing} corrections never arrived"));
-    }
-    let p50_latency_us = percentile_us(&mut latencies_us, 50.0);
-    let p99_latency_us = percentile_us(&mut latencies_us, 99.0);
-
-    let mut tail = NetClient::connect(addr).map_err(|e| e.to_string())?;
-    let full = tail.metrics_full()?;
-    let metrics = metrics_from_json(full.get("metrics").unwrap_or(&Value::Null));
-    let stages = full
-        .get("telemetry")
-        .map(snapshot_from_json)
-        .as_ref()
-        .and_then(StageBreakdown::from_snapshot);
-    if shutdown_after {
-        tail.shutdown_server()?;
-    }
-
-    let offline_shots_per_sec = offline
-        .as_ref()
-        .map(|(_, seconds)| shots as f64 / seconds.max(1e-9));
-    let shots_per_sec = shots as f64 / wall_seconds.max(1e-9);
-    Ok(LoadgenReport {
-        shots,
-        streams,
-        connections,
-        wall_seconds,
-        shots_per_sec,
-        offline_shots_per_sec,
-        throughput_ratio: offline_shots_per_sec.map(|offline| shots_per_sec / offline),
-        mismatches,
-        p50_latency_us,
-        p99_latency_us,
-        metrics,
-        stages,
-    })
+    let arch = (wire, capacity, gate_improvement, distance, decoder);
+    let sweep = tcp_sweep(addr, arch, options, options.rate, 0, shutdown_after);
+    sweep.map(|sweep| sweep.calibration)
 }
 
 /// Sweeps the **throughput/latency frontier** against a remote server: one
 /// unthrottled calibration replay finds the saturation rate, then `points`
 /// throttled replays at `saturation * i / points` (for `i in 1..=points`)
-/// measure how client-observed latency grows with offered load. The
-/// calibration run carries the bit-identity verdict (per `options.verify`);
-/// the throttled points skip re-verification — the frames are identical.
+/// measure how client-observed latency grows with offered load. Every run
+/// replays the same frames, compiled and sampled once; the calibration
+/// carries the bit-identity verdict (per `options.verify`).
 ///
 /// # Errors
 ///
-/// Any failure of the underlying [`run_over_tcp`] replays.
+/// Any failure of the underlying replays, and a throttled point with a
+/// missing, out-of-order or (when verifying) differing correction.
 #[allow(clippy::too_many_arguments)]
 pub fn run_frontier_over_tcp(
     addr: &str,
@@ -915,40 +664,41 @@ pub fn run_frontier_over_tcp(
     points: usize,
     shutdown_after: bool,
 ) -> Result<FrontierReport, String> {
-    let points = points.max(1);
-    let calibration_options = LoadgenOptions {
-        rate: None,
-        ..*options
+    let arch = (wire, capacity, gate_improvement, distance, decoder);
+    tcp_sweep(addr, arch, options, None, points.max(1), shutdown_after)
+}
+
+/// Compiles the program and samples the replay once, replays it at `rate`,
+/// then at `points` even fractions of the throughput that first replay
+/// reached. `arch` is `((topology, wiring), capacity, gate_improvement,
+/// distance, decoder)` in the protocol vocabulary.
+fn tcp_sweep(
+    addr: &str,
+    arch: ((&str, &str), usize, f64, usize, DecoderKind),
+    options: &LoadgenOptions,
+    rate: Option<f64>,
+    points: usize,
+    shutdown_after: bool,
+) -> Result<FrontierReport, String> {
+    let ((topology, wiring), capacity, improvement, distance, decoder) = arch;
+    let config = crate::net::parse_arch(topology, capacity, wiring, improvement)?;
+    let program = DecodeProgram::compile(&config, distance, decoder).map_err(|e| e.to_string())?;
+    let replay = Replay::sample(&program, options, 1).map_err(|e| e.to_string())?;
+    let open = |client: &mut NetClient| {
+        client.open_stream(topology, capacity, wiring, improvement, distance, decoder)
     };
-    let calibration = run_over_tcp(
-        addr,
-        wire,
-        capacity,
-        gate_improvement,
-        distance,
-        decoder,
-        &calibration_options,
-        false,
-    )?;
+    let run =
+        |rate, shutdown| replay_over_tcp(addr, &open, &replay, options.connections, rate, shutdown);
+    let calibration = run(rate, shutdown_after && points == 0)?;
     let saturation = calibration.shots_per_sec.max(1.0);
     let mut frontier = Vec::with_capacity(points);
     for i in 1..=points {
         let target_rate = saturation * i as f64 / points as f64;
-        let point_options = LoadgenOptions {
-            rate: Some(target_rate),
-            verify: false,
-            ..*options
-        };
-        let report = run_over_tcp(
-            addr,
-            wire,
-            capacity,
-            gate_improvement,
-            distance,
-            decoder,
-            &point_options,
-            false,
-        )?;
+        let report = run(Some(target_rate), shutdown_after && i == points)?;
+        if report.mismatches > 0 {
+            let n = report.mismatches;
+            return Err(format!("{n} mismatches at {target_rate:.0} shots/s"));
+        }
         frontier.push(FrontierPoint {
             target_rate,
             shots_per_sec: report.shots_per_sec,
@@ -956,12 +706,95 @@ pub fn run_frontier_over_tcp(
             p99_latency_us: report.p99_latency_us,
         });
     }
-    if shutdown_after {
-        let mut tail = NetClient::connect(addr).map_err(|e| e.to_string())?;
-        tail.shutdown_server()?;
-    }
     Ok(FrontierReport {
         calibration,
         points: frontier,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two streams of three shots, verified against a reference whose
+    /// global shot `i` flips observable mask `i`.
+    fn replay() -> Replay {
+        Replay {
+            per_stream_shots: vec![3, 3],
+            words: 1,
+            wire: Wire::Frames(Vec::new()),
+            offline: Some(((0..6).collect(), 1.0)),
+        }
+    }
+
+    /// Stream 1 delivers cleanly; stream 0 delivers `(seq, flips)` pairs.
+    fn verdict(stream0: &[(u64, u64)]) -> Verdict {
+        let at = Instant::now();
+        let arrive = |seq, flips| (Correction { seq, flips }, at);
+        let arrivals = vec![
+            stream0
+                .iter()
+                .map(|&(seq, flips)| arrive(seq, flips))
+                .collect(),
+            (0..3).map(|q| arrive(q, 2 * q + 1)).collect(),
+        ];
+        replay().verify(&arrivals, &[vec![at], vec![at]])
+    }
+
+    fn counts(verdict: &Verdict) -> (usize, usize, usize) {
+        (verdict.missing, verdict.out_of_order, verdict.mismatched)
+    }
+
+    #[test]
+    fn the_verifier_counts_lost_duplicated_reordered_and_differing_corrections() {
+        let clean = verdict(&[(0, 0), (1, 2), (2, 4)]);
+        assert_eq!(counts(&clean), (0, 0, 0));
+        assert_eq!(clean.latencies_us.len(), 6);
+        // Shot 1 lost: one missing, and shot 2 arrives out of place.
+        assert_eq!(counts(&verdict(&[(0, 0), (2, 4)])), (1, 1, 0));
+        // Shot 0 duplicated: the collector stops at three arrivals, and the
+        // duplicate shifts the two after it.
+        assert_eq!(counts(&verdict(&[(0, 0), (0, 0), (1, 2)])), (0, 2, 0));
+        assert_eq!(counts(&verdict(&[(1, 2), (0, 0), (2, 4)])), (0, 2, 0));
+        assert_eq!(counts(&verdict(&[(0, 0), (1, 3), (2, 4)])), (0, 0, 1));
+        // Nothing at all arrived on stream 0.
+        assert_eq!(counts(&verdict(&[])), (3, 0, 0));
+    }
+
+    #[test]
+    fn a_collector_takes_at_most_its_expected_count_and_stops_at_end_of_stream() {
+        let feed = |n: u64| {
+            let mut next = 0..n;
+            move |_| next.next().map(|seq| Correction { seq, flips: 0 })
+        };
+        assert_eq!(spawn_collector(2, feed(5)).join().unwrap().len(), 2);
+        assert_eq!(spawn_collector(4, feed(3)).join().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn pacing_never_panics_and_never_waits_on_an_invalid_rate() {
+        let start = Instant::now();
+        for rate in [
+            f64::NAN,
+            0.0,
+            -0.0,
+            -5.0,
+            1e-300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            for index in [0, 64, usize::MAX] {
+                pace(start, index, Some(rate));
+            }
+        }
+        assert!(start.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn percentiles_of_a_latency_sample() {
+        assert_eq!(p50_p99(Vec::new()), (0.0, 0.0));
+        assert_eq!(p50_p99(vec![3.0]), (3.0, 3.0));
+        let (p50, p99) = p50_p99((1..=101).rev().map(f64::from).collect());
+        assert_eq!((p50, p99), (51.0, 100.0));
+    }
 }

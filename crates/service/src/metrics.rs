@@ -7,13 +7,14 @@
 //! `decoder.*` counters. The registry snapshot is what the `metrics` command
 //! exports as JSON and Prometheus-style text; [`ServiceMetrics`] (stable
 //! JSON keys, served by the TCP front-end since the first service release)
-//! is a view read from the same cells.
+//! is a view read from the same cells, and [`StageBreakdown`] reads the
+//! per-stage spans back out of a snapshot.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use qccd_decoder::CacheStats;
-use qccd_telemetry::{Counter, Gauge, Histogram, Registry, Stage};
+use qccd_telemetry::{Counter, Gauge, Histogram, Registry, RegistrySnapshot, Stage};
 use serde_json::Value;
 
 /// Which flush counter a batcher flush books under (the service's
@@ -234,6 +235,120 @@ impl ServiceMetrics {
             "p50_latency_us": self.p50_latency_us,
             "p99_latency_us": self.p99_latency_us,
         })
+    }
+
+    /// Reads the server's `metrics` JSON back (the inverse of
+    /// [`ServiceMetrics::to_json`]).
+    pub(crate) fn from_json(metrics_json: &Value) -> ServiceMetrics {
+        let read = |key: &str| metrics_json.get(key).and_then(Value::as_f64).unwrap_or(0.0);
+        let read_u = |key: &str| metrics_json.get(key).and_then(Value::as_u64).unwrap_or(0);
+        ServiceMetrics {
+            streams_open: read_u("streams_open") as usize,
+            frames_submitted: read_u("frames_submitted"),
+            frames_completed: read_u("frames_completed"),
+            queue_depth: read_u("queue_depth"),
+            words_flushed: read_u("words_flushed"),
+            full_word_flushes: read_u("full_word_flushes"),
+            deadline_flushes: read_u("deadline_flushes"),
+            close_flushes: read_u("close_flushes"),
+            shots_per_sec: read("shots_per_sec"),
+            p50_latency_us: read("p50_latency_us"),
+            p99_latency_us: read("p99_latency_us"),
+        }
+    }
+}
+
+/// Latency summary of one pipeline stage, read from the unified telemetry
+/// snapshot: exact call/item counters plus quantiles of the (sampled)
+/// duration histogram.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct StageSummary {
+    /// Stage invocations (exact, unsampled).
+    pub calls: u64,
+    /// Items (frames/shots) the stage processed (exact, unsampled).
+    pub items: u64,
+    /// Invocations that were timed (at sampling period 1 this equals
+    /// `calls`).
+    pub timed: u64,
+    /// Mean duration of the timed invocations (µs).
+    pub mean_us: f64,
+    /// Median duration (µs, linearly interpolated).
+    pub p50_us: f64,
+    /// 99th-percentile duration (µs, linearly interpolated).
+    pub p99_us: f64,
+}
+
+impl StageSummary {
+    fn from_snapshot(snapshot: &RegistrySnapshot, stage: &str) -> Option<StageSummary> {
+        let hist = snapshot.histogram(&format!("{stage}_us"))?;
+        Some(StageSummary {
+            calls: snapshot.counter(&format!("{stage}_calls")),
+            items: snapshot.counter(&format!("{stage}_items")),
+            timed: hist.count,
+            mean_us: hist.mean(),
+            p50_us: hist.quantile(0.50),
+            p99_us: hist.quantile(0.99),
+        })
+    }
+
+    fn to_json(self) -> Value {
+        serde_json::json!({
+            "calls": self.calls,
+            "items": self.items,
+            "timed": self.timed,
+            "mean_us": self.mean_us,
+            "p50_us": self.p50_us,
+            "p99_us": self.p99_us,
+        })
+    }
+}
+
+/// Per-stage latency breakdown of the service pipeline: how long frames
+/// waited in the batcher, how long decode jobs took, and how long
+/// correction routing took.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct StageBreakdown {
+    /// Submit→flush wait in the batcher (items = frames).
+    pub batcher_wait: StageSummary,
+    /// Transpose + decode of one job (items = shots).
+    pub decode: StageSummary,
+    /// Correction routing and delivery (items = shots).
+    pub delivery: StageSummary,
+}
+
+impl StageBreakdown {
+    /// Reads the breakdown out of a unified telemetry snapshot (`None`
+    /// when the service ran with telemetry disabled).
+    pub fn from_snapshot(snapshot: &RegistrySnapshot) -> Option<StageBreakdown> {
+        Some(StageBreakdown {
+            batcher_wait: StageSummary::from_snapshot(snapshot, "service.stage.batcher_wait")?,
+            decode: StageSummary::from_snapshot(snapshot, "service.stage.decode")?,
+            delivery: StageSummary::from_snapshot(snapshot, "service.stage.delivery")?,
+        })
+    }
+
+    /// The breakdown as a JSON object.
+    pub fn to_json(&self) -> Value {
+        serde_json::json!({
+            "batcher_wait": self.batcher_wait.to_json(),
+            "decode": self.decode.to_json(),
+            "delivery": self.delivery.to_json(),
+        })
+    }
+
+    /// One table line per stage.
+    pub fn render_pretty(&self) -> String {
+        let row = |name: &str, s: &StageSummary| {
+            format!(
+                "  {name:<13} {:>9} calls {:>11} items   mean {:>8.1} µs   p50 {:>8.1} µs   p99 {:>8.1} µs\n",
+                s.calls, s.items, s.mean_us, s.p50_us, s.p99_us
+            )
+        };
+        let mut out = String::from("per-stage breakdown (timing sampled):\n");
+        out.push_str(&row("batcher_wait", &self.batcher_wait));
+        out.push_str(&row("decode", &self.decode));
+        out.push_str(&row("delivery", &self.delivery));
+        out
     }
 }
 

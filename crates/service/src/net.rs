@@ -863,6 +863,11 @@ impl NetClient {
             .filter(|&observables| observables <= 64)
             .ok_or("open response lacks an observable count of at most 64")?
             as usize;
+        let num_detectors = response
+            .get("detectors")
+            .and_then(Value::as_u64)
+            .and_then(|detectors| usize::try_from(detectors).ok())
+            .ok_or("open response lacks a detector count")?;
         let (tx, rx) = mpsc::channel();
         self.routes.lock().expect("correction router lock").insert(
             id,
@@ -873,10 +878,7 @@ impl NetClient {
         );
         Ok(NetStream {
             id,
-            num_detectors: response
-                .get("detectors")
-                .and_then(Value::as_u64)
-                .unwrap_or(0) as usize,
+            num_detectors,
             num_observables,
             corrections: CorrectionReceiver::new(rx),
         })

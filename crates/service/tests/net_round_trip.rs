@@ -289,11 +289,27 @@ fn protocol_errors_are_reported_not_fatal() {
 }
 
 /// A fake server for the client's reader: answers one `open` per entry of
-/// `streams` with that `(id, observables)`, waits for one submission (so
-/// the client has registered every route), then sends `lines` and holds
-/// the socket open until the client hangs up.
+/// `streams` with that `(id, observables)` and four detectors, then as
+/// [`fake_server_answering`].
 fn fake_server(
     streams: &'static [(u64, u64)],
+    lines: Vec<String>,
+) -> (String, std::thread::JoinHandle<()>) {
+    let opens = streams
+        .iter()
+        .map(|(id, observables)| {
+            format!(r#"{{"ok":true,"stream":{id},"detectors":4,"observables":{observables}}}"#)
+        })
+        .collect();
+    fake_server_answering(opens, lines)
+}
+
+/// A fake server that answers the client's `open` commands with `opens`,
+/// one raw line each, waits for one submission (so the client has
+/// registered every route), then sends `lines` and holds the socket open
+/// until the client hangs up.
+fn fake_server_answering(
+    opens: Vec<String>,
     lines: Vec<String>,
 ) -> (String, std::thread::JoinHandle<()>) {
     use std::io::{BufRead, BufReader, Write};
@@ -303,21 +319,147 @@ fn fake_server(
     let fake = std::thread::spawn(move || {
         let (mut socket, _) = listener.accept().expect("client connects");
         let mut requests = BufReader::new(socket.try_clone().expect("clone socket")).lines();
-        for (id, observables) in streams {
+        for open in opens {
             requests.next().expect("open command").expect("readable");
-            writeln!(
-                socket,
-                r#"{{"ok":true,"stream":{id},"detectors":4,"observables":{observables}}}"#
-            )
-            .expect("open response");
+            writeln!(socket, "{open}").expect("open response");
         }
-        requests.next().expect("frames command").expect("readable");
-        for line in lines {
-            writeln!(socket, "{line}").expect("run line");
+        if requests.next().is_some() {
+            for line in lines {
+                writeln!(socket, "{line}").expect("run line");
+            }
         }
         while requests.next().is_some() {}
     });
     (addr, fake)
+}
+
+/// An `open` response without a usable detector count is refused: a stream
+/// read as having no detectors would make every frame look out of range.
+#[test]
+fn an_open_response_without_a_detector_count_is_an_error() {
+    for open in [
+        r#"{"ok":true,"stream":1,"observables":1}"#,
+        r#"{"ok":true,"stream":1,"detectors":"4","observables":1}"#,
+        r#"{"ok":true,"stream":1,"detectors":-4,"observables":1}"#,
+    ] {
+        let (addr, fake) = fake_server_answering(vec![open.to_string()], Vec::new());
+        let mut client = NetClient::connect(&addr).expect("connect");
+        let error = client
+            .open_stream("grid", 2, "standard", 5.0, 2, DecoderKind::UnionFind)
+            .expect_err("no detector count");
+        assert!(error.contains("detector count"), "{open}: {error}");
+        drop(client);
+        fake.join().expect("fake server thread");
+    }
+}
+
+/// The single-frame `frame` command, over a raw socket: shots sent one
+/// `frame` line each decode exactly like the same shots in one `frames`
+/// line, and a `frame` naming an out-of-range detector is answered by one
+/// async error line and enqueues nothing.
+#[test]
+fn frame_lines_decode_like_a_frames_line_and_refuse_bad_detectors() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let server = NetServer::bind(
+        "127.0.0.1:0",
+        ServiceConfig::default().with_flush_deadline(Duration::from_micros(200)),
+    )
+    .expect("bind ephemeral port");
+    let addr = server.local_addr().expect("bound address").to_string();
+    let service = std::sync::Arc::clone(server.service());
+    let running = std::thread::spawn(move || server.run());
+
+    let arch = qccd_service::net::parse_arch("grid", 2, "standard", 5.0).expect("arch");
+    let program =
+        qccd_service::DecodeProgram::compile(&arch, 2, DecoderKind::UnionFind).expect("compile");
+    let frames = loadgen::sample_frames(program.circuit(), 200, 13).expect("sample");
+
+    let mut socket = std::net::TcpStream::connect(&addr).expect("raw connection");
+    // A missing line fails the test instead of hanging it.
+    socket
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut lines = BufReader::new(socket.try_clone().expect("clone socket")).lines();
+    let mut next_line = || -> Value {
+        let line = lines.next().expect("server line").expect("readable");
+        serde_json::from_str(&line).expect("JSON line")
+    };
+    let mut opened = Vec::new();
+    for _ in 0..2 {
+        writeln!(
+            socket,
+            r#"{{"cmd":"open","topology":"grid","capacity":2,"wiring":"standard","gate_improvement":5.0,"distance":2,"decoder":"union_find"}}"#
+        )
+        .expect("open");
+        let response = next_line();
+        let id = response["stream"].as_u64().expect("stream id");
+        opened.push((id, response["observables"].as_u64().expect("observables")));
+    }
+    let [(by_frame, observables), (by_frames, _)] = opened[..] else {
+        unreachable!("two streams opened")
+    };
+    for fired in &frames {
+        let line = serde_json::json!({"cmd": "frame", "stream": by_frame, "detectors": fired});
+        writeln!(socket, "{line}").expect("frame");
+    }
+    let line = serde_json::json!({"cmd": "frames", "stream": by_frames, "frames": frames});
+    writeln!(socket, "{line}").expect("frames");
+    writeln!(
+        socket,
+        r#"{{"cmd":"frame","stream":{by_frame},"detectors":[{}]}}"#,
+        program.num_detectors()
+    )
+    .expect("bad frame");
+    for id in [by_frame, by_frames] {
+        writeln!(socket, r#"{{"cmd":"close","stream":{id}}}"#).expect("close");
+    }
+
+    // Run lines, the async error and the two close responses interleave.
+    let mut flips: std::collections::HashMap<u64, Vec<u64>> = Default::default();
+    let (mut async_errors, mut closed) = (0, 0);
+    let done = |flips: &std::collections::HashMap<u64, Vec<u64>>| {
+        [by_frame, by_frames]
+            .iter()
+            .all(|id| flips.get(id).map_or(0, Vec::len) == frames.len())
+    };
+    while closed < 2 || !done(&flips) {
+        let line = next_line();
+        if line.get("async").is_some() {
+            assert_eq!(line["stream"].as_u64(), Some(by_frame), "{line:?}");
+            async_errors += 1;
+        } else if let Some(seq) = line["seq"].as_u64() {
+            let stream = flips
+                .entry(line["stream"].as_u64().expect("stream"))
+                .or_default();
+            assert_eq!(seq, stream.len() as u64, "runs arrive in order");
+            let count = line["count"].as_u64().expect("count") as usize;
+            let planes = line["planes"].as_array().expect("planes");
+            let words = count.div_ceil(64);
+            stream.extend((0..count).map(|shot| {
+                (0..observables as usize).fold(0u64, |mask, o| {
+                    let word = planes[o * words + shot / 64].as_u64().expect("plane word");
+                    mask | ((word >> (shot % 64)) & 1) << o
+                })
+            }));
+        } else {
+            assert_eq!(line["ok"].as_bool(), Some(true), "{line:?}");
+            closed += 1;
+        }
+    }
+    assert_eq!(async_errors, 1, "one error line for the bad frame");
+    assert_eq!(
+        flips[&by_frame], flips[&by_frames],
+        "frame and frames decode alike"
+    );
+    assert_eq!(
+        service.metrics().frames_submitted,
+        2 * frames.len() as u64,
+        "the bad frame enqueued nothing"
+    );
+    writeln!(socket, r#"{{"cmd":"shutdown"}}"#).expect("shutdown");
+    assert_eq!(next_line()["ok"].as_bool(), Some(true));
+    running.join().expect("server thread").expect("clean exit");
 }
 
 /// Opens every stream of a [`fake_server`] and submits one frame.

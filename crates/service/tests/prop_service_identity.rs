@@ -63,8 +63,8 @@ proptest! {
     /// bit-identical to offline `decode_batch` on the same frames, across
     /// stream counts, deadlines, coalescing, worker counts and wire modes
     /// (per-shot index frames vs pre-transposed shot-major word blocks).
-    /// The loadgen asserts ordered, complete delivery internally and
-    /// counts mismatches.
+    /// The loadgen counts every missing, out-of-order or differing
+    /// correction as a mismatch.
     #[test]
     fn service_corrections_match_offline_decode_batch(
         seed in 0u64..1000,
