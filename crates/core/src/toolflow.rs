@@ -5,7 +5,9 @@
 //! performance / noise / resource models, and reports the evaluation metrics:
 //! QEC round time, shot time, movement operations, electrode / DAC / data
 //! rate / power requirements and (optionally) the Monte-Carlo logical error
-//! rate with below-threshold extrapolation.
+//! rate at that one distance. The below-threshold extrapolation across
+//! distances is not here: the experiment harness fits Λ to a sweep's points
+//! with `qccd_decoder::fit_lambda_weighted`.
 //!
 //! Metrics come from one path, [`Toolflow::evaluate_layout`], with no memo
 //! behind it: a compile takes milliseconds, so every evaluation compiles its
@@ -15,8 +17,7 @@
 use serde::{Deserialize, Serialize};
 
 use qccd_decoder::{
-    estimate_logical_error_rate_report, fit_lambda_weighted, DecoderKind, EstimateReport,
-    EstimatorConfig, LambdaFit, LogicalErrorEstimate, SweepEngine,
+    estimate_logical_error_rate_report, DecoderKind, EstimateReport, EstimatorConfig,
 };
 use qccd_hardware::estimate_resources;
 use qccd_qec::{rotated_surface_code, CodeLayout, MemoryBasis};
@@ -198,64 +199,6 @@ impl Toolflow {
             logical_error: estimate_ler.then(|| self.estimate_program(&shot_program).estimate),
         })
     }
-
-    /// Estimates the logical error rate at each of the given distances,
-    /// returning the full Monte-Carlo estimates (rate, standard error,
-    /// shot/failure counts).
-    ///
-    /// Distances are sharded across an outer
-    /// [`SweepEngine`](qccd_decoder::SweepEngine) worker pool composing with
-    /// the estimator's inner chunk parallelism; each distance samples with
-    /// the deterministic seed `sweep_seed(self.seed, index)`, so the result
-    /// is a pure function of `(seed, distances)` regardless of thread
-    /// counts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`CompileError`] (in distance order) from the
-    /// compiler.
-    pub fn logical_error_estimates(
-        &self,
-        distances: &[usize],
-    ) -> Result<Vec<(usize, LogicalErrorEstimate)>, CompileError> {
-        let engine = SweepEngine::new(self.seed);
-        let outcomes = engine.run(distances, |task| {
-            let toolflow = self.clone().with_seed(task.seed);
-            toolflow
-                .evaluate(*task.point, true)
-                .map(|metrics| (*task.point, metrics.logical_error))
-        });
-        let mut points = Vec::with_capacity(distances.len());
-        for outcome in outcomes {
-            let (d, estimate) = outcome?;
-            points.push((
-                d,
-                estimate.expect("evaluate(_, true) always estimates the LER"),
-            ));
-        }
-        Ok(points)
-    }
-
-    /// Fits the exponential suppression law to sampled logical error rates so
-    /// that larger distances / lower targets can be projected, exactly as the
-    /// paper does for its 10⁻⁹ feasibility analysis (Figure 10).
-    ///
-    /// The fit is weighted by each point's Monte-Carlo standard error (see
-    /// [`fit_lambda_weighted`]), so early-stopped estimates of differing
-    /// precision are combined correctly and the returned [`LambdaFit`]
-    /// carries a confidence interval for Λ.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompileError`]s from the compiler.
-    pub fn projection(&self, distances: &[usize]) -> Result<Option<LambdaFit>, CompileError> {
-        let points: Vec<(usize, f64, f64)> = self
-            .logical_error_estimates(distances)?
-            .into_iter()
-            .map(|(d, estimate)| (d, estimate.logical_error_rate, estimate.std_error))
-            .collect();
-        Ok(fit_lambda_weighted(&points))
-    }
 }
 
 #[cfg(test)]
@@ -311,27 +254,6 @@ mod tests {
             l.qec_round_time_us,
             g.qec_round_time_us
         );
-    }
-
-    #[test]
-    fn logical_error_estimates_are_deterministic_and_weighted_fit_runs() {
-        let toolflow = Toolflow::new(ArchitectureConfig::recommended(5.0)).with_shots(256);
-        let distances = [3usize, 5];
-        let a = toolflow.logical_error_estimates(&distances).unwrap();
-        let b = toolflow.logical_error_estimates(&distances).unwrap();
-        assert_eq!(a.len(), 2);
-        for ((da, ea), (db, eb)) in a.iter().zip(&b) {
-            assert_eq!(da, db);
-            assert_eq!((ea.shots, ea.failures), (eb.shots, eb.failures));
-        }
-        // Per-distance seeds differ from each other (sweep-derived).
-        // The projection consumes the standard errors without panicking.
-        let fit = toolflow.projection(&distances).unwrap();
-        if let Some(fit) = fit {
-            assert!(fit.log_slope_std_error.is_finite());
-            let (lo, hi) = fit.lambda_confidence_interval(1.96);
-            assert!(lo <= hi);
-        }
     }
 
     #[test]

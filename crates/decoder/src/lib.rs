@@ -90,8 +90,8 @@
 //! to the uncached path (property-tested in `tests/prop_memo_decode.rs` for
 //! all three [`DecoderKind`]s), hit rates are observable via
 //! [`CacheStats`], and [`MemoConfig::disabled`] restores the raw path. On the paper's deep
-//! below-threshold workloads the memo answers ~90% of noisy shots and more
-//! than doubles batch decode throughput (see the `decoder` criterion bench).
+//! below-threshold workloads the memo answers most noisy shots (the repo
+//! benchmark's `ler_*` workloads report it as `decoder.memo_hit_share`).
 //!
 //! # Sharded sweeps
 //!

@@ -627,23 +627,30 @@ fn parse_word_blocks(value: Option<&Value>) -> Result<Vec<(usize, Vec<u64>)>, St
 /// that would compile an unbounded code.
 const MAX_OPEN_DISTANCE: usize = 25;
 
+/// Reads an optional `open` field: an absent field takes `default`, and a
+/// present one of the wrong type is an error, as in [`parse_detectors`] (a
+/// coerced field would open a stream on another program than the peer
+/// asked for).
+fn optional_field<'a, T>(
+    request: &'a Value,
+    key: &str,
+    read: fn(&'a Value) -> Option<T>,
+    default: T,
+) -> Result<T, String> {
+    request.get(key).map_or(Ok(default), |value| {
+        read(value).ok_or_else(|| format!("`{key}` has the wrong type"))
+    })
+}
+
 fn open_from_request(
     request: &Value,
     service: &Arc<DecodeService>,
 ) -> Result<crate::StreamHandle, String> {
-    let topology = request
-        .get("topology")
-        .and_then(Value::as_str)
-        .unwrap_or("grid");
-    let capacity = request.get("capacity").and_then(Value::as_u64).unwrap_or(2) as usize;
-    let wiring = request
-        .get("wiring")
-        .and_then(Value::as_str)
-        .unwrap_or("standard");
-    let improvement = request
-        .get("gate_improvement")
-        .and_then(Value::as_f64)
-        .unwrap_or(1.0);
+    let topology = optional_field(request, "topology", Value::as_str, "grid")?;
+    let capacity = optional_field(request, "capacity", Value::as_u64, 2)? as usize;
+    let wiring = optional_field(request, "wiring", Value::as_str, "standard")?;
+    let improvement = optional_field(request, "gate_improvement", Value::as_f64, 1.0)?;
+    let decoder = optional_field(request, "decoder", Value::as_str, "union_find")?;
     let distance = request
         .get("distance")
         .and_then(Value::as_u64)
@@ -654,12 +661,7 @@ fn open_from_request(
     if distance > MAX_OPEN_DISTANCE {
         return Err(format!("distance must be at most {MAX_OPEN_DISTANCE}"));
     }
-    let decoder = parse_decoder(
-        request
-            .get("decoder")
-            .and_then(Value::as_str)
-            .unwrap_or("union_find"),
-    )?;
+    let decoder = parse_decoder(decoder)?;
     let arch = parse_arch(topology, capacity, wiring, improvement)?;
     service
         .open_stream(&arch, distance, decoder)

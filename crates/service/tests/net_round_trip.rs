@@ -355,8 +355,9 @@ fn an_open_response_without_a_detector_count_is_an_error() {
 
 /// The single-frame `frame` command, over a raw socket: shots sent one
 /// `frame` line each decode exactly like the same shots in one `frames`
-/// line, and a `frame` naming an out-of-range detector is answered by one
-/// async error line and enqueues nothing.
+/// line, a `frame` naming an out-of-range detector is answered by one
+/// async error line and enqueues nothing, and an `open` with an ill-typed
+/// field is refused.
 #[test]
 fn frame_lines_decode_like_a_frames_line_and_refuse_bad_detectors() {
     use std::io::{BufRead, BufReader, Write};
@@ -385,6 +386,19 @@ fn frame_lines_decode_like_a_frames_line_and_refuse_bad_detectors() {
         let line = lines.next().expect("server line").expect("readable");
         serde_json::from_str(&line).expect("JSON line")
     };
+    // An `open` field of the wrong type is refused, never defaulted.
+    for (field, value) in [
+        ("capacity", r#""5""#),
+        ("capacity", "2.5"),
+        ("gate_improvement", r#""5""#),
+        ("decoder", "7"),
+    ] {
+        writeln!(socket, r#"{{"cmd":"open","distance":2,"{field}":{value}}}"#).expect("open");
+        let response = next_line();
+        assert_eq!(response["ok"].as_bool(), Some(false), "{response:?}");
+        let error = response["error"].as_str().expect("error message");
+        assert!(error.contains(field), "{field}={value}: {error}");
+    }
     let mut opened = Vec::new();
     for _ in 0..2 {
         writeln!(

@@ -12,8 +12,7 @@
 //!   per-thread shard ([`registry`] spreads threads round-robin over padded
 //!   shards that are folded deterministically on snapshot), and a handle
 //!   from a **disabled** registry carries no cell at all, so the disabled
-//!   hot path is a single branch — the overhead gate in
-//!   `benches/decoder.rs` pins this at <2% on the word-decode benchmark.
+//!   hot path is a single branch.
 //! - [`Stage`] spans — per-pipeline-stage timing with exact call/item
 //!   counters and sampled duration histograms, so bit-identity and
 //!   steady-state throughput are untouched (spans time *around* stages,
