@@ -654,3 +654,128 @@ fn an_endless_server_line_stops_the_client_reader() {
     drop(client);
     fake.join().expect("fake server thread");
 }
+
+/// Connects a raw socket to `addr` whose `next_line` reads one server line
+/// as JSON (a missing line fails the test instead of hanging it).
+fn raw_connection(addr: &str) -> (std::net::TcpStream, impl FnMut() -> Value) {
+    use std::io::BufRead;
+
+    let socket = std::net::TcpStream::connect(addr).expect("raw connection");
+    socket
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut lines = std::io::BufReader::new(socket.try_clone().expect("clone socket")).lines();
+    let next_line = move || -> Value {
+        let line = lines.next().expect("server line").expect("readable");
+        serde_json::from_str(&line).expect("JSON line")
+    };
+    (socket, next_line)
+}
+
+/// A frame line or `close` whose `stream` is missing or not a non-negative
+/// integer is refused by name — never read as some huge stream id — and a
+/// frame line's refusal stays tagged `"async"`.
+#[test]
+fn a_missing_or_ill_typed_stream_is_refused_by_name() {
+    use std::io::Write;
+
+    let server =
+        NetServer::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind ephemeral port");
+    let addr = server.local_addr().expect("bound address").to_string();
+    let running = std::thread::spawn(move || server.run());
+    let (mut socket, mut next_line) = raw_connection(&addr);
+
+    let expected = "`stream` must be a non-negative integer";
+    for stream in [
+        "",
+        r#""stream":"0","#,
+        r#""stream":-1,"#,
+        r#""stream":1.5,"#,
+    ] {
+        for (cmd, shots) in [
+            ("frame", r#""detectors":[1]"#),
+            ("frames", r#""frames":[[1]]"#),
+            ("frames_packed", r#""blocks":[{"count":1,"planes":[1]}]"#),
+        ] {
+            writeln!(socket, r#"{{"cmd":"{cmd}",{stream}{shots}}}"#).expect("frame line");
+            let response = next_line();
+            assert_eq!(response["error"].as_str(), Some(expected), "{response:?}");
+            assert_eq!(response["async"].as_bool(), Some(true), "{response:?}");
+            assert!(response.get("stream").is_none(), "{response:?}");
+        }
+        writeln!(socket, r#"{{"cmd":"close",{stream}"x":0}}"#).expect("close");
+        let response = next_line();
+        assert_eq!(response["error"].as_str(), Some(expected), "{response:?}");
+        assert!(response.get("async").is_none(), "{response:?}");
+    }
+    writeln!(socket, r#"{{"cmd":"shutdown"}}"#).expect("shutdown");
+    assert_eq!(next_line()["ok"].as_bool(), Some(true));
+    running.join().expect("server thread").expect("clean exit");
+}
+
+/// A line nested deeper than any request is refused as invalid JSON
+/// without recursing through it, and its connection keeps serving.
+#[test]
+fn a_deeply_nested_line_is_refused_and_the_connection_survives() {
+    use std::io::Write;
+
+    let server =
+        NetServer::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind ephemeral port");
+    let addr = server.local_addr().expect("bound address").to_string();
+    let running = std::thread::spawn(move || server.run());
+    let (mut socket, mut next_line) = raw_connection(&addr);
+
+    writeln!(socket, r#"{{"cmd":"ping","x":{}}}"#, "[".repeat(1_000_000)).expect("deep line");
+    let response = next_line();
+    assert_eq!(
+        response["error"].as_str(),
+        Some("invalid JSON"),
+        "{response:?}"
+    );
+    writeln!(socket, r#"{{"cmd":"shutdown"}}"#).expect("shutdown");
+    assert_eq!(next_line()["ok"].as_bool(), Some(true));
+    running.join().expect("server thread").expect("clean exit");
+}
+
+/// The client caps the lines it sends as the server caps the lines it
+/// reads: an oversized submission fails on the client, names the cap and
+/// sends nothing, so the connection and its other streams keep working.
+#[test]
+fn an_oversized_request_is_refused_before_it_is_sent() {
+    let server =
+        NetServer::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind ephemeral port");
+    let addr = server.local_addr().expect("bound address").to_string();
+    let service = std::sync::Arc::clone(server.service());
+    let running = std::thread::spawn(move || server.run());
+
+    let mut client = NetClient::connect(&addr).expect("connect");
+    let stream = client
+        .open_stream("grid", 2, "standard", 5.0, 2, DecoderKind::UnionFind)
+        .expect("open");
+    // Eleven bytes a detector: a line of about 9.9 MB.
+    let oversized = vec![vec![1_000_000_000usize; 900_000]];
+    let error = client
+        .submit_frames(stream.id, &oversized)
+        .expect_err("a line past the cap");
+    assert!(error.contains("MAX_LINE_BYTES"), "{error}");
+
+    client.ping().expect("the connection is still up");
+    client
+        .submit_frames(stream.id, &[vec![], vec![0]])
+        .expect("a small submission");
+    for seq in 0..2 {
+        let correction = stream
+            .corrections
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the stream still decodes");
+        assert_eq!(correction.seq, seq);
+    }
+    assert!(client.take_protocol_errors().is_empty());
+    assert_eq!(
+        service.metrics().frames_submitted,
+        2,
+        "nothing of the big line arrived"
+    );
+    client.shutdown_server().expect("shutdown");
+    running.join().expect("server thread").expect("clean exit");
+}
