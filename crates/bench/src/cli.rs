@@ -76,7 +76,6 @@ serve options:
   --deadline-us <us>       partial-word flush deadline (default: 500)
   --batch-words <n>        64-shot words coalesced per decode job (default: 1)
   --queue-shots <n>        per-stream in-flight bound (default: 4096)
-  --no-telemetry           disable stage spans and telemetry exposition
   --sample-every <n>       stage-timing sample period (default: 16; 1 = all)
   --trace-out <file>       stream sampled stage spans as JSON lines
 
@@ -108,7 +107,7 @@ loadgen options:
                            (in-process only; use `serve --trace-out` for TCP)
   --workers/--deadline-us/--batch-words/--queue-shots   service knobs
                                                         (in-process only)
-  --no-telemetry/--sample-every <n>                     telemetry knobs
+  --sample-every <n>       stage-timing sample period (in-process only)
 
 sweep run/resume options:
   <name> | --spec <file.json>   the LER-sweep spec to run (exactly one)
@@ -117,7 +116,6 @@ sweep run/resume options:
   --progress-interval-ms <ms>   progress line / status.json period
                            (default: 2000)
   --quiet                  suppress the live progress line on stderr
-  --no-telemetry           disable the run's telemetry registry
   --sample-every <n>       stage-timing sample period (default: 16; 1 = all)
   --format <pretty|json|csv>    merged-artifact format (default: pretty)
   --out <dir>              write the merged artifact to <dir>/<name>.<ext>
@@ -293,6 +291,15 @@ fn parse_number<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Res
         .map_err(|_| format!("{flag}: cannot parse `{value}`"))
 }
 
+/// Parses the value of `--sample-every` (at least 1) into the telemetry
+/// configuration it selects.
+fn parse_sample_every(value: Option<&String>) -> Result<TelemetryConfig, String> {
+    match parse_number("--sample-every", value)? {
+        0 => Err("--sample-every must be at least 1".into()),
+        every => Ok(TelemetryConfig::default().with_sample_every(every)),
+    }
+}
+
 /// Consumes one service-tuning flag shared by `serve` and `loadgen
 /// --in-process`; returns `false` when the flag is not a service flag.
 fn parse_service_flag(
@@ -310,16 +317,7 @@ fn parse_service_flag(
         "--queue-shots" => {
             *config = config.with_stream_queue_shots(parse_number(flag, iter.next())?);
         }
-        "--no-telemetry" => {
-            *config = config.with_telemetry(TelemetryConfig::disabled());
-        }
-        "--sample-every" => {
-            let every: u32 = parse_number(flag, iter.next())?;
-            if every == 0 {
-                return Err("--sample-every must be at least 1".into());
-            }
-            *config = config.with_telemetry(config.telemetry.with_sample_every(every));
-        }
+        "--sample-every" => *config = config.with_telemetry(parse_sample_every(iter.next())?),
         _ => return Ok(false),
     }
     Ok(true)
@@ -506,7 +504,7 @@ pub struct SweepRunOptions {
     pub progress_interval: Duration,
     /// Suppress the live progress line on stderr.
     pub quiet: bool,
-    /// The run's telemetry registry configuration.
+    /// The span sampling period of the run's telemetry registry.
     pub telemetry: TelemetryConfig,
     /// Merged-artifact output format.
     pub format: OutputFormat,
@@ -554,14 +552,7 @@ pub fn parse_sweep_run_options(args: &[String]) -> Result<SweepRunOptions, Strin
                 options.progress_interval = Duration::from_millis(parse_number(arg, iter.next())?);
             }
             "--quiet" => options.quiet = true,
-            "--no-telemetry" => options.telemetry = TelemetryConfig::disabled(),
-            "--sample-every" => {
-                let every: u32 = parse_number(arg, iter.next())?;
-                if every == 0 {
-                    return Err("--sample-every must be at least 1".into());
-                }
-                options.telemetry = options.telemetry.with_sample_every(every);
-            }
+            "--sample-every" => options.telemetry = parse_sample_every(iter.next())?,
             "--format" => {
                 let value = iter.next().ok_or("--format needs a value")?;
                 options.format = OutputFormat::parse(value)?;
@@ -1341,6 +1332,8 @@ mod tests {
             "2",
             "--queue-shots",
             "128",
+            "--sample-every",
+            "4",
         ]))
         .unwrap();
         assert_eq!(options.addr, "0.0.0.0:9000");
@@ -1348,9 +1341,15 @@ mod tests {
         assert_eq!(options.service.flush_deadline, Duration::from_micros(250));
         assert_eq!(options.service.max_batch_words, 2);
         assert_eq!(options.service.stream_queue_shots, 128);
+        assert_eq!(options.service.telemetry.sample_every, 4);
         assert!(parse_serve_options(&strings(&["--workers"])).is_err());
         assert!(parse_serve_options(&strings(&["--workers", "x"])).is_err());
+        assert!(parse_serve_options(&strings(&["--sample-every", "0"])).is_err());
         assert!(parse_serve_options(&strings(&["--bogus"])).is_err());
+        assert_eq!(
+            parse_serve_options(&strings(&["--no-telemetry"])).unwrap_err(),
+            "unknown serve flag `--no-telemetry`"
+        );
     }
 
     #[test]
@@ -1370,6 +1369,16 @@ mod tests {
         for rate in ["nan", "inf", "-inf", "0", "-0", "-50000"] {
             let args = strings(&["--in-process", "--rate", rate]);
             assert!(parse_loadgen_options(&args).is_err(), "--rate {rate}");
+        }
+        assert_eq!(
+            parse_loadgen_options(&strings(&["--in-process", "--no-telemetry"])).unwrap_err(),
+            "unknown loadgen flag `--no-telemetry`"
+        );
+        // The architecture follows a spec file's rule: an infinite gate
+        // improvement would divide every noise probability to zero.
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = parse_arch("grid", 2, "standard", bad).unwrap_err();
+            assert!(err.contains("gate_improvement"), "{bad}: {err}");
         }
 
         let options = parse_loadgen_options(&strings(&[
@@ -1425,10 +1434,20 @@ mod tests {
         assert!(options.shutdown);
         assert!(options.json);
 
-        let in_process =
-            parse_loadgen_options(&strings(&["--in-process", "--workers", "3"])).unwrap();
+        let in_process = parse_loadgen_options(&strings(&[
+            "--in-process",
+            "--workers",
+            "3",
+            "--sample-every",
+            "1",
+        ]))
+        .unwrap();
         assert!(in_process.in_process);
         assert_eq!(in_process.service.workers, 3);
+        assert_eq!(
+            in_process.service.telemetry,
+            TelemetryConfig::full_sampling()
+        );
     }
 
     #[test]
@@ -1469,6 +1488,8 @@ mod tests {
             "--progress-interval-ms",
             "100",
             "--quiet",
+            "--sample-every",
+            "2",
             "--format",
             "json",
             "--out",
@@ -1476,6 +1497,7 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(options.name.as_deref(), Some("fig07"));
+        assert_eq!(options.telemetry.sample_every, 2);
         assert_eq!(options.store, PathBuf::from("mystore"));
         assert_eq!(options.local_workers, 3);
         assert_eq!(options.progress_interval, Duration::from_millis(100));
@@ -1493,13 +1515,15 @@ mod tests {
         );
         assert!(parse_sweep_run_options(&strings(&["a", "--bogus"])).is_err());
 
-        // `--listen`, `--lease-timeout-ms`, the retry knobs and `worker` are
-        // refused through the unknown-flag and missing-action paths.
+        // `--listen`, `--lease-timeout-ms`, the retry knobs, the telemetry
+        // switch and `worker` are refused through the unknown-flag and
+        // missing-action paths.
         for flag in [
             "--listen",
             "--lease-timeout-ms",
             "--max-attempts",
             "--backoff-ms",
+            "--no-telemetry",
         ] {
             assert_eq!(
                 parse_sweep_run_options(&strings(&["a", flag, "500"])).unwrap_err(),

@@ -659,8 +659,7 @@ pub struct LambdaFit {
     /// threshold).
     pub log_slope: f64,
     /// Standard error of [`LambdaFit::log_intercept`] under the per-point
-    /// measurement variances handed to [`fit_lambda_weighted`] (reported in
-    /// units of the assumed unit variance for the unweighted [`fit_lambda`]).
+    /// measurement variances handed to [`fit_lambda_weighted`].
     pub log_intercept_std_error: f64,
     /// Standard error of [`LambdaFit::log_slope`] (same convention).
     pub log_slope_std_error: f64,
@@ -742,20 +741,6 @@ impl LambdaFit {
             shallow,
         ))
     }
-}
-
-/// Fits the exponential suppression law to `(distance, logical error rate)`
-/// points using least squares in log space.
-///
-/// Points with a zero error rate are skipped (they carry no information for
-/// the fit). Returns `None` if fewer than two usable points remain. All
-/// usable points are weighted equally; the reported parameter standard
-/// errors assume unit variance on each `ln LER` value — prefer
-/// [`fit_lambda_weighted`] when per-point Monte-Carlo standard errors are
-/// available.
-pub fn fit_lambda(points: &[(usize, f64)]) -> Option<LambdaFit> {
-    let weighted: Vec<(usize, f64, f64)> = points.iter().map(|&(d, p)| (d, p, p)).collect();
-    fit_lambda_weighted(&weighted)
 }
 
 /// Fits the exponential suppression law to `(distance, logical error rate,
@@ -1152,12 +1137,15 @@ mod tests {
 
     #[test]
     fn lambda_fit_recovers_synthetic_slope() {
-        // LER(d) = 0.3 · exp(−0.8 d).
-        let points: Vec<(usize, f64)> = (3..=11)
+        // LER(d) = 0.3 · exp(−0.8 d), every point at unit log-variance.
+        let points: Vec<(usize, f64, f64)> = (3..=11)
             .step_by(2)
-            .map(|d| (d, 0.3 * (-0.8 * d as f64).exp()))
+            .map(|d| {
+                let p = 0.3 * (-0.8 * d as f64).exp();
+                (d, p, p)
+            })
             .collect();
-        let fit = fit_lambda(&points).unwrap();
+        let fit = fit_lambda_weighted(&points).unwrap();
         assert!((fit.log_slope - (-0.8)).abs() < 1e-9);
         assert!(fit.below_threshold());
         assert!((fit.lambda() - (1.6f64).exp()).abs() < 1e-9);
@@ -1171,9 +1159,9 @@ mod tests {
 
     #[test]
     fn lambda_fit_requires_two_points() {
-        assert!(fit_lambda(&[(3, 0.1)]).is_none());
-        assert!(fit_lambda(&[(3, 0.0), (5, 0.0)]).is_none());
-        assert!(fit_lambda(&[(3, 0.1), (5, 0.05)]).is_some());
+        assert!(fit_lambda_weighted(&[(3, 0.1, 0.1)]).is_none());
+        assert!(fit_lambda_weighted(&[(3, 0.0, 0.0), (5, 0.0, 0.0)]).is_none());
+        assert!(fit_lambda_weighted(&[(3, 0.1, 0.1), (5, 0.05, 0.05)]).is_some());
     }
 
     #[test]
@@ -1219,7 +1207,12 @@ mod tests {
         assert!((fit.log_slope - (-5.0 / 7.0)).abs() < 1e-12);
         assert!((fit.log_intercept - 46.0 / 21.0).abs() < 1e-12);
         assert!((fit.log_slope_std_error - (6.0f64 / 84.0).sqrt()).abs() < 1e-12);
-        let unweighted = fit_lambda(&[(3, p(0.0)), (5, p(-1.0)), (7, p(-3.0))]).unwrap();
+        let unweighted = fit_lambda_weighted(&[
+            (3, p(0.0), p(0.0)),
+            (5, p(-1.0), p(-1.0)),
+            (7, p(-3.0), p(-3.0)),
+        ])
+        .unwrap();
         assert!((unweighted.log_slope - (-0.75)).abs() < 1e-12);
     }
 
@@ -1247,7 +1240,7 @@ mod tests {
         // 0, where the determinant and its scale are both exactly zero.
         assert!(fit_lambda_weighted(&[(3, 0.1, 0.01), (3, 0.2, 0.01)]).is_none());
         assert!(fit_lambda_weighted(&[(0, 0.1, 0.01), (0, 0.2, 0.01)]).is_none());
-        assert!(fit_lambda(&[(0, 0.1), (0, 0.2)]).is_none());
+        assert!(fit_lambda_weighted(&[(0, 0.1, 0.1), (0, 0.2, 0.2)]).is_none());
     }
 
     #[test]
@@ -1386,7 +1379,8 @@ mod tests {
 
     #[test]
     fn above_threshold_fit_has_no_target_distance() {
-        let fit = fit_lambda(&[(3, 0.01), (5, 0.02), (7, 0.04)]).unwrap();
+        let fit =
+            fit_lambda_weighted(&[(3, 0.01, 0.01), (5, 0.02, 0.02), (7, 0.04, 0.04)]).unwrap();
         assert!(!fit.below_threshold());
         assert_eq!(fit.distance_for_target(1e-9), None);
         assert_eq!(fit.distance_range_for_target(1e-9, 1.96), None);

@@ -10,9 +10,10 @@
 //! * [`GreedyMatchingDecoder`] — greedy shortest-path matching baseline;
 //! * [`estimate_logical_error_rate`] — Monte-Carlo logical error rate
 //!   estimation;
-//! * [`fit_lambda`] / [`LambdaFit`] — below-threshold extrapolation used to
-//!   project error rates to the 10⁻⁹ regime, exactly as the paper does for
-//!   its feasibility targets.
+//! * [`fit_lambda_weighted`] / [`LambdaFit`] — below-threshold
+//!   extrapolation, weighting each distance by its Monte-Carlo standard
+//!   error, used to project error rates to the 10⁻⁹ regime, exactly as the
+//!   paper does for its feasibility targets.
 //!
 //! # Batch decoding
 //!
@@ -140,8 +141,8 @@ pub use dem_graph::{DecodingEdge, DecodingGraph, DetectorIndex};
 pub use greedy::GreedyMatchingDecoder;
 pub use ler::{
     estimate_logical_error_rate, estimate_logical_error_rate_report,
-    estimate_logical_error_rate_with, fit_lambda, fit_lambda_weighted, zero_failure_upper_bound,
-    DecoderKind, EstimateReport, EstimatorConfig, LambdaFit, LogicalErrorEstimate,
+    estimate_logical_error_rate_with, fit_lambda_weighted, zero_failure_upper_bound, DecoderKind,
+    EstimateReport, EstimatorConfig, LambdaFit, LogicalErrorEstimate,
 };
 pub use memo::{CacheStats, MemoConfig, DEFAULT_MEMO_MAX_DEFECTS, MEMO_KEY_CAPACITY};
 pub use mwpm::{ExactMatchingDecoder, DEFAULT_MAX_EXACT_DEFECTS};

@@ -108,7 +108,8 @@ pub struct LoadgenReport {
     /// The service metrics snapshot at the end of the run.
     pub metrics: ServiceMetrics,
     /// Per-stage latency breakdown (batcher wait / decode / delivery) from
-    /// the service's unified telemetry; `None` when telemetry is disabled.
+    /// the service's unified telemetry; `None` when the snapshot lacks a
+    /// stage's cells.
     pub stages: Option<StageBreakdown>,
 }
 

@@ -1,8 +1,9 @@
 //! Live service metrics: counters, a queue-depth gauge and a log-bucketed
 //! latency histogram cheap enough to update on every frame.
 //!
-//! There is one store: cells of a [`qccd_telemetry::Registry`], registered
-//! under `service.*` names next to the per-stage spans
+//! There is one store: cells of the service's own
+//! [`qccd_telemetry::Registry`] (the one it exports), registered under
+//! `service.*` names next to the per-stage spans
 //! (`service.stage.batcher_wait` / `decode` / `delivery`) and the workers'
 //! `decoder.*` counters. The registry snapshot is what the `metrics` command
 //! exports as JSON and Prometheus-style text; [`ServiceMetrics`] (stable
@@ -67,26 +68,19 @@ pub(crate) struct MetricsInner {
 }
 
 impl MetricsInner {
-    /// Registers the service's metrics in `registry`. [`ServiceMetrics`]
-    /// keeps working when telemetry is disabled: the cells it reads then
-    /// live in an enabled registry of their own that is never exported,
-    /// while the stages stay inert.
+    /// Registers every one of the service's cells in `registry`, the one
+    /// the service exports.
     pub(crate) fn new(registry: &Registry) -> Self {
-        let cells = if registry.is_enabled() {
-            registry.clone()
-        } else {
-            Registry::enabled()
-        };
         MetricsInner {
             started: Instant::now(),
-            frames_submitted: cells.counter("service.frames_submitted"),
-            frames_completed: cells.counter("service.frames_completed"),
-            queue_depth: cells.gauge("service.queue_depth"),
-            words_flushed: cells.counter("service.words_flushed"),
-            full_word_flushes: cells.counter("service.flushes.full_word"),
-            deadline_flushes: cells.counter("service.flushes.deadline"),
-            close_flushes: cells.counter("service.flushes.close"),
-            latency_us: cells.histogram("service.latency_us"),
+            frames_submitted: registry.counter("service.frames_submitted"),
+            frames_completed: registry.counter("service.frames_completed"),
+            queue_depth: registry.gauge("service.queue_depth"),
+            words_flushed: registry.counter("service.words_flushed"),
+            full_word_flushes: registry.counter("service.flushes.full_word"),
+            deadline_flushes: registry.counter("service.flushes.deadline"),
+            close_flushes: registry.counter("service.flushes.close"),
+            latency_us: registry.histogram("service.latency_us"),
             first_submit_ns: AtomicU64::new(0),
             last_complete_ns: AtomicU64::new(0),
             batcher_wait: registry.stage("service.stage.batcher_wait"),
@@ -318,7 +312,8 @@ pub struct StageBreakdown {
 
 impl StageBreakdown {
     /// Reads the breakdown out of a unified telemetry snapshot (`None`
-    /// when the service ran with telemetry disabled).
+    /// when the snapshot lacks any of the three stages' cells, e.g. one
+    /// read back from a malformed or foreign `telemetry` object).
     pub fn from_snapshot(snapshot: &RegistrySnapshot) -> Option<StageBreakdown> {
         Some(StageBreakdown {
             batcher_wait: StageSummary::from_snapshot(snapshot, "service.stage.batcher_wait")?,
@@ -358,7 +353,7 @@ mod tests {
 
     #[test]
     fn view_and_registry_snapshot_read_the_same_cells() {
-        let registry = Registry::enabled();
+        let registry = Registry::default();
         let m = MetricsInner::new(&registry);
         m.note_submitted_many(10);
         m.note_completed_many(Duration::from_micros(100), 4);
@@ -402,9 +397,7 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_counters() {
-        // With telemetry disabled the view still counts, from cells of its
-        // own, and the stages stay inert.
-        let m = MetricsInner::new(&Registry::disabled());
+        let m = MetricsInner::new(&Registry::default());
         m.note_submitted_many(2);
         // A sub-microsecond completion lands in bucket 0, [0, 2) µs.
         m.note_completed_many(Duration::from_nanos(5), 1);
@@ -415,6 +408,5 @@ mod tests {
         assert_eq!(view.queue_depth, 1);
         assert_eq!(view.deadline_flushes, 1);
         assert!(view.p50_latency_us > 0.0 && view.p50_latency_us <= 2.0);
-        assert!(!m.decode.is_enabled());
     }
 }

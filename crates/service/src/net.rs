@@ -123,7 +123,8 @@ pub fn decoder_name(kind: DecoderKind) -> &'static str {
     }
 }
 
-/// Builds an [`ArchitectureConfig`] from wire parameters.
+/// Builds an [`ArchitectureConfig`] from wire parameters, refusing a zero
+/// capacity and a gate improvement that is not positive and finite.
 pub fn parse_arch(
     topology: &str,
     capacity: usize,
@@ -135,8 +136,8 @@ pub fn parse_arch(
     if capacity == 0 {
         return Err("capacity must be positive".into());
     }
-    if gate_improvement <= 0.0 || gate_improvement.is_nan() {
-        return Err("gate_improvement must be positive".into());
+    if !(gate_improvement.is_finite() && gate_improvement > 0.0) {
+        return Err("gate_improvement must be a positive finite number".into());
     }
     Ok(ArchitectureConfig::new(
         topology,

@@ -48,11 +48,10 @@ pub struct ServiceConfig {
     /// Memo configuration worker scratches decode under (defect/entry
     /// caps).
     pub memo: MemoConfig,
-    /// Telemetry configuration of the service's metrics registry (per-stage
-    /// spans, exposition of the `service.*` cells). Disabling it reduces
-    /// every span to a single branch and empties
-    /// [`DecodeService::telemetry_snapshot`]; the [`ServiceMetrics`] view
-    /// keeps working either way.
+    /// Telemetry configuration of the service's metrics registry: the span
+    /// sampling period of its per-stage spans. The registry always records;
+    /// [`ServiceMetrics`] and [`DecodeService::telemetry_snapshot`] read the
+    /// same `service.*` cells.
     pub telemetry: TelemetryConfig,
 }
 
@@ -101,8 +100,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Overrides the telemetry configuration (master switch and span
-    /// sampling period).
+    /// Overrides the telemetry configuration (span sampling period).
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = telemetry;
         self
@@ -412,7 +410,7 @@ struct Shared {
     next_stream: AtomicU64,
     shutdown: AtomicBool,
     metrics: MetricsInner,
-    /// The telemetry registry (a no-op registry when disabled).
+    /// The telemetry registry every service cell lives in.
     telemetry: Registry,
     config: ServiceConfig,
 }
@@ -450,17 +448,13 @@ impl Shared {
                 FlushCause::Close => FlushStat::Close,
             },
         );
-        // Each run's submit→flush wait, from its own submit instant (the
-        // enabled check keeps the disabled-telemetry flush O(1)).
-        let batcher_wait = &self.metrics.batcher_wait;
-        if batcher_wait.is_enabled() {
-            let now = Instant::now();
-            for run in &batch.parts.runs {
-                batcher_wait.record_duration(
-                    now.saturating_duration_since(run.submitted),
-                    u64::from(run.count),
-                );
-            }
+        // Each run's submit→flush wait, from its own submit instant.
+        let now = Instant::now();
+        for run in &batch.parts.runs {
+            self.metrics.batcher_wait.record_duration(
+                now.saturating_duration_since(run.submitted),
+                u64::from(run.count),
+            );
         }
         let mut jobs = self.queue.jobs.lock().expect("job queue lock");
         jobs.push_back(DecodeJob {
@@ -900,16 +894,15 @@ impl DecodeService {
 
     /// The service's telemetry registry: per-stage spans
     /// (`service.stage.batcher_wait` / `decode` / `delivery`), the
-    /// `service.*` cells [`ServiceMetrics`] is read from, and anything a
-    /// host registers alongside. Cloning is cheap; clones observe the same
-    /// metrics. A no-op registry when the service was configured with
-    /// telemetry disabled.
+    /// `service.*` cells [`ServiceMetrics`] is read from, the workers'
+    /// `decoder.*` counters, and anything a host registers alongside.
+    /// Cloning is cheap; clones observe the same metrics.
     pub fn telemetry(&self) -> Registry {
         self.shared.telemetry.clone()
     }
 
     /// A deterministic point-in-time snapshot of the telemetry registry
-    /// (empty when telemetry is disabled).
+    /// (the `telemetry` object of the `metrics` response).
     pub fn telemetry_snapshot(&self) -> RegistrySnapshot {
         self.shared.telemetry.snapshot()
     }
@@ -1562,29 +1555,6 @@ mod tests {
         assert_eq!(metrics.queue_depth, 0);
         assert!(metrics.words_flushed >= 5);
         assert!(metrics.p50_latency_us > 0.0);
-        service.shutdown();
-    }
-
-    #[test]
-    fn metrics_keep_counting_with_telemetry_disabled() {
-        let service = DecodeService::new(
-            ServiceConfig::default()
-                .with_flush_deadline(Duration::from_micros(50))
-                .with_telemetry(TelemetryConfig::disabled()),
-        );
-        let mut handle = open(&service, "quiet", &mirror_circuit()).unwrap();
-        for _ in 0..70 {
-            handle.submit(&[0]).unwrap();
-        }
-        for _ in 0..70 {
-            handle.recv().expect("correction");
-        }
-        let metrics = service.metrics();
-        assert_eq!(metrics.frames_submitted, 70);
-        assert_eq!(metrics.frames_completed, 70);
-        assert_eq!(metrics.queue_depth, 0);
-        assert!(metrics.p50_latency_us > 0.0);
-        assert!(service.telemetry_snapshot().is_empty());
         service.shutdown();
     }
 

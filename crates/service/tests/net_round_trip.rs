@@ -386,11 +386,13 @@ fn frame_lines_decode_like_a_frames_line_and_refuse_bad_detectors() {
         let line = lines.next().expect("server line").expect("readable");
         serde_json::from_str(&line).expect("JSON line")
     };
-    // An `open` field of the wrong type is refused, never defaulted.
+    // An `open` field of the wrong type is refused, never defaulted, and an
+    // infinite gate improvement is refused like a non-positive one.
     for (field, value) in [
         ("capacity", r#""5""#),
         ("capacity", "2.5"),
         ("gate_improvement", r#""5""#),
+        ("gate_improvement", "1e999"),
         ("decoder", "7"),
     ] {
         writeln!(socket, r#"{{"cmd":"open","distance":2,"{field}":{value}}}"#).expect("open");

@@ -40,7 +40,7 @@ pub struct CoordinatorConfig {
     pub progress_interval: Duration,
     /// Suppress the live progress line on stderr.
     pub quiet: bool,
-    /// Telemetry for this run (stage timings, point counters; `status.json`).
+    /// Span sampling period of the run's registry (`status.json`'s `telemetry`).
     pub telemetry: TelemetryConfig,
 }
 

@@ -111,7 +111,9 @@ pub fn snapshot_from_json(json: &Value) -> RegistrySnapshot {
                     let low = triple.first().and_then(Value::as_u64);
                     let count = triple.get(2).and_then(Value::as_u64);
                     if let (Some(low), Some(count)) = (low, count) {
-                        buckets[bucket_index(low)] += count;
+                        // Saturating: a peer's counts may sum past u64.
+                        let bucket = &mut buckets[bucket_index(low)];
+                        *bucket = bucket.saturating_add(count);
                     }
                 }
             }
@@ -164,7 +166,7 @@ mod tests {
     use crate::registry::Registry;
 
     fn sample_registry() -> Registry {
-        let registry = Registry::enabled();
+        let registry = Registry::default();
         registry.counter("service.frames_submitted").add(128);
         registry.gauge("service.queue_depth").set(7);
         registry.histogram("service.latency_us").record_n(100, 10);
@@ -221,6 +223,21 @@ mod tests {
         assert_eq!(restored.histograms, snapshot.histograms);
         // Malformed input degrades to an empty snapshot, not a panic.
         assert!(snapshot_from_json(&serde_json::json!({"counters": 3})).is_empty());
+        // Counts summing past u64 saturate instead of overflowing, here and
+        // in the quantile read over them.
+        let full = serde_json::json!([0, 2, u64::MAX]);
+        let wide = serde_json::json!([4, 8, u64::MAX]);
+        let restored = snapshot_from_json(&serde_json::json!({"histograms": {
+            "same": {"count": 2, "buckets": [full.clone(), full.clone()]},
+            "split": {"count": 2, "buckets": [full, wide]},
+        }}));
+        let same = restored.histogram("same").expect("kept");
+        assert_eq!(same.buckets[0], u64::MAX);
+        assert!((same.quantile(0.99) - 1.98).abs() < 1e-9);
+        let split = restored.histogram("split").expect("kept");
+        for q in [0.5, 0.99, 1.0] {
+            assert!((0.0..=8.0).contains(&split.quantile(q)));
+        }
     }
 
     #[test]

@@ -40,8 +40,11 @@ pub fn bucket_bounds(index: usize) -> (u64, u64) {
 
 /// The `q`-quantile (0 ≤ q ≤ 1) of a bucket-count vector, linearly
 /// interpolated within the covering bucket; 0 when nothing was recorded.
+/// Counts summing past `u64::MAX` saturate rather than overflow.
 pub fn quantile_from_counts(counts: &[u64], q: f64) -> f64 {
-    let total: u64 = counts.iter().sum();
+    let total = counts
+        .iter()
+        .fold(0u64, |sum, &count| sum.saturating_add(count));
     if total == 0 {
         return 0.0;
     }
@@ -54,7 +57,7 @@ pub fn quantile_from_counts(counts: &[u64], q: f64) -> f64 {
         if count == 0 {
             continue;
         }
-        cumulative += count;
+        cumulative = cumulative.saturating_add(count);
         if cumulative >= rank {
             let (low, high) = bucket_bounds(index);
             let before = (cumulative - count) as f64;

@@ -10,9 +10,9 @@
 //!   [`Counter`]s, [`Gauge`]s and log-bucketed [`Histogram`]s. Handles are
 //!   lock-free: a counter increment is one relaxed `fetch_add` on a
 //!   per-thread shard ([`registry`] spreads threads round-robin over padded
-//!   shards that are folded deterministically on snapshot), and a handle
-//!   from a **disabled** registry carries no cell at all, so the disabled
-//!   hot path is a single branch.
+//!   shards that are folded deterministically on snapshot). There is one
+//!   mode: every registry records, and `sample_every` in
+//!   [`TelemetryConfig`] is the one dial on span overhead.
 //! - [`Stage`] spans — per-pipeline-stage timing with exact call/item
 //!   counters and sampled duration histograms, so bit-identity and
 //!   steady-state throughput are untouched (spans time *around* stages,

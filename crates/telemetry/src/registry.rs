@@ -5,9 +5,8 @@
 //! the cold path, done once per metric at wiring time. The handles a
 //! registration returns are `Arc`s onto shared atomic cells: incrementing a
 //! counter is one relaxed `fetch_add` on a per-thread shard, recording a
-//! histogram sample is two. A handle from a *disabled* registry carries no
-//! cell at all, so the disabled hot path is a single branch on an enum
-//! discriminant — no atomics, no loads from shared memory.
+//! histogram sample is two. There is one mode: every registry records, and
+//! [`TelemetryConfig::sample_every`] is the one dial on span overhead.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -64,88 +63,64 @@ pub(crate) fn thread_shard() -> usize {
 }
 
 /// A monotonically increasing counter. Cloning shares the underlying cell.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Counter {
-    pub(crate) cell: Option<Arc<CounterCell>>,
+    cell: Arc<CounterCell>,
 }
 
 impl Counter {
-    /// A no-op counter (what a disabled registry hands out).
-    pub fn disabled() -> Self {
-        Counter { cell: None }
-    }
-
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
         self.add(1);
     }
 
-    /// Adds `n`. One relaxed `fetch_add` on this thread's shard when the
-    /// counter is live; a single branch when it is disabled.
+    /// Adds `n`: one relaxed `fetch_add` on this thread's shard.
     #[inline]
     pub fn add(&self, n: u64) {
-        if let Some(cell) = &self.cell {
-            cell.shards[thread_shard()]
-                .0
-                .fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.shards[thread_shard()]
+            .0
+            .fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The current folded value (0 for a disabled counter).
+    /// The current folded value.
     pub fn value(&self) -> u64 {
-        self.cell.as_ref().map_or(0, |cell| cell.fold())
+        self.cell.fold()
     }
 }
 
 /// An instantaneous signed value (queue depths, open-stream counts).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Gauge {
-    pub(crate) cell: Option<Arc<AtomicI64>>,
+    cell: Arc<AtomicI64>,
 }
 
 impl Gauge {
-    /// A no-op gauge.
-    pub fn disabled() -> Self {
-        Gauge { cell: None }
-    }
-
     /// Overwrites the value.
     #[inline]
     pub fn set(&self, value: i64) {
-        if let Some(cell) = &self.cell {
-            cell.store(value, Ordering::Relaxed);
-        }
+        self.cell.store(value, Ordering::Relaxed);
     }
 
     /// Adds `delta` (may be negative).
     #[inline]
     pub fn add(&self, delta: i64) {
-        if let Some(cell) = &self.cell {
-            cell.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// The current value (0 for a disabled gauge).
+    /// The current value.
     pub fn value(&self) -> i64 {
-        self.cell
-            .as_ref()
-            .map_or(0, |cell| cell.load(Ordering::Relaxed))
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
 /// A log-bucketed histogram handle. Cloning shares the underlying cell.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
-    pub(crate) cell: Option<Arc<HistogramCell>>,
+    cell: Arc<HistogramCell>,
 }
 
 impl Histogram {
-    /// A no-op histogram.
-    pub fn disabled() -> Self {
-        Histogram { cell: None }
-    }
-
     /// Records one sample.
     #[inline]
     pub fn record(&self, value: u64) {
@@ -156,25 +131,18 @@ impl Histogram {
     /// sharing their submit timestamp).
     #[inline]
     pub fn record_n(&self, value: u64, n: u64) {
-        if let Some(cell) = &self.cell {
-            cell.record_n(value, n);
-        }
+        self.cell.record_n(value, n);
     }
 
-    /// A point-in-time snapshot (empty for a disabled histogram).
+    /// A point-in-time snapshot.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        self.cell
-            .as_ref()
-            .map_or_else(HistogramSnapshot::default, |cell| cell.snapshot())
+        self.cell.snapshot()
     }
 }
 
 /// Tuning knobs of a [`Registry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Master switch. A disabled registry hands out no-op handles, so every
-    /// instrumentation site degenerates to one branch.
-    pub enabled: bool,
     /// Span sampling period: a [`Stage`](crate::span::Stage) times one call
     /// in `sample_every` (1 = time every call). Item/call counters are
     /// always exact; sampling only thins the timing histogram so `Instant`
@@ -184,29 +152,15 @@ pub struct TelemetryConfig {
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        TelemetryConfig {
-            enabled: true,
-            sample_every: 16,
-        }
+        TelemetryConfig { sample_every: 16 }
     }
 }
 
 impl TelemetryConfig {
-    /// Telemetry switched off.
-    pub fn disabled() -> Self {
-        TelemetryConfig {
-            enabled: false,
-            sample_every: 16,
-        }
-    }
-
     /// Full-sampling configuration: every span call is timed. Used by the
     /// bit-identity test batteries to maximise instrumentation pressure.
     pub fn full_sampling() -> Self {
-        TelemetryConfig {
-            enabled: true,
-            sample_every: 1,
-        }
+        TelemetryConfig { sample_every: 1 }
     }
 
     /// Overrides the sampling period (clamped to ≥ 1).
@@ -216,7 +170,7 @@ impl TelemetryConfig {
     }
 }
 
-/// What lives behind an enabled registry.
+/// What lives behind a registry.
 #[derive(Debug)]
 pub(crate) struct RegistryInner {
     pub(crate) started: Instant,
@@ -230,85 +184,51 @@ pub(crate) struct RegistryInner {
 /// A process- or subsystem-wide registry of named metrics.
 ///
 /// Cheap to clone (an `Arc` internally); clones observe the same metrics.
-/// `Registry::disabled()` carries no state at all and hands out no-op
-/// handles.
-#[derive(Debug, Clone, Default)]
+/// `Registry::default()` follows [`TelemetryConfig::default`].
+#[derive(Debug, Clone)]
 pub struct Registry {
-    pub(crate) inner: Option<Arc<RegistryInner>>,
+    pub(crate) inner: Arc<RegistryInner>,
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Registry::new(TelemetryConfig::default())
+    }
 }
 
 impl Registry {
-    /// A registry following `config` (disabled config ⇒ no-op registry).
+    /// A registry sampling spans at `config.sample_every`.
     pub fn new(config: TelemetryConfig) -> Self {
-        if !config.enabled {
-            return Registry { inner: None };
-        }
         Registry {
-            inner: Some(Arc::new(RegistryInner {
+            inner: Arc::new(RegistryInner {
                 started: Instant::now(),
                 sample_every: config.sample_every.max(1),
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
                 trace: Mutex::new(None),
-            })),
+            }),
         }
-    }
-
-    /// An enabled registry with default sampling.
-    pub fn enabled() -> Self {
-        Registry::new(TelemetryConfig::default())
-    }
-
-    /// A no-op registry: every handle it hands out is disabled.
-    pub fn disabled() -> Self {
-        Registry { inner: None }
-    }
-
-    /// Whether this registry records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Registers (or looks up) the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        let Some(inner) = &self.inner else {
-            return Counter::disabled();
-        };
-        let mut counters = inner.counters.lock().expect("counter registry lock");
-        let cell = counters
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(CounterCell::default()));
         Counter {
-            cell: Some(Arc::clone(cell)),
+            cell: lookup(&self.inner.counters, name),
         }
     }
 
     /// Registers (or looks up) the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let Some(inner) = &self.inner else {
-            return Gauge::disabled();
-        };
-        let mut gauges = inner.gauges.lock().expect("gauge registry lock");
-        let cell = gauges
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicI64::new(0)));
         Gauge {
-            cell: Some(Arc::clone(cell)),
+            cell: lookup(&self.inner.gauges, name),
         }
     }
 
     /// Registers (or looks up) the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let Some(inner) = &self.inner else {
-            return Histogram::disabled();
-        };
-        let mut histograms = inner.histograms.lock().expect("histogram registry lock");
-        let cell = histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(HistogramCell::default()));
         Histogram {
-            cell: Some(Arc::clone(cell)),
+            cell: lookup(&self.inner.histograms, name),
         }
     }
 
@@ -322,18 +242,13 @@ impl Registry {
     /// Attaches a JSON-lines trace sink; stages write one event per sampled
     /// span. Replaces any previous sink.
     pub fn set_trace_sink(&self, sink: Arc<TraceSink>) {
-        if let Some(inner) = &self.inner {
-            *inner.trace.lock().expect("trace sink lock") = Some(sink);
-        }
+        *self.inner.trace.lock().expect("trace sink lock") = Some(sink);
     }
 
     /// A deterministic point-in-time snapshot: counter shards folded in
-    /// fixed order, every map in name order. Disabled registries snapshot
-    /// empty.
+    /// fixed order, every map in name order.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let Some(inner) = &self.inner else {
-            return RegistrySnapshot::default();
-        };
+        let inner = &self.inner;
         let counters = inner
             .counters
             .lock()
@@ -364,6 +279,12 @@ impl Registry {
     }
 }
 
+/// The cell registered under `name` in `cells`, created empty on first use.
+fn lookup<T: Default>(cells: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut cells = cells.lock().expect("metric registry lock");
+    Arc::clone(cells.entry(name.to_string()).or_default())
+}
+
 /// A point-in-time, deterministic fold of every metric in a registry.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RegistrySnapshot {
@@ -378,7 +299,7 @@ pub struct RegistrySnapshot {
 }
 
 impl RegistrySnapshot {
-    /// Whether nothing was registered (e.g. the registry is disabled).
+    /// Whether nothing was registered.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }

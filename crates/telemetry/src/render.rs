@@ -47,7 +47,7 @@ pub fn render_dashboard(snapshot: &RegistrySnapshot, title: &str) -> String {
         snapshot.uptime_secs
     ));
     if snapshot.is_empty() {
-        out.push_str("(telemetry disabled)\n");
+        out.push_str("(no metrics registered)\n");
         return out;
     }
     if !snapshot.counters.is_empty() {
@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn dashboard_lists_every_metric_kind() {
-        let registry = Registry::enabled();
+        let registry = Registry::default();
         registry.counter("service.frames_completed").add(4096);
         registry.gauge("service.queue_depth").set(12);
         registry
@@ -109,7 +109,7 @@ mod tests {
 
     #[test]
     fn disabled_snapshot_renders_a_placeholder() {
-        let panel = render_dashboard(&Registry::disabled().snapshot(), "x");
-        assert!(panel.contains("telemetry disabled"));
+        let panel = render_dashboard(&RegistrySnapshot::default(), "x");
+        assert!(panel.contains("no metrics registered"));
     }
 }

@@ -38,59 +38,37 @@ impl Sampler {
 }
 
 /// One named pipeline stage. Cloning shares the underlying metrics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Stage {
-    name: Option<Arc<str>>,
+    name: Arc<str>,
     duration_us: Histogram,
     calls: Counter,
     items: Counter,
-    sampler: Option<Arc<Sampler>>,
-    registry: Option<Arc<RegistryInner>>,
+    sampler: Arc<Sampler>,
+    registry: Arc<RegistryInner>,
 }
 
 impl Stage {
-    /// Registers the stage's metrics in `registry` (no-op handles when the
-    /// registry is disabled).
+    /// Registers the stage's metrics in `registry`.
     pub(crate) fn new(registry: &Registry, name: &str) -> Self {
-        if !registry.is_enabled() {
-            return Stage::default();
-        }
-        let sample_every = registry
-            .inner
-            .as_ref()
-            .map_or(1, |inner| inner.sample_every.max(1));
         Stage {
-            name: Some(Arc::from(name)),
+            name: Arc::from(name),
             duration_us: registry.histogram(&format!("{name}_us")),
             calls: registry.counter(&format!("{name}_calls")),
             items: registry.counter(&format!("{name}_items")),
-            sampler: Some(Arc::new(Sampler {
-                every: sample_every,
+            sampler: Arc::new(Sampler {
+                every: registry.inner.sample_every,
                 tick: AtomicU32::new(0),
-            })),
-            registry: registry.inner.clone(),
+            }),
+            registry: Arc::clone(&registry.inner),
         }
     }
 
-    /// A stage that records nothing.
-    pub fn disabled() -> Self {
-        Stage::default()
-    }
-
-    /// Whether this stage records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.name.is_some()
-    }
-
     /// Opens a span over one call of this stage. When the call is sampled
-    /// the span carries a start timestamp; otherwise (and always on a
-    /// disabled stage) it is a no-op shell.
+    /// the span carries a start timestamp; otherwise it only counts.
     #[inline]
     pub fn start(&self) -> Span<'_> {
-        let start = match &self.sampler {
-            Some(sampler) if sampler.sample() => Some(Instant::now()),
-            _ => None,
-        };
+        let start = self.sampler.sample().then(Instant::now);
         Span { stage: self, start }
     }
 
@@ -100,15 +78,10 @@ impl Stage {
     /// are exact; the histogram update respects the sampling period.
     #[inline]
     pub fn record_duration(&self, duration: Duration, items: u64) {
-        if self.name.is_none() {
-            return;
-        }
         self.calls.inc();
         self.items.add(items);
-        if let Some(sampler) = &self.sampler {
-            if sampler.sample() {
-                self.book(duration, items);
-            }
+        if self.sampler.sample() {
+            self.book(duration, items);
         }
     }
 
@@ -117,10 +90,8 @@ impl Stage {
         self.duration_us.record(micros);
         // The sink is looked up at booking time (under the sampling gate),
         // so a trace attached after wiring still sees every sampled span.
-        if let (Some(registry), Some(name)) = (&self.registry, &self.name) {
-            if let Some(trace) = registry.trace.lock().expect("trace sink lock").clone() {
-                trace.write_event(name, micros, items);
-            }
+        if let Some(trace) = self.registry.trace.lock().expect("trace sink lock").clone() {
+            trace.write_event(&self.name, micros, items);
         }
     }
 }
@@ -139,9 +110,6 @@ impl Span<'_> {
     /// its duration histogram (and the trace sink, if attached).
     #[inline]
     pub fn finish(self, items: u64) {
-        if self.stage.name.is_none() {
-            return;
-        }
         self.stage.calls.inc();
         self.stage.items.add(items);
         if let Some(start) = self.start {
@@ -180,17 +148,5 @@ mod tests {
         let hist = hist.histogram("full_us").expect("registered");
         assert_eq!(hist.count, 5);
         assert!(hist.quantile(0.5) >= 64.0 && hist.quantile(0.5) <= 128.0);
-    }
-
-    #[test]
-    fn disabled_stage_is_inert() {
-        let stage = Stage::disabled();
-        assert!(!stage.is_enabled());
-        stage.start().finish(10);
-        stage.record_duration(Duration::from_secs(1), 10);
-        let registry = Registry::disabled();
-        let stage = registry.stage("anything");
-        stage.start().finish(1);
-        assert!(registry.snapshot().is_empty());
     }
 }
