@@ -1,0 +1,114 @@
+//! Golden pins for the union-find decoder's predicted bits.
+//!
+//! The union-find kernel may be rewritten for speed, but every bit it
+//! predicts is part of the estimator's contract: LER figures, early-stop
+//! points and every other golden rest on it. This file pins the FNV-1a of
+//! the per-shot predictions of compiled grid c2 memory experiments (the
+//! paper's design point), decoded through `decode_batch` with the memo
+//! disabled and with the default memo, plus a handful of single
+//! `Decoder::decode` calls. A pure speed change leaves every constant
+//! byte-identical; there is no regeneration switch on purpose. The batch
+//! hashes also depend on the sampled stream, so a sampler change that
+//! moves `golden_sweep` and `golden_word_stats` moves them too.
+
+use qccd_core::{ArchitectureConfig, Compiler};
+use qccd_decoder::{DecodeScratch, Decoder, DecodingGraph, MemoConfig, UnionFindDecoder};
+use qccd_qec::{rotated_surface_code, MemoryBasis};
+use qccd_sim::{sample_detector_chunks, DetectorErrorModel, NoisyCircuit};
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv1a(hash: u64, byte: u8) -> u64 {
+    (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+}
+
+/// The grid c2, standard-wiring memory experiment at `gate_improvement`
+/// and distance `d` (`d` rounds, Z basis).
+fn grid_c2(gate_improvement: f64, d: usize) -> NoisyCircuit {
+    Compiler::new(ArchitectureConfig::recommended(gate_improvement))
+        .compile_memory_experiment(&rotated_surface_code(d), d, MemoryBasis::Z)
+        .expect("the recommended design point compiles")
+        .to_noisy_circuit()
+}
+
+fn decoder_for(noisy: &NoisyCircuit) -> UnionFindDecoder {
+    let dem = DetectorErrorModel::from_circuit(noisy).expect("consistent annotations");
+    UnionFindDecoder::new(DecodingGraph::from_dem(&dem))
+}
+
+/// FNV-1a over every shot's predicted observable bits (one byte per
+/// observable, shots in order) of `decode_batch` with `memo`.
+fn prediction_hash(
+    noisy: &NoisyCircuit,
+    decoder: &UnionFindDecoder,
+    shots: usize,
+    seed: u64,
+    memo: MemoConfig,
+) -> u64 {
+    let sampler = sample_detector_chunks(noisy, shots, seed, 1024).expect("consistent annotations");
+    let mut scratch = DecodeScratch::with_memo_config(memo);
+    let mut hash = FNV_OFFSET;
+    for chunk in sampler.chunks() {
+        let prediction = decoder.decode_batch(&chunk, &mut scratch);
+        for shot in 0..prediction.num_shots() {
+            for observable in 0..prediction.num_observables() {
+                hash = fnv1a(hash, u8::from(prediction.predicted(shot, observable)));
+            }
+        }
+    }
+    hash
+}
+
+/// `(gate improvement, distance, shots, seed, FNV-1a)`.
+const GOLDEN_POINTS: [(f64, usize, usize, u64, u64); 4] = [
+    (1.0, 3, 8192, 2026, 0x62c8_a160_296e_5536),
+    (5.0, 5, 8192, 2027, 0x5deb_5d91_d737_92e0),
+    (1.0, 5, 4096, 2028, 0x6229_f9c8_69f6_6c69),
+    (1000.0, 7, 16384, 2029, 0x465c_6904_8544_d125),
+];
+
+#[test]
+fn batch_predictions_are_pinned_with_and_without_the_memo() {
+    for &(gate_improvement, d, shots, seed, expected) in &GOLDEN_POINTS {
+        let noisy = grid_c2(gate_improvement, d);
+        let decoder = decoder_for(&noisy);
+        for memo in [MemoConfig::disabled(), MemoConfig::default()] {
+            let hash = prediction_hash(&noisy, &decoder, shots, seed, memo);
+            assert_eq!(
+                hash, expected,
+                "{gate_improvement}X d{d}, {shots} shots, seed {seed}, memo {memo:?}: \
+                 union-find predictions drifted (got {hash:#018x})"
+            );
+        }
+    }
+}
+
+/// Defect sets over the 72 detectors of grid c2 d5, from a lone defect to
+/// a dense spread, with the prediction each must decode to.
+const GOLDEN_SHOTS: [(&[usize], bool); 8] = [
+    (&[0], true),
+    (&[71], false),
+    (&[10, 11], false),
+    (&[3, 40], false),
+    (&[1, 2, 3, 4, 5], true),
+    (&[0, 9, 18, 27, 36, 45, 54, 63], false),
+    (&[7, 8, 20, 33, 34, 50, 51, 52, 66, 70], true),
+    (
+        &[2, 5, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67],
+        false,
+    ),
+];
+
+#[test]
+fn single_shot_predictions_are_pinned() {
+    let decoder = decoder_for(&grid_c2(1.0, 5));
+    assert_eq!(decoder.num_observables(), 1);
+    for &(fired, expected) in &GOLDEN_SHOTS {
+        assert_eq!(
+            decoder.decode(fired),
+            vec![expected],
+            "union-find prediction for {fired:?} drifted"
+        );
+    }
+}
