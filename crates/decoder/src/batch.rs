@@ -51,7 +51,8 @@ pub use qccd_sim::SyndromeChunk;
 use qccd_sim::BitPlanes;
 
 use crate::memo::SyndromeMemo;
-use crate::scratch::{EpochVec, VecPool};
+use crate::scratch::EpochVec;
+use crate::union_find::UnionFindScratch;
 use crate::{CacheStats, Decoder, MemoConfig};
 
 /// Bit-packed observable-flip predictions for one chunk of shots.
@@ -140,206 +141,6 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Union-find cluster state of one node, packed so `find` / `union` touch a
-/// single epoch-stamped slot.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct NodeState {
-    /// Union-find parent (sentinel `u32::MAX` = self).
-    pub(crate) parent: u32,
-    pub(crate) rank: u8,
-    /// Defect parity of the cluster rooted at this node.
-    pub(crate) parity: bool,
-    /// Whether the cluster rooted here touches the virtual boundary.
-    pub(crate) boundary: bool,
-}
-
-const FRESH_NODE: NodeState = NodeState {
-    parent: u32::MAX,
-    rank: 0,
-    parity: false,
-    boundary: false,
-};
-
-/// Growth state of one edge, packed into a single slot. `multiplicity` is
-/// per-round (validated against `round`), `support` / `grown` persist for
-/// the whole shot.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct EdgeState {
-    /// Growth units applied so far this shot.
-    pub(crate) support: u32,
-    /// Number of active clusters growing this edge in round `round`.
-    pub(crate) multiplicity: u16,
-    /// Round stamp validating `multiplicity` and `last_root`.
-    pub(crate) round: u32,
-    /// Root of the last cluster that counted this edge in round `round`
-    /// (deduplicates repeated frontier entries without sorting).
-    pub(crate) last_root: u32,
-    pub(crate) grown: bool,
-}
-
-const FRESH_EDGE: EdgeState = EdgeState {
-    support: 0,
-    multiplicity: 0,
-    round: 0,
-    last_root: u32::MAX,
-    grown: false,
-};
-
-/// Peeling-forest state of one node; a stale slot means "not visited".
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PeelState {
-    /// Incoming tree edge (sentinel `u32::MAX` = none / forest root).
-    pub(crate) parent_edge: u32,
-    /// Incoming tree parent (sentinel `u32::MAX` = self).
-    pub(crate) parent_node: u32,
-}
-
-const FRESH_PEEL: PeelState = PeelState {
-    parent_edge: u32::MAX,
-    parent_node: u32::MAX,
-};
-
-/// Per-shot working state of the union-find decoder.
-#[derive(Debug, Clone)]
-pub(crate) struct UnionFindScratch {
-    pub(crate) nodes: EpochVec<NodeState>,
-    /// Frontier edge lists per cluster root.
-    pub(crate) frontier: VecPool,
-    pub(crate) defect: EpochVec<bool>,
-    pub(crate) edges: EpochVec<EdgeState>,
-    /// Growth round counter within the current shot (validates
-    /// [`EdgeState::multiplicity`]).
-    pub(crate) round: u32,
-    /// Frontier edges eligible to grow this round.
-    pub(crate) growth_candidates: Vec<usize>,
-    /// Edges fully grown this shot.
-    pub(crate) grown_edges: Vec<usize>,
-    /// Per-node adjacency of the grown subgraph (built as edges complete),
-    /// so peeling never scans the full decoding graph.
-    pub(crate) peel_adjacency: VecPool,
-    pub(crate) active: Vec<usize>,
-    /// Edges completed this round, sorted before merging so the merge order
-    /// is canonical (frontiers themselves are kept unsorted).
-    pub(crate) merges: Vec<usize>,
-    // Peeling state: a fresh `peel` slot doubles as the visited flag.
-    pub(crate) peel: EpochVec<PeelState>,
-    pub(crate) order: Vec<usize>,
-    pub(crate) queue: std::collections::VecDeque<usize>,
-    pub(crate) peel_roots: Vec<usize>,
-}
-
-impl Default for UnionFindScratch {
-    fn default() -> Self {
-        UnionFindScratch {
-            nodes: EpochVec::new(FRESH_NODE),
-            frontier: VecPool::default(),
-            defect: EpochVec::new(false),
-            edges: EpochVec::new(FRESH_EDGE),
-            round: 0,
-            growth_candidates: Vec::new(),
-            grown_edges: Vec::new(),
-            peel_adjacency: VecPool::default(),
-            active: Vec::new(),
-            merges: Vec::new(),
-            peel: EpochVec::new(FRESH_PEEL),
-            order: Vec::new(),
-            queue: std::collections::VecDeque::new(),
-            peel_roots: Vec::new(),
-        }
-    }
-}
-
-impl UnionFindScratch {
-    /// Prepares for one shot over `nodes` vertices and `edges` edges.
-    pub(crate) fn begin(&mut self, nodes: usize, edges: usize) {
-        self.nodes.begin(nodes);
-        self.frontier.begin(nodes);
-        self.defect.begin(nodes);
-        self.edges.begin(edges);
-        self.round = 0;
-        self.growth_candidates.clear();
-        self.grown_edges.clear();
-        self.peel_adjacency.begin(nodes);
-        self.active.clear();
-        self.merges.clear();
-        self.peel.begin(nodes);
-        self.order.clear();
-        self.queue.clear();
-        self.peel_roots.clear();
-    }
-
-    /// The growth multiplicity of an edge in the current round.
-    pub(crate) fn edge_multiplicity(&self, state: EdgeState) -> u16 {
-        if state.round == self.round {
-            state.multiplicity
-        } else {
-            0
-        }
-    }
-
-    /// Union-find `find` with path compression over the epoch array.
-    pub(crate) fn find(&mut self, x: usize) -> usize {
-        let mut root = x;
-        loop {
-            let parent = self.nodes.get(root).parent;
-            if parent == u32::MAX || parent as usize == root {
-                break;
-            }
-            root = parent as usize;
-        }
-        let mut cur = x;
-        while cur != root {
-            let mut state = self.nodes.get(cur);
-            let next = state.parent as usize;
-            state.parent = root as u32;
-            self.nodes.set(cur, state);
-            cur = next;
-        }
-        root
-    }
-
-    /// Unions the clusters containing `a` and `b`; returns the new root.
-    pub(crate) fn union(&mut self, a: usize, b: usize) -> usize {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra == rb {
-            return ra;
-        }
-        let sa = self.nodes.get(ra);
-        let sb = self.nodes.get(rb);
-        let (big, small, mut sbig, ssmall) = if sa.rank >= sb.rank {
-            (ra, rb, sa, sb)
-        } else {
-            (rb, ra, sb, sa)
-        };
-        self.nodes.set(
-            small,
-            NodeState {
-                parent: big as u32,
-                ..ssmall
-            },
-        );
-        if sbig.rank == ssmall.rank {
-            sbig.rank += 1;
-        }
-        sbig.parity ^= ssmall.parity;
-        sbig.boundary |= ssmall.boundary;
-        sbig.parent = u32::MAX;
-        self.nodes.set(big, sbig);
-        let moved = self.frontier.take(small);
-        self.frontier.get_mut(big).extend_from_slice(&moved);
-        self.frontier.put_back(small, moved);
-        big
-    }
-
-    /// Whether the cluster containing `node` still needs to grow.
-    pub(crate) fn is_active(&mut self, node: usize) -> bool {
-        let root = self.find(node);
-        let state = self.nodes.get(root);
-        state.parity && !state.boundary
-    }
-}
-
 /// Per-shot working state of the matching decoders (greedy and exact).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MatchingScratch {
@@ -391,7 +192,9 @@ impl MatchingScratch {
 /// [`Decoder::decode_batch`](crate::Decoder::decode_batch) (or
 /// [`Decoder::decode_shot`](crate::Decoder::decode_shot)) and reuse it for
 /// as many chunks as you like; buffers grow to the high-water mark of the
-/// decoding problem and are invalidated in O(1) between shots.
+/// decoding problem and are never cleared wholesale between shots: the
+/// union-find state resets only the slots the previous shot touched, and the
+/// matching decoders' Dijkstra arrays are epoch-stamped.
 ///
 /// The scratch also hosts the per-decoder [syndrome memo](crate::memo):
 /// cached predictions survive across chunks (they are keyed by defect set,
@@ -410,6 +213,7 @@ pub struct DecodeScratch {
     /// lists every `(detector, plane word)` with a fired lane in tile word
     /// `w`, in ascending detector order. Reused across tiles.
     pub(crate) tile_hot: Vec<Vec<(u32, u64)>>,
+    /// Union-find state (see the `union_find` module).
     pub(crate) union_find: UnionFindScratch,
     pub(crate) matching: MatchingScratch,
     /// Per-decoder prediction cache consulted by the batch decode loop.
@@ -699,24 +503,5 @@ mod tests {
         assert!(!chunk.predicted(129, 0));
         assert_eq!(chunk.shot_prediction(129), vec![false, true]);
         assert_eq!(chunk.words(), 3);
-    }
-
-    #[test]
-    fn union_find_scratch_basic_ops() {
-        let mut s = UnionFindScratch::default();
-        s.begin(5, 3);
-        for node in [0usize, 1] {
-            let mut state = s.nodes.get(node);
-            state.parity = true;
-            s.nodes.set(node, state);
-        }
-        assert!(s.is_active(0));
-        let root = s.union(0, 1);
-        assert_eq!(s.find(0), root);
-        assert_eq!(s.find(1), root);
-        assert!(!s.nodes.get(root).parity, "parities cancel");
-        // New shot forgets everything.
-        s.begin(5, 3);
-        assert_ne!(s.find(0), s.find(1));
     }
 }

@@ -801,7 +801,7 @@ pub fn fit_lambda_weighted(points: &[(usize, f64, f64)]) -> Option<LambdaFit> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use qccd_circuit::{Instruction, QubitId};
     use qccd_qec::{memory_experiment, repetition_code, rotated_surface_code, MemoryBasis};
@@ -809,7 +809,7 @@ mod tests {
 
     /// Builds a memory experiment with simple code-capacity-style noise: a
     /// depolarising channel on every data qubit at the start of each round.
-    fn noisy_memory(code: &qccd_qec::CodeLayout, rounds: usize, p: f64) -> NoisyCircuit {
+    pub(crate) fn noisy_memory(code: &qccd_qec::CodeLayout, rounds: usize, p: f64) -> NoisyCircuit {
         let exp = memory_experiment(code, rounds, MemoryBasis::Z);
         let data: Vec<QubitId> = code.data_qubits();
         let mut noisy = NoisyCircuit::new();

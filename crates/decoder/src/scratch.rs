@@ -1,11 +1,12 @@
-//! Epoch-stamped scratch buffers.
+//! Epoch-stamped scratch buffers for the matching decoders' Dijkstra arrays.
 //!
-//! Decoding one shot needs a raft of per-node / per-edge working arrays.
-//! Allocating (or even zeroing) them per shot dominates the runtime of
-//! cheap shots, so the batch decode path reuses buffers across shots and
-//! invalidates them in O(1) with an *epoch stamp*: every slot remembers the
-//! epoch in which it was last written, and a slot whose stamp is stale reads
-//! as the default value. Starting a new shot is just `epoch += 1`.
+//! Each Dijkstra search needs per-node distance and incoming-edge arrays.
+//! Allocating (or even zeroing) them per search dominates the runtime of
+//! cheap shots, so they are reused across searches and invalidated in O(1)
+//! with an *epoch stamp*: every slot remembers the epoch in which it was
+//! last written, and a slot whose stamp is stale reads as the default
+//! value. Starting a new search is just `epoch += 1`. (The union-find
+//! decoder instead resets only the slots a shot touched; see its module.)
 
 /// A fixed-default array with O(1) bulk reset via epoch stamping.
 #[derive(Debug, Clone)]
@@ -57,70 +58,6 @@ impl<T: Copy> EpochVec<T> {
         self.stamps[index] = self.epoch;
         self.values[index] = value;
     }
-
-    /// Whether a slot has been written this epoch.
-    pub(crate) fn written(&self, index: usize) -> bool {
-        self.stamps[index] == self.epoch
-    }
-}
-
-/// A pool of reusable `Vec<usize>` lists with epoch-stamped clearing.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct VecPool {
-    stamps: Vec<u32>,
-    lists: Vec<Vec<usize>>,
-    epoch: u32,
-}
-
-impl VecPool {
-    /// Grows to at least `len` lists and invalidates them all.
-    pub(crate) fn begin(&mut self, len: usize) {
-        if self.lists.len() < len {
-            self.stamps.resize(len, 0);
-            self.lists.resize_with(len, Vec::new);
-        }
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(next) => next,
-            None => {
-                self.stamps.fill(0);
-                1
-            }
-        };
-    }
-
-    fn freshen(&mut self, index: usize) {
-        if self.stamps[index] != self.epoch {
-            self.stamps[index] = self.epoch;
-            self.lists[index].clear();
-        }
-    }
-
-    /// Mutable access to one list (cleared lazily at first touch per epoch).
-    pub(crate) fn get_mut(&mut self, index: usize) -> &mut Vec<usize> {
-        self.freshen(index);
-        &mut self.lists[index]
-    }
-
-    /// Moves one list out (its slot becomes empty but keeps no capacity
-    /// until [`VecPool::put_back`] returns an allocation to it).
-    pub(crate) fn take(&mut self, index: usize) -> Vec<usize> {
-        self.freshen(index);
-        std::mem::take(&mut self.lists[index])
-    }
-
-    /// Returns a (typically drained) list's allocation to a slot, clearing
-    /// its contents.
-    pub(crate) fn put_back(&mut self, index: usize, mut list: Vec<usize>) {
-        list.clear();
-        self.stamps[index] = self.epoch;
-        self.lists[index] = list;
-    }
-
-    /// Puts a list — contents included — into a slot.
-    pub(crate) fn restore(&mut self, index: usize, list: Vec<usize>) {
-        self.stamps[index] = self.epoch;
-        self.lists[index] = list;
-    }
 }
 
 #[cfg(test)]
@@ -138,17 +75,5 @@ mod tests {
         assert_eq!(v.get(3), 7, "new epoch must forget old writes");
         v.begin(8);
         assert_eq!(v.get(7), 7);
-    }
-
-    #[test]
-    fn vec_pool_clears_lazily() {
-        let mut pool = VecPool::default();
-        pool.begin(2);
-        pool.get_mut(0).extend([1, 2, 3]);
-        pool.begin(2);
-        assert!(pool.get_mut(0).is_empty());
-        let taken = pool.take(0);
-        pool.put_back(0, taken);
-        assert!(pool.get_mut(0).is_empty());
     }
 }

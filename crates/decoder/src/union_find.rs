@@ -15,26 +15,42 @@
 //!
 //! The decoder is near-linear in the number of grown edges, which below
 //! threshold is proportional to the number of detection events, so millions
-//! of shots can be decoded in seconds. All working state (union-find arrays,
-//! frontiers, the peeling forest) lives in the shared [`DecodeScratch`] and
-//! is recycled between shots with O(1) epoch-stamped resets; the peeling
-//! phase walks only the grown subgraph rather than the full decoding graph,
-//! so quiet shots cost almost nothing.
+//! of shots can be decoded in seconds. The edge endpoints, lengths,
+//! observable masks and incidence lists are flat tables built once per
+//! decoder. All working state lives in the shared [`DecodeScratch`] as plain
+//! per-node and per-edge arrays: a shot lists the nodes and edges it
+//! touches and the next shot resets only those, and the per-round edge
+//! counts are stamped with a round counter that runs across shots, so they
+//! need no reset at all. A node's incident edges enter a frontier once, the
+//! first time the node joins a cluster, and peeling walks only the grown
+//! subgraph, so quiet shots cost almost nothing.
 
 use std::num::NonZeroU64;
 
-use crate::batch::{PeelState, UnionFindScratch};
 use crate::memo::next_memo_token;
 use crate::{DecodeScratch, Decoder, DecodingGraph};
+
+/// "No edge" sentinel of the peeling forest (a forest root).
+const NO_EDGE: u32 = u32::MAX;
 
 /// Union-find decoder over a decoding graph.
 #[derive(Debug, Clone)]
 pub struct UnionFindDecoder {
     graph: DecodingGraph,
+    /// Per-edge endpoints, the boundary mapped to its node index.
+    endpoints: Vec<(u32, u32)>,
     /// Discretised edge lengths (growth units).
     lengths: Vec<u32>,
+    /// Per-edge observable bitmask; empty above 64 observables, where
+    /// peeling walks the graph's observable lists instead.
+    observable_masks: Vec<u64>,
+    /// Incidence lists in CSR form: node `v`'s `(edge, opposite endpoint)`
+    /// pairs are `incident[incident_start[v]..incident_start[v + 1]]` (the
+    /// boundary's list is empty).
+    incident_start: Vec<u32>,
+    incident: Vec<(u32, u32)>,
     /// Index of the virtual boundary node (== number of detectors).
-    boundary: usize,
+    boundary: u32,
     /// Syndrome-memo ownership token (see [`crate::memo`]).
     memo_token: NonZeroU64,
 }
@@ -42,15 +58,41 @@ pub struct UnionFindDecoder {
 impl UnionFindDecoder {
     /// Creates a decoder for the given decoding graph.
     pub fn new(graph: DecodingGraph) -> Self {
-        let boundary = graph.num_detectors();
+        let index = |i: usize| u32::try_from(i).expect("graph indices fit in u32");
+        let boundary = index(graph.num_detectors());
+        let endpoints: Vec<(u32, u32)> = graph
+            .edges()
+            .iter()
+            .map(|e| (index(e.a), e.b.map_or(boundary, index)))
+            .collect();
         let lengths = graph
             .edges()
             .iter()
             .map(|e| ((2.0 * e.weight).round() as u32).clamp(1, 100))
             .collect();
+        let observable_masks = if graph.num_observables() <= 64 {
+            let mask = |observables: &[u32]| observables.iter().fold(0, |m, &o| m ^ (1u64 << o));
+            graph.edges().iter().map(|e| mask(&e.observables)).collect()
+        } else {
+            Vec::new()
+        };
+        let mut incident_start = Vec::with_capacity(graph.num_nodes() + 1);
+        let mut incident = Vec::new();
+        for v in 0..graph.num_detectors() {
+            incident_start.push(index(incident.len()));
+            incident.extend(graph.incident_edges(v).iter().map(|&edge| {
+                let (a, b) = endpoints[edge];
+                (index(edge), if a == index(v) { b } else { a })
+            }));
+        }
+        incident_start.extend([index(incident.len()); 2]);
         UnionFindDecoder {
             graph,
+            endpoints,
             lengths,
+            observable_masks,
+            incident_start,
+            incident,
             boundary,
             memo_token: next_memo_token(),
         }
@@ -61,23 +103,25 @@ impl UnionFindDecoder {
         &self.graph
     }
 
-    fn edge_endpoints(&self, edge: usize) -> (usize, usize) {
-        let e = &self.graph.edges()[edge];
-        (e.a, e.b.unwrap_or(self.boundary))
+    /// Marks `node` touched and, the first time, adds its incident edges to
+    /// the frontier of its cluster. An unseeded node is always a singleton
+    /// cluster, so that frontier is its own.
+    fn seed(&self, s: &mut UnionFindScratch, node: u32) {
+        let state = &mut s.nodes[node as usize];
+        if state.seeded {
+            return;
+        }
+        state.seeded = true;
+        s.touched_nodes.push(node);
+        let range = self.incident_start[node as usize] as usize
+            ..self.incident_start[node as usize + 1] as usize;
+        s.frontier[node as usize].extend_from_slice(&self.incident[range]);
     }
 
-    /// Growth phase: grow active clusters until all are neutral. Fully-grown
-    /// edges are recorded in `s.grown` / `s.grown_edges`.
-    fn grow(&self, fired_detectors: &[usize], s: &mut UnionFindScratch) {
-        for &d in fired_detectors {
-            let root = s.find(d);
-            if s.is_active(root) {
-                s.active.push(root);
-            }
-        }
-        s.active.sort_unstable();
-        s.active.dedup();
-
+    /// Growth phase: grow active clusters until all are neutral. Every
+    /// fully grown edge is recorded in the grown adjacency, and its
+    /// endpoints in `s.peel_roots`.
+    fn grow(&self, s: &mut UnionFindScratch) {
         // Each round grows every active cluster's frontier in lock-step, by
         // the largest uniform amount that completes at least one edge
         // (fast-forwarding the unit-growth schedule: an edge grown by `k`
@@ -88,126 +132,86 @@ impl UnionFindDecoder {
         // merges clusters; a stall guard handles pathological graphs with
         // unreachable defects.
         loop {
-            let mut active = std::mem::take(&mut s.active);
-            active.retain_mut(|root| {
-                let r = *root;
-                s.find(r) == r && s.is_active(r)
+            // Merges leave absorbed roots, neutral roots and repeats behind.
+            let nodes = &s.nodes;
+            s.active.retain(|&r| {
+                let root = nodes[r as usize];
+                root.parent == r && root.parity && !root.boundary
             });
-            if active.is_empty() {
-                s.active = active;
+            s.active.sort_unstable();
+            s.active.dedup();
+            if s.active.is_empty() {
                 break;
             }
-            // Pass 1: prune each active frontier (grown / internal /
-            // duplicate edges drop out) and count how many clusters grow
-            // each edge. The round stamp invalidates the previous round's
-            // multiplicities; `last_root` deduplicates repeated entries of
-            // one cluster's frontier without sorting it.
-            s.round += 1;
-            s.growth_candidates.clear();
-            for &root in &active {
-                let mut frontier = s.frontier.take(root);
-                let mut kept = 0usize;
-                for index in 0..frontier.len() {
-                    let edge = frontier[index];
-                    let mut state = s.edges.get(edge);
-                    if state.grown {
-                        continue;
+            // Pass 1: prune each active frontier (grown and internal edges
+            // drop out) and count how many clusters grow each edge. An edge
+            // appears at most once in a cluster's frontier unless both its
+            // endpoints are in the cluster, i.e. it is internal, so the
+            // count is the number of clusters growing it. The same pass
+            // finds the number of unit rounds until the first edge
+            // completes: an edge's gap per round only shrinks as its count
+            // rises, so the minimum over every count is the minimum over
+            // the final counts.
+            let round = s.next_round();
+            let mut rounds = u32::MAX;
+            s.candidates.clear();
+            for &root in &s.active {
+                let mut frontier = std::mem::take(&mut s.frontier[root as usize]);
+                frontier.retain(|&(edge, other)| {
+                    let state = &mut s.edges[edge as usize];
+                    let gap = self.lengths[edge as usize].saturating_sub(state.support);
+                    if gap == 0 || find(&mut s.nodes, other) == root {
+                        return false;
                     }
-                    if state.round == s.round && state.last_root == root as u32 {
-                        // Duplicate frontier entry within this cluster.
-                        continue;
+                    if state.round == round {
+                        state.multiplicity += 1;
+                        rounds = rounds.min(gap.div_ceil(state.multiplicity));
+                    } else {
+                        state.round = round;
+                        state.multiplicity = 1;
+                        rounds = rounds.min(gap);
+                        s.candidates.push(edge);
                     }
-                    let (a, b) = self.edge_endpoints(edge);
-                    let ra = s.find(a);
-                    let rb = s.find(b);
-                    if ra == rb {
-                        // Internal edge; no longer part of the frontier.
-                        continue;
-                    }
-                    let count = s.edge_multiplicity(state);
-                    if count == 0 {
-                        s.growth_candidates.push(edge);
-                    }
-                    state.multiplicity = count + 1;
-                    state.round = s.round;
-                    state.last_root = root as u32;
-                    s.edges.set(edge, state);
-                    frontier[kept] = edge;
-                    kept += 1;
-                }
-                frontier.truncate(kept);
-                // Return the surviving frontier to the root's slot.
-                s.frontier.restore(root, frontier);
+                    true
+                });
+                s.frontier[root as usize] = frontier;
             }
-            if s.growth_candidates.is_empty() {
+            if s.candidates.is_empty() {
                 // No edge can grow: remaining defects are unmatchable
                 // (disconnected detectors). Give up on them.
-                s.active = active;
                 break;
             }
-            // Pass 2: number of unit rounds until the first edge completes.
-            let mut rounds = u32::MAX;
-            for index in 0..s.growth_candidates.len() {
-                let edge = s.growth_candidates[index];
-                let state = s.edges.get(edge);
-                let gap = self.lengths[edge] - state.support;
-                rounds = rounds.min(gap.div_ceil(u32::from(state.multiplicity)));
-            }
-            // Pass 3: fast-forward every frontier edge by that many rounds.
+            // Pass 2: fast-forward every frontier edge by that many rounds.
+            // The next shot resets what is listed here (an edge listed in
+            // several rounds is reset several times, which is harmless).
             s.merges.clear();
-            for index in 0..s.growth_candidates.len() {
-                let edge = s.growth_candidates[index];
-                let mut state = s.edges.get(edge);
-                state.support += u32::from(state.multiplicity) * rounds;
-                if state.support >= self.lengths[edge] {
-                    state.grown = true;
-                    s.grown_edges.push(edge);
+            s.touched_edges.extend_from_slice(&s.candidates);
+            for &edge in &s.candidates {
+                let state = &mut s.edges[edge as usize];
+                state.support += state.multiplicity * rounds;
+                if state.support >= self.lengths[edge as usize] {
                     s.merges.push(edge);
                 }
-                s.edges.set(edge, state);
             }
-            let mut merges = std::mem::take(&mut s.merges);
             // Canonical merge order regardless of frontier traversal order.
-            merges.sort_unstable();
-            for &edge in &merges {
-                let (a, b) = self.edge_endpoints(edge);
+            s.merges.sort_unstable();
+            for index in 0..s.merges.len() {
+                let edge = s.merges[index];
+                let (a, b) = self.endpoints[edge as usize];
                 // Record the grown edge in the peeling adjacency (cycle
                 // edges included: they are valid non-tree edges).
-                s.peel_adjacency.get_mut(a).push(edge);
-                if b != a {
-                    s.peel_adjacency.get_mut(b).push(edge);
-                }
-                let ra = s.find(a);
-                let rb = s.find(b);
+                s.grown_adjacency[a as usize].push((edge, b));
+                s.grown_adjacency[b as usize].push((edge, a));
+                s.peel_roots.extend([a, b]);
+                let ra = find(&mut s.nodes, a);
+                let rb = find(&mut s.nodes, b);
                 if ra != rb {
-                    // Adopt the other endpoint's incident edges into the
-                    // merged frontier the first time a lone node is absorbed.
-                    for node in [a, b] {
-                        let r = s.find(node);
-                        if s.frontier.get_mut(r).is_empty()
-                            && !s.defect.get(node)
-                            && node != self.boundary
-                        {
-                            let incident = self.graph.incident_edges(node);
-                            s.frontier.get_mut(r).extend_from_slice(incident);
-                        }
-                    }
-                    let new_root = s.union(a, b);
-                    // Make sure the merged cluster also sees the absorbed
-                    // node's incident edges.
-                    for node in [a, b] {
-                        if node != self.boundary {
-                            let incident = self.graph.incident_edges(node);
-                            s.frontier.get_mut(new_root).extend_from_slice(incident);
-                        }
-                    }
-                    active.push(new_root);
+                    self.seed(s, a);
+                    self.seed(s, b);
+                    let root = s.union(ra, rb);
+                    s.active.push(root);
                 }
             }
-            s.merges = merges;
-            active.sort_unstable();
-            active.dedup();
-            s.active = active;
         }
     }
 
@@ -219,84 +223,61 @@ impl UnionFindDecoder {
     /// the clusters actually built this shot, not to the graph size.
     fn peel(&self, s: &mut UnionFindScratch, prediction: &mut [bool]) {
         // Roots: the boundary first (so it can absorb defects), then the
-        // grown edges' endpoints in ascending order (`peel_roots` is sorted
-        // below, so the grown-edge list itself needs no ordering).
-        s.peel_roots.clear();
-        for &edge in &s.grown_edges {
-            let (a, b) = self.edge_endpoints(edge);
-            s.peel_roots.push(a);
-            s.peel_roots.push(b);
-        }
+        // grown edges' endpoints in ascending order. The boundary has the
+        // largest index, so after sorting it is last if it is there at all.
         s.peel_roots.sort_unstable();
         s.peel_roots.dedup();
-
-        s.order.clear();
-        let bfs = |start: usize, s: &mut UnionFindScratch| {
-            if s.peel.written(start) {
-                return;
+        if s.peel_roots.last() == Some(&self.boundary) {
+            s.peel_roots.rotate_right(1);
+        }
+        // Breadth-first over the grown subgraph from each unvisited root;
+        // `order` is the queue, and stays the visiting order afterwards.
+        let mut head = 0;
+        for &root in &s.peel_roots {
+            if s.nodes[root as usize].visited {
+                continue;
             }
-            // A written slot doubles as the visited flag; roots keep the
-            // "no incoming edge" sentinels.
-            s.peel.set(
-                start,
-                PeelState {
-                    parent_edge: u32::MAX,
-                    parent_node: u32::MAX,
-                },
-            );
-            s.queue.clear();
-            s.queue.push_back(start);
-            while let Some(v) = s.queue.pop_front() {
-                s.order.push(v);
-                // Only the grown subgraph's adjacency is walked, in the
-                // (deterministic) order the edges completed.
-                let incident = s.peel_adjacency.take(v);
-                for &edge in &incident {
-                    let (a, b) = self.edge_endpoints(edge);
-                    let next = if a == v { b } else { a };
-                    if !s.peel.written(next) {
-                        s.peel.set(
-                            next,
-                            PeelState {
-                                parent_edge: edge as u32,
-                                parent_node: v as u32,
-                            },
-                        );
-                        s.queue.push_back(next);
+            s.nodes[root as usize].visited = true;
+            s.order.push(root);
+            while head < s.order.len() {
+                let v = s.order[head] as usize;
+                head += 1;
+                for &(edge, next) in &s.grown_adjacency[v] {
+                    let node = &mut s.nodes[next as usize];
+                    if !node.visited {
+                        node.visited = true;
+                        node.tree_edge = edge;
+                        s.order.push(next);
                     }
                 }
-                s.peel_adjacency.restore(v, incident);
             }
-        };
-
-        // Root the forest at the boundary first so it can absorb defects.
-        if s.peel_roots.binary_search(&self.boundary).is_ok() {
-            bfs(self.boundary, s);
         }
-        let roots = std::mem::take(&mut s.peel_roots);
-        for &v in &roots {
-            bfs(v, s);
-        }
-        s.peel_roots = roots;
 
-        // Peel leaves-first (reverse BFS order).
-        for index in (0..s.order.len()).rev() {
-            let v = s.order[index];
-            if s.defect.get(v) {
-                let peel = s.peel.get(v);
-                if peel.parent_edge != u32::MAX {
-                    for &obs in &self.graph.edges()[peel.parent_edge as usize].observables {
+        // Peel leaves-first (reverse BFS order). Any defect absorbed by the
+        // boundary is fine; the boundary's defect flag is ignored.
+        let mut flips = 0u64;
+        for &v in s.order.iter().rev() {
+            let node = s.nodes[v as usize];
+            if !node.defect || node.tree_edge == NO_EDGE {
+                continue;
+            }
+            let edge = node.tree_edge as usize;
+            match self.observable_masks.get(edge) {
+                Some(mask) => flips ^= mask,
+                None => {
+                    for &obs in &self.graph.edges()[edge].observables {
                         prediction[obs as usize] ^= true;
                     }
-                    s.defect.set(v, false);
-                    let p = peel.parent_node as usize;
-                    let flipped = !s.defect.get(p);
-                    s.defect.set(p, flipped);
                 }
             }
+            let (a, b) = self.endpoints[edge];
+            let parent = if a == v { b } else { a };
+            s.nodes[parent as usize].defect ^= true;
         }
-        // Any defect absorbed by the boundary is fine; the boundary's defect
-        // flag is ignored.
+        while flips != 0 {
+            prediction[flips.trailing_zeros() as usize] ^= true;
+            flips &= flips - 1;
+        }
     }
 }
 
@@ -310,22 +291,18 @@ impl Decoder for UnionFindDecoder {
         if fired_detectors.is_empty() || self.graph.is_empty() {
             return;
         }
-        let num_nodes = self.graph.num_nodes();
         let s = &mut scratch.union_find;
-        s.begin(num_nodes, self.graph.edges().len());
-        let mut boundary_state = s.nodes.get(self.boundary);
-        boundary_state.boundary = true;
-        s.nodes.set(self.boundary, boundary_state);
+        s.begin(self.graph.num_nodes(), self.endpoints.len());
+        s.nodes[self.boundary as usize].boundary = true;
+        self.seed(s, self.boundary);
         for &d in fired_detectors {
-            s.defect.set(d, true);
-            let mut state = s.nodes.get(d);
-            state.parity = true;
-            s.nodes.set(d, state);
-            s.frontier
-                .get_mut(d)
-                .extend_from_slice(self.graph.incident_edges(d));
+            let node = &mut s.nodes[d];
+            node.defect = true;
+            node.parity = true;
+            self.seed(s, d as u32);
+            s.active.push(d as u32);
         }
-        self.grow(fired_detectors, s);
+        self.grow(s);
         self.peel(s, prediction);
     }
 
@@ -335,6 +312,175 @@ impl Decoder for UnionFindDecoder {
 
     fn memo_token(&self) -> Option<NonZeroU64> {
         Some(self.memo_token)
+    }
+}
+
+/// Union-find and peeling state of one node.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// Union-find parent; a root is its own parent.
+    parent: u32,
+    /// Peeling-forest edge to the BFS parent ([`NO_EDGE`] at a root).
+    tree_edge: u32,
+    rank: u8,
+    /// Defect parity of the cluster rooted here.
+    parity: bool,
+    /// Whether the cluster rooted here touches the virtual boundary.
+    boundary: bool,
+    /// Whether this node carries a defect (moved towards the roots while
+    /// peeling).
+    defect: bool,
+    /// Whether this node's incident edges have entered a frontier; every
+    /// node a shot writes is seeded, so this also marks it touched.
+    seeded: bool,
+    /// Whether the peeling search has reached this node.
+    visited: bool,
+}
+
+impl Node {
+    fn fresh(index: u32) -> Self {
+        Node {
+            parent: index,
+            tree_edge: NO_EDGE,
+            rank: 0,
+            parity: false,
+            boundary: false,
+            defect: false,
+            seeded: false,
+            visited: false,
+        }
+    }
+}
+
+/// Growth state of one edge.
+#[derive(Debug, Clone, Copy, Default)]
+struct EdgeState {
+    /// Growth units applied this shot; the edge is grown once this reaches
+    /// its length.
+    support: u32,
+    /// Growth round that counted `multiplicity`.
+    round: u32,
+    /// Number of active clusters growing this edge in round `round`.
+    multiplicity: u32,
+}
+
+/// Per-shot working state of the union-find decoder. Every shot starts from
+/// fresh node and edge slots, whichever decoder used the scratch last:
+/// [`UnionFindScratch::begin`] resets the slots the previous shot listed.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct UnionFindScratch {
+    nodes: Vec<Node>,
+    edges: Vec<EdgeState>,
+    /// Frontier `(edge, opposite endpoint)` entries per cluster root; the
+    /// entry's own endpoint is in the cluster.
+    frontier: Vec<Vec<(u32, u32)>>,
+    /// Per-node `(edge, opposite endpoint)` adjacency of the grown
+    /// subgraph, in completion order, so peeling never scans the full
+    /// decoding graph.
+    grown_adjacency: Vec<Vec<(u32, u32)>>,
+    /// Nodes and edges this shot wrote, reset by the next shot.
+    touched_nodes: Vec<u32>,
+    touched_edges: Vec<u32>,
+    /// Growth-round counter, running across shots (stamps
+    /// [`EdgeState::round`]).
+    round: u32,
+    active: Vec<u32>,
+    /// Frontier edges eligible to grow this round.
+    candidates: Vec<u32>,
+    /// Edges completed this round, sorted before merging so the merge order
+    /// is canonical (frontiers themselves are kept unsorted).
+    merges: Vec<u32>,
+    /// Endpoints of the grown edges: the peeling roots.
+    peel_roots: Vec<u32>,
+    /// Peeling visiting order (the breadth-first queue).
+    order: Vec<u32>,
+}
+
+impl UnionFindScratch {
+    /// Resets what the previous shot touched and prepares for one shot over
+    /// `nodes` vertices and `edges` edges.
+    fn begin(&mut self, nodes: usize, edges: usize) {
+        for &v in &self.touched_nodes {
+            let v = v as usize;
+            self.nodes[v] = Node::fresh(v as u32);
+            self.frontier[v].clear();
+            self.grown_adjacency[v].clear();
+        }
+        for &edge in &self.touched_edges {
+            self.edges[edge as usize].support = 0;
+        }
+        self.touched_nodes.clear();
+        self.touched_edges.clear();
+        if self.nodes.len() < nodes {
+            let start = self.nodes.len();
+            self.nodes
+                .extend((start..nodes).map(|v| Node::fresh(v as u32)));
+            self.frontier.resize_with(nodes, Vec::new);
+            self.grown_adjacency.resize_with(nodes, Vec::new);
+        }
+        if self.edges.len() < edges {
+            self.edges.resize(edges, EdgeState::default());
+        }
+        self.active.clear();
+        self.peel_roots.clear();
+        self.order.clear();
+    }
+
+    /// Advances the round counter; on wrap-around every stamp is cleared
+    /// once, so a stale stamp never matches a live round.
+    fn next_round(&mut self) -> u32 {
+        if self.round == u32::MAX {
+            for edge in &mut self.edges {
+                edge.round = 0;
+            }
+            self.round = 0;
+        }
+        self.round += 1;
+        self.round
+    }
+
+    /// Unions the clusters rooted at `ra != rb` (union by rank, ties to
+    /// `ra`); returns the new root.
+    fn union(&mut self, ra: u32, rb: u32) -> u32 {
+        let (big, small) = if self.nodes[ra as usize].rank >= self.nodes[rb as usize].rank {
+            (ra, rb)
+        } else {
+            (rb, ra)
+        };
+        let absorbed = self.nodes[small as usize];
+        self.nodes[small as usize].parent = big;
+        let root = &mut self.nodes[big as usize];
+        if root.rank == absorbed.rank {
+            root.rank += 1;
+        }
+        root.parity ^= absorbed.parity;
+        root.boundary |= absorbed.boundary;
+        // Append the shorter frontier to the longer one: entry order only
+        // changes the order edges are counted in, never a count, a growth
+        // amount or the (sorted) merge order.
+        let mut moved = std::mem::take(&mut self.frontier[small as usize]);
+        let mut kept = std::mem::take(&mut self.frontier[big as usize]);
+        if moved.len() > kept.len() {
+            std::mem::swap(&mut moved, &mut kept);
+        }
+        kept.extend_from_slice(&moved);
+        moved.clear();
+        self.frontier[big as usize] = kept;
+        self.frontier[small as usize] = moved;
+        big
+    }
+}
+
+/// Union-find `find` with path halving.
+fn find(nodes: &mut [Node], mut x: u32) -> u32 {
+    loop {
+        let parent = nodes[x as usize].parent;
+        if parent == x {
+            return x;
+        }
+        let grandparent = nodes[parent as usize].parent;
+        nodes[x as usize].parent = grandparent;
+        x = grandparent;
     }
 }
 
@@ -456,5 +602,118 @@ mod tests {
                 "scratch reuse changed the prediction for {syndrome:?}"
             );
         }
+    }
+
+    /// The decoding graph of a distance-`d` rotated-surface-code memory
+    /// experiment (`d` rounds, depolarising data noise p = 0.02 each round)
+    /// and `shots` sampled defect lists.
+    fn surface_code(d: usize, shots: usize, seed: u64) -> (DecodingGraph, Vec<Vec<usize>>) {
+        let code = qccd_qec::rotated_surface_code(d);
+        let noisy = crate::ler::tests::noisy_memory(&code, d, 0.02);
+        let dem = DetectorErrorModel::from_circuit(&noisy).expect("valid annotations");
+        let chunk = qccd_sim::sample_detector_chunks(&noisy, shots, seed, shots)
+            .expect("valid annotations")
+            .sample_chunk(0);
+        let fired = (0..shots)
+            .map(|shot| {
+                (0..dem.num_detectors)
+                    .filter(|&det| (chunk.detector_plane(det)[shot / 64] >> (shot % 64)) & 1 == 1)
+                    .collect()
+            })
+            .collect();
+        (DecodingGraph::from_dem(&dem), fired)
+    }
+
+    fn decode_with(
+        decoder: &dyn Decoder,
+        fired: &[usize],
+        scratch: &mut DecodeScratch,
+    ) -> Vec<bool> {
+        let mut prediction = vec![false; decoder.num_observables()];
+        decoder.decode_shot(fired, scratch, &mut prediction);
+        prediction
+    }
+
+    #[test]
+    fn one_scratch_across_graph_sizes_and_decoders_predicts_like_fresh_ones() {
+        let (graph7, shots7) = surface_code(7, 96, 3);
+        let (graph3, shots3) = surface_code(3, 96, 4);
+        let large = UnionFindDecoder::new(graph7.clone());
+        let small = UnionFindDecoder::new(graph3);
+        let greedy = crate::GreedyMatchingDecoder::new(graph7);
+        let mut shared = DecodeScratch::new();
+        for (shot7, shot3) in shots7.iter().zip(&shots3) {
+            for (decoder, fired) in [
+                (&large as &dyn Decoder, shot7),
+                (&greedy, shot7),
+                (&small, shot3),
+            ] {
+                assert_eq!(
+                    decode_with(decoder, fired, &mut shared),
+                    decoder.decode(fired),
+                    "shared scratch changed the prediction for {fired:?}"
+                );
+            }
+        }
+        assert!(
+            shots7.iter().any(|fired| fired.len() > 8),
+            "exercise large clusters"
+        );
+    }
+
+    #[test]
+    fn round_counter_wrap_keeps_predictions() {
+        let (graph, shots) = surface_code(5, 64, 5);
+        let decoder = UnionFindDecoder::new(graph);
+        let mut scratch = DecodeScratch::new();
+        let mut wraps = 0;
+        for (index, fired) in shots.iter().enumerate() {
+            // Even shots count in small rounds; odd shots start at most two
+            // rounds short of the wrap, so after it they count in those
+            // same small rounds again.
+            let s = &mut scratch.union_find;
+            if index % 2 == 1 {
+                s.round = s.round.max(u32::MAX - 2);
+            }
+            let before = s.round;
+            assert_eq!(
+                decode_with(&decoder, fired, &mut scratch),
+                decoder.decode(fired),
+                "prediction for {fired:?} changed"
+            );
+            // No stamp is ahead of the counter, so none can match a later
+            // round before that round restamps it.
+            let s = &scratch.union_find;
+            assert!(s.edges.iter().all(|edge| edge.round <= s.round));
+            wraps += usize::from(s.round < before);
+        }
+        assert!(wraps > 1, "too few shots crossed the wrap");
+    }
+
+    #[test]
+    fn above_64_observables_walk_the_observable_lists() {
+        // A 70-detector chain whose boundary edges carry observables 3 and
+        // 69, and whose internal edge i flips observable i.
+        let n = 70;
+        let mut errors = vec![err(0.01, vec![0], vec![3])];
+        for i in 0..n - 1 {
+            errors.push(err(0.01, vec![i, i + 1], vec![i]));
+        }
+        errors.push(err(0.01, vec![n - 1], vec![69]));
+        let dem = DetectorErrorModel {
+            num_detectors: n as usize,
+            num_observables: 70,
+            errors,
+        };
+        let decoder = UnionFindDecoder::new(DecodingGraph::from_dem(&dem));
+        assert!(decoder.observable_masks.is_empty());
+        let flipped = |fired: &[usize]| -> Vec<usize> {
+            let prediction = decoder.decode(fired);
+            (0..70).filter(|&o| prediction[o]).collect()
+        };
+        assert_eq!(flipped(&[0]), vec![3]);
+        assert_eq!(flipped(&[69]), vec![69]);
+        assert_eq!(flipped(&[66, 67]), vec![66]);
+        assert_eq!(flipped(&[10, 11, 40, 41]), vec![10, 40]);
     }
 }

@@ -1,5 +1,5 @@
 //! Edge-case tests for the syndrome memo: empty syndromes, defect counts
-//! above the cap, entry caps, cross-chunk scratch reuse (epoch-stamp reuse),
+//! above the cap, entry caps, cross-chunk scratch reuse (per-shot resets),
 //! first-sight learning of single defects and `CacheStats` counter
 //! correctness.
 
@@ -150,9 +150,9 @@ fn cache_stats_count_hits_misses_and_uncacheable_exactly() {
 
 #[test]
 fn scratch_reuse_across_chunks_keeps_entries_and_accumulates_stats() {
-    // The per-shot scratch buffers are invalidated between shots/chunks by
-    // epoch stamping; the memo must survive those epoch bumps so later
-    // chunks hit entries cached by earlier ones.
+    // The per-shot scratch state is reset from shot to shot; the memo must
+    // survive those resets so later chunks hit entries cached by earlier
+    // ones.
     let decoder = UnionFindDecoder::new(chain_graph(10));
     let mut warm = DecodeScratch::new();
     let first = chunk_of(10, &[vec![2], vec![3, 4], vec![2]]);
