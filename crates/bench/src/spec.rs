@@ -1244,5 +1244,223 @@ mod tests {
             ArchPoint::from_json(&torus),
             err("unknown topology `torus`")
         );
+
+        // Malformed documents for each of the three codecs, with the field
+        // the rejection is about.
+        type Decode = fn(&Value) -> Result<(), String>;
+        fn spec(doc: &Value) -> Result<(), String> {
+            ExperimentSpec::from_json(doc)
+                .map(drop)
+                .map_err(|e| e.to_string())
+        }
+        fn outcome(doc: &Value) -> Result<(), String> {
+            crate::point_job::outcome_from_json(doc).map(drop)
+        }
+        use crate::artifact::validate_artifact_json as artifact;
+        /// `doc` with the key at `path` set to `value`, or removed for `None`.
+        fn with(doc: &Value, path: &[&str], value: Option<Value>) -> Value {
+            let mut doc = doc.clone();
+            let (last, parents) = path.split_last().expect("a non-empty path");
+            let parent = parents.iter().fold(&mut doc, |node, key| &mut node[*key]);
+            match (value, parent) {
+                (Some(value), parent) => parent[*last] = value,
+                (None, Value::Object(map)) => drop(map.remove(*last)),
+                (None, _) => panic!("no object at {path:?}"),
+            }
+            doc
+        }
+        let named = |kind| {
+            ExperimentSpec {
+                name: "x".into(),
+                title: "x".into(),
+                seed: 1,
+                kind,
+            }
+            .to_json()
+        };
+        let ler = sample_spec().to_json();
+        let comparison = named(ExperimentKind::DecoderComparison(DecoderComparisonSpec {
+            distances: vec![3],
+            improvements: vec![1.0],
+            decoders: vec![DecoderKind::UnionFind],
+            shots: 10,
+            capacity: 2,
+        }));
+        let timing = named(ExperimentKind::TimingSweep(TimingSweepSpec {
+            configurations: vec![ArchPoint::grid(2, 1.0)],
+            distances: vec![3],
+            metric: TimingMetric::RoundTime,
+            include_bounds: false,
+        }));
+        let surgery = named(ExperimentKind::Surgery(SurgerySpec {
+            capacities: vec![2],
+            distances: vec![3],
+            merge: MergeKind::XX,
+            gate_improvement: 1.0,
+        }));
+        let payload = crate::point_job::outcome_to_json(&crate::sweep::LerOutcome {
+            label: "grid c2".into(),
+            distance: 3,
+            decoder: DecoderKind::UnionFind,
+            seed: 9,
+            shots_requested: 10,
+            result: Ok(qccd_decoder::LogicalErrorEstimate {
+                shots: 10,
+                failures: 1,
+                logical_error_rate: 0.1,
+                std_error: 0.09,
+            }),
+            cache: Some(qccd_decoder::CacheStats::default()),
+        });
+        // `data` is free-form, `null` included.
+        let art = serde_json::json!({
+            "title": "T", "headers": ["a"], "rows": [["1"]], "notes": [], "data": null,
+            "metadata": {"spec_name": "x", "spec_hash": "0", "seed": 1,
+                         "git_describe": null, "thread_invariant": true},
+        });
+        for doc in [&ler, &comparison, &timing, &surgery] {
+            spec(doc).unwrap();
+        }
+        outcome(&payload).unwrap();
+        artifact(&art).unwrap();
+        let cases: Vec<(&str, Decode, Value)> = vec![
+            ("shots", spec, with(&ler, &["experiment", "shots"], None)),
+            (
+                "shots",
+                spec,
+                with(&ler, &["experiment", "shots"], Some("2000".into())),
+            ),
+            ("seed", spec, with(&ler, &["seed"], Some(Value::Null))),
+            (
+                "memo",
+                spec,
+                with(
+                    &ler,
+                    &["experiment", "estimator", "memo"],
+                    Some(Value::Null),
+                ),
+            ),
+            (
+                "num_threads",
+                spec,
+                with(
+                    &ler,
+                    &["experiment", "estimator", "num_threads"],
+                    Some("2".into()),
+                ),
+            ),
+            (
+                "decoders",
+                spec,
+                with(
+                    &comparison,
+                    &["experiment", "decoders"],
+                    Some(serde_json::json!([7])),
+                ),
+            ),
+            (
+                "sample_distances",
+                spec,
+                with(
+                    &ler,
+                    &["experiment", "sample_distances"],
+                    Some(serde_json::json!([3, 5.5])),
+                ),
+            ),
+            (
+                "decoder",
+                spec,
+                with(&ler, &["experiment", "decoder"], Some("quantum".into())),
+            ),
+            (
+                "metric",
+                spec,
+                with(
+                    &timing,
+                    &["experiment", "metric"],
+                    Some("wall_clock".into()),
+                ),
+            ),
+            (
+                "merge",
+                spec,
+                with(&surgery, &["experiment", "merge"], Some("yy".into())),
+            ),
+            (
+                "experiment",
+                spec,
+                with(&ler, &["experiment", "experiment"], Some("nonsense".into())),
+            ),
+            (
+                "err",
+                outcome,
+                with(&payload, &["result"], Some(serde_json::json!({}))),
+            ),
+            (
+                "ok",
+                outcome,
+                with(
+                    &payload,
+                    &["result"],
+                    Some(serde_json::json!({"ok": null, "err": "x"})),
+                ),
+            ),
+            (
+                "ok",
+                outcome,
+                with(&payload, &["result"], Some(serde_json::json!({"ok": null}))),
+            ),
+            ("cache", outcome, with(&payload, &["cache"], None)),
+            (
+                "hits",
+                outcome,
+                with(&payload, &["cache", "hits"], Some(Value::Null)),
+            ),
+            (
+                "seed",
+                outcome,
+                with(&payload, &["seed"], Some((-3).into())),
+            ),
+            (
+                "shots",
+                outcome,
+                with(&payload, &["result", "ok", "shots"], Some(1.5.into())),
+            ),
+            (
+                "decoder",
+                outcome,
+                with(&payload, &["decoder"], Some("quantum".into())),
+            ),
+            ("title", artifact, with(&art, &["title"], None)),
+            (
+                "headers",
+                artifact,
+                with(&art, &["headers"], Some(serde_json::json!([7]))),
+            ),
+            (
+                "rows",
+                artifact,
+                with(&art, &["rows"], Some(serde_json::json!([[1]]))),
+            ),
+            (
+                "rows",
+                artifact,
+                with(&art, &["rows"], Some(serde_json::json!([["1", "2"]]))),
+            ),
+            ("data", artifact, with(&art, &["data"], None)),
+            (
+                "metadata",
+                artifact,
+                with(&art, &["metadata"], Some(Value::Null)),
+            ),
+            (
+                "seed",
+                artifact,
+                with(&art, &["metadata", "seed"], Some("1".into())),
+            ),
+        ];
+        for (field, decode, doc) in &cases {
+            assert!(decode(doc).is_err(), "{doc} must be rejected ({field})");
+        }
     }
 }

@@ -5,16 +5,23 @@
 //!   "serde-round-trippable" contract of the declarative API).
 //! * The built-in registry registers every paper artefact, every spec
 //!   validates, round-trips, and hashes uniquely.
+//! * Hostile input: specs and stored point payloads with keys dropped,
+//!   retyped or nulled and arrays truncated or nested never panic a
+//!   decoder, and every spec the decoder still accepts re-encodes to a
+//!   document that decodes to the same spec.
 
 use proptest::prelude::*;
 
+use serde_json::Value;
+
+use qccd_bench::point_job::{outcome_from_json, outcome_to_json};
 use qccd_bench::spec::{
     ArchPoint, ClusteringAblationSpec, CodeSpec, CompileCase, CompilerBoundsSpec,
     DecoderComparisonSpec, ExperimentKind, ExperimentSpec, LerOutput, LerSweepSpec,
     RareEventLerSpec, SurgerySpec, TimingMetric, TimingSweepSpec,
 };
-use qccd_bench::ExperimentRegistry;
-use qccd_decoder::{DecoderKind, EstimatorConfig, MemoConfig};
+use qccd_bench::{ExperimentRegistry, LerOutcome};
+use qccd_decoder::{CacheStats, DecoderKind, EstimatorConfig, LogicalErrorEstimate, MemoConfig};
 use qccd_hardware::{TopologyKind, WiringMethod};
 use qccd_qec::MergeKind;
 
@@ -243,6 +250,180 @@ proptest! {
             // The canonical encoding (and therefore the content hash) is
             // reproducible across the round trip.
             prop_assert_eq!(parsed.content_hash(), spec.content_hash());
+        }
+    }
+}
+
+/// One hostile edit of a JSON member or array entry.
+#[derive(Debug, Clone, Copy)]
+enum Edit {
+    Drop,
+    Null,
+    /// Replace with the value of another JSON type (index into a table).
+    Retype(usize),
+    /// Keep the first half of an array (other values are left as they are).
+    Truncate,
+    /// Wrap the value in a one-entry array.
+    Nest,
+}
+
+fn edits() -> impl Strategy<Value = Vec<(usize, Edit)>> {
+    prop::collection::vec(
+        (any::<u64>(), 0usize..5, 0usize..8).prop_map(|(target, kind, retype)| {
+            let edit = match kind {
+                0 => Edit::Drop,
+                1 => Edit::Null,
+                2 => Edit::Retype(retype),
+                3 => Edit::Truncate,
+                _ => Edit::Nest,
+            };
+            (target as usize, edit)
+        }),
+        1..4,
+    )
+}
+
+/// Number of object members and array entries in `doc`, at any depth.
+fn positions(doc: &Value) -> usize {
+    match doc {
+        Value::Object(map) => map.values().map(|v| 1 + positions(v)).sum(),
+        Value::Array(items) => items.iter().map(|v| 1 + positions(v)).sum(),
+        _ => 0,
+    }
+}
+
+/// Applies `edit` to the position `*left` counts down to (pre-order);
+/// returns whether it was reached.
+fn apply(node: &mut Value, left: &mut usize, edit: Edit) -> bool {
+    let len = match node {
+        Value::Object(map) => map.len(),
+        Value::Array(items) => items.len(),
+        _ => return false,
+    };
+    for index in 0..len {
+        if *left == 0 {
+            match (edit, &mut *node) {
+                (Edit::Drop, Value::Object(map)) => {
+                    let key = map.keys().nth(index).expect("in range").clone();
+                    map.remove(&key);
+                }
+                (Edit::Drop, Value::Array(items)) => drop(items.remove(index)),
+                (edit, node) => {
+                    let child = child_mut(node, index);
+                    *child = edited(child, edit);
+                }
+            }
+            return true;
+        }
+        *left -= 1;
+        if apply(child_mut(node, index), left, edit) {
+            return true;
+        }
+    }
+    false
+}
+
+fn child_mut(node: &mut Value, index: usize) -> &mut Value {
+    match node {
+        Value::Object(map) => map.values_mut().nth(index),
+        Value::Array(items) => items.get_mut(index),
+        _ => None,
+    }
+    .expect("a child in range")
+}
+
+fn edited(value: &Value, edit: Edit) -> Value {
+    match edit {
+        Edit::Drop | Edit::Null => Value::Null,
+        Edit::Retype(which) => [
+            serde_json::json!("7"),
+            serde_json::json!(7),
+            serde_json::json!(-1),
+            serde_json::json!(2.5),
+            serde_json::json!(true),
+            serde_json::json!({}),
+            serde_json::json!([]),
+            serde_json::json!([1, "x"]),
+        ][which % 8]
+            .clone(),
+        Edit::Truncate => match value {
+            Value::Array(items) => Value::Array(items[..items.len() / 2].to_vec()),
+            other => other.clone(),
+        },
+        Edit::Nest => Value::Array(vec![value.clone()]),
+    }
+}
+
+/// `doc` after `edits`, each at a position picked modulo the current count,
+/// then through JSON text like a file on disk.
+fn mutated(doc: &Value, edits: &[(usize, Edit)]) -> Value {
+    let mut doc = doc.clone();
+    for &(target, edit) in edits {
+        let count = positions(&doc);
+        if count > 0 {
+            apply(&mut doc, &mut (target % count), edit);
+        }
+    }
+    serde_json::from_str(&doc.to_string()).expect("a mutated document is still JSON")
+}
+
+fn payloads() -> Vec<Value> {
+    let ok = LerOutcome {
+        label: "grid c2".to_string(),
+        distance: 5,
+        decoder: DecoderKind::UnionFind,
+        seed: 11,
+        shots_requested: 2000,
+        result: Ok(LogicalErrorEstimate {
+            shots: 2000,
+            failures: 3,
+            logical_error_rate: 0.0015,
+            std_error: 0.000_865,
+        }),
+        cache: Some(CacheStats {
+            hits: 4,
+            misses: 3,
+            uncacheable: 2,
+            quiet_words: 9,
+            sparse_words: 2,
+            dense_words: 1,
+            ..CacheStats::default()
+        }),
+    };
+    let failed = LerOutcome {
+        result: Err("routing stuck".to_string()),
+        cache: None,
+        ..ok.clone()
+    };
+    vec![outcome_to_json(&ok), outcome_to_json(&failed)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn hostile_spec_and_payload_json_never_panics_a_decoder(
+        specs in spec_suite(),
+        edits in edits(),
+    ) {
+        for spec in specs {
+            let doc = mutated(&spec.to_json(), &edits);
+            if let Ok(accepted) = ExperimentSpec::from_json(&doc) {
+                let text = accepted.canonical_json();
+                let again = ExperimentSpec::from_json(&serde_json::from_str(&text).unwrap())
+                    .map_err(|e| TestCaseError::fail(format!("{text} no longer decodes: {e}")))?;
+                prop_assert_eq!(&again, &accepted);
+                prop_assert_eq!(again.content_hash(), accepted.content_hash());
+            }
+        }
+        for payload in payloads() {
+            let doc = mutated(&payload, &edits);
+            if let Ok(accepted) = outcome_from_json(&doc) {
+                let text = outcome_to_json(&accepted).to_string();
+                let again = outcome_from_json(&serde_json::from_str(&text).unwrap())
+                    .map_err(|e| TestCaseError::fail(format!("{text} no longer decodes: {e}")))?;
+                prop_assert_eq!(outcome_to_json(&again).to_string(), text);
+            }
         }
     }
 }
