@@ -11,7 +11,7 @@
 use serde_json::Value;
 
 use crate::format_table;
-use crate::spec::ExperimentSpec;
+use crate::spec::{req, ExperimentSpec};
 
 /// Provenance of one artifact.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,63 +155,27 @@ impl Artifact {
 ///
 /// Returns a description of the first violation.
 pub fn validate_artifact_json(value: &Value) -> Result<(), String> {
-    let obj = value
-        .as_object()
-        .ok_or_else(|| "artifact must be a JSON object".to_string())?;
-    for key in ["title", "headers", "rows", "notes", "data", "metadata"] {
-        if !obj.contains_key(key) {
-            return Err(format!("artifact is missing `{key}`"));
-        }
-    }
-    if value["title"].as_str().is_none() {
-        return Err("`title` must be a string".into());
-    }
-    let headers = value["headers"]
-        .as_array()
-        .ok_or_else(|| "`headers` must be an array".to_string())?;
-    if headers.iter().any(|h| h.as_str().is_none()) {
-        return Err("`headers` entries must be strings".into());
-    }
-    let rows = value["rows"]
-        .as_array()
-        .ok_or_else(|| "`rows` must be an array".to_string())?;
-    for (i, row) in rows.iter().enumerate() {
-        let cells = row
-            .as_array()
-            .ok_or_else(|| format!("row {i} must be an array"))?;
-        if cells.len() != headers.len() {
+    req::<String>(value, "title")?;
+    let headers: Vec<String> = req(value, "headers")?;
+    for (i, row) in req::<Vec<Vec<String>>>(value, "rows")?.iter().enumerate() {
+        if row.len() != headers.len() {
             return Err(format!(
-                "row {i} has {} cells but there are {} headers",
-                cells.len(),
+                "field `rows`: row {i} has {} cells but there are {} headers",
+                row.len(),
                 headers.len()
             ));
         }
-        if cells.iter().any(|c| c.as_str().is_none()) {
-            return Err(format!("row {i} cells must be strings"));
-        }
     }
-    if value["notes"]
-        .as_array()
-        .map(|notes| notes.iter().any(|n| n.as_str().is_none()))
-        .unwrap_or(true)
-    {
-        return Err("`notes` must be an array of strings".into());
+    req::<Vec<String>>(value, "notes")?;
+    // `data` is free-form, `null` included, but the key must be there.
+    if value.get("data").is_none() {
+        return Err("field `data` is missing".to_string());
     }
-    let metadata = value["metadata"]
-        .as_object()
-        .ok_or_else(|| "`metadata` must be an object".to_string())?;
-    for key in ["spec_name", "spec_hash", "seed", "thread_invariant"] {
-        if !metadata.contains_key(key) {
-            return Err(format!("metadata is missing `{key}`"));
-        }
-    }
-    if value["metadata"]["spec_name"].as_str().is_none()
-        || value["metadata"]["spec_hash"].as_str().is_none()
-        || value["metadata"]["seed"].as_u64().is_none()
-        || value["metadata"]["thread_invariant"].as_bool().is_none()
-    {
-        return Err("metadata fields have the wrong types".into());
-    }
+    let metadata: &Value = req(value, "metadata")?;
+    req::<String>(metadata, "spec_name")?;
+    req::<String>(metadata, "spec_hash")?;
+    req::<u64>(metadata, "seed")?;
+    req::<bool>(metadata, "thread_invariant")?;
     Ok(())
 }
 

@@ -45,7 +45,7 @@ use qccd_telemetry::{
 use crate::artifact::{validate_artifact_json, Artifact};
 use crate::point_job::{merge_artifact, spec_point_job};
 use crate::registry::{run_spec, ExperimentRegistry};
-use crate::spec::{ExperimentKind, ExperimentSpec};
+use crate::spec::ExperimentSpec;
 
 /// Usage text printed for `--help` and argument errors.
 pub const USAGE: &str = "\
@@ -247,20 +247,6 @@ pub fn load_spec_file(path: &std::path::Path) -> Result<ExperimentSpec, String> 
     spec.validate()
         .map_err(|e| format!("{}: invalid spec: {e}", path.display()))?;
     Ok(spec)
-}
-
-/// One-line summary of a spec's experiment family, for `artifacts list`.
-pub fn kind_summary(spec: &ExperimentSpec) -> &'static str {
-    match &spec.kind {
-        ExperimentKind::LerSweep(_) => "ler_sweep",
-        ExperimentKind::RareEventLer(_) => "rare_event_ler",
-        ExperimentKind::TimingSweep(_) => "timing_sweep",
-        ExperimentKind::CompilerBounds(_) => "compiler_bounds",
-        ExperimentKind::BaselineComparison(_) => "baseline_comparison",
-        ExperimentKind::Surgery(_) => "surgery",
-        ExperimentKind::DecoderComparison(_) => "decoder_comparison",
-        ExperimentKind::ClusteringAblation(_) => "clustering_ablation",
-    }
 }
 
 /// Parsed `artifacts serve` options.
@@ -1028,12 +1014,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         Some("list") => {
             println!("{:<24}  {:<20}  TITLE", "NAME", "KIND");
             for spec in registry.specs() {
-                println!(
-                    "{:<24}  {:<20}  {}",
-                    spec.name,
-                    kind_summary(spec),
-                    spec.title
-                );
+                println!("{:<24}  {:<20}  {}", spec.name, spec.kind.tag(), spec.title);
             }
             Ok(())
         }
@@ -1075,6 +1056,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::ExperimentKind;
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()

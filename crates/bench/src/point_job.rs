@@ -21,7 +21,7 @@ use qccd_decoder::{CacheStats, LogicalErrorEstimate, SweepEngine};
 use qccd_sweeprun::{JobDescriptor, PointJob, PointStore};
 
 use crate::registry::{artifact_from_outcomes, not_a_grid, point_grid};
-use crate::spec::{decoder_from_name, decoder_name};
+use crate::spec::{opt, req, Spelled};
 use crate::sweep::{evaluate_ler_point, LerOutcome, LerPoint};
 use crate::{Artifact, ExperimentSpec};
 
@@ -142,46 +142,25 @@ pub fn merge_artifact(spec: &ExperimentSpec, store: &PointStore) -> Result<Artif
 // Outcome store codec
 // ---------------------------------------------------------------------------
 
-/// Field order of [`CacheStats`] in the JSON codec.
-const CACHE_FIELDS: [&str; 6] = [
-    "hits",
-    "misses",
-    "uncacheable",
-    "quiet_words",
-    "sparse_words",
-    "dense_words",
-];
-
 fn cache_to_json(cache: &CacheStats) -> Value {
-    let values = [
-        cache.hits,
-        cache.misses,
-        cache.uncacheable,
-        cache.quiet_words,
-        cache.sparse_words,
-        cache.dense_words,
-    ];
-    let mut map = serde_json::Map::new();
-    for (key, value) in CACHE_FIELDS.iter().zip(values) {
-        map.insert((*key).to_string(), Value::from(value));
-    }
-    Value::Object(map)
+    serde_json::json!({
+        "hits": cache.hits,
+        "misses": cache.misses,
+        "uncacheable": cache.uncacheable,
+        "quiet_words": cache.quiet_words,
+        "sparse_words": cache.sparse_words,
+        "dense_words": cache.dense_words,
+    })
 }
 
 fn cache_from_json(value: &Value) -> Result<CacheStats, String> {
-    let field = |key: &str| -> Result<u64, String> {
-        value
-            .get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("cache stats need a numeric `{key}`"))
-    };
     Ok(CacheStats {
-        hits: field("hits")?,
-        misses: field("misses")?,
-        uncacheable: field("uncacheable")?,
-        quiet_words: field("quiet_words")?,
-        sparse_words: field("sparse_words")?,
-        dense_words: field("dense_words")?,
+        hits: req(value, "hits")?,
+        misses: req(value, "misses")?,
+        uncacheable: req(value, "uncacheable")?,
+        quiet_words: req(value, "quiet_words")?,
+        sparse_words: req(value, "sparse_words")?,
+        dense_words: req(value, "dense_words")?,
         ..CacheStats::default()
     })
 }
@@ -207,14 +186,11 @@ pub fn outcome_to_json(outcome: &LerOutcome) -> Value {
     serde_json::json!({
         "label": outcome.label,
         "distance": outcome.distance as u64,
-        "decoder": decoder_name(outcome.decoder),
+        "decoder": outcome.decoder.spelling(),
         "seed": Value::from(outcome.seed),
         "shots_requested": outcome.shots_requested as u64,
         "result": result,
-        "cache": match &outcome.cache {
-            Some(cache) => cache_to_json(cache),
-            None => Value::Null,
-        },
+        "cache": outcome.cache.as_ref().map(cache_to_json),
     })
 }
 
@@ -224,57 +200,32 @@ pub fn outcome_to_json(outcome: &LerOutcome) -> Value {
 ///
 /// Returns a message on missing or ill-typed fields.
 pub fn outcome_from_json(value: &Value) -> Result<LerOutcome, String> {
-    let text = |key: &str| -> Result<String, String> {
-        value
-            .get(key)
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("outcome needs a string `{key}`"))
-    };
-    let number = |key: &str| -> Result<u64, String> {
-        value
-            .get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("outcome needs a numeric `{key}`"))
-    };
-    let result_value = value.get("result").ok_or("outcome needs a `result`")?;
-    let result = if let Some(ok) = result_value.get("ok") {
-        let field = |key: &str| -> Result<&Value, String> {
-            ok.get(key)
-                .ok_or_else(|| format!("estimate needs a `{key}`"))
-        };
+    let result: &Value = req(value, "result")?;
+    // A present `"ok": null` is a malformed estimate, not a missing one.
+    let result = if result.get("ok").is_some() {
+        let ok: &Value = req(result, "ok")?;
         Ok(LogicalErrorEstimate {
-            shots: field("shots")?
-                .as_u64()
-                .ok_or("estimate `shots` must be an integer")? as usize,
-            failures: field("failures")?
-                .as_u64()
-                .ok_or("estimate `failures` must be an integer")? as usize,
-            logical_error_rate: field("logical_error_rate")?
-                .as_f64()
-                .ok_or("estimate `logical_error_rate` must be a number")?,
-            std_error: field("std_error")?
-                .as_f64()
-                .ok_or("estimate `std_error` must be a number")?,
+            shots: req(ok, "shots")?,
+            failures: req(ok, "failures")?,
+            logical_error_rate: req(ok, "logical_error_rate")?,
+            std_error: req(ok, "std_error")?,
         })
-    } else if let Some(err) = result_value.get("err").and_then(Value::as_str) {
-        Err(err.to_string())
     } else {
-        return Err("outcome `result` needs `ok` or `err`".to_string());
+        Err(req(result, "err")?)
     };
-    let cache = match value.get("cache") {
-        None => return Err("outcome needs a `cache` (may be null)".to_string()),
-        Some(Value::Null) => None,
-        Some(cache) => Some(cache_from_json(cache)?),
-    };
+    // `cache` is written as `null` for a point that did not decode, so the
+    // key itself must be there.
+    if value.get("cache").is_none() {
+        return Err("field `cache` is missing; it must be an object or null".to_string());
+    }
     Ok(LerOutcome {
-        label: text("label")?,
-        distance: number("distance")? as usize,
-        decoder: decoder_from_name(&text("decoder")?).map_err(|e| e.to_string())?,
-        seed: number("seed")?,
-        shots_requested: number("shots_requested")? as usize,
+        label: req(value, "label")?,
+        distance: req(value, "distance")?,
+        decoder: req(value, "decoder")?,
+        seed: req(value, "seed")?,
+        shots_requested: req(value, "shots_requested")?,
         result,
-        cache,
+        cache: opt(value, "cache")?.map(cache_from_json).transpose()?,
     })
 }
 

@@ -17,6 +17,18 @@
 //! no-ops (see `vendor/README.md`); the `#[serde]`-style field order is
 //! irrelevant since objects are canonical `BTreeMap`s.
 //!
+//! Every reader — of specs here, of stored point payloads in
+//! [`crate::point_job`] and of artifacts in [`crate::artifact`] — takes its
+//! fields through one typed pair, `req::<T>(obj, key)` and
+//! `opt::<T>(obj, key)`, plus `each(obj, key, parse)` for arrays of
+//! sub-objects. A `null` field reads as absent, so `null` where a value is
+//! required is refused like a missing key, and an optional field may be
+//! written either way. A wrong type is refused with an error that names the
+//! field and says what it must be. Unknown keys are ignored, so files written
+//! before a knob was retired still load. Each enum spelling (decoder, merge
+//! orientation, timing metric, experiment kind) is written once and read in
+//! both directions.
+//!
 //! # Content hashing
 //!
 //! [`ExperimentSpec::content_hash`] is an FNV-1a hash of the canonical
@@ -42,6 +54,13 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+/// The point-payload and artifact readers return plain messages.
+impl From<SpecError> for String {
+    fn from(error: SpecError) -> String {
+        error.0
+    }
+}
+
 fn err<T>(message: impl Into<String>) -> Result<T, SpecError> {
     Err(SpecError(message.into()))
 }
@@ -50,105 +69,135 @@ fn err<T>(message: impl Into<String>) -> Result<T, SpecError> {
 // JSON codec helpers
 // ---------------------------------------------------------------------------
 
-fn field<'a>(value: &'a Value, key: &str) -> Result<&'a Value, SpecError> {
-    match value.get(key) {
-        Some(v) if !v.is_null() => Ok(v),
-        _ => err(format!("missing field `{key}`")),
+/// A type one JSON field can hold: every reader of the spec, point-payload
+/// and artifact codecs goes through [`req`] / [`opt`] with one of these.
+pub(crate) trait Field<'a>: Sized {
+    /// What the field must be, for error messages (`"a string"`, …).
+    fn expected() -> String;
+    /// Reads a non-null value; `None` when it has the wrong type.
+    fn read(value: &'a Value) -> Option<Self>;
+}
+
+macro_rules! field_types {
+    ($($ty:ty: $expected:literal, $read:expr;)*) => {$(
+        impl Field<'_> for $ty {
+            fn expected() -> String {
+                $expected.to_string()
+            }
+            fn read(value: &Value) -> Option<Self> {
+                $read(value)
+            }
+        }
+    )*};
+}
+
+field_types! {
+    u64: "a non-negative integer", Value::as_u64;
+    usize: "a non-negative integer", |v: &Value| v.as_u64().and_then(|n| usize::try_from(n).ok());
+    f64: "a number", Value::as_f64;
+    bool: "a boolean", Value::as_bool;
+    String: "a string", |v: &Value| v.as_str().map(str::to_string);
+    // The hardware enums keep their one spelling in `Display` / `FromStr`.
+    TopologyKind: "a topology name", |v: &Value| v.as_str()?.parse().ok();
+    WiringMethod: "a wiring name", |v: &Value| v.as_str()?.parse().ok();
+}
+
+/// A sub-object; the codecs have no other nested shape.
+impl<'a> Field<'a> for &'a Value {
+    fn expected() -> String {
+        "an object".to_string()
+    }
+    fn read(value: &'a Value) -> Option<Self> {
+        value.as_object().map(|_| value)
     }
 }
 
-fn str_field(value: &Value, key: &str) -> Result<String, SpecError> {
-    field(value, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| SpecError(format!("field `{key}` must be a string")))
+impl<'a, T: Field<'a>> Field<'a> for Vec<T> {
+    fn expected() -> String {
+        format!("an array, each entry {}", T::expected())
+    }
+    fn read(value: &'a Value) -> Option<Self> {
+        value.as_array()?.iter().map(T::read).collect()
+    }
 }
 
-fn u64_field(value: &Value, key: &str) -> Result<u64, SpecError> {
-    field(value, key)?
-        .as_u64()
-        .ok_or_else(|| SpecError(format!("field `{key}` must be a non-negative integer")))
+/// An enum spec JSON writes as a string. Each variant's spelling is written
+/// once, in [`Spelled::SPELLINGS`], and both the writers and the readers use
+/// it.
+pub(crate) trait Spelled: Copy + PartialEq + 'static {
+    /// Every variant with its spelling.
+    const SPELLINGS: &'static [(Self, &'static str)];
+
+    /// The spelling of `self`.
+    fn spelling(self) -> &'static str {
+        Self::SPELLINGS
+            .iter()
+            .find(|(variant, _)| *variant == self)
+            .map(|(_, name)| *name)
+            .expect("every variant has a spelling")
+    }
 }
 
-fn usize_field(value: &Value, key: &str) -> Result<usize, SpecError> {
-    Ok(u64_field(value, key)? as usize)
+impl<T: Spelled> Field<'_> for T {
+    fn expected() -> String {
+        let names: Vec<String> = T::SPELLINGS.iter().map(|(_, n)| format!("`{n}`")).collect();
+        format!("one of {}", names.join(", "))
+    }
+    fn read(value: &Value) -> Option<Self> {
+        let name = value.as_str()?;
+        T::SPELLINGS
+            .iter()
+            .find(|(_, spelling)| *spelling == name)
+            .map(|(variant, _)| *variant)
+    }
 }
 
-fn f64_field(value: &Value, key: &str) -> Result<f64, SpecError> {
-    field(value, key)?
-        .as_f64()
-        .ok_or_else(|| SpecError(format!("field `{key}` must be a number")))
+impl Spelled for DecoderKind {
+    const SPELLINGS: &'static [(Self, &'static str)] = &[
+        (DecoderKind::UnionFind, "union_find"),
+        (DecoderKind::GreedyMatching, "greedy_matching"),
+        (DecoderKind::ExactMatching, "exact_matching"),
+    ];
 }
 
-fn bool_field(value: &Value, key: &str) -> Result<bool, SpecError> {
-    field(value, key)?
-        .as_bool()
-        .ok_or_else(|| SpecError(format!("field `{key}` must be a boolean")))
+impl Spelled for MergeKind {
+    const SPELLINGS: &'static [(Self, &'static str)] =
+        &[(MergeKind::ZZ, "zz"), (MergeKind::XX, "xx")];
 }
 
-fn array_field<'a>(value: &'a Value, key: &str) -> Result<&'a Vec<Value>, SpecError> {
-    field(value, key)?
-        .as_array()
-        .ok_or_else(|| SpecError(format!("field `{key}` must be an array")))
+/// Reads an optional field: an absent key and `null` both read as `None`.
+pub(crate) fn opt<'a, T: Field<'a>>(obj: &'a Value, key: &str) -> Result<Option<T>, SpecError> {
+    match obj.get(key) {
+        None | Some(Value::Null) => Ok(None),
+        Some(value) => T::read(value)
+            .map(Some)
+            .ok_or_else(|| SpecError(format!("field `{key}` must be {}", T::expected()))),
+    }
 }
 
-fn usize_list(value: &Value, key: &str) -> Result<Vec<usize>, SpecError> {
-    array_field(value, key)?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .map(|v| v as usize)
-                .ok_or_else(|| SpecError(format!("`{key}` entries must be integers")))
+/// Reads a required field; `null` counts as missing.
+pub(crate) fn req<'a, T: Field<'a>>(obj: &'a Value, key: &str) -> Result<T, SpecError> {
+    opt(obj, key)?.ok_or_else(|| {
+        SpecError(format!(
+            "field `{key}` is missing or null; it must be {}",
+            T::expected()
+        ))
+    })
+}
+
+/// Reads a required array of sub-objects, each through `parse`.
+pub(crate) fn each<T>(
+    obj: &Value,
+    key: &str,
+    parse: impl Fn(&Value) -> Result<T, SpecError>,
+) -> Result<Vec<T>, SpecError> {
+    req::<Vec<&Value>>(obj, key)?
+        .into_iter()
+        .enumerate()
+        .map(|(i, entry)| {
+            parse(entry).map_err(|e| SpecError(format!("`{key}` entry {i}: {}", e.0)))
         })
         .collect()
-}
-
-fn f64_list(value: &Value, key: &str) -> Result<Vec<f64>, SpecError> {
-    array_field(value, key)?
-        .iter()
-        .map(|v| {
-            v.as_f64()
-                .ok_or_else(|| SpecError(format!("`{key}` entries must be numbers")))
-        })
-        .collect()
-}
-
-/// Parses a `grid|linear|switch` / `standard|wise` name (the `Display`
-/// spelling `to_json` writes) with the spec codec's error text.
-fn parse_name<T: std::str::FromStr>(what: &str, name: &str) -> Result<T, SpecError> {
-    name.parse()
-        .map_err(|_| SpecError(format!("unknown {what} `{name}`")))
-}
-
-/// Canonical spec name of a decoder kind.
-pub fn decoder_name(decoder: DecoderKind) -> &'static str {
-    match decoder {
-        DecoderKind::UnionFind => "union_find",
-        DecoderKind::GreedyMatching => "greedy_matching",
-        DecoderKind::ExactMatching => "exact_matching",
-    }
-}
-
-/// Parses a decoder kind from its canonical spec name.
-pub fn decoder_from_name(name: &str) -> Result<DecoderKind, SpecError> {
-    match name {
-        "union_find" => Ok(DecoderKind::UnionFind),
-        "greedy_matching" => Ok(DecoderKind::GreedyMatching),
-        "exact_matching" => Ok(DecoderKind::ExactMatching),
-        other => err(format!("unknown decoder `{other}`")),
-    }
-}
-
-fn merge_name(kind: MergeKind) -> &'static str {
-    kind.label()
-}
-
-fn merge_from_name(name: &str) -> Result<MergeKind, SpecError> {
-    match name {
-        "zz" => Ok(MergeKind::ZZ),
-        "xx" => Ok(MergeKind::XX),
-        other => err(format!("unknown merge kind `{other}`")),
-    }
 }
 
 fn estimator_to_json(config: &EstimatorConfig) -> Value {
@@ -171,43 +220,17 @@ fn estimator_to_json(config: &EstimatorConfig) -> Value {
 }
 
 fn estimator_from_json(value: &Value) -> Result<EstimatorConfig, SpecError> {
-    let memo = field(value, "memo")?;
+    let memo: &Value = req(value, "memo")?;
     Ok(EstimatorConfig {
-        chunk_shots: usize_field(value, "chunk_shots")?,
-        num_threads: match value.get("num_threads") {
-            Some(v) if !v.is_null() => Some(
-                v.as_u64()
-                    .ok_or_else(|| SpecError("`num_threads` must be an integer".into()))?
-                    as usize,
-            ),
-            _ => None,
-        },
-        target_std_error: match value.get("target_std_error") {
-            Some(v) if !v.is_null() => Some(
-                v.as_f64()
-                    .ok_or_else(|| SpecError("`target_std_error` must be a number".into()))?,
-            ),
-            _ => None,
-        },
-        max_failures: match value.get("max_failures") {
-            Some(v) if !v.is_null() => Some(
-                v.as_u64()
-                    .ok_or_else(|| SpecError("`max_failures` must be an integer".into()))?
-                    as usize,
-            ),
-            _ => None,
-        },
+        chunk_shots: req(value, "chunk_shots")?,
+        num_threads: opt(value, "num_threads")?,
+        target_std_error: opt(value, "target_std_error")?,
+        max_failures: opt(value, "max_failures")?,
         memo: MemoConfig {
-            max_defects: usize_field(memo, "max_defects")?,
-            max_entries: usize_field(memo, "max_entries")?,
+            max_defects: req(memo, "max_defects")?,
+            max_entries: req(memo, "max_entries")?,
         },
-        importance_bias: match value.get("importance_bias") {
-            Some(v) if !v.is_null() => Some(
-                v.as_f64()
-                    .ok_or_else(|| SpecError("`importance_bias` must be a number".into()))?,
-            ),
-            _ => None,
-        },
+        importance_bias: opt(value, "importance_bias")?,
     })
 }
 
@@ -301,18 +324,11 @@ impl ArchPoint {
     /// Returns a [`SpecError`] on missing or ill-typed fields.
     pub fn from_json(value: &Value) -> Result<Self, SpecError> {
         Ok(ArchPoint {
-            label: match value.get("label") {
-                Some(v) if !v.is_null() => Some(
-                    v.as_str()
-                        .ok_or_else(|| SpecError("`label` must be a string".into()))?
-                        .to_string(),
-                ),
-                _ => None,
-            },
-            topology: parse_name("topology", &str_field(value, "topology")?)?,
-            capacity: usize_field(value, "capacity")?,
-            wiring: parse_name("wiring", &str_field(value, "wiring")?)?,
-            gate_improvement: f64_field(value, "gate_improvement")?,
+            label: opt(value, "label")?,
+            topology: req(value, "topology")?,
+            capacity: req(value, "capacity")?,
+            wiring: req(value, "wiring")?,
+            gate_improvement: req(value, "gate_improvement")?,
         })
     }
 
@@ -329,13 +345,6 @@ impl ArchPoint {
 
 fn arch_points_to_json(points: &[ArchPoint]) -> Value {
     Value::Array(points.iter().map(ArchPoint::to_json).collect())
-}
-
-fn arch_points_from_json(value: &Value, key: &str) -> Result<Vec<ArchPoint>, SpecError> {
-    array_field(value, key)?
-        .iter()
-        .map(ArchPoint::from_json)
-        .collect()
 }
 
 /// A declarative QEC-code workload.
@@ -396,12 +405,12 @@ impl CodeSpec {
     ///
     /// Returns a [`SpecError`] on an unknown family or bad distance.
     pub fn from_json(value: &Value) -> Result<Self, SpecError> {
-        let distance = usize_field(value, "distance")?;
-        match str_field(value, "family")?.as_str() {
+        let distance = req(value, "distance")?;
+        match req::<String>(value, "family")?.as_str() {
             "repetition" => Ok(CodeSpec::Repetition { distance }),
             "rotated_surface" => Ok(CodeSpec::RotatedSurface { distance }),
             "unrotated_surface" => Ok(CodeSpec::UnrotatedSurface { distance }),
-            other => err(format!("unknown code family `{other}`")),
+            other => err(format!("field `family` names no code family: `{other}`")),
         }
     }
 
@@ -459,10 +468,10 @@ impl CompileCase {
     /// Returns a [`SpecError`] on missing or ill-typed fields.
     pub fn from_json(value: &Value) -> Result<Self, SpecError> {
         Ok(CompileCase {
-            label: str_field(value, "label")?,
-            code: CodeSpec::from_json(field(value, "code")?)?,
-            topology: parse_name("topology", &str_field(value, "topology")?)?,
-            capacity: usize_field(value, "capacity")?,
+            label: req(value, "label")?,
+            code: CodeSpec::from_json(req(value, "code")?)?,
+            topology: req(value, "topology")?,
+            capacity: req(value, "capacity")?,
         })
     }
 
@@ -479,13 +488,6 @@ impl CompileCase {
 
 fn cases_to_json(cases: &[CompileCase]) -> Value {
     Value::Array(cases.iter().map(CompileCase::to_json).collect())
-}
-
-fn cases_from_json(value: &Value, key: &str) -> Result<Vec<CompileCase>, SpecError> {
-    array_field(value, key)?
-        .iter()
-        .map(CompileCase::from_json)
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -563,24 +565,24 @@ impl LerOutput {
     ///
     /// Returns a [`SpecError`] on an unknown output kind.
     pub fn from_json(value: &Value) -> Result<Self, SpecError> {
-        match str_field(value, "output")?.as_str() {
+        match req::<String>(value, "output")?.as_str() {
             "sampled_rates" => Ok(LerOutput::SampledRates),
             "lambda" => Ok(LerOutput::Lambda),
             "projection" => Ok(LerOutput::Projection {
-                distances: usize_list(value, "distances")?,
-                target: f64_field(value, "target")?,
+                distances: req(value, "distances")?,
+                target: req(value, "target")?,
             }),
             "electrodes" => Ok(LerOutput::Electrodes {
-                targets: f64_list(value, "targets")?,
+                targets: req(value, "targets")?,
             }),
             "data_rate" => Ok(LerOutput::DataRate {
-                targets: f64_list(value, "targets")?,
-                include_power: bool_field(value, "include_power")?,
+                targets: req(value, "targets")?,
+                include_power: req(value, "include_power")?,
             }),
             "shot_time" => Ok(LerOutput::ShotTime {
-                targets: f64_list(value, "targets")?,
+                targets: req(value, "targets")?,
             }),
-            other => err(format!("unknown LER output `{other}`")),
+            other => err(format!("field `output` names no LER output: `{other}`")),
         }
     }
 
@@ -636,21 +638,11 @@ pub enum TimingMetric {
     ShotTime,
 }
 
-impl TimingMetric {
-    fn name(self) -> &'static str {
-        match self {
-            TimingMetric::RoundTime => "round_time",
-            TimingMetric::ShotTime => "shot_time",
-        }
-    }
-
-    fn from_name(name: &str) -> Result<Self, SpecError> {
-        match name {
-            "round_time" => Ok(TimingMetric::RoundTime),
-            "shot_time" => Ok(TimingMetric::ShotTime),
-            other => err(format!("unknown timing metric `{other}`")),
-        }
-    }
+impl Spelled for TimingMetric {
+    const SPELLINGS: &'static [(Self, &'static str)] = &[
+        (TimingMetric::RoundTime, "round_time"),
+        (TimingMetric::ShotTime, "shot_time"),
+    ];
 }
 
 /// A compile-only timing sweep over architectures × distances (Figures 8a
@@ -785,68 +777,90 @@ pub struct ExperimentSpec {
     pub kind: ExperimentKind,
 }
 
+/// The `experiment` tag of each kind in spec JSON, spelled once: the codec
+/// and `artifacts list` read it through [`ExperimentKind::tag`].
+mod tag {
+    pub const LER_SWEEP: &str = "ler_sweep";
+    pub const RARE_EVENT_LER: &str = "rare_event_ler";
+    pub const TIMING_SWEEP: &str = "timing_sweep";
+    pub const COMPILER_BOUNDS: &str = "compiler_bounds";
+    pub const BASELINE_COMPARISON: &str = "baseline_comparison";
+    pub const SURGERY: &str = "surgery";
+    pub const DECODER_COMPARISON: &str = "decoder_comparison";
+    pub const CLUSTERING_ABLATION: &str = "clustering_ablation";
+}
+
+impl ExperimentKind {
+    /// The kind's `experiment` tag in spec JSON (`"ler_sweep"`, …).
+    pub fn tag(&self) -> &'static str {
+        match self {
+            ExperimentKind::LerSweep(_) => tag::LER_SWEEP,
+            ExperimentKind::RareEventLer(_) => tag::RARE_EVENT_LER,
+            ExperimentKind::TimingSweep(_) => tag::TIMING_SWEEP,
+            ExperimentKind::CompilerBounds(_) => tag::COMPILER_BOUNDS,
+            ExperimentKind::BaselineComparison(_) => tag::BASELINE_COMPARISON,
+            ExperimentKind::Surgery(_) => tag::SURGERY,
+            ExperimentKind::DecoderComparison(_) => tag::DECODER_COMPARISON,
+            ExperimentKind::ClusteringAblation(_) => tag::CLUSTERING_ABLATION,
+        }
+    }
+}
+
 impl ExperimentSpec {
     /// Serializes the spec to a JSON value.
     pub fn to_json(&self) -> Value {
-        let experiment = match &self.kind {
+        let mut experiment = match &self.kind {
             ExperimentKind::LerSweep(spec) => serde_json::json!({
-                "experiment": "ler_sweep",
                 "configurations": arch_points_to_json(&spec.configurations),
                 "sample_distances": spec.sample_distances.clone(),
                 "shots": spec.shots,
-                "decoder": decoder_name(spec.decoder),
+                "decoder": spec.decoder.spelling(),
                 "estimator": estimator_to_json(&spec.estimator),
                 "outputs": Value::Array(spec.outputs.iter().map(LerOutput::to_json).collect()),
             }),
             ExperimentKind::RareEventLer(spec) => serde_json::json!({
-                "experiment": "rare_event_ler",
                 "configurations": arch_points_to_json(&spec.configurations),
                 "sample_distances": spec.sample_distances.clone(),
                 "shots": spec.shots,
                 "biased_shots": spec.biased_shots,
                 "bias": spec.bias,
-                "decoder": decoder_name(spec.decoder),
+                "decoder": spec.decoder.spelling(),
                 "estimator": estimator_to_json(&spec.estimator),
             }),
             ExperimentKind::TimingSweep(spec) => serde_json::json!({
-                "experiment": "timing_sweep",
                 "configurations": arch_points_to_json(&spec.configurations),
                 "distances": spec.distances.clone(),
-                "metric": spec.metric.name(),
+                "metric": spec.metric.spelling(),
                 "include_bounds": spec.include_bounds,
             }),
             ExperimentKind::CompilerBounds(spec) => serde_json::json!({
-                "experiment": "compiler_bounds",
                 "cases": cases_to_json(&spec.cases),
             }),
             ExperimentKind::BaselineComparison(spec) => serde_json::json!({
-                "experiment": "baseline_comparison",
                 "cases": cases_to_json(&spec.cases),
                 "rounds": spec.rounds,
             }),
             ExperimentKind::Surgery(spec) => serde_json::json!({
-                "experiment": "surgery",
                 "capacities": spec.capacities.clone(),
                 "distances": spec.distances.clone(),
-                "merge": merge_name(spec.merge),
+                "merge": spec.merge.spelling(),
                 "gate_improvement": spec.gate_improvement,
             }),
             ExperimentKind::DecoderComparison(spec) => serde_json::json!({
-                "experiment": "decoder_comparison",
                 "distances": spec.distances.clone(),
                 "improvements": spec.improvements.clone(),
                 "decoders": Value::Array(
-                    spec.decoders.iter().map(|d| Value::from(decoder_name(*d))).collect(),
+                    spec.decoders.iter().map(|d| Value::from(d.spelling())).collect(),
                 ),
                 "shots": spec.shots,
                 "capacity": spec.capacity,
             }),
             ExperimentKind::ClusteringAblation(spec) => serde_json::json!({
-                "experiment": "clustering_ablation",
                 "distances": spec.distances.clone(),
                 "capacities": spec.capacities.clone(),
             }),
         };
+        experiment["experiment"] = Value::from(self.kind.tag());
         serde_json::json!({
             "name": self.name,
             "title": self.title,
@@ -862,74 +876,69 @@ impl ExperimentSpec {
     /// Returns a [`SpecError`] on missing fields, ill-typed values or an
     /// unknown experiment family.
     pub fn from_json(value: &Value) -> Result<Self, SpecError> {
-        let experiment = field(value, "experiment")?;
-        let kind = match str_field(experiment, "experiment")?.as_str() {
-            "ler_sweep" => {
-                let decoders = str_field(experiment, "decoder")?;
-                ExperimentKind::LerSweep(LerSweepSpec {
-                    configurations: arch_points_from_json(experiment, "configurations")?,
-                    sample_distances: usize_list(experiment, "sample_distances")?,
-                    shots: usize_field(experiment, "shots")?,
-                    decoder: decoder_from_name(&decoders)?,
-                    estimator: estimator_from_json(field(experiment, "estimator")?)?,
-                    outputs: array_field(experiment, "outputs")?
-                        .iter()
-                        .map(LerOutput::from_json)
-                        .collect::<Result<_, _>>()?,
+        let experiment: &Value = req(value, "experiment")?;
+        let kind = match req::<String>(experiment, "experiment")?.as_str() {
+            tag::LER_SWEEP => ExperimentKind::LerSweep(LerSweepSpec {
+                configurations: each(experiment, "configurations", ArchPoint::from_json)?,
+                sample_distances: req(experiment, "sample_distances")?,
+                shots: req(experiment, "shots")?,
+                decoder: req(experiment, "decoder")?,
+                estimator: estimator_from_json(req(experiment, "estimator")?)?,
+                outputs: each(experiment, "outputs", LerOutput::from_json)?,
+            }),
+            tag::RARE_EVENT_LER => ExperimentKind::RareEventLer(RareEventLerSpec {
+                configurations: each(experiment, "configurations", ArchPoint::from_json)?,
+                sample_distances: req(experiment, "sample_distances")?,
+                shots: req(experiment, "shots")?,
+                biased_shots: req(experiment, "biased_shots")?,
+                bias: req(experiment, "bias")?,
+                decoder: req(experiment, "decoder")?,
+                estimator: estimator_from_json(req(experiment, "estimator")?)?,
+            }),
+            tag::TIMING_SWEEP => ExperimentKind::TimingSweep(TimingSweepSpec {
+                configurations: each(experiment, "configurations", ArchPoint::from_json)?,
+                distances: req(experiment, "distances")?,
+                metric: req(experiment, "metric")?,
+                include_bounds: req(experiment, "include_bounds")?,
+            }),
+            tag::COMPILER_BOUNDS => ExperimentKind::CompilerBounds(CompilerBoundsSpec {
+                cases: each(experiment, "cases", CompileCase::from_json)?,
+            }),
+            tag::BASELINE_COMPARISON => {
+                ExperimentKind::BaselineComparison(BaselineComparisonSpec {
+                    cases: each(experiment, "cases", CompileCase::from_json)?,
+                    rounds: req(experiment, "rounds")?,
                 })
             }
-            "rare_event_ler" => ExperimentKind::RareEventLer(RareEventLerSpec {
-                configurations: arch_points_from_json(experiment, "configurations")?,
-                sample_distances: usize_list(experiment, "sample_distances")?,
-                shots: usize_field(experiment, "shots")?,
-                biased_shots: usize_field(experiment, "biased_shots")?,
-                bias: f64_field(experiment, "bias")?,
-                decoder: decoder_from_name(&str_field(experiment, "decoder")?)?,
-                estimator: estimator_from_json(field(experiment, "estimator")?)?,
+            tag::SURGERY => ExperimentKind::Surgery(SurgerySpec {
+                capacities: req(experiment, "capacities")?,
+                distances: req(experiment, "distances")?,
+                merge: req(experiment, "merge")?,
+                gate_improvement: req(experiment, "gate_improvement")?,
             }),
-            "timing_sweep" => ExperimentKind::TimingSweep(TimingSweepSpec {
-                configurations: arch_points_from_json(experiment, "configurations")?,
-                distances: usize_list(experiment, "distances")?,
-                metric: TimingMetric::from_name(&str_field(experiment, "metric")?)?,
-                include_bounds: bool_field(experiment, "include_bounds")?,
+            tag::DECODER_COMPARISON => ExperimentKind::DecoderComparison(DecoderComparisonSpec {
+                distances: req(experiment, "distances")?,
+                improvements: req(experiment, "improvements")?,
+                decoders: req(experiment, "decoders")?,
+                shots: req(experiment, "shots")?,
+                capacity: req(experiment, "capacity")?,
             }),
-            "compiler_bounds" => ExperimentKind::CompilerBounds(CompilerBoundsSpec {
-                cases: cases_from_json(experiment, "cases")?,
-            }),
-            "baseline_comparison" => ExperimentKind::BaselineComparison(BaselineComparisonSpec {
-                cases: cases_from_json(experiment, "cases")?,
-                rounds: usize_field(experiment, "rounds")?,
-            }),
-            "surgery" => ExperimentKind::Surgery(SurgerySpec {
-                capacities: usize_list(experiment, "capacities")?,
-                distances: usize_list(experiment, "distances")?,
-                merge: merge_from_name(&str_field(experiment, "merge")?)?,
-                gate_improvement: f64_field(experiment, "gate_improvement")?,
-            }),
-            "decoder_comparison" => ExperimentKind::DecoderComparison(DecoderComparisonSpec {
-                distances: usize_list(experiment, "distances")?,
-                improvements: f64_list(experiment, "improvements")?,
-                decoders: array_field(experiment, "decoders")?
-                    .iter()
-                    .map(|v| {
-                        v.as_str()
-                            .ok_or_else(|| SpecError("`decoders` entries must be strings".into()))
-                            .and_then(decoder_from_name)
-                    })
-                    .collect::<Result<_, _>>()?,
-                shots: usize_field(experiment, "shots")?,
-                capacity: usize_field(experiment, "capacity")?,
-            }),
-            "clustering_ablation" => ExperimentKind::ClusteringAblation(ClusteringAblationSpec {
-                distances: usize_list(experiment, "distances")?,
-                capacities: usize_list(experiment, "capacities")?,
-            }),
-            other => return err(format!("unknown experiment kind `{other}`")),
+            tag::CLUSTERING_ABLATION => {
+                ExperimentKind::ClusteringAblation(ClusteringAblationSpec {
+                    distances: req(experiment, "distances")?,
+                    capacities: req(experiment, "capacities")?,
+                })
+            }
+            other => {
+                return err(format!(
+                    "field `experiment` names no experiment kind: `{other}`"
+                ))
+            }
         };
         Ok(ExperimentSpec {
-            name: str_field(value, "name")?,
-            title: str_field(value, "title")?,
-            seed: u64_field(value, "seed")?,
+            name: req(value, "name")?,
+            title: req(value, "title")?,
+            seed: req(value, "seed")?,
             kind,
         })
     }
@@ -1237,12 +1246,11 @@ mod tests {
             "experiment": {"experiment": "nonsense"},
         });
         assert!(ExperimentSpec::from_json(&bad_kind).is_err());
-        assert!(decoder_from_name("quantum").is_err());
         let mut torus = ArchPoint::grid(2, 1.0).to_json();
         torus["topology"] = Value::from("torus");
         assert_eq!(
             ArchPoint::from_json(&torus),
-            err("unknown topology `torus`")
+            err("field `topology` must be a topology name")
         );
 
         // Malformed documents for each of the three codecs, with the field
@@ -1460,7 +1468,8 @@ mod tests {
             ),
         ];
         for (field, decode, doc) in &cases {
-            assert!(decode(doc).is_err(), "{doc} must be rejected ({field})");
+            let message = decode(doc).expect_err(&format!("{doc} must be rejected"));
+            assert!(message.contains(&format!("`{field}`")), "{message}");
         }
     }
 }

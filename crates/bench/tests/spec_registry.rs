@@ -334,7 +334,8 @@ fn child_mut(node: &mut Value, index: usize) -> &mut Value {
 
 fn edited(value: &Value, edit: Edit) -> Value {
     match edit {
-        Edit::Drop | Edit::Null => Value::Null,
+        Edit::Drop => unreachable!("`apply` drops from the parent container"),
+        Edit::Null => Value::Null,
         Edit::Retype(which) => [
             serde_json::json!("7"),
             serde_json::json!(7),
