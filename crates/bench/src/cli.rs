@@ -10,6 +10,7 @@
 //! artifacts run --spec sweep.json        # run a user-supplied spec file
 //! artifacts sweep run fig10 --store s/   # resumable, point-store-backed run
 //! artifacts check out/fig09.json         # artifact schema sanity check
+//! artifacts loadgen --help               # one command's flags
 //! ```
 //!
 //! `--spec` accepts any JSON file in the [`ExperimentSpec`] schema (the
@@ -18,12 +19,15 @@
 //! anything runs, and a point store keys them by the same content hash as
 //! registry specs.
 //!
-//! The parsing lives in the library (rather than the binary) so it is unit
-//! testable; `src/bin/artifacts.rs` is a two-line shim over [`run`].
+//! Each subcommand's flags are one table (name, value hint, help line,
+//! setter) that one walk parses and `--help` prints. The parsing lives in the
+//! library (rather than the binary) so it is unit testable;
+//! `src/bin/artifacts.rs` is a two-line shim over [`run`].
 
 use std::fs;
 use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::Duration;
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,94 +49,205 @@ use qccd_telemetry::{
 use crate::artifact::{validate_artifact_json, Artifact};
 use crate::point_job::{merge_artifact, spec_point_job};
 use crate::registry::{run_spec, ExperimentRegistry};
-use crate::spec::ExperimentSpec;
+use crate::spec::{ExperimentSpec, Field, Spelled};
 
-/// Usage text printed for `--help` and argument errors.
-pub const USAGE: &str = "\
-usage: artifacts <command> [options]
+/// The flag that prints a subcommand's table instead of running it.
+const HELP: &str = "--help";
 
-commands:
-  list                     list every registered experiment spec
-  show <name>              print a spec as JSON
-  run <name>... [options]  run one or more specs (or --all)
-  check <file.json>        validate an emitted artifact against the schema
-  serve [options]          run the real-time decode service (TCP JSON-lines)
-  loadgen [options]        replay sampled syndromes against a decode service
-  metrics --addr <host:port> [--text]   scrape a running service's telemetry
-  sweep run [options]      run a LER sweep through the resumable point store
-  sweep resume [options]   alias of `sweep run` (only missing points recompute)
-  sweep status [options]   print a sweep's progress snapshot
+/// Applies one value to a subcommand's options.
+type Setter<T> = Box<dyn Fn(&mut T, &str) -> Result<(), String>>;
 
-run options:
-  --all                    run every registered spec
-  --spec <file.json>       run a user-supplied spec file (repeatable,
-                           combinable with registry names)
-  --format <pretty|json|csv>   output format (default: pretty)
-  --out <dir>              write artifacts to <dir>/<name>.<ext> instead of stdout
+/// One row of a flag table. The row named `""` takes the operands, the
+/// arguments that do not start with `--`.
+struct Flag<T> {
+    name: &'static str,
+    /// Value hint (`<n>`); empty for a switch, whose setter gets `""`.
+    value: &'static str,
+    help: &'static str,
+    set: Setter<T>,
+}
 
-serve options:
-  --addr <host:port>       listen address (default: 127.0.0.1:7878)
-  --workers <n>            decode worker threads (default: 2)
-  --deadline-us <us>       partial-word flush deadline (default: 500)
-  --batch-words <n>        64-shot words coalesced per decode job (default: 1)
-  --queue-shots <n>        per-stream in-flight bound (default: 4096)
-  --sample-every <n>       stage-timing sample period (default: 16; 1 = all)
-  --trace-out <file>       stream sampled stage spans as JSON lines
+/// A subcommand: its flag table and what its `--help` says.
+struct Command<T> {
+    /// `loadgen`, `sweep run`, ….
+    name: &'static str,
+    about: &'static str,
+    /// How a refusal calls an argument the table does not know.
+    unknown: &'static str,
+    flags: Vec<Flag<T>>,
+    /// The checks that relate flags, run after the walk with the flags given.
+    check: fn(&T, &[&str]) -> Result<(), String>,
+}
 
-loadgen options:
-  --addr <host:port>       drive a remote `artifacts serve` (default mode)
-  --in-process             drive an in-process service instead of TCP
-  --topology <grid|linear|switch>   architecture under test (default: grid)
-  --capacity <n>           trap capacity (default: 2)
-  --wiring <standard|wise> wiring method (default: standard)
-  --improvement <x>        gate-improvement factor (default: 5.0)
-  --distance <d>           code distance (default: 3)
-  --decoder <union_find|greedy|exact>   decoder (default: union_find)
-  --streams <n>            concurrent syndrome streams (default: 4)
-  --connections <n>        TCP connections the streams ride on (default: 1;
-                           clamped to the stream count; TCP only)
-  --shots <n>              total shots replayed (default: 16384)
-  --rate <shots/s>         target submission rate (default: unthrottled)
-  --wire <packed|frames>   shot-major 64-shot word blocks (default) or
-                           per-shot frames
-  --frontier <points>      sweep the throughput/latency frontier: calibrate
-                           unthrottled, then replay at <points> fractions of
-                           saturation (TCP only)
-  --seed <n>               replay sampling seed (default: 2026)
-  --no-verify              skip the offline bit-identity check and baseline
-  --shutdown               send a shutdown command after the run (TCP only)
-  --format <pretty|json>   report format (default: pretty)
-  --top                    live telemetry dashboard on stderr during the run
-  --trace-out <file>       stream sampled stage spans as JSON lines
-                           (in-process only; use `serve --trace-out` for TCP)
-  --workers/--deadline-us/--batch-words/--queue-shots   service knobs
-                                                        (in-process only)
-  --sample-every <n>       stage-timing sample period (in-process only)
+/// A flag table over options of type `T`: `T, name, unknown, about;` for a
+/// subcommand (or just `T;` for shared rows), the names `|options, value|`
+/// the setters use, then one row a line: `"--flag" "<hint>": "help" =>
+/// statement,`. A switch has no hint.
+macro_rules! flags {
+    ($t:ty, $name:literal, $unknown:literal, $about:literal; $($rows:tt)*) => {
+        Command::<$t> {
+            name: $name,
+            about: $about,
+            unknown: $unknown,
+            flags: flags!($t; $($rows)*),
+            check: |_, _| Ok(()),
+        }
+    };
+    ($t:ty; |$o:ident, $v:ident|
+     $($flag:literal $($hint:literal)?: $help:literal => $set:expr,)*) => {
+        vec![$(Flag {
+            name: $flag,
+            value: concat!("" $(, $hint)?),
+            help: $help,
+            set: Box::new(move |$o: &mut $t, #[allow(unused_variables)] $v: &str| {
+                $set;
+                Ok(())
+            }),
+        }),*]
+    };
+}
 
-sweep run/resume options:
-  <name> | --spec <file.json>   the LER-sweep spec to run (exactly one)
-  --store <dir>            point-store base (default: target/experiments/sweep)
-  --local-workers <n>      evaluation threads (default: 1)
-  --progress-interval-ms <ms>   progress line / status.json period
-                           (default: 2000)
-  --quiet                  suppress the live progress line on stderr
-  --sample-every <n>       stage-timing sample period (default: 16; 1 = all)
-  --format <pretty|json|csv>    merged-artifact format (default: pretty)
-  --out <dir>              write the merged artifact to <dir>/<name>.<ext>
+impl<T: Default> Command<T> {
+    fn with(mut self, rows: Vec<Flag<T>>) -> Self {
+        self.flags.extend(rows);
+        self
+    }
 
-sweep status options:
-  <name> | --spec <file.json> [--store <dir>]   read the store's status.json
-  --format <pretty|json>   summary (incl. per-worker EWMA throughput and
-                           last-seen age) or the full snapshot
+    fn check(mut self, check: fn(&T, &[&str]) -> Result<(), String>) -> Self {
+        self.check = check;
+        self
+    }
 
-metrics options:
-  --addr <host:port>       a running `artifacts serve` to scrape (required)
-  --text                   Prometheus-style text instead of the JSON snapshot";
+    /// Walks a command line through the table, then runs the checks.
+    /// `Ok(None)` means the line asks for `--help`, which wins wherever it
+    /// stands in flag position; otherwise the line's first refusal stands.
+    fn parse(&self, args: &[String]) -> Result<Option<T>, String> {
+        let (mut options, mut given, mut refusal) = (T::default(), Vec::new(), None);
+        let mut args = args.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            let operand = !arg.starts_with("--");
+            let named = |f: &&Flag<T>| f.name == arg || (operand && f.name.is_empty());
+            let flag = self.flags.iter().find(named);
+            let applied = match flag {
+                _ if arg == HELP => return Ok(None),
+                None => Err(format!("{} `{arg}`", self.unknown)),
+                Some(flag) if operand => (flag.set)(&mut options, arg),
+                Some(flag) => {
+                    given.push(flag.name);
+                    let value = match flag.value {
+                        "" => Ok(""),
+                        hint => args.next().ok_or(format!("needs a value {hint}")),
+                    };
+                    let applied = value.and_then(|value| (flag.set)(&mut options, value));
+                    applied.map_err(|e| format!("{} {e}", flag.name))
+                }
+            };
+            if let Err(message) = applied {
+                refusal.get_or_insert(message);
+            }
+        }
+        match refusal {
+            Some(message) => Err(message),
+            None => (self.check)(&options, &given).map(|()| Some(options)),
+        }
+    }
+
+    /// Parses a line that must yield options; `--help` is refused with the
+    /// help text.
+    fn options(&self, args: &[String]) -> Result<T, String> {
+        self.parse(args)?.ok_or_else(|| self.help())
+    }
+
+    /// The command's line in [`usage`].
+    fn line(&self) -> String {
+        row(&format!("{} [options]", self.name), self.about)
+    }
+
+    /// What `artifacts <command> --help` prints.
+    fn help(&self) -> String {
+        let left = |flag: &Flag<T>| format!("{} {}", flag.name, flag.value);
+        let rows: String = self.flags.iter().map(|f| row(&left(f), f.help)).collect();
+        let (name, about, help) = (self.name, self.about, row(HELP, "print this help"));
+        format!("usage: artifacts {name} [options]\n{about}\n\n{rows}{help}")
+    }
+}
+
+/// One `left  help` line of a usage text.
+fn row(left: &str, help: &str) -> String {
+    format!("  {:<24} {help}\n", left.trim())
+}
+
+/// Runs a subcommand: prints its help, or hands its options to `then`.
+fn dispatch<T: Default>(
+    command: Command<T>,
+    args: &[String],
+    then: impl FnOnce(T) -> Result<(), String>,
+) -> Result<(), String> {
+    match command.parse(args)? {
+        Some(options) => then(options),
+        None => {
+            println!("{}", command.help());
+            Ok(())
+        }
+    }
+}
+
+/// Parses a number; the refusal says what it must be.
+fn number<V: FromStr + Field<'static>>(text: &str) -> Result<V, String> {
+    text.parse()
+        .map_err(|_| format!("must be {}, got `{text}`", V::expected()))
+}
+
+/// Parses an integer of at least `min`.
+fn at_least<V: FromStr + Field<'static> + PartialOrd + From<u8>>(
+    min: u8,
+    text: &str,
+) -> Result<V, String> {
+    Some(number(text)?)
+        .filter(|n| *n >= V::from(min))
+        .ok_or_else(|| format!("must be at least {min}"))
+}
+
+/// Parses an enum through its one spelling.
+fn spelled<V: Spelled + Field<'static>>(text: &str) -> Result<V, String> {
+    V::from_spelling(text).ok_or_else(|| format!("must be {}, got `{text}`", V::expected()))
+}
+
+/// The `pretty|json` report format of `loadgen` and `sweep status`, in
+/// [`OutputFormat`]'s spelling: `true` for JSON.
+fn report_json(text: &str) -> Result<bool, String> {
+    match OutputFormat::from_spelling(text) {
+        Some(OutputFormat::Csv) | None => Err(format!("must be `pretty` or `json`, got `{text}`")),
+        Some(format) => Ok(format == OutputFormat::Json),
+    }
+}
+
+/// The telemetry configuration `--sample-every <n>` selects.
+fn sample_every(text: &str) -> Result<TelemetryConfig, String> {
+    Ok(TelemetryConfig::default().with_sample_every(at_least(1, text)?))
+}
+
+/// The text of `artifacts --help` and of an unknown command: one line a
+/// command, the subcommands' lines from their tables.
+pub fn usage() -> String {
+    let mut text = String::from("usage: artifacts <command> [options]\n\ncommands:\n");
+    text += &row("list", "list every registered experiment spec");
+    text += &row("show <name>", "print a spec as JSON");
+    text += &row("check <file.json>", "check an artifact against the schema");
+    text += &run_flags().line();
+    text += &serve_flags().line();
+    text += &loadgen_flags().line();
+    text += &metrics_flags().line();
+    text += &sweep_run_flags().line();
+    text += &sweep_status_flags().line();
+    text + "\n`artifacts <command> --help` lists that command's flags."
+}
 
 /// Output format of `artifacts run`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OutputFormat {
     /// Aligned text table with notes and provenance.
+    #[default]
     Pretty,
     /// The full artifact JSON (table + data + metadata).
     Json,
@@ -140,21 +255,19 @@ pub enum OutputFormat {
     Csv,
 }
 
-impl OutputFormat {
-    fn parse(text: &str) -> Result<Self, String> {
-        match text {
-            "pretty" => Ok(OutputFormat::Pretty),
-            "json" => Ok(OutputFormat::Json),
-            "csv" => Ok(OutputFormat::Csv),
-            other => Err(format!("unknown format `{other}` (pretty|json|csv)")),
-        }
-    }
+impl Spelled for OutputFormat {
+    const SPELLINGS: &'static [(Self, &'static str)] = &[
+        (OutputFormat::Pretty, "pretty"),
+        (OutputFormat::Json, "json"),
+        (OutputFormat::Csv, "csv"),
+    ];
+}
 
+impl OutputFormat {
     fn extension(self) -> &'static str {
         match self {
             OutputFormat::Pretty => "txt",
-            OutputFormat::Json => "json",
-            OutputFormat::Csv => "csv",
+            format => format.spelling(),
         }
     }
 
@@ -169,7 +282,7 @@ impl OutputFormat {
 }
 
 /// Parsed `artifacts run` options.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunOptions {
     /// Spec names to run (empty with `all`).
     pub names: Vec<String>,
@@ -183,53 +296,32 @@ pub struct RunOptions {
     pub out: Option<PathBuf>,
 }
 
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            names: Vec::new(),
-            spec_files: Vec::new(),
-            all: false,
-            format: OutputFormat::Pretty,
-            out: None,
+fn run_flags() -> Command<RunOptions> {
+    flags![RunOptions, "run", "unknown flag", "run the named specs (or --all)"; |o, v|
+        "" "<name>...": "registry specs to run" => o.names.push(v.to_string()),
+        "--all": "run every registered spec" => o.all = true,
+        "--spec" "<file.json>": "run a spec file too (repeatable)" => o.spec_files.push(v.into()),
+        "--format" "<pretty|json|csv>": "output format (default: pretty)" => o.format = spelled(v)?,
+        "--out" "<dir>": "write <dir>/<name>.<ext> instead of stdout" => o.out = Some(v.into()),
+    ]
+    .check(|o, _| {
+        let selected = !(o.names.is_empty() && o.spec_files.is_empty());
+        if !selected && !o.all {
+            return Err(
+                "nothing to run: name at least one spec, pass --spec, or pass --all".into(),
+            );
         }
-    }
+        if selected && o.all {
+            return Err("--all cannot be combined with explicit names or --spec files".into());
+        }
+        Ok(())
+    })
 }
 
-/// Parses the arguments of `artifacts run` (everything after `run`).
-///
-/// # Errors
-///
-/// Returns a usage message on unknown flags, missing values or an empty
-/// selection.
+/// Parses the arguments after `artifacts run`; `--help` is refused with the
+/// help text.
 pub fn parse_run_options(args: &[String]) -> Result<RunOptions, String> {
-    let mut options = RunOptions::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--all" => options.all = true,
-            "--spec" => {
-                let value = iter.next().ok_or("--spec needs a JSON file path")?;
-                options.spec_files.push(PathBuf::from(value));
-            }
-            "--format" => {
-                let value = iter.next().ok_or("--format needs a value")?;
-                options.format = OutputFormat::parse(value)?;
-            }
-            "--out" => {
-                let value = iter.next().ok_or("--out needs a directory")?;
-                options.out = Some(PathBuf::from(value));
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
-            name => options.names.push(name.to_string()),
-        }
-    }
-    if options.names.is_empty() && options.spec_files.is_empty() && !options.all {
-        return Err("nothing to run: name at least one spec, pass --spec, or pass --all".into());
-    }
-    if options.all && !(options.names.is_empty() && options.spec_files.is_empty()) {
-        return Err("--all cannot be combined with explicit names or --spec files".into());
-    }
-    Ok(options)
+    run_flags().options(args)
 }
 
 /// Loads and validates one user-supplied spec file.
@@ -270,67 +362,37 @@ impl Default for ServeOptions {
     }
 }
 
-fn parse_number<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
-    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    value
-        .parse()
-        .map_err(|_| format!("{flag}: cannot parse `{value}`"))
+/// The decode-service tuning rows `serve` and `loadgen` share, over the
+/// [`ServiceConfig`] that `part` picks out of their options.
+fn service_flags<T: 'static>(part: fn(&mut T) -> &mut ServiceConfig) -> Vec<Flag<T>> {
+    flags![T; |o, v|
+        "--workers" "<n>": "decode worker threads (default: 2)"
+            => *part(o) = part(o).with_workers(number(v)?),
+        "--deadline-us" "<us>": "partial-word flush deadline (default: 500)"
+            => *part(o) = part(o).with_flush_deadline(Duration::from_micros(number(v)?)),
+        "--batch-words" "<n>": "64-shot words coalesced per decode job (default: 1)"
+            => *part(o) = part(o).with_max_batch_words(number(v)?),
+        "--queue-shots" "<n>": "per-stream in-flight bound (default: 4096)"
+            => *part(o) = part(o).with_stream_queue_shots(number(v)?),
+        "--sample-every" "<n>": "stage-timing sample period (default: 16; 1 = all)"
+            => *part(o) = part(o).with_telemetry(sample_every(v)?),
+    ]
 }
 
-/// Parses the value of `--sample-every` (at least 1) into the telemetry
-/// configuration it selects.
-fn parse_sample_every(value: Option<&String>) -> Result<TelemetryConfig, String> {
-    match parse_number("--sample-every", value)? {
-        0 => Err("--sample-every must be at least 1".into()),
-        every => Ok(TelemetryConfig::default().with_sample_every(every)),
-    }
+fn serve_flags() -> Command<ServeOptions> {
+    flags![ServeOptions, "serve", "unknown serve flag", "run the decode service (TCP JSON-lines)";
+        |o, v|
+        "--addr" "<host:port>": "listen address (default: 127.0.0.1:7878)" => o.addr = v.into(),
+        "--trace-out" "<file>": "stream sampled stage spans as JSON lines"
+            => o.trace_out = Some(v.into()),
+    ]
+    .with(service_flags(|o: &mut ServeOptions| &mut o.service))
 }
 
-/// Consumes one service-tuning flag shared by `serve` and `loadgen
-/// --in-process`; returns `false` when the flag is not a service flag.
-fn parse_service_flag(
-    flag: &str,
-    iter: &mut std::slice::Iter<'_, String>,
-    config: &mut ServiceConfig,
-) -> Result<bool, String> {
-    match flag {
-        "--workers" => *config = config.with_workers(parse_number(flag, iter.next())?),
-        "--deadline-us" => {
-            *config =
-                config.with_flush_deadline(Duration::from_micros(parse_number(flag, iter.next())?));
-        }
-        "--batch-words" => *config = config.with_max_batch_words(parse_number(flag, iter.next())?),
-        "--queue-shots" => {
-            *config = config.with_stream_queue_shots(parse_number(flag, iter.next())?);
-        }
-        "--sample-every" => *config = config.with_telemetry(parse_sample_every(iter.next())?),
-        _ => return Ok(false),
-    }
-    Ok(true)
-}
-
-/// Parses the arguments of `artifacts serve` (everything after `serve`).
-///
-/// # Errors
-///
-/// Returns a usage message on unknown flags or missing values.
+/// Parses the arguments after `artifacts serve`; `--help` is refused with
+/// the help text.
 pub fn parse_serve_options(args: &[String]) -> Result<ServeOptions, String> {
-    let mut options = ServeOptions::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--addr" => {
-                options.addr = iter.next().ok_or("--addr needs a host:port")?.clone();
-            }
-            "--trace-out" => {
-                let value = iter.next().ok_or("--trace-out needs a file path")?;
-                options.trace_out = Some(PathBuf::from(value));
-            }
-            flag if parse_service_flag(flag, &mut iter, &mut options.service)? => {}
-            flag => return Err(format!("unknown serve flag `{flag}`")),
-        }
-    }
-    Ok(options)
+    serve_flags().options(args)
 }
 
 /// Parsed `artifacts loadgen` options.
@@ -392,87 +454,72 @@ impl Default for LoadgenCliOptions {
     }
 }
 
-/// Parses the arguments of `artifacts loadgen` (everything after
-/// `loadgen`).
-///
-/// # Errors
-///
-/// Returns a usage message on unknown flags, missing values or a missing
-/// target (`--addr` or `--in-process`).
-pub fn parse_loadgen_options(args: &[String]) -> Result<LoadgenCliOptions, String> {
-    let mut options = LoadgenCliOptions::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--addr" => options.addr = Some(iter.next().ok_or("--addr needs a host:port")?.clone()),
-            "--in-process" => options.in_process = true,
-            "--topology" => {
-                options.topology = iter.next().ok_or("--topology needs a value")?.clone();
-            }
-            "--capacity" => options.capacity = parse_number(arg, iter.next())?,
-            "--wiring" => options.wiring = iter.next().ok_or("--wiring needs a value")?.clone(),
-            "--improvement" => options.improvement = parse_number(arg, iter.next())?,
-            "--distance" => options.distance = parse_number(arg, iter.next())?,
-            "--decoder" => {
-                options.decoder = parse_decoder(iter.next().ok_or("--decoder needs a value")?)?;
-            }
-            "--streams" => options.load.streams = parse_number(arg, iter.next())?,
-            "--connections" => options.load.connections = parse_number(arg, iter.next())?,
-            "--shots" => options.load.shots = parse_number(arg, iter.next())?,
-            "--rate" => options.load.rate = Some(parse_number(arg, iter.next())?),
-            "--wire" => match iter.next().map(String::as_str) {
-                Some("packed") => options.load.shot_major = true,
-                Some("frames") => options.load.shot_major = false,
-                other => return Err(format!("--wire: packed|frames, got {other:?}")),
+fn loadgen_flags() -> Command<LoadgenCliOptions> {
+    flags![LoadgenCliOptions, "loadgen", "unknown loadgen flag",
+        "replay sampled syndromes against a decode service"; |o, v|
+        "--addr" "<host:port>": "drive a remote `artifacts serve`" => o.addr = Some(v.into()),
+        "--in-process": "drive an in-process service instead" => o.in_process = true,
+        "--topology" "<grid|linear|switch>": "topology (default: grid)" => o.topology = v.into(),
+        "--capacity" "<n>": "trap capacity (default: 2)" => o.capacity = number(v)?,
+        "--wiring" "<standard|wise>": "wiring method (default: standard)" => o.wiring = v.into(),
+        "--improvement" "<x>": "gate improvement (default: 5.0)" => o.improvement = number(v)?,
+        "--distance" "<d>": "code distance (default: 3)" => o.distance = at_least(2, v)?,
+        "--decoder" "<union_find|greedy|exact>": "decoder (default: union_find)"
+            => o.decoder = parse_decoder(v).map_err(|_| format!("must be a decoder name, got `{v}`"))?,
+        "--streams" "<n>": "syndrome streams (default: 4)" => o.load.streams = number(v)?,
+        "--connections" "<n>": "TCP connections, at most one a stream (default: 1)"
+            => o.load.connections = number(v)?,
+        "--shots" "<n>": "total shots replayed (default: 16384)" => o.load.shots = number(v)?,
+        "--rate" "<n>": "target shots/s (default: unthrottled)" => o.load.rate = Some(number(v)?),
+        "--wire" "<packed|frames>": "64-shot word blocks (default) or per-shot frames"
+            => o.load.shot_major = match v {
+                "packed" => true,
+                "frames" => false,
+                _ => return Err(format!("must be `packed` or `frames`, got `{v}`")),
             },
-            "--frontier" => options.frontier = Some(parse_number(arg, iter.next())?),
-            "--seed" => options.load.seed = parse_number(arg, iter.next())?,
-            "--no-verify" => options.load.verify = false,
-            "--shutdown" => options.shutdown = true,
-            "--format" => match iter.next().map(String::as_str) {
-                Some("pretty") => options.json = false,
-                Some("json") => options.json = true,
-                other => return Err(format!("--format: pretty|json, got {other:?}")),
-            },
-            "--top" => options.top = true,
-            "--trace-out" => {
-                let value = iter.next().ok_or("--trace-out needs a file path")?;
-                options.trace_out = Some(PathBuf::from(value));
-            }
-            flag if parse_service_flag(flag, &mut iter, &mut options.service)? => {}
-            flag => return Err(format!("unknown loadgen flag `{flag}`")),
+        "--frontier" "<points>": "calibrate, then replay at <points> fractions of saturation"
+            => o.frontier = Some(at_least(1, v)?),
+        "--seed" "<n>": "replay sampling seed (default: 2026)" => o.load.seed = number(v)?,
+        "--no-verify": "skip the offline bit-identity check" => o.load.verify = false,
+        "--shutdown": "shut a TCP server down after the run" => o.shutdown = true,
+        "--format" "<pretty|json>": "report format (default: pretty)" => o.json = report_json(v)?,
+        "--top": "live telemetry dashboard on stderr" => o.top = true,
+        "--trace-out" "<file>": "stream sampled stage spans as JSON lines (in-process)"
+            => o.trace_out = Some(v.into()),
+    ]
+    .with(service_flags(|o: &mut LoadgenCliOptions| &mut o.service))
+    .check(|o, _| {
+        if o.addr.is_none() && !o.in_process {
+            return Err("loadgen needs a target: --addr <host:port> or --in-process".into());
         }
-    }
-    if options.addr.is_none() && !options.in_process {
-        return Err("loadgen needs a target: --addr <host:port> or --in-process".into());
-    }
-    if options.addr.is_some() && options.in_process {
-        return Err("--addr and --in-process are mutually exclusive".into());
-    }
-    if options.distance < 2 {
-        return Err("--distance must be at least 2".into());
-    }
-    if options.in_process && options.frontier.is_some() {
-        return Err("--frontier needs a TCP target (--addr)".into());
-    }
-    if options.in_process && options.load.connections > 1 {
-        return Err("--connections needs a TCP target (--addr)".into());
-    }
-    if options.frontier == Some(0) {
-        return Err("--frontier needs at least 1 point".into());
-    }
-    if matches!(options.load.rate, Some(rate) if !(rate.is_finite() && rate > 0.0)) {
-        return Err("--rate must be a finite positive number of shots/s".into());
-    }
-    if options.trace_out.is_some() && !options.in_process {
-        return Err(
-            "--trace-out needs --in-process (a TCP server traces via `serve --trace-out`)".into(),
-        );
-    }
-    if options.top && options.frontier.is_some() {
-        return Err("--top cannot run during a --frontier sweep".into());
-    }
-    Ok(options)
+        if o.addr.is_some() && o.in_process {
+            return Err("--addr and --in-process are mutually exclusive".into());
+        }
+        if o.in_process && o.frontier.is_some() {
+            return Err("--frontier needs a TCP target (--addr)".into());
+        }
+        if o.in_process && o.load.connections > 1 {
+            return Err("--connections needs a TCP target (--addr)".into());
+        }
+        if matches!(o.load.rate, Some(rate) if !(rate.is_finite() && rate > 0.0)) {
+            return Err("--rate must be a finite positive number of shots/s".into());
+        }
+        if o.trace_out.is_some() && !o.in_process {
+            return Err(
+                "--trace-out needs --in-process (a TCP server: `serve --trace-out`)".into(),
+            );
+        }
+        if o.top && o.frontier.is_some() {
+            return Err("--top cannot run during a --frontier sweep".into());
+        }
+        Ok(())
+    })
+}
+
+/// Parses the arguments after `artifacts loadgen`; `--help` is refused with
+/// the help text.
+pub fn parse_loadgen_options(args: &[String]) -> Result<LoadgenCliOptions, String> {
+    loadgen_flags().options(args)
 }
 
 /// Parsed `artifacts sweep run` / `sweep resume` options.
@@ -514,55 +561,39 @@ impl Default for SweepRunOptions {
     }
 }
 
-/// Parses the arguments of `artifacts sweep run` / `sweep resume`.
-///
-/// # Errors
-///
-/// Returns a usage message on unknown flags, missing values, an empty or
-/// ambiguous spec selection or no evaluation threads.
+/// Refuses a sweep line that names no spec or two.
+fn one_spec(name: &Option<String>, spec_file: &Option<PathBuf>, what: &str) -> Result<(), String> {
+    let refusal = format!("{what} needs exactly one spec: a registry name or --spec <file>");
+    (name.is_some() != spec_file.is_some())
+        .then_some(())
+        .ok_or(refusal)
+}
+
+fn sweep_run_flags() -> Command<SweepRunOptions> {
+    flags![SweepRunOptions, "sweep run", "unknown sweep flag",
+        "run a LER sweep through the resumable point store (also `sweep resume`)"; |o, v|
+        "" "<name>": "the registry spec to run" => if o.name.replace(v.into()).is_some() {
+            return Err("sweep runs exactly one spec at a time".into());
+        },
+        "--spec" "<file.json>": "run this spec file instead" => o.spec_file = Some(v.into()),
+        "--store" "<dir>": "store base (default: target/experiments/sweep)" => o.store = v.into(),
+        "--local-workers" "<n>": "threads (default: 1)" => o.local_workers = at_least(1, v)?,
+        "--progress-interval-ms" "<ms>": "progress line / status.json period (default: 2000)"
+            => o.progress_interval = Duration::from_millis(number(v)?),
+        "--quiet": "no live progress line on stderr" => o.quiet = true,
+        "--sample-every" "<n>": "stage-timing sample period (default: 16; 1 = all)"
+            => o.telemetry = sample_every(v)?,
+        "--format" "<pretty|json|csv>": "merged-artifact format (default: pretty)"
+            => o.format = spelled(v)?,
+        "--out" "<dir>": "write <dir>/<name>.<ext> instead of stdout" => o.out = Some(v.into()),
+    ]
+    .check(|o, _| one_spec(&o.name, &o.spec_file, "sweep"))
+}
+
+/// Parses the arguments after `artifacts sweep run` / `sweep resume`;
+/// `--help` is refused with the help text.
 pub fn parse_sweep_run_options(args: &[String]) -> Result<SweepRunOptions, String> {
-    let mut options = SweepRunOptions::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--spec" => {
-                let value = iter.next().ok_or("--spec needs a JSON file path")?;
-                options.spec_file = Some(PathBuf::from(value));
-            }
-            "--store" => {
-                let value = iter.next().ok_or("--store needs a directory")?;
-                options.store = PathBuf::from(value);
-            }
-            "--local-workers" => options.local_workers = parse_number(arg, iter.next())?,
-            "--progress-interval-ms" => {
-                options.progress_interval = Duration::from_millis(parse_number(arg, iter.next())?);
-            }
-            "--quiet" => options.quiet = true,
-            "--sample-every" => options.telemetry = parse_sample_every(iter.next())?,
-            "--format" => {
-                let value = iter.next().ok_or("--format needs a value")?;
-                options.format = OutputFormat::parse(value)?;
-            }
-            "--out" => {
-                let value = iter.next().ok_or("--out needs a directory")?;
-                options.out = Some(PathBuf::from(value));
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown sweep flag `{flag}`")),
-            name => {
-                if options.name.is_some() {
-                    return Err("sweep runs exactly one spec at a time".into());
-                }
-                options.name = Some(name.to_string());
-            }
-        }
-    }
-    if options.name.is_some() == options.spec_file.is_some() {
-        return Err("sweep needs exactly one spec: a registry name or --spec <file>".into());
-    }
-    if options.local_workers == 0 {
-        return Err("--local-workers must be at least 1".into());
-    }
-    Ok(options)
+    sweep_run_flags().options(args)
 }
 
 /// Parsed `artifacts sweep status` options.
@@ -578,48 +609,58 @@ pub struct SweepStatusOptions {
     pub json: bool,
 }
 
-/// Parses the arguments of `artifacts sweep status`.
-///
-/// # Errors
-///
-/// Returns a usage message on unknown flags, missing values, or not
-/// exactly one spec.
-pub fn parse_sweep_status_options(args: &[String]) -> Result<SweepStatusOptions, String> {
-    let mut options = SweepStatusOptions {
-        name: None,
-        spec_file: None,
-        store: PathBuf::from("target/experiments/sweep"),
-        json: false,
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--spec" => {
-                let value = iter.next().ok_or("--spec needs a JSON file path")?;
-                options.spec_file = Some(PathBuf::from(value));
-            }
-            "--store" => {
-                let value = iter.next().ok_or("--store needs a directory")?;
-                options.store = PathBuf::from(value);
-            }
-            "--format" => match iter.next().map(String::as_str) {
-                Some("pretty") => options.json = false,
-                Some("json") => options.json = true,
-                other => return Err(format!("--format: pretty|json, got {other:?}")),
-            },
-            flag if flag.starts_with("--") => return Err(format!("unknown status flag `{flag}`")),
-            name => {
-                if options.name.is_some() {
-                    return Err("status takes one spec name".into());
-                }
-                options.name = Some(name.to_string());
-            }
+impl Default for SweepStatusOptions {
+    fn default() -> Self {
+        let store = SweepRunOptions::default().store;
+        let (name, spec_file, json) = (None, None, false);
+        SweepStatusOptions {
+            name,
+            spec_file,
+            store,
+            json,
         }
     }
-    if options.name.is_some() == options.spec_file.is_some() {
-        return Err("status needs exactly one spec: a registry name or --spec <file>".into());
-    }
-    Ok(options)
+}
+
+fn sweep_status_flags() -> Command<SweepStatusOptions> {
+    flags![SweepStatusOptions, "sweep status", "unknown status flag",
+        "print a sweep's progress snapshot"; |o, v|
+        "" "<name>": "the registry spec" => if o.name.replace(v.into()).is_some() {
+            return Err("status takes one spec name".into());
+        },
+        "--spec" "<file.json>": "the spec file instead" => o.spec_file = Some(v.into()),
+        "--store" "<dir>": "store base (default: target/experiments/sweep)" => o.store = v.into(),
+        "--format" "<pretty|json>": "summary with per-worker rates, or the full snapshot"
+            => o.json = report_json(v)?,
+    ]
+    .check(|o, _| one_spec(&o.name, &o.spec_file, "status"))
+}
+
+/// Parses the arguments after `artifacts sweep status`; `--help` is refused
+/// with the help text.
+pub fn parse_sweep_status_options(args: &[String]) -> Result<SweepStatusOptions, String> {
+    sweep_status_flags().options(args)
+}
+
+/// Parsed `artifacts metrics` options.
+#[derive(Default)]
+struct MetricsOptions {
+    addr: Option<String>,
+    text: bool,
+}
+
+fn metrics_flags() -> Command<MetricsOptions> {
+    flags![MetricsOptions, "metrics", "unknown metrics flag", "scrape a service's telemetry";
+        |o, v|
+        "--addr" "<host:port>": "the server to scrape (required)" => o.addr = Some(v.into()),
+        "--text": "Prometheus-style text instead of the JSON snapshot" => o.text = true,
+    ]
+    .check(|o, _| {
+        o.addr
+            .as_ref()
+            .map(|_| ())
+            .ok_or("metrics needs --addr <host:port>".into())
+    })
 }
 
 /// Writes a rendered artifact to `<out>/<name>.<ext>` or to `stdout`. A
@@ -647,6 +688,12 @@ fn emit_rendered(
     }
 }
 
+/// The registry spec `name`; an unknown name points at `artifacts list`.
+fn lookup<'r>(registry: &'r ExperimentRegistry, name: &str) -> Result<&'r ExperimentSpec, String> {
+    let unknown = || format!("unknown experiment `{name}` (try `artifacts list`)");
+    registry.get(name).ok_or_else(unknown)
+}
+
 /// Resolves the single spec a sweep subcommand names.
 fn resolve_sweep_spec(
     name: &Option<String>,
@@ -654,10 +701,7 @@ fn resolve_sweep_spec(
     registry: &ExperimentRegistry,
 ) -> Result<ExperimentSpec, String> {
     match (name, spec_file) {
-        (Some(name), None) => registry
-            .get(name)
-            .cloned()
-            .ok_or_else(|| format!("unknown experiment `{name}` (try `artifacts list`)")),
+        (Some(name), None) => lookup(registry, name).cloned(),
         (None, Some(path)) => load_spec_file(path),
         _ => Err("sweep needs exactly one spec: a registry name or --spec <file>".into()),
     }
@@ -670,21 +714,12 @@ fn sweep_run_command(
     let spec = resolve_sweep_spec(&options.name, &options.spec_file, registry)?;
     let job = spec_point_job(&spec)?;
     let (store, state) = PointStore::open(&options.store, &job.descriptor(), job.seed_table())?;
+    let (name, root, points) = (&spec.name, store.root().display(), store.num_points());
     if state == StoreState::Resumed {
-        println!(
-            "resuming sweep `{}` at {}: {} of {} points already done",
-            spec.name,
-            store.root().display(),
-            store.done_count(),
-            store.num_points(),
-        );
+        let done = store.done_count();
+        println!("resuming sweep `{name}` at {root}: {done} of {points} points already done");
     } else {
-        println!(
-            "sweep `{}`: {} points, store {}",
-            spec.name,
-            store.num_points(),
-            store.root().display(),
-        );
+        println!("sweep `{name}`: {points} points, store {root}");
     }
     let summary = run_job(
         &job,
@@ -755,18 +790,6 @@ fn sweep_status_command(
     Ok(())
 }
 
-fn sweep_command(args: &[String], registry: &ExperimentRegistry) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("run") | Some("resume") => {
-            sweep_run_command(parse_sweep_run_options(&args[1..])?, registry)
-        }
-        Some("status") => sweep_status_command(&parse_sweep_status_options(&args[1..])?, registry),
-        other => Err(format!(
-            "sweep needs an action (run|resume|status), got {other:?}"
-        )),
-    }
-}
-
 fn serve_command(options: &ServeOptions) -> Result<(), String> {
     let server = NetServer::bind(&options.addr, options.service)
         .map_err(|e| format!("cannot bind {}: {e}", options.addr))?;
@@ -804,6 +827,18 @@ fn spawn_top_renderer(
 }
 
 fn loadgen_command(options: &LoadgenCliOptions) -> Result<(), String> {
+    let print = |report: serde_json::Value, pretty: String, mismatches| {
+        if options.json {
+            let report = serde_json::to_string_pretty(&report);
+            println!("{}", report.expect("report serialization cannot fail"));
+        } else {
+            println!("{pretty}");
+        }
+        match mismatches {
+            0 => Ok(()),
+            n => Err(format!("{n} corrections differ from the offline decode")),
+        }
+    };
     if let Some(points) = options.frontier {
         let report = loadgen::run_frontier_over_tcp(
             options.addr.as_deref().expect("validated by the parser"),
@@ -816,22 +851,8 @@ fn loadgen_command(options: &LoadgenCliOptions) -> Result<(), String> {
             points,
             options.shutdown,
         )?;
-        if options.json {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&report.to_json())
-                    .expect("report serialization cannot fail")
-            );
-        } else {
-            println!("{}", report.render_pretty());
-        }
-        if report.calibration.mismatches > 0 {
-            return Err(format!(
-                "{} corrections differ from the offline decode",
-                report.calibration.mismatches
-            ));
-        }
-        return Ok(());
+        let mismatches = report.calibration.mismatches;
+        return print(report.to_json(), report.render_pretty(), mismatches);
     }
     let stop = Arc::new(AtomicBool::new(false));
     let mut top = None;
@@ -898,41 +919,16 @@ fn loadgen_command(options: &LoadgenCliOptions) -> Result<(), String> {
     if let Some(top) = top {
         let _ = top.join();
     }
-    if options.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report.to_json())
-                .expect("report serialization cannot fail")
-        );
-    } else {
-        println!("{}", report.render_pretty());
-    }
-    if report.mismatches > 0 {
-        return Err(format!(
-            "{} corrections differ from the offline decode",
-            report.mismatches
-        ));
-    }
-    Ok(())
+    print(report.to_json(), report.render_pretty(), report.mismatches)
 }
 
 /// `artifacts metrics`: scrape a running service's unified telemetry
 /// snapshot (JSON by default, Prometheus-style text with `--text`).
-fn metrics_command(args: &[String]) -> Result<(), String> {
-    let mut addr = None;
-    let mut text = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--addr" => addr = Some(iter.next().ok_or("--addr needs a host:port")?.clone()),
-            "--text" => text = true,
-            flag => return Err(format!("unknown metrics flag `{flag}`")),
-        }
-    }
-    let addr = addr.ok_or("metrics needs --addr <host:port>")?;
+fn metrics_command(options: MetricsOptions) -> Result<(), String> {
+    let addr = options.addr.expect("checked by the table");
     let mut client =
         NetClient::connect(&addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    if text {
+    if options.text {
         print!("{}", client.metrics_text()?);
     } else {
         println!(
@@ -960,29 +956,24 @@ fn run_command(options: &RunOptions, registry: &ExperimentRegistry) -> Result<()
         .collect::<Result<_, _>>()?;
     let mut specs: Vec<&ExperimentSpec> = names
         .iter()
-        .map(|name| {
-            registry
-                .get(name)
-                .ok_or_else(|| format!("unknown experiment `{name}` (try `artifacts list`)"))
-        })
+        .map(|name| lookup(registry, name))
         .collect::<Result<_, _>>()?;
     specs.extend(loaded.iter());
     // Reject selections in which two *different* specs share a name: their
     // outputs would be written to (or printed under) the same `<name>.<ext>`
     // and one would silently overwrite the other. Identical content is fine
     // (e.g. `--spec` of a dumped registry spec next to its name).
-    let mut seen: std::collections::BTreeMap<&str, String> = std::collections::BTreeMap::new();
+    let mut seen = std::collections::BTreeMap::new();
     for spec in &specs {
         let hash = spec.content_hash();
-        if let Some(earlier) = seen.get(spec.name.as_str()) {
-            if *earlier != hash {
-                return Err(format!(
-                    "two different specs named `{}` selected; rename one (outputs would collide)",
-                    spec.name
-                ));
-            }
-        } else {
-            seen.insert(&spec.name, hash);
+        if seen
+            .insert(spec.name.as_str(), hash.clone())
+            .is_some_and(|earlier| earlier != hash)
+        {
+            return Err(format!(
+                "two different specs named `{}` selected; rename one (outputs would collide)",
+                spec.name
+            ));
         }
     }
     for spec in specs {
@@ -1006,9 +997,10 @@ fn run_command(options: &RunOptions, registry: &ExperimentRegistry) -> Result<()
 /// Returns the message the binary prints to stderr before exiting non-zero.
 pub fn run(args: &[String]) -> Result<(), String> {
     let registry = ExperimentRegistry::builtin();
+    let rest = args.get(1..).unwrap_or_default();
     match args.first().map(String::as_str) {
-        None | Some("--help") | Some("-h") | Some("help") => {
-            println!("{USAGE}");
+        None | Some("help" | "-h" | HELP) => {
+            println!("{}", usage());
             Ok(())
         }
         Some("list") => {
@@ -1022,9 +1014,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             let name = args
                 .get(1)
                 .ok_or("show needs a spec name (try `artifacts list`)")?;
-            let spec = registry
-                .get(name)
-                .ok_or_else(|| format!("unknown experiment `{name}` (try `artifacts list`)"))?;
+            let spec = lookup(&registry, name)?;
             println!(
                 "{}",
                 serde_json::to_string_pretty(&spec.to_json())
@@ -1032,14 +1022,23 @@ pub fn run(args: &[String]) -> Result<(), String> {
             );
             Ok(())
         }
-        Some("run") => {
-            let options = parse_run_options(&args[1..])?;
+        Some("run") => dispatch(run_flags(), rest, |options| {
             run_command(&options, &registry)
-        }
-        Some("serve") => serve_command(&parse_serve_options(&args[1..])?),
-        Some("loadgen") => loadgen_command(&parse_loadgen_options(&args[1..])?),
-        Some("metrics") => metrics_command(&args[1..]),
-        Some("sweep") => sweep_command(&args[1..], &registry),
+        }),
+        Some("serve") => dispatch(serve_flags(), rest, |options| serve_command(&options)),
+        Some("loadgen") => dispatch(loadgen_flags(), rest, |options| loadgen_command(&options)),
+        Some("metrics") => dispatch(metrics_flags(), rest, metrics_command),
+        Some("sweep") => match rest.first().map(String::as_str) {
+            Some("run" | "resume") => dispatch(sweep_run_flags(), &rest[1..], |options| {
+                sweep_run_command(options, &registry)
+            }),
+            Some("status") => dispatch(sweep_status_flags(), &rest[1..], |options| {
+                sweep_status_command(&options, &registry)
+            }),
+            other => Err(format!(
+                "sweep needs an action (run|resume|status), got {other:?}"
+            )),
+        },
         Some("check") => {
             let path = args.get(1).ok_or("check needs a JSON file path")?;
             let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -1049,7 +1048,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             println!("{path}: OK");
             Ok(())
         }
-        Some(other) => Err(format!("unknown command `{other}`\n{USAGE}")),
+        Some(other) => Err(format!("unknown command `{other}`\n{}", usage())),
     }
 }
 
@@ -1457,6 +1456,49 @@ mod tests {
         assert_eq!(OutputFormat::Json.extension(), "json");
         assert_eq!(OutputFormat::Csv.extension(), "csv");
         assert_eq!(OutputFormat::Pretty.extension(), "txt");
+    }
+
+    /// Every row of a table shows in its `--help`, and every table's line in
+    /// the usage text.
+    fn rows_in_help<T: Default>(command: Command<T>) {
+        let help = command.help();
+        for flag in &command.flags {
+            let left = format!("  {} {}", flag.name, flag.value);
+            let line = format!("{} {}", left.trim_end(), flag.help);
+            assert!(
+                help.lines()
+                    .any(|l| l.split_whitespace().eq(line.split_whitespace())),
+                "`{}` --help lacks `{line}`:\n{help}",
+                command.name
+            );
+        }
+        assert!(help.contains("--help"), "{help}");
+        assert!(usage().contains(&command.line()), "{}", command.name);
+    }
+
+    #[test]
+    fn every_flag_row_is_in_its_help() {
+        rows_in_help(run_flags());
+        rows_in_help(serve_flags());
+        rows_in_help(loadgen_flags());
+        rows_in_help(metrics_flags());
+        rows_in_help(sweep_run_flags());
+        rows_in_help(sweep_status_flags());
+    }
+
+    #[test]
+    fn help_wins_anywhere_in_flag_position() {
+        let parse = |args: &[&str]| loadgen_flags().parse(&strings(args)).map(|o| o.is_none());
+        assert_eq!(parse(&["--help"]), Ok(true));
+        // After a refusal and after a complete line alike.
+        assert_eq!(parse(&["--streams", "x", "--help"]), Ok(true));
+        assert_eq!(parse(&["--in-process", "--help"]), Ok(true));
+        // A value position takes `--help` as the value.
+        assert_eq!(parse(&["--in-process", "--trace-out", "--help"]), Ok(false));
+        // The library entry points refuse it with the help text.
+        let help = parse_loadgen_options(&strings(&["--help"])).unwrap_err();
+        assert_eq!(help, loadgen_flags().help());
+        assert!(run(&strings(&["sweep", "status", "--help"])).is_ok());
     }
 
     #[test]

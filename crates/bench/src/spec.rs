@@ -93,6 +93,7 @@ macro_rules! field_types {
 
 field_types! {
     u64: "a non-negative integer", Value::as_u64;
+    u32: "a non-negative integer", |v: &Value| v.as_u64().and_then(|n| u32::try_from(n).ok());
     usize: "a non-negative integer", |v: &Value| v.as_u64().and_then(|n| usize::try_from(n).ok());
     f64: "a number", Value::as_f64;
     bool: "a boolean", Value::as_bool;
@@ -136,6 +137,14 @@ pub(crate) trait Spelled: Copy + PartialEq + 'static {
             .map(|(_, name)| *name)
             .expect("every variant has a spelling")
     }
+
+    /// The variant spelled `name`.
+    fn from_spelling(name: &str) -> Option<Self> {
+        Self::SPELLINGS
+            .iter()
+            .find(|(_, spelling)| *spelling == name)
+            .map(|(variant, _)| *variant)
+    }
 }
 
 impl<T: Spelled> Field<'_> for T {
@@ -144,11 +153,7 @@ impl<T: Spelled> Field<'_> for T {
         format!("one of {}", names.join(", "))
     }
     fn read(value: &Value) -> Option<Self> {
-        let name = value.as_str()?;
-        T::SPELLINGS
-            .iter()
-            .find(|(_, spelling)| *spelling == name)
-            .map(|(variant, _)| *variant)
+        T::from_spelling(value.as_str()?)
     }
 }
 

@@ -32,7 +32,7 @@ const CASES: &[(&str, &str)] = &[
     ("run -h", "-h"),
     ("run --spec", "--spec"),
     ("run fig09 --format", "--format"),
-    ("run fig09 --format yaml", "yaml"),
+    ("run fig09 --format yaml", "--format"),
     ("run fig09 --out", "--out"),
     ("run", "--all"),
     ("run --all fig09", "--all"),
@@ -87,7 +87,7 @@ const CASES: &[(&str, &str)] = &[
     ("loadgen --in-process --distance x", "--distance"),
     ("loadgen --in-process --distance 1", "--distance"),
     ("loadgen --in-process --decoder", "--decoder"),
-    ("loadgen --in-process --decoder magic", "magic"),
+    ("loadgen --in-process --decoder magic", "--decoder"),
     // loadgen: replay
     (
         "loadgen --addr x:1 --streams 8 --connections 2 --shots 4096 --rate 50000 \
@@ -175,7 +175,7 @@ const CASES: &[(&str, &str)] = &[
     ("sweep run a --sample-every", "--sample-every"),
     ("sweep run a --sample-every 0", "--sample-every"),
     ("sweep run a --format", "--format"),
-    ("sweep run a --format yaml", "yaml"),
+    ("sweep run a --format yaml", "--format"),
     ("sweep run a --out", "--out"),
     ("sweep run", "--spec"),
     ("sweep run a b", "spec"),
