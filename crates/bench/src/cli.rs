@@ -367,13 +367,13 @@ impl Default for ServeOptions {
 fn service_flags<T: 'static>(part: fn(&mut T) -> &mut ServiceConfig) -> Vec<Flag<T>> {
     flags![T; |o, v|
         "--workers" "<n>": "decode worker threads (default: 2)"
-            => *part(o) = part(o).with_workers(number(v)?),
+            => *part(o) = part(o).with_workers(at_least(1, v)?),
         "--deadline-us" "<us>": "partial-word flush deadline (default: 500)"
             => *part(o) = part(o).with_flush_deadline(Duration::from_micros(number(v)?)),
         "--batch-words" "<n>": "64-shot words coalesced per decode job (default: 1)"
-            => *part(o) = part(o).with_max_batch_words(number(v)?),
+            => *part(o) = part(o).with_max_batch_words(at_least(1, v)?),
         "--queue-shots" "<n>": "per-stream in-flight bound (default: 4096)"
-            => *part(o) = part(o).with_stream_queue_shots(number(v)?),
+            => *part(o) = part(o).with_stream_queue_shots(at_least(1, v)?),
         "--sample-every" "<n>": "stage-timing sample period (default: 16; 1 = all)"
             => *part(o) = part(o).with_telemetry(sample_every(v)?),
     ]
@@ -465,11 +465,11 @@ fn loadgen_flags() -> Command<LoadgenCliOptions> {
         "--improvement" "<x>": "gate improvement (default: 5.0)" => o.improvement = number(v)?,
         "--distance" "<d>": "code distance (default: 3)" => o.distance = at_least(2, v)?,
         "--decoder" "<union_find|greedy|exact>": "decoder (default: union_find)"
-            => o.decoder = parse_decoder(v).map_err(|_| format!("must be a decoder name, got `{v}`"))?,
-        "--streams" "<n>": "syndrome streams (default: 4)" => o.load.streams = number(v)?,
+            => o.decoder = parse_decoder(v).map_err(|_| format!("cannot be `{v}`"))?,
+        "--streams" "<n>": "syndrome streams (default: 4)" => o.load.streams = at_least(1, v)?,
         "--connections" "<n>": "TCP connections, at most one a stream (default: 1)"
             => o.load.connections = number(v)?,
-        "--shots" "<n>": "total shots replayed (default: 16384)" => o.load.shots = number(v)?,
+        "--shots" "<n>": "total shots replayed (default: 16384)" => o.load.shots = at_least(1, v)?,
         "--rate" "<n>": "target shots/s (default: unthrottled)" => o.load.rate = Some(number(v)?),
         "--wire" "<packed|frames>": "64-shot word blocks (default) or per-shot frames"
             => o.load.shot_major = match v {
