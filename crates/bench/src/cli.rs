@@ -488,7 +488,7 @@ fn loadgen_flags() -> Command<LoadgenCliOptions> {
             => o.trace_out = Some(v.into()),
     ]
     .with(service_flags(|o: &mut LoadgenCliOptions| &mut o.service))
-    .check(|o, _| {
+    .check(|o, given| {
         if o.addr.is_none() && !o.in_process {
             return Err("loadgen needs a target: --addr <host:port> or --in-process".into());
         }
@@ -503,6 +503,15 @@ fn loadgen_flags() -> Command<LoadgenCliOptions> {
         }
         if matches!(o.load.rate, Some(rate) if !(rate.is_finite() && rate > 0.0)) {
             return Err("--rate must be a finite positive number of shots/s".into());
+        }
+        let tuning = service_flags(|o: &mut LoadgenCliOptions| &mut o.service);
+        let tcp_tuned = given
+            .iter()
+            .find(|f| tuning.iter().any(|row| row.name == **f));
+        if let Some(flag) = tcp_tuned.filter(|_| !o.in_process) {
+            return Err(format!(
+                "{flag} needs --in-process; a TCP server takes it via `serve`"
+            ));
         }
         if o.trace_out.is_some() && !o.in_process {
             return Err(
