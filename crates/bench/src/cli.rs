@@ -766,35 +766,35 @@ fn sweep_run_command(
     )
 }
 
+/// `artifacts sweep status`: reads the store's snapshot and writes nothing,
+/// so a store no run has created is an error naming where it looked.
 fn sweep_status_command(
     options: &SweepStatusOptions,
     registry: &ExperimentRegistry,
 ) -> Result<(), String> {
-    let emit = |snapshot: &serde_json::Value| {
-        if options.json {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(snapshot).expect("snapshot serialization cannot fail")
-            );
-        } else {
-            println!("{}", render_progress_line(snapshot));
-            for line in render_worker_lines(snapshot) {
-                println!("{line}");
-            }
-        }
-    };
     let spec = resolve_sweep_spec(&options.name, &options.spec_file, registry)?;
     let job = spec_point_job(&spec)?;
-    let (store, _) = PointStore::open(&options.store, &job.descriptor(), job.seed_table())?;
-    match store.read_status() {
-        Some(snapshot) => emit(&snapshot),
-        None => println!(
-            "no status snapshot yet: {}/{} points on disk, {} failed ({})",
+    let store = PointStore::open_existing(&options.store, &job.descriptor(), job.seed_table())?;
+    let Some(snapshot) = store.read_status() else {
+        let (done, points, root) = (
             store.done_count(),
             store.num_points(),
-            store.failures().len(),
             store.root().display(),
-        ),
+        );
+        let failed = store.failures().len();
+        println!(
+            "no status snapshot yet: {done}/{points} points on disk, {failed} failed ({root})"
+        );
+        return Ok(());
+    };
+    if options.json {
+        let snapshot = serde_json::to_string_pretty(&snapshot);
+        println!("{}", snapshot.expect("snapshot serialization cannot fail"));
+    } else {
+        println!("{}", render_progress_line(&snapshot));
+        render_worker_lines(&snapshot)
+            .iter()
+            .for_each(|line| println!("{line}"));
     }
     Ok(())
 }
@@ -1674,6 +1674,29 @@ mod tests {
             "json",
         ]))
         .expect("sweep status reads the snapshot");
+
+        // Status on a base no run has used refuses, naming the store it
+        // looked for, and leaves the base empty.
+        let fresh = dir.path("fresh");
+        fs::create_dir_all(&fresh).unwrap();
+        let err = run(&strings(&[
+            "sweep",
+            "status",
+            "--spec",
+            spec_path.to_str().unwrap(),
+            "--store",
+            fresh.to_str().unwrap(),
+        ]))
+        .unwrap_err();
+        assert!(
+            err.contains(fresh.join("cli-sweep-test-").to_str().unwrap()),
+            "{err}"
+        );
+        assert_eq!(
+            fs::read_dir(&fresh).unwrap().count(),
+            0,
+            "status wrote to the base"
+        );
 
         // Non-LER specs are refused by the sweep tier.
         let err = run(&strings(&[

@@ -86,11 +86,7 @@ impl PointStore {
         descriptor: &JobDescriptor,
         seeds: Vec<u64>,
     ) -> Result<(Self, StoreState), String> {
-        let root = base.join(format!(
-            "{}-{}",
-            sanitize(&descriptor.name),
-            descriptor.hash
-        ));
+        let root = Self::root_in(base, descriptor);
         fs::create_dir_all(root.join("points"))
             .map_err(|e| format!("creating {}: {e}", root.display()))?;
         fs::create_dir_all(root.join("failed"))
@@ -118,6 +114,42 @@ impl PointStore {
             write_atomic(&manifest_path, &manifest.to_string())?;
             Ok((store, StoreState::Created))
         }
+    }
+
+    /// Opens the store a run already created for `descriptor` under
+    /// `base`, writing nothing.
+    ///
+    /// # Errors
+    ///
+    /// Fails, naming the directory it looked for, when no run has created
+    /// the store, and like [`PointStore::open`] when the store belongs to a
+    /// different job.
+    pub fn open_existing(
+        base: &Path,
+        descriptor: &JobDescriptor,
+        seeds: Vec<u64>,
+    ) -> Result<Self, String> {
+        let root = Self::root_in(base, descriptor);
+        let manifest_path = root.join("manifest.json");
+        if !manifest_path.is_file() {
+            return Err(format!("no sweep store at {}", root.display()));
+        }
+        let store = PointStore {
+            root,
+            descriptor: descriptor.clone(),
+            seeds,
+        };
+        store.check_manifest(&manifest_path)?;
+        Ok(store)
+    }
+
+    /// `<base>/<name>-<hash>`, the directory of `descriptor`'s store.
+    fn root_in(base: &Path, descriptor: &JobDescriptor) -> PathBuf {
+        base.join(format!(
+            "{}-{}",
+            sanitize(&descriptor.name),
+            descriptor.hash
+        ))
     }
 
     fn check_manifest(&self, path: &Path) -> Result<(), String> {
@@ -355,6 +387,27 @@ mod tests {
         let (reopened, state) = mock_store(&base, 4);
         assert_eq!(state, StoreState::Resumed);
         assert_eq!(reopened.missing_indices(), vec![0, 2]);
+        let _ = fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn open_existing_reads_a_store_and_never_creates_one() {
+        let base = temp_base("existing");
+        let job = MockJob::new(3);
+        let seeds: Vec<u64> = (0..3).map(|i| job.point_seed(i)).collect();
+        let err = PointStore::open_existing(&base, &job.descriptor(), seeds.clone()).unwrap_err();
+        assert!(err.contains(&base.display().to_string()), "{err}");
+        assert_eq!(fs::read_dir(&base).unwrap().count(), 0, "nothing written");
+
+        let (store, _) = mock_store(&base, 3);
+        store
+            .store_point(2, &serde_json::json!({"value": 1u64}))
+            .unwrap();
+        let existing = PointStore::open_existing(&base, &job.descriptor(), seeds).unwrap();
+        assert_eq!(existing.root(), store.root());
+        assert_eq!(existing.missing_indices(), vec![0, 1]);
+        let bad_seeds = (0..3).map(|i| job.point_seed(i) ^ 1).collect();
+        assert!(PointStore::open_existing(&base, &job.descriptor(), bad_seeds).is_err());
         let _ = fs::remove_dir_all(&base);
     }
 
