@@ -152,6 +152,15 @@ impl<T: Default> Command<T> {
         }
     }
 
+    /// Runs the subcommand: prints its help, or hands its options to `f`.
+    fn run(&self, args: &[String], f: impl FnOnce(T) -> Result<(), String>) -> Result<(), String> {
+        let Some(options) = self.parse(args)? else {
+            println!("{}", self.help());
+            return Ok(());
+        };
+        f(options)
+    }
+
     /// Parses a line that must yield options; `--help` is refused with the
     /// help text.
     fn options(&self, args: &[String]) -> Result<T, String> {
@@ -175,21 +184,6 @@ impl<T: Default> Command<T> {
 /// One `left  help` line of a usage text.
 fn row(left: &str, help: &str) -> String {
     format!("  {:<24} {help}\n", left.trim())
-}
-
-/// Runs a subcommand: prints its help, or hands its options to `then`.
-fn dispatch<T: Default>(
-    command: Command<T>,
-    args: &[String],
-    then: impl FnOnce(T) -> Result<(), String>,
-) -> Result<(), String> {
-    match command.parse(args)? {
-        Some(options) => then(options),
-        None => {
-            println!("{}", command.help());
-            Ok(())
-        }
-    }
 }
 
 /// Parses a number; the refusal says what it must be.
@@ -664,11 +658,9 @@ fn metrics_flags() -> Command<MetricsOptions> {
         "--addr" "<host:port>": "the server to scrape (required)" => o.addr = Some(v.into()),
         "--text": "Prometheus-style text instead of the JSON snapshot" => o.text = true,
     ]
-    .check(|o, _| {
-        o.addr
-            .as_ref()
-            .map(|_| ())
-            .ok_or("metrics needs --addr <host:port>".into())
+    .check(|o, _| match o.addr {
+        Some(_) => Ok(()),
+        None => Err("metrics needs --addr <host:port>".into()),
     })
 }
 
@@ -776,12 +768,8 @@ fn sweep_status_command(
     let job = spec_point_job(&spec)?;
     let store = PointStore::open_existing(&options.store, &job.descriptor(), job.seed_table())?;
     let Some(snapshot) = store.read_status() else {
-        let (done, points, root) = (
-            store.done_count(),
-            store.num_points(),
-            store.root().display(),
-        );
-        let failed = store.failures().len();
+        let (done, failed) = (store.done_count(), store.failures().len());
+        let (points, root) = (store.num_points(), store.root().display());
         println!(
             "no status snapshot yet: {done}/{points} points on disk, {failed} failed ({root})"
         );
@@ -792,9 +780,9 @@ fn sweep_status_command(
         println!("{}", snapshot.expect("snapshot serialization cannot fail"));
     } else {
         println!("{}", render_progress_line(&snapshot));
-        render_worker_lines(&snapshot)
-            .iter()
-            .for_each(|line| println!("{line}"));
+        for line in render_worker_lines(&snapshot) {
+            println!("{line}");
+        }
     }
     Ok(())
 }
@@ -824,11 +812,8 @@ fn spawn_top_renderer(
     std::thread::spawn(move || {
         while !stop.load(Ordering::Relaxed) {
             if let Some(snapshot) = snapshot() {
-                eprint!(
-                    "{}{}",
-                    cursor_home(),
-                    render_dashboard(&snapshot, "loadgen")
-                );
+                let dashboard = render_dashboard(&snapshot, "loadgen");
+                eprint!("{}{dashboard}", cursor_home());
             }
             std::thread::sleep(Duration::from_millis(500));
         }
@@ -940,11 +925,8 @@ fn metrics_command(options: MetricsOptions) -> Result<(), String> {
     if options.text {
         print!("{}", client.metrics_text()?);
     } else {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&client.metrics_full()?)
-                .expect("metrics serialization cannot fail")
-        );
+        let metrics = serde_json::to_string_pretty(&client.metrics_full()?);
+        println!("{}", metrics.expect("metrics serialization cannot fail"));
     }
     Ok(())
 }
@@ -958,15 +940,10 @@ fn run_command(options: &RunOptions, registry: &ExperimentRegistry) -> Result<()
     // Resolve every name — and load every spec file — up front so a typo in
     // a later name (or a malformed file) fails fast instead of surfacing
     // only after earlier (expensive) specs have run.
-    let loaded: Vec<ExperimentSpec> = options
-        .spec_files
-        .iter()
-        .map(|path| load_spec_file(path))
-        .collect::<Result<_, _>>()?;
-    let mut specs: Vec<&ExperimentSpec> = names
-        .iter()
-        .map(|name| lookup(registry, name))
-        .collect::<Result<_, _>>()?;
+    let loaded = options.spec_files.iter().map(|path| load_spec_file(path));
+    let loaded: Vec<ExperimentSpec> = loaded.collect::<Result<_, _>>()?;
+    let specs = names.iter().map(|name| lookup(registry, name));
+    let mut specs: Vec<&ExperimentSpec> = specs.collect::<Result<_, _>>()?;
     specs.extend(loaded.iter());
     // Reject selections in which two *different* specs share a name: their
     // outputs would be written to (or printed under) the same `<name>.<ext>`
@@ -975,10 +952,8 @@ fn run_command(options: &RunOptions, registry: &ExperimentRegistry) -> Result<()
     let mut seen = std::collections::BTreeMap::new();
     for spec in &specs {
         let hash = spec.content_hash();
-        if seen
-            .insert(spec.name.as_str(), hash.clone())
-            .is_some_and(|earlier| earlier != hash)
-        {
+        let earlier = seen.insert(spec.name.as_str(), hash.clone());
+        if earlier.is_some_and(|earlier| earlier != hash) {
             return Err(format!(
                 "two different specs named `{}` selected; rename one (outputs would collide)",
                 spec.name
@@ -1023,27 +998,21 @@ pub fn run(args: &[String]) -> Result<(), String> {
             let name = args
                 .get(1)
                 .ok_or("show needs a spec name (try `artifacts list`)")?;
-            let spec = lookup(&registry, name)?;
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&spec.to_json())
-                    .expect("spec serialization cannot fail")
-            );
+            let spec = serde_json::to_string_pretty(&lookup(&registry, name)?.to_json());
+            println!("{}", spec.expect("spec serialization cannot fail"));
             Ok(())
         }
-        Some("run") => dispatch(run_flags(), rest, |options| {
-            run_command(&options, &registry)
-        }),
-        Some("serve") => dispatch(serve_flags(), rest, |options| serve_command(&options)),
-        Some("loadgen") => dispatch(loadgen_flags(), rest, |options| loadgen_command(&options)),
-        Some("metrics") => dispatch(metrics_flags(), rest, metrics_command),
+        Some("run") => run_flags().run(rest, |o| run_command(&o, &registry)),
+        Some("serve") => serve_flags().run(rest, |o| serve_command(&o)),
+        Some("loadgen") => loadgen_flags().run(rest, |o| loadgen_command(&o)),
+        Some("metrics") => metrics_flags().run(rest, metrics_command),
         Some("sweep") => match rest.first().map(String::as_str) {
-            Some("run" | "resume") => dispatch(sweep_run_flags(), &rest[1..], |options| {
-                sweep_run_command(options, &registry)
-            }),
-            Some("status") => dispatch(sweep_status_flags(), &rest[1..], |options| {
-                sweep_status_command(&options, &registry)
-            }),
+            Some("run" | "resume") => {
+                sweep_run_flags().run(&rest[1..], |o| sweep_run_command(o, &registry))
+            }
+            Some("status") => {
+                sweep_status_flags().run(&rest[1..], |o| sweep_status_command(&o, &registry))
+            }
             other => Err(format!(
                 "sweep needs an action (run|resume|status), got {other:?}"
             )),
