@@ -116,27 +116,25 @@ impl PointStore {
         }
     }
 
-    /// Opens the store a run already created for `descriptor` under
-    /// `base`, writing nothing.
+    /// Opens the store a run already created, writing nothing.
     ///
     /// # Errors
     ///
-    /// Fails, naming the directory it looked for, when no run has created
-    /// the store, and like [`PointStore::open`] when the store belongs to a
-    /// different job.
+    /// Fails naming the directory it looked for when there is no store, and
+    /// like [`PointStore::open`] when the store belongs to a different job.
     pub fn open_existing(
         base: &Path,
         descriptor: &JobDescriptor,
         seeds: Vec<u64>,
     ) -> Result<Self, String> {
-        let root = Self::root_in(base, descriptor);
+        let (root, descriptor) = (Self::root_in(base, descriptor), descriptor.clone());
         let manifest_path = root.join("manifest.json");
         if !manifest_path.is_file() {
             return Err(format!("no sweep store at {}", root.display()));
         }
         let store = PointStore {
             root,
-            descriptor: descriptor.clone(),
+            descriptor,
             seeds,
         };
         store.check_manifest(&manifest_path)?;
@@ -145,11 +143,8 @@ impl PointStore {
 
     /// `<base>/<name>-<hash>`, the directory of `descriptor`'s store.
     fn root_in(base: &Path, descriptor: &JobDescriptor) -> PathBuf {
-        base.join(format!(
-            "{}-{}",
-            sanitize(&descriptor.name),
-            descriptor.hash
-        ))
+        let name = sanitize(&descriptor.name);
+        base.join(format!("{name}-{}", descriptor.hash))
     }
 
     fn check_manifest(&self, path: &Path) -> Result<(), String> {
