@@ -1013,6 +1013,11 @@ pub fn run(args: &[String]) -> Result<(), String> {
             Some("status") => {
                 sweep_status_flags().run(&rest[1..], |o| sweep_status_command(&o, &registry))
             }
+            Some(HELP) => {
+                let (run, status) = (sweep_run_flags().help(), sweep_status_flags().help());
+                println!("{run}\n{status}");
+                Ok(())
+            }
             other => Err(format!(
                 "sweep needs an action (run|resume|status), got {other:?}"
             )),

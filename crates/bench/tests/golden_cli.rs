@@ -184,6 +184,7 @@ const CASES: &[(&str, &str)] = &[
     ("sweep run a --no-telemetry", "--no-telemetry"),
     ("artifacts sweep run --help", "--help"),
     ("artifacts sweep resume a --help", "--help"),
+    ("artifacts sweep --help", "--help"),
     // sweep status
     ("sweep status fig07 --store s", "--store"),
     ("sweep status --spec f.json --format json", "--format"),
