@@ -1611,6 +1611,60 @@ mod tests {
     }
 
     #[test]
+    fn each_program_waits_out_its_own_deadline() {
+        let service = DecodeService::new(
+            ServiceConfig::default()
+                .with_workers(1)
+                .with_flush_deadline(Duration::from_millis(20)),
+        );
+        let mut a = open(&service, "deadline-a", &mirror_circuit()).unwrap();
+        let mut b = open(&service, "deadline-b", &six_detector_circuit()).unwrap();
+        a.submit(&[0]).unwrap();
+        std::thread::sleep(Duration::from_millis(5));
+        b.submit(&[0]).unwrap();
+        let from_b = b.receiver.recv_timeout(Duration::from_secs(10));
+        assert_eq!(from_b, Some(Correction { seq: 0, flips: 1 }));
+        // One worker decodes in flush order: A's earlier deadline means its
+        // correction was sent before B's.
+        assert_eq!(
+            a.receiver.try_recv(),
+            Some(Correction { seq: 0, flips: 1 }),
+            "A's partial word is due first"
+        );
+        let metrics = service.metrics();
+        assert_eq!(metrics.deadline_flushes, 2);
+        assert_eq!(metrics.full_word_flushes, 0);
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_partial_word_behind_a_full_word_keeps_its_deadline() {
+        let service = DecodeService::new(
+            ServiceConfig::default()
+                .with_workers(1)
+                .with_flush_deadline(Duration::from_millis(20)),
+        );
+        let mut handle = open(&service, "stale-arm", &mirror_circuit()).unwrap();
+        // The lone frame arms the shard; the full word then flushes it away
+        // and leaves a newer partial word (seq 64) behind the same arming.
+        handle.submit(&[0]).unwrap();
+        std::thread::sleep(Duration::from_millis(5));
+        let frames = vec![&[0][..]; 64];
+        assert_eq!(handle.sender.submit_batch(&frames).unwrap(), 1..65);
+        for i in 0..65u64 {
+            let correction = handle
+                .receiver
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the leftover frame is flushed by its deadline");
+            assert_eq!(correction, Correction { seq: i, flips: 1 });
+        }
+        let metrics = service.metrics();
+        assert_eq!(metrics.full_word_flushes, 1);
+        assert_eq!(metrics.deadline_flushes, 1);
+        service.shutdown();
+    }
+
+    #[test]
     fn word_blocks_submit_and_decode_identically() {
         let service = DecodeService::new(
             ServiceConfig::default()
