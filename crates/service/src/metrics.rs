@@ -18,8 +18,7 @@ use qccd_decoder::CacheStats;
 use qccd_telemetry::{Counter, Gauge, Histogram, Registry, RegistrySnapshot, Stage};
 use serde_json::Value;
 
-/// Which flush counter a batcher flush books under (the service's
-/// `FlushCause` folds shutdown into deadline before calling in).
+/// Why a batcher flush happened, and so which counter it books under.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum FlushStat {
     /// The batch reached its word bound.

@@ -1,16 +1,14 @@
 //! The streaming decode service core: sessions, the per-program sharded
-//! latency-deadline batcher, the worker pool, the dedicated deadline
-//! flusher and ordered per-stream delivery.
+//! latency-deadline batcher, the worker pool (which also waits out the
+//! batcher's deadlines) and ordered per-stream delivery.
 //!
 //! # Locking
 //!
 //! The hot path touches three lock tiers, always in this order:
 //! per-stream delivery lock → per-program shard lock → job-queue lock.
-//! The flusher's own lock is never held while a shard lock is taken (the
-//! flusher drains its armed list first, then scans shards lock-free of
-//! it), and the stream/shard/program registries are only locked on cold
-//! paths (open, close, metrics, shutdown) — never nested inside a stream
-//! or shard lock.
+//! The stream/shard/program registries are only locked on cold paths
+//! (open, close, metrics, shutdown) — never nested inside a stream or
+//! shard lock.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -107,7 +105,7 @@ impl ServiceConfig {
     }
 
     fn flush_shots(&self) -> usize {
-        self.max_batch_words.max(1) * 64
+        self.max_batch_words * 64
     }
 }
 
@@ -138,19 +136,6 @@ pub struct WordBlock<'a> {
     /// Shots carried by the block (`1..=64`); bits at or above `count`
     /// must be clear in every plane word.
     pub count: usize,
-}
-
-/// Why a pending batch was flushed to the decode queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlushCause {
-    /// The batch reached `max_batch_words` full words.
-    FullWord,
-    /// The oldest pending frame hit the latency deadline.
-    Deadline,
-    /// Every stream contributing to the batch closed.
-    Close,
-    /// Service shutdown drained the batch (books as a deadline flush).
-    Shutdown,
 }
 
 /// A contiguous segment of frames of one stream inside a batch: `count`
@@ -369,7 +354,7 @@ struct ShardState {
     /// Recycled batch allocations (workers return their job's parts here
     /// after routing).
     spares: Vec<BatchParts>,
-    /// Whether the shard is registered with the deadline flusher. Only
+    /// Whether the shard has an entry on the job queue's armed list. Only
     /// read or written under the shard lock.
     armed: bool,
 }
@@ -377,25 +362,20 @@ struct ShardState {
 /// Cap on recycled batch allocations retained per shard.
 const SPARE_PARTS_CAP: usize = 16;
 
-/// The decode job queue workers pull from.
+/// The decode job queue workers pull from, and the deadlines they wait out
+/// while it is empty.
 #[derive(Debug, Default)]
 struct JobQueue {
-    jobs: Mutex<VecDeque<DecodeJob>>,
+    state: Mutex<QueueState>,
     ready: Condvar,
 }
 
-/// Registration state of the dedicated deadline-flusher thread.
 #[derive(Debug, Default)]
-struct FlusherState {
-    /// Shards armed since the flusher's last drain.
-    armed: Vec<Arc<ProgramShard>>,
-    shutdown: bool,
-}
-
-#[derive(Debug, Default)]
-struct Flusher {
-    state: Mutex<FlusherState>,
-    wake: Condvar,
+struct QueueState {
+    jobs: VecDeque<DecodeJob>,
+    /// Armed shards, each with the instant the partial word that armed it
+    /// falls due.
+    armed: Vec<(Instant, Arc<ProgramShard>)>,
 }
 
 struct Shared {
@@ -406,7 +386,6 @@ struct Shared {
     /// Stream registry (cold path: open, close, metrics, shutdown).
     streams: Mutex<HashMap<u64, Arc<StreamCore>>>,
     queue: JobQueue,
-    flusher: Flusher,
     next_stream: AtomicU64,
     shutdown: AtomicBool,
     metrics: MetricsInner,
@@ -430,7 +409,7 @@ impl Shared {
 
     /// Flushes a shard's pending batch into the job queue. Caller holds the
     /// shard lock. The batch moves as it is, so the flush itself is O(1).
-    fn flush_shard(&self, shard: &Arc<ProgramShard>, state: &mut ShardState, cause: FlushCause) {
+    fn flush_shard(&self, shard: &Arc<ProgramShard>, state: &mut ShardState, cause: FlushStat) {
         let Some(batch) = state.pending.take() else {
             return;
         };
@@ -442,11 +421,7 @@ impl Shared {
         }
         self.metrics.note_flush(
             (batch.parts.builder.pending_frames() as u64).div_ceil(64),
-            match cause {
-                FlushCause::FullWord => FlushStat::FullWord,
-                FlushCause::Deadline | FlushCause::Shutdown => FlushStat::Deadline,
-                FlushCause::Close => FlushStat::Close,
-            },
+            cause,
         );
         // Each run's submit→flush wait, from its own submit instant.
         let now = Instant::now();
@@ -456,28 +431,43 @@ impl Shared {
                 u64::from(run.count),
             );
         }
-        let mut jobs = self.queue.jobs.lock().expect("job queue lock");
-        jobs.push_back(DecodeJob {
+        let mut queue = self.queue.state.lock().expect("job queue lock");
+        queue.jobs.push_back(DecodeJob {
             shard: Arc::clone(shard),
             parts: batch.parts,
         });
-        drop(jobs);
+        drop(queue);
         self.queue.ready.notify_one();
     }
 
-    /// Registers a shard with the deadline flusher. Callers must have set
-    /// the shard's `armed` flag (under its lock) and *dropped the shard
-    /// lock* first — the flusher takes shard locks while scanning, so
-    /// holding one here would invert the order.
-    fn arm_flusher(&self, shard: &Arc<ProgramShard>) {
-        let mut flusher = self.flusher.state.lock().expect("flusher lock");
-        if flusher.shutdown {
-            // The shutdown sweep flushes every shard regardless.
+    /// Puts a shard on the armed list, to be served once `due` passes.
+    /// Caller holds the shard lock. Every idle worker wakes to recompute
+    /// its wait, so while anything is armed no idle worker sleeps past the
+    /// earliest due instant.
+    fn arm(&self, due: Instant, shard: &Arc<ProgramShard>) {
+        let mut queue = self.queue.state.lock().expect("job queue lock");
+        queue.armed.push((due, Arc::clone(shard)));
+        drop(queue);
+        self.queue.ready.notify_all();
+    }
+
+    /// Serves an armed shard whose entry fell due: flushes its partial word
+    /// once that is overdue, re-arms for a newer partial word that took the
+    /// place of the one it was armed for, and disarms a shard with nothing
+    /// pending.
+    fn serve_deadline(&self, shard: &Arc<ProgramShard>) {
+        let mut state = shard.state.lock().expect("program shard lock");
+        let Some(batch) = &state.pending else {
+            state.armed = false;
             return;
+        };
+        let due = batch.oldest + self.config.flush_deadline;
+        if due <= Instant::now() {
+            self.flush_shard(shard, &mut state, FlushStat::Deadline);
+            state.armed = false;
+        } else {
+            self.arm(due, shard);
         }
-        flusher.armed.push(Arc::clone(shard));
-        drop(flusher);
-        self.flusher.wake.notify_one();
     }
 }
 
@@ -615,6 +605,10 @@ fn decode_job(
     route_corrections(shared, &shard, parts, flips);
 }
 
+/// Takes the first of: an overdue armed shard, a job, the exit on
+/// shutdown; otherwise waits until the earliest armed shard falls due, or
+/// for a job when nothing is armed. Overdue partial words are flushed
+/// before the next job is taken.
 fn worker_loop(shared: Arc<Shared>) {
     // One scratch per (worker, program): the memo stays owned by the right
     // decoder across interleaved jobs of different programs.
@@ -623,90 +617,43 @@ fn worker_loop(shared: Arc<Shared>) {
     // Decoder counters since the last publish: published only when the
     // worker runs out of jobs, never per job.
     let mut decoded = CacheStats::default();
+    let mut queue = shared.queue.state.lock().expect("job queue lock");
     loop {
-        let job = {
-            let mut jobs = shared.queue.jobs.lock().expect("job queue lock");
-            loop {
-                if let Some(job) = jobs.pop_front() {
-                    break Some(job);
+        let earliest = queue
+            .armed
+            .iter()
+            .map(|&(due, _)| due)
+            .enumerate()
+            .min_by_key(|&(_, due)| due);
+        if let Some((index, _)) = earliest.filter(|&(_, due)| due <= Instant::now()) {
+            let (_, shard) = queue.armed.swap_remove(index);
+            drop(queue);
+            shared.serve_deadline(&shard);
+        } else if let Some(job) = queue.jobs.pop_front() {
+            drop(queue);
+            decode_job(&shared, job, &mut scratches, &mut flips, &mut decoded);
+        } else if shared.is_shutdown() {
+            break;
+        } else {
+            shared.metrics.publish_decoded(&mut decoded);
+            queue = match earliest {
+                Some((_, due)) => {
+                    let wait = due.saturating_duration_since(Instant::now());
+                    let (queue, _) = shared
+                        .queue
+                        .ready
+                        .wait_timeout(queue, wait)
+                        .expect("job queue lock");
+                    queue
                 }
-                if shared.is_shutdown() {
-                    break None;
-                }
-                shared.metrics.publish_decoded(&mut decoded);
-                jobs = shared.queue.ready.wait(jobs).expect("job queue lock");
-            }
-        };
-        let Some(job) = job else { break };
-        decode_job(&shared, job, &mut scratches, &mut flips, &mut decoded);
-    }
-    shared.metrics.publish_decoded(&mut decoded);
-}
-
-/// The dedicated deadline flusher: waits out each armed shard's exact
-/// deadline (no 1 s polling cap, no dependence on a free worker) and
-/// flushes overdue partial words.
-fn flusher_loop(shared: Arc<Shared>) {
-    let deadline = shared.config.flush_deadline;
-    // Shards armed and not yet overdue, carried across scan rounds.
-    let mut scan: Vec<Arc<ProgramShard>> = Vec::new();
-    loop {
-        {
-            let mut flusher = shared.flusher.state.lock().expect("flusher lock");
-            loop {
-                if flusher.shutdown {
-                    return;
-                }
-                scan.append(&mut flusher.armed);
-                if !scan.is_empty() {
-                    break;
-                }
-                flusher = shared.flusher.wake.wait(flusher).expect("flusher lock");
-            }
-        }
-        // Scan with no flusher lock held: each shard under its own lock.
-        let now = Instant::now();
-        let mut next_due: Option<Instant> = None;
-        scan.retain(|shard| {
-            let mut state = shard.state.lock().expect("program shard lock");
-            let due = match &state.pending {
-                Some(batch) => batch.oldest + deadline,
-                None => {
-                    // Flushed by a full word (or close) in the meantime;
-                    // the next partial will re-arm.
-                    state.armed = false;
-                    return false;
-                }
+                None => shared.queue.ready.wait(queue).expect("job queue lock"),
             };
-            if due <= now {
-                shared.flush_shard(shard, &mut state, FlushCause::Deadline);
-                state.armed = false;
-                false
-            } else {
-                next_due = Some(next_due.map_or(due, |d| d.min(due)));
-                true
-            }
-        });
-        if let Some(due) = next_due {
-            let mut flusher = shared.flusher.state.lock().expect("flusher lock");
-            if flusher.shutdown {
-                return;
-            }
-            if flusher.armed.is_empty() {
-                let wait = due.saturating_duration_since(Instant::now());
-                let (next, _) = shared
-                    .flusher
-                    .wake
-                    .wait_timeout(flusher, wait)
-                    .expect("flusher lock");
-                flusher = next;
-                if flusher.shutdown {
-                    return;
-                }
-            }
-            scan.append(&mut flusher.armed);
+            continue;
         }
+        queue = shared.queue.state.lock().expect("job queue lock");
     }
+    drop(queue);
+    shared.metrics.publish_decoded(&mut decoded);
 }
 
 /// The real-time decode service (see the [crate docs](crate) for the
@@ -717,27 +664,31 @@ fn flusher_loop(shared: Arc<Shared>) {
 pub struct DecodeService {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    flusher: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl DecodeService {
-    /// Starts a service with `config.workers` decode workers plus one
-    /// deadline-flusher thread.
-    pub fn new(config: ServiceConfig) -> Self {
+    /// Starts a service with `config.workers` decode workers and no other
+    /// thread: an idle worker waits out the batcher's latency deadline. A
+    /// zero `workers`, `max_batch_words` or `stream_queue_shots` is raised
+    /// to 1, as the `with_*` builders do; [`DecodeService::config`] returns
+    /// the raised values.
+    pub fn new(mut config: ServiceConfig) -> Self {
+        config.workers = config.workers.max(1);
+        config.max_batch_words = config.max_batch_words.max(1);
+        config.stream_queue_shots = config.stream_queue_shots.max(1);
         let telemetry = Registry::new(config.telemetry);
         let shared = Arc::new(Shared {
             programs: Mutex::new(HashMap::new()),
             shards: Mutex::new(HashMap::new()),
             streams: Mutex::new(HashMap::new()),
             queue: JobQueue::default(),
-            flusher: Flusher::default(),
             next_stream: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             metrics: MetricsInner::new(&telemetry),
             telemetry,
             config,
         });
-        let workers = (0..config.workers.max(1))
+        let workers = (0..config.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -746,17 +697,9 @@ impl DecodeService {
                     .expect("spawn decode worker")
             })
             .collect();
-        let flusher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("qccd-flush".to_string())
-                .spawn(move || flusher_loop(shared))
-                .expect("spawn deadline flusher")
-        };
         DecodeService {
             shared,
             workers: Mutex::new(workers),
-            flusher: Mutex::new(Some(flusher)),
         }
     }
 
@@ -931,13 +874,13 @@ impl DecodeService {
         for shard in shards {
             let mut state = shard.state.lock().expect("program shard lock");
             self.shared
-                .flush_shard(&shard, &mut state, FlushCause::Shutdown);
+                .flush_shard(&shard, &mut state, FlushStat::Deadline);
             state.armed = false;
         }
     }
 
-    /// Drains every queued frame, stops the workers and the flusher, and
-    /// closes every stream. Idempotent; also invoked on drop. Frames whose
+    /// Drains every queued frame, stops the workers and closes every
+    /// stream. Idempotent; also invoked on drop. Frames whose
     /// submission races the shutdown may be accepted yet never decoded —
     /// their receivers still observe end-of-stream rather than hanging.
     pub fn shutdown(&self) {
@@ -946,19 +889,13 @@ impl DecodeService {
         }
         // Queue every pending partial word while the workers still run.
         self.flush_all_shards();
-        {
-            let mut flusher = self.shared.flusher.state.lock().expect("flusher lock");
-            flusher.shutdown = true;
-            flusher.armed.clear();
-        }
-        self.shared.flusher.wake.notify_all();
+        // Taking the queue lock orders the flag before every worker's next
+        // look at the queue, so no worker starts waiting after this wake.
+        drop(self.shared.queue.state.lock().expect("job queue lock"));
         self.shared.queue.ready.notify_all();
         let workers = std::mem::take(&mut *self.workers.lock().expect("worker list lock"));
         for worker in workers {
             worker.join().expect("decode worker panicked");
-        }
-        if let Some(flusher) = self.flusher.lock().expect("flusher handle lock").take() {
-            flusher.join().expect("deadline flusher panicked");
         }
         // Sweep again for pendings that raced the first sweep, then decode
         // any leftover jobs inline — the workers are gone.
@@ -970,9 +907,10 @@ impl DecodeService {
             let job = self
                 .shared
                 .queue
-                .jobs
+                .state
                 .lock()
                 .expect("job queue lock")
+                .jobs
                 .pop_front();
             match job {
                 Some(job) => {
@@ -1171,8 +1109,8 @@ impl StreamSender {
     }
 
     /// Appends a reserved burst to the shard's pending batch, flushing full
-    /// words as they complete and arming the deadline flusher for a
-    /// leftover partial. Takes only this program's shard lock.
+    /// words as they complete and arming the shard for a leftover partial
+    /// word. Takes this program's shard lock, and the queue lock under it.
     fn fill_shard(&self, burst: FrameBatch<'_>, mut seq: u64) {
         let shared = &self.shared;
         let flush_shots = shared.config.flush_shots();
@@ -1195,7 +1133,7 @@ impl StreamSender {
                     push_run(&mut batch.parts.runs, &self.core, seq, segment as u32, now);
                     seq += segment as u64;
                     if batch.parts.builder.pending_frames() >= flush_shots {
-                        shared.flush_shard(&self.shard, &mut state, FlushCause::FullWord);
+                        shared.flush_shard(&self.shard, &mut state, FlushStat::FullWord);
                     }
                 }
             }
@@ -1215,19 +1153,19 @@ impl StreamSender {
                     );
                     seq += block.count as u64;
                     if batch.parts.builder.pending_frames() >= flush_shots {
-                        shared.flush_shard(&self.shard, &mut state, FlushCause::FullWord);
+                        shared.flush_shard(&self.shard, &mut state, FlushStat::FullWord);
                     }
                 }
             }
         }
         if shared.config.flush_deadline.is_zero() {
-            shared.flush_shard(&self.shard, &mut state, FlushCause::Deadline);
-        } else if state.pending.is_some() && !state.armed {
-            // Frames are pending behind the deadline: hand the shard to the
-            // flusher — after dropping its lock (see `arm_flusher`).
-            state.armed = true;
-            drop(state);
-            shared.arm_flusher(&self.shard);
+            shared.flush_shard(&self.shard, &mut state, FlushStat::Deadline);
+        } else if !state.armed {
+            if let Some(batch) = &state.pending {
+                let due = batch.oldest + shared.config.flush_deadline;
+                state.armed = true;
+                shared.arm(due, &self.shard);
+            }
         }
     }
 
@@ -1290,7 +1228,7 @@ impl StreamSender {
             });
             if flush {
                 self.shared
-                    .flush_shard(&self.shard, &mut state, FlushCause::Close);
+                    .flush_shard(&self.shard, &mut state, FlushStat::Close);
             }
         }
         if finished {
@@ -1880,6 +1818,43 @@ mod tests {
         }
         assert!(handle.recv().is_none());
         assert_eq!(service.metrics().close_flushes, 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn zero_counts_set_through_fields_are_raised_to_one() {
+        let service = DecodeService::new(ServiceConfig {
+            workers: 0,
+            max_batch_words: 0,
+            stream_queue_shots: 0,
+            ..ServiceConfig::default()
+        });
+        let config = service.config();
+        assert_eq!(config.workers, 1);
+        assert_eq!(config.max_batch_words, 1);
+        assert_eq!(config.stream_queue_shots, 1);
+        let (sender, mut receiver) = open(&service, "zero", &mirror_circuit()).unwrap().split();
+        let (done, submitted) = mpsc::channel();
+        let submitter = std::thread::spawn(move || {
+            // A one-frame queue: the second submit waits for the first
+            // frame's correction.
+            let _ = done.send((sender.submit(&[0]), sender.submit(&[])));
+        });
+        assert_eq!(
+            submitted.recv_timeout(Duration::from_secs(10)),
+            Ok((Ok(0), Ok(1))),
+            "a zero stream_queue_shots must not block submission forever"
+        );
+        submitter.join().expect("submitter thread");
+        let wait = Duration::from_secs(10);
+        assert_eq!(
+            receiver.recv_timeout(wait),
+            Some(Correction { seq: 0, flips: 1 })
+        );
+        assert_eq!(
+            receiver.recv_timeout(wait),
+            Some(Correction { seq: 1, flips: 0 })
+        );
         service.shutdown();
     }
 
