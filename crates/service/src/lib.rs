@@ -14,8 +14,8 @@
 //!   (own lock, inflight          (index frames or shot-  (own lock, pending
 //!    + reorder state)             major word blocks)      planes + spare pool)
 //!                                                  │ flush on full word,
-//!                                                  │ deadline (dedicated
-//!                                                  ▼ flusher thread), close
+//!                                                  │ deadline (waited out
+//!                                                  ▼ by an idle worker), close
 //!                                            decode job queue
 //!                                                  │
 //!                              worker pool (one memo per worker, program)
@@ -39,10 +39,10 @@
 //!   pending chunk ([`SyndromeChunkBuilder`](qccd_sim::SyndromeChunkBuilder)),
 //!   so a flush hands the planes to a worker as they are — nothing is
 //!   staged or transposed later. A batch is flushed on a full word, when
-//!   the oldest pending frame hits the configured deadline (a dedicated
-//!   flusher thread waits out the exact deadline, so a busy worker pool
-//!   never delays a partial word), or when the last stream contributing to
-//!   the word closes. Each shard has its own mutex: submissions to
+//!   the oldest pending frame hits the configured deadline (an idle worker
+//!   waits out the deadline, and a worker flushes an overdue partial word
+//!   before it takes its next job), or when the last stream contributing
+//!   to the word closes. Each shard has its own mutex: submissions to
 //!   different programs never contend, and delivery state lives behind each
 //!   stream's own lock — there is no global hot-path lock.
 //! * Two frame vocabularies: index frames ([`StreamSender::submit`] /
