@@ -764,9 +764,15 @@ impl NetServer {
     pub fn run(self) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
         let mut connections: Vec<JoinHandle<()>> = Vec::new();
+        // The poll starts brisk and backs off to every 2 ms: a client that
+        // connects right after the server starts, or right after another
+        // client, does not wait out a whole idle-length sleep.
+        let brisk = Duration::from_micros(100);
+        let mut idle = brisk;
         while !self.shutdown.load(Ordering::SeqCst) {
             match self.listener.accept() {
                 Ok((stream, _)) => {
+                    idle = brisk;
                     let service = Arc::clone(&self.service);
                     let shutdown = Arc::clone(&self.shutdown);
                     connections.push(std::thread::spawn(move || {
@@ -777,7 +783,8 @@ impl NetServer {
                     // Long-lived servers must not accumulate one handle per
                     // past connection.
                     connections.retain(|connection| !connection.is_finished());
-                    std::thread::sleep(Duration::from_millis(2));
+                    std::thread::sleep(idle);
+                    idle = (idle * 2).min(Duration::from_millis(2));
                 }
                 Err(e) => return Err(e),
             }
