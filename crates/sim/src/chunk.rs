@@ -356,6 +356,33 @@ impl SyndromeChunkBuilder {
         self.num_frames += count;
     }
 
+    /// Moves every pending frame of `other` behind this builder's, in order,
+    /// and leaves `other` empty and reusable at the width it reached. The
+    /// frames land on a word boundary, so each plane word moves as a whole.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the detector counts differ or this builder ends in a
+    /// partial word.
+    pub fn append(&mut self, other: &mut SyndromeChunkBuilder) {
+        assert_eq!(
+            self.num_detectors, other.num_detectors,
+            "detector count mismatch"
+        );
+        assert!(
+            self.num_frames.is_multiple_of(64),
+            "cannot append behind a partial word"
+        );
+        let (start, words) = (self.num_frames / 64, other.num_frames.div_ceil(64));
+        self.reserve_shots(self.num_frames + other.num_frames);
+        for d in 0..self.num_detectors {
+            let source = &mut other.planes.plane_mut(d)[..words];
+            self.planes.plane_mut(d)[start..start + words].copy_from_slice(source);
+            source.fill(0);
+        }
+        self.num_frames += std::mem::take(&mut other.num_frames);
+    }
+
     /// Hands the pending frames over as a [`SyndromeChunk`] (shot `s` of the
     /// chunk is the `s`-th ingested frame; observables zeroed) and resets
     /// the builder for the next batch. `chunk_index` and `shot_offset` are
@@ -865,6 +892,63 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn append_matches_pushing_every_block_into_one_builder() {
+        let num_detectors = 70;
+        let fired_in = |s: usize| -> Vec<usize> {
+            (0..num_detectors)
+                .filter(|d| (d * 7 + s).is_multiple_of(13))
+                .collect()
+        };
+        let block = |first: usize, count: usize| -> Vec<u64> {
+            let mut planes = vec![0u64; num_detectors];
+            for s in 0..count {
+                for d in fired_in(first + s) {
+                    planes[d] |= 1u64 << s;
+                }
+            }
+            planes
+        };
+        let mut whole = SyndromeChunkBuilder::new(num_detectors, 2);
+        let mut head = SyndromeChunkBuilder::new(num_detectors, 2);
+        let mut tail = SyndromeChunkBuilder::new(num_detectors, 2);
+        // Head: two full words. Tail: a full word, 5 frames, a 40-shot block
+        // (straddling its second word), then a partial third word.
+        for first in [0, 64] {
+            whole.push_word_block(&block(first, 64), 64);
+            head.push_word_block(&block(first, 64), 64);
+        }
+        whole.push_word_block(&block(128, 64), 64);
+        tail.push_word_block(&block(128, 64), 64);
+        for s in 192..197 {
+            whole.push_frame(&fired_in(s));
+            tail.push_frame(&fired_in(s));
+        }
+        whole.push_word_block(&block(197, 40), 40);
+        tail.push_word_block(&block(197, 40), 40);
+        head.append(&mut tail);
+        assert_eq!(head.pending_frames(), 237);
+        assert_eq!(head.finish(0, 0), whole.finish(0, 0));
+        // The emptied source ingests its next batch from shot 0.
+        assert!(tail.is_empty());
+        let mut fresh = SyndromeChunkBuilder::new(num_detectors, 2);
+        for s in 0..3 {
+            tail.push_frame(&fired_in(s));
+            fresh.push_frame(&fired_in(s));
+        }
+        assert_eq!(tail.finish(0, 0), fresh.finish(0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "behind a partial word")]
+    fn append_behind_a_partial_word_panics() {
+        let mut head = SyndromeChunkBuilder::new(2, 1);
+        head.push_frame(&[0]);
+        let mut tail = SyndromeChunkBuilder::new(2, 1);
+        tail.push_frame(&[1]);
+        head.append(&mut tail);
     }
 
     #[test]
