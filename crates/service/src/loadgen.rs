@@ -509,7 +509,7 @@ pub fn run_in_process(
     // Bursts of several words: `submit_*_batch` pays the shard lock once
     // per burst instead of once per frame, which is what lets the replay
     // keep up with the word-parallel decode itself.
-    let replay = Replay::sample(program, options, service.config().max_batch_words.max(1))?;
+    let replay = Replay::sample(program, options, service.config().max_batch_words)?;
     let (mut senders, mut collectors) = (Vec::new(), Vec::new());
     for &expected in &replay.per_stream_shots {
         let (sender, mut receiver) = service.open_stream_program(program)?.split();

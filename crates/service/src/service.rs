@@ -8,7 +8,10 @@
 //! per-stream delivery lock → per-program shard lock → job-queue lock.
 //! The stream/shard/program registries are only locked on cold paths
 //! (open, close, metrics, shutdown) — never nested inside a stream or
-//! shard lock.
+//! shard lock. No condvar is notified while a shard lock is held: a
+//! submitter, a closer, the shutdown sweep or a worker re-arming a deadline
+//! wakes idle workers once it has released its shard lock, so a woken
+//! worker never blocks on the lock its waker still holds.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -35,10 +38,11 @@ pub struct ServiceConfig {
     /// once its *oldest* frame has waited this long. `Duration::ZERO`
     /// flushes on every submission (minimum latency, minimum batching).
     pub flush_deadline: Duration,
-    /// Words (64-shot groups) the batcher coalesces into one decode job
-    /// before flushing without waiting for the deadline. `1` flushes on
-    /// every full word (the default); raising it amortises per-job overhead
-    /// under sustained load at the cost of batching latency.
+    /// Words (64-shot groups) a shard's pending batch holds before it is
+    /// flushed without waiting for the deadline: the flush size. `1` flushes
+    /// on every full word (the default). Under load the job queue coalesces
+    /// flushes anyway: a whole-word flush joins the queue's untaken last job
+    /// of its program, up to 64 words a job.
     pub max_batch_words: usize,
     /// Per-stream bound on frames in flight (submitted, correction not yet
     /// produced). Submission blocks — or `try_submit` refuses — beyond it.
@@ -334,6 +338,21 @@ struct StreamCore {
 }
 
 impl StreamCore {
+    fn new(id: u64, tx: mpsc::Sender<CorrectionRun>) -> Arc<Self> {
+        Arc::new(StreamCore {
+            id,
+            closed: AtomicBool::new(false),
+            delivery: Mutex::new(StreamDelivery {
+                next_submit_seq: 0,
+                inflight: 0,
+                reorder: BinaryHeap::new(),
+                next_deliver: 0,
+                tx: Some(tx),
+            }),
+            space: Condvar::new(),
+        })
+    }
+
     fn is_closed(&self) -> bool {
         self.closed.load(Ordering::SeqCst)
     }
@@ -348,6 +367,19 @@ struct ProgramShard {
     state: Mutex<ShardState>,
 }
 
+impl ProgramShard {
+    fn new(program: &Arc<DecodeProgram>) -> Arc<Self> {
+        Arc::new(ProgramShard {
+            program: Arc::clone(program),
+            state: Mutex::new(ShardState {
+                pending: None,
+                spares: Vec::new(),
+                armed: false,
+            }),
+        })
+    }
+}
+
 #[derive(Debug)]
 struct ShardState {
     pending: Option<PendingBatch>,
@@ -359,8 +391,22 @@ struct ShardState {
     armed: bool,
 }
 
+impl ShardState {
+    /// Keeps a batch's emptied allocations for the shard's next batch, up
+    /// to [`SPARE_PARTS_CAP`].
+    fn recycle(&mut self, parts: BatchParts) {
+        if self.spares.len() < SPARE_PARTS_CAP {
+            self.spares.push(parts);
+        }
+    }
+}
+
 /// Cap on recycled batch allocations retained per shard.
 const SPARE_PARTS_CAP: usize = 16;
+
+/// Shots one queued job grows to by absorbing later flushes of its shard:
+/// 64 words, one decoder tile.
+const MAX_JOB_SHOTS: usize = 4096;
 
 /// The decode job queue workers pull from, and the deadlines they wait out
 /// while it is empty.
@@ -376,6 +422,42 @@ struct QueueState {
     /// Armed shards, each with the instant the partial word that armed it
     /// falls due.
     armed: Vec<(Instant, Arc<ProgramShard>)>,
+    /// Workers waiting on the queue's condvar.
+    idle: usize,
+}
+
+impl QueueState {
+    /// Queues a flushed batch. The last job absorbs it when that job is
+    /// still untaken, of the same shard, fills whole words, and stays
+    /// within [`MAX_JOB_SHOTS`] with it; the batch's emptied parts are
+    /// returned for the shard's spares. Otherwise the batch becomes a job
+    /// of its own.
+    fn enqueue(&mut self, shard: &Arc<ProgramShard>, mut parts: BatchParts) -> Option<BatchParts> {
+        if let Some(tail) = self.jobs.back_mut() {
+            let frames = tail.parts.builder.pending_frames();
+            if Arc::ptr_eq(&tail.shard, shard)
+                && frames.is_multiple_of(64)
+                && frames + parts.builder.pending_frames() <= MAX_JOB_SHOTS
+            {
+                tail.parts.builder.append(&mut parts.builder);
+                for run in parts.runs.drain(..) {
+                    push_run(
+                        &mut tail.parts.runs,
+                        &run.stream,
+                        run.first_seq,
+                        run.count,
+                        run.submitted,
+                    );
+                }
+                return Some(parts);
+            }
+        }
+        self.jobs.push_back(DecodeJob {
+            shard: Arc::clone(shard),
+            parts,
+        });
+        None
+    }
 }
 
 struct Shared {
@@ -407,17 +489,23 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Flushes a shard's pending batch into the job queue. Caller holds the
-    /// shard lock. The batch moves as it is, so the flush itself is O(1).
-    fn flush_shard(&self, shard: &Arc<ProgramShard>, state: &mut ShardState, cause: FlushStat) {
+    /// Flushes a shard's pending batch into the job queue, where it may
+    /// join the last job ([`QueueState::enqueue`]), and returns how many
+    /// idle workers to wake for it: one per queued job. Caller holds the
+    /// shard lock, and wakes them with [`Shared::wake`] once it has
+    /// released it.
+    fn flush_shard(
+        &self,
+        shard: &Arc<ProgramShard>,
+        state: &mut ShardState,
+        cause: FlushStat,
+    ) -> usize {
         let Some(batch) = state.pending.take() else {
-            return;
+            return 0;
         };
         if batch.parts.builder.is_empty() {
-            if state.spares.len() < SPARE_PARTS_CAP {
-                state.spares.push(batch.parts);
-            }
-            return;
+            state.recycle(batch.parts);
+            return 0;
         }
         self.metrics.note_flush(
             (batch.parts.builder.pending_frames() as u64).div_ceil(64),
@@ -432,29 +520,42 @@ impl Shared {
             );
         }
         let mut queue = self.queue.state.lock().expect("job queue lock");
-        queue.jobs.push_back(DecodeJob {
-            shard: Arc::clone(shard),
-            parts: batch.parts,
-        });
+        let absorbed = queue.enqueue(shard, batch.parts);
+        let wakes = queue.idle.min(queue.jobs.len());
         drop(queue);
-        self.queue.ready.notify_one();
+        if let Some(parts) = absorbed {
+            state.recycle(parts);
+        }
+        wakes
     }
 
-    /// Puts a shard on the armed list, to be served once `due` passes.
-    /// Caller holds the shard lock. Every idle worker wakes to recompute
-    /// its wait, so while anything is armed no idle worker sleeps past the
-    /// earliest due instant.
-    fn arm(&self, due: Instant, shard: &Arc<ProgramShard>) {
+    /// Puts a shard on the armed list, to be served once `due` passes, and
+    /// returns how many idle workers to wake: all of them, so that each
+    /// recomputes its wait and, while anything is armed, none sleeps past
+    /// the earliest due instant. Caller holds the shard lock, and wakes
+    /// them with [`Shared::wake`] once it has released it.
+    fn arm(&self, due: Instant, shard: &Arc<ProgramShard>) -> usize {
         let mut queue = self.queue.state.lock().expect("job queue lock");
         queue.armed.push((due, Arc::clone(shard)));
-        drop(queue);
-        self.queue.ready.notify_all();
+        queue.idle
+    }
+
+    /// Wakes `wakes` idle workers, counted under the queue lock when the
+    /// caller queued its job or armed its shard. Called with no shard lock
+    /// held. A worker counts itself idle only under the queue lock, so it
+    /// either saw the caller's job or armed entry, or was counted.
+    fn wake(&self, wakes: usize) {
+        for _ in 0..wakes {
+            self.queue.ready.notify_one();
+        }
     }
 
     /// Serves an armed shard whose entry fell due: flushes its partial word
     /// once that is overdue, re-arms for a newer partial word that took the
     /// place of the one it was armed for, and disarms a shard with nothing
-    /// pending.
+    /// pending. The serving worker takes the flushed job on its next loop,
+    /// so a flush wakes nobody; a re-arm wakes the idle workers, since one
+    /// may have gone to wait while nothing was armed.
     fn serve_deadline(&self, shard: &Arc<ProgramShard>) {
         let mut state = shard.state.lock().expect("program shard lock");
         let Some(batch) = &state.pending else {
@@ -466,7 +567,9 @@ impl Shared {
             self.flush_shard(shard, &mut state, FlushStat::Deadline);
             state.armed = false;
         } else {
-            self.arm(due, shard);
+            let wakes = self.arm(due, shard);
+            drop(state);
+            self.wake(wakes);
         }
     }
 }
@@ -550,12 +653,11 @@ fn route_corrections(
     span.finish(flips_per_lane.len() as u64);
     // Recycle the job's allocations for the shard's next batch.
     parts.runs.clear();
-    {
-        let mut state = shard.state.lock().expect("program shard lock");
-        if state.spares.len() < SPARE_PARTS_CAP {
-            state.spares.push(parts);
-        }
-    }
+    shard
+        .state
+        .lock()
+        .expect("program shard lock")
+        .recycle(parts);
     if !finished.is_empty() {
         let mut streams = shared.streams.lock().expect("stream registry lock");
         for id in finished {
@@ -636,6 +738,7 @@ fn worker_loop(shared: Arc<Shared>) {
             break;
         } else {
             shared.metrics.publish_decoded(&mut decoded);
+            queue.idle += 1;
             queue = match earliest {
                 Some((_, due)) => {
                     let wait = due.saturating_duration_since(Instant::now());
@@ -648,6 +751,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 }
                 None => shared.queue.ready.wait(queue).expect("job queue lock"),
             };
+            queue.idle -= 1;
             continue;
         }
         queue = shared.queue.state.lock().expect("job queue lock");
@@ -781,31 +885,11 @@ impl DecodeService {
             .lock()
             .expect("shard registry lock")
             .entry(program.id())
-            .or_insert_with(|| {
-                Arc::new(ProgramShard {
-                    program: Arc::clone(&program),
-                    state: Mutex::new(ShardState {
-                        pending: None,
-                        spares: Vec::new(),
-                        armed: false,
-                    }),
-                })
-            })
+            .or_insert_with(|| ProgramShard::new(&program))
             .clone();
         let (tx, rx) = mpsc::channel();
         let id = shared.next_stream.fetch_add(1, Ordering::Relaxed);
-        let core = Arc::new(StreamCore {
-            id,
-            closed: AtomicBool::new(false),
-            delivery: Mutex::new(StreamDelivery {
-                next_submit_seq: 0,
-                inflight: 0,
-                reorder: BinaryHeap::new(),
-                next_deliver: 0,
-                tx: Some(tx),
-            }),
-            space: Condvar::new(),
-        });
+        let core = StreamCore::new(id, tx);
         shared
             .streams
             .lock()
@@ -861,7 +945,8 @@ impl DecodeService {
         self.shared.metrics.snapshot(streams_open)
     }
 
-    /// Flushes every shard's pending batch (shutdown sweep).
+    /// Flushes every shard's pending batch (shutdown sweep), then wakes
+    /// workers for the queued jobs.
     fn flush_all_shards(&self) {
         let shards: Vec<Arc<ProgramShard>> = self
             .shared
@@ -871,12 +956,16 @@ impl DecodeService {
             .values()
             .cloned()
             .collect();
+        let mut wakes = 0;
         for shard in shards {
             let mut state = shard.state.lock().expect("program shard lock");
-            self.shared
-                .flush_shard(&shard, &mut state, FlushStat::Deadline);
+            wakes = wakes.max(
+                self.shared
+                    .flush_shard(&shard, &mut state, FlushStat::Deadline),
+            );
             state.armed = false;
         }
+        self.shared.wake(wakes);
     }
 
     /// Drains every queued frame, stops the workers and closes every
@@ -1110,11 +1199,13 @@ impl StreamSender {
 
     /// Appends a reserved burst to the shard's pending batch, flushing full
     /// words as they complete and arming the shard for a leftover partial
-    /// word. Takes this program's shard lock, and the queue lock under it.
+    /// word. Takes this program's shard lock, and the queue lock under it;
+    /// wakes workers once the shard lock is released.
     fn fill_shard(&self, burst: FrameBatch<'_>, mut seq: u64) {
         let shared = &self.shared;
         let flush_shots = shared.config.flush_shots();
         let now = Instant::now();
+        let mut wakes = 0;
         let mut state = self.shard.state.lock().expect("program shard lock");
         match burst {
             FrameBatch::Indices(mut frames) => {
@@ -1133,7 +1224,7 @@ impl StreamSender {
                     push_run(&mut batch.parts.runs, &self.core, seq, segment as u32, now);
                     seq += segment as u64;
                     if batch.parts.builder.pending_frames() >= flush_shots {
-                        shared.flush_shard(&self.shard, &mut state, FlushStat::FullWord);
+                        wakes = shared.flush_shard(&self.shard, &mut state, FlushStat::FullWord);
                     }
                 }
             }
@@ -1153,20 +1244,22 @@ impl StreamSender {
                     );
                     seq += block.count as u64;
                     if batch.parts.builder.pending_frames() >= flush_shots {
-                        shared.flush_shard(&self.shard, &mut state, FlushStat::FullWord);
+                        wakes = shared.flush_shard(&self.shard, &mut state, FlushStat::FullWord);
                     }
                 }
             }
         }
         if shared.config.flush_deadline.is_zero() {
-            shared.flush_shard(&self.shard, &mut state, FlushStat::Deadline);
+            wakes = wakes.max(shared.flush_shard(&self.shard, &mut state, FlushStat::Deadline));
         } else if !state.armed {
             if let Some(batch) = &state.pending {
                 let due = batch.oldest + shared.config.flush_deadline;
                 state.armed = true;
-                shared.arm(due, &self.shard);
+                wakes = shared.arm(due, &self.shard);
             }
         }
+        drop(state);
+        shared.wake(wakes);
     }
 
     /// The shard's pending batch, created from the spare pool (or fresh)
@@ -1211,7 +1304,7 @@ impl StreamSender {
             finished
         };
         self.core.space.notify_all();
-        {
+        let wakes = {
             let mut state = self.shard.state.lock().expect("program shard lock");
             let flush = state.pending.as_ref().is_some_and(|batch| {
                 let mut contributed = false;
@@ -1228,9 +1321,12 @@ impl StreamSender {
             });
             if flush {
                 self.shared
-                    .flush_shard(&self.shard, &mut state, FlushStat::Close);
+                    .flush_shard(&self.shard, &mut state, FlushStat::Close)
+            } else {
+                0
             }
-        }
+        };
+        self.shared.wake(wakes);
         if finished {
             self.shared
                 .streams
@@ -1414,6 +1510,121 @@ mod tests {
     ) -> Result<StreamHandle, ServiceError> {
         let program = DecodeProgram::from_circuit(key, circuit.clone(), DecoderKind::UnionFind)?;
         service.open_stream_program(&Arc::new(program))
+    }
+
+    /// A batch of `count` frames of `stream` from `first_seq`, as the mirror
+    /// program's shard flushes it: frame `seq` fires iff `seq % 3 == 0`.
+    fn flushed(stream: &Arc<StreamCore>, first_seq: u64, count: usize) -> BatchParts {
+        let mut builder = SyndromeChunkBuilder::new(1, 1);
+        for seq in first_seq..first_seq + count as u64 {
+            builder.push_frame(if seq % 3 == 0 { &[0] } else { &[] });
+        }
+        let mut runs = Vec::new();
+        push_run(&mut runs, stream, first_seq, count as u32, Instant::now());
+        BatchParts { builder, runs }
+    }
+
+    fn mirror_shard(key: &str) -> Arc<ProgramShard> {
+        let program =
+            DecodeProgram::from_circuit(key, mirror_circuit(), DecoderKind::UnionFind).unwrap();
+        ProgramShard::new(&Arc::new(program))
+    }
+
+    /// `(stream, first_seq, count)` of each run of a job.
+    fn runs_of(job: &DecodeJob) -> Vec<(u64, u64, u32)> {
+        job.parts
+            .runs
+            .iter()
+            .map(|run| (run.stream.id, run.first_seq, run.count))
+            .collect()
+    }
+
+    #[test]
+    fn a_whole_word_tail_of_the_same_shard_absorbs_the_flush() {
+        let shard = mirror_shard("absorb");
+        let (a, b) = (
+            StreamCore::new(0, mpsc::channel().0),
+            StreamCore::new(1, mpsc::channel().0),
+        );
+        let mut queue = QueueState::default();
+        assert!(queue.enqueue(&shard, flushed(&a, 0, 64)).is_none());
+        // A's next word extends its run; B's partial word adds a run.
+        let spare = queue
+            .enqueue(&shard, flushed(&a, 64, 64))
+            .expect("absorbed");
+        assert!(spare.builder.is_empty() && spare.runs.is_empty());
+        assert!(queue.enqueue(&shard, flushed(&b, 0, 10)).is_some());
+        assert_eq!(queue.jobs.len(), 1);
+        let job = &mut queue.jobs[0];
+        assert_eq!(runs_of(job), [(0, 0, 128), (1, 0, 10)]);
+        assert_eq!(job.parts.builder.pending_frames(), 138);
+        let chunk = job.parts.builder.finish(0, 0);
+        let fired: Vec<bool> = (0..138).map(|s| chunk.detector_fired(s, 0)).collect();
+        let expected: Vec<bool> = (0..128u64).chain(0..10).map(|seq| seq % 3 == 0).collect();
+        assert_eq!(fired, expected);
+    }
+
+    #[test]
+    fn a_partial_tail_another_shard_or_the_job_cap_start_a_new_job() {
+        let (one, other) = (mirror_shard("one"), mirror_shard("other"));
+        let a = StreamCore::new(0, mpsc::channel().0);
+        // Nothing is appended behind a partial word.
+        let mut queue = QueueState::default();
+        assert!(queue.enqueue(&one, flushed(&a, 0, 10)).is_none());
+        assert!(queue.enqueue(&one, flushed(&a, 10, 64)).is_none());
+        assert_eq!(queue.jobs.len(), 2);
+        // A job holds one program's frames.
+        let mut queue = QueueState::default();
+        assert!(queue.enqueue(&one, flushed(&a, 0, 64)).is_none());
+        assert!(queue.enqueue(&other, flushed(&a, 64, 64)).is_none());
+        assert_eq!(queue.jobs.len(), 2);
+        // A job grows to exactly 64 words and no further.
+        let mut queue = QueueState::default();
+        assert!(queue.enqueue(&one, flushed(&a, 0, 63 * 64)).is_none());
+        assert!(queue.enqueue(&one, flushed(&a, 63 * 64, 64)).is_some());
+        assert!(queue.enqueue(&one, flushed(&a, 4096, 64)).is_none());
+        assert_eq!(queue.jobs.len(), 2);
+        assert_eq!(runs_of(&queue.jobs[0]), [(0, 0, 4096)]);
+        assert_eq!(runs_of(&queue.jobs[1]), [(0, 4096, 64)]);
+    }
+
+    #[test]
+    fn a_256_word_burst_on_four_workers_delivers_every_correction() {
+        let service = DecodeService::new(
+            ServiceConfig::default()
+                .with_workers(4)
+                .with_stream_queue_shots(16384),
+        );
+        let mut handle = open(&service, "many-words", &mirror_circuit()).unwrap();
+        let planes: Vec<[u64; 1]> = (0..256u64)
+            .map(|word| [word.wrapping_mul(0x9e37_79b9_7f4a_7c15)])
+            .collect();
+        let blocks: Vec<WordBlock<'_>> = planes
+            .iter()
+            .map(|planes| WordBlock { planes, count: 64 })
+            .collect();
+        assert_eq!(handle.sender.submit_word_batch(&blocks).unwrap(), 0..16384);
+        for (word, &[plane]) in planes.iter().enumerate() {
+            for shot in 0..64 {
+                let correction = handle
+                    .receiver
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("every queued job is taken");
+                let seq = (word * 64 + shot) as u64;
+                assert_eq!(
+                    correction,
+                    Correction {
+                        seq,
+                        flips: plane >> shot & 1
+                    }
+                );
+            }
+        }
+        let metrics = service.metrics();
+        assert_eq!(metrics.full_word_flushes, 256);
+        assert_eq!(metrics.words_flushed, 256);
+        assert_eq!(metrics.queue_depth, 0);
+        service.shutdown();
     }
 
     #[test]
