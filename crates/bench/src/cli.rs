@@ -364,7 +364,7 @@ fn service_flags<T: 'static>(part: fn(&mut T) -> &mut ServiceConfig) -> Vec<Flag
             => *part(o) = part(o).with_workers(at_least(1, v)?),
         "--deadline-us" "<us>": "partial-word flush deadline (default: 500)"
             => *part(o) = part(o).with_flush_deadline(Duration::from_micros(number(v)?)),
-        "--batch-words" "<n>": "64-shot words coalesced per decode job (default: 1)"
+        "--batch-words" "<n>": "64-shot words per flush; queued flushes coalesce anyway (default: 1)"
             => *part(o) = part(o).with_max_batch_words(at_least(1, v)?),
         "--queue-shots" "<n>": "per-stream in-flight bound (default: 4096)"
             => *part(o) = part(o).with_stream_queue_shots(at_least(1, v)?),

@@ -16,8 +16,11 @@
 //!                                                  │ flush on full word,
 //!                                                  │ deadline (waited out
 //!                                                  ▼ by an idle worker), close
-//!                                            decode job queue
-//!                                                  │
+//!                                            decode job queue (a flush
+//!                                             joins its program's untaken
+//!                                             last job, ≤ 64 words)
+//!                                                  │ one wake per job, after
+//!                                                  ▼ the shard lock drops
 //!                              worker pool (one memo per worker, program)
 //!                                                  │
 //!                per-stream reorder (stream's own lock) ──► ordered
@@ -42,7 +45,12 @@
 //!   the oldest pending frame hits the configured deadline (an idle worker
 //!   waits out the deadline, and a worker flushes an overdue partial word
 //!   before it takes its next job), or when the last stream contributing
-//!   to the word closes. Each shard has its own mutex: submissions to
+//!   to the word closes. [`ServiceConfig::max_batch_words`] sets the flush
+//!   size, but under load the job queue coalesces flushes anyway: a flush
+//!   joins the queue's last job when that job is still untaken, of the
+//!   same program and word-aligned, up to 64 words a job. Submitters wake
+//!   idle workers only after releasing the shard lock, one per queued
+//!   job. Each shard has its own mutex: submissions to
 //!   different programs never contend, and delivery state lives behind each
 //!   stream's own lock — there is no global hot-path lock.
 //! * Two frame vocabularies: index frames ([`StreamSender::submit`] /
