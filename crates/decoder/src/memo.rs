@@ -37,10 +37,11 @@
 //! is no shared table.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use qccd_sim::WordHasher;
 use serde::{Deserialize, Serialize};
 
 /// Default cap on the defect-set cardinality that is memoized.
@@ -208,55 +209,9 @@ impl CacheStats {
 /// padded array is a canonical encoding of the set.
 type MemoKey = [u32; MEMO_KEY_CAPACITY];
 
-/// A fast non-cryptographic hasher for [`MemoKey`]s (SplitMix64 folding; the
-/// std SipHash default costs more than a small decode on the hit path).
-///
-/// `Hash` for integer arrays reaches the hasher through one bulk
-/// [`Hasher::write`] of the element bytes (plus a length prefix), so `write`
-/// folds whole 8-byte words — a [`MemoKey`] costs ~4 mixing rounds, not one
-/// per byte.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct MemoKeyHasher {
-    state: u64,
-}
-
-impl Hasher for MemoKeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            let word = u64::from_le_bytes(chunk.try_into().expect("exact 8-byte chunk"));
-            self.write_u64(word);
-        }
-        let tail = chunks.remainder();
-        if !tail.is_empty() {
-            let mut word = [0u8; 8];
-            word[..tail.len()].copy_from_slice(tail);
-            self.write_u64(u64::from_le_bytes(word) ^ ((tail.len() as u64) << 56));
-        }
-    }
-
-    fn write_u32(&mut self, value: u32) {
-        self.write_u64(u64::from(value));
-    }
-
-    fn write_usize(&mut self, value: usize) {
-        self.write_u64(value as u64);
-    }
-
-    fn write_u64(&mut self, value: u64) {
-        let mut z = self.state ^ value.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        self.state = z ^ (z >> 31);
-    }
-
-    fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-type MemoTable = HashMap<MemoKey, u64, BuildHasherDefault<MemoKeyHasher>>;
+/// Memo table under [`WordHasher`]: the std SipHash default costs more than
+/// a small decode on the hit path, and a [`MemoKey`] folds in ~4 rounds.
+type MemoTable = HashMap<MemoKey, u64, BuildHasherDefault<WordHasher>>;
 
 /// The per-decoder prediction cache (see the [module docs](self)).
 ///

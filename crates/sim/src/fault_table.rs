@@ -16,6 +16,7 @@
 //!   sensitivity as its signature.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use qccd_circuit::{Instruction, MeasurementRef};
 
@@ -30,11 +31,62 @@ fn xor_into(dst: &mut [u64], src: &[u64]) {
     }
 }
 
+/// A fast non-cryptographic hasher for keys of machine words (SplitMix64
+/// folding), where the std SipHash default dominates the lookup: the fault
+/// table's symptom vectors and the decoder's memo keys. Keys must come from
+/// the program, not from outside it: nothing here resists crafted
+/// collisions.
+///
+/// `Hash` for integer slices and arrays reaches the hasher through one bulk
+/// [`Hasher::write`] of the element bytes (plus a length prefix), so `write`
+/// folds whole 8-byte words — one mixing round per word, not per byte.
+#[derive(Debug, Default, Clone)]
+pub struct WordHasher {
+    state: u64,
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let word = u64::from_le_bytes(chunk.try_into().expect("exact 8-byte chunk"));
+            self.write_u64(word);
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.write_u64(u64::from_le_bytes(word) ^ ((tail.len() as u64) << 56));
+        }
+    }
+
+    fn write_u32(&mut self, value: u32) {
+        self.write_u64(u64::from(value));
+    }
+
+    fn write_usize(&mut self, value: usize) {
+        self.write_u64(value as u64);
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        let mut z = self.state ^ value.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        self.state = z ^ (z >> 31);
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
 /// Interns dense symptom bitsets as sparse signatures. A signature already
-/// seen costs one in-place hash of its words; only a new one allocates.
+/// seen costs one in-place hash of its words; only a new one allocates. Ids
+/// are assigned in first-seen order, so the hasher never shows in a table.
 struct SignatureInterner {
     num_detectors: usize,
-    ids: HashMap<Vec<u64>, u32>,
+    ids: HashMap<Vec<u64>, u32, BuildHasherDefault<WordHasher>>,
     offsets: Vec<u32>,
     bits: Vec<u32>,
 }
@@ -158,7 +210,7 @@ impl FaultTable {
         let mut scratch = vec![0u64; width];
         let mut interner = SignatureInterner {
             num_detectors,
-            ids: HashMap::new(),
+            ids: HashMap::default(),
             offsets: vec![0],
             bits: Vec::new(),
         };
