@@ -40,9 +40,11 @@ pub struct ServiceConfig {
     pub flush_deadline: Duration,
     /// Words (64-shot groups) a shard's pending batch holds before it is
     /// flushed without waiting for the deadline: the flush size. `1` flushes
-    /// on every full word (the default). Under load the job queue coalesces
-    /// flushes anyway: a whole-word flush joins the queue's untaken last job
-    /// of its program, up to 64 words a job.
+    /// on every full word (the default). Each flush is booked as it
+    /// completes, but the full words of one submit call leave as one job,
+    /// up to 64 words. Under load the job queue coalesces flushes anyway: a
+    /// whole-word flush joins the queue's untaken last job of its program,
+    /// up to 64 words a job.
     pub max_batch_words: usize,
     /// Per-stream bound on frames in flight (submitted, correction not yet
     /// produced). Submission blocks — or `try_submit` refuses — beyond it.
@@ -266,6 +268,17 @@ struct BatchParts {
 struct PendingBatch {
     parts: BatchParts,
     oldest: Instant,
+    /// Leading frames already booked as full-word flushes while the batch
+    /// stayed pending ([`Shared::full_word_flush`]); a whole number of
+    /// words, and zero outside a submit call.
+    booked: usize,
+}
+
+impl PendingBatch {
+    /// Frames not yet booked as a flush.
+    fn unbooked(&self) -> usize {
+        self.parts.builder.pending_frames() - self.booked
+    }
 }
 
 /// A flushed decode job: the frames of any number of streams, already in
@@ -404,8 +417,9 @@ impl ShardState {
 /// Cap on recycled batch allocations retained per shard.
 const SPARE_PARTS_CAP: usize = 16;
 
-/// Shots one queued job grows to by absorbing later flushes of its shard:
-/// 64 words, one decoder tile.
+/// Shots one job grows to, by keeping a submit call's full words pending or
+/// by absorbing later flushes of its shard in the queue: 64 words, one
+/// decoder tile.
 const MAX_JOB_SHOTS: usize = 4096;
 
 /// The decode job queue workers pull from, and the deadlines they wait out
@@ -507,10 +521,8 @@ impl Shared {
             state.recycle(batch.parts);
             return 0;
         }
-        self.metrics.note_flush(
-            (batch.parts.builder.pending_frames() as u64).div_ceil(64),
-            cause,
-        );
+        let words = batch.parts.builder.pending_frames().div_ceil(64) - batch.booked / 64;
+        self.metrics.note_flush(words as u64, cause);
         // Each run's submit→flush wait, from its own submit instant.
         let now = Instant::now();
         for run in &batch.parts.runs {
@@ -527,6 +539,34 @@ impl Shared {
             state.recycle(parts);
         }
         wakes
+    }
+
+    /// A flush point of a submit call: the shard's frames not yet booked
+    /// reached the flush size. It is booked as a full-word flush, but the
+    /// batch stays pending while it fills whole words, keeps room for one
+    /// more flush unit within [`MAX_JOB_SHOTS`], and the `rest` frames of
+    /// the call carry that unit — so the call's full words reach the queue
+    /// as one job, at its last flush point. Otherwise the batch is flushed
+    /// and the return is [`Shared::flush_shard`]'s.
+    fn full_word_flush(
+        &self,
+        shard: &Arc<ProgramShard>,
+        state: &mut ShardState,
+        rest: usize,
+    ) -> usize {
+        let flush_shots = self.config.flush_shots();
+        let batch = state.pending.as_mut().expect("a flush point has a batch");
+        let pending = batch.parts.builder.pending_frames();
+        if pending.is_multiple_of(64)
+            && pending + flush_shots + 63 <= MAX_JOB_SHOTS
+            && rest >= flush_shots
+        {
+            self.metrics
+                .note_flush((batch.unbooked() / 64) as u64, FlushStat::FullWord);
+            batch.booked = pending;
+            return 0;
+        }
+        self.flush_shard(shard, state, FlushStat::FullWord)
     }
 
     /// Puts a shard on the armed list, to be served once `due` passes, and
@@ -1197,10 +1237,12 @@ impl StreamSender {
         Ok(first..next_seq)
     }
 
-    /// Appends a reserved burst to the shard's pending batch, flushing full
-    /// words as they complete and arming the shard for a leftover partial
-    /// word. Takes this program's shard lock, and the queue lock under it;
-    /// wakes workers once the shard lock is released.
+    /// Appends a reserved burst to the shard's pending batch, booking a
+    /// full-word flush each time the frames not yet booked reach the flush
+    /// size and handing the call's full words to the queue as one job
+    /// ([`Shared::full_word_flush`]), then arms the shard for a leftover
+    /// partial word. Takes this program's shard lock, and the queue lock
+    /// under it; wakes workers once the shard lock is released.
     fn fill_shard(&self, burst: FrameBatch<'_>, mut seq: u64) {
         let shared = &self.shared;
         let flush_shots = shared.config.flush_shots();
@@ -1213,9 +1255,7 @@ impl StreamSender {
                     let batch = self.ensure_pending(&mut state, now);
                     // One frame run (and one bookkeeping record) per
                     // flush-bounded segment, not per frame.
-                    let segment = frames
-                        .len()
-                        .min(flush_shots - batch.parts.builder.pending_frames());
+                    let segment = frames.len().min(flush_shots - batch.unbooked());
                     let (head, rest) = frames.split_at(segment);
                     for fired in head {
                         batch.parts.builder.push_frame(fired);
@@ -1223,12 +1263,13 @@ impl StreamSender {
                     frames = rest;
                     push_run(&mut batch.parts.runs, &self.core, seq, segment as u32, now);
                     seq += segment as u64;
-                    if batch.parts.builder.pending_frames() >= flush_shots {
-                        wakes = shared.flush_shard(&self.shard, &mut state, FlushStat::FullWord);
+                    if batch.unbooked() >= flush_shots {
+                        wakes = shared.full_word_flush(&self.shard, &mut state, frames.len());
                     }
                 }
             }
             FrameBatch::Blocks(blocks) => {
+                let mut rest = burst.shots();
                 for block in blocks {
                     let batch = self.ensure_pending(&mut state, now);
                     batch
@@ -1243,8 +1284,9 @@ impl StreamSender {
                         now,
                     );
                     seq += block.count as u64;
-                    if batch.parts.builder.pending_frames() >= flush_shots {
-                        wakes = shared.flush_shard(&self.shard, &mut state, FlushStat::FullWord);
+                    rest -= block.count;
+                    if batch.unbooked() >= flush_shots {
+                        wakes = shared.full_word_flush(&self.shard, &mut state, rest);
                     }
                 }
             }
@@ -1273,7 +1315,11 @@ impl StreamSender {
                 ),
                 runs: Vec::new(),
             });
-            state.pending = Some(PendingBatch { parts, oldest: now });
+            state.pending = Some(PendingBatch {
+                parts,
+                oldest: now,
+                booked: 0,
+            });
         }
         state.pending.as_mut().expect("just ensured")
     }
@@ -1624,6 +1670,110 @@ mod tests {
         assert_eq!(metrics.full_word_flushes, 256);
         assert_eq!(metrics.words_flushed, 256);
         assert_eq!(metrics.queue_depth, 0);
+        // No job grows past 64 words, pending or queued.
+        let calls = service
+            .telemetry_snapshot()
+            .counter("service.stage.decode_calls");
+        assert!(calls >= 4, "{calls} decode calls for 256 words");
+        service.shutdown();
+    }
+
+    /// Receives corrections `range` of a mirror-circuit stream whose shot
+    /// `seq` fired iff bit `seq % 64` of `plane(seq / 64)` is set.
+    fn expect_mirrored(
+        receiver: &mut StreamReceiver,
+        range: std::ops::Range<u64>,
+        plane: impl Fn(u64) -> u64,
+    ) {
+        for seq in range {
+            let correction = receiver
+                .recv_timeout(Duration::from_secs(10))
+                .expect("every correction arrives");
+            let flips = plane(seq / 64) >> (seq % 64) & 1;
+            assert_eq!(correction, Correction { seq, flips });
+        }
+    }
+
+    #[test]
+    fn a_word_burst_leaves_as_one_job() {
+        let service = DecodeService::new(ServiceConfig::default().with_workers(1));
+        let mut handle = open(&service, "one-job", &mirror_circuit()).unwrap();
+        let plane = |word: u64| (word + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let planes: Vec<[u64; 1]> = (0..16).map(|word| [plane(word)]).collect();
+        let blocks: Vec<WordBlock<'_>> = planes
+            .iter()
+            .map(|planes| WordBlock { planes, count: 64 })
+            .collect();
+        assert_eq!(handle.sender.submit_word_batch(&blocks).unwrap(), 0..1024);
+        expect_mirrored(&mut handle.receiver, 0..1024, plane);
+        let metrics = service.metrics();
+        assert_eq!(metrics.full_word_flushes, 16);
+        assert_eq!(metrics.words_flushed, 16);
+        let calls = service
+            .telemetry_snapshot()
+            .counter("service.stage.decode_calls");
+        assert_eq!(calls, 1, "the call's 16 words are one job");
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_burst_past_its_last_flush_point_leaves_the_rest_for_the_deadline() {
+        let deadline = Duration::from_millis(50);
+        let service = DecodeService::new(
+            ServiceConfig::default()
+                .with_workers(1)
+                .with_max_batch_words(4)
+                .with_flush_deadline(deadline),
+        );
+        let mut handle = open(&service, "ten-words", &mirror_circuit()).unwrap();
+        let plane = |word: u64| (word + 3).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let planes: Vec<[u64; 1]> = (0..10).map(|word| [plane(word)]).collect();
+        let blocks: Vec<WordBlock<'_>> = planes
+            .iter()
+            .map(|planes| WordBlock { planes, count: 64 })
+            .collect();
+        let submitted = Instant::now();
+        assert_eq!(handle.sender.submit_word_batch(&blocks).unwrap(), 0..640);
+        // Two flush points of four words; the second ships all eight.
+        assert_eq!(service.metrics().full_word_flushes, 2);
+        expect_mirrored(&mut handle.receiver, 0..512, plane);
+        expect_mirrored(&mut handle.receiver, 512..640, plane);
+        assert!(submitted.elapsed() >= deadline, "the last two words wait");
+        let metrics = service.metrics();
+        assert_eq!(metrics.full_word_flushes, 2);
+        assert_eq!(metrics.deadline_flushes, 1);
+        assert_eq!(metrics.words_flushed, 10);
+        service.shutdown();
+    }
+
+    #[test]
+    fn an_index_burst_books_each_full_word() {
+        let service = DecodeService::new(
+            ServiceConfig::default()
+                .with_workers(1)
+                .with_flush_deadline(Duration::from_millis(5)),
+        );
+        let mut handle = open(&service, "indices", &mirror_circuit()).unwrap();
+        let frames: Vec<&[usize]> = (0..200)
+            .map(|seq| if seq % 3 == 0 { &[0][..] } else { &[][..] })
+            .collect();
+        assert_eq!(handle.sender.submit_batch(&frames).unwrap(), 0..200);
+        assert_eq!(service.metrics().full_word_flushes, 3);
+        for seq in 0..200u64 {
+            let correction = handle
+                .receiver
+                .recv_timeout(Duration::from_secs(10))
+                .expect("every correction arrives");
+            let flips = u64::from(seq % 3 == 0);
+            assert_eq!(correction, Correction { seq, flips });
+        }
+        let metrics = service.metrics();
+        assert_eq!(metrics.full_word_flushes, 3);
+        assert_eq!(
+            metrics.deadline_flushes, 1,
+            "8 frames wait out the deadline"
+        );
+        assert_eq!(metrics.words_flushed, 4);
         service.shutdown();
     }
 
