@@ -13,9 +13,11 @@
 //! client streams ──► per-stream sessions ──► per-program batcher shards
 //!   (own lock, inflight          (index frames or shot-  (own lock, pending
 //!    + reorder state)             major word blocks)      planes + spare pool)
-//!                                                  │ flush on full word,
-//!                                                  │ deadline (waited out
-//!                                                  ▼ by an idle worker), close
+//!                                                  │ flush on full word
+//!                                                  │ (a call's words: one
+//!                                                  │ job), deadline (waited
+//!                                                  │ out by an idle
+//!                                                  ▼ worker), close
 //!                                            decode job queue (a flush
 //!                                             joins its program's untaken
 //!                                             last job, ≤ 64 words)
@@ -46,9 +48,12 @@
 //!   waits out the deadline, and a worker flushes an overdue partial word
 //!   before it takes its next job), or when the last stream contributing
 //!   to the word closes. [`ServiceConfig::max_batch_words`] sets the flush
-//!   size, but under load the job queue coalesces flushes anyway: a flush
-//!   joins the queue's last job when that job is still untaken, of the
-//!   same program and word-aligned, up to 64 words a job. Submitters wake
+//!   size, and each flush is booked as it completes, but one submit call's
+//!   full words leave as **one job**: the batch stays pending from flush to
+//!   flush while it fills whole words, and only the call's last flush hands
+//!   it to the queue. Under load the job queue coalesces flushes anyway: a
+//!   flush joins the queue's last job when that job is still untaken, of
+//!   the same program and word-aligned, up to 64 words a job. Submitters wake
 //!   idle workers only after releasing the shard lock, one per queued
 //!   job. Each shard has its own mutex: submissions to
 //!   different programs never contend, and delivery state lives behind each
