@@ -1709,10 +1709,11 @@ mod tests {
         let metrics = service.metrics();
         assert_eq!(metrics.full_word_flushes, 16);
         assert_eq!(metrics.words_flushed, 16);
-        let calls = service
-            .telemetry_snapshot()
-            .counter("service.stage.decode_calls");
-        assert_eq!(calls, 1, "the call's 16 words are one job");
+        // One flush hands the queue one job with one run; the queue would
+        // also have merged 16 flushes into one job, with a wait record each.
+        let snapshot = service.telemetry_snapshot();
+        assert_eq!(snapshot.counter("service.stage.decode_calls"), 1);
+        assert_eq!(snapshot.counter("service.stage.batcher_wait_calls"), 1);
         service.shutdown();
     }
 
@@ -1736,8 +1737,7 @@ mod tests {
         assert_eq!(handle.sender.submit_word_batch(&blocks).unwrap(), 0..640);
         // Two flush points of four words; the second ships all eight.
         assert_eq!(service.metrics().full_word_flushes, 2);
-        expect_mirrored(&mut handle.receiver, 0..512, plane);
-        expect_mirrored(&mut handle.receiver, 512..640, plane);
+        expect_mirrored(&mut handle.receiver, 0..640, plane);
         assert!(submitted.elapsed() >= deadline, "the last two words wait");
         let metrics = service.metrics();
         assert_eq!(metrics.full_word_flushes, 2);
@@ -1774,6 +1774,8 @@ mod tests {
             "8 frames wait out the deadline"
         );
         assert_eq!(metrics.words_flushed, 4);
+        let snapshot = service.telemetry_snapshot();
+        assert_eq!(snapshot.counter("service.stage.batcher_wait_calls"), 2);
         service.shutdown();
     }
 

@@ -46,6 +46,7 @@ pub struct WordHasher {
 }
 
 impl Hasher for WordHasher {
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for chunk in &mut chunks {
@@ -60,14 +61,17 @@ impl Hasher for WordHasher {
         }
     }
 
+    #[inline]
     fn write_u32(&mut self, value: u32) {
         self.write_u64(u64::from(value));
     }
 
+    #[inline]
     fn write_usize(&mut self, value: usize) {
         self.write_u64(value as u64);
     }
 
+    #[inline]
     fn write_u64(&mut self, value: u64) {
         let mut z = self.state ^ value.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -76,6 +80,7 @@ impl Hasher for WordHasher {
         self.state = z ^ (z >> 31);
     }
 
+    #[inline]
     fn finish(&self) -> u64 {
         self.state
     }
