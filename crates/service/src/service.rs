@@ -543,23 +543,20 @@ impl Shared {
 
     /// A flush point of a submit call: the shard's frames not yet booked
     /// reached the flush size. It is booked as a full-word flush, but the
-    /// batch stays pending while it fills whole words, keeps room for one
-    /// more flush unit within [`MAX_JOB_SHOTS`], and the `rest` frames of
-    /// the call carry that unit — so the call's full words reach the queue
-    /// as one job, at its last flush point. Otherwise the batch is flushed
-    /// and the return is [`Shared::flush_shard`]'s.
+    /// batch stays pending while it fills whole words and the call reaches
+    /// another flush point `next` shots on, within [`MAX_JOB_SHOTS`] — so
+    /// the call's full words reach the queue as one job, at its last flush
+    /// point. Otherwise the batch is flushed and the return is
+    /// [`Shared::flush_shard`]'s.
     fn full_word_flush(
         &self,
         shard: &Arc<ProgramShard>,
         state: &mut ShardState,
-        rest: usize,
+        next: Option<usize>,
     ) -> usize {
-        let flush_shots = self.config.flush_shots();
         let batch = state.pending.as_mut().expect("a flush point has a batch");
         let pending = batch.parts.builder.pending_frames();
-        if pending.is_multiple_of(64)
-            && pending + flush_shots + 63 <= MAX_JOB_SHOTS
-            && rest >= flush_shots
+        if pending.is_multiple_of(64) && next.is_some_and(|shots| pending + shots <= MAX_JOB_SHOTS)
         {
             self.metrics
                 .note_flush((batch.unbooked() / 64) as u64, FlushStat::FullWord);
@@ -1264,13 +1261,13 @@ impl StreamSender {
                     push_run(&mut batch.parts.runs, &self.core, seq, segment as u32, now);
                     seq += segment as u64;
                     if batch.unbooked() >= flush_shots {
-                        wakes = shared.full_word_flush(&self.shard, &mut state, frames.len());
+                        let next = (frames.len() >= flush_shots).then_some(flush_shots);
+                        wakes = shared.full_word_flush(&self.shard, &mut state, next);
                     }
                 }
             }
             FrameBatch::Blocks(blocks) => {
-                let mut rest = burst.shots();
-                for block in blocks {
+                for (index, block) in blocks.iter().enumerate() {
                     let batch = self.ensure_pending(&mut state, now);
                     batch
                         .parts
@@ -1284,9 +1281,15 @@ impl StreamSender {
                         now,
                     );
                     seq += block.count as u64;
-                    rest -= block.count;
                     if batch.unbooked() >= flush_shots {
-                        wakes = shared.full_word_flush(&self.shard, &mut state, rest);
+                        // A partial block may carry the next flush point
+                        // past a whole unit: walk to the block that reaches it.
+                        let mut shots = 0;
+                        let next = blocks[index + 1..].iter().find_map(|block| {
+                            shots += block.count;
+                            (shots >= flush_shots).then_some(shots)
+                        });
+                        wakes = shared.full_word_flush(&self.shard, &mut state, next);
                     }
                 }
             }
@@ -1300,6 +1303,8 @@ impl StreamSender {
                 wakes = shared.arm(due, &self.shard);
             }
         }
+        // Deadline, close and shutdown flushes book every word of a batch.
+        debug_assert!(state.pending.as_ref().is_none_or(|batch| batch.booked == 0));
         drop(state);
         shared.wake(wakes);
     }
@@ -1715,6 +1720,77 @@ mod tests {
         assert_eq!(snapshot.counter("service.stage.decode_calls"), 1);
         assert_eq!(snapshot.counter("service.stage.batcher_wait_calls"), 1);
         service.shutdown();
+    }
+
+    /// One worker, one `submit_word_batch` of `counts.len()` mirror-circuit
+    /// blocks with those shot counts: checks every correction and returns
+    /// the metrics and the decode call count.
+    fn submit_blocks_to_one_worker(counts: &[usize]) -> (ServiceMetrics, u64) {
+        let service = DecodeService::new(
+            ServiceConfig::default()
+                .with_workers(1)
+                .with_stream_queue_shots(16384),
+        );
+        let mut handle = open(&service, "blocks", &mirror_circuit()).unwrap();
+        let planes: Vec<[u64; 1]> = counts
+            .iter()
+            .enumerate()
+            .map(|(word, &count)| {
+                let plane = (word as u64 + 5).wrapping_mul(0x94d0_49bb_1331_11eb);
+                [plane & u64::MAX >> (64 - count)]
+            })
+            .collect();
+        let blocks: Vec<WordBlock<'_>> = planes
+            .iter()
+            .zip(counts)
+            .map(|(planes, &count)| WordBlock { planes, count })
+            .collect();
+        let shots = counts.iter().sum::<usize>() as u64;
+        assert_eq!(handle.sender.submit_word_batch(&blocks).unwrap(), 0..shots);
+        let mut seq = 0;
+        for (&[plane], &count) in planes.iter().zip(counts) {
+            for shot in 0..count {
+                let correction = handle
+                    .receiver
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("every correction arrives");
+                assert_eq!(
+                    correction,
+                    Correction {
+                        seq,
+                        flips: plane >> shot & 1
+                    }
+                );
+                seq += 1;
+            }
+        }
+        let metrics = service.metrics();
+        let calls = service
+            .telemetry_snapshot()
+            .counter("service.stage.decode_calls");
+        service.shutdown();
+        (metrics, calls)
+    }
+
+    #[test]
+    fn a_256_word_burst_leaves_as_four_full_jobs() {
+        let (metrics, calls) = submit_blocks_to_one_worker(&[64; 256]);
+        assert_eq!(metrics.full_word_flushes, 256);
+        assert_eq!(metrics.words_flushed, 256);
+        assert_eq!(calls, 4, "four 64-word jobs");
+    }
+
+    #[test]
+    fn a_partial_block_that_would_cross_the_job_cap_ships_the_job_first() {
+        // 63 words, then 10 shots that take the next flush point to 74
+        // shots on: 4 106 would pass the cap, so the 63 words leave alone.
+        // The 74 shots are a flush of their own (not whole words: no job
+        // absorbs a later flush), then 63 words again.
+        let counts: Vec<usize> = [vec![64; 63], vec![10], vec![64; 64]].concat();
+        let (metrics, calls) = submit_blocks_to_one_worker(&counts);
+        assert_eq!(metrics.full_word_flushes, 127);
+        assert_eq!(metrics.words_flushed, 128);
+        assert_eq!(calls, 3);
     }
 
     #[test]
