@@ -74,12 +74,6 @@ impl BitPlanes {
         index
     }
 
-    /// The whole arena, plane-major: plane `p` is the `p`-th run of
-    /// [`BitPlanes::words_per_plane`] words.
-    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.data
-    }
-
     /// Tests one bit of one plane.
     pub fn bit(&self, plane: usize, bit: usize) -> bool {
         (self.plane(plane)[bit / 64] >> (bit % 64)) & 1 == 1

@@ -375,22 +375,10 @@ impl SyndromeChunkBuilder {
         );
         let (start, words) = (self.num_frames / 64, other.num_frames.div_ceil(64));
         self.reserve_shots(self.num_frames + other.num_frames);
-        // One pass over both plane-major arenas (widths are never zero): a
-        // few words a plane move faster word by word than through a
-        // `memcpy` and a `memset` per plane.
-        let (width, other_width) = (
-            self.planes.words_per_plane(),
-            other.planes.words_per_plane(),
-        );
-        let planes = self.planes.words_mut().chunks_exact_mut(width);
-        let sources = other.planes.words_mut().chunks_exact_mut(other_width);
-        for (plane, source) in planes.zip(sources) {
-            for (word, moved) in plane[start..start + words]
-                .iter_mut()
-                .zip(&mut source[..words])
-            {
-                *word = std::mem::take(moved);
-            }
+        for d in 0..self.num_detectors {
+            let source = &mut other.planes.plane_mut(d)[..words];
+            self.planes.plane_mut(d)[start..start + words].copy_from_slice(source);
+            source.fill(0);
         }
         self.num_frames += std::mem::take(&mut other.num_frames);
     }
