@@ -50,8 +50,8 @@
 //!   to the word closes. [`ServiceConfig::max_batch_words`] sets the flush
 //!   size, and each flush is booked as it completes, but one submit call's
 //!   full words leave as **one job**: the batch stays pending from flush to
-//!   flush while it fills whole words, and only the call's last flush hands
-//!   it to the queue. Under load the job queue coalesces flushes anyway: a
+//!   flush while it fills whole words within 64 words, and only the call's
+//!   last flush hands it to the queue. Under load the job queue coalesces flushes anyway: a
 //!   flush joins the queue's last job when that job is still untaken, of
 //!   the same program and word-aligned, up to 64 words a job. Submitters wake
 //!   idle workers only after releasing the shard lock, one per queued
