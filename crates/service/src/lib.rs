@@ -12,7 +12,7 @@
 //! ```text
 //! client streams ──► per-stream sessions ──► per-program batcher shards
 //!   (own lock, inflight          (index frames or shot-  (own lock, pending
-//!    + reorder state)             major word blocks)      planes + spare pool)
+//!    + reorder state)             major word blocks)      planes sized per call)
 //!                                                  │ flush on full word
 //!                                                  │ (a call's words: one
 //!                                                  │ job), deadline (waited
@@ -48,7 +48,7 @@
 //!   waits out the deadline, and a worker flushes an overdue partial word
 //!   before it takes its next job), or when the last stream contributing
 //!   to the word closes. [`ServiceConfig::max_batch_words`] sets the flush
-//!   size, and each flush is booked as it completes, but one submit call's
+//!   size (at most 64 words), and each flush is booked as it completes, but one submit call's
 //!   full words leave as **one job**: the batch stays pending from flush to
 //!   flush while it fills whole words within 64 words, and only the call's
 //!   last flush hands it to the queue. Under load the job queue coalesces flushes anyway: a

@@ -1394,17 +1394,6 @@ impl NetClient {
         expect_ok(&response)
     }
 
-    /// Fetches the server's live metrics object.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors or a non-ok response.
-    pub fn metrics(&mut self) -> Result<Value, String> {
-        let response = self.request(&serde_json::json!({"cmd": "metrics"}))?;
-        expect_ok(&response)?;
-        Ok(response.get("metrics").cloned().unwrap_or(Value::Null))
-    }
-
     /// Fetches the full `metrics` response — the
     /// [`ServiceMetrics`](crate::ServiceMetrics) object under `"metrics"`
     /// plus the telemetry registry snapshot under `"telemetry"`.

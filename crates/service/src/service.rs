@@ -6,12 +6,15 @@
 //!
 //! The hot path touches three lock tiers, always in this order:
 //! per-stream delivery lock → per-program shard lock → job-queue lock.
-//! The stream/shard/program registries are only locked on cold paths
-//! (open, close, metrics, shutdown) — never nested inside a stream or
-//! shard lock. No condvar is notified while a shard lock is held: a
-//! submitter, a closer, the shutdown sweep or a worker re-arming a deadline
-//! wakes idle workers once it has released its shard lock, so a woken
-//! worker never blocks on the lock its waker still holds.
+//! The stream and shard registries are only locked on cold paths (open,
+//! close, metrics, shutdown) — never nested inside a stream or shard lock.
+//! A batch moves one way, from its submitter through the queue to the
+//! worker that consumes it, so a worker takes a shard lock only to serve a
+//! deadline; decoding and routing a job lock no shard. No condvar is
+//! notified while a shard lock is held: a submitter, a closer, the shutdown
+//! sweep or a worker re-arming a deadline wakes idle workers once it has
+//! released its shard lock, so a woken worker never blocks on the lock its
+//! waker still holds.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -39,8 +42,9 @@ pub struct ServiceConfig {
     /// flushes on every submission (minimum latency, minimum batching).
     pub flush_deadline: Duration,
     /// Words (64-shot groups) a shard's pending batch holds before it is
-    /// flushed without waiting for the deadline: the flush size. `1` flushes
-    /// on every full word (the default). Each flush is booked as it
+    /// flushed without waiting for the deadline: the flush size, `1..=64`
+    /// (zero is raised to 1, more than 64 lowered to 64). `1` flushes on
+    /// every full word (the default). Each flush is booked as it
     /// completes, but the full words of one submit call leave as one job,
     /// up to 64 words. Under load the job queue coalesces flushes anyway: a
     /// whole-word flush joins the queue's untaken last job of its program,
@@ -85,9 +89,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Overrides the per-job word coalescing bound.
+    /// Overrides the flush size, clamped to `1..=64` words.
     pub fn with_max_batch_words(mut self, words: usize) -> Self {
-        self.max_batch_words = words.max(1);
+        self.max_batch_words = words.clamp(1, MAX_JOB_SHOTS / 64);
         self
     }
 
@@ -254,9 +258,10 @@ impl<'a> FrameBatch<'a> {
     }
 }
 
-/// The reusable allocations of one batch: the chunk builder (the bit planes
-/// frames are written into) and the routing list. Recycled through
-/// [`ShardState::spares`] so the steady-state submit path allocates nothing.
+/// One batch: the chunk builder (the bit planes frames are written into)
+/// and the routing list. The submitter creates it, the queue holds it (or
+/// its program's untaken last job absorbs it and the emptied batch is
+/// dropped) and a worker consumes it; it never returns to its shard.
 #[derive(Debug)]
 struct BatchParts {
     builder: SyndromeChunkBuilder,
@@ -284,8 +289,7 @@ impl PendingBatch {
 /// A flushed decode job: the frames of any number of streams, already in
 /// the bit planes the decoder reads (submission wrote them there), plus the
 /// routing information to hand each lane's correction back. The worker's
-/// `builder.finish` only hands the planes over and allocates the builder's
-/// zeroed replacement — outside every service lock.
+/// `builder.finish` only hands the planes over, outside every service lock.
 #[derive(Debug)]
 struct DecodeJob {
     shard: Arc<ProgramShard>,
@@ -371,9 +375,9 @@ impl StreamCore {
     }
 }
 
-/// The batcher shard of one program: its own pending batch, spare pool and
-/// deadline arming, under its own mutex. Submissions to different programs
-/// never contend.
+/// The batcher shard of one program: its program, and its own pending batch
+/// and deadline arming under its own mutex. Submissions to different
+/// programs never contend.
 #[derive(Debug)]
 struct ProgramShard {
     program: Arc<DecodeProgram>,
@@ -386,7 +390,6 @@ impl ProgramShard {
             program: Arc::clone(program),
             state: Mutex::new(ShardState {
                 pending: None,
-                spares: Vec::new(),
                 armed: false,
             }),
         })
@@ -396,30 +399,14 @@ impl ProgramShard {
 #[derive(Debug)]
 struct ShardState {
     pending: Option<PendingBatch>,
-    /// Recycled batch allocations (workers return their job's parts here
-    /// after routing).
-    spares: Vec<BatchParts>,
     /// Whether the shard has an entry on the job queue's armed list. Only
     /// read or written under the shard lock.
     armed: bool,
 }
 
-impl ShardState {
-    /// Keeps a batch's emptied allocations for the shard's next batch, up
-    /// to [`SPARE_PARTS_CAP`].
-    fn recycle(&mut self, parts: BatchParts) {
-        if self.spares.len() < SPARE_PARTS_CAP {
-            self.spares.push(parts);
-        }
-    }
-}
-
-/// Cap on recycled batch allocations retained per shard.
-const SPARE_PARTS_CAP: usize = 16;
-
 /// Shots one job grows to, by keeping a submit call's full words pending or
 /// by absorbing later flushes of its shard in the queue: 64 words, one
-/// decoder tile.
+/// decoder tile. It also caps the flush size and a new batch's planes.
 const MAX_JOB_SHOTS: usize = 4096;
 
 /// The decode job queue workers pull from, and the deadlines they wait out
@@ -443,10 +430,9 @@ struct QueueState {
 impl QueueState {
     /// Queues a flushed batch. The last job absorbs it when that job is
     /// still untaken, of the same shard, fills whole words, and stays
-    /// within [`MAX_JOB_SHOTS`] with it; the batch's emptied parts are
-    /// returned for the shard's spares. Otherwise the batch becomes a job
-    /// of its own.
-    fn enqueue(&mut self, shard: &Arc<ProgramShard>, mut parts: BatchParts) -> Option<BatchParts> {
+    /// within [`MAX_JOB_SHOTS`] with it, and the emptied batch is dropped.
+    /// Otherwise the batch becomes a job of its own.
+    fn enqueue(&mut self, shard: &Arc<ProgramShard>, mut parts: BatchParts) {
         if let Some(tail) = self.jobs.back_mut() {
             let frames = tail.parts.builder.pending_frames();
             if Arc::ptr_eq(&tail.shard, shard)
@@ -463,22 +449,20 @@ impl QueueState {
                         run.submitted,
                     );
                 }
-                return Some(parts);
+                return;
             }
         }
         self.jobs.push_back(DecodeJob {
             shard: Arc::clone(shard),
             parts,
         });
-        None
     }
 }
 
 struct Shared {
-    /// Program registry (cold path: stream opens only).
-    programs: Mutex<HashMap<String, Arc<DecodeProgram>>>,
-    /// Shard registry by program id (cold path: stream opens, shutdown).
-    shards: Mutex<HashMap<u64, Arc<ProgramShard>>>,
+    /// Program registry: one shard, holding its program, per program key
+    /// (cold path: stream opens, shutdown).
+    shards: Mutex<HashMap<String, Arc<ProgramShard>>>,
     /// Stream registry (cold path: open, close, metrics, shutdown).
     streams: Mutex<HashMap<u64, Arc<StreamCore>>>,
     queue: JobQueue,
@@ -518,7 +502,6 @@ impl Shared {
             return 0;
         };
         if batch.parts.builder.is_empty() {
-            state.recycle(batch.parts);
             return 0;
         }
         let words = batch.parts.builder.pending_frames().div_ceil(64) - batch.booked / 64;
@@ -532,13 +515,8 @@ impl Shared {
             );
         }
         let mut queue = self.queue.state.lock().expect("job queue lock");
-        let absorbed = queue.enqueue(shard, batch.parts);
-        let wakes = queue.idle.min(queue.jobs.len());
-        drop(queue);
-        if let Some(parts) = absorbed {
-            state.recycle(parts);
-        }
-        wakes
+        queue.enqueue(shard, batch.parts);
+        queue.idle.min(queue.jobs.len())
     }
 
     /// A flush point of a submit call: the shard's frames not yet booked
@@ -640,17 +618,12 @@ fn push_run(
 /// Channel sends happen under the owning stream's lock only — never a
 /// shared one — so two workers finishing runs of one stream cannot
 /// interleave deliveries out of heap order.
-fn route_corrections(
-    shared: &Shared,
-    shard: &Arc<ProgramShard>,
-    mut parts: BatchParts,
-    flips_per_lane: &[u64],
-) {
+fn route_corrections(shared: &Shared, runs: &[FrameRun], flips_per_lane: &[u64]) {
     let span = shared.metrics.delivery.start();
     let now = Instant::now();
     let mut offset = 0usize;
     let mut finished: Vec<u64> = Vec::new();
-    for run in &parts.runs {
+    for run in runs {
         let count = run.count as usize;
         let flips = flips_per_lane[offset..offset + count].to_vec();
         offset += count;
@@ -688,13 +661,6 @@ fn route_corrections(
         }
     }
     span.finish(flips_per_lane.len() as u64);
-    // Recycle the job's allocations for the shard's next batch.
-    parts.runs.clear();
-    shard
-        .state
-        .lock()
-        .expect("program shard lock")
-        .recycle(parts);
     if !finished.is_empty() {
         let mut streams = shared.streams.lock().expect("stream registry lock");
         for id in finished {
@@ -741,7 +707,7 @@ fn decode_job(
             }
         }
     }
-    route_corrections(shared, &shard, parts, flips);
+    route_corrections(shared, &parts.runs, flips);
 }
 
 /// Takes the first of: an overdue armed shard, a job, the exit on
@@ -811,15 +777,14 @@ impl DecodeService {
     /// Starts a service with `config.workers` decode workers and no other
     /// thread: an idle worker waits out the batcher's latency deadline. A
     /// zero `workers`, `max_batch_words` or `stream_queue_shots` is raised
-    /// to 1, as the `with_*` builders do; [`DecodeService::config`] returns
-    /// the raised values.
+    /// to 1 and a `max_batch_words` above 64 lowered to 64, as the `with_*`
+    /// builders do; [`DecodeService::config`] returns the adjusted values.
     pub fn new(mut config: ServiceConfig) -> Self {
         config.workers = config.workers.max(1);
-        config.max_batch_words = config.max_batch_words.max(1);
+        config.max_batch_words = config.max_batch_words.clamp(1, MAX_JOB_SHOTS / 64);
         config.stream_queue_shots = config.stream_queue_shots.max(1);
         let telemetry = Registry::new(config.telemetry);
         let shared = Arc::new(Shared {
-            programs: Mutex::new(HashMap::new()),
             shards: Mutex::new(HashMap::new()),
             streams: Mutex::new(HashMap::new()),
             queue: JobQueue::default(),
@@ -899,31 +864,26 @@ impl DecodeService {
             return Err(ServiceError::StreamClosed);
         }
         let existing = shared
-            .programs
+            .shards
             .lock()
-            .expect("program registry lock")
+            .expect("shard registry lock")
             .get(key)
             .cloned();
         // Build (compile + graph) outside every lock; a racing open of the
         // same key keeps the first-registered program.
-        let program = match existing {
-            Some(program) => program,
-            None => build()?,
+        let shard = match existing {
+            Some(shard) => shard,
+            None => {
+                let program = build()?;
+                shared
+                    .shards
+                    .lock()
+                    .expect("shard registry lock")
+                    .entry(key.to_string())
+                    .or_insert_with(|| ProgramShard::new(&program))
+                    .clone()
+            }
         };
-        let program = shared
-            .programs
-            .lock()
-            .expect("program registry lock")
-            .entry(key.to_string())
-            .or_insert(program)
-            .clone();
-        let shard = shared
-            .shards
-            .lock()
-            .expect("shard registry lock")
-            .entry(program.id())
-            .or_insert_with(|| ProgramShard::new(&program))
-            .clone();
         let (tx, rx) = mpsc::channel();
         let id = shared.next_stream.fetch_add(1, Ordering::Relaxed);
         let core = StreamCore::new(id, tx);
@@ -946,7 +906,6 @@ impl DecodeService {
                 shared: Arc::clone(shared),
                 core,
                 shard,
-                program,
             },
             receiver: StreamReceiver {
                 id,
@@ -1107,18 +1066,17 @@ pub struct StreamSender {
     shared: Arc<Shared>,
     core: Arc<StreamCore>,
     shard: Arc<ProgramShard>,
-    program: Arc<DecodeProgram>,
 }
 
 impl StreamSender {
     /// Number of detectors a frame of this stream must stay within.
     pub fn num_detectors(&self) -> usize {
-        self.program.num_detectors()
+        self.shard.program.num_detectors()
     }
 
     /// Number of observables each correction covers.
     pub fn num_observables(&self) -> usize {
-        self.program.num_observables()
+        self.shard.program.num_observables()
     }
 
     /// The stream id (diagnostics).
@@ -1188,7 +1146,7 @@ impl StreamSender {
     ) -> Result<std::ops::Range<u64>, ServiceError> {
         let shared = &self.shared;
         let queue_shots = shared.config.stream_queue_shots;
-        frames.validate(self.program.num_detectors(), queue_shots)?;
+        frames.validate(self.num_detectors(), queue_shots)?;
         if frames.shots() == 0 {
             return Ok(0..0);
         }
@@ -1249,7 +1207,7 @@ impl StreamSender {
         match burst {
             FrameBatch::Indices(mut frames) => {
                 while !frames.is_empty() {
-                    let batch = self.ensure_pending(&mut state, now);
+                    let batch = self.ensure_pending(&mut state, now, || frames.len());
                     // One frame run (and one bookkeeping record) per
                     // flush-bounded segment, not per frame.
                     let segment = frames.len().min(flush_shots - batch.unbooked());
@@ -1268,7 +1226,9 @@ impl StreamSender {
             }
             FrameBatch::Blocks(blocks) => {
                 for (index, block) in blocks.iter().enumerate() {
-                    let batch = self.ensure_pending(&mut state, now);
+                    let batch = self.ensure_pending(&mut state, now, || {
+                        FrameBatch::Blocks(&blocks[index..]).shots()
+                    });
                     batch
                         .parts
                         .builder
@@ -1309,24 +1269,30 @@ impl StreamSender {
         shared.wake(wakes);
     }
 
-    /// The shard's pending batch, created from the spare pool (or fresh)
-    /// when absent. Caller holds the shard lock.
-    fn ensure_pending<'s>(&self, state: &'s mut ShardState, now: Instant) -> &'s mut PendingBatch {
-        if state.pending.is_none() {
-            let parts = state.spares.pop().unwrap_or_else(|| BatchParts {
-                builder: SyndromeChunkBuilder::new(
-                    self.program.num_detectors(),
-                    self.program.num_observables(),
-                ),
-                runs: Vec::new(),
-            });
-            state.pending = Some(PendingBatch {
-                parts,
+    /// The shard's pending batch, created when absent with planes sized
+    /// for the `shots` the call still carries, up to [`MAX_JOB_SHOTS`].
+    /// Caller holds the shard lock.
+    fn ensure_pending<'s>(
+        &self,
+        state: &'s mut ShardState,
+        now: Instant,
+        shots: impl FnOnce() -> usize,
+    ) -> &'s mut PendingBatch {
+        state.pending.get_or_insert_with(|| {
+            let program = &self.shard.program;
+            PendingBatch {
+                parts: BatchParts {
+                    builder: SyndromeChunkBuilder::with_capacity(
+                        program.num_detectors(),
+                        program.num_observables(),
+                        shots().min(MAX_JOB_SHOTS),
+                    ),
+                    runs: Vec::new(),
+                },
                 oldest: now,
                 booked: 0,
-            });
-        }
-        state.pending.as_mut().expect("just ensured")
+            }
+        })
     }
 
     fn submit_inner(&self, fired: &[usize], block: bool) -> Result<u64, ServiceError> {
@@ -1598,13 +1564,12 @@ mod tests {
             StreamCore::new(1, mpsc::channel().0),
         );
         let mut queue = QueueState::default();
-        assert!(queue.enqueue(&shard, flushed(&a, 0, 64)).is_none());
+        queue.enqueue(&shard, flushed(&a, 0, 64));
+        assert_eq!(queue.jobs.len(), 1);
         // A's next word extends its run; B's partial word adds a run.
-        let spare = queue
-            .enqueue(&shard, flushed(&a, 64, 64))
-            .expect("absorbed");
-        assert!(spare.builder.is_empty() && spare.runs.is_empty());
-        assert!(queue.enqueue(&shard, flushed(&b, 0, 10)).is_some());
+        queue.enqueue(&shard, flushed(&a, 64, 64));
+        assert_eq!(queue.jobs.len(), 1, "absorbed");
+        queue.enqueue(&shard, flushed(&b, 0, 10));
         assert_eq!(queue.jobs.len(), 1);
         let job = &mut queue.jobs[0];
         assert_eq!(runs_of(job), [(0, 0, 128), (1, 0, 10)]);
@@ -1621,19 +1586,20 @@ mod tests {
         let a = StreamCore::new(0, mpsc::channel().0);
         // Nothing is appended behind a partial word.
         let mut queue = QueueState::default();
-        assert!(queue.enqueue(&one, flushed(&a, 0, 10)).is_none());
-        assert!(queue.enqueue(&one, flushed(&a, 10, 64)).is_none());
+        queue.enqueue(&one, flushed(&a, 0, 10));
+        queue.enqueue(&one, flushed(&a, 10, 64));
         assert_eq!(queue.jobs.len(), 2);
         // A job holds one program's frames.
         let mut queue = QueueState::default();
-        assert!(queue.enqueue(&one, flushed(&a, 0, 64)).is_none());
-        assert!(queue.enqueue(&other, flushed(&a, 64, 64)).is_none());
+        queue.enqueue(&one, flushed(&a, 0, 64));
+        queue.enqueue(&other, flushed(&a, 64, 64));
         assert_eq!(queue.jobs.len(), 2);
         // A job grows to exactly 64 words and no further.
         let mut queue = QueueState::default();
-        assert!(queue.enqueue(&one, flushed(&a, 0, 63 * 64)).is_none());
-        assert!(queue.enqueue(&one, flushed(&a, 63 * 64, 64)).is_some());
-        assert!(queue.enqueue(&one, flushed(&a, 4096, 64)).is_none());
+        queue.enqueue(&one, flushed(&a, 0, 63 * 64));
+        queue.enqueue(&one, flushed(&a, 63 * 64, 64));
+        assert_eq!(queue.jobs.len(), 1, "absorbed");
+        queue.enqueue(&one, flushed(&a, 4096, 64));
         assert_eq!(queue.jobs.len(), 2);
         assert_eq!(runs_of(&queue.jobs[0]), [(0, 0, 4096)]);
         assert_eq!(runs_of(&queue.jobs[1]), [(0, 4096, 64)]);
@@ -2364,6 +2330,81 @@ mod tests {
         assert_eq!(metrics.words_flushed, 1, "A's partial word still pends");
         a.sender.close();
         assert_eq!(a.recv().expect("close flush").seq, 0);
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_worker_routes_a_job_while_its_shard_is_locked() {
+        // One worker, two programs. A job of A is queued and decoded while
+        // the test holds A's shard lock; a full word of B queued behind it
+        // still comes back, because routing never locks a shard.
+        let service = DecodeService::new(ServiceConfig::default().with_workers(1));
+        let mut a = open(&service, "locked-a", &mirror_circuit()).unwrap();
+        let mut b = open(&service, "locked-b", &mirror_circuit()).unwrap();
+        {
+            // Reserve A's sequence numbers as a submit would.
+            let mut delivery = a.sender.core.delivery.lock().unwrap();
+            delivery.next_submit_seq = 64;
+            delivery.inflight = 64;
+        }
+        let shared = &service.shared;
+        let held = a.sender.shard.state.lock().unwrap();
+        let wakes = {
+            let mut queue = shared.queue.state.lock().unwrap();
+            queue.enqueue(&a.sender.shard, flushed(&a.sender.core, 0, 64));
+            queue.idle
+        };
+        shared.wake(wakes);
+        let plane = 0x0123_4567_89ab_cdef_u64;
+        let block = WordBlock {
+            planes: &[plane],
+            count: 64,
+        };
+        assert_eq!(b.sender.submit_word_batch(&[block]).unwrap(), 0..64);
+        let first = b.receiver.recv_timeout(Duration::from_secs(2));
+        drop(held);
+        let flips = plane & 1;
+        assert_eq!(
+            first,
+            Some(Correction { seq: 0, flips }),
+            "B's word is decoded while A's shard is held"
+        );
+        expect_mirrored(&mut b.receiver, 1..64, |_| plane);
+        for seq in 0..64u64 {
+            let correction = a.receiver.recv_timeout(Duration::from_secs(10));
+            let flips = u64::from(seq % 3 == 0);
+            assert_eq!(correction, Some(Correction { seq, flips }));
+        }
+        service.shutdown();
+    }
+
+    #[test]
+    fn the_flush_size_is_capped_at_one_job() {
+        let config = ServiceConfig::default().with_max_batch_words(100);
+        assert_eq!(config.max_batch_words, 64);
+        let deadline = Duration::from_millis(50);
+        let service = DecodeService::new(ServiceConfig {
+            workers: 1,
+            flush_deadline: deadline,
+            max_batch_words: 100,
+            stream_queue_shots: 8192,
+            ..ServiceConfig::default()
+        });
+        assert_eq!(service.config().max_batch_words, 64);
+        let mut handle = open(&service, "capped", &mirror_circuit()).unwrap();
+        let plane = |word: u64| (word + 7).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let planes: Vec<[u64; 1]> = (0..128).map(|word| [plane(word)]).collect();
+        let blocks: Vec<WordBlock<'_>> = planes
+            .iter()
+            .map(|planes| WordBlock { planes, count: 64 })
+            .collect();
+        assert_eq!(handle.sender.submit_word_batch(&blocks).unwrap(), 0..8192);
+        // Two flushes of 64 words, and nothing left for the deadline.
+        let metrics = service.metrics();
+        assert_eq!(metrics.full_word_flushes, 2);
+        assert_eq!(metrics.words_flushed, 128);
+        assert_eq!(metrics.deadline_flushes, 0);
+        expect_mirrored(&mut handle.receiver, 0..8192, plane);
         service.shutdown();
     }
 }

@@ -281,8 +281,13 @@ fn protocol_errors_are_reported_not_fatal() {
         .expect("valid open");
     assert!(stream.num_detectors > 0);
     assert_eq!(stream.num_observables, 1);
-    let metrics = client.metrics().expect("metrics");
-    assert_eq!(metrics.get("streams_open").and_then(Value::as_u64), Some(1));
+    let metrics = client.metrics_full().expect("metrics");
+    assert_eq!(
+        metrics["metrics"]
+            .get("streams_open")
+            .and_then(Value::as_u64),
+        Some(1)
+    );
     client.close_stream(stream.id).expect("close");
     client.shutdown_server().expect("shutdown");
     running.join().expect("server thread").expect("clean exit");

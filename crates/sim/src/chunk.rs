@@ -253,9 +253,10 @@ impl SyndromeChunk {
 /// Observable planes are left zeroed: an online client does not know the
 /// logical frame — that is what the decoder predicts.
 ///
-/// Planes start one word (64 shots) wide and double on demand. The builder
-/// is reusable: `finish` leaves zeroed planes of the width reached, so a
-/// recycled builder ingests its next batch without allocating.
+/// Planes start one word (64 shots) wide, or as wide as
+/// [`SyndromeChunkBuilder::with_capacity`] sizes them for a batch of known
+/// size, and double on demand. `finish` hands the planes over and leaves the
+/// builder empty without planes; its next batch allocates them afresh.
 #[derive(Debug, Clone)]
 pub struct SyndromeChunkBuilder {
     num_detectors: usize,
@@ -270,10 +271,17 @@ impl SyndromeChunkBuilder {
     /// A builder for frames over `num_detectors` detectors, producing chunks
     /// with `num_observables` (zeroed) observable planes.
     pub fn new(num_detectors: usize, num_observables: usize) -> Self {
+        Self::with_capacity(num_detectors, num_observables, 64)
+    }
+
+    /// [`SyndromeChunkBuilder::new`] with planes allocated for `shots`
+    /// frames, rounded up to whole words: a batch of that size is written
+    /// without widening, and `finish` hands its planes over as they are.
+    pub fn with_capacity(num_detectors: usize, num_observables: usize, shots: usize) -> Self {
         SyndromeChunkBuilder {
             num_detectors,
             num_observables,
-            planes: BitPlanes::zeroed(num_detectors, 1),
+            planes: BitPlanes::zeroed(num_detectors, shots.div_ceil(64)),
             num_frames: 0,
         }
     }
@@ -294,10 +302,15 @@ impl SyndromeChunkBuilder {
     }
 
     /// Widens the planes, to the next power of two words, once `shots` shots
-    /// no longer fit.
+    /// no longer fit; planes with no frame pending are allocated afresh.
     fn reserve_shots(&mut self, shots: usize) {
         if shots > self.planes.words_per_plane() * 64 {
-            self.planes.relay(shots.div_ceil(64).next_power_of_two());
+            let words = shots.div_ceil(64).next_power_of_two();
+            if self.num_frames == 0 {
+                self.planes = BitPlanes::zeroed(self.num_detectors, words);
+            } else {
+                self.planes.relay(words);
+            }
         }
     }
 
@@ -384,18 +397,14 @@ impl SyndromeChunkBuilder {
     }
 
     /// Hands the pending frames over as a [`SyndromeChunk`] (shot `s` of the
-    /// chunk is the `s`-th ingested frame; observables zeroed) and resets
-    /// the builder for the next batch. `chunk_index` and `shot_offset` are
-    /// recorded verbatim for the caller's bookkeeping.
+    /// chunk is the `s`-th ingested frame; observables zeroed) and leaves the
+    /// builder empty, without planes, for its next batch. `chunk_index` and
+    /// `shot_offset` are recorded verbatim for the caller's bookkeeping.
     pub fn finish(&mut self, chunk_index: usize, shot_offset: usize) -> SyndromeChunk {
         let num_shots = std::mem::take(&mut self.num_frames);
         let words = num_shots.div_ceil(64);
-        let width = self.planes.words_per_plane();
-        let mut detectors = std::mem::replace(
-            &mut self.planes,
-            BitPlanes::zeroed(self.num_detectors, width),
-        );
-        if words != width {
+        let mut detectors = std::mem::take(&mut self.planes);
+        if words != detectors.words_per_plane() {
             // A batch flushed below the width reached (deadline or close).
             detectors.relay(words);
         }
@@ -976,6 +985,49 @@ mod tests {
         tail.push_word_block(&block(4), 64);
         fresh.push_word_block(&block(4), 64);
         assert_eq!(tail.finish(0, 0), fresh.finish(0, 0));
+    }
+
+    #[test]
+    fn a_sized_builder_matches_an_unsized_one() {
+        let num_detectors = 5;
+        let fired_in = |s: usize| -> Vec<usize> {
+            (0..num_detectors)
+                .filter(|d| (d * 3 + s).is_multiple_of(7))
+                .collect()
+        };
+        let block = |first: usize, count: usize| -> Vec<u64> {
+            let mut planes = vec![0u64; num_detectors];
+            for s in 0..count {
+                for d in fired_in(first + s) {
+                    planes[d] |= 1u64 << s;
+                }
+            }
+            planes
+        };
+        for shots in [1, 63, 64, 65, 4096] {
+            let mut unsized_frames = SyndromeChunkBuilder::new(num_detectors, 1);
+            let mut sized_frames = SyndromeChunkBuilder::with_capacity(num_detectors, 1, shots);
+            for s in 0..shots {
+                unsized_frames.push_frame(&fired_in(s));
+                sized_frames.push_frame(&fired_in(s));
+            }
+            let chunk = unsized_frames.finish(0, 0);
+            assert_eq!(sized_frames.finish(0, 0), chunk, "{shots} frames");
+            let mut sized_blocks = SyndromeChunkBuilder::with_capacity(num_detectors, 1, shots);
+            for first in (0..shots).step_by(64) {
+                let count = (shots - first).min(64);
+                sized_blocks.push_word_block(&block(first, count), count);
+            }
+            assert_eq!(sized_blocks.finish(0, 0), chunk, "{shots} shots in blocks");
+            // The finished builder ingests its next batch from shot 0.
+            assert!(sized_blocks.is_empty());
+            let mut fresh = SyndromeChunkBuilder::new(num_detectors, 1);
+            for s in 0..3 {
+                sized_blocks.push_frame(&fired_in(s));
+                fresh.push_frame(&fired_in(s));
+            }
+            assert_eq!(sized_blocks.finish(0, 0), fresh.finish(0, 0));
+        }
     }
 
     #[test]

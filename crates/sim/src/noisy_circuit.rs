@@ -258,19 +258,6 @@ impl NoisyCircuit {
             .collect::<Result<Vec<_>, _>>()?;
         Ok((detectors, observables))
     }
-
-    /// Sum over noise channels of their total probability — a rough measure
-    /// of the expected number of physical faults per shot, useful for sanity
-    /// checks and diagnostics.
-    pub fn expected_fault_count(&self) -> f64 {
-        self.ops
-            .iter()
-            .filter_map(|op| match op {
-                NoisyOp::Noise(channel) => Some(channel.total_probability()),
-                NoisyOp::Gate(_) => None,
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -350,24 +337,6 @@ mod tests {
         let (detectors, observables) = noisy.resolve_annotations().unwrap();
         assert_eq!(detectors, vec![vec![0, 1]]);
         assert_eq!(observables, vec![vec![1]]);
-    }
-
-    #[test]
-    fn expected_fault_count_sums_probabilities() {
-        let mut noisy = NoisyCircuit::new();
-        noisy.push_noise(NoiseChannel::Depolarize1 {
-            qubit: q(0),
-            p: 0.1,
-        });
-        noisy.push_noise(NoiseChannel::BitFlip {
-            qubit: q(1),
-            p: 0.2,
-        });
-        noisy.push_noise(NoiseChannel::PhaseFlip {
-            qubit: q(1),
-            p: 0.3,
-        });
-        assert!((noisy.expected_fault_count() - 0.6).abs() < 1e-12);
     }
 
     #[test]
