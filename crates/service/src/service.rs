@@ -1207,7 +1207,7 @@ impl StreamSender {
         match burst {
             FrameBatch::Indices(mut frames) => {
                 while !frames.is_empty() {
-                    let batch = self.ensure_pending(&mut state, now, || frames.len());
+                    let batch = self.ensure_pending(&mut state, now, FrameBatch::Indices(frames));
                     // One frame run (and one bookkeeping record) per
                     // flush-bounded segment, not per frame.
                     let segment = frames.len().min(flush_shots - batch.unbooked());
@@ -1226,9 +1226,8 @@ impl StreamSender {
             }
             FrameBatch::Blocks(blocks) => {
                 for (index, block) in blocks.iter().enumerate() {
-                    let batch = self.ensure_pending(&mut state, now, || {
-                        FrameBatch::Blocks(&blocks[index..]).shots()
-                    });
+                    let rest = FrameBatch::Blocks(&blocks[index..]);
+                    let batch = self.ensure_pending(&mut state, now, rest);
                     batch
                         .parts
                         .builder
@@ -1270,13 +1269,13 @@ impl StreamSender {
     }
 
     /// The shard's pending batch, created when absent with planes sized
-    /// for the `shots` the call still carries, up to [`MAX_JOB_SHOTS`].
-    /// Caller holds the shard lock.
+    /// for the shots the `rest` of the call carries, up to
+    /// [`MAX_JOB_SHOTS`]. Caller holds the shard lock.
     fn ensure_pending<'s>(
         &self,
         state: &'s mut ShardState,
         now: Instant,
-        shots: impl FnOnce() -> usize,
+        rest: FrameBatch<'_>,
     ) -> &'s mut PendingBatch {
         state.pending.get_or_insert_with(|| {
             let program = &self.shard.program;
@@ -1285,7 +1284,7 @@ impl StreamSender {
                     builder: SyndromeChunkBuilder::with_capacity(
                         program.num_detectors(),
                         program.num_observables(),
-                        shots().min(MAX_JOB_SHOTS),
+                        rest.shots().min(MAX_JOB_SHOTS),
                     ),
                     runs: Vec::new(),
                 },

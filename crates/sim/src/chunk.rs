@@ -405,7 +405,8 @@ impl SyndromeChunkBuilder {
         let words = num_shots.div_ceil(64);
         let mut detectors = std::mem::take(&mut self.planes);
         if words != detectors.words_per_plane() {
-            // A batch flushed below the width reached (deadline or close).
+            // A batch narrower than its planes: flushed short of the size it
+            // was allocated for, or widened past it by doubling.
             detectors.relay(words);
         }
         SyndromeChunk {
