@@ -52,7 +52,7 @@ pub use spec::{
 };
 pub use sweep::{
     evaluate_ler_point, ler_curves_from_outcomes, ler_sweep_points, rare_event_points,
-    run_ler_sweep, LerCurve, LerOutcome, LerPoint, DEFAULT_SWEEP_SEED,
+    run_ler_sweep, LerCurve, LerOutcome, LerPoint, ScheduleCache, DEFAULT_SWEEP_SEED,
 };
 
 /// Renders an aligned text table (the pretty emitter of every artifact).

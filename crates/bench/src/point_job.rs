@@ -9,6 +9,13 @@
 //! outcomes with the [`artifact_from_outcomes`] that `run_spec` itself
 //! calls — so a merged artifact is bit-identical to `run_spec` output.
 //!
+//! A job holds one [`ScheduleCache`] for its lifetime: the points it
+//! evaluates compile once per (architecture without its gate improvement,
+//! distance) and re-weight that schedule's fault table per point, so a
+//! full `fig10` run compiles 6 schedules for 18 points and a resumed run
+//! compiles only the schedules of the points it still has to compute. The
+//! cache never changes an outcome (see [`crate::sweep`]).
+//!
 //! Only specs with a point grid (LER sweeps and rare-event comparisons) run
 //! through the store: they are the Monte-Carlo sweeps whose cost grows with
 //! the shot count a user asks for, and their outcomes are pure functions of
@@ -22,7 +29,7 @@ use qccd_sweeprun::{JobDescriptor, PointJob, PointStore};
 
 use crate::registry::{artifact_from_outcomes, not_a_grid, point_grid};
 use crate::spec::{opt, req, Spelled};
-use crate::sweep::{evaluate_ler_point, LerOutcome, LerPoint};
+use crate::sweep::{evaluate_ler_point, LerOutcome, LerPoint, ScheduleCache};
 use crate::{Artifact, ExperimentSpec};
 
 /// Job kind tag recorded in the store manifest.
@@ -33,6 +40,7 @@ pub struct SpecPointJob {
     spec: ExperimentSpec,
     points: Vec<LerPoint>,
     engine: SweepEngine,
+    schedules: ScheduleCache,
 }
 
 impl SpecPointJob {
@@ -61,6 +69,7 @@ pub fn spec_point_job(spec: &ExperimentSpec) -> Result<SpecPointJob, String> {
         spec: spec.clone(),
         points: point_grid(spec).ok_or_else(|| not_a_grid(spec).to_string())?,
         engine: SweepEngine::new(spec.seed),
+        schedules: ScheduleCache::default(),
     })
 }
 
@@ -97,7 +106,11 @@ impl PointJob for SpecPointJob {
         // table cells); an Err here means the point cannot be evaluated at
         // all (an index or seed that is not this spec's), which the runner
         // records under `failed/`.
-        Ok(outcome_to_json(&evaluate_ler_point(point, seed)))
+        Ok(outcome_to_json(&evaluate_ler_point(
+            point,
+            seed,
+            &self.schedules,
+        )))
     }
 }
 
@@ -277,6 +290,60 @@ mod tests {
         }
         spec.name = "tiny-rare-event-test".to_string();
         spec
+    }
+
+    /// fig10's full 3 × 3 × 2 grid at a token shot count.
+    fn small_fig10() -> ExperimentSpec {
+        let mut spec = ExperimentRegistry::builtin().get("fig10").unwrap().clone();
+        let ExperimentKind::LerSweep(kind) = &mut spec.kind else {
+            panic!("fig10 changed kind");
+        };
+        kind.shots = 64;
+        spec.name = "small-fig10-test".to_string();
+        spec
+    }
+
+    #[test]
+    fn a_fig10_job_compiles_six_schedules_for_eighteen_points() {
+        let job = spec_point_job(&small_fig10()).unwrap();
+        assert_eq!(job.num_points(), 18);
+        for index in 0..job.num_points() {
+            job.eval(index, job.point_seed(index)).unwrap();
+        }
+        assert_eq!(job.schedules.len(), 6, "3 capacities x 2 distances");
+    }
+
+    #[test]
+    fn a_resumed_job_compiles_only_the_missing_points_schedule() {
+        let spec = small_fig10();
+        let base =
+            std::env::temp_dir().join(format!("qccd-point-job-schedules-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        std::fs::create_dir_all(&base).unwrap();
+        let job = spec_point_job(&spec).unwrap();
+        let (store, _) = PointStore::open(&base, &job.descriptor(), job.seed_table()).unwrap();
+        let config = || qccd_sweeprun::CoordinatorConfig {
+            local_workers: 2,
+            ..qccd_sweeprun::CoordinatorConfig::default()
+        };
+        qccd_sweeprun::run_job(&job, &store, config()).unwrap();
+        assert_eq!(
+            job.schedules.len(),
+            6,
+            "two workers never compile a key twice"
+        );
+
+        let victim = 7usize;
+        std::fs::remove_file(store.root().join("points").join(format!(
+            "point-{victim:06}-{:016x}.json",
+            store.seed(victim)
+        )))
+        .unwrap();
+        let resumed = spec_point_job(&spec).unwrap();
+        let summary = qccd_sweeprun::run_job(&resumed, &store, config()).unwrap();
+        assert_eq!((summary.computed, summary.resumed), (1, 17));
+        assert_eq!(resumed.schedules.len(), 1);
+        let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]

@@ -6,19 +6,38 @@
 //! parallel in the outer pool while each point's Monte-Carlo pipeline keeps
 //! its inner chunk parallelism.
 //!
+//! # One compile per schedule
+//!
+//! A gate improvement only divides noise probabilities: it never changes
+//! the mapping, the routing or the schedule. So a sweep does not compile
+//! per point. Its [`ScheduleCache`] compiles each distinct (architecture
+//! with the gate improvement set to 1, distance) once, keeps that
+//! schedule's fault table with every channel's probability before the gate
+//! improvement (`qccd_core::ScheduleFaults`), and re-weights the table to
+//! each point's own gate improvement. `fig10`'s 18 points compile 6
+//! schedules. The cache lives as long as one [`run_ler_sweep`] call or one
+//! [`SpecPointJob`](crate::SpecPointJob); nothing is shared process-wide.
+//!
 //! # Determinism
 //!
 //! Every point samples with the seed `sweep_seed(engine seed, point index)`
 //! and results come back in input order, so a sweep's outcome is a pure
-//! function of `(engine seed, points)` — independent of thread counts or
-//! scheduling. The golden regression test in `tests/golden_sweep.rs` pins
-//! this end to end (compiler → sampler → decoder → estimator).
+//! function of `(engine seed, points)` — independent of thread counts,
+//! scheduling, or which point of a schedule compiled it. A re-weighted
+//! table is bit-equal to the table of a fresh compile at the point's gate
+//! improvement, so every outcome equals [`Toolflow::estimate`] of its point.
+//! The golden regression tests `tests/golden_sweep.rs` and
+//! `tests/golden_shared_schedules.rs` pin this end to end (compiler →
+//! sampler → decoder → estimator).
 
-use qccd_core::{ArchitectureConfig, Toolflow};
+use std::sync::{Arc, Mutex, OnceLock};
+
+use qccd_core::{ArchitectureConfig, CompileError, ScheduleFaults, Toolflow};
 use qccd_decoder::{
-    fit_lambda_weighted, CacheStats, DecoderKind, EstimatorConfig, LambdaFit, LogicalErrorEstimate,
-    SweepEngine,
+    estimate_logical_error_rate_from_table, fit_lambda_weighted, CacheStats, DecoderKind,
+    EstimatorConfig, LambdaFit, LogicalErrorEstimate, SweepEngine,
 };
+use qccd_sim::FaultTable;
 
 /// Engine seed of the builtin specs (matches the `Toolflow` default).
 pub const DEFAULT_SWEEP_SEED: u64 = 2026;
@@ -94,25 +113,101 @@ pub struct LerOutcome {
     pub cache: Option<CacheStats>,
 }
 
-/// Evaluates one sweep point at an explicit sampling seed through
-/// [`Toolflow::estimate`] (compile the memory experiment → sample → batch
-/// decode).
+/// The compiled schedules of one sweep, one per distinct (architecture with
+/// the gate improvement set to 1, distance): each holds the schedule's
+/// [`ScheduleFaults`], or the compile error, which no gate improvement
+/// changes either. See the [module docs](self).
+///
+/// Keys compare with the architecture's `PartialEq`, so points that differ
+/// in topology, capacity, wiring, operation times or any noise field but
+/// the gate improvement never share an entry. Each key compiles once even
+/// when two workers ask for it together: the second waits on the first's
+/// per-key [`OnceLock`].
+#[derive(Debug, Default)]
+pub struct ScheduleCache {
+    entries: Mutex<Vec<ScheduleEntry>>,
+}
+
+#[derive(Debug)]
+struct ScheduleEntry {
+    arch: ArchitectureConfig,
+    distance: usize,
+    faults: Arc<OnceLock<Result<ScheduleFaults, CompileError>>>,
+}
+
+impl ScheduleCache {
+    /// How many distinct schedules the cache holds.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.entries.lock().expect("schedule cache lock").len()
+    }
+
+    /// The fault table of `point`: its schedule's table re-weighted to the
+    /// point's gate improvement, compiling the schedule on first use.
+    ///
+    /// # Errors
+    ///
+    /// The schedule's compile error.
+    pub fn fault_table(&self, point: &LerPoint) -> Result<FaultTable, CompileError> {
+        let mut arch = point.arch.clone();
+        arch.gate_improvement = 1.0;
+        arch.noise.gate_improvement = 1.0;
+        let faults = {
+            let mut entries = self.entries.lock().expect("schedule cache lock");
+            match entries
+                .iter()
+                .find(|entry| entry.distance == point.distance && entry.arch == arch)
+            {
+                Some(entry) => Arc::clone(&entry.faults),
+                None => {
+                    let faults = Arc::default();
+                    entries.push(ScheduleEntry {
+                        arch: arch.clone(),
+                        distance: point.distance,
+                        faults: Arc::clone(&faults),
+                    });
+                    faults
+                }
+            }
+        };
+        let faults = faults.get_or_init(|| {
+            let program = Toolflow::new(arch).memory_program(point.distance)?;
+            Ok(ScheduleFaults::lower(
+                &program.schedule,
+                &program.circuit,
+                &program.arch.noise,
+            ))
+        });
+        match faults {
+            Ok(faults) => Ok(faults.at(point.arch.noise.gate_improvement)),
+            Err(e) => Err(e.clone()),
+        }
+    }
+}
+
+/// Evaluates one sweep point at an explicit sampling seed: the point's
+/// fault table from `schedules` (compiled once per schedule, re-weighted
+/// per point), then the batch estimator — the same estimate, bit for bit,
+/// as [`Toolflow::estimate`] of the point.
 ///
 /// This is the single evaluation body shared by every execution tier —
 /// [`run_ler_sweep`]'s in-process sharding, and the sweeprun point store
 /// through [`crate::point_job`] — so the outcome is a pure function of
-/// `(point, seed)` no matter which tier computed it. A point that does not
-/// compile carries the error of that `d`-round compile.
-pub fn evaluate_ler_point(point: &LerPoint, seed: u64) -> LerOutcome {
-    let toolflow = Toolflow {
-        arch: point.arch.clone(),
-        shots: point.shots,
-        seed,
-        decoder: point.decoder,
-        estimator: point.estimator,
-    };
-    let (result, cache) = match toolflow.estimate(point.distance) {
-        Ok(report) => (Ok(report.estimate), Some(report.cache)),
+/// `(point, seed)` no matter which tier computed it or which points
+/// shared its schedule. A point that does not compile carries the error of
+/// that `d`-round compile.
+pub fn evaluate_ler_point(point: &LerPoint, seed: u64, schedules: &ScheduleCache) -> LerOutcome {
+    let (result, cache) = match schedules.fault_table(point) {
+        Ok(table) => {
+            let report = estimate_logical_error_rate_from_table(
+                &table,
+                point.shots,
+                seed,
+                point.decoder,
+                &point.estimator,
+            );
+            (Ok(report.estimate), Some(report.cache))
+        }
         Err(e) => (Err(e.to_string()), None),
     };
     LerOutcome {
@@ -127,9 +222,13 @@ pub fn evaluate_ler_point(point: &LerPoint, seed: u64) -> LerOutcome {
 }
 
 /// Runs every point through [`evaluate_ler_point`], sharded across the
-/// engine's outer pool. Results are in input order.
+/// engine's outer pool, with one [`ScheduleCache`] for the call. Results
+/// are in input order.
 pub fn run_ler_sweep(engine: &SweepEngine, points: &[LerPoint]) -> Vec<LerOutcome> {
-    engine.run(points, |task| evaluate_ler_point(task.point, task.seed))
+    let schedules = ScheduleCache::default();
+    engine.run(points, |task| {
+        evaluate_ler_point(task.point, task.seed, &schedules)
+    })
 }
 
 /// A fitted logical-error-rate curve of one configuration.
@@ -268,6 +367,99 @@ mod tests {
             assert!(outcome.result.is_ok(), "{:?}", outcome.result);
             let cache = outcome.cache.expect("successful points carry stats");
             assert_eq!(cache.words(), 1, "64 shots fit one word");
+        }
+    }
+
+    #[test]
+    fn only_the_gate_improvement_shares_a_schedule() {
+        let base = grid_arch(2, 5.0);
+        let mut variants = vec![
+            ArchitectureConfig::new(
+                qccd_hardware::TopologyKind::Grid,
+                2,
+                qccd_hardware::WiringMethod::Wise,
+                5.0,
+            ),
+            grid_arch(3, 5.0),
+        ];
+        let mut vary = |change: &dyn Fn(&mut ArchitectureConfig)| {
+            let mut arch = base.clone();
+            change(&mut arch);
+            variants.push(arch);
+        };
+        vary(&|a| a.operation_times.two_qubit_ms_us *= 2.0);
+        vary(&|a| a.operation_times.shuttle_us += 1.0);
+        vary(&|a| a.operation_times.cooling_overhead_us += 1.0);
+        vary(&|a| a.noise.t2_seconds *= 2.0);
+        vary(&|a| a.noise.background_heating_per_us *= 2.0);
+        vary(&|a| a.noise.laser_instability_a0 *= 2.0);
+        vary(&|a| a.noise.base_nbar += 1.0);
+        vary(&|a| a.noise.reset_error *= 2.0);
+        vary(&|a| a.noise.measurement_error *= 2.0);
+        vary(&|a| a.noise.cooled = true);
+        vary(&|a| a.noise.cooled_two_qubit_error *= 2.0);
+        vary(&|a| a.noise.cooled_single_qubit_error *= 2.0);
+
+        let cache = ScheduleCache::default();
+        let point = |arch: &ArchitectureConfig| LerPoint::new("p", arch.clone(), 3, 64);
+        for g in [1.0, 5.0, 10.0, 1000.0] {
+            cache.fault_table(&point(&grid_arch(2, g))).unwrap();
+        }
+        assert_eq!(cache.len(), 1, "gate improvements share one schedule");
+        cache
+            .fault_table(&LerPoint::new("p", base.clone(), 5, 64))
+            .unwrap();
+        assert_eq!(cache.len(), 2, "another distance is another schedule");
+        for (k, arch) in variants.iter().enumerate() {
+            let table = cache.fault_table(&point(arch)).unwrap();
+            assert_eq!(cache.len(), 3 + k, "variant {k} must not share an entry");
+            let fresh = Toolflow::new(arch.clone())
+                .memory_program(3)
+                .unwrap()
+                .to_noisy_circuit();
+            assert_eq!(
+                table,
+                FaultTable::from_circuit(&fresh).unwrap(),
+                "variant {k}"
+            );
+        }
+        // The noise model's own gate improvement is the one that re-weights.
+        let mut split = base.clone();
+        split.noise.gate_improvement = 50.0;
+        let table = cache.fault_table(&point(&split)).unwrap();
+        assert_eq!(cache.len(), 2 + variants.len());
+        let fresh = Toolflow::new(split).memory_program(3).unwrap();
+        assert_eq!(
+            table,
+            FaultTable::from_circuit(&fresh.to_noisy_circuit()).unwrap()
+        );
+    }
+
+    #[test]
+    fn compile_errors_are_cached_per_schedule() {
+        // Capacity-2 linear traps cannot route a 2-D code, at any gate
+        // improvement.
+        let linear = |g| {
+            ArchitectureConfig::new(
+                qccd_hardware::TopologyKind::Linear,
+                2,
+                qccd_hardware::WiringMethod::Standard,
+                g,
+            )
+        };
+        let cache = ScheduleCache::default();
+        let outcomes: Vec<LerOutcome> = [1.0, 5.0]
+            .iter()
+            .map(|&g| evaluate_ler_point(&LerPoint::new("l", linear(g), 3, 64), 7, &cache))
+            .collect();
+        assert_eq!(cache.len(), 1);
+        let expected = Toolflow::new(linear(5.0))
+            .estimate(3)
+            .unwrap_err()
+            .to_string();
+        for outcome in outcomes {
+            assert_eq!(outcome.result.unwrap_err(), expected);
+            assert!(outcome.cache.is_none());
         }
     }
 

@@ -63,7 +63,7 @@ mod toolflow;
 pub use arch::ArchitectureConfig;
 pub use compiler::{CompiledProgram, Compiler};
 pub use error::CompileError;
-pub use lower::lower_to_noisy_circuit;
+pub use lower::{lower_to_noisy_circuit, ScheduleFaults};
 pub use mapping::{
     cluster_qubits, cluster_qubits_with_strategy, cut_weight, hungarian, map_qubits,
     map_qubits_with_strategy, validate_clustering, ClusteringStrategy, QubitCluster, QubitMapping,

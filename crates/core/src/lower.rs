@@ -20,6 +20,19 @@
 //! are carried over unchanged (they are expressed in per-qubit measurement
 //! order, which the compiler preserves).
 //!
+//! # One walk, two outputs
+//!
+//! A gate improvement only divides channel probabilities (see
+//! `qccd_noise::Unscaled`); it never adds, drops or moves a channel. So the
+//! walk computes every channel's probability as an [`Unscaled`] value plus
+//! its finishing rule, and finishes it at the parameters' gate improvement.
+//! [`lower_to_noisy_circuit`] keeps only the finished circuit;
+//! [`ScheduleFaults::lower`] also keeps the unscaled values, next to the
+//! circuit's fault table, so [`ScheduleFaults::at`] can re-weight that table
+//! to any other gate improvement without compiling or lowering again. Both
+//! go through the same walk, so a re-weighted table equals a fresh one bit
+//! for bit.
+//!
 //! The pass walks [`Schedule::ops_in_time_order`] and keeps its per-qubit
 //! state dense: each qubit's last release time in a `Vec<f64>` indexed by
 //! [`QubitId::index`] and its motional energy in the `Vec`-backed
@@ -29,8 +42,8 @@
 //! [`Qubits`]: qccd_circuit::Qubits
 
 use qccd_circuit::{Circuit, Instruction, QubitId};
-use qccd_noise::{HeatingLedger, NoiseParams};
-use qccd_sim::{NoiseChannel, NoisyCircuit};
+use qccd_noise::{HeatingLedger, NoiseParams, Unscaled};
+use qccd_sim::{FaultTable, NoiseChannel, NoisyCircuit};
 
 use crate::{RoutedOp, Schedule};
 
@@ -41,8 +54,59 @@ pub fn lower_to_noisy_circuit(
     circuit: &Circuit,
     params: &NoiseParams,
 ) -> NoisyCircuit {
-    let mut noisy = NoisyCircuit::new();
-    noisy.pad_qubits(circuit.num_qubits());
+    lower(schedule, circuit, params, |_| {})
+}
+
+/// The fault table of one lowered schedule together with every channel's
+/// [`Unscaled`] probability: the part of a logical-error-rate point that
+/// every gate improvement of one (architecture, distance) shares.
+/// [`ScheduleFaults::at`] re-weights it to one gate improvement.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScheduleFaults {
+    table: FaultTable,
+    unscaled: Vec<Unscaled>,
+}
+
+impl ScheduleFaults {
+    /// Lowers `schedule` with `params` and extracts its fault table. Only
+    /// the parameters' non-gate-improvement fields matter: the table is
+    /// re-weighted per gate improvement by [`ScheduleFaults::at`].
+    pub fn lower(schedule: &Schedule, circuit: &Circuit, params: &NoiseParams) -> Self {
+        let mut unscaled = Vec::new();
+        let noisy = lower(schedule, circuit, params, |channel| unscaled.push(channel));
+        let table = FaultTable::from_circuit(&noisy)
+            .expect("lowered circuits carry the input circuit's consistent annotations");
+        ScheduleFaults { table, unscaled }
+    }
+
+    /// The fault table at `gate_improvement`: bit-equal to the
+    /// [`FaultTable::from_circuit`] of the schedule lowered afresh with the
+    /// same parameters at that gate improvement.
+    pub fn at(&self, gate_improvement: f64) -> FaultTable {
+        self.table.with_probabilities(
+            self.unscaled
+                .iter()
+                .map(|channel| channel.at(gate_improvement))
+                .collect(),
+        )
+    }
+}
+
+/// The one lowering walk: `record` sees every channel's [`Unscaled`]
+/// probability, in op order, as it is emitted. `lower_to_noisy_circuit`
+/// passes a no-op, which compiles away.
+fn lower(
+    schedule: &Schedule,
+    circuit: &Circuit,
+    params: &NoiseParams,
+    record: impl FnMut(Unscaled),
+) -> NoisyCircuit {
+    let mut out = Emitter {
+        noisy: NoisyCircuit::new(),
+        gate_improvement: params.gate_improvement,
+        record,
+    };
+    out.noisy.pad_qubits(circuit.num_qubits());
     let mut ledger = HeatingLedger::new(params.base_nbar);
     // When each qubit was last released by a gate (0 before its first),
     // with a slot for every qubit the schedule touches.
@@ -66,21 +130,14 @@ pub fn lower_to_noisy_circuit(
                 ..
             } => {
                 // Three physical MS gates: depolarise both ions accordingly.
-                emit_idle_dephasing(&mut noisy, params, &last_release, *ion, scheduled.start_us);
-                emit_idle_dephasing(
-                    &mut noisy,
-                    params,
-                    &last_release,
-                    *other,
-                    scheduled.start_us,
-                );
-                let per_gate = params.two_qubit_gate_error(
-                    scheduled.duration_us() / 3.0,
+                out.idle_dephasing(params, &last_release, *ion, scheduled.start_us);
+                out.idle_dephasing(params, &last_release, *other, scheduled.start_us);
+                let unscaled = params.gate_swap_unscaled(
+                    scheduled.duration_us(),
                     *chain_len,
                     ledger.pair_nbar(*ion, *other),
                 );
-                let p = 1.0 - (1.0 - per_gate).powi(3);
-                noisy.push_noise(NoiseChannel::Depolarize2 {
+                out.noise(unscaled, |p| NoiseChannel::Depolarize2 {
                     a: *ion,
                     b: *other,
                     p,
@@ -95,46 +152,45 @@ pub fn lower_to_noisy_circuit(
             } => {
                 let qubits = instruction.qubits();
                 for &q in &qubits {
-                    emit_idle_dephasing(&mut noisy, params, &last_release, q, scheduled.start_us);
+                    out.idle_dephasing(params, &last_release, q, scheduled.start_us);
                 }
                 match instruction {
                     Instruction::Measure(q) | Instruction::MeasureX(q) => {
-                        noisy.push_noise(NoiseChannel::BitFlip {
-                            qubit: *q,
-                            p: params.measurement_flip_probability(),
+                        out.noise(params.measurement_flip_unscaled(), |p| {
+                            NoiseChannel::BitFlip { qubit: *q, p }
                         });
-                        noisy.push_gate(*instruction);
+                        out.noisy.push_gate(*instruction);
                         ledger.cool(*q);
                     }
                     Instruction::Reset(q) => {
-                        noisy.push_gate(*instruction);
-                        noisy.push_noise(NoiseChannel::BitFlip {
+                        out.noisy.push_gate(*instruction);
+                        out.noise(params.reset_flip_unscaled(), |p| NoiseChannel::BitFlip {
                             qubit: *q,
-                            p: params.reset_flip_probability(),
+                            p,
                         });
                         ledger.cool(*q);
                     }
                     _ if instruction.is_two_qubit() => {
-                        noisy.push_gate(*instruction);
-                        let p = params.two_qubit_gate_error(
+                        out.noisy.push_gate(*instruction);
+                        let unscaled = params.two_qubit_gate_unscaled(
                             scheduled.duration_us(),
                             *chain_len,
                             ledger.pair_nbar(qubits[0], qubits[1]),
                         );
-                        noisy.push_noise(NoiseChannel::Depolarize2 {
+                        out.noise(unscaled, |p| NoiseChannel::Depolarize2 {
                             a: qubits[0],
                             b: qubits[1],
                             p,
                         });
                     }
                     _ => {
-                        noisy.push_gate(*instruction);
-                        let p = params.single_qubit_gate_error(
+                        out.noisy.push_gate(*instruction);
+                        let unscaled = params.single_qubit_gate_unscaled(
                             scheduled.duration_us(),
                             *chain_len,
                             ledger.nbar(qubits[0]),
                         );
-                        noisy.push_noise(NoiseChannel::Depolarize1 {
+                        out.noise(unscaled, |p| NoiseChannel::Depolarize1 {
                             qubit: qubits[0],
                             p,
                         });
@@ -147,6 +203,7 @@ pub fn lower_to_noisy_circuit(
         }
     }
 
+    let mut noisy = out.noisy;
     for detector in circuit.detectors() {
         noisy.add_detector(detector.clone());
     }
@@ -156,19 +213,34 @@ pub fn lower_to_noisy_circuit(
     noisy
 }
 
-fn emit_idle_dephasing(
-    noisy: &mut NoisyCircuit,
-    params: &NoiseParams,
-    last_release: &[f64],
-    qubit: QubitId,
-    now_us: f64,
-) {
-    let idle = now_us - last_release[qubit.index()];
-    if idle > 1e-9 {
-        noisy.push_noise(NoiseChannel::PhaseFlip {
-            qubit,
-            p: params.dephasing_probability(idle),
-        });
+/// The output side of the walk: every channel is finished at the
+/// parameters' gate improvement and shown to `record` on the way out.
+struct Emitter<R> {
+    noisy: NoisyCircuit,
+    gate_improvement: f64,
+    record: R,
+}
+
+impl<R: FnMut(Unscaled)> Emitter<R> {
+    fn noise(&mut self, unscaled: Unscaled, channel: impl FnOnce(f64) -> NoiseChannel) {
+        (self.record)(unscaled);
+        self.noisy
+            .push_noise(channel(unscaled.at(self.gate_improvement)));
+    }
+
+    fn idle_dephasing(
+        &mut self,
+        params: &NoiseParams,
+        last_release: &[f64],
+        qubit: QubitId,
+        now_us: f64,
+    ) {
+        let idle = now_us - last_release[qubit.index()];
+        if idle > 1e-9 {
+            self.noise(params.dephasing_unscaled(idle), |p| {
+                NoiseChannel::PhaseFlip { qubit, p }
+            });
+        }
     }
 }
 

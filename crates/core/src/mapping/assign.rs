@@ -56,23 +56,9 @@ impl QubitMapping {
         self.qubit_to_trap.get(&qubit).copied()
     }
 
-    /// The initial ion chain (ordered qubit list) of a trap. Traps that host
-    /// no qubits return an empty slice.
-    pub fn chain_of(&self, trap: TrapId) -> &[QubitId] {
-        self.initial_chains
-            .get(&trap)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-    }
-
     /// Every trap that hosts at least one qubit, with its chain.
     pub fn chains(&self) -> &HashMap<TrapId, Vec<QubitId>> {
         &self.initial_chains
-    }
-
-    /// Number of traps that host at least one qubit.
-    pub fn num_used_traps(&self) -> usize {
-        self.initial_chains.len()
     }
 
     /// Number of mapped qubits.
@@ -242,9 +228,9 @@ mod tests {
         let layout = rotated_surface_code(3);
         let device = qccd_hardware::Device::single_chain(layout.num_qubits());
         let mapping = map_qubits(&layout, &device).unwrap();
-        assert_eq!(mapping.num_used_traps(), 1);
+        assert_eq!(mapping.chains().len(), 1);
         assert_eq!(
-            mapping.chain_of(device.traps()[0].id).len(),
+            mapping.chains()[&device.traps()[0].id].len(),
             layout.num_qubits()
         );
     }

@@ -22,7 +22,7 @@ use std::mem::Discriminant;
 
 use serde::{Deserialize, Serialize};
 
-use qccd_circuit::{Instruction, QubitId};
+use qccd_circuit::Instruction;
 use qccd_hardware::{OperationTimes, WiringMethod};
 
 use crate::{Resource, Resources, RoutedOp, RoutedProgram};
@@ -83,27 +83,6 @@ impl Schedule {
         keys.into_iter()
             .map(|(_, index)| &self.ops[index])
             .collect()
-    }
-
-    /// Total busy time of one qubit (time covered by gates, swaps and
-    /// transport involving it).
-    pub fn qubit_busy_us(&self, qubit: QubitId) -> f64 {
-        self.ops
-            .iter()
-            .filter(|s| s.op.ions().contains(&qubit))
-            .map(|s| s.duration_us())
-            .sum()
-    }
-
-    /// Average number of operations executing concurrently (total op time
-    /// divided by makespan); a diagnostic for how much parallelism the
-    /// architecture exposes.
-    pub fn mean_parallelism(&self) -> f64 {
-        if self.makespan_us <= 0.0 {
-            return 0.0;
-        }
-        let total: f64 = self.ops.iter().map(|s| s.duration_us()).sum();
-        total / self.makespan_us
     }
 }
 
@@ -230,6 +209,7 @@ pub fn check_resource_exclusivity(schedule: &Schedule, wiring: WiringMethod) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qccd_circuit::QubitId;
     use qccd_hardware::{JunctionId, MovementKind, SegmentId, TrapId};
 
     fn q(i: u32) -> QubitId {
@@ -381,8 +361,6 @@ mod tests {
         let s = schedule(&program, &times, WiringMethod::Standard);
         assert_eq!(s.movement_ops, 2);
         assert_eq!(s.movement_time_us, 160.0);
-        assert!(s.qubit_busy_us(q(0)) > 0.0);
-        assert!(s.mean_parallelism() > 0.0);
     }
 
     #[test]

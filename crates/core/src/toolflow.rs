@@ -12,7 +12,8 @@
 //! Metrics come from one path, [`Toolflow::evaluate_layout`], with no memo
 //! behind it: a compile takes milliseconds, so every evaluation compiles its
 //! own programs, and a caller that reuses a program (the decode service's
-//! program registry) holds the compiled value itself.
+//! program registry, a LER sweep's per-schedule fault tables) holds the
+//! compiled value itself.
 
 use serde::{Deserialize, Serialize};
 
@@ -97,12 +98,6 @@ impl Toolflow {
         self
     }
 
-    /// Overrides the sampling seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Builds the toolflow a [`ToolflowSpec`] describes.
     pub fn from_spec(spec: &ToolflowSpec) -> Self {
         Toolflow {
@@ -139,20 +134,37 @@ impl Toolflow {
 
     /// The Monte-Carlo logical error estimate at `distance`, with the
     /// decoder cache statistics of the run: the compile of the `d`-round
-    /// memory experiment, its noisy circuit, and the batch estimator —
-    /// nothing else. [`Toolflow::evaluate`]`(d, true)` reports exactly this
-    /// estimate as its `logical_error`.
+    /// memory experiment ([`Toolflow::memory_program`]), its noisy circuit,
+    /// and the batch estimator — nothing else, so every call compiles.
+    /// [`Toolflow::evaluate`]`(d, true)` reports exactly this estimate as
+    /// its `logical_error`.
+    ///
+    /// A sweep over gate improvements need not compile per point: the
+    /// [`ScheduleFaults`](crate::ScheduleFaults) of the memory program,
+    /// re-weighted to this toolflow's gate improvement and passed to
+    /// `qccd_decoder::estimate_logical_error_rate_from_table` with the same
+    /// shots, seed, decoder and estimator, gives this report bit for bit.
     ///
     /// # Errors
     ///
     /// Propagates [`CompileError`]s from the compiler.
     pub fn estimate(&self, distance: usize) -> Result<EstimateReport, CompileError> {
-        let program = Compiler::new(self.arch.clone()).compile_memory_experiment(
+        Ok(self.estimate_program(&self.memory_program(distance)?))
+    }
+
+    /// The compiled `d`-round Z-basis memory experiment of the rotated
+    /// surface code at `distance`: the program every logical error
+    /// estimate at that distance samples.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CompileError`]s from the compiler.
+    pub fn memory_program(&self, distance: usize) -> Result<CompiledProgram, CompileError> {
+        Compiler::new(self.arch.clone()).compile_memory_experiment(
             &rotated_surface_code(distance),
             distance.max(1),
             MemoryBasis::Z,
-        )?;
-        Ok(self.estimate_program(&program))
+        )
     }
 
     fn estimate_program(&self, shot_program: &CompiledProgram) -> EstimateReport {
@@ -265,11 +277,12 @@ mod tests {
             ..ToolflowSpec::new(arch.clone(), 3)
         };
         let from_spec = Toolflow::run_spec(&spec).unwrap();
-        let imperative = Toolflow::new(arch)
-            .with_shots(256)
-            .with_seed(7)
-            .evaluate(3, true)
-            .unwrap();
+        let imperative = Toolflow {
+            seed: 7,
+            ..Toolflow::new(arch).with_shots(256)
+        }
+        .evaluate(3, true)
+        .unwrap();
         assert_eq!(from_spec, imperative);
         let ler = from_spec.logical_error.unwrap();
         assert_eq!(ler.shots, imperative.logical_error.unwrap().shots);
@@ -277,9 +290,10 @@ mod tests {
 
     #[test]
     fn estimate_is_the_logical_error_of_evaluate_with_cache_statistics() {
-        let toolflow = Toolflow::new(ArchitectureConfig::recommended(5.0))
-            .with_shots(256)
-            .with_seed(7);
+        let toolflow = Toolflow {
+            seed: 7,
+            ..Toolflow::new(ArchitectureConfig::recommended(5.0)).with_shots(256)
+        };
         let report = toolflow.estimate(3).unwrap();
         let metrics = toolflow.evaluate(3, true).unwrap();
         assert_eq!(Some(report.estimate), metrics.logical_error);

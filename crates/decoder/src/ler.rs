@@ -184,21 +184,6 @@ pub struct LogicalErrorEstimate {
 }
 
 impl LogicalErrorEstimate {
-    /// Converts a per-shot error probability into a per-round probability,
-    /// assuming independent rounds: `p_round = 1 − (1 − p_shot)^(1/rounds)`.
-    pub fn per_round(&self, rounds: usize) -> f64 {
-        if rounds == 0 {
-            return self.logical_error_rate;
-        }
-        // Guard the saturated case: `powf` on a zero base is well defined
-        // but the clamp also shields callers from rates slightly above 1
-        // (e.g. after aggregation arithmetic).
-        if self.logical_error_rate >= 1.0 {
-            return 1.0;
-        }
-        1.0 - (1.0 - self.logical_error_rate).powf(1.0 / rounds as f64)
-    }
-
     /// Returns `true` when the estimate observed zero failures, in which
     /// case [`LogicalErrorEstimate::std_error`] is a 95% upper bound on the
     /// rate rather than a standard error, and tables should render the point
@@ -599,11 +584,32 @@ pub fn estimate_logical_error_rate_report(
     decoder_kind: DecoderKind,
     config: &EstimatorConfig,
 ) -> Result<EstimateReport, MeasurementRef> {
+    let table = FaultTable::from_circuit(circuit)?;
+    Ok(estimate_logical_error_rate_from_table(
+        &table,
+        shots,
+        seed,
+        decoder_kind,
+        config,
+    ))
+}
+
+/// [`estimate_logical_error_rate_report`] of the circuit whose fault table
+/// is `table` — the estimator's core, for callers that already hold the
+/// table (a sweep that re-weights one compiled schedule per gate
+/// improvement). Given `FaultTable::from_circuit(circuit)`, the report is
+/// bit-identical to the circuit form's.
+pub fn estimate_logical_error_rate_from_table(
+    table: &FaultTable,
+    shots: usize,
+    seed: u64,
+    decoder_kind: DecoderKind,
+    config: &EstimatorConfig,
+) -> EstimateReport {
     // The decoder (and its decoding graph / fault priors) always comes from
     // the *original* fault table: importance sampling biases only what is
     // sampled, never how syndromes are decoded, so biased and plain runs
     // estimate the same quantity.
-    let table = FaultTable::from_circuit(circuit)?;
     let graph = DecodingGraph::from_dem(&table.dem());
     let decoder = decoder_kind.build(graph);
     let biased = config.importance_bias.map(|bias| table.biased(bias));
@@ -612,18 +618,17 @@ pub fn estimate_logical_error_rate_report(
             &biased.table,
             Some((biased.fire_log_ratios.as_slice(), biased.base_log_weight)),
         ),
-        None => (&table, None),
+        None => (table, None),
     };
     let sampler = DetectorChunkSampler::from_table(sampled, shots, seed, config.chunk_shots);
-    let report = match config.num_threads {
+    match config.num_threads {
         Some(threads) => rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("thread pool construction cannot fail")
             .install(|| run_pipeline(&sampler, decoder.as_ref(), config, weights)),
         None => run_pipeline(&sampler, decoder.as_ref(), config, weights),
-    };
-    Ok(report)
+    }
 }
 
 /// Estimates the logical error rate with the default pipeline configuration
@@ -1103,31 +1108,6 @@ pub(crate) mod tests {
             est.std_error
         );
         assert!(est.shots < 32 * CANONICAL_BLOCK_SHOTS);
-    }
-
-    #[test]
-    fn per_round_conversion() {
-        let est = LogicalErrorEstimate {
-            shots: 1000,
-            failures: 100,
-            logical_error_rate: 0.1,
-            std_error: 0.0095,
-        };
-        let per_round = est.per_round(10);
-        assert!(per_round < 0.011 && per_round > 0.0104);
-        assert_eq!(est.per_round(0), 0.1);
-    }
-
-    #[test]
-    fn per_round_saturates_at_one() {
-        let est = LogicalErrorEstimate {
-            shots: 10,
-            failures: 10,
-            logical_error_rate: 1.0,
-            std_error: 0.0,
-        };
-        assert_eq!(est.per_round(5), 1.0);
-        assert_eq!(est.per_round(0), 1.0);
     }
 
     #[test]

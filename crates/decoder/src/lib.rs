@@ -140,9 +140,10 @@ pub use batch::{DecodeScratch, PredictionChunk, SyndromeChunk};
 pub use dem_graph::{DecodingEdge, DecodingGraph, DetectorIndex};
 pub use greedy::GreedyMatchingDecoder;
 pub use ler::{
-    estimate_logical_error_rate, estimate_logical_error_rate_report,
-    estimate_logical_error_rate_with, fit_lambda_weighted, zero_failure_upper_bound, DecoderKind,
-    EstimateReport, EstimatorConfig, LambdaFit, LogicalErrorEstimate,
+    estimate_logical_error_rate, estimate_logical_error_rate_from_table,
+    estimate_logical_error_rate_report, estimate_logical_error_rate_with, fit_lambda_weighted,
+    zero_failure_upper_bound, DecoderKind, EstimateReport, EstimatorConfig, LambdaFit,
+    LogicalErrorEstimate,
 };
 pub use memo::{CacheStats, MemoConfig, DEFAULT_MEMO_MAX_DEFECTS, MEMO_KEY_CAPACITY};
 pub use mwpm::{ExactMatchingDecoder, DEFAULT_MAX_EXACT_DEFECTS};

@@ -45,4 +45,4 @@ mod heating;
 mod params;
 
 pub use heating::{movement_heating, HeatingLedger};
-pub use params::NoiseParams;
+pub use params::{NoiseParams, Unscaled};

@@ -13,7 +13,11 @@
 //! * **e5 — imperfect measurement**: an X error with probability 1·10⁻³.
 //!
 //! A *gate improvement* factor uniformly divides every probability,
-//! modelling the 1X/5X/10X scenarios swept in the evaluation (§6.2). The
+//! modelling the 1X/5X/10X scenarios swept in the evaluation (§6.2). Each
+//! probability is an [`Unscaled`] value that no gate improvement touches,
+//! finished by [`Unscaled::at`] — the one formula through which the factor
+//! enters — so a sweep can lower a schedule once and re-weight it per
+//! improvement. The
 //! WISE wiring method operates with sympathetic cooling: gate errors become
 //! constants (2·10⁻³ for two-qubit, 3·10⁻³ for single-qubit gates), heating
 //! is ignored, and two-qubit gates take an extra 850 µs (§5.1, cooling
@@ -109,46 +113,148 @@ impl NoiseParams {
     /// Dephasing (Pauli Z) probability accumulated over `idle_us`
     /// microseconds of idling or reconfiguration (error channel e1).
     pub fn dephasing_probability(&self, idle_us: f64) -> f64 {
-        if idle_us <= 0.0 {
-            return 0.0;
-        }
-        let t = idle_us * 1e-6;
-        let p = (1.0 - (-t / self.t2_seconds).exp()) / 2.0;
-        (p / self.gate_improvement).clamp(0.0, 0.5)
+        self.dephasing_unscaled(idle_us).at(self.gate_improvement)
     }
 
     /// Depolarising probability after a single-qubit gate of the given
     /// duration executed in a chain of `chain_length` ions with motional
     /// energy `nbar` (error channel e2).
     pub fn single_qubit_gate_error(&self, duration_us: f64, chain_length: usize, nbar: f64) -> f64 {
-        if self.cooled {
-            return (self.cooled_single_qubit_error / self.gate_improvement).clamp(0.0, 0.75);
-        }
-        self.gate_error(duration_us, chain_length, nbar)
+        self.single_qubit_gate_unscaled(duration_us, chain_length, nbar)
+            .at(self.gate_improvement)
     }
 
     /// Depolarising probability after a two-qubit MS gate (error channel e3).
     pub fn two_qubit_gate_error(&self, duration_us: f64, chain_length: usize, nbar: f64) -> f64 {
-        if self.cooled {
-            return (self.cooled_two_qubit_error / self.gate_improvement).clamp(0.0, 0.9375);
-        }
-        self.gate_error(duration_us, chain_length, nbar)
-    }
-
-    fn gate_error(&self, duration_us: f64, chain_length: usize, nbar: f64) -> f64 {
-        let heating = self.background_heating_per_us * duration_us;
-        let thermal = self.chain_factor(chain_length) * (2.0 * nbar.max(0.0) + 1.0);
-        ((heating + thermal) / self.gate_improvement).clamp(0.0, 0.9)
+        self.two_qubit_gate_unscaled(duration_us, chain_length, nbar)
+            .at(self.gate_improvement)
     }
 
     /// Bit-flip probability of an imperfect reset (error channel e4).
     pub fn reset_flip_probability(&self) -> f64 {
-        (self.reset_error / self.gate_improvement).clamp(0.0, 0.5)
+        self.reset_flip_unscaled().at(self.gate_improvement)
     }
 
     /// Bit-flip probability of an imperfect measurement (error channel e5).
     pub fn measurement_flip_probability(&self) -> f64 {
-        (self.measurement_error / self.gate_improvement).clamp(0.0, 0.5)
+        self.measurement_flip_unscaled().at(self.gate_improvement)
+    }
+
+    /// [`NoiseParams::dephasing_probability`] before the gate improvement.
+    pub fn dephasing_unscaled(&self, idle_us: f64) -> Unscaled {
+        let value = if idle_us <= 0.0 {
+            0.0
+        } else {
+            let t = idle_us * 1e-6;
+            (1.0 - (-t / self.t2_seconds).exp()) / 2.0
+        };
+        Unscaled::clamped(value, 0.5)
+    }
+
+    /// [`NoiseParams::single_qubit_gate_error`] before the gate improvement.
+    pub fn single_qubit_gate_unscaled(
+        &self,
+        duration_us: f64,
+        chain_length: usize,
+        nbar: f64,
+    ) -> Unscaled {
+        if self.cooled {
+            return Unscaled::clamped(self.cooled_single_qubit_error, 0.75);
+        }
+        self.gate_unscaled(duration_us, chain_length, nbar)
+    }
+
+    /// [`NoiseParams::two_qubit_gate_error`] before the gate improvement.
+    pub fn two_qubit_gate_unscaled(
+        &self,
+        duration_us: f64,
+        chain_length: usize,
+        nbar: f64,
+    ) -> Unscaled {
+        if self.cooled {
+            return Unscaled::clamped(self.cooled_two_qubit_error, 0.9375);
+        }
+        self.gate_unscaled(duration_us, chain_length, nbar)
+    }
+
+    /// The two-qubit depolarising channel of an in-chain gate swap of total
+    /// duration `duration_us`, before the gate improvement: three MS gates
+    /// of a third of that duration each, any of which may fail.
+    pub fn gate_swap_unscaled(&self, duration_us: f64, chain_length: usize, nbar: f64) -> Unscaled {
+        let per_gate = self.two_qubit_gate_unscaled(duration_us / 3.0, chain_length, nbar);
+        Unscaled {
+            finish: Finish::ThreeGates(per_gate.finish.cap()),
+            ..per_gate
+        }
+    }
+
+    /// [`NoiseParams::reset_flip_probability`] before the gate improvement.
+    pub fn reset_flip_unscaled(&self) -> Unscaled {
+        Unscaled::clamped(self.reset_error, 0.5)
+    }
+
+    /// [`NoiseParams::measurement_flip_probability`] before the gate
+    /// improvement.
+    pub fn measurement_flip_unscaled(&self) -> Unscaled {
+        Unscaled::clamped(self.measurement_error, 0.5)
+    }
+
+    fn gate_unscaled(&self, duration_us: f64, chain_length: usize, nbar: f64) -> Unscaled {
+        let heating = self.background_heating_per_us * duration_us;
+        let thermal = self.chain_factor(chain_length) * (2.0 * nbar.max(0.0) + 1.0);
+        Unscaled::clamped(heating + thermal, 0.9)
+    }
+}
+
+/// How a channel probability is finished from its unscaled value once the
+/// gate improvement `g` is known.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Finish {
+    /// `(value / g).clamp(0, cap)`.
+    Clamp(f64),
+    /// Three gates in a row, each finished as [`Finish::Clamp`]: the
+    /// probability that any fails, `1 − (1 − (value / g).clamp(0, cap))³`.
+    ThreeGates(f64),
+}
+
+impl Finish {
+    fn cap(self) -> f64 {
+        match self {
+            Finish::Clamp(cap) | Finish::ThreeGates(cap) => cap,
+        }
+    }
+}
+
+/// A channel probability before the gate improvement divides it: the
+/// value every gate improvement shares, and the rule that finishes it.
+///
+/// Every probability method of [`NoiseParams`] is its `*_unscaled`
+/// counterpart finished by [`Unscaled::at`] at the parameters' own gate
+/// improvement, and nothing else reads `gate_improvement`. So a channel
+/// lowered once can be re-weighted to any gate improvement and match, bit
+/// for bit, the channel a fresh lowering at that improvement emits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Unscaled {
+    value: f64,
+    finish: Finish,
+}
+
+impl Unscaled {
+    fn clamped(value: f64, cap: f64) -> Self {
+        Unscaled {
+            value,
+            finish: Finish::Clamp(cap),
+        }
+    }
+
+    /// The probability at gate improvement `gate_improvement`: the one
+    /// place a gate improvement enters a probability.
+    pub fn at(self, gate_improvement: f64) -> f64 {
+        let p = (self.value / gate_improvement).clamp(0.0, self.finish.cap());
+        match self.finish {
+            Finish::Clamp(_) => p,
+            Finish::ThreeGates(_) => 1.0 - (1.0 - p).powi(3),
+        }
     }
 }
 
@@ -244,6 +350,117 @@ mod tests {
         let p = NoiseParams::standard(1.0);
         assert!(p.two_qubit_gate_error(1e9, 2, 1e9) <= 0.9);
         assert!(p.dephasing_probability(1e12) <= 0.5);
+    }
+
+    /// The pre-split formulas, written out: what each probability method
+    /// returned before the gate improvement was factored into
+    /// [`Unscaled::at`].
+    /// `cooled` is the cooled-mode constant and its cap.
+    fn oracle_gate(
+        p: &NoiseParams,
+        (duration_us, chain, nbar): (f64, usize, f64),
+        (cooled, cap): (f64, f64),
+    ) -> f64 {
+        if p.cooled {
+            return (cooled / p.gate_improvement).clamp(0.0, cap);
+        }
+        let heating = p.background_heating_per_us * duration_us;
+        let thermal = p.chain_factor(chain) * (2.0 * nbar.max(0.0) + 1.0);
+        ((heating + thermal) / p.gate_improvement).clamp(0.0, 0.9)
+    }
+
+    #[test]
+    fn split_form_reproduces_every_probability_bit_for_bit() {
+        // Inputs past every cap: a reset/measurement error above 0.5, cooled
+        // errors above 0.75 / 0.9375, an idle long enough to saturate, a gate
+        // hot enough to pass 0.9, and a negative duration that clamps to 0.
+        let hostile = |cooled: bool| NoiseParams {
+            reset_error: 0.8,
+            measurement_error: 0.7,
+            cooled_two_qubit_error: 0.99,
+            cooled_single_qubit_error: 0.8,
+            cooled,
+            ..NoiseParams::standard(1.0)
+        };
+        let bases = [
+            NoiseParams::standard(1.0),
+            NoiseParams::wise_cooled(1.0),
+            hostile(false),
+            hostile(true),
+        ];
+        let idles = [0.0, -3.0, 1e-9, 400.0, 1e12];
+        let gates = [
+            (40.0, 2, 0.1),
+            (120.0, 5, 37.5),
+            (5.0, 12, 0.0),
+            (1e9, 2, 1e9),
+            (-1e9, 2, 0.0),
+        ];
+        for base in bases {
+            for g in [1.0, 5.0, 10.0, 1000.0] {
+                let at_g = NoiseParams {
+                    gate_improvement: g,
+                    ..base
+                };
+                let same = |split: Unscaled, method: f64, oracle: f64| {
+                    assert_eq!(split.at(g).to_bits(), method.to_bits(), "{base:?} at {g}");
+                    assert_eq!(method.to_bits(), oracle.to_bits(), "{base:?} at {g}");
+                };
+                for idle in idles {
+                    let oracle = if idle <= 0.0 {
+                        0.0
+                    } else {
+                        let p = (1.0 - (-(idle * 1e-6) / base.t2_seconds).exp()) / 2.0;
+                        (p / g).clamp(0.0, 0.5)
+                    };
+                    same(
+                        base.dephasing_unscaled(idle),
+                        at_g.dephasing_probability(idle),
+                        oracle,
+                    );
+                }
+                let one_qubit = (base.cooled_single_qubit_error, 0.75);
+                let two_qubit = (base.cooled_two_qubit_error, 0.9375);
+                for (duration, chain, nbar) in gates {
+                    same(
+                        base.single_qubit_gate_unscaled(duration, chain, nbar),
+                        at_g.single_qubit_gate_error(duration, chain, nbar),
+                        oracle_gate(&at_g, (duration, chain, nbar), one_qubit),
+                    );
+                    same(
+                        base.two_qubit_gate_unscaled(duration, chain, nbar),
+                        at_g.two_qubit_gate_error(duration, chain, nbar),
+                        oracle_gate(&at_g, (duration, chain, nbar), two_qubit),
+                    );
+                    // A gate swap is three MS gates of a third of its duration.
+                    let per_gate = oracle_gate(&at_g, (duration / 3.0, chain, nbar), two_qubit);
+                    let swap = 1.0 - (1.0 - per_gate).powi(3);
+                    assert_eq!(
+                        base.gate_swap_unscaled(duration, chain, nbar)
+                            .at(g)
+                            .to_bits(),
+                        swap.to_bits()
+                    );
+                }
+                same(
+                    base.reset_flip_unscaled(),
+                    at_g.reset_flip_probability(),
+                    (base.reset_error / g).clamp(0.0, 0.5),
+                );
+                same(
+                    base.measurement_flip_unscaled(),
+                    at_g.measurement_flip_probability(),
+                    (base.measurement_error / g).clamp(0.0, 0.5),
+                );
+            }
+        }
+        // The hostile inputs do reach every cap.
+        let hot = hostile(false);
+        assert_eq!(hot.reset_flip_probability(), 0.5);
+        assert_eq!(hot.two_qubit_gate_error(1e9, 2, 1e9), 0.9);
+        assert_eq!(hot.two_qubit_gate_error(-1e9, 2, 0.0), 0.0);
+        assert_eq!(hostile(true).two_qubit_gate_error(1.0, 2, 0.0), 0.9375);
+        assert_eq!(hostile(true).single_qubit_gate_error(1.0, 2, 0.0), 0.75);
     }
 
     #[test]

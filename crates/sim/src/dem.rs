@@ -57,12 +57,6 @@ impl DetectorErrorModel {
     pub fn from_circuit(circuit: &NoisyCircuit) -> Result<Self, MeasurementRef> {
         Ok(FaultTable::from_circuit(circuit)?.dem())
     }
-
-    /// Number of mechanisms that are not graph-like (flip more than two
-    /// detectors); decoders must decompose these.
-    pub fn num_hyperedges(&self) -> usize {
-        self.errors.iter().filter(|e| !e.is_graphlike()).count()
-    }
 }
 
 #[cfg(test)]
@@ -232,7 +226,7 @@ mod tests {
         assert_eq!(dem.errors.len(), 3);
         let total: f64 = dem.errors.iter().map(|e| e.probability).sum();
         assert!(total > 0.0 && total < 0.15);
-        assert_eq!(dem.num_hyperedges(), 0);
+        assert!(dem.errors.iter().all(DemError::is_graphlike));
     }
 
     #[test]
@@ -243,11 +237,5 @@ mod tests {
             observables: vec![],
         };
         assert!(!e.is_graphlike());
-        let dem = DetectorErrorModel {
-            num_detectors: 3,
-            num_observables: 0,
-            errors: vec![e],
-        };
-        assert_eq!(dem.num_hyperedges(), 1);
     }
 }

@@ -417,12 +417,28 @@ impl FaultTable {
         &self.probabilities
     }
 
-    /// The same signatures under other channel probabilities.
-    pub(crate) fn with_probabilities(&self, probabilities: Vec<f64>) -> FaultTable {
-        assert_eq!(probabilities.len(), self.num_channels());
+    /// The same signatures under other channel probabilities, one per
+    /// channel in op order — the re-weight behind importance sampling and
+    /// behind sweeps that share one schedule across gate improvements.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `probabilities` does not hold exactly one entry per
+    /// channel.
+    pub fn with_probabilities(&self, probabilities: Vec<f64>) -> FaultTable {
+        assert_eq!(
+            probabilities.len(),
+            self.num_channels(),
+            "a re-weight needs one probability per channel"
+        );
         FaultTable {
+            num_detectors: self.num_detectors,
+            num_observables: self.num_observables,
             probabilities,
-            ..self.clone()
+            component_offsets: self.component_offsets.clone(),
+            components: self.components.clone(),
+            signature_offsets: self.signature_offsets.clone(),
+            signature_bits: self.signature_bits.clone(),
         }
     }
 

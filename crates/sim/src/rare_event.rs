@@ -139,6 +139,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "one probability per channel")]
+    fn a_reweight_must_cover_every_channel() {
+        sample_table().with_probabilities(vec![1e-2]);
+    }
+
+    #[test]
     fn bias_clamps_at_half() {
         let biased = bit_flips(&[0.2]).biased(100.0);
         assert_eq!(biased.table.probabilities(), [MAX_BIASED_PROBABILITY]);
