@@ -327,11 +327,7 @@ mod tests {
             ..qccd_sweeprun::CoordinatorConfig::default()
         };
         qccd_sweeprun::run_job(&job, &store, config()).unwrap();
-        assert_eq!(
-            job.schedules.len(),
-            6,
-            "two workers never compile a key twice"
-        );
+        assert_eq!(job.schedules.len(), 6);
 
         let victim = 7usize;
         std::fs::remove_file(store.root().join("points").join(format!(
