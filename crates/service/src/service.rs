@@ -1687,47 +1687,73 @@ mod tests {
         service.shutdown();
     }
 
-    /// One worker, one `submit_word_batch` of `counts.len()` mirror-circuit
-    /// blocks with those shot counts: checks every correction and returns
-    /// the metrics and the decode call count.
-    fn submit_blocks_to_one_worker(counts: &[usize]) -> (ServiceMetrics, u64) {
+    /// One submit call on a mirror-circuit stream: index frames, or word
+    /// blocks of these shot counts.
+    #[derive(Debug)]
+    enum Call<'a> {
+        Indices(usize),
+        Blocks(&'a [usize]),
+    }
+
+    /// 1 if shot `seq` of a [`submit_to_one_worker`] stream fires, else 0.
+    fn fires(seq: u64) -> u64 {
+        (seq + 5).wrapping_mul(0x94d0_49bb_1331_11eb) >> 63
+    }
+
+    /// One worker, a 50 ms deadline (so the calls of one test never
+    /// straddle it, and a queued job is taken long before it) and `calls`
+    /// in order on one mirror-circuit stream: checks every correction and
+    /// returns the metrics and the decode call count.
+    fn submit_to_one_worker(calls: &[Call<'_>]) -> (ServiceMetrics, u64) {
         let service = DecodeService::new(
             ServiceConfig::default()
                 .with_workers(1)
+                .with_flush_deadline(Duration::from_millis(50))
                 .with_stream_queue_shots(16384),
         );
-        let mut handle = open(&service, "blocks", &mirror_circuit()).unwrap();
-        let planes: Vec<[u64; 1]> = counts
-            .iter()
-            .enumerate()
-            .map(|(word, &count)| {
-                let plane = (word as u64 + 5).wrapping_mul(0x94d0_49bb_1331_11eb);
-                [plane & u64::MAX >> (64 - count)]
-            })
-            .collect();
-        let blocks: Vec<WordBlock<'_>> = planes
-            .iter()
-            .zip(counts)
-            .map(|(planes, &count)| WordBlock { planes, count })
-            .collect();
-        let shots = counts.iter().sum::<usize>() as u64;
-        assert_eq!(handle.sender.submit_word_batch(&blocks).unwrap(), 0..shots);
+        let mut handle = open(&service, "calls", &mirror_circuit()).unwrap();
         let mut seq = 0;
-        for (&[plane], &count) in planes.iter().zip(counts) {
-            for shot in 0..count {
-                let correction = handle
-                    .receiver
-                    .recv_timeout(Duration::from_secs(10))
-                    .expect("every correction arrives");
-                assert_eq!(
-                    correction,
-                    Correction {
-                        seq,
-                        flips: plane >> shot & 1
-                    }
-                );
-                seq += 1;
-            }
+        for call in calls {
+            let range = match *call {
+                Call::Indices(count) => {
+                    let frames: Vec<&[usize]> = (seq..seq + count as u64)
+                        .map(|s| if fires(s) == 1 { &[0][..] } else { &[][..] })
+                        .collect();
+                    handle.sender.submit_batch(&frames).unwrap()
+                }
+                Call::Blocks(counts) => {
+                    let mut start = seq;
+                    let planes: Vec<[u64; 1]> = counts
+                        .iter()
+                        .map(|&count| {
+                            let first = start;
+                            start += count as u64;
+                            [(first..start).fold(0, |plane, s| plane | fires(s) << (s - first))]
+                        })
+                        .collect();
+                    let blocks: Vec<WordBlock<'_>> = planes
+                        .iter()
+                        .zip(counts)
+                        .map(|(planes, &count)| WordBlock { planes, count })
+                        .collect();
+                    handle.sender.submit_word_batch(&blocks).unwrap()
+                }
+            };
+            assert_eq!(range.start, seq);
+            seq = range.end;
+        }
+        for seq in 0..seq {
+            let correction = handle
+                .receiver
+                .recv_timeout(Duration::from_secs(10))
+                .expect("every correction arrives");
+            assert_eq!(
+                correction,
+                Correction {
+                    seq,
+                    flips: fires(seq)
+                }
+            );
         }
         let metrics = service.metrics();
         let calls = service
@@ -1739,7 +1765,7 @@ mod tests {
 
     #[test]
     fn a_256_word_burst_leaves_as_four_full_jobs() {
-        let (metrics, calls) = submit_blocks_to_one_worker(&[64; 256]);
+        let (metrics, calls) = submit_to_one_worker(&[Call::Blocks(&[64; 256])]);
         assert_eq!(metrics.full_word_flushes, 256);
         assert_eq!(metrics.words_flushed, 256);
         assert_eq!(calls, 4, "four 64-word jobs");
@@ -1752,10 +1778,41 @@ mod tests {
         // The 74 shots are a flush of their own (not whole words: no job
         // absorbs a later flush), then 63 words again.
         let counts: Vec<usize> = [vec![64; 63], vec![10], vec![64; 64]].concat();
-        let (metrics, calls) = submit_blocks_to_one_worker(&counts);
+        let (metrics, calls) = submit_to_one_worker(&[Call::Blocks(&counts)]);
         assert_eq!(metrics.full_word_flushes, 127);
         assert_eq!(metrics.words_flushed, 128);
         assert_eq!(calls, 3);
+    }
+
+    /// The batcher's bookkeeping per call shape, pinned as
+    /// `(full_word_flushes, deadline_flushes, words_flushed, decode calls)`.
+    #[test]
+    fn flush_counts_are_pinned_per_call_shape() {
+        use Call::{Blocks, Indices};
+        type Counts = (u64, u64, u64, u64);
+        let cases: [(&[Call<'_>], Counts); 9] = [
+            (&[Indices(1)], (0, 1, 1, 1)),
+            (&[Indices(63)], (0, 1, 1, 1)),
+            (&[Indices(64)], (1, 0, 1, 1)),
+            (&[Indices(65)], (1, 1, 2, 2)),
+            (&[Indices(200)], (3, 1, 4, 2)),
+            (&[Blocks(&[40, 40])], (1, 0, 2, 1)),
+            (&[Blocks(&[30, 64])], (1, 0, 2, 1)),
+            // The leftover 10 frames and the first block are one flush
+            // (74 shots: no job absorbs it), the other two blocks another.
+            (&[Indices(10), Blocks(&[64; 3])], (3, 0, 4, 2)),
+            (&[Blocks(&[64; 256])], (256, 0, 256, 4)),
+        ];
+        for (index, (calls, expected)) in cases.into_iter().enumerate() {
+            let (metrics, decode_calls) = submit_to_one_worker(calls);
+            let counts = (
+                metrics.full_word_flushes,
+                metrics.deadline_flushes,
+                metrics.words_flushed,
+                decode_calls,
+            );
+            assert_eq!(counts, expected, "case {index}");
+        }
     }
 
     #[test]
@@ -1764,26 +1821,30 @@ mod tests {
         let service = DecodeService::new(
             ServiceConfig::default()
                 .with_workers(1)
-                .with_max_batch_words(4)
                 .with_flush_deadline(deadline),
         );
         let mut handle = open(&service, "ten-words", &mirror_circuit()).unwrap();
         let plane = |word: u64| (word + 3).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        let planes: Vec<[u64; 1]> = (0..10).map(|word| [plane(word)]).collect();
+        let counts = [[64; 10].as_slice(), &[30]].concat();
+        let planes: Vec<[u64; 1]> = (0..)
+            .zip(&counts)
+            .map(|(word, &count)| [plane(word) & u64::MAX >> (64 - count)])
+            .collect();
         let blocks: Vec<WordBlock<'_>> = planes
             .iter()
-            .map(|planes| WordBlock { planes, count: 64 })
+            .zip(&counts)
+            .map(|(planes, &count)| WordBlock { planes, count })
             .collect();
         let submitted = Instant::now();
-        assert_eq!(handle.sender.submit_word_batch(&blocks).unwrap(), 0..640);
-        // Two flush points of four words; the second ships all eight.
-        assert_eq!(service.metrics().full_word_flushes, 2);
-        expect_mirrored(&mut handle.receiver, 0..640, plane);
-        assert!(submitted.elapsed() >= deadline, "the last two words wait");
+        assert_eq!(handle.sender.submit_word_batch(&blocks).unwrap(), 0..670);
+        // Ten flush points; the last ships all ten words.
+        assert_eq!(service.metrics().full_word_flushes, 10);
+        expect_mirrored(&mut handle.receiver, 0..670, plane);
+        assert!(submitted.elapsed() >= deadline, "the last 30 shots wait");
         let metrics = service.metrics();
-        assert_eq!(metrics.full_word_flushes, 2);
+        assert_eq!(metrics.full_word_flushes, 10);
         assert_eq!(metrics.deadline_flushes, 1);
-        assert_eq!(metrics.words_flushed, 10);
+        assert_eq!(metrics.words_flushed, 11);
         service.shutdown();
     }
 
