@@ -364,8 +364,6 @@ fn service_flags<T: 'static>(part: fn(&mut T) -> &mut ServiceConfig) -> Vec<Flag
             => *part(o) = part(o).with_workers(at_least(1, v)?),
         "--deadline-us" "<us>": "partial-word flush deadline (default: 500)"
             => *part(o) = part(o).with_flush_deadline(Duration::from_micros(number(v)?)),
-        "--batch-words" "<n>": "64-shot words per flush; queued flushes coalesce anyway (default: 1)"
-            => *part(o) = part(o).with_max_batch_words(at_least(1, v)?),
         "--queue-shots" "<n>": "per-stream in-flight bound (default: 4096)"
             => *part(o) = part(o).with_stream_queue_shots(at_least(1, v)?),
         "--sample-every" "<n>": "stage-timing sample period (default: 16; 1 = all)"
@@ -1292,8 +1290,6 @@ mod tests {
             "4",
             "--deadline-us",
             "250",
-            "--batch-words",
-            "2",
             "--queue-shots",
             "128",
             "--sample-every",
@@ -1303,7 +1299,6 @@ mod tests {
         assert_eq!(options.addr, "0.0.0.0:9000");
         assert_eq!(options.service.workers, 4);
         assert_eq!(options.service.flush_deadline, Duration::from_micros(250));
-        assert_eq!(options.service.max_batch_words, 2);
         assert_eq!(options.service.stream_queue_shots, 128);
         assert_eq!(options.service.telemetry.sample_every, 4);
         assert!(parse_serve_options(&strings(&["--workers"])).is_err());

@@ -43,8 +43,8 @@ const CASES: &[(&str, &str)] = &[
     // serve
     ("serve", "serve"),
     (
-        "serve --addr 0.0.0.0:9000 --workers 4 --deadline-us 250 --batch-words 2 \
-         --queue-shots 128 --sample-every 4 --trace-out t.jsonl",
+        "serve --addr 0.0.0.0:9000 --workers 4 --deadline-us 250 --queue-shots 128 \
+         --sample-every 4 --trace-out t.jsonl",
         "--addr",
     ),
     ("serve --addr", "--addr"),
@@ -55,6 +55,7 @@ const CASES: &[(&str, &str)] = &[
     ("serve --deadline-us -1", "--deadline-us"),
     ("serve --batch-words", "--batch-words"),
     ("serve --batch-words 0", "--batch-words"),
+    ("serve --batch-words 2", "--batch-words"),
     ("serve --queue-shots", "--queue-shots"),
     ("serve --queue-shots 1.5", "--queue-shots"),
     ("serve --queue-shots 0", "--queue-shots"),
@@ -130,13 +131,13 @@ const CASES: &[(&str, &str)] = &[
     ("loadgen --addr x:1 --trace-out t.jsonl", "--trace-out"),
     // loadgen: service tuning
     (
-        "loadgen --in-process --workers 3 --deadline-us 300 --batch-words 2 --queue-shots 64 \
-         --sample-every 1",
+        "loadgen --in-process --workers 3 --deadline-us 300 --queue-shots 64 --sample-every 1",
         "--workers",
     ),
     ("loadgen --in-process --workers", "--workers"),
     ("loadgen --in-process --workers 0", "--workers"),
     ("loadgen --in-process --batch-words 0", "--batch-words"),
+    ("loadgen --in-process --batch-words 2", "--batch-words"),
     ("loadgen --in-process --queue-shots 0", "--queue-shots"),
     ("loadgen --in-process --sample-every 0", "--sample-every"),
     ("loadgen --addr x:1 --workers 8", "--workers"),

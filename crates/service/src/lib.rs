@@ -47,13 +47,14 @@
 //!   the oldest pending frame hits the configured deadline (an idle worker
 //!   waits out the deadline, and a worker flushes an overdue partial word
 //!   before it takes its next job), or when the last stream contributing
-//!   to the word closes. [`ServiceConfig::max_batch_words`] sets the flush
-//!   size (at most 64 words), and each flush is booked as it completes, but one submit call's
-//!   full words leave as **one job**: the batch stays pending from flush to
-//!   flush while it fills whole words within 64 words, and only the call's
-//!   last flush hands it to the queue. Under load the job queue coalesces flushes anyway: a
-//!   flush joins the queue's last job when that job is still untaken, of
-//!   the same program and word-aligned, up to 64 words a job. Submitters wake
+//!   to the word closes (a deadline past the last representable instant
+//!   never falls due). Each full word is booked as a flush as it completes,
+//!   but one submit call's full words leave as **one job**: the batch stays
+//!   pending from word to word while it fills whole words within 64 words,
+//!   and only the call's last flush hands it to the queue. Under load the
+//!   job queue coalesces flushes anyway: a flush joins the queue's last job
+//!   when that job is still untaken, of the same program and word-aligned,
+//!   up to 64 words a job. Submitters wake
 //!   idle workers only after releasing the shard lock, one per queued
 //!   job. Each shard has its own mutex: submissions to
 //!   different programs never contend, and delivery state lives behind each

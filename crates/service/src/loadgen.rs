@@ -9,9 +9,8 @@
 //! once, global shot `i` going to stream `i % streams` as its
 //! `i / streams`-th frame, and each stream's wire form (index frames or
 //! shot-major word blocks) is built before the clock starts. One paced loop
-//! submits per-stream bursts of `words` 64-shot words (the service's
-//! `max_batch_words` in process, one per protocol line over TCP); per-stream
-//! collectors stamp each arrival; one verifier counts missing, out-of-order
+//! submits one 64-shot word a burst per stream (one protocol line over
+//! TCP); per-stream collectors stamp each arrival; one verifier counts missing, out-of-order
 //! and mismatched corrections and measures latency on the client. Only
 //! opening a stream and submitting a burst depend on the transport. Over
 //! TCP, stream `s` rides connection `s % connections`, each connection on
@@ -370,8 +369,6 @@ struct Verdict {
 /// The replay both transports run, sampled once.
 struct Replay {
     per_stream_shots: Vec<usize>,
-    /// 64-shot words per burst.
-    words: usize,
     wire: Wire,
     /// Offline flip masks in global shot order and the offline decode
     /// seconds (`None` unless verifying).
@@ -380,14 +377,10 @@ struct Replay {
 
 impl Replay {
     /// One sampling pass of `program`'s circuit feeds both the offline
-    /// reference and the wire form, submitted `words` words a burst. The
-    /// wire form is the trap-side client's to produce, so it is built here,
+    /// reference and the wire form, submitted one word a burst. The wire
+    /// form is the trap-side client's to produce, so it is built here,
     /// before any clock starts.
-    fn sample(
-        program: &DecodeProgram,
-        options: &LoadgenOptions,
-        words: usize,
-    ) -> Result<Self, ServiceError> {
+    fn sample(program: &DecodeProgram, options: &LoadgenOptions) -> Result<Self, ServiceError> {
         let chunks = sampled_chunks(program.circuit(), options.shots.max(1), options.seed)?;
         let offline = options.verify.then(|| decode_offline(program, &chunks));
         let frames = deal_frames(&chunks, options.streams.max(1));
@@ -400,13 +393,12 @@ impl Replay {
         };
         Ok(Replay {
             per_stream_shots,
-            words,
             wire,
             offline,
         })
     }
 
-    /// The paced submission loop of both transports. Round `r` hands burst
+    /// The paced submission loop of both transports. Round `r` hands word
     /// `r` of each of `streams` to `submit(stream, burst)`, paced to the
     /// global index of the burst's first shot and stamped as it goes out.
     /// Returns every stream's burst stamps (none for streams not given).
@@ -417,15 +409,14 @@ impl Replay {
         rate: Option<f64>,
         mut submit: impl FnMut(usize, Burst<'_>) -> Result<R, E>,
     ) -> Result<Vec<Vec<Instant>>, E> {
-        let (words, per_burst) = (self.words, 64 * self.words);
-        let round_shots = per_burst * self.per_stream_shots.len();
+        let round_shots = 64 * self.per_stream_shots.len();
         let most = streams.clone().map(|s| self.per_stream_shots[s]).max();
         let mut stamps = vec![Vec::new(); self.per_stream_shots.len()];
-        for round in 0..most.unwrap_or(0).div_ceil(per_burst) {
+        for round in 0..most.unwrap_or(0).div_ceil(64) {
             for s in streams.clone() {
                 let burst = match &self.wire {
-                    Wire::Frames(all) => all[s].chunks(per_burst).nth(round).map(Burst::Frames),
-                    Wire::Blocks(all) => all[s].chunks(words).nth(round).map(Burst::Blocks),
+                    Wire::Frames(all) => all[s].chunks(64).nth(round).map(Burst::Frames),
+                    Wire::Blocks(all) => all[s].get(round..=round).map(Burst::Blocks),
                 };
                 let Some(burst) = burst else { continue };
                 pace(start, round * round_shots + s, rate);
@@ -440,7 +431,7 @@ impl Replay {
     /// count, their order and (when verifying) the offline reference, and
     /// times each from the stamp of the burst that carried its frame.
     fn verify(&self, arrivals: &[Vec<Arrival>], stamps: &[Vec<Instant>]) -> Verdict {
-        let (streams, per_burst) = (self.per_stream_shots.len(), 64 * self.words);
+        let streams = self.per_stream_shots.len();
         let reference = self.offline.as_ref().map(|(flips, _)| flips);
         let mut verdict = Verdict::default();
         for (s, arrived) in arrivals.iter().enumerate() {
@@ -453,7 +444,7 @@ impl Replay {
                 {
                     verdict.mismatched += 1;
                 }
-                if let Some(submitted) = stamps[s].get(q / per_burst) {
+                if let Some(submitted) = stamps[s].get(q / 64) {
                     let latency = at.saturating_duration_since(*submitted);
                     verdict.latencies_us.push(latency.as_secs_f64() * 1e6);
                 }
@@ -506,10 +497,10 @@ pub fn run_in_process(
     program: &Arc<DecodeProgram>,
     options: &LoadgenOptions,
 ) -> Result<LoadgenReport, ServiceError> {
-    // Bursts of several words: `submit_*_batch` pays the shard lock once
-    // per burst instead of once per frame, which is what lets the replay
-    // keep up with the word-parallel decode itself.
-    let replay = Replay::sample(program, options, service.config().max_batch_words)?;
+    // Word bursts: `submit_*_batch` pays the shard lock once per word
+    // instead of once per frame, which is what lets the replay keep up
+    // with the word-parallel decode itself.
+    let replay = Replay::sample(program, options)?;
     let (mut senders, mut collectors) = (Vec::new(), Vec::new());
     for &expected in &replay.per_stream_shots {
         let (sender, mut receiver) = service.open_stream_program(program)?.split();
@@ -684,7 +675,7 @@ fn tcp_sweep(
     let ((topology, wiring), capacity, improvement, distance, decoder) = arch;
     let config = crate::net::parse_arch(topology, capacity, wiring, improvement)?;
     let program = DecodeProgram::compile(&config, distance, decoder).map_err(|e| e.to_string())?;
-    let replay = Replay::sample(&program, options, 1).map_err(|e| e.to_string())?;
+    let replay = Replay::sample(&program, options).map_err(|e| e.to_string())?;
     let open = |client: &mut NetClient| {
         client.open_stream(topology, capacity, wiring, improvement, distance, decoder)
     };
@@ -722,7 +713,6 @@ mod tests {
     fn replay() -> Replay {
         Replay {
             per_stream_shots: vec![3, 3],
-            words: 1,
             wire: Wire::Frames(Vec::new()),
             offline: Some(((0..6).collect(), 1.0)),
         }

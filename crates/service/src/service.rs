@@ -41,15 +41,6 @@ pub struct ServiceConfig {
     /// once its *oldest* frame has waited this long. `Duration::ZERO`
     /// flushes on every submission (minimum latency, minimum batching).
     pub flush_deadline: Duration,
-    /// Words (64-shot groups) a shard's pending batch holds before it is
-    /// flushed without waiting for the deadline: the flush size, `1..=64`
-    /// (zero is raised to 1, more than 64 lowered to 64). `1` flushes on
-    /// every full word (the default). Each flush is booked as it
-    /// completes, but the full words of one submit call leave as one job,
-    /// up to 64 words. Under load the job queue coalesces flushes anyway: a
-    /// whole-word flush joins the queue's untaken last job of its program,
-    /// up to 64 words a job.
-    pub max_batch_words: usize,
     /// Per-stream bound on frames in flight (submitted, correction not yet
     /// produced). Submission blocks — or `try_submit` refuses — beyond it.
     pub stream_queue_shots: usize,
@@ -68,7 +59,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 2,
             flush_deadline: Duration::from_micros(500),
-            max_batch_words: 1,
             stream_queue_shots: 4096,
             memo: MemoConfig::default(),
             telemetry: TelemetryConfig::default(),
@@ -89,22 +79,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Overrides the flush size, clamped to `1..=64` words.
-    pub fn with_max_batch_words(mut self, words: usize) -> Self {
-        self.max_batch_words = words.clamp(1, MAX_JOB_SHOTS / 64);
-        self
-    }
-
     /// Overrides the per-stream in-flight bound.
     pub fn with_stream_queue_shots(mut self, shots: usize) -> Self {
         self.stream_queue_shots = shots.max(1);
-        self
-    }
-
-    /// Overrides the memo configuration (defect/entry caps) applied to
-    /// programs compiled by this service.
-    pub fn with_memo(mut self, memo: MemoConfig) -> Self {
-        self.memo = memo;
         self
     }
 
@@ -112,10 +89,6 @@ impl ServiceConfig {
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = telemetry;
         self
-    }
-
-    fn flush_shots(&self) -> usize {
-        self.max_batch_words * 64
     }
 }
 
@@ -273,17 +246,6 @@ struct BatchParts {
 struct PendingBatch {
     parts: BatchParts,
     oldest: Instant,
-    /// Leading frames already booked as full-word flushes while the batch
-    /// stayed pending ([`Shared::full_word_flush`]); a whole number of
-    /// words, and zero outside a submit call.
-    booked: usize,
-}
-
-impl PendingBatch {
-    /// Frames not yet booked as a flush.
-    fn unbooked(&self) -> usize {
-        self.parts.builder.pending_frames() - self.booked
-    }
 }
 
 /// A flushed decode job: the frames of any number of streams, already in
@@ -406,7 +368,7 @@ struct ShardState {
 
 /// Shots one job grows to, by keeping a submit call's full words pending or
 /// by absorbing later flushes of its shard in the queue: 64 words, one
-/// decoder tile. It also caps the flush size and a new batch's planes.
+/// decoder tile. It also caps a new batch's planes.
 const MAX_JOB_SHOTS: usize = 4096;
 
 /// The decode job queue workers pull from, and the deadlines they wait out
@@ -489,14 +451,17 @@ impl Shared {
 
     /// Flushes a shard's pending batch into the job queue, where it may
     /// join the last job ([`QueueState::enqueue`]), and returns how many
-    /// idle workers to wake for it: one per queued job. Caller holds the
-    /// shard lock, and wakes them with [`Shared::wake`] once it has
-    /// released it.
+    /// idle workers to wake for it: one per queued job. It books the
+    /// batch's words less the first `booked`, which the submit call's
+    /// earlier flush points booked already ([`Shared::full_word_flush`];
+    /// 0 for deadline, close and shutdown flushes). Caller holds the shard
+    /// lock, and wakes them with [`Shared::wake`] once it has released it.
     fn flush_shard(
         &self,
         shard: &Arc<ProgramShard>,
         state: &mut ShardState,
         cause: FlushStat,
+        booked: usize,
     ) -> usize {
         let Some(batch) = state.pending.take() else {
             return 0;
@@ -504,7 +469,7 @@ impl Shared {
         if batch.parts.builder.is_empty() {
             return 0;
         }
-        let words = batch.parts.builder.pending_frames().div_ceil(64) - batch.booked / 64;
+        let words = batch.parts.builder.pending_frames().div_ceil(64) - booked;
         self.metrics.note_flush(words as u64, cause);
         // Each run's submit→flush wait, from its own submit instant.
         let now = Instant::now();
@@ -519,29 +484,36 @@ impl Shared {
         queue.idle.min(queue.jobs.len())
     }
 
-    /// A flush point of a submit call: the shard's frames not yet booked
-    /// reached the flush size. It is booked as a full-word flush, but the
+    /// A flush point of a submit call: a push, onto `before` pending
+    /// frames, completed a word. It is booked as a full-word flush, but the
     /// batch stays pending while it fills whole words and the call reaches
     /// another flush point `next` shots on, within [`MAX_JOB_SHOTS`] — so
     /// the call's full words reach the queue as one job, at its last flush
-    /// point. Otherwise the batch is flushed and the return is
+    /// point. Otherwise the batch is flushed, less the `before / 64` words
+    /// the call's earlier flush points booked, and the return is
     /// [`Shared::flush_shard`]'s.
     fn full_word_flush(
         &self,
         shard: &Arc<ProgramShard>,
         state: &mut ShardState,
+        before: usize,
         next: Option<usize>,
     ) -> usize {
-        let batch = state.pending.as_mut().expect("a flush point has a batch");
+        let batch = state.pending.as_ref().expect("a flush point has a batch");
         let pending = batch.parts.builder.pending_frames();
         if pending.is_multiple_of(64) && next.is_some_and(|shots| pending + shots <= MAX_JOB_SHOTS)
         {
-            self.metrics
-                .note_flush((batch.unbooked() / 64) as u64, FlushStat::FullWord);
-            batch.booked = pending;
+            self.metrics.note_flush(1, FlushStat::FullWord);
             return 0;
         }
-        self.flush_shard(shard, state, FlushStat::FullWord)
+        self.flush_shard(shard, state, FlushStat::FullWord, before / 64)
+    }
+
+    /// When a pending batch's deadline flush falls due: never (`None`) when
+    /// that instant is past the last one [`Instant`] holds, so that the
+    /// batch waits for a full word, a close or shutdown.
+    fn due(&self, batch: &PendingBatch) -> Option<Instant> {
+        batch.oldest.checked_add(self.config.flush_deadline)
     }
 
     /// Puts a shard on the armed list, to be served once `due` passes, and
@@ -573,13 +545,12 @@ impl Shared {
     /// may have gone to wait while nothing was armed.
     fn serve_deadline(&self, shard: &Arc<ProgramShard>) {
         let mut state = shard.state.lock().expect("program shard lock");
-        let Some(batch) = &state.pending else {
+        let Some(due) = state.pending.as_ref().and_then(|batch| self.due(batch)) else {
             state.armed = false;
             return;
         };
-        let due = batch.oldest + self.config.flush_deadline;
         if due <= Instant::now() {
-            self.flush_shard(shard, &mut state, FlushStat::Deadline);
+            self.flush_shard(shard, &mut state, FlushStat::Deadline, 0);
             state.armed = false;
         } else {
             let wakes = self.arm(due, shard);
@@ -776,12 +747,11 @@ pub struct DecodeService {
 impl DecodeService {
     /// Starts a service with `config.workers` decode workers and no other
     /// thread: an idle worker waits out the batcher's latency deadline. A
-    /// zero `workers`, `max_batch_words` or `stream_queue_shots` is raised
-    /// to 1 and a `max_batch_words` above 64 lowered to 64, as the `with_*`
-    /// builders do; [`DecodeService::config`] returns the adjusted values.
+    /// zero `workers` or `stream_queue_shots` is raised to 1, as the
+    /// `with_*` builders do; [`DecodeService::config`] returns the adjusted
+    /// values.
     pub fn new(mut config: ServiceConfig) -> Self {
         config.workers = config.workers.max(1);
-        config.max_batch_words = config.max_batch_words.clamp(1, MAX_JOB_SHOTS / 64);
         config.stream_queue_shots = config.stream_queue_shots.max(1);
         let telemetry = Registry::new(config.telemetry);
         let shared = Arc::new(Shared {
@@ -957,7 +927,7 @@ impl DecodeService {
             let mut state = shard.state.lock().expect("program shard lock");
             wakes = wakes.max(
                 self.shared
-                    .flush_shard(&shard, &mut state, FlushStat::Deadline),
+                    .flush_shard(&shard, &mut state, FlushStat::Deadline, 0),
             );
             state.armed = false;
         }
@@ -1193,14 +1163,13 @@ impl StreamSender {
     }
 
     /// Appends a reserved burst to the shard's pending batch, booking a
-    /// full-word flush each time the frames not yet booked reach the flush
-    /// size and handing the call's full words to the queue as one job
+    /// full-word flush at each push that completes a word and handing the
+    /// call's full words to the queue as one job
     /// ([`Shared::full_word_flush`]), then arms the shard for a leftover
     /// partial word. Takes this program's shard lock, and the queue lock
     /// under it; wakes workers once the shard lock is released.
     fn fill_shard(&self, burst: FrameBatch<'_>, mut seq: u64) {
         let shared = &self.shared;
-        let flush_shots = shared.config.flush_shots();
         let now = Instant::now();
         let mut wakes = 0;
         let mut state = self.shard.state.lock().expect("program shard lock");
@@ -1208,9 +1177,10 @@ impl StreamSender {
             FrameBatch::Indices(mut frames) => {
                 while !frames.is_empty() {
                     let batch = self.ensure_pending(&mut state, now, FrameBatch::Indices(frames));
+                    let before = batch.parts.builder.pending_frames();
                     // One frame run (and one bookkeeping record) per
-                    // flush-bounded segment, not per frame.
-                    let segment = frames.len().min(flush_shots - batch.unbooked());
+                    // segment up to the next word boundary, not per frame.
+                    let segment = frames.len().min(64 - before % 64);
                     let (head, rest) = frames.split_at(segment);
                     for fired in head {
                         batch.parts.builder.push_frame(fired);
@@ -1218,9 +1188,9 @@ impl StreamSender {
                     frames = rest;
                     push_run(&mut batch.parts.runs, &self.core, seq, segment as u32, now);
                     seq += segment as u64;
-                    if batch.unbooked() >= flush_shots {
-                        let next = (frames.len() >= flush_shots).then_some(flush_shots);
-                        wakes = shared.full_word_flush(&self.shard, &mut state, next);
+                    if (before + segment).is_multiple_of(64) {
+                        let next = (frames.len() >= 64).then_some(64);
+                        wakes = shared.full_word_flush(&self.shard, &mut state, before, next);
                     }
                 }
             }
@@ -1228,6 +1198,7 @@ impl StreamSender {
                 for (index, block) in blocks.iter().enumerate() {
                     let rest = FrameBatch::Blocks(&blocks[index..]);
                     let batch = self.ensure_pending(&mut state, now, rest);
+                    let before = batch.parts.builder.pending_frames();
                     batch
                         .parts
                         .builder
@@ -1240,30 +1211,27 @@ impl StreamSender {
                         now,
                     );
                     seq += block.count as u64;
-                    if batch.unbooked() >= flush_shots {
+                    if before % 64 + block.count >= 64 {
                         // A partial block may carry the next flush point
-                        // past a whole unit: walk to the block that reaches it.
+                        // past a whole word: walk to the block that reaches it.
                         let mut shots = 0;
                         let next = blocks[index + 1..].iter().find_map(|block| {
                             shots += block.count;
-                            (shots >= flush_shots).then_some(shots)
+                            (shots >= 64).then_some(shots)
                         });
-                        wakes = shared.full_word_flush(&self.shard, &mut state, next);
+                        wakes = shared.full_word_flush(&self.shard, &mut state, before, next);
                     }
                 }
             }
         }
         if shared.config.flush_deadline.is_zero() {
-            wakes = wakes.max(shared.flush_shard(&self.shard, &mut state, FlushStat::Deadline));
+            wakes = wakes.max(shared.flush_shard(&self.shard, &mut state, FlushStat::Deadline, 0));
         } else if !state.armed {
-            if let Some(batch) = &state.pending {
-                let due = batch.oldest + shared.config.flush_deadline;
+            if let Some(due) = state.pending.as_ref().and_then(|batch| shared.due(batch)) {
                 state.armed = true;
                 wakes = shared.arm(due, &self.shard);
             }
         }
-        // Deadline, close and shutdown flushes book every word of a batch.
-        debug_assert!(state.pending.as_ref().is_none_or(|batch| batch.booked == 0));
         drop(state);
         shared.wake(wakes);
     }
@@ -1289,7 +1257,6 @@ impl StreamSender {
                     runs: Vec::new(),
                 },
                 oldest: now,
-                booked: 0,
             }
         })
     }
@@ -1337,7 +1304,7 @@ impl StreamSender {
             });
             if flush {
                 self.shared
-                    .flush_shard(&self.shard, &mut state, FlushStat::Close)
+                    .flush_shard(&self.shard, &mut state, FlushStat::Close, 0)
             } else {
                 0
             }
@@ -2014,6 +1981,29 @@ mod tests {
     }
 
     #[test]
+    fn a_deadline_past_the_last_instant_never_falls_due() {
+        let service = DecodeService::new(
+            ServiceConfig::default()
+                .with_workers(1)
+                .with_flush_deadline(Duration::MAX),
+        );
+        let mut handle = open(&service, "never-due", &mirror_circuit()).unwrap();
+        assert_eq!(handle.submit(&[0]), Ok(0));
+        assert_eq!(handle.submit(&[]), Ok(1));
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(service.metrics().words_flushed, 0, "the partial word waits");
+        // The close flushes it.
+        handle.sender.close();
+        assert_eq!(handle.recv(), Some(Correction { seq: 0, flips: 1 }));
+        assert_eq!(handle.recv(), Some(Correction { seq: 1, flips: 0 }));
+        assert!(handle.recv().is_none());
+        let metrics = service.metrics();
+        assert_eq!(metrics.close_flushes, 1);
+        assert_eq!(metrics.deadline_flushes, 0);
+        service.shutdown();
+    }
+
+    #[test]
     fn each_program_waits_out_its_own_deadline() {
         let service = DecodeService::new(
             ServiceConfig::default()
@@ -2290,13 +2280,11 @@ mod tests {
     fn zero_counts_set_through_fields_are_raised_to_one() {
         let service = DecodeService::new(ServiceConfig {
             workers: 0,
-            max_batch_words: 0,
             stream_queue_shots: 0,
             ..ServiceConfig::default()
         });
         let config = service.config();
         assert_eq!(config.workers, 1);
-        assert_eq!(config.max_batch_words, 1);
         assert_eq!(config.stream_queue_shots, 1);
         let (sender, mut receiver) = open(&service, "zero", &mirror_circuit()).unwrap().split();
         let (done, submitted) = mpsc::channel();
@@ -2435,36 +2423,6 @@ mod tests {
             let flips = u64::from(seq % 3 == 0);
             assert_eq!(correction, Some(Correction { seq, flips }));
         }
-        service.shutdown();
-    }
-
-    #[test]
-    fn the_flush_size_is_capped_at_one_job() {
-        let config = ServiceConfig::default().with_max_batch_words(100);
-        assert_eq!(config.max_batch_words, 64);
-        let deadline = Duration::from_millis(50);
-        let service = DecodeService::new(ServiceConfig {
-            workers: 1,
-            flush_deadline: deadline,
-            max_batch_words: 100,
-            stream_queue_shots: 8192,
-            ..ServiceConfig::default()
-        });
-        assert_eq!(service.config().max_batch_words, 64);
-        let mut handle = open(&service, "capped", &mirror_circuit()).unwrap();
-        let plane = |word: u64| (word + 7).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let planes: Vec<[u64; 1]> = (0..128).map(|word| [plane(word)]).collect();
-        let blocks: Vec<WordBlock<'_>> = planes
-            .iter()
-            .map(|planes| WordBlock { planes, count: 64 })
-            .collect();
-        assert_eq!(handle.sender.submit_word_batch(&blocks).unwrap(), 0..8192);
-        // Two flushes of 64 words, and nothing left for the deadline.
-        let metrics = service.metrics();
-        assert_eq!(metrics.full_word_flushes, 2);
-        assert_eq!(metrics.words_flushed, 128);
-        assert_eq!(metrics.deadline_flushes, 0);
-        expect_mirrored(&mut handle.receiver, 0..8192, plane);
         service.shutdown();
     }
 }

@@ -16,6 +16,7 @@ use qccd_circuit::{Detector, Instruction, LogicalObservable, MeasurementRef, Qub
 use qccd_decoder::{DecodeScratch, DecoderKind, DecodingGraph};
 use qccd_service::{
     loadgen, DecodeProgram, DecodeService, LoadgenOptions, ServiceConfig, TelemetryConfig,
+    WordBlock,
 };
 use qccd_sim::{NoiseChannel, NoisyCircuit, SyndromeChunkBuilder};
 
@@ -56,6 +57,34 @@ fn program(key: &str, circuit: &NoisyCircuit, kind: DecoderKind) -> Arc<DecodePr
     Arc::new(DecodeProgram::from_circuit(key, circuit.clone(), kind).expect("valid circuit"))
 }
 
+/// The observable-flip mask of every frame, from one offline
+/// `decode_batch` over them all.
+fn offline_flips(program: &DecodeProgram, frames: &[Vec<usize>]) -> Vec<u64> {
+    let mut builder = SyndromeChunkBuilder::new(program.num_detectors(), 0);
+    for frame in frames {
+        builder.push_frame(frame);
+    }
+    let prediction = program.decode_batch(&builder.finish(0, 0), &mut DecodeScratch::new());
+    (0..frames.len())
+        .map(|shot| {
+            (0..prediction.num_observables())
+                .filter(|&observable| prediction.predicted(shot, observable))
+                .fold(0, |mask, observable| mask | 1 << observable)
+        })
+        .collect()
+}
+
+/// The shot-major plane words of up to 64 frames.
+fn word_planes(frames: &[Vec<usize>], num_detectors: usize) -> Vec<u64> {
+    let mut planes = vec![0; num_detectors];
+    for (shot, fired) in frames.iter().enumerate() {
+        for &detector in fired {
+            planes[detector] |= 1 << shot;
+        }
+    }
+    planes
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -72,7 +101,6 @@ proptest! {
         streams in 1usize..6,
         shots in 1usize..700,
         deadline_us in prop::sample::select(vec![0u64, 100, 100_000]),
-        batch_words in 1usize..3,
         shot_major in any::<bool>(),
         kind in prop::sample::select(vec![
             DecoderKind::UnionFind,
@@ -84,8 +112,7 @@ proptest! {
         let service = DecodeService::new(
             ServiceConfig::default()
                 .with_workers(workers)
-                .with_flush_deadline(Duration::from_micros(deadline_us))
-                .with_max_batch_words(batch_words),
+                .with_flush_deadline(Duration::from_micros(deadline_us)),
         );
         let options = LoadgenOptions {
             streams,
@@ -99,8 +126,8 @@ proptest! {
         let report = loadgen::run_in_process(&service, &program("prop", &circuit, kind), &options)
             .expect("loadgen runs");
         prop_assert_eq!(report.mismatches, 0,
-            "workers={} streams={} shots={} deadline={}µs words={} shot_major={} kind={:?}",
-            workers, streams, shots, deadline_us, batch_words, shot_major, kind);
+            "workers={} streams={} shots={} deadline={}µs shot_major={} kind={:?}",
+            workers, streams, shots, deadline_us, shot_major, kind);
         prop_assert_eq!(report.shots, shots);
         let metrics = report.metrics;
         prop_assert_eq!(metrics.frames_completed, shots as u64);
@@ -109,6 +136,83 @@ proptest! {
             metrics.full_word_flushes + metrics.deadline_flushes + metrics.close_flushes > 0,
             true
         );
+        service.shutdown();
+    }
+
+    /// Multi-word submit calls, straight to the service: stream `s` carries
+    /// global shots `s, s + streams, …` and submits them in bursts of
+    /// `words` words whose last block is partial (`tail` shots), as index
+    /// frames or word blocks, the streams taking turns. Every correction
+    /// matches one offline `decode_batch` over all the frames.
+    #[test]
+    fn multi_word_bursts_match_offline_decode_batch(
+        seed in 0u64..1000,
+        workers in 1usize..4,
+        streams in 1usize..4,
+        shots in 1usize..700,
+        words in 1usize..4,
+        tail in 1usize..64,
+        deadline_us in prop::sample::select(vec![0u64, 100, 100_000]),
+        shot_major in any::<bool>(),
+        kind in prop::sample::select(vec![
+            DecoderKind::UnionFind,
+            DecoderKind::GreedyMatching,
+            DecoderKind::ExactMatching,
+        ]),
+    ) {
+        let circuit = noisy_parity_circuit(0.12);
+        let program = program("bursts", &circuit, kind);
+        let service = DecodeService::new(
+            ServiceConfig::default()
+                .with_workers(workers)
+                .with_flush_deadline(Duration::from_micros(deadline_us)),
+        );
+        let frames = loadgen::sample_frames(&circuit, shots, seed).expect("samples");
+        let expected = offline_flips(&program, &frames);
+        let per_stream: Vec<Vec<Vec<usize>>> = (0..streams)
+            .map(|s| frames.iter().skip(s).step_by(streams).cloned().collect())
+            .collect();
+        let mut handles: Vec<_> = (0..streams)
+            .map(|_| service.open_stream_program(&program).expect("opens"))
+            .collect();
+        let burst = 64 * (words - 1) + tail;
+        for round in 0..shots.div_ceil(burst) {
+            for (handle, frames) in handles.iter().zip(&per_stream) {
+                let Some(frames) = frames.chunks(burst).nth(round) else { continue };
+                let range = if shot_major {
+                    let planes: Vec<(Vec<u64>, usize)> = frames
+                        .chunks(64)
+                        .map(|word| (word_planes(word, program.num_detectors()), word.len()))
+                        .collect();
+                    let blocks: Vec<WordBlock<'_>> = planes
+                        .iter()
+                        .map(|(planes, count)| WordBlock { planes, count: *count })
+                        .collect();
+                    handle.sender.submit_word_batch(&blocks)
+                } else {
+                    let frames: Vec<&[usize]> = frames.iter().map(Vec::as_slice).collect();
+                    handle.sender.submit_batch(&frames)
+                };
+                let first = (round * burst) as u64;
+                prop_assert_eq!(range, Ok(first..first + frames.len() as u64));
+            }
+        }
+        // The last stream's close flushes the shared partial word.
+        handles.iter().for_each(|handle| handle.sender.close());
+        for (s, handle) in handles.iter_mut().enumerate() {
+            let arrived: Vec<(u64, u64)> =
+                std::iter::from_fn(|| handle.receiver.recv_timeout(Duration::from_secs(10)))
+                    .map(|correction| (correction.seq, correction.flips))
+                    .collect();
+            let wanted: Vec<(u64, u64)> = (0..per_stream[s].len())
+                .map(|q| (q as u64, expected[q * streams + s]))
+                .collect();
+            prop_assert_eq!(arrived, wanted,
+                "stream {} of {}: workers={} shots={} words={} tail={} deadline={}µs \
+                 shot_major={} kind={:?}",
+                s, streams, workers, shots, words, tail, deadline_us, shot_major, kind);
+        }
+        prop_assert_eq!(service.metrics().frames_completed, shots as u64);
         service.shutdown();
     }
 }
