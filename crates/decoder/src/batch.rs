@@ -11,10 +11,10 @@
 //! Two interchangeable loops drive the decode (see the crate docs for the
 //! bit-identity contract between them):
 //!
-//! * [`decode_batch_words`] — the word-parallel default: 64-word tiles are
-//!   scanned with one sequential pass over the detector planes that buckets
-//!   every non-zero plane word by tile word, so quiet words are found and
-//!   the noisy lanes' defect lists are gathered by the same streaming walk.
+//! * [`decode_batch_words`] — the word-parallel default: per 64-word tile,
+//!   the chunk's occupancy index names the non-zero plane words, which are
+//!   bucketed by tile word, so quiet words are found and the noisy lanes'
+//!   defect lists are gathered by one walk over the fired words only.
 //! * [`decode_batch_per_shot`] — the per-shot reference loop every decoded
 //!   bit is defined against.
 //!
@@ -25,8 +25,8 @@
 //! Every shot of a chunk descends the same ladder of progressively more
 //! expensive tiers, stopping at the first one that answers it:
 //!
-//! 1. **Quiet word** — no detector fired anywhere in the 64-shot word: the
-//!    whole word is skipped by the tile scan (no gather, no decode).
+//! 1. **Quiet word** — no detector fired anywhere in the 64-shot word: no
+//!    occupancy bit names it, so it is never read (no gather, no decode).
 //! 2. **Sparse memo** — lanes at or below [`MemoConfig::max_defects`]
 //!    probe the hash table ([`decode_lanes`]); misses — the first sight
 //!    of any set, single defects included — decode once and insert.
@@ -363,20 +363,22 @@ fn decode_lanes<D: Decoder + ?Sized>(
     }
 }
 
-/// Words per scan tile: the tile scan walks every detector plane
-/// *sequentially* over a 64-word window (cache- and prefetcher-friendly,
-/// unlike a strided per-word column walk) while filling the hot-plane
-/// buckets; the per-word decode then runs against L1/L2-resident buckets.
+/// Words per scan tile: the chunk's occupancy index holds one 64-bit mask
+/// per (tile, detector), so a tile is 64 words and each detector costs one
+/// mask load per tile. The per-word decode then runs against L1/L2-resident
+/// hot-plane buckets.
 const TILE_WORDS: usize = 64;
 
 /// The word-parallel batch decode loop (the
 /// [`Decoder::decode_batch`](crate::Decoder::decode_batch) default).
 ///
-/// Words are processed in [`TILE_WORDS`]-word tiles. One sequential pass
-/// over the detector planes per tile buckets, for every word at once, the
-/// non-zero plane words — so quiet-word detection and the defect gather
-/// share a single streaming walk. A word whose bucket ORs to zero under its
-/// lane mask is skipped; every other word's noisy lanes reach
+/// Words are processed in [`TILE_WORDS`]-word tiles. Per tile, the chunk's
+/// occupancy index ([`SyndromeChunk::tile_occupancy`]) names every non-zero
+/// detector-plane word, and only those are read and bucketed under their
+/// 64-shot word — so quiet-word detection and the defect gather share one
+/// walk whose cost follows the fired words, not `words × detectors`. A
+/// word whose bucket ORs to zero under its lane mask is skipped; every
+/// other word's noisy lanes reach
 /// [`decode_lanes`], so predictions *and* hit/miss/uncacheable counters
 /// equal the per-shot reference loop's. While the memo is active each word
 /// is also counted as quiet, dense (at least one of its lanes was
@@ -394,18 +396,24 @@ pub(crate) fn decode_batch_words<D: Decoder + ?Sized>(
     let mut tile_start = 0usize;
     while tile_start < words {
         let tile_len = TILE_WORDS.min(words - tile_start);
-        // Phase A — streaming tile scan: sequential over each plane's
-        // window, scattered only into the buckets. Ascending detector order
-        // keeps every bucket sorted, i.e. canonical for the memo key.
+        // Phase A — index walk: each detector's occupancy mask names the
+        // non-zero words of its window, and only those are read and
+        // bucketed. Ascending detector order keeps every bucket sorted,
+        // i.e. canonical for the memo key.
         for bucket in tile_hot.iter_mut().take(tile_len) {
             bucket.clear();
         }
-        for detector in 0..chunk.num_detectors() {
+        let occupancy = chunk.tile_occupancy(tile_start / TILE_WORDS);
+        for (detector, &occupied) in occupancy.iter().enumerate() {
+            if occupied == 0 {
+                continue;
+            }
             let window = &chunk.detector_plane(detector)[tile_start..tile_start + tile_len];
-            for (w, &bits) in window.iter().enumerate() {
-                if bits != 0 {
-                    tile_hot[w].push((detector as u32, bits));
-                }
+            let mut bits = occupied;
+            while bits != 0 {
+                let w = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                tile_hot[w].push((detector as u32, window[w]));
             }
         }
         // Phase B — per-word gather and decode against the hot buckets.

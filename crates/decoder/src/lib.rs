@@ -39,17 +39,18 @@
 //!
 //! Below threshold almost every shot carries zero or one defect, so
 //! decoding shot by shot wastes the sampler's 64-wide bit-packing.
-//! [`Decoder::decode_batch`] therefore scans at **word granularity**: tiles
-//! of 64 words are walked *sequentially*, plane-major, and every non-zero
-//! detector-plane word is bucketed under its 64-shot word. That one
-//! streaming pass both finds the quiet words and gathers the noisy lanes'
-//! defect lists, so it touches each detector plane word exactly once per
-//! chunk, where the per-shot loop's mask scan + per-word gather touches it
-//! twice. Each word then is
+//! [`Decoder::decode_batch`] therefore works at **word granularity**: per
+//! tile of 64 words, the chunk's occupancy index
+//! ([`SyndromeChunk::tile_occupancy`], one mask per detector) names every
+//! non-zero detector-plane word, and only those are read and bucketed under
+//! their 64-shot word. That one walk both finds the quiet words and gathers
+//! the noisy lanes' defect lists, at a cost that follows the fired words:
+//! a quiet word's plane words are never read, where the per-shot loop's
+//! mask scan + per-word gather reads every word twice. Each word then is
 //!
-//! * **all-quiet** — no defect in any lane; the word is done after the one
-//!   scan (the logical frame is decided directly against the observable
-//!   planes by the estimator's XOR+popcount),
+//! * **all-quiet** — no defect in any lane; no occupancy bit names it, so
+//!   nothing of it is read (the logical frame is decided directly against
+//!   the observable planes by the estimator's XOR+popcount),
 //! * **sparse** — every noisy lane has at most [`MemoConfig::max_defects`]
 //!   defects,
 //! * **dense** — some lane exceeds the cap.
@@ -195,12 +196,12 @@ pub trait Decoder {
     /// Decodes every shot of a bit-packed syndrome chunk on the
     /// **word-parallel** path.
     ///
-    /// The default implementation streams 64-word tiles of the detector
-    /// planes once, bucketing every non-zero plane word under its 64-shot
-    /// word — the same pass finds the quiet words and gathers the noisy
+    /// The default implementation walks the chunk's occupancy index tile by
+    /// tile, bucketing every non-zero plane word it names under its 64-shot
+    /// word — the same walk finds the quiet words and gathers the noisy
     /// lanes' defect lists:
     ///
-    /// * **quiet** words (no defect anywhere) are done after the scan;
+    /// * **quiet** words (no defect anywhere) are never read;
     /// * every noisy lane of a **sparse** word (every lane at or below the
     ///   memo's defect cap) or a **dense** word (some lane above it) goes
     ///   through the per-shot [`DecodeScratch`] memo probe, where above-cap

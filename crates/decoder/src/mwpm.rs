@@ -74,11 +74,6 @@ impl ExactMatchingDecoder {
         self
     }
 
-    /// The exact-matching defect cap.
-    pub fn max_exact_defects(&self) -> usize {
-        self.max_exact_defects
-    }
-
     /// Runs one Dijkstra per defect into the scratch slots, delegating to
     /// the embedded greedy decoder so the exact and fallback paths use the
     /// exact same search driver.

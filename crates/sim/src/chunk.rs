@@ -21,6 +21,28 @@
 //! exclusive Paulis, not the detector error model's independent-mechanism
 //! approximation.
 //!
+//! # Occupancy index
+//!
+//! Below threshold almost every detector-plane word of a chunk is zero, so
+//! a chunk carries an **exact occupancy index** beside its planes: one
+//! `u64` per (64-word tile, detector), bit `w` set iff word `64·tile + w` of
+//! that detector's plane is non-zero. A consumer walks the set bits of
+//! [`SyndromeChunk::tile_occupancy`] instead of reading every word, so the
+//! cost of finding the fired words follows the faults placed, not
+//! `shots × detectors`. Every producer keeps the index exact, so it is a
+//! pure function of the planes (and chunk equality stays plane equality):
+//!
+//! * [`SyndromeChunk::zeroed`] starts with every bit clear;
+//! * the sampler updates a word's bit wherever it XORs a signature into
+//!   that word: set while the word is non-zero, clear again when two faults
+//!   in one shot cancel it back to zero — a cost per fault placed, with no
+//!   pass over the planes;
+//! * [`SyndromeChunk::from_shots`] and [`SyndromeChunkBuilder::finish`]
+//!   index their planes in one pass over the words.
+//!
+//! Debug builds check the index against the planes word by word wherever a
+//! chunk is built.
+//!
 //! # Determinism
 //!
 //! Shots are partitioned into fixed-size *blocks* of
@@ -67,6 +89,13 @@ pub fn block_seed(seed: u64, block: u64) -> u64 {
 }
 
 /// Bit-packed detector events and observable flips for one chunk of shots.
+///
+/// Beside its planes a chunk carries an exact **occupancy index** of its
+/// detector planes: per 64-word tile, one mask per detector whose bit `w`
+/// is set iff word `64·tile + w` of that detector's plane is non-zero
+/// ([`SyndromeChunk::tile_occupancy`]). Every constructor keeps it exact,
+/// so it is a pure function of the planes and equal chunks have equal
+/// indexes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SyndromeChunk {
     chunk_index: usize,
@@ -77,6 +106,10 @@ pub struct SyndromeChunk {
     words: usize,
     detectors: BitPlanes,
     observables: BitPlanes,
+    /// Tile-major, `num_detectors` words per 64-word tile: bit `w` of word
+    /// `tile · num_detectors + d` is set iff word `64·tile + w` of detector
+    /// plane `d` is non-zero.
+    occupancy: Vec<u64>,
 }
 
 impl SyndromeChunk {
@@ -99,6 +132,7 @@ impl SyndromeChunk {
             words,
             detectors: BitPlanes::zeroed(num_detectors, words),
             observables: BitPlanes::zeroed(num_observables, words),
+            occupancy: vec![0; words.div_ceil(64) * num_detectors],
         }
     }
 
@@ -118,7 +152,64 @@ impl SyndromeChunk {
                 chunk.observables.plane_mut(o)[shot / 64] |= 1u64 << (shot % 64);
             }
         }
-        chunk
+        chunk.indexed()
+    }
+
+    /// The chunk with its occupancy index rebuilt from the detector planes,
+    /// in one pass over their words.
+    fn indexed(mut self) -> Self {
+        let num_detectors = self.num_detectors;
+        self.occupancy.clear();
+        self.occupancy
+            .resize(self.words.div_ceil(64) * num_detectors, 0);
+        for detector in 0..num_detectors {
+            for (tile, window) in self.detectors.plane(detector).chunks(64).enumerate() {
+                self.occupancy[tile * num_detectors + detector] = window
+                    .iter()
+                    .enumerate()
+                    .fold(0, |mask, (w, &word)| mask | u64::from(word != 0) << w);
+            }
+        }
+        self.debug_check_occupancy();
+        self
+    }
+
+    /// Flips detector `detector` in the shots of `bits` within plane word
+    /// `word`, keeping the word's occupancy bit exact: set while the word
+    /// is non-zero, clear once faults cancel it back to zero.
+    fn flip_detector(&mut self, detector: usize, word: usize, bits: u64) {
+        let plane_word = &mut self.detectors.plane_mut(detector)[word];
+        *plane_word ^= bits;
+        let mask = &mut self.occupancy[(word / 64) * self.num_detectors + detector];
+        if *plane_word != 0 {
+            *mask |= 1u64 << (word % 64);
+        } else {
+            *mask &= !(1u64 << (word % 64));
+        }
+    }
+
+    /// Debug builds: every occupancy bit agrees with its plane word, and no
+    /// bit is set past the last word.
+    fn debug_check_occupancy(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let tiles = self.words.div_ceil(64);
+        assert_eq!(self.occupancy.len(), tiles * self.num_detectors);
+        for detector in 0..self.num_detectors {
+            let plane = self.detectors.plane(detector);
+            for tile in 0..tiles {
+                let mask = self.tile_occupancy(tile)[detector];
+                for w in 0..64 {
+                    let word = tile * 64 + w;
+                    assert_eq!(
+                        mask >> w & 1 == 1,
+                        plane.get(word).is_some_and(|&bits| bits != 0),
+                        "occupancy bit of detector {detector}, word {word} is out of step"
+                    );
+                }
+            }
+        }
     }
 
     /// Index of this chunk within its experiment.
@@ -154,6 +245,17 @@ impl SyndromeChunk {
     /// The bit-plane of one detector.
     pub fn detector_plane(&self, detector: usize) -> &[u64] {
         self.detectors.plane(detector)
+    }
+
+    /// The occupancy masks of 64-word tile `tile` (words `64·tile ..
+    /// 64·tile + 64` of every plane), one per detector: bit `w` of entry
+    /// `d` is set iff word `64·tile + w` of detector `d`'s plane is
+    /// non-zero. A consumer that walks the set bits reads only the plane
+    /// words that hold a fired shot.
+    #[inline]
+    pub fn tile_occupancy(&self, tile: usize) -> &[u64] {
+        let start = tile * self.num_detectors;
+        &self.occupancy[start..start + self.num_detectors]
     }
 
     /// The bit-plane of one observable.
@@ -239,8 +341,8 @@ impl SyndromeChunk {
 /// [`SyndromeChunk`] layout batch decoders consume.
 ///
 /// The builder *is* the detector planes of the chunk under construction:
-/// every push writes where the decoder will read, and `finish` hands the
-/// planes over. Shot order within the produced chunk is the ingestion order.
+/// every push writes where the decoder will read, and `finish` indexes the
+/// planes and hands them over. Shot order within the produced chunk is the ingestion order.
 /// Two vocabularies interleave freely within one batch:
 ///
 /// * [`SyndromeChunkBuilder::push_frame`] — one shot as a fired-detector
@@ -398,8 +500,10 @@ impl SyndromeChunkBuilder {
 
     /// Hands the pending frames over as a [`SyndromeChunk`] (shot `s` of the
     /// chunk is the `s`-th ingested frame; observables zeroed) and leaves the
-    /// builder empty, without planes, for its next batch. `chunk_index` and
-    /// `shot_offset` are recorded verbatim for the caller's bookkeeping.
+    /// builder empty, without planes, for its next batch. The chunk's
+    /// occupancy index ([`SyndromeChunk::tile_occupancy`]) is built in one
+    /// pass over the planes. `chunk_index` and `shot_offset` are recorded
+    /// verbatim for the caller's bookkeeping.
     pub fn finish(&mut self, chunk_index: usize, shot_offset: usize) -> SyndromeChunk {
         let num_shots = std::mem::take(&mut self.num_frames);
         let words = num_shots.div_ceil(64);
@@ -418,7 +522,9 @@ impl SyndromeChunkBuilder {
             words,
             detectors,
             observables: BitPlanes::zeroed(self.num_observables, words),
+            occupancy: Vec::new(),
         }
+        .indexed()
     }
 }
 
@@ -571,7 +677,7 @@ impl<'t> DetectorChunkSampler<'t> {
     }
 
     /// Number of canonical sampling blocks.
-    pub fn num_blocks(&self) -> usize {
+    fn num_blocks(&self) -> usize {
         self.total_shots.div_ceil(CANONICAL_BLOCK_SHOTS)
     }
 
@@ -666,7 +772,7 @@ impl<'t> DetectorChunkSampler<'t> {
                     let (detectors, observables) = self.table.signature(component);
                     let (word, bit) = (shot / 64, 1u64 << (shot % 64));
                     for &d in detectors {
-                        chunk.detectors.plane_mut(d as usize)[word] ^= bit;
+                        chunk.flip_detector(d as usize, word, bit);
                     }
                     for &o in observables {
                         chunk.observables.plane_mut(o as usize)[word] ^= bit;
@@ -674,6 +780,7 @@ impl<'t> DetectorChunkSampler<'t> {
                 });
             }
         }
+        chunk.debug_check_occupancy();
         chunk
     }
 
