@@ -3,12 +3,15 @@
 //! boundary, ragged final words, zero-shot chunks and shots above the memo
 //! cap decoded directly — each with exact `CacheStats` word/sparse/dense counter assertions and bit-identity
 //! against the per-shot reference loop — plus a random sweep that checks
-//! the per-word verdicts against a brute-force per-shot defect count.
+//! the per-word verdicts against a brute-force per-shot defect count. The
+//! sweep and a two-tile case run on every producer of unsampled chunks
+//! (`from_shots`, the builder's frames and straddling word blocks, and
+//! `append`), whose occupancy index the word path reads.
 
 use qccd_decoder::{
     CacheStats, DecodeScratch, Decoder, DecodingGraph, MemoConfig, SyndromeChunk, UnionFindDecoder,
 };
-use qccd_sim::{DemError, DetectorErrorModel};
+use qccd_sim::{DemError, DetectorErrorModel, SyndromeChunkBuilder};
 
 /// A chain decoding graph: `n` detectors in a line, boundary edges at both
 /// ends; the right boundary edge flips the observable.
@@ -43,6 +46,53 @@ fn chunk_of(n: usize, shots: &[Vec<usize>]) -> SyndromeChunk {
         .map(|fired| (fired.clone(), Vec::new()))
         .collect();
     SyndromeChunk::from_shots(n, 1, &packed)
+}
+
+/// The same shots through [`SyndromeChunkBuilder`]: index frames and
+/// shot-major word blocks of `block` shots in turn, so blocks straddle word
+/// boundaries unless `block` divides 64.
+fn built_of(n: usize, shots: &[Vec<usize>], block: usize) -> SyndromeChunk {
+    let mut builder = SyndromeChunkBuilder::new(n, 1);
+    for (index, group) in shots.chunks(block).enumerate() {
+        if index % 2 == 0 {
+            for frame in group {
+                builder.push_frame(frame);
+            }
+        } else {
+            let mut planes = vec![0u64; n];
+            for (lane, frame) in group.iter().enumerate() {
+                for &d in frame {
+                    planes[d] |= 1u64 << lane;
+                }
+            }
+            builder.push_word_block(&planes, group.len());
+        }
+    }
+    let chunk = builder.finish(0, 0);
+    assert_eq!(chunk, chunk_of(n, shots), "builder and from_shots disagree");
+    chunk
+}
+
+/// Brute force: every shot's defects counted one at a time, folded into
+/// `(quiet, sparse, dense, uncacheable)` under memo defect cap `cap`.
+fn brute_force_counts(chunk: &SyndromeChunk, cap: usize) -> (u64, u64, u64, u64) {
+    let (mut quiet, mut sparse, mut dense, mut uncacheable) = (0, 0, 0, 0);
+    let mut fired = Vec::new();
+    for word_index in 0..chunk.words() {
+        let (mut noisy, mut above) = (0u64, 0u64);
+        for shot in word_index * 64..chunk.num_shots().min(word_index * 64 + 64) {
+            chunk.fired_detectors_into(shot, &mut fired);
+            noisy += u64::from(!fired.is_empty());
+            above += u64::from(fired.len() > cap);
+        }
+        uncacheable += above;
+        match (noisy, above) {
+            (0, _) => quiet += 1,
+            (_, 0) => sparse += 1,
+            _ => dense += 1,
+        }
+    }
+    (quiet, sparse, dense, uncacheable)
 }
 
 /// Decodes on both paths, asserts bit-identity, and returns the word path's
@@ -287,62 +337,116 @@ fn random_chunks_match_a_brute_force_defect_count() {
                 }
             }
         }
-        let chunk = chunk_of(DETECTORS, &shots);
-        let mut truth = DecodeScratch::with_memo_config(MemoConfig::disabled());
-        let expected = decoder.decode_batch(&chunk, &mut truth);
+        // The same shots from both producers of unsampled chunks.
+        for chunk in [chunk_of(DETECTORS, &shots), built_of(DETECTORS, &shots, 23)] {
+            let mut truth = DecodeScratch::with_memo_config(MemoConfig::disabled());
+            let expected = decoder.decode_batch(&chunk, &mut truth);
 
-        for cap in [0usize, 1, 2, 4, 6] {
-            let memo = MemoConfig::default().with_max_defects(cap);
-            let mut word = DecodeScratch::with_memo_config(memo);
-            let mut per_shot = DecodeScratch::with_memo_config(memo);
-            assert_eq!(decoder.decode_batch(&chunk, &mut word), expected);
-            assert_eq!(
-                decoder.decode_batch_per_shot(&chunk, &mut per_shot),
-                expected
-            );
-            let (stats, reference) = (word.cache_stats(), per_shot.cache_stats());
-            if cap == 0 {
-                assert_eq!(stats, CacheStats::default(), "cap 0 disables the memo");
-                continue;
-            }
-            // Brute force: count every shot's defects one at a time.
-            let (mut quiet, mut sparse, mut dense, mut uncacheable) = (0, 0, 0, 0);
-            let mut fired = Vec::new();
-            for word_index in 0..chunk.words() {
-                let (mut noisy, mut above) = (0u64, 0u64);
-                for shot in word_index * 64..SHOTS.min(word_index * 64 + 64) {
-                    chunk.fired_detectors_into(shot, &mut fired);
-                    noisy += u64::from(!fired.is_empty());
-                    above += u64::from(fired.len() > cap);
+            for cap in [0usize, 1, 2, 4, 6] {
+                let memo = MemoConfig::default().with_max_defects(cap);
+                let mut word = DecodeScratch::with_memo_config(memo);
+                let mut per_shot = DecodeScratch::with_memo_config(memo);
+                assert_eq!(decoder.decode_batch(&chunk, &mut word), expected);
+                assert_eq!(
+                    decoder.decode_batch_per_shot(&chunk, &mut per_shot),
+                    expected
+                );
+                let (stats, reference) = (word.cache_stats(), per_shot.cache_stats());
+                if cap == 0 {
+                    assert_eq!(stats, CacheStats::default(), "cap 0 disables the memo");
+                    continue;
                 }
-                uncacheable += above;
-                match (noisy, above) {
-                    (0, _) => quiet += 1,
-                    (_, 0) => sparse += 1,
-                    _ => dense += 1,
-                }
+                let (quiet, sparse, dense, uncacheable) = brute_force_counts(&chunk, cap);
+                assert_eq!(
+                    (
+                        stats.quiet_words,
+                        stats.sparse_words,
+                        stats.dense_words,
+                        stats.uncacheable
+                    ),
+                    (quiet, sparse, dense, uncacheable),
+                    "round {round} cap {cap}"
+                );
+                assert_eq!(stats.words(), chunk.words() as u64);
+                seen = (seen.0 + quiet, seen.1 + sparse, seen.2 + dense);
+                assert_eq!(
+                    (stats.hits, stats.misses, stats.uncacheable),
+                    (reference.hits, reference.misses, reference.uncacheable),
+                    "round {round} cap {cap}: memo counters match the per-shot loop"
+                );
             }
-            assert_eq!(
-                (
-                    stats.quiet_words,
-                    stats.sparse_words,
-                    stats.dense_words,
-                    stats.uncacheable
-                ),
-                (quiet, sparse, dense, uncacheable),
-                "round {round} cap {cap}"
-            );
-            assert_eq!(stats.words(), chunk.words() as u64);
-            seen = (seen.0 + quiet, seen.1 + sparse, seen.2 + dense);
-            assert_eq!(
-                (stats.hits, stats.misses, stats.uncacheable),
-                (reference.hits, reference.misses, reference.uncacheable),
-                "round {round} cap {cap}: memo counters match the per-shot loop"
-            );
         }
     }
     assert!(
         seen.0 > 0 && seen.1 > 0 && seen.2 > 0,
         "every verdict drawn: {seen:?}"
     );
+}
+
+/// Two scan tiles, the second ragged (5 000 shots = 79 words), from
+/// `from_shots`, from the builder at three block sizes and from two
+/// builders joined by `append`: every chunk decodes on the word path
+/// exactly as on the per-shot loop, with equal hit, miss and uncacheable
+/// counters, and with the word counters of a brute-force count.
+#[test]
+fn every_producer_decodes_identically_across_tiles() {
+    const DETECTORS: usize = 40;
+    const SHOTS: usize = 5_000;
+    let decoder = UnionFindDecoder::new(chain_graph(DETECTORS));
+    // Quiet stretches, lone defects, neighbour pairs and above-cap lanes,
+    // varying from word to word and lane to lane.
+    let shots: Vec<Vec<usize>> = (0..SHOTS)
+        .map(|shot| match (shot / 64 % 5, shot % 7) {
+            (0, _) | (_, 1..=4) => Vec::new(),
+            (1, _) => vec![shot % DETECTORS],
+            (2, _) => vec![shot % 39, shot % 39 + 1],
+            _ => (0..5 + shot % 3)
+                .map(|k| (shot + 7 * k) % DETECTORS)
+                .collect::<std::collections::BTreeSet<_>>()
+                .into_iter()
+                .collect(),
+        })
+        .collect();
+    let mut head = SyndromeChunkBuilder::new(DETECTORS, 1);
+    let mut tail = SyndromeChunkBuilder::new(DETECTORS, 1);
+    for frame in &shots[..64 * 40] {
+        head.push_frame(frame);
+    }
+    for frame in &shots[64 * 40..] {
+        tail.push_frame(frame);
+    }
+    head.append(&mut tail);
+    let appended = head.finish(0, 0);
+    assert_eq!(appended, chunk_of(DETECTORS, &shots));
+    let chunks = [
+        chunk_of(DETECTORS, &shots),
+        built_of(DETECTORS, &shots, 64),
+        built_of(DETECTORS, &shots, 40),
+        built_of(DETECTORS, &shots, 1),
+        appended,
+    ];
+    let mut word_stats = Vec::new();
+    for chunk in &chunks {
+        assert_eq!(chunk.words(), 79);
+        let memo = MemoConfig::default();
+        let (stats, reference) = decode_both(&decoder, chunk, memo);
+        assert_eq!(
+            (stats.hits, stats.misses, stats.uncacheable),
+            (reference.hits, reference.misses, reference.uncacheable)
+        );
+        let (quiet, sparse, dense, uncacheable) =
+            brute_force_counts(chunk, memo.effective_max_defects());
+        assert_eq!(
+            (
+                stats.quiet_words,
+                stats.sparse_words,
+                stats.dense_words,
+                stats.uncacheable
+            ),
+            (quiet, sparse, dense, uncacheable)
+        );
+        assert!(quiet > 0 && sparse > 0 && dense > 0, "{stats:?}");
+        word_stats.push(stats);
+    }
+    assert!(word_stats.windows(2).all(|pair| pair[0] == pair[1]));
 }
