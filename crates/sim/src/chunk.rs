@@ -163,11 +163,10 @@ impl SyndromeChunk {
         self.occupancy
             .resize(self.words.div_ceil(64) * num_detectors, 0);
         for detector in 0..num_detectors {
-            for (tile, window) in self.detectors.plane(detector).chunks(64).enumerate() {
-                self.occupancy[tile * num_detectors + detector] = window
-                    .iter()
-                    .enumerate()
-                    .fold(0, |mask, (w, &word)| mask | u64::from(word != 0) << w);
+            for (w, &word) in self.detectors.plane(detector).iter().enumerate() {
+                if word != 0 {
+                    self.occupancy[(w / 64) * num_detectors + detector] |= 1u64 << (w % 64);
+                }
             }
         }
         self.debug_check_occupancy();
