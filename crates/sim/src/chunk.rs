@@ -341,7 +341,8 @@ impl SyndromeChunk {
 ///
 /// The builder *is* the detector planes of the chunk under construction:
 /// every push writes where the decoder will read, and `finish` indexes the
-/// planes and hands them over. Shot order within the produced chunk is the ingestion order.
+/// planes and hands them over. Shot order within the produced chunk is the
+/// ingestion order.
 /// Two vocabularies interleave freely within one batch:
 ///
 /// * [`SyndromeChunkBuilder::push_frame`] — one shot as a fired-detector
