@@ -15,32 +15,34 @@
 //! # The estimation pipeline
 //!
 //! [`estimate_logical_error_rate_with`] is a chunked, parallel Monte-Carlo
-//! pipeline: shots are cut into bit-packed [`SyndromeChunk`]s by
-//! `qccd_sim`'s chunked sampler (peak memory `O(chunk × detectors)`), each
-//! chunk is decoded with [`Decoder::decode_batch`] against a per-worker
+//! pipeline: shots are cut into bit-packed
+//! [`SyndromeChunk`](crate::SyndromeChunk)s by `qccd_sim`'s chunked sampler
+//! (peak memory `O(chunk × detectors)`), each chunk is decoded with
+//! [`Decoder::decode_batch`] against a per-worker
 //! [`DecodeScratch`](crate::DecodeScratch), and failures are counted with
-//! word-parallel XOR + popcount. Because every canonical sampling block has
-//! a seed derived only from `(seed, block index)` and results are folded in
-//! block order, a fixed `(shots, seed)` produces a **bit-identical**
-//! estimate regardless of the configured chunk size or the number of rayon
-//! threads.
+//! word-parallel XOR + popcount, one tally per canonical sampling **block**.
+//! Chunks are merely groups of consecutive blocks, and every block has a
+//! seed derived only from `(seed, block index)`.
+//!
+//! Chunks are decoded in waves, one parallel map a wave, and one fold
+//! walks the decoded blocks in canonical order, adding each block's shots,
+//! failures and importance weights to the running totals. So a fixed
+//! `(shots, seed)` produces a **bit-identical** estimate regardless of the
+//! configured chunk size or the number of rayon threads.
 //!
 //! With [`EstimatorConfig::target_std_error`] or
-//! [`EstimatorConfig::max_failures`] set, the pipeline stops early once the
-//! criterion is met on a *canonical prefix* of sampling **blocks** (chunks
-//! are merely groups of consecutive blocks, so the stopping decision never
-//! sees chunk boundaries): workers may race ahead, but any block beyond the
-//! deterministic stopping point is discarded, so early-stopped estimates are
-//! bit-identical regardless of the configured chunk size *and* the thread
-//! count — the same invariance the un-stopped estimate enjoys.
+//! [`EstimatorConfig::max_failures`] set, the fold stops at the first block
+//! at which the criterion is met, so the stopping point never sees chunk
+//! boundaries and early-stopped estimates enjoy the same invariance. Waves
+//! exist for this case: a wave holds two chunks per thread, so workers
+//! decode at most one wave past the stopping block. Without a criterion
+//! nothing stops the fold, and one wave holds every chunk.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use qccd_circuit::MeasurementRef;
-use qccd_sim::{
-    DetectorChunkSampler, FaultTable, NoisyCircuit, SyndromeChunk, CANONICAL_BLOCK_SHOTS,
-};
+use qccd_sim::{DetectorChunkSampler, FaultTable, NoisyCircuit, CANONICAL_BLOCK_SHOTS};
 
 use crate::{
     CacheStats, DecodeScratch, Decoder, DecodingGraph, ExactMatchingDecoder, GreedyMatchingDecoder,
@@ -156,10 +158,6 @@ impl EstimatorConfig {
         self.importance_bias = Some(bias);
         self
     }
-
-    fn early_stopping(&self) -> bool {
-        self.target_std_error.is_some() || self.max_failures.is_some()
-    }
 }
 
 /// The result of a Monte-Carlo logical error rate estimate.
@@ -259,10 +257,11 @@ pub struct EstimateReport {
     /// estimate. Under early stopping the estimate cuts at a canonical
     /// *block*, but the chunk containing the stopping block was decoded in
     /// one piece, so its cache delta is included whole — counters therefore
-    /// cover every decoded chunk of the canonical prefix. The word-path
-    /// counters (`quiet_words` / `sparse_words` / `dense_words`) and
-    /// `uncacheable` depend only on the sampled syndromes and the memo cap,
-    /// so they are invariant across thread counts; the hit/miss *split*
+    /// cover every chunk up to and including the one holding the stopping
+    /// block, and none after it (even if its wave decoded them). The
+    /// word-path counters (`quiet_words` / `sparse_words` / `dense_words`)
+    /// and `uncacheable` depend only on the sampled syndromes and the memo
+    /// cap, so they are invariant across thread counts; the hit/miss *split*
     /// can shift with worker scheduling because each worker learns its own
     /// memo (a set costs one miss per worker that meets it). Pin
     /// [`EstimatorConfig::num_threads`] to 1 for fully deterministic
@@ -270,113 +269,19 @@ pub struct EstimateReport {
     pub cache: CacheStats,
 }
 
-/// Per-chunk tally, folded in canonical chunk order.
-#[derive(Debug, Clone)]
-struct ChunkOutcome {
-    shots: usize,
-    cache: CacheStats,
-    /// Failures per canonical sampling block of this chunk, in block order.
-    /// Blocks — not chunks — are the units of the early-stop decision, so
-    /// the stopping point is invariant under the chunk size.
-    block_failures: Vec<u32>,
-    /// Importance-sampling `(Σw, Σw²)` over the *failing* shots of each
-    /// block, in block order and summed in ascending shot order within each
-    /// block (empty for plain Monte Carlo). Folding these per block in
-    /// canonical order keeps the weighted estimate bit-identical across
-    /// chunk sizes and thread counts despite f64 non-associativity.
-    block_weights: Vec<(f64, f64)>,
-}
-
-/// Counts the shots of a decoded chunk whose predicted observable flips
-/// disagree with the actual flips, word-parallel. Returns the per-block
-/// failure counts (in canonical block order), the per-block failing-shot
-/// weight sums (empty when `weights` is `None`), and the cache-counter
-/// delta this chunk contributed. `weights` carries the per-shot fire
-/// log-ratio sums (local shot order) and the shot-independent base term.
-fn count_failures(
-    chunk: &SyndromeChunk,
-    decoder: &dyn Decoder,
-    scratch: &mut DecodeScratch,
-    config: &EstimatorConfig,
-    weights: Option<(&[f64], f64)>,
-) -> (Vec<u32>, Vec<(f64, f64)>, CacheStats) {
-    scratch.set_memo_config(config.memo);
-    let before = scratch.cache_stats();
-    let prediction = decoder.decode_batch(chunk, scratch);
-    let cache = scratch.cache_stats().since(&before);
-    let words = chunk.words();
-    let mut mismatch = vec![0u64; words];
-    for observable in 0..chunk.num_observables() {
-        let actual = chunk.observable_plane(observable);
-        let predicted = prediction.plane(observable);
-        for (m, (&a, &p)) in mismatch.iter_mut().zip(actual.iter().zip(predicted)) {
-            *m |= a ^ p;
-        }
-    }
-    if let Some(last) = mismatch.last_mut() {
-        *last &= chunk.tail_mask();
-    }
-    // Chunks are whole canonical blocks (the last block of the last chunk
-    // may be ragged), so every block occupies a fixed window of plane words
-    // and the per-block failure split falls out of one popcount pass.
-    const BLOCK_WORDS: usize = CANONICAL_BLOCK_SHOTS / 64;
-    let block_failures: Vec<u32> = mismatch
-        .chunks(BLOCK_WORDS)
-        .map(|words| words.iter().map(|w| w.count_ones()).sum())
-        .collect();
-    let block_weights: Vec<(f64, f64)> = match weights {
-        Some((log_weights, base)) => mismatch
-            .chunks(BLOCK_WORDS)
-            .enumerate()
-            .map(|(block, words)| {
-                // Walk failing shots in ascending shot order (words ascend,
-                // trailing_zeros scans bits low to high) so the per-block
-                // sums are a pure function of the sampled bits.
-                let mut weight_sum = 0.0;
-                let mut weight_sq_sum = 0.0;
-                for (w, &bits) in words.iter().enumerate() {
-                    let mut rest = bits;
-                    while rest != 0 {
-                        let shot = (block * BLOCK_WORDS + w) * 64 + rest.trailing_zeros() as usize;
-                        rest &= rest - 1;
-                        let weight = (base + log_weights[shot]).exp();
-                        weight_sum += weight;
-                        weight_sq_sum += weight * weight;
-                    }
-                }
-                (weight_sum, weight_sq_sum)
-            })
-            .collect(),
-        None => Vec::new(),
-    };
-    (block_failures, block_weights, cache)
-}
-
-/// Running totals of the canonical block fold: shot/failure counts plus the
-/// importance-sampling weight sums over failing shots (zero for plain Monte
-/// Carlo). Weight sums are only ever advanced block by block in canonical
-/// order, so the resulting f64s are bit-identical across chunk sizes and
-/// thread counts.
+/// Shots, failures and importance-sampling `(Σw, Σw²)` over the failing
+/// shots (zero for plain Monte Carlo) of a run of canonical sampling
+/// blocks: one block of a chunk, or the prefix the fold has reached.
 #[derive(Debug, Default, Clone, Copy)]
-struct RunningTotals {
+struct Tally {
     shots: usize,
     failures: usize,
     weight_sum: f64,
     weight_sq_sum: f64,
 }
 
-impl RunningTotals {
-    /// Folds in one canonical block of a chunk outcome.
-    fn add_block(&mut self, outcome: &ChunkOutcome, block: usize) {
-        self.shots += shots_in_block(outcome.shots, block);
-        self.failures += outcome.block_failures[block] as usize;
-        if let Some(&(weight_sum, weight_sq_sum)) = outcome.block_weights.get(block) {
-            self.weight_sum += weight_sum;
-            self.weight_sq_sum += weight_sq_sum;
-        }
-    }
-
-    /// The estimate at the current totals.
+impl Tally {
+    /// The estimate at this tally.
     fn estimate(&self, weighted: bool) -> LogicalErrorEstimate {
         if weighted {
             LogicalErrorEstimate::from_weighted(
@@ -389,155 +294,143 @@ impl RunningTotals {
             LogicalErrorEstimate::from_counts(self.shots, self.failures)
         }
     }
-}
 
-/// Whether the early-stop criterion is met at the given running totals.
-fn stop_criterion_met(totals: &RunningTotals, config: &EstimatorConfig) -> bool {
-    if let Some(max_failures) = config.max_failures {
-        if totals.failures >= max_failures {
-            return true;
-        }
+    /// Whether an early-stop criterion of `config` is met at this tally.
+    fn stop(&self, config: &EstimatorConfig) -> bool {
+        config.max_failures.is_some_and(|max| self.failures >= max)
+            || config.target_std_error.is_some_and(|target| {
+                self.failures > 0
+                    && self.estimate(config.importance_bias.is_some()).std_error <= target
+            })
     }
-    if let Some(target) = config.target_std_error {
-        if totals.failures > 0 {
-            let estimate = totals.estimate(config.importance_bias.is_some());
-            if estimate.std_error <= target {
-                return true;
-            }
-        }
-    }
-    false
 }
 
-/// Number of shots in block `block` of a chunk holding `chunk_shots` shots.
-fn shots_in_block(chunk_shots: usize, block: usize) -> usize {
-    (chunk_shots - block * CANONICAL_BLOCK_SHOTS).min(CANONICAL_BLOCK_SHOTS)
+/// One decoded chunk: its cache-counter delta and a [`Tally`] per canonical
+/// sampling block, in block order.
+struct ChunkOutcome {
+    cache: CacheStats,
+    blocks: Vec<Tally>,
 }
 
-/// Scans the canonical **blocks** of `outcomes[from..]`, advancing the
-/// running `(shots, failures)` totals block by block, and returns the first
-/// `(chunk index, block index within chunk)` at which the early-stop
-/// criterion is met, if any. Blocks are chunk-size-invariant, so the
-/// stopping point (and therefore the estimate) is a pure function of the
-/// sampled bits. Resumable so the wave loop never rescans already-counted
-/// chunks.
-fn prefix_stop_block_from(
-    outcomes: &[ChunkOutcome],
-    from: usize,
-    totals: &mut RunningTotals,
+/// Samples chunk `index` (from the biased table, with per-shot log-weights,
+/// when `weights` carries the fire log-ratios and base term), decodes it
+/// and tallies each of its canonical blocks: failures are shots whose
+/// predicted observable flips disagree with the actual ones, found
+/// word-parallel by XOR + popcount.
+fn decode_chunk(
+    sampler: &DetectorChunkSampler<'_>,
+    decoder: &dyn Decoder,
+    scratch: &mut DecodeScratch,
     config: &EstimatorConfig,
-) -> Option<(usize, usize)> {
-    for (index, outcome) in outcomes.iter().enumerate().skip(from) {
-        for block in 0..outcome.block_failures.len() {
-            totals.add_block(outcome, block);
-            if stop_criterion_met(totals, config) {
-                return Some((index, block));
-            }
+    index: usize,
+    weights: Option<(&[f64], f64)>,
+) -> ChunkOutcome {
+    let mut log_weights = Vec::new();
+    let chunk = match weights {
+        Some((ratios, _)) => sampler.sample_chunk_weighted(index, ratios, &mut log_weights),
+        None => sampler.sample_chunk(index),
+    };
+    scratch.set_memo_config(config.memo);
+    let before = scratch.cache_stats();
+    let prediction = decoder.decode_batch(&chunk, scratch);
+    let cache = scratch.cache_stats().since(&before);
+    let mut mismatch = vec![0u64; chunk.words()];
+    for observable in 0..chunk.num_observables() {
+        let actual = chunk.observable_plane(observable);
+        let predicted = prediction.plane(observable);
+        for (m, (&a, &p)) in mismatch.iter_mut().zip(actual.iter().zip(predicted)) {
+            *m |= a ^ p;
         }
     }
-    None
+    if let Some(last) = mismatch.last_mut() {
+        *last &= chunk.tail_mask();
+    }
+    // Chunks are whole canonical blocks (the last block of the last chunk
+    // may be ragged), so every block occupies a fixed window of plane words.
+    const BLOCK_WORDS: usize = CANONICAL_BLOCK_SHOTS / 64;
+    let blocks = mismatch
+        .chunks(BLOCK_WORDS)
+        .enumerate()
+        .map(|(block, words)| {
+            let first_shot = block * CANONICAL_BLOCK_SHOTS;
+            let mut tally = Tally {
+                shots: (chunk.num_shots() - first_shot).min(CANONICAL_BLOCK_SHOTS),
+                ..Tally::default()
+            };
+            for (w, &bits) in words.iter().enumerate() {
+                tally.failures += bits.count_ones() as usize;
+                let Some((_, base)) = weights else { continue };
+                // Walk failing shots in ascending shot order (words ascend,
+                // trailing_zeros scans bits low to high) so the block's
+                // sums are a pure function of the sampled bits.
+                let mut rest = bits;
+                while rest != 0 {
+                    let shot = first_shot + w * 64 + rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    let weight = (base + log_weights[shot]).exp();
+                    tally.weight_sum += weight;
+                    tally.weight_sq_sum += weight * weight;
+                }
+            }
+            tally
+        })
+        .collect();
+    ChunkOutcome { cache, blocks }
 }
 
+/// Decodes the sampler's chunks in waves of consecutive chunks, one
+/// parallel map a wave, and folds each wave's outcomes in chunk order: the
+/// chunk's cache delta, then its blocks one by one into the running
+/// [`Tally`]. The fold stops at the first block at which a criterion of
+/// `config` is met, so nothing past that block reaches the estimate and
+/// nothing past its chunk reaches the cache counters. Without a criterion
+/// one wave holds every chunk; with one, a wave holds two chunks per
+/// thread, which bounds the work decoded past the stopping block.
 fn run_pipeline(
     sampler: &DetectorChunkSampler<'_>,
     decoder: &(dyn Decoder + Send + Sync),
     config: &EstimatorConfig,
     weights: Option<(&[f64], f64)>,
 ) -> EstimateReport {
-    let num_chunks = sampler.num_chunks();
-    let decode_chunk = |index: usize| {
-        // One scratch per worker thread, reused across every chunk that
-        // worker decodes.
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<DecodeScratch> =
-                std::cell::RefCell::new(DecodeScratch::new());
-        }
-        let (chunk, log_weights) = match weights {
-            Some((ratios, _)) => {
-                let mut log_weights = Vec::new();
-                let chunk = sampler.sample_chunk_weighted(index, ratios, &mut log_weights);
-                (chunk, Some(log_weights))
-            }
-            None => (sampler.sample_chunk(index), None),
-        };
-        let shot_weights = match (&log_weights, weights) {
-            (Some(log_weights), Some((_, base))) => Some((log_weights.as_slice(), base)),
-            _ => None,
-        };
-        let (block_failures, block_weights, cache) = SCRATCH.with(|scratch| {
-            count_failures(
-                &chunk,
-                decoder,
-                &mut scratch.borrow_mut(),
-                config,
-                shot_weights,
-            )
-        });
-        ChunkOutcome {
-            shots: chunk.num_shots(),
-            cache,
-            block_failures,
-            block_weights,
-        }
-    };
-
-    let outcomes = if config.early_stopping() {
-        // Process chunks in contiguous waves so the stopping decision is a
-        // pure function of the canonical block order: workers may decode a
-        // few chunks past the stopping point, but blocks beyond it are
-        // discarded below, so the estimate depends on neither the thread
-        // count nor the chunk size.
-        let wave = 2 * rayon::current_num_threads().max(1);
-        let mut collected = Vec::with_capacity(num_chunks.min(4 * wave));
-        let mut running = RunningTotals::default();
-        let mut next = 0;
-        let mut stop = None;
-        while next < num_chunks {
-            let end = (next + wave).min(num_chunks);
-            collected.extend(
-                (next..end)
-                    .into_par_iter()
-                    .map(decode_chunk)
-                    .collect::<Vec<_>>(),
-            );
-            stop = prefix_stop_block_from(&collected, next, &mut running, config);
-            next = end;
-            if stop.is_some() {
-                break;
-            }
-        }
-        (collected, stop)
-    } else {
-        let outcomes: Vec<ChunkOutcome> =
-            (0..num_chunks).into_par_iter().map(decode_chunk).collect();
-        (outcomes, None)
-    };
-    let (outcomes, stop) = outcomes;
-
-    let mut totals = RunningTotals::default();
-    let mut cache = CacheStats::default();
-    let (full_chunks, partial) = match stop {
-        // The stopping chunk contributes only its blocks up to (and
-        // including) the stopping block; its cache delta still covers the
-        // whole chunk (the chunk was decoded in one piece — see
-        // `EstimateReport::cache`).
-        Some((chunk, block)) => (chunk, Some(block)),
-        None => (outcomes.len(), None),
-    };
-    // Fold block by block in canonical order — never per-chunk subtotals —
-    // so the weighted f64 sums are chunk-size-invariant.
-    for outcome in &outcomes[..full_chunks] {
-        for block in 0..outcome.block_failures.len() {
-            totals.add_block(outcome, block);
-        }
-        cache.merge(&outcome.cache);
+    // One scratch per worker thread, reused across every chunk that worker
+    // decodes.
+    thread_local! {
+        static SCRATCH: std::cell::RefCell<DecodeScratch> =
+            std::cell::RefCell::new(DecodeScratch::new());
     }
-    if let Some(block) = partial {
-        let outcome = &outcomes[full_chunks];
-        for b in 0..=block {
-            totals.add_block(outcome, b);
+    let num_chunks = sampler.num_chunks();
+    let wave = if config.max_failures.is_none() && config.target_std_error.is_none() {
+        num_chunks.max(1)
+    } else {
+        2 * rayon::current_num_threads().max(1)
+    };
+    let mut totals = Tally::default();
+    let mut cache = CacheStats::default();
+    'waves: for start in (0..num_chunks).step_by(wave) {
+        let outcomes: Vec<ChunkOutcome> = (start..(start + wave).min(num_chunks))
+            .into_par_iter()
+            .map(|index| {
+                SCRATCH.with(|scratch| {
+                    let scratch = &mut scratch.borrow_mut();
+                    decode_chunk(sampler, decoder, scratch, config, index, weights)
+                })
+            })
+            .collect();
+        // Block by block in canonical order — never per-chunk subtotals —
+        // so the weighted f64 sums and the stopping block are invariant
+        // under the chunk size and the thread count.
+        for outcome in &outcomes {
+            cache.merge(&outcome.cache);
+            for block in &outcome.blocks {
+                totals.shots += block.shots;
+                totals.failures += block.failures;
+                totals.weight_sum += block.weight_sum;
+                totals.weight_sq_sum += block.weight_sq_sum;
+                if totals.stop(config) {
+                    break 'waves;
+                }
+            }
         }
-        cache.merge(&outcome.cache);
     }
     EstimateReport {
         estimate: totals.estimate(weights.is_some()),
