@@ -1667,17 +1667,22 @@ mod tests {
         (seq + 5).wrapping_mul(0x94d0_49bb_1331_11eb) >> 63
     }
 
-    /// One worker, a 50 ms deadline (so the calls of one test never
-    /// straddle it, and a queued job is taken long before it) and `calls`
-    /// in order on one mirror-circuit stream: checks every correction and
-    /// returns the metrics and the decode call count.
-    fn submit_to_one_worker(calls: &[Call<'_>]) -> (ServiceMetrics, u64) {
-        let service = DecodeService::new(
+    /// One worker and a 50 ms deadline, so the calls of one test never
+    /// straddle it, and a queued job is taken long before it.
+    fn one_worker_service() -> DecodeService {
+        DecodeService::new(
             ServiceConfig::default()
                 .with_workers(1)
                 .with_flush_deadline(Duration::from_millis(50))
                 .with_stream_queue_shots(16384),
-        );
+        )
+    }
+
+    /// `calls` in order on one mirror-circuit stream of a
+    /// [`one_worker_service`]: checks every correction and returns the
+    /// metrics and the decode call count.
+    fn submit_to_one_worker(calls: &[Call<'_>]) -> (ServiceMetrics, u64) {
+        let service = one_worker_service();
         let mut handle = open(&service, "calls", &mirror_circuit()).unwrap();
         let mut seq = 0;
         for call in calls {
@@ -1780,6 +1785,97 @@ mod tests {
             );
             assert_eq!(counts, expected, "case {index}");
         }
+    }
+
+    /// The close and shutdown flushes' bookkeeping on a
+    /// [`one_worker_service`], pinned as `(full_word_flushes,
+    /// deadline_flushes, close_flushes, words_flushed, decode calls)`.
+    #[test]
+    fn close_and_shutdown_flush_counts_are_pinned() {
+        type Counts = (u64, u64, u64, u64, u64);
+        let counts = |service: &DecodeService| -> Counts {
+            let metrics = service.metrics();
+            let calls = service
+                .telemetry_snapshot()
+                .counter("service.stage.decode_calls");
+            (
+                metrics.full_word_flushes,
+                metrics.deadline_flushes,
+                metrics.close_flushes,
+                metrics.words_flushed,
+                calls,
+            )
+        };
+        let submit = |handle: &StreamHandle, count: u64| {
+            let frames: Vec<&[usize]> = (0..count)
+                .map(|s| if fires(s) == 1 { &[0][..] } else { &[][..] })
+                .collect();
+            assert_eq!(handle.sender.submit_batch(&frames).unwrap(), 0..count);
+        };
+        // The first `count` corrections of a stream.
+        let receive = |handle: &mut StreamHandle, count: u64| {
+            for seq in 0..count {
+                let correction = handle.receiver.recv_timeout(Duration::from_secs(10));
+                let flips = fires(seq);
+                assert_eq!(correction, Some(Correction { seq, flips }));
+            }
+        };
+
+        // (a) A partial word, then its only stream closes: a close flush.
+        let service = one_worker_service();
+        let mut a = open(&service, "calls", &mirror_circuit()).unwrap();
+        submit(&a, 10);
+        a.sender.close();
+        receive(&mut a, 10);
+        assert_eq!(a.recv(), None);
+        assert_eq!(counts(&service), (0, 0, 1, 1, 1), "(a)");
+        service.shutdown();
+
+        // (b) A and B share a partial word and A closes: the word stays
+        // pending for B and falls to the deadline.
+        let service = one_worker_service();
+        let mut a = open(&service, "calls", &mirror_circuit()).unwrap();
+        let mut b = open(&service, "calls", &mirror_circuit()).unwrap();
+        submit(&a, 10);
+        submit(&b, 20);
+        a.sender.close();
+        receive(&mut a, 10);
+        receive(&mut b, 20);
+        assert_eq!(a.recv(), None);
+        assert_eq!(counts(&service), (0, 1, 0, 1, 1), "(b)");
+        service.shutdown();
+
+        // (c) Partial words on two programs, then shutdown: every
+        // correction arrives, then end-of-stream.
+        let service = one_worker_service();
+        let mut a = open(&service, "calls-a", &mirror_circuit()).unwrap();
+        let mut b = open(&service, "calls-b", &mirror_circuit()).unwrap();
+        submit(&a, 10);
+        submit(&b, 20);
+        service.shutdown();
+        receive(&mut a, 10);
+        receive(&mut b, 20);
+        assert_eq!((a.recv(), b.recv()), (None, None));
+        assert_eq!(counts(&service), (0, 2, 0, 2, 2), "(c)");
+
+        // (d) 65 frames, then close once the full word is back: one
+        // full-word flush, then a close flush (not absorbed by a queued job).
+        let service = one_worker_service();
+        let mut a = open(&service, "calls", &mirror_circuit()).unwrap();
+        submit(&a, 65);
+        receive(&mut a, 64);
+        a.sender.close();
+        let last = a.receiver.recv_timeout(Duration::from_secs(10));
+        assert_eq!(
+            last,
+            Some(Correction {
+                seq: 64,
+                flips: fires(64)
+            })
+        );
+        assert_eq!(a.recv(), None);
+        assert_eq!(counts(&service), (1, 0, 1, 2, 2), "(d)");
+        service.shutdown();
     }
 
     #[test]
