@@ -14,13 +14,16 @@
 //! notified while a shard lock is held: a submitter, a closer, the shutdown
 //! sweep or a worker re-arming a deadline wakes idle workers once it has
 //! released its shard lock, so a woken worker never blocks on the lock its
-//! waker still holds.
+//! waker still holds. Every scheduling decision taken under these locks
+//! is [`scheduler`]'s.
+
+mod scheduler;
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -31,6 +34,9 @@ use qccd_telemetry::{Registry, RegistrySnapshot, TelemetryConfig};
 
 use crate::metrics::{FlushStat, MetricsInner, ServiceMetrics};
 use crate::{DecodeProgram, ServiceError};
+use scheduler::{
+    close_flushes, flush_point, Action, Batch, Deadline, FlushPoint, Job, Scheduler, MAX_JOB_SHOTS,
+};
 
 /// Tuning knobs of the decode service.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -150,39 +156,77 @@ impl<'a> FrameBatch<'a> {
         }
     }
 
-    /// Smallest number of queue slots the next indivisible unit needs:
-    /// one frame, or the whole leading word block (blocks are
-    /// pre-transposed and never split).
-    fn min_take(&self) -> usize {
+    fn is_empty(&self) -> bool {
         match self {
-            FrameBatch::Indices(_) => 1,
-            FrameBatch::Blocks(blocks) => blocks.first().map_or(1, |b| b.count),
+            FrameBatch::Indices(frames) => frames.is_empty(),
+            FrameBatch::Blocks(blocks) => blocks.is_empty(),
         }
     }
 
-    /// Splits off the largest prefix fitting `room` queue slots; returns
-    /// `(taken, rest, shots_taken)`.
-    fn take_for_room(self, room: usize) -> (FrameBatch<'a>, FrameBatch<'a>, usize) {
+    /// Splits after the first `units` frames or blocks (all, if fewer).
+    fn split_at(self, units: usize) -> (FrameBatch<'a>, FrameBatch<'a>) {
         match self {
             FrameBatch::Indices(frames) => {
-                let take = frames.len().min(room);
-                let (a, b) = frames.split_at(take);
-                (FrameBatch::Indices(a), FrameBatch::Indices(b), take)
+                let (a, b) = frames.split_at(units.min(frames.len()));
+                (FrameBatch::Indices(a), FrameBatch::Indices(b))
             }
             FrameBatch::Blocks(blocks) => {
-                let mut shots = 0;
-                let mut take = 0;
-                for block in blocks {
-                    if shots + block.count > room {
-                        break;
-                    }
-                    shots += block.count;
-                    take += 1;
-                }
-                let (a, b) = blocks.split_at(take);
-                (FrameBatch::Blocks(a), FrameBatch::Blocks(b), shots)
+                let (a, b) = blocks.split_at(units.min(blocks.len()));
+                (FrameBatch::Blocks(a), FrameBatch::Blocks(b))
             }
         }
+    }
+
+    /// Splits off the next segment of a submit call's walk onto `pending`
+    /// frames: the index frames up to the next word boundary, or one word
+    /// block. Returns `(segment, rest)`.
+    fn split_segment(self, pending: usize) -> (FrameBatch<'a>, FrameBatch<'a>) {
+        match self {
+            FrameBatch::Indices(_) => self.split_at(64 - pending % 64),
+            FrameBatch::Blocks(_) => self.split_at(1),
+        }
+    }
+
+    /// Shots from a word boundary to the burst's first flush point (a
+    /// partial block may carry it past a whole word); `None` without one.
+    fn next_flush_point(self) -> Option<usize> {
+        let mut shots = 0;
+        match self {
+            FrameBatch::Indices(frames) => (frames.len() >= 64).then_some(64),
+            FrameBatch::Blocks(blocks) => blocks.iter().find_map(|block| {
+                shots += block.count;
+                (shots >= 64).then_some(shots)
+            }),
+        }
+    }
+
+    fn push_into(self, builder: &mut SyndromeChunkBuilder) {
+        match self {
+            FrameBatch::Indices(frames) => frames.iter().for_each(|f| builder.push_frame(f)),
+            FrameBatch::Blocks(blocks) => {
+                for block in blocks {
+                    builder.push_word_block(block.planes, block.count);
+                }
+            }
+        }
+    }
+
+    /// Splits off the largest prefix fitting `room` queue slots (blocks are
+    /// pre-transposed and never split); returns `(taken, rest,
+    /// shots_taken)`.
+    fn take_for_room(self, room: usize) -> (FrameBatch<'a>, FrameBatch<'a>, usize) {
+        let (taken, rest) = match self {
+            FrameBatch::Indices(_) => self.split_at(room),
+            FrameBatch::Blocks(blocks) => {
+                let mut shots = 0;
+                let fit = blocks.iter().take_while(|b| {
+                    shots += b.count;
+                    shots <= room
+                });
+                self.split_at(fit.count())
+            }
+        };
+        (taken, rest, taken.shots())
     }
 
     /// Rejects malformed frames or blocks before anything is enqueued.
@@ -199,24 +243,17 @@ impl<'a> FrameBatch<'a> {
                 }
             }
             FrameBatch::Blocks(blocks) => {
+                let invalid = |why| Err(ServiceError::InvalidWordBlock(why));
                 for block in *blocks {
                     if block.planes.len() != num_detectors {
-                        return Err(ServiceError::InvalidWordBlock(
-                            "a word block must carry one plane word per detector",
-                        ));
+                        return invalid("a word block must carry one plane word per detector");
                     }
                     if !(1..=64).contains(&block.count) {
-                        return Err(ServiceError::InvalidWordBlock(
-                            "a word block carries 1..=64 shots",
-                        ));
+                        return invalid("a word block carries 1..=64 shots");
                     }
-                    if block.count < 64 {
-                        let valid = (1u64 << block.count) - 1;
-                        if block.planes.iter().any(|&w| w & !valid != 0) {
-                            return Err(ServiceError::InvalidWordBlock(
-                                "a word block must clear bits at or above its shot count",
-                            ));
-                        }
+                    let valid = u64::MAX >> (64 - block.count);
+                    if block.planes.iter().any(|&w| w & !valid != 0) {
+                        return invalid("a word block must clear bits at or above its shot count");
                     }
                     if block.count > queue_shots {
                         return Err(ServiceError::WordBlockTooLarge {
@@ -241,22 +278,24 @@ struct BatchParts {
     runs: Vec<FrameRun>,
 }
 
-/// The pending partial batch of one program shard.
-#[derive(Debug)]
-struct PendingBatch {
-    parts: BatchParts,
-    oldest: Instant,
+impl Batch for BatchParts {
+    fn frames(&self) -> usize {
+        self.builder.pending_frames()
+    }
+
+    fn absorb(&mut self, mut other: Self) {
+        self.builder.append(&mut other.builder);
+        for r in other.runs {
+            push_run(&mut self.runs, &r.stream, r.first_seq, r.count, r.submitted);
+        }
+    }
 }
 
 /// A flushed decode job: the frames of any number of streams, already in
 /// the bit planes the decoder reads (submission wrote them there), plus the
 /// routing information to hand each lane's correction back. The worker's
 /// `builder.finish` only hands the planes over, outside every service lock.
-#[derive(Debug)]
-struct DecodeJob {
-    shard: Arc<ProgramShard>,
-    parts: BatchParts,
-}
+type DecodeJob = Job<Arc<ProgramShard>, BatchParts>;
 
 /// A contiguous run of corrections of one stream (`seq` =
 /// `first_seq + index`). Corrections travel the delivery channel — and the
@@ -339,37 +378,36 @@ impl StreamCore {
 
 /// The batcher shard of one program: its program, and its own pending batch
 /// and deadline arming under its own mutex. Submissions to different
-/// programs never contend.
+/// programs never contend. Shards compare by identity.
 #[derive(Debug)]
 struct ProgramShard {
     program: Arc<DecodeProgram>,
     state: Mutex<ShardState>,
 }
 
+impl PartialEq for ProgramShard {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self, other)
+    }
+}
+
 impl ProgramShard {
     fn new(program: &Arc<DecodeProgram>) -> Arc<Self> {
         Arc::new(ProgramShard {
             program: Arc::clone(program),
-            state: Mutex::new(ShardState {
-                pending: None,
-                armed: false,
-            }),
+            state: Mutex::default(),
         })
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ShardState {
-    pending: Option<PendingBatch>,
+    /// The pending partial batch; its first run holds its oldest frame.
+    pending: Option<BatchParts>,
     /// Whether the shard has an entry on the job queue's armed list. Only
     /// read or written under the shard lock.
     armed: bool,
 }
-
-/// Shots one job grows to, by keeping a submit call's full words pending or
-/// by absorbing later flushes of its shard in the queue: 64 words, one
-/// decoder tile. It also caps a new batch's planes.
-const MAX_JOB_SHOTS: usize = 4096;
 
 /// The decode job queue workers pull from, and the deadlines they wait out
 /// while it is empty.
@@ -379,47 +417,7 @@ struct JobQueue {
     ready: Condvar,
 }
 
-#[derive(Debug, Default)]
-struct QueueState {
-    jobs: VecDeque<DecodeJob>,
-    /// Armed shards, each with the instant the partial word that armed it
-    /// falls due.
-    armed: Vec<(Instant, Arc<ProgramShard>)>,
-    /// Workers waiting on the queue's condvar.
-    idle: usize,
-}
-
-impl QueueState {
-    /// Queues a flushed batch. The last job absorbs it when that job is
-    /// still untaken, of the same shard, fills whole words, and stays
-    /// within [`MAX_JOB_SHOTS`] with it, and the emptied batch is dropped.
-    /// Otherwise the batch becomes a job of its own.
-    fn enqueue(&mut self, shard: &Arc<ProgramShard>, mut parts: BatchParts) {
-        if let Some(tail) = self.jobs.back_mut() {
-            let frames = tail.parts.builder.pending_frames();
-            if Arc::ptr_eq(&tail.shard, shard)
-                && frames.is_multiple_of(64)
-                && frames + parts.builder.pending_frames() <= MAX_JOB_SHOTS
-            {
-                tail.parts.builder.append(&mut parts.builder);
-                for run in parts.runs.drain(..) {
-                    push_run(
-                        &mut tail.parts.runs,
-                        &run.stream,
-                        run.first_seq,
-                        run.count,
-                        run.submitted,
-                    );
-                }
-                return;
-            }
-        }
-        self.jobs.push_back(DecodeJob {
-            shard: Arc::clone(shard),
-            parts,
-        });
-    }
-}
+type QueueState = Scheduler<Arc<ProgramShard>, BatchParts, Instant>;
 
 struct Shared {
     /// Program registry: one shard, holding its program, per program key
@@ -449,13 +447,12 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Flushes a shard's pending batch into the job queue, where it may
-    /// join the last job ([`QueueState::enqueue`]), and returns how many
-    /// idle workers to wake for it: one per queued job. It books the
-    /// batch's words less the first `booked`, which the submit call's
-    /// earlier flush points booked already ([`Shared::full_word_flush`];
-    /// 0 for deadline, close and shutdown flushes). Caller holds the shard
-    /// lock, and wakes them with [`Shared::wake`] once it has released it.
+    /// Flushes a shard's pending batch into the job queue
+    /// ([`Scheduler::enqueue`]) and returns how many idle workers to wake
+    /// for it. It books the batch's words less the first `booked`, which
+    /// the submit call's earlier flush points booked already (0 for
+    /// deadline, close and shutdown flushes). Caller holds the shard lock,
+    /// and wakes them with [`Shared::wake`] once it has released it.
     fn flush_shard(
         &self,
         shard: &Arc<ProgramShard>,
@@ -463,72 +460,34 @@ impl Shared {
         cause: FlushStat,
         booked: usize,
     ) -> usize {
-        let Some(batch) = state.pending.take() else {
+        let Some(batch) = state
+            .pending
+            .take()
+            .filter(|batch| !batch.builder.is_empty())
+        else {
             return 0;
         };
-        if batch.parts.builder.is_empty() {
-            return 0;
-        }
-        let words = batch.parts.builder.pending_frames().div_ceil(64) - booked;
+        let words = batch.builder.pending_frames().div_ceil(64) - booked;
         self.metrics.note_flush(words as u64, cause);
         // Each run's submit→flush wait, from its own submit instant.
         let now = Instant::now();
-        for run in &batch.parts.runs {
+        for run in &batch.runs {
             self.metrics.batcher_wait.record_duration(
                 now.saturating_duration_since(run.submitted),
                 u64::from(run.count),
             );
         }
-        let mut queue = self.queue.state.lock().expect("job queue lock");
-        queue.enqueue(shard, batch.parts);
-        queue.idle.min(queue.jobs.len())
-    }
-
-    /// A flush point of a submit call: a push, onto `before` pending
-    /// frames, completed a word. It is booked as a full-word flush, but the
-    /// batch stays pending while it fills whole words and the call reaches
-    /// another flush point `next` shots on, within [`MAX_JOB_SHOTS`] — so
-    /// the call's full words reach the queue as one job, at its last flush
-    /// point. Otherwise the batch is flushed, less the `before / 64` words
-    /// the call's earlier flush points booked, and the return is
-    /// [`Shared::flush_shard`]'s.
-    fn full_word_flush(
-        &self,
-        shard: &Arc<ProgramShard>,
-        state: &mut ShardState,
-        before: usize,
-        next: Option<usize>,
-    ) -> usize {
-        let batch = state.pending.as_ref().expect("a flush point has a batch");
-        let pending = batch.parts.builder.pending_frames();
-        if pending.is_multiple_of(64) && next.is_some_and(|shots| pending + shots <= MAX_JOB_SHOTS)
-        {
-            self.metrics.note_flush(1, FlushStat::FullWord);
-            return 0;
-        }
-        self.flush_shard(shard, state, FlushStat::FullWord, before / 64)
+        lock(&self.queue.state).enqueue(shard, batch)
     }
 
     /// When a pending batch's deadline flush falls due: never (`None`) when
-    /// that instant is past the last one [`Instant`] holds, so that the
-    /// batch waits for a full word, a close or shutdown.
-    fn due(&self, batch: &PendingBatch) -> Option<Instant> {
-        batch.oldest.checked_add(self.config.flush_deadline)
-    }
-
-    /// Puts a shard on the armed list, to be served once `due` passes, and
-    /// returns how many idle workers to wake: all of them, so that each
-    /// recomputes its wait and, while anything is armed, none sleeps past
-    /// the earliest due instant. Caller holds the shard lock, and wakes
-    /// them with [`Shared::wake`] once it has released it.
-    fn arm(&self, due: Instant, shard: &Arc<ProgramShard>) -> usize {
-        let mut queue = self.queue.state.lock().expect("job queue lock");
-        queue.armed.push((due, Arc::clone(shard)));
-        queue.idle
+    /// that instant is past the last one [`Instant`] holds.
+    fn due(&self, batch: &BatchParts) -> Option<Instant> {
+        (batch.runs.first()?.submitted).checked_add(self.config.flush_deadline)
     }
 
     /// Wakes `wakes` idle workers, counted under the queue lock when the
-    /// caller queued its job or armed its shard. Called with no shard lock
+    /// caller queued its job or armed its shard; called with no shard lock
     /// held. A worker counts itself idle only under the queue lock, so it
     /// either saw the caller's job or armed entry, or was counted.
     fn wake(&self, wakes: usize) {
@@ -537,27 +496,29 @@ impl Shared {
         }
     }
 
-    /// Serves an armed shard whose entry fell due: flushes its partial word
-    /// once that is overdue, re-arms for a newer partial word that took the
-    /// place of the one it was armed for, and disarms a shard with nothing
-    /// pending. The serving worker takes the flushed job on its next loop,
-    /// so a flush wakes nobody; a re-arm wakes the idle workers, since one
-    /// may have gone to wait while nothing was armed.
+    /// Serves an armed shard whose entry fell due ([`Deadline::at`]). A
+    /// flush wakes nobody: the serving worker takes the job next.
     fn serve_deadline(&self, shard: &Arc<ProgramShard>) {
-        let mut state = shard.state.lock().expect("program shard lock");
-        let Some(due) = state.pending.as_ref().and_then(|batch| self.due(batch)) else {
-            state.armed = false;
-            return;
-        };
-        if due <= Instant::now() {
-            self.flush_shard(shard, &mut state, FlushStat::Deadline, 0);
-            state.armed = false;
-        } else {
-            let wakes = self.arm(due, shard);
-            drop(state);
-            self.wake(wakes);
+        let mut state = lock(&shard.state);
+        let due = state.pending.as_ref().and_then(|batch| self.due(batch));
+        match Deadline::at(due, Instant::now()) {
+            Deadline::Flush => {
+                self.flush_shard(shard, &mut state, FlushStat::Deadline, 0);
+                state.armed = false;
+            }
+            Deadline::Rearm(due) => {
+                let wakes = lock(&self.queue.state).arm(due, shard);
+                drop(state);
+                self.wake(wakes);
+            }
+            Deadline::Disarm => state.armed = false,
         }
     }
+}
+
+/// Locks one of the service's mutexes.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().expect("a service lock is poisoned")
 }
 
 /// Records a frame run, merging into the tail run when it extends the same
@@ -602,7 +563,7 @@ fn route_corrections(shared: &Shared, runs: &[FrameRun], flips_per_lane: &[u64])
             .metrics
             .note_completed_many(now.saturating_duration_since(run.submitted), count as u64);
         let stream = &run.stream;
-        let mut delivery = stream.delivery.lock().expect("stream delivery lock");
+        let mut delivery = lock(&stream.delivery);
         delivery.inflight -= count;
         delivery.reorder.push(Reverse(CorrectionRun {
             first_seq: run.first_seq,
@@ -633,58 +594,15 @@ fn route_corrections(shared: &Shared, runs: &[FrameRun], flips_per_lane: &[u64])
     }
     span.finish(flips_per_lane.len() as u64);
     if !finished.is_empty() {
-        let mut streams = shared.streams.lock().expect("stream registry lock");
+        let mut streams = lock(&shared.streams);
         for id in finished {
             streams.remove(&id);
         }
     }
 }
 
-/// Decodes one job and routes its corrections (shared by workers and the
-/// shutdown drain). The scratch's counter delta is summed into the
-/// caller's `decoded` with plain adds; the caller publishes it.
-fn decode_job(
-    shared: &Shared,
-    job: DecodeJob,
-    scratches: &mut HashMap<u64, DecodeScratch>,
-    flips: &mut Vec<u64>,
-    decoded: &mut CacheStats,
-) {
-    let DecodeJob { shard, mut parts } = job;
-    let program = Arc::clone(&shard.program);
-    // Take the chunk and decode it, outside every service lock. The stage
-    // span times around the decode; it never touches the data, so
-    // corrections stay bit-identical.
-    let span = shared.metrics.decode.start();
-    let chunk = parts.builder.finish(0, 0);
-    let scratch = scratches
-        .entry(program.id())
-        .or_insert_with(|| DecodeScratch::with_memo_config(program.memo_config()));
-    let before = scratch.cache_stats();
-    let prediction = program.decoder().decode_batch(&chunk, scratch);
-    span.finish(chunk.num_shots() as u64);
-    decoded.merge(&scratch.cache_stats().since(&before));
-    flips.clear();
-    flips.resize(chunk.num_shots(), 0);
-    for observable in 0..prediction.num_observables() {
-        for (word_index, &word) in prediction.plane(observable).iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let shot = word_index * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                // The final word of a plane carries no bits beyond the
-                // shot count, so `shot` is always in range.
-                flips[shot] |= 1u64 << observable;
-            }
-        }
-    }
-    route_corrections(shared, &parts.runs, flips);
-}
-
-/// Takes the first of: an overdue armed shard, a job, the exit on
-/// shutdown; otherwise waits until the earliest armed shard falls due, or
-/// for a job when nothing is armed. Overdue partial words are flushed
-/// before the next job is taken.
+/// Does what [`Scheduler::next`] says until it says exit: the loop of
+/// every worker, and of the shutdown drain once the workers are gone.
 fn worker_loop(shared: Arc<Shared>) {
     // One scratch per (worker, program): the memo stays owned by the right
     // decoder across interleaved jobs of different programs.
@@ -693,42 +611,59 @@ fn worker_loop(shared: Arc<Shared>) {
     // Decoder counters since the last publish: published only when the
     // worker runs out of jobs, never per job.
     let mut decoded = CacheStats::default();
-    let mut queue = shared.queue.state.lock().expect("job queue lock");
+    let mut queue = lock(&shared.queue.state);
     loop {
-        let earliest = queue
-            .armed
-            .iter()
-            .map(|&(due, _)| due)
-            .enumerate()
-            .min_by_key(|&(_, due)| due);
-        if let Some((index, _)) = earliest.filter(|&(_, due)| due <= Instant::now()) {
-            let (_, shard) = queue.armed.swap_remove(index);
-            drop(queue);
-            shared.serve_deadline(&shard);
-        } else if let Some(job) = queue.jobs.pop_front() {
-            drop(queue);
-            decode_job(&shared, job, &mut scratches, &mut flips, &mut decoded);
-        } else if shared.is_shutdown() {
-            break;
-        } else {
-            shared.metrics.publish_decoded(&mut decoded);
-            queue.idle += 1;
-            queue = match earliest {
-                Some((_, due)) => {
-                    let wait = due.saturating_duration_since(Instant::now());
-                    let (queue, _) = shared
-                        .queue
-                        .ready
-                        .wait_timeout(queue, wait)
-                        .expect("job queue lock");
-                    queue
+        match queue.next(Instant::now(), shared.is_shutdown()) {
+            Action::Serve(shard) => {
+                drop(queue);
+                shared.serve_deadline(&shard);
+            }
+            Action::Take(DecodeJob { shard, mut parts }) => {
+                drop(queue);
+                // Take the chunk and decode it, outside every service lock.
+                // The stage span times around the decode; it never touches
+                // the data, so corrections stay bit-identical.
+                let program = &shard.program;
+                let span = shared.metrics.decode.start();
+                let chunk = parts.builder.finish(0, 0);
+                let scratch = scratches
+                    .entry(program.id())
+                    .or_insert_with(|| DecodeScratch::with_memo_config(program.memo_config()));
+                let before = scratch.cache_stats();
+                let prediction = program.decoder().decode_batch(&chunk, scratch);
+                span.finish(chunk.num_shots() as u64);
+                decoded.merge(&scratch.cache_stats().since(&before));
+                flips.clear();
+                flips.resize(chunk.num_shots(), 0);
+                for observable in 0..prediction.num_observables() {
+                    for (word, &plane) in prediction.plane(observable).iter().enumerate() {
+                        // The final word of a plane carries no bits beyond
+                        // the shot count, so every shot is in range.
+                        let mut bits = plane;
+                        while bits != 0 {
+                            flips[word * 64 + bits.trailing_zeros() as usize] |= 1 << observable;
+                            bits &= bits - 1;
+                        }
+                    }
                 }
-                None => shared.queue.ready.wait(queue).expect("job queue lock"),
-            };
-            queue.idle -= 1;
-            continue;
+                route_corrections(&shared, &parts.runs, &flips);
+            }
+            Action::Exit => break,
+            Action::Wait(until) => {
+                shared.metrics.publish_decoded(&mut decoded);
+                let ready = &shared.queue.ready;
+                queue = match until {
+                    Some(due) => {
+                        let wait = due.saturating_duration_since(Instant::now());
+                        ready.wait_timeout(queue, wait).expect("job queue lock").0
+                    }
+                    None => ready.wait(queue).expect("job queue lock"),
+                };
+                queue.woken();
+                continue;
+            }
         }
-        queue = shared.queue.state.lock().expect("job queue lock");
+        queue = lock(&shared.queue.state);
     }
     drop(queue);
     shared.metrics.publish_decoded(&mut decoded);
@@ -833,22 +768,14 @@ impl DecodeService {
         if shared.is_shutdown() {
             return Err(ServiceError::StreamClosed);
         }
-        let existing = shared
-            .shards
-            .lock()
-            .expect("shard registry lock")
-            .get(key)
-            .cloned();
+        let existing = lock(&shared.shards).get(key).cloned();
         // Build (compile + graph) outside every lock; a racing open of the
         // same key keeps the first-registered program.
         let shard = match existing {
             Some(shard) => shard,
             None => {
                 let program = build()?;
-                shared
-                    .shards
-                    .lock()
-                    .expect("shard registry lock")
+                lock(&shared.shards)
                     .entry(key.to_string())
                     .or_insert_with(|| ProgramShard::new(&program))
                     .clone()
@@ -857,18 +784,10 @@ impl DecodeService {
         let (tx, rx) = mpsc::channel();
         let id = shared.next_stream.fetch_add(1, Ordering::Relaxed);
         let core = StreamCore::new(id, tx);
-        shared
-            .streams
-            .lock()
-            .expect("stream registry lock")
-            .insert(id, Arc::clone(&core));
+        lock(&shared.streams).insert(id, Arc::clone(&core));
         if shared.is_shutdown() {
             // Raced a shutdown that may already have drained the registry.
-            shared
-                .streams
-                .lock()
-                .expect("stream registry lock")
-                .remove(&id);
+            lock(&shared.streams).remove(&id);
             return Err(ServiceError::StreamClosed);
         }
         Ok(StreamHandle {
@@ -879,8 +798,7 @@ impl DecodeService {
             },
             receiver: StreamReceiver {
                 id,
-                rx,
-                cursor: RunCursor::default(),
+                inner: CorrectionReceiver::new(rx),
             },
         })
     }
@@ -902,33 +820,21 @@ impl DecodeService {
 
     /// A live snapshot of the service metrics.
     pub fn metrics(&self) -> ServiceMetrics {
-        let streams_open = self
-            .shared
-            .streams
-            .lock()
-            .expect("stream registry lock")
-            .len();
+        let streams_open = lock(&self.shared.streams).len();
         self.shared.metrics.snapshot(streams_open)
     }
 
     /// Flushes every shard's pending batch (shutdown sweep), then wakes
     /// workers for the queued jobs.
     fn flush_all_shards(&self) {
-        let shards: Vec<Arc<ProgramShard>> = self
-            .shared
-            .shards
-            .lock()
-            .expect("shard registry lock")
-            .values()
-            .cloned()
-            .collect();
+        let shards: Vec<Arc<ProgramShard>> = lock(&self.shared.shards).values().cloned().collect();
         let mut wakes = 0;
         for shard in shards {
-            let mut state = shard.state.lock().expect("program shard lock");
-            wakes = wakes.max(
-                self.shared
-                    .flush_shard(&shard, &mut state, FlushStat::Deadline, 0),
-            );
+            let mut state = lock(&shard.state);
+            let flushed = self
+                .shared
+                .flush_shard(&shard, &mut state, FlushStat::Deadline, 0);
+            wakes = wakes.max(flushed);
             state.armed = false;
         }
         self.shared.wake(wakes);
@@ -946,44 +852,25 @@ impl DecodeService {
         self.flush_all_shards();
         // Taking the queue lock orders the flag before every worker's next
         // look at the queue, so no worker starts waiting after this wake.
-        drop(self.shared.queue.state.lock().expect("job queue lock"));
+        drop(lock(&self.shared.queue.state));
         self.shared.queue.ready.notify_all();
-        let workers = std::mem::take(&mut *self.workers.lock().expect("worker list lock"));
+        let workers = std::mem::take(&mut *lock(&self.workers));
         for worker in workers {
             worker.join().expect("decode worker panicked");
         }
         // Sweep again for pendings that raced the first sweep, then decode
-        // any leftover jobs inline — the workers are gone.
+        // any leftover jobs on this thread — the workers are gone.
         self.flush_all_shards();
-        let mut scratches: HashMap<u64, DecodeScratch> = HashMap::new();
-        let mut flips: Vec<u64> = Vec::new();
-        let mut decoded = CacheStats::default();
-        loop {
-            let job = self
-                .shared
-                .queue
-                .state
-                .lock()
-                .expect("job queue lock")
-                .jobs
-                .pop_front();
-            match job {
-                Some(job) => {
-                    decode_job(&self.shared, job, &mut scratches, &mut flips, &mut decoded)
-                }
-                None => break,
-            }
-        }
-        self.shared.metrics.publish_decoded(&mut decoded);
+        worker_loop(Arc::clone(&self.shared));
         // End every stream: drop the delivery senders so receivers observe
         // end-of-stream after draining, and wake blocked submitters.
         let streams: Vec<Arc<StreamCore>> = {
-            let mut registry = self.shared.streams.lock().expect("stream registry lock");
+            let mut registry = lock(&self.shared.streams);
             registry.drain().map(|(_, stream)| stream).collect()
         };
         for stream in streams {
             stream.closed.store(true, Ordering::SeqCst);
-            let mut delivery = stream.delivery.lock().expect("stream delivery lock");
+            let mut delivery = lock(&stream.delivery);
             delivery.tx = None;
             drop(delivery);
             stream.space.notify_all();
@@ -1063,7 +950,8 @@ impl StreamSender {
     /// [`ServiceError::DetectorOutOfRange`] for invalid frames,
     /// [`ServiceError::StreamClosed`] once the stream or service is closed.
     pub fn submit(&self, fired: &[usize]) -> Result<u64, ServiceError> {
-        self.submit_inner(fired, true)
+        self.submit_batch_inner(FrameBatch::Indices(&[fired]), true)
+            .map(|range| range.start)
     }
 
     /// Non-blocking [`StreamSender::submit`]: refuses with
@@ -1073,7 +961,8 @@ impl StreamSender {
     ///
     /// As [`StreamSender::submit`], plus [`ServiceError::Backpressure`].
     pub fn try_submit(&self, fired: &[usize]) -> Result<u64, ServiceError> {
-        self.submit_inner(fired, false)
+        self.submit_batch_inner(FrameBatch::Indices(&[fired]), false)
+            .map(|range| range.start)
     }
 
     /// Submits many frames in one call: one stream-lock acquisition, one
@@ -1123,30 +1012,25 @@ impl StreamSender {
         let mut remaining = frames;
         let mut first_seq = None;
         let mut next_seq = 0;
-        while remaining.shots() > 0 {
-            let need = remaining.min_take();
+        while !remaining.is_empty() {
             // Reserve queue room and sequence numbers under the stream's
             // own lock (backpressure waits here, on this stream's condvar).
             let (burst, rest, take, seq) = {
-                let mut delivery = self.core.delivery.lock().expect("stream delivery lock");
-                loop {
+                let mut delivery = lock(&self.core.delivery);
+                let (burst, rest, take) = loop {
                     if self.core.is_closed() || shared.is_shutdown() {
                         return Err(ServiceError::StreamClosed);
                     }
-                    if queue_shots - delivery.inflight >= need {
-                        break;
+                    let split = remaining.take_for_room(queue_shots - delivery.inflight);
+                    if split.2 > 0 {
+                        break split;
                     }
                     if !block {
                         return Err(ServiceError::Backpressure);
                     }
-                    delivery = self
-                        .core
-                        .space
-                        .wait(delivery)
-                        .expect("stream delivery lock");
-                }
-                let room = queue_shots - delivery.inflight;
-                let (burst, rest, take) = remaining.take_for_room(room);
+                    let space = &self.core.space;
+                    delivery = space.wait(delivery).expect("stream delivery lock");
+                };
                 let seq = delivery.next_submit_seq;
                 delivery.next_submit_seq += take as u64;
                 delivery.inflight += take;
@@ -1162,74 +1046,49 @@ impl StreamSender {
         Ok(first..next_seq)
     }
 
-    /// Appends a reserved burst to the shard's pending batch, booking a
-    /// full-word flush at each push that completes a word and handing the
-    /// call's full words to the queue as one job
-    /// ([`Shared::full_word_flush`]), then arms the shard for a leftover
-    /// partial word. Takes this program's shard lock, and the queue lock
-    /// under it; wakes workers once the shard lock is released.
+    /// Appends a reserved burst to the shard's pending batch segment by
+    /// segment, doing at each flush point what [`flush_point`] says, then
+    /// applies [`Deadline::at`] to a shard it leaves unarmed. Takes this
+    /// program's shard lock, and the queue lock under it; wakes workers
+    /// once the shard lock is released.
     fn fill_shard(&self, burst: FrameBatch<'_>, mut seq: u64) {
-        let shared = &self.shared;
+        let (shared, shard) = (&self.shared, &self.shard);
         let now = Instant::now();
         let mut wakes = 0;
-        let mut state = self.shard.state.lock().expect("program shard lock");
-        match burst {
-            FrameBatch::Indices(mut frames) => {
-                while !frames.is_empty() {
-                    let batch = self.ensure_pending(&mut state, now, FrameBatch::Indices(frames));
-                    let before = batch.parts.builder.pending_frames();
-                    // One frame run (and one bookkeeping record) per
-                    // segment up to the next word boundary, not per frame.
-                    let segment = frames.len().min(64 - before % 64);
-                    let (head, rest) = frames.split_at(segment);
-                    for fired in head {
-                        batch.parts.builder.push_frame(fired);
-                    }
-                    frames = rest;
-                    push_run(&mut batch.parts.runs, &self.core, seq, segment as u32, now);
-                    seq += segment as u64;
-                    if (before + segment).is_multiple_of(64) {
-                        let next = (frames.len() >= 64).then_some(64);
-                        wakes = shared.full_word_flush(&self.shard, &mut state, before, next);
-                    }
+        let mut state = lock(&shard.state);
+        let mut rest = burst;
+        while !rest.is_empty() {
+            let batch = self.ensure_pending(&mut state, rest);
+            let before = batch.builder.pending_frames();
+            let (segment, tail) = rest.split_segment(before);
+            let shots = segment.shots();
+            segment.push_into(&mut batch.builder);
+            push_run(&mut batch.runs, &self.core, seq, shots as u32, now);
+            seq += shots as u64;
+            rest = tail;
+            match flush_point(before, shots, || rest.next_flush_point()) {
+                Some(FlushPoint::Keep) => {
+                    shared.metrics.note_flush(1, FlushStat::FullWord);
+                    wakes = 0;
                 }
-            }
-            FrameBatch::Blocks(blocks) => {
-                for (index, block) in blocks.iter().enumerate() {
-                    let rest = FrameBatch::Blocks(&blocks[index..]);
-                    let batch = self.ensure_pending(&mut state, now, rest);
-                    let before = batch.parts.builder.pending_frames();
-                    batch
-                        .parts
-                        .builder
-                        .push_word_block(block.planes, block.count);
-                    push_run(
-                        &mut batch.parts.runs,
-                        &self.core,
-                        seq,
-                        block.count as u32,
-                        now,
-                    );
-                    seq += block.count as u64;
-                    if before % 64 + block.count >= 64 {
-                        // A partial block may carry the next flush point
-                        // past a whole word: walk to the block that reaches it.
-                        let mut shots = 0;
-                        let next = blocks[index + 1..].iter().find_map(|block| {
-                            shots += block.count;
-                            (shots >= 64).then_some(shots)
-                        });
-                        wakes = shared.full_word_flush(&self.shard, &mut state, before, next);
-                    }
+                Some(FlushPoint::Flush) => {
+                    wakes = shared.flush_shard(shard, &mut state, FlushStat::FullWord, before / 64);
                 }
+                None => {}
             }
         }
-        if shared.config.flush_deadline.is_zero() {
-            wakes = wakes.max(shared.flush_shard(&self.shard, &mut state, FlushStat::Deadline, 0));
-        } else if !state.armed {
-            if let Some(due) = state.pending.as_ref().and_then(|batch| shared.due(batch)) {
-                state.armed = true;
-                wakes = shared.arm(due, &self.shard);
+        if !state.armed {
+            let due = state.pending.as_ref().and_then(|batch| shared.due(batch));
+            match Deadline::at(due, now) {
+                Deadline::Flush => {
+                    let flushed = shared.flush_shard(shard, &mut state, FlushStat::Deadline, 0);
+                    wakes = wakes.max(flushed);
+                }
+                Deadline::Rearm(due) => {
+                    state.armed = true;
+                    wakes = lock(&shared.queue.state).arm(due, shard);
+                }
+                Deadline::Disarm => {}
             }
         }
         drop(state);
@@ -1242,44 +1101,32 @@ impl StreamSender {
     fn ensure_pending<'s>(
         &self,
         state: &'s mut ShardState,
-        now: Instant,
         rest: FrameBatch<'_>,
-    ) -> &'s mut PendingBatch {
+    ) -> &'s mut BatchParts {
         state.pending.get_or_insert_with(|| {
             let program = &self.shard.program;
-            PendingBatch {
-                parts: BatchParts {
-                    builder: SyndromeChunkBuilder::with_capacity(
-                        program.num_detectors(),
-                        program.num_observables(),
-                        rest.shots().min(MAX_JOB_SHOTS),
-                    ),
-                    runs: Vec::new(),
-                },
-                oldest: now,
+            BatchParts {
+                builder: SyndromeChunkBuilder::with_capacity(
+                    program.num_detectors(),
+                    program.num_observables(),
+                    rest.shots().min(MAX_JOB_SHOTS),
+                ),
+                runs: Vec::new(),
             }
         })
-    }
-
-    fn submit_inner(&self, fired: &[usize], block: bool) -> Result<u64, ServiceError> {
-        self.submit_batch_inner(FrameBatch::Indices(&[fired]), block)
-            .map(|range| range.start)
     }
 
     /// Closes the stream: no further submissions are accepted, frames
     /// already submitted still decode, and the receiver drains the remaining
     /// corrections before observing end-of-stream. The shard's pending
-    /// partial word is flushed (booked as a **close flush**) only when this
-    /// stream contributed to it and no still-open stream did — an idle
-    /// stream's close never ships other streams' partial words, and a word
-    /// shared with live streams stays pending for their deadline.
-    /// Idempotent.
+    /// partial word is flushed (booked as a **close flush**) when
+    /// [`close_flushes`] says so. Idempotent.
     pub fn close(&self) {
         if self.core.closed.swap(true, Ordering::SeqCst) {
             return;
         }
         let finished = {
-            let mut delivery = self.core.delivery.lock().expect("stream delivery lock");
+            let mut delivery = lock(&self.core.delivery);
             let finished = delivery.inflight == 0;
             if finished {
                 delivery.tx = None;
@@ -1287,59 +1134,55 @@ impl StreamSender {
             finished
         };
         self.core.space.notify_all();
-        let wakes = {
-            let mut state = self.shard.state.lock().expect("program shard lock");
-            let flush = state.pending.as_ref().is_some_and(|batch| {
-                let mut contributed = false;
-                let mut all_closed = true;
-                for run in &batch.parts.runs {
-                    if run.stream.id == self.core.id {
-                        contributed = true;
-                    }
-                    if !run.stream.is_closed() {
-                        all_closed = false;
-                    }
-                }
-                contributed && all_closed
-            });
-            if flush {
-                self.shared
-                    .flush_shard(&self.shard, &mut state, FlushStat::Close, 0)
-            } else {
-                0
-            }
+        let mut state = lock(&self.shard.state);
+        let flush = state.pending.as_ref().is_some_and(|batch| {
+            let runs = batch.runs.iter();
+            close_flushes(runs.map(|run| (run.stream.id == self.core.id, run.stream.is_closed())))
+        });
+        let shared = &self.shared;
+        let wakes = match flush {
+            true => shared.flush_shard(&self.shard, &mut state, FlushStat::Close, 0),
+            false => 0,
         };
-        self.shared.wake(wakes);
+        drop(state);
+        shared.wake(wakes);
         if finished {
-            self.shared
-                .streams
-                .lock()
-                .expect("stream registry lock")
-                .remove(&self.core.id);
+            lock(&shared.streams).remove(&self.core.id);
         }
     }
 }
 
-/// Flattens a stream's correction runs back into single [`Correction`]s:
-/// the one routine behind both receivers, so their APIs stay
-/// frame-granular while corrections travel as runs (one channel send per
-/// decoded run, not per frame).
-#[derive(Debug, Default)]
-struct RunCursor {
-    /// The run currently being flattened and the next index within it.
-    current: Option<(CorrectionRun, usize)>,
+/// Ordered corrections of one stream behind `&self`, received the way
+/// [`mpsc::Receiver`] receives — the TCP client's
+/// [`NetStream`](crate::net::NetStream) hands one to each stream's
+/// collector. Corrections travel as runs (one channel send per decoded
+/// run, not per frame); the receiver flattens them back into single
+/// [`Correction`]s.
+#[derive(Debug)]
+pub struct CorrectionReceiver {
+    rx: mpsc::Receiver<CorrectionRun>,
+    /// The run being flattened and the next index within it.
+    current: RefCell<Option<(CorrectionRun, usize)>>,
 }
 
-impl RunCursor {
+impl CorrectionReceiver {
+    pub(crate) fn new(rx: mpsc::Receiver<CorrectionRun>) -> Self {
+        CorrectionReceiver {
+            rx,
+            current: RefCell::default(),
+        }
+    }
+
     /// The next correction of the run being flattened, else the first of
-    /// the run `next_run` yields.
+    /// the run `next_run` receives.
     fn next<E>(
-        &mut self,
-        next_run: impl FnOnce() -> Result<CorrectionRun, E>,
+        &self,
+        next_run: impl FnOnce(&mpsc::Receiver<CorrectionRun>) -> Result<CorrectionRun, E>,
     ) -> Result<Correction, E> {
-        let (run, index) = match &mut self.current {
+        let mut current = self.current.borrow_mut();
+        let (run, index) = match &mut *current {
             Some(current) => current,
-            empty => empty.insert((next_run()?, 0)),
+            empty => empty.insert((next_run(&self.rx)?, 0)),
         };
         let correction = Correction {
             seq: run.first_seq + *index as u64,
@@ -1347,28 +1190,9 @@ impl RunCursor {
         };
         *index += 1;
         if *index == run.flips.len() {
-            self.current = None;
+            *current = None;
         }
         Ok(correction)
-    }
-}
-
-/// Ordered corrections of one stream behind `&self`, received the way
-/// [`mpsc::Receiver`] receives — the TCP client's
-/// [`NetStream`](crate::net::NetStream) hands one to each stream's
-/// collector.
-#[derive(Debug)]
-pub struct CorrectionReceiver {
-    rx: mpsc::Receiver<CorrectionRun>,
-    cursor: RefCell<RunCursor>,
-}
-
-impl CorrectionReceiver {
-    pub(crate) fn new(rx: mpsc::Receiver<CorrectionRun>) -> Self {
-        CorrectionReceiver {
-            rx,
-            cursor: RefCell::default(),
-        }
     }
 
     /// Blocks for the next in-order correction.
@@ -1377,7 +1201,7 @@ impl CorrectionReceiver {
     ///
     /// [`mpsc::RecvError`] once the stream is closed and fully drained.
     pub fn recv(&self) -> Result<Correction, mpsc::RecvError> {
-        self.cursor.borrow_mut().next(|| self.rx.recv())
+        self.next(|rx| rx.recv())
     }
 
     /// Non-blocking receive.
@@ -1387,7 +1211,7 @@ impl CorrectionReceiver {
     /// [`mpsc::TryRecvError::Empty`] when nothing is ready,
     /// [`mpsc::TryRecvError::Disconnected`] at end-of-stream.
     pub fn try_recv(&self) -> Result<Correction, mpsc::TryRecvError> {
-        self.cursor.borrow_mut().next(|| self.rx.try_recv())
+        self.next(|rx| rx.try_recv())
     }
 
     /// Receive with a timeout.
@@ -1397,9 +1221,7 @@ impl CorrectionReceiver {
     /// [`mpsc::RecvTimeoutError::Timeout`] when nothing arrived in time,
     /// [`mpsc::RecvTimeoutError::Disconnected`] at end-of-stream.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Correction, mpsc::RecvTimeoutError> {
-        self.cursor
-            .borrow_mut()
-            .next(|| self.rx.recv_timeout(timeout))
+        self.next(|rx| rx.recv_timeout(timeout))
     }
 }
 
@@ -1407,8 +1229,7 @@ impl CorrectionReceiver {
 #[derive(Debug)]
 pub struct StreamReceiver {
     id: u64,
-    rx: mpsc::Receiver<CorrectionRun>,
-    cursor: RunCursor,
+    inner: CorrectionReceiver,
 }
 
 impl StreamReceiver {
@@ -1422,28 +1243,28 @@ impl StreamReceiver {
     /// with the per-correction receives on one receiver. `None` once the
     /// stream is closed and fully drained.
     pub(crate) fn recv_run(&self) -> Option<CorrectionRun> {
-        self.rx.recv().ok()
+        self.inner.rx.recv().ok()
     }
 
     /// Non-blocking [`StreamReceiver::recv_run`].
     pub(crate) fn try_recv_run(&self) -> Option<CorrectionRun> {
-        self.rx.try_recv().ok()
+        self.inner.rx.try_recv().ok()
     }
 
     /// Blocks for the next in-order correction; `None` once the stream is
     /// closed and fully drained.
     pub fn recv(&mut self) -> Option<Correction> {
-        self.cursor.next(|| self.rx.recv()).ok()
+        self.inner.recv().ok()
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&mut self) -> Option<Correction> {
-        self.cursor.next(|| self.rx.try_recv()).ok()
+        self.inner.try_recv().ok()
     }
 
     /// Receive with a timeout (`None` on timeout or end-of-stream).
     pub fn recv_timeout(&mut self, timeout: Duration) -> Option<Correction> {
-        self.cursor.next(|| self.rx.recv_timeout(timeout)).ok()
+        self.inner.recv_timeout(timeout).ok()
     }
 }
 
