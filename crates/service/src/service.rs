@@ -35,7 +35,8 @@ use qccd_telemetry::{Registry, RegistrySnapshot, TelemetryConfig};
 use crate::metrics::{FlushStat, MetricsInner, ServiceMetrics};
 use crate::{DecodeProgram, ServiceError};
 use scheduler::{
-    close_flushes, flush_point, Action, Batch, Deadline, FlushPoint, Job, Scheduler, MAX_JOB_SHOTS,
+    close_flushes, flush_point, Action, Batch, Deadline, FlushPoint, Job, Scheduler, ALL,
+    MAX_JOB_SHOTS,
 };
 
 /// Tuning knobs of the decode service.
@@ -177,9 +178,8 @@ impl<'a> FrameBatch<'a> {
         }
     }
 
-    /// Splits off the next segment of a submit call's walk onto `pending`
-    /// frames: the index frames up to the next word boundary, or one word
-    /// block. Returns `(segment, rest)`.
+    /// Splits off the next segment of a submit call onto `pending` frames:
+    /// index frames up to the next word boundary, or one word block.
     fn split_segment(self, pending: usize) -> (FrameBatch<'a>, FrameBatch<'a>) {
         match self {
             FrameBatch::Indices(_) => self.split_at(64 - pending % 64),
@@ -212,8 +212,7 @@ impl<'a> FrameBatch<'a> {
     }
 
     /// Splits off the largest prefix fitting `room` queue slots (blocks are
-    /// pre-transposed and never split); returns `(taken, rest,
-    /// shots_taken)`.
+    /// never split); returns `(taken, rest, shots_taken)`.
     fn take_for_room(self, room: usize) -> (FrameBatch<'a>, FrameBatch<'a>, usize) {
         let (taken, rest) = match self {
             FrameBatch::Indices(_) => self.split_at(room),
@@ -409,8 +408,7 @@ struct ShardState {
     armed: bool,
 }
 
-/// The decode job queue workers pull from, and the deadlines they wait out
-/// while it is empty.
+/// The scheduler, and the condvar idle workers wait on.
 #[derive(Debug, Default)]
 struct JobQueue {
     state: Mutex<QueueState>,
@@ -447,12 +445,10 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Flushes a shard's pending batch into the job queue
-    /// ([`Scheduler::enqueue`]) and returns how many idle workers to wake
-    /// for it. It books the batch's words less the first `booked`, which
-    /// the submit call's earlier flush points booked already (0 for
-    /// deadline, close and shutdown flushes). Caller holds the shard lock,
-    /// and wakes them with [`Shared::wake`] once it has released it.
+    /// Queues a shard's pending batch ([`Scheduler::enqueue`]), booking its
+    /// words less the `booked` ones the submit call's earlier flush points
+    /// booked. Caller holds the shard lock, and passes the return to
+    /// [`Shared::wake`] once it has released it.
     fn flush_shard(
         &self,
         shard: &Arc<ProgramShard>,
@@ -491,8 +487,9 @@ impl Shared {
     /// held. A worker counts itself idle only under the queue lock, so it
     /// either saw the caller's job or armed entry, or was counted.
     fn wake(&self, wakes: usize) {
-        for _ in 0..wakes {
-            self.queue.ready.notify_one();
+        match wakes {
+            ALL => self.queue.ready.notify_all(),
+            _ => (0..wakes).for_each(|_| self.queue.ready.notify_one()),
         }
     }
 
@@ -1047,10 +1044,8 @@ impl StreamSender {
     }
 
     /// Appends a reserved burst to the shard's pending batch segment by
-    /// segment, doing at each flush point what [`flush_point`] says, then
-    /// applies [`Deadline::at`] to a shard it leaves unarmed. Takes this
-    /// program's shard lock, and the queue lock under it; wakes workers
-    /// once the shard lock is released.
+    /// segment, with [`flush_point`] at each, then [`Deadline::at`] on a
+    /// shard it leaves unarmed; wakes workers once the shard lock drops.
     fn fill_shard(&self, burst: FrameBatch<'_>, mut seq: u64) {
         let (shared, shard) = (&self.shared, &self.shard);
         let now = Instant::now();
@@ -1095,9 +1090,8 @@ impl StreamSender {
         shared.wake(wakes);
     }
 
-    /// The shard's pending batch, created when absent with planes sized
-    /// for the shots the `rest` of the call carries, up to
-    /// [`MAX_JOB_SHOTS`]. Caller holds the shard lock.
+    /// The shard's pending batch, created when absent with planes for the
+    /// `rest` of the call, up to [`MAX_JOB_SHOTS`].
     fn ensure_pending<'s>(
         &self,
         state: &'s mut ShardState,

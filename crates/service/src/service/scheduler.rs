@@ -11,6 +11,9 @@ use std::collections::VecDeque;
 /// decoder tile. It also caps a new batch's planes.
 pub(super) const MAX_JOB_SHOTS: usize = 4096;
 
+/// The wake count that wakes every waiting worker.
+pub(super) const ALL: usize = usize::MAX;
+
 /// The frames of a job, as far as the scheduler needs them.
 pub(super) trait Batch {
     fn frames(&self) -> usize;
@@ -77,11 +80,16 @@ impl<S: Clone + PartialEq, B: Batch, T: Copy + Ord> Scheduler<S, B, T> {
         self.idle.min(self.jobs.len())
     }
 
-    /// Arms `shard` to be served once `due` passes. Wakes every idle
-    /// worker, so that none sleeps past the earliest due instant.
+    /// Arms `shard` to be served once `due` passes. Wakes [`ALL`] waiting
+    /// workers, so that none sleeps past the earliest due instant: a count
+    /// could go to a worker that began a timed wait after it was taken.
     pub(super) fn arm(&mut self, due: T, shard: &S) -> usize {
         self.armed.push((due, shard.clone()));
-        self.idle
+        if self.idle > 0 {
+            ALL
+        } else {
+            0
+        }
     }
 
     /// The first of: serve the earliest armed shard if it fell due by
@@ -168,11 +176,9 @@ impl<T: Ord> Deadline<T> {
 /// contributed and every contributor is closed. An idle stream's close
 /// never ships other streams' frames, and a word shared with live streams
 /// waits for their deadline.
-pub(super) fn close_flushes(runs: impl IntoIterator<Item = (bool, bool)>) -> bool {
-    let (mut contributed, mut all_closed) = (false, true);
-    for (mine, closed) in runs {
-        contributed |= mine;
-        all_closed &= closed;
-    }
-    contributed && all_closed
+pub(super) fn close_flushes(mut runs: impl Iterator<Item = (bool, bool)> + Clone) -> bool {
+    runs.clone().any(|(mine, _)| mine) && runs.all(|(_, closed)| closed)
 }
+
+#[cfg(test)]
+mod explorer;
