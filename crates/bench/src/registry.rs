@@ -333,23 +333,30 @@ fn distance_with_ci(fit: &LambdaFit, target: f64) -> Option<(usize, String, Valu
     Some((d, cell, json))
 }
 
+/// The largest distance a device is sized for. Every builtin artefact sizes
+/// at most d = 34 (`fig11`), and sizing takes ~0.1 s at d = 201 and ~8 s at
+/// d = 1 001 (release build), while a fit with Λ near 1 asks for thousands.
+const MAX_SIZED_DISTANCE: usize = 101;
+
 /// The distance required to reach `target` under `fit`, together with the
 /// resource estimate of the device sized for that distance — the common core
 /// of the `Electrodes` and `DataRate` outputs. The returned cell fragment
-/// and JSON carry the 95% CI distance band of [`distance_with_ci`].
+/// and JSON carry the 95% CI distance band of [`distance_with_ci`]. Beyond
+/// [`MAX_SIZED_DISTANCE`] no device is built: the estimate is `None` and the
+/// cell reads `d=N (beyond d_max)`.
 fn resources_at_target(
     fit: &Option<LambdaFit>,
     target: f64,
     configuration: &ArchitectureConfig,
-) -> Option<(String, Value, qccd_hardware::ResourceEstimate)> {
+) -> Option<(String, Value, Option<qccd_hardware::ResourceEstimate>)> {
     let (required_d, cell, json) = distance_with_ci(fit.as_ref()?, target)?;
+    if required_d > MAX_SIZED_DISTANCE {
+        return Some((format!("d={required_d} (beyond d_max)"), json, None));
+    }
     let layout = rotated_surface_code(required_d.max(2));
     let device = configuration.device_for(layout.num_qubits());
-    Some((
-        cell,
-        json,
-        estimate_resources(&device, configuration.wiring),
-    ))
+    let resources = estimate_resources(&device, configuration.wiring);
+    Some((cell, json, Some(resources)))
 }
 
 fn ler_sweep_output(
@@ -455,9 +462,12 @@ fn ler_sweep_output(
                     for &target in targets {
                         match resources_at_target(&curve.fit, target, configuration) {
                             Some((cell, mut ci_json, resources)) => {
-                                ci_json["electrodes"] =
-                                    serde_json::json!(resources.total_electrodes);
-                                row.push(format!("{} ({cell})", resources.total_electrodes));
+                                let electrodes = resources.map(|r| r.total_electrodes);
+                                ci_json["electrodes"] = Value::from(electrodes);
+                                row.push(match electrodes {
+                                    Some(electrodes) => format!("{electrodes} ({cell})"),
+                                    None => cell,
+                                });
                                 entry[format!("target_{target:e}")] = ci_json;
                             }
                             None => row.push(no_target.to_string()),
@@ -470,7 +480,15 @@ fn ler_sweep_output(
                 } => {
                     for &target in targets {
                         match resources_at_target(&curve.fit, target, configuration) {
-                            Some((ci_cell, mut ci_json, resources)) => {
+                            Some((ci_cell, mut ci_json, None)) => {
+                                ci_json["data_rate_gbit_s"] = Value::Null;
+                                if *include_power {
+                                    ci_json["power_w"] = Value::Null;
+                                }
+                                row.push(ci_cell);
+                                entry[format!("target_{target:e}")] = ci_json;
+                            }
+                            Some((ci_cell, mut ci_json, Some(resources))) => {
                                 let mut cell =
                                     format!("{} Gbit/s", fmt_f64(resources.data_rate_gbit_s));
                                 ci_json["data_rate_gbit_s"] =
@@ -1596,6 +1614,76 @@ mod tests {
             ..fit
         };
         assert!(distance_with_ci(&above, 1e-9).is_none());
+    }
+
+    #[test]
+    fn a_distance_beyond_d_max_sizes_no_device() {
+        // Two points one failure apart in 2 000 shots at d = 3 and 5: 100
+        // vs 99 failures ask for d = 3 531, 800 vs 799 for d = 31 675. A
+        // slope of −1e-300 saturates the distance.
+        let two_points = |f3: f64, f5: f64| {
+            let point = |d, failures: f64| (d, failures / 2000.0, 1e-3);
+            qccd_decoder::fit_lambda_weighted(&[point(3, f3), point(5, f5)]).unwrap()
+        };
+        let flat = LambdaFit {
+            log_intercept: -1.2,
+            log_slope: -1e-300,
+            log_intercept_std_error: 0.1,
+            log_slope_std_error: 0.05,
+            dropped_points: 0,
+        };
+        let fits = [
+            (two_points(100.0, 99.0), 3531),
+            (two_points(800.0, 799.0), 31675),
+            (flat, usize::MAX),
+        ];
+        let registry = ExperimentRegistry::builtin();
+        let ExperimentKind::LerSweep(mut kind) = registry.get("fig10").unwrap().kind.clone() else {
+            panic!("fig10 changed kind");
+        };
+        kind.configurations.truncate(1);
+        let configurations = vec![("g".to_string(), kind.configurations[0].build())];
+        let targets = vec![1e-9];
+        let outputs = [
+            (
+                LerOutput::Electrodes {
+                    targets: targets.clone(),
+                },
+                &["electrodes"][..],
+            ),
+            (
+                LerOutput::DataRate {
+                    targets,
+                    include_power: true,
+                },
+                &["data_rate_gbit_s", "power_w"],
+            ),
+        ];
+        for (fit, d) in fits {
+            let (cell, json, resources) =
+                resources_at_target(&Some(fit), 1e-9, &configurations[0].1).unwrap();
+            assert_eq!(cell, format!("d={d} (beyond d_max)"));
+            assert_eq!(json["distance"].as_u64(), Some(d as u64));
+            assert!(resources.is_none());
+            for (output, keys) in &outputs {
+                kind.outputs = vec![output.clone()];
+                let curve = LerCurve {
+                    label: "g".into(),
+                    points: Vec::new(),
+                    fit: Some(fit),
+                    outcomes: Vec::new(),
+                };
+                let (_, rows, _, data) = ler_sweep_output(&kind, &configurations, &[curve]);
+                assert_eq!(rows[0][1], cell);
+                let target = &data.as_array().unwrap()[0]["target_1e-9"];
+                for key in *keys {
+                    assert!(
+                        target.get(key).is_some_and(Value::is_null),
+                        "{key}: {target:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
