@@ -795,7 +795,8 @@ impl DecodeService {
             },
             receiver: StreamReceiver {
                 id,
-                inner: CorrectionReceiver::new(rx),
+                rx,
+                cursor: RunCursor::default(),
             },
         })
     }
@@ -1113,8 +1114,8 @@ impl StreamSender {
     /// Closes the stream: no further submissions are accepted, frames
     /// already submitted still decode, and the receiver drains the remaining
     /// corrections before observing end-of-stream. The shard's pending
-    /// partial word is flushed (booked as a **close flush**) when
-    /// [`close_flushes`] says so. Idempotent.
+    /// partial word is flushed (booked as a **close flush**) when this
+    /// stream contributed to it and every contributor is closed. Idempotent.
     pub fn close(&self) {
         if self.core.closed.swap(true, Ordering::SeqCst) {
             return;
@@ -1129,14 +1130,13 @@ impl StreamSender {
         };
         self.core.space.notify_all();
         let mut state = lock(&self.shard.state);
-        let flush = state.pending.as_ref().is_some_and(|batch| {
-            let runs = batch.runs.iter();
-            close_flushes(runs.map(|run| (run.stream.id == self.core.id, run.stream.is_closed())))
-        });
+        let runs = state.pending.iter().flat_map(|batch| &batch.runs);
+        let ours = |run: &FrameRun| (run.stream.id == self.core.id, run.stream.is_closed());
         let shared = &self.shared;
-        let wakes = match flush {
-            true => shared.flush_shard(&self.shard, &mut state, FlushStat::Close, 0),
-            false => 0,
+        let wakes = if close_flushes(runs.map(ours)) {
+            shared.flush_shard(&self.shard, &mut state, FlushStat::Close, 0)
+        } else {
+            0
         };
         drop(state);
         shared.wake(wakes);
@@ -1146,37 +1146,26 @@ impl StreamSender {
     }
 }
 
-/// Ordered corrections of one stream behind `&self`, received the way
-/// [`mpsc::Receiver`] receives — the TCP client's
-/// [`NetStream`](crate::net::NetStream) hands one to each stream's
-/// collector. Corrections travel as runs (one channel send per decoded
-/// run, not per frame); the receiver flattens them back into single
-/// [`Correction`]s.
-#[derive(Debug)]
-pub struct CorrectionReceiver {
-    rx: mpsc::Receiver<CorrectionRun>,
-    /// The run being flattened and the next index within it.
-    current: RefCell<Option<(CorrectionRun, usize)>>,
+/// Flattens a stream's correction runs back into single [`Correction`]s:
+/// the one routine behind both receivers, so their APIs stay
+/// frame-granular while corrections travel as runs (one channel send per
+/// decoded run, not per frame).
+#[derive(Debug, Default)]
+struct RunCursor {
+    /// The run currently being flattened and the next index within it.
+    current: Option<(CorrectionRun, usize)>,
 }
 
-impl CorrectionReceiver {
-    pub(crate) fn new(rx: mpsc::Receiver<CorrectionRun>) -> Self {
-        CorrectionReceiver {
-            rx,
-            current: RefCell::default(),
-        }
-    }
-
+impl RunCursor {
     /// The next correction of the run being flattened, else the first of
-    /// the run `next_run` receives.
+    /// the run `next_run` yields.
     fn next<E>(
-        &self,
-        next_run: impl FnOnce(&mpsc::Receiver<CorrectionRun>) -> Result<CorrectionRun, E>,
+        &mut self,
+        next_run: impl FnOnce() -> Result<CorrectionRun, E>,
     ) -> Result<Correction, E> {
-        let mut current = self.current.borrow_mut();
-        let (run, index) = match &mut *current {
+        let (run, index) = match &mut self.current {
             Some(current) => current,
-            empty => empty.insert((next_run(&self.rx)?, 0)),
+            empty => empty.insert((next_run()?, 0)),
         };
         let correction = Correction {
             seq: run.first_seq + *index as u64,
@@ -1184,9 +1173,28 @@ impl CorrectionReceiver {
         };
         *index += 1;
         if *index == run.flips.len() {
-            *current = None;
+            self.current = None;
         }
         Ok(correction)
+    }
+}
+
+/// Ordered corrections of one stream behind `&self`, received the way
+/// [`mpsc::Receiver`] receives — the TCP client's
+/// [`NetStream`](crate::net::NetStream) hands one to each stream's
+/// collector.
+#[derive(Debug)]
+pub struct CorrectionReceiver {
+    rx: mpsc::Receiver<CorrectionRun>,
+    cursor: RefCell<RunCursor>,
+}
+
+impl CorrectionReceiver {
+    pub(crate) fn new(rx: mpsc::Receiver<CorrectionRun>) -> Self {
+        CorrectionReceiver {
+            rx,
+            cursor: RefCell::default(),
+        }
     }
 
     /// Blocks for the next in-order correction.
@@ -1195,7 +1203,7 @@ impl CorrectionReceiver {
     ///
     /// [`mpsc::RecvError`] once the stream is closed and fully drained.
     pub fn recv(&self) -> Result<Correction, mpsc::RecvError> {
-        self.next(|rx| rx.recv())
+        self.cursor.borrow_mut().next(|| self.rx.recv())
     }
 
     /// Non-blocking receive.
@@ -1205,7 +1213,7 @@ impl CorrectionReceiver {
     /// [`mpsc::TryRecvError::Empty`] when nothing is ready,
     /// [`mpsc::TryRecvError::Disconnected`] at end-of-stream.
     pub fn try_recv(&self) -> Result<Correction, mpsc::TryRecvError> {
-        self.next(|rx| rx.try_recv())
+        self.cursor.borrow_mut().next(|| self.rx.try_recv())
     }
 
     /// Receive with a timeout.
@@ -1215,7 +1223,9 @@ impl CorrectionReceiver {
     /// [`mpsc::RecvTimeoutError::Timeout`] when nothing arrived in time,
     /// [`mpsc::RecvTimeoutError::Disconnected`] at end-of-stream.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Correction, mpsc::RecvTimeoutError> {
-        self.next(|rx| rx.recv_timeout(timeout))
+        self.cursor
+            .borrow_mut()
+            .next(|| self.rx.recv_timeout(timeout))
     }
 }
 
@@ -1223,7 +1233,8 @@ impl CorrectionReceiver {
 #[derive(Debug)]
 pub struct StreamReceiver {
     id: u64,
-    inner: CorrectionReceiver,
+    rx: mpsc::Receiver<CorrectionRun>,
+    cursor: RunCursor,
 }
 
 impl StreamReceiver {
@@ -1237,28 +1248,28 @@ impl StreamReceiver {
     /// with the per-correction receives on one receiver. `None` once the
     /// stream is closed and fully drained.
     pub(crate) fn recv_run(&self) -> Option<CorrectionRun> {
-        self.inner.rx.recv().ok()
+        self.rx.recv().ok()
     }
 
     /// Non-blocking [`StreamReceiver::recv_run`].
     pub(crate) fn try_recv_run(&self) -> Option<CorrectionRun> {
-        self.inner.rx.try_recv().ok()
+        self.rx.try_recv().ok()
     }
 
     /// Blocks for the next in-order correction; `None` once the stream is
     /// closed and fully drained.
     pub fn recv(&mut self) -> Option<Correction> {
-        self.inner.recv().ok()
+        self.cursor.next(|| self.rx.recv()).ok()
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&mut self) -> Option<Correction> {
-        self.inner.try_recv().ok()
+        self.cursor.next(|| self.rx.try_recv()).ok()
     }
 
     /// Receive with a timeout (`None` on timeout or end-of-stream).
     pub fn recv_timeout(&mut self, timeout: Duration) -> Option<Correction> {
-        self.inner.recv_timeout(timeout).ok()
+        self.cursor.next(|| self.rx.recv_timeout(timeout)).ok()
     }
 }
 

@@ -39,9 +39,8 @@ pub(super) enum Action<S, B, T> {
 }
 
 /// The job queue: jobs, armed shards with the instant each falls due, and
-/// the count of waiting workers. A call that gives a waiting worker work
-/// returns how many to wake; the caller wakes them once it has released
-/// its shard lock.
+/// the count of waiting workers. A call that makes work returns how many
+/// of them to wake, once the caller has released its shard lock.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(super) struct Scheduler<S, B, T> {
     pub(super) jobs: VecDeque<Job<S, B>>,
@@ -93,16 +92,11 @@ impl<S: Clone + PartialEq, B: Batch, T: Copy + Ord> Scheduler<S, B, T> {
     }
 
     /// The first of: serve the earliest armed shard if it fell due by
-    /// `now`, take a job, exit when shutting down, or wait until the
-    /// earliest armed entry falls due. A waiting caller counts as idle
-    /// until it calls [`Scheduler::woken`].
+    /// `now`, take a job, exit when shutting down, or wait until it falls
+    /// due. A waiting caller counts as idle until [`Scheduler::woken`].
     pub(super) fn next(&mut self, now: T, shutting_down: bool) -> Action<S, B, T> {
-        let earliest = self
-            .armed
-            .iter()
-            .map(|&(due, _)| due)
-            .enumerate()
-            .min_by_key(|&(_, due)| due);
+        let dues = self.armed.iter().map(|&(due, _)| due);
+        let earliest = dues.enumerate().min_by_key(|&(_, due)| due);
         if let Some((index, _)) = earliest.filter(|&(_, due)| due <= now) {
             Action::Serve(self.armed.swap_remove(index).1)
         } else if let Some(job) = self.jobs.pop_front() {
@@ -150,8 +144,7 @@ pub(super) fn flush_point(
 }
 
 /// What a shard's deadline does with a pending batch due at `due` (`None`:
-/// no batch, or one due past the last representable instant, which waits
-/// for a full word, a close or shutdown).
+/// no batch, or one due past the last representable instant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Deadline<T> {
     Flush,
@@ -172,9 +165,8 @@ impl<T: Ord> Deadline<T> {
 }
 
 /// Whether a closing stream flushes its shard's pending batch, given each
-/// run's `(of the closing stream, stream closed)`: when the stream
-/// contributed and every contributor is closed. An idle stream's close
-/// never ships other streams' frames, and a word shared with live streams
+/// run's `(of the closing stream, stream closed)`: only when it contributed
+/// and every contributor is closed, so a word shared with live streams
 /// waits for their deadline.
 pub(super) fn close_flushes(mut runs: impl Iterator<Item = (bool, bool)> + Clone) -> bool {
     runs.clone().any(|(mine, _)| mine) && runs.all(|(_, closed)| closed)
