@@ -42,23 +42,22 @@
 //!   `decode_batch`'s tile scan works in). A frame is **written where it is
 //!   decoded**: submission sets its bits in the detector planes of the
 //!   pending chunk ([`SyndromeChunkBuilder`](qccd_sim::SyndromeChunkBuilder)),
-//!   so a flush hands the planes to a worker as they are — nothing is
-//!   staged or transposed later. A batch is flushed on a full word, when
-//!   the oldest pending frame hits the configured deadline (an idle worker
-//!   waits out the deadline, and a worker flushes an overdue partial word
-//!   before it takes its next job), or when the last stream contributing
-//!   to the word closes (a deadline past the last representable instant
-//!   never falls due). Each full word is booked as a flush as it completes,
-//!   but one submit call's full words leave as **one job**: the batch stays
-//!   pending from word to word while it fills whole words within 64 words,
-//!   and only the call's last flush hands it to the queue. Under load the
-//!   job queue coalesces flushes anyway: a flush joins the queue's last job
-//!   when that job is still untaken, of the same program and word-aligned,
-//!   up to 64 words a job. Submitters wake
-//!   idle workers only after releasing the shard lock, one per queued
-//!   job. Each shard has its own mutex: submissions to
-//!   different programs never contend, and delivery state lives behind each
-//!   stream's own lock — there is no global hot-path lock.
+//!   so a flush hands the planes to a worker as they are. A batch is flushed
+//!   on a full word, when its oldest frame hits the deadline (never, for a
+//!   deadline past the last representable instant), or when the last stream
+//!   contributing to it closes. One submit call's full words leave as **one
+//!   job** (each word still booked as a flush), and a flush joins the
+//!   queue's untaken last job of its program while that job is whole words,
+//!   up to 64 words. Each shard has its own mutex, and delivery state lives
+//!   behind each stream's own lock: there is no global hot-path lock.
+//! * **One scheduler decides.** The job queue (jobs, armed deadlines, the
+//!   idle count) and the flush rules are a value that holds no lock and
+//!   reads no clock. A worker asks it what next: **serve** a shard whose
+//!   deadline fell due, **take** a job, **exit** on shutdown, or **wait**
+//!   until the earliest deadline. A queued job wakes one idle worker and an
+//!   armed deadline every waiter, once the shard lock drops; shutdown drains
+//!   leftover jobs through the same loop. A test-only explorer runs these
+//!   decisions through every interleaving of a small model.
 //! * Two frame vocabularies: index frames ([`StreamSender::submit`] /
 //!   [`StreamSender::submit_batch`], the `frame`/`frames` wire commands)
 //!   list one shot's fired detectors and cost one bit-set each; shot-major
