@@ -2,7 +2,9 @@
 //! estimation through compile → noise lowering → sampling → decoding.
 
 use qccd_core::{ArchitectureConfig, Compiler, Toolflow};
-use qccd_decoder::{estimate_logical_error_rate, DecoderKind};
+use qccd_decoder::{
+    estimate_logical_error_rate, estimate_logical_error_rate_with, DecoderKind, EstimatorConfig,
+};
 use qccd_qec::{rotated_surface_code, MemoryBasis};
 use qccd_sim::verify_detectors;
 
@@ -85,5 +87,27 @@ fn decoders_rank_exact_union_find_greedy() {
     assert!(
         uf.logical_error_rate <= greedy.logical_error_rate,
         "union-find {uf:?} vs greedy {greedy:?}"
+    );
+}
+
+#[test]
+#[ignore = "about 5 s in a release build; run with --include-ignored"]
+fn exact_is_no_worse_than_union_find_at_d7() {
+    // At d = 7 on 1X gates many shots carry more defects than the exact
+    // subset DP takes, so this pins what the exact decoder does with them:
+    // it must not read worse than union-find beyond two standard
+    // deviations of union-find's failure count.
+    let noisy = Compiler::new(ArchitectureConfig::recommended(1.0))
+        .compile_memory_experiment(&rotated_surface_code(7), 7, MemoryBasis::Z)
+        .unwrap()
+        .to_noisy_circuit();
+    let config = EstimatorConfig::default().with_num_threads(1);
+    let [exact, uf] = [DecoderKind::ExactMatching, DecoderKind::UnionFind]
+        .map(|kind| estimate_logical_error_rate_with(&noisy, 20_000, 2026, kind, &config).unwrap());
+    assert!(uf.failures > 0, "the comparison needs resolved estimates");
+    let bound = uf.failures as f64 + 2.0 * (uf.failures as f64).sqrt();
+    assert!(
+        exact.failures as f64 <= bound,
+        "exact {exact:?} vs union-find {uf:?}"
     );
 }
