@@ -250,11 +250,14 @@ pub enum OutputFormat {
 }
 
 impl Spelled for OutputFormat {
-    const SPELLINGS: &'static [(Self, &'static str)] = &[
-        (OutputFormat::Pretty, "pretty"),
-        (OutputFormat::Json, "json"),
-        (OutputFormat::Csv, "csv"),
-    ];
+    fn spellings() -> impl Iterator<Item = (Self, &'static str)> {
+        [
+            (OutputFormat::Pretty, "pretty"),
+            (OutputFormat::Json, "json"),
+            (OutputFormat::Csv, "csv"),
+        ]
+        .into_iter()
+    }
 }
 
 impl OutputFormat {
@@ -456,8 +459,8 @@ fn loadgen_flags() -> Command<LoadgenCliOptions> {
         "--wiring" "<standard|wise>": "wiring method (default: standard)" => o.wiring = v.into(),
         "--improvement" "<x>": "gate improvement (default: 5.0)" => o.improvement = number(v)?,
         "--distance" "<d>": "code distance (default: 3)" => o.distance = at_least(2, v)?,
-        "--decoder" "<union_find|greedy|exact>": "decoder (default: union_find)"
-            => o.decoder = parse_decoder(v).map_err(|_| format!("cannot be `{v}`"))?,
+        "--decoder" "<union_find|exact>": "decoder (default: union_find)"
+            => o.decoder = parse_decoder(v)?,
         "--streams" "<n>": "syndrome streams (default: 4)" => o.load.streams = at_least(1, v)?,
         "--connections" "<n>": "TCP connections, at most one a stream (default: 1)"
             => o.load.connections = number(v)?,
@@ -1354,7 +1357,7 @@ mod tests {
             "--distance",
             "5",
             "--decoder",
-            "greedy",
+            "exact",
             "--streams",
             "8",
             "--connections",
@@ -1381,7 +1384,7 @@ mod tests {
         assert_eq!(options.wiring, "wise");
         assert_eq!(options.improvement, 10.0);
         assert_eq!(options.distance, 5);
-        assert_eq!(options.decoder, qccd_decoder::DecoderKind::GreedyMatching);
+        assert_eq!(options.decoder, qccd_decoder::DecoderKind::ExactMatching);
         assert_eq!(options.load.streams, 8);
         assert_eq!(options.load.connections, 2);
         assert_eq!(options.load.shots, 4096);

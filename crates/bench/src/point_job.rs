@@ -407,7 +407,7 @@ mod tests {
         let ok = LerOutcome {
             label: "grid c4".to_string(),
             distance: 3,
-            decoder: DecoderKind::GreedyMatching,
+            decoder: DecoderKind::ExactMatching,
             seed: 0xdead_beef_cafe_f00d,
             shots_requested: 4096,
             result: Ok(LogicalErrorEstimate {

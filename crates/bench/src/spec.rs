@@ -123,33 +123,31 @@ impl<'a, T: Field<'a>> Field<'a> for Vec<T> {
 }
 
 /// An enum spec JSON writes as a string. Each variant's spelling is written
-/// once, in [`Spelled::SPELLINGS`], and both the writers and the readers use
+/// once, in [`Spelled::spellings`], and both the writers and the readers use
 /// it.
 pub(crate) trait Spelled: Copy + PartialEq + 'static {
     /// Every variant with its spelling.
-    const SPELLINGS: &'static [(Self, &'static str)];
+    fn spellings() -> impl Iterator<Item = (Self, &'static str)>;
 
     /// The spelling of `self`.
     fn spelling(self) -> &'static str {
-        Self::SPELLINGS
-            .iter()
+        Self::spellings()
             .find(|(variant, _)| *variant == self)
-            .map(|(_, name)| *name)
+            .map(|(_, name)| name)
             .expect("every variant has a spelling")
     }
 
     /// The variant spelled `name`.
     fn from_spelling(name: &str) -> Option<Self> {
-        Self::SPELLINGS
-            .iter()
+        Self::spellings()
             .find(|(_, spelling)| *spelling == name)
-            .map(|(variant, _)| *variant)
+            .map(|(variant, _)| variant)
     }
 }
 
 impl<T: Spelled> Field<'_> for T {
     fn expected() -> String {
-        let names: Vec<String> = T::SPELLINGS.iter().map(|(_, n)| format!("`{n}`")).collect();
+        let names: Vec<String> = T::spellings().map(|(_, n)| format!("`{n}`")).collect();
         format!("one of {}", names.join(", "))
     }
     fn read(value: &Value) -> Option<Self> {
@@ -157,17 +155,19 @@ impl<T: Spelled> Field<'_> for T {
     }
 }
 
+/// The spec names are the last column of [`DecoderKind::NAMES`].
 impl Spelled for DecoderKind {
-    const SPELLINGS: &'static [(Self, &'static str)] = &[
-        (DecoderKind::UnionFind, "union_find"),
-        (DecoderKind::GreedyMatching, "greedy_matching"),
-        (DecoderKind::ExactMatching, "exact_matching"),
-    ];
+    fn spellings() -> impl Iterator<Item = (Self, &'static str)> {
+        DecoderKind::NAMES
+            .iter()
+            .map(|&(kind, _, spec)| (kind, spec))
+    }
 }
 
 impl Spelled for MergeKind {
-    const SPELLINGS: &'static [(Self, &'static str)] =
-        &[(MergeKind::ZZ, "zz"), (MergeKind::XX, "xx")];
+    fn spellings() -> impl Iterator<Item = (Self, &'static str)> {
+        [(MergeKind::ZZ, "zz"), (MergeKind::XX, "xx")].into_iter()
+    }
 }
 
 /// Reads an optional field: an absent key and `null` both read as `None`.
@@ -644,10 +644,13 @@ pub enum TimingMetric {
 }
 
 impl Spelled for TimingMetric {
-    const SPELLINGS: &'static [(Self, &'static str)] = &[
-        (TimingMetric::RoundTime, "round_time"),
-        (TimingMetric::ShotTime, "shot_time"),
-    ];
+    fn spellings() -> impl Iterator<Item = (Self, &'static str)> {
+        [
+            (TimingMetric::RoundTime, "round_time"),
+            (TimingMetric::ShotTime, "shot_time"),
+        ]
+        .into_iter()
+    }
 }
 
 /// A compile-only timing sweep over architectures × distances (Figures 8a
@@ -1384,6 +1387,15 @@ mod tests {
                 "decoder",
                 spec,
                 with(&ler, &["experiment", "decoder"], Some("quantum".into())),
+            ),
+            (
+                "decoder",
+                spec,
+                with(
+                    &ler,
+                    &["experiment", "decoder"],
+                    Some("greedy_matching".into()),
+                ),
             ),
             (
                 "metric",

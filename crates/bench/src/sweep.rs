@@ -491,7 +491,7 @@ mod tests {
             64,
             16,
             8.0,
-            DecoderKind::GreedyMatching,
+            DecoderKind::ExactMatching,
             EstimatorConfig::default(),
         );
         assert_eq!(points.len(), configurations.len() * distances.len() * 2);
@@ -502,7 +502,7 @@ mod tests {
                 for point in [plain, biased] {
                     assert_eq!(&point.label, label);
                     assert_eq!(point.distance, d);
-                    assert_eq!(point.decoder, DecoderKind::GreedyMatching);
+                    assert_eq!(point.decoder, DecoderKind::ExactMatching);
                 }
                 assert_eq!(plain.shots, 64);
                 assert_eq!(plain.estimator.importance_bias, None);

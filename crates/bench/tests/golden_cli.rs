@@ -75,7 +75,7 @@ const CASES: &[(&str, &str)] = &[
     ("loadgen --addr x:1 --in-process", "--in-process"),
     (
         "loadgen --in-process --topology switch --capacity 5 --wiring wise --improvement 10 \
-         --distance 5 --decoder greedy",
+         --distance 5 --decoder exact",
         "--topology",
     ),
     ("loadgen --in-process --topology", "--topology"),
@@ -89,6 +89,7 @@ const CASES: &[(&str, &str)] = &[
     ("loadgen --in-process --distance 1", "--distance"),
     ("loadgen --in-process --decoder", "--decoder"),
     ("loadgen --in-process --decoder magic", "--decoder"),
+    ("loadgen --in-process --decoder greedy", "--decoder"),
     // loadgen: replay
     (
         "loadgen --addr x:1 --streams 8 --connections 2 --shots 4096 --rate 50000 \

@@ -14,7 +14,7 @@ use qccd_decoder::{CacheStats, DecoderKind, LogicalErrorEstimate};
 /// `(name, content hash)` of every builtin spec.
 const SPEC_HASHES: [(&str, &str); 14] = [
     ("ext_ablation_clustering", "08632c1d76531346"),
-    ("ext_decoder_comparison", "7e641a0971a953e1"),
+    ("ext_decoder_comparison", "3b623f41d4cf8c07"),
     ("ext_surgery", "a6a2ba068743ea2c"),
     ("fig08a", "25f4e1099255c517"),
     ("fig08b", "e2246fddb5c3d94c"),
@@ -88,7 +88,7 @@ fn fixed_outcomes() -> [(LerOutcome, &'static str); 3] {
             LerOutcome {
                 label: "10X c2 biased x8".to_string(),
                 distance: 7,
-                decoder: DecoderKind::GreedyMatching,
+                decoder: DecoderKind::ExactMatching,
                 seed: 7,
                 shots_requested: 4096,
                 result: Ok(LogicalErrorEstimate {
@@ -107,7 +107,7 @@ fn fixed_outcomes() -> [(LerOutcome, &'static str); 3] {
                     ..CacheStats::default()
                 }),
             },
-            r#"{"cache":{"dense_words":61,"hits":0,"misses":311,"quiet_words":0,"sparse_words":3,"uncacheable":1024},"decoder":"greedy_matching","distance":7,"label":"10X c2 biased x8","result":{"ok":{"failures":311,"logical_error_rate":0.00000000000022737367544323206,"shots":4096,"std_error":0.000000000000015}},"seed":7,"shots_requested":4096}"#,
+            r#"{"cache":{"dense_words":61,"hits":0,"misses":311,"quiet_words":0,"sparse_words":3,"uncacheable":1024},"decoder":"exact_matching","distance":7,"label":"10X c2 biased x8","result":{"ok":{"failures":311,"logical_error_rate":0.00000000000022737367544323206,"shots":4096,"std_error":0.000000000000015}},"seed":7,"shots_requested":4096}"#,
         ),
     ]
 }

@@ -1,7 +1,7 @@
 //! Golden regression test for the sharded sweep engine.
 //!
 //! Runs a small fixed-seed sweep (d ∈ {3, 5}, two architectures, and the
-//! exact and greedy decoders at the first point) through the same
+//! exact decoder at the first point) through the same
 //! `run_ler_sweep` path the figure/table binaries use, and compares the
 //! outcome — per-point seeds, shot counts and exact failure counts — against
 //! a committed JSON expectation. The sweep pipeline is bit-deterministic by
@@ -41,14 +41,10 @@ fn golden_points() -> Vec<LerPoint> {
             points.push(LerPoint::new(label, arch.clone(), d, GOLDEN_SHOTS));
         }
     }
-    // Decoder points exercise the decoder dimension of the sweep.
+    // One exact-decoder point exercises the decoder dimension of the sweep.
     points.push(
         LerPoint::new("grid c2 5X exact", grid_arch(2, 5.0), 3, GOLDEN_SHOTS)
             .with_decoder(DecoderKind::ExactMatching),
-    );
-    points.push(
-        LerPoint::new("grid c2 5X greedy", grid_arch(2, 5.0), 3, GOLDEN_SHOTS)
-            .with_decoder(DecoderKind::GreedyMatching),
     );
     points
 }

@@ -38,11 +38,7 @@ fn wirings() -> impl Strategy<Value = WiringMethod> {
 }
 
 fn decoders() -> impl Strategy<Value = DecoderKind> {
-    prop::sample::select(vec![
-        DecoderKind::UnionFind,
-        DecoderKind::GreedyMatching,
-        DecoderKind::ExactMatching,
-    ])
+    prop::sample::select(vec![DecoderKind::UnionFind, DecoderKind::ExactMatching])
 }
 
 fn arch_points() -> impl Strategy<Value = Vec<ArchPoint>> {

@@ -116,7 +116,7 @@ impl PredictionChunk {
     }
 }
 
-/// Min-heap entry for the Dijkstra searches of the matching decoders.
+/// Min-heap entry for the Dijkstra searches of the exact matching decoder.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct HeapEntry {
     pub(crate) distance: f64,
@@ -141,16 +141,13 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Per-shot working state of the matching decoders (greedy and exact).
+/// Per-shot working state of the exact matching decoder.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MatchingScratch {
     /// One Dijkstra state (distance, incoming edge) per defect slot.
     pub(crate) dijkstras: Vec<DijkstraState>,
     pub(crate) heap: std::collections::BinaryHeap<HeapEntry>,
-    /// Candidate matchings: `(cost, i, j)` with `j == u32::MAX` = boundary.
-    pub(crate) candidates: Vec<(f64, u32, u32)>,
-    pub(crate) matched: Vec<bool>,
-    // Exact-matching DP state.
+    // Subset-DP state.
     pub(crate) boundary_cost: Vec<f64>,
     /// Row-major `n × n` pairwise costs.
     pub(crate) pair_cost: Vec<f64>,
@@ -194,7 +191,7 @@ impl MatchingScratch {
 /// as many chunks as you like; buffers grow to the high-water mark of the
 /// decoding problem and are never cleared wholesale between shots: the
 /// union-find state resets only the slots the previous shot touched, and the
-/// matching decoders' Dijkstra arrays are epoch-stamped.
+/// exact matching decoder's Dijkstra arrays are epoch-stamped.
 ///
 /// The scratch also hosts the per-decoder [syndrome memo](crate::memo):
 /// cached predictions survive across chunks (they are keyed by defect set,

@@ -45,8 +45,8 @@ use qccd_circuit::MeasurementRef;
 use qccd_sim::{DetectorChunkSampler, FaultTable, NoisyCircuit, CANONICAL_BLOCK_SHOTS};
 
 use crate::{
-    CacheStats, DecodeScratch, Decoder, DecodingGraph, ExactMatchingDecoder, GreedyMatchingDecoder,
-    MemoConfig, UnionFindDecoder,
+    CacheStats, DecodeScratch, Decoder, DecodingGraph, ExactMatchingDecoder, MemoConfig,
+    UnionFindDecoder,
 };
 
 /// Which decoder to use for logical error rate estimation.
@@ -55,19 +55,27 @@ pub enum DecoderKind {
     /// Weighted union-find (the default).
     #[default]
     UnionFind,
-    /// Greedy shortest-path matching (baseline / cross-check).
-    GreedyMatching,
-    /// Exact minimum-weight matching per shot (accuracy reference; falls
-    /// back to greedy matching on shots with many defects).
+    /// Exact minimum-weight matching per shot (accuracy reference; exact up
+    /// to [`DEFAULT_MAX_EXACT_DEFECTS`](crate::DEFAULT_MAX_EXACT_DEFECTS)
+    /// defects a shot, union-find above that).
     ExactMatching,
 }
 
 impl DecoderKind {
+    /// Every kind with its two spellings: `(kind, wire name, spec name)`.
+    /// The wire name is what the decode service's `open` line and the
+    /// `--decoder` flag take; the spec name is what experiment specs store.
+    /// Stored specs and point payloads hold the spec names, so neither
+    /// column may change.
+    pub const NAMES: &'static [(DecoderKind, &'static str, &'static str)] = &[
+        (DecoderKind::UnionFind, "union_find", "union_find"),
+        (DecoderKind::ExactMatching, "exact", "exact_matching"),
+    ];
+
     /// Builds the corresponding decoder over a decoding graph.
     pub fn build(self, graph: DecodingGraph) -> Box<dyn Decoder + Send + Sync> {
         match self {
             DecoderKind::UnionFind => Box::new(UnionFindDecoder::new(graph)),
-            DecoderKind::GreedyMatching => Box::new(GreedyMatchingDecoder::new(graph)),
             DecoderKind::ExactMatching => Box::new(ExactMatchingDecoder::new(graph)),
         }
     }
@@ -814,11 +822,11 @@ pub(crate) mod tests {
         let code = repetition_code(5);
         let circuit = noisy_memory(&code, 2, p);
         let uf = estimate_logical_error_rate(&circuit, 20_000, 9, DecoderKind::UnionFind).unwrap();
-        let greedy =
-            estimate_logical_error_rate(&circuit, 20_000, 9, DecoderKind::GreedyMatching).unwrap();
-        // Same order of magnitude; greedy may be somewhat worse.
-        assert!(greedy.logical_error_rate <= uf.logical_error_rate * 4.0 + 0.01);
-        assert!(uf.logical_error_rate <= greedy.logical_error_rate * 4.0 + 0.01);
+        let exact =
+            estimate_logical_error_rate(&circuit, 20_000, 9, DecoderKind::ExactMatching).unwrap();
+        // Same order of magnitude; union-find may be somewhat worse.
+        assert!(exact.logical_error_rate <= uf.logical_error_rate * 4.0 + 0.01);
+        assert!(uf.logical_error_rate <= exact.logical_error_rate * 4.0 + 0.01);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!   model (hyperedges are split only into edges that single faults of the
 //!   same model produce; what cannot be split is left out and counted);
 //! * [`UnionFindDecoder`] — weighted union-find decoder (the default);
-//! * [`GreedyMatchingDecoder`] — greedy shortest-path matching baseline;
+//! * [`ExactMatchingDecoder`] — minimum-weight matching by subset DP, the
+//!   accuracy reference: exact up to [`DEFAULT_MAX_EXACT_DEFECTS`] defects a
+//!   shot, union-find above that;
 //! * [`estimate_logical_error_rate`] — Monte-Carlo logical error rate
 //!   estimation;
 //! * [`fit_lambda_weighted`] / [`LambdaFit`] — below-threshold
@@ -69,7 +71,7 @@
 //! [`Decoder::decode_batch_per_shot`]; consequently estimates, early-stop
 //! points and golden artifacts are unchanged for every chunk size and
 //! thread count. This is property-tested in
-//! `tests/prop_word_parallel_identity.rs` for all three [`DecoderKind`]s
+//! `tests/prop_word_parallel_identity.rs` for both [`DecoderKind`]s
 //! and pinned by adversarial edge cases (all-dense words, word-boundary
 //! straddling, ragged final words, zero-shot chunks) in
 //! `tests/word_edge_cases.rs`. The per-word verdicts are observable through
@@ -90,7 +92,7 @@
 //! it has seen, whatever the chunk order, and each worker learns its own
 //! table. The memo is a **pure cache** — memoized decoding is bit-identical
 //! to the uncached path (property-tested in `tests/prop_memo_decode.rs` for
-//! all three [`DecoderKind`]s), hit rates are observable via
+//! both [`DecoderKind`]s), hit rates are observable via
 //! [`CacheStats`], and [`MemoConfig::disabled`] restores the raw path. On the paper's deep
 //! below-threshold workloads the memo answers most noisy shots (the repo
 //! benchmark's `ler_*` workloads report it as `decoder.memo_hit_share`).
@@ -129,7 +131,6 @@
 
 mod batch;
 mod dem_graph;
-mod greedy;
 mod ler;
 pub mod memo;
 mod mwpm;
@@ -139,7 +140,6 @@ mod union_find;
 
 pub use batch::{DecodeScratch, PredictionChunk, SyndromeChunk};
 pub use dem_graph::{DecodingEdge, DecodingGraph, DetectorIndex};
-pub use greedy::GreedyMatchingDecoder;
 pub use ler::{
     estimate_logical_error_rate, estimate_logical_error_rate_from_table,
     estimate_logical_error_rate_report, estimate_logical_error_rate_with, fit_lambda_weighted,

@@ -14,7 +14,7 @@
 //! for that defect set, and decoders are deterministic functions of the
 //! defect set, so a memoized batch decode is **bit-identical** to a
 //! cache-disabled one. The property tests in `tests/prop_memo_decode.rs` pin
-//! this for all three decoder kinds across chunk sizes and thread counts.
+//! this for both decoder kinds across chunk sizes and thread counts.
 //!
 //! # Ownership
 //!

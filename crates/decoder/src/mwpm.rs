@@ -18,54 +18,145 @@
 //!   which is exponential in the number of defects of the shot — fine for
 //!   the below-threshold regime the architectural study cares about, where
 //!   shots contain only a handful of defects;
-//! * shots with more defects than [`ExactMatchingDecoder::max_exact_defects`]
-//!   fall back to the greedy matching decoder, so the decoder never blows up
-//!   on pathological above-threshold shots.
+//! * shots with more defects than [`ExactMatchingDecoder::max_exact_defects`],
+//!   and shots the DP finds no finite matching for, are decoded by
+//!   union-find, so the decoder never blows up on pathological
+//!   above-threshold shots and predicts exactly what union-find does there.
 //!
-//! Compared to a full blossom implementation this is exact only per shot
-//! (not asymptotically fast), which is the right trade-off for a test
-//! reference: simple enough to audit, exact where it matters. The Dijkstra
-//! states, cost matrices and subset-DP tables all live in the shared
-//! [`DecodeScratch`], so batched decoding reuses them across shots.
+//! So "exact" means exact only up to [`DEFAULT_MAX_EXACT_DEFECTS`] defects a
+//! shot: a blossom implementation would be exact on every shot. The
+//! Dijkstra states, cost matrices and subset-DP tables all live in the
+//! shared [`DecodeScratch`], so batched decoding reuses them across shots,
+//! and the searches run over epoch-stamped distance arrays, so they never
+//! pay an O(nodes) reset.
 
+use std::collections::BinaryHeap;
 use std::num::NonZeroU64;
 
-use crate::batch::MatchingScratch;
-use crate::greedy::apply_path_observables;
+use crate::batch::{DijkstraState, HeapEntry, MatchingScratch};
 use crate::memo::next_memo_token;
-use crate::{DecodeScratch, Decoder, DecodingGraph, GreedyMatchingDecoder};
+use crate::{DecodeScratch, Decoder, DecodingGraph, UnionFindDecoder};
 
 /// Default cap on the number of defects decoded exactly per shot.
 pub const DEFAULT_MAX_EXACT_DEFECTS: usize = 14;
 
-/// Exact minimum-weight matching decoder with a greedy fallback for
-/// high-defect shots.
+/// Exact minimum-weight matching decoder with a union-find fallback for
+/// high-defect and infeasible shots: exact up to
+/// [`DEFAULT_MAX_EXACT_DEFECTS`] defects a shot (see
+/// [`ExactMatchingDecoder::with_max_exact_defects`]).
 #[derive(Debug, Clone)]
 pub struct ExactMatchingDecoder {
-    graph: DecodingGraph,
-    greedy: GreedyMatchingDecoder,
+    /// The fallback; it also owns the decoding graph.
+    union_find: UnionFindDecoder,
     boundary: usize,
+    /// Indices of the boundary edges, precomputed so Dijkstra's boundary
+    /// relaxation does not rescan the whole edge list.
+    boundary_edges: Vec<usize>,
     max_exact_defects: usize,
     /// Syndrome-memo ownership token (see [`crate::memo`]).
     memo_token: NonZeroU64,
+}
+
+/// Dijkstra from `source`, writing per-node distances and incoming edges
+/// into `state`. Node index `graph.num_detectors()` is the virtual boundary.
+fn shortest_paths(
+    graph: &DecodingGraph,
+    boundary: usize,
+    boundary_edges: &[usize],
+    source: usize,
+    state: &mut DijkstraState,
+    heap: &mut BinaryHeap<HeapEntry>,
+) {
+    let n = graph.num_detectors() + 1;
+    state.dist.begin(n);
+    state.via.begin(n);
+    heap.clear();
+    state.dist.set(source, 0.0);
+    heap.push(HeapEntry {
+        distance: 0.0,
+        node: source,
+    });
+    while let Some(HeapEntry { distance, node }) = heap.pop() {
+        if distance > state.dist.get(node) {
+            continue;
+        }
+        let incident: &[usize] = if node == boundary {
+            boundary_edges
+        } else {
+            graph.incident_edges(node)
+        };
+        for &edge_index in incident {
+            let edge = &graph.edges()[edge_index];
+            let next = if edge.a == node {
+                edge.b.unwrap_or(boundary)
+            } else {
+                edge.a
+            };
+            let candidate = distance + edge.weight.max(1e-9);
+            if candidate < state.dist.get(next) {
+                state.dist.set(next, candidate);
+                state.via.set(next, edge_index as u32);
+                heap.push(HeapEntry {
+                    distance: candidate,
+                    node: next,
+                });
+            }
+        }
+    }
+}
+
+/// XOR of the observables along the shortest path (described by `via`,
+/// rooted at `source`) from `target` back to `source` into `flips`.
+fn apply_path_observables(
+    graph: &DecodingGraph,
+    boundary: usize,
+    state: &DijkstraState,
+    source: usize,
+    mut target: usize,
+    flips: &mut [bool],
+) {
+    while target != source {
+        let edge_index = state.via.get(target);
+        assert_ne!(edge_index, u32::MAX, "path must exist");
+        let edge = &graph.edges()[edge_index as usize];
+        for &obs in &edge.observables {
+            flips[obs as usize] ^= true;
+        }
+        target = if edge.a == target {
+            edge.b.unwrap_or(boundary)
+        } else {
+            edge.a
+        };
+    }
+}
+
+/// The indices of a graph's boundary edges.
+fn collect_boundary_edges(graph: &DecodingGraph) -> Vec<usize> {
+    graph
+        .edges()
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| e.b.is_none())
+        .map(|(i, _)| i)
+        .collect()
 }
 
 impl ExactMatchingDecoder {
     /// Creates a decoder for the given decoding graph.
     pub fn new(graph: DecodingGraph) -> Self {
         let boundary = graph.num_detectors();
-        let greedy = GreedyMatchingDecoder::new(graph.clone());
+        let boundary_edges = collect_boundary_edges(&graph);
         ExactMatchingDecoder {
-            graph,
-            greedy,
+            union_find: UnionFindDecoder::new(graph),
             boundary,
+            boundary_edges,
             max_exact_defects: DEFAULT_MAX_EXACT_DEFECTS,
             memo_token: next_memo_token(),
         }
     }
 
     /// Overrides the exact-matching defect cap (shots with more defects use
-    /// the greedy fallback). A fresh memo token is drawn because the cap
+    /// the union-find fallback). A fresh memo token is drawn because the cap
     /// changes decoding behaviour — predictions cached for the previous cap
     /// must never be served for this one.
     pub fn with_max_exact_defects(mut self, max_exact_defects: usize) -> Self {
@@ -74,11 +165,26 @@ impl ExactMatchingDecoder {
         self
     }
 
-    /// Runs one Dijkstra per defect into the scratch slots, delegating to
-    /// the embedded greedy decoder so the exact and fallback paths use the
-    /// exact same search driver.
+    fn graph(&self) -> &DecodingGraph {
+        self.union_find.graph()
+    }
+
+    /// Runs one Dijkstra per defect into the scratch slots
+    /// (`s.dijkstras[i]` rooted at `defects[i]`).
     fn run_searches(&self, defects: &[usize], s: &mut MatchingScratch) {
-        self.greedy.run_searches(defects, s);
+        s.ensure_defect_slots(defects.len());
+        let mut heap = std::mem::take(&mut s.heap);
+        for (i, &d) in defects.iter().enumerate() {
+            shortest_paths(
+                self.graph(),
+                self.boundary,
+                &self.boundary_edges,
+                d,
+                &mut s.dijkstras[i],
+                &mut heap,
+            );
+        }
+        s.heap = heap;
     }
 
     /// Subset DP over the defects whose Dijkstra states are already in the
@@ -194,20 +300,20 @@ impl Decoder for ExactMatchingDecoder {
         scratch: &mut DecodeScratch,
         prediction: &mut [bool],
     ) {
-        if fired_detectors.is_empty() || self.graph.is_empty() {
+        if fired_detectors.is_empty() || self.graph().is_empty() {
             return;
         }
         if fired_detectors.len() > self.max_exact_defects {
-            self.greedy
+            self.union_find
                 .decode_shot(fired_detectors, scratch, prediction);
             return;
         }
         let s = &mut scratch.matching;
         self.run_searches(fired_detectors, s);
         if self.solve(fired_detectors, s).is_none() {
-            // Infeasible under exact matching: fall back to greedy over the
-            // Dijkstra states just computed.
-            self.greedy.match_greedily(fired_detectors, s, prediction);
+            // No finite matching: union-find decides the shot.
+            self.union_find
+                .decode_shot(fired_detectors, scratch, prediction);
             return;
         }
         let pairs = std::mem::take(&mut s.pairs);
@@ -219,7 +325,7 @@ impl Decoder for ExactMatchingDecoder {
                 fired_detectors[partner as usize]
             };
             apply_path_observables(
-                &self.graph,
+                self.graph(),
                 self.boundary,
                 &s.dijkstras[i],
                 fired_detectors[i],
@@ -231,7 +337,7 @@ impl Decoder for ExactMatchingDecoder {
     }
 
     fn num_observables(&self) -> usize {
-        self.graph.num_observables()
+        self.graph().num_observables()
     }
 
     fn memo_token(&self) -> Option<NonZeroU64> {
@@ -306,10 +412,10 @@ mod tests {
     }
 
     #[test]
-    fn exact_matching_never_costs_more_than_greedy() {
-        // Greedy pairing can be trapped by a locally-cheap choice; the exact
-        // decoder must never produce a heavier matching. Compare on every
-        // 4-defect subset of a chain.
+    fn exact_matching_never_costs_more_than_all_boundary() {
+        // Pairing defects one by one can be trapped by a locally-cheap
+        // choice; the exact decoder must never produce a heavier matching
+        // than any feasible one. Compare on 4-defect subsets of a chain.
         let graph = DecodingGraph::from_dem(&chain_dem(8, 0.02));
         let exact = ExactMatchingDecoder::new(graph);
         let defect_sets = [
@@ -338,13 +444,92 @@ mod tests {
     }
 
     #[test]
-    fn high_defect_shots_fall_back_to_greedy() {
-        let dec = decoder(12, 0.05).with_max_exact_defects(3);
-        let defects: Vec<usize> = (0..8).collect();
-        // The fallback still produces a syntactically valid prediction.
-        let prediction = dec.decode(&defects);
-        assert_eq!(prediction.len(), 1);
-        assert_eq!(dec.matching_weight(&defects), None);
+    fn three_defects_one_uses_boundary() {
+        let dec = decoder(9, 0.01);
+        // 7 and 8 pair up; 0 exits through the left boundary, which flips
+        // the observable.
+        assert_eq!(dec.decode(&[0, 7, 8]), vec![true]);
+        // 0 and 1 pair up; 8 exits through the right boundary, no flip.
+        assert_eq!(dec.decode(&[0, 1, 8]), vec![false]);
+    }
+
+    #[test]
+    fn agrees_with_union_find_on_simple_chains() {
+        let graph = DecodingGraph::from_dem(&chain_dem(10, 0.01));
+        let exact = ExactMatchingDecoder::new(graph.clone());
+        let uf = UnionFindDecoder::new(graph);
+        for syndrome in [
+            vec![],
+            vec![0],
+            vec![9],
+            vec![4, 5],
+            vec![0, 9],
+            vec![1, 2, 8],
+            vec![0, 1, 2, 3],
+        ] {
+            assert_eq!(
+                exact.decode(&syndrome),
+                uf.decode(&syndrome),
+                "decoders disagree on {syndrome:?}"
+            );
+        }
+    }
+
+    /// Asserts `dec` predicts like union-find on `defects`, fresh and
+    /// through a scratch that has decoded other shots.
+    fn assert_decodes_like_union_find(
+        dec: &ExactMatchingDecoder,
+        uf: &UnionFindDecoder,
+        defects: &[usize],
+        scratch: &mut DecodeScratch,
+    ) {
+        assert_eq!(dec.decode(defects), uf.decode(defects), "{defects:?}");
+        let mut reused = vec![false; dec.num_observables()];
+        dec.decode_shot(defects, scratch, &mut reused);
+        assert_eq!(
+            reused,
+            uf.decode(defects),
+            "{defects:?} on a reused scratch"
+        );
+    }
+
+    #[test]
+    fn high_defect_shots_fall_back_to_union_find() {
+        let graph = DecodingGraph::from_dem(&chain_dem(12, 0.05));
+        let dec = ExactMatchingDecoder::new(graph.clone()).with_max_exact_defects(3);
+        let uf = UnionFindDecoder::new(graph);
+        let mut scratch = DecodeScratch::new();
+        for defects in [
+            (0..8).collect::<Vec<usize>>(),
+            vec![0, 3, 5, 11],
+            vec![1, 2, 6, 7, 10],
+        ] {
+            assert_eq!(dec.matching_weight(&defects), None);
+            assert_decodes_like_union_find(&dec, &uf, &defects, &mut scratch);
+        }
+    }
+
+    #[test]
+    fn shots_without_a_finite_matching_fall_back_to_union_find() {
+        // Detectors 3 and 4 form a component with no boundary edge, so a
+        // lone defect there has nothing finite to match.
+        let mut dem = chain_dem(3, 0.01);
+        dem.num_detectors = 5;
+        dem.errors.push(DemError {
+            probability: 0.01,
+            detectors: vec![3, 4],
+            observables: vec![0],
+        });
+        let graph = DecodingGraph::from_dem(&dem);
+        let dec = ExactMatchingDecoder::new(graph.clone());
+        let uf = UnionFindDecoder::new(graph);
+        let mut scratch = DecodeScratch::new();
+        for defects in [vec![4], vec![0, 3], vec![1, 2, 4]] {
+            assert_eq!(dec.matching_weight(&defects), None, "{defects:?}");
+            assert_decodes_like_union_find(&dec, &uf, &defects, &mut scratch);
+        }
+        // The feasible shots of the same graph are still matched exactly.
+        assert!(dec.matching_weight(&[0, 3, 4]).is_some());
     }
 
     #[test]

@@ -640,12 +640,12 @@ mod tests {
         let (graph3, shots3) = surface_code(3, 96, 4);
         let large = UnionFindDecoder::new(graph7.clone());
         let small = UnionFindDecoder::new(graph3);
-        let greedy = crate::GreedyMatchingDecoder::new(graph7);
+        let exact = crate::ExactMatchingDecoder::new(graph7);
         let mut shared = DecodeScratch::new();
         for (shot7, shot3) in shots7.iter().zip(&shots3) {
             for (decoder, fired) in [
                 (&large as &dyn Decoder, shot7),
-                (&greedy, shot7),
+                (&exact, shot7),
                 (&small, shot3),
             ] {
                 assert_eq!(

@@ -4,7 +4,7 @@
 //! correctness.
 
 use qccd_decoder::{
-    CacheStats, DecodeScratch, Decoder, DecodingGraph, GreedyMatchingDecoder, MemoConfig,
+    CacheStats, DecodeScratch, Decoder, DecodingGraph, ExactMatchingDecoder, MemoConfig,
     SyndromeChunk, UnionFindDecoder,
 };
 use qccd_sim::{DemError, DetectorErrorModel};
@@ -219,12 +219,12 @@ fn entry_cap_bounds_the_table_without_changing_results() {
 
 #[test]
 fn scratch_shared_across_decoders_serves_no_stale_predictions() {
-    // The union-find and greedy decoders may disagree on some syndromes; a
+    // The union-find and exact decoders may disagree on some syndromes; a
     // shared scratch must re-key the memo per decoder rather than serve one
     // decoder's cached prediction to the other.
     let graph = chain_graph(9);
     let uf = UnionFindDecoder::new(graph.clone());
-    let greedy = GreedyMatchingDecoder::new(graph);
+    let exact = ExactMatchingDecoder::new(graph);
     let mut shared = DecodeScratch::new();
     let chunk = chunk_of(9, &[vec![0], vec![4, 5], vec![8]]);
 
@@ -240,7 +240,7 @@ fn scratch_shared_across_decoders_serves_no_stale_predictions() {
         }
     );
     assert_eq!(shared.memo_entries(), 3);
-    let from_greedy = greedy.decode_batch(&chunk, &mut shared);
+    let from_exact = exact.decode_batch(&chunk, &mut shared);
     assert_eq!(
         shared.cache_stats(),
         CacheStats {
@@ -257,7 +257,7 @@ fn scratch_shared_across_decoders_serves_no_stale_predictions() {
 
     let mut cold = DecodeScratch::with_memo_config(MemoConfig::disabled());
     assert_eq!(from_uf, uf.decode_batch(&chunk, &mut cold));
-    assert_eq!(from_greedy, greedy.decode_batch(&chunk, &mut cold));
+    assert_eq!(from_exact, exact.decode_batch(&chunk, &mut cold));
 }
 
 #[test]

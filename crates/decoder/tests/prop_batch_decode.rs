@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use qccd_decoder::{
     estimate_logical_error_rate_with, DecodeScratch, Decoder, DecoderKind, DecodingGraph,
-    EstimatorConfig, ExactMatchingDecoder, GreedyMatchingDecoder, SyndromeChunk, UnionFindDecoder,
+    EstimatorConfig, ExactMatchingDecoder, SyndromeChunk, UnionFindDecoder,
 };
 use qccd_sim::{DemError, DetectorErrorModel, NoiseChannel, NoisyCircuit, CANONICAL_BLOCK_SHOTS};
 
@@ -94,8 +94,9 @@ proptest! {
 
         let decoders: Vec<Box<dyn Decoder>> = vec![
             Box::new(UnionFindDecoder::new(graph.clone())),
-            Box::new(GreedyMatchingDecoder::new(graph.clone())),
-            Box::new(ExactMatchingDecoder::new(graph)),
+            Box::new(ExactMatchingDecoder::new(graph.clone())),
+            // A tiny exact cap sends most shots to the union-find fallback.
+            Box::new(ExactMatchingDecoder::new(graph).with_max_exact_defects(2)),
         ];
         for decoder in &decoders {
             let mut scratch = DecodeScratch::new();

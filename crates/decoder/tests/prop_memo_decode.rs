@@ -3,15 +3,14 @@
 //! The memo must be a pure cache: for random detector-error models and shot
 //! streams, a memoized `decode_batch` must be **bit-identical** to a
 //! cache-disabled decode — per chunk, across repeated chunks through one
-//! warm scratch, for all three `DecoderKind`s, and end-to-end through the
+//! warm scratch, for both `DecoderKind`s, and end-to-end through the
 //! parallel estimator across chunk sizes and thread counts.
 
 use proptest::prelude::*;
 
 use qccd_decoder::{
     estimate_logical_error_rate_with, DecodeScratch, Decoder, DecoderKind, DecodingGraph,
-    EstimatorConfig, ExactMatchingDecoder, GreedyMatchingDecoder, MemoConfig, SyndromeChunk,
-    UnionFindDecoder,
+    EstimatorConfig, ExactMatchingDecoder, MemoConfig, SyndromeChunk, UnionFindDecoder,
 };
 use qccd_sim::{DemError, DetectorErrorModel, NoiseChannel, NoisyCircuit, CANONICAL_BLOCK_SHOTS};
 
@@ -79,9 +78,8 @@ fn shots(n: usize) -> impl Strategy<Value = Vec<Vec<usize>>> {
 fn all_decoders(graph: &DecodingGraph) -> Vec<Box<dyn Decoder>> {
     vec![
         Box::new(UnionFindDecoder::new(graph.clone())),
-        Box::new(GreedyMatchingDecoder::new(graph.clone())),
         Box::new(ExactMatchingDecoder::new(graph.clone())),
-        // A tiny exact cap forces the greedy fallback inside the memoized
+        // A tiny exact cap forces the union-find fallback inside the memoized
         // region (defect sets of ≤4 defects), which must also be cached
         // consistently.
         Box::new(ExactMatchingDecoder::new(graph.clone()).with_max_exact_defects(2)),
@@ -133,7 +131,6 @@ proptest! {
         p in 0.01f64..0.1,
         kind in prop::sample::select(vec![
             DecoderKind::UnionFind,
-            DecoderKind::GreedyMatching,
             DecoderKind::ExactMatching,
         ]),
     ) {

@@ -58,7 +58,6 @@ proptest! {
         bias in 1.0f64..6.0,
         kind in prop::sample::select(vec![
             DecoderKind::UnionFind,
-            DecoderKind::GreedyMatching,
             DecoderKind::ExactMatching,
         ]),
     ) {

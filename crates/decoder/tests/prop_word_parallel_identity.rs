@@ -19,8 +19,8 @@ use proptest::prelude::*;
 
 use qccd_decoder::{
     estimate_logical_error_rate_with, CacheStats, DecodeScratch, Decoder, DecoderKind,
-    DecodingGraph, EstimatorConfig, ExactMatchingDecoder, GreedyMatchingDecoder, MemoConfig,
-    SyndromeChunk, UnionFindDecoder, MEMO_KEY_CAPACITY,
+    DecodingGraph, EstimatorConfig, ExactMatchingDecoder, MemoConfig, SyndromeChunk,
+    UnionFindDecoder, MEMO_KEY_CAPACITY,
 };
 use qccd_sim::{
     sample_detector_chunks, DemError, DetectorErrorModel, NoiseChannel, NoisyCircuit,
@@ -102,7 +102,6 @@ fn above_cap_shots(n: usize) -> impl Strategy<Value = Vec<Vec<usize>>> {
 fn all_decoders(graph: &DecodingGraph) -> Vec<Box<dyn Decoder>> {
     vec![
         Box::new(UnionFindDecoder::new(graph.clone())),
-        Box::new(GreedyMatchingDecoder::new(graph.clone())),
         Box::new(ExactMatchingDecoder::new(graph.clone())),
         Box::new(ExactMatchingDecoder::new(graph.clone()).with_max_exact_defects(2)),
     ]
@@ -201,7 +200,6 @@ proptest! {
         p in 0.01f64..0.1,
         kind in prop::sample::select(vec![
             DecoderKind::UnionFind,
-            DecoderKind::GreedyMatching,
             DecoderKind::ExactMatching,
         ]),
         early_stop in any::<bool>(),
@@ -294,32 +292,28 @@ fn surface_code_word_stats(d: usize, p: f64, shots: usize, seed: u64) -> Vec<Cac
     let chunk = sampler.sample_chunk(0);
     let dem = DetectorErrorModel::from_circuit(&noisy).expect("valid annotations");
     let graph = DecodingGraph::from_dem(&dem);
-    [
-        DecoderKind::UnionFind,
-        DecoderKind::GreedyMatching,
-        DecoderKind::ExactMatching,
-    ]
-    .into_iter()
-    .map(|kind| {
-        let decoder = kind.build(graph.clone());
-        let mut word = DecodeScratch::new();
-        let mut per_shot = DecodeScratch::new();
-        let mut cold = DecodeScratch::with_memo_config(MemoConfig::disabled());
-        let truth = decoder.decode_batch_per_shot(&chunk, &mut cold);
-        for pass in 0..2 {
-            let from_word = decoder.decode_batch(&chunk, &mut word);
-            let reference = decoder.decode_batch_per_shot(&chunk, &mut per_shot);
-            assert_eq!(from_word, reference, "d={d} kind={kind:?} pass={pass}");
-            assert_eq!(from_word, truth, "d={d} kind={kind:?} pass={pass}");
-        }
-        assert_eq!(
-            comparable(word.cache_stats()),
-            comparable(per_shot.cache_stats()),
-            "d={d} kind={kind:?}"
-        );
-        word.cache_stats()
-    })
-    .collect()
+    [DecoderKind::UnionFind, DecoderKind::ExactMatching]
+        .into_iter()
+        .map(|kind| {
+            let decoder = kind.build(graph.clone());
+            let mut word = DecodeScratch::new();
+            let mut per_shot = DecodeScratch::new();
+            let mut cold = DecodeScratch::with_memo_config(MemoConfig::disabled());
+            let truth = decoder.decode_batch_per_shot(&chunk, &mut cold);
+            for pass in 0..2 {
+                let from_word = decoder.decode_batch(&chunk, &mut word);
+                let reference = decoder.decode_batch_per_shot(&chunk, &mut per_shot);
+                assert_eq!(from_word, reference, "d={d} kind={kind:?} pass={pass}");
+                assert_eq!(from_word, truth, "d={d} kind={kind:?} pass={pass}");
+            }
+            assert_eq!(
+                comparable(word.cache_stats()),
+                comparable(per_shot.cache_stats()),
+                "d={d} kind={kind:?}"
+            );
+            word.cache_stats()
+        })
+        .collect()
 }
 
 /// Rotated surface codes at the paper's sampled distances: the word path

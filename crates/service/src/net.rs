@@ -102,25 +102,29 @@ use crate::service::{
 /// never sends a newline is cut off here instead of growing the process.
 pub const MAX_LINE_BYTES: usize = 8 << 20;
 
-/// Parses the wire name of a decoder kind.
+/// Parses the wire name of a decoder kind (the second column of
+/// [`DecoderKind::NAMES`]).
 pub fn parse_decoder(name: &str) -> Result<DecoderKind, String> {
-    match name {
-        "union_find" => Ok(DecoderKind::UnionFind),
-        "greedy" => Ok(DecoderKind::GreedyMatching),
-        "exact" => Ok(DecoderKind::ExactMatching),
-        other => Err(format!(
-            "unknown decoder `{other}` (union_find|greedy|exact)"
-        )),
-    }
+    DecoderKind::NAMES
+        .iter()
+        .find(|(_, wire, _)| *wire == name)
+        .map(|&(kind, ..)| kind)
+        .ok_or_else(|| {
+            let names: Vec<&str> = DecoderKind::NAMES
+                .iter()
+                .map(|(_, wire, _)| *wire)
+                .collect();
+            format!("unknown decoder `{name}` ({})", names.join("|"))
+        })
 }
 
 /// The wire name of a decoder kind (inverse of [`parse_decoder`]).
 pub fn decoder_name(kind: DecoderKind) -> &'static str {
-    match kind {
-        DecoderKind::UnionFind => "union_find",
-        DecoderKind::GreedyMatching => "greedy",
-        DecoderKind::ExactMatching => "exact",
-    }
+    DecoderKind::NAMES
+        .iter()
+        .find(|(named, ..)| *named == kind)
+        .map(|(_, wire, _)| *wire)
+        .expect("every decoder kind has a wire name")
 }
 
 /// Builds an [`ArchitectureConfig`] from wire parameters, refusing a zero

@@ -391,20 +391,25 @@ fn frame_lines_decode_like_a_frames_line_and_refuse_bad_detectors() {
         let line = lines.next().expect("server line").expect("readable");
         serde_json::from_str(&line).expect("JSON line")
     };
-    // An `open` field of the wrong type is refused, never defaulted, and an
-    // infinite gate improvement is refused like a non-positive one.
+    // An `open` field of the wrong type is refused, never defaulted, an
+    // infinite gate improvement is refused like a non-positive one, and so
+    // is the retired greedy decoder.
     for (field, value) in [
         ("capacity", r#""5""#),
         ("capacity", "2.5"),
         ("gate_improvement", r#""5""#),
         ("gate_improvement", "1e999"),
         ("decoder", "7"),
+        ("decoder", r#""greedy""#),
     ] {
         writeln!(socket, r#"{{"cmd":"open","distance":2,"{field}":{value}}}"#).expect("open");
         let response = next_line();
         assert_eq!(response["ok"].as_bool(), Some(false), "{response:?}");
         let error = response["error"].as_str().expect("error message");
         assert!(error.contains(field), "{field}={value}: {error}");
+        if value == r#""greedy""# {
+            assert!(error.contains("(union_find|exact)"), "{error}");
+        }
     }
     let mut opened = Vec::new();
     for _ in 0..2 {

@@ -104,7 +104,6 @@ proptest! {
         shot_major in any::<bool>(),
         kind in prop::sample::select(vec![
             DecoderKind::UnionFind,
-            DecoderKind::GreedyMatching,
             DecoderKind::ExactMatching,
         ]),
     ) {
@@ -156,7 +155,6 @@ proptest! {
         shot_major in any::<bool>(),
         kind in prop::sample::select(vec![
             DecoderKind::UnionFind,
-            DecoderKind::GreedyMatching,
             DecoderKind::ExactMatching,
         ]),
     ) {

@@ -63,30 +63,20 @@ fn logical_error_rate_falls_with_distance() {
 }
 
 #[test]
-fn decoders_rank_exact_union_find_greedy() {
-    // At d = 3 greedy matching mis-decodes a third of the *single* faults
-    // (a cheap boundary match beats the true edge), so the comparison is
-    // made at d = 5, where all three decode every single fault.
+fn decoders_rank_exact_union_find() {
+    // Compared at d = 5, where both decoders decode every single fault.
     let compiler = Compiler::new(ArchitectureConfig::recommended(5.0));
     let layout = rotated_surface_code(5);
     let noisy = compiler
         .compile_memory_experiment(&layout, 5, MemoryBasis::Z)
         .unwrap()
         .to_noisy_circuit();
-    let [exact, uf, greedy] = [
-        DecoderKind::ExactMatching,
-        DecoderKind::UnionFind,
-        DecoderKind::GreedyMatching,
-    ]
-    .map(|kind| estimate_logical_error_rate(&noisy, 50_000, 5, kind).unwrap());
+    let [exact, uf] = [DecoderKind::ExactMatching, DecoderKind::UnionFind]
+        .map(|kind| estimate_logical_error_rate(&noisy, 50_000, 5, kind).unwrap());
     assert!(uf.failures > 0, "the comparison needs resolved estimates");
     assert!(
         exact.logical_error_rate <= uf.logical_error_rate * 2.0 + 2.0 * uf.std_error,
         "exact {exact:?} vs union-find {uf:?}"
-    );
-    assert!(
-        uf.logical_error_rate <= greedy.logical_error_rate,
-        "union-find {uf:?} vs greedy {greedy:?}"
     );
 }
 
