@@ -131,6 +131,8 @@
 
 mod batch;
 mod dem_graph;
+#[cfg(test)]
+mod greedy;
 mod ler;
 pub mod memo;
 mod mwpm;
