@@ -7,6 +7,9 @@
 //! pins the compiler → scheduler → performance-model half of the pipeline;
 //! `golden_sweep.rs` pins the sampling/decoding half.
 //!
+//! `ext_decoder_comparison` is pinned the same way, by value: every
+//! decoder's estimate on every case of the builtin spec.
+//!
 //! Regenerate after an *intentional* change with:
 //!
 //! ```text
@@ -17,11 +20,11 @@ use std::path::PathBuf;
 
 use qccd_bench::ExperimentRegistry;
 
-fn golden_path() -> PathBuf {
+fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")
-        .join("artifact_fig09.json")
+        .join(format!("artifact_{name}.json"))
 }
 
 /// The comparable portion of the artifact: everything except metadata
@@ -41,13 +44,14 @@ fn comparable(artifact: &qccd_bench::Artifact) -> serde_json::Value {
     })
 }
 
-#[test]
-fn artifacts_run_fig09_matches_committed_golden() {
+/// Runs the builtin artefact `name` and compares its comparable portion
+/// with `golden/artifact_<name>.json` (or rewrites it under `UPDATE_GOLDEN`).
+fn assert_matches_golden(name: &str) {
     let artifact = ExperimentRegistry::builtin()
-        .run("fig09")
-        .expect("fig09 is registered and valid");
+        .run(name)
+        .unwrap_or_else(|e| panic!("{name} is registered and valid: {e:?}"));
     let rendered = serde_json::to_string_pretty(&comparable(&artifact)).expect("serializable");
-    let path = golden_path();
+    let path = golden_path(name);
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::create_dir_all(path.parent().expect("golden dir has a parent"))
             .expect("create golden dir");
@@ -64,9 +68,19 @@ fn artifacts_run_fig09_matches_committed_golden() {
     assert_eq!(
         rendered.trim(),
         committed.trim(),
-        "fig09 artifact drifted from the committed golden; if the change is intentional, \
+        "{name} artifact drifted from the committed golden; if the change is intentional, \
          regenerate with UPDATE_GOLDEN=1 cargo test -p qccd-bench --test golden_artifacts"
     );
+}
+
+#[test]
+fn artifacts_run_fig09_matches_committed_golden() {
+    assert_matches_golden("fig09");
+}
+
+#[test]
+fn artifacts_run_ext_decoder_comparison_matches_committed_golden() {
+    assert_matches_golden("ext_decoder_comparison");
 }
 
 #[test]

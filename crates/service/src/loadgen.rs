@@ -752,6 +752,71 @@ mod tests {
         assert_eq!(counts(&verdict(&[])), (3, 0, 0));
     }
 
+    /// FNV-1a over `words`, continuing from `hash`.
+    fn fnv1a(words: impl IntoIterator<Item = u64>, mut hash: u64) -> u64 {
+        for word in words {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// The replay's wire frames, wire blocks and offline flips of grid c2
+    /// 5X d3 (16 384 shots, seed 2026, 4 streams), pinned by value: how the
+    /// replay samples may change, the shots it replays may not.
+    #[test]
+    fn the_replay_of_grid_c2_5x_d3_is_pinned() {
+        use qccd_core::ArchitectureConfig;
+        use qccd_hardware::{TopologyKind, WiringMethod};
+        let arch = ArchitectureConfig::new(TopologyKind::Grid, 2, WiringMethod::Standard, 5.0);
+        let program = DecodeProgram::compile(&arch, 3, DecoderKind::UnionFind).unwrap();
+        let sample = |shot_major| {
+            let options = LoadgenOptions {
+                shots: 16_384,
+                seed: 2026,
+                streams: 4,
+                shot_major,
+                ..LoadgenOptions::default()
+            };
+            Replay::sample(&program, &options).unwrap()
+        };
+        let (by_frames, by_blocks) = (sample(false), sample(true));
+        assert_eq!(by_frames.per_stream_shots, vec![4096; 4]);
+        let Wire::Frames(frames) = &by_frames.wire else {
+            panic!("frames requested")
+        };
+        let Wire::Blocks(blocks) = &by_blocks.wire else {
+            panic!("blocks requested")
+        };
+        let frames = frames.iter().flatten().fold(FNV_OFFSET, |hash, frame| {
+            let words = frame.iter().map(|&d| d as u64);
+            fnv1a(words, fnv1a([frame.len() as u64], hash))
+        });
+        let blocks = blocks
+            .iter()
+            .flatten()
+            .fold(FNV_OFFSET, |hash, (planes, count)| {
+                fnv1a(planes.iter().copied(), fnv1a([*count as u64], hash))
+            });
+        let flips = |replay: &Replay| {
+            let (flips, _) = replay.offline.as_ref().expect("verifying");
+            fnv1a(flips.iter().copied(), FNV_OFFSET)
+        };
+        assert_eq!(flips(&by_frames), flips(&by_blocks));
+        assert_eq!(
+            (frames, blocks, flips(&by_frames)),
+            (
+                0xf636_841c_8179_d624,
+                0x5115_aa59_536c_4b3d,
+                0xae49_b4dc_64f4_4044
+            ),
+            "wire frames, wire blocks, offline flips"
+        );
+    }
+
     #[test]
     fn a_collector_takes_at_most_its_expected_count_and_stops_at_end_of_stream() {
         let feed = |n: u64| {
