@@ -18,10 +18,11 @@ use qccd_core::{
     CompileError, CompiledProgram, Compiler, Toolflow,
 };
 use qccd_decoder::{
-    estimate_logical_error_rate, DecoderKind, LambdaFit, SweepEngine, DEFAULT_MAX_EXACT_DEFECTS,
+    estimate_logical_error_rate_from_table, DecoderKind, EstimatorConfig, LambdaFit, SweepEngine,
+    DEFAULT_MAX_EXACT_DEFECTS,
 };
 use qccd_hardware::{estimate_resources, OperationTimes, TopologyKind, WiringMethod};
-use qccd_qec::{rotated_surface_code, surgery_workload, MemoryBasis, MergeKind};
+use qccd_qec::{rotated_surface_code, surgery_workload, MergeKind};
 use serde_json::Value;
 
 use crate::artifact::{Artifact, ArtifactMetadata};
@@ -33,7 +34,7 @@ use crate::spec::{
 };
 use crate::sweep::{
     ler_curves_from_outcomes, ler_sweep_points, rare_event_points, run_ler_sweep, LerCurve,
-    LerOutcome, LerPoint, DEFAULT_SWEEP_SEED,
+    LerOutcome, LerPoint, ScheduleCache, DEFAULT_SWEEP_SEED,
 };
 
 /// Errors surfaced when resolving or executing a registered experiment.
@@ -160,7 +161,9 @@ pub fn run_spec(spec: &ExperimentSpec) -> Result<Artifact, RunError> {
         ExperimentKind::CompilerBounds(kind) => run_compiler_bounds(kind, spec.seed),
         ExperimentKind::BaselineComparison(kind) => run_baseline_comparison(kind),
         ExperimentKind::Surgery(kind) => run_surgery(kind, spec.seed),
-        ExperimentKind::DecoderComparison(kind) => run_decoder_comparison(kind, spec.seed),
+        ExperimentKind::DecoderComparison(kind) => {
+            run_decoder_comparison(kind, spec.seed, &ScheduleCache::default())
+        }
         ExperimentKind::ClusteringAblation(kind) => run_clustering_ablation(kind, spec.seed),
     };
     Ok(artifact(spec, output))
@@ -1012,7 +1015,15 @@ fn run_surgery(kind: &SurgerySpec, seed: u64) -> RunnerOutput {
     (headers, rows, notes, Value::Array(entries))
 }
 
-fn run_decoder_comparison(kind: &DecoderComparisonSpec, seed: u64) -> RunnerOutput {
+/// Every decoder of `kind` on every (gate improvement, distance) case. A
+/// case's fault table comes from `schedules`, which compiles each distance
+/// once and re-weights it per gate improvement; every decoder estimates
+/// from that one table.
+fn run_decoder_comparison(
+    kind: &DecoderComparisonSpec,
+    seed: u64,
+    schedules: &ScheduleCache,
+) -> RunnerOutput {
     let cases: Vec<(f64, usize)> = kind
         .improvements
         .iter()
@@ -1024,13 +1035,12 @@ fn run_decoder_comparison(kind: &DecoderComparisonSpec, seed: u64) -> RunnerOutp
     let engine = SweepEngine::new(seed);
     let outcomes = engine.run(&cases, |task| {
         let (improvement, d) = *task.point;
-        let layout = rotated_surface_code(d);
-        let compiler = Compiler::new(ArchitectureConfig::new(
+        let arch = ArchitectureConfig::new(
             TopologyKind::Grid,
             capacity,
             WiringMethod::Standard,
             improvement,
-        ));
+        );
         let mut row = vec![format!("{improvement:.0}X d={d}")];
         let mut entry = serde_json::json!({
             "gate_improvement": improvement,
@@ -1040,18 +1050,19 @@ fn run_decoder_comparison(kind: &DecoderComparisonSpec, seed: u64) -> RunnerOutp
         });
         // Like every other runner, render compile failures into the row
         // instead of failing the whole sweep.
-        let program = match compiler.compile_memory_experiment(&layout, d, MemoryBasis::Z) {
-            Ok(program) => program,
+        let table = match schedules.fault_table(&LerPoint::new("", arch, d, shots)) {
+            Ok(table) => table,
             Err(e) => {
                 row.extend(vec![format!("failed: {e}"); decoders.len()]);
                 entry["error"] = Value::from(e.to_string());
                 return (row, entry);
             }
         };
-        let noisy = program.to_noisy_circuit();
         for &decoder in &decoders {
-            let estimate = estimate_logical_error_rate(&noisy, shots, task.seed, decoder)
-                .expect("compiled circuits carry consistent annotations");
+            let config = EstimatorConfig::default();
+            let estimate =
+                estimate_logical_error_rate_from_table(&table, shots, task.seed, decoder, &config)
+                    .estimate;
             row.push(rate_cell(&estimate));
             entry[format!("{decoder:?}")] = serde_json::json!(estimate.logical_error_rate);
         }
@@ -1777,10 +1788,24 @@ mod tests {
             shots: 64,
             capacity: 2,
         };
-        let (_, rows, _, data) = run_decoder_comparison(&kind, DEFAULT_SWEEP_SEED);
+        let (_, rows, _, data) =
+            run_decoder_comparison(&kind, DEFAULT_SWEEP_SEED, &ScheduleCache::default());
         assert_eq!(data.as_array().unwrap()[0]["UnionFind"], Value::from(0.0));
         let bound = qccd_decoder::zero_failure_upper_bound(64);
         assert_eq!(rows[0][1], upper_bound_cell(bound));
+    }
+
+    #[test]
+    fn the_decoder_comparison_compiles_each_distance_once() {
+        let registry = ExperimentRegistry::builtin();
+        let spec = registry.get("ext_decoder_comparison").unwrap();
+        let ExperimentKind::DecoderComparison(kind) = &spec.kind else {
+            panic!("ext_decoder_comparison changed kind");
+        };
+        let schedules = ScheduleCache::default();
+        let (_, rows, _, _) = run_decoder_comparison(kind, spec.seed, &schedules);
+        assert_eq!(rows.len(), 4);
+        assert_eq!(schedules.len(), 2);
     }
 
     #[test]

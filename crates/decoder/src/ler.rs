@@ -14,7 +14,7 @@
 //!
 //! # The estimation pipeline
 //!
-//! [`estimate_logical_error_rate_with`] is a chunked, parallel Monte-Carlo
+//! [`estimate_logical_error_rate_report`] is a chunked, parallel Monte-Carlo
 //! pipeline: shots are cut into bit-packed
 //! [`SyndromeChunk`](crate::SyndromeChunk)s by `qccd_sim`'s chunked sampler
 //! (peak memory `O(chunk × detectors)`), each chunk is decoded with
@@ -81,9 +81,8 @@ impl DecoderKind {
     }
 }
 
-/// Tuning knobs of the Monte-Carlo pipeline. The defaults match
-/// [`estimate_logical_error_rate`]: all shots, chunked for parallel
-/// throughput, no early stopping.
+/// Tuning knobs of the Monte-Carlo pipeline. The defaults decode all
+/// shots, chunked for parallel throughput, with no early stopping.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EstimatorConfig {
     /// Shots per work chunk (rounded up to whole canonical sampling blocks
@@ -258,8 +257,7 @@ pub fn zero_failure_upper_bound(shots: usize) -> f64 {
 /// statistics, as returned by [`estimate_logical_error_rate_report`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstimateReport {
-    /// The Monte-Carlo estimate (identical to what
-    /// [`estimate_logical_error_rate_with`] returns).
+    /// The Monte-Carlo estimate.
     pub estimate: LogicalErrorEstimate,
     /// Cache statistics summed over every chunk that contributed to the
     /// estimate. Under early stopping the estimate cuts at a canonical
@@ -447,32 +445,18 @@ fn run_pipeline(
 }
 
 /// Estimates the logical error rate of a noisy circuit by sampling and
-/// batch-decoding `shots` executions with the given pipeline configuration.
+/// batch-decoding `shots` executions with the given pipeline configuration,
+/// and reports the estimate with the aggregate decoder cache statistics
+/// (per-word verdicts, hit/miss counters) summed over the chunks that
+/// contributed to it; see [`EstimateReport::cache`] for which counters are
+/// scheduling-invariant.
 ///
 /// A shot counts as a failure if the decoder's predicted flip of *any*
 /// logical observable disagrees with the actual flip. See the
-/// [module docs](self) for the determinism contract.
-///
-/// # Errors
-///
-/// Returns the first dangling [`MeasurementRef`] if the circuit's
-/// annotations are inconsistent.
-pub fn estimate_logical_error_rate_with(
-    circuit: &NoisyCircuit,
-    shots: usize,
-    seed: u64,
-    decoder_kind: DecoderKind,
-    config: &EstimatorConfig,
-) -> Result<LogicalErrorEstimate, MeasurementRef> {
-    estimate_logical_error_rate_report(circuit, shots, seed, decoder_kind, config)
-        .map(|report| report.estimate)
-}
-
-/// [`estimate_logical_error_rate_with`] returning the full
-/// [`EstimateReport`]: the estimate plus the aggregate decoder cache
-/// statistics (per-word verdicts, hit/miss counters) summed over the
-/// chunks that contributed to it. The estimate itself is identical; see
-/// [`EstimateReport::cache`] for which counters are scheduling-invariant.
+/// [module docs](self) for the determinism contract. This is the
+/// estimator's one circuit entry point: one pass over the circuit builds
+/// its [`FaultTable`], and [`estimate_logical_error_rate_from_table`] does
+/// the rest.
 ///
 /// # Errors
 ///
@@ -530,28 +514,6 @@ pub fn estimate_logical_error_rate_from_table(
             .install(|| run_pipeline(&sampler, decoder.as_ref(), config, weights)),
         None => run_pipeline(&sampler, decoder.as_ref(), config, weights),
     }
-}
-
-/// Estimates the logical error rate with the default pipeline configuration
-/// (all `shots` decoded, parallel across the machine).
-///
-/// # Errors
-///
-/// Returns the first dangling [`MeasurementRef`] if the circuit's
-/// annotations are inconsistent.
-pub fn estimate_logical_error_rate(
-    circuit: &NoisyCircuit,
-    shots: usize,
-    seed: u64,
-    decoder_kind: DecoderKind,
-) -> Result<LogicalErrorEstimate, MeasurementRef> {
-    estimate_logical_error_rate_with(
-        circuit,
-        shots,
-        seed,
-        decoder_kind,
-        &EstimatorConfig::default(),
-    )
 }
 
 /// An exponential fit `ln LER(d) = intercept + slope · d` across code
@@ -747,7 +709,15 @@ pub(crate) mod tests {
     fn noiseless_circuit_has_zero_logical_error_rate() {
         let code = repetition_code(3);
         let circuit = noisy_memory(&code, 2, 0.0);
-        let est = estimate_logical_error_rate(&circuit, 2000, 3, DecoderKind::UnionFind).unwrap();
+        let est = estimate_logical_error_rate_report(
+            &circuit,
+            2000,
+            3,
+            DecoderKind::UnionFind,
+            &EstimatorConfig::default(),
+        )
+        .unwrap()
+        .estimate;
         assert_eq!(est.failures, 0);
         assert_eq!(est.logical_error_rate, 0.0);
         // Zero observed failures must not be reported as an exactly-known
@@ -774,7 +744,15 @@ pub(crate) mod tests {
         let p = 0.02;
         let code = repetition_code(5);
         let circuit = noisy_memory(&code, 3, p);
-        let est = estimate_logical_error_rate(&circuit, 20_000, 5, DecoderKind::UnionFind).unwrap();
+        let est = estimate_logical_error_rate_report(
+            &circuit,
+            20_000,
+            5,
+            DecoderKind::UnionFind,
+            &EstimatorConfig::default(),
+        )
+        .unwrap()
+        .estimate;
         // The decoder must beat the unprotected physical error rate by a
         // comfortable margin.
         assert!(
@@ -791,8 +769,15 @@ pub(crate) mod tests {
         for d in [3usize, 7] {
             let code = repetition_code(d);
             let circuit = noisy_memory(&code, 2, p);
-            let est =
-                estimate_logical_error_rate(&circuit, 30_000, 11, DecoderKind::UnionFind).unwrap();
+            let est = estimate_logical_error_rate_report(
+                &circuit,
+                30_000,
+                11,
+                DecoderKind::UnionFind,
+                &EstimatorConfig::default(),
+            )
+            .unwrap()
+            .estimate;
             rates.push(est.logical_error_rate);
         }
         assert!(
@@ -808,7 +793,15 @@ pub(crate) mod tests {
         let p = 0.01;
         let code = rotated_surface_code(3);
         let circuit = noisy_memory(&code, 3, p);
-        let est = estimate_logical_error_rate(&circuit, 10_000, 5, DecoderKind::UnionFind).unwrap();
+        let est = estimate_logical_error_rate_report(
+            &circuit,
+            10_000,
+            5,
+            DecoderKind::UnionFind,
+            &EstimatorConfig::default(),
+        )
+        .unwrap()
+        .estimate;
         assert!(
             est.logical_error_rate < 3.0 * p,
             "surface code LER {} unexpectedly high",
@@ -821,9 +814,24 @@ pub(crate) mod tests {
         let p = 0.03;
         let code = repetition_code(5);
         let circuit = noisy_memory(&code, 2, p);
-        let uf = estimate_logical_error_rate(&circuit, 20_000, 9, DecoderKind::UnionFind).unwrap();
-        let exact =
-            estimate_logical_error_rate(&circuit, 20_000, 9, DecoderKind::ExactMatching).unwrap();
+        let uf = estimate_logical_error_rate_report(
+            &circuit,
+            20_000,
+            9,
+            DecoderKind::UnionFind,
+            &EstimatorConfig::default(),
+        )
+        .unwrap()
+        .estimate;
+        let exact = estimate_logical_error_rate_report(
+            &circuit,
+            20_000,
+            9,
+            DecoderKind::ExactMatching,
+            &EstimatorConfig::default(),
+        )
+        .unwrap()
+        .estimate;
         // Same order of magnitude; union-find may be somewhat worse.
         assert!(exact.logical_error_rate <= uf.logical_error_rate * 4.0 + 0.01);
         assert!(uf.logical_error_rate <= exact.logical_error_rate * 4.0 + 0.01);
@@ -835,7 +843,7 @@ pub(crate) mod tests {
         let code = repetition_code(5);
         let circuit = noisy_memory(&code, 2, p);
         let shots = 3 * CANONICAL_BLOCK_SHOTS + 500;
-        let reference = estimate_logical_error_rate_with(
+        let reference = estimate_logical_error_rate_report(
             &circuit,
             shots,
             42,
@@ -844,7 +852,8 @@ pub(crate) mod tests {
                 .with_chunk_shots(1)
                 .with_num_threads(1),
         )
-        .unwrap();
+        .unwrap()
+        .estimate;
         for (chunk_shots, threads) in [
             (CANONICAL_BLOCK_SHOTS, 2),
             (2 * CANONICAL_BLOCK_SHOTS, 3),
@@ -853,14 +862,15 @@ pub(crate) mod tests {
             let config = EstimatorConfig::default()
                 .with_chunk_shots(chunk_shots)
                 .with_num_threads(threads);
-            let estimate = estimate_logical_error_rate_with(
+            let estimate = estimate_logical_error_rate_report(
                 &circuit,
                 shots,
                 42,
                 DecoderKind::UnionFind,
                 &config,
             )
-            .unwrap();
+            .unwrap()
+            .estimate;
             assert_eq!(
                 (estimate.shots, estimate.failures),
                 (reference.shots, reference.failures),
@@ -880,8 +890,9 @@ pub(crate) mod tests {
             .with_chunk_shots(CANONICAL_BLOCK_SHOTS)
             .with_max_failures(10);
         let est =
-            estimate_logical_error_rate_with(&circuit, shots, 7, DecoderKind::UnionFind, &config)
-                .unwrap();
+            estimate_logical_error_rate_report(&circuit, shots, 7, DecoderKind::UnionFind, &config)
+                .unwrap()
+                .estimate;
         assert!(est.failures >= 10, "stop criterion reached");
         assert!(
             est.shots < shots,
@@ -890,14 +901,15 @@ pub(crate) mod tests {
         );
         // Deterministic across thread counts.
         for threads in [1, 3] {
-            let again = estimate_logical_error_rate_with(
+            let again = estimate_logical_error_rate_report(
                 &circuit,
                 shots,
                 7,
                 DecoderKind::UnionFind,
                 &config.with_num_threads(threads),
             )
-            .unwrap();
+            .unwrap()
+            .estimate;
             assert_eq!((again.shots, again.failures), (est.shots, est.failures));
         }
     }
@@ -911,7 +923,7 @@ pub(crate) mod tests {
         let code = repetition_code(3);
         let circuit = noisy_memory(&code, 2, p);
         let shots = 16 * CANONICAL_BLOCK_SHOTS;
-        let reference = estimate_logical_error_rate_with(
+        let reference = estimate_logical_error_rate_report(
             &circuit,
             shots,
             7,
@@ -921,14 +933,15 @@ pub(crate) mod tests {
                 .with_num_threads(1)
                 .with_max_failures(10),
         )
-        .unwrap();
+        .unwrap()
+        .estimate;
         for (chunk_shots, threads) in [
             (CANONICAL_BLOCK_SHOTS, 3),
             (3 * CANONICAL_BLOCK_SHOTS, 2),
             (5 * CANONICAL_BLOCK_SHOTS, 1),
             (usize::MAX, 4),
         ] {
-            let est = estimate_logical_error_rate_with(
+            let est = estimate_logical_error_rate_report(
                 &circuit,
                 shots,
                 7,
@@ -938,7 +951,8 @@ pub(crate) mod tests {
                     .with_num_threads(threads)
                     .with_max_failures(10),
             )
-            .unwrap();
+            .unwrap()
+            .estimate;
             assert_eq!(
                 (est.shots, est.failures),
                 (reference.shots, reference.failures),
@@ -947,7 +961,7 @@ pub(crate) mod tests {
         }
         // Same invariance for the std-error criterion.
         let by_std = |chunk_shots: usize| {
-            estimate_logical_error_rate_with(
+            estimate_logical_error_rate_report(
                 &circuit,
                 shots,
                 7,
@@ -957,6 +971,7 @@ pub(crate) mod tests {
                     .with_target_std_error(5e-3),
             )
             .unwrap()
+            .estimate
         };
         let a = by_std(CANONICAL_BLOCK_SHOTS);
         let b = by_std(4 * CANONICAL_BLOCK_SHOTS);
@@ -976,8 +991,9 @@ pub(crate) mod tests {
             .with_chunk_shots(usize::MAX)
             .with_max_failures(10);
         let est =
-            estimate_logical_error_rate_with(&circuit, shots, 7, DecoderKind::UnionFind, &config)
-                .unwrap();
+            estimate_logical_error_rate_report(&circuit, shots, 7, DecoderKind::UnionFind, &config)
+                .unwrap()
+                .estimate;
         assert!(est.failures >= 10);
         assert!(
             est.shots < shots,
@@ -995,14 +1011,15 @@ pub(crate) mod tests {
         let config = EstimatorConfig::default()
             .with_chunk_shots(CANONICAL_BLOCK_SHOTS)
             .with_target_std_error(5e-3);
-        let est = estimate_logical_error_rate_with(
+        let est = estimate_logical_error_rate_report(
             &circuit,
             32 * CANONICAL_BLOCK_SHOTS,
             13,
             DecoderKind::UnionFind,
             &config,
         )
-        .unwrap();
+        .unwrap()
+        .estimate;
         assert!(
             est.std_error <= 5e-3,
             "std error {} above target",
@@ -1147,22 +1164,24 @@ pub(crate) mod tests {
         // ~13 plain failures expected: a zero-failure stream is a 2e-6 event,
         // not a seed to be hunted.
         let shots = 64 * CANONICAL_BLOCK_SHOTS;
-        let plain = estimate_logical_error_rate_with(
+        let plain = estimate_logical_error_rate_report(
             &circuit,
             shots,
             21,
             DecoderKind::UnionFind,
             &EstimatorConfig::default(),
         )
-        .unwrap();
-        let biased = estimate_logical_error_rate_with(
+        .unwrap()
+        .estimate;
+        let biased = estimate_logical_error_rate_report(
             &circuit,
             shots,
             21,
             DecoderKind::UnionFind,
             &EstimatorConfig::default().with_importance_bias(5.0),
         )
-        .unwrap();
+        .unwrap()
+        .estimate;
         assert!(plain.failures > 0, "plain MC must converge at this point");
         assert!(
             biased.failures > plain.failures,
@@ -1188,21 +1207,22 @@ pub(crate) mod tests {
         let circuit = noisy_memory(&code, 2, p);
         let shots = 3 * CANONICAL_BLOCK_SHOTS + 500;
         let config = EstimatorConfig::default().with_importance_bias(6.0);
-        let reference = estimate_logical_error_rate_with(
+        let reference = estimate_logical_error_rate_report(
             &circuit,
             shots,
             42,
             DecoderKind::UnionFind,
             &config.with_chunk_shots(1).with_num_threads(1),
         )
-        .unwrap();
+        .unwrap()
+        .estimate;
         assert!(reference.failures > 0);
         for (chunk_shots, threads) in [
             (CANONICAL_BLOCK_SHOTS, 2),
             (2 * CANONICAL_BLOCK_SHOTS, 3),
             (usize::MAX, 4),
         ] {
-            let estimate = estimate_logical_error_rate_with(
+            let estimate = estimate_logical_error_rate_report(
                 &circuit,
                 shots,
                 42,
@@ -1211,7 +1231,8 @@ pub(crate) mod tests {
                     .with_chunk_shots(chunk_shots)
                     .with_num_threads(threads),
             )
-            .unwrap();
+            .unwrap()
+            .estimate;
             assert_eq!(
                 (estimate.shots, estimate.failures),
                 (reference.shots, reference.failures),
@@ -1236,22 +1257,24 @@ pub(crate) mod tests {
         let code = repetition_code(3);
         let circuit = noisy_memory(&code, 2, p);
         let shots = 2 * CANONICAL_BLOCK_SHOTS;
-        let plain = estimate_logical_error_rate_with(
+        let plain = estimate_logical_error_rate_report(
             &circuit,
             shots,
             9,
             DecoderKind::UnionFind,
             &EstimatorConfig::default(),
         )
-        .unwrap();
-        let weighted = estimate_logical_error_rate_with(
+        .unwrap()
+        .estimate;
+        let weighted = estimate_logical_error_rate_report(
             &circuit,
             shots,
             9,
             DecoderKind::UnionFind,
             &EstimatorConfig::default().with_importance_bias(1.0),
         )
-        .unwrap();
+        .unwrap()
+        .estimate;
         assert_eq!(weighted.shots, plain.shots);
         assert_eq!(weighted.failures, plain.failures);
         assert!((weighted.logical_error_rate - plain.logical_error_rate).abs() < 1e-12);

@@ -10,8 +10,9 @@
 //! * [`ExactMatchingDecoder`] — minimum-weight matching by subset DP, the
 //!   accuracy reference: exact up to [`DEFAULT_MAX_EXACT_DEFECTS`] defects a
 //!   shot, union-find above that;
-//! * [`estimate_logical_error_rate`] — Monte-Carlo logical error rate
-//!   estimation;
+//! * [`estimate_logical_error_rate_report`] (a circuit) and
+//!   [`estimate_logical_error_rate_from_table`] (a fault table) — Monte-Carlo
+//!   logical error rate estimation, one entry point per input;
 //! * [`fit_lambda_weighted`] / [`LambdaFit`] — below-threshold
 //!   extrapolation, weighting each distance by its Monte-Carlo standard
 //!   error, used to project error rates to the 10⁻⁹ regime, exactly as the
@@ -32,7 +33,7 @@
 //!   fresh scratch per call, so prefer `decode_batch` anywhere throughput
 //!   matters).
 //!
-//! [`estimate_logical_error_rate_with`] drives `decode_batch` over sampled
+//! [`estimate_logical_error_rate_from_table`] drives `decode_batch` over sampled
 //! chunks in parallel with deterministic per-block seeds: for a fixed
 //! `(shots, seed)` the estimate is bit-identical regardless of chunk size or
 //! thread count.
@@ -143,10 +144,9 @@ mod union_find;
 pub use batch::{DecodeScratch, PredictionChunk, SyndromeChunk};
 pub use dem_graph::{DecodingEdge, DecodingGraph, DetectorIndex};
 pub use ler::{
-    estimate_logical_error_rate, estimate_logical_error_rate_from_table,
-    estimate_logical_error_rate_report, estimate_logical_error_rate_with, fit_lambda_weighted,
-    zero_failure_upper_bound, DecoderKind, EstimateReport, EstimatorConfig, LambdaFit,
-    LogicalErrorEstimate,
+    estimate_logical_error_rate_from_table, estimate_logical_error_rate_report,
+    fit_lambda_weighted, zero_failure_upper_bound, DecoderKind, EstimateReport, EstimatorConfig,
+    LambdaFit, LogicalErrorEstimate,
 };
 pub use memo::{CacheStats, MemoConfig, DEFAULT_MEMO_MAX_DEFECTS, MEMO_KEY_CAPACITY};
 pub use mwpm::{ExactMatchingDecoder, DEFAULT_MAX_EXACT_DEFECTS};

@@ -4,7 +4,7 @@
 //! distance, decoder, noise)` points, each of which is itself a chunked
 //! Monte-Carlo pipeline. [`SweepEngine`] shards *whole points* across an
 //! outer rayon pool, composing with the inner chunk parallelism of
-//! [`estimate_logical_error_rate_with`](crate::estimate_logical_error_rate_with):
+//! [`estimate_logical_error_rate_from_table`](crate::estimate_logical_error_rate_from_table):
 //! the outer pool keeps every core busy when points are short (compile-only
 //! sweeps, small distances), and the inner pool takes over inside a long
 //! point.

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use qccd_decoder::{
-    estimate_logical_error_rate_with, DecodeScratch, Decoder, DecoderKind, DecodingGraph,
+    estimate_logical_error_rate_report, DecodeScratch, Decoder, DecoderKind, DecodingGraph,
     EstimatorConfig, ExactMatchingDecoder, SyndromeChunk, UnionFindDecoder,
 };
 use qccd_sim::{DemError, DetectorErrorModel, NoiseChannel, NoisyCircuit, CANONICAL_BLOCK_SHOTS};
@@ -122,16 +122,16 @@ proptest! {
         // A small noisy parity-check circuit, enough shots for 3 blocks.
         let circuit = noisy_parity_circuit(p);
         let shots = 2 * CANONICAL_BLOCK_SHOTS + 777;
-        let reference = estimate_logical_error_rate_with(
+        let reference = estimate_logical_error_rate_report(
             &circuit,
             shots,
             seed,
             DecoderKind::UnionFind,
             &EstimatorConfig::default().with_chunk_shots(1).with_num_threads(1),
         )
-        .expect("valid annotations");
+        .expect("valid annotations").estimate;
         for (chunk_shots, threads) in [(CANONICAL_BLOCK_SHOTS, 4), (3 * CANONICAL_BLOCK_SHOTS, 2)] {
-            let estimate = estimate_logical_error_rate_with(
+            let estimate = estimate_logical_error_rate_report(
                 &circuit,
                 shots,
                 seed,
@@ -140,7 +140,7 @@ proptest! {
                     .with_chunk_shots(chunk_shots)
                     .with_num_threads(threads),
             )
-            .expect("valid annotations");
+            .expect("valid annotations").estimate;
             prop_assert_eq!(estimate.shots, reference.shots);
             prop_assert_eq!(
                 estimate.failures,

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use qccd_decoder::{
-    estimate_logical_error_rate_with, DecodeScratch, Decoder, DecoderKind, DecodingGraph,
+    estimate_logical_error_rate_report, DecodeScratch, Decoder, DecoderKind, DecodingGraph,
     EstimatorConfig, ExactMatchingDecoder, MemoConfig, SyndromeChunk, UnionFindDecoder,
 };
 use qccd_sim::{DemError, DetectorErrorModel, NoiseChannel, NoisyCircuit, CANONICAL_BLOCK_SHOTS};
@@ -136,7 +136,7 @@ proptest! {
     ) {
         let circuit = noisy_parity_circuit(p);
         let shots = 2 * CANONICAL_BLOCK_SHOTS + 777;
-        let reference = estimate_logical_error_rate_with(
+        let reference = estimate_logical_error_rate_report(
             &circuit,
             shots,
             seed,
@@ -146,14 +146,14 @@ proptest! {
                 .with_num_threads(1)
                 .with_memo(MemoConfig::disabled()),
         )
-        .expect("valid annotations");
+        .expect("valid annotations").estimate;
         for (chunk_shots, threads, memo) in [
             (CANONICAL_BLOCK_SHOTS, 4, MemoConfig::default()),
             (3 * CANONICAL_BLOCK_SHOTS, 2, MemoConfig::default()),
             (CANONICAL_BLOCK_SHOTS, 2, MemoConfig::default().with_max_defects(1)),
             (2 * CANONICAL_BLOCK_SHOTS, 3, MemoConfig::default().with_max_entries(4)),
         ] {
-            let estimate = estimate_logical_error_rate_with(
+            let estimate = estimate_logical_error_rate_report(
                 &circuit,
                 shots,
                 seed,
@@ -163,7 +163,7 @@ proptest! {
                     .with_num_threads(threads)
                     .with_memo(memo),
             )
-            .expect("valid annotations");
+            .expect("valid annotations").estimate;
             prop_assert_eq!(estimate.shots, reference.shots);
             prop_assert_eq!(
                 estimate.failures,

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 
 use qccd_circuit::{Instruction, QubitId};
-use qccd_decoder::{estimate_logical_error_rate_with, DecoderKind, EstimatorConfig, MemoConfig};
+use qccd_decoder::{estimate_logical_error_rate_report, DecoderKind, EstimatorConfig, MemoConfig};
 use qccd_qec::{memory_experiment, repetition_code, MemoryBasis};
 use qccd_sim::{NoiseChannel, NoisyCircuit, CANONICAL_BLOCK_SHOTS};
 
@@ -64,22 +64,22 @@ proptest! {
         let circuit = noisy_repetition_memory(3, 2, p);
         let shots = 2 * CANONICAL_BLOCK_SHOTS + 777;
         let base = EstimatorConfig::default().with_importance_bias(bias);
-        let reference = estimate_logical_error_rate_with(
+        let reference = estimate_logical_error_rate_report(
             &circuit, shots, seed, kind,
             &base.with_chunk_shots(CANONICAL_BLOCK_SHOTS).with_num_threads(1),
-        ).expect("valid annotations");
+        ).expect("valid annotations").estimate;
 
         for (chunk_shots, threads, memo) in [
             (CANONICAL_BLOCK_SHOTS, 4, MemoConfig::default()),
             (3 * CANONICAL_BLOCK_SHOTS, 2, MemoConfig::disabled()),
             (usize::MAX, 3, MemoConfig::default().with_max_defects(1)),
         ] {
-            let variant = estimate_logical_error_rate_with(
+            let variant = estimate_logical_error_rate_report(
                 &circuit, shots, seed, kind,
                 &base.with_chunk_shots(chunk_shots)
                     .with_num_threads(threads)
                     .with_memo(memo),
-            ).expect("valid annotations");
+            ).expect("valid annotations").estimate;
             prop_assert_eq!(
                 (variant.shots, variant.failures),
                 (reference.shots, reference.failures),
@@ -115,22 +115,24 @@ fn importance_sampling_matches_plain_mc_within_two_sigma() {
     // not a seed to be hunted.
     let shots = 64 * CANONICAL_BLOCK_SHOTS;
     let seed = 21;
-    let plain = estimate_logical_error_rate_with(
+    let plain = estimate_logical_error_rate_report(
         &circuit,
         shots,
         seed,
         DecoderKind::UnionFind,
         &EstimatorConfig::default(),
     )
-    .expect("valid annotations");
-    let biased = estimate_logical_error_rate_with(
+    .expect("valid annotations")
+    .estimate;
+    let biased = estimate_logical_error_rate_report(
         &circuit,
         shots,
         seed,
         DecoderKind::UnionFind,
         &EstimatorConfig::default().with_importance_bias(5.0),
     )
-    .expect("valid annotations");
+    .expect("valid annotations")
+    .estimate;
     assert!(plain.failures > 0, "plain MC must converge at this point");
     assert!(
         biased.failures > plain.failures,

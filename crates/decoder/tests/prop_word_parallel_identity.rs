@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 
 use qccd_decoder::{
-    estimate_logical_error_rate_with, CacheStats, DecodeScratch, Decoder, DecoderKind,
+    estimate_logical_error_rate_report, CacheStats, DecodeScratch, Decoder, DecoderKind,
     DecodingGraph, EstimatorConfig, ExactMatchingDecoder, MemoConfig, SyndromeChunk,
     UnionFindDecoder, MEMO_KEY_CAPACITY,
 };
@@ -234,8 +234,8 @@ proptest! {
                 // Identical early-stop points are part of the contract.
                 config = config.with_max_failures(25);
             }
-            let word = estimate_logical_error_rate_with(&circuit, shots, seed, kind, &config)
-                .expect("valid annotations");
+            let word = estimate_logical_error_rate_report(&circuit, shots, seed, kind, &config)
+                .expect("valid annotations").estimate;
             if word.shots == shots {
                 prop_assert_eq!(
                     word.failures, per_shot_failures,

@@ -6,7 +6,8 @@
 //! same frames, and reports throughput and latency.
 //!
 //! Both transports run **one replay**. The program's chunks are sampled
-//! once, global shot `i` going to stream `i % streams` as its
+//! once, from the fault table its [`DecodeProgram`] derived when it was
+//! built (no second pass over the circuit), global shot `i` going to stream `i % streams` as its
 //! `i / streams`-th frame, and each stream's wire form (index frames or
 //! shot-major word blocks) is built before the clock starts. One paced loop
 //! submits one 64-shot word a burst per stream (one protocol line over
@@ -26,7 +27,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use qccd_decoder::{DecodeScratch, DecoderKind};
-use qccd_sim::{sample_detector_chunks, NoisyCircuit, SyndromeChunk};
+use qccd_sim::{DetectorChunkSampler, SyndromeChunk};
 use qccd_telemetry::snapshot_from_json;
 use serde_json::Value;
 
@@ -221,24 +222,12 @@ impl FrontierReport {
     }
 }
 
-/// Samples `shots` frames of `circuit` (fired-detector lists, global shot
-/// order) with the canonical chunked sampler.
-pub fn sample_frames(
-    circuit: &NoisyCircuit,
-    shots: usize,
-    seed: u64,
-) -> Result<Vec<Vec<usize>>, ServiceError> {
-    Ok(deal_frames(&sampled_chunks(circuit, shots, seed)?, 1).remove(0))
-}
-
-fn sampled_chunks(
-    circuit: &NoisyCircuit,
-    shots: usize,
-    seed: u64,
-) -> Result<Vec<SyndromeChunk>, ServiceError> {
-    let sampler = sample_detector_chunks(circuit, shots, seed, 16 * 4096)
-        .map_err(|e| ServiceError::InvalidCircuit(format!("{e:?}")))?;
-    Ok(sampler.chunks().collect())
+/// `shots` shots of `program` in chunks, sampled from the fault table the
+/// program derived when it was built.
+fn replay_chunks(program: &DecodeProgram, shots: usize, seed: u64) -> Vec<SyndromeChunk> {
+    DetectorChunkSampler::from_table(program.fault_table(), shots, seed, 16 * 4096)
+        .chunks()
+        .collect()
 }
 
 /// The chunks' shots as fired-detector index lists, dealt round-robin:
@@ -376,12 +365,12 @@ struct Replay {
 }
 
 impl Replay {
-    /// One sampling pass of `program`'s circuit feeds both the offline
-    /// reference and the wire form, submitted one word a burst. The wire
-    /// form is the trap-side client's to produce, so it is built here,
-    /// before any clock starts.
-    fn sample(program: &DecodeProgram, options: &LoadgenOptions) -> Result<Self, ServiceError> {
-        let chunks = sampled_chunks(program.circuit(), options.shots.max(1), options.seed)?;
+    /// One sampling pass over the fault table `program` already holds
+    /// feeds both the offline reference and the wire form, submitted one
+    /// word a burst. The wire form is the trap-side client's to produce, so
+    /// it is built here, before any clock starts.
+    fn sample(program: &DecodeProgram, options: &LoadgenOptions) -> Self {
+        let chunks = replay_chunks(program, options.shots.max(1), options.seed);
         let offline = options.verify.then(|| decode_offline(program, &chunks));
         let frames = deal_frames(&chunks, options.streams.max(1));
         let per_stream_shots = frames.iter().map(Vec::len).collect();
@@ -391,11 +380,11 @@ impl Replay {
         } else {
             Wire::Frames(frames)
         };
-        Ok(Replay {
+        Replay {
             per_stream_shots,
             wire,
             offline,
-        })
+        }
     }
 
     /// The paced submission loop of both transports. Round `r` hands word
@@ -500,7 +489,7 @@ pub fn run_in_process(
     // Word bursts: `submit_*_batch` pays the shard lock once per word
     // instead of once per frame, which is what lets the replay keep up
     // with the word-parallel decode itself.
-    let replay = Replay::sample(program, options)?;
+    let replay = Replay::sample(program, options);
     let (mut senders, mut collectors) = (Vec::new(), Vec::new());
     for &expected in &replay.per_stream_shots {
         let (sender, mut receiver) = service.open_stream_program(program)?.split();
@@ -675,7 +664,7 @@ fn tcp_sweep(
     let ((topology, wiring), capacity, improvement, distance, decoder) = arch;
     let config = crate::net::parse_arch(topology, capacity, wiring, improvement)?;
     let program = DecodeProgram::compile(&config, distance, decoder).map_err(|e| e.to_string())?;
-    let replay = Replay::sample(&program, options).map_err(|e| e.to_string())?;
+    let replay = Replay::sample(&program, options);
     let open = |client: &mut NetClient| {
         client.open_stream(topology, capacity, wiring, improvement, distance, decoder)
     };
@@ -781,7 +770,7 @@ mod tests {
                 shot_major,
                 ..LoadgenOptions::default()
             };
-            Replay::sample(&program, &options).unwrap()
+            Replay::sample(&program, &options)
         };
         let (by_frames, by_blocks) = (sample(false), sample(true));
         assert_eq!(by_frames.per_stream_shots, vec![4096; 4]);
@@ -815,6 +804,22 @@ mod tests {
             ),
             "wire frames, wire blocks, offline flips"
         );
+    }
+
+    /// The replay samples the program's own table: chunk for chunk the
+    /// shots a fresh pass over the program's circuit samples.
+    #[test]
+    fn the_replay_samples_the_shots_of_the_programs_circuit() {
+        use qccd_core::ArchitectureConfig;
+        let arch = ArchitectureConfig::recommended(5.0);
+        let program = DecodeProgram::compile(&arch, 3, DecoderKind::UnionFind).unwrap();
+        let (shots, seed) = (2 * 16 * 4096 + 1000, 11);
+        let fresh = qccd_sim::sample_detector_chunks(program.circuit(), shots, seed, 16 * 4096)
+            .unwrap()
+            .chunks()
+            .collect::<Vec<_>>();
+        assert_eq!(fresh.len(), 3);
+        assert!(replay_chunks(&program, shots, seed) == fresh);
     }
 
     #[test]

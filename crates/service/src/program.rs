@@ -2,10 +2,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use qccd_core::{ArchitectureConfig, Compiler};
+use qccd_core::{ArchitectureConfig, Toolflow};
 use qccd_decoder::{DecodeScratch, Decoder, DecoderKind, DecodingGraph, MemoConfig};
-use qccd_qec::{rotated_surface_code, MemoryBasis};
-use qccd_sim::{DetectorErrorModel, NoisyCircuit};
+use qccd_sim::{FaultTable, NoisyCircuit};
 
 use crate::ServiceError;
 
@@ -16,14 +15,17 @@ fn next_program_id() -> u64 {
 
 /// One compiled decoding setup shared by every stream of the same
 /// `(architecture, distance, decoder)` configuration: the noisy circuit the
-/// syndromes are assumed to come from, the decoder over its detector error
-/// model, and the memo configuration every worker scratch decodes under.
-/// Nothing is decoded at build time: each worker's memo learns the
-/// program's recurring defect sets from the frames it is handed.
+/// syndromes are assumed to come from, its fault table, the decoder over the
+/// table's detector error model, and the memo configuration every worker
+/// scratch decodes under. The table is derived once, when the program is
+/// built; the replay load generator samples from it. Nothing is decoded at
+/// build time: each worker's memo learns the program's recurring defect
+/// sets from the frames it is handed.
 pub struct DecodeProgram {
     id: u64,
     key: String,
     noisy: NoisyCircuit,
+    table: FaultTable,
     num_detectors: usize,
     num_observables: usize,
     decoder_kind: DecoderKind,
@@ -44,8 +46,9 @@ impl std::fmt::Debug for DecodeProgram {
 }
 
 impl DecodeProgram {
-    /// Compiles the paper's memory workload for `(arch, distance)` and
-    /// builds the decode setup over its detector error model. Nothing is
+    /// Compiles the paper's memory workload for `(arch, distance)`
+    /// ([`Toolflow::memory_program`]) and builds the decode setup over its
+    /// detector error model. Nothing is
     /// cached here: repeated `open_stream`s of one configuration share the
     /// program the service's registry already holds.
     ///
@@ -75,12 +78,8 @@ impl DecodeProgram {
         decoder: DecoderKind,
         memo: MemoConfig,
     ) -> Result<Self, ServiceError> {
-        let program = Compiler::new(arch.clone())
-            .compile_memory_experiment(
-                &rotated_surface_code(distance),
-                distance.max(1),
-                MemoryBasis::Z,
-            )
+        let program = Toolflow::new(arch.clone())
+            .memory_program(distance)
             .map_err(|e| ServiceError::Compile(e.to_string()))?;
         DecodeProgram::from_circuit_with_memo(
             DecodeProgram::config_key(arch, distance, decoder),
@@ -116,7 +115,9 @@ impl DecodeProgram {
     }
 
     /// [`DecodeProgram::from_circuit`] with an explicit memo configuration
-    /// (see [`DecodeProgram::compile_with_memo`]).
+    /// (see [`DecodeProgram::compile_with_memo`]). One pass over the circuit
+    /// builds its [`FaultTable`]; the decoding graph is folded from that
+    /// table, and the program keeps it for the replay.
     ///
     /// # Errors
     ///
@@ -127,8 +128,9 @@ impl DecodeProgram {
         decoder_kind: DecoderKind,
         memo: MemoConfig,
     ) -> Result<Self, ServiceError> {
-        let dem = DetectorErrorModel::from_circuit(&noisy)
+        let table = FaultTable::from_circuit(&noisy)
             .map_err(|e| ServiceError::InvalidCircuit(format!("{e:?}")))?;
+        let dem = table.dem();
         if dem.num_observables > 64 {
             return Err(ServiceError::TooManyObservables(dem.num_observables));
         }
@@ -139,6 +141,7 @@ impl DecodeProgram {
             id: next_program_id(),
             key: key.into(),
             noisy,
+            table,
             num_detectors,
             num_observables,
             decoder_kind,
@@ -178,10 +181,15 @@ impl DecodeProgram {
         self.memo
     }
 
-    /// The noisy circuit the program assumes frames are sampled from (used
-    /// by the replay load generator).
+    /// The noisy circuit the program assumes frames are sampled from.
     pub fn circuit(&self) -> &NoisyCircuit {
         &self.noisy
+    }
+
+    /// The circuit's fault table, derived once when the program was built
+    /// (the replay load generator samples from it).
+    pub(crate) fn fault_table(&self) -> &FaultTable {
+        &self.table
     }
 
     /// Decodes one bit-packed chunk exactly as a service worker would —

@@ -8,7 +8,23 @@ use std::time::Duration;
 use qccd_decoder::DecoderKind;
 use qccd_service::net::MAX_LINE_BYTES;
 use qccd_service::{loadgen, LoadgenOptions, NetClient, NetServer, ServiceConfig};
+use qccd_sim::NoisyCircuit;
 use serde_json::Value;
+
+/// `shots` sampled frames of `circuit` as fired-detector lists, in global
+/// shot order.
+fn frames_of(circuit: &NoisyCircuit, shots: usize, seed: u64) -> Vec<Vec<usize>> {
+    let sampler = qccd_sim::sample_detector_chunks(circuit, shots, seed, usize::MAX)
+        .expect("consistent annotations");
+    let chunk = sampler.sample_chunk(0);
+    (0..shots)
+        .map(|shot| {
+            let mut fired = Vec::new();
+            chunk.fired_detectors_into(shot, &mut fired);
+            fired
+        })
+        .collect()
+}
 
 #[test]
 fn tcp_round_trip_with_loadgen_and_shutdown() {
@@ -170,7 +186,7 @@ fn packed_wire_matches_frames_wire() {
     let arch = qccd_service::net::parse_arch("grid", 2, "standard", 5.0).expect("arch");
     let program =
         qccd_service::DecodeProgram::compile(&arch, 2, DecoderKind::UnionFind).expect("compile");
-    let frames = loadgen::sample_frames(program.circuit(), 300, 9).expect("sample");
+    let frames = frames_of(program.circuit(), 300, 9);
 
     let mut client = NetClient::connect(&addr).expect("connect");
     let by_frames = client
@@ -379,7 +395,7 @@ fn frame_lines_decode_like_a_frames_line_and_refuse_bad_detectors() {
     let arch = qccd_service::net::parse_arch("grid", 2, "standard", 5.0).expect("arch");
     let program =
         qccd_service::DecodeProgram::compile(&arch, 2, DecoderKind::UnionFind).expect("compile");
-    let frames = loadgen::sample_frames(program.circuit(), 200, 13).expect("sample");
+    let frames = frames_of(program.circuit(), 200, 13);
 
     let mut socket = std::net::TcpStream::connect(&addr).expect("raw connection");
     // A missing line fails the test instead of hanging it.

@@ -74,6 +74,21 @@ fn offline_flips(program: &DecodeProgram, frames: &[Vec<usize>]) -> Vec<u64> {
         .collect()
 }
 
+/// `shots` sampled frames of `circuit` as fired-detector lists, in global
+/// shot order.
+fn frames_of(circuit: &NoisyCircuit, shots: usize, seed: u64) -> Vec<Vec<usize>> {
+    let sampler = qccd_sim::sample_detector_chunks(circuit, shots, seed, usize::MAX)
+        .expect("consistent annotations");
+    let chunk = sampler.sample_chunk(0);
+    (0..shots)
+        .map(|shot| {
+            let mut fired = Vec::new();
+            chunk.fired_detectors_into(shot, &mut fired);
+            fired
+        })
+        .collect()
+}
+
 /// The shot-major plane words of up to 64 frames.
 fn word_planes(frames: &[Vec<usize>], num_detectors: usize) -> Vec<u64> {
     let mut planes = vec![0; num_detectors];
@@ -165,7 +180,7 @@ proptest! {
                 .with_workers(workers)
                 .with_flush_deadline(Duration::from_micros(deadline_us)),
         );
-        let frames = loadgen::sample_frames(&circuit, shots, seed).expect("samples");
+        let frames = frames_of(&circuit, shots, seed);
         let expected = offline_flips(&program, &frames);
         let per_stream: Vec<Vec<Vec<usize>>> = (0..streams)
             .map(|s| frames.iter().skip(s).step_by(streams).cloned().collect())
@@ -223,7 +238,7 @@ fn builder_chunks_decode_identically_to_sampled_chunks() {
     let circuit = noisy_parity_circuit(0.15);
     let program =
         DecodeProgram::from_circuit("builder", circuit.clone(), DecoderKind::UnionFind).unwrap();
-    let frames = loadgen::sample_frames(&circuit, 300, 5).unwrap();
+    let frames = frames_of(&circuit, 300, 5);
     let sampler = qccd_sim::sample_detector_chunks(&circuit, 300, 5, usize::MAX).unwrap();
     let sampled = sampler.sample_chunk(0);
 

@@ -52,7 +52,7 @@
 //! merely groups of consecutive blocks handed to one worker, so for a fixed
 //! `(total_shots, seed)` the sampled outcomes are bit-identical regardless
 //! of the chunk size or of how many threads pull chunks. This is what makes
-//! `estimate_logical_error_rate` reproducible across machine shapes. The
+//! `qccd_decoder`'s estimator reproducible across machine shapes. The
 //! stream itself is versioned by the repository's goldens, not promised
 //! across releases: a change to the sampler may regenerate it, deliberately.
 //!
@@ -606,33 +606,12 @@ pub struct DetectorChunkSampler<'t> {
 }
 
 impl<'t> DetectorChunkSampler<'t> {
-    /// Creates a sampler for `total_shots` shots of `circuit`, cutting the
-    /// work into chunks of (at least) `chunk_shots` shots. The chunk size is
-    /// rounded up to a whole number of canonical blocks; it affects peak
-    /// memory and scheduling granularity only, never the sampled bits.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first dangling [`MeasurementRef`] if the circuit's
-    /// annotations are inconsistent.
-    pub fn new(
-        circuit: &'t NoisyCircuit,
-        total_shots: usize,
-        seed: u64,
-        chunk_shots: usize,
-    ) -> Result<Self, MeasurementRef> {
-        let table = FaultTable::from_circuit(circuit)?;
-        Ok(Self::over(
-            Cow::Owned(table),
-            total_shots,
-            seed,
-            chunk_shots,
-        ))
-    }
-
-    /// [`DetectorChunkSampler::new`] over a fault table the caller already
-    /// holds — the same bits as `new` on the table's circuit, without a
-    /// second pass over it.
+    /// A sampler for `total_shots` shots of the circuit whose fault table
+    /// is `table`, cutting the work into chunks of (at least) `chunk_shots`
+    /// shots — the same bits as [`sample_detector_chunks`] on the table's
+    /// circuit, without a second pass over it. The chunk size is rounded up
+    /// to a whole number of canonical blocks; it affects peak memory and
+    /// scheduling granularity only, never the sampled bits.
     pub fn from_table(
         table: &'t FaultTable,
         total_shots: usize,
@@ -791,9 +770,11 @@ impl<'t> DetectorChunkSampler<'t> {
     }
 }
 
-/// Convenience constructor for [`DetectorChunkSampler::new`]: a chunked
-/// sampler whose peak memory is `O(chunk_shots × detectors)` instead of
-/// `O(total_shots × detectors)`.
+/// A chunked sampler for `total_shots` shots of `circuit`, whose peak
+/// memory is `O(chunk_shots × detectors)` instead of
+/// `O(total_shots × detectors)`: one pass over the circuit builds its
+/// [`FaultTable`], which the sampler owns (see
+/// [`DetectorChunkSampler::from_table`] for a table the caller holds).
 ///
 /// # Errors
 ///
@@ -805,7 +786,13 @@ pub fn sample_detector_chunks(
     seed: u64,
     chunk_shots: usize,
 ) -> Result<DetectorChunkSampler<'_>, MeasurementRef> {
-    DetectorChunkSampler::new(circuit, total_shots, seed, chunk_shots)
+    let table = FaultTable::from_circuit(circuit)?;
+    Ok(DetectorChunkSampler::over(
+        Cow::Owned(table),
+        total_shots,
+        seed,
+        chunk_shots,
+    ))
 }
 
 #[cfg(test)]

@@ -1,24 +1,25 @@
 //! The batched, chunked, parallel decode pipeline end-to-end.
 //!
-//! Builds a noisy repetition-code memory experiment, then shows the three
-//! layers the batch engine adds:
+//! Builds a noisy repetition-code memory experiment and its fault table
+//! (one pass over the circuit, which every step below reads), then shows
+//! the three layers the batch engine adds:
 //!
-//! 1. chunked sampling (`sample_detector_chunks`) with memory bounded by the
-//!    chunk size;
+//! 1. chunked sampling (`DetectorChunkSampler::from_table`) with memory
+//!    bounded by the chunk size;
 //! 2. batch decoding (`decode_batch`) with a reusable `DecodeScratch`;
-//! 3. the parallel estimator (`estimate_logical_error_rate_with`) with
-//!    deterministic results and optional early stopping.
+//! 3. the parallel estimator (`estimate_logical_error_rate_from_table`)
+//!    with deterministic results and optional early stopping.
 //!
 //! Run with `cargo run --release --example batch_decoding`.
 
 use qccd_circuit::{Instruction, QubitId};
 use qccd_decoder::{
-    estimate_logical_error_rate_with, DecodeScratch, Decoder, DecoderKind, DecodingGraph,
+    estimate_logical_error_rate_from_table, DecodeScratch, Decoder, DecoderKind, DecodingGraph,
     EstimatorConfig, UnionFindDecoder,
 };
 use qccd_qec::{memory_experiment, repetition_code, MemoryBasis};
 use qccd_sim::{
-    sample_detector_chunks, DetectorErrorModel, NoiseChannel, NoisyCircuit, CANONICAL_BLOCK_SHOTS,
+    DetectorChunkSampler, FaultTable, NoiseChannel, NoisyCircuit, CANONICAL_BLOCK_SHOTS,
 };
 
 fn noisy_memory(distance: usize, rounds: usize, p: f64) -> NoisyCircuit {
@@ -49,11 +50,11 @@ fn noisy_memory(distance: usize, rounds: usize, p: f64) -> NoisyCircuit {
 
 fn main() {
     let circuit = noisy_memory(5, 3, 0.02);
+    let table = FaultTable::from_circuit(&circuit).expect("valid circuit");
     let shots = 6 * CANONICAL_BLOCK_SHOTS;
 
     // 1. Chunked sampling: peak memory is one chunk, not the whole run.
-    let sampler =
-        sample_detector_chunks(&circuit, shots, 7, CANONICAL_BLOCK_SHOTS).expect("valid circuit");
+    let sampler = DetectorChunkSampler::from_table(&table, shots, 7, CANONICAL_BLOCK_SHOTS);
     println!(
         "sampling {} shots as {} chunks of ≤{} shots ({} detectors / shot)",
         sampler.total_shots(),
@@ -63,8 +64,7 @@ fn main() {
     );
 
     // 2. Batch decoding with one reusable scratch across all chunks.
-    let dem = DetectorErrorModel::from_circuit(&circuit).expect("valid circuit");
-    let decoder = UnionFindDecoder::new(DecodingGraph::from_dem(&dem));
+    let decoder = UnionFindDecoder::new(DecodingGraph::from_dem(&table.dem()));
     let mut scratch = DecodeScratch::new();
     let mut failures = 0usize;
     for chunk in sampler.chunks() {
@@ -84,14 +84,14 @@ fn main() {
 
     // 3. The parallel estimator gives the same answer, bit for bit, for any
     //    chunk size or thread count...
-    let estimate = estimate_logical_error_rate_with(
-        &circuit,
+    let estimate = estimate_logical_error_rate_from_table(
+        &table,
         shots,
         7,
         DecoderKind::UnionFind,
         &EstimatorConfig::default(),
     )
-    .expect("valid circuit");
+    .estimate;
     println!(
         "parallel estimator:  {} failures / {} shots = {:.3e} ± {:.1e}",
         estimate.failures, estimate.shots, estimate.logical_error_rate, estimate.std_error
@@ -102,8 +102,8 @@ fn main() {
     );
 
     // ...and can stop early once the estimate is good enough.
-    let early = estimate_logical_error_rate_with(
-        &circuit,
+    let early = estimate_logical_error_rate_from_table(
+        &table,
         100 * CANONICAL_BLOCK_SHOTS,
         7,
         DecoderKind::UnionFind,
@@ -111,7 +111,7 @@ fn main() {
             .with_chunk_shots(CANONICAL_BLOCK_SHOTS)
             .with_max_failures(10),
     )
-    .expect("valid circuit");
+    .estimate;
     println!(
         "early stop at ≥10 failures: decoded {} of {} shots (LER {:.3e})",
         early.shots,

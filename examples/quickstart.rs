@@ -6,7 +6,7 @@
 //! Run with `cargo run --release --example quickstart`.
 
 use qccd_core::{ArchitectureConfig, Compiler};
-use qccd_decoder::{estimate_logical_error_rate, DecoderKind};
+use qccd_decoder::{estimate_logical_error_rate_report, DecoderKind, EstimatorConfig};
 use qccd_qec::{rotated_surface_code, MemoryBasis};
 
 fn main() {
@@ -44,8 +44,15 @@ fn main() {
         .compile_memory_experiment(&code, code.distance(), MemoryBasis::Z)
         .expect("memory experiment compiles");
     let noisy = experiment.to_noisy_circuit();
-    let estimate = estimate_logical_error_rate(&noisy, 20_000, 7, DecoderKind::UnionFind)
-        .expect("annotations are consistent");
+    let estimate = estimate_logical_error_rate_report(
+        &noisy,
+        20_000,
+        7,
+        DecoderKind::UnionFind,
+        &EstimatorConfig::default(),
+    )
+    .expect("annotations are consistent")
+    .estimate;
     println!(
         "logical identity ({} rounds): {:.0} us per shot, logical error rate {:.2e} ± {:.1e}",
         code.distance(),

@@ -15,7 +15,9 @@ use std::collections::VecDeque;
 
 use qccd_circuit::{Circuit, Instruction};
 use qccd_core::{ArchitectureConfig, Compiler};
-use qccd_decoder::{estimate_logical_error_rate, DecoderKind, DecodingGraph};
+use qccd_decoder::{
+    estimate_logical_error_rate_report, DecoderKind, DecodingGraph, EstimatorConfig,
+};
 use qccd_hardware::{TopologyKind, WiringMethod};
 use qccd_qec::{
     memory_experiment, rectangular_rotated_surface_code, repetition_code, rotated_surface_code,
@@ -279,9 +281,16 @@ fn larger_traps_single_fault_failures_are_the_observable_conflicts() {
 }
 
 fn failures(circuit: &NoisyCircuit, shots: usize) -> usize {
-    estimate_logical_error_rate(circuit, shots, 7, DecoderKind::UnionFind)
-        .expect("annotations resolve")
-        .failures
+    estimate_logical_error_rate_report(
+        circuit,
+        shots,
+        7,
+        DecoderKind::UnionFind,
+        &EstimatorConfig::default(),
+    )
+    .expect("annotations resolve")
+    .estimate
+    .failures
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! logical error rates) does not change which configurations are viable.
 
 use qccd_core::{ArchitectureConfig, ClusteringStrategy, Compiler, Toolflow};
-use qccd_decoder::{estimate_logical_error_rate, DecoderKind};
+use qccd_decoder::{estimate_logical_error_rate_report, DecoderKind, EstimatorConfig};
 use qccd_hardware::{TopologyKind, WiringMethod};
 use qccd_qec::{rotated_surface_code, surgery_workload, MemoryBasis, MergeKind};
 
@@ -95,12 +95,26 @@ fn decoder_choice_shifts_but_does_not_reorder_logical_error_rates() {
     let noisy = program.to_noisy_circuit();
 
     let shots = 3_000;
-    let union_find = estimate_logical_error_rate(&noisy, shots, 11, DecoderKind::UnionFind)
-        .unwrap()
-        .logical_error_rate;
-    let exact = estimate_logical_error_rate(&noisy, shots, 11, DecoderKind::ExactMatching)
-        .unwrap()
-        .logical_error_rate;
+    let union_find = estimate_logical_error_rate_report(
+        &noisy,
+        shots,
+        11,
+        DecoderKind::UnionFind,
+        &EstimatorConfig::default(),
+    )
+    .unwrap()
+    .estimate
+    .logical_error_rate;
+    let exact = estimate_logical_error_rate_report(
+        &noisy,
+        shots,
+        11,
+        DecoderKind::ExactMatching,
+        &EstimatorConfig::default(),
+    )
+    .unwrap()
+    .estimate
+    .logical_error_rate;
 
     // Both must be in a sane range for a 10X-improved capacity-2 grid.
     for (name, ler) in [("union-find", union_find), ("exact", exact)] {

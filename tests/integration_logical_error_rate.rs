@@ -2,9 +2,7 @@
 //! estimation through compile → noise lowering → sampling → decoding.
 
 use qccd_core::{ArchitectureConfig, Compiler, Toolflow};
-use qccd_decoder::{
-    estimate_logical_error_rate, estimate_logical_error_rate_with, DecoderKind, EstimatorConfig,
-};
+use qccd_decoder::{estimate_logical_error_rate_report, DecoderKind, EstimatorConfig};
 use qccd_qec::{rotated_surface_code, MemoryBasis};
 use qccd_sim::verify_detectors;
 
@@ -71,8 +69,11 @@ fn decoders_rank_exact_union_find() {
         .compile_memory_experiment(&layout, 5, MemoryBasis::Z)
         .unwrap()
         .to_noisy_circuit();
-    let [exact, uf] = [DecoderKind::ExactMatching, DecoderKind::UnionFind]
-        .map(|kind| estimate_logical_error_rate(&noisy, 50_000, 5, kind).unwrap());
+    let [exact, uf] = [DecoderKind::ExactMatching, DecoderKind::UnionFind].map(|kind| {
+        estimate_logical_error_rate_report(&noisy, 50_000, 5, kind, &EstimatorConfig::default())
+            .unwrap()
+            .estimate
+    });
     assert!(uf.failures > 0, "the comparison needs resolved estimates");
     assert!(
         exact.logical_error_rate <= uf.logical_error_rate * 2.0 + 2.0 * uf.std_error,
@@ -92,8 +93,11 @@ fn exact_is_no_worse_than_union_find_at_d7() {
         .unwrap()
         .to_noisy_circuit();
     let config = EstimatorConfig::default().with_num_threads(1);
-    let [exact, uf] = [DecoderKind::ExactMatching, DecoderKind::UnionFind]
-        .map(|kind| estimate_logical_error_rate_with(&noisy, 20_000, 2026, kind, &config).unwrap());
+    let [exact, uf] = [DecoderKind::ExactMatching, DecoderKind::UnionFind].map(|kind| {
+        estimate_logical_error_rate_report(&noisy, 20_000, 2026, kind, &config)
+            .unwrap()
+            .estimate
+    });
     assert!(uf.failures > 0, "the comparison needs resolved estimates");
     let bound = uf.failures as f64 + 2.0 * (uf.failures as f64).sqrt();
     assert!(
