@@ -343,25 +343,52 @@ fn distance_with_ci(fit: &LambdaFit, target: f64) -> Option<(usize, String, Valu
 /// d = 1 001 (release build), while a fit with Λ near 1 asks for thousands.
 const MAX_SIZED_DISTANCE: usize = 101;
 
-/// The distance required to reach `target` under `fit`, together with the
-/// resource estimate of the device sized for that distance — the common core
-/// of the `Electrodes` and `DataRate` outputs. The returned cell fragment
-/// and JSON carry the 95% CI distance band of [`distance_with_ci`]. Beyond
-/// [`MAX_SIZED_DISTANCE`] no device is built: the estimate is `None` and the
-/// cell reads `d=N (beyond d_max)`.
-fn resources_at_target(
-    fit: &Option<LambdaFit>,
-    target: f64,
+/// What a sized target cell of `output` (`Electrodes`, `DataRate` or
+/// `ShotTime`) reports at the required distance `d`: its JSON fields and
+/// its cell text. With `d` beyond [`MAX_SIZED_DISTANCE`] (`None`) nothing is
+/// sized: every field is null and there is no text. A shot is `d` rounds of
+/// one round compiled at `d` (what [`Toolflow::evaluate`] reports as
+/// `qec_round_time_us`), NaN when the round does not compile.
+fn sized_fields(
+    output: &LerOutput,
+    d: Option<usize>,
     configuration: &ArchitectureConfig,
-) -> Option<(String, Value, Option<qccd_hardware::ResourceEstimate>)> {
-    let (required_d, cell, json) = distance_with_ci(fit.as_ref()?, target)?;
-    if required_d > MAX_SIZED_DISTANCE {
-        return Some((format!("d={required_d} (beyond d_max)"), json, None));
+) -> (Vec<(&'static str, Value)>, Option<String>) {
+    let resources = |d: usize| {
+        let device = configuration.device_for(rotated_surface_code(d.max(2)).num_qubits());
+        estimate_resources(&device, configuration.wiring)
+    };
+    match output {
+        LerOutput::Electrodes { .. } => {
+            let electrodes = d.map(|d| resources(d).total_electrodes);
+            let text = electrodes.map(|electrodes| electrodes.to_string());
+            (vec![("electrodes", Value::from(electrodes))], text)
+        }
+        LerOutput::DataRate { include_power, .. } => {
+            let resources = d.map(resources);
+            let rate = resources.map(|r| r.data_rate_gbit_s);
+            let power = resources.map(|r| r.power_w).filter(|_| *include_power);
+            let mut fields = vec![("data_rate_gbit_s", Value::from(rate))];
+            if *include_power {
+                fields.push(("power_w", Value::from(power)));
+            }
+            let text = rate.map(|rate| match power {
+                Some(power) => format!("{} Gbit/s, {} W", fmt_f64(rate), fmt_f64(power)),
+                None => format!("{} Gbit/s", fmt_f64(rate)),
+            });
+            (fields, text)
+        }
+        LerOutput::ShotTime { .. } => {
+            let shot = d.map(|d| {
+                Compiler::new(configuration.clone())
+                    .compile_rounds(&rotated_surface_code(d.max(2)), 1)
+                    .map_or(f64::NAN, |round| round.elapsed_time_us() * d as f64)
+            });
+            let text = shot.map(|shot| format!("{} us", fmt_f64(shot)));
+            (vec![("shot_time_us", Value::from(shot))], text)
+        }
+        _ => unreachable!("only target outputs are sized"),
     }
-    let layout = rotated_surface_code(required_d.max(2));
-    let device = configuration.device_for(layout.num_qubits());
-    let resources = estimate_resources(&device, configuration.wiring);
-    Some((cell, json, Some(resources)))
 }
 
 fn ler_sweep_output(
@@ -463,70 +490,26 @@ fn ler_sweep_output(
                         entry["required_distance_ci"] = Value::Null;
                     }
                 },
-                LerOutput::Electrodes { targets } => {
+                LerOutput::Electrodes { targets }
+                | LerOutput::DataRate { targets, .. }
+                | LerOutput::ShotTime { targets } => {
                     for &target in targets {
-                        match resources_at_target(&curve.fit, target, configuration) {
-                            Some((cell, mut ci_json, resources)) => {
-                                let electrodes = resources.map(|r| r.total_electrodes);
-                                ci_json["electrodes"] = Value::from(electrodes);
-                                row.push(match electrodes {
-                                    Some(electrodes) => format!("{electrodes} ({cell})"),
-                                    None => cell,
-                                });
-                                entry[format!("target_{target:e}")] = ci_json;
-                            }
-                            None => row.push(no_target.to_string()),
+                        let Some((d, cell, mut ci_json)) =
+                            curve.fit.and_then(|fit| distance_with_ci(&fit, target))
+                        else {
+                            row.push(no_target.to_string());
+                            continue;
+                        };
+                        let sized = Some(d).filter(|&d| d <= MAX_SIZED_DISTANCE);
+                        let (fields, text) = sized_fields(output, sized, configuration);
+                        for (key, value) in fields {
+                            ci_json[key] = value;
                         }
-                    }
-                }
-                LerOutput::DataRate {
-                    targets,
-                    include_power,
-                } => {
-                    for &target in targets {
-                        match resources_at_target(&curve.fit, target, configuration) {
-                            Some((ci_cell, mut ci_json, None)) => {
-                                ci_json["data_rate_gbit_s"] = Value::Null;
-                                if *include_power {
-                                    ci_json["power_w"] = Value::Null;
-                                }
-                                row.push(ci_cell);
-                                entry[format!("target_{target:e}")] = ci_json;
-                            }
-                            Some((ci_cell, mut ci_json, Some(resources))) => {
-                                let mut cell =
-                                    format!("{} Gbit/s", fmt_f64(resources.data_rate_gbit_s));
-                                ci_json["data_rate_gbit_s"] =
-                                    serde_json::json!(resources.data_rate_gbit_s);
-                                if *include_power {
-                                    cell.push_str(&format!(", {} W", fmt_f64(resources.power_w)));
-                                    ci_json["power_w"] = Value::from(resources.power_w);
-                                }
-                                row.push(format!("{cell} ({ci_cell})"));
-                                entry[format!("target_{target:e}")] = ci_json;
-                            }
-                            None => row.push(no_target.to_string()),
-                        }
-                    }
-                }
-                LerOutput::ShotTime { targets } => {
-                    let toolflow = Toolflow::new(configuration.clone());
-                    for &target in targets {
-                        match curve.fit.as_ref().and_then(|f| distance_with_ci(f, target)) {
-                            Some((required_d, ci_cell, mut ci_json)) => {
-                                // Shot time at the required distance: measure
-                                // directly if the compile succeeds; a shot is
-                                // d rounds.
-                                let shot = toolflow
-                                    .evaluate(required_d.clamp(2, 13), false)
-                                    .map(|m| m.qec_round_time_us * required_d as f64)
-                                    .unwrap_or(f64::NAN);
-                                row.push(format!("{} us ({ci_cell})", fmt_f64(shot)));
-                                ci_json["shot_time_us"] = Value::from(shot);
-                                entry[format!("target_{target:e}")] = ci_json;
-                            }
-                            None => row.push(no_target.to_string()),
-                        }
+                        row.push(match text {
+                            Some(text) => format!("{text} ({cell})"),
+                            None => format!("d={d} (beyond d_max)"),
+                        });
+                        entry[format!("target_{target:e}")] = ci_json;
                     }
                 }
             }
@@ -1662,18 +1645,15 @@ mod tests {
             ),
             (
                 LerOutput::DataRate {
-                    targets,
+                    targets: targets.clone(),
                     include_power: true,
                 },
                 &["data_rate_gbit_s", "power_w"],
             ),
+            (LerOutput::ShotTime { targets }, &["shot_time_us"]),
         ];
         for (fit, d) in fits {
-            let (cell, json, resources) =
-                resources_at_target(&Some(fit), 1e-9, &configurations[0].1).unwrap();
-            assert_eq!(cell, format!("d={d} (beyond d_max)"));
-            assert_eq!(json["distance"].as_u64(), Some(d as u64));
-            assert!(resources.is_none());
+            let cell = format!("d={d} (beyond d_max)");
             for (output, keys) in &outputs {
                 kind.outputs = vec![output.clone()];
                 let curve = LerCurve {
@@ -1685,6 +1665,7 @@ mod tests {
                 let (_, rows, _, data) = ler_sweep_output(&kind, &configurations, &[curve]);
                 assert_eq!(rows[0][1], cell);
                 let target = &data.as_array().unwrap()[0]["target_1e-9"];
+                assert_eq!(target["distance"].as_u64(), Some(d as u64));
                 for key in *keys {
                     assert!(
                         target.get(key).is_some_and(Value::is_null),
@@ -1693,6 +1674,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fig13b_times_a_wise_shot_at_the_required_distance() {
+        // A fit that asks for d = 15 at 1e-9: above d = 13, where the shot
+        // time was once evaluated whatever the distance. WISE round times
+        // grow with d.
+        let fit = LambdaFit {
+            log_intercept: 0.0,
+            log_slope: 1e-9f64.ln() / 14.5,
+            log_intercept_std_error: 0.0,
+            log_slope_std_error: 0.0,
+            dropped_points: 0,
+        };
+        let registry = ExperimentRegistry::builtin();
+        let ExperimentKind::LerSweep(mut kind) = registry.get("fig13b").unwrap().kind.clone()
+        else {
+            panic!("fig13b changed kind");
+        };
+        kind.configurations
+            .retain(|point| point.label.as_deref() == Some("WISE c2"));
+        kind.outputs = vec![LerOutput::ShotTime {
+            targets: vec![1e-9],
+        }];
+        let configurations = vec![("WISE c2".to_string(), kind.configurations[0].build())];
+        let curve = LerCurve {
+            label: "WISE c2".into(),
+            points: Vec::new(),
+            fit: Some(fit),
+            outcomes: Vec::new(),
+        };
+        let (_, rows, _, data) = ler_sweep_output(&kind, &configurations, &[curve]);
+        let target = &data.as_array().unwrap()[0]["target_1e-9"];
+        assert_eq!(target["distance"].as_u64(), Some(15));
+        let round = Compiler::new(configurations[0].1.clone())
+            .compile_rounds(&rotated_surface_code(15), 1)
+            .unwrap();
+        let shot = round.elapsed_time_us() * 15.0;
+        assert_eq!(target["shot_time_us"].as_f64(), Some(shot));
+        assert_eq!(rows[0][1], format!("{} us (d=15)", fmt_f64(shot)));
     }
 
     #[test]
