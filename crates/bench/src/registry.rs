@@ -1041,8 +1041,8 @@ fn run_decoder_comparison(
                 return (row, entry);
             }
         };
+        let config = EstimatorConfig::default();
         for &decoder in &decoders {
-            let config = EstimatorConfig::default();
             let estimate =
                 estimate_logical_error_rate_from_table(&table, shots, task.seed, decoder, &config)
                     .estimate;

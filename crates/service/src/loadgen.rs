@@ -7,15 +7,15 @@
 //!
 //! Both transports run **one replay**. The program's chunks are sampled
 //! once, from the fault table its [`DecodeProgram`] derived when it was
-//! built (no second pass over the circuit), global shot `i` going to stream `i % streams` as its
-//! `i / streams`-th frame, and each stream's wire form (index frames or
-//! shot-major word blocks) is built before the clock starts. One paced loop
-//! submits one 64-shot word a burst per stream (one protocol line over
-//! TCP); per-stream collectors stamp each arrival; one verifier counts missing, out-of-order
-//! and mismatched corrections and measures latency on the client. Only
-//! opening a stream and submitting a burst depend on the transport. Over
-//! TCP, stream `s` rides connection `s % connections`, each connection on
-//! its own submission thread.
+//! built (no second pass over the circuit), global shot `i` going to
+//! stream `i % streams` as its `i / streams`-th frame, and each stream's
+//! wire form (index frames or shot-major word blocks) is built before the
+//! clock starts. One paced loop submits one 64-shot word a burst per stream
+//! (one protocol line over TCP); per-stream collectors stamp each arrival;
+//! one verifier counts missing, out-of-order and mismatched corrections and
+//! measures latency on the client. Only opening a stream and submitting a
+//! burst depend on the transport. Over TCP, stream `s` rides connection
+//! `s % connections`, each connection on its own submission thread.
 //!
 //! [`run_frontier_over_tcp`] sweeps the throughput/latency **frontier** over
 //! that one replay: an unthrottled calibration run finds the saturation
