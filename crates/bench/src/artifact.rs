@@ -1,6 +1,6 @@
 //! Structured experiment results.
 //!
-//! Running an [`ExperimentSpec`](crate::ExperimentSpec) produces an
+//! Running an [`ExperimentSpec`] produces an
 //! [`Artifact`]: the rendered table (headers + rows), the structured numeric
 //! payload (sampled points with standard errors, Λ fits with confidence
 //! intervals, derived resources), and provenance metadata (engine seed, spec

@@ -1408,7 +1408,7 @@ mod tests {
         assert_eq!(in_process.service.workers, 3);
         assert_eq!(
             in_process.service.telemetry,
-            TelemetryConfig::full_sampling()
+            TelemetryConfig { sample_every: 1 }
         );
     }
 

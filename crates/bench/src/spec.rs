@@ -13,9 +13,9 @@
 //! [`serde_json::to_string`] → [`serde_json::from_str`] →
 //! [`ExperimentSpec::from_json`] is the identity (property-tested in
 //! `tests/spec_registry.rs`). The conversions are hand-written against the
-//! vendored `serde_json` shim because the vendored `serde` derives are
-//! no-ops (see `vendor/README.md`); the `#[serde]`-style field order is
-//! irrelevant since objects are canonical `BTreeMap`s.
+//! vendored `serde_json` shim (no type in the workspace derives a serde
+//! trait; see `vendor/README.md`); field order is irrelevant since objects
+//! are canonical `BTreeMap`s.
 //!
 //! Every reader — of specs here, of stored point payloads in
 //! [`crate::point_job`] and of artifacts in [`crate::artifact`] — takes its
@@ -745,7 +745,8 @@ pub struct RareEventLerSpec {
     /// Decoder for every point.
     pub decoder: DecoderKind,
     /// Monte-Carlo pipeline configuration shared by both estimators (the
-    /// biased points additionally carry `importance_bias = bias`).
+    /// biased points additionally carry `importance_bias = bias`). Its own
+    /// `importance_bias` must be unset; validation refuses it.
     pub estimator: EstimatorConfig,
 }
 
@@ -1017,7 +1018,15 @@ impl ExperimentSpec {
                     return err("rare-event LER comparison needs positive shot counts");
                 }
                 bias_at_least_one(Some(spec.bias), "rare-event bias")?;
-                bias_at_least_one(spec.estimator.importance_bias, "`importance_bias`")?;
+                // The plain Monte-Carlo twin of every point runs this
+                // estimator as given, so a bias here would make it a second
+                // biased estimate.
+                if let Some(bias) = spec.estimator.importance_bias {
+                    return err(format!(
+                        "rare-event LER comparison refuses `estimator.importance_bias` \
+                         ({bias}): the spec's `bias` is its only bias"
+                    ));
+                }
                 for point in &spec.configurations {
                     point.validate()?;
                 }
@@ -1222,11 +1231,27 @@ mod tests {
     }
 
     #[test]
+    fn a_rare_event_spec_refuses_an_estimator_bias() {
+        // The plain Monte-Carlo half of the comparison must run unbiased.
+        let registry = crate::registry::ExperimentRegistry::builtin();
+        let builtin = registry.get("rare_event_ler").expect("builtin spec");
+        assert_eq!(builtin.validate(), Ok(()));
+        for bias in [1.0, 8.0] {
+            let mut spec = builtin.clone();
+            if let ExperimentKind::RareEventLer(ref mut s) = spec.kind {
+                s.estimator.importance_bias = Some(bias);
+            }
+            let message = spec.validate().unwrap_err().to_string();
+            assert!(message.contains("`bias` is its only bias"), "{message}");
+        }
+    }
+
+    #[test]
     fn arch_point_builds_the_architecture_it_describes() {
         let point = ArchPoint::new(TopologyKind::Switch, 3, WiringMethod::Wise, 5.0);
         let arch = point.build();
         assert_eq!(arch.capacity(), 3);
-        assert_eq!(arch.topology_kind(), TopologyKind::Switch);
+        assert_eq!(arch.topology.kind, TopologyKind::Switch);
         assert!(arch.noise.cooled, "WISE wiring derives the cooled noise");
         assert_eq!(point.display_label(), "switch c3");
         assert_eq!(point.clone().with_label("x").display_label(), "x");

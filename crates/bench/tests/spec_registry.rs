@@ -92,11 +92,15 @@ fn estimators() -> impl Strategy<Value = EstimatorConfig> {
                 if biased {
                     config = config.with_importance_bias(bias);
                 }
-                config.with_memo(if disable_memo {
+                let memo = if disable_memo {
                     MemoConfig::disabled()
                 } else {
-                    MemoConfig::default().with_max_defects(max_defects)
-                })
+                    MemoConfig {
+                        max_defects,
+                        ..MemoConfig::default()
+                    }
+                };
+                EstimatorConfig { memo, ..config }
             },
         )
 }
@@ -170,7 +174,11 @@ fn spec_suite() -> impl Strategy<Value = Vec<ExperimentSpec>> {
                             biased_shots: 1 + shots / 3,
                             bias: 1.0 + (shots % 50) as f64,
                             decoder,
-                            estimator,
+                            // The spec's `bias` is its only bias.
+                            estimator: EstimatorConfig {
+                                importance_bias: None,
+                                ..estimator
+                            },
                         }),
                     ),
                     spec(

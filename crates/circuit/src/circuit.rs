@@ -15,8 +15,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Instruction, QubitId};
 
 /// A stable reference to one measurement outcome.
@@ -24,7 +22,7 @@ use crate::{Instruction, QubitId};
 /// `occurrence` counts measurements *on this particular qubit*, starting at
 /// zero. The pair is invariant under any schedule transformation that
 /// preserves per-qubit operation order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MeasurementRef {
     /// Qubit that was measured.
     pub qubit: QubitId,
@@ -51,7 +49,7 @@ impl fmt::Display for MeasurementRef {
 /// The optional coordinate is purely diagnostic metadata (it mirrors Stim's
 /// `DETECTOR(x, y, t)` annotation) and is used by decoders and debugging
 /// output to localise detection events in space-time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Detector {
     /// The measurement outcomes whose parity this detector checks.
     pub measurements: Vec<MeasurementRef>,
@@ -79,7 +77,7 @@ impl Detector {
 
 /// A logical observable: a parity of measurement outcomes that encodes the
 /// value of a logical qubit at the end of the experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogicalObservable {
     /// The measurement outcomes whose parity defines the observable.
     pub measurements: Vec<MeasurementRef>,
@@ -93,7 +91,7 @@ impl LogicalObservable {
 }
 
 /// Summary statistics of a circuit, produced by [`Circuit::stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CircuitStats {
     /// Number of qubits referenced by the circuit.
     pub num_qubits: usize,
@@ -132,7 +130,7 @@ pub struct CircuitStats {
 /// assert_eq!(circuit.num_measurements(), 1);
 /// assert_eq!(circuit.measurement_refs(), vec![MeasurementRef::new(anc, 0)]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Circuit {
     instructions: Vec<Instruction>,
     detectors: Vec<Detector>,
@@ -301,14 +299,6 @@ impl Circuit {
         depth
     }
 
-    /// Returns the set of qubits that appear in at least one instruction.
-    pub fn used_qubits(&self) -> Vec<QubitId> {
-        let mut used: Vec<QubitId> = self.instructions.iter().flat_map(|i| i.qubits()).collect();
-        used.sort_unstable();
-        used.dedup();
-        used
-    }
-
     /// Validates that every detector and observable references a measurement
     /// that actually exists in the circuit.
     ///
@@ -471,12 +461,6 @@ mod tests {
             .collect();
         assert_eq!(c.len(), 2);
         assert_eq!(c.num_measurements(), 1);
-    }
-
-    #[test]
-    fn used_qubits_sorted_unique() {
-        let c = sample_circuit();
-        assert_eq!(c.used_qubits(), vec![q(0), q(1), q(2)]);
     }
 
     #[test]

@@ -2,13 +2,9 @@
 //!
 //! Every unitary instruction in this crate is a Clifford gate, so conjugating
 //! a Pauli string `P` by a gate `U` yields another Pauli string `U P U†`
-//! (with a ±1 sign). This is the core primitive behind:
-//!
-//! * the Pauli-frame simulator (errors are propagated forward through the
-//!   remaining circuit),
-//! * detector error model extraction (each elementary error is propagated to
-//!   the measurements it flips), and
-//! * unit-testing the tableau simulator against first principles.
+//! (with a ±1 sign). The simulators in `qccd-sim` propagate Paulis with
+//! their own bit-level update rules; [`conjugate`] is the first-principles
+//! reference their tests check those rules against.
 
 use crate::{Instruction, Pauli, QubitId, SparsePauli};
 
@@ -154,27 +150,9 @@ pub fn conjugate(instruction: &Instruction, pauli: &SparsePauli) -> Option<Spars
     Some(result)
 }
 
-/// Conjugates a Pauli string through a sequence of unitary instructions in
-/// order, i.e. computes `U_n … U_1 P U_1† … U_n†`.
-///
-/// Non-unitary instructions in the slice are skipped (the propagated operator
-/// is unchanged by them); this matches the "propagate an error forward
-/// through the rest of the circuit" usage where the caller separately
-/// records which measurements the operator anticommutes with.
-pub fn conjugate_through(instructions: &[Instruction], pauli: &SparsePauli) -> SparsePauli {
-    let mut current = pauli.clone();
-    for instruction in instructions {
-        if let Some(next) = conjugate(instruction, &current) {
-            current = next;
-        }
-    }
-    current
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Circuit;
 
     fn q(i: u32) -> QubitId {
         QubitId::new(i)
@@ -198,7 +176,7 @@ mod tests {
         // H Y H = -Y.
         let y_image = conjugate(&h, &single(0, Pauli::Y)).unwrap();
         assert_eq!(y_image.get(q(0)), Pauli::Y);
-        assert!(y_image.is_negative());
+        assert_eq!(y_image.phase_exponent(), 2);
     }
 
     #[test]
@@ -211,7 +189,7 @@ mod tests {
         // S Y S† = -X.
         let y_image = conjugate(&s, &single(0, Pauli::Y)).unwrap();
         assert_eq!(y_image.get(q(0)), Pauli::X);
-        assert!(y_image.is_negative());
+        assert_eq!(y_image.phase_exponent(), 2);
         // S and S† are inverses.
         let sdg = Instruction::Sdg(q(0));
         let round_trip = conjugate(&sdg, &conjugate(&s, &single(0, Pauli::X)).unwrap()).unwrap();
@@ -284,7 +262,7 @@ mod tests {
         let twice = conjugate(&ms, &once).unwrap();
         assert_eq!(twice.get(q(0)), Pauli::Z);
         assert_eq!(twice.get(q(1)), Pauli::I);
-        assert!(twice.is_negative());
+        assert_eq!(twice.phase_exponent(), 2);
     }
 
     #[test]
@@ -330,16 +308,16 @@ mod tests {
     #[test]
     fn bell_circuit_stabilizer_flow() {
         // H(0); CNOT(0,1) maps Z0 → X0X1 and Z1 → Z0Z1 (the Bell stabilizers).
-        let mut circuit = Circuit::new();
-        circuit.push(Instruction::H(q(0)));
-        circuit.push(Instruction::Cnot {
+        let h = Instruction::H(q(0));
+        let cnot = Instruction::Cnot {
             control: q(0),
             target: q(1),
-        });
-        let z0 = conjugate_through(circuit.instructions(), &single(0, Pauli::Z));
+        };
+        let flow = |p: SparsePauli| conjugate(&cnot, &conjugate(&h, &p).unwrap()).unwrap();
+        let z0 = flow(single(0, Pauli::Z));
         assert_eq!(z0.get(q(0)), Pauli::X);
         assert_eq!(z0.get(q(1)), Pauli::X);
-        let z1 = conjugate_through(circuit.instructions(), &single(1, Pauli::Z));
+        let z1 = flow(single(1, Pauli::Z));
         assert_eq!(z1.get(q(0)), Pauli::Z);
         assert_eq!(z1.get(q(1)), Pauli::Z);
     }

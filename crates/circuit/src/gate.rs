@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{QubitId, Qubits};
 
 /// A single instruction of a Clifford + measurement circuit.
@@ -32,7 +30,7 @@ use crate::{QubitId, Qubits};
 /// assert_eq!(cnot.qubits(), vec![QubitId::new(0), QubitId::new(1)]);
 /// assert!(cnot.is_two_qubit());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Instruction {
     /// Identity (explicit idle marker, occasionally useful in schedules).
     I(QubitId),
@@ -125,11 +123,6 @@ impl Instruction {
     /// (i.e. not a measurement and not a reset).
     pub fn is_unitary(&self) -> bool {
         !self.is_measurement() && !self.is_reset()
-    }
-
-    /// Returns `true` if the instruction acts on the given qubit.
-    pub fn acts_on(&self, qubit: QubitId) -> bool {
-        self.qubits().contains(&qubit)
     }
 
     /// A short mnemonic name for the instruction kind.
@@ -235,17 +228,6 @@ mod tests {
         assert!(Instruction::H(q(0)).is_unitary());
         assert!(!Instruction::Measure(q(0)).is_unitary());
         assert!(!Instruction::Reset(q(0)).is_unitary());
-    }
-
-    #[test]
-    fn acts_on() {
-        let g = Instruction::Cnot {
-            control: q(1),
-            target: q(4),
-        };
-        assert!(g.acts_on(q(1)));
-        assert!(g.acts_on(q(4)));
-        assert!(!g.acts_on(q(2)));
     }
 
     #[test]

@@ -34,7 +34,8 @@
 //!
 //! assert_eq!(circuit.stats().two_qubit_gates, 2);
 //! // The native translation needs 2 MS gates for the two CNOTs.
-//! assert_eq!(native::circuit_native_counts(&circuit).ms, 2);
+//! let ms_gates = circuit.iter().flat_map(native::decompose).filter(|op| op.is_two_qubit());
+//! assert_eq!(ms_gates.count(), 2);
 //! ```
 
 #![warn(missing_docs)]

@@ -18,12 +18,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
-use crate::{Circuit, Instruction, QubitId, Qubits};
+use crate::{Instruction, QubitId, Qubits};
 
 /// Rotation axis of a single-ion rotation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RotationAxis {
     /// Rotation about the X axis (t2).
     X,
@@ -46,7 +44,7 @@ impl fmt::Display for RotationAxis {
 /// Broad class of a native gate operation, used to look up durations and
 /// error rates in the hardware timing model without creating a dependency
 /// cycle between the circuit and hardware crates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NativeGateKind {
     /// Two-qubit Mølmer–Sørensen gate (t1).
     TwoQubitMs,
@@ -59,7 +57,7 @@ pub enum NativeGateKind {
 }
 
 /// A native trapped-ion quantum operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NativeGateOp {
     /// Two-qubit Mølmer–Sørensen XX(π/4) gate between two ions in the same
     /// trap.
@@ -202,14 +200,9 @@ fn cnot_sequence(control: QubitId, target: QubitId) -> Vec<NativeGateOp> {
     ]
 }
 
-/// Decomposes every instruction of a circuit, preserving order.
-pub fn decompose_circuit(circuit: &Circuit) -> Vec<NativeGateOp> {
-    circuit.iter().flat_map(decompose).collect()
-}
-
-/// Counts of native operations produced by decomposing an instruction; used
-/// by the theoretical-minimum elapsed-time model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// Counts of native operations produced by decomposing an instruction
+/// ([`native_counts`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NativeOpCounts {
     /// Number of two-qubit MS gates.
     pub ms: usize,
@@ -219,16 +212,6 @@ pub struct NativeOpCounts {
     pub measurements: usize,
     /// Number of resets.
     pub resets: usize,
-}
-
-impl NativeOpCounts {
-    /// Accumulates the counts of another tally into this one.
-    pub fn add(&mut self, other: NativeOpCounts) {
-        self.ms += other.ms;
-        self.rotations += other.rotations;
-        self.measurements += other.measurements;
-        self.resets += other.resets;
-    }
 }
 
 /// Tallies the native operations required by one instruction.
@@ -245,18 +228,10 @@ pub fn native_counts(instruction: &Instruction) -> NativeOpCounts {
     counts
 }
 
-/// Tallies the native operations required by a whole circuit.
-pub fn circuit_native_counts(circuit: &Circuit) -> NativeOpCounts {
-    let mut counts = NativeOpCounts::default();
-    for instruction in circuit.iter() {
-        counts.add(native_counts(instruction));
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Circuit;
 
     fn q(i: u32) -> QubitId {
         QubitId::new(i)
@@ -346,17 +321,14 @@ mod tests {
         });
         c.push(Instruction::Measure(q(2)));
 
-        let counts = circuit_native_counts(&c);
-        assert_eq!(counts.ms, 2);
-        assert_eq!(counts.rotations, 2 + 4 + 4);
-        assert_eq!(counts.measurements, 1);
-        assert_eq!(counts.resets, 1);
-
-        let ops = decompose_circuit(&c);
-        assert_eq!(
-            ops.len(),
-            counts.ms + counts.rotations + counts.measurements + counts.resets
-        );
+        for instruction in c.iter() {
+            let counts = native_counts(instruction);
+            assert_eq!(
+                decompose(instruction).len(),
+                counts.ms + counts.rotations + counts.measurements + counts.resets,
+                "{instruction}"
+            );
+        }
     }
 
     #[test]

@@ -9,14 +9,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::QubitId;
 
 /// A single-qubit Pauli operator.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum Pauli {
     /// Identity.
     #[default]
@@ -132,7 +128,7 @@ impl fmt::Display for Pauli {
 /// assert_eq!(zz.get(QubitId::new(1)), Pauli::I);
 /// assert_eq!(format!("{zz}"), "+Z0*Z3");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SparsePauli {
     terms: BTreeMap<QubitId, Pauli>,
     phase_exponent: u8,
@@ -189,11 +185,6 @@ impl SparsePauli {
         self.phase_exponent
     }
 
-    /// Returns `true` if the tracked phase is −1 or −i.
-    pub fn is_negative(&self) -> bool {
-        self.phase_exponent == 2 || self.phase_exponent == 3
-    }
-
     /// Overrides the phase exponent (mod 4).
     pub fn set_phase_exponent(&mut self, exponent: u8) {
         self.phase_exponent = exponent % 4;
@@ -245,22 +236,6 @@ impl SparsePauli {
             }
         }
         anticommuting.is_multiple_of(2)
-    }
-
-    /// Returns the qubits where this string has an X component (X or Y).
-    pub fn x_support(&self) -> Vec<QubitId> {
-        self.iter()
-            .filter(|(_, p)| p.xz().0)
-            .map(|(q, _)| q)
-            .collect()
-    }
-
-    /// Returns the qubits where this string has a Z component (Z or Y).
-    pub fn z_support(&self) -> Vec<QubitId> {
-        self.iter()
-            .filter(|(_, p)| p.xz().1)
-            .map(|(q, _)| q)
-            .collect()
     }
 }
 
@@ -395,8 +370,6 @@ mod tests {
         s.set(q(1), Pauli::Y);
         s.set(q(2), Pauli::Z);
         assert_eq!(s.support(), vec![q(0), q(1), q(2)]);
-        assert_eq!(s.x_support(), vec![q(0), q(1)]);
-        assert_eq!(s.z_support(), vec![q(1), q(2)]);
     }
 
     #[test]

@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a qubit inside a circuit.
 ///
 /// `QubitId` is a thin newtype around `u32` so that qubit indices cannot be
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(q.index(), 3);
 /// assert_eq!(format!("{q}"), "q3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QubitId(u32);
 
 impl QubitId {
@@ -164,7 +162,7 @@ impl<'a> IntoIterator for &'a Qubits {
 /// Measurement results are numbered in the order the measurement
 /// instructions appear in the circuit, starting from zero. Detectors and
 /// logical observables reference measurements through this type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MeasurementIndex(pub usize);
 
 impl MeasurementIndex {

@@ -6,13 +6,11 @@
 //! parameters (including the gate-improvement factor). The design-space
 //! exploration toolflow sweeps these configurations.
 
-use serde::{Deserialize, Serialize};
-
 use qccd_hardware::{Device, OperationTimes, TopologyKind, TopologySpec, WiringMethod};
 use qccd_noise::NoiseParams;
 
 /// One candidate QCCD architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchitectureConfig {
     /// Communication topology and trap capacity.
     pub topology: TopologySpec,
@@ -70,11 +68,6 @@ impl ArchitectureConfig {
         self.topology.capacity
     }
 
-    /// The topology family of this configuration.
-    pub fn topology_kind(&self) -> TopologyKind {
-        self.topology.kind
-    }
-
     /// Builds a device of this architecture sized for `num_qubits` code
     /// qubits.
     pub fn device_for(&self, num_qubits: usize) -> Device {
@@ -98,7 +91,7 @@ mod tests {
     fn recommended_configuration() {
         let arch = ArchitectureConfig::recommended(5.0);
         assert_eq!(arch.capacity(), 2);
-        assert_eq!(arch.topology_kind(), TopologyKind::Grid);
+        assert_eq!(arch.topology.kind, TopologyKind::Grid);
         assert_eq!(arch.wiring, WiringMethod::Standard);
         assert!(!arch.noise.cooled);
         assert_eq!(arch.label(), "grid c2 standard 5x");

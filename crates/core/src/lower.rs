@@ -343,7 +343,7 @@ mod tests {
             })
             .collect();
         assert_eq!(dephasing.len(), 1);
-        let expected = NoiseParams::standard(1.0).dephasing_probability(400.0);
+        let expected = NoiseParams::standard(1.0).dephasing_unscaled(400.0).at(1.0);
         assert!((dephasing[0] - expected).abs() < 1e-15);
     }
 
@@ -453,7 +453,9 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        let single = params.two_qubit_gate_error(40.0, 3, params.base_nbar);
+        let single = params
+            .two_qubit_gate_unscaled(40.0, 3, params.base_nbar)
+            .at(params.gate_improvement);
         assert!(p_swap > single, "a swap is three gates worth of noise");
     }
 }

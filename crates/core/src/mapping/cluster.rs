@@ -11,8 +11,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-use serde::{Deserialize, Serialize};
-
 use qccd_circuit::QubitId;
 use qccd_qec::CodeLayout;
 
@@ -22,7 +20,7 @@ use qccd_qec::CodeLayout;
 /// [`ClusteringStrategy::RoundRobin`] is a structure-blind ablation baseline
 /// used to quantify how much of the compiler's advantage comes from
 /// exploiting the surface code's geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ClusteringStrategy {
     /// Top-down regular (geometric) partitioning of the code layout — the
     /// paper's method and the default.

@@ -1,13 +1,11 @@
 //! Evaluation metrics (§6.3 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 use qccd_decoder::LogicalErrorEstimate;
 use qccd_hardware::ResourceEstimate;
 
 /// Every metric the design-space exploration reports for one
 /// (architecture, code distance) point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Metrics {
     /// Human-readable architecture label.
     pub architecture: String,

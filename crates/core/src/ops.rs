@@ -6,8 +6,6 @@
 //! resources they occupy. The scheduler then assigns start times to this
 //! stream subject to resource exclusivity.
 
-use serde::{Deserialize, Serialize};
-
 use std::collections::HashMap;
 
 use qccd_circuit::{native, Instruction, QubitId, Qubits};
@@ -18,7 +16,7 @@ use qccd_hardware::{
 use crate::QubitMapping;
 
 /// A hardware resource that serialises the operations using it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Resource {
     /// A trap: gates and reconfiguration steps within one trap execute
     /// serially (§3.1).
@@ -73,7 +71,7 @@ impl std::fmt::Debug for Resources {
 }
 
 /// One routed operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RoutedOp {
     /// A quantum instruction executed inside a trap.
     Gate {
@@ -192,27 +190,13 @@ impl RoutedOp {
 }
 
 /// The full routed program produced by the router.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RoutedProgram {
     /// Operations in routed (dependency-respecting) order.
     pub ops: Vec<RoutedOp>,
 }
 
 impl RoutedProgram {
-    /// Number of ion-reconfiguration operations (movement primitives plus
-    /// gate swaps).
-    pub fn num_movement_ops(&self) -> usize {
-        self.ops.iter().filter(|op| op.is_movement()).count()
-    }
-
-    /// Number of quantum gate operations (excluding swaps).
-    pub fn num_gate_ops(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, RoutedOp::Gate { .. }))
-            .count()
-    }
-
     /// Total time spent in ion reconfiguration, summed over movement
     /// operations (the paper's "movement time" metric in Table 3).
     pub fn movement_time_us(&self, times: &OperationTimes, wiring: WiringMethod) -> f64 {
@@ -533,8 +517,6 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(program.num_movement_ops(), 3);
-        assert_eq!(program.num_gate_ops(), 1);
         assert_eq!(
             program.movement_time_us(&times, WiringMethod::Standard),
             80.0 + 80.0 + 120.0

@@ -715,8 +715,12 @@ mod tests {
         let layout = repetition_code(3);
         let device = Device::single_chain(layout.num_qubits());
         let (program, _) = route_code(&layout, &device, 1);
-        assert_eq!(program.num_movement_ops(), 0);
-        assert_eq!(program.num_gate_ops(), parity_check_round(&layout).len());
+        assert!(!program.ops.iter().any(RoutedOp::is_movement));
+        let gate_ops = program
+            .ops
+            .iter()
+            .filter(|op| matches!(op, RoutedOp::Gate { .. }));
+        assert_eq!(gate_ops.count(), parity_check_round(&layout).len());
     }
 
     #[test]
@@ -724,13 +728,17 @@ mod tests {
         let layout = repetition_code(3);
         let device = Device::linear(5, 2);
         let (program, mapping) = route_code(&layout, &device, 1);
-        assert!(program.num_movement_ops() > 0);
+        assert!(program.ops.iter().any(RoutedOp::is_movement));
         assert_eq!(
             check_routing_invariants(&program, &device, &mapping),
             Ok(())
         );
         // Every circuit instruction appears exactly once as a gate op.
-        assert_eq!(program.num_gate_ops(), parity_check_round(&layout).len());
+        let gate_ops = program
+            .ops
+            .iter()
+            .filter(|op| matches!(op, RoutedOp::Gate { .. }));
+        assert_eq!(gate_ops.count(), parity_check_round(&layout).len());
     }
 
     #[test]
@@ -743,11 +751,12 @@ mod tests {
             check_routing_invariants(&program, &device, &mapping),
             Ok(())
         );
-        assert_eq!(
-            program.num_gate_ops(),
-            2 * parity_check_round(&layout).len()
-        );
-        assert!(program.num_movement_ops() > 0);
+        let gate_ops = program
+            .ops
+            .iter()
+            .filter(|op| matches!(op, RoutedOp::Gate { .. }));
+        assert_eq!(gate_ops.count(), 2 * parity_check_round(&layout).len());
+        assert!(program.ops.iter().any(RoutedOp::is_movement));
     }
 
     #[test]
@@ -760,7 +769,11 @@ mod tests {
             check_routing_invariants(&program, &device, &mapping),
             Ok(())
         );
-        assert_eq!(program.num_gate_ops(), parity_check_round(&layout).len());
+        let gate_ops = program
+            .ops
+            .iter()
+            .filter(|op| matches!(op, RoutedOp::Gate { .. }));
+        assert_eq!(gate_ops.count(), parity_check_round(&layout).len());
     }
 
     #[test]
@@ -772,11 +785,11 @@ mod tests {
         };
         let (low_cap, _) = route_code(&layout, &grid(2), 1);
         let (high_cap, _) = route_code(&layout, &grid(6), 1);
+        let [low, high] =
+            [low_cap, high_cap].map(|p| p.ops.iter().filter(|op| op.is_movement()).count());
         assert!(
-            high_cap.num_movement_ops() < low_cap.num_movement_ops(),
-            "capacity 6 ({} moves) should need fewer moves than capacity 2 ({} moves)",
-            high_cap.num_movement_ops(),
-            low_cap.num_movement_ops()
+            high < low,
+            "capacity 6 ({high} moves) should need fewer moves than capacity 2 ({low} moves)"
         );
     }
 

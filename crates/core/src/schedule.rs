@@ -20,15 +20,13 @@
 
 use std::mem::Discriminant;
 
-use serde::{Deserialize, Serialize};
-
 use qccd_circuit::Instruction;
 use qccd_hardware::{OperationTimes, WiringMethod};
 
 use crate::{Resource, Resources, RoutedOp, RoutedProgram};
 
 /// One operation with its assigned execution window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledOp {
     /// The operation.
     pub op: RoutedOp,
@@ -46,7 +44,7 @@ impl ScheduledOp {
 }
 
 /// A timed execution schedule.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Schedule {
     /// Scheduled operations, in routed order.
     pub ops: Vec<ScheduledOp>,

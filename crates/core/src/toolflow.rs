@@ -15,8 +15,6 @@
 //! program registry, a LER sweep's per-schedule fault tables) holds the
 //! compiled value itself.
 
-use serde::{Deserialize, Serialize};
-
 use qccd_decoder::{
     estimate_logical_error_rate_report, DecoderKind, EstimateReport, EstimatorConfig,
 };
@@ -28,7 +26,7 @@ use crate::{ArchitectureConfig, CompileError, CompiledProgram, Compiler, Metrics
 /// One declarative evaluation point: everything [`Toolflow::run_spec`] needs
 /// to produce a [`Metrics`] — the architecture under test, the workload
 /// distance, and the full sampling/decoding configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ToolflowSpec {
     /// The candidate architecture.
     pub arch: ArchitectureConfig,
@@ -64,7 +62,7 @@ impl ToolflowSpec {
 }
 
 /// The end-to-end evaluation toolflow for one candidate architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Toolflow {
     /// The candidate architecture under evaluation.
     pub arch: ArchitectureConfig,

@@ -13,6 +13,7 @@ use proptest::prelude::*;
 use qccd_core::{
     check_resource_exclusivity, check_routing_invariants, cluster_qubits_with_strategy,
     validate_clustering, ArchitectureConfig, ClusteringStrategy, CompiledProgram, Compiler,
+    RoutedOp,
 };
 use qccd_hardware::{TopologyKind, WiringMethod};
 use qccd_qec::{parity_check_round, repetition_code, rotated_surface_code, CodeLayout};
@@ -46,10 +47,12 @@ fn workload_for(topology: TopologyKind, distance: usize) -> CodeLayout {
 /// under WISE, on the global transport controller).
 fn check_routed_round(program: &CompiledProgram, layout: &CodeLayout) -> Result<(), String> {
     let gates = parity_check_round(layout).len();
-    if program.routed.num_gate_ops() != gates {
+    let ops = &program.routed.ops;
+    let gate_ops = ops.iter().filter(|op| matches!(op, RoutedOp::Gate { .. }));
+    let gate_ops = gate_ops.count();
+    if gate_ops != gates {
         return Err(format!(
-            "{} gate ops for a round of {gates} instructions",
-            program.routed.num_gate_ops()
+            "{gate_ops} gate ops for a round of {gates} instructions"
         ));
     }
     check_routing_invariants(&program.routed, &program.device, &program.mapping)?;

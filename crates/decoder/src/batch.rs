@@ -242,15 +242,9 @@ impl DecodeScratch {
     }
 
     /// Accumulated memo hit/miss counters, across every chunk decoded with
-    /// this scratch — by any decoder — since the last
-    /// [`DecodeScratch::reset_cache_stats`]. They only grow in between.
+    /// this scratch — by any decoder. They only grow.
     pub fn cache_stats(&self) -> CacheStats {
         self.memo.stats()
-    }
-
-    /// Resets the memo hit/miss counters (cached entries are kept).
-    pub fn reset_cache_stats(&mut self) {
-        self.memo.reset_stats();
     }
 
     /// Number of defect sets currently cached.

@@ -23,15 +23,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use qccd_sim::DetectorErrorModel;
 
 /// Index of a detector vertex in the decoding graph.
 pub type DetectorIndex = usize;
 
 /// One edge of the decoding graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecodingEdge {
     /// First endpoint (a detector).
     pub a: DetectorIndex,
@@ -58,7 +56,7 @@ impl DecodingEdge {
 }
 
 /// A decoding graph derived from a detector error model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecodingGraph {
     num_detectors: usize,
     num_observables: usize,

@@ -39,7 +39,6 @@
 //! nothing stops the fold, and one wave holds every chunk.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use qccd_circuit::MeasurementRef;
 use qccd_sim::{DetectorChunkSampler, FaultTable, NoisyCircuit, CANONICAL_BLOCK_SHOTS};
@@ -50,7 +49,7 @@ use crate::{
 };
 
 /// Which decoder to use for logical error rate estimation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DecoderKind {
     /// Weighted union-find (the default).
     #[default]
@@ -83,7 +82,7 @@ impl DecoderKind {
 
 /// Tuning knobs of the Monte-Carlo pipeline. The defaults decode all
 /// shots, chunked for parallel throughput, with no early stopping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstimatorConfig {
     /// Shots per work chunk (rounded up to whole canonical sampling blocks
     /// of [`CANONICAL_BLOCK_SHOTS`] shots). Bounds peak memory and sets the
@@ -151,13 +150,6 @@ impl EstimatorConfig {
         self
     }
 
-    /// Overrides the syndrome-memo configuration (pass
-    /// [`MemoConfig::disabled`] to decode every shot from scratch).
-    pub fn with_memo(mut self, memo: MemoConfig) -> Self {
-        self.memo = memo;
-        self
-    }
-
     /// Enables importance sampling with the given bias factor (a finite
     /// factor ≥ 1 by which every noise probability is scaled, clamped at
     /// 0.5). See [`EstimatorConfig::importance_bias`].
@@ -168,7 +160,7 @@ impl EstimatorConfig {
 }
 
 /// The result of a Monte-Carlo logical error rate estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogicalErrorEstimate {
     /// Number of shots actually decoded (less than requested when early
     /// stopping triggered).
@@ -452,8 +444,8 @@ fn run_pipeline(
 /// scheduling-invariant.
 ///
 /// A shot counts as a failure if the decoder's predicted flip of *any*
-/// logical observable disagrees with the actual flip. See the
-/// [module docs](self) for the determinism contract. This is the
+/// logical observable disagrees with the actual flip. The module docs of
+/// `ler.rs` state the determinism contract. This is the
 /// estimator's one circuit entry point: one pass over the circuit builds
 /// its [`FaultTable`], and [`estimate_logical_error_rate_from_table`] does
 /// the rest.
@@ -519,7 +511,7 @@ pub fn estimate_logical_error_rate_from_table(
 /// An exponential fit `ln LER(d) = intercept + slope · d` across code
 /// distances, with the parameter standard errors of the (weighted) least
 /// squares solution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LambdaFit {
     /// Intercept of the log-linear fit.
     pub log_intercept: f64,

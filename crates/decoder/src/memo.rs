@@ -3,7 +3,7 @@
 //! Below threshold, the overwhelming majority of noisy shots carry a handful
 //! of recurring small defect sets — single defects and adjacent pairs — so
 //! decoding the same canonical defect set over and over dominates the batch
-//! decode cost. The [`SyndromeMemo`] caches the decoder's prediction per
+//! decode cost. The `SyndromeMemo` caches the decoder's prediction per
 //! defect set, keyed by the (already sorted) fired-detector list, for shots
 //! with at most [`MemoConfig::max_defects`] defects.
 //!
@@ -24,8 +24,7 @@
 //! drops its entries whenever it is handed to a decoder with a different
 //! token, so a scratch can be shared across decoders without serving stale
 //! predictions. The counters belong to the scratch, not to the owner: they
-//! only grow until
-//! [`DecodeScratch::reset_cache_stats`](crate::DecodeScratch::reset_cache_stats).
+//! only grow for the life of the scratch.
 //!
 //! # Learning
 //!
@@ -42,7 +41,6 @@ use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use qccd_sim::WordHasher;
-use serde::{Deserialize, Serialize};
 
 /// Default cap on the defect-set cardinality that is memoized.
 pub const DEFAULT_MEMO_MAX_DEFECTS: usize = 4;
@@ -61,7 +59,7 @@ pub(crate) fn next_memo_token() -> NonZeroU64 {
 }
 
 /// Tuning knobs of the syndrome memo.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoConfig {
     /// Largest defect-set cardinality that is memoized (clamped to
     /// [`MEMO_KEY_CAPACITY`]; `0` disables memoization entirely).
@@ -90,18 +88,6 @@ impl MemoConfig {
         }
     }
 
-    /// Overrides the defect-set cardinality cap.
-    pub fn with_max_defects(mut self, max_defects: usize) -> Self {
-        self.max_defects = max_defects;
-        self
-    }
-
-    /// Overrides the entry cap.
-    pub fn with_max_entries(mut self, max_entries: usize) -> Self {
-        self.max_entries = max_entries;
-        self
-    }
-
     /// Whether memoization is enabled at all.
     pub fn enabled(&self) -> bool {
         self.max_defects > 0
@@ -114,8 +100,7 @@ impl MemoConfig {
 }
 
 /// Hit/miss counters of one memo (accumulated across chunks — and across
-/// changes of owning decoder — until
-/// [`DecodeScratch::reset_cache_stats`](crate::DecodeScratch::reset_cache_stats)).
+/// changes of owning decoder — for the life of its scratch).
 ///
 /// Only *noisy* shots are counted — quiet shots are skipped by the batch
 /// engine's word-level scan before the memo is ever consulted.
@@ -125,7 +110,7 @@ impl MemoConfig {
 /// word is counted as quiet (no defect anywhere), sparse (every noisy lane
 /// at or below the memo's defect cap) or dense (at least one lane above the
 /// cap, i.e. counted in `uncacheable`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Noisy shots answered from the memo.
     pub hits: u64,
@@ -165,17 +150,6 @@ impl CacheStats {
         self.quiet_words + self.sparse_words + self.dense_words
     }
 
-    /// Fraction of noisy shots answered from the memo (0 when nothing was
-    /// decoded).
-    pub fn hit_rate(&self) -> f64 {
-        let decoded = self.decoded();
-        if decoded == 0 {
-            0.0
-        } else {
-            self.hits as f64 / decoded as f64
-        }
-    }
-
     /// Adds another set of counters field-wise (used by the estimator to
     /// aggregate per-chunk deltas).
     pub fn merge(&mut self, other: &CacheStats) {
@@ -188,9 +162,7 @@ impl CacheStats {
     }
 
     /// The counters accumulated since `earlier` was captured from the same
-    /// scratch, with no
-    /// [`DecodeScratch::reset_cache_stats`](crate::DecodeScratch::reset_cache_stats)
-    /// in between (the only thing that makes a counter shrink).
+    /// scratch (its counters never shrink).
     pub fn since(&self, earlier: &CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits - earlier.hits,
@@ -244,11 +216,6 @@ impl SyndromeMemo {
     /// Accumulated hit/miss counters.
     pub(crate) fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Resets the hit/miss counters (entries are kept).
-    pub(crate) fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     /// Number of cached defect sets.
@@ -336,9 +303,11 @@ mod tests {
         assert_eq!(config.max_defects, DEFAULT_MEMO_MAX_DEFECTS);
         assert!(!MemoConfig::disabled().enabled());
         assert_eq!(
-            MemoConfig::default()
-                .with_max_defects(100)
-                .effective_max_defects(),
+            MemoConfig {
+                max_defects: 100,
+                ..MemoConfig::default()
+            }
+            .effective_max_defects(),
             MEMO_KEY_CAPACITY
         );
     }
@@ -353,8 +322,6 @@ mod tests {
         };
         assert_eq!(stats.attempts(), 8);
         assert_eq!(stats.decoded(), 10);
-        assert!((stats.hit_rate() - 0.6).abs() < 1e-12);
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 
     #[test]
@@ -413,7 +380,10 @@ mod tests {
     #[test]
     fn entry_cap_stops_insertions_but_not_lookups() {
         let mut memo = SyndromeMemo::default();
-        memo.set_config(MemoConfig::default().with_max_entries(1));
+        memo.set_config(MemoConfig {
+            max_entries: 1,
+            ..MemoConfig::default()
+        });
         let token = next_memo_token();
         memo.claim(token, 1);
         memo.insert(&[0], 1);
@@ -426,7 +396,10 @@ mod tests {
     #[test]
     fn cacheable_respects_cap_and_observables() {
         let mut memo = SyndromeMemo::default();
-        memo.set_config(MemoConfig::default().with_max_defects(2));
+        memo.set_config(MemoConfig {
+            max_defects: 2,
+            ..MemoConfig::default()
+        });
         assert!(memo.cacheable(0, 1));
         assert!(memo.cacheable(2, 64));
         assert!(!memo.cacheable(3, 1));

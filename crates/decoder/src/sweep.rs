@@ -19,8 +19,6 @@
 //! independent of thread counts, sharding, or which worker picked up which
 //! point. The golden regression tests in `qccd-bench` pin this contract.
 
-use serde::{Deserialize, Serialize};
-
 use rayon::prelude::*;
 
 /// Derives the deterministic seed of one sweep point from the engine seed
@@ -52,8 +50,8 @@ pub struct SweepTask<'a, C> {
 }
 
 /// Shards sweep points across an outer worker pool with per-point
-/// deterministic seeds (see the [module docs](self)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// deterministic seeds (see the module docs of `sweep.rs`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepEngine {
     seed: u64,
     num_threads: Option<usize>,

@@ -106,7 +106,6 @@ fn defect_count_above_the_cap_bypasses_the_memo() {
         }
     );
     assert_eq!(scratch.memo_entries(), 0, "oversized sets are never cached");
-    assert_eq!(stats.hit_rate(), 0.0);
 }
 
 #[test]
@@ -136,16 +135,11 @@ fn cache_stats_count_hits_misses_and_uncacheable_exactly() {
     );
     assert_eq!(stats.attempts(), 4);
     assert_eq!(stats.decoded(), 5);
-    assert!((stats.hit_rate() - 0.4).abs() < 1e-12);
     assert_eq!(scratch.memo_entries(), 2);
     // Every shot still matches the uncached per-shot decode.
     for (shot, fired) in shots.iter().enumerate() {
         assert_eq!(batch.shot_prediction(shot), decoder.decode(fired));
     }
-    // Counter reset keeps the entries.
-    scratch.reset_cache_stats();
-    assert_eq!(scratch.cache_stats(), CacheStats::default());
-    assert_eq!(scratch.memo_entries(), 2);
 }
 
 #[test]
@@ -195,7 +189,10 @@ fn scratch_reuse_across_chunks_keeps_entries_and_accumulates_stats() {
 #[test]
 fn entry_cap_bounds_the_table_without_changing_results() {
     let decoder = UnionFindDecoder::new(chain_graph(8));
-    let mut capped = DecodeScratch::with_memo_config(MemoConfig::default().with_max_entries(1));
+    let mut capped = DecodeScratch::with_memo_config(MemoConfig {
+        max_entries: 1,
+        ..MemoConfig::default()
+    });
     let shots = vec![vec![0], vec![1], vec![1], vec![0]];
     let chunk = chunk_of(8, &shots);
     let batch = decoder.decode_batch(&chunk, &mut capped);

@@ -117,7 +117,7 @@ proptest! {
                 prop_assert_eq!(&batch, &reference, "pass {}", pass);
             }
             let mut capped = DecodeScratch::with_memo_config(
-                MemoConfig::default().with_max_entries(2),
+                MemoConfig { max_entries: 2, ..MemoConfig::default() },
             );
             let batch = decoder.decode_batch(&chunk, &mut capped);
             prop_assert_eq!(&batch, &reference);
@@ -141,27 +141,29 @@ proptest! {
             shots,
             seed,
             kind,
-            &EstimatorConfig::default()
-                .with_chunk_shots(1)
-                .with_num_threads(1)
-                .with_memo(MemoConfig::disabled()),
+            &EstimatorConfig {
+                memo: MemoConfig::disabled(),
+                ..EstimatorConfig::default().with_chunk_shots(1).with_num_threads(1)
+            },
         )
         .expect("valid annotations").estimate;
         for (chunk_shots, threads, memo) in [
             (CANONICAL_BLOCK_SHOTS, 4, MemoConfig::default()),
             (3 * CANONICAL_BLOCK_SHOTS, 2, MemoConfig::default()),
-            (CANONICAL_BLOCK_SHOTS, 2, MemoConfig::default().with_max_defects(1)),
-            (2 * CANONICAL_BLOCK_SHOTS, 3, MemoConfig::default().with_max_entries(4)),
+            (CANONICAL_BLOCK_SHOTS, 2, MemoConfig { max_defects: 1, ..MemoConfig::default() }),
+            (2 * CANONICAL_BLOCK_SHOTS, 3, MemoConfig { max_entries: 4, ..MemoConfig::default() }),
         ] {
             let estimate = estimate_logical_error_rate_report(
                 &circuit,
                 shots,
                 seed,
                 kind,
-                &EstimatorConfig::default()
-                    .with_chunk_shots(chunk_shots)
-                    .with_num_threads(threads)
-                    .with_memo(memo),
+                &EstimatorConfig {
+                    memo,
+                    ..EstimatorConfig::default()
+                        .with_chunk_shots(chunk_shots)
+                        .with_num_threads(threads)
+                },
             )
             .expect("valid annotations").estimate;
             prop_assert_eq!(estimate.shots, reference.shots);

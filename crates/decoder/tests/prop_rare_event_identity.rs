@@ -72,13 +72,14 @@ proptest! {
         for (chunk_shots, threads, memo) in [
             (CANONICAL_BLOCK_SHOTS, 4, MemoConfig::default()),
             (3 * CANONICAL_BLOCK_SHOTS, 2, MemoConfig::disabled()),
-            (usize::MAX, 3, MemoConfig::default().with_max_defects(1)),
+            (usize::MAX, 3, MemoConfig { max_defects: 1, ..MemoConfig::default() }),
         ] {
             let variant = estimate_logical_error_rate_report(
                 &circuit, shots, seed, kind,
-                &base.with_chunk_shots(chunk_shots)
-                    .with_num_threads(threads)
-                    .with_memo(memo),
+                &EstimatorConfig {
+                    memo,
+                    ..base.with_chunk_shots(chunk_shots).with_num_threads(threads)
+                },
             ).expect("valid annotations").estimate;
             prop_assert_eq!(
                 (variant.shots, variant.failures),

@@ -170,8 +170,8 @@ proptest! {
         check_word_parallel_identity(8, &dem, &syndromes, &[
             MemoConfig::default(),
             MemoConfig::disabled(),
-            MemoConfig::default().with_max_defects(1),
-            MemoConfig::default().with_max_entries(3),
+            MemoConfig { max_defects: 1, ..MemoConfig::default() },
+            MemoConfig { max_entries: 3, ..MemoConfig::default() },
         ])?;
     }
 
@@ -189,8 +189,8 @@ proptest! {
             MemoConfig::disabled(),
             // Raising the cap to the key capacity makes the 5- and
             // 6-defect lanes cacheable again.
-            MemoConfig::default().with_max_defects(MEMO_KEY_CAPACITY),
-            MemoConfig::default().with_max_entries(3),
+            MemoConfig { max_defects: MEMO_KEY_CAPACITY, ..MemoConfig::default() },
+            MemoConfig { max_entries: 3, ..MemoConfig::default() },
         ])?;
     }
 
@@ -224,12 +224,14 @@ proptest! {
         for (chunk_shots, threads, memo) in [
             (CANONICAL_BLOCK_SHOTS, 4, MemoConfig::default()),
             (3 * CANONICAL_BLOCK_SHOTS, 2, MemoConfig::disabled()),
-            (CANONICAL_BLOCK_SHOTS, 2, MemoConfig::default().with_max_defects(1)),
+            (CANONICAL_BLOCK_SHOTS, 2, MemoConfig { max_defects: 1, ..MemoConfig::default() }),
         ] {
-            let mut config = EstimatorConfig::default()
-                .with_chunk_shots(chunk_shots)
-                .with_num_threads(threads)
-                .with_memo(memo);
+            let mut config = EstimatorConfig {
+                memo,
+                ..EstimatorConfig::default()
+                    .with_chunk_shots(chunk_shots)
+                    .with_num_threads(threads)
+            };
             if early_stop {
                 // Identical early-stop points are part of the contract.
                 config = config.with_max_failures(25);

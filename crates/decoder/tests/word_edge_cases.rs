@@ -256,7 +256,10 @@ fn tighter_memo_caps_move_the_sparse_dense_boundary() {
     assert_eq!(default_stats.dense_words, 0);
     assert_eq!(default_stats.misses, 2);
 
-    let capped = MemoConfig::default().with_max_defects(1);
+    let capped = MemoConfig {
+        max_defects: 1,
+        ..MemoConfig::default()
+    };
     let (capped_stats, _) = decode_both(&decoder, &chunk, capped);
     assert_eq!(capped_stats.sparse_words, 0);
     assert_eq!(capped_stats.dense_words, 1);
@@ -281,7 +284,10 @@ fn entry_capped_singles_fall_back_per_lane_without_losing_identity() {
     // Cap of 1 entry: the first [0] takes the only slot, so the last lane
     // hits while the other singles take misses whose inserts are dropped at
     // the cap — bit-identical throughout.
-    let memo = MemoConfig::default().with_max_entries(1);
+    let memo = MemoConfig {
+        max_entries: 1,
+        ..MemoConfig::default()
+    };
     let shots = vec![vec![0], vec![1], vec![1], vec![0]];
     let chunk = chunk_of(8, &shots);
     let (stats, reference) = decode_both(&decoder, &chunk, memo);
@@ -343,7 +349,10 @@ fn random_chunks_match_a_brute_force_defect_count() {
             let expected = decoder.decode_batch(&chunk, &mut truth);
 
             for cap in [0usize, 1, 2, 4, 6] {
-                let memo = MemoConfig::default().with_max_defects(cap);
+                let memo = MemoConfig {
+                    max_defects: cap,
+                    ..MemoConfig::default()
+                };
                 let mut word = DecodeScratch::with_memo_config(memo);
                 let mut per_shot = DecodeScratch::with_memo_config(memo);
                 assert_eq!(decoder.decode_batch(&chunk, &mut word), expected);

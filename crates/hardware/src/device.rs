@@ -15,12 +15,10 @@
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{JunctionId, NodeId, SegmentId, TrapId};
 
 /// A trap: holds a linear chain of up to `capacity` ions and executes gates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Trap {
     /// Identifier.
     pub id: TrapId,
@@ -31,7 +29,7 @@ pub struct Trap {
 }
 
 /// A junction: a crossing point between transport segments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Junction {
     /// Identifier.
     pub id: JunctionId,
@@ -40,7 +38,7 @@ pub struct Junction {
 }
 
 /// A shuttling segment connecting two nodes of the routing graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
     /// Identifier.
     pub id: SegmentId,
@@ -50,25 +48,8 @@ pub struct Segment {
     pub b: NodeId,
 }
 
-impl Segment {
-    /// Given one endpoint, returns the other.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is not an endpoint of this segment.
-    pub fn other_end(&self, from: NodeId) -> NodeId {
-        if from == self.a {
-            self.b
-        } else if from == self.b {
-            self.a
-        } else {
-            panic!("{from} is not an endpoint of segment {}", self.id)
-        }
-    }
-}
-
 /// The communication topology family of a device (§3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TopologyKind {
     /// Traps on the edges of a junction lattice (the paper's recommended
     /// choice; matches the surface code's structure).
@@ -145,7 +126,7 @@ impl std::fmt::Display for DeviceError {
 impl std::error::Error for DeviceError {}
 
 /// The abstract QCCD device: routing graph plus trap capacities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Device {
     kind: TopologyKind,
     traps: Vec<Trap>,
@@ -282,11 +263,6 @@ impl Device {
         self.traps.iter().map(|t| t.capacity).min().unwrap_or(0)
     }
 
-    /// Total number of ions the device can hold.
-    pub fn total_ion_capacity(&self) -> usize {
-        self.traps.iter().map(|t| t.capacity).sum()
-    }
-
     /// The number of qubits the compiler will actually map onto this device:
     /// traps are filled to `capacity − 1` to leave a slot free for visiting
     /// ions (§4.2), except for a single-trap device which may be filled
@@ -318,14 +294,6 @@ impl Device {
         }
     }
 
-    /// Finds a segment directly connecting two nodes, if one exists.
-    pub fn segment_between(&self, a: NodeId, b: NodeId) -> Option<SegmentId> {
-        self.neighbours(a)
-            .iter()
-            .find(|(_, other)| *other == b)
-            .map(|(seg, _)| *seg)
-    }
-
     /// All node identifiers (traps then junctions).
     pub fn nodes(&self) -> Vec<NodeId> {
         self.traps
@@ -333,29 +301,6 @@ impl Device {
             .map(|t| NodeId::Trap(t.id))
             .chain(self.junctions.iter().map(|j| NodeId::Junction(j.id)))
             .collect()
-    }
-
-    /// Breadth-first hop distance between two nodes in the routing graph, or
-    /// `None` if they are disconnected.
-    pub fn hop_distance(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        if from == to {
-            return Some(0);
-        }
-        let mut visited: HashSet<NodeId> = HashSet::new();
-        let mut queue = VecDeque::new();
-        visited.insert(from);
-        queue.push_back((from, 0usize));
-        while let Some((node, dist)) = queue.pop_front() {
-            for (_, next) in self.neighbours(node) {
-                if *next == to {
-                    return Some(dist + 1);
-                }
-                if visited.insert(*next) {
-                    queue.push_back((*next, dist + 1));
-                }
-            }
-        }
-        None
     }
 
     fn is_connected(&self) -> bool {
@@ -411,7 +356,6 @@ mod tests {
         assert_eq!(device.num_junctions(), 0);
         assert_eq!(device.num_segments(), 1);
         assert_eq!(device.capacity(), 2);
-        assert_eq!(device.total_ion_capacity(), 4);
         assert_eq!(device.mappable_qubits(), 2);
         assert_eq!(device.kind(), TopologyKind::Linear);
     }
@@ -435,9 +379,6 @@ mod tests {
         let t1 = NodeId::Trap(TrapId(1));
         assert_eq!(device.neighbours(t0), &[(SegmentId(0), t1)]);
         assert_eq!(device.neighbours(t1), &[(SegmentId(0), t0)]);
-        assert_eq!(device.segment_between(t0, t1), Some(SegmentId(0)));
-        assert_eq!(device.hop_distance(t0, t1), Some(1));
-        assert_eq!(device.hop_distance(t0, t0), Some(0));
     }
 
     #[test]
@@ -508,33 +449,5 @@ mod tests {
         }];
         let device = Device::new(TopologyKind::Linear, traps, vec![], vec![]).unwrap();
         assert_eq!(device.mappable_qubits(), 31);
-    }
-
-    #[test]
-    fn segment_other_end() {
-        let seg = Segment {
-            id: SegmentId(0),
-            a: NodeId::Trap(TrapId(0)),
-            b: NodeId::Junction(JunctionId(1)),
-        };
-        assert_eq!(
-            seg.other_end(NodeId::Trap(TrapId(0))),
-            NodeId::Junction(JunctionId(1))
-        );
-        assert_eq!(
-            seg.other_end(NodeId::Junction(JunctionId(1))),
-            NodeId::Trap(TrapId(0))
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "not an endpoint")]
-    fn segment_other_end_panics_for_non_endpoint() {
-        let seg = Segment {
-            id: SegmentId(0),
-            a: NodeId::Trap(TrapId(0)),
-            b: NodeId::Trap(TrapId(1)),
-        };
-        seg.other_end(NodeId::Trap(TrapId(7)));
     }
 }

@@ -8,10 +8,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a trap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TrapId(pub u32);
 
 impl TrapId {
@@ -28,7 +26,7 @@ impl fmt::Display for TrapId {
 }
 
 /// Identifier of a junction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JunctionId(pub u32);
 
 impl JunctionId {
@@ -45,7 +43,7 @@ impl fmt::Display for JunctionId {
 }
 
 /// Identifier of a shuttling segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SegmentId(pub u32);
 
 impl SegmentId {
@@ -62,7 +60,7 @@ impl fmt::Display for SegmentId {
 }
 
 /// Identifier of a physical ion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IonId(pub u32);
 
 impl IonId {
@@ -82,7 +80,7 @@ impl fmt::Display for IonId {
 ///
 /// Segments are the edges of this graph; an ion in transit briefly occupies
 /// a segment while moving between two nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NodeId {
     /// A trap node.
     Trap(TrapId),

@@ -13,8 +13,6 @@
 //! one DAC drives ≈100 shim electrodes, so the DAC count is
 //! `100 + N_shim / 100`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Device, WiringMethod};
 
 /// Dynamic electrodes per linear (trap) zone.
@@ -33,7 +31,7 @@ pub const WISE_DYNAMIC_DACS: usize = 100;
 pub const WISE_SHIM_ELECTRODES_PER_DAC: usize = 100;
 
 /// A full resource estimate for one device under one wiring method.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceEstimate {
     /// Number of linear (trap) zones, `N_t × capacity`.
     pub linear_zones: usize,

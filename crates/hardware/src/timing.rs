@@ -6,12 +6,10 @@
 //! (captured by the noise model in `qccd-noise`) and consume time during
 //! which idling qubits dephase.
 
-use serde::{Deserialize, Serialize};
-
 use qccd_circuit::NativeGateKind;
 
 /// The kinds of ion-movement primitives (t7–t11 plus in-trap gate swaps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MovementKind {
     /// (t7) Shuttle an ion across a transport segment.
     Shuttle,
@@ -44,7 +42,7 @@ impl MovementKind {
 /// Durations of every primitive QCCD operation, in microseconds.
 ///
 /// The default values reproduce Table 1 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperationTimes {
     /// (t1) Two-qubit Mølmer–Sørensen gate.
     pub two_qubit_ms_us: f64,

@@ -14,10 +14,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// How electrodes are wired to DACs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WiringMethod {
     /// One DAC per electrode (the traditional QCCD architecture).
     Standard,

@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 
 use qccd_hardware::{
-    estimate_resources, Device, TopologyKind, TopologySpec, WiringMethod, DATA_RATE_PER_DAC_MBIT_S,
-    POWER_PER_DAC_MILLIWATT,
+    estimate_resources, Device, NodeId, TopologyKind, TopologySpec, TrapId, WiringMethod,
+    DATA_RATE_PER_DAC_MBIT_S, POWER_PER_DAC_MILLIWATT,
 };
 
 fn topology_kind() -> impl Strategy<Value = TopologyKind> {
@@ -30,20 +30,19 @@ fn check_device(device: &Device, requested_qubits: usize) {
     );
     // Segments connect existing nodes and every node is reachable from the
     // first trap (the routing graph must be connected or compilation is
-    // impossible).
-    let nodes = device.nodes();
-    let origin = nodes[0];
-    for node in &nodes {
-        assert!(
-            device.hop_distance(origin, *node).is_some(),
-            "node {node:?} unreachable"
-        );
-    }
-    // Total ion capacity is capacity × traps.
-    assert_eq!(
-        device.total_ion_capacity(),
-        device.capacity() * device.num_traps()
+    // impossible): the validating constructor accepts the device's parts.
+    let rebuilt = Device::new(
+        device.kind(),
+        device.traps().to_vec(),
+        device.junctions().to_vec(),
+        device.segments().to_vec(),
     );
+    assert_eq!(rebuilt.as_ref(), Ok(device));
+    // Every trap has the device's capacity.
+    assert!(device
+        .traps()
+        .iter()
+        .all(|trap| trap.capacity == device.capacity()));
 }
 
 proptest! {
@@ -133,14 +132,13 @@ proptest! {
         prop_assert_eq!(device.num_traps(), traps);
         prop_assert_eq!(device.num_junctions(), 0);
         prop_assert_eq!(device.num_segments(), traps - 1);
-        // The two ends of the line are the farthest-apart nodes.
-        let nodes = device.nodes();
-        let first = nodes[0];
-        let max_hops = nodes
-            .iter()
-            .filter_map(|n| device.hop_distance(first, *n))
-            .max()
-            .unwrap();
-        prop_assert!(max_hops < traps);
+        // Segment `i` joins traps `i` and `i + 1`, so the line is a path
+        // and its two ends are the farthest-apart nodes.
+        for (i, segment) in device.segments().iter().enumerate() {
+            prop_assert_eq!(
+                [segment.a, segment.b],
+                [NodeId::Trap(TrapId(i as u32)), NodeId::Trap(TrapId(i as u32 + 1))]
+            );
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! < 0.1, split/merge < 6, junction crossing < 3), and the paper
 //! pessimistically uses these upper bounds. The [`HeatingLedger`] tracks the
 //! accumulated n̄ of every ion; gates read it to scale their error rates
-//! (through [`NoiseParams::two_qubit_gate_error`]) and state-preparation
+//! (through [`NoiseParams::two_qubit_gate_unscaled`]) and state-preparation
 //! operations (measurement followed by reset, or explicit sympathetic
 //! cooling) return the ion to its base value.
 //!
@@ -14,10 +14,8 @@
 //! n̄. WISE's cooling before every two-qubit gate is modelled by the
 //! `cooled` error rates of [`NoiseParams::wise_cooled`], not by the ledger.
 //!
-//! [`NoiseParams::two_qubit_gate_error`]: crate::NoiseParams::two_qubit_gate_error
+//! [`NoiseParams::two_qubit_gate_unscaled`]: crate::NoiseParams::two_qubit_gate_unscaled
 //! [`NoiseParams::wise_cooled`]: crate::NoiseParams::wise_cooled
-
-use serde::{Deserialize, Serialize};
 
 use qccd_circuit::QubitId;
 use qccd_hardware::MovementKind;
@@ -35,7 +33,7 @@ pub fn movement_heating(kind: MovementKind) -> f64 {
 }
 
 /// Tracks the mean vibrational energy n̄ of every ion.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HeatingLedger {
     base_nbar: f64,
     /// n̄ per ion, indexed by [`QubitId::index`]; ions past the end are at

@@ -14,19 +14,17 @@
 //!
 //! A *gate improvement* factor uniformly divides every probability,
 //! modelling the 1X/5X/10X scenarios swept in the evaluation (§6.2). Each
-//! probability is an [`Unscaled`] value that no gate improvement touches,
-//! finished by [`Unscaled::at`] — the one formula through which the factor
-//! enters — so a sweep can lower a schedule once and re-weight it per
-//! improvement. The
+//! probability is an [`Unscaled`] value (one `NoiseParams::*_unscaled`
+//! method per channel) that no gate improvement touches, finished by
+//! [`Unscaled::at`] — the one formula through which the factor enters — so
+//! a sweep can lower a schedule once and re-weight it per improvement. The
 //! WISE wiring method operates with sympathetic cooling: gate errors become
 //! constants (2·10⁻³ for two-qubit, 3·10⁻³ for single-qubit gates), heating
 //! is ignored, and two-qubit gates take an extra 850 µs (§5.1, cooling
 //! model).
 
-use serde::{Deserialize, Serialize};
-
 /// Calibrated physical noise parameters for a QCCD trapped-ion device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseParams {
     /// Qubit coherence (dephasing) time T₂ in seconds.
     pub t2_seconds: f64,
@@ -111,36 +109,8 @@ impl NoiseParams {
     }
 
     /// Dephasing (Pauli Z) probability accumulated over `idle_us`
-    /// microseconds of idling or reconfiguration (error channel e1).
-    pub fn dephasing_probability(&self, idle_us: f64) -> f64 {
-        self.dephasing_unscaled(idle_us).at(self.gate_improvement)
-    }
-
-    /// Depolarising probability after a single-qubit gate of the given
-    /// duration executed in a chain of `chain_length` ions with motional
-    /// energy `nbar` (error channel e2).
-    pub fn single_qubit_gate_error(&self, duration_us: f64, chain_length: usize, nbar: f64) -> f64 {
-        self.single_qubit_gate_unscaled(duration_us, chain_length, nbar)
-            .at(self.gate_improvement)
-    }
-
-    /// Depolarising probability after a two-qubit MS gate (error channel e3).
-    pub fn two_qubit_gate_error(&self, duration_us: f64, chain_length: usize, nbar: f64) -> f64 {
-        self.two_qubit_gate_unscaled(duration_us, chain_length, nbar)
-            .at(self.gate_improvement)
-    }
-
-    /// Bit-flip probability of an imperfect reset (error channel e4).
-    pub fn reset_flip_probability(&self) -> f64 {
-        self.reset_flip_unscaled().at(self.gate_improvement)
-    }
-
-    /// Bit-flip probability of an imperfect measurement (error channel e5).
-    pub fn measurement_flip_probability(&self) -> f64 {
-        self.measurement_flip_unscaled().at(self.gate_improvement)
-    }
-
-    /// [`NoiseParams::dephasing_probability`] before the gate improvement.
+    /// microseconds of idling or reconfiguration (error channel e1), before
+    /// the gate improvement.
     pub fn dephasing_unscaled(&self, idle_us: f64) -> Unscaled {
         let value = if idle_us <= 0.0 {
             0.0
@@ -151,7 +121,9 @@ impl NoiseParams {
         Unscaled::clamped(value, 0.5)
     }
 
-    /// [`NoiseParams::single_qubit_gate_error`] before the gate improvement.
+    /// Depolarising probability after a single-qubit gate of the given
+    /// duration executed in a chain of `chain_length` ions with motional
+    /// energy `nbar` (error channel e2), before the gate improvement.
     pub fn single_qubit_gate_unscaled(
         &self,
         duration_us: f64,
@@ -164,7 +136,8 @@ impl NoiseParams {
         self.gate_unscaled(duration_us, chain_length, nbar)
     }
 
-    /// [`NoiseParams::two_qubit_gate_error`] before the gate improvement.
+    /// Depolarising probability after a two-qubit MS gate (error channel
+    /// e3), before the gate improvement.
     pub fn two_qubit_gate_unscaled(
         &self,
         duration_us: f64,
@@ -188,13 +161,14 @@ impl NoiseParams {
         }
     }
 
-    /// [`NoiseParams::reset_flip_probability`] before the gate improvement.
+    /// Bit-flip probability of an imperfect reset (error channel e4), before
+    /// the gate improvement.
     pub fn reset_flip_unscaled(&self) -> Unscaled {
         Unscaled::clamped(self.reset_error, 0.5)
     }
 
-    /// [`NoiseParams::measurement_flip_probability`] before the gate
-    /// improvement.
+    /// Bit-flip probability of an imperfect measurement (error channel e5),
+    /// before the gate improvement.
     pub fn measurement_flip_unscaled(&self) -> Unscaled {
         Unscaled::clamped(self.measurement_error, 0.5)
     }
@@ -228,11 +202,13 @@ impl Finish {
 /// A channel probability before the gate improvement divides it: the
 /// value every gate improvement shares, and the rule that finishes it.
 ///
-/// Every probability method of [`NoiseParams`] is its `*_unscaled`
-/// counterpart finished by [`Unscaled::at`] at the parameters' own gate
-/// improvement, and nothing else reads `gate_improvement`. So a channel
-/// lowered once can be re-weighted to any gate improvement and match, bit
-/// for bit, the channel a fresh lowering at that improvement emits.
+/// Every probability of [`NoiseParams`] is a `*_unscaled` method finished
+/// by [`Unscaled::at`]: `params.two_qubit_gate_unscaled(τ, n, n̄)
+/// .at(params.gate_improvement)` is the channel at the parameters' own
+/// gate improvement. The `*_unscaled` methods never read
+/// `gate_improvement`, so a channel lowered once can be re-weighted to any
+/// gate improvement and match, bit for bit, the channel a fresh lowering
+/// at that improvement emits.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Unscaled {
     value: f64,
@@ -275,9 +251,9 @@ mod tests {
     #[test]
     fn dephasing_grows_with_idle_time_and_matches_formula() {
         let p = NoiseParams::standard(1.0);
-        assert_eq!(p.dephasing_probability(0.0), 0.0);
-        let one_ms = p.dephasing_probability(1_000.0);
-        let ten_ms = p.dephasing_probability(10_000.0);
+        assert_eq!(p.dephasing_unscaled(0.0).at(1.0), 0.0);
+        let one_ms = p.dephasing_unscaled(1_000.0).at(1.0);
+        let ten_ms = p.dephasing_unscaled(10_000.0).at(1.0);
         assert!(one_ms < ten_ms);
         let expected = (1.0 - (-0.001f64 / 2.2).exp()) / 2.0;
         assert!((one_ms - expected).abs() < 1e-12);
@@ -287,29 +263,30 @@ mod tests {
     fn gate_improvement_divides_probabilities() {
         let base = NoiseParams::standard(1.0);
         let improved = NoiseParams::standard(10.0);
-        assert!(
-            (base.two_qubit_gate_error(40.0, 2, 0.1)
-                - 10.0 * improved.two_qubit_gate_error(40.0, 2, 0.1))
-            .abs()
-                < 1e-12
-        );
-        assert!(
-            (base.measurement_flip_probability() - 10.0 * improved.measurement_flip_probability())
-                .abs()
-                < 1e-12
-        );
-        assert!(
-            (base.dephasing_probability(500.0) - 10.0 * improved.dephasing_probability(500.0))
-                .abs()
-                < 1e-12
-        );
+        for (at_1x, at_10x) in [
+            (
+                base.two_qubit_gate_unscaled(40.0, 2, 0.1),
+                improved.two_qubit_gate_unscaled(40.0, 2, 0.1),
+            ),
+            (
+                base.measurement_flip_unscaled(),
+                improved.measurement_flip_unscaled(),
+            ),
+            (
+                base.dephasing_unscaled(500.0),
+                improved.dephasing_unscaled(500.0),
+            ),
+        ] {
+            let divided = 10.0 * at_10x.at(improved.gate_improvement);
+            assert!((at_1x.at(base.gate_improvement) - divided).abs() < 1e-12);
+        }
     }
 
     #[test]
     fn heating_increases_gate_error() {
         let p = NoiseParams::standard(1.0);
-        let cold = p.two_qubit_gate_error(40.0, 2, 0.1);
-        let hot = p.two_qubit_gate_error(40.0, 2, 60.0);
+        let cold = p.two_qubit_gate_unscaled(40.0, 2, 0.1).at(1.0);
+        let hot = p.two_qubit_gate_unscaled(40.0, 2, 60.0).at(1.0);
         assert!(hot > cold);
         // Magnitudes match the paper's calibration anchor: today's (1X)
         // hardware sits in the low-10⁻³ range for heavily-heated gates and a
@@ -322,7 +299,8 @@ mod tests {
     #[test]
     fn longer_gates_are_noisier() {
         let p = NoiseParams::standard(1.0);
-        assert!(p.two_qubit_gate_error(80.0, 2, 0.1) > p.two_qubit_gate_error(40.0, 2, 0.1));
+        let long = p.two_qubit_gate_unscaled(80.0, 2, 0.1).at(1.0);
+        assert!(long > p.two_qubit_gate_unscaled(40.0, 2, 0.1).at(1.0));
     }
 
     #[test]
@@ -331,11 +309,13 @@ mod tests {
         assert!(p.cooled);
         // Independent of chain length and heating.
         assert_eq!(
-            p.two_qubit_gate_error(890.0, 2, 0.1),
-            p.two_qubit_gate_error(890.0, 20, 50.0)
+            p.two_qubit_gate_unscaled(890.0, 2, 0.1).at(1.0),
+            p.two_qubit_gate_unscaled(890.0, 20, 50.0).at(1.0)
         );
-        assert!((p.two_qubit_gate_error(890.0, 2, 0.0) - 2.0e-3).abs() < 1e-12);
-        assert!((p.single_qubit_gate_error(5.0, 2, 0.0) - 3.0e-3).abs() < 1e-12);
+        let two_qubit = p.two_qubit_gate_unscaled(890.0, 2, 0.0).at(1.0);
+        assert!((two_qubit - 2.0e-3).abs() < 1e-12);
+        let single_qubit = p.single_qubit_gate_unscaled(5.0, 2, 0.0).at(1.0);
+        assert!((single_qubit - 3.0e-3).abs() < 1e-12);
     }
 
     #[test]
@@ -348,13 +328,12 @@ mod tests {
     #[test]
     fn probabilities_are_clamped_to_valid_ranges() {
         let p = NoiseParams::standard(1.0);
-        assert!(p.two_qubit_gate_error(1e9, 2, 1e9) <= 0.9);
-        assert!(p.dephasing_probability(1e12) <= 0.5);
+        assert!(p.two_qubit_gate_unscaled(1e9, 2, 1e9).at(1.0) <= 0.9);
+        assert!(p.dephasing_unscaled(1e12).at(1.0) <= 0.5);
     }
 
-    /// The pre-split formulas, written out: what each probability method
-    /// returned before the gate improvement was factored into
-    /// [`Unscaled::at`].
+    /// The pre-split formulas, written out: what each probability was
+    /// before the gate improvement was factored into [`Unscaled::at`].
     /// `cooled` is the cooled-mode constant and its cap.
     fn oracle_gate(
         p: &NoiseParams,
@@ -402,9 +381,11 @@ mod tests {
                     gate_improvement: g,
                     ..base
                 };
-                let same = |split: Unscaled, method: f64, oracle: f64| {
-                    assert_eq!(split.at(g).to_bits(), method.to_bits(), "{base:?} at {g}");
-                    assert_eq!(method.to_bits(), oracle.to_bits(), "{base:?} at {g}");
+                // The unscaled value is the same whatever improvement the
+                // parameters carry, and finishes at `g` to the oracle.
+                let same = |split: Unscaled, at_g_split: Unscaled, oracle: f64| {
+                    assert_eq!(split, at_g_split, "{base:?} at {g}");
+                    assert_eq!(split.at(g).to_bits(), oracle.to_bits(), "{base:?} at {g}");
                 };
                 for idle in idles {
                     let oracle = if idle <= 0.0 {
@@ -415,7 +396,7 @@ mod tests {
                     };
                     same(
                         base.dephasing_unscaled(idle),
-                        at_g.dephasing_probability(idle),
+                        at_g.dephasing_unscaled(idle),
                         oracle,
                     );
                 }
@@ -424,12 +405,12 @@ mod tests {
                 for (duration, chain, nbar) in gates {
                     same(
                         base.single_qubit_gate_unscaled(duration, chain, nbar),
-                        at_g.single_qubit_gate_error(duration, chain, nbar),
+                        at_g.single_qubit_gate_unscaled(duration, chain, nbar),
                         oracle_gate(&at_g, (duration, chain, nbar), one_qubit),
                     );
                     same(
                         base.two_qubit_gate_unscaled(duration, chain, nbar),
-                        at_g.two_qubit_gate_error(duration, chain, nbar),
+                        at_g.two_qubit_gate_unscaled(duration, chain, nbar),
                         oracle_gate(&at_g, (duration, chain, nbar), two_qubit),
                     );
                     // A gate swap is three MS gates of a third of its duration.
@@ -444,23 +425,24 @@ mod tests {
                 }
                 same(
                     base.reset_flip_unscaled(),
-                    at_g.reset_flip_probability(),
+                    at_g.reset_flip_unscaled(),
                     (base.reset_error / g).clamp(0.0, 0.5),
                 );
                 same(
                     base.measurement_flip_unscaled(),
-                    at_g.measurement_flip_probability(),
+                    at_g.measurement_flip_unscaled(),
                     (base.measurement_error / g).clamp(0.0, 0.5),
                 );
             }
         }
         // The hostile inputs do reach every cap.
         let hot = hostile(false);
-        assert_eq!(hot.reset_flip_probability(), 0.5);
-        assert_eq!(hot.two_qubit_gate_error(1e9, 2, 1e9), 0.9);
-        assert_eq!(hot.two_qubit_gate_error(-1e9, 2, 0.0), 0.0);
-        assert_eq!(hostile(true).two_qubit_gate_error(1.0, 2, 0.0), 0.9375);
-        assert_eq!(hostile(true).single_qubit_gate_error(1.0, 2, 0.0), 0.75);
+        let cold = hostile(true);
+        assert_eq!(hot.reset_flip_unscaled().at(1.0), 0.5);
+        assert_eq!(hot.two_qubit_gate_unscaled(1e9, 2, 1e9).at(1.0), 0.9);
+        assert_eq!(hot.two_qubit_gate_unscaled(-1e9, 2, 0.0).at(1.0), 0.0);
+        assert_eq!(cold.two_qubit_gate_unscaled(1.0, 2, 0.0).at(1.0), 0.9375);
+        assert_eq!(cold.single_qubit_gate_unscaled(1.0, 2, 0.0).at(1.0), 0.75);
     }
 
     #[test]

@@ -18,8 +18,8 @@ proptest! {
         extra_us in 0.0f64..1e6,
     ) {
         let params = NoiseParams::standard(improvement);
-        let p = params.dephasing_probability(idle_us);
-        let p_longer = params.dephasing_probability(idle_us + extra_us);
+        let p = params.dephasing_unscaled(idle_us).at(params.gate_improvement);
+        let p_longer = params.dephasing_unscaled(idle_us + extra_us).at(params.gate_improvement);
         prop_assert!((0.0..=0.5).contains(&p), "p = {p}");
         prop_assert!(p_longer >= p - 1e-15);
     }
@@ -32,8 +32,8 @@ proptest! {
         nbar in 0.0f64..10.0,
     ) {
         let params = NoiseParams::standard(improvement);
-        let single = params.single_qubit_gate_error(duration_us, chain_length, nbar);
-        let double = params.two_qubit_gate_error(duration_us, chain_length, nbar);
+        let single = params.single_qubit_gate_unscaled(duration_us, chain_length, nbar).at(params.gate_improvement);
+        let double = params.two_qubit_gate_unscaled(duration_us, chain_length, nbar).at(params.gate_improvement);
         prop_assert!((0.0..=1.0).contains(&single), "single {single}");
         prop_assert!((0.0..=1.0).contains(&double), "double {double}");
     }
@@ -49,8 +49,8 @@ proptest! {
         // More motional quanta (from shuttling/splitting/merging) must never
         // make a gate better.
         let params = NoiseParams::standard(improvement);
-        let cool = params.two_qubit_gate_error(duration_us, chain_length, nbar);
-        let hot = params.two_qubit_gate_error(duration_us, chain_length, nbar + extra_nbar);
+        let cool = params.two_qubit_gate_unscaled(duration_us, chain_length, nbar).at(params.gate_improvement);
+        let hot = params.two_qubit_gate_unscaled(duration_us, chain_length, nbar + extra_nbar).at(params.gate_improvement);
         prop_assert!(hot >= cool - 1e-15, "hot {hot} < cool {cool}");
     }
 
@@ -63,8 +63,8 @@ proptest! {
         nbar in 0.0f64..5.0,
     ) {
         let params = NoiseParams::standard(improvement);
-        let short = params.two_qubit_gate_error(duration_us, chain_length, nbar);
-        let long = params.two_qubit_gate_error(duration_us + extra_us, chain_length, nbar);
+        let short = params.two_qubit_gate_unscaled(duration_us, chain_length, nbar).at(params.gate_improvement);
+        let long = params.two_qubit_gate_unscaled(duration_us + extra_us, chain_length, nbar).at(params.gate_improvement);
         prop_assert!(long >= short - 1e-15);
     }
 
@@ -80,20 +80,20 @@ proptest! {
         let base = NoiseParams::standard(1.0);
         let improved = NoiseParams::standard(10.0);
         prop_assert!(
-            improved.two_qubit_gate_error(duration_us, chain_length, nbar)
-                <= base.two_qubit_gate_error(duration_us, chain_length, nbar) + 1e-15
+            improved.two_qubit_gate_unscaled(duration_us, chain_length, nbar).at(improved.gate_improvement)
+                <= base.two_qubit_gate_unscaled(duration_us, chain_length, nbar).at(base.gate_improvement) + 1e-15
         );
         prop_assert!(
-            improved.single_qubit_gate_error(duration_us, chain_length, nbar)
-                <= base.single_qubit_gate_error(duration_us, chain_length, nbar) + 1e-15
+            improved.single_qubit_gate_unscaled(duration_us, chain_length, nbar).at(improved.gate_improvement)
+                <= base.single_qubit_gate_unscaled(duration_us, chain_length, nbar).at(base.gate_improvement) + 1e-15
         );
         prop_assert!(
-            improved.dephasing_probability(idle_us) <= base.dephasing_probability(idle_us) + 1e-15
+            improved.dephasing_unscaled(idle_us).at(improved.gate_improvement) <= base.dephasing_unscaled(idle_us).at(base.gate_improvement) + 1e-15
         );
-        prop_assert!(improved.reset_flip_probability() <= base.reset_flip_probability() + 1e-15);
+        prop_assert!(improved.reset_flip_unscaled().at(improved.gate_improvement) <= base.reset_flip_unscaled().at(base.gate_improvement) + 1e-15);
         prop_assert!(
-            improved.measurement_flip_probability()
-                <= base.measurement_flip_probability() + 1e-15
+            improved.measurement_flip_unscaled().at(improved.gate_improvement)
+                <= base.measurement_flip_unscaled().at(base.gate_improvement) + 1e-15
         );
     }
 
@@ -117,8 +117,8 @@ proptest! {
         prop_assert_eq!(cooled.gate_improvement, improvement);
         // Cooled gates ignore the heating term: error rates are independent
         // of the motional energy.
-        let calm = cooled.two_qubit_gate_error(40.0, 2, 0.0);
-        let hot = cooled.two_qubit_gate_error(40.0, 2, 6.0);
+        let calm = cooled.two_qubit_gate_unscaled(40.0, 2, 0.0).at(cooled.gate_improvement);
+        let hot = cooled.two_qubit_gate_unscaled(40.0, 2, 6.0).at(cooled.gate_improvement);
         prop_assert!((calm - hot).abs() < 1e-12);
     }
 }

@@ -15,8 +15,6 @@
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use qccd_circuit::{Pauli, QubitId, SparsePauli};
 
 /// A position in the code's planar layout.
@@ -24,7 +22,7 @@ use qccd_circuit::{Pauli, QubitId, SparsePauli};
 /// Coordinates are stored in *doubled* units so that every qubit of every
 /// code sits on integer coordinates: adjacent data qubits of a surface code
 /// are 2 units apart and ancilla qubits sit at odd coordinates between them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Coord {
     /// Row coordinate (doubled units).
     pub row: i64,
@@ -42,18 +40,6 @@ impl Coord {
     pub fn as_f64(self) -> (f64, f64) {
         (self.row as f64, self.col as f64)
     }
-
-    /// Squared Euclidean distance to another coordinate.
-    pub fn distance_sq(self, other: Coord) -> i64 {
-        let dr = self.row - other.row;
-        let dc = self.col - other.col;
-        dr * dr + dc * dc
-    }
-
-    /// Manhattan distance to another coordinate.
-    pub fn manhattan(self, other: Coord) -> i64 {
-        (self.row - other.row).abs() + (self.col - other.col).abs()
-    }
 }
 
 impl fmt::Display for Coord {
@@ -63,7 +49,7 @@ impl fmt::Display for Coord {
 }
 
 /// The role a physical qubit plays in the code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QubitRole {
     /// Holds part of the encoded logical state.
     Data,
@@ -72,7 +58,7 @@ pub enum QubitRole {
 }
 
 /// Metadata about one physical qubit of the code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QubitInfo {
     /// Circuit-level identifier.
     pub id: QubitId,
@@ -83,7 +69,7 @@ pub struct QubitInfo {
 }
 
 /// The Pauli basis of a stabilizer check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StabilizerBasis {
     /// X-type (detects phase flips).
     X,
@@ -97,14 +83,6 @@ impl StabilizerBasis {
         match self {
             StabilizerBasis::X => Pauli::X,
             StabilizerBasis::Z => Pauli::Z,
-        }
-    }
-
-    /// The opposite basis.
-    pub fn opposite(self) -> Self {
-        match self {
-            StabilizerBasis::X => StabilizerBasis::Z,
-            StabilizerBasis::Z => StabilizerBasis::X,
         }
     }
 }
@@ -125,7 +103,7 @@ impl fmt::Display for StabilizerBasis {
 /// qubit participates in two entangling gates in the same step and so that
 /// the resulting circuit measures the intended stabilizers (validated by the
 /// tableau simulator in the integration tests).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stabilizer {
     /// The ancilla qubit that accumulates the parity.
     pub ancilla: QubitId,
@@ -153,7 +131,7 @@ impl Stabilizer {
 }
 
 /// A complete description of a QEC code instance laid out in the plane.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CodeLayout {
     name: String,
     distance: usize,
@@ -392,7 +370,7 @@ impl CodeLayout {
 
 /// One weighted data–ancilla interaction used by the compiler's clustering
 /// pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InteractionEdge {
     /// The ancilla qubit of the parity check.
     pub ancilla: QubitId,
@@ -439,10 +417,7 @@ mod tests {
 
     #[test]
     fn coord_math() {
-        let a = Coord::new(0, 0);
         let b = Coord::new(3, 4);
-        assert_eq!(a.distance_sq(b), 25);
-        assert_eq!(a.manhattan(b), 7);
         assert_eq!(b.as_f64(), (3.0, 4.0));
         assert_eq!(b.to_string(), "(3, 4)");
     }
@@ -511,7 +486,6 @@ mod tests {
     fn basis_helpers() {
         assert_eq!(StabilizerBasis::X.pauli(), Pauli::X);
         assert_eq!(StabilizerBasis::Z.pauli(), Pauli::Z);
-        assert_eq!(StabilizerBasis::X.opposite(), StabilizerBasis::Z);
         assert_eq!(StabilizerBasis::X.to_string(), "X");
     }
 }

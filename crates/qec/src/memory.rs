@@ -23,14 +23,12 @@
 //! The logical observable is the parity of the final measurements of the
 //! data qubits supporting the logical Z (or X) operator.
 
-use serde::{Deserialize, Serialize};
-
 use qccd_circuit::{Circuit, Detector, Instruction, LogicalObservable, MeasurementRef};
 
 use crate::{append_parity_check_round, CodeLayout, StabilizerBasis};
 
 /// The basis in which the logical qubit is stored and measured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryBasis {
     /// Store |0⟩_L; Z-type stabilizers and the logical Z are deterministic.
     Z,
@@ -50,7 +48,7 @@ impl MemoryBasis {
 }
 
 /// A memory experiment: the annotated circuit plus bookkeeping metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryExperiment {
     /// The annotated circuit (gates, detectors, logical observable).
     pub circuit: Circuit,

@@ -32,14 +32,12 @@
 //! is the paper's own argument for why its results extend to lattice
 //! surgery.
 
-use serde::{Deserialize, Serialize};
-
 use qccd_circuit::QubitId;
 
 use crate::{rectangular_rotated_surface_code, rotated_surface_code, CodeLayout};
 
 /// The orientation of a lattice-surgery merge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MergeKind {
     /// Rough merge along the Z boundaries: measures the joint logical Z⊗Z.
     ZZ,
@@ -128,7 +126,7 @@ pub fn seam_data_qubits(merged: &CodeLayout, kind: MergeKind) -> Vec<QubitId> {
 /// The pair of workloads compiled by the lattice-surgery extension
 /// experiment: one isolated distance-`d` patch and the merged patch of the
 /// corresponding surgery operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SurgeryWorkload {
     /// Code distance of the individual patches.
     pub distance: usize,
@@ -138,15 +136,6 @@ pub struct SurgeryWorkload {
     pub patch: CodeLayout,
     /// The merged two-patch layout (the surgery-phase workload).
     pub merged: CodeLayout,
-}
-
-impl SurgeryWorkload {
-    /// Number of physical qubits added by the merge (seam data qubits plus
-    /// the extra ancillas of the merged patch) relative to two isolated
-    /// patches.
-    pub fn merge_overhead_qubits(&self) -> usize {
-        self.merged.num_qubits() - 2 * self.patch.num_qubits()
-    }
 }
 
 /// Builds the surgery workload for two distance-`d` patches.
@@ -237,7 +226,8 @@ mod tests {
         // seam data column plus the ancillas that stitch it to the patches.
         for d in 2..=5 {
             let workload = surgery_workload(d, MergeKind::ZZ);
-            assert_eq!(workload.merge_overhead_qubits(), 2 * d + 1, "d={d}");
+            let overhead = workload.merged.num_qubits() - 2 * workload.patch.num_qubits();
+            assert_eq!(overhead, 2 * d + 1, "d={d}");
         }
     }
 

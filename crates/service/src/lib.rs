@@ -66,9 +66,8 @@
 //!   `frames_packed` wire command), where each non-zero 64-shot plane word
 //!   lands with one shift-OR and there is no per-frame work at all.
 //! * Per-stream queues are bounded ([`ServiceConfig::stream_queue_shots`]):
-//!   submission blocks (or [`StreamSender::try_submit`] refuses) once a
-//!   stream has that many frames in flight — backpressure instead of
-//!   unbounded memory.
+//!   submission blocks once a stream has that many frames in flight —
+//!   backpressure instead of unbounded memory.
 //! * Corrections are delivered **in submission order per stream**
 //!   (a reorder stage undoes worker races), each as an observable-flip
 //!   bitmask — bit-identical to what
@@ -148,8 +147,6 @@ pub enum ServiceError {
     },
     /// The stream (or the whole service) has been closed.
     StreamClosed,
-    /// The stream's bounded queue is full (returned by `try_submit`).
-    Backpressure,
 }
 
 impl std::fmt::Display for ServiceError {
@@ -177,7 +174,6 @@ impl std::fmt::Display for ServiceError {
                  {stream_queue_shots}"
             ),
             ServiceError::StreamClosed => write!(f, "stream closed"),
-            ServiceError::Backpressure => write!(f, "stream queue full"),
         }
     }
 }

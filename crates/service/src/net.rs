@@ -53,7 +53,7 @@
 //! `frames_packed` is the **shot-major** wire mode: each block carries up to
 //! 64 shots pre-transposed into one `u64` plane word per detector (bit `s`
 //! of word `d` = shot `s` fired detector `d` — the
-//! [`WordBlock`](crate::WordBlock) layout), so the per-frame transpose
+//! [`WordBlock`] layout), so the per-frame transpose
 //! disappears from the service hot path. Plane words round-trip
 //! bit-for-bit.
 //!
@@ -63,7 +63,7 @@
 //! splits an object into `(key, raw value)` fields, checks every value is
 //! well-formed JSON, and reads `cmd`, `stream`, detector lists and plane
 //! words straight into typed buffers (the server's plane words into one
-//! buffer per connection that the [`WordBlock`](crate::WordBlock)s borrow).
+//! buffer per connection that the [`WordBlock`]s borrow).
 //! Only command responses, which callers receive as `Value`s, and the rare
 //! `open` fields are parsed by `serde_json`.
 //!

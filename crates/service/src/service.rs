@@ -49,7 +49,7 @@ pub struct ServiceConfig {
     /// flushes on every submission (minimum latency, minimum batching).
     pub flush_deadline: Duration,
     /// Per-stream bound on frames in flight (submitted, correction not yet
-    /// produced). Submission blocks — or `try_submit` refuses — beyond it.
+    /// produced). Submission blocks beyond it.
     pub stream_queue_shots: usize,
     /// Memo configuration worker scratches decode under (defect/entry
     /// caps).
@@ -948,18 +948,7 @@ impl StreamSender {
     /// [`ServiceError::DetectorOutOfRange`] for invalid frames,
     /// [`ServiceError::StreamClosed`] once the stream or service is closed.
     pub fn submit(&self, fired: &[usize]) -> Result<u64, ServiceError> {
-        self.submit_batch_inner(FrameBatch::Indices(&[fired]), true)
-            .map(|range| range.start)
-    }
-
-    /// Non-blocking [`StreamSender::submit`]: refuses with
-    /// [`ServiceError::Backpressure`] instead of waiting for queue space.
-    ///
-    /// # Errors
-    ///
-    /// As [`StreamSender::submit`], plus [`ServiceError::Backpressure`].
-    pub fn try_submit(&self, fired: &[usize]) -> Result<u64, ServiceError> {
-        self.submit_batch_inner(FrameBatch::Indices(&[fired]), false)
+        self.submit_batch_inner(FrameBatch::Indices(&[fired]))
             .map(|range| range.start)
     }
 
@@ -974,7 +963,7 @@ impl StreamSender {
     ///
     /// As [`StreamSender::submit`]; on a bad frame nothing is submitted.
     pub fn submit_batch(&self, frames: &[&[usize]]) -> Result<std::ops::Range<u64>, ServiceError> {
-        self.submit_batch_inner(FrameBatch::Indices(frames), true)
+        self.submit_batch_inner(FrameBatch::Indices(frames))
     }
 
     /// [`StreamSender::submit_batch`] for **shot-major** [`WordBlock`]s:
@@ -993,13 +982,12 @@ impl StreamSender {
         &self,
         blocks: &[WordBlock<'_>],
     ) -> Result<std::ops::Range<u64>, ServiceError> {
-        self.submit_batch_inner(FrameBatch::Blocks(blocks), true)
+        self.submit_batch_inner(FrameBatch::Blocks(blocks))
     }
 
     fn submit_batch_inner(
         &self,
         frames: FrameBatch<'_>,
-        block: bool,
     ) -> Result<std::ops::Range<u64>, ServiceError> {
         let shared = &self.shared;
         let queue_shots = shared.config.stream_queue_shots;
@@ -1022,9 +1010,6 @@ impl StreamSender {
                     let split = remaining.take_for_room(queue_shots - delivery.inflight);
                     if split.2 > 0 {
                         break split;
-                    }
-                    if !block {
-                        return Err(ServiceError::Backpressure);
                     }
                     let space = &self.core.space;
                     delivery = space.wait(delivery).expect("stream delivery lock");
@@ -1776,7 +1761,7 @@ mod tests {
             ServiceConfig::default()
                 .with_workers(1)
                 .with_flush_deadline(Duration::from_millis(5))
-                .with_telemetry(TelemetryConfig::full_sampling()),
+                .with_telemetry(TelemetryConfig { sample_every: 1 }),
         );
         let handle = open(&service, "counted", &six_detector_circuit()).unwrap();
         // A quiet word, a sparse word, a word with above-cap lanes and a
@@ -2179,17 +2164,28 @@ mod tests {
         );
         let circuit = mirror_circuit();
         let mut handle = open(&service, "bp", &circuit).unwrap();
-        for _ in 0..4 {
-            handle.sender.try_submit(&[0]).expect("queue has room");
+        for seq in 0..4 {
+            assert_eq!(handle.sender.submit(&[0]), Ok(seq), "queue has room");
         }
-        assert_eq!(
-            handle.sender.try_submit(&[0]),
-            Err(ServiceError::Backpressure)
-        );
-        assert_eq!(service.metrics().queue_depth, 4);
-        // Closing flushes the partial word; the queue drains and the
-        // receiver sees all four corrections.
-        handle.sender.close();
+        std::thread::scope(|scope| {
+            let sender = &handle.sender;
+            let (done, submitted) = mpsc::channel();
+            scope.spawn(move || done.send(sender.submit(&[0])));
+            // A fifth frame waits for room that no flush makes.
+            assert_eq!(
+                submitted.recv_timeout(Duration::from_millis(50)),
+                Err(mpsc::RecvTimeoutError::Timeout)
+            );
+            assert_eq!(service.metrics().queue_depth, 4);
+            // Closing wakes the waiting submitter, which is refused, and
+            // flushes the partial word; the queue drains and the receiver
+            // sees all four corrections.
+            sender.close();
+            assert_eq!(
+                submitted.recv_timeout(Duration::from_secs(10)),
+                Ok(Err(ServiceError::StreamClosed))
+            );
+        });
         for i in 0..4u64 {
             assert_eq!(handle.recv().unwrap().seq, i);
         }

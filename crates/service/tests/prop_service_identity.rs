@@ -273,7 +273,7 @@ fn full_sampling_telemetry_preserves_bit_identity() {
         ServiceConfig::default()
             .with_workers(3)
             .with_flush_deadline(Duration::from_micros(150))
-            .with_telemetry(TelemetryConfig::full_sampling()),
+            .with_telemetry(TelemetryConfig { sample_every: 1 }),
     );
     let options = LoadgenOptions {
         streams: 4,

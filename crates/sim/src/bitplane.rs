@@ -8,10 +8,8 @@
 //! appended in place (no temporary copies when snapshotting measurement
 //! flips).
 
-use serde::{Deserialize, Serialize};
-
 /// A dense arena of equally-sized bit planes.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BitPlanes {
     words_per_plane: usize,
     data: Vec<u64>,

@@ -63,7 +63,6 @@ use std::borrow::Cow;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use qccd_circuit::MeasurementRef;
 
@@ -96,7 +95,7 @@ pub fn block_seed(seed: u64, block: u64) -> u64 {
 /// ([`SyndromeChunk::tile_occupancy`]). Every constructor keeps it exact,
 /// so it is a pure function of the planes and equal chunks have equal
 /// indexes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyndromeChunk {
     chunk_index: usize,
     shot_offset: usize,
@@ -594,8 +593,8 @@ fn bucket_channels(probabilities: &[f64]) -> Vec<Bucket> {
 
 /// A chunked, thread-shareable detector sampler over one noisy circuit.
 ///
-/// See the [module docs](self) for the sampling method and the determinism
-/// contract.
+/// The module docs of `chunk.rs` state the sampling method and the
+/// determinism contract.
 #[derive(Debug, Clone)]
 pub struct DetectorChunkSampler<'t> {
     table: Cow<'t, FaultTable>,

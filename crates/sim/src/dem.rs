@@ -11,14 +11,12 @@
 //! symptom sets are merged by combining their probabilities
 //! (`p ← p₁(1−p₂) + p₂(1−p₁)`).
 
-use serde::{Deserialize, Serialize};
-
 use qccd_circuit::MeasurementRef;
 
 use crate::{FaultTable, NoisyCircuit};
 
 /// One elementary error mechanism of a detector error model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DemError {
     /// Probability that this mechanism fires in one shot.
     pub probability: f64,
@@ -37,7 +35,7 @@ impl DemError {
 }
 
 /// The full detector error model of a noisy circuit.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DetectorErrorModel {
     /// Number of detectors in the circuit.
     pub num_detectors: usize,

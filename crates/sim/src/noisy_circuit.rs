@@ -10,8 +10,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use qccd_circuit::{
     Circuit, Detector, Instruction, LogicalObservable, MeasurementRef, QubitId, Qubits,
 };
@@ -22,7 +20,7 @@ pub type ResolvedAnnotations = (Vec<Vec<usize>>, Vec<Vec<usize>>);
 
 /// A stochastic Pauli noise channel inserted at a specific point in the
 /// circuit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NoiseChannel {
     /// Single-qubit depolarising channel: X, Y or Z each with probability
     /// `p / 3`.
@@ -99,7 +97,7 @@ impl fmt::Display for NoiseChannel {
 }
 
 /// One element of a noisy circuit: a quantum operation or a noise channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NoisyOp {
     /// A Clifford gate, measurement or reset.
     Gate(Instruction),
@@ -109,7 +107,7 @@ pub enum NoisyOp {
 
 /// A stabilizer circuit with noise channels and QEC annotations, ready for
 /// sampling.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NoisyCircuit {
     ops: Vec<NoisyOp>,
     num_qubits: usize,

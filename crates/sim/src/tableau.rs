@@ -471,7 +471,7 @@ mod tests {
                 let image = clifford::conjugate(gate, &pauli).unwrap();
                 // Measure the image operator by rotating each qubit into the
                 // Z basis, measuring, and taking the parity.
-                let mut parity = image.is_negative();
+                let mut parity = image.phase_exponent() >= 2;
                 for (qubit, p) in image.iter() {
                     match p {
                         Pauli::X => {

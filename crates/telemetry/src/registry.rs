@@ -143,7 +143,7 @@ impl Histogram {
 /// Tuning knobs of a [`Registry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Span sampling period: a [`Stage`](crate::span::Stage) times one call
+    /// Span sampling period: a [`Stage`] times one call
     /// in `sample_every` (1 = time every call). Item/call counters are
     /// always exact; sampling only thins the timing histogram so `Instant`
     /// reads stay off the steady-state hot path.
@@ -157,12 +157,6 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Full-sampling configuration: every span call is timed. Used by the
-    /// bit-identity test batteries to maximise instrumentation pressure.
-    pub fn full_sampling() -> Self {
-        TelemetryConfig { sample_every: 1 }
-    }
-
     /// Overrides the sampling period (clamped to ≥ 1).
     pub fn with_sample_every(mut self, sample_every: u32) -> Self {
         self.sample_every = sample_every.max(1);

@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn full_sampling_times_every_call() {
-        let registry = Registry::new(TelemetryConfig::full_sampling());
+        let registry = Registry::new(TelemetryConfig { sample_every: 1 });
         let stage = registry.stage("full");
         for _ in 0..5 {
             stage.record_duration(Duration::from_micros(100), 1);

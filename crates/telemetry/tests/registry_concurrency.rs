@@ -60,7 +60,7 @@ fn snapshot_fold_is_deterministic() {
     // fold to identical snapshots (modulo uptime), and snapshotting twice
     // with no writes in between is a fixed point.
     let build = || {
-        let registry = Registry::new(TelemetryConfig::full_sampling());
+        let registry = Registry::new(TelemetryConfig { sample_every: 1 });
         let counter = registry.counter("det.count");
         let histogram = registry.histogram("det.hist_us");
         std::thread::scope(|scope| {
@@ -142,7 +142,7 @@ fn quantile_from_counts_handles_edge_shapes() {
 fn trace_sink_receives_sampled_spans() {
     let path =
         std::env::temp_dir().join(format!("qccd-telemetry-trace-{}.jsonl", std::process::id()));
-    let registry = Registry::new(TelemetryConfig::full_sampling());
+    let registry = Registry::new(TelemetryConfig { sample_every: 1 });
     let sink = Arc::new(qccd_telemetry::TraceSink::create(&path).expect("create sink"));
     registry.set_trace_sink(Arc::clone(&sink));
     let stage = registry.stage("traced.stage");
