@@ -877,28 +877,34 @@ fn run_baseline_comparison(kind: &crate::spec::BaselineComparisonSpec) -> Runner
         let layout = case.code.build();
         let arch =
             ArchitectureConfig::new(case.topology, case.capacity, WiringMethod::Standard, 1.0);
-        let run = |result: Result<CompiledProgram, CompileError>| match result {
-            Ok(p) => (fmt_f64(p.movement_time_us()), p.movement_ops().to_string()),
-            Err(_) => ("NaN".to_string(), "NaN".to_string()),
+        // (movement time in µs, movement ops); `None` for a failed compile.
+        let run = |result: Result<CompiledProgram, CompileError>| {
+            result
+                .ok()
+                .map(|p| (p.movement_time_us(), p.movement_ops() as u64))
         };
-        let ours = run(Compiler::new(arch.clone()).compile_rounds(&layout, rounds));
-        let qccdsim = run(QccdSimCompiler::new(arch.clone()).compile_rounds(&layout, rounds));
-        let muzzle = run(MuzzleShuttleCompiler::new(arch.clone()).compile_rounds(&layout, rounds));
-        data.push(serde_json::json!({
-            "config": case.label,
-            "ours": {"movement_time_us": ours.0, "movement_ops": ours.1},
-            "qccdsim": {"movement_time_us": qccdsim.0, "movement_ops": qccdsim.1},
-            "muzzle": {"movement_time_us": muzzle.0, "movement_ops": muzzle.1},
-        }));
-        rows.push(vec![
-            case.label.clone(),
-            ours.0,
-            qccdsim.0,
-            muzzle.0,
-            ours.1,
-            qccdsim.1,
-            muzzle.1,
-        ]);
+        let results = [
+            run(Compiler::new(arch.clone()).compile_rounds(&layout, rounds)),
+            run(QccdSimCompiler::new(arch.clone()).compile_rounds(&layout, rounds)),
+            run(MuzzleShuttleCompiler::new(arch.clone()).compile_rounds(&layout, rounds)),
+        ];
+        let mut entry = serde_json::json!({ "config": case.label });
+        for (key, result) in ["ours", "qccdsim", "muzzle"].into_iter().zip(&results) {
+            entry[key] = serde_json::json!({
+                "movement_time_us": result.map(|r| r.0),
+                "movement_ops": result.map(|r| r.1),
+            });
+        }
+        data.push(entry);
+        let nan = || "NaN".to_string();
+        let mut row = vec![case.label.clone()];
+        row.extend(results.iter().map(|r| r.map_or_else(nan, |r| fmt_f64(r.0))));
+        row.extend(
+            results
+                .iter()
+                .map(|r| r.map_or_else(nan, |r| r.1.to_string())),
+        );
+        rows.push(row);
     }
     let headers = vec![
         "Config".to_string(),
@@ -1053,12 +1059,12 @@ fn run_decoder_comparison(
     });
     let (rows, entries): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
     let mut headers = vec!["Configuration".to_string()];
-    headers.extend(kind.decoders.iter().map(|decoder| {
-        match decoder {
-            DecoderKind::UnionFind => "Union-find",
-            DecoderKind::ExactMatching => "Exact matching",
-        }
-        .to_string()
+    headers.extend(kind.decoders.iter().map(|&decoder| {
+        let (.., display) = DecoderKind::NAMES
+            .iter()
+            .find(|(named, ..)| *named == decoder)
+            .expect("every decoder kind has a display name");
+        display.to_string()
     }));
     let notes = vec![format!(
         "Reading: the exact matching decoder is the accuracy reference (exact up to {} defects \
@@ -1547,6 +1553,26 @@ mod tests {
             kind.cases.clear();
         }
         assert!(registry.register(invalid).is_err());
+    }
+
+    #[test]
+    fn table3_data_holds_numbers_and_its_cells_render_them() {
+        let artifact = ExperimentRegistry::builtin().run("table3").unwrap();
+        let data = artifact.data.as_array().unwrap();
+        assert_eq!(data.len(), artifact.rows.len());
+        for (entry, row) in data.iter().zip(&artifact.rows) {
+            assert_eq!(entry["config"].as_str(), Some(row[0].as_str()));
+            for (column, key) in ["ours", "qccdsim", "muzzle"].into_iter().enumerate() {
+                let (time, ops) = (&entry[key]["movement_time_us"], &entry[key]["movement_ops"]);
+                let (time_cell, ops_cell) = (&row[1 + column], &row[4 + column]);
+                if time_cell == "NaN" {
+                    assert!(time.is_null() && ops.is_null(), "{entry}");
+                } else {
+                    assert_eq!(&fmt_f64(time.as_f64().unwrap()), time_cell, "{entry}");
+                    assert_eq!(&ops.as_u64().unwrap().to_string(), ops_cell, "{entry}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -155,12 +155,12 @@ impl<T: Spelled> Field<'_> for T {
     }
 }
 
-/// The spec names are the last column of [`DecoderKind::NAMES`].
+/// The spec names are the third column of [`DecoderKind::NAMES`].
 impl Spelled for DecoderKind {
     fn spellings() -> impl Iterator<Item = (Self, &'static str)> {
         DecoderKind::NAMES
             .iter()
-            .map(|&(kind, _, spec)| (kind, spec))
+            .map(|&(kind, _, spec, _)| (kind, spec))
     }
 }
 

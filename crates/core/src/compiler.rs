@@ -97,11 +97,6 @@ impl Compiler {
         &self.arch
     }
 
-    /// The clustering strategy used by the mapping pass.
-    pub fn mapping_strategy(&self) -> ClusteringStrategy {
-        self.mapping_strategy
-    }
-
     /// Compiles an arbitrary annotated circuit defined over the given code
     /// layout.
     ///

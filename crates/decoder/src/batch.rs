@@ -20,6 +20,13 @@
 //!
 //! Both hand the gathered lanes to the same memo probe, [`decode_lanes`].
 //!
+//! One shot's prediction is a `u64` observable mask everywhere on this
+//! path: [`Decoder::decode_shot`](crate::Decoder::decode_shot) returns it,
+//! the memo stores it, and [`decode_lanes`] scatters its set bits into the
+//! chunk's prediction planes. A lane has one miss path: a memo miss and an
+//! uncacheable lane both call `decode_shot` once, and only the miss
+//! inserts its mask.
+//!
 //! # The triage ladder
 //!
 //! Every shot of a chunk descends the same ladder of progressively more
@@ -107,8 +114,7 @@ impl PredictionChunk {
         self.planes.plane_mut(observable)[shot / 64] |= 1u64 << (shot % 64);
     }
 
-    /// Unpacks one shot's prediction (convenience for tests and the
-    /// per-shot adapter).
+    /// Unpacks one shot's prediction (for tests).
     pub fn shot_prediction(&self, shot: usize) -> Vec<bool> {
         (0..self.num_observables)
             .map(|o| self.predicted(shot, o))
@@ -202,7 +208,6 @@ impl MatchingScratch {
 /// [`DecodeScratch::set_memo_config`].
 #[derive(Debug, Clone, Default)]
 pub struct DecodeScratch {
-    pub(crate) shot_prediction: Vec<bool>,
     /// Per-shot defect lists for one 64-shot word, gathered with one pass
     /// over the detector planes instead of one pass per shot.
     pub(crate) word_fired: Vec<Vec<usize>>,
@@ -258,7 +263,6 @@ impl DecodeScratch {
 /// aliasing. Construction claims the memo; it decodes nothing.
 struct BatchBuffers {
     word_fired: Vec<Vec<usize>>,
-    prediction: Vec<bool>,
     memo: SyndromeMemo,
     memo_active: bool,
 }
@@ -267,23 +271,17 @@ impl BatchBuffers {
     fn begin<D: Decoder + ?Sized>(decoder: &D, scratch: &mut DecodeScratch) -> Self {
         let mut word_fired = std::mem::take(&mut scratch.word_fired);
         word_fired.resize_with(64, Vec::new);
-        let mut prediction = std::mem::take(&mut scratch.shot_prediction);
-        prediction.clear();
-        prediction.resize(decoder.num_observables(), false);
         // The memo moves out of the scratch for the same aliasing reason.
-        // Predictions are stored as u64 bitmasks, so the memo only engages
-        // for ≤64 observables (always true for the paper's workloads).
         let mut memo = std::mem::take(&mut scratch.memo);
         let memo_active = match decoder.memo_token() {
-            Some(token) if memo.config().enabled() && decoder.num_observables() <= 64 => {
-                memo.claim(token, decoder.num_observables());
+            Some(token) if memo.config().enabled() => {
+                memo.claim(token);
                 true
             }
             _ => false,
         };
         BatchBuffers {
             word_fired,
-            prediction,
             memo,
             memo_active,
         }
@@ -291,14 +289,14 @@ impl BatchBuffers {
 
     fn finish(self, scratch: &mut DecodeScratch) {
         scratch.word_fired = self.word_fired;
-        scratch.shot_prediction = self.prediction;
         scratch.memo = self.memo;
     }
 }
 
 /// Decodes the `lanes` of one word whose defect lists are already gathered
 /// in `buffers.word_fired`, answering recurring small defect sets from the
-/// memo. This is the shared per-shot tail of both batch loops.
+/// memo, and sets each lane's observable mask in `out`. This is the shared
+/// per-shot tail of both batch loops.
 fn decode_lanes<D: Decoder + ?Sized>(
     decoder: &D,
     word_index: usize,
@@ -313,42 +311,23 @@ fn decode_lanes<D: Decoder + ?Sized>(
         bits &= bits - 1;
         let shot = word_index * 64 + lane;
         let fired = std::mem::take(&mut buffers.word_fired[lane]);
-        if buffers.memo_active
-            && buffers
-                .memo
-                .cacheable(fired.len(), decoder.num_observables())
-        {
-            match buffers.memo.lookup(&fired) {
-                Some(mut flips) => {
-                    while flips != 0 {
-                        out.set(flips.trailing_zeros() as usize, shot);
-                        flips &= flips - 1;
-                    }
-                }
-                None => {
-                    buffers.prediction.fill(false);
-                    decoder.decode_shot(&fired, scratch, &mut buffers.prediction);
-                    let mut flips = 0u64;
-                    for (observable, &flipped) in buffers.prediction.iter().enumerate() {
-                        if flipped {
-                            flips |= 1u64 << observable;
-                            out.set(observable, shot);
-                        }
-                    }
+        let cacheable = buffers.memo_active && buffers.memo.cacheable(fired.len());
+        if buffers.memo_active && !cacheable {
+            buffers.memo.note_uncacheable();
+        }
+        let mut flips = match cacheable.then(|| buffers.memo.lookup(&fired)).flatten() {
+            Some(flips) => flips,
+            None => {
+                let flips = decoder.decode_shot(&fired, scratch);
+                if cacheable {
                     buffers.memo.insert(&fired, flips);
                 }
+                flips
             }
-        } else {
-            if buffers.memo_active {
-                buffers.memo.note_uncacheable();
-            }
-            buffers.prediction.fill(false);
-            decoder.decode_shot(&fired, scratch, &mut buffers.prediction);
-            for (observable, &flipped) in buffers.prediction.iter().enumerate() {
-                if flipped {
-                    out.set(observable, shot);
-                }
-            }
+        };
+        while flips != 0 {
+            out.set(flips.trailing_zeros() as usize, shot);
+            flips &= flips - 1;
         }
         buffers.word_fired[lane] = fired;
     }

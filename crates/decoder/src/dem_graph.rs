@@ -20,6 +20,13 @@
 //! combine as the parity of independent events; the edge carries the
 //! observables of its likeliest constituent, and every merge that discarded
 //! a differing observable set is counted.
+//!
+//! The graph also fixes the one layout both decoders read: per-edge
+//! endpoints with the boundary at node `num_detectors()`, one observable
+//! bitmask per edge (a correction is a `u64` mask, so a graph holds at most
+//! 64 observables), and a CSR incidence of `(edge, opposite endpoint)`
+//! pairs per node in ascending edge order, whose boundary row lists the
+//! boundary edges.
 
 use std::collections::BTreeMap;
 
@@ -43,26 +50,21 @@ pub struct DecodingEdge {
     pub observables: Vec<u32>,
 }
 
-impl DecodingEdge {
-    /// Returns the endpoint opposite to `v`, or `None` if that endpoint is
-    /// the boundary.
-    pub fn other(&self, v: DetectorIndex) -> Option<DetectorIndex> {
-        if self.a == v {
-            self.b
-        } else {
-            Some(self.a)
-        }
-    }
-}
-
 /// A decoding graph derived from a detector error model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodingGraph {
     num_detectors: usize,
     num_observables: usize,
     edges: Vec<DecodingEdge>,
-    /// For each detector, the indices of its incident edges.
-    adjacency: Vec<Vec<usize>>,
+    /// Per-edge endpoints, the boundary as node `num_detectors`.
+    pub(crate) endpoints: Vec<(u32, u32)>,
+    /// Per-edge observable bitmask.
+    pub(crate) masks: Vec<u64>,
+    /// Node `v`'s `(edge, opposite endpoint)` pairs are
+    /// `incident[incident_start[v]..incident_start[v + 1]]`, in ascending
+    /// edge order; the boundary's row holds the boundary edges.
+    incident_start: Vec<u32>,
+    incident: Vec<(u32, u32)>,
     /// Number of hyperedges split into existing edges.
     decomposed_hyperedges: usize,
     /// Number of hyperedges with no split into existing edges (left out).
@@ -87,7 +89,17 @@ struct Merged {
 
 impl DecodingGraph {
     /// Builds the decoding graph of a detector error model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model has more than 64 observables (a correction is a
+    /// `u64` mask) or more nodes than fit in a `u32`.
     pub fn from_dem(dem: &DetectorErrorModel) -> Self {
+        assert!(
+            dem.num_observables <= 64,
+            "a decoding graph holds at most 64 observables, not {}",
+            dem.num_observables
+        );
         let num_detectors = dem.num_detectors;
         let combine = |p: f64, q: f64| p * (1.0 - q) + q * (1.0 - p);
 
@@ -145,11 +157,31 @@ impl DecodingGraph {
                 }
             })
             .collect();
-        let mut adjacency = vec![Vec::new(); num_detectors];
-        for (i, edge) in edges.iter().enumerate() {
-            adjacency[edge.a].push(i);
-            if let Some(b) = edge.b {
-                adjacency[b].push(i);
+        let index = |i: usize| u32::try_from(i).expect("graph indices fit in u32");
+        let boundary = index(num_detectors);
+        let endpoints: Vec<(u32, u32)> = edges
+            .iter()
+            .map(|e| (index(e.a), e.b.map_or(boundary, index)))
+            .collect();
+        let masks = edges
+            .iter()
+            .map(|e| e.observables.iter().fold(0, |m, &o| m ^ (1u64 << o)))
+            .collect();
+        // Counting sort by node: every row comes out in ascending edge order.
+        let mut incident_start = vec![0u32; num_detectors + 2];
+        for &(a, b) in &endpoints {
+            incident_start[a as usize + 1] += 1;
+            incident_start[b as usize + 1] += 1;
+        }
+        for v in 0..=num_detectors {
+            incident_start[v + 1] += incident_start[v];
+        }
+        let mut fill = incident_start.clone();
+        let mut incident = vec![(0, 0); 2 * endpoints.len()];
+        for (edge, &(a, b)) in (0..).zip(&endpoints) {
+            for (v, other) in [(a, b), (b, a)] {
+                incident[fill[v as usize] as usize] = (edge, other);
+                fill[v as usize] += 1;
             }
         }
 
@@ -157,7 +189,10 @@ impl DecodingGraph {
             num_detectors,
             num_observables: dem.num_observables,
             edges,
-            adjacency,
+            endpoints,
+            masks,
+            incident_start,
+            incident,
             decomposed_hyperedges,
             undecomposed_hyperedges,
             observable_conflicts,
@@ -169,9 +204,8 @@ impl DecodingGraph {
         self.num_detectors
     }
 
-    /// Number of union-find nodes: every detector plus the virtual boundary
-    /// (which is indexed `num_detectors()` by convention throughout the
-    /// crate).
+    /// Number of nodes: every detector plus the virtual boundary, which is
+    /// node `num_detectors()`.
     pub fn num_nodes(&self) -> usize {
         self.num_detectors + 1
     }
@@ -186,9 +220,11 @@ impl DecodingGraph {
         &self.edges
     }
 
-    /// Indices of the edges incident to a detector.
-    pub fn incident_edges(&self, detector: DetectorIndex) -> &[usize] {
-        &self.adjacency[detector]
+    /// The `(edge, opposite endpoint)` pairs of a node, in ascending edge
+    /// order; the boundary node's are its boundary edges.
+    pub(crate) fn incident(&self, node: u32) -> &[(u32, u32)] {
+        let start = self.incident_start[node as usize] as usize;
+        &self.incident[start..self.incident_start[node as usize + 1] as usize]
     }
 
     /// Number of hyperedges that were split into existing edges.
@@ -400,7 +436,7 @@ mod tests {
         assert_eq!(graph.undecomposed_hyperedges(), 2);
         assert_eq!(graph.edges().len(), 1);
         assert_eq!(graph.edges()[0].probability, 0.01);
-        assert!(graph.incident_edges(2).is_empty());
+        assert!(graph.incident(2).is_empty());
     }
 
     #[test]
@@ -442,15 +478,41 @@ mod tests {
             0,
         );
         let graph = DecodingGraph::from_dem(&model);
-        assert_eq!(graph.incident_edges(0).len(), 2);
-        assert_eq!(graph.incident_edges(1).len(), 2);
-        assert_eq!(graph.incident_edges(2).len(), 1);
-        for (i, edge) in graph.edges().iter().enumerate() {
-            assert!(graph.incident_edges(edge.a).contains(&i));
-            if let Some(b) = edge.b {
-                assert!(graph.incident_edges(b).contains(&i));
-            }
+        assert_eq!(graph.incident(0).len(), 2);
+        assert_eq!(graph.incident(1).len(), 2);
+        assert_eq!(graph.incident(2).len(), 1);
+        // The boundary's row holds the boundary edges.
+        assert_eq!(graph.incident(3), &[(0, 0)]);
+        for (i, &(a, b)) in (0..).zip(&graph.endpoints) {
+            let edge = &graph.edges()[i as usize];
+            assert_eq!((a as usize, b as usize), (edge.a, edge.b.unwrap_or(3)));
+            assert!(graph.incident(a).contains(&(i, b)));
+            assert!(graph.incident(b).contains(&(i, a)));
         }
+        for v in 0..=3 {
+            let row: Vec<u32> = graph.incident(v).iter().map(|&(e, _)| e).collect();
+            assert!(row.is_sorted(), "row {v} is in ascending edge order");
+        }
+    }
+
+    #[test]
+    fn observables_become_one_mask_per_edge() {
+        let model = dem(
+            vec![
+                err(0.1, vec![0], vec![0, 63]),
+                err(0.1, vec![0, 1], vec![5]),
+            ],
+            2,
+            64,
+        );
+        let graph = DecodingGraph::from_dem(&model);
+        assert_eq!(graph.masks, vec![1 | 1 << 63, 1 << 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 observables")]
+    fn from_dem_refuses_65_observables() {
+        DecodingGraph::from_dem(&dem(vec![err(0.1, vec![0], vec![64])], 1, 65));
     }
 
     #[test]

@@ -82,9 +82,12 @@ mod tests {
             vec![2, 5, 6, 7],
         ] {
             for decoder in decoders(9) {
-                let mut reused = vec![false; 1];
-                decoder.decode_shot(&syndrome, &mut scratch, &mut reused);
-                assert_eq!(reused, decoder.decode(&syndrome), "syndrome {syndrome:?}");
+                let reused = decoder.decode_shot(&syndrome, &mut scratch);
+                assert_eq!(
+                    vec![reused == 1],
+                    decoder.decode(&syndrome),
+                    "syndrome {syndrome:?}"
+                );
             }
         }
     }

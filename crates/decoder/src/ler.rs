@@ -12,31 +12,8 @@
 //! and project to larger distances / lower target error rates. The fit also
 //! yields the error-suppression factor Λ = LER(d) / LER(d+2) = exp(−2β).
 //!
-//! # The estimation pipeline
-//!
-//! [`estimate_logical_error_rate_report`] is a chunked, parallel Monte-Carlo
-//! pipeline: shots are cut into bit-packed
-//! [`SyndromeChunk`](crate::SyndromeChunk)s by `qccd_sim`'s chunked sampler
-//! (peak memory `O(chunk × detectors)`), each chunk is decoded with
-//! [`Decoder::decode_batch`] against a per-worker
-//! [`DecodeScratch`](crate::DecodeScratch), and failures are counted with
-//! word-parallel XOR + popcount, one tally per canonical sampling **block**.
-//! Chunks are merely groups of consecutive blocks, and every block has a
-//! seed derived only from `(seed, block index)`.
-//!
-//! Chunks are decoded in waves, one parallel map a wave, and one fold
-//! walks the decoded blocks in canonical order, adding each block's shots,
-//! failures and importance weights to the running totals. So a fixed
-//! `(shots, seed)` produces a **bit-identical** estimate regardless of the
-//! configured chunk size or the number of rayon threads.
-//!
-//! With [`EstimatorConfig::target_std_error`] or
-//! [`EstimatorConfig::max_failures`] set, the fold stops at the first block
-//! at which the criterion is met, so the stopping point never sees chunk
-//! boundaries and early-stopped estimates enjoy the same invariance. Waves
-//! exist for this case: a wave holds two chunks per thread, so workers
-//! decode at most one wave past the stopping block. Without a criterion
-//! nothing stops the fold, and one wave holds every chunk.
+//! [`estimate_logical_error_rate_report`] states the estimation pipeline
+//! and its determinism contract.
 
 use rayon::prelude::*;
 
@@ -61,14 +38,25 @@ pub enum DecoderKind {
 }
 
 impl DecoderKind {
-    /// Every kind with its two spellings: `(kind, wire name, spec name)`.
-    /// The wire name is what the decode service's `open` line and the
-    /// `--decoder` flag take; the spec name is what experiment specs store.
-    /// Stored specs and point payloads hold the spec names, so neither
-    /// column may change.
-    pub const NAMES: &'static [(DecoderKind, &'static str, &'static str)] = &[
-        (DecoderKind::UnionFind, "union_find", "union_find"),
-        (DecoderKind::ExactMatching, "exact", "exact_matching"),
+    /// Every kind with its names: `(kind, wire name, spec name, display
+    /// name)`. The wire name is what the decode service's `open` line and
+    /// the `--decoder` flag take; the spec name is what experiment specs
+    /// store; the display name heads an artefact's table column. Stored
+    /// specs and point payloads hold the spec names, so neither of the
+    /// first two name columns may change.
+    pub const NAMES: &'static [(DecoderKind, &'static str, &'static str, &'static str)] = &[
+        (
+            DecoderKind::UnionFind,
+            "union_find",
+            "union_find",
+            "Union-find",
+        ),
+        (
+            DecoderKind::ExactMatching,
+            "exact",
+            "exact_matching",
+            "Exact matching",
+        ),
     ];
 
     /// Builds the corresponding decoder over a decoding graph.
@@ -444,11 +432,36 @@ fn run_pipeline(
 /// scheduling-invariant.
 ///
 /// A shot counts as a failure if the decoder's predicted flip of *any*
-/// logical observable disagrees with the actual flip. The module docs of
-/// `ler.rs` state the determinism contract. This is the
+/// logical observable disagrees with the actual flip. This is the
 /// estimator's one circuit entry point: one pass over the circuit builds
 /// its [`FaultTable`], and [`estimate_logical_error_rate_from_table`] does
 /// the rest.
+///
+/// # Determinism
+///
+/// The estimator is a chunked, parallel Monte-Carlo pipeline: shots are
+/// cut into bit-packed [`SyndromeChunk`](crate::SyndromeChunk)s by
+/// `qccd_sim`'s chunked sampler (peak memory `O(chunk × detectors)`), each
+/// chunk is decoded with
+/// [`Decoder::decode_batch`] against a per-worker
+/// [`DecodeScratch`](crate::DecodeScratch), and failures are counted with
+/// word-parallel XOR + popcount, one tally per canonical sampling **block**.
+/// Chunks are merely groups of consecutive blocks, and every block has a
+/// seed derived only from `(seed, block index)`.
+///
+/// Chunks are decoded in waves, one parallel map a wave, and one fold
+/// walks the decoded blocks in canonical order, adding each block's shots,
+/// failures and importance weights to the running totals. So a fixed
+/// `(shots, seed)` produces a **bit-identical** estimate regardless of the
+/// configured chunk size or the number of rayon threads.
+///
+/// With [`EstimatorConfig::target_std_error`] or
+/// [`EstimatorConfig::max_failures`] set, the fold stops at the first block
+/// at which the criterion is met, so the stopping point never sees chunk
+/// boundaries and early-stopped estimates enjoy the same invariance. Waves
+/// exist for this case: a wave holds two chunks per thread, so workers
+/// decode at most one wave past the stopping block. Without a criterion
+/// nothing stops the fold, and one wave holds every chunk.
 ///
 /// # Errors
 ///

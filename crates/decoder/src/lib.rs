@@ -5,7 +5,8 @@
 //!
 //! * [`DecodingGraph`] — matching graph construction from a detector error
 //!   model (hyperedges are split only into edges that single faults of the
-//!   same model produce; what cannot be split is left out and counted);
+//!   same model produce; what cannot be split is left out and counted). It
+//!   builds the one edge and incidence layout both decoders read;
 //! * [`UnionFindDecoder`] — weighted union-find decoder (the default);
 //! * [`ExactMatchingDecoder`] — minimum-weight matching by subset DP, the
 //!   accuracy reference: exact up to [`DEFAULT_MAX_EXACT_DEFECTS`] defects a
@@ -28,15 +29,18 @@
 //!   [`PredictionChunk`]. All per-shot working state lives in a reusable
 //!   [`DecodeScratch`], so the loop performs no allocations.
 //! * [`Decoder::decode_shot`] is the per-shot primitive each decoder
-//!   implements against the scratch buffers.
-//! * [`Decoder::decode`] is the convenient per-shot adapter (it builds a
-//!   fresh scratch per call, so prefer `decode_batch` anywhere throughput
-//!   matters).
+//!   implements against the scratch buffers. It returns the shot's `u64`
+//!   observable mask, the one prediction format of the memo, the batch
+//!   loops and the decode service.
+//! * [`Decoder::decode`] is the convenient per-shot adapter that unpacks
+//!   the mask (it builds a fresh scratch per call, so prefer `decode_batch`
+//!   anywhere throughput matters).
 //!
 //! [`estimate_logical_error_rate_from_table`] drives `decode_batch` over sampled
 //! chunks in parallel with deterministic per-block seeds: for a fixed
 //! `(shots, seed)` the estimate is bit-identical regardless of chunk size or
-//! thread count.
+//! thread count ([`estimate_logical_error_rate_report`] states the
+//! contract).
 //!
 //! # Word-parallel decoding
 //!
@@ -156,34 +160,34 @@ pub use union_find::UnionFindDecoder;
 /// A syndrome decoder: given the fired detectors of each shot, predict which
 /// logical observables were flipped.
 ///
+/// A prediction is a `u64` observable mask: bit `o` set means "the decoder
+/// believes observable `o` was flipped". The memo, the batch loops, the
+/// decode service and its wire protocol all carry this one format, and a
+/// [`DecodingGraph`] holds at most 64 observables to fit it.
+///
 /// Implementors provide [`Decoder::decode_shot`] against reusable
 /// [`DecodeScratch`] buffers; the batched and per-shot entry points are
 /// provided adapters.
 pub trait Decoder {
-    /// Number of logical observables this decoder predicts.
+    /// Number of logical observables this decoder predicts (at most 64).
     fn num_observables(&self) -> usize;
 
-    /// Decodes one shot into `prediction` (one slot per observable, pre-set
-    /// to `false` by the caller), using `scratch` for all working state.
-    fn decode_shot(
-        &self,
-        fired_detectors: &[usize],
-        scratch: &mut DecodeScratch,
-        prediction: &mut [bool],
-    );
+    /// Decodes one shot and returns its observable mask, using `scratch`
+    /// for all working state. `fired_detectors` lists the indices of the
+    /// detectors that fired, ascending.
+    fn decode_shot(&self, fired_detectors: &[usize], scratch: &mut DecodeScratch) -> u64;
 
-    /// Decodes one shot, allocating the result. `fired_detectors` lists the
-    /// indices of the detectors that fired; the return value has one entry
-    /// per logical observable, `true` meaning "the decoder believes this
-    /// observable was flipped".
+    /// Decodes one shot, unpacking the mask: one entry per logical
+    /// observable, `true` meaning "the decoder believes this observable was
+    /// flipped".
     ///
     /// This adapter builds a fresh [`DecodeScratch`] per call; use
     /// [`Decoder::decode_batch`] on the hot path.
     fn decode(&self, fired_detectors: &[usize]) -> Vec<bool> {
-        let mut scratch = DecodeScratch::new();
-        let mut prediction = vec![false; self.num_observables()];
-        self.decode_shot(fired_detectors, &mut scratch, &mut prediction);
-        prediction
+        let mask = self.decode_shot(fired_detectors, &mut DecodeScratch::new());
+        (0..self.num_observables())
+            .map(|o| mask >> o & 1 == 1)
+            .collect()
     }
 
     /// Memo-ownership token of this decoder instance, if its predictions may

@@ -10,7 +10,7 @@
 //! # Bit-identity contract
 //!
 //! Memoization is a pure cache: every entry stores exactly the bit-packed
-//! prediction [`Decoder::decode_shot`](crate::Decoder::decode_shot) produced
+//! prediction [`Decoder::decode_shot`](crate::Decoder::decode_shot) returned
 //! for that defect set, and decoders are deterministic functions of the
 //! defect set, so a memoized batch decode is **bit-identical** to a
 //! cache-disabled one. The property tests in `tests/prop_memo_decode.rs` pin
@@ -185,17 +185,13 @@ type MemoKey = [u32; MEMO_KEY_CAPACITY];
 /// a small decode on the hit path, and a [`MemoKey`] folds in ~4 rounds.
 type MemoTable = HashMap<MemoKey, u64, BuildHasherDefault<WordHasher>>;
 
-/// The per-decoder prediction cache (see the [module docs](self)).
-///
-/// Predictions are stored as a `u64` observable-flip bitmask, so memoization
-/// only applies to decoding problems with at most 64 logical observables —
-/// plenty for the paper's workloads (single-patch memory experiments track
-/// one observable).
+/// The per-decoder prediction cache (see the [module docs](self)): each
+/// entry is the `u64` observable mask the owner's
+/// [`Decoder::decode_shot`](crate::Decoder::decode_shot) returned.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SyndromeMemo {
     /// Memo token of the owning decoder (`None` = unowned / empty).
     owner: Option<NonZeroU64>,
-    num_observables: usize,
     config: MemoConfig,
     table: MemoTable,
     stats: CacheStats,
@@ -226,11 +222,10 @@ impl SyndromeMemo {
     /// Claims the memo for the decoder with the given token, clearing any
     /// entries cached for a different decoder. Counters are the scratch's,
     /// not the owner's, and keep counting.
-    pub(crate) fn claim(&mut self, token: NonZeroU64, num_observables: usize) {
-        if self.owner != Some(token) || self.num_observables != num_observables {
+    pub(crate) fn claim(&mut self, token: NonZeroU64) {
+        if self.owner != Some(token) {
             self.table.clear();
             self.owner = Some(token);
-            self.num_observables = num_observables;
         }
     }
 
@@ -251,8 +246,8 @@ impl SyndromeMemo {
 
     /// Whether a defect set of the given cardinality can be memoized under
     /// the current configuration.
-    pub(crate) fn cacheable(&self, defects: usize, num_observables: usize) -> bool {
-        defects <= self.config.effective_max_defects() && num_observables <= 64
+    pub(crate) fn cacheable(&self, defects: usize) -> bool {
+        defects <= self.config.effective_max_defects()
     }
 
     fn key(fired_detectors: &[usize]) -> MemoKey {
@@ -328,7 +323,7 @@ mod tests {
     fn lookup_insert_roundtrip_and_counters() {
         let mut memo = SyndromeMemo::default();
         let token = next_memo_token();
-        memo.claim(token, 1);
+        memo.claim(token);
         assert_eq!(memo.lookup(&[1, 4]), None);
         memo.insert(&[1, 4], 0b1);
         assert_eq!(memo.lookup(&[1, 4]), Some(0b1));
@@ -352,29 +347,19 @@ mod tests {
         let mut memo = SyndromeMemo::default();
         let a = next_memo_token();
         let b = next_memo_token();
-        memo.claim(a, 1);
+        memo.claim(a);
         memo.insert(&[0], 1);
         assert_eq!(memo.lookup(&[0]), Some(1));
         // Re-claim by the same owner keeps everything.
-        memo.claim(a, 1);
+        memo.claim(a);
         assert_eq!(memo.len(), 1);
         assert_eq!(memo.stats().hits, 1);
         // A different owner starts from an empty table; the counters are
         // the scratch's and keep counting.
-        memo.claim(b, 1);
+        memo.claim(b);
         assert_eq!(memo.len(), 0);
         assert_eq!(memo.lookup(&[0]), None);
         assert_eq!((memo.stats().hits, memo.stats().misses), (1, 1));
-    }
-
-    #[test]
-    fn observable_count_change_also_clears() {
-        let mut memo = SyndromeMemo::default();
-        let token = next_memo_token();
-        memo.claim(token, 1);
-        memo.insert(&[2], 1);
-        memo.claim(token, 2);
-        assert_eq!(memo.len(), 0);
     }
 
     #[test]
@@ -385,7 +370,7 @@ mod tests {
             ..MemoConfig::default()
         });
         let token = next_memo_token();
-        memo.claim(token, 1);
+        memo.claim(token);
         memo.insert(&[0], 1);
         memo.insert(&[1], 0);
         assert_eq!(memo.len(), 1, "cap must stop the second insert");
@@ -400,10 +385,9 @@ mod tests {
             max_defects: 2,
             ..MemoConfig::default()
         });
-        assert!(memo.cacheable(0, 1));
-        assert!(memo.cacheable(2, 64));
-        assert!(!memo.cacheable(3, 1));
-        assert!(!memo.cacheable(1, 65));
+        assert!(memo.cacheable(0));
+        assert!(memo.cacheable(2));
+        assert!(!memo.cacheable(3));
     }
 
     #[test]

@@ -28,7 +28,9 @@
 //! Dijkstra states, cost matrices and subset-DP tables all live in the
 //! shared [`DecodeScratch`], so batched decoding reuses them across shots,
 //! and the searches run over epoch-stamped distance arrays, so they never
-//! pay an O(nodes) reset.
+//! pay an O(nodes) reset. The searches and path walks read the graph's own
+//! incidence, endpoint and observable-mask tables (see [`DecodingGraph`]),
+//! the same tables union-find reads.
 
 use std::collections::BinaryHeap;
 use std::num::NonZeroU64;
@@ -48,10 +50,6 @@ pub const DEFAULT_MAX_EXACT_DEFECTS: usize = 14;
 pub struct ExactMatchingDecoder {
     /// The fallback; it also owns the decoding graph.
     union_find: UnionFindDecoder,
-    boundary: usize,
-    /// Indices of the boundary edges, precomputed so Dijkstra's boundary
-    /// relaxation does not rescan the whole edge list.
-    boundary_edges: Vec<usize>,
     max_exact_defects: usize,
     /// Syndrome-memo ownership token (see [`crate::memo`]).
     memo_token: NonZeroU64,
@@ -61,13 +59,11 @@ pub struct ExactMatchingDecoder {
 /// into `state`. Node index `graph.num_detectors()` is the virtual boundary.
 fn shortest_paths(
     graph: &DecodingGraph,
-    boundary: usize,
-    boundary_edges: &[usize],
     source: usize,
     state: &mut DijkstraState,
     heap: &mut BinaryHeap<HeapEntry>,
 ) {
-    let n = graph.num_detectors() + 1;
+    let n = graph.num_nodes();
     state.dist.begin(n);
     state.via.begin(n);
     heap.clear();
@@ -80,22 +76,12 @@ fn shortest_paths(
         if distance > state.dist.get(node) {
             continue;
         }
-        let incident: &[usize] = if node == boundary {
-            boundary_edges
-        } else {
-            graph.incident_edges(node)
-        };
-        for &edge_index in incident {
-            let edge = &graph.edges()[edge_index];
-            let next = if edge.a == node {
-                edge.b.unwrap_or(boundary)
-            } else {
-                edge.a
-            };
-            let candidate = distance + edge.weight.max(1e-9);
+        for &(edge, next) in graph.incident(node as u32) {
+            let next = next as usize;
+            let candidate = distance + graph.edges()[edge as usize].weight.max(1e-9);
             if candidate < state.dist.get(next) {
                 state.dist.set(next, candidate);
-                state.via.set(next, edge_index as u32);
+                state.via.set(next, edge);
                 heap.push(HeapEntry {
                     distance: candidate,
                     node: next,
@@ -105,51 +91,30 @@ fn shortest_paths(
     }
 }
 
-/// XOR of the observables along the shortest path (described by `via`,
-/// rooted at `source`) from `target` back to `source` into `flips`.
-fn apply_path_observables(
+/// The XOR of the observable masks along the shortest path (described by
+/// `via`, rooted at `source`) from `target` back to `source`.
+fn path_observables(
     graph: &DecodingGraph,
-    boundary: usize,
     state: &DijkstraState,
     source: usize,
     mut target: usize,
-    flips: &mut [bool],
-) {
+) -> u64 {
+    let mut flips = 0;
     while target != source {
-        let edge_index = state.via.get(target);
-        assert_ne!(edge_index, u32::MAX, "path must exist");
-        let edge = &graph.edges()[edge_index as usize];
-        for &obs in &edge.observables {
-            flips[obs as usize] ^= true;
-        }
-        target = if edge.a == target {
-            edge.b.unwrap_or(boundary)
-        } else {
-            edge.a
-        };
+        let edge = state.via.get(target);
+        assert_ne!(edge, u32::MAX, "path must exist");
+        flips ^= graph.masks[edge as usize];
+        let (a, b) = graph.endpoints[edge as usize];
+        target = if a as usize == target { b } else { a } as usize;
     }
-}
-
-/// The indices of a graph's boundary edges.
-fn collect_boundary_edges(graph: &DecodingGraph) -> Vec<usize> {
-    graph
-        .edges()
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| e.b.is_none())
-        .map(|(i, _)| i)
-        .collect()
+    flips
 }
 
 impl ExactMatchingDecoder {
     /// Creates a decoder for the given decoding graph.
     pub fn new(graph: DecodingGraph) -> Self {
-        let boundary = graph.num_detectors();
-        let boundary_edges = collect_boundary_edges(&graph);
         ExactMatchingDecoder {
             union_find: UnionFindDecoder::new(graph),
-            boundary,
-            boundary_edges,
             max_exact_defects: DEFAULT_MAX_EXACT_DEFECTS,
             memo_token: next_memo_token(),
         }
@@ -175,14 +140,7 @@ impl ExactMatchingDecoder {
         s.ensure_defect_slots(defects.len());
         let mut heap = std::mem::take(&mut s.heap);
         for (i, &d) in defects.iter().enumerate() {
-            shortest_paths(
-                self.graph(),
-                self.boundary,
-                &self.boundary_edges,
-                d,
-                &mut s.dijkstras[i],
-                &mut heap,
-            );
+            shortest_paths(self.graph(), d, &mut s.dijkstras[i], &mut heap);
         }
         s.heap = heap;
     }
@@ -194,6 +152,7 @@ impl ExactMatchingDecoder {
     #[allow(clippy::needless_range_loop)]
     fn solve(&self, defects: &[usize], s: &mut MatchingScratch) -> Option<f64> {
         let n = defects.len();
+        let boundary = self.graph().num_detectors();
 
         // Pairwise and boundary costs.
         s.boundary_cost.clear();
@@ -201,7 +160,7 @@ impl ExactMatchingDecoder {
         s.pair_cost.resize(n * n, f64::INFINITY);
         for i in 0..n {
             let dist = &s.dijkstras[i].dist;
-            s.boundary_cost.push(dist.get(self.boundary));
+            s.boundary_cost.push(dist.get(boundary));
             for j in 0..n {
                 if i != j {
                     s.pair_cost[i * n + j] = dist.get(defects[j]);
@@ -289,51 +248,35 @@ impl ExactMatchingDecoder {
         let mut scratch = DecodeScratch::new();
         let s = &mut scratch.matching;
         self.run_searches(&[source], s);
-        s.dijkstras[0].dist.get(self.boundary)
+        s.dijkstras[0].dist.get(self.graph().num_detectors())
     }
 }
 
 impl Decoder for ExactMatchingDecoder {
-    fn decode_shot(
-        &self,
-        fired_detectors: &[usize],
-        scratch: &mut DecodeScratch,
-        prediction: &mut [bool],
-    ) {
+    fn decode_shot(&self, fired_detectors: &[usize], scratch: &mut DecodeScratch) -> u64 {
         if fired_detectors.is_empty() || self.graph().is_empty() {
-            return;
+            return 0;
         }
         if fired_detectors.len() > self.max_exact_defects {
-            self.union_find
-                .decode_shot(fired_detectors, scratch, prediction);
-            return;
+            return self.union_find.decode_shot(fired_detectors, scratch);
         }
         let s = &mut scratch.matching;
         self.run_searches(fired_detectors, s);
         if self.solve(fired_detectors, s).is_none() {
             // No finite matching: union-find decides the shot.
-            self.union_find
-                .decode_shot(fired_detectors, scratch, prediction);
-            return;
+            return self.union_find.decode_shot(fired_detectors, scratch);
         }
-        let pairs = std::mem::take(&mut s.pairs);
-        for &(i, partner) in &pairs {
+        let mut flips = 0;
+        for &(i, partner) in &s.pairs {
             let i = i as usize;
             let target = if partner == u32::MAX {
-                self.boundary
+                self.graph().num_detectors()
             } else {
                 fired_detectors[partner as usize]
             };
-            apply_path_observables(
-                self.graph(),
-                self.boundary,
-                &s.dijkstras[i],
-                fired_detectors[i],
-                target,
-                prediction,
-            );
+            flips ^= path_observables(self.graph(), &s.dijkstras[i], fired_detectors[i], target);
         }
-        s.pairs = pairs;
+        flips
     }
 
     fn num_observables(&self) -> usize {
@@ -484,10 +427,9 @@ mod tests {
         scratch: &mut DecodeScratch,
     ) {
         assert_eq!(dec.decode(defects), uf.decode(defects), "{defects:?}");
-        let mut reused = vec![false; dec.num_observables()];
-        dec.decode_shot(defects, scratch, &mut reused);
+        let reused = dec.decode_shot(defects, scratch);
         assert_eq!(
-            reused,
+            vec![reused == 1],
             uf.decode(defects),
             "{defects:?} on a reused scratch"
         );
@@ -549,9 +491,12 @@ mod tests {
             vec![0, 4, 8],
             vec![1, 2, 6, 7],
         ] {
-            let mut reused = vec![false; 1];
-            dec.decode_shot(&syndrome, &mut scratch, &mut reused);
-            assert_eq!(reused, dec.decode(&syndrome), "syndrome {syndrome:?}");
+            let reused = dec.decode_shot(&syndrome, &mut scratch);
+            assert_eq!(
+                vec![reused == 1],
+                dec.decode(&syndrome),
+                "syndrome {syndrome:?}"
+            );
         }
     }
 }

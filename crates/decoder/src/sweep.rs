@@ -7,17 +7,7 @@
 //! [`estimate_logical_error_rate_from_table`](crate::estimate_logical_error_rate_from_table):
 //! the outer pool keeps every core busy when points are short (compile-only
 //! sweeps, small distances), and the inner pool takes over inside a long
-//! point.
-//!
-//! # Determinism
-//!
-//! Each point receives its own seed, derived **only** from the engine seed
-//! and the point's index in the input slice: `point seed =
-//! `[`sweep_seed`]`(engine seed, index)`. Results are collected in input
-//! order. Together with the estimator's own chunk/thread invariance this
-//! makes a sweep's output a pure function of `(engine seed, points)` —
-//! independent of thread counts, sharding, or which worker picked up which
-//! point. The golden regression tests in `qccd-bench` pin this contract.
+//! point. [`SweepEngine`] states the determinism contract.
 
 use rayon::prelude::*;
 
@@ -50,7 +40,17 @@ pub struct SweepTask<'a, C> {
 }
 
 /// Shards sweep points across an outer worker pool with per-point
-/// deterministic seeds (see the module docs of `sweep.rs`).
+/// deterministic seeds.
+///
+/// # Determinism
+///
+/// Each point receives its own seed, derived **only** from the engine seed
+/// and the point's index in the input slice: `point seed =
+/// `[`sweep_seed`]`(engine seed, index)`. Results are collected in input
+/// order. Together with the estimator's own chunk/thread invariance this
+/// makes a sweep's output a pure function of `(engine seed, points)` —
+/// independent of thread counts, sharding, or which worker picked up which
+/// point. The golden regression tests in `qccd-bench` pin this contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepEngine {
     seed: u64,

@@ -15,9 +15,9 @@
 //!
 //! The decoder is near-linear in the number of grown edges, which below
 //! threshold is proportional to the number of detection events, so millions
-//! of shots can be decoded in seconds. The edge endpoints, lengths,
-//! observable masks and incidence lists are flat tables built once per
-//! decoder. All working state lives in the shared [`DecodeScratch`] as plain
+//! of shots can be decoded in seconds. The edge endpoints, observable masks
+//! and incidence lists are the graph's flat tables; the decoder adds only
+//! the edge lengths. All working state lives in the shared [`DecodeScratch`] as plain
 //! per-node and per-edge arrays: a shot lists the nodes and edges it
 //! touches and the next shot resets only those, and the per-round edge
 //! counts are stamped with a round counter that runs across shots, so they
@@ -37,20 +37,8 @@ const NO_EDGE: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct UnionFindDecoder {
     graph: DecodingGraph,
-    /// Per-edge endpoints, the boundary mapped to its node index.
-    endpoints: Vec<(u32, u32)>,
     /// Discretised edge lengths (growth units).
     lengths: Vec<u32>,
-    /// Per-edge observable bitmask; empty above 64 observables, where
-    /// peeling walks the graph's observable lists instead.
-    observable_masks: Vec<u64>,
-    /// Incidence lists in CSR form: node `v`'s `(edge, opposite endpoint)`
-    /// pairs are `incident[incident_start[v]..incident_start[v + 1]]` (the
-    /// boundary's list is empty).
-    incident_start: Vec<u32>,
-    incident: Vec<(u32, u32)>,
-    /// Index of the virtual boundary node (== number of detectors).
-    boundary: u32,
     /// Syndrome-memo ownership token (see [`crate::memo`]).
     memo_token: NonZeroU64,
 }
@@ -58,42 +46,14 @@ pub struct UnionFindDecoder {
 impl UnionFindDecoder {
     /// Creates a decoder for the given decoding graph.
     pub fn new(graph: DecodingGraph) -> Self {
-        let index = |i: usize| u32::try_from(i).expect("graph indices fit in u32");
-        let boundary = index(graph.num_detectors());
-        let endpoints: Vec<(u32, u32)> = graph
-            .edges()
-            .iter()
-            .map(|e| (index(e.a), e.b.map_or(boundary, index)))
-            .collect();
         let lengths = graph
             .edges()
             .iter()
             .map(|e| ((2.0 * e.weight).round() as u32).clamp(1, 100))
             .collect();
-        let observable_masks = if graph.num_observables() <= 64 {
-            let mask = |observables: &[u32]| observables.iter().fold(0, |m, &o| m ^ (1u64 << o));
-            graph.edges().iter().map(|e| mask(&e.observables)).collect()
-        } else {
-            Vec::new()
-        };
-        let mut incident_start = Vec::with_capacity(graph.num_nodes() + 1);
-        let mut incident = Vec::new();
-        for v in 0..graph.num_detectors() {
-            incident_start.push(index(incident.len()));
-            incident.extend(graph.incident_edges(v).iter().map(|&edge| {
-                let (a, b) = endpoints[edge];
-                (index(edge), if a == index(v) { b } else { a })
-            }));
-        }
-        incident_start.extend([index(incident.len()); 2]);
         UnionFindDecoder {
             graph,
-            endpoints,
             lengths,
-            observable_masks,
-            incident_start,
-            incident,
-            boundary,
             memo_token: next_memo_token(),
         }
     }
@@ -113,9 +73,7 @@ impl UnionFindDecoder {
         }
         state.seeded = true;
         s.touched_nodes.push(node);
-        let range = self.incident_start[node as usize] as usize
-            ..self.incident_start[node as usize + 1] as usize;
-        s.frontier[node as usize].extend_from_slice(&self.incident[range]);
+        s.frontier[node as usize].extend_from_slice(self.graph.incident(node));
     }
 
     /// Growth phase: grow active clusters until all are neutral. Every
@@ -197,7 +155,7 @@ impl UnionFindDecoder {
             s.merges.sort_unstable();
             for index in 0..s.merges.len() {
                 let edge = s.merges[index];
-                let (a, b) = self.endpoints[edge as usize];
+                let (a, b) = self.graph.endpoints[edge as usize];
                 // Record the grown edge in the peeling adjacency (cycle
                 // edges included: they are valid non-tree edges).
                 s.grown_adjacency[a as usize].push((edge, b));
@@ -216,18 +174,18 @@ impl UnionFindDecoder {
     }
 
     /// Peeling phase: build a spanning forest of the grown edges (rooted at
-    /// the boundary where possible) and peel defects from the leaves inward,
-    /// XOR-ing edge observables into `prediction`.
+    /// the boundary where possible) and peel defects from the leaves inward;
+    /// returns the XOR of the peeled edges' observable masks.
     ///
     /// Only the grown subgraph is visited, so the cost is proportional to
     /// the clusters actually built this shot, not to the graph size.
-    fn peel(&self, s: &mut UnionFindScratch, prediction: &mut [bool]) {
+    fn peel(&self, s: &mut UnionFindScratch) -> u64 {
         // Roots: the boundary first (so it can absorb defects), then the
         // grown edges' endpoints in ascending order. The boundary has the
         // largest index, so after sorting it is last if it is there at all.
         s.peel_roots.sort_unstable();
         s.peel_roots.dedup();
-        if s.peel_roots.last() == Some(&self.boundary) {
+        if s.peel_roots.last() == Some(&(self.graph.num_detectors() as u32)) {
             s.peel_roots.rotate_right(1);
         }
         // Breadth-first over the grown subgraph from each unvisited root;
@@ -262,39 +220,28 @@ impl UnionFindDecoder {
                 continue;
             }
             let edge = node.tree_edge as usize;
-            match self.observable_masks.get(edge) {
-                Some(mask) => flips ^= mask,
-                None => {
-                    for &obs in &self.graph.edges()[edge].observables {
-                        prediction[obs as usize] ^= true;
-                    }
-                }
-            }
-            let (a, b) = self.endpoints[edge];
+            flips ^= self.graph.masks[edge];
+            let (a, b) = self.graph.endpoints[edge];
             let parent = if a == v { b } else { a };
             s.nodes[parent as usize].defect ^= true;
         }
-        while flips != 0 {
-            prediction[flips.trailing_zeros() as usize] ^= true;
-            flips &= flips - 1;
-        }
+        flips
     }
 }
 
 impl Decoder for UnionFindDecoder {
-    fn decode_shot(
-        &self,
-        fired_detectors: &[usize],
-        scratch: &mut DecodeScratch,
-        prediction: &mut [bool],
-    ) {
+    fn decode_shot(&self, fired_detectors: &[usize], scratch: &mut DecodeScratch) -> u64 {
         if fired_detectors.is_empty() || self.graph.is_empty() {
-            return;
+            return 0;
         }
         let s = &mut scratch.union_find;
-        s.begin(self.graph.num_nodes(), self.endpoints.len());
-        s.nodes[self.boundary as usize].boundary = true;
-        self.seed(s, self.boundary);
+        s.begin(self.graph.num_nodes(), self.lengths.len());
+        // The boundary is seeded without a frontier: a cluster that touches
+        // it never grows again.
+        let boundary = self.graph.num_detectors();
+        s.nodes[boundary].boundary = true;
+        s.nodes[boundary].seeded = true;
+        s.touched_nodes.push(boundary as u32);
         for &d in fired_detectors {
             let node = &mut s.nodes[d];
             node.defect = true;
@@ -303,7 +250,7 @@ impl Decoder for UnionFindDecoder {
             s.active.push(d as u32);
         }
         self.grow(s);
-        self.peel(s, prediction);
+        self.peel(s)
     }
 
     fn num_observables(&self) -> usize {
@@ -594,10 +541,9 @@ mod tests {
             vec![1, 2, 6],
         ];
         for syndrome in &syndromes {
-            let mut with_scratch = vec![false; 1];
-            decoder.decode_shot(syndrome, &mut scratch, &mut with_scratch);
+            let with_scratch = decoder.decode_shot(syndrome, &mut scratch);
             assert_eq!(
-                with_scratch,
+                vec![with_scratch == 1],
                 decoder.decode(syndrome),
                 "scratch reuse changed the prediction for {syndrome:?}"
             );
@@ -629,9 +575,10 @@ mod tests {
         fired: &[usize],
         scratch: &mut DecodeScratch,
     ) -> Vec<bool> {
-        let mut prediction = vec![false; decoder.num_observables()];
-        decoder.decode_shot(fired, scratch, &mut prediction);
-        prediction
+        let mask = decoder.decode_shot(fired, scratch);
+        (0..decoder.num_observables())
+            .map(|o| mask >> o & 1 == 1)
+            .collect()
     }
 
     #[test]
@@ -688,32 +635,5 @@ mod tests {
             wraps += usize::from(s.round < before);
         }
         assert!(wraps > 1, "too few shots crossed the wrap");
-    }
-
-    #[test]
-    fn above_64_observables_walk_the_observable_lists() {
-        // A 70-detector chain whose boundary edges carry observables 3 and
-        // 69, and whose internal edge i flips observable i.
-        let n = 70;
-        let mut errors = vec![err(0.01, vec![0], vec![3])];
-        for i in 0..n - 1 {
-            errors.push(err(0.01, vec![i, i + 1], vec![i]));
-        }
-        errors.push(err(0.01, vec![n - 1], vec![69]));
-        let dem = DetectorErrorModel {
-            num_detectors: n as usize,
-            num_observables: 70,
-            errors,
-        };
-        let decoder = UnionFindDecoder::new(DecodingGraph::from_dem(&dem));
-        assert!(decoder.observable_masks.is_empty());
-        let flipped = |fired: &[usize]| -> Vec<usize> {
-            let prediction = decoder.decode(fired);
-            (0..70).filter(|&o| prediction[o]).collect()
-        };
-        assert_eq!(flipped(&[0]), vec![3]);
-        assert_eq!(flipped(&[69]), vec![69]);
-        assert_eq!(flipped(&[66, 67]), vec![66]);
-        assert_eq!(flipped(&[10, 11, 40, 41]), vec![10, 40]);
     }
 }

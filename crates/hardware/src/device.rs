@@ -248,15 +248,6 @@ impl Device {
         &self.junctions[id.index()]
     }
 
-    /// Looks up a segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn segment(&self, id: SegmentId) -> &Segment {
-        &self.segments[id.index()]
-    }
-
     /// The uniform trap capacity of the device (the minimum over traps, which
     /// for all built-in topologies equals every trap's capacity).
     pub fn capacity(&self) -> usize {

@@ -107,12 +107,12 @@ pub const MAX_LINE_BYTES: usize = 8 << 20;
 pub fn parse_decoder(name: &str) -> Result<DecoderKind, String> {
     DecoderKind::NAMES
         .iter()
-        .find(|(_, wire, _)| *wire == name)
+        .find(|(_, wire, ..)| *wire == name)
         .map(|&(kind, ..)| kind)
         .ok_or_else(|| {
             let names: Vec<&str> = DecoderKind::NAMES
                 .iter()
-                .map(|(_, wire, _)| *wire)
+                .map(|(_, wire, ..)| *wire)
                 .collect();
             format!("unknown decoder `{name}` ({})", names.join("|"))
         })
@@ -123,7 +123,7 @@ pub fn decoder_name(kind: DecoderKind) -> &'static str {
     DecoderKind::NAMES
         .iter()
         .find(|(named, ..)| *named == kind)
-        .map(|(_, wire, _)| *wire)
+        .map(|(_, wire, ..)| *wire)
         .expect("every decoder kind has a wire name")
 }
 

@@ -170,11 +170,6 @@ impl DecodeProgram {
         self.num_observables
     }
 
-    /// The decoder kind this program decodes with.
-    pub fn decoder_kind(&self) -> DecoderKind {
-        self.decoder_kind
-    }
-
     /// The memo configuration every worker scratch decodes this program
     /// under.
     pub fn memo_config(&self) -> MemoConfig {

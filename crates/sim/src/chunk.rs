@@ -5,21 +5,8 @@
 //! chunk size instead: a [`DetectorChunkSampler`] describes the whole
 //! experiment but samples one [`SyndromeChunk`] of shots at a time, each
 //! holding only bit-packed *detector* and *observable* planes.
-//!
-//! # Sampling
-//!
-//! Shots are sampled from the circuit's [`FaultTable`], not by running the
-//! circuit: every component of every noise channel has a fixed signature
-//! (the detectors and observables it flips), so a shot's detector events are
-//! the XOR of the signatures of the faults that occur in it. The cost is
-//! proportional to the number of faults placed, not to `ops × shots`.
-//! Channels are bucketed by the binary exponent of their probability; each
-//! bucket is one geometric-skipping walk at its largest probability over the
-//! flattened `channels × shots` index space of a block, thinned per channel,
-//! so a bucket proposes at most twice the faults it places. A channel that
-//! fires picks one of its components uniformly — the channel's mutually
-//! exclusive Paulis, not the detector error model's independent-mechanism
-//! approximation.
+//! [`DetectorChunkSampler`] states the sampling method and the determinism
+//! contract.
 //!
 //! # Occupancy index
 //!
@@ -42,22 +29,6 @@
 //!
 //! Debug builds check the index against the planes word by word wherever a
 //! chunk is built.
-//!
-//! # Determinism
-//!
-//! Shots are partitioned into fixed-size *blocks* of
-//! [`CANONICAL_BLOCK_SHOTS`] shots (the last block takes the remainder).
-//! Every block is sampled with its own RNG stream, derived from the base
-//! seed and the block index only — never from the chunk size. Chunks are
-//! merely groups of consecutive blocks handed to one worker, so for a fixed
-//! `(total_shots, seed)` the sampled outcomes are bit-identical regardless
-//! of the chunk size or of how many threads pull chunks. This is what makes
-//! `qccd_decoder`'s estimator reproducible across machine shapes. The
-//! stream itself is versioned by the repository's goldens, not promised
-//! across releases: a change to the sampler may regenerate it, deliberately.
-//!
-//! Because `sample_chunk` takes `&self`, one sampler can be shared across
-//! worker threads and chunks can be produced in any order, or in parallel.
 
 use std::borrow::Cow;
 
@@ -593,8 +564,36 @@ fn bucket_channels(probabilities: &[f64]) -> Vec<Bucket> {
 
 /// A chunked, thread-shareable detector sampler over one noisy circuit.
 ///
-/// The module docs of `chunk.rs` state the sampling method and the
-/// determinism contract.
+/// # Sampling
+///
+/// Shots are sampled from the circuit's [`FaultTable`], not by running the
+/// circuit: every component of every noise channel has a fixed signature
+/// (the detectors and observables it flips), so a shot's detector events are
+/// the XOR of the signatures of the faults that occur in it. The cost is
+/// proportional to the number of faults placed, not to `ops × shots`.
+/// Channels are bucketed by the binary exponent of their probability; each
+/// bucket is one geometric-skipping walk at its largest probability over the
+/// flattened `channels × shots` index space of a block, thinned per channel,
+/// so a bucket proposes at most twice the faults it places. A channel that
+/// fires picks one of its components uniformly — the channel's mutually
+/// exclusive Paulis, not the detector error model's independent-mechanism
+/// approximation.
+///
+/// # Determinism
+///
+/// Shots are partitioned into fixed-size *blocks* of
+/// [`CANONICAL_BLOCK_SHOTS`] shots (the last block takes the remainder).
+/// Every block is sampled with its own RNG stream, derived from the base
+/// seed and the block index only — never from the chunk size. Chunks are
+/// merely groups of consecutive blocks handed to one worker, so for a fixed
+/// `(total_shots, seed)` the sampled outcomes are bit-identical regardless
+/// of the chunk size or of how many threads pull chunks. This is what makes
+/// `qccd_decoder`'s estimator reproducible across machine shapes. The
+/// stream itself is versioned by the repository's goldens, not promised
+/// across releases: a change to the sampler may regenerate it, deliberately.
+///
+/// Because `sample_chunk` takes `&self`, one sampler can be shared across
+/// worker threads and chunks can be produced in any order, or in parallel.
 #[derive(Debug, Clone)]
 pub struct DetectorChunkSampler<'t> {
     table: Cow<'t, FaultTable>,

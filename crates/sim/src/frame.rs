@@ -81,12 +81,6 @@ impl FrameSampler {
         self.measurement_flips.num_planes()
     }
 
-    /// The recorded flip bit-plane arena, one plane per measurement in
-    /// execution order.
-    pub fn measurement_flips(&self) -> &BitPlanes {
-        &self.measurement_flips
-    }
-
     /// The flip bit-plane of one measurement (by execution order).
     pub fn measurement_plane(&self, measurement: usize) -> &[u64] {
         self.measurement_flips.plane(measurement)

@@ -2,11 +2,14 @@
 """Public functions of the workspace crates that nothing but tests calls.
 
 Lists every `pub fn` declared in the non-test part of `crates/*/src` whose
-name occurs nowhere else in non-test code: `crates/*/src`, `examples/` and
-the benchmark package's `benchmark/src`. Comments and string literals are
-ignored, and so is a function's own `fn name` declaration. The scan is by
-name, so a dead function that shares its name with a live one (`new`,
-`len`) is not found; it never reports a function that has a caller.
+name is called nowhere in non-test code: `crates/*/src`, `examples/` and
+the benchmark package's `benchmark/src`. A name counts as called where it
+stands in a call shape: `name(`, `name::<` or a path `::name` (which also
+covers `use` items and `Type::name` passed as a function). A field, a local
+or a parameter of the same name does not count. Comments and string
+literals are ignored, and so is a function's own `fn name` declaration.
+The scan is by name, so a dead function that shares its name with a called
+one (`new`, `len`) is not found.
 
 A file's non-test part is what `scripts/nontest_lines.py` counts: the
 lines above its first column-0 `#[cfg(test)]`, and nothing of a file that
@@ -32,6 +35,8 @@ from nontest_lines import CFG_TEST, test_module_files  # noqa: E402
 # stale and fails the scan too.
 ALLOWED = {
     # Test entry points.
+    "map_qubits": "test entry point: the routing and lower-bound unit tests map a layout onto a device without compiling it",
+    "cluster_qubits": "test entry point: the clustering unit tests run geometric clustering alone",
     "parse_*_options": "test entry point: `golden_cli` parses flag tables through `cli::parse_*_options` without running a command",
     "grid_arch": "test entry point: the bench crate's tests build grid architectures through it",
     "with_target_std_error": "test entry point: the early-stop goldens set the estimator's standard-error target through it",
@@ -44,9 +49,24 @@ ALLOWED = {
     "is_deterministic_z": "oracle accessor: the tableau simulator's tests ask whether a Z measurement is deterministic",
     "num_components": "oracle accessor: the sampler oracle checks the fault table per component",
     "matching_weight": "oracle accessor: the exact decoder's tests compare matching weights",
+    "check_routing_invariants": "oracle: `prop_compiler_invariants` checks every routed program against it (ROADMAP item 5 (iii))",
+    "validate_clustering": "oracle: `prop_compiler_invariants` checks every clustering against it",
+    "components": "oracle accessor: the sampler oracle and the exhaustive low-weight decoder oracle read each channel's signatures",
+    "*decomposed_hyperedges": "oracle accessor: `integration_code_distance` and the graph tests count the hyperedges a decoding graph split or left out",
+    "observable_conflicts": "oracle accessor: `integration_code_distance` checks that no merge of a compiled program's graph discarded an observable",
     "from_xz": "oracle accessor: the Pauli tests check the (x, z) bit encoding round trip",
     # Test observation points.
     "memo_entries": "test observation point: the memo tests read the entry count of a scratch",
+    "attempts": "test observation point: the memo suites check hits + misses",
+    "decoded": "test observation point: the memo and word-path suites check that every noisy shot was counted once",
+    "shot_prediction": "test observation point: the batch, memo and service identity suites compare one shot's unpacked prediction",
+    "depth": "test observation point: the circuit IR property tests bound a circuit's depth by its length",
+    "weight": "test observation point: the Pauli algebra and code-layout property tests read a Pauli's or a stabilizer's weight",
+    "support": "test observation point: the Pauli algebra property tests read a Pauli's support",
+    "junctions": "test observation point: the hardware model property tests walk every junction of a device",
+    "segments": "test observation point: the hardware model property tests walk every segment of a device",
+    "chunk_index": "test observation point: the chunk builder test reads the index a rebuilt chunk records",
+    "shot_offset": "test observation point: the sampler-stream golden reads each chunk's first shot",
     "detector_fired": "test observation point: chunk tests read one detector bit of one shot",
     "from_shots": "test observation point: chunk tests build a chunk from per-shot detector lists",
     "disabled": "test observation point: `MemoConfig::disabled` gives the uncached reference decode",
@@ -62,7 +82,7 @@ ALLOWED = {
 
 DECL = re.compile(r"^\s*pub\s+(?:const\s+)?(?:unsafe\s+)?fn\s+([A-Za-z_]\w*)")
 DEF_NAME = re.compile(r"\bfn\s+[A-Za-z_]\w*")
-WORD = re.compile(r"[A-Za-z_]\w*")
+CALL = re.compile(r"(?<!\w)([A-Za-z_]\w*)\s*(?:\(|::<)|::\s*([A-Za-z_]\w*)")
 
 
 def strip_comments_and_strings(text):
@@ -136,7 +156,7 @@ def sources(root):
 
 
 def uncalled(root):
-    """`[(path, line, name)]` of the `pub fn`s whose name has no other use."""
+    """`[(path, line, name)]` of the `pub fn`s whose name is never called."""
     texts = sources(root)
     declared = []
     uses = {}
@@ -146,8 +166,9 @@ def uncalled(root):
             match = DECL.match(line)
             if match and crate_source:
                 declared.append((path.relative_to(root), number, match.group(1)))
-            for word in WORD.findall(DEF_NAME.sub("", line)):
-                uses[word] = uses.get(word, 0) + 1
+            for called, path_item in CALL.findall(DEF_NAME.sub("", line)):
+                name = called or path_item
+                uses[name] = uses.get(name, 0) + 1
     return [entry for entry in declared if not uses.get(entry[2])]
 
 
