@@ -315,7 +315,12 @@ fn decode_lanes<D: Decoder + ?Sized>(
         if buffers.memo_active && !cacheable {
             buffers.memo.note_uncacheable();
         }
-        let mut flips = match cacheable.then(|| buffers.memo.lookup(&fired)).flatten() {
+        let hit = if cacheable {
+            buffers.memo.lookup(&fired)
+        } else {
+            None
+        };
+        let mut flips = match hit {
             Some(flips) => flips,
             None => {
                 let flips = decoder.decode_shot(&fired, scratch);

@@ -17,13 +17,14 @@
 //! threshold is proportional to the number of detection events, so millions
 //! of shots can be decoded in seconds. The edge endpoints, observable masks
 //! and incidence lists are the graph's flat tables; the decoder adds only
-//! the edge lengths. All working state lives in the shared [`DecodeScratch`] as plain
-//! per-node and per-edge arrays: a shot lists the nodes and edges it
-//! touches and the next shot resets only those, and the per-round edge
-//! counts are stamped with a round counter that runs across shots, so they
-//! need no reset at all. A node's incident edges enter a frontier once, the
-//! first time the node joins a cluster, and peeling walks only the grown
-//! subgraph, so quiet shots cost almost nothing.
+//! the edge lengths. All working state lives in the shared
+//! [`DecodeScratch`] as plain per-node and per-edge arrays: a shot lists
+//! the nodes and edges it touches and the next shot resets only those, and
+//! the per-round edge counts are stamped with a round counter that runs
+//! across shots, so they need no reset at all. A node's incident edges
+//! enter a frontier once, the first time the node joins a cluster, and
+//! peeling walks only the grown subgraph, so quiet shots cost almost
+//! nothing.
 
 use std::num::NonZeroU64;
 
