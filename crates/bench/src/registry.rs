@@ -19,7 +19,6 @@ use qccd_core::{
 };
 use qccd_decoder::{
     estimate_logical_error_rate_from_table, DecoderKind, EstimatorConfig, LambdaFit, SweepEngine,
-    DEFAULT_MAX_EXACT_DEFECTS,
 };
 use qccd_hardware::{estimate_resources, OperationTimes, TopologyKind, WiringMethod};
 use qccd_qec::{rotated_surface_code, surgery_workload, MergeKind};
@@ -1067,11 +1066,10 @@ fn run_decoder_comparison(
         display.to_string()
     }));
     let notes = vec![format!(
-        "Reading: the exact matching decoder is the accuracy reference (exact up to {} defects \
-         a shot, union-find above that); union-find should read at most a small factor worse. \
+        "Reading: the exact matching decoder is the accuracy reference (a minimum-weight \
+         perfect matching of every shot); union-find should read at most a small factor worse. \
          The ordering of architectures (not shown here) is unchanged by the decoder choice — \
          see the Toolflow decoder option ({:?} is the default).",
-        DEFAULT_MAX_EXACT_DEFECTS,
         DecoderKind::default()
     )];
     (headers, rows, notes, Value::Array(entries))

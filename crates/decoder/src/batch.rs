@@ -57,6 +57,7 @@ pub use qccd_sim::SyndromeChunk;
 
 use qccd_sim::BitPlanes;
 
+use crate::blossom::Blossom;
 use crate::memo::SyndromeMemo;
 use crate::scratch::EpochVec;
 use crate::union_find::UnionFindScratch;
@@ -153,14 +154,8 @@ pub(crate) struct MatchingScratch {
     /// One Dijkstra state (distance, incoming edge) per defect slot.
     pub(crate) dijkstras: Vec<DijkstraState>,
     pub(crate) heap: std::collections::BinaryHeap<HeapEntry>,
-    // Subset-DP state.
-    pub(crate) boundary_cost: Vec<f64>,
-    /// Row-major `n × n` pairwise costs.
-    pub(crate) pair_cost: Vec<f64>,
-    pub(crate) dp: Vec<f64>,
-    /// DP back-pointers: `(i, partner)` with `u32::MAX` = boundary.
-    pub(crate) choice: Vec<(u32, u32)>,
-    pub(crate) pairs: Vec<(u32, u32)>,
+    /// The matching problem on the defects and their boundary twins.
+    pub(crate) blossom: Blossom,
 }
 
 /// Reusable Dijkstra arrays (distances default to `+inf` between epochs).

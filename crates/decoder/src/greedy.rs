@@ -1,6 +1,6 @@
 //! Chain cases of the retired greedy matcher, kept as regression tests.
 //!
-//! The greedy decoder is gone; the exact decoder falls back to union-find.
+//! The greedy decoder is gone.
 //! Each case it was tested on still has one right answer for every
 //! matching decoder, so each now runs against both remaining decoders.
 //! This module holds tests only.

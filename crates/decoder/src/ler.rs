@@ -31,9 +31,8 @@ pub enum DecoderKind {
     /// Weighted union-find (the default).
     #[default]
     UnionFind,
-    /// Exact minimum-weight matching per shot (accuracy reference; exact up
-    /// to [`DEFAULT_MAX_EXACT_DEFECTS`](crate::DEFAULT_MAX_EXACT_DEFECTS)
-    /// defects a shot, union-find above that).
+    /// Exact minimum-weight matching per shot, by a blossom on every shot
+    /// (the accuracy reference).
     ExactMatching,
 }
 

@@ -8,9 +8,8 @@
 //!   same model produce; what cannot be split is left out and counted). It
 //!   builds the one edge and incidence layout both decoders read;
 //! * [`UnionFindDecoder`] — weighted union-find decoder (the default);
-//! * [`ExactMatchingDecoder`] — minimum-weight matching by subset DP, the
-//!   accuracy reference: exact up to [`DEFAULT_MAX_EXACT_DEFECTS`] defects a
-//!   shot, union-find above that;
+//! * [`ExactMatchingDecoder`] — minimum-weight perfect matching of every
+//!   shot by Edmonds' blossom algorithm, the accuracy reference;
 //! * [`estimate_logical_error_rate_report`] (a circuit) and
 //!   [`estimate_logical_error_rate_from_table`] (a fault table) — Monte-Carlo
 //!   logical error rate estimation, one entry point per input;
@@ -135,6 +134,7 @@
 #![warn(missing_debug_implementations)]
 
 mod batch;
+mod blossom;
 mod dem_graph;
 #[cfg(test)]
 mod greedy;
@@ -153,7 +153,7 @@ pub use ler::{
     LambdaFit, LogicalErrorEstimate,
 };
 pub use memo::{CacheStats, MemoConfig, DEFAULT_MEMO_MAX_DEFECTS, MEMO_KEY_CAPACITY};
-pub use mwpm::{ExactMatchingDecoder, DEFAULT_MAX_EXACT_DEFECTS};
+pub use mwpm::ExactMatchingDecoder;
 pub use sweep::{sweep_seed, SweepEngine, SweepTask};
 pub use union_find::UnionFindDecoder;
 

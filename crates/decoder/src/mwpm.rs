@@ -9,26 +9,32 @@
 //! its logical error rate somewhat higher at equal physical error rate (the
 //! `ext_decoder_comparison` artefact measures the gap). This module adds an
 //! **exact** matching decoder used as an accuracy reference and as an
-//! ablation point:
+//! ablation point. It is exact on every shot, whatever its defect count:
 //!
-//! * the defects of one shot are matched to each other or to the virtual
-//!   boundary with *exactly* minimum total weight, where pairwise weights
-//!   are shortest-path distances in the decoding graph;
-//! * the exact matching is found by dynamic programming over defect subsets,
-//!   which is exponential in the number of defects of the shot — fine for
-//!   the below-threshold regime the architectural study cares about, where
-//!   shots contain only a handful of defects;
-//! * shots with more defects than [`ExactMatchingDecoder::max_exact_defects`],
-//!   and shots the DP finds no finite matching for, are decoded by
-//!   union-find, so the decoder never blows up on pathological
-//!   above-threshold shots and predicts exactly what union-find does there.
+//! * one Dijkstra per defect gives its shortest-path distance to every
+//!   other defect and to the virtual boundary in the decoding graph;
+//! * the defects are matched on the boundary-twin graph: defect `i` gets a
+//!   twin `i'`, `(i, j)` costs the distance between the two defects,
+//!   `(i, i')` costs `i`'s distance to the boundary, and twins join each
+//!   other at zero. A minimum-cost perfect matching of that graph is a
+//!   minimum-weight matching of the defects to each other or to the
+//!   boundary, and Edmonds' blossom algorithm (`blossom.rs`, dense, O(n³)
+//!   in the defect count) finds it;
+//! * a pair with no path costs a penalty, `P` for a defect and its twin
+//!   and `2P` for two defects, where `P` is one more than the sum of every
+//!   finite cost of the shot. Every defect left without a finite partner
+//!   then costs more than any finite matching, so the blossom leaves as
+//!   few defects as it can without one and matches the rest at minimum
+//!   weight; a pair matched at a penalty flips nothing. Every shot has a
+//!   matching: the penalty is derived from the shot's own weights and
+//!   nothing falls back to another decoder;
+//! * the prediction is the XOR of the observable masks along the matched
+//!   pairs' shortest paths.
 //!
-//! So "exact" means exact only up to [`DEFAULT_MAX_EXACT_DEFECTS`] defects a
-//! shot: a blossom implementation would be exact on every shot. The
-//! Dijkstra states, cost matrices and subset-DP tables all live in the
-//! shared [`DecodeScratch`], so batched decoding reuses them across shots,
-//! and the searches run over epoch-stamped distance arrays, so they never
-//! pay an O(nodes) reset. The searches and path walks read the graph's own
+//! The Dijkstra states and the blossom's arrays live in the shared
+//! [`DecodeScratch`], so batched decoding reuses them across shots, and the
+//! searches run over epoch-stamped distance arrays, so they never pay an
+//! O(nodes) reset. The searches and path walks read the graph's own
 //! incidence, endpoint and observable-mask tables (see [`DecodingGraph`]),
 //! the same tables union-find reads.
 
@@ -37,20 +43,13 @@ use std::num::NonZeroU64;
 
 use crate::batch::{DijkstraState, HeapEntry, MatchingScratch};
 use crate::memo::next_memo_token;
-use crate::{DecodeScratch, Decoder, DecodingGraph, UnionFindDecoder};
+use crate::{DecodeScratch, Decoder, DecodingGraph};
 
-/// Default cap on the number of defects decoded exactly per shot.
-pub const DEFAULT_MAX_EXACT_DEFECTS: usize = 14;
-
-/// Exact minimum-weight matching decoder with a union-find fallback for
-/// high-defect and infeasible shots: exact up to
-/// [`DEFAULT_MAX_EXACT_DEFECTS`] defects a shot (see
-/// [`ExactMatchingDecoder::with_max_exact_defects`]).
+/// Exact minimum-weight matching decoder: a blossom on the boundary-twin
+/// graph of each shot's defects.
 #[derive(Debug, Clone)]
 pub struct ExactMatchingDecoder {
-    /// The fallback; it also owns the decoding graph.
-    union_find: UnionFindDecoder,
-    max_exact_defects: usize,
+    graph: DecodingGraph,
     /// Syndrome-memo ownership token (see [`crate::memo`]).
     memo_token: NonZeroU64,
 }
@@ -110,135 +109,110 @@ fn path_observables(
     flips
 }
 
+/// The shortest-path distance from defect `i` to defect `j > i`, or to the
+/// boundary for `j == i`, read from `i`'s search (`+inf` without a path).
+fn pair_cost(
+    graph: &DecodingGraph,
+    defects: &[usize],
+    searches: &[DijkstraState],
+    i: usize,
+    j: usize,
+) -> f64 {
+    let target = if i == j {
+        graph.num_detectors()
+    } else {
+        defects[j]
+    };
+    searches[i].dist.get(target)
+}
+
+/// The pairs of the last [`ExactMatchingDecoder::match_defects`] as
+/// `(i, j, cost)` with `i <= j`: `j == i` is a match to the boundary, and
+/// a pair matched at a penalty costs `+inf`.
+fn matched_pairs<'a>(
+    graph: &'a DecodingGraph,
+    defects: &'a [usize],
+    s: &'a MatchingScratch,
+) -> impl Iterator<Item = (usize, usize, f64)> + 'a {
+    let n = defects.len();
+    (0..n).filter_map(move |i| {
+        let mate = s
+            .blossom
+            .mate(i)
+            .expect("the twin graph has a perfect matching");
+        let j = if mate == n + i { i } else { mate };
+        (j >= i).then(|| (i, j, pair_cost(graph, defects, &s.dijkstras, i, j)))
+    })
+}
+
 impl ExactMatchingDecoder {
     /// Creates a decoder for the given decoding graph.
     pub fn new(graph: DecodingGraph) -> Self {
         ExactMatchingDecoder {
-            union_find: UnionFindDecoder::new(graph),
-            max_exact_defects: DEFAULT_MAX_EXACT_DEFECTS,
+            graph,
             memo_token: next_memo_token(),
         }
     }
 
-    /// Overrides the exact-matching defect cap (shots with more defects use
-    /// the union-find fallback). A fresh memo token is drawn because the cap
-    /// changes decoding behaviour — predictions cached for the previous cap
-    /// must never be served for this one.
-    pub fn with_max_exact_defects(mut self, max_exact_defects: usize) -> Self {
-        self.max_exact_defects = max_exact_defects;
-        self.memo_token = next_memo_token();
-        self
-    }
-
-    fn graph(&self) -> &DecodingGraph {
-        self.union_find.graph()
-    }
-
-    /// Runs one Dijkstra per defect into the scratch slots
-    /// (`s.dijkstras[i]` rooted at `defects[i]`).
-    fn run_searches(&self, defects: &[usize], s: &mut MatchingScratch) {
-        s.ensure_defect_slots(defects.len());
+    /// Runs one Dijkstra per defect (`s.dijkstras[i]` rooted at
+    /// `defects[i]`) and solves the shot's boundary-twin matching into
+    /// `s.blossom`: defect `i` is vertex `i` and its twin vertex `n + i`.
+    fn match_defects(&self, defects: &[usize], s: &mut MatchingScratch) {
+        let n = defects.len();
+        s.ensure_defect_slots(n);
         let mut heap = std::mem::take(&mut s.heap);
         for (i, &d) in defects.iter().enumerate() {
-            shortest_paths(self.graph(), d, &mut s.dijkstras[i], &mut heap);
+            shortest_paths(&self.graph, d, &mut s.dijkstras[i], &mut heap);
         }
         s.heap = heap;
-    }
 
-    /// Subset DP over the defects whose Dijkstra states are already in the
-    /// scratch. On success the minimum total weight is returned and the
-    /// matching is left in `s.pairs` as `(i, j)` index pairs (`u32::MAX` =
-    /// boundary).
-    #[allow(clippy::needless_range_loop)]
-    fn solve(&self, defects: &[usize], s: &mut MatchingScratch) -> Option<f64> {
-        let n = defects.len();
-        let boundary = self.graph().num_detectors();
-
-        // Pairwise and boundary costs.
-        s.boundary_cost.clear();
-        s.pair_cost.clear();
-        s.pair_cost.resize(n * n, f64::INFINITY);
+        let cost = |i, j| pair_cost(&self.graph, defects, &s.dijkstras, i, j);
+        let penalty = 1.0
+            + (0..n)
+                .flat_map(|i| (i..n).map(move |j| (i, j)))
+                .map(|(i, j)| cost(i, j))
+                .filter(|c| c.is_finite())
+                .sum::<f64>();
+        s.blossom.reset(2 * n);
         for i in 0..n {
-            let dist = &s.dijkstras[i].dist;
-            s.boundary_cost.push(dist.get(boundary));
-            for j in 0..n {
-                if i != j {
-                    s.pair_cost[i * n + j] = dist.get(defects[j]);
-                }
+            let boundary = cost(i, i);
+            s.blossom.add_edge(
+                i,
+                n + i,
+                if boundary.is_finite() {
+                    boundary
+                } else {
+                    penalty
+                },
+            );
+            for j in i + 1..n {
+                let pair = cost(i, j);
+                s.blossom.add_edge(
+                    i,
+                    j,
+                    if pair.is_finite() {
+                        pair
+                    } else {
+                        2.0 * penalty
+                    },
+                );
+                s.blossom.add_edge(n + i, n + j, 0.0);
             }
         }
-
-        // DP over subsets: dp[mask] = min cost of matching the defects in
-        // `mask`, where each defect pairs with another defect or with the
-        // boundary.
-        let full = (1usize << n) - 1;
-        s.dp.clear();
-        s.dp.resize(full + 1, f64::INFINITY);
-        s.choice.clear();
-        s.choice.resize(full + 1, (u32::MAX, u32::MAX));
-        s.dp[0] = 0.0;
-        for mask in 1..=full {
-            let i = mask.trailing_zeros() as usize;
-            let without_i = mask & !(1 << i);
-            // Option 1: match defect i to the boundary.
-            if s.boundary_cost[i].is_finite() && s.dp[without_i].is_finite() {
-                let cost = s.dp[without_i] + s.boundary_cost[i];
-                if cost < s.dp[mask] {
-                    s.dp[mask] = cost;
-                    s.choice[mask] = (i as u32, u32::MAX);
-                }
-            }
-            // Option 2: pair defect i with another defect j in the mask.
-            let mut rest = without_i;
-            while rest != 0 {
-                let j = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                let pair = s.pair_cost[i * n + j];
-                if !pair.is_finite() {
-                    continue;
-                }
-                let prev = mask & !(1 << i) & !(1 << j);
-                if s.dp[prev].is_finite() {
-                    let cost = s.dp[prev] + pair;
-                    if cost < s.dp[mask] {
-                        s.dp[mask] = cost;
-                        s.choice[mask] = (i as u32, j as u32);
-                    }
-                }
-            }
-        }
-        if !s.dp[full].is_finite() {
-            return None;
-        }
-
-        // Reconstruct the matching.
-        s.pairs.clear();
-        let mut mask = full;
-        while mask != 0 {
-            let (i, partner) = s.choice[mask];
-            debug_assert_ne!(i, u32::MAX, "finite dp entries have a recorded choice");
-            s.pairs.push((i, partner));
-            mask &= !(1 << i);
-            if partner != u32::MAX {
-                mask &= !(1 << partner);
-            }
-        }
-        Some(s.dp[full])
+        s.blossom.solve();
     }
 
     /// Returns the minimum total matching weight of the given defect set, or
-    /// `None` when no finite matching exists or the shot exceeds the exact
-    /// cap. Exposed for tests and decoder-comparison diagnostics.
+    /// `None` when no matching pairs every defect along a path. Exposed for
+    /// tests and decoder-comparison diagnostics.
     pub fn matching_weight(&self, fired_detectors: &[usize]) -> Option<f64> {
-        if fired_detectors.is_empty() {
-            return Some(0.0);
-        }
-        if fired_detectors.len() > self.max_exact_defects {
-            return None;
-        }
         let mut scratch = DecodeScratch::new();
-        self.run_searches(fired_detectors, &mut scratch.matching);
-        self.solve(fired_detectors, &mut scratch.matching)
+        let s = &mut scratch.matching;
+        self.match_defects(fired_detectors, s);
+        let total: f64 = matched_pairs(&self.graph, fired_detectors, s)
+            .map(|(.., cost)| cost)
+            .sum();
+        total.is_finite().then_some(total)
     }
 
     /// Shortest-path distance from one defect to the boundary (used by
@@ -247,40 +221,29 @@ impl ExactMatchingDecoder {
     pub(crate) fn distance_to_boundary(&self, source: usize) -> f64 {
         let mut scratch = DecodeScratch::new();
         let s = &mut scratch.matching;
-        self.run_searches(&[source], s);
-        s.dijkstras[0].dist.get(self.graph().num_detectors())
+        self.match_defects(&[source], s);
+        s.dijkstras[0].dist.get(self.graph.num_detectors())
     }
 }
 
 impl Decoder for ExactMatchingDecoder {
     fn decode_shot(&self, fired_detectors: &[usize], scratch: &mut DecodeScratch) -> u64 {
-        if fired_detectors.is_empty() || self.graph().is_empty() {
+        if fired_detectors.is_empty() || self.graph.is_empty() {
             return 0;
         }
-        if fired_detectors.len() > self.max_exact_defects {
-            return self.union_find.decode_shot(fired_detectors, scratch);
-        }
         let s = &mut scratch.matching;
-        self.run_searches(fired_detectors, s);
-        if self.solve(fired_detectors, s).is_none() {
-            // No finite matching: union-find decides the shot.
-            return self.union_find.decode_shot(fired_detectors, scratch);
-        }
-        let mut flips = 0;
-        for &(i, partner) in &s.pairs {
-            let i = i as usize;
-            let target = if partner == u32::MAX {
-                self.graph().num_detectors()
-            } else {
-                fired_detectors[partner as usize]
-            };
-            flips ^= path_observables(self.graph(), &s.dijkstras[i], fired_detectors[i], target);
-        }
-        flips
+        self.match_defects(fired_detectors, s);
+        let boundary = self.graph.num_detectors();
+        matched_pairs(&self.graph, fired_detectors, s)
+            .filter(|&(.., cost)| cost.is_finite())
+            .fold(0, |flips, (i, j, _)| {
+                let target = if i == j { boundary } else { fired_detectors[j] };
+                flips ^ path_observables(&self.graph, &s.dijkstras[i], fired_detectors[i], target)
+            })
     }
 
     fn num_observables(&self) -> usize {
-        self.graph().num_observables()
+        self.graph.num_observables()
     }
 
     fn memo_token(&self) -> Option<NonZeroU64> {
@@ -291,6 +254,7 @@ impl Decoder for ExactMatchingDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::UnionFindDecoder;
     use qccd_sim::{DemError, DetectorErrorModel};
 
     /// A 1-D repetition-code-like chain of `n` detectors with boundary edges
@@ -418,43 +382,10 @@ mod tests {
         }
     }
 
-    /// Asserts `dec` predicts like union-find on `defects`, fresh and
-    /// through a scratch that has decoded other shots.
-    fn assert_decodes_like_union_find(
-        dec: &ExactMatchingDecoder,
-        uf: &UnionFindDecoder,
-        defects: &[usize],
-        scratch: &mut DecodeScratch,
-    ) {
-        assert_eq!(dec.decode(defects), uf.decode(defects), "{defects:?}");
-        let reused = dec.decode_shot(defects, scratch);
-        assert_eq!(
-            vec![reused == 1],
-            uf.decode(defects),
-            "{defects:?} on a reused scratch"
-        );
-    }
-
     #[test]
-    fn high_defect_shots_fall_back_to_union_find() {
-        let graph = DecodingGraph::from_dem(&chain_dem(12, 0.05));
-        let dec = ExactMatchingDecoder::new(graph.clone()).with_max_exact_defects(3);
-        let uf = UnionFindDecoder::new(graph);
-        let mut scratch = DecodeScratch::new();
-        for defects in [
-            (0..8).collect::<Vec<usize>>(),
-            vec![0, 3, 5, 11],
-            vec![1, 2, 6, 7, 10],
-        ] {
-            assert_eq!(dec.matching_weight(&defects), None);
-            assert_decodes_like_union_find(&dec, &uf, &defects, &mut scratch);
-        }
-    }
-
-    #[test]
-    fn shots_without_a_finite_matching_fall_back_to_union_find() {
+    fn unreachable_pairs_cost_a_penalty_and_flip_nothing() {
         // Detectors 3 and 4 form a component with no boundary edge, so a
-        // lone defect there has nothing finite to match.
+        // lone defect there has no path to match along.
         let mut dem = chain_dem(3, 0.01);
         dem.num_detectors = 5;
         dem.errors.push(DemError {
@@ -462,16 +393,28 @@ mod tests {
             detectors: vec![3, 4],
             observables: vec![0],
         });
-        let graph = DecodingGraph::from_dem(&dem);
-        let dec = ExactMatchingDecoder::new(graph.clone());
-        let uf = UnionFindDecoder::new(graph);
+        let dec = ExactMatchingDecoder::new(DecodingGraph::from_dem(&dem));
         let mut scratch = DecodeScratch::new();
-        for defects in [vec![4], vec![0, 3], vec![1, 2, 4]] {
+        // The lone defect is matched at the penalty, which flips nothing;
+        // the rest of the shot decodes as it would without it.
+        for (defects, without_it) in [
+            (vec![4], vec![]),
+            (vec![0, 3], vec![0]),
+            (vec![1, 2, 4], vec![1, 2]),
+            (vec![0, 1, 2, 3], vec![0, 1, 2]),
+        ] {
             assert_eq!(dec.matching_weight(&defects), None, "{defects:?}");
-            assert_decodes_like_union_find(&dec, &uf, &defects, &mut scratch);
+            let expected = dec.decode(&without_it);
+            assert_eq!(dec.decode(&defects), expected, "{defects:?}");
+            let reused = dec.decode_shot(&defects, &mut scratch);
+            assert_eq!(vec![reused == 1], expected, "{defects:?} on a reused scratch");
         }
-        // The feasible shots of the same graph are still matched exactly.
+        assert_eq!(dec.decode(&[0, 3]), vec![true]);
+        // The pair inside the component has a path, so it is matched
+        // along its edge, which flips the observable.
         assert!(dec.matching_weight(&[0, 3, 4]).is_some());
+        assert_eq!(dec.decode(&[3, 4]), vec![true]);
+        assert_eq!(dec.decode(&[0, 3, 4]), vec![false]);
     }
 
     #[test]

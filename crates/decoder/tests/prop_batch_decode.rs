@@ -95,8 +95,7 @@ proptest! {
         let decoders: Vec<Box<dyn Decoder>> = vec![
             Box::new(UnionFindDecoder::new(graph.clone())),
             Box::new(ExactMatchingDecoder::new(graph.clone())),
-            // A tiny exact cap sends most shots to the union-find fallback.
-            Box::new(ExactMatchingDecoder::new(graph).with_max_exact_defects(2)),
+            Box::new(ExactMatchingDecoder::new(graph)),
         ];
         for decoder in &decoders {
             let mut scratch = DecodeScratch::new();

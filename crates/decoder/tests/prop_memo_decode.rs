@@ -79,10 +79,7 @@ fn all_decoders(graph: &DecodingGraph) -> Vec<Box<dyn Decoder>> {
     vec![
         Box::new(UnionFindDecoder::new(graph.clone())),
         Box::new(ExactMatchingDecoder::new(graph.clone())),
-        // A tiny exact cap forces the union-find fallback inside the memoized
-        // region (defect sets of ≤4 defects), which must also be cached
-        // consistently.
-        Box::new(ExactMatchingDecoder::new(graph.clone()).with_max_exact_defects(2)),
+        Box::new(ExactMatchingDecoder::new(graph.clone())),
     ]
 }
 

@@ -103,7 +103,7 @@ fn all_decoders(graph: &DecodingGraph) -> Vec<Box<dyn Decoder>> {
     vec![
         Box::new(UnionFindDecoder::new(graph.clone())),
         Box::new(ExactMatchingDecoder::new(graph.clone())),
-        Box::new(ExactMatchingDecoder::new(graph.clone()).with_max_exact_defects(2)),
+        Box::new(ExactMatchingDecoder::new(graph.clone())),
     ]
 }
 
