@@ -149,11 +149,16 @@ impl PartialOrd for HeapEntry {
 }
 
 /// Per-shot working state of the exact matching decoder.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct MatchingScratch {
     /// One Dijkstra state (distance, incoming edge) per defect slot.
     pub(crate) dijkstras: Vec<DijkstraState>,
     pub(crate) heap: std::collections::BinaryHeap<HeapEntry>,
+    /// The shot's index of each defect node (`u32::MAX` = not a defect).
+    pub(crate) defect_index: EpochVec<u32>,
+    /// `(defect, distance to the boundary)` of the later defects a search
+    /// has yet to settle.
+    pub(crate) pending: Vec<(u32, f64)>,
     /// The matching problem on the defects and their boundary twins.
     pub(crate) blossom: Blossom,
 }
@@ -171,6 +176,18 @@ impl Default for DijkstraState {
         DijkstraState {
             dist: EpochVec::new(f64::INFINITY),
             via: EpochVec::new(u32::MAX),
+        }
+    }
+}
+
+impl Default for MatchingScratch {
+    fn default() -> Self {
+        MatchingScratch {
+            dijkstras: Vec::new(),
+            heap: std::collections::BinaryHeap::new(),
+            defect_index: EpochVec::new(u32::MAX),
+            pending: Vec::new(),
+            blossom: Blossom::default(),
         }
     }
 }

@@ -615,7 +615,11 @@ impl Blossom {
                     // Admit the least-slack edge and scan from its S end.
                     self.allowed[edge] = true;
                     let (a, b, _) = self.edges[edge];
-                    let s_end = if self.label[self.in_blossom[a]] == S { a } else { b };
+                    let s_end = if self.label[self.in_blossom[a]] == S {
+                        a
+                    } else {
+                        b
+                    };
                     self.queue.push(s_end);
                 } else {
                     self.expand_blossom(blossom, false);

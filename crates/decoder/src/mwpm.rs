@@ -55,12 +55,17 @@ pub struct ExactMatchingDecoder {
 }
 
 /// Dijkstra from `source`, writing per-node distances and incoming edges
-/// into `state`. Node index `graph.num_detectors()` is the virtual boundary.
+/// into `state`; node index `graph.num_detectors()` is the virtual
+/// boundary. `settled(node, distance)` hears of each node as its distance
+/// becomes final, and the search stops when it returns `true`: the nodes
+/// settled by then keep their final distance and incoming edge, the rest
+/// may read a longer distance or `+inf`.
 fn shortest_paths(
     graph: &DecodingGraph,
     source: usize,
     state: &mut DijkstraState,
     heap: &mut BinaryHeap<HeapEntry>,
+    mut settled: impl FnMut(usize, f64) -> bool,
 ) {
     let n = graph.num_nodes();
     state.dist.begin(n);
@@ -74,6 +79,9 @@ fn shortest_paths(
     while let Some(HeapEntry { distance, node }) = heap.pop() {
         if distance > state.dist.get(node) {
             continue;
+        }
+        if settled(node, distance) {
+            return;
         }
         for &(edge, next) in graph.incident(node as u32) {
             let next = next as usize;
@@ -157,49 +165,85 @@ impl ExactMatchingDecoder {
     /// Runs one Dijkstra per defect (`s.dijkstras[i]` rooted at
     /// `defects[i]`) and solves the shot's boundary-twin matching into
     /// `s.blossom`: defect `i` is vertex `i` and its twin vertex `n + i`.
+    ///
+    /// A pair of defects is an edge only where it is shorter than sending
+    /// both to the boundary (`d_ij < b_i + b_j`); any matching that uses a
+    /// longer pair costs no less with the two sent to the boundary. So the
+    /// searches run from the last defect to the first, and search `i` stops
+    /// once it has settled the boundary and every later defect it could
+    /// still pair with.
     fn match_defects(&self, defects: &[usize], s: &mut MatchingScratch) {
         let n = defects.len();
+        let boundary = self.graph.num_detectors();
         s.ensure_defect_slots(n);
-        let mut heap = std::mem::take(&mut s.heap);
+        let MatchingScratch {
+            dijkstras,
+            heap,
+            defect_index,
+            pending,
+            blossom,
+        } = s;
+        defect_index.begin(self.graph.num_nodes());
         for (i, &d) in defects.iter().enumerate() {
-            shortest_paths(&self.graph, d, &mut s.dijkstras[i], &mut heap);
+            defect_index.set(d, i as u32);
         }
-        s.heap = heap;
+        for i in (0..n).rev() {
+            let (searches, later) = dijkstras.split_at_mut(i + 1);
+            pending.clear();
+            pending.extend((i + 1..n).map(|j| (j as u32, later[j - i - 1].dist.get(boundary))));
+            let mut reach = pending.iter().fold(0.0, |m: f64, p| m.max(p.1));
+            let mut to_boundary = f64::INFINITY;
+            shortest_paths(
+                &self.graph,
+                defects[i],
+                &mut searches[i],
+                heap,
+                |node, distance| {
+                    let j = defect_index.get(node);
+                    if node == boundary {
+                        to_boundary = distance;
+                    } else if j != u32::MAX && j as usize > i {
+                        let at = pending
+                            .iter()
+                            .position(|p| p.0 == j)
+                            .expect("a later defect");
+                        pending.swap_remove(at);
+                        reach = pending.iter().fold(0.0, |m: f64, p| m.max(p.1));
+                    }
+                    distance >= to_boundary + reach
+                },
+            );
+        }
 
-        let cost = |i, j| pair_cost(&self.graph, defects, &s.dijkstras, i, j);
+        let cost = |i, j| pair_cost(&self.graph, defects, dijkstras, i, j);
+        let kept = |i, j| cost(i, j) < cost(i, i) + cost(j, j);
+        // Above every finite matching: a defect left without a path to the
+        // boundary is joined to its twin at this cost.
         let penalty = 1.0
             + (0..n)
                 .flat_map(|i| (i..n).map(move |j| (i, j)))
+                .filter(|&(i, j)| i == j || kept(i, j))
                 .map(|(i, j)| cost(i, j))
                 .filter(|c| c.is_finite())
                 .sum::<f64>();
-        s.blossom.reset(2 * n);
+        blossom.reset(2 * n);
         for i in 0..n {
-            let boundary = cost(i, i);
-            s.blossom.add_edge(
+            let to_boundary = cost(i, i);
+            blossom.add_edge(
                 i,
                 n + i,
-                if boundary.is_finite() {
-                    boundary
+                if to_boundary.is_finite() {
+                    to_boundary
                 } else {
                     penalty
                 },
             );
-            for j in i + 1..n {
-                let pair = cost(i, j);
-                s.blossom.add_edge(
-                    i,
-                    j,
-                    if pair.is_finite() {
-                        pair
-                    } else {
-                        2.0 * penalty
-                    },
-                );
-                s.blossom.add_edge(n + i, n + j, 0.0);
+            for j in (i + 1..n).filter(|&j| kept(i, j)) {
+                blossom.add_edge(i, j, cost(i, j));
+                blossom.add_edge(n + i, n + j, 0.0);
             }
         }
-        s.blossom.solve();
+        blossom.solve();
     }
 
     /// Returns the minimum total matching weight of the given defect set, or
@@ -407,7 +451,11 @@ mod tests {
             let expected = dec.decode(&without_it);
             assert_eq!(dec.decode(&defects), expected, "{defects:?}");
             let reused = dec.decode_shot(&defects, &mut scratch);
-            assert_eq!(vec![reused == 1], expected, "{defects:?} on a reused scratch");
+            assert_eq!(
+                vec![reused == 1],
+                expected,
+                "{defects:?} on a reused scratch"
+            );
         }
         assert_eq!(dec.decode(&[0, 3]), vec![true]);
         // The pair inside the component has a path, so it is matched
