@@ -156,9 +156,6 @@ pub(crate) struct MatchingScratch {
     pub(crate) heap: std::collections::BinaryHeap<HeapEntry>,
     /// The shot's index of each defect node (`u32::MAX` = not a defect).
     pub(crate) defect_index: EpochVec<u32>,
-    /// `(defect, distance to the boundary)` of the later defects a search
-    /// has yet to settle.
-    pub(crate) pending: Vec<(u32, f64)>,
     /// The matching problem on the defects and their boundary twins.
     pub(crate) blossom: Blossom,
 }
@@ -186,7 +183,6 @@ impl Default for MatchingScratch {
             dijkstras: Vec::new(),
             heap: std::collections::BinaryHeap::new(),
             defect_index: EpochVec::new(u32::MAX),
-            pending: Vec::new(),
             blossom: Blossom::default(),
         }
     }

@@ -11,22 +11,24 @@
 //! **exact** matching decoder used as an accuracy reference and as an
 //! ablation point. It is exact on every shot, whatever its defect count:
 //!
-//! * one Dijkstra per defect gives its shortest-path distance to every
-//!   other defect and to the virtual boundary in the decoding graph;
+//! * one Dijkstra per defect gives its shortest-path distance `b_i` to the
+//!   virtual boundary and `d_ij` to the other defects of the shot;
 //! * the defects are matched on the boundary-twin graph: defect `i` gets a
-//!   twin `i'`, `(i, j)` costs the distance between the two defects,
-//!   `(i, i')` costs `i`'s distance to the boundary, and twins join each
-//!   other at zero. A minimum-cost perfect matching of that graph is a
-//!   minimum-weight matching of the defects to each other or to the
-//!   boundary, and Edmonds' blossom algorithm (`blossom.rs`, dense, O(n³)
-//!   in the defect count) finds it;
-//! * a pair with no path costs a penalty, `P` for a defect and its twin
-//!   and `2P` for two defects, where `P` is one more than the sum of every
-//!   finite cost of the shot. Every defect left without a finite partner
-//!   then costs more than any finite matching, so the blossom leaves as
-//!   few defects as it can without one and matches the rest at minimum
-//!   weight; a pair matched at a penalty flips nothing. Every shot has a
-//!   matching: the penalty is derived from the shot's own weights and
+//!   twin `i'`, `(i, i')` costs `b_i`, `(i, j)` costs `d_ij`, and the twins
+//!   `i'` and `j'` of a pair join at zero. A minimum-cost perfect matching
+//!   of that graph is a minimum-weight matching of the defects to each
+//!   other or to the boundary, and Edmonds' blossom algorithm
+//!   (`blossom.rs`, dense, O(n³) in the defect count) finds it. A pair is
+//!   an edge only where `d_ij < b_i + b_j`: a matching that uses a longer
+//!   pair costs no less with both sent to the boundary, so each search
+//!   also stops once no later defect can be that close;
+//! * a defect with no path to the boundary joins its twin at a penalty one
+//!   more than the sum of every finite cost of the shot, which is more
+//!   than any matching along paths costs, and a pair with no path is no
+//!   edge. So every shot has a perfect matching (each defect with its
+//!   twin), the blossom leaves as few defects at the penalty as it can and
+//!   matches the rest at minimum weight, and a defect matched at the
+//!   penalty flips nothing. The penalty comes from the shot's own weights;
 //!   nothing falls back to another decoder;
 //! * the prediction is the XOR of the observable masks along the matched
 //!   pairs' shortest paths.
@@ -165,13 +167,9 @@ impl ExactMatchingDecoder {
     /// Runs one Dijkstra per defect (`s.dijkstras[i]` rooted at
     /// `defects[i]`) and solves the shot's boundary-twin matching into
     /// `s.blossom`: defect `i` is vertex `i` and its twin vertex `n + i`.
-    ///
-    /// A pair of defects is an edge only where it is shorter than sending
-    /// both to the boundary (`d_ij < b_i + b_j`); any matching that uses a
-    /// longer pair costs no less with the two sent to the boundary. So the
-    /// searches run from the last defect to the first, and search `i` stops
-    /// once it has settled the boundary and every later defect it could
-    /// still pair with.
+    /// The searches run from the last defect to the first, so search `i`
+    /// knows every later `b_j` and stops once it has settled the boundary
+    /// and passed `b_i + max b_j` or settled every later defect.
     fn match_defects(&self, defects: &[usize], s: &mut MatchingScratch) {
         let n = defects.len();
         let boundary = self.graph.num_detectors();
@@ -180,7 +178,6 @@ impl ExactMatchingDecoder {
             dijkstras,
             heap,
             defect_index,
-            pending,
             blossom,
         } = s;
         defect_index.begin(self.graph.num_nodes());
@@ -189,10 +186,11 @@ impl ExactMatchingDecoder {
         }
         for i in (0..n).rev() {
             let (searches, later) = dijkstras.split_at_mut(i + 1);
-            pending.clear();
-            pending.extend((i + 1..n).map(|j| (j as u32, later[j - i - 1].dist.get(boundary))));
-            let mut reach = pending.iter().fold(0.0, |m: f64, p| m.max(p.1));
-            let mut to_boundary = f64::INFINITY;
+            let reach = later[..n - 1 - i]
+                .iter()
+                .map(|search| search.dist.get(boundary))
+                .fold(0.0, f64::max);
+            let (mut pending, mut to_boundary) = (n - 1 - i, f64::INFINITY);
             shortest_paths(
                 &self.graph,
                 defects[i],
@@ -203,14 +201,9 @@ impl ExactMatchingDecoder {
                     if node == boundary {
                         to_boundary = distance;
                     } else if j != u32::MAX && j as usize > i {
-                        let at = pending
-                            .iter()
-                            .position(|p| p.0 == j)
-                            .expect("a later defect");
-                        pending.swap_remove(at);
-                        reach = pending.iter().fold(0.0, |m: f64, p| m.max(p.1));
+                        pending -= 1;
                     }
-                    distance >= to_boundary + reach
+                    distance >= to_boundary + if pending == 0 { 0.0 } else { reach }
                 },
             );
         }
