@@ -59,11 +59,6 @@ impl UnionFindDecoder {
         }
     }
 
-    /// Access to the underlying graph.
-    pub fn graph(&self) -> &DecodingGraph {
-        &self.graph
-    }
-
     /// Marks `node` touched and, the first time, adds its incident edges to
     /// the frontier of its cluster. An unseeded node is always a singleton
     /// cluster, so that frontier is its own.

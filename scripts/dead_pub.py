@@ -76,8 +76,6 @@ ALLOWED = {
     "is_trap": "test observation point: `NodeId`'s tests read the node kind",
     "is_junction": "test observation point: `NodeId`'s tests read the node kind",
     "as_junction": "test observation point: `NodeId`'s tests read the node kind",
-    # Scheduled for deletion.
-    "with_max_exact_defects": "kept until the exact decoder's cap is retired (ROADMAP item 1)",
 }
 
 DECL = re.compile(r"^\s*pub\s+(?:const\s+)?(?:unsafe\s+)?fn\s+([A-Za-z_]\w*)")

@@ -84,10 +84,10 @@ fn decoders_rank_exact_union_find() {
 #[test]
 #[ignore = "about 5 s in a release build; run with --include-ignored"]
 fn exact_is_no_worse_than_union_find_at_d7() {
-    // At d = 7 on 1X gates many shots carry more defects than the exact
-    // subset DP takes, so this pins what the exact decoder does with them:
-    // it must not read worse than union-find beyond two standard
-    // deviations of union-find's failure count.
+    // At d = 7 on 1X gates many shots carry more than 14 defects, where
+    // the exact decoder once handed shots to union-find; its blossom
+    // matches them too, and it must not read worse than union-find beyond
+    // two standard deviations of union-find's failure count.
     let noisy = Compiler::new(ArchitectureConfig::recommended(1.0))
         .compile_memory_experiment(&rotated_surface_code(7), 7, MemoryBasis::Z)
         .unwrap()
