@@ -89,11 +89,7 @@ impl Blossom {
 
     fn endpoint(&self, p: usize) -> usize {
         let (a, b, _) = self.edges[p / 2];
-        if p % 2 == 0 {
-            a
-        } else {
-            b
-        }
+        [a, b][p & 1]
     }
 
     fn slack(&self, k: usize) -> f64 {
@@ -662,26 +658,26 @@ mod tests {
     }
 
     fn solve_complete(blossom: &mut Blossom, cost: &[Vec<f64>]) -> f64 {
-        let n = cost.len();
-        blossom.reset(n);
-        for a in 0..n {
-            for b in a + 1..n {
-                blossom.add_edge(a, b, cost[a][b]);
+        blossom.reset(cost.len());
+        for (a, row) in cost.iter().enumerate() {
+            for (b, &c) in row.iter().enumerate().skip(a + 1) {
+                blossom.add_edge(a, b, c);
             }
         }
         blossom.solve();
         let mut total = 0.0;
-        for v in 0..n {
+        for (v, row) in cost.iter().enumerate() {
             let m = blossom.mate(v).expect("a complete graph on an even count");
             assert_eq!(blossom.mate(m), Some(v), "mates are mutual");
             if v < m {
-                total += cost[v][m];
+                total += row[m];
             }
         }
         total
     }
 
     #[test]
+    #[allow(clippy::needless_range_loop)]
     fn complete_graphs_match_at_brute_force_cost() {
         let mut state = 0x2545_f491_4f6c_dd1d_u64;
         let mut next = move || {

@@ -94,7 +94,7 @@ fn failing_patterns_by_weight_d3() -> [u64; 10] {
     let words = decoder.decode_batch(&chunk, &mut DecodeScratch::new());
     let mut fails = [0u64; 10];
     for (pattern, (_, flipped)) in shots.iter().enumerate() {
-        if words.predicted(pattern, 0) != !flipped.is_empty() {
+        if words.predicted(pattern, 0) != (flipped.len() == 1) {
             fails[pattern.count_ones() as usize] += 1;
         }
     }

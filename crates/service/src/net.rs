@@ -1324,23 +1324,7 @@ impl NetClient {
             "distance": distance as u64,
             "decoder": decoder_name(decoder),
         }))?;
-        expect_ok(&response)?;
-        let id = response
-            .get("stream")
-            .and_then(Value::as_u64)
-            .ok_or("open response lacks a stream id")?;
-        // A correction is a `u64` flip mask: one bit per observable.
-        let num_observables = response
-            .get("observables")
-            .and_then(Value::as_u64)
-            .filter(|&observables| observables <= 64)
-            .ok_or("open response lacks an observable count of at most 64")?
-            as usize;
-        let num_detectors = response
-            .get("detectors")
-            .and_then(Value::as_u64)
-            .and_then(|detectors| usize::try_from(detectors).ok())
-            .ok_or("open response lacks a detector count")?;
+        let (id, num_detectors, num_observables) = open_reply(&response)?;
         let (tx, rx) = mpsc::channel();
         self.routes.lock().expect("correction router lock").insert(
             id,
@@ -1448,6 +1432,28 @@ impl Drop for NetClient {
     }
 }
 
+/// The `(stream, detectors, observables)` of a successful `open` response.
+fn open_reply(response: &Value) -> Result<(u64, usize, usize), String> {
+    expect_ok(response)?;
+    let id = response
+        .get("stream")
+        .and_then(Value::as_u64)
+        .ok_or("open response lacks a stream id")?;
+    // A correction is a `u64` flip mask: one bit per observable.
+    let num_observables = response
+        .get("observables")
+        .and_then(Value::as_u64)
+        .filter(|&observables| observables <= 64)
+        .ok_or("open response lacks an observable count of at most 64")?
+        as usize;
+    let num_detectors = response
+        .get("detectors")
+        .and_then(Value::as_u64)
+        .and_then(|detectors| usize::try_from(detectors).ok())
+        .ok_or("open response lacks a detector count")?;
+    Ok((id, num_detectors, num_observables))
+}
+
 fn expect_ok(response: &Value) -> Result<(), String> {
     if response.get("ok").and_then(Value::as_bool) == Some(true) {
         Ok(())
@@ -1460,5 +1466,7 @@ fn expect_ok(response: &Value) -> Result<(), String> {
     }
 }
 
+#[cfg(test)]
+mod reply_fuzz;
 #[cfg(test)]
 mod wire_tests;
