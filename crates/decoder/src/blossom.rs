@@ -187,6 +187,36 @@ impl Blossom {
         self.dual.resize(2 * n, 0.0);
         self.allowed.clear();
         self.allowed.resize(self.edges.len(), false);
+
+        // Warm start: lower each vertex's dual until one of its edges is
+        // tight, then match tight edges greedily. The duals stay feasible
+        // and the matched edges tight, which is all the stages need to end
+        // at a minimum-cost perfect matching; most of a sparse shot's
+        // defects are matched here.
+        for v in 0..n {
+            let range = self.neighbour_start[v]..self.neighbour_start[v + 1];
+            if let Some(lowest) = self.neighbours[range]
+                .iter()
+                .map(|&p| 2.0 * self.edges[p / 2].2 - self.dual[self.endpoint(p)])
+                .reduce(f64::max)
+            {
+                self.dual[v] = lowest;
+            }
+        }
+        for v in 0..n {
+            if self.mate[v] != NONE {
+                continue;
+            }
+            let range = self.neighbour_start[v]..self.neighbour_start[v + 1];
+            if let Some(&p) = self.neighbours[range]
+                .iter()
+                .find(|&&p| self.mate[self.endpoint(p)] == NONE && self.slack(p / 2) <= 0.0)
+            {
+                let u = self.endpoint(p);
+                self.mate[v] = p;
+                self.mate[u] = p ^ 1;
+            }
+        }
     }
 
     /// Labels the top-level blossom of `w` with `label`, reached through
