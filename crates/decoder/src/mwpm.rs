@@ -121,6 +121,8 @@ fn path_observables(
 
 /// The shortest-path distance from defect `i` to defect `j > i`, or to the
 /// boundary for `j == i`, read from `i`'s search (`+inf` without a path).
+/// A pair the search stopped short of reads a longer distance, which still
+/// fails the `d_ij < b_i + b_j` test that makes it an edge.
 fn pair_cost(
     graph: &DecodingGraph,
     defects: &[usize],
@@ -137,8 +139,8 @@ fn pair_cost(
 }
 
 /// The pairs of the last [`ExactMatchingDecoder::match_defects`] as
-/// `(i, j, cost)` with `i <= j`: `j == i` is a match to the boundary, and
-/// a pair matched at a penalty costs `+inf`.
+/// `(i, j, cost)` with `i <= j`: `j == i` is a match to the boundary, which
+/// costs `+inf` where it was made at the penalty.
 fn matched_pairs<'a>(
     graph: &'a DecodingGraph,
     defects: &'a [usize],
@@ -250,16 +252,6 @@ impl ExactMatchingDecoder {
             .map(|(.., cost)| cost)
             .sum();
         total.is_finite().then_some(total)
-    }
-
-    /// Shortest-path distance from one defect to the boundary (used by
-    /// tests).
-    #[cfg(test)]
-    pub(crate) fn distance_to_boundary(&self, source: usize) -> f64 {
-        let mut scratch = DecodeScratch::new();
-        let s = &mut scratch.matching;
-        self.match_defects(&[source], s);
-        s.dijkstras[0].dist.get(self.graph.num_detectors())
     }
 }
 
@@ -373,7 +365,11 @@ mod tests {
             let weight = exact.matching_weight(&defects).unwrap();
             // Reference: the all-boundary matching is one feasible solution,
             // so the optimum can never exceed it.
-            let all_boundary: f64 = defects.iter().map(|&d| exact.distance_to_boundary(d)).sum();
+            // A lone defect's matching weight is its distance to the boundary.
+            let all_boundary: f64 = defects
+                .iter()
+                .map(|&d| exact.matching_weight(&[d]).unwrap())
+                .sum();
             assert!(weight <= all_boundary + 1e-9, "defects {defects:?}");
         }
     }
