@@ -28,8 +28,6 @@
 //! pairs per node in ascending edge order, whose boundary row lists the
 //! boundary edges.
 
-use std::collections::BTreeMap;
-
 use qccd_sim::DetectorErrorModel;
 
 /// Index of a detector vertex in the decoding graph.
@@ -79,12 +77,15 @@ type Endpoints = (DetectorIndex, Option<DetectorIndex>);
 
 /// One edge under construction: all mechanisms seen between its endpoints.
 struct Merged {
+    endpoints: Endpoints,
     /// Parity-combined probability of every constituent.
     probability: f64,
-    /// Probability of the likeliest graph-like constituent, whose
-    /// observables the edge carries.
+    /// Probability of the likeliest graph-like constituent.
     likeliest: f64,
-    observables: Vec<u32>,
+    /// The model error whose observables the edge carries: the first
+    /// graph-like constituent, or a later one that was likelier than every
+    /// constituent before it.
+    carrier: usize,
 }
 
 impl DecodingGraph {
@@ -103,28 +104,41 @@ impl DecodingGraph {
         let num_detectors = dem.num_detectors;
         let combine = |p: f64, q: f64| p * (1.0 - q) + q * (1.0 - p);
 
-        // Graph-like mechanisms become edges, merged by endpoints. A
-        // mechanism with no detector symptom cannot be decoded; it
+        // Graph-like mechanisms become edges, merged by endpoints: sort
+        // them by (endpoints, model index), then fold each run in model
+        // order. A mechanism with no detector symptom cannot be decoded; it
         // contributes directly to the logical error floor and is ignored.
-        let mut merged: BTreeMap<Endpoints, Merged> = BTreeMap::new();
+        let mut order: Vec<(Endpoints, usize)> = (dem.errors.iter().enumerate())
+            .filter(|(_, e)| e.is_graphlike())
+            .filter_map(|(i, e)| {
+                let &a = e.detectors.first()?;
+                Some(((a as usize, e.detectors.get(1).map(|&b| b as usize)), i))
+            })
+            .collect();
+        order.sort_unstable();
+        let mut merged: Vec<Merged> = Vec::new();
         let mut observable_conflicts = 0;
-        for error in dem.errors.iter().filter(|e| e.is_graphlike()) {
-            let Some(&a) = error.detectors.first() else {
-                continue;
+        for &(endpoints, i) in &order {
+            let error = &dem.errors[i];
+            let edge = match merged.last_mut() {
+                Some(edge) if edge.endpoints == endpoints => edge,
+                _ => {
+                    merged.push(Merged {
+                        endpoints,
+                        probability: 0.0,
+                        likeliest: 0.0,
+                        carrier: i,
+                    });
+                    merged.last_mut().expect("just pushed")
+                }
             };
-            let key = (a as usize, error.detectors.get(1).map(|&b| b as usize));
-            let edge = merged.entry(key).or_insert_with(|| Merged {
-                probability: 0.0,
-                likeliest: 0.0,
-                observables: error.observables.clone(),
-            });
             edge.probability = combine(edge.probability, error.probability);
-            if edge.observables != error.observables {
+            if dem.errors[edge.carrier].observables != error.observables {
                 observable_conflicts += 1;
             }
             if error.probability > edge.likeliest {
                 edge.likeliest = error.probability;
-                edge.observables.clone_from(&error.observables);
+                edge.carrier = i;
             }
         }
 
@@ -133,27 +147,27 @@ impl DecodingGraph {
         let mut decomposed_hyperedges = 0;
         let mut undecomposed_hyperedges = 0;
         for error in dem.errors.iter().filter(|e| !e.is_graphlike()) {
-            let Some(parts) = split(&error.detectors, &error.observables, &merged) else {
+            let Some(parts) = split(&error.detectors, &error.observables, dem, &merged) else {
                 undecomposed_hyperedges += 1;
                 continue;
             };
             decomposed_hyperedges += 1;
-            for part in &parts {
-                let edge = merged.get_mut(part).expect("split uses existing edges");
+            for part in parts {
+                let edge = &mut merged[part];
                 edge.probability = combine(edge.probability, error.probability);
             }
         }
 
         let edges: Vec<DecodingEdge> = merged
             .into_iter()
-            .map(|((a, b), edge)| {
+            .map(|edge| {
                 let p = edge.probability.clamp(1e-12, 0.5);
                 DecodingEdge {
-                    a,
-                    b,
+                    a: edge.endpoints.0,
+                    b: edge.endpoints.1,
                     probability: edge.probability,
                     weight: ((1.0 - p) / p).ln().max(0.0),
-                    observables: edge.observables,
+                    observables: dem.errors[edge.carrier].observables.clone(),
                 }
             })
             .collect();
@@ -254,27 +268,29 @@ impl DecodingGraph {
 
 /// Depth-first search for a split of `detectors` into endpoint sets of
 /// existing edges whose observables XOR to `observables`: the first detector
-/// is taken alone or paired with each later one, in index order.
+/// is taken alone or paired with each later one, in index order. Returns the
+/// parts as indices into `known`, which is sorted by endpoints.
 fn split(
     detectors: &[u32],
     observables: &[u32],
-    known: &BTreeMap<Endpoints, Merged>,
-) -> Option<Vec<Endpoints>> {
+    dem: &DetectorErrorModel,
+    known: &[Merged],
+) -> Option<Vec<usize>> {
     let Some((&first, rest)) = detectors.split_first() else {
         return observables.is_empty().then(Vec::new);
     };
     for partner in std::iter::once(None).chain((0..rest.len()).map(Some)) {
         let key = (first as usize, partner.map(|i| rest[i] as usize));
-        let Some(edge) = known.get(&key) else {
+        let Ok(part) = known.binary_search_by(|edge| edge.endpoints.cmp(&key)) else {
             continue;
         };
         let mut remaining = rest.to_vec();
         if let Some(i) = partner {
             remaining.remove(i);
         }
-        let owed = xor_sets(observables, &edge.observables);
-        if let Some(mut parts) = split(&remaining, &owed, known) {
-            parts.push(key);
+        let owed = xor_sets(observables, &dem.errors[known[part].carrier].observables);
+        if let Some(mut parts) = split(&remaining, &owed, dem, known) {
+            parts.push(part);
             return Some(parts);
         }
     }

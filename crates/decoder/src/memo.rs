@@ -36,11 +36,9 @@
 //! is no shared table.
 
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use qccd_sim::WordHasher;
 
 /// Default cap on the defect-set cardinality that is memoized.
 pub const DEFAULT_MEMO_MAX_DEFECTS: usize = 4;
@@ -180,6 +178,60 @@ impl CacheStats {
 /// arriving from the batch gather loop are already sorted ascending, so the
 /// padded array is a canonical encoding of the set.
 type MemoKey = [u32; MEMO_KEY_CAPACITY];
+
+/// A fast non-cryptographic hasher for the memo's keys (SplitMix64
+/// folding), where the std SipHash default dominates the lookup. Keys come
+/// from the program's defect sets, not from outside it: nothing here resists
+/// crafted collisions.
+///
+/// `Hash` for integer arrays reaches the hasher through one bulk
+/// [`Hasher::write`] of the element bytes (plus a length prefix), so `write`
+/// folds whole 8-byte words — one mixing round per word, not per byte.
+#[derive(Debug, Default, Clone)]
+struct WordHasher {
+    state: u64,
+}
+
+impl Hasher for WordHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let word = u64::from_le_bytes(chunk.try_into().expect("exact 8-byte chunk"));
+            self.write_u64(word);
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.write_u64(u64::from_le_bytes(word) ^ ((tail.len() as u64) << 56));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, value: u32) {
+        self.write_u64(u64::from(value));
+    }
+
+    #[inline]
+    fn write_usize(&mut self, value: usize) {
+        self.write_u64(value as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, value: u64) {
+        let mut z = self.state ^ value.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        self.state = z ^ (z >> 31);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
 
 /// Memo table under [`WordHasher`]: the std SipHash default costs more than
 /// a small decode on the hit path, and a [`MemoKey`] folds in ~4 rounds.

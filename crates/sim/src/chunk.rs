@@ -545,21 +545,36 @@ impl Bucket {
 }
 
 /// Groups the channels that can fire by the binary exponent of their
-/// probability, so that within a bucket `p_max < 2 p`.
+/// probability, so that within a bucket `p_max < 2 p`; buckets come in
+/// ascending exponent order.
 fn bucket_channels(probabilities: &[f64]) -> Vec<Bucket> {
-    let mut by_exponent = std::collections::BTreeMap::<u64, Bucket>::new();
-    for (channel, &p) in probabilities.iter().enumerate() {
-        if p > 0.0 {
-            let p = p.min(1.0);
-            let bucket = by_exponent.entry(p.to_bits() >> 52).or_insert(Bucket {
-                p_max: 0.0,
-                channels: Vec::new(),
-            });
-            bucket.p_max = bucket.p_max.max(p);
-            bucket.channels.push((channel as u32, p));
-        }
+    // One slot per value of the top 12 bits (sign and exponent) of an
+    // `f64`: first its channel count, then its bucket's index.
+    const EXPONENTS: usize = 1 << 11;
+    let exponent = |p: f64| (p.to_bits() >> 52) as usize;
+    let firing = || {
+        (probabilities.iter().enumerate())
+            .filter(|&(_, &p)| p > 0.0)
+            .map(|(channel, &p)| (channel as u32, p.min(1.0)))
+    };
+    let mut slots = vec![0u32; EXPONENTS];
+    for (_, p) in firing() {
+        slots[exponent(p)] += 1;
     }
-    by_exponent.into_values().collect()
+    let mut buckets = Vec::new();
+    for slot in slots.iter_mut().filter(|slot| **slot > 0) {
+        buckets.push(Bucket {
+            p_max: 0.0,
+            channels: Vec::with_capacity(*slot as usize),
+        });
+        *slot = buckets.len() as u32 - 1;
+    }
+    for (channel, p) in firing() {
+        let bucket = &mut buckets[slots[exponent(p)] as usize];
+        bucket.p_max = bucket.p_max.max(p);
+        bucket.channels.push((channel, p));
+    }
+    buckets
 }
 
 /// A chunked, thread-shareable detector sampler over one noisy circuit.

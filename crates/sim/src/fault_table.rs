@@ -15,9 +15,6 @@
 //! * a noise channel records, per component, the currently-accumulated
 //!   sensitivity as its signature.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use qccd_circuit::{Instruction, MeasurementRef};
 
 use crate::{BitPlanes, DemError, DetectorErrorModel, NoiseChannel, NoisyCircuit, NoisyOp};
@@ -31,80 +28,78 @@ fn xor_into(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// A fast non-cryptographic hasher for keys of machine words (SplitMix64
-/// folding), where the std SipHash default dominates the lookup: the fault
-/// table's symptom vectors and the decoder's memo keys. Keys must come from
-/// the program, not from outside it: nothing here resists crafted
-/// collisions.
+/// Multiplier of the interner's word fold (2⁶⁴ / φ, odd).
+const FOLD: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Interns dense symptom bitsets as sparse signatures, ids in first-seen
+/// order.
 ///
-/// `Hash` for integer slices and arrays reaches the hasher through one bulk
-/// [`Hasher::write`] of the element bytes (plus a length prefix), so `write`
-/// folds whole 8-byte words — one mixing round per word, not per byte.
-#[derive(Debug, Default, Clone)]
-pub struct WordHasher {
-    state: u64,
-}
-
-impl Hasher for WordHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            let word = u64::from_le_bytes(chunk.try_into().expect("exact 8-byte chunk"));
-            self.write_u64(word);
-        }
-        let tail = chunks.remainder();
-        if !tail.is_empty() {
-            let mut word = [0u8; 8];
-            word[..tail.len()].copy_from_slice(tail);
-            self.write_u64(u64::from_le_bytes(word) ^ ((tail.len() as u64) << 56));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, value: u32) {
-        self.write_u64(u64::from(value));
-    }
-
-    #[inline]
-    fn write_usize(&mut self, value: usize) {
-        self.write_u64(value as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, value: u64) {
-        let mut z = self.state ^ value.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        self.state = z ^ (z >> 31);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-/// Interns dense symptom bitsets as sparse signatures. A signature already
-/// seen costs one in-place hash of its words; only a new one allocates. Ids
-/// are assigned in first-seen order, so the hasher never shows in a table.
+/// A flat open-addressed table: `u32` slots probed linearly (at most half
+/// full), one stored hash per id and every key in one arena of `width`-word
+/// rows, so a lookup folds the words in place and reads no per-key heap
+/// pointer; only a new signature writes anything. Keys come from the
+/// program, not from outside it: nothing here resists crafted collisions.
 struct SignatureInterner {
     num_detectors: usize,
-    ids: HashMap<Vec<u64>, u32, BuildHasherDefault<WordHasher>>,
+    width: usize,
+    /// Id per slot, or [`NO_SIGNATURE`] for an empty one; the length is a
+    /// power of two.
+    slots: Vec<u32>,
+    /// Hash of each id's key.
+    hashes: Vec<u64>,
+    /// Id `s`'s symptom words are `keys[s * width..(s + 1) * width]`.
+    keys: Vec<u64>,
     offsets: Vec<u32>,
     bits: Vec<u32>,
 }
 
 impl SignatureInterner {
+    fn new(num_detectors: usize, width: usize) -> Self {
+        SignatureInterner {
+            num_detectors,
+            width,
+            slots: vec![NO_SIGNATURE; 256],
+            hashes: Vec::new(),
+            keys: Vec::new(),
+            offsets: vec![0],
+            bits: Vec::new(),
+        }
+    }
+
+    /// The home slot of `hash` in a table of `mask + 1` slots: the high
+    /// half of the hash, which every key word reaches.
+    fn home(hash: u64, mask: usize) -> usize {
+        (hash >> 32) as usize & mask
+    }
+
     fn intern(&mut self, symptoms: &[u64]) -> u32 {
-        if symptoms.iter().all(|&w| w == 0) {
+        let (mut hash, mut any) = (0u64, 0u64);
+        for &word in symptoms {
+            any |= word;
+            hash = (hash.rotate_left(5) ^ word).wrapping_mul(FOLD);
+        }
+        if any == 0 {
             return NO_SIGNATURE;
         }
-        if let Some(&id) = self.ids.get(symptoms) {
-            return id;
+        let hash = (hash ^ (hash >> 32)).wrapping_mul(FOLD);
+        let mask = self.slots.len() - 1;
+        let mut slot = Self::home(hash, mask);
+        loop {
+            let id = self.slots[slot] as usize;
+            if id == NO_SIGNATURE as usize {
+                break;
+            }
+            if self.hashes[id] == hash
+                && self.keys[id * self.width..(id + 1) * self.width] == *symptoms
+            {
+                return id as u32;
+            }
+            slot = (slot + 1) & mask;
         }
-        let id = self.ids.len() as u32;
+        let id = self.hashes.len() as u32;
+        self.slots[slot] = id;
+        self.hashes.push(hash);
+        self.keys.extend_from_slice(symptoms);
         let start = self.bits.len();
         for (w, &word) in symptoms.iter().enumerate() {
             let mut rest = word;
@@ -120,8 +115,23 @@ impl SignatureInterner {
             *bit -= num_detectors;
         }
         self.offsets.extend([split as u32, self.bits.len() as u32]);
-        self.ids.insert(symptoms.to_vec(), id);
+        if 2 * self.hashes.len() > self.slots.len() {
+            self.grow();
+        }
         id
+    }
+
+    /// Doubles the slot table and re-homes every id from its stored hash.
+    fn grow(&mut self) {
+        self.slots = vec![NO_SIGNATURE; 2 * self.slots.len()];
+        let mask = self.slots.len() - 1;
+        for (id, &hash) in (0..).zip(&self.hashes) {
+            let mut slot = Self::home(hash, mask);
+            while self.slots[slot] != NO_SIGNATURE {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = id;
+        }
     }
 }
 
@@ -213,12 +223,7 @@ impl FaultTable {
         let mut sens_x = BitPlanes::zeroed(n, width);
         let mut sens_z = BitPlanes::zeroed(n, width);
         let mut scratch = vec![0u64; width];
-        let mut interner = SignatureInterner {
-            num_detectors,
-            ids: HashMap::default(),
-            offsets: vec![0],
-            bits: Vec::new(),
-        };
+        let mut interner = SignatureInterner::new(num_detectors, width);
 
         let mut next_measurement = num_measurements;
         let mut next_channel = num_channels;

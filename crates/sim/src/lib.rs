@@ -73,7 +73,7 @@ pub use chunk::{
     CANONICAL_BLOCK_SHOTS,
 };
 pub use dem::{DemError, DetectorErrorModel};
-pub use fault_table::{FaultTable, WordHasher};
+pub use fault_table::FaultTable;
 pub use frame::FrameSampler;
 pub use noisy_circuit::{NoiseChannel, NoisyCircuit, NoisyOp, ResolvedAnnotations};
 pub use rare_event::{BiasedTable, MAX_BIASED_PROBABILITY};
