@@ -8,6 +8,8 @@
 //! serves all three emitters — pretty table, CSV, JSON — so every consumer
 //! sees the same numbers.
 
+use std::sync::OnceLock;
+
 use serde_json::Value;
 
 use crate::format_table;
@@ -46,17 +48,24 @@ impl ArtifactMetadata {
 }
 
 /// `git describe --always --dirty` of the current tree, if git is available.
+/// The command runs once per process (a spawn costs milliseconds, and a
+/// sweep merges an artifact per run); later calls return its first answer.
 pub fn git_describe() -> Option<String> {
-    let output = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()?;
-    if !output.status.success() {
-        return None;
-    }
-    let text = String::from_utf8(output.stdout).ok()?;
-    let trimmed = text.trim();
-    (!trimmed.is_empty()).then(|| trimmed.to_string())
+    static DESCRIBE: OnceLock<Option<String>> = OnceLock::new();
+    DESCRIBE
+        .get_or_init(|| {
+            let output = std::process::Command::new("git")
+                .args(["describe", "--always", "--dirty"])
+                .output()
+                .ok()?;
+            if !output.status.success() {
+                return None;
+            }
+            let text = String::from_utf8(output.stdout).ok()?;
+            let trimmed = text.trim();
+            (!trimmed.is_empty()).then(|| trimmed.to_string())
+        })
+        .clone()
 }
 
 /// One experiment's complete result (see the [module docs](self)).
