@@ -22,35 +22,12 @@
 //! and d = 7 at a few values of p; the ignored test runs d = 7 on the whole
 //! grid (CI's release step includes it).
 
-use qccd_circuit::Instruction;
-use qccd_decoder::{DecodeScratch, Decoder, DecodingGraph, ExactMatchingDecoder, SyndromeChunk};
-use qccd_qec::{memory_experiment, rotated_surface_code, MemoryBasis};
-use qccd_sim::{FaultTable, NoiseChannel, NoisyCircuit};
+#[allow(dead_code)]
+mod support;
 
-/// The code-capacity circuit: a Z-basis rotated-code memory of one round
-/// with a `BitFlip(p)` on every data qubit right before the round.
-fn code_capacity(d: usize, p: f64) -> NoisyCircuit {
-    let code = rotated_surface_code(d);
-    let experiment = memory_experiment(&code, 1, MemoryBasis::Z);
-    let first_ancilla = code.ancilla_qubits()[0];
-    let mut noisy = NoisyCircuit::new();
-    noisy.pad_qubits(experiment.circuit.num_qubits());
-    for instruction in experiment.circuit.iter() {
-        if *instruction == Instruction::Reset(first_ancilla) {
-            for qubit in code.data_qubits() {
-                noisy.push_noise(NoiseChannel::BitFlip { qubit, p });
-            }
-        }
-        noisy.push_gate(*instruction);
-    }
-    for detector in experiment.circuit.detectors() {
-        noisy.add_detector(detector.clone());
-    }
-    for observable in experiment.circuit.observables() {
-        noisy.add_observable(observable.clone());
-    }
-    noisy
-}
+use qccd_decoder::{DecodeScratch, Decoder, DecodingGraph, ExactMatchingDecoder, SyndromeChunk};
+use qccd_sim::FaultTable;
+use support::code_capacity;
 
 /// Every `k`-subset of `0..n` for `k` in `1..=max_weight`, ascending.
 fn patterns(n: usize, max_weight: usize) -> Vec<Vec<usize>> {

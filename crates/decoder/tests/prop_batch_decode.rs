@@ -94,7 +94,6 @@ proptest! {
 
         let decoders: Vec<Box<dyn Decoder>> = vec![
             Box::new(UnionFindDecoder::new(graph.clone())),
-            Box::new(ExactMatchingDecoder::new(graph.clone())),
             Box::new(ExactMatchingDecoder::new(graph)),
         ];
         for decoder in &decoders {

@@ -103,7 +103,6 @@ fn all_decoders(graph: &DecodingGraph) -> Vec<Box<dyn Decoder>> {
     vec![
         Box::new(UnionFindDecoder::new(graph.clone())),
         Box::new(ExactMatchingDecoder::new(graph.clone())),
-        Box::new(ExactMatchingDecoder::new(graph.clone())),
     ]
 }
 
