@@ -14,6 +14,11 @@
 //!   action (`sens_before(P) = sens_after(U P U†)`);
 //! * a noise channel records, per component, the currently-accumulated
 //!   sensitivity as its signature.
+//!
+//! Signatures are interned as they are met, in one flat open-addressed
+//! table over a contiguous key arena (`SignatureInterner`). Ids follow
+//! first-seen order, so the table, and every model and graph folded from
+//! it, is independent of how the interner hashes.
 
 use qccd_circuit::{Instruction, MeasurementRef};
 

@@ -51,7 +51,7 @@ ALLOWED = {
     "matching_weight": "oracle accessor: the exact decoder's tests compare matching weights",
     "check_routing_invariants": "oracle: `prop_compiler_invariants` checks every routed program against it (ROADMAP item 5 (iii))",
     "validate_clustering": "oracle: `prop_compiler_invariants` checks every clustering against it",
-    "components": "oracle accessor: the sampler oracle and the exhaustive low-weight decoder oracle read each channel's signatures",
+    "components": "oracle accessor: the sampler oracle, the exhaustive low-weight decoder oracle and the setup-path golden read each channel's signatures",
     "*decomposed_hyperedges": "oracle accessor: `integration_code_distance` and the graph tests count the hyperedges a decoding graph split or left out",
     "observable_conflicts": "oracle accessor: `integration_code_distance` checks that no merge of a compiled program's graph discarded an observable",
     "from_xz": "oracle accessor: the Pauli tests check the (x, z) bit encoding round trip",
