@@ -320,7 +320,10 @@ impl FaultTable {
                         }
                         NoiseChannel::Depolarize2 { a, b, .. } => {
                             // Visit the 15 codes in Gray-code order: one
-                            // sensitivity XORed in per step.
+                            // sensitivity XORed in per step. A step whose
+                            // sensitivity flips nothing leaves the symptom
+                            // set as it was, so it keeps the previous id
+                            // without a lookup.
                             let (a, b) = (a.index(), b.index());
                             let terms = [
                                 sens_x.plane(a),
@@ -328,11 +331,16 @@ impl FaultTable {
                                 sens_x.plane(b),
                                 sens_z.plane(b),
                             ];
+                            let flips = terms.map(|term| term.iter().any(|&w| w != 0));
                             scratch.fill(0);
+                            let mut id = NO_SIGNATURE;
                             for step in 1usize..16 {
-                                xor_into(&mut scratch, terms[step.trailing_zeros() as usize]);
-                                let code = step ^ (step >> 1);
-                                slot[code - 1] = interner.intern(&scratch);
+                                let term = step.trailing_zeros() as usize;
+                                if flips[term] {
+                                    xor_into(&mut scratch, terms[term]);
+                                    id = interner.intern(&scratch);
+                                }
+                                slot[(step ^ (step >> 1)) - 1] = id;
                             }
                         }
                     }
