@@ -120,18 +120,15 @@ impl DecodingGraph {
         let mut observable_conflicts = 0;
         for &(endpoints, i) in &order {
             let error = &dem.errors[i];
-            let edge = match merged.last_mut() {
-                Some(edge) if edge.endpoints == endpoints => edge,
-                _ => {
-                    merged.push(Merged {
-                        endpoints,
-                        probability: 0.0,
-                        likeliest: 0.0,
-                        carrier: i,
-                    });
-                    merged.last_mut().expect("just pushed")
-                }
-            };
+            if merged.last().is_none_or(|edge| edge.endpoints != endpoints) {
+                merged.push(Merged {
+                    endpoints,
+                    probability: 0.0,
+                    likeliest: 0.0,
+                    carrier: i,
+                });
+            }
+            let edge = merged.last_mut().expect("every run starts an edge");
             edge.probability = combine(edge.probability, error.probability);
             if dem.errors[edge.carrier].observables != error.observables {
                 observable_conflicts += 1;
