@@ -41,7 +41,7 @@ pub use store::{write_atomic, PointStore, StoreState};
 mod e2e_tests {
     use std::path::PathBuf;
     use std::sync::Mutex;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     use serde_json::Value;
 
@@ -130,40 +130,14 @@ mod e2e_tests {
         let _ = std::fs::remove_dir_all(&base);
     }
 
-    /// Every attempt at a poisoned point fails: the worker retries it twice,
-    /// backing off 250 ms then 500 ms, and records it under `failed/`.
-    #[test]
-    fn poisoned_points_retry_then_fail_terminally() {
-        let base = temp_base("poison");
-        let job = MockJob {
-            points: 4,
-            poisoned: vec![1],
-        };
-        let store = open_store(&base, &job);
-        let summary = run_job(&job, &store, workers(2)).unwrap();
-        assert_eq!(summary.progress.failed, 1);
-        assert_eq!(summary.progress.done, 3);
-        assert_eq!(summary.progress.counters.retries, 2);
-        assert!(
-            summary.elapsed >= Duration::from_millis(750),
-            "two backoffs take at least 750 ms, the run took {:?}",
-            summary.elapsed
-        );
-        let failures = store.failures();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].0, 1);
-        assert!(failures[0].1.contains("poisoned"));
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
-    /// `MockJob` that records the order and time of its `eval` calls, spends
+    /// `MockJob` that records the order of its `eval` calls, spends
     /// `slow_eval` on point `slow` and panics on point `panics`.
     struct CountingJob {
         inner: MockJob,
         slow: Option<usize>,
         slow_eval: Duration,
         panics: Option<usize>,
-        order: Mutex<Vec<(usize, Instant)>>,
+        order: Mutex<Vec<usize>>,
     }
 
     impl CountingJob {
@@ -178,16 +152,7 @@ mod e2e_tests {
         }
 
         fn evaluated(&self) -> Vec<usize> {
-            self.order.lock().unwrap().iter().map(|&(i, _)| i).collect()
-        }
-
-        fn attempts_at(&self, index: usize) -> Vec<Instant> {
-            let order = self.order.lock().unwrap();
-            order
-                .iter()
-                .filter(|&&(i, _)| i == index)
-                .map(|&(_, t)| t)
-                .collect()
+            self.order.lock().unwrap().clone()
         }
     }
 
@@ -205,7 +170,7 @@ mod e2e_tests {
         }
 
         fn eval(&self, index: usize, seed: u64) -> Result<Value, String> {
-            self.order.lock().unwrap().push((index, Instant::now()));
+            self.order.lock().unwrap().push(index);
             if self.slow == Some(index) {
                 std::thread::sleep(self.slow_eval);
             }
@@ -254,29 +219,50 @@ mod e2e_tests {
         let _ = std::fs::remove_dir_all(&base);
     }
 
-    /// A failing point is attempted exactly 3 times, 250 ms then 500 ms
-    /// apart, then recorded as failed; the other points are unaffected.
+    /// A poisoned point is evaluated once and recorded under `failed/`
+    /// while every other point completes. A `MockJob` without the poison
+    /// then resumes the store and computes exactly that point, and the
+    /// store holds an uninterrupted run's payloads.
     #[test]
-    fn retries_back_off_then_fail_terminally() {
-        let base = temp_base("backoff");
+    fn a_failed_point_is_evaluated_once_and_left_to_resume() {
+        let base = temp_base("fail-once");
         let job = CountingJob {
             inner: MockJob {
-                points: 3,
-                poisoned: vec![0],
+                points: 4,
+                poisoned: vec![1],
             },
-            ..CountingJob::new(3)
+            ..CountingJob::new(4)
         };
         let store = open_store(&base, &job.inner);
-        let summary = run_job(&job, &store, workers(1)).unwrap();
-        let attempts = job.attempts_at(0);
-        assert_eq!(attempts.len(), 3);
-        assert!(attempts[1] - attempts[0] >= Duration::from_millis(250));
-        assert!(attempts[2] - attempts[1] >= Duration::from_millis(500));
-        assert_eq!((summary.progress.failed, summary.progress.done), (1, 2));
-        assert_eq!(summary.progress.counters.retries, 2);
-        assert_eq!(store.failures().len(), 1);
-        assert_eq!(store.failures()[0].0, 0);
+        let summary = run_job(&job, &store, workers(2)).unwrap();
+        let mut evaluated = job.evaluated();
+        evaluated.sort_unstable();
+        assert_eq!(evaluated, (0..4).collect::<Vec<_>>(), "no point is retried");
+        assert_eq!((summary.progress.failed, summary.progress.done), (1, 3));
+        let failures = store.failures();
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].0, 1);
+        assert!(failures[0].1.contains("poisoned"), "{}", failures[0].1);
+        assert_eq!(store.missing_indices(), vec![1]);
+
+        let cured = MockJob::new(4);
+        let store = open_store(&base, &cured);
+        let summary = run_job(&cured, &store, workers(2)).unwrap();
+        assert_eq!((summary.computed, summary.resumed), (1, 3));
+        assert_eq!(summary.progress.failed, 0);
+        assert!(store.failures().is_empty());
+        let reference_base = temp_base("fail-once-reference");
+        let reference = open_store(&reference_base, &cured);
+        run_job(&cured, &reference, workers(1)).unwrap();
+        for index in 0..4 {
+            assert_eq!(
+                store.load_point(index).unwrap(),
+                reference.load_point(index).unwrap(),
+                "point {index}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&base);
+        let _ = std::fs::remove_dir_all(&reference_base);
     }
 
     /// A panicking `eval` is a failed attempt like an `Err`: retried, then
