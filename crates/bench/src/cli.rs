@@ -734,17 +734,16 @@ fn sweep_run_command(
         },
     )?;
     println!(
-        "sweep `{}`: {} computed, {} resumed, {} failed in {:.1}s (retries {})",
+        "sweep `{}`: {} computed, {} resumed, {} failed in {:.1}s",
         spec.name,
         summary.computed,
         summary.resumed,
         summary.progress.failed,
         summary.elapsed.as_secs_f64(),
-        summary.progress.counters.retries,
     );
     if summary.progress.failed > 0 {
         return Err(format!(
-            "{} points failed terminally (see {}); fix the cause and `sweep resume`",
+            "{} points failed (see {}); fix the cause and `sweep resume`",
             summary.progress.failed,
             store.root().join("failed").display(),
         ));

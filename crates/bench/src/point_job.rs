@@ -129,7 +129,7 @@ pub fn merge_artifact(spec: &ExperimentSpec, store: &PointStore) -> Result<Artif
             String::new()
         } else {
             format!(
-                " ({} terminally failed, e.g. point {}: {})",
+                " ({} failed, e.g. point {}: {})",
                 failures.len(),
                 failures[0].0,
                 failures[0].1

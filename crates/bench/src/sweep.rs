@@ -150,7 +150,6 @@ impl ScheduleCache {
     /// The schedule's compile error.
     pub fn fault_table(&self, point: &LerPoint) -> Result<FaultTable, CompileError> {
         let mut arch = point.arch.clone();
-        arch.gate_improvement = 1.0;
         arch.noise.gate_improvement = 1.0;
         let faults = {
             let mut entries = self.entries.lock().expect("schedule cache lock");
@@ -423,16 +422,6 @@ mod tests {
                 "variant {k}"
             );
         }
-        // The noise model's own gate improvement is the one that re-weights.
-        let mut split = base.clone();
-        split.noise.gate_improvement = 50.0;
-        let table = cache.fault_table(&point(&split)).unwrap();
-        assert_eq!(cache.len(), 2 + variants.len());
-        let fresh = Toolflow::new(split).memory_program(3).unwrap();
-        assert_eq!(
-            table,
-            FaultTable::from_circuit(&fresh.to_noisy_circuit()).unwrap()
-        );
     }
 
     #[test]

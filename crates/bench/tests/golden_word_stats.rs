@@ -27,17 +27,22 @@ fn golden_path() -> PathBuf {
 /// including the scheduling-sensitive hit/miss split — is deterministic.
 fn pinned_spec() -> ToolflowSpec {
     ToolflowSpec {
-        shots: 4096,
-        seed: 2026,
-        estimator: EstimatorConfig::default().with_num_threads(1),
-        ..ToolflowSpec::new(ArchitectureConfig::recommended(5.0), 3)
+        toolflow: Toolflow {
+            shots: 4096,
+            seed: 2026,
+            estimator: EstimatorConfig::default().with_num_threads(1),
+            ..Toolflow::new(ArchitectureConfig::recommended(5.0))
+        },
+        distance: 3,
+        estimate_ler: true,
     }
 }
 
 #[test]
 fn word_path_stats_match_committed_golden() {
     let spec = pinned_spec();
-    let report = Toolflow::from_spec(&spec)
+    let report = spec
+        .toolflow
         .estimate(spec.distance)
         .expect("pinned spec evaluates");
     let (estimate, cache) = (report.estimate, report.cache);

@@ -16,8 +16,6 @@ pub struct ArchitectureConfig {
     pub topology: TopologySpec,
     /// Control-system wiring method.
     pub wiring: WiringMethod,
-    /// Uniform gate-improvement factor (1.0 = today's hardware).
-    pub gate_improvement: f64,
     /// Operation timing model (Table 1 by default).
     pub operation_times: OperationTimes,
     /// Physical noise parameters.
@@ -46,7 +44,6 @@ impl ArchitectureConfig {
         ArchitectureConfig {
             topology: TopologySpec::new(topology, capacity),
             wiring,
-            gate_improvement,
             operation_times: OperationTimes::paper_defaults(),
             noise,
         }
@@ -74,11 +71,12 @@ impl ArchitectureConfig {
         self.topology.build_for_qubits(num_qubits)
     }
 
-    /// A short human-readable label, e.g. `"grid c2 standard 5x"`.
+    /// A short human-readable label, e.g. `"grid c2 standard 5x"`; the
+    /// factor is the noise model's gate improvement.
     pub fn label(&self) -> String {
         format!(
             "{} c{} {} {:.0}x",
-            self.topology.kind, self.topology.capacity, self.wiring, self.gate_improvement
+            self.topology.kind, self.topology.capacity, self.wiring, self.noise.gate_improvement
         )
     }
 }

@@ -246,55 +246,15 @@ impl<'a> Router<'a> {
             // actually blocking progress, by routing squatting visitors out
             // of the traps that a planned gate could not reach.
             let restored = self.evacuate_blocked(&blocked, &moved_ions);
-            if !local_progress && !moved && !restored {
-                let evacuated = self.try_evacuation();
-                if !evacuated {
-                    if std::env::var("QCCD_ROUTER_DEBUG").is_ok() {
-                        self.debug_dump("no-evacuation");
-                    }
-                    return Err(CompileError::RoutingStuck {
-                        pending_instructions: total - self.num_emitted,
-                    });
-                }
-            }
-            if local_progress {
-                stalls = 0;
-            } else {
-                stalls += 1;
-                if stalls > stall_limit {
-                    if std::env::var("QCCD_ROUTER_DEBUG").is_ok() {
-                        self.debug_dump("stall-limit");
-                    }
-                    return Err(CompileError::RoutingStuck {
-                        pending_instructions: total - self.num_emitted,
-                    });
-                }
+            let stuck = !local_progress && !moved && !restored && !self.try_evacuation();
+            stalls = if local_progress { 0 } else { stalls + 1 };
+            if stuck || stalls > stall_limit {
+                return Err(CompileError::RoutingStuck {
+                    pending_instructions: total - self.num_emitted,
+                });
             }
         }
         Ok(RoutedProgram { ops: self.ops })
-    }
-
-    fn debug_dump(&self, reason: &str) {
-        eprintln!("=== routing stuck ({reason}) ===");
-        for trap in self.device.traps() {
-            let chain = self.state.chain(trap.id);
-            if !chain.is_empty() {
-                eprintln!(
-                    "  {}: {:?} (free {})",
-                    trap.id,
-                    chain,
-                    self.state.free_slots(trap.id)
-                );
-            }
-        }
-        for &idx in self.front.iter().take(12) {
-            let instr = self.circuit.instructions()[idx];
-            eprintln!(
-                "  front #{idx}: {instr} ready={} local={}",
-                self.is_ready(idx),
-                self.is_local(idx)
-            );
-        }
     }
 
     // ------------------------------------------------------------------

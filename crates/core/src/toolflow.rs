@@ -24,22 +24,14 @@ use qccd_qec::{rotated_surface_code, CodeLayout, MemoryBasis};
 use crate::{ArchitectureConfig, CompileError, CompiledProgram, Compiler, Metrics};
 
 /// One declarative evaluation point: everything [`Toolflow::run_spec`] needs
-/// to produce a [`Metrics`] — the architecture under test, the workload
-/// distance, and the full sampling/decoding configuration.
+/// to produce a [`Metrics`] — the toolflow (architecture and sampling
+/// configuration) and the workload distance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ToolflowSpec {
-    /// The candidate architecture.
-    pub arch: ArchitectureConfig,
+    /// The architecture under test and its sampling/decoding settings.
+    pub toolflow: Toolflow,
     /// Rotated-surface-code distance of the memory workload.
     pub distance: usize,
-    /// Monte-Carlo shots (ignored when `estimate_ler` is `false`).
-    pub shots: usize,
-    /// Sampling seed.
-    pub seed: u64,
-    /// Decoder for logical error rate estimation.
-    pub decoder: DecoderKind,
-    /// Monte-Carlo pipeline configuration.
-    pub estimator: EstimatorConfig,
     /// Whether to run the Monte-Carlo logical error rate estimate.
     pub estimate_ler: bool,
 }
@@ -48,14 +40,9 @@ impl ToolflowSpec {
     /// A spec with the default sampling settings of [`Toolflow::new`],
     /// estimating the LER.
     pub fn new(arch: ArchitectureConfig, distance: usize) -> Self {
-        let defaults = Toolflow::new(arch);
         ToolflowSpec {
-            arch: defaults.arch,
+            toolflow: Toolflow::new(arch),
             distance,
-            shots: defaults.shots,
-            seed: defaults.seed,
-            decoder: defaults.decoder,
-            estimator: defaults.estimator,
             estimate_ler: true,
         }
     }
@@ -96,27 +83,15 @@ impl Toolflow {
         self
     }
 
-    /// Builds the toolflow a [`ToolflowSpec`] describes.
-    pub fn from_spec(spec: &ToolflowSpec) -> Self {
-        Toolflow {
-            arch: spec.arch.clone(),
-            shots: spec.shots,
-            seed: spec.seed,
-            decoder: spec.decoder,
-            estimator: spec.estimator,
-        }
-    }
-
     /// Evaluates one declarative spec point end to end (compile → model →
-    /// optionally sample/decode). It is exactly equivalent to building the
-    /// toolflow by hand and calling [`Toolflow::evaluate`], so results are
-    /// bit-identical to the imperative path.
+    /// optionally sample/decode): [`Toolflow::evaluate`] of the spec's
+    /// toolflow, so results are bit-identical to the imperative path.
     ///
     /// # Errors
     ///
     /// Propagates [`CompileError`]s from the compiler.
     pub fn run_spec(spec: &ToolflowSpec) -> Result<Metrics, CompileError> {
-        Toolflow::from_spec(spec).evaluate(spec.distance, spec.estimate_ler)
+        spec.toolflow.evaluate(spec.distance, spec.estimate_ler)
     }
 
     /// Evaluates the architecture on the rotated surface code of the given
@@ -270,9 +245,12 @@ mod tests {
     fn run_spec_matches_imperative_toolflow() {
         let arch = ArchitectureConfig::recommended(5.0);
         let spec = ToolflowSpec {
-            shots: 256,
-            seed: 7,
-            ..ToolflowSpec::new(arch.clone(), 3)
+            toolflow: Toolflow {
+                seed: 7,
+                ..Toolflow::new(arch.clone()).with_shots(256)
+            },
+            distance: 3,
+            estimate_ler: true,
         };
         let from_spec = Toolflow::run_spec(&spec).unwrap();
         let imperative = Toolflow {
@@ -307,11 +285,7 @@ mod tests {
     fn spec_defaults_mirror_toolflow_defaults() {
         let arch = ArchitectureConfig::recommended(1.0);
         let spec = ToolflowSpec::new(arch.clone(), 5);
-        let toolflow = Toolflow::new(arch);
-        assert_eq!(spec.shots, toolflow.shots);
-        assert_eq!(spec.seed, toolflow.seed);
-        assert_eq!(spec.decoder, toolflow.decoder);
-        assert_eq!(spec.estimator, toolflow.estimator);
+        assert_eq!(spec.toolflow, Toolflow::new(arch));
         assert_eq!(spec.distance, 5);
         assert!(spec.estimate_ler);
     }

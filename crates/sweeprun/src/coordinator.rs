@@ -6,8 +6,9 @@
 //! Completion ordering is persist-then-acknowledge: a point's file is
 //! written (atomically) *before* its worker reports it done, so a crash in
 //! between merely leaves the point missing — it is recomputed, never lost
-//! half-recorded. A failed attempt (an `Err` or a panic) is retried by the
-//! same worker, 3 attempts in all, then recorded in `failed/`.
+//! half-recorded. Each claimed point is evaluated once: an `Err`, a panic
+//! or a failed write is recorded in `failed/`, and the point, having no
+//! file, is left to the next `run_job` on the store (`sweep resume`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicUsize;
@@ -20,12 +21,6 @@ use serde_json::Value;
 
 use crate::job::{JobDescriptor, PointJob};
 use crate::store::PointStore;
-
-/// Evaluation attempts per point before it is recorded as failed.
-const MAX_ATTEMPTS: u32 = 3;
-
-/// Delay before the first retry of a point; doubles per further retry.
-const BACKOFF_BASE: Duration = Duration::from_millis(250);
 
 /// Time constant of the per-worker completion-rate EWMA: contributions
 /// decay with `exp(-age / 30 s)`, so the estimate tracks the last
@@ -62,7 +57,7 @@ pub struct RunSummary {
     pub computed: usize,
     /// Points already in the store when the run started.
     pub resumed: usize,
-    /// Final progress (includes the retry counter).
+    /// Final progress.
     pub progress: Progress,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
@@ -76,7 +71,9 @@ pub struct RunCounters {
     /// PR.
     #[doc(hidden)]
     pub requeues: u64,
-    /// Failed evaluation attempts that were retried.
+    /// Always 0: a failed point is not retried inside a run. Kept only
+    /// because the frozen benchmark package reads it (ROADMAP item 13 (c)).
+    #[doc(hidden)]
     pub retries: u64,
 }
 
@@ -126,7 +123,7 @@ pub struct Progress {
     pub leased: usize,
     /// Points no worker has claimed yet.
     pub pending: usize,
-    /// Terminally failed points.
+    /// Points whose evaluation or write failed in this run.
     pub failed: usize,
     /// Event counters.
     pub counters: RunCounters,
@@ -150,16 +147,14 @@ impl Progress {
                 stats.note_complete(at);
                 self.done += 1;
             }
-            Outcome::Retried => self.counters.retries += 1,
             Outcome::Failed => self.failed += 1,
         }
     }
 }
 
-/// What became of one attempt at a point.
+/// What became of a claimed point.
 enum Outcome {
     Done,
-    Retried,
     Failed,
 }
 
@@ -205,7 +200,6 @@ pub fn snapshot_json(
         "leased": progress.leased as u64,
         "pending": progress.pending as u64,
         "failed": progress.failed as u64,
-        "retries": progress.counters.retries,
         "computed_this_run": computed as u64,
         "elapsed_secs": elapsed_secs,
         "uptime_secs": elapsed_secs,
@@ -220,7 +214,7 @@ pub fn render_progress_line(snapshot: &Value) -> String {
     let get = |key: &str| snapshot.get(key).and_then(Value::as_u64).unwrap_or(0);
     let float = |key: &str| snapshot.get(key).and_then(Value::as_f64).unwrap_or(0.0);
     format!(
-        "sweep: {}/{} done, {} leased, {} pending, {} failed | {:.2} pts/s, ETA {:.0}s, up {:.0}s | retries {}",
+        "sweep: {}/{} done, {} leased, {} pending, {} failed | {:.2} pts/s, ETA {:.0}s, up {:.0}s",
         get("done"),
         get("total"),
         get("leased"),
@@ -229,7 +223,6 @@ pub fn render_progress_line(snapshot: &Value) -> String {
         float("points_per_sec"),
         float("eta_secs"),
         float("uptime_secs"),
-        get("retries"),
     )
 }
 
@@ -273,9 +266,8 @@ struct RunContext<'a> {
 }
 
 impl RunContext<'_> {
-    /// One attempt at `index`: evaluate (a panic becomes an `Err`), then
-    /// persist.
-    fn attempt(&self, index: usize) -> Result<(), String> {
+    /// Evaluates `index` (a panic becomes an `Err`), then persists it.
+    fn evaluate(&self, index: usize) -> Result<(), String> {
         let span = self.stage_eval.start();
         let evaluated = catch_unwind(AssertUnwindSafe(|| {
             self.job.eval(index, self.store.seed(index))
@@ -294,37 +286,33 @@ impl RunContext<'_> {
         stored
     }
 
-    /// One worker thread: claim → attempt (retrying inline) → report, until
-    /// the cursor runs past the end.
+    /// One worker thread: claim → evaluate once → report, until the cursor
+    /// runs past the end.
     fn worker(&self, worker: usize, events: &Sender<Event>) {
         while let Some(&index) = self.missing.get(self.cursor.fetch_add(1, Relaxed)) {
-            let mut attempts = 1;
-            let outcome = loop {
-                let Err(error) = self.attempt(index) else {
+            let outcome = match self.evaluate(index) {
+                Ok(()) => {
                     self.points_completed.inc();
-                    break Outcome::Done;
-                };
-                self.eval_failures.inc();
-                if attempts == MAX_ATTEMPTS {
-                    if let Err(e) = self.store.record_failure(index, &error, attempts) {
+                    Outcome::Done
+                }
+                Err(error) => {
+                    self.eval_failures.inc();
+                    if let Err(e) = self.store.record_failure(index, &error) {
                         eprintln!("sweep: recording failure for point {index} failed: {e}");
                     }
-                    break Outcome::Failed;
+                    Outcome::Failed
                 }
-                let _ = events.send((worker, Outcome::Retried, Instant::now()));
-                std::thread::sleep(BACKOFF_BASE * 2u32.pow(attempts - 1));
-                attempts += 1;
             };
             let _ = events.send((worker, outcome, Instant::now()));
         }
     }
 }
 
-/// Runs `job` to completion (or terminal failure) against `store`.
+/// Runs every missing point of `job` once against `store`.
 ///
 /// Missing points are taken from the store, so calling this on a partially
-/// filled store *is* resume. Returns once every point is done or has
-/// exhausted its attempts.
+/// filled store *is* resume. Returns once every missing point has been
+/// evaluated once; a failed one stays missing for the next call.
 ///
 /// # Errors
 ///

@@ -83,8 +83,8 @@ pub trait PointJob: Send + Sync {
     ///
     /// # Errors
     ///
-    /// An `Err` (or a panic) fails this attempt; the runner retries the
-    /// point a bounded number of times before recording it as failed.
+    /// An `Err` (or a panic) fails the point: the runner records it in
+    /// `failed/` and leaves it missing for the next run on the store.
     /// Domain-level soft failures that should surface in the merged output
     /// (e.g. a compile error rendered into a table row) belong *inside* an
     /// `Ok` payload instead.
@@ -101,7 +101,7 @@ pub(crate) mod testutil {
     pub struct MockJob {
         /// Grid size.
         pub points: usize,
-        /// Indices whose evaluation fails (every attempt).
+        /// Indices whose evaluation fails (on every call).
         pub poisoned: Vec<usize>,
     }
 

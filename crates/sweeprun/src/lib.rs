@@ -13,8 +13,8 @@
 //!   to an uninterrupted single-process run.
 //! - [`coordinator::run_job`] — local worker threads that claim points
 //!   in ascending grid order from one shared cursor over the store's
-//!   missing indices, evaluate and persist them, retrying a failed point
-//!   inline (3 attempts, doubling backoff) before recording it as failed.
+//!   missing indices and evaluate and persist each once. A failed point is
+//!   recorded in `failed/` and stays missing, so resume is its one retry.
 //!   The calling thread folds the workers' reports into [`Progress`] and a
 //!   `status.json` snapshot.
 //!
@@ -265,7 +265,7 @@ mod e2e_tests {
         let _ = std::fs::remove_dir_all(&reference_base);
     }
 
-    /// A panicking `eval` is a failed attempt like an `Err`: retried, then
+    /// A panicking `eval` fails its point like an `Err`: the point is
     /// recorded with the panic message, and the run still ends.
     #[test]
     fn panicking_eval_fails_the_point_instead_of_hanging_the_run() {

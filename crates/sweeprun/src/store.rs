@@ -8,7 +8,7 @@
 //!     manifest.json                     job descriptor + grid shape + seeds
 //!     status.json                       latest progress snapshot (atomic)
 //!     points/point-<index>-<seed>.json  one finished point payload each
-//!     failed/point-<index>.json         terminal failure record
+//!     failed/point-<index>.json         failure record
 //! ```
 //!
 //! Every file is written via temp-file-then-rename in the same directory, so
@@ -221,7 +221,7 @@ impl PointStore {
     }
 
     /// Persists one finished point atomically and clears any earlier
-    /// terminal-failure record for it.
+    /// failure record for it.
     ///
     /// # Errors
     ///
@@ -268,17 +268,18 @@ impl PointStore {
             .ok_or_else(|| format!("{} has no payload", path.display()))
     }
 
-    /// Records a terminal failure (retries exhausted) for `index`.
+    /// Records that the evaluation or write of `index` failed. The point
+    /// stays missing, so the next run on the store evaluates it again; a
+    /// later success clears the record.
     ///
     /// # Errors
     ///
     /// Returns a message on I/O failure.
-    pub fn record_failure(&self, index: usize, error: &str, attempts: u32) -> Result<(), String> {
+    pub fn record_failure(&self, index: usize, error: &str) -> Result<(), String> {
         let record = serde_json::json!({
             "index": index as u64,
             "seed": Value::from(self.seeds[index]),
             "error": error,
-            "attempts": attempts as u64,
         });
         write_atomic(&self.failed_path(index), &record.to_string())
     }
@@ -296,7 +297,7 @@ impl PointStore {
         self.seeds.len() - self.missing_indices().len()
     }
 
-    /// Terminal-failure records currently on disk, as `(index, error)`.
+    /// Failure records currently on disk, as `(index, error)`.
     pub fn failures(&self) -> Vec<(usize, String)> {
         let mut out = Vec::new();
         for index in 0..self.seeds.len() {
@@ -424,7 +425,7 @@ mod tests {
     fn failure_records_are_cleared_by_success() {
         let base = temp_base("failure");
         let (store, _) = mock_store(&base, 2);
-        store.record_failure(0, "flaky", 3).unwrap();
+        store.record_failure(0, "flaky").unwrap();
         assert_eq!(store.failures(), vec![(0, "flaky".to_string())]);
         store
             .store_point(0, &serde_json::json!({"ok": true}))
