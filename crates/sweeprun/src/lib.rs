@@ -219,12 +219,10 @@ mod e2e_tests {
         let _ = std::fs::remove_dir_all(&base);
     }
 
-    /// A poisoned point is evaluated once and recorded under `failed/`
-    /// while every other point completes. A `MockJob` without the poison
-    /// then resumes the store and computes exactly that point, and the
-    /// store holds an uninterrupted run's payloads.
+    /// A poisoned point is evaluated once and recorded under `failed/` with
+    /// its message while every other point completes; it stays missing.
     #[test]
-    fn a_failed_point_is_evaluated_once_and_left_to_resume() {
+    fn a_failed_point_is_evaluated_once_and_recorded() {
         let base = temp_base("fail-once");
         let job = CountingJob {
             inner: MockJob {
@@ -244,6 +242,22 @@ mod e2e_tests {
         assert_eq!(failures[0].0, 1);
         assert!(failures[0].1.contains("poisoned"), "{}", failures[0].1);
         assert_eq!(store.missing_indices(), vec![1]);
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// After a run whose poisoned point failed, a `MockJob` without the
+    /// poison resumes the store and computes exactly that point, and the
+    /// store holds an uninterrupted run's payloads.
+    #[test]
+    fn a_failed_point_is_computed_by_resume() {
+        let base = temp_base("fail-resume");
+        let poisoned = MockJob {
+            points: 4,
+            poisoned: vec![1],
+        };
+        let store = open_store(&base, &poisoned);
+        let summary = run_job(&poisoned, &store, workers(2)).unwrap();
+        assert_eq!((summary.progress.failed, summary.progress.done), (1, 3));
 
         let cured = MockJob::new(4);
         let store = open_store(&base, &cured);
@@ -251,7 +265,7 @@ mod e2e_tests {
         assert_eq!((summary.computed, summary.resumed), (1, 3));
         assert_eq!(summary.progress.failed, 0);
         assert!(store.failures().is_empty());
-        let reference_base = temp_base("fail-once-reference");
+        let reference_base = temp_base("fail-resume-reference");
         let reference = open_store(&reference_base, &cured);
         run_job(&cured, &reference, workers(1)).unwrap();
         for index in 0..4 {
