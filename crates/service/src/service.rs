@@ -1802,6 +1802,56 @@ mod tests {
         assert_eq!(snap.counter("decoder.uncacheable"), 8);
     }
 
+    /// The service's memo setting governs every worker scratch, whatever
+    /// program a stream was opened over: with the memo disabled nothing is
+    /// memoized and no memo counter moves (a disabled memo counts no shot,
+    /// cacheable or not), and the corrections are the offline decode's.
+    #[test]
+    fn workers_decode_under_the_service_memo() {
+        let service = DecodeService::new(ServiceConfig {
+            memo: MemoConfig::disabled(),
+            ..ServiceConfig::default().with_workers(1)
+        });
+        let arch = ArchitectureConfig::recommended(5.0);
+        let program = Arc::new(DecodeProgram::compile(&arch, 3, DecoderKind::UnionFind).unwrap());
+        let mut handle = service.open_stream_program(&program).unwrap();
+        let shots = 1000;
+        let chunk = qccd_sim::sample_detector_chunks(program.circuit(), shots, 7, shots)
+            .unwrap()
+            .sample_chunk(0);
+        let frames: Vec<Vec<usize>> = (0..shots)
+            .map(|shot| {
+                let mut fired = Vec::new();
+                chunk.fired_detectors_into(shot, &mut fired);
+                fired
+            })
+            .collect();
+        let noisy = frames.iter().filter(|f| !f.is_empty()).count() as u64;
+        assert!(noisy > 0, "the sample has noisy shots");
+        let refs: Vec<&[usize]> = frames.iter().map(Vec::as_slice).collect();
+        handle.sender.submit_batch(&refs).unwrap();
+        service.shutdown();
+
+        let snap = service.telemetry_snapshot();
+        for counter in [
+            "decoder.memo_hits",
+            "decoder.memo_misses",
+            "decoder.uncacheable",
+        ] {
+            assert_eq!(snap.counter(counter), 0, "{counter}");
+        }
+        let prediction = program.decode_batch(&chunk, &mut DecodeScratch::new());
+        for shot in 0..shots {
+            let correction = handle.recv().expect("every frame is corrected");
+            assert_eq!(correction.seq, shot as u64);
+            let flips = (0..prediction.num_observables())
+                .filter(|&observable| prediction.predicted(shot, observable))
+                .fold(0, |mask, observable| mask | 1 << observable);
+            assert_eq!(correction.flips, flips, "shot {shot}");
+        }
+        assert!(handle.recv().is_none());
+    }
+
     #[test]
     fn corrections_come_back_in_order_with_correct_flips() {
         let service = DecodeService::new(
