@@ -475,7 +475,6 @@ fn loadgen_flags() -> Command<LoadgenCliOptions> {
         "--frontier" "<points>": "calibrate, then replay at <points> fractions of saturation"
             => o.frontier = Some(at_least(1, v)?),
         "--seed" "<n>": "replay sampling seed (default: 2026)" => o.load.seed = number(v)?,
-        "--no-verify": "skip the offline bit-identity check" => o.load.verify = false,
         "--shutdown": "shut a TCP server down after the run" => o.shutdown = true,
         "--format" "<pretty|json>": "report format (default: pretty)" => o.json = report_json(v)?,
         "--top": "live telemetry dashboard on stderr" => o.top = true,
@@ -492,6 +491,9 @@ fn loadgen_flags() -> Command<LoadgenCliOptions> {
         }
         if o.in_process && o.frontier.is_some() {
             return Err("--frontier needs a TCP target (--addr)".into());
+        }
+        if o.frontier.is_some() && o.load.rate.is_some() {
+            return Err("--rate cannot pace a --frontier sweep (it calibrates unthrottled)".into());
         }
         if o.in_process && o.load.connections > 1 {
             return Err("--connections needs a TCP target (--addr)".into());
@@ -833,33 +835,18 @@ fn loadgen_command(options: &LoadgenCliOptions) -> Result<(), String> {
             n => Err(format!("{n} corrections differ from the offline decode")),
         }
     };
-    if let Some(points) = options.frontier {
-        let report = loadgen::run_frontier_over_tcp(
-            options.addr.as_deref().expect("validated by the parser"),
-            (&options.topology, &options.wiring),
-            options.capacity,
-            options.improvement,
-            options.distance,
-            options.decoder,
-            &options.load,
-            points,
-            options.shutdown,
-        )?;
-        let mismatches = report.calibration.mismatches;
-        return print(report.to_json(), report.render_pretty(), mismatches);
-    }
     let stop = Arc::new(AtomicBool::new(false));
     let mut top = None;
+    let arch = parse_arch(
+        &options.topology,
+        options.capacity,
+        &options.wiring,
+        options.improvement,
+    )?;
+    let program = DecodeProgram::compile(&arch, options.distance, options.decoder)
+        .map(Arc::new)
+        .map_err(|e| e.to_string())?;
     let report = if options.in_process {
-        let arch = parse_arch(
-            &options.topology,
-            options.capacity,
-            &options.wiring,
-            options.improvement,
-        )?;
-        let program = DecodeProgram::compile(&arch, options.distance, options.decoder)
-            .map(Arc::new)
-            .map_err(|e| e.to_string())?;
         let service = DecodeService::new(options.service);
         if let Some(path) = &options.trace_out {
             let sink = TraceSink::create(path)
@@ -897,18 +884,26 @@ fn loadgen_command(options: &LoadgenCliOptions) -> Result<(), String> {
                 }
             }));
         }
-        let report = loadgen::run_over_tcp(
-            addr,
-            (&options.topology, &options.wiring),
-            options.capacity,
-            options.improvement,
-            options.distance,
-            options.decoder,
-            &options.load,
-            options.shutdown,
-        );
+        let o = options;
+        let open = |client: &mut NetClient| {
+            client.open_stream(
+                &o.topology,
+                o.capacity,
+                &o.wiring,
+                o.improvement,
+                o.distance,
+                o.decoder,
+            )
+        };
+        let points = o.frontier.unwrap_or(0);
+        let report = loadgen::run_over_tcp(addr, &program, &open, &o.load, points, o.shutdown);
         stop.store(true, Ordering::Relaxed);
-        report?
+        let report = report?;
+        if o.frontier.is_some() {
+            let mismatches = report.calibration.mismatches;
+            return print(report.to_json(), report.render_pretty(), mismatches);
+        }
+        report.calibration
     };
     if let Some(top) = top {
         let _ = top.join();
@@ -1363,15 +1358,12 @@ mod tests {
             "2",
             "--shots",
             "4096",
-            "--rate",
-            "50000",
             "--wire",
             "frames",
             "--frontier",
             "4",
             "--seed",
             "7",
-            "--no-verify",
             "--shutdown",
             "--format",
             "json",
@@ -1387,13 +1379,15 @@ mod tests {
         assert_eq!(options.load.streams, 8);
         assert_eq!(options.load.connections, 2);
         assert_eq!(options.load.shots, 4096);
-        assert_eq!(options.load.rate, Some(50_000.0));
         assert!(!options.load.shot_major);
         assert_eq!(options.frontier, Some(4));
         assert_eq!(options.load.seed, 7);
-        assert!(!options.load.verify);
         assert!(options.shutdown);
         assert!(options.json);
+        // `--rate` goes without `--frontier`, which calibrates unthrottled.
+        let rate = strings(&["--addr", "x:1", "--rate", "50000"]);
+        let rate = parse_loadgen_options(&rate).unwrap().load.rate;
+        assert_eq!(rate, Some(50_000.0));
 
         let in_process = parse_loadgen_options(&strings(&[
             "--in-process",

@@ -19,8 +19,9 @@
 //! Only specs with a point grid (LER sweeps and rare-event comparisons) run
 //! through the store: they are the Monte-Carlo sweeps whose cost grows with
 //! the shot count a user asks for, and their outcomes are pure functions of
-//! `(spec, index, seed)`. Timing sweeps measure wall-clock and would break
-//! bit-identity.
+//! `(spec, index, seed)`. Timing sweeps are deterministic too (modelled round
+//! and shot times), but they are millisecond compiles with no shot count to
+//! grow: there is nothing worth persisting.
 
 use serde_json::Value;
 

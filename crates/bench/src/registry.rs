@@ -197,8 +197,8 @@ fn configurations(points: &[ArchPoint]) -> Vec<(String, ArchitectureConfig)> {
 /// (and therefore seed) order every execution tier agrees on:
 /// [`ler_sweep_points`] of an [`ExperimentKind::LerSweep`],
 /// [`rare_event_points`] of an [`ExperimentKind::RareEventLer`]. `None` for
-/// the other kinds, which are not grids of such points (timing sweeps
-/// measure wall-clock; the rest are single compiles).
+/// the other kinds, which are not grids of such points (timing sweeps are
+/// millisecond compiles, no shot count to grow; the rest single compiles).
 pub fn point_grid(spec: &ExperimentSpec) -> Option<Vec<LerPoint>> {
     match &spec.kind {
         ExperimentKind::LerSweep(kind) => Some(ler_sweep_points(

@@ -92,8 +92,8 @@ const CASES: &[(&str, &str)] = &[
     ("loadgen --in-process --decoder greedy", "--decoder"),
     // loadgen: replay
     (
-        "loadgen --addr x:1 --streams 8 --connections 2 --shots 4096 --rate 50000 \
-         --wire frames --frontier 4 --seed 7 --no-verify --shutdown --format json",
+        "loadgen --addr x:1 --streams 8 --connections 2 --shots 4096 \
+         --wire frames --frontier 4 --seed 7 --shutdown --format json",
         "--streams",
     ),
     ("loadgen --in-process --streams", "--streams"),
@@ -118,8 +118,10 @@ const CASES: &[(&str, &str)] = &[
     ("loadgen --addr x:1 --frontier x", "--frontier"),
     ("loadgen --addr x:1 --frontier 0", "--frontier"),
     ("loadgen --in-process --frontier 3", "--frontier"),
+    ("loadgen --addr x:1 --frontier 4 --rate 50000", "--rate"),
     ("loadgen --in-process --seed", "--seed"),
     ("loadgen --in-process --seed -1", "--seed"),
+    ("loadgen --in-process --no-verify", "--no-verify"),
     ("loadgen --in-process --format pretty", "--format"),
     ("loadgen --in-process --format", "--format"),
     ("loadgen --in-process --format csv", "--format"),

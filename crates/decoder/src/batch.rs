@@ -243,11 +243,6 @@ impl DecodeScratch {
         scratch
     }
 
-    /// The active memo configuration.
-    pub fn memo_config(&self) -> MemoConfig {
-        self.memo.config()
-    }
-
     /// Reconfigures the memo (cached entries are kept — they remain valid
     /// under any cap; pass [`MemoConfig::disabled`] to stop consulting them).
     pub fn set_memo_config(&mut self, config: MemoConfig) {

@@ -35,8 +35,8 @@
 //!   configuration compiles once. A caller that already holds a program
 //!   opens streams on it with [`DecodeService::open_stream_program`].
 //!   Nothing is decoded ahead of the first frame: each worker keeps one
-//!   scratch per program whose memo learns the recurring defect sets as
-//!   they arrive.
+//!   scratch per program, under the service's [`ServiceConfig::memo`],
+//!   whose memo learns the recurring defect sets as they arrive.
 //! * Pending frames from **all** streams of a program are coalesced by that
 //!   program's **batcher shard** into 64-shot words (the unit
 //!   `decode_batch`'s tile scan works in). A frame is **written where it is

@@ -17,16 +17,16 @@
 //! burst depend on the transport. Over TCP, stream `s` rides connection
 //! `s % connections`, each connection on its own submission thread.
 //!
-//! [`run_frontier_over_tcp`] sweeps the throughput/latency **frontier** over
-//! that one replay: an unthrottled calibration run finds the saturation
-//! rate, then throttled runs at fractions of it show how latency grows as
-//! the offered load approaches saturation.
+//! [`run_over_tcp`] can also sweep the throughput/latency **frontier** over
+//! that one replay: its first run finds the saturation rate, then throttled
+//! runs at fractions of it show how latency grows as the offered load
+//! approaches saturation.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use qccd_decoder::{DecodeScratch, DecoderKind};
+use qccd_decoder::DecodeScratch;
 use qccd_sim::{DetectorChunkSampler, SyndromeChunk};
 use qccd_telemetry::snapshot_from_json;
 use serde_json::Value;
@@ -57,9 +57,6 @@ pub struct LoadgenOptions {
     /// in process) instead of per-shot frames — the pre-transposed fast
     /// path.
     pub shot_major: bool,
-    /// Verify bit-identity of every correction against the offline batch
-    /// decode (also enables the offline-throughput baseline).
-    pub verify: bool,
 }
 
 impl Default for LoadgenOptions {
@@ -71,7 +68,6 @@ impl Default for LoadgenOptions {
             seed: 2026,
             rate: None,
             shot_major: true,
-            verify: true,
         }
     }
 }
@@ -90,12 +86,11 @@ pub struct LoadgenReport {
     pub wall_seconds: f64,
     /// Aggregate service throughput (shots / wall).
     pub shots_per_sec: f64,
-    /// Offline single-thread `decode_batch` throughput on the same frames
-    /// (`None` when verification was skipped).
-    pub offline_shots_per_sec: Option<f64>,
+    /// Offline single-thread `decode_batch` throughput on the same frames.
+    pub offline_shots_per_sec: f64,
     /// `shots_per_sec / offline_shots_per_sec` — the acceptance headroom
     /// (the service target is ≥ 0.8 at d=5, p=2e-3).
-    pub throughput_ratio: Option<f64>,
+    pub throughput_ratio: f64,
     /// Corrections missing, out of order, or differing from the offline
     /// reference (must be 0).
     pub mismatches: usize,
@@ -143,12 +138,11 @@ impl LoadgenReport {
             self.wall_seconds,
             self.shots_per_sec
         );
-        if let (Some(offline), Some(ratio)) = (self.offline_shots_per_sec, self.throughput_ratio) {
-            out.push_str(&format!(
-                "offline decode_batch baseline: {offline:.0} shots/s → service at {:.1}% of offline\n",
-                100.0 * ratio
-            ));
-        }
+        out.push_str(&format!(
+            "offline decode_batch baseline: {:.0} shots/s → service at {:.1}% of offline\n",
+            self.offline_shots_per_sec,
+            100.0 * self.throughput_ratio
+        ));
         out.push_str(&format!(
             "latency: p50 {:.0} µs, p99 {:.0} µs; flushes: {} full-word, {} deadline, {} close ({} words)\n",
             self.p50_latency_us,
@@ -183,14 +177,15 @@ pub struct FrontierPoint {
     pub p99_latency_us: f64,
 }
 
-/// A throughput/latency frontier sweep: the unthrottled calibration run
-/// plus throttled points at even fractions of the saturation rate.
+/// A TCP replay: the first run (at the options' rate) plus, for a frontier
+/// sweep, throttled points at even fractions of the rate it reached.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontierReport {
-    /// The unthrottled calibration run (carries the bit-identity verdict
-    /// and the offline baseline).
+    /// The first run (carries the bit-identity verdict and the offline
+    /// baseline); a frontier sweep's calibration.
     pub calibration: LoadgenReport,
-    /// Throttled replays at `saturation * i / n` for `i in 1..=n`.
+    /// Throttled replays at `saturation * i / n` for `i in 1..=n` (none
+    /// for a plain run).
     pub points: Vec<FrontierPoint>,
 }
 
@@ -360,8 +355,8 @@ struct Replay {
     per_stream_shots: Vec<usize>,
     wire: Wire,
     /// Offline flip masks in global shot order and the offline decode
-    /// seconds (`None` unless verifying).
-    offline: Option<(Vec<u64>, f64)>,
+    /// seconds.
+    offline: (Vec<u64>, f64),
 }
 
 impl Replay {
@@ -371,7 +366,7 @@ impl Replay {
     /// it is built here, before any clock starts.
     fn sample(program: &DecodeProgram, options: &LoadgenOptions) -> Self {
         let chunks = replay_chunks(program, options.shots.max(1), options.seed);
-        let offline = options.verify.then(|| decode_offline(program, &chunks));
+        let offline = decode_offline(program, &chunks);
         let frames = deal_frames(&chunks, options.streams.max(1));
         let per_stream_shots = frames.iter().map(Vec::len).collect();
         let wire = if options.shot_major {
@@ -417,20 +412,18 @@ impl Replay {
     }
 
     /// The shared verifier: checks each stream's arrivals against its shot
-    /// count, their order and (when verifying) the offline reference, and
-    /// times each from the stamp of the burst that carried its frame.
+    /// count, their order and the offline reference, and times each from
+    /// the stamp of the burst that carried its frame.
     fn verify(&self, arrivals: &[Vec<Arrival>], stamps: &[Vec<Instant>]) -> Verdict {
         let streams = self.per_stream_shots.len();
-        let reference = self.offline.as_ref().map(|(flips, _)| flips);
+        let reference = &self.offline.0;
         let mut verdict = Verdict::default();
         for (s, arrived) in arrivals.iter().enumerate() {
             verdict.missing += self.per_stream_shots[s].saturating_sub(arrived.len());
             for (q, (correction, at)) in arrived.iter().enumerate() {
                 if correction.seq != q as u64 {
                     verdict.out_of_order += 1;
-                } else if reference
-                    .is_some_and(|r| r.get(q * streams + s) != Some(&correction.flips))
-                {
+                } else if reference.get(q * streams + s) != Some(&correction.flips) {
                     verdict.mismatched += 1;
                 }
                 if let Some(submitted) = stamps[s].get(q / 64) {
@@ -452,10 +445,7 @@ impl Replay {
     ) -> LoadgenReport {
         let shots: usize = self.per_stream_shots.iter().sum();
         let (p50_latency_us, p99_latency_us) = p50_p99(verdict.latencies_us);
-        let offline_shots_per_sec = self
-            .offline
-            .as_ref()
-            .map(|(_, seconds)| shots as f64 / seconds.max(1e-9));
+        let offline_shots_per_sec = shots as f64 / self.offline.1.max(1e-9);
         let shots_per_sec = shots as f64 / wall_seconds.max(1e-9);
         LoadgenReport {
             shots,
@@ -464,7 +454,7 @@ impl Replay {
             wall_seconds,
             shots_per_sec,
             offline_shots_per_sec,
-            throughput_ratio: offline_shots_per_sec.map(|offline| shots_per_sec / offline),
+            throughput_ratio: shots_per_sec / offline_shots_per_sec,
             mismatches: verdict.missing + verdict.out_of_order + verdict.mismatched,
             p50_latency_us,
             p99_latency_us,
@@ -590,87 +580,36 @@ fn replay_over_tcp(
     Ok(replay.report(verdict, wall_seconds, connections, metrics, stages))
 }
 
-/// Drives a **remote** JSON-lines decode server with replayed frames for
-/// the paper's `(arch, distance)` memory workload, over
-/// `options.connections` concurrent TCP connections. The syndromes, and
-/// the offline verification reference, are produced locally from the
-/// identical (pure) compile, so bit-identity checking works across the
-/// wire.
-///
-/// `wire` is `(topology, wiring)` in the protocol vocabulary (e.g.
-/// `("grid", "standard")`); `shutdown_after` sends `{"cmd":"shutdown"}` at
-/// the end (the CI smoke uses this to stop the server).
+/// Drives a **remote** JSON-lines decode server with replayed frames of
+/// `program`'s circuit over `options.connections` concurrent TCP
+/// connections, opening each stream with `open` (which must open
+/// `program`'s workload on the server: the caller's program is the offline
+/// reference every correction is verified against). The first replay runs
+/// at `options.rate`; then `points` throttled replays at `saturation * i /
+/// points` (for `i in 1..=points`), `saturation` being the throughput the
+/// first reached, sweep the **throughput/latency frontier**. Every run
+/// replays the same frames, sampled once. `shutdown_after` sends
+/// `{"cmd":"shutdown"}` after the last run (the CI smoke uses this to stop
+/// the server).
 ///
 /// # Errors
 ///
 /// Transport failures, server-side open failures, protocol errors the
-/// client reader refused to deliver, and local compile errors (as strings,
-/// ready for CLI display).
-#[allow(clippy::too_many_arguments)]
+/// client reader refused to deliver (as strings, ready for CLI display),
+/// and a throttled point with a missing, out-of-order or differing
+/// correction.
 pub fn run_over_tcp(
     addr: &str,
-    wire: (&str, &str),
-    capacity: usize,
-    gate_improvement: f64,
-    distance: usize,
-    decoder: DecoderKind,
-    options: &LoadgenOptions,
-    shutdown_after: bool,
-) -> Result<LoadgenReport, String> {
-    let arch = (wire, capacity, gate_improvement, distance, decoder);
-    let sweep = tcp_sweep(addr, arch, options, options.rate, 0, shutdown_after);
-    sweep.map(|sweep| sweep.calibration)
-}
-
-/// Sweeps the **throughput/latency frontier** against a remote server: one
-/// unthrottled calibration replay finds the saturation rate, then `points`
-/// throttled replays at `saturation * i / points` (for `i in 1..=points`)
-/// measure how client-observed latency grows with offered load. Every run
-/// replays the same frames, compiled and sampled once; the calibration
-/// carries the bit-identity verdict (per `options.verify`).
-///
-/// # Errors
-///
-/// Any failure of the underlying replays, and a throttled point with a
-/// missing, out-of-order or (when verifying) differing correction.
-#[allow(clippy::too_many_arguments)]
-pub fn run_frontier_over_tcp(
-    addr: &str,
-    wire: (&str, &str),
-    capacity: usize,
-    gate_improvement: f64,
-    distance: usize,
-    decoder: DecoderKind,
+    program: &DecodeProgram,
+    open: &dyn Fn(&mut NetClient) -> Result<NetStream, String>,
     options: &LoadgenOptions,
     points: usize,
     shutdown_after: bool,
 ) -> Result<FrontierReport, String> {
-    let arch = (wire, capacity, gate_improvement, distance, decoder);
-    tcp_sweep(addr, arch, options, None, points.max(1), shutdown_after)
-}
-
-/// Compiles the program and samples the replay once, replays it at `rate`,
-/// then at `points` even fractions of the throughput that first replay
-/// reached. `arch` is `((topology, wiring), capacity, gate_improvement,
-/// distance, decoder)` in the protocol vocabulary.
-fn tcp_sweep(
-    addr: &str,
-    arch: ((&str, &str), usize, f64, usize, DecoderKind),
-    options: &LoadgenOptions,
-    rate: Option<f64>,
-    points: usize,
-    shutdown_after: bool,
-) -> Result<FrontierReport, String> {
-    let ((topology, wiring), capacity, improvement, distance, decoder) = arch;
-    let config = crate::net::parse_arch(topology, capacity, wiring, improvement)?;
-    let program = DecodeProgram::compile(&config, distance, decoder).map_err(|e| e.to_string())?;
-    let replay = Replay::sample(&program, options);
-    let open = |client: &mut NetClient| {
-        client.open_stream(topology, capacity, wiring, improvement, distance, decoder)
-    };
+    let replay = Replay::sample(program, options);
     let run =
-        |rate, shutdown| replay_over_tcp(addr, &open, &replay, options.connections, rate, shutdown);
-    let calibration = run(rate, shutdown_after && points == 0)?;
+        |rate, shutdown| replay_over_tcp(addr, open, &replay, options.connections, rate, shutdown);
+    let calibration = run(options.rate, shutdown_after && points == 0)?;
     let saturation = calibration.shots_per_sec.max(1.0);
     let mut frontier = Vec::with_capacity(points);
     for i in 1..=points {
@@ -696,6 +635,7 @@ fn tcp_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qccd_decoder::DecoderKind;
 
     /// Two streams of three shots, verified against a reference whose
     /// global shot `i` flips observable mask `i`.
@@ -703,7 +643,7 @@ mod tests {
         Replay {
             per_stream_shots: vec![3, 3],
             wire: Wire::Frames(Vec::new()),
-            offline: Some(((0..6).collect(), 1.0)),
+            offline: ((0..6).collect(), 1.0),
         }
     }
 
@@ -791,7 +731,7 @@ mod tests {
                 fnv1a(planes.iter().copied(), fnv1a([*count as u64], hash))
             });
         let flips = |replay: &Replay| {
-            let (flips, _) = replay.offline.as_ref().expect("verifying");
+            let (flips, _) = &replay.offline;
             fnv1a(flips.iter().copied(), FNV_OFFSET)
         };
         assert_eq!(flips(&by_frames), flips(&by_blocks));

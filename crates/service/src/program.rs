@@ -15,12 +15,13 @@ fn next_program_id() -> u64 {
 
 /// One compiled decoding setup shared by every stream of the same
 /// `(architecture, distance, decoder)` configuration: the noisy circuit the
-/// syndromes are assumed to come from, its fault table, the decoder over the
-/// table's detector error model, and the memo configuration every worker
-/// scratch decodes under. The table is derived once, when the program is
-/// built; the replay load generator samples from it. Nothing is decoded at
-/// build time: each worker's memo learns the program's recurring defect
-/// sets from the frames it is handed.
+/// syndromes are assumed to come from, its fault table and the decoder over
+/// the table's detector error model. The table is derived once, when the
+/// program is built; the replay load generator samples from it. Nothing is
+/// decoded at build time, and the program carries no memo setting: each
+/// worker scratch decodes under the service's
+/// [`ServiceConfig::memo`](crate::ServiceConfig::memo) and learns the
+/// program's recurring defect sets from the frames it is handed.
 pub struct DecodeProgram {
     id: u64,
     key: String,
@@ -30,7 +31,6 @@ pub struct DecodeProgram {
     num_observables: usize,
     decoder_kind: DecoderKind,
     decoder: Box<dyn Decoder + Send + Sync>,
-    memo: MemoConfig,
 }
 
 impl std::fmt::Debug for DecodeProgram {
@@ -62,31 +62,27 @@ impl DecodeProgram {
         distance: usize,
         decoder: DecoderKind,
     ) -> Result<Self, ServiceError> {
-        Self::compile_with_memo(arch, distance, decoder, MemoConfig::default())
+        let program = Toolflow::new(arch.clone())
+            .memory_program(distance)
+            .map_err(|e| ServiceError::Compile(e.to_string()))?;
+        DecodeProgram::from_circuit(
+            DecodeProgram::config_key(arch, distance, decoder),
+            program.to_noisy_circuit(),
+            decoder,
+        )
     }
 
-    /// [`DecodeProgram::compile`] with an explicit memo configuration:
-    /// every worker scratch decodes this program under `memo`'s
-    /// defect/entry caps.
-    ///
-    /// # Errors
-    ///
-    /// As [`DecodeProgram::compile`].
+    /// [`DecodeProgram::compile`]. Kept only because the frozen benchmark
+    /// package calls it; `memo` is ignored (a service worker decodes under
+    /// [`ServiceConfig::memo`](crate::ServiceConfig::memo)).
+    #[doc(hidden)]
     pub fn compile_with_memo(
         arch: &ArchitectureConfig,
         distance: usize,
         decoder: DecoderKind,
-        memo: MemoConfig,
+        _memo: MemoConfig,
     ) -> Result<Self, ServiceError> {
-        let program = Toolflow::new(arch.clone())
-            .memory_program(distance)
-            .map_err(|e| ServiceError::Compile(e.to_string()))?;
-        DecodeProgram::from_circuit_with_memo(
-            DecodeProgram::config_key(arch, distance, decoder),
-            program.to_noisy_circuit(),
-            decoder,
-            memo,
-        )
+        Self::compile(arch, distance, decoder)
     }
 
     /// The canonical program key of one `(arch, distance, decoder)`
@@ -99,7 +95,9 @@ impl DecodeProgram {
 
     /// Builds a decode program over an arbitrary noisy circuit (the
     /// replay/load-generation entry point; [`DecodeProgram::compile`] lowers
-    /// onto this).
+    /// onto this). One pass over the circuit builds its [`FaultTable`]; the
+    /// decoding graph is folded from that table, and the program keeps it
+    /// for the replay.
     ///
     /// # Errors
     ///
@@ -110,23 +108,6 @@ impl DecodeProgram {
         key: impl Into<String>,
         noisy: NoisyCircuit,
         decoder_kind: DecoderKind,
-    ) -> Result<Self, ServiceError> {
-        Self::from_circuit_with_memo(key, noisy, decoder_kind, MemoConfig::default())
-    }
-
-    /// [`DecodeProgram::from_circuit`] with an explicit memo configuration
-    /// (see [`DecodeProgram::compile_with_memo`]). One pass over the circuit
-    /// builds its [`FaultTable`]; the decoding graph is folded from that
-    /// table, and the program keeps it for the replay.
-    ///
-    /// # Errors
-    ///
-    /// As [`DecodeProgram::from_circuit`].
-    pub fn from_circuit_with_memo(
-        key: impl Into<String>,
-        noisy: NoisyCircuit,
-        decoder_kind: DecoderKind,
-        memo: MemoConfig,
     ) -> Result<Self, ServiceError> {
         let table = FaultTable::from_circuit(&noisy)
             .map_err(|e| ServiceError::InvalidCircuit(format!("{e:?}")))?;
@@ -146,7 +127,6 @@ impl DecodeProgram {
             num_observables,
             decoder_kind,
             decoder,
-            memo,
         })
     }
 
@@ -170,12 +150,6 @@ impl DecodeProgram {
         self.num_observables
     }
 
-    /// The memo configuration every worker scratch decodes this program
-    /// under.
-    pub fn memo_config(&self) -> MemoConfig {
-        self.memo
-    }
-
     /// The noisy circuit the program assumes frames are sampled from.
     pub fn circuit(&self) -> &NoisyCircuit {
         &self.noisy
@@ -188,15 +162,14 @@ impl DecodeProgram {
     }
 
     /// Decodes one bit-packed chunk exactly as a service worker would —
-    /// word-parallel, under the program's memo configuration (installed in
-    /// `scratch` first). This is the offline baseline the load generator
-    /// verifies the streamed corrections against.
+    /// word-parallel, under `scratch`'s memo configuration (which never
+    /// changes a decoded bit). This is the offline baseline the load
+    /// generator verifies the streamed corrections against.
     pub fn decode_batch(
         &self,
         chunk: &qccd_sim::SyndromeChunk,
         scratch: &mut DecodeScratch,
     ) -> qccd_decoder::PredictionChunk {
-        scratch.set_memo_config(self.memo);
         self.decoder.decode_batch(chunk, scratch)
     }
 

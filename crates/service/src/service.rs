@@ -51,8 +51,9 @@ pub struct ServiceConfig {
     /// Per-stream bound on frames in flight (submitted, correction not yet
     /// produced). Submission blocks beyond it.
     pub stream_queue_shots: usize,
-    /// Memo configuration worker scratches decode under (defect/entry
-    /// caps).
+    /// Memo configuration (defect/entry caps) every worker scratch decodes
+    /// under, whatever program a stream was opened over. The memo never
+    /// changes a decoded bit.
     pub memo: MemoConfig,
     /// Telemetry configuration of the service's metrics registry: the span
     /// sampling period of its per-stage spans. The registry always records;
@@ -625,7 +626,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 let chunk = parts.builder.finish(0, 0);
                 let scratch = scratches
                     .entry(program.id())
-                    .or_insert_with(|| DecodeScratch::with_memo_config(program.memo_config()));
+                    .or_insert_with(|| DecodeScratch::with_memo_config(shared.config.memo));
                 let before = scratch.cache_stats();
                 let prediction = program.decoder().decode_batch(&chunk, scratch);
                 span.finish(chunk.num_shots() as u64);
@@ -732,9 +733,8 @@ impl DecodeService {
         decoder: DecoderKind,
     ) -> Result<StreamHandle, ServiceError> {
         let key = DecodeProgram::config_key(arch, distance, decoder);
-        let memo = self.shared.config.memo;
         self.open_stream_with(&key, || {
-            DecodeProgram::compile_with_memo(arch, distance, decoder, memo).map(Arc::new)
+            DecodeProgram::compile(arch, distance, decoder).map(Arc::new)
         })
     }
 

@@ -7,7 +7,9 @@ use std::time::Duration;
 
 use qccd_decoder::DecoderKind;
 use qccd_service::net::MAX_LINE_BYTES;
-use qccd_service::{loadgen, LoadgenOptions, NetClient, NetServer, ServiceConfig};
+use qccd_service::{
+    loadgen, DecodeProgram, FrontierReport, LoadgenOptions, NetClient, NetServer, ServiceConfig,
+};
 use qccd_sim::NoisyCircuit;
 use serde_json::Value;
 
@@ -24,6 +26,23 @@ fn frames_of(circuit: &NoisyCircuit, shots: usize, seed: u64) -> Vec<Vec<usize>>
             fired
         })
         .collect()
+}
+
+/// The TCP load generator's replay of grid c2 5X d = 2 (union-find)
+/// against `addr`, with `points` frontier points, shutting the server down
+/// after the last run.
+fn replay_over_tcp(
+    addr: &str,
+    options: &LoadgenOptions,
+    points: usize,
+) -> Result<FrontierReport, String> {
+    let arch = qccd_service::net::parse_arch("grid", 2, "standard", 5.0)?;
+    let program =
+        DecodeProgram::compile(&arch, 2, DecoderKind::UnionFind).map_err(|e| e.to_string())?;
+    let open = |client: &mut NetClient| {
+        client.open_stream("grid", 2, "standard", 5.0, 2, DecoderKind::UnionFind)
+    };
+    loadgen::run_over_tcp(addr, &program, &open, options, points, true)
 }
 
 #[test]
@@ -45,20 +64,12 @@ fn tcp_round_trip_with_loadgen_and_shutdown() {
         seed: 7,
         rate: None,
         shot_major: false, // the per-shot `frames` wire command
-        verify: true,
         ..LoadgenOptions::default()
     };
-    let report = loadgen::run_over_tcp(
-        &addr,
-        ("grid", "standard"),
-        2,
-        5.0,
-        2,
-        DecoderKind::UnionFind,
-        &options,
-        true, // shutdown the server over the wire
-    )
-    .expect("TCP loadgen round trip");
+    // The replay shuts the server down over the wire.
+    let report = replay_over_tcp(&addr, &options, 0)
+        .expect("TCP loadgen round trip")
+        .calibration;
     assert_eq!(report.mismatches, 0, "wire corrections are bit-identical");
     assert_eq!(report.shots, 1024);
     assert_eq!(report.metrics.frames_completed, 1024);
@@ -98,19 +109,10 @@ fn multi_connection_packed_round_trip() {
         seed: 21,
         rate: None,
         shot_major: true, // the `frames_packed` wire command
-        verify: true,
     };
-    let report = loadgen::run_over_tcp(
-        &addr,
-        ("grid", "standard"),
-        2,
-        5.0,
-        2,
-        DecoderKind::UnionFind,
-        &options,
-        true,
-    )
-    .expect("multi-connection packed round trip");
+    let report = replay_over_tcp(&addr, &options, 0)
+        .expect("multi-connection packed round trip")
+        .calibration;
     assert_eq!(report.mismatches, 0, "wire corrections are bit-identical");
     assert_eq!(report.connections, 3);
     assert_eq!(report.metrics.frames_completed, 2048);
@@ -143,20 +145,8 @@ fn frontier_sweep_reports_nonzero_points() {
         seed: 3,
         rate: None,
         shot_major: true,
-        verify: true,
     };
-    let frontier = loadgen::run_frontier_over_tcp(
-        &addr,
-        ("grid", "standard"),
-        2,
-        5.0,
-        2,
-        DecoderKind::UnionFind,
-        &options,
-        2,
-        true,
-    )
-    .expect("frontier sweep");
+    let frontier = replay_over_tcp(&addr, &options, 2).expect("frontier sweep");
     assert_eq!(frontier.calibration.mismatches, 0);
     assert_eq!(frontier.points.len(), 2);
     for point in &frontier.points {

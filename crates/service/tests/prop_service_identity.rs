@@ -134,7 +134,6 @@ proptest! {
             seed,
             rate: None,
             shot_major,
-            verify: true,
             ..LoadgenOptions::default()
         };
         let report = loadgen::run_in_process(&service, &program("prop", &circuit, kind), &options)
@@ -279,7 +278,6 @@ fn full_sampling_telemetry_preserves_bit_identity() {
         streams: 4,
         shots: 900,
         seed: 7,
-        verify: true,
         ..LoadgenOptions::default()
     };
     let report = loadgen::run_in_process(
@@ -329,7 +327,6 @@ fn paced_replay_stays_bit_identical() {
         shots: 600,
         seed: 11,
         rate: Some(50_000.0),
-        verify: true,
         ..LoadgenOptions::default()
     };
     let report = loadgen::run_in_process(

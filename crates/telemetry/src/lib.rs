@@ -8,11 +8,11 @@
 //!
 //! - [`Registry`] — a process- or subsystem-wide registry of named
 //!   [`Counter`]s, [`Gauge`]s and log-bucketed [`Histogram`]s. Handles are
-//!   lock-free: a counter increment is one relaxed `fetch_add` on a
-//!   per-thread shard ([`registry`] spreads threads round-robin over padded
-//!   shards that are folded deterministically on snapshot). There is one
-//!   mode: every registry records, and `sample_every` in
-//!   [`TelemetryConfig`] is the one dial on span overhead.
+//!   lock-free: a counter increment is one relaxed `fetch_add` on one
+//!   `AtomicU64`, and a snapshot of a quiesced registry is deterministic
+//!   ([`registry`]). There is one mode: every registry records, and
+//!   `sample_every` in [`TelemetryConfig`] is the one dial on span
+//!   overhead.
 //! - [`Stage`] spans — per-pipeline-stage timing with exact call/item
 //!   counters and sampled duration histograms, so bit-identity and
 //!   steady-state throughput are untouched (spans time *around* stages,

@@ -4,13 +4,13 @@
 //! Registration (looking a name up in the registry) takes a mutex — that is
 //! the cold path, done once per metric at wiring time. The handles a
 //! registration returns are `Arc`s onto shared atomic cells: incrementing a
-//! counter is one relaxed `fetch_add` on a per-thread shard, recording a
-//! histogram sample is two. There is one mode: every registry records, and
-//! [`TelemetryConfig::sample_every`] is the one dial on span overhead.
+//! counter is one relaxed `fetch_add` on one `AtomicU64`, like a gauge's
+//! add; recording a histogram sample is two. There is one mode: every
+//! registry records, and [`TelemetryConfig::sample_every`] is the one dial
+//! on span overhead.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -18,54 +18,10 @@ use crate::histogram::{HistogramCell, HistogramSnapshot};
 use crate::span::Stage;
 use crate::trace::TraceSink;
 
-/// Number of counter shards. Threads are spread round-robin over the
-/// shards, so with a handful of worker threads each usually owns its shard
-/// outright and a counter increment never bounces a contended cache line.
-pub(crate) const COUNTER_SHARDS: usize = 16;
-
-/// One cache line per shard so neighbouring shards never false-share.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-pub(crate) struct PaddedAtomicU64(pub(crate) AtomicU64);
-
-/// The sharded cell behind one named counter.
-#[derive(Debug, Default)]
-pub(crate) struct CounterCell {
-    pub(crate) shards: [PaddedAtomicU64; COUNTER_SHARDS],
-}
-
-impl CounterCell {
-    /// Folds the shards in fixed index order (deterministic for a quiesced
-    /// counter, a consistent relaxed read otherwise).
-    pub(crate) fn fold(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|shard| shard.0.load(Ordering::Relaxed))
-            .sum()
-    }
-}
-
-/// The shard this thread's counter increments land on, assigned round-robin
-/// on first use so concurrent threads spread over distinct cache lines.
-pub(crate) fn thread_shard() -> usize {
-    static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    SHARD.with(|cell| {
-        let mut shard = cell.get();
-        if shard == usize::MAX {
-            shard = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % COUNTER_SHARDS;
-            cell.set(shard);
-        }
-        shard
-    })
-}
-
 /// A monotonically increasing counter. Cloning shares the underlying cell.
 #[derive(Debug, Clone)]
 pub struct Counter {
-    cell: Arc<CounterCell>,
+    cell: Arc<AtomicU64>,
 }
 
 impl Counter {
@@ -75,17 +31,15 @@ impl Counter {
         self.add(1);
     }
 
-    /// Adds `n`: one relaxed `fetch_add` on this thread's shard.
+    /// Adds `n`: one relaxed `fetch_add`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.cell.shards[thread_shard()]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The current folded value.
+    /// The current value.
     pub fn value(&self) -> u64 {
-        self.cell.fold()
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
@@ -169,7 +123,7 @@ impl TelemetryConfig {
 pub(crate) struct RegistryInner {
     pub(crate) started: Instant,
     pub(crate) sample_every: u32,
-    counters: Mutex<BTreeMap<String, Arc<CounterCell>>>,
+    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
     histograms: Mutex<BTreeMap<String, Arc<HistogramCell>>>,
     pub(crate) trace: Mutex<Option<Arc<TraceSink>>>,
@@ -239,8 +193,8 @@ impl Registry {
         *self.inner.trace.lock().expect("trace sink lock") = Some(sink);
     }
 
-    /// A deterministic point-in-time snapshot: counter shards folded in
-    /// fixed order, every map in name order.
+    /// A point-in-time snapshot, every map in name order (deterministic
+    /// for a quiesced registry).
     pub fn snapshot(&self) -> RegistrySnapshot {
         let inner = &self.inner;
         let counters = inner
@@ -248,7 +202,7 @@ impl Registry {
             .lock()
             .expect("counter registry lock")
             .iter()
-            .map(|(name, cell)| (name.clone(), cell.fold()))
+            .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
             .collect();
         let gauges = inner
             .gauges
@@ -279,7 +233,7 @@ fn lookup<T: Default>(cells: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Ar
     Arc::clone(cells.entry(name.to_string()).or_default())
 }
 
-/// A point-in-time, deterministic fold of every metric in a registry.
+/// A point-in-time read of every metric in a registry.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RegistrySnapshot {
     /// Seconds since the registry was created.
