@@ -416,7 +416,7 @@ impl Replay {
     /// the stamp of the burst that carried its frame.
     fn verify(&self, arrivals: &[Vec<Arrival>], stamps: &[Vec<Instant>]) -> Verdict {
         let streams = self.per_stream_shots.len();
-        let reference = &self.offline.0;
+        let (reference, _) = &self.offline;
         let mut verdict = Verdict::default();
         for (s, arrived) in arrivals.iter().enumerate() {
             verdict.missing += self.per_stream_shots[s].saturating_sub(arrived.len());
@@ -445,7 +445,8 @@ impl Replay {
     ) -> LoadgenReport {
         let shots: usize = self.per_stream_shots.iter().sum();
         let (p50_latency_us, p99_latency_us) = p50_p99(verdict.latencies_us);
-        let offline_shots_per_sec = shots as f64 / self.offline.1.max(1e-9);
+        let (_, offline_seconds) = self.offline;
+        let offline_shots_per_sec = shots as f64 / offline_seconds.max(1e-9);
         let shots_per_sec = shots as f64 / wall_seconds.max(1e-9);
         LoadgenReport {
             shots,
