@@ -3,7 +3,7 @@
 //! Running an [`ExperimentSpec`] produces an
 //! [`Artifact`]: the rendered table (headers + rows), the structured numeric
 //! payload (sampled points with standard errors, Λ fits with confidence
-//! intervals, derived resources), and provenance metadata (engine seed, spec
+//! intervals, derived resources), and provenance metadata (sweep seed, spec
 //! content hash, `git describe`, thread-invariance contract). One artifact
 //! serves all three emitters — pretty table, CSV, JSON — so every consumer
 //! sees the same numbers.
@@ -23,7 +23,7 @@ pub struct ArtifactMetadata {
     /// Content hash of that spec (see
     /// [`ExperimentSpec::content_hash`]).
     pub spec_hash: String,
-    /// Sweep-engine seed all Monte-Carlo points derived their seeds from.
+    /// Sweep seed all Monte-Carlo points derived their seeds from.
     pub seed: u64,
     /// `git describe --always --dirty` of the producing tree, when
     /// available.

@@ -1,5 +1,5 @@
 //! The single experiment driver: resolves named specs through the
-//! [`qccd_bench::registry`], runs them on the sweep engine, and emits
+//! [`qccd_bench::registry`], runs them, and emits
 //! pretty/CSV/JSON artifacts. Run with `-- --help` for usage.
 
 fn main() {

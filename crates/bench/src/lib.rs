@@ -28,8 +28,8 @@
 //! confidence intervals).
 //!
 //! Shared plumbing lives here: aligned-table rendering, and the [`sweep`]
-//! module that shards whole `(architecture, distance, decoder)` points
-//! across a deterministic worker pool.
+//! module that evaluates `(architecture, distance, decoder)` points in
+//! order, each at its deterministic sweep seed.
 
 #![warn(missing_docs)]
 

@@ -2,8 +2,8 @@
 //!
 //! qccd-sweeprun is domain-agnostic: it runs, persists and resumes any
 //! [`PointJob`]. This module supplies the experiment-spec flavour of that
-//! job — the grid is the spec's [`point_grid`], point seeds
-//! come from the same [`SweepEngine`] a single-process `artifacts run`
+//! job — the grid is the spec's [`point_grid`], point `i`'s seed is the
+//! same [`sweep_seed`]`(spec seed, i)` a single-process `artifacts run`
 //! would use, each point evaluates through the shared
 //! [`evaluate_ler_point`] body, and [`merge_artifact`] assembles the stored
 //! outcomes with the [`artifact_from_outcomes`] that `run_spec` itself
@@ -25,7 +25,7 @@
 
 use serde_json::Value;
 
-use qccd_decoder::{CacheStats, LogicalErrorEstimate, SweepEngine};
+use qccd_decoder::{sweep_seed, CacheStats, LogicalErrorEstimate};
 use qccd_sweeprun::{JobDescriptor, PointJob, PointStore};
 
 use crate::registry::{artifact_from_outcomes, not_a_grid, point_grid};
@@ -40,7 +40,6 @@ pub const JOB_KIND: &str = "experiment_spec";
 pub struct SpecPointJob {
     spec: ExperimentSpec,
     points: Vec<LerPoint>,
-    engine: SweepEngine,
     schedules: ScheduleCache,
 }
 
@@ -53,7 +52,7 @@ impl SpecPointJob {
     /// The full per-point seed table, in grid order.
     pub fn seed_table(&self) -> Vec<u64> {
         (0..self.points.len())
-            .map(|index| self.engine.point_seed(index))
+            .map(|index| self.point_seed(index))
             .collect()
     }
 }
@@ -69,7 +68,6 @@ pub fn spec_point_job(spec: &ExperimentSpec) -> Result<SpecPointJob, String> {
     Ok(SpecPointJob {
         spec: spec.clone(),
         points: point_grid(spec).ok_or_else(|| not_a_grid(spec).to_string())?,
-        engine: SweepEngine::new(spec.seed),
         schedules: ScheduleCache::default(),
     })
 }
@@ -89,7 +87,7 @@ impl PointJob for SpecPointJob {
     }
 
     fn point_seed(&self, index: usize) -> u64 {
-        self.engine.point_seed(index)
+        sweep_seed(self.spec.seed, index as u64)
     }
 
     fn eval(&self, index: usize, seed: u64) -> Result<Value, String> {
@@ -97,10 +95,10 @@ impl PointJob for SpecPointJob {
             .points
             .get(index)
             .ok_or_else(|| format!("point index {index} out of range"))?;
-        if seed != self.engine.point_seed(index) {
+        if seed != self.point_seed(index) {
             return Err(format!(
                 "seed {seed:#x} for point {index} is not this spec's grid seed {:#x}",
-                self.engine.point_seed(index)
+                self.point_seed(index)
             ));
         }
         // Compile failures round-trip inside the payload (they render as
@@ -384,15 +382,14 @@ mod tests {
         for spec in [tiny_spec(), tiny_rare_event_spec()] {
             let reference = crate::run_spec(&spec).unwrap();
             let points = point_grid(&spec).expect("both tiny specs are grids");
-            let outcomes: Vec<LerOutcome> =
-                crate::run_ler_sweep(&SweepEngine::new(spec.seed), &points)
-                    .iter()
-                    .map(|outcome| {
-                        // Through a serialized string, like the store does.
-                        let text = outcome_to_json(outcome).to_string();
-                        outcome_from_json(&serde_json::from_str(&text).unwrap()).unwrap()
-                    })
-                    .collect();
+            let outcomes: Vec<LerOutcome> = crate::run_ler_sweep(spec.seed, &points)
+                .iter()
+                .map(|outcome| {
+                    // Through a serialized string, like the store does.
+                    let text = outcome_to_json(outcome).to_string();
+                    outcome_from_json(&serde_json::from_str(&text).unwrap()).unwrap()
+                })
+                .collect();
             let assembled = artifact_from_outcomes(&spec, &outcomes).unwrap();
             assert_eq!(
                 assembled.to_json().to_string(),

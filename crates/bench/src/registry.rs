@@ -1,14 +1,15 @@
 //! The experiment registry: every paper artefact as a named declarative
-//! spec, plus the executor that lowers specs onto the sweep engine.
+//! spec, plus the executor that runs them.
 //!
 //! [`ExperimentRegistry::builtin`] registers all thirteen paper artefacts
 //! (fig08a/fig08b/fig09/fig10/fig11/fig12/fig13a/fig13b/table2/table3/
 //! ext_surgery/ext_decoder_comparison/ext_ablation_clustering) plus the
 //! rare_event_ler validation;
-//! [`ExperimentRegistry::run`] resolves a name and executes its spec on the
-//! [`SweepEngine`], producing an [`Artifact`]. `artifacts run <name>` is
-//! the one way to regenerate an artefact, and the golden tests pin its
-//! numbers.
+//! [`ExperimentRegistry::run`] resolves a name and executes its spec,
+//! producing an [`Artifact`]. Every runner walks its points in input order;
+//! a Monte-Carlo point `i` samples at [`sweep_seed`]`(spec seed, i)`.
+//! `artifacts run <name>` is the one way to regenerate an artefact, and the
+//! golden tests pin its numbers.
 
 use std::collections::BTreeMap;
 
@@ -18,7 +19,7 @@ use qccd_core::{
     CompileError, CompiledProgram, Compiler, Toolflow,
 };
 use qccd_decoder::{
-    estimate_logical_error_rate_from_table, DecoderKind, EstimatorConfig, LambdaFit, SweepEngine,
+    estimate_logical_error_rate_from_table, sweep_seed, DecoderKind, EstimatorConfig, LambdaFit,
 };
 use qccd_hardware::{estimate_resources, OperationTimes, TopologyKind, WiringMethod};
 use qccd_qec::{rotated_surface_code, surgery_workload, MergeKind};
@@ -137,8 +138,8 @@ impl ExperimentRegistry {
 
 /// Executes one experiment spec end to end and returns its artifact.
 ///
-/// A spec with a [`point_grid`] runs its points on the in-process
-/// [`SweepEngine`] and assembles them with [`artifact_from_outcomes`] — the
+/// A spec with a [`point_grid`] runs its points in order through
+/// [`run_ler_sweep`] and assembles them with [`artifact_from_outcomes`] — the
 /// function a point-store merge calls with the same outcomes.
 ///
 /// # Errors
@@ -149,21 +150,21 @@ impl ExperimentRegistry {
 pub fn run_spec(spec: &ExperimentSpec) -> Result<Artifact, RunError> {
     spec.validate().map_err(RunError::Invalid)?;
     if let Some(points) = point_grid(spec) {
-        let outcomes = run_ler_sweep(&SweepEngine::new(spec.seed), &points);
+        let outcomes = run_ler_sweep(spec.seed, &points);
         return artifact_from_outcomes(spec, &outcomes);
     }
     let output = match &spec.kind {
         ExperimentKind::LerSweep(_) | ExperimentKind::RareEventLer(_) => {
             unreachable!("grid kinds returned above")
         }
-        ExperimentKind::TimingSweep(kind) => run_timing_sweep(kind, spec.seed),
-        ExperimentKind::CompilerBounds(kind) => run_compiler_bounds(kind, spec.seed),
+        ExperimentKind::TimingSweep(kind) => run_timing_sweep(kind),
+        ExperimentKind::CompilerBounds(kind) => run_compiler_bounds(kind),
         ExperimentKind::BaselineComparison(kind) => run_baseline_comparison(kind),
-        ExperimentKind::Surgery(kind) => run_surgery(kind, spec.seed),
+        ExperimentKind::Surgery(kind) => run_surgery(kind),
         ExperimentKind::DecoderComparison(kind) => {
             run_decoder_comparison(kind, spec.seed, &ScheduleCache::default())
         }
-        ExperimentKind::ClusteringAblation(kind) => run_clustering_ablation(kind, spec.seed),
+        ExperimentKind::ClusteringAblation(kind) => run_clustering_ablation(kind),
     };
     Ok(artifact(spec, output))
 }
@@ -734,8 +735,7 @@ fn rare_event_output(kind: &RareEventLerSpec, outcomes: &[LerOutcome]) -> Runner
 // Timing sweeps (Figures 8a, 9)
 // ---------------------------------------------------------------------------
 
-fn run_timing_sweep(kind: &TimingSweepSpec, seed: u64) -> RunnerOutput {
-    let engine = SweepEngine::new(seed);
+fn run_timing_sweep(kind: &TimingSweepSpec) -> RunnerOutput {
     let distances = &kind.distances;
     let metric = kind.metric;
     // Series values keep the metric-specific key the legacy artefacts used
@@ -745,8 +745,7 @@ fn run_timing_sweep(kind: &TimingSweepSpec, seed: u64) -> RunnerOutput {
         TimingMetric::RoundTime => "round_time_us",
         TimingMetric::ShotTime => "shot_time_us",
     };
-    let outcomes = engine.run(&kind.configurations, |task| {
-        let point = task.point;
+    let outcomes = kind.configurations.iter().map(|point| {
         let toolflow = Toolflow::new(point.build());
         let mut row = vec![point.display_label()];
         let mut series = Vec::new();
@@ -768,7 +767,7 @@ fn run_timing_sweep(kind: &TimingSweepSpec, seed: u64) -> RunnerOutput {
         });
         (row, entry)
     });
-    let (mut rows, entries): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
+    let (mut rows, entries): (Vec<_>, Vec<_>) = outcomes.unzip();
 
     if kind.include_bounds {
         // Frame the sweep with the fully-parallel lower bound and the
@@ -803,10 +802,8 @@ fn run_timing_sweep(kind: &TimingSweepSpec, seed: u64) -> RunnerOutput {
 // Compiler vs theoretical bounds (Table 2)
 // ---------------------------------------------------------------------------
 
-fn run_compiler_bounds(kind: &CompilerBoundsSpec, seed: u64) -> RunnerOutput {
-    let engine = SweepEngine::new(seed);
-    let outcomes = engine.run(&kind.cases, |task| {
-        let case = task.point;
+fn run_compiler_bounds(kind: &CompilerBoundsSpec) -> RunnerOutput {
+    let outcomes = kind.cases.iter().map(|case| {
         let layout = case.code.build();
         let arch =
             ArchitectureConfig::new(case.topology, case.capacity, WiringMethod::Standard, 1.0);
@@ -851,7 +848,7 @@ fn run_compiler_bounds(kind: &CompilerBoundsSpec, seed: u64) -> RunnerOutput {
             ),
         }
     });
-    let (rows, entries): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
+    let (rows, entries): (Vec<_>, Vec<_>) = outcomes.unzip();
     let data: Vec<_> = entries.into_iter().flatten().collect();
     let headers = vec![
         "QEC code".to_string(),
@@ -921,7 +918,7 @@ fn run_baseline_comparison(kind: &crate::spec::BaselineComparisonSpec) -> Runner
 // Extension experiments
 // ---------------------------------------------------------------------------
 
-fn run_surgery(kind: &SurgerySpec, seed: u64) -> RunnerOutput {
+fn run_surgery(kind: &SurgerySpec) -> RunnerOutput {
     let cases: Vec<(usize, usize)> = kind
         .capacities
         .iter()
@@ -929,9 +926,7 @@ fn run_surgery(kind: &SurgerySpec, seed: u64) -> RunnerOutput {
         .collect();
     let merge = kind.merge;
     let improvement = kind.gate_improvement;
-    let engine = SweepEngine::new(seed);
-    let outcomes = engine.run(&cases, |task| {
-        let (capacity, d) = *task.point;
+    let outcomes = cases.iter().map(|&(capacity, d)| {
         let toolflow = Toolflow::new(ArchitectureConfig::new(
             TopologyKind::Grid,
             capacity,
@@ -982,7 +977,7 @@ fn run_surgery(kind: &SurgerySpec, seed: u64) -> RunnerOutput {
         });
         (row, entry)
     });
-    let (rows, entries): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
+    let (rows, entries): (Vec<_>, Vec<_>) = outcomes.unzip();
     let headers = [
         "Configuration",
         "Patch qubits",
@@ -1020,9 +1015,8 @@ fn run_decoder_comparison(
     let decoders = kind.decoders.clone();
     let shots = kind.shots;
     let capacity = kind.capacity;
-    let engine = SweepEngine::new(seed);
-    let outcomes = engine.run(&cases, |task| {
-        let (improvement, d) = *task.point;
+    let outcomes = cases.iter().enumerate().map(|(index, &(improvement, d))| {
+        let seed = sweep_seed(seed, index as u64);
         let arch = ArchitectureConfig::new(
             TopologyKind::Grid,
             capacity,
@@ -1034,7 +1028,7 @@ fn run_decoder_comparison(
             "gate_improvement": improvement,
             "distance": d,
             "shots": shots,
-            "seed": task.seed,
+            "seed": seed,
         });
         // Like every other runner, render compile failures into the row
         // instead of failing the whole sweep.
@@ -1049,14 +1043,14 @@ fn run_decoder_comparison(
         let config = EstimatorConfig::default();
         for &decoder in &decoders {
             let estimate =
-                estimate_logical_error_rate_from_table(&table, shots, task.seed, decoder, &config)
+                estimate_logical_error_rate_from_table(&table, shots, seed, decoder, &config)
                     .estimate;
             row.push(rate_cell(&estimate));
             entry[format!("{decoder:?}")] = serde_json::json!(estimate.logical_error_rate);
         }
         (row, entry)
     });
-    let (rows, entries): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
+    let (rows, entries): (Vec<_>, Vec<_>) = outcomes.unzip();
     let mut headers = vec!["Configuration".to_string()];
     headers.extend(kind.decoders.iter().map(|&decoder| {
         let (.., display) = DecoderKind::NAMES
@@ -1075,15 +1069,13 @@ fn run_decoder_comparison(
     (headers, rows, notes, Value::Array(entries))
 }
 
-fn run_clustering_ablation(kind: &ClusteringAblationSpec, seed: u64) -> RunnerOutput {
+fn run_clustering_ablation(kind: &ClusteringAblationSpec) -> RunnerOutput {
     let cases: Vec<(usize, usize)> = kind
         .distances
         .iter()
         .flat_map(|&d| kind.capacities.iter().map(move |&capacity| (d, capacity)))
         .collect();
-    let engine = SweepEngine::new(seed);
-    let outcomes = engine.run(&cases, |task| {
-        let (d, capacity) = *task.point;
+    let outcomes = cases.iter().map(|&(d, capacity)| {
         let layout = rotated_surface_code(d);
         let cluster_size = capacity - 1;
         let geometric_cut = cut_weight(
@@ -1134,7 +1126,7 @@ fn run_clustering_ablation(kind: &ClusteringAblationSpec, seed: u64) -> RunnerOu
         });
         (row, entry)
     });
-    let (rows, entries): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
+    let (rows, entries): (Vec<_>, Vec<_>) = outcomes.unzip();
     let headers = [
         "Configuration",
         "Cut weight (geo)",

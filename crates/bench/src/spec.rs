@@ -779,8 +779,8 @@ pub struct ExperimentSpec {
     pub name: String,
     /// Human-readable title printed above the table.
     pub title: String,
-    /// Sweep-engine seed: every Monte-Carlo point derives its sampling seed
-    /// from this and its point index.
+    /// Sweep seed: every Monte-Carlo point derives its sampling seed from
+    /// this and its point index.
     pub seed: u64,
     /// The experiment family and parameters.
     pub kind: ExperimentKind,
@@ -961,8 +961,8 @@ impl ExperimentSpec {
     /// Returns the first [`SpecError`] found.
     pub fn validate(&self) -> Result<(), SpecError> {
         // The code constructors assert `distance >= 2`; reject smaller
-        // workload distances here so a validated spec cannot panic inside
-        // the sweep engine's worker pool.
+        // workload distances here so a validated spec cannot panic in the
+        // middle of a sweep.
         fn distances_at_least_two(distances: &[usize], what: &str) -> Result<(), SpecError> {
             match distances.iter().find(|&&d| d < 2) {
                 Some(d) => err(format!("{what} distance {d} is below the minimum of 2")),
@@ -970,7 +970,7 @@ impl ExperimentSpec {
             }
         }
         // `FaultTable::biased` asserts the same condition; a user file must
-        // be refused here, not abort the worker pool.
+        // be refused here, not abort the sweep.
         fn bias_at_least_one(bias: Option<f64>, what: &str) -> Result<(), SpecError> {
             match bias {
                 Some(bias) if !(bias.is_finite() && bias >= 1.0) => err(format!(
@@ -1200,8 +1200,8 @@ mod tests {
         }
         assert!(bad_distance.validate().is_err());
 
-        // A bias below 1 would trip `FaultTable::biased`'s assert inside the
-        // worker pool.
+        // A bias below 1 would trip `FaultTable::biased`'s assert in the
+        // middle of a sweep.
         for bias in [0.5, f64::NAN, f64::INFINITY] {
             let mut bad_bias = sample_spec();
             if let ExperimentKind::LerSweep(ref mut s) = bad_bias.kind {

@@ -1,10 +1,9 @@
-//! Sharded logical-error-rate sweeps over architecture points.
+//! Logical-error-rate sweeps over architecture points.
 //!
 //! The LER artefacts evaluate grids of `(architecture, distance, decoder)`
 //! points. This module flattens such grids into [`LerPoint`]s and
-//! shards them across a [`SweepEngine`] worker pool — whole points run in
-//! parallel in the outer pool while each point's Monte-Carlo pipeline keeps
-//! its inner chunk parallelism.
+//! evaluates them one after another, in input order; each point's
+//! Monte-Carlo pipeline runs its chunk waves in parallel.
 //!
 //! # One compile per schedule
 //!
@@ -20,9 +19,9 @@
 //!
 //! # Determinism
 //!
-//! Every point samples with the seed `sweep_seed(engine seed, point index)`
+//! Every point samples with the seed `sweep_seed(sweep seed, point index)`
 //! and results come back in input order, so a sweep's outcome is a pure
-//! function of `(engine seed, points)` — independent of thread counts,
+//! function of `(sweep seed, points)` — independent of thread counts,
 //! scheduling, or which point of a schedule compiled it. A re-weighted
 //! table is bit-equal to the table of a fresh compile at the point's gate
 //! improvement, so every outcome equals [`Toolflow::estimate`] of its point.
@@ -34,12 +33,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use qccd_core::{ArchitectureConfig, CompileError, ScheduleFaults, Toolflow};
 use qccd_decoder::{
-    estimate_logical_error_rate_from_table, fit_lambda_weighted, CacheStats, DecoderKind,
-    EstimatorConfig, LambdaFit, LogicalErrorEstimate, SweepEngine,
+    estimate_logical_error_rate_from_table, fit_lambda_weighted, sweep_seed, CacheStats,
+    DecoderKind, EstimatorConfig, LambdaFit, LogicalErrorEstimate,
 };
 use qccd_sim::FaultTable;
 
-/// Engine seed of the builtin specs (matches the `Toolflow` default).
+/// Sweep seed of the builtin specs (matches the `Toolflow` default).
 pub const DEFAULT_SWEEP_SEED: u64 = 2026;
 
 /// One logical-error-rate sweep point.
@@ -100,7 +99,7 @@ pub struct LerOutcome {
     pub distance: usize,
     /// Decoder used.
     pub decoder: DecoderKind,
-    /// Deterministic per-point sampling seed the engine assigned.
+    /// Deterministic per-point sampling seed: `sweep_seed(sweep seed, index)`.
     pub seed: u64,
     /// Shots requested (the estimate may stop earlier).
     pub shots_requested: usize,
@@ -190,7 +189,7 @@ impl ScheduleCache {
 /// as [`Toolflow::estimate`] of the point.
 ///
 /// This is the single evaluation body shared by every execution tier —
-/// [`run_ler_sweep`]'s in-process sharding, and the sweeprun point store
+/// [`run_ler_sweep`]'s in-process walk, and the sweeprun point store
 /// through [`crate::point_job`] — so the outcome is a pure function of
 /// `(point, seed)` no matter which tier computed it or which points
 /// shared its schedule. A point that does not compile carries the error of
@@ -220,14 +219,15 @@ pub fn evaluate_ler_point(point: &LerPoint, seed: u64, schedules: &ScheduleCache
     }
 }
 
-/// Runs every point through [`evaluate_ler_point`], sharded across the
-/// engine's outer pool, with one [`ScheduleCache`] for the call. Results
-/// are in input order.
-pub fn run_ler_sweep(engine: &SweepEngine, points: &[LerPoint]) -> Vec<LerOutcome> {
+/// Runs every point through [`evaluate_ler_point`] in input order, point
+/// `i` at `sweep_seed(seed, i)`, with one [`ScheduleCache`] for the call.
+pub fn run_ler_sweep(seed: u64, points: &[LerPoint]) -> Vec<LerOutcome> {
     let schedules = ScheduleCache::default();
-    engine.run(points, |task| {
-        evaluate_ler_point(task.point, task.seed, &schedules)
-    })
+    points
+        .iter()
+        .enumerate()
+        .map(|(index, point)| evaluate_ler_point(point, sweep_seed(seed, index as u64), &schedules))
+        .collect()
 }
 
 /// A fitted logical-error-rate curve of one configuration.
@@ -352,12 +352,11 @@ mod tests {
 
     #[test]
     fn sweep_points_get_distinct_seeds_and_keep_order() {
-        let engine = SweepEngine::new(DEFAULT_SWEEP_SEED);
         let points: Vec<LerPoint> = [2usize, 3]
             .iter()
             .map(|&d| LerPoint::new("g", grid_arch(2, 10.0), d, 64))
             .collect();
-        let outcomes = run_ler_sweep(&engine, &points);
+        let outcomes = run_ler_sweep(DEFAULT_SWEEP_SEED, &points);
         assert_eq!(outcomes.len(), 2);
         assert_eq!(outcomes[0].distance, 2);
         assert_eq!(outcomes[1].distance, 3);
@@ -503,7 +502,6 @@ mod tests {
 
     #[test]
     fn curves_group_configuration_major() {
-        let engine = SweepEngine::new(1);
         let configurations = vec![
             ("a".to_string(), grid_arch(2, 10.0)),
             ("b".to_string(), grid_arch(3, 10.0)),
@@ -516,7 +514,7 @@ mod tests {
             DecoderKind::default(),
             EstimatorConfig::default(),
         );
-        let outcomes = run_ler_sweep(&engine, &points);
+        let outcomes = run_ler_sweep(1, &points);
         let curves = ler_curves_from_outcomes(&configurations, &distances, &outcomes);
         assert_eq!(curves.len(), 2);
         assert_eq!(curves[0].label, "a");

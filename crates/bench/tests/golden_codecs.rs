@@ -3,13 +3,14 @@
 //! A spec's content hash keys its sweep point store on disk, and a point
 //! payload is what that store keeps, so neither encoding may drift when the
 //! codecs are rewritten: this file pins the canonical-JSON content hash of
-//! every builtin spec and the `outcome_to_json` text of three fixed
-//! outcomes, and checks that decoding each encoding gives the value back.
-//! A change that moves any constant here orphans every existing point store.
+//! every builtin spec, the `outcome_to_json` text of three fixed outcomes
+//! and the point seeds of every builtin grid spec, and checks that decoding
+//! each encoding gives the value back. A change that moves any constant
+//! here orphans every existing point store.
 
 use qccd_bench::point_job::{outcome_from_json, outcome_to_json};
-use qccd_bench::{ExperimentRegistry, ExperimentSpec, LerOutcome};
-use qccd_decoder::{CacheStats, DecoderKind, LogicalErrorEstimate};
+use qccd_bench::{spec_point_job, ExperimentRegistry, ExperimentSpec, LerOutcome};
+use qccd_decoder::{sweep_seed, CacheStats, DecoderKind, LogicalErrorEstimate};
 
 /// `(name, content hash)` of every builtin spec.
 const SPEC_HASHES: [(&str, &str); 14] = [
@@ -41,6 +42,56 @@ fn builtin_spec_hashes_are_pinned_and_specs_round_trip() {
             .expect("decodes");
         assert_eq!(&decoded, spec, "{name} round trip");
     }
+}
+
+/// `sweep_seed(2026, 0..8)`, the first point seeds of every builtin spec.
+const GOLDEN_2026: [u64; 8] = [
+    0xc437_34f3_8d71_d542,
+    0x3e23_97e8_36a8_74bb,
+    0x5d51_8012_bb93_1ba4,
+    0xc20c_8f82_fdb9_f71b,
+    0x1ba3_eb2e_b650_58df,
+    0xaa90_b3cf_5230_0f42,
+    0x7c06_1341_1f3c_f62e,
+    0x24bc_22de_798c_ebfb,
+];
+
+#[test]
+fn grid_point_seeds_are_sweep_seeds_of_the_spec_seed() {
+    let registry = ExperimentRegistry::builtin();
+    let mut grids = Vec::new();
+    for name in registry.names() {
+        let spec = registry.get(name).expect("builtin spec");
+        let Ok(job) = spec_point_job(spec) else {
+            continue;
+        };
+        grids.push(name);
+        let seeds = job.seed_table();
+        assert!(!seeds.is_empty(), "{name} has points");
+        for (index, &seed) in seeds.iter().enumerate() {
+            assert_eq!(
+                seed,
+                sweep_seed(spec.seed, index as u64),
+                "{name} point {index}"
+            );
+        }
+    }
+    assert_eq!(
+        grids,
+        [
+            "fig08b",
+            "fig10",
+            "fig11",
+            "fig12",
+            "fig13a",
+            "fig13b",
+            "rare_event_ler"
+        ]
+    );
+    let fig10 = spec_point_job(registry.get("fig10").expect("builtin spec"))
+        .expect("fig10 is a grid")
+        .seed_table();
+    assert_eq!(fig10[..GOLDEN_2026.len()], GOLDEN_2026);
 }
 
 /// An estimate with a cache, a compile error with a `null` cache, and a

@@ -17,7 +17,6 @@
 use std::path::PathBuf;
 
 use qccd_bench::{point_grid, run_ler_sweep, ExperimentKind, ExperimentRegistry};
-use qccd_decoder::SweepEngine;
 
 const GOLDEN_SHOTS: usize = 256;
 
@@ -44,9 +43,8 @@ fn outcomes_as_json() -> serde_json::Value {
         18,
         "3 gate improvements x 3 capacities x 2 distances"
     );
-    let engine = SweepEngine::new(spec.seed).with_num_threads(1);
     serde_json::Value::Array(
-        run_ler_sweep(&engine, &points)
+        run_ler_sweep(spec.seed, &points)
             .iter()
             .map(|outcome| {
                 let estimate = outcome.result.as_ref().expect("fig10's points compile");

@@ -1,11 +1,11 @@
-//! Golden regression test for the sharded sweep engine.
+//! Golden regression test for in-process LER sweeps.
 //!
 //! Runs a small fixed-seed sweep (d ∈ {3, 5}, two architectures, and the
 //! exact decoder at the first point) through the same
 //! `run_ler_sweep` path the figure/table binaries use, and compares the
 //! outcome — per-point seeds, shot counts and exact failure counts — against
 //! a committed JSON expectation. The sweep pipeline is bit-deterministic by
-//! construction (per-point seeds depend only on the engine seed and point
+//! construction (per-point seeds depend only on the sweep seed and point
 //! index; the estimator is chunk/thread invariant), so any diff here means a
 //! figure or table binary would silently drift.
 //!
@@ -19,7 +19,7 @@ use std::path::PathBuf;
 
 use qccd_bench::{grid_arch, run_ler_sweep, LerPoint, DEFAULT_SWEEP_SEED};
 use qccd_core::ArchitectureConfig;
-use qccd_decoder::{DecoderKind, SweepEngine};
+use qccd_decoder::DecoderKind;
 use qccd_hardware::{TopologyKind, WiringMethod};
 
 // Enough shots that the distance-3 points pin non-zero failure counts.
@@ -50,8 +50,7 @@ fn golden_points() -> Vec<LerPoint> {
 }
 
 fn outcomes_as_json() -> serde_json::Value {
-    let engine = SweepEngine::new(DEFAULT_SWEEP_SEED);
-    let outcomes = run_ler_sweep(&engine, &golden_points());
+    let outcomes = run_ler_sweep(DEFAULT_SWEEP_SEED, &golden_points());
     serde_json::Value::Array(
         outcomes
             .iter()
@@ -114,32 +113,24 @@ fn sweep_outcomes_match_committed_golden() {
 
 #[test]
 fn sweep_outcomes_are_thread_invariant() {
-    let points = golden_points();
-    let reference: Vec<(u64, usize, String)> = run_ler_sweep(
-        &SweepEngine::new(DEFAULT_SWEEP_SEED).with_num_threads(1),
-        &points,
-    )
-    .into_iter()
-    .map(|o| {
-        (
-            o.seed,
-            o.result.as_ref().map(|e| e.failures).unwrap_or(usize::MAX),
-            o.label,
-        )
-    })
-    .collect();
-    let parallel: Vec<(u64, usize, String)> = run_ler_sweep(
-        &SweepEngine::new(DEFAULT_SWEEP_SEED).with_num_threads(4),
-        &points,
-    )
-    .into_iter()
-    .map(|o| {
-        (
-            o.seed,
-            o.result.as_ref().map(|e| e.failures).unwrap_or(usize::MAX),
-            o.label,
-        )
-    })
-    .collect();
-    assert_eq!(reference, parallel);
+    let run = |threads: usize| -> Vec<(u64, usize, String)> {
+        let points: Vec<LerPoint> = golden_points()
+            .into_iter()
+            .map(|point| {
+                let estimator = point.estimator.with_num_threads(threads);
+                point.with_estimator(estimator)
+            })
+            .collect();
+        run_ler_sweep(DEFAULT_SWEEP_SEED, &points)
+            .into_iter()
+            .map(|o| {
+                (
+                    o.seed,
+                    o.result.as_ref().map(|e| e.failures).unwrap_or(usize::MAX),
+                    o.label,
+                )
+            })
+            .collect()
+    };
+    assert_eq!(run(1), run(4));
 }

@@ -315,7 +315,7 @@ fn decode_lanes<D: Decoder + ?Sized>(
         let shot = word_index * 64 + lane;
         let fired = std::mem::take(&mut buffers.word_fired[lane]);
         let cacheable = buffers.memo_active && buffers.memo.cacheable(fired.len());
-        if buffers.memo_active && !cacheable {
+        if !cacheable {
             buffers.memo.note_uncacheable();
         }
         let hit = if cacheable {
@@ -358,9 +358,10 @@ const TILE_WORDS: usize = 64;
 /// word whose bucket ORs to zero under its lane mask is skipped; every
 /// other word's noisy lanes reach
 /// [`decode_lanes`], so predictions *and* hit/miss/uncacheable counters
-/// equal the per-shot reference loop's. While the memo is active each word
-/// is also counted as quiet, dense (at least one of its lanes was
-/// uncacheable) or sparse.
+/// equal the per-shot reference loop's. Each word is also counted as quiet,
+/// dense (at least one of its lanes was uncacheable) or sparse; without an
+/// active memo every noisy lane is uncacheable, so every noisy word is
+/// dense.
 pub(crate) fn decode_batch_words<D: Decoder + ?Sized>(
     decoder: &D,
     chunk: &SyndromeChunk,
@@ -400,9 +401,7 @@ pub(crate) fn decode_batch_words<D: Decoder + ?Sized>(
             let fired =
                 hot.iter().fold(0u64, |any, &(_, bits)| any | bits) & chunk.lane_mask(word_index);
             if fired == 0 {
-                if buffers.memo_active {
-                    buffers.memo.note_quiet_word();
-                }
+                buffers.memo.note_quiet_word();
                 continue;
             }
             let mut bits = fired;
@@ -419,12 +418,10 @@ pub(crate) fn decode_batch_words<D: Decoder + ?Sized>(
             }
             let uncacheable = buffers.memo.stats().uncacheable;
             decode_lanes(decoder, word_index, fired, &mut buffers, scratch, &mut out);
-            if buffers.memo_active {
-                if buffers.memo.stats().uncacheable == uncacheable {
-                    buffers.memo.note_sparse_word();
-                } else {
-                    buffers.memo.note_dense_word();
-                }
+            if buffers.memo.stats().uncacheable == uncacheable {
+                buffers.memo.note_sparse_word();
+            } else {
+                buffers.memo.note_dense_word();
             }
         }
         tile_start += tile_len;

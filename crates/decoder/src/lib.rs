@@ -101,14 +101,14 @@
 //! below-threshold workloads the memo answers most noisy shots (the repo
 //! benchmark's `ler_*` workloads report it as `decoder.memo_hit_share`).
 //!
-//! # Sharded sweeps
+//! # Sweep seeds
 //!
-//! [`SweepEngine`] shards whole `(architecture, distance, decoder, noise)`
-//! evaluation points across an outer worker pool that composes with the
-//! inner chunk parallelism above. Every point gets the deterministic seed
-//! [`sweep_seed`]`(engine seed, point index)` and results return in input
-//! order, so sweeps are bit-reproducible for any thread count — the golden
-//! regression tests in `qccd-bench` pin the whole pipeline end to end.
+//! A sweep over `(architecture, distance, decoder, noise)` points gives
+//! point `i` the deterministic seed [`sweep_seed`]`(sweep seed, i)`, so every
+//! point's estimate is a pure function of the point and that seed. The
+//! estimator's chunk waves are the only parallelism inside a process; the
+//! golden regression tests in `qccd-bench` pin the whole pipeline end to
+//! end.
 //!
 //! # Example
 //!
@@ -154,7 +154,7 @@ pub use ler::{
 };
 pub use memo::{CacheStats, MemoConfig, DEFAULT_MEMO_MAX_DEFECTS, MEMO_KEY_CAPACITY};
 pub use mwpm::ExactMatchingDecoder;
-pub use sweep::{sweep_seed, SweepEngine, SweepTask};
+pub use sweep::sweep_seed;
 pub use union_find::UnionFindDecoder;
 
 /// A syndrome decoder: given the fired detectors of each shot, predict which
@@ -216,8 +216,9 @@ pub trait Decoder {
     /// Predictions — and the memo's hit/miss/uncacheable counters — are
     /// **bit-identical** to [`Decoder::decode_batch_per_shot`] and to
     /// calling [`Decoder::decode`] shot by shot, memoized or not; the word
-    /// scan additionally fills the `*_words` counters of [`CacheStats`]
-    /// while the memo is active.
+    /// scan additionally fills the `*_words` counters of [`CacheStats`].
+    /// A disabled memo is a cap of 0: every noisy lane is uncacheable and
+    /// every noisy word dense.
     fn decode_batch(&self, chunk: &SyndromeChunk, scratch: &mut DecodeScratch) -> PredictionChunk {
         batch::decode_batch_words(self, chunk, scratch)
     }

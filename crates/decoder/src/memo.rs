@@ -123,8 +123,10 @@ pub struct CacheStats {
     pub sparse_words: u64,
     /// Words with at least one lane above the cap.
     pub dense_words: u64,
-    /// Retired in PR 16, kept only because the frozen benchmark package
-    /// reads them; delete with the next `benchmark` PR.
+    // `dense_hits`, `dense_misses` and `cluster_conflicts` are retired and
+    // always 0; they stay only because the frozen benchmark package reads
+    // them. Delete them with the next change to the benchmark.
+    #[doc(hidden)]
     pub dense_hits: u64,
     #[doc(hidden)]
     pub dense_misses: u64,
@@ -138,7 +140,7 @@ impl CacheStats {
         self.hits + self.misses
     }
 
-    /// All noisy shots decoded while the memo was active.
+    /// All noisy shots decoded, memo enabled or not.
     pub fn decoded(&self) -> u64 {
         self.hits + self.misses + self.uncacheable
     }

@@ -6,7 +6,7 @@
 //! streams. Any intentional change to the derivation must bump the point
 //! store's format (invalidating stored points) and update these constants.
 
-use qccd_decoder::{sweep_seed, SweepEngine};
+use qccd_decoder::sweep_seed;
 
 /// `sweep_seed(2026, 0..8)` — 2026 is `DEFAULT_SWEEP_SEED` in qccd-bench.
 const GOLDEN_2026: [u64; 8] = [
@@ -20,7 +20,7 @@ const GOLDEN_2026: [u64; 8] = [
     0x24bc_22de_798c_ebfb,
 ];
 
-/// `sweep_seed(0, 0..8)` — the all-zero engine seed must not degenerate.
+/// `sweep_seed(0, 0..8)` — the all-zero sweep seed must not degenerate.
 const GOLDEN_0: [u64; 8] = [
     0x96dc_b1d7_126a_6eba,
     0xd745_6002_5bee_d3ea,
@@ -47,18 +47,5 @@ fn sweep_seed_values_are_pinned() {
             expected,
             "sweep_seed(0, {index}) drifted — this breaks point-store resume bit-identity"
         );
-    }
-}
-
-#[test]
-fn engine_point_seed_is_exactly_sweep_seed() {
-    let engine = SweepEngine::new(2026);
-    for (index, &expected) in GOLDEN_2026.iter().enumerate() {
-        assert_eq!(engine.point_seed(index), expected);
-    }
-    // Threading configuration must never leak into seed derivation.
-    let threaded = SweepEngine::new(2026).with_num_threads(7);
-    for index in 0..GOLDEN_2026.len() {
-        assert_eq!(threaded.point_seed(index), engine.point_seed(index));
     }
 }

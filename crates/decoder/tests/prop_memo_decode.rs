@@ -103,7 +103,11 @@ proptest! {
         for decoder in &all_decoders(&graph) {
             let mut cold = DecodeScratch::with_memo_config(MemoConfig::disabled());
             let reference = decoder.decode_batch(&chunk, &mut cold);
-            prop_assert_eq!(cold.cache_stats().decoded(), 0, "disabled memo counts nothing");
+            // A disabled memo is a cap of 0: never consulted, every noisy
+            // shot uncacheable.
+            let noisy = syndromes.iter().filter(|fired| !fired.is_empty()).count() as u64;
+            prop_assert_eq!(cold.cache_stats().attempts(), 0, "disabled memo is never consulted");
+            prop_assert_eq!(cold.cache_stats().uncacheable, noisy);
 
             // Memoized decode: identical on a cold cache, on a warm cache
             // (second pass over the same chunk), and with a tiny entry cap.

@@ -274,8 +274,24 @@ fn disabled_memo_leaves_every_counter_untouched_on_the_word_path() {
     let decoder = UnionFindDecoder::new(chain_graph(6));
     let shots = vec![vec![2], vec![], vec![1, 2, 3, 4, 5]];
     let chunk = chunk_of(6, &shots);
-    let (stats, _) = decode_both(&decoder, &chunk, MemoConfig::disabled());
-    assert_eq!(stats, CacheStats::default(), "disabled memo counts nothing");
+    let (stats, reference) = decode_both(&decoder, &chunk, MemoConfig::disabled());
+    // A disabled memo is a cap of 0: the triage is still counted, every
+    // noisy lane is uncacheable and the memo is never consulted.
+    assert_eq!(
+        stats,
+        CacheStats {
+            uncacheable: 2,
+            dense_words: 1,
+            ..CacheStats::default()
+        }
+    );
+    assert_eq!(
+        reference,
+        CacheStats {
+            uncacheable: 2,
+            ..CacheStats::default()
+        }
+    );
 }
 
 #[test]
@@ -360,11 +376,8 @@ fn random_chunks_match_a_brute_force_defect_count() {
                     decoder.decode_batch_per_shot(&chunk, &mut per_shot),
                     expected
                 );
+                // Cap 0 disables the memo and is counted like any other cap.
                 let (stats, reference) = (word.cache_stats(), per_shot.cache_stats());
-                if cap == 0 {
-                    assert_eq!(stats, CacheStats::default(), "cap 0 disables the memo");
-                    continue;
-                }
                 let (quiet, sparse, dense, uncacheable) = brute_force_counts(&chunk, cap);
                 assert_eq!(
                     (

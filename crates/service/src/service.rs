@@ -1804,8 +1804,9 @@ mod tests {
 
     /// The service's memo setting governs every worker scratch, whatever
     /// program a stream was opened over: with the memo disabled nothing is
-    /// memoized and no memo counter moves (a disabled memo counts no shot,
-    /// cacheable or not), and the corrections are the offline decode's.
+    /// memoized (no hit, no miss), every noisy shot counts as uncacheable,
+    /// the word triage is still counted, and the corrections are the
+    /// offline decode's.
     #[test]
     fn workers_decode_under_the_service_memo() {
         let service = DecodeService::new(ServiceConfig {
@@ -1833,13 +1834,16 @@ mod tests {
         service.shutdown();
 
         let snap = service.telemetry_snapshot();
-        for counter in [
-            "decoder.memo_hits",
-            "decoder.memo_misses",
-            "decoder.uncacheable",
-        ] {
-            assert_eq!(snap.counter(counter), 0, "{counter}");
-        }
+        assert_eq!(snap.counter("decoder.memo_hits"), 0);
+        assert_eq!(snap.counter("decoder.memo_misses"), 0);
+        assert_eq!(snap.counter("decoder.uncacheable"), noisy);
+        assert_eq!(snap.counter("decoder.sparse_words"), 0);
+        assert_eq!(
+            snap.counter("decoder.quiet_words")
+                + snap.counter("decoder.sparse_words")
+                + snap.counter("decoder.dense_words"),
+            snap.counter("service.words_flushed")
+        );
         let prediction = program.decode_batch(&chunk, &mut DecodeScratch::new());
         for shot in 0..shots {
             let correction = handle.recv().expect("every frame is corrected");
