@@ -5,7 +5,8 @@
 //! points and every other golden rest on it. This file pins the FNV-1a of
 //! the per-shot predictions of compiled grid c2 memory experiments (the
 //! paper's design point), decoded through `decode_batch` with the memo
-//! disabled and with the default memo, plus a handful of single
+//! disabled and with the default memo, the same with the memo disabled at
+//! denser grid c5 and c12 points, plus a handful of single
 //! `Decoder::decode` calls. A pure speed change leaves every constant
 //! byte-identical; there is no regeneration switch on purpose. The batch
 //! hashes also depend on the sampled stream, so a sampler change that
@@ -23,12 +24,14 @@ fn fnv1a(hash: u64, byte: u8) -> u64 {
     (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
 }
 
-/// The grid c2, standard-wiring memory experiment at `gate_improvement`
-/// and distance `d` (`d` rounds, Z basis).
-fn grid_c2(gate_improvement: f64, d: usize) -> NoisyCircuit {
-    Compiler::new(ArchitectureConfig::recommended(gate_improvement))
+/// The grid, standard-wiring memory experiment at trap `capacity`,
+/// `gate_improvement` and distance `d` (`d` rounds, Z basis).
+fn grid(capacity: usize, gate_improvement: f64, d: usize) -> NoisyCircuit {
+    let mut arch = ArchitectureConfig::recommended(gate_improvement);
+    arch.topology.capacity = capacity;
+    Compiler::new(arch)
         .compile_memory_experiment(&rotated_surface_code(d), d, MemoryBasis::Z)
-        .expect("the recommended design point compiles")
+        .expect("the grid design points compile")
         .to_noisy_circuit()
 }
 
@@ -71,7 +74,7 @@ const GOLDEN_POINTS: [(f64, usize, usize, u64, u64); 4] = [
 #[test]
 fn batch_predictions_are_pinned_with_and_without_the_memo() {
     for &(gate_improvement, d, shots, seed, expected) in &GOLDEN_POINTS {
-        let noisy = grid_c2(gate_improvement, d);
+        let noisy = grid(2, gate_improvement, d);
         let decoder = decoder_for(&noisy);
         for memo in [MemoConfig::disabled(), MemoConfig::default()] {
             let hash = prediction_hash(&noisy, &decoder, shots, seed, memo);
@@ -84,9 +87,33 @@ fn batch_predictions_are_pinned_with_and_without_the_memo() {
     }
 }
 
+/// `(capacity, gate improvement, shots, seed, FNV-1a)` of grid c5 and c12
+/// d = 5 points, fig10's dense regime: at 1X most noisy shots carry 5–16
+/// defects. Pinned with the memo disabled, so every noisy shot is decoded.
+const DENSE_POINTS: [(usize, f64, usize, u64, u64); 4] = [
+    (5, 1.0, 4096, 2030, 0xa593_6231_24ae_f9f5),
+    (5, 5.0, 8192, 2031, 0xe2c8_11da_1798_69f4),
+    (12, 1.0, 4096, 2032, 0xea41_337e_7245_7f98),
+    (12, 5.0, 8192, 2033, 0x495a_8f45_4250_6c97),
+];
+
+#[test]
+fn dense_grid_predictions_are_pinned() {
+    for &(capacity, gate_improvement, shots, seed, expected) in &DENSE_POINTS {
+        let noisy = grid(capacity, gate_improvement, 5);
+        let decoder = decoder_for(&noisy);
+        let hash = prediction_hash(&noisy, &decoder, shots, seed, MemoConfig::disabled());
+        assert_eq!(
+            hash, expected,
+            "grid c{capacity} {gate_improvement}X d5, {shots} shots, seed {seed}: \
+             union-find predictions drifted (got {hash:#018x})"
+        );
+    }
+}
+
 /// Defect sets over the 72 detectors of grid c2 d5, from a lone defect to
 /// a dense spread, with the prediction each must decode to.
-const GOLDEN_SHOTS: [(&[usize], bool); 8] = [
+const GOLDEN_SHOTS: [(&[usize], bool); 9] = [
     (&[0], true),
     (&[71], false),
     (&[10, 11], false),
@@ -98,11 +125,17 @@ const GOLDEN_SHOTS: [(&[usize], bool); 8] = [
         &[2, 5, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67],
         false,
     ),
+    (
+        &[
+            0, 4, 6, 9, 14, 15, 21, 22, 26, 30, 35, 38, 44, 46, 49, 55, 58, 62, 64, 69,
+        ],
+        true,
+    ),
 ];
 
 #[test]
 fn single_shot_predictions_are_pinned() {
-    let decoder = decoder_for(&grid_c2(1.0, 5));
+    let decoder = decoder_for(&grid(2, 1.0, 5));
     assert_eq!(decoder.num_observables(), 1);
     for &(fired, expected) in &GOLDEN_SHOTS {
         assert_eq!(
