@@ -15,31 +15,57 @@
 //!
 //! The decoder is near-linear in the number of grown edges, which below
 //! threshold is proportional to the number of detection events, so millions
-//! of shots can be decoded in seconds. The edge endpoints, observable masks
-//! and incidence lists are the graph's flat tables; the decoder adds only
-//! the edge lengths. All working state lives in the shared
-//! [`DecodeScratch`] as plain per-node and per-edge arrays: a shot lists
-//! the nodes and edges it touches and the next shot resets only those, and
-//! the per-round edge counts are stamped with a round counter that runs
-//! across shots, so they need no reset at all. A node's incident edges
-//! enter a frontier once, the first time the node joins a cluster, and
-//! peeling walks only the grown subgraph, so quiet shots cost almost
-//! nothing.
+//! of shots can be decoded in seconds. The edge endpoints and observable
+//! masks are the graph's flat tables; the decoder keeps one more, the
+//! graph's incidence rows with each edge's length inline.
+//!
+//! # State layout
+//!
+//! All working state lives in the shared [`DecodeScratch`] as flat arrays,
+//! and a growth round touches only the clusters that grow:
+//!
+//! * Every node stores the root of its cluster directly. A union relabels
+//!   the smaller cluster's members (clusters are a handful of nodes), so a
+//!   membership test is one load, with no `find`.
+//! * Every node stores its *radius*, the growth its clusters have applied
+//!   to each of its edges, so an edge's support is the sum of its
+//!   endpoints' radii. Fast-forwarding a round adds to the radii of the
+//!   growing frontier nodes; no per-edge support is stored or reset.
+//! * A cluster is two linked lists threaded through its nodes: its members,
+//!   and its *frontier nodes*, the members that may still have an edge to
+//!   grow. A union splices both. A round scans each frontier node's
+//!   incidence row, shortest edge first, and unlinks the node once every
+//!   edge there is internal, which stays true for the rest of the shot.
+//! * The list of growing clusters holds each root at most once (a flag on
+//!   the root says whether it is listed); a round drops the roots that
+//!   were absorbed or became neutral.
+//! * The grown subgraph is a per-shot arena of adjacency entries, linked
+//!   per node in completion order; peeling walks it breadth-first from one
+//!   canonical root per cluster.
+//!
+//! A shot lists the nodes it touches and the next shot resets only those.
+//! The only per-edge state is the stamp of the last round that saw the
+//! edge, from a round counter that runs across shots, so it needs no reset
+//! at all. Quiet shots cost almost nothing.
 
 use std::num::NonZeroU64;
 
 use crate::memo::next_memo_token;
 use crate::{DecodeScratch, Decoder, DecodingGraph};
 
-/// "No edge" sentinel of the peeling forest (a forest root).
-const NO_EDGE: u32 = u32::MAX;
+/// End-of-list sentinel of the linked lists, and the "no edge, no parent"
+/// of a peeling root.
+const NONE: u32 = u32::MAX;
 
 /// Union-find decoder over a decoding graph.
 #[derive(Debug, Clone)]
 pub struct UnionFindDecoder {
     graph: DecodingGraph,
-    /// Discretised edge lengths (growth units).
-    lengths: Vec<u32>,
+    /// Per-node rows of `(edge, opposite endpoint, length)`: the graph's
+    /// incidence with each edge's discretised length (growth units).
+    arcs: Vec<Arc>,
+    /// Row `v` is `arcs[rows[v]..rows[v + 1]]`.
+    rows: Vec<u32>,
     /// Syndrome-memo ownership token (see [`crate::memo`]).
     memo_token: NonZeroU64,
 }
@@ -47,34 +73,40 @@ pub struct UnionFindDecoder {
 impl UnionFindDecoder {
     /// Creates a decoder for the given decoding graph.
     pub fn new(graph: DecodingGraph) -> Self {
-        let lengths = graph
+        let lengths: Vec<u32> = graph
             .edges()
             .iter()
             .map(|e| ((2.0 * e.weight).round() as u32).clamp(1, 100))
             .collect();
+        let mut rows = vec![0];
+        let mut arcs = Vec::new();
+        for v in 0..graph.num_nodes() as u32 {
+            let start = arcs.len();
+            arcs.extend(graph.incident(v).iter().map(|&(edge, other)| Arc {
+                edge,
+                other,
+                length: lengths[edge as usize],
+            }));
+            // Shortest first: a scan finds its minimum early, and the rest
+            // of the row seldom takes the branches that move it.
+            arcs[start..].sort_by_key(|arc| arc.length);
+            rows.push(arcs.len() as u32);
+        }
         UnionFindDecoder {
             graph,
-            lengths,
+            arcs,
+            rows,
             memo_token: next_memo_token(),
         }
     }
 
-    /// Marks `node` touched and, the first time, adds its incident edges to
-    /// the frontier of its cluster. An unseeded node is always a singleton
-    /// cluster, so that frontier is its own.
-    fn seed(&self, s: &mut UnionFindScratch, node: u32) {
-        let state = &mut s.nodes[node as usize];
-        if state.seeded {
-            return;
-        }
-        state.seeded = true;
-        s.touched_nodes.push(node);
-        s.frontier[node as usize].extend_from_slice(self.graph.incident(node));
+    /// The incidence row of node `v`, shortest edge first.
+    fn row(&self, v: u32) -> &[Arc] {
+        &self.arcs[self.rows[v as usize] as usize..self.rows[v as usize + 1] as usize]
     }
 
     /// Growth phase: grow active clusters until all are neutral. Every
-    /// fully grown edge is recorded in the grown adjacency, and its
-    /// endpoints in `s.peel_roots`.
+    /// fully grown edge is recorded in the grown adjacency.
     fn grow(&self, s: &mut UnionFindScratch) {
         // Each round grows every active cluster's frontier in lock-step, by
         // the largest uniform amount that completes at least one edge
@@ -86,84 +118,112 @@ impl UnionFindDecoder {
         // merges clusters; a stall guard handles pathological graphs with
         // unreachable defects.
         loop {
-            // Merges leave absorbed roots, neutral roots and repeats behind.
-            let nodes = &s.nodes;
+            // Merges leave absorbed and neutral roots behind.
+            let (nodes, clusters) = (&s.nodes, &mut s.clusters);
             s.active.retain(|&r| {
-                let root = nodes[r as usize];
-                root.parent == r && root.parity && !root.boundary
+                let cluster = &mut clusters[r as usize];
+                cluster.listed = nodes[r as usize].root == r && cluster.grows();
+                cluster.listed
             });
-            s.active.sort_unstable();
-            s.active.dedup();
             if s.active.is_empty() {
                 break;
             }
-            // Pass 1: prune each active frontier (grown and internal edges
-            // drop out) and count how many clusters grow each edge. An edge
-            // appears at most once in a cluster's frontier unless both its
-            // endpoints are in the cluster, i.e. it is internal, so the
-            // count is the number of clusters growing it. The same pass
-            // finds the number of unit rounds until the first edge
-            // completes: an edge's gap per round only shrinks as its count
-            // rises, so the minimum over every count is the minimum over
-            // the final counts.
+            // Pass 1: scan each active cluster's frontier nodes for the
+            // number of unit rounds until the first edge completes, and the
+            // edges that complete then. An edge's support is the sum of its
+            // endpoints' radii, and it gains one unit per round from each
+            // growing cluster it leaves (at most two: an edge outside a
+            // cluster has at most one endpoint in it). The first sight of an
+            // edge in a round stamps it; a second sight means both its
+            // clusters grow it, and corrects the need the first sight took.
             let round = s.next_round();
             let mut rounds = u32::MAX;
-            s.candidates.clear();
+            s.merges.clear();
             for &root in &s.active {
-                let mut frontier = std::mem::take(&mut s.frontier[root as usize]);
-                frontier.retain(|&(edge, other)| {
-                    let state = &mut s.edges[edge as usize];
-                    let gap = self.lengths[edge as usize].saturating_sub(state.support);
-                    if gap == 0 || find(&mut s.nodes, other) == root {
-                        return false;
-                    }
-                    if state.round == round {
-                        state.multiplicity += 1;
-                        rounds = rounds.min(gap.div_ceil(state.multiplicity));
-                    } else {
+                let mut prev = NONE;
+                let mut v = s.clusters[root as usize].frontier_first;
+                while v != NONE {
+                    let Node {
+                        radius,
+                        next_frontier: next,
+                        ..
+                    } = s.nodes[v as usize];
+                    let mut live = false;
+                    for &Arc {
+                        edge,
+                        other,
+                        length,
+                    } in self.row(v)
+                    {
+                        let far = &s.nodes[other as usize];
+                        if far.root == root {
+                            continue;
+                        }
+                        live = true;
+                        // Every completed edge is internal, so this is > 0.
+                        let gap = length - radius - far.radius;
+                        let state = &mut s.edges[edge as usize];
+                        let second = state.round == round;
                         state.round = round;
-                        state.multiplicity = 1;
-                        rounds = rounds.min(gap);
-                        s.candidates.push(edge);
+                        let need = if second { gap.div_ceil(2) } else { gap };
+                        // At a second sight the edge is already listed iff
+                        // its first need is still the minimum.
+                        let listed = second && gap == rounds;
+                        if need < rounds {
+                            rounds = need;
+                            s.merges.clear();
+                            s.merges.push(edge);
+                        } else if need == rounds && !listed {
+                            s.merges.push(edge);
+                        }
                     }
-                    true
-                });
-                s.frontier[root as usize] = frontier;
+                    if live {
+                        prev = v;
+                    } else {
+                        // Internal edges stay so: drop the node.
+                        let cluster = &mut s.clusters[root as usize];
+                        if prev == NONE {
+                            cluster.frontier_first = next;
+                        } else {
+                            s.nodes[prev as usize].next_frontier = next;
+                        }
+                        if next == NONE {
+                            cluster.frontier_last = prev;
+                        }
+                    }
+                    v = next;
+                }
             }
-            if s.candidates.is_empty() {
+            if s.merges.is_empty() {
                 // No edge can grow: remaining defects are unmatchable
                 // (disconnected detectors). Give up on them.
                 break;
             }
-            // Pass 2: fast-forward every frontier edge by that many rounds.
-            // The next shot resets what is listed here (an edge listed in
-            // several rounds is reset several times, which is harmless).
-            s.merges.clear();
-            s.touched_edges.extend_from_slice(&s.candidates);
-            for &edge in &s.candidates {
-                let state = &mut s.edges[edge as usize];
-                state.support += state.multiplicity * rounds;
-                if state.support >= self.lengths[edge as usize] {
-                    s.merges.push(edge);
+            // Pass 2: fast-forward by that many rounds. A frontier node's
+            // incident edges all gain the same from its side, so only the
+            // node's radius moves.
+            for &root in &s.active {
+                let mut v = s.clusters[root as usize].frontier_first;
+                while v != NONE {
+                    let node = &mut s.nodes[v as usize];
+                    node.radius += rounds;
+                    v = node.next_frontier;
                 }
             }
-            // Canonical merge order regardless of frontier traversal order.
+            // Canonical merge order regardless of scan order.
             s.merges.sort_unstable();
             for index in 0..s.merges.len() {
                 let edge = s.merges[index];
                 let (a, b) = self.graph.endpoints[edge as usize];
                 // Record the grown edge in the peeling adjacency (cycle
                 // edges included: they are valid non-tree edges).
-                s.grown_adjacency[a as usize].push((edge, b));
-                s.grown_adjacency[b as usize].push((edge, a));
-                s.peel_roots.extend([a, b]);
-                let ra = find(&mut s.nodes, a);
-                let rb = find(&mut s.nodes, b);
+                s.link_grown(a, edge, b);
+                s.link_grown(b, edge, a);
+                let (ra, rb) = (s.nodes[a as usize].root, s.nodes[b as usize].root);
                 if ra != rb {
-                    self.seed(s, a);
-                    self.seed(s, b);
-                    let root = s.union(ra, rb);
-                    s.active.push(root);
+                    s.seed(a);
+                    s.seed(b);
+                    s.union(ra, rb);
                 }
             }
         }
@@ -176,50 +236,52 @@ impl UnionFindDecoder {
     /// Only the grown subgraph is visited, so the cost is proportional to
     /// the clusters actually built this shot, not to the graph size.
     fn peel(&self, s: &mut UnionFindScratch) -> u64 {
-        // Roots: the boundary first (so it can absorb defects), then the
-        // grown edges' endpoints in ascending order. The boundary has the
-        // largest index, so after sorting it is last if it is there at all.
-        s.peel_roots.sort_unstable();
-        s.peel_roots.dedup();
-        if s.peel_roots.last() == Some(&(self.graph.num_detectors() as u32)) {
-            s.peel_roots.rotate_right(1);
-        }
-        // Breadth-first over the grown subgraph from each unvisited root;
-        // `order` is the queue, and stays the visiting order afterwards.
-        let mut head = 0;
-        for &root in &s.peel_roots {
-            if s.nodes[root as usize].visited {
+        let boundary = self.graph.num_detectors() as u32;
+        let mut flips = 0u64;
+        for index in 0..s.touched_nodes.len() {
+            // Each cluster of two or more nodes is one connected component
+            // of the grown subgraph; every member is a grown edge's endpoint.
+            let root = s.touched_nodes[index];
+            let cluster = s.clusters[root as usize];
+            if s.nodes[root as usize].root != root || cluster.size < 2 {
                 continue;
             }
-            s.nodes[root as usize].visited = true;
-            s.order.push(root);
+            // Breadth-first from the boundary (so it can absorb defects),
+            // else from the smallest member; `order` is the queue of
+            // `(node, tree edge, tree parent)`, and stays the visiting
+            // order afterwards.
+            let start = if cluster.boundary {
+                boundary
+            } else {
+                cluster.min
+            };
+            s.order.clear();
+            s.order.push((start, NONE, NONE));
+            s.nodes[start as usize].visited = true;
+            let mut head = 0;
             while head < s.order.len() {
-                let v = s.order[head] as usize;
+                let parent = s.order[head].0;
+                let mut entry = s.nodes[parent as usize].grown_first;
                 head += 1;
-                for &(edge, next) in &s.grown_adjacency[v] {
-                    let node = &mut s.nodes[next as usize];
+                while entry != NONE {
+                    let GrownEntry { edge, other, next } = s.grown[entry as usize];
+                    let node = &mut s.nodes[other as usize];
                     if !node.visited {
                         node.visited = true;
-                        node.tree_edge = edge;
-                        s.order.push(next);
+                        s.order.push((other, edge, parent));
                     }
+                    entry = next;
                 }
             }
-        }
-
-        // Peel leaves-first (reverse BFS order). Any defect absorbed by the
-        // boundary is fine; the boundary's defect flag is ignored.
-        let mut flips = 0u64;
-        for &v in s.order.iter().rev() {
-            let node = s.nodes[v as usize];
-            if !node.defect || node.tree_edge == NO_EDGE {
-                continue;
+            // Peel leaves-first (reverse BFS order), skipping the root. Any
+            // defect absorbed by the boundary is fine; the boundary's defect
+            // flag is ignored.
+            for &(v, edge, parent) in s.order[1..].iter().rev() {
+                if s.nodes[v as usize].defect {
+                    flips ^= self.graph.masks[edge as usize];
+                    s.nodes[parent as usize].defect ^= true;
+                }
             }
-            let edge = node.tree_edge as usize;
-            flips ^= self.graph.masks[edge];
-            let (a, b) = self.graph.endpoints[edge];
-            let parent = if a == v { b } else { a };
-            s.nodes[parent as usize].defect ^= true;
         }
         flips
     }
@@ -231,19 +293,22 @@ impl Decoder for UnionFindDecoder {
             return 0;
         }
         let s = &mut scratch.union_find;
-        s.begin(self.graph.num_nodes(), self.lengths.len());
+        s.begin(self.graph.num_nodes(), self.graph.edges().len());
         // The boundary is seeded without a frontier: a cluster that touches
         // it never grows again.
         let boundary = self.graph.num_detectors();
-        s.nodes[boundary].boundary = true;
         s.nodes[boundary].seeded = true;
+        s.clusters[boundary].boundary = true;
         s.touched_nodes.push(boundary as u32);
         for &d in fired_detectors {
-            let node = &mut s.nodes[d];
-            node.defect = true;
-            node.parity = true;
-            self.seed(s, d as u32);
-            s.active.push(d as u32);
+            s.nodes[d].defect = true;
+            s.seed(d as u32);
+            let cluster = &mut s.clusters[d];
+            cluster.parity = true;
+            if !cluster.listed {
+                cluster.listed = true;
+                s.active.push(d as u32);
+            }
         }
         self.grow(s);
         self.peel(s)
@@ -258,23 +323,35 @@ impl Decoder for UnionFindDecoder {
     }
 }
 
-/// Union-find and peeling state of one node.
+/// One incidence entry: an edge, its opposite endpoint and its length.
+#[derive(Debug, Clone, Copy)]
+struct Arc {
+    edge: u32,
+    other: u32,
+    length: u32,
+}
+
+/// Per-node state: cluster membership, list links and peeling state.
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    /// Union-find parent; a root is its own parent.
-    parent: u32,
-    /// Peeling-forest edge to the BFS parent ([`NO_EDGE`] at a root).
-    tree_edge: u32,
-    rank: u8,
-    /// Defect parity of the cluster rooted here.
-    parity: bool,
-    /// Whether the cluster rooted here touches the virtual boundary.
-    boundary: bool,
+    /// Root of this node's cluster; a root (and every unseeded node) is
+    /// its own.
+    root: u32,
+    /// Growth units this node's clusters have applied to each of its
+    /// edges; an edge is grown once its endpoints' radii sum to its length.
+    radius: u32,
+    /// Next member of the same cluster.
+    next_member: u32,
+    /// Next node of the same cluster's frontier list.
+    next_frontier: u32,
+    /// First and last of this node's entries in the grown arena.
+    grown_first: u32,
+    grown_last: u32,
     /// Whether this node carries a defect (moved towards the roots while
     /// peeling).
     defect: bool,
-    /// Whether this node's incident edges have entered a frontier; every
-    /// node a shot writes is seeded, so this also marks it touched.
+    /// Whether this node has joined a cluster's frontier; every node a
+    /// shot writes is seeded, so this also marks it touched.
     seeded: bool,
     /// Whether the peeling search has reached this node.
     visited: bool,
@@ -283,11 +360,12 @@ struct Node {
 impl Node {
     fn fresh(index: u32) -> Self {
         Node {
-            parent: index,
-            tree_edge: NO_EDGE,
-            rank: 0,
-            parity: false,
-            boundary: false,
+            root: index,
+            radius: 0,
+            next_member: NONE,
+            next_frontier: NONE,
+            grown_first: NONE,
+            grown_last: NONE,
             defect: false,
             seeded: false,
             visited: false,
@@ -295,48 +373,85 @@ impl Node {
     }
 }
 
+/// State of the cluster rooted at a node (meaningful at roots only).
+#[derive(Debug, Clone, Copy)]
+struct Cluster {
+    /// Number of members; the member list starts at the root.
+    size: u32,
+    /// Smallest member index: the peeling root when the boundary is not a
+    /// member.
+    min: u32,
+    /// Ends of the frontier list ([`NONE`] when empty).
+    frontier_first: u32,
+    frontier_last: u32,
+    /// Defect parity.
+    parity: bool,
+    /// Whether the virtual boundary is a member.
+    boundary: bool,
+    /// Whether the root is in the active list.
+    listed: bool,
+}
+
+impl Cluster {
+    fn fresh(index: u32) -> Self {
+        Cluster {
+            size: 1,
+            min: index,
+            frontier_first: NONE,
+            frontier_last: NONE,
+            parity: false,
+            boundary: false,
+            listed: false,
+        }
+    }
+
+    /// Whether the cluster is still growing: odd and off the boundary.
+    fn grows(&self) -> bool {
+        self.parity && !self.boundary
+    }
+}
+
 /// Growth state of one edge.
 #[derive(Debug, Clone, Copy, Default)]
 struct EdgeState {
-    /// Growth units applied this shot; the edge is grown once this reaches
-    /// its length.
-    support: u32,
-    /// Growth round that counted `multiplicity`.
+    /// The last growth round that saw the edge.
     round: u32,
-    /// Number of active clusters growing this edge in round `round`.
-    multiplicity: u32,
+}
+
+/// One entry of a node's grown adjacency.
+#[derive(Debug, Clone, Copy)]
+struct GrownEntry {
+    edge: u32,
+    /// The edge's opposite endpoint.
+    other: u32,
+    /// Next entry of the same node.
+    next: u32,
 }
 
 /// Per-shot working state of the union-find decoder. Every shot starts from
-/// fresh node and edge slots, whichever decoder used the scratch last:
+/// fresh node slots, whichever decoder used the scratch last:
 /// [`UnionFindScratch::begin`] resets the slots the previous shot listed.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct UnionFindScratch {
     nodes: Vec<Node>,
+    /// Per-root cluster state, indexed like `nodes`.
+    clusters: Vec<Cluster>,
     edges: Vec<EdgeState>,
-    /// Frontier `(edge, opposite endpoint)` entries per cluster root; the
-    /// entry's own endpoint is in the cluster.
-    frontier: Vec<Vec<(u32, u32)>>,
-    /// Per-node `(edge, opposite endpoint)` adjacency of the grown
-    /// subgraph, in completion order, so peeling never scans the full
-    /// decoding graph.
-    grown_adjacency: Vec<Vec<(u32, u32)>>,
-    /// Nodes and edges this shot wrote, reset by the next shot.
+    /// The grown adjacency of every node, in completion order, so peeling
+    /// never scans the full decoding graph.
+    grown: Vec<GrownEntry>,
+    /// Nodes this shot wrote, reset by the next shot.
     touched_nodes: Vec<u32>,
-    touched_edges: Vec<u32>,
     /// Growth-round counter, running across shots (stamps
     /// [`EdgeState::round`]).
     round: u32,
+    /// Roots of the growing clusters, each at most once.
     active: Vec<u32>,
-    /// Frontier edges eligible to grow this round.
-    candidates: Vec<u32>,
     /// Edges completed this round, sorted before merging so the merge order
-    /// is canonical (frontiers themselves are kept unsorted).
+    /// is canonical.
     merges: Vec<u32>,
-    /// Endpoints of the grown edges: the peeling roots.
-    peel_roots: Vec<u32>,
-    /// Peeling visiting order (the breadth-first queue).
-    order: Vec<u32>,
+    /// Peeling visiting order of one cluster (the breadth-first queue).
+    order: Vec<(u32, u32, u32)>,
 }
 
 impl UnionFindScratch {
@@ -344,29 +459,21 @@ impl UnionFindScratch {
     /// `nodes` vertices and `edges` edges.
     fn begin(&mut self, nodes: usize, edges: usize) {
         for &v in &self.touched_nodes {
-            let v = v as usize;
-            self.nodes[v] = Node::fresh(v as u32);
-            self.frontier[v].clear();
-            self.grown_adjacency[v].clear();
-        }
-        for &edge in &self.touched_edges {
-            self.edges[edge as usize].support = 0;
+            self.nodes[v as usize] = Node::fresh(v);
+            self.clusters[v as usize] = Cluster::fresh(v);
         }
         self.touched_nodes.clear();
-        self.touched_edges.clear();
         if self.nodes.len() < nodes {
-            let start = self.nodes.len();
-            self.nodes
-                .extend((start..nodes).map(|v| Node::fresh(v as u32)));
-            self.frontier.resize_with(nodes, Vec::new);
-            self.grown_adjacency.resize_with(nodes, Vec::new);
+            let start = self.nodes.len() as u32;
+            self.nodes.extend((start..nodes as u32).map(Node::fresh));
+            self.clusters
+                .extend((start..nodes as u32).map(Cluster::fresh));
         }
         if self.edges.len() < edges {
             self.edges.resize(edges, EdgeState::default());
         }
+        self.grown.clear();
         self.active.clear();
-        self.peel_roots.clear();
-        self.order.clear();
     }
 
     /// Advances the round counter; on wrap-around every stamp is cleared
@@ -382,48 +489,74 @@ impl UnionFindScratch {
         self.round
     }
 
-    /// Unions the clusters rooted at `ra != rb` (union by rank, ties to
-    /// `ra`); returns the new root.
-    fn union(&mut self, ra: u32, rb: u32) -> u32 {
-        let (big, small) = if self.nodes[ra as usize].rank >= self.nodes[rb as usize].rank {
+    /// Marks `node` touched and, the first time, makes it its cluster's
+    /// frontier. An unseeded node is always a singleton cluster.
+    fn seed(&mut self, node: u32) {
+        let state = &mut self.nodes[node as usize];
+        if state.seeded {
+            return;
+        }
+        state.seeded = true;
+        self.touched_nodes.push(node);
+        let cluster = &mut self.clusters[node as usize];
+        cluster.frontier_first = node;
+        cluster.frontier_last = node;
+    }
+
+    /// Appends `(edge, other)` to `node`'s grown adjacency.
+    fn link_grown(&mut self, node: u32, edge: u32, other: u32) {
+        let entry = self.grown.len() as u32;
+        self.grown.push(GrownEntry {
+            edge,
+            other,
+            next: NONE,
+        });
+        let node = &mut self.nodes[node as usize];
+        match node.grown_last {
+            NONE => node.grown_first = entry,
+            last => self.grown[last as usize].next = entry,
+        }
+        node.grown_last = entry;
+    }
+
+    /// Unions the clusters rooted at `ra != rb`: the smaller one's members
+    /// are relabelled to the larger one's root (ties to `ra`), and both
+    /// lists are spliced. A root that now grows joins the active list.
+    fn union(&mut self, ra: u32, rb: u32) {
+        let (root, absorbed) = if self.clusters[ra as usize].size >= self.clusters[rb as usize].size
+        {
             (ra, rb)
         } else {
             (rb, ra)
         };
-        let absorbed = self.nodes[small as usize];
-        self.nodes[small as usize].parent = big;
-        let root = &mut self.nodes[big as usize];
-        if root.rank == absorbed.rank {
-            root.rank += 1;
+        // Relabel the absorbed members, then splice them in after the root.
+        let mut last = absorbed;
+        loop {
+            self.nodes[last as usize].root = root;
+            match self.nodes[last as usize].next_member {
+                NONE => break,
+                next => last = next,
+            }
         }
-        root.parity ^= absorbed.parity;
-        root.boundary |= absorbed.boundary;
-        // Append the shorter frontier to the longer one: entry order only
-        // changes the order edges are counted in, never a count, a growth
-        // amount or the (sorted) merge order.
-        let mut moved = std::mem::take(&mut self.frontier[small as usize]);
-        let mut kept = std::mem::take(&mut self.frontier[big as usize]);
-        if moved.len() > kept.len() {
-            std::mem::swap(&mut moved, &mut kept);
+        self.nodes[last as usize].next_member =
+            std::mem::replace(&mut self.nodes[root as usize].next_member, absorbed);
+        let small = self.clusters[absorbed as usize];
+        if small.frontier_first != NONE {
+            match self.clusters[root as usize].frontier_last {
+                NONE => self.clusters[root as usize].frontier_first = small.frontier_first,
+                tail => self.nodes[tail as usize].next_frontier = small.frontier_first,
+            }
+            self.clusters[root as usize].frontier_last = small.frontier_last;
         }
-        kept.extend_from_slice(&moved);
-        moved.clear();
-        self.frontier[big as usize] = kept;
-        self.frontier[small as usize] = moved;
-        big
-    }
-}
-
-/// Union-find `find` with path halving.
-fn find(nodes: &mut [Node], mut x: u32) -> u32 {
-    loop {
-        let parent = nodes[x as usize].parent;
-        if parent == x {
-            return x;
+        let cluster = &mut self.clusters[root as usize];
+        cluster.size += small.size;
+        cluster.min = cluster.min.min(small.min);
+        cluster.parity ^= small.parity;
+        cluster.boundary |= small.boundary;
+        if cluster.grows() && !cluster.listed {
+            cluster.listed = true;
+            self.active.push(root);
         }
-        let grandparent = nodes[parent as usize].parent;
-        nodes[x as usize].parent = grandparent;
-        x = grandparent;
     }
 }
 

@@ -270,7 +270,7 @@ fn tighter_memo_caps_move_the_sparse_dense_boundary() {
 }
 
 #[test]
-fn disabled_memo_leaves_every_counter_untouched_on_the_word_path() {
+fn disabled_memo_counts_every_noisy_lane_uncacheable_on_the_word_path() {
     let decoder = UnionFindDecoder::new(chain_graph(6));
     let shots = vec![vec![2], vec![], vec![1, 2, 3, 4, 5]];
     let chunk = chunk_of(6, &shots);
