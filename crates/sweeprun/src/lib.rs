@@ -41,6 +41,7 @@ pub use store::{write_atomic, PointStore, StoreState};
 mod e2e_tests {
     use std::path::PathBuf;
     use std::sync::Mutex;
+    use std::thread::ThreadId;
     use std::time::Duration;
 
     use serde_json::Value;
@@ -130,14 +131,15 @@ mod e2e_tests {
         let _ = std::fs::remove_dir_all(&base);
     }
 
-    /// `MockJob` that records the order of its `eval` calls, spends
-    /// `slow_eval` on point `slow` and panics on point `panics`.
+    /// `MockJob` that records the order of its `eval` calls and the thread
+    /// of each, spends `slow_eval` on point `slow` and panics on point
+    /// `panics`.
     struct CountingJob {
         inner: MockJob,
         slow: Option<usize>,
         slow_eval: Duration,
         panics: Option<usize>,
-        order: Mutex<Vec<usize>>,
+        order: Mutex<Vec<(usize, ThreadId)>>,
     }
 
     impl CountingJob {
@@ -152,7 +154,11 @@ mod e2e_tests {
         }
 
         fn evaluated(&self) -> Vec<usize> {
-            self.order.lock().unwrap().clone()
+            self.order.lock().unwrap().iter().map(|&(index, _)| index).collect()
+        }
+
+        fn threads(&self) -> Vec<ThreadId> {
+            self.order.lock().unwrap().iter().map(|&(_, id)| id).collect()
         }
     }
 
@@ -170,7 +176,8 @@ mod e2e_tests {
         }
 
         fn eval(&self, index: usize, seed: u64) -> Result<Value, String> {
-            self.order.lock().unwrap().push(index);
+            let thread = std::thread::current().id();
+            self.order.lock().unwrap().push((index, thread));
             if self.slow == Some(index) {
                 std::thread::sleep(self.slow_eval);
             }
@@ -216,6 +223,24 @@ mod e2e_tests {
         assert_eq!(job.evaluated(), vec![1, 4, 5, 6]);
         assert_eq!((summary.computed, summary.resumed), (4, 4));
         assert_eq!((summary.progress.done, summary.progress.total()), (8, 8));
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// `run_job` evaluates a partially filled store's missing points itself:
+    /// each once, in ascending grid order, on the calling thread.
+    #[test]
+    fn missing_points_are_evaluated_in_grid_order_on_the_calling_thread() {
+        let base = temp_base("caller");
+        let job = CountingJob::new(8);
+        let store = open_store(&base, &job.inner);
+        for index in [0, 2, 3, 7] {
+            let payload = job.inner.eval(index, store.seed(index)).unwrap();
+            store.store_point(index, &payload).unwrap();
+        }
+        let store = open_store(&base, &job.inner);
+        run_job(&job, &store, CoordinatorConfig::default()).unwrap();
+        assert_eq!(job.evaluated(), vec![1, 4, 5, 6]);
+        assert_eq!(job.threads(), vec![std::thread::current().id(); 4]);
         let _ = std::fs::remove_dir_all(&base);
     }
 
