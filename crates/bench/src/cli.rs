@@ -39,8 +39,7 @@ use qccd_service::{
     loadgen, DecodeProgram, DecodeService, LoadgenOptions, NetClient, NetServer, ServiceConfig,
 };
 use qccd_sweeprun::{
-    render_progress_line, render_worker_lines, run_job, CoordinatorConfig, PointJob, PointStore,
-    StoreState,
+    render_progress_line, run_job, CoordinatorConfig, PointJob, PointStore, StoreState,
 };
 use qccd_telemetry::{
     cursor_home, render_dashboard, snapshot_from_json, RegistrySnapshot, TelemetryConfig, TraceSink,
@@ -537,8 +536,6 @@ pub struct SweepRunOptions {
     pub spec_file: Option<PathBuf>,
     /// Point-store base directory.
     pub store: PathBuf,
-    /// Evaluation threads.
-    pub local_workers: usize,
     /// Progress line / `status.json` period.
     pub progress_interval: Duration,
     /// Suppress the live progress line on stderr.
@@ -557,7 +554,6 @@ impl Default for SweepRunOptions {
             name: None,
             spec_file: None,
             store: PathBuf::from("target/experiments/sweep"),
-            local_workers: 1,
             progress_interval: Duration::from_millis(2000),
             quiet: false,
             telemetry: TelemetryConfig::default(),
@@ -583,8 +579,8 @@ fn sweep_run_flags() -> Command<SweepRunOptions> {
         },
         "--spec" "<file.json>": "run this spec file instead" => o.spec_file = Some(v.into()),
         "--store" "<dir>": "store base (default: target/experiments/sweep)" => o.store = v.into(),
-        "--local-workers" "<n>": "threads (default: 1)" => o.local_workers = at_least(1, v)?,
-        "--progress-interval-ms" "<ms>": "progress line / status.json period (default: 2000)"
+        "--progress-interval-ms" "<ms>":
+            "progress line / status.json period (default: 2000; 0 = after every point)"
             => o.progress_interval = Duration::from_millis(number(v)?),
         "--quiet": "no live progress line on stderr" => o.quiet = true,
         "--sample-every" "<n>": "stage-timing sample period (default: 16; 1 = all)"
@@ -636,7 +632,7 @@ fn sweep_status_flags() -> Command<SweepStatusOptions> {
         },
         "--spec" "<file.json>": "the spec file instead" => o.spec_file = Some(v.into()),
         "--store" "<dir>": "store base (default: target/experiments/sweep)" => o.store = v.into(),
-        "--format" "<pretty|json>": "summary with per-worker rates, or the full snapshot"
+        "--format" "<pretty|json>": "the one-line summary, or the full snapshot"
             => o.json = report_json(v)?,
     ]
     .check(|o, _| one_spec(&o.name, &o.spec_file, "status"))
@@ -729,7 +725,6 @@ fn sweep_run_command(
         &job,
         &store,
         CoordinatorConfig {
-            local_workers: options.local_workers,
             progress_interval: options.progress_interval,
             quiet: options.quiet,
             telemetry: options.telemetry,
@@ -782,9 +777,6 @@ fn sweep_status_command(
         println!("{}", snapshot.expect("snapshot serialization cannot fail"));
     } else {
         println!("{}", render_progress_line(&snapshot));
-        for line in render_worker_lines(&snapshot) {
-            println!("{line}");
-        }
     }
     Ok(())
 }
@@ -1481,8 +1473,6 @@ mod tests {
             "fig07",
             "--store",
             "mystore",
-            "--local-workers",
-            "3",
             "--progress-interval-ms",
             "100",
             "--quiet",
@@ -1497,27 +1487,23 @@ mod tests {
         assert_eq!(options.name.as_deref(), Some("fig07"));
         assert_eq!(options.telemetry.sample_every, 2);
         assert_eq!(options.store, PathBuf::from("mystore"));
-        assert_eq!(options.local_workers, 3);
         assert_eq!(options.progress_interval, Duration::from_millis(100));
         assert!(options.quiet);
         assert_eq!(options.format, OutputFormat::Json);
         assert_eq!(options.out, Some(PathBuf::from("out")));
 
-        // Exactly one spec and at least one worker.
+        // Exactly one spec.
         assert!(parse_sweep_run_options(&strings(&[])).is_err());
         assert!(parse_sweep_run_options(&strings(&["a", "b"])).is_err());
         assert!(parse_sweep_run_options(&strings(&["a", "--spec", "b.json"])).is_err());
-        assert_eq!(
-            parse_sweep_run_options(&strings(&["a", "--local-workers", "0"])).unwrap_err(),
-            "--local-workers must be at least 1"
-        );
         assert!(parse_sweep_run_options(&strings(&["a", "--bogus"])).is_err());
 
         // `--listen`, `--lease-timeout-ms`, the retry knobs, the telemetry
-        // switch and `worker` are refused through the unknown-flag and
-        // missing-action paths.
+        // switch, the worker count and `worker` are refused through the
+        // unknown-flag and missing-action paths.
         for flag in [
             "--listen",
+            "--local-workers",
             "--lease-timeout-ms",
             "--max-attempts",
             "--backoff-ms",
@@ -1600,8 +1586,6 @@ mod tests {
             strings(&args)
         };
         run(&base_args(&[
-            "--local-workers",
-            "2",
             "--format",
             "json",
             "--out",

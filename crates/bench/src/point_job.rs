@@ -321,11 +321,7 @@ mod tests {
         std::fs::create_dir_all(&base).unwrap();
         let job = spec_point_job(&spec).unwrap();
         let (store, _) = PointStore::open(&base, &job.descriptor(), job.seed_table()).unwrap();
-        let config = || qccd_sweeprun::CoordinatorConfig {
-            local_workers: 2,
-            ..qccd_sweeprun::CoordinatorConfig::default()
-        };
-        qccd_sweeprun::run_job(&job, &store, config()).unwrap();
+        qccd_sweeprun::run_job(&job, &store, qccd_sweeprun::CoordinatorConfig::default()).unwrap();
         assert_eq!(job.schedules.len(), 6);
 
         let victim = 7usize;
@@ -335,7 +331,12 @@ mod tests {
         )))
         .unwrap();
         let resumed = spec_point_job(&spec).unwrap();
-        let summary = qccd_sweeprun::run_job(&resumed, &store, config()).unwrap();
+        let summary = qccd_sweeprun::run_job(
+            &resumed,
+            &store,
+            qccd_sweeprun::CoordinatorConfig::default(),
+        )
+        .unwrap();
         assert_eq!((summary.computed, summary.resumed), (1, 17));
         assert_eq!(resumed.schedules.len(), 1);
         let _ = std::fs::remove_dir_all(&base);
@@ -355,15 +356,9 @@ mod tests {
         // 2 configurations x 2 distances x (plain + biased).
         assert_eq!(job.num_points(), 8);
         let (store, _) = PointStore::open(&base, &job.descriptor(), job.seed_table()).unwrap();
-        let summary = qccd_sweeprun::run_job(
-            &job,
-            &store,
-            qccd_sweeprun::CoordinatorConfig {
-                local_workers: 2,
-                ..qccd_sweeprun::CoordinatorConfig::default()
-            },
-        )
-        .unwrap();
+        let summary =
+            qccd_sweeprun::run_job(&job, &store, qccd_sweeprun::CoordinatorConfig::default())
+                .unwrap();
         assert_eq!(summary.computed, 8);
 
         let merged = merge_artifact(&spec, &store).unwrap();
@@ -496,15 +491,9 @@ mod tests {
 
         let job = spec_point_job(&spec).unwrap();
         let (store, _) = PointStore::open(&base, &job.descriptor(), job.seed_table()).unwrap();
-        let summary = qccd_sweeprun::run_job(
-            &job,
-            &store,
-            qccd_sweeprun::CoordinatorConfig {
-                local_workers: 2,
-                ..qccd_sweeprun::CoordinatorConfig::default()
-            },
-        )
-        .unwrap();
+        let summary =
+            qccd_sweeprun::run_job(&job, &store, qccd_sweeprun::CoordinatorConfig::default())
+                .unwrap();
         assert_eq!(summary.computed, 4);
 
         let merged = merge_artifact(&spec, &store).unwrap();

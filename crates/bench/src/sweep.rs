@@ -29,7 +29,7 @@
 //! `tests/golden_shared_schedules.rs` pin this end to end (compiler →
 //! sampler → decoder → estimator).
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::cell::RefCell;
 
 use qccd_core::{ArchitectureConfig, CompileError, ScheduleFaults, Toolflow};
 use qccd_decoder::{
@@ -119,26 +119,25 @@ pub struct LerOutcome {
 ///
 /// Keys compare with the architecture's `PartialEq`, so points that differ
 /// in topology, capacity, wiring, operation times or any noise field but
-/// the gate improvement never share an entry. Each key compiles once even
-/// when two workers ask for it together: the second waits on the first's
-/// per-key [`OnceLock`].
+/// the gate improvement never share an entry. A cache belongs to one
+/// thread: the sweep that evaluates its points one after another.
 #[derive(Debug, Default)]
 pub struct ScheduleCache {
-    entries: Mutex<Vec<ScheduleEntry>>,
+    entries: RefCell<Vec<ScheduleEntry>>,
 }
 
 #[derive(Debug)]
 struct ScheduleEntry {
     arch: ArchitectureConfig,
     distance: usize,
-    faults: Arc<OnceLock<Result<ScheduleFaults, CompileError>>>,
+    faults: Result<ScheduleFaults, CompileError>,
 }
 
 impl ScheduleCache {
     /// How many distinct schedules the cache holds.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.entries.lock().expect("schedule cache lock").len()
+        self.entries.borrow().len()
     }
 
     /// The fault table of `point`: its schedule's table re-weighted to the
@@ -150,33 +149,23 @@ impl ScheduleCache {
     pub fn fault_table(&self, point: &LerPoint) -> Result<FaultTable, CompileError> {
         let mut arch = point.arch.clone();
         arch.noise.gate_improvement = 1.0;
-        let faults = {
-            let mut entries = self.entries.lock().expect("schedule cache lock");
-            match entries
-                .iter()
-                .find(|entry| entry.distance == point.distance && entry.arch == arch)
-            {
-                Some(entry) => Arc::clone(&entry.faults),
-                None => {
-                    let faults = Arc::default();
-                    entries.push(ScheduleEntry {
-                        arch: arch.clone(),
-                        distance: point.distance,
-                        faults: Arc::clone(&faults),
-                    });
-                    faults
-                }
-            }
-        };
-        let faults = faults.get_or_init(|| {
-            let program = Toolflow::new(arch).memory_program(point.distance)?;
-            Ok(ScheduleFaults::lower(
-                &program.schedule,
-                &program.circuit,
-                &program.arch.noise,
-            ))
+        let mut entries = self.entries.borrow_mut();
+        let known = entries
+            .iter()
+            .position(|entry| entry.distance == point.distance && entry.arch == arch);
+        let index = known.unwrap_or_else(|| {
+            let program = Toolflow::new(arch.clone()).memory_program(point.distance);
+            let faults = program.map(|program| {
+                ScheduleFaults::lower(&program.schedule, &program.circuit, &program.arch.noise)
+            });
+            entries.push(ScheduleEntry {
+                arch,
+                distance: point.distance,
+                faults,
+            });
+            entries.len() - 1
         });
-        match faults {
+        match &entries[index].faults {
             Ok(faults) => Ok(faults.at(point.arch.noise.gate_improvement)),
             Err(e) => Err(e.clone()),
         }

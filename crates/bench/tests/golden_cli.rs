@@ -158,8 +158,8 @@ const CASES: &[(&str, &str)] = &[
     // sweep run / resume
     ("sweep run fig10", "fig10"),
     (
-        "sweep resume fig07 --store s --local-workers 3 --progress-interval-ms 100 --quiet \
-         --sample-every 2 --format json --out out",
+        "sweep resume fig07 --store s --progress-interval-ms 100 --quiet --sample-every 2 \
+         --format json --out out",
         "--store",
     ),
     ("sweep run --spec f.json", "--spec"),
@@ -168,6 +168,7 @@ const CASES: &[(&str, &str)] = &[
     ("sweep run a --local-workers", "--local-workers"),
     ("sweep run a --local-workers x", "--local-workers"),
     ("sweep run a --local-workers 0", "--local-workers"),
+    ("sweep run a --local-workers 2", "--local-workers"),
     (
         "sweep run a --progress-interval-ms",
         "--progress-interval-ms",

@@ -7,7 +7,7 @@
 //! variants and read back through the readers a resume, a status query and
 //! a merge use: `PointStore::open`, `PointStore::open_existing`,
 //! `PointStore::load_point`, `PointStore::read_status` (with the
-//! `sweep status` renderers) and `merge_artifact`.
+//! `sweep status` renderer) and `merge_artifact`.
 //!
 //! The case budget is fixed: per file, `CUTS` truncations spread over its
 //! length, `FLIPS` byte flips drawn from a seeded SplitMix64 stream, and
@@ -20,9 +20,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use qccd_bench::{merge_artifact, spec_point_job, ExperimentKind, ExperimentRegistry};
-use qccd_sweeprun::{
-    render_progress_line, render_worker_lines, run_job, CoordinatorConfig, PointJob, PointStore,
-};
+use qccd_sweeprun::{render_progress_line, run_job, CoordinatorConfig, PointJob, PointStore};
 use serde_json::Value;
 
 const CUTS: usize = 48;
@@ -191,7 +189,6 @@ fn hostile_store_files_are_refused_or_read_never_panicked_on() {
     panicked.extend(panics_on_variants(&status, &|| {
         if let Some(snapshot) = store.read_status() {
             render_progress_line(&snapshot);
-            render_worker_lines(&snapshot);
         }
     }));
     assert!(panicked.is_empty(), "readers panicked on {panicked:#?}");

@@ -1,7 +1,6 @@
 //! End-to-end kill-and-resume smoke test of the resumable sweep runner.
 //!
-//! Drives the real `artifacts` binary: a `sweep run` with one local worker
-//! is SIGKILLed once its first point is on disk, a stray temp file is
+//! Drives the real `artifacts` binary: a `sweep run` is SIGKILLed once its first point is on disk, a stray temp file is
 //! planted where a torn write would leave one, and `sweep resume` must
 //! compute exactly the points that were missing and merge an artifact
 //! byte-identical to an uninterrupted in-process `run_spec`.
@@ -122,18 +121,10 @@ fn killed_local_run_resumes_to_a_bit_identical_artifact() {
     let spec_arg = spec_path.to_str().unwrap();
     let store_arg = store.to_str().unwrap();
 
-    // 1. A local run with one worker ...
+    // 1. A sweep run ...
     let mut run = Reaper(
         artifacts(&[
-            "sweep",
-            "run",
-            "--spec",
-            spec_arg,
-            "--store",
-            store_arg,
-            "--local-workers",
-            "1",
-            "--quiet",
+            "sweep", "run", "--spec", spec_arg, "--store", store_arg, "--quiet",
         ])
         .stdout(Stdio::null())
         .stderr(Stdio::null())

@@ -66,10 +66,11 @@ impl JobDescriptor {
 /// # Contract
 ///
 /// `eval(index, seed)` must be a pure function of `(descriptor, index,
-/// seed)`: bit-identical on every thread, any number of times. The runner
-/// relies on this for resume bit-identity (a recomputed point equals the
-/// one a killed run lost).
-pub trait PointJob: Send + Sync {
+/// seed)`: bit-identical in every process, any number of times, whatever
+/// points were evaluated before it. The runner relies on this for resume
+/// bit-identity (a recomputed point equals the one a killed run lost).
+/// The runner calls `eval` on its caller's thread, one point at a time.
+pub trait PointJob {
     /// The job's identity.
     fn descriptor(&self) -> JobDescriptor;
 

@@ -11,12 +11,11 @@
 //!   only the missing points; because every point payload is a pure
 //!   function of `(job, index, seed)`, the merged artifact is bit-identical
 //!   to an uninterrupted single-process run.
-//! - [`coordinator::run_job`] — local worker threads that claim points
-//!   in ascending grid order from one shared cursor over the store's
-//!   missing indices and evaluate and persist each once. A failed point is
-//!   recorded in `failed/` and stays missing, so resume is its one retry.
-//!   The calling thread folds the workers' reports into [`Progress`] and a
-//!   `status.json` snapshot.
+//! - [`coordinator::run_job`] — evaluates the store's missing points on
+//!   the calling thread, in ascending grid order, and persists each once.
+//!   A failed point is recorded in `failed/` and stays missing, so resume
+//!   is its one retry. The run keeps a [`Progress`] and a `status.json`
+//!   snapshot.
 //!
 //! The crate is deliberately domain-agnostic: anything that can describe
 //! itself as a [`job::PointJob`] — a fixed grid of points with
@@ -30,17 +29,14 @@ pub mod coordinator;
 pub mod job;
 pub mod store;
 
-pub use coordinator::{
-    render_progress_line, render_worker_lines, run_job, snapshot_json, CoordinatorConfig, Progress,
-    RunSummary,
-};
+pub use coordinator::{render_progress_line, run_job, CoordinatorConfig, Progress, RunSummary};
 pub use job::{JobDescriptor, PointJob};
 pub use store::{write_atomic, PointStore, StoreState};
 
 #[cfg(test)]
 mod e2e_tests {
+    use std::cell::RefCell;
     use std::path::PathBuf;
-    use std::sync::Mutex;
     use std::thread::ThreadId;
     use std::time::Duration;
 
@@ -66,20 +62,13 @@ mod e2e_tests {
         PointStore::open(base, &job.descriptor(), seeds).unwrap().0
     }
 
-    fn workers(local_workers: usize) -> CoordinatorConfig {
-        CoordinatorConfig {
-            local_workers,
-            ..CoordinatorConfig::default()
-        }
-    }
-
     #[test]
     fn local_run_completes_and_resumes_with_identical_payloads() {
         let base = temp_base("local");
         let job = MockJob::new(12);
 
         let store = open_store(&base, &job);
-        let summary = run_job(&job, &store, workers(3)).unwrap();
+        let summary = run_job(&job, &store, CoordinatorConfig::default()).unwrap();
         assert_eq!((summary.computed, summary.resumed), (12, 0));
         let first: Vec<Value> = (0..12)
             .map(|i| store.load_point(i).unwrap().unwrap())
@@ -96,7 +85,7 @@ mod e2e_tests {
             .unwrap();
         }
         let store = open_store(&base, &job);
-        let summary = run_job(&job, &store, workers(2)).unwrap();
+        let summary = run_job(&job, &store, CoordinatorConfig::default()).unwrap();
         assert_eq!((summary.computed, summary.resumed), (3, 9));
         for (index, payload) in first.iter().enumerate() {
             assert_eq!(store.load_point(index).unwrap().as_ref(), Some(payload));
@@ -104,8 +93,7 @@ mod e2e_tests {
         let status = store.read_status().unwrap();
         assert_eq!(status.get("done").and_then(Value::as_u64), Some(12));
         assert_eq!(status.get("pending").and_then(Value::as_u64), Some(0));
-        // The status snapshot carries the unified telemetry object plus
-        // per-worker liveness columns.
+        // The status snapshot carries the unified telemetry object.
         assert!(status.get("uptime_secs").and_then(Value::as_f64).is_some());
         let telemetry = &status["telemetry"];
         assert_eq!(
@@ -116,49 +104,37 @@ mod e2e_tests {
         assert!(telemetry["histograms"]["sweep.stage.eval_us"]["count"]
             .as_u64()
             .is_some());
-        let workers = status.get("workers").and_then(Value::as_array).unwrap();
-        assert_eq!(workers.len(), 2);
-        for worker in workers {
-            assert!(worker
-                .get("ewma_points_per_sec")
-                .and_then(Value::as_f64)
-                .is_some());
-            assert!(worker
-                .get("since_heartbeat_secs")
-                .and_then(Value::as_f64)
-                .is_some());
-        }
+        assert!(status.get("workers").is_none() && status.get("leased").is_none());
         let _ = std::fs::remove_dir_all(&base);
     }
 
     /// `MockJob` that records the order of its `eval` calls and the thread
-    /// of each, spends `slow_eval` on point `slow` and panics on point
-    /// `panics`.
+    /// of each, and panics on point `panics`.
     struct CountingJob {
         inner: MockJob,
-        slow: Option<usize>,
-        slow_eval: Duration,
         panics: Option<usize>,
-        order: Mutex<Vec<(usize, ThreadId)>>,
+        order: RefCell<Vec<(usize, ThreadId)>>,
     }
 
     impl CountingJob {
         fn new(points: usize) -> Self {
             CountingJob {
                 inner: MockJob::new(points),
-                slow: None,
-                slow_eval: Duration::ZERO,
                 panics: None,
-                order: Mutex::new(Vec::new()),
+                order: RefCell::default(),
             }
         }
 
         fn evaluated(&self) -> Vec<usize> {
-            self.order.lock().unwrap().iter().map(|&(index, _)| index).collect()
+            self.order
+                .borrow()
+                .iter()
+                .map(|&(index, _)| index)
+                .collect()
         }
 
         fn threads(&self) -> Vec<ThreadId> {
-            self.order.lock().unwrap().iter().map(|&(_, id)| id).collect()
+            self.order.borrow().iter().map(|&(_, id)| id).collect()
         }
     }
 
@@ -177,10 +153,7 @@ mod e2e_tests {
 
         fn eval(&self, index: usize, seed: u64) -> Result<Value, String> {
             let thread = std::thread::current().id();
-            self.order.lock().unwrap().push((index, thread));
-            if self.slow == Some(index) {
-                std::thread::sleep(self.slow_eval);
-            }
+            self.order.borrow_mut().push((index, thread));
             if self.panics == Some(index) {
                 panic!("eval blew up on point {index}");
             }
@@ -188,26 +161,7 @@ mod e2e_tests {
         }
     }
 
-    /// A worker keeps the point it claimed until it reports on it, however
-    /// long the evaluation takes, so no point is evaluated twice.
-    #[test]
-    fn every_missing_point_is_evaluated_exactly_once() {
-        let base = temp_base("once");
-        let job = CountingJob {
-            slow: Some(0),
-            slow_eval: Duration::from_secs(1),
-            ..CountingJob::new(6)
-        };
-        let store = open_store(&base, &job.inner);
-        let summary = run_job(&job, &store, workers(2)).unwrap();
-        assert_eq!((summary.computed, summary.resumed), (6, 0));
-        let mut evaluated = job.evaluated();
-        evaluated.sort_unstable();
-        assert_eq!(evaluated, (0..6).collect::<Vec<_>>());
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
-    /// One worker over a partially filled store claims exactly the missing
+    /// A run over a partially filled store evaluates exactly the missing
     /// points, in ascending grid order.
     #[test]
     fn claims_follow_ascending_grid_order_after_partial_resume() {
@@ -219,7 +173,7 @@ mod e2e_tests {
             store.store_point(index, &payload).unwrap();
         }
         let store = open_store(&base, &job.inner);
-        let summary = run_job(&job, &store, workers(1)).unwrap();
+        let summary = run_job(&job, &store, CoordinatorConfig::default()).unwrap();
         assert_eq!(job.evaluated(), vec![1, 4, 5, 6]);
         assert_eq!((summary.computed, summary.resumed), (4, 4));
         assert_eq!((summary.progress.done, summary.progress.total()), (8, 8));
@@ -244,6 +198,59 @@ mod e2e_tests {
         let _ = std::fs::remove_dir_all(&base);
     }
 
+    /// `MockJob` that reads `status.json`'s `done` before each `eval`.
+    struct StatusReadingJob {
+        inner: MockJob,
+        status: PathBuf,
+        seen_done: RefCell<Vec<u64>>,
+    }
+
+    impl PointJob for StatusReadingJob {
+        fn descriptor(&self) -> JobDescriptor {
+            self.inner.descriptor()
+        }
+
+        fn num_points(&self) -> usize {
+            self.inner.num_points()
+        }
+
+        fn point_seed(&self, index: usize) -> u64 {
+            self.inner.point_seed(index)
+        }
+
+        fn eval(&self, index: usize, seed: u64) -> Result<Value, String> {
+            let text = std::fs::read_to_string(&self.status).unwrap();
+            let status: Value = serde_json::from_str(&text).unwrap();
+            self.seen_done
+                .borrow_mut()
+                .push(status["done"].as_u64().unwrap());
+            self.inner.eval(index, seed)
+        }
+    }
+
+    /// At a zero progress interval `status.json` is written before the first
+    /// point and after every point, so each `eval` sees the points before it.
+    #[test]
+    fn a_zero_progress_interval_writes_status_after_every_point() {
+        let base = temp_base("interval");
+        let inner = MockJob::new(4);
+        let store = open_store(&base, &inner);
+        let job = StatusReadingJob {
+            status: store.root().join("status.json"),
+            inner,
+            seen_done: RefCell::default(),
+        };
+        let config = CoordinatorConfig {
+            progress_interval: Duration::ZERO,
+            ..CoordinatorConfig::default()
+        };
+        run_job(&job, &store, config).unwrap();
+        assert_eq!(*job.seen_done.borrow(), vec![0, 1, 2, 3]);
+        let status = store.read_status().unwrap();
+        assert_eq!(status["done"].as_u64(), Some(4));
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
     /// A poisoned point is evaluated once and recorded under `failed/` with
     /// its message while every other point completes; it stays missing.
     #[test]
@@ -257,7 +264,7 @@ mod e2e_tests {
             ..CountingJob::new(4)
         };
         let store = open_store(&base, &job.inner);
-        let summary = run_job(&job, &store, workers(2)).unwrap();
+        let summary = run_job(&job, &store, CoordinatorConfig::default()).unwrap();
         let mut evaluated = job.evaluated();
         evaluated.sort_unstable();
         assert_eq!(evaluated, (0..4).collect::<Vec<_>>(), "no point is retried");
@@ -281,18 +288,18 @@ mod e2e_tests {
             poisoned: vec![1],
         };
         let store = open_store(&base, &poisoned);
-        let summary = run_job(&poisoned, &store, workers(2)).unwrap();
+        let summary = run_job(&poisoned, &store, CoordinatorConfig::default()).unwrap();
         assert_eq!((summary.progress.failed, summary.progress.done), (1, 3));
 
         let cured = MockJob::new(4);
         let store = open_store(&base, &cured);
-        let summary = run_job(&cured, &store, workers(2)).unwrap();
+        let summary = run_job(&cured, &store, CoordinatorConfig::default()).unwrap();
         assert_eq!((summary.computed, summary.resumed), (1, 3));
         assert_eq!(summary.progress.failed, 0);
         assert!(store.failures().is_empty());
         let reference_base = temp_base("fail-resume-reference");
         let reference = open_store(&reference_base, &cured);
-        run_job(&cured, &reference, workers(1)).unwrap();
+        run_job(&cured, &reference, CoordinatorConfig::default()).unwrap();
         for index in 0..4 {
             assert_eq!(
                 store.load_point(index).unwrap(),
@@ -317,7 +324,7 @@ mod e2e_tests {
                 ..CountingJob::new(4)
             };
             let store = open_store(&runner_base, &job.inner);
-            let summary = run_job(&job, &store, workers(2));
+            let summary = run_job(&job, &store, CoordinatorConfig::default());
             let _ = done.send((summary, store.failures()));
         });
         let (summary, failures) = finished
