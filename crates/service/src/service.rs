@@ -251,8 +251,10 @@ impl<'a> FrameBatch<'a> {
                     if !(1..=64).contains(&block.count) {
                         return invalid("a word block carries 1..=64 shots");
                     }
-                    let valid = u64::MAX >> (64 - block.count);
-                    if block.planes.iter().any(|&w| w & !valid != 0) {
+                    // A full block has no bit to stray into; any other takes
+                    // one OR-fold (it vectorizes), not a short-circuit scan.
+                    let fired = || block.planes.iter().fold(0, |acc, &w| acc | w);
+                    if block.count < 64 && fired() >> block.count != 0 {
                         return invalid("a word block must clear bits at or above its shot count");
                     }
                     if block.count > queue_shots {
@@ -332,6 +334,8 @@ impl PartialOrd for CorrectionRun {
 struct StreamDelivery {
     next_submit_seq: u64,
     inflight: usize,
+    /// Submitters waiting on [`StreamCore::space`]; delivery notifies only then.
+    parked: usize,
     /// Out-of-order completed runs awaiting delivery. Runs are
     /// non-overlapping and gapless per stream (sequence numbers are
     /// assigned in submission order), so ordering by `first_seq` is enough.
@@ -363,6 +367,7 @@ impl StreamCore {
             delivery: Mutex::new(StreamDelivery {
                 next_submit_seq: 0,
                 inflight: 0,
+                parked: 0,
                 reorder: BinaryHeap::new(),
                 next_deliver: 0,
                 tx: Some(tx),
@@ -584,8 +589,12 @@ fn route_corrections(shared: &Shared, runs: &[FrameRun], flips_per_lane: &[u64])
         if stream_finished {
             delivery.tx = None;
         }
+        // A submitter not counted here has yet to see the room under this lock.
+        let parked = delivery.parked > 0;
         drop(delivery);
-        stream.space.notify_all();
+        if parked {
+            stream.space.notify_all();
+        }
         if stream_finished {
             finished.push(stream.id);
         }
@@ -909,6 +918,7 @@ impl StreamHandle {
     }
 
     /// [`StreamReceiver::recv`] on the handle.
+    #[inline]
     pub fn recv(&mut self) -> Option<Correction> {
         self.receiver.recv()
     }
@@ -1011,8 +1021,9 @@ impl StreamSender {
                     if split.2 > 0 {
                         break split;
                     }
-                    let space = &self.core.space;
-                    delivery = space.wait(delivery).expect("stream delivery lock");
+                    delivery.parked += 1;
+                    delivery = (self.core.space.wait(delivery)).expect("stream delivery lock");
+                    delivery.parked -= 1;
                 };
                 let seq = delivery.next_submit_seq;
                 delivery.next_submit_seq += take as u64;
@@ -1134,7 +1145,9 @@ impl StreamSender {
 /// Flattens a stream's correction runs back into single [`Correction`]s:
 /// the one routine behind both receivers, so their APIs stay
 /// frame-granular while corrections travel as runs (one channel send per
-/// decoded run, not per frame).
+/// decoded run, not per frame). It and every receive are `#[inline]`, so a
+/// caller in another crate takes each correction of the current run without
+/// a call, which on a quiet stream was a large share of a correction's cost.
 #[derive(Debug, Default)]
 struct RunCursor {
     /// The run currently being flattened and the next index within it.
@@ -1144,6 +1157,7 @@ struct RunCursor {
 impl RunCursor {
     /// The next correction of the run being flattened, else the first of
     /// the run `next_run` yields.
+    #[inline]
     fn next<E>(
         &mut self,
         next_run: impl FnOnce() -> Result<CorrectionRun, E>,
@@ -1187,6 +1201,7 @@ impl CorrectionReceiver {
     /// # Errors
     ///
     /// [`mpsc::RecvError`] once the stream is closed and fully drained.
+    #[inline]
     pub fn recv(&self) -> Result<Correction, mpsc::RecvError> {
         self.cursor.borrow_mut().next(|| self.rx.recv())
     }
@@ -1197,6 +1212,7 @@ impl CorrectionReceiver {
     ///
     /// [`mpsc::TryRecvError::Empty`] when nothing is ready,
     /// [`mpsc::TryRecvError::Disconnected`] at end-of-stream.
+    #[inline]
     pub fn try_recv(&self) -> Result<Correction, mpsc::TryRecvError> {
         self.cursor.borrow_mut().next(|| self.rx.try_recv())
     }
@@ -1207,6 +1223,7 @@ impl CorrectionReceiver {
     ///
     /// [`mpsc::RecvTimeoutError::Timeout`] when nothing arrived in time,
     /// [`mpsc::RecvTimeoutError::Disconnected`] at end-of-stream.
+    #[inline]
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Correction, mpsc::RecvTimeoutError> {
         self.cursor
             .borrow_mut()
@@ -1243,16 +1260,19 @@ impl StreamReceiver {
 
     /// Blocks for the next in-order correction; `None` once the stream is
     /// closed and fully drained.
+    #[inline]
     pub fn recv(&mut self) -> Option<Correction> {
         self.cursor.next(|| self.rx.recv()).ok()
     }
 
     /// Non-blocking receive.
+    #[inline]
     pub fn try_recv(&mut self) -> Option<Correction> {
         self.cursor.next(|| self.rx.try_recv()).ok()
     }
 
     /// Receive with a timeout (`None` on timeout or end-of-stream).
+    #[inline]
     pub fn recv_timeout(&mut self, timeout: Duration) -> Option<Correction> {
         self.cursor.next(|| self.rx.recv_timeout(timeout)).ok()
     }
@@ -2132,6 +2152,113 @@ mod tests {
             })
         );
         assert_eq!(service.metrics().frames_submitted, 0, "nothing enqueued");
+        service.shutdown();
+    }
+
+    /// The grid c2 5X d = 3 program: enough detectors that a stray bit can
+    /// hide in a plane word far from the first.
+    fn grid_c2_d3() -> Arc<DecodeProgram> {
+        let arch = ArchitectureConfig::recommended(5.0);
+        Arc::new(DecodeProgram::compile(&arch, 3, DecoderKind::UnionFind).unwrap())
+    }
+
+    #[test]
+    fn stray_bits_are_found_in_every_plane_word_of_every_block() {
+        let service = DecodeService::new(ServiceConfig::default().with_workers(1));
+        let program = grid_c2_d3();
+        let n = program.num_detectors();
+        assert!(n > 8, "{n} detectors");
+        let handle = service.open_stream_program(&program).unwrap();
+        // 63 shots; the only stray bit is bit 63 of the last plane word.
+        let mut stray = vec![0u64; n];
+        stray[n - 1] = 1 << 63;
+        let refused = |blocks: &[WordBlock<'_>]| {
+            let refusal = handle.sender.submit_word_batch(blocks);
+            assert!(
+                matches!(refusal, Err(ServiceError::InvalidWordBlock(_))),
+                "{refusal:?}"
+            );
+        };
+        refused(&[WordBlock {
+            planes: &stray,
+            count: 63,
+        }]);
+        // A well-formed first block is not enqueued when the second is bad.
+        let quiet = vec![0u64; n];
+        let good = WordBlock {
+            planes: &quiet,
+            count: 64,
+        };
+        refused(&[
+            good,
+            WordBlock {
+                planes: &stray,
+                count: 63,
+            },
+        ]);
+        assert_eq!(service.metrics().frames_submitted, 0, "nothing enqueued");
+        // Every bit of every plane set is a valid 64-shot block.
+        let full = vec![u64::MAX; n];
+        let block = WordBlock {
+            planes: &full,
+            count: 64,
+        };
+        assert_eq!(handle.sender.submit_word_batch(&[block]), Ok(0..64));
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_parked_submitter_is_woken_by_delivery() {
+        let service = DecodeService::new(
+            ServiceConfig::default()
+                .with_workers(1)
+                .with_flush_deadline(Duration::from_micros(200))
+                .with_stream_queue_shots(64),
+        );
+        let program = grid_c2_d3();
+        let chunk = qccd_sim::sample_detector_chunks(program.circuit(), 128, 11, 128)
+            .unwrap()
+            .sample_chunk(0);
+        let prediction = program.decode_batch(&chunk, &mut DecodeScratch::new());
+        let (sender, mut receiver) = service.open_stream_program(&program).unwrap().split();
+        let words: Vec<Vec<u64>> = (0..2)
+            .map(|word| {
+                let mut planes = Vec::new();
+                chunk.word_block_into(word, &mut planes);
+                planes
+            })
+            .collect();
+        let expected = |seq: u64| {
+            let flips = (0..prediction.num_observables())
+                .filter(|&observable| prediction.predicted(seq as usize, observable))
+                .fold(0, |mask, observable| mask | 1 << observable);
+            Some(Correction { seq, flips })
+        };
+        std::thread::scope(|scope| {
+            let (done, submitted) = mpsc::channel();
+            let words = &words;
+            scope.spawn(move || {
+                let blocks: Vec<WordBlock<'_>> = words
+                    .iter()
+                    .map(|planes| WordBlock { planes, count: 64 })
+                    .collect();
+                // The second block waits for the first's 64 corrections.
+                done.send(sender.submit_word_batch(&blocks))
+            });
+            for seq in 0..64 {
+                let correction = receiver.recv_timeout(Duration::from_secs(10));
+                assert_eq!(correction, expected(seq));
+            }
+            assert_eq!(
+                submitted.recv_timeout(Duration::from_secs(10)),
+                Ok(Ok(0..128)),
+                "delivering the first block makes room for the second"
+            );
+        });
+        for seq in 64..128 {
+            let correction = receiver.recv_timeout(Duration::from_secs(10));
+            assert_eq!(correction, expected(seq));
+        }
         service.shutdown();
     }
 

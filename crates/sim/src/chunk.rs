@@ -24,8 +24,9 @@
 //!   that word: set while the word is non-zero, clear again when two faults
 //!   in one shot cancel it back to zero — a cost per fault placed, with no
 //!   pass over the planes;
-//! * [`SyndromeChunk::from_shots`] and [`SyndromeChunkBuilder::finish`]
-//!   index their planes in one pass over the words.
+//! * [`SyndromeChunkBuilder`] sets a word's bit wherever it ORs bits into
+//!   that word (an OR never clears one), so `finish` reads no plane;
+//! * [`SyndromeChunk::from_shots`] indexes its planes in one pass.
 //!
 //! Debug builds check the index against the planes word by word wherever a
 //! chunk is built.
@@ -134,9 +135,8 @@ impl SyndromeChunk {
             .resize(self.words.div_ceil(64) * num_detectors, 0);
         for detector in 0..num_detectors {
             for (w, &word) in self.detectors.plane(detector).iter().enumerate() {
-                if word != 0 {
-                    self.occupancy[(w / 64) * num_detectors + detector] |= 1u64 << (w % 64);
-                }
+                self.occupancy[(w / 64) * num_detectors + detector] |=
+                    u64::from(word != 0) << (w % 64);
             }
         }
         self.debug_check_occupancy();
@@ -309,10 +309,10 @@ impl SyndromeChunk {
 /// (arriving as from a real-time decoder client) into the bit-plane
 /// [`SyndromeChunk`] layout batch decoders consume.
 ///
-/// The builder *is* the detector planes of the chunk under construction:
-/// every push writes where the decoder will read, and `finish` indexes the
-/// planes and hands them over. Shot order within the produced chunk is the
-/// ingestion order.
+/// The builder *is* the detector planes of the chunk under construction and
+/// their occupancy index: every push writes where the decoder will read, and
+/// `finish` hands both over without another pass over the words. Shot order
+/// within the produced chunk is the ingestion order.
 /// Two vocabularies interleave freely within one batch:
 ///
 /// * [`SyndromeChunkBuilder::push_frame`] — one shot as a fired-detector
@@ -336,6 +336,8 @@ pub struct SyndromeChunkBuilder {
     /// Detector planes of the chunk under construction; all zero beyond the
     /// pending frames.
     planes: BitPlanes,
+    /// The exact occupancy index of `planes`, laid out as the chunk's.
+    occupancy: Vec<u64>,
     num_frames: usize,
 }
 
@@ -350,10 +352,12 @@ impl SyndromeChunkBuilder {
     /// frames, rounded up to whole words: a batch of that size is written
     /// without widening, and `finish` hands its planes over as they are.
     pub fn with_capacity(num_detectors: usize, num_observables: usize, shots: usize) -> Self {
+        let words = shots.div_ceil(64);
         SyndromeChunkBuilder {
             num_detectors,
             num_observables,
-            planes: BitPlanes::zeroed(num_detectors, shots.div_ceil(64)),
+            planes: BitPlanes::zeroed(num_detectors, words),
+            occupancy: vec![0; words.div_ceil(64) * num_detectors],
             num_frames: 0,
         }
     }
@@ -383,7 +387,18 @@ impl SyndromeChunkBuilder {
             } else {
                 self.planes.relay(words);
             }
+            self.occupancy
+                .resize(words.div_ceil(64) * self.num_detectors, 0);
         }
+    }
+
+    /// ORs `bits` into word `word` of detector `detector`'s plane, setting
+    /// the word's index bit when `bits` is non-zero.
+    #[inline]
+    fn or_word(&mut self, detector: usize, word: usize, bits: u64) {
+        self.planes.plane_mut(detector)[word] |= bits;
+        self.occupancy[(word / 64) * self.num_detectors + detector] |=
+            u64::from(bits != 0) << (word % 64);
     }
 
     /// Ingests one frame as a fired-detector index list (indices out of
@@ -397,7 +412,7 @@ impl SyndromeChunkBuilder {
         let (word, bit) = (self.num_frames / 64, self.num_frames % 64);
         for &d in fired {
             assert!(d < self.num_detectors, "detector {d} out of range");
-            self.planes.plane_mut(d)[word] |= 1u64 << bit;
+            self.or_word(d, word, 1u64 << bit);
         }
         self.num_frames += 1;
     }
@@ -419,11 +434,8 @@ impl SyndromeChunkBuilder {
             "block shot count {count} out of range"
         );
         if count < 64 {
-            let valid = (1u64 << count) - 1;
-            assert!(
-                planes.iter().all(|&w| w & !valid == 0),
-                "block sets out-of-range shot bits"
-            );
+            let fired = planes.iter().fold(0, |acc, &w| acc | w);
+            assert!(fired >> count == 0, "block sets out-of-range shot bits");
         }
         self.reserve_shots(self.num_frames + count);
         let (word, bit) = (self.num_frames / 64, self.num_frames % 64);
@@ -432,10 +444,11 @@ impl SyndromeChunkBuilder {
             if bits == 0 {
                 continue;
             }
-            let plane = self.planes.plane_mut(d);
-            plane[word] |= bits << bit;
+            // A straddling block's high shots may all land in `word + 1`:
+            // `word` is then written nothing and stays unindexed.
+            self.or_word(d, word, bits << bit);
             if straddles {
-                plane[word + 1] |= bits >> (64 - bit);
+                self.or_word(d, word + 1, bits >> (64 - bit));
             }
         }
         self.num_frames += count;
@@ -461,19 +474,21 @@ impl SyndromeChunkBuilder {
         let (start, words) = (self.num_frames / 64, other.num_frames.div_ceil(64));
         self.reserve_shots(self.num_frames + other.num_frames);
         for d in 0..self.num_detectors {
-            let source = &mut other.planes.plane_mut(d)[..words];
-            self.planes.plane_mut(d)[start..start + words].copy_from_slice(source);
-            source.fill(0);
+            for w in 0..words {
+                let bits = std::mem::take(&mut other.planes.plane_mut(d)[w]);
+                self.or_word(d, start + w, bits);
+            }
         }
+        other.occupancy.fill(0);
         self.num_frames += std::mem::take(&mut other.num_frames);
     }
 
     /// Hands the pending frames over as a [`SyndromeChunk`] (shot `s` of the
     /// chunk is the `s`-th ingested frame; observables zeroed) and leaves the
     /// builder empty, without planes, for its next batch. The chunk's
-    /// occupancy index ([`SyndromeChunk::tile_occupancy`]) is built in one
-    /// pass over the planes. `chunk_index` and `shot_offset` are recorded
-    /// verbatim for the caller's bookkeeping.
+    /// occupancy index ([`SyndromeChunk::tile_occupancy`]) is the one the
+    /// pushes kept, cut to the chunk's tiles. `chunk_index` and
+    /// `shot_offset` are recorded verbatim for the caller's bookkeeping.
     pub fn finish(&mut self, chunk_index: usize, shot_offset: usize) -> SyndromeChunk {
         let num_shots = std::mem::take(&mut self.num_frames);
         let words = num_shots.div_ceil(64);
@@ -483,7 +498,10 @@ impl SyndromeChunkBuilder {
             // was allocated for, or widened past it by doubling.
             detectors.relay(words);
         }
-        SyndromeChunk {
+        // Tiles past the chunk's words index zero words only.
+        let mut occupancy = std::mem::take(&mut self.occupancy);
+        occupancy.truncate(words.div_ceil(64) * self.num_detectors);
+        let chunk = SyndromeChunk {
             chunk_index,
             shot_offset,
             num_shots,
@@ -492,9 +510,10 @@ impl SyndromeChunkBuilder {
             words,
             detectors,
             observables: BitPlanes::zeroed(self.num_observables, words),
-            occupancy: Vec::new(),
-        }
-        .indexed()
+            occupancy,
+        };
+        chunk.debug_check_occupancy();
+        chunk
     }
 }
 

@@ -52,6 +52,14 @@ fn ingest(
     shots
 }
 
+#[test]
+#[should_panic(expected = "block sets out-of-range shot bits")]
+fn a_stray_bit_in_the_last_plane_word_panics() {
+    let mut planes = vec![0u64; 40];
+    planes[39] = 1 << 63;
+    SyndromeChunkBuilder::new(40, 1).push_word_block(&planes, 63);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

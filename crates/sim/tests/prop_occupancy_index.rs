@@ -161,6 +161,48 @@ fn appended_builders_are_exact() {
     assert_index_exact(&tail.finish(0, 0));
 }
 
+/// One frame, then a 64-shot block whose only set bit is its shot 63: the
+/// block's bits shift out of word 0 entirely and land in word 1.
+fn straddling_builder(num_detectors: usize, detector: usize) -> SyndromeChunkBuilder {
+    let mut builder = SyndromeChunkBuilder::new(num_detectors, 1);
+    builder.push_frame(&[]);
+    let mut planes = vec![0u64; num_detectors];
+    planes[detector] = 1 << 63;
+    builder.push_word_block(&planes, 64);
+    builder
+}
+
+#[test]
+fn a_block_shifted_wholly_into_the_next_word_indexes_only_that_word() {
+    let (num_detectors, detector) = (20, 7);
+    let mut shots = vec![Vec::new(); 65];
+    shots[64] = vec![detector];
+    let chunk = straddling_builder(num_detectors, detector).finish(0, 0);
+    assert_eq!(chunk.detector_plane(detector), &[0, 1]);
+    assert_eq!(chunk.tile_occupancy(0)[detector], 0b10, "word 1 only");
+    assert_index_exact(&chunk);
+    assert_eq!(chunk, from_shots(num_detectors, &shots));
+
+    // The same builder appended behind 63 words, so its second word opens
+    // tile 1.
+    let head_shots = random_shots(num_detectors, 63 * 64, 21);
+    let mut head = SyndromeChunkBuilder::new(num_detectors, 1);
+    push_mixed(&mut head, &head_shots, 64);
+    head.append(&mut straddling_builder(num_detectors, detector));
+    let chunk = head.finish(0, 0);
+    assert_eq!(chunk.detector_plane(detector)[63..], [0, 1]);
+    assert_eq!(
+        chunk.tile_occupancy(1)[detector],
+        1,
+        "word 64 is tile 1's word 0"
+    );
+    assert_index_exact(&chunk);
+    assert_eq!(
+        chunk,
+        from_shots(num_detectors, &[head_shots, shots].concat())
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

@@ -88,7 +88,9 @@ impl Progress {
 }
 
 /// Renders the canonical status snapshot — the shape written to
-/// `status.json` and printed by `artifacts sweep status`.
+/// `status.json` and printed by `artifacts sweep status`. `eta_secs` is
+/// `null` while points are pending and none has been computed: no rate,
+/// so no estimate.
 fn snapshot_json(
     job: &JobDescriptor,
     progress: &Progress,
@@ -96,10 +98,10 @@ fn snapshot_json(
     elapsed_secs: f64,
 ) -> Value {
     let rate = computed as f64 / elapsed_secs.max(1e-9);
-    let eta_secs = if rate > 0.0 {
-        progress.pending as f64 / rate
-    } else {
-        0.0
+    let eta_secs = match (computed, progress.pending) {
+        (_, 0) => Some(0.0),
+        (0, _) => None,
+        (_, pending) => Some(pending as f64 / rate),
     };
     serde_json::json!({
         "job": { "name": job.name, "hash": job.hash },
@@ -115,18 +117,21 @@ fn snapshot_json(
     })
 }
 
-/// One-line human rendering of a snapshot, for the live progress display.
+/// One-line human rendering of a snapshot, for the live progress display;
+/// an `eta_secs` that is not a number (`null`: nothing computed yet) reads
+/// `ETA ?`.
 pub fn render_progress_line(snapshot: &Value) -> String {
     let get = |key: &str| snapshot.get(key).and_then(Value::as_u64).unwrap_or(0);
     let float = |key: &str| snapshot.get(key).and_then(Value::as_f64).unwrap_or(0.0);
+    let eta = (snapshot.get("eta_secs").and_then(Value::as_f64))
+        .map_or_else(|| "?".to_string(), |eta| format!("{eta:.0}s"));
     format!(
-        "sweep: {}/{} done, {} pending, {} failed | {:.2} pts/s, ETA {:.0}s, up {:.0}s",
+        "sweep: {}/{} done, {} pending, {} failed | {:.2} pts/s, ETA {eta}, up {:.0}s",
         get("done"),
         get("total"),
         get("pending"),
         get("failed"),
         float("points_per_sec"),
-        float("eta_secs"),
         float("uptime_secs"),
     )
 }

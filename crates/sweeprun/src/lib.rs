@@ -198,11 +198,21 @@ mod e2e_tests {
         let _ = std::fs::remove_dir_all(&base);
     }
 
-    /// `MockJob` that reads `status.json`'s `done` before each `eval`.
+    /// `MockJob` that reads `status.json` before each `eval`.
     struct StatusReadingJob {
         inner: MockJob,
         status: PathBuf,
-        seen_done: RefCell<Vec<u64>>,
+        seen: RefCell<Vec<Value>>,
+    }
+
+    impl StatusReadingJob {
+        fn new(inner: MockJob, store: &PointStore) -> Self {
+            StatusReadingJob {
+                inner,
+                status: store.root().join("status.json"),
+                seen: RefCell::default(),
+            }
+        }
     }
 
     impl PointJob for StatusReadingJob {
@@ -220,10 +230,9 @@ mod e2e_tests {
 
         fn eval(&self, index: usize, seed: u64) -> Result<Value, String> {
             let text = std::fs::read_to_string(&self.status).unwrap();
-            let status: Value = serde_json::from_str(&text).unwrap();
-            self.seen_done
+            self.seen
                 .borrow_mut()
-                .push(status["done"].as_u64().unwrap());
+                .push(serde_json::from_str(&text).unwrap());
             self.inner.eval(index, seed)
         }
     }
@@ -235,19 +244,50 @@ mod e2e_tests {
         let base = temp_base("interval");
         let inner = MockJob::new(4);
         let store = open_store(&base, &inner);
-        let job = StatusReadingJob {
-            status: store.root().join("status.json"),
-            inner,
-            seen_done: RefCell::default(),
-        };
+        let job = StatusReadingJob::new(inner, &store);
         let config = CoordinatorConfig {
             progress_interval: Duration::ZERO,
             ..CoordinatorConfig::default()
         };
         run_job(&job, &store, config).unwrap();
-        assert_eq!(*job.seen_done.borrow(), vec![0, 1, 2, 3]);
+        let seen_done: Vec<Option<u64>> = (job.seen.borrow().iter())
+            .map(|status| status["done"].as_u64())
+            .collect();
+        assert_eq!(seen_done, [Some(0), Some(1), Some(2), Some(3)]);
         let status = store.read_status().unwrap();
         assert_eq!(status["done"].as_u64(), Some(4));
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// The snapshot written before the first point has no rate to estimate
+    /// from: its `eta_secs` is `null` and its line reads `ETA ?`. Once a
+    /// point is computed the estimate is a number.
+    #[test]
+    fn the_first_snapshot_of_a_run_has_an_unknown_eta() {
+        let base = temp_base("eta");
+        let inner = MockJob::new(3);
+        let store = open_store(&base, &inner);
+        let job = StatusReadingJob::new(inner, &store);
+        let config = CoordinatorConfig {
+            progress_interval: Duration::ZERO,
+            ..CoordinatorConfig::default()
+        };
+        run_job(&job, &store, config).unwrap();
+        let seen = job.seen.borrow();
+        let first = &seen[0];
+        let counts = ["total", "done", "pending", "failed", "computed_this_run"]
+            .map(|key| first[key].as_u64());
+        assert_eq!(counts, [Some(3), Some(0), Some(3), Some(0), Some(0)]);
+        assert_eq!(first.get("eta_secs"), Some(&Value::Null), "{first}");
+        assert_eq!(first["points_per_sec"].as_f64(), Some(0.0));
+        assert_eq!(
+            crate::render_progress_line(first),
+            "sweep: 0/3 done, 3 pending, 0 failed | 0.00 pts/s, ETA ?, up 0s"
+        );
+        assert!(seen[1]["eta_secs"].as_f64().is_some_and(|eta| eta >= 0.0));
+        let last = store.read_status().unwrap();
+        assert_eq!(last["eta_secs"].as_f64(), Some(0.0));
+        assert!(crate::render_progress_line(&last).contains("ETA 0s"));
         let _ = std::fs::remove_dir_all(&base);
     }
 
