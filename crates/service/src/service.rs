@@ -2410,6 +2410,32 @@ mod tests {
         service.shutdown();
     }
 
+    /// Every span of a default service is timed: once the service is shut
+    /// down, each stage's duration histogram holds one entry per call.
+    #[test]
+    fn a_default_service_times_every_stage_span() {
+        let service = DecodeService::new(ServiceConfig::default());
+        let mut handle = open(&service, "timed", &mirror_circuit()).unwrap();
+        let frames: Vec<&[usize]> = (0..64)
+            .map(|i| if i % 3 == 0 { &[0][..] } else { &[][..] })
+            .collect();
+        // One word at a time, so each word is its own decode job.
+        for _ in 0..20 {
+            for _ in handle.sender.submit_batch(&frames).unwrap() {
+                assert!(handle.recv().is_some());
+            }
+        }
+        service.shutdown();
+        let snapshot = service.telemetry_snapshot();
+        for stage in ["batcher_wait", "decode", "delivery"] {
+            let name = format!("service.stage.{stage}");
+            let calls = snapshot.counter(&format!("{name}_calls"));
+            let timed = snapshot.histogram(&format!("{name}_us")).map(|h| h.count);
+            assert!(calls >= 20, "{name}: {calls} calls");
+            assert_eq!(timed, Some(calls), "{name}");
+        }
+    }
+
     #[test]
     fn bad_frames_and_closed_streams_error() {
         let service = DecodeService::new(ServiceConfig::default());

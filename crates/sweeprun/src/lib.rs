@@ -237,6 +237,22 @@ mod e2e_tests {
         }
     }
 
+    /// Every span of a default run is timed: the final `status.json` holds
+    /// one `eval` and one `persist` duration per computed point.
+    #[test]
+    fn a_default_run_times_every_point() {
+        let base = temp_base("timed");
+        let job = MockJob::new(20);
+        let store = open_store(&base, &job);
+        let summary = run_job(&job, &store, CoordinatorConfig::default()).unwrap();
+        assert_eq!(summary.computed, 20);
+        let histograms = &store.read_status().unwrap()["telemetry"]["histograms"];
+        for stage in ["sweep.stage.eval_us", "sweep.stage.persist_us"] {
+            assert_eq!(histograms[stage]["count"].as_u64(), Some(20), "{stage}");
+        }
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
     /// At a zero progress interval `status.json` is written before the first
     /// point and after every point, so each `eval` sees the points before it.
     #[test]
