@@ -42,7 +42,7 @@ use qccd_sweeprun::{
     render_progress_line, run_job, CoordinatorConfig, PointJob, PointStore, StoreState,
 };
 use qccd_telemetry::{
-    cursor_home, render_dashboard, snapshot_from_json, RegistrySnapshot, TelemetryConfig, TraceSink,
+    cursor_home, render_dashboard, snapshot_from_json, RegistrySnapshot, TraceSink,
 };
 
 use crate::artifact::{validate_artifact_json, Artifact};
@@ -215,11 +215,6 @@ fn report_json(text: &str) -> Result<bool, String> {
     }
 }
 
-/// The telemetry configuration `--sample-every <n>` selects.
-fn sample_every(text: &str) -> Result<TelemetryConfig, String> {
-    Ok(TelemetryConfig::default().with_sample_every(at_least(1, text)?))
-}
-
 /// The text of `artifacts --help` and of an unknown command: one line a
 /// command, the subcommands' lines from their tables.
 pub fn usage() -> String {
@@ -344,7 +339,7 @@ pub struct ServeOptions {
     pub addr: String,
     /// Decode-service tuning.
     pub service: ServiceConfig,
-    /// Stream sampled stage spans to this file as JSON lines.
+    /// Stream stage spans to this file as JSON lines.
     pub trace_out: Option<PathBuf>,
 }
 
@@ -368,8 +363,6 @@ fn service_flags<T: 'static>(part: fn(&mut T) -> &mut ServiceConfig) -> Vec<Flag
             => *part(o) = part(o).with_flush_deadline(Duration::from_micros(number(v)?)),
         "--queue-shots" "<n>": "per-stream in-flight bound (default: 4096)"
             => *part(o) = part(o).with_stream_queue_shots(at_least(1, v)?),
-        "--sample-every" "<n>": "stage-timing sample period (default: 16; 1 = all)"
-            => *part(o) = part(o).with_telemetry(sample_every(v)?),
     ]
 }
 
@@ -377,7 +370,7 @@ fn serve_flags() -> Command<ServeOptions> {
     flags![ServeOptions, "serve", "unknown serve flag", "run the decode service (TCP JSON-lines)";
         |o, v|
         "--addr" "<host:port>": "listen address (default: 127.0.0.1:7878)" => o.addr = v.into(),
-        "--trace-out" "<file>": "stream sampled stage spans as JSON lines"
+        "--trace-out" "<file>": "stream stage spans as JSON lines"
             => o.trace_out = Some(v.into()),
     ]
     .with(service_flags(|o: &mut ServeOptions| &mut o.service))
@@ -421,7 +414,7 @@ pub struct LoadgenCliOptions {
     pub service: ServiceConfig,
     /// Redraw a live telemetry dashboard on stderr during the run.
     pub top: bool,
-    /// Stream sampled stage spans to this file (in-process only; a TCP
+    /// Stream stage spans to this file (in-process only; a TCP
     /// server traces on its own side via `serve --trace-out`).
     pub trace_out: Option<PathBuf>,
 }
@@ -477,7 +470,7 @@ fn loadgen_flags() -> Command<LoadgenCliOptions> {
         "--shutdown": "shut a TCP server down after the run" => o.shutdown = true,
         "--format" "<pretty|json>": "report format (default: pretty)" => o.json = report_json(v)?,
         "--top": "live telemetry dashboard on stderr" => o.top = true,
-        "--trace-out" "<file>": "stream sampled stage spans as JSON lines (in-process)"
+        "--trace-out" "<file>": "stream stage spans as JSON lines (in-process)"
             => o.trace_out = Some(v.into()),
     ]
     .with(service_flags(|o: &mut LoadgenCliOptions| &mut o.service))
@@ -540,8 +533,6 @@ pub struct SweepRunOptions {
     pub progress_interval: Duration,
     /// Suppress the live progress line on stderr.
     pub quiet: bool,
-    /// The span sampling period of the run's telemetry registry.
-    pub telemetry: TelemetryConfig,
     /// Merged-artifact output format.
     pub format: OutputFormat,
     /// Output directory for the merged artifact (stdout when absent).
@@ -556,7 +547,6 @@ impl Default for SweepRunOptions {
             store: PathBuf::from("target/experiments/sweep"),
             progress_interval: Duration::from_millis(2000),
             quiet: false,
-            telemetry: TelemetryConfig::default(),
             format: OutputFormat::Pretty,
             out: None,
         }
@@ -583,8 +573,6 @@ fn sweep_run_flags() -> Command<SweepRunOptions> {
             "progress line / status.json period (default: 2000; 0 = after every point)"
             => o.progress_interval = Duration::from_millis(number(v)?),
         "--quiet": "no live progress line on stderr" => o.quiet = true,
-        "--sample-every" "<n>": "stage-timing sample period (default: 16; 1 = all)"
-            => o.telemetry = sample_every(v)?,
         "--format" "<pretty|json|csv>": "merged-artifact format (default: pretty)"
             => o.format = spelled(v)?,
         "--out" "<dir>": "write <dir>/<name>.<ext> instead of stdout" => o.out = Some(v.into()),
@@ -727,7 +715,6 @@ fn sweep_run_command(
         CoordinatorConfig {
             progress_interval: options.progress_interval,
             quiet: options.quiet,
-            telemetry: options.telemetry,
         },
     )?;
     println!(
@@ -791,7 +778,7 @@ fn serve_command(options: &ServeOptions) -> Result<(), String> {
         let sink = TraceSink::create(path)
             .map_err(|e| format!("cannot create trace file {}: {e}", path.display()))?;
         server.service().telemetry().set_trace_sink(Arc::new(sink));
-        println!("tracing sampled stage spans to {}", path.display());
+        println!("tracing stage spans to {}", path.display());
     }
     println!("decode service listening on {addr} ({:?})", options.service);
     server.run().map_err(|e| e.to_string())
@@ -1281,18 +1268,14 @@ mod tests {
             "250",
             "--queue-shots",
             "128",
-            "--sample-every",
-            "4",
         ]))
         .unwrap();
         assert_eq!(options.addr, "0.0.0.0:9000");
         assert_eq!(options.service.workers, 4);
         assert_eq!(options.service.flush_deadline, Duration::from_micros(250));
         assert_eq!(options.service.stream_queue_shots, 128);
-        assert_eq!(options.service.telemetry.sample_every, 4);
         assert!(parse_serve_options(&strings(&["--workers"])).is_err());
         assert!(parse_serve_options(&strings(&["--workers", "x"])).is_err());
-        assert!(parse_serve_options(&strings(&["--sample-every", "0"])).is_err());
         assert!(parse_serve_options(&strings(&["--bogus"])).is_err());
         assert_eq!(
             parse_serve_options(&strings(&["--no-telemetry"])).unwrap_err(),
@@ -1381,20 +1364,10 @@ mod tests {
         let rate = parse_loadgen_options(&rate).unwrap().load.rate;
         assert_eq!(rate, Some(50_000.0));
 
-        let in_process = parse_loadgen_options(&strings(&[
-            "--in-process",
-            "--workers",
-            "3",
-            "--sample-every",
-            "1",
-        ]))
-        .unwrap();
+        let in_process =
+            parse_loadgen_options(&strings(&["--in-process", "--workers", "3"])).unwrap();
         assert!(in_process.in_process);
         assert_eq!(in_process.service.workers, 3);
-        assert_eq!(
-            in_process.service.telemetry,
-            TelemetryConfig { sample_every: 1 }
-        );
     }
 
     #[test]
@@ -1476,8 +1449,6 @@ mod tests {
             "--progress-interval-ms",
             "100",
             "--quiet",
-            "--sample-every",
-            "2",
             "--format",
             "json",
             "--out",
@@ -1485,7 +1456,6 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(options.name.as_deref(), Some("fig07"));
-        assert_eq!(options.telemetry.sample_every, 2);
         assert_eq!(options.store, PathBuf::from("mystore"));
         assert_eq!(options.progress_interval, Duration::from_millis(100));
         assert!(options.quiet);

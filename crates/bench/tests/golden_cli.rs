@@ -44,7 +44,7 @@ const CASES: &[(&str, &str)] = &[
     ("serve", "serve"),
     (
         "serve --addr 0.0.0.0:9000 --workers 4 --deadline-us 250 --queue-shots 128 \
-         --sample-every 4 --trace-out t.jsonl",
+         --trace-out t.jsonl",
         "--addr",
     ),
     ("serve --addr", "--addr"),
@@ -134,7 +134,7 @@ const CASES: &[(&str, &str)] = &[
     ("loadgen --addr x:1 --trace-out t.jsonl", "--trace-out"),
     // loadgen: service tuning
     (
-        "loadgen --in-process --workers 3 --deadline-us 300 --queue-shots 64 --sample-every 1",
+        "loadgen --in-process --workers 3 --deadline-us 300 --queue-shots 64",
         "--workers",
     ),
     ("loadgen --in-process --workers", "--workers"),
@@ -158,8 +158,8 @@ const CASES: &[(&str, &str)] = &[
     // sweep run / resume
     ("sweep run fig10", "fig10"),
     (
-        "sweep resume fig07 --store s --progress-interval-ms 100 --quiet --sample-every 2 \
-         --format json --out out",
+        "sweep resume fig07 --store s --progress-interval-ms 100 --quiet --format json \
+         --out out",
         "--store",
     ),
     ("sweep run --spec f.json", "--spec"),

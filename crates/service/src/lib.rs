@@ -108,9 +108,9 @@ pub use loadgen::{
 pub use metrics::ServiceMetrics;
 pub use net::{NetClient, NetServer};
 pub use program::DecodeProgram;
-// Re-exported so service hosts can configure and read telemetry without a
-// direct qccd-telemetry dependency.
-pub use qccd_telemetry::{Registry as TelemetryRegistry, RegistrySnapshot, TelemetryConfig};
+// Re-exported so service hosts can read telemetry without a direct
+// qccd-telemetry dependency.
+pub use qccd_telemetry::{Registry as TelemetryRegistry, RegistrySnapshot};
 pub use service::{
     Correction, CorrectionReceiver, DecodeService, ServiceConfig, StreamHandle, StreamReceiver,
     StreamSender, WordBlock,

@@ -252,16 +252,15 @@ impl ServiceMetrics {
 }
 
 /// Latency summary of one pipeline stage, read from the unified telemetry
-/// snapshot: exact call/item counters plus quantiles of the (sampled)
-/// duration histogram.
+/// snapshot: call/item counters plus quantiles of the duration histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StageSummary {
-    /// Stage invocations (exact, unsampled).
+    /// Stage invocations.
     pub calls: u64,
-    /// Items (frames/shots) the stage processed (exact, unsampled).
+    /// Items (frames/shots) the stage processed.
     pub items: u64,
-    /// Invocations that were timed (at sampling period 1 this equals
-    /// `calls`).
+    /// Invocations that were timed: every span is, so this equals `calls`
+    /// once the service is quiescent.
     pub timed: u64,
     /// Mean duration of the timed invocations (µs).
     pub mean_us: f64,
@@ -338,7 +337,7 @@ impl StageBreakdown {
                 s.calls, s.items, s.mean_us, s.p50_us, s.p99_us
             )
         };
-        let mut out = String::from("per-stage breakdown (timing sampled):\n");
+        let mut out = String::from("per-stage breakdown:\n");
         out.push_str(&row("batcher_wait", &self.batcher_wait));
         out.push_str(&row("decode", &self.decode));
         out.push_str(&row("delivery", &self.delivery));

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use qccd_core::ArchitectureConfig;
 use qccd_decoder::{CacheStats, DecodeScratch, DecoderKind, MemoConfig};
 use qccd_sim::SyndromeChunkBuilder;
-use qccd_telemetry::{Registry, RegistrySnapshot, TelemetryConfig};
+use qccd_telemetry::{Registry, RegistrySnapshot};
 
 use crate::metrics::{FlushStat, MetricsInner, ServiceMetrics};
 use crate::{DecodeProgram, ServiceError};
@@ -55,11 +55,6 @@ pub struct ServiceConfig {
     /// under, whatever program a stream was opened over. The memo never
     /// changes a decoded bit.
     pub memo: MemoConfig,
-    /// Telemetry configuration of the service's metrics registry: the span
-    /// sampling period of its per-stage spans. The registry always records;
-    /// [`ServiceMetrics`] and [`DecodeService::telemetry_snapshot`] read the
-    /// same `service.*` cells.
-    pub telemetry: TelemetryConfig,
 }
 
 impl Default for ServiceConfig {
@@ -69,7 +64,6 @@ impl Default for ServiceConfig {
             flush_deadline: Duration::from_micros(500),
             stream_queue_shots: 4096,
             memo: MemoConfig::default(),
-            telemetry: TelemetryConfig::default(),
         }
     }
 }
@@ -90,12 +84,6 @@ impl ServiceConfig {
     /// Overrides the per-stream in-flight bound.
     pub fn with_stream_queue_shots(mut self, shots: usize) -> Self {
         self.stream_queue_shots = shots.max(1);
-        self
-    }
-
-    /// Overrides the telemetry configuration (span sampling period).
-    pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
-        self.telemetry = telemetry;
         self
     }
 }
@@ -695,7 +683,7 @@ impl DecodeService {
     pub fn new(mut config: ServiceConfig) -> Self {
         config.workers = config.workers.max(1);
         config.stream_queue_shots = config.stream_queue_shots.max(1);
-        let telemetry = Registry::new(config.telemetry);
+        let telemetry = Registry::new();
         let shared = Arc::new(Shared {
             shards: Mutex::new(HashMap::new()),
             streams: Mutex::new(HashMap::new()),
@@ -1780,8 +1768,7 @@ mod tests {
         let service = DecodeService::new(
             ServiceConfig::default()
                 .with_workers(1)
-                .with_flush_deadline(Duration::from_millis(5))
-                .with_telemetry(TelemetryConfig { sample_every: 1 }),
+                .with_flush_deadline(Duration::from_millis(5)),
         );
         let handle = open(&service, "counted", &six_detector_circuit()).unwrap();
         // A quiet word, a sparse word, a word with above-cap lanes and a

@@ -15,8 +15,7 @@ use proptest::prelude::*;
 use qccd_circuit::{Detector, Instruction, LogicalObservable, MeasurementRef, QubitId};
 use qccd_decoder::{DecodeScratch, DecoderKind, DecodingGraph};
 use qccd_service::{
-    loadgen, DecodeProgram, DecodeService, LoadgenOptions, ServiceConfig, TelemetryConfig,
-    WordBlock,
+    loadgen, DecodeProgram, DecodeService, LoadgenOptions, ServiceConfig, WordBlock,
 };
 use qccd_sim::{NoiseChannel, NoisyCircuit, SyndromeChunkBuilder};
 
@@ -271,8 +270,7 @@ fn full_sampling_telemetry_preserves_bit_identity() {
     let service = DecodeService::new(
         ServiceConfig::default()
             .with_workers(3)
-            .with_flush_deadline(Duration::from_micros(150))
-            .with_telemetry(TelemetryConfig { sample_every: 1 }),
+            .with_flush_deadline(Duration::from_micros(150)),
     );
     let options = LoadgenOptions {
         streams: 4,

@@ -12,7 +12,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use qccd_telemetry::{snapshot_to_json, Registry, TelemetryConfig};
+use qccd_telemetry::{snapshot_to_json, Registry};
 use serde_json::Value;
 
 use crate::job::{JobDescriptor, PointJob};
@@ -26,8 +26,6 @@ pub struct CoordinatorConfig {
     pub progress_interval: Duration,
     /// Suppress the live progress line on stderr.
     pub quiet: bool,
-    /// Span sampling period of the run's registry (`status.json`'s `telemetry`).
-    pub telemetry: TelemetryConfig,
 }
 
 impl Default for CoordinatorConfig {
@@ -35,7 +33,6 @@ impl Default for CoordinatorConfig {
         CoordinatorConfig {
             progress_interval: Duration::from_secs(2),
             quiet: true,
-            telemetry: TelemetryConfig::default(),
         }
     }
 }
@@ -95,9 +92,9 @@ fn snapshot_json(
     job: &JobDescriptor,
     progress: &Progress,
     computed: usize,
-    elapsed_secs: f64,
+    uptime_secs: f64,
 ) -> Value {
-    let rate = computed as f64 / elapsed_secs.max(1e-9);
+    let rate = computed as f64 / uptime_secs.max(1e-9);
     let eta_secs = match (computed, progress.pending) {
         (_, 0) => Some(0.0),
         (0, _) => None,
@@ -110,8 +107,7 @@ fn snapshot_json(
         "pending": progress.pending as u64,
         "failed": progress.failed as u64,
         "computed_this_run": computed as u64,
-        "elapsed_secs": elapsed_secs,
-        "uptime_secs": elapsed_secs,
+        "uptime_secs": uptime_secs,
         "points_per_sec": rate,
         "eta_secs": eta_secs,
     })
@@ -154,7 +150,7 @@ pub fn run_job(
     let start = Instant::now();
     let missing = store.missing_indices();
     let resumed = store.num_points() - missing.len();
-    let telemetry = Registry::new(config.telemetry);
+    let telemetry = Registry::new();
     let stage_eval = telemetry.stage("sweep.stage.eval");
     let stage_persist = telemetry.stage("sweep.stage.persist");
     let points_completed = telemetry.counter("sweep.points_completed");

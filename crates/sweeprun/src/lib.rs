@@ -277,7 +277,8 @@ mod e2e_tests {
 
     /// The snapshot written before the first point has no rate to estimate
     /// from: its `eta_secs` is `null` and its line reads `ETA ?`. Once a
-    /// point is computed the estimate is a number.
+    /// point is computed the estimate is a number. The snapshot carries
+    /// each of its keys once, and no other.
     #[test]
     fn the_first_snapshot_of_a_run_has_an_unknown_eta() {
         let base = temp_base("eta");
@@ -291,6 +292,27 @@ mod e2e_tests {
         run_job(&job, &store, config).unwrap();
         let seen = job.seen.borrow();
         let first = &seen[0];
+        let keys: Vec<&str> = first
+            .as_object()
+            .unwrap()
+            .keys()
+            .map(String::as_str)
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "computed_this_run",
+                "done",
+                "eta_secs",
+                "failed",
+                "job",
+                "pending",
+                "points_per_sec",
+                "telemetry",
+                "total",
+                "uptime_secs",
+            ]
+        );
         let counts = ["total", "done", "pending", "failed", "computed_this_run"]
             .map(|key| first[key].as_u64());
         assert_eq!(counts, [Some(3), Some(0), Some(3), Some(0), Some(0)]);

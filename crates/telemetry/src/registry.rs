@@ -6,8 +6,7 @@
 //! registration returns are `Arc`s onto shared atomic cells: incrementing a
 //! counter is one relaxed `fetch_add` on one `AtomicU64`, like a gauge's
 //! add; recording a histogram sample is two. There is one mode: every
-//! registry records, and [`TelemetryConfig::sample_every`] is the one dial
-//! on span overhead.
+//! registry records, and every [`Stage`] span is timed.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -94,35 +93,10 @@ impl Histogram {
     }
 }
 
-/// Tuning knobs of a [`Registry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Span sampling period: a [`Stage`] times one call
-    /// in `sample_every` (1 = time every call). Item/call counters are
-    /// always exact; sampling only thins the timing histogram so `Instant`
-    /// reads stay off the steady-state hot path.
-    pub sample_every: u32,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig { sample_every: 16 }
-    }
-}
-
-impl TelemetryConfig {
-    /// Overrides the sampling period (clamped to ≥ 1).
-    pub fn with_sample_every(mut self, sample_every: u32) -> Self {
-        self.sample_every = sample_every.max(1);
-        self
-    }
-}
-
 /// What lives behind a registry.
 #[derive(Debug)]
 pub(crate) struct RegistryInner {
     pub(crate) started: Instant,
-    pub(crate) sample_every: u32,
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
     histograms: Mutex<BTreeMap<String, Arc<HistogramCell>>>,
@@ -132,7 +106,6 @@ pub(crate) struct RegistryInner {
 /// A process- or subsystem-wide registry of named metrics.
 ///
 /// Cheap to clone (an `Arc` internally); clones observe the same metrics.
-/// `Registry::default()` follows [`TelemetryConfig::default`].
 #[derive(Debug, Clone)]
 pub struct Registry {
     pub(crate) inner: Arc<RegistryInner>,
@@ -140,17 +113,16 @@ pub struct Registry {
 
 impl Default for Registry {
     fn default() -> Self {
-        Registry::new(TelemetryConfig::default())
+        Registry::new()
     }
 }
 
 impl Registry {
-    /// A registry sampling spans at `config.sample_every`.
-    pub fn new(config: TelemetryConfig) -> Self {
+    /// An empty registry.
+    pub fn new() -> Self {
         Registry {
             inner: Arc::new(RegistryInner {
                 started: Instant::now(),
-                sample_every: config.sample_every.max(1),
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
@@ -181,14 +153,13 @@ impl Registry {
     }
 
     /// Registers a pipeline stage: a `<name>_us` duration histogram plus
-    /// exact `<name>_calls` / `<name>_items` counters, with span timing
-    /// sampled at the registry's configured period.
+    /// `<name>_calls` / `<name>_items` counters, every span timed.
     pub fn stage(&self, name: &str) -> Stage {
         Stage::new(self, name)
     }
 
-    /// Attaches a JSON-lines trace sink; stages write one event per sampled
-    /// span. Replaces any previous sink.
+    /// Attaches a JSON-lines trace sink; stages write one event per span.
+    /// Replaces any previous sink.
     pub fn set_trace_sink(&self, sink: Arc<TraceSink>) {
         *self.inner.trace.lock().expect("trace sink lock") = Some(sink);
     }

@@ -1,6 +1,6 @@
 //! JSON-lines trace export.
 //!
-//! A [`TraceSink`] appends one JSON object per sampled span to a file:
+//! A [`TraceSink`] appends one JSON object per span to a file:
 //!
 //! ```json
 //! {"ts_us":1234,"stage":"service.stage.decode","dur_us":210,"items":64}
@@ -10,7 +10,7 @@
 //! duration, `items` the item count the span covered. The format is
 //! line-delimited so a partial file (a killed run) stays parseable line by
 //! line. Writes go through one buffered writer behind a mutex — trace
-//! export is for offline analysis of sampled spans, not a hot path.
+//! export is for offline analysis of spans, not a hot path.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
