@@ -13,7 +13,9 @@
 //! length, `FLIPS` byte flips drawn from a seeded SplitMix64 stream, and
 //! every member or array entry at any depth dropped or replaced by each
 //! value of `REPLACEMENTS` — other JSON types, a negative and a fractional
-//! number, `u64::MAX` and 2^64.
+//! number, `u64::MAX` and 2^64 — plus the first member replaced by arrays
+//! nested `NESTING` deep, which a parser without a depth limit would
+//! recurse through until the thread's stack overflows.
 
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,6 +40,9 @@ const REPLACEMENTS: [&str; 9] = [
     "18446744073709551615",
     "18446744073709551616",
 ];
+
+/// Depth of the nested arrays that replace a file's first member.
+const NESTING: usize = 1_000_000;
 
 /// Stands in for a replacement until the document is rendered, so that a
 /// raw text the `Value` model cannot hold (an integer of 2^64) can be
@@ -77,6 +82,13 @@ fn variants(text: &str) -> Vec<(String, Vec<u8>)> {
             out.push((format!("member {position} set to {raw}"), text.into_bytes()));
         }
     }
+    let mut marked = doc.clone();
+    edit(&mut marked, &mut 0, Some(SENTINEL));
+    let deep = format!("{}{}", "[".repeat(NESTING), "]".repeat(NESTING));
+    let text = marked
+        .to_string()
+        .replace(&format!("\"{SENTINEL}\""), &deep);
+    out.push((format!("member 0 nested {NESTING} deep"), text.into_bytes()));
     out
 }
 
