@@ -224,6 +224,98 @@ fn packed_wire_matches_frames_wire() {
     running.join().expect("server thread").expect("clean exit");
 }
 
+/// Plane words at their extremes cross the wire exactly: an all-ones
+/// 64-shot block (every detector fires in every shot), a block whose one
+/// set bit is the top bit of the last detector's plane, and a 1-shot
+/// block, sent as shot-major blocks on one stream and as per-shot frames on
+/// another, in bursts of 1, 64 and 65 shots. Both streams' corrections
+/// equal the offline decode of the same shots.
+#[test]
+fn extreme_plane_words_decode_like_the_offline_decode() {
+    let server = NetServer::bind(
+        "127.0.0.1:0",
+        ServiceConfig::default().with_flush_deadline(Duration::from_micros(200)),
+    )
+    .expect("bind ephemeral port");
+    let addr = server.local_addr().expect("bound address").to_string();
+    let running = std::thread::spawn(move || server.run());
+
+    let arch = qccd_service::net::parse_arch("grid", 2, "standard", 5.0).expect("arch");
+    let program = DecodeProgram::compile(&arch, 2, DecoderKind::UnionFind).expect("compile");
+    let detectors = program.num_detectors();
+    let all_ones = (vec![u64::MAX; detectors], 64);
+    let mut top_bit = (vec![0u64; detectors], 64);
+    top_bit.0[detectors - 1] = 1 << 63;
+    let one_shot = (vec![1u64; detectors], 1);
+    let bursts: [Vec<(Vec<u64>, usize)>; 4] = [
+        vec![one_shot.clone()],
+        vec![all_ones.clone()],
+        vec![top_bit.clone(), one_shot.clone()],
+        vec![one_shot, top_bit, all_ones],
+    ];
+
+    let mut client = NetClient::connect(&addr).expect("connect");
+    let mut open = || {
+        client
+            .open_stream("grid", 2, "standard", 5.0, 2, DecoderKind::UnionFind)
+            .expect("open")
+    };
+    let (by_blocks, by_frames) = (open(), open());
+    let mut frames: Vec<Vec<usize>> = Vec::new();
+    for burst in &bursts {
+        client
+            .submit_packed_words(by_blocks.id, burst)
+            .expect("packed submit");
+        let shots: Vec<Vec<usize>> = burst
+            .iter()
+            .flat_map(|(planes, count)| {
+                (0..*count).map(move |shot| {
+                    (0..detectors)
+                        .filter(|&detector| (planes[detector] >> shot) & 1 == 1)
+                        .collect()
+                })
+            })
+            .collect();
+        client
+            .submit_frames(by_frames.id, &shots)
+            .expect("frames submit");
+        frames.extend(shots);
+    }
+    assert_eq!(frames.len(), 1 + 64 + 65 + 129);
+    client.close_stream(by_blocks.id).expect("close packed");
+    client.close_stream(by_frames.id).expect("close frames");
+
+    let mut builder = qccd_sim::SyndromeChunkBuilder::new(detectors, 0);
+    for frame in &frames {
+        builder.push_frame(frame);
+    }
+    let offline = program.decode_batch(
+        &builder.finish(0, 0),
+        &mut qccd_decoder::DecodeScratch::new(),
+    );
+    for (seq, frame) in frames.iter().enumerate() {
+        let expected = (0..offline.num_observables())
+            .filter(|&observable| offline.predicted(seq, observable))
+            .fold(0u64, |mask, observable| mask | 1 << observable);
+        for stream in [&by_blocks, &by_frames] {
+            let correction = stream
+                .corrections
+                .recv_timeout(Duration::from_secs(30))
+                .expect("correction");
+            assert_eq!(
+                (correction.seq, correction.flips),
+                (seq as u64, expected),
+                "stream {} shot {seq} ({} detectors fired)",
+                stream.id,
+                frame.len()
+            );
+        }
+    }
+    assert!(client.take_protocol_errors().is_empty());
+    client.shutdown_server().expect("shutdown");
+    running.join().expect("server thread").expect("clean exit");
+}
+
 #[test]
 fn shutdown_is_not_blocked_by_an_idle_connection() {
     let server =
