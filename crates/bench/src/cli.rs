@@ -367,7 +367,7 @@ fn service_flags<T: 'static>(part: fn(&mut T) -> &mut ServiceConfig) -> Vec<Flag
 }
 
 fn serve_flags() -> Command<ServeOptions> {
-    flags![ServeOptions, "serve", "unknown serve flag", "run the decode service (TCP JSON-lines)";
+    flags![ServeOptions, "serve", "unknown serve flag", "run the decode service (TCP)";
         |o, v|
         "--addr" "<host:port>": "listen address (default: 127.0.0.1:7878)" => o.addr = v.into(),
         "--trace-out" "<file>": "stream stage spans as JSON lines"

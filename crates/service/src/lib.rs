@@ -59,11 +59,11 @@
 //!   leftover jobs through the same loop. A test-only explorer runs these
 //!   decisions through every interleaving of a small model.
 //! * Two frame vocabularies: index frames ([`StreamSender::submit`] /
-//!   [`StreamSender::submit_batch`], the `frame`/`frames` wire commands)
+//!   [`StreamSender::submit_batch`], index-frame requests on the wire)
 //!   list one shot's fired detectors and cost one bit-set each; shot-major
 //!   clients (the loadgen harness, co-located front-ends) submit
-//!   pre-transposed [`WordBlock`]s ([`StreamSender::submit_word_batch`], the
-//!   `frames_packed` wire command), where each non-zero 64-shot plane word
+//!   pre-transposed [`WordBlock`]s ([`StreamSender::submit_word_batch`],
+//!   word-block requests on the wire), where each non-zero 64-shot plane word
 //!   lands with one shift-OR and there is no per-frame work at all.
 //! * Per-stream queues are bounded ([`ServiceConfig::stream_queue_shots`]):
 //!   submission blocks once a stream has that many frames in flight —
@@ -86,9 +86,10 @@
 //!   sums its scratches' deltas locally and publishes them when it runs out
 //!   of jobs, so the decode path makes no atomic write for them.
 //!
-//! The [`net`] module wires the service to a `std::net` TCP JSON-lines
-//! front-end (the `artifacts serve` subcommand), and [`loadgen`] replays
-//! sampled [`SyndromeChunk`](qccd_sim::SyndromeChunk)s against either the
+//! The [`net`] module wires the service to a `std::net` TCP front-end
+//! (the `artifacts serve` subcommand: JSON command lines, binary frames
+//! for shots and corrections), and [`loadgen`] replays sampled
+//! [`SyndromeChunk`](qccd_sim::SyndromeChunk)s against either the
 //! in-process service or a remote endpoint at a target rate, verifying
 //! bit-identity against the offline batch decode and reporting
 //! p50/p99/throughput.

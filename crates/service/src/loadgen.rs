@@ -52,7 +52,7 @@ pub struct LoadgenOptions {
     /// Target aggregate submission rate in shots/s (`None` = as fast as
     /// backpressure allows).
     pub rate: Option<f64>,
-    /// Submit shot-major 64-shot word blocks (`frames_packed` on the wire,
+    /// Submit shot-major 64-shot word blocks (word-block frames on the wire,
     /// [`StreamSender::submit_word_batch`](crate::StreamSender::submit_word_batch)
     /// in process) instead of per-shot frames — the pre-transposed fast
     /// path.
@@ -581,15 +581,15 @@ fn replay_over_tcp(
     Ok(replay.report(verdict, wall_seconds, connections, metrics, stages))
 }
 
-/// Drives a **remote** JSON-lines decode server with replayed frames of
-/// `program`'s circuit over `options.connections` concurrent TCP
-/// connections, opening each stream with `open` (which must open
-/// `program`'s workload on the server: the caller's program is the offline
-/// reference every correction is verified against). The first replay runs
-/// at `options.rate`; then `points` throttled replays at `saturation * i /
-/// points` (for `i in 1..=points`), `saturation` being the throughput the
-/// first reached, sweep the **throughput/latency frontier**. Every run
-/// replays the same frames, sampled once. `shutdown_after` sends
+/// Drives a **remote** decode server ([`NetServer`](crate::NetServer))
+/// with replayed frames of `program`'s circuit over `options.connections`
+/// concurrent TCP connections, opening each stream with `open` (which must
+/// open `program`'s workload on the server: the caller's program is the
+/// offline reference every correction is verified against). The first
+/// replay runs at `options.rate`; then `points` throttled replays at
+/// `saturation * i / points` (for `i in 1..=points`), `saturation` being
+/// the throughput the first reached, sweep the **throughput/latency
+/// frontier**. Every run replays the same frames, sampled once. `shutdown_after` sends
 /// `{"cmd":"shutdown"}` after the last run (the CI smoke uses this to stop
 /// the server).
 ///

@@ -1,12 +1,9 @@
-//! The wire readers against an independent reference: on generated,
-//! shuffled, repeated, escaped, truncated, mutated and type-confused lines,
-//! the request reader and the run-line reader must agree with
-//! `serde_json::from_str` plus `Value` accessors — the way both ends read
-//! these lines before the field reader — on accept or reject and on
-//! everything they extract. And every line the two ends encode must read
-//! back as exactly what was encoded.
-
-use serde_json::{json, Value};
+//! The wire's readers on generated, truncated, byte-flipped and
+//! mislabelled frames: every case is refused whole or read back exactly —
+//! re-encoding what was read gives the frame's own bytes — and none
+//! panics, whatever pieces the bytes arrive in. Every frame the two ends
+//! encode reads back as exactly what was encoded, and a command line reads
+//! as the vendored `serde_json` reads it.
 
 use super::*;
 
@@ -35,12 +32,6 @@ impl Rng {
         &items[self.below(items.len())]
     }
 
-    fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            items.swap(i, self.below(i + 1));
-        }
-    }
-
     /// A plane word as bursts carry them: mostly zero, some all-ones.
     fn word(&mut self) -> u64 {
         match self.below(8) {
@@ -52,625 +43,352 @@ impl Rng {
     }
 }
 
-/// Values of every JSON type, well-formed or not, that a field reader
-/// could mistake for the one it wants.
-const CONFUSED: &[&str] = &[
-    "1.5",
-    "-1",
-    "-0",
-    "-00",
-    "007",
-    r#""7""#,
-    "18446744073709551615",
-    "18446744073709551616",
-    "9223372036854775808",
-    "-9223372036854775809",
-    "1e3",
-    "1E+2",
-    "-.5",
-    "1.",
-    "-",
-    "1.2.3",
-    "01e",
-    "2-",
-    "+1",
-    ".5",
-    "nul",
-    "null",
-    "true",
-    "false",
-    "[]",
-    "{}",
-    "[-0]",
-    "[0.0]",
-    "[1,]",
-    r#"{"a"}"#,
-    "[1,[2,[3,{}]]]",
-    r#"{"x":[1,{"y":null}],"count":3}"#,
-    r#""A""#,
-    r#""é\t""#,
-    r#""\q""#,
-    r#""😀""#,
-    r#""\ud800A""#,
-    r#""\ud800\u0041""#,
-    r#""\u+041""#,
-    r#""a\"b""#,
-    r#""é""#,
-    r#""unterminated"#,
-];
-
-/// One line under construction: each field's raw JSON key and raw value.
-type RawFields = Vec<(String, String)>;
-
-/// Quotes `key`, sometimes writing one of its letters as a `\u` escape
-/// (`"cmd"` reads as `cmd`).
-fn quote_key(key: &str, rng: &mut Rng) -> String {
-    if key.is_empty() || !rng.chance(15) {
-        return format!("\"{key}\"");
+/// Feeds `bytes` to an emptied `inbox` (its buffer reused, so that a case
+/// costs no fresh allocation) in pieces of `piece` bytes and hands every
+/// whole message to `each`; a message cut off at the end is not taken.
+fn read_messages(
+    inbox: &mut Inbox,
+    bytes: &[u8],
+    piece: usize,
+    mut each: impl FnMut(Message<'_>),
+) -> Result<(), TooLong> {
+    *inbox = Inbox {
+        bytes: std::mem::take(&mut inbox.bytes),
+        ..Inbox::default()
+    };
+    for mut piece in bytes.chunks(piece) {
+        while inbox.fill(&mut piece).expect("a slice reads") > 0 {}
+        while let Some(message) = inbox.next()? {
+            each(message);
+        }
     }
-    let at = rng.below(key.len());
-    let letter = key.as_bytes()[at];
-    format!("\"{}\\u{:04x}{}\"", &key[..at], letter, &key[at + 1..])
+    Ok(())
 }
 
-/// Renders `fields` as one object, with random whitespace between tokens
-/// when `spaced`.
-fn render(fields: &[(String, String)], rng: &mut Rng, spaced: bool) -> String {
-    const SPACES: &[&str] = &["", "", " ", "\t", "\r", " \n ", "  "];
-    let space = |rng: &mut Rng| -> &'static str {
-        if spaced {
-            SPACES[rng.below(SPACES.len())]
-        } else {
-            ""
-        }
-    };
-    let mut out = String::from(space(rng));
-    out.push('{');
-    for (index, (key, value)) in fields.iter().enumerate() {
-        if index > 0 {
-            out.push_str(space(rng));
-            out.push(',');
-        }
-        out.push_str(space(rng));
-        out.push_str(key);
-        out.push_str(space(rng));
-        out.push(':');
-        out.push_str(space(rng));
-        out.push_str(value);
-    }
-    out.push_str(space(rng));
-    out.push('}');
-    out.push_str(space(rng));
+/// The bytes of `frame` as it arrived: its header, then its payload.
+fn frame_bytes(frame: &Frame<'_>) -> Vec<u8> {
+    let mut out = Vec::new();
+    push_frame(&mut out, frame.kind, frame.stream, |out| {
+        out.extend_from_slice(frame.payload);
+    });
     out
 }
 
-/// Orders `fields` as `json!` would (alphabetically by key) or shuffled,
-/// sometimes repeats a key earlier with another value, sometimes adds an
-/// unknown field, and renders the result.
-fn arrange(mut fields: RawFields, rng: &mut Rng) -> String {
+/// The one message `bytes` holds, which must be a whole frame.
+fn only_frame(bytes: &[u8], mut check: impl FnMut(&Frame<'_>)) {
+    let (mut inbox, mut frames) = (Inbox::default(), 0);
+    read_messages(
+        &mut inbox,
+        bytes,
+        bytes.len().max(1),
+        |message| match message {
+            Message::Frame(frame) => {
+                frames += 1;
+                check(&frame);
+            }
+            Message::Line(line) => panic!("a frame read as the line {line:?}"),
+        },
+    )
+    .expect("within the cap");
+    assert_eq!(frames, 1);
+}
+
+/// A generated request frame and the detector count of its stream: word
+/// blocks or index frames, on a stream near either end of the id range.
+fn request_frame(rng: &mut Rng) -> (Vec<u8>, usize) {
+    let detectors = rng.below(12);
+    let any = rng.next();
+    let stream = *rng.pick(&[0, 1, u64::MAX, any]);
+    let mut out = Vec::new();
     if rng.chance(50) {
-        fields.sort();
+        let blocks: Vec<(Vec<u64>, usize)> = (0..rng.below(5))
+            .map(|_| {
+                let planes = (0..detectors).map(|_| rng.word()).collect();
+                (planes, *rng.pick(&[1, 17, 64]))
+            })
+            .collect();
+        push_blocks_frame(&mut out, stream, &blocks);
     } else {
-        rng.shuffle(&mut fields);
+        let frames: Vec<Vec<usize>> = (0..rng.below(6))
+            .map(|_| (0..rng.below(6)).map(|_| rng.below(50)).collect())
+            .collect();
+        push_index_frame(&mut out, stream, &frames);
     }
-    if rng.chance(20) && !fields.is_empty() {
-        // The earlier value: confused, or well-formed (some field's own).
-        let (key, _) = fields[rng.below(fields.len())].clone();
-        let value = if rng.chance(50) {
-            rng.pick(CONFUSED).to_string()
-        } else {
-            fields[rng.below(fields.len())].1.clone()
-        };
-        let at = rng.below(fields.len() + 1);
-        fields.insert(at, (key, value));
-    }
-    if rng.chance(15) {
-        let at = rng.below(fields.len() + 1);
-        fields.insert(at, (r#""extra""#.into(), rng.pick(CONFUSED).to_string()));
-    }
-    let spaced = rng.chance(30);
-    render(&fields, rng, spaced)
+    (out, detectors)
 }
 
-fn u64s_text(values: impl IntoIterator<Item = u64>) -> String {
-    let values: Vec<String> = values.into_iter().map(|value| value.to_string()).collect();
-    format!("[{}]", values.join(","))
-}
-
-/// A raw integer array, sometimes with one element type-confused.
-fn words_text(count: usize, rng: &mut Rng, word: fn(&mut Rng) -> u64) -> String {
-    let mut items: Vec<String> = (0..count).map(|_| word(rng).to_string()).collect();
-    if !items.is_empty() && rng.chance(10) {
-        let at = rng.below(items.len());
-        items[at] = rng.pick(CONFUSED).to_string();
-    }
-    format!("[{}]", items.join(","))
-}
-
-fn detector(rng: &mut Rng) -> u64 {
-    rng.below(50) as u64
-}
-
-/// A generated request line: mostly frame lines, some commands.
-fn request_line(rng: &mut Rng) -> String {
-    let key = |name: &str, rng: &mut Rng| quote_key(name, rng);
-    let cmd = *rng.pick(&[
-        "frames_packed",
-        "frames_packed",
-        "frames",
-        "frame",
-        "open",
-        "close",
-        "metrics",
-        "ping",
-    ]);
-    let mut fields: RawFields = vec![(key("cmd", rng), format!("\"{cmd}\""))];
-    if !matches!(cmd, "ping" | "metrics") || rng.chance(10) {
-        let stream = if rng.chance(80) {
-            rng.below(4).to_string()
-        } else {
-            rng.pick(CONFUSED).to_string()
-        };
-        fields.push((key("stream", rng), stream));
-    }
-    match cmd {
-        "frames_packed" => {
-            let blocks: Vec<String> = (0..rng.below(4))
-                .map(|_| {
-                    let count = rng.pick(&["1", "64", "17", "0", "65"]).to_string();
-                    let planes = words_text(rng.below(12), rng, Rng::word);
-                    let mut block = vec![(key("count", rng), count), (key("planes", rng), planes)];
-                    if rng.chance(5) {
-                        block.remove(rng.below(2));
-                    }
-                    arrange(block, rng)
-                })
-                .collect();
-            fields.push((key("blocks", rng), format!("[{}]", blocks.join(","))));
-        }
-        "frames" => {
-            let frames: Vec<String> = (0..rng.below(5))
-                .map(|_| words_text(rng.below(5), rng, detector))
-                .collect();
-            fields.push((key("frames", rng), format!("[{}]", frames.join(","))));
-        }
-        "frame" => fields.push((
-            key("detectors", rng),
-            words_text(rng.below(5), rng, detector),
-        )),
-        "open" => {
-            for (name, value) in [
-                ("topology", r#""grid""#),
-                ("capacity", "2"),
-                ("wiring", r#""standard""#),
-                ("gate_improvement", "5.0"),
-                ("distance", "3"),
-                ("decoder", r#""union_find""#),
-            ] {
-                if rng.chance(80) {
-                    fields.push((key(name, rng), value.to_string()));
-                }
-            }
-        }
-        "metrics" if rng.chance(50) => fields.push((key("format", rng), r#""text""#.into())),
-        _ => {}
-    }
-    // Type-confuse one field's whole value.
-    if rng.chance(15) {
-        let at = rng.below(fields.len());
-        fields[at].1 = rng.pick(CONFUSED).to_string();
-    }
-    arrange(fields, rng)
-}
-
-/// Flips, inserts or deletes a few bytes, from JSON's own alphabet.
-fn mutate(line: &str, rng: &mut Rng) -> String {
-    let mut bytes = line.as_bytes().to_vec();
-    for _ in 0..1 + rng.below(3) {
-        let byte = *rng.pick(b"{}[]\",:0123456789-+.eE \\uatrfnl");
-        let at = rng.below(bytes.len() + 1);
-        match rng.below(3) {
-            0 if at < bytes.len() => bytes[at] = byte,
-            1 if at < bytes.len() => {
-                bytes.remove(at);
-            }
-            _ => bytes.insert(at, byte),
-        }
-    }
-    // Mutations only touch ASCII positions of ASCII lines; a multi-byte
-    // character a mutation splits is dropped instead.
-    String::from_utf8_lossy(&bytes).replace('\u{fffd}', "")
-}
-
-/// The shots a frame line carries.
-#[derive(Debug, PartialEq)]
-enum Shots {
-    Blocks(Vec<(usize, Vec<u64>)>),
-    Frames(Vec<Vec<usize>>),
-}
-
-/// The `open` fields: topology, capacity, wiring, gate improvement and
-/// decoder.
-type OpenFields = (String, u64, String, f64, String);
-
-/// Everything the server reads from one request line; `None` for a line
-/// that is not JSON.
-#[derive(Debug, PartialEq)]
-struct Request {
-    cmd: String,
-    stream: Option<u64>,
-    distance: Option<u64>,
-    format: Option<String>,
-    shots: Option<Result<Shots, String>>,
-    open: Option<Result<OpenFields, String>>,
-}
-
-/// The server's reader.
-fn read_request(line: &str, buffers: &mut FrameBuffers) -> Option<Request> {
-    let request = Fields::parse(line).ok()?;
-    let cmd = request.str("cmd").unwrap_or_default().into_owned();
-    let shots = matches!(&*cmd, "frame" | "frames" | "frames_packed").then(|| {
-        buffers.read(&cmd, &request).map(|()| {
-            if cmd == "frames_packed" {
-                Shots::Blocks(
-                    buffers
-                        .blocks()
-                        .map(|block| (block.count, block.planes.to_vec()))
-                        .collect(),
-                )
-            } else {
-                Shots::Frames(buffers.frames().map(<[usize]>::to_vec).collect())
-            }
-        })
-    });
-    let open = (cmd == "open").then(|| -> Result<OpenFields, String> {
-        Ok((
-            optional_field(&request, "topology", raw_str, "grid".into())?.into_owned(),
-            optional_field(&request, "capacity", raw_u64, 2)?,
-            optional_field(&request, "wiring", raw_str, "standard".into())?.into_owned(),
-            optional_field(&request, "gate_improvement", raw_f64, 1.0)?,
-            optional_field(&request, "decoder", raw_str, "union_find".into())?.into_owned(),
-        ))
-    });
-    Some(Request {
-        stream: request.u64("stream"),
-        distance: request.u64("distance"),
-        format: request.str("format").map(Cow::into_owned),
-        cmd,
-        shots,
-        open,
-    })
-}
-
-/// The reference: the whole line parsed into a `Value` tree and read with
-/// `Value` accessors.
-fn oracle_request(line: &str) -> Option<Request> {
-    let request: Value = serde_json::from_str(line).ok()?;
-    let cmd = request.get("cmd").and_then(Value::as_str).unwrap_or("");
-    let shots = match cmd {
-        "frames_packed" => Some(oracle_blocks(request.get("blocks")).map(Shots::Blocks)),
-        "frame" => Some(oracle_detectors(request.get("detectors")).map(|f| Shots::Frames(vec![f]))),
-        "frames" => Some(
-            request
-                .get("frames")
-                .and_then(Value::as_array)
-                .ok_or_else(|| "`frames` must be an array of frames".to_string())
-                .and_then(|frames| {
-                    frames
-                        .iter()
-                        .map(|frame| oracle_detectors(Some(frame)))
-                        .collect()
-                })
-                .map(Shots::Frames),
-        ),
-        _ => None,
-    };
-    let field = |key: &str| request.get(key);
-    let wrong = |key: &str| format!("`{key}` has the wrong type");
-    let text = |key: &str, default: &str| match field(key) {
-        None => Ok(default.to_string()),
-        Some(value) => value.as_str().map(str::to_string).ok_or_else(|| wrong(key)),
-    };
-    let open = (cmd == "open").then(|| -> Result<OpenFields, String> {
-        Ok((
-            text("topology", "grid")?,
-            field("capacity").map_or(Ok(2), |v| v.as_u64().ok_or_else(|| wrong("capacity")))?,
-            text("wiring", "standard")?,
-            field("gate_improvement").map_or(Ok(1.0), |v| {
-                v.as_f64().ok_or_else(|| wrong("gate_improvement"))
-            })?,
-            text("decoder", "union_find")?,
-        ))
-    });
-    Some(Request {
-        cmd: cmd.to_string(),
-        stream: request.get("stream").and_then(Value::as_u64),
-        distance: request.get("distance").and_then(Value::as_u64),
-        format: request
-            .get("format")
-            .and_then(Value::as_str)
-            .map(str::to_string),
-        shots,
-        open,
-    })
-}
-
-fn oracle_detectors(value: Option<&Value>) -> Result<Vec<usize>, String> {
-    let list = value
-        .and_then(Value::as_array)
-        .ok_or("frame detectors must be an array")?;
-    list.iter()
-        .map(|entry| {
-            entry
-                .as_u64()
-                .map(|d| d as usize)
-                .ok_or_else(|| "detector indices must be non-negative integers".to_string())
-        })
-        .collect()
-}
-
-fn oracle_blocks(value: Option<&Value>) -> Result<Vec<(usize, Vec<u64>)>, String> {
-    let list = value
-        .and_then(Value::as_array)
-        .ok_or("`blocks` must be an array of word blocks")?;
-    list.iter()
-        .map(|block| {
-            let count = block
-                .get("count")
-                .and_then(Value::as_u64)
-                .ok_or("a word block needs a `count` of shots")? as usize;
-            let planes = block
-                .get("planes")
-                .and_then(Value::as_array)
-                .ok_or("a word block needs a `planes` array")?
-                .iter()
-                .map(|word| {
-                    word.as_u64()
-                        .ok_or_else(|| "plane words must be non-negative integers".to_string())
-                })
-                .collect::<Result<Vec<u64>, String>>()?;
-            Ok((count, planes))
-        })
-        .collect()
-}
-
-/// How the client classifies and reads one server line: which of `seq`,
-/// `ok` and `async` it has, its stream, and its run.
-type RunLine = (
-    bool,
-    bool,
-    bool,
-    Option<u64>,
-    Result<CorrectionRun, &'static str>,
-);
-
-fn read_run_line(line: &str, observables: usize) -> Option<RunLine> {
-    let fields = Fields::parse(line).ok()?;
-    let has = |key: &str| fields.get(key).is_some();
-    Some((
-        has("seq"),
-        has("ok"),
-        has("async"),
-        fields.u64("stream"),
-        read_run(&fields, observables),
-    ))
-}
-
-fn oracle_run_line(line: &str, observables: usize) -> Option<RunLine> {
-    let value: Value = serde_json::from_str(line).ok()?;
-    let has = |key: &str| value.get(key).is_some();
-    Some((
-        has("seq"),
-        has("ok"),
-        has("async"),
-        value.get("stream").and_then(Value::as_u64),
-        oracle_parse_run(&value, observables),
-    ))
-}
-
-/// The run-line rules as they were written against a `Value`.
-fn oracle_parse_run(value: &Value, num_observables: usize) -> Result<CorrectionRun, &'static str> {
-    let seq = value
-        .get("seq")
-        .and_then(Value::as_u64)
-        .ok_or("no valid `seq`")?;
-    let count = value
-        .get("count")
-        .and_then(Value::as_u64)
-        .filter(|count| (1..=MAX_LINE_BYTES as u64).contains(count))
-        .ok_or("`count` must be an integer in 1..=MAX_LINE_BYTES")?;
-    if seq.checked_add(count).is_none() {
-        return Err("`seq + count` overflows");
-    }
-    let count = count as usize;
-    let words = count.div_ceil(64);
-    let planes = value
-        .get("planes")
-        .and_then(Value::as_array)
-        .filter(|planes| planes.len() == words * num_observables)
-        .ok_or("`planes` must hold ⌈count/64⌉ words per observable")?;
-    let mut flips = vec![0u64; count];
-    for (index, word) in planes.iter().enumerate() {
-        let (observable, first_shot) = (index / words, 64 * (index % words));
-        let mut bits = word.as_u64().ok_or("plane words must be u64 integers")?;
-        while bits != 0 {
-            let shot = first_shot + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let mask = flips
-                .get_mut(shot)
-                .ok_or("a plane sets a bit past `count`")?;
-            *mask |= 1 << observable;
-        }
-    }
-    Ok(CorrectionRun {
-        first_seq: seq,
-        flips,
-    })
-}
-
-/// A generated run line for a stream of `observables` observables: valid
-/// runs, wrong word counts, stray bits and confused fields.
-fn run_line(rng: &mut Rng, observables: usize) -> String {
-    let key = |name: &str, rng: &mut Rng| quote_key(name, rng);
+/// A generated run frame for a stream of `observables` observables: valid
+/// runs, and runs with stray bits, a word too many, a zero `count` or an
+/// overflowing `seq + count`.
+fn run_frame(rng: &mut Rng, observables: usize) -> Vec<u8> {
     let count = *rng.pick(&[1u64, 3, 64, 65, 130]);
-    let words = count.div_ceil(64) as usize * observables + usize::from(rng.chance(5));
-    let planes: Vec<u64> = (0..words)
-        .map(|index| {
-            let shots_in_word = (count - 64 * (index as u64 % count.div_ceil(64))).min(64);
-            let valid = u64::MAX >> (64 - shots_in_word);
+    let per_observable = count.div_ceil(64);
+    let words = per_observable as usize * observables + usize::from(rng.chance(5));
+    let planes: Vec<u64> = (0..words as u64)
+        .map(|at| {
+            let shots_in_word = (count - 64 * (at % per_observable)).min(64);
             if rng.chance(3) {
                 rng.word()
             } else {
-                rng.next() & valid
+                rng.next() & u64::MAX >> (64 - shots_in_word)
             }
         })
         .collect();
-    let mut fields: RawFields = vec![
-        (key("stream", rng), rng.below(3).to_string()),
-        (
-            key("seq", rng),
-            rng.pick(&["0", "1000", "18446744073709551615"]).to_string(),
-        ),
-        (key("count", rng), count.to_string()),
-        (key("planes", rng), u64s_text(planes)),
-    ];
-    if rng.chance(10) {
-        let extra = rng.pick(&["ok", "async", "error"]).to_string();
-        fields.push((key(&extra, rng), rng.pick(CONFUSED).to_string()));
-    }
-    if rng.chance(15) {
-        let at = rng.below(fields.len());
-        fields[at].1 = rng.pick(CONFUSED).to_string();
-    }
-    arrange(fields, rng)
+    let seq = *rng.pick(&[0, 1000, u64::MAX - 64, u64::MAX]);
+    let count = if rng.chance(3) { 0 } else { count };
+    let mut out = Vec::new();
+    push_frame(&mut out, RUN, rng.next(), |out| {
+        push_word(out, seq);
+        push_word(out, count);
+        planes.iter().for_each(|&word| push_word(out, word));
+    });
+    out
 }
 
-/// Every line's prefixes, then the case itself and a few mutants of it.
-fn variants(line: String, rng: &mut Rng, truncations: bool) -> Vec<String> {
-    let mut cases: Vec<String> = if truncations {
-        (0..line.len())
-            .filter(|&end| line.is_char_boundary(end))
-            .map(|end| line[..end].to_string())
-            .collect()
+/// Every prefix of `frame` when `truncations` (each must yield no
+/// message), then the hostile variants: two seeded byte flips, a wrong
+/// kind byte, a header word count one off either way, a wrong first
+/// payload word (a block's shot count, an index frame's detector count, a
+/// run's `seq`) — and `frame` itself.
+fn variants(frame: &[u8], rng: &mut Rng, truncations: bool) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+    let prefixes = if truncations {
+        (0..frame.len()).map(|end| frame[..end].to_vec()).collect()
     } else {
         Vec::new()
     };
+    let mut cases = Vec::new();
     for _ in 0..2 {
-        cases.push(mutate(&line, rng));
+        let mut flipped = frame.to_vec();
+        flipped[rng.below(frame.len())] ^= 1 << rng.below(8);
+        cases.push(flipped);
     }
-    cases.push(line);
-    cases
+    let mut kind = frame.to_vec();
+    kind[0] = *rng.pick(&[WORD_BLOCKS, INDEX_FRAMES, RUN, 0x00, 0x04, b'{', b'\n']);
+    cases.push(kind);
+    let words = u32::from_le_bytes(frame[9..HEADER_BYTES].try_into().expect("a header"));
+    for claim in [words.wrapping_sub(1), words + 1] {
+        let mut claimed = frame.to_vec();
+        claimed[9..HEADER_BYTES].copy_from_slice(&claim.to_le_bytes());
+        cases.push(claimed);
+    }
+    if frame.len() > HEADER_BYTES {
+        let mut first = frame.to_vec();
+        let word: u64 = *rng.pick(&[0, 65, 1 << 32, u64::MAX]);
+        first[HEADER_BYTES..HEADER_BYTES + 8].copy_from_slice(&word.to_le_bytes());
+        cases.push(first);
+    }
+    cases.push(frame.to_vec());
+    (prefixes, cases)
+}
+
+/// What the reader made of the cases: messages read back exactly, refused
+/// whole, or taken as (malformed) command lines.
+#[derive(Debug, Default)]
+struct Tally {
+    read: usize,
+    refused: usize,
+    lines: usize,
 }
 
 #[test]
-fn request_reader_agrees_with_the_value_tree_reader() {
-    let mut rng = Rng(0x5eed_0032);
+fn request_frames_are_refused_whole_or_read_back_exactly() {
+    let mut inbox = Inbox::default();
+    let mut rng = Rng(0x5eed_0066);
     let mut buffers = FrameBuffers::default();
-    let (mut accepted_shots, mut refused_shots, mut malformed) = (0, 0, 0);
+    let mut tally = Tally::default();
     for case in 0..3_000 {
-        let line = request_line(&mut rng);
-        // Every truncation of the first valid `frames_packed` lines.
-        let truncations = case < 400 && line.contains("frames_packed");
-        for line in variants(line, &mut rng, truncations) {
-            let read = read_request(&line, &mut buffers);
-            assert_eq!(read, oracle_request(&line), "request line {line:?}");
-            match read.and_then(|request| request.shots) {
-                None => malformed += 1,
-                Some(Ok(_)) => accepted_shots += 1,
-                Some(Err(_)) => refused_shots += 1,
-            }
+        let (frame, detectors) = request_frame(&mut rng);
+        // Every truncation of the first valid frames.
+        let (prefixes, cases) = variants(&frame, &mut rng, case < 400);
+        for prefix in prefixes {
+            read_messages(&mut inbox, &prefix, 1 + rng.below(16), |message| {
+                panic!("a truncated frame gave {message:?}")
+            })
+            .expect("within the cap");
+        }
+        for bytes in cases {
+            let piece = *rng.pick(&[1, 5, 13, 4096]);
+            let read = read_messages(&mut inbox, &bytes, piece, |message| {
+                let Message::Frame(frame) = message else {
+                    tally.lines += 1;
+                    return;
+                };
+                if buffers.read(&frame, detectors).is_err() {
+                    tally.refused += 1;
+                    return;
+                }
+                let mut again = Vec::new();
+                if frame.kind == WORD_BLOCKS {
+                    let blocks: Vec<(Vec<u64>, usize)> = buffers
+                        .blocks()
+                        .map(|block| (block.planes.to_vec(), block.count))
+                        .collect();
+                    push_blocks_frame(&mut again, frame.stream, &blocks);
+                } else {
+                    let frames: Vec<Vec<usize>> = buffers.frames().map(<[usize]>::to_vec).collect();
+                    push_index_frame(&mut again, frame.stream, &frames);
+                }
+                assert_eq!(again, frame_bytes(&frame), "{bytes:?}");
+                tally.read += 1;
+            });
+            // A flipped header byte may claim more than the cap.
+            tally.refused += usize::from(read.is_err());
         }
     }
     // The generator reaches every outcome, not only the refusals.
-    assert!(accepted_shots > 800, "{accepted_shots} frame lines read");
-    assert!(refused_shots > 300, "{refused_shots} frame lines refused");
-    assert!(
-        malformed > 15_000,
-        "{malformed} lines not JSON or not frames"
-    );
+    assert!(tally.read > 8_000, "{tally:?}");
+    assert!(tally.refused > 4_000, "{tally:?}");
+    assert!(tally.lines > 300, "{tally:?}");
 }
 
 #[test]
-fn run_line_reader_agrees_with_the_value_tree_reader() {
-    let mut rng = Rng(0x7e11_0032);
-    let (mut runs, mut refused) = (0, 0);
+fn run_frames_are_refused_whole_or_read_back_exactly() {
+    let mut inbox = Inbox::default();
+    let mut rng = Rng(0x7e11_0066);
+    let mut tally = Tally::default();
     for case in 0..3_000 {
         let observables = case % 4;
-        let line = run_line(&mut rng, observables);
-        for line in variants(line, &mut rng, case < 40) {
-            let read = read_run_line(&line, observables);
-            assert_eq!(
-                read,
-                oracle_run_line(&line, observables),
-                "run line {line:?}"
-            );
-            match read.map(|read| read.4) {
-                Some(Ok(_)) => runs += 1,
-                Some(Err(_)) => refused += 1,
-                None => {}
-            }
+        let frame = run_frame(&mut rng, observables);
+        let (prefixes, cases) = variants(&frame, &mut rng, case < 40);
+        for prefix in prefixes {
+            read_messages(&mut inbox, &prefix, 1 + rng.below(16), |message| {
+                panic!("a truncated frame gave {message:?}")
+            })
+            .expect("within the cap");
+        }
+        for bytes in cases {
+            let piece = *rng.pick(&[1, 5, 13, 4096]);
+            let read = read_messages(&mut inbox, &bytes, piece, |message| {
+                let Message::Frame(frame) = message else {
+                    tally.lines += 1;
+                    return;
+                };
+                let run = (frame.kind == RUN)
+                    .then(|| read_run(frame.payload, observables).ok())
+                    .flatten();
+                let Some(run) = run else {
+                    tally.refused += 1;
+                    return;
+                };
+                let mut again = Vec::new();
+                push_run_frame(&mut again, frame.stream, observables, &run);
+                assert_eq!(again, frame_bytes(&frame), "{bytes:?}");
+                tally.read += 1;
+            });
+            tally.refused += usize::from(read.is_err());
         }
     }
-    assert!(runs > 1_400, "{runs} runs read");
-    assert!(refused > 1_800, "{refused} run lines refused");
+    assert!(tally.read > 5_000, "{tally:?}");
+    assert!(tally.refused > 8_000, "{tally:?}");
 }
 
+/// Command lines read as the vendored `serde_json` reads them: a
+/// well-formed non-object is a command without fields (so an unknown
+/// command), and a line nested past the parser's limit, or not UTF-8, is
+/// not JSON. The limit's exact boundary is pinned in the shim's own tests.
 #[test]
 fn non_object_and_deeply_nested_lines() {
-    let mut buffers = FrameBuffers::default();
-    // Well-formed non-objects read as objects without fields, as `get` on
-    // a non-object `Value` does.
     for line in ["5", "[1,2]", r#""cmd""#, "null", " [ ] "] {
-        let read = read_request(line, &mut buffers);
-        assert_eq!(read, oracle_request(line), "{line:?}");
-        assert_eq!(read.map(|request| request.cmd), Some(String::new()));
+        let request = parse_line(line.as_bytes()).expect("well-formed JSON");
+        assert!(request.get("cmd").is_none(), "{line:?}");
     }
-    // Nesting past the limit is refused without recursing through it.
-    let deep = "[".repeat(200_000);
-    assert!(Fields::parse(&deep).is_err());
-    let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
-    assert!(Fields::parse(&nested(MAX_DEPTH)).is_ok());
-    assert!(Fields::parse(&nested(MAX_DEPTH + 1)).is_err());
+    let nested = |depth: usize| {
+        let arrays = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        format!(r#"{{"cmd":"ping","x":{arrays}}}"#).into_bytes()
+    };
+    // The object is one level of the limit.
+    assert!(parse_line(&nested(127)).is_some());
+    assert!(parse_line(&nested(128)).is_none());
+    assert!(parse_line(&nested(200_000)).is_none());
+    assert!(parse_line(b"{\"cmd\":\"\xff\"}").is_none());
+}
+
+/// Lines and frames interleave in one inbox; a line ends at its newline
+/// whatever follows, and the cap refuses a line once `MAX_LINE_BYTES + 1`
+/// bytes hold no newline and a frame as soon as its header claims more.
+#[test]
+fn an_inbox_splits_lines_and_frames_and_refuses_past_the_cap() {
+    let mut inbox = Inbox::default();
+    let mut bytes = b"{\"cmd\":\"ping\"}\n".to_vec();
+    push_index_frame(&mut bytes, 7, &[vec![1, 2], vec![]]);
+    bytes.extend_from_slice(b"\r\n{}\n");
+    let mut seen = Vec::new();
+    read_messages(&mut inbox, &bytes, 3, |message| {
+        seen.push(match message {
+            Message::Line(line) => String::from_utf8_lossy(line).into_owned(),
+            Message::Frame(frame) => format!("frame {} {:?}", frame.stream, frame.payload.len()),
+        });
+    })
+    .expect("within the cap");
+    assert_eq!(seen, [r#"{"cmd":"ping"}"#, "frame 7 32", "\r", "{}"]);
+
+    let mut line = vec![b'x'; MAX_LINE_BYTES];
+    assert_eq!(read_messages(&mut inbox, &line, READ_BYTES, |_| {}), Ok(()));
+    line.push(b'\n');
+    let mut lines = 0;
+    assert_eq!(
+        read_messages(&mut inbox, &line, READ_BYTES, |_| lines += 1),
+        Ok(())
+    );
+    assert_eq!(lines, 1, "a line of exactly the cap is read");
+    line.insert(0, b'x');
+    assert_eq!(
+        read_messages(&mut inbox, &line, READ_BYTES, |_| {}),
+        Err(TooLong)
+    );
+
+    let largest = ((MAX_LINE_BYTES - HEADER_BYTES) / 8) as u32;
+    for (words, verdict) in [(largest, Ok(())), (largest + 1, Err(TooLong))] {
+        let mut header = vec![WORD_BLOCKS];
+        header.extend_from_slice(&0u64.to_le_bytes());
+        header.extend_from_slice(&words.to_le_bytes());
+        assert_eq!(
+            read_messages(&mut inbox, &header, 1, |_| {}),
+            verdict,
+            "{words} words"
+        );
+    }
 }
 
 #[test]
 fn encoded_requests_read_back_exactly() {
-    let mut rng = Rng(0xc0de_0032);
+    let mut rng = Rng(0xc0de_0066);
     let mut buffers = FrameBuffers::default();
-    let mut line = String::new();
     let edge_bursts = [
-        vec![],
-        vec![(vec![], 1)],
-        vec![(vec![u64::MAX; 3], 64), (vec![0, 1, u64::MAX], 1)],
+        (vec![], 3),
+        (vec![(vec![], 1)], 0),
+        (vec![(vec![u64::MAX; 3], 64), (vec![0, 1, u64::MAX], 1)], 3),
     ];
     let random_bursts = (0..200).map(|_| {
-        (0..rng.below(5))
+        let detectors = rng.below(40);
+        let blocks = (0..rng.below(5))
             .map(|_| {
-                let planes = (0..rng.below(40)).map(|_| rng.word()).collect();
+                let planes = (0..detectors).map(|_| rng.word()).collect();
                 let any = 1 + rng.below(64);
                 (planes, *rng.pick(&[1, 64, any]))
             })
-            .collect::<Vec<(Vec<u64>, usize)>>()
+            .collect::<Vec<(Vec<u64>, usize)>>();
+        (blocks, detectors)
     });
-    for (case, blocks) in edge_bursts.into_iter().chain(random_bursts).enumerate() {
+    for (case, (blocks, detectors)) in edge_bursts.into_iter().chain(random_bursts).enumerate() {
         let stream = [0, u64::MAX, case as u64][case % 3];
-        line.clear();
-        push_packed_line(&mut line, stream, &blocks);
-        let read = read_request(&line, &mut buffers).expect("an encoded line is JSON");
-        assert_eq!(
-            (read.cmd.as_str(), read.stream),
-            ("frames_packed", Some(stream))
-        );
-        let expected = blocks
-            .iter()
-            .map(|(planes, count)| (*count, planes.clone()));
-        assert_eq!(read.shots, Some(Ok(Shots::Blocks(expected.collect()))));
-        let blocks_json: Vec<Value> = blocks
-            .iter()
-            .map(|(planes, count)| json!({"count": count, "planes": planes}))
-            .collect();
-        let tree = json!({"cmd": "frames_packed", "stream": stream, "blocks": blocks_json});
-        assert_eq!(serde_json::from_str(&line).ok(), Some(tree), "{line}");
+        let mut bytes = Vec::new();
+        push_blocks_frame(&mut bytes, stream, &blocks);
+        // The header the module doc specifies.
+        let words = blocks.len() * (1 + detectors);
+        assert_eq!(bytes.len(), HEADER_BYTES + 8 * words);
+        assert_eq!(bytes[0], WORD_BLOCKS);
+        assert_eq!(bytes[1..9], stream.to_le_bytes());
+        assert_eq!(bytes[9..13], (words as u32).to_le_bytes());
+        only_frame(&bytes, |frame| {
+            assert_eq!((frame.kind, frame.stream), (WORD_BLOCKS, stream));
+            buffers.read(frame, detectors).expect("whole blocks");
+            let read: Vec<(Vec<u64>, usize)> = buffers
+                .blocks()
+                .map(|block| (block.planes.to_vec(), block.count))
+                .collect();
+            assert_eq!(read, blocks);
+        });
     }
 
     let edge_frames = [
@@ -684,23 +402,24 @@ fn encoded_requests_read_back_exactly() {
             .collect::<Vec<Vec<usize>>>()
     });
     for (case, frames) in edge_frames.into_iter().chain(random_frames).enumerate() {
-        line.clear();
-        push_frames_line(&mut line, case as u64, &frames);
-        let read = read_request(&line, &mut buffers).expect("an encoded line is JSON");
-        assert_eq!(
-            (read.cmd.as_str(), read.stream),
-            ("frames", Some(case as u64))
-        );
-        assert_eq!(read.shots, Some(Ok(Shots::Frames(frames.clone()))));
-        let tree = json!({"cmd": "frames", "stream": case as u64, "frames": frames});
-        assert_eq!(serde_json::from_str(&line).ok(), Some(tree), "{line}");
+        let mut bytes = Vec::new();
+        push_index_frame(&mut bytes, case as u64, &frames);
+        let words: usize = frames.iter().map(|fired| 1 + fired.len()).sum();
+        assert_eq!(bytes.len(), HEADER_BYTES + 8 * words);
+        assert_eq!(bytes[0], INDEX_FRAMES);
+        only_frame(&bytes, |frame| {
+            assert_eq!((frame.kind, frame.stream), (INDEX_FRAMES, case as u64));
+            // The detector count of the stream matters to word blocks only.
+            buffers.read(frame, 0).expect("whole frames");
+            let read: Vec<Vec<usize>> = buffers.frames().map(<[usize]>::to_vec).collect();
+            assert_eq!(read, frames);
+        });
     }
 }
 
 #[test]
 fn encoded_run_lines_read_back_exactly() {
-    let mut rng = Rng(0x0b5e_0032);
-    let mut line = String::new();
+    let mut rng = Rng(0x0b5e_0066);
     for case in 0..300 {
         let observables = case % 4;
         let any = 1 + rng.below(200);
@@ -711,13 +430,15 @@ fn encoded_run_lines_read_back_exactly() {
             flips: (0..count).map(|_| rng.next() & mask).collect(),
         };
         let stream = rng.next();
-        line.clear();
-        push_run_line(&mut line, stream, observables, &run);
-        let read = read_run_line(line.trim_end(), observables);
+        let mut bytes = Vec::new();
+        push_run_frame(&mut bytes, stream, observables, &run);
         assert_eq!(
-            read,
-            Some((true, false, false, Some(stream), Ok(run))),
-            "{line}"
+            bytes.len(),
+            HEADER_BYTES + 8 * (2 + observables * count.div_ceil(64))
         );
+        only_frame(&bytes, |frame| {
+            assert_eq!((frame.kind, frame.stream), (RUN, stream));
+            assert_eq!(read_run(frame.payload, observables), Ok(run.clone()));
+        });
     }
 }

@@ -13,6 +13,109 @@ use qccd_service::{
 use qccd_sim::NoisyCircuit;
 use serde_json::Value;
 
+// The binary frames, written from the `net` module doc rather than imported
+// from the crate, so that these tests check the crate against the
+// documented layout: a kind byte, the stream as a little-endian `u64`, the
+// payload's word count as a little-endian `u32`, then the payload's
+// little-endian `u64` words.
+
+/// Kind byte of a request frame of word blocks.
+const WORD_BLOCKS: u8 = 0x01;
+/// Kind byte of a request frame of index frames.
+const INDEX_FRAMES: u8 = 0x02;
+/// Kind byte of a run frame.
+const RUN: u8 = 0x03;
+
+/// One frame of `kind` on `stream` carrying `words`.
+fn frame(kind: u8, stream: u64, words: &[u64]) -> Vec<u8> {
+    let mut out = vec![kind];
+    out.extend(stream.to_le_bytes());
+    out.extend((words.len() as u32).to_le_bytes());
+    for word in words {
+        out.extend(word.to_le_bytes());
+    }
+    out
+}
+
+/// An index-frame request: per shot, its fired-detector count, then those
+/// detectors.
+fn index_frames(stream: u64, frames: &[Vec<usize>]) -> Vec<u8> {
+    let words: Vec<u64> = frames
+        .iter()
+        .flat_map(|fired| std::iter::once(fired.len()).chain(fired.iter().copied()))
+        .map(|word| word as u64)
+        .collect();
+    frame(INDEX_FRAMES, stream, &words)
+}
+
+/// A run frame: `seq`, `count`, then the observable-major planes.
+fn run_frame(stream: u64, seq: u64, count: u64, planes: &[u64]) -> Vec<u8> {
+    frame(RUN, stream, &[&[seq, count], planes].concat())
+}
+
+/// One server message on a raw connection.
+#[derive(Debug)]
+enum Reply {
+    /// A JSON line.
+    Line(Value),
+    /// A run frame's stream, `seq`, `count` and planes.
+    Run(u64, u64, usize, Vec<u64>),
+}
+
+/// Reads one server message: a run frame when it starts with the run kind
+/// byte, a JSON line otherwise.
+fn read_reply(reader: &mut std::io::BufReader<std::net::TcpStream>) -> Reply {
+    use std::io::{BufRead, Read};
+
+    let first = reader.fill_buf().expect("server message")[0];
+    if first != RUN {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("server line");
+        return Reply::Line(serde_json::from_str(&line).expect("JSON line"));
+    }
+    let mut header = [0u8; 13];
+    reader.read_exact(&mut header).expect("run header");
+    let stream = u64::from_le_bytes(header[1..9].try_into().unwrap());
+    let words = u32::from_le_bytes(header[9..].try_into().unwrap()) as usize;
+    let mut payload = vec![0u8; 8 * words];
+    reader.read_exact(&mut payload).expect("run payload");
+    let words: Vec<u64> = payload
+        .chunks_exact(8)
+        .map(|word| u64::from_le_bytes(word.try_into().unwrap()))
+        .collect();
+    Reply::Run(stream, words[0], words[1] as usize, words[2..].to_vec())
+}
+
+/// Connects a raw socket to `addr` whose `next_reply` reads one server
+/// message (a missing one fails the test instead of hanging it).
+fn raw_replies(addr: &str) -> (std::net::TcpStream, impl FnMut() -> Reply) {
+    let socket = std::net::TcpStream::connect(addr).expect("raw connection");
+    socket
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = std::io::BufReader::new(socket.try_clone().expect("clone socket"));
+    (socket, move || read_reply(&mut reader))
+}
+
+/// The offline decode's observable-flip mask of every frame.
+fn offline_flips(program: &DecodeProgram, frames: &[Vec<usize>]) -> Vec<u64> {
+    let mut builder = qccd_sim::SyndromeChunkBuilder::new(program.num_detectors(), 0);
+    for frame in frames {
+        builder.push_frame(frame);
+    }
+    let offline = program.decode_batch(
+        &builder.finish(0, 0),
+        &mut qccd_decoder::DecodeScratch::new(),
+    );
+    (0..frames.len())
+        .map(|shot| {
+            (0..offline.num_observables())
+                .filter(|&observable| offline.predicted(shot, observable))
+                .fold(0, |mask, observable| mask | 1 << observable)
+        })
+        .collect()
+}
+
 /// `shots` sampled frames of `circuit` as fired-detector lists, in global
 /// shot order.
 fn frames_of(circuit: &NoisyCircuit, shots: usize, seed: u64) -> Vec<Vec<usize>> {
@@ -63,7 +166,7 @@ fn tcp_round_trip_with_loadgen_and_shutdown() {
         shots: 1024,
         seed: 7,
         rate: None,
-        shot_major: false, // the per-shot `frames` wire command
+        shot_major: false, // per-shot index frames on the wire
         ..LoadgenOptions::default()
     };
     // The replay shuts the server down over the wire.
@@ -87,7 +190,7 @@ fn tcp_round_trip_with_loadgen_and_shutdown() {
 }
 
 /// The saturation-harness shape: several TCP connections, each with its own
-/// submission thread, driving the shot-major `frames_packed` wire command —
+/// submission thread, driving the shot-major word-block frames —
 /// still bit-identical to the offline decode, with client-observed latency
 /// percentiles measured.
 #[test]
@@ -108,7 +211,7 @@ fn multi_connection_packed_round_trip() {
         shots: 2048,
         seed: 21,
         rate: None,
-        shot_major: true, // the `frames_packed` wire command
+        shot_major: true, // word-block frames on the wire
     };
     let report = replay_over_tcp(&addr, &options, 0)
         .expect("multi-connection packed round trip")
@@ -159,8 +262,8 @@ fn frontier_sweep_reports_nonzero_points() {
         .expect("server exits cleanly after shutdown command");
 }
 
-/// The shot-major wire command (`frames_packed`) and the per-shot wire
-/// command (`frames`) produce identical corrections for identical shots:
+/// The shot-major word-block frames and the per-shot index frames produce
+/// identical corrections for identical shots:
 /// two streams of the same program, one fed each way, must agree
 /// correction for correction.
 #[test]
@@ -396,7 +499,7 @@ fn protocol_errors_are_reported_not_fatal() {
 /// [`fake_server_answering`].
 fn fake_server(
     streams: &'static [(u64, u64)],
-    lines: Vec<String>,
+    replies: Vec<Vec<u8>>,
 ) -> (String, std::thread::JoinHandle<()>) {
     let opens = streams
         .iter()
@@ -404,34 +507,41 @@ fn fake_server(
             format!(r#"{{"ok":true,"stream":{id},"detectors":4,"observables":{observables}}}"#)
         })
         .collect();
-    fake_server_answering(opens, lines)
+    fake_server_answering(opens, replies)
 }
 
 /// A fake server that answers the client's `open` commands with `opens`,
-/// one raw line each, waits for one submission (so the client has
-/// registered every route), then sends `lines` and holds the socket open
-/// until the client hangs up.
+/// one raw line each, waits for one submitted frame (so the client has
+/// registered every route), then sends `replies` (raw bytes: lines or
+/// frames) and holds the socket open until the client hangs up.
 fn fake_server_answering(
     opens: Vec<String>,
-    lines: Vec<String>,
+    replies: Vec<Vec<u8>>,
 ) -> (String, std::thread::JoinHandle<()>) {
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufRead, BufReader, Read, Write};
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("bound address").to_string();
     let fake = std::thread::spawn(move || {
         let (mut socket, _) = listener.accept().expect("client connects");
-        let mut requests = BufReader::new(socket.try_clone().expect("clone socket")).lines();
+        let mut requests = BufReader::new(socket.try_clone().expect("clone socket"));
         for open in opens {
-            requests.next().expect("open command").expect("readable");
+            requests
+                .read_line(&mut String::new())
+                .expect("open command");
             writeln!(socket, "{open}").expect("open response");
         }
-        if requests.next().is_some() {
-            for line in lines {
-                writeln!(socket, "{line}").expect("run line");
+        let mut header = [0u8; 13];
+        if requests.read_exact(&mut header).is_ok() {
+            let words = u32::from_le_bytes(header[9..].try_into().unwrap()) as usize;
+            requests
+                .read_exact(&mut vec![0; 8 * words])
+                .expect("the submitted frame");
+            for reply in replies {
+                socket.write_all(&reply).expect("reply");
             }
         }
-        while requests.next().is_some() {}
+        let _ = requests.read_to_end(&mut Vec::new());
     });
     (addr, fake)
 }
@@ -456,14 +566,15 @@ fn an_open_response_without_a_detector_count_is_an_error() {
     }
 }
 
-/// The single-frame `frame` command, over a raw socket: shots sent one
-/// `frame` line each decode exactly like the same shots in one `frames`
-/// line, a `frame` naming an out-of-range detector is answered by one
-/// async error line and enqueues nothing, and an `open` with an ill-typed
-/// field is refused.
+/// Index frames over a raw socket: shots sent one frame each decode
+/// exactly like the same shots in one frame, a frame naming an
+/// out-of-range detector is answered by one async error line and enqueues
+/// nothing, an `open` with an ill-typed field is refused, and the retired
+/// JSON spellings of a submission (`frame`, `frames`, `frames_packed`) are
+/// unknown commands.
 #[test]
 fn frame_lines_decode_like_a_frames_line_and_refuse_bad_detectors() {
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::Write;
 
     let server = NetServer::bind(
         "127.0.0.1:0",
@@ -479,15 +590,11 @@ fn frame_lines_decode_like_a_frames_line_and_refuse_bad_detectors() {
         qccd_service::DecodeProgram::compile(&arch, 2, DecoderKind::UnionFind).expect("compile");
     let frames = frames_of(program.circuit(), 200, 13);
 
-    let mut socket = std::net::TcpStream::connect(&addr).expect("raw connection");
-    // A missing line fails the test instead of hanging it.
-    socket
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
-    let mut lines = BufReader::new(socket.try_clone().expect("clone socket")).lines();
-    let mut next_line = || -> Value {
-        let line = lines.next().expect("server line").expect("readable");
-        serde_json::from_str(&line).expect("JSON line")
+    // A missing message fails the test instead of hanging it.
+    let (mut socket, mut next_reply) = raw_replies(&addr);
+    let mut next_line = || match next_reply() {
+        Reply::Line(line) => line,
+        run => panic!("a run before any frame was sent: {run:?}"),
     };
     // An `open` field of the wrong type is refused, never defaulted, an
     // infinite gate improvement is refused like a non-positive one, and so
@@ -523,23 +630,34 @@ fn frame_lines_decode_like_a_frames_line_and_refuse_bad_detectors() {
     let [(by_frame, observables), (by_frames, _)] = opened[..] else {
         unreachable!("two streams opened")
     };
-    for fired in &frames {
-        let line = serde_json::json!({"cmd": "frame", "stream": by_frame, "detectors": fired});
-        writeln!(socket, "{line}").expect("frame");
+    for (cmd, shots) in [
+        ("frame", r#""detectors":[1]"#),
+        ("frames", r#""frames":[[1]]"#),
+        ("frames_packed", r#""blocks":[{"count":1,"planes":[1]}]"#),
+    ] {
+        writeln!(socket, r#"{{"cmd":"{cmd}","stream":{by_frame},{shots}}}"#).expect("retired");
+        let response = next_line();
+        let expected = format!("unknown command `{cmd}`");
+        assert_eq!(response["error"].as_str(), Some(&*expected), "{response:?}");
+        assert!(response.get("async").is_none(), "{response:?}");
     }
-    let line = serde_json::json!({"cmd": "frames", "stream": by_frames, "frames": frames});
-    writeln!(socket, "{line}").expect("frames");
-    writeln!(
-        socket,
-        r#"{{"cmd":"frame","stream":{by_frame},"detectors":[{}]}}"#,
-        program.num_detectors()
-    )
-    .expect("bad frame");
+    for fired in &frames {
+        socket
+            .write_all(&index_frames(by_frame, std::slice::from_ref(fired)))
+            .expect("frame");
+    }
+    socket
+        .write_all(&index_frames(by_frames, &frames))
+        .expect("frames");
+    let out_of_range = vec![program.num_detectors()];
+    socket
+        .write_all(&index_frames(by_frame, &[out_of_range]))
+        .expect("bad frame");
     for id in [by_frame, by_frames] {
         writeln!(socket, r#"{{"cmd":"close","stream":{id}}}"#).expect("close");
     }
 
-    // Run lines, the async error and the two close responses interleave.
+    // Run frames, the async error and the two close responses interleave.
     let mut flips: std::collections::HashMap<u64, Vec<u64>> = Default::default();
     let (mut async_errors, mut closed) = (0, 0);
     let done = |flips: &std::collections::HashMap<u64, Vec<u64>>| {
@@ -548,27 +666,26 @@ fn frame_lines_decode_like_a_frames_line_and_refuse_bad_detectors() {
             .all(|id| flips.get(id).map_or(0, Vec::len) == frames.len())
     };
     while closed < 2 || !done(&flips) {
-        let line = next_line();
-        if line.get("async").is_some() {
-            assert_eq!(line["stream"].as_u64(), Some(by_frame), "{line:?}");
-            async_errors += 1;
-        } else if let Some(seq) = line["seq"].as_u64() {
-            let stream = flips
-                .entry(line["stream"].as_u64().expect("stream"))
-                .or_default();
-            assert_eq!(seq, stream.len() as u64, "runs arrive in order");
-            let count = line["count"].as_u64().expect("count") as usize;
-            let planes = line["planes"].as_array().expect("planes");
-            let words = count.div_ceil(64);
-            stream.extend((0..count).map(|shot| {
-                (0..observables as usize).fold(0u64, |mask, o| {
-                    let word = planes[o * words + shot / 64].as_u64().expect("plane word");
-                    mask | ((word >> (shot % 64)) & 1) << o
-                })
-            }));
-        } else {
-            assert_eq!(line["ok"].as_bool(), Some(true), "{line:?}");
-            closed += 1;
+        match next_reply() {
+            Reply::Line(line) if line.get("async").is_some() => {
+                assert_eq!(line["stream"].as_u64(), Some(by_frame), "{line:?}");
+                async_errors += 1;
+            }
+            Reply::Run(stream, seq, count, planes) => {
+                let stream = flips.entry(stream).or_default();
+                assert_eq!(seq, stream.len() as u64, "runs arrive in order");
+                let words = count.div_ceil(64);
+                stream.extend((0..count).map(|shot| {
+                    (0..observables as usize).fold(0u64, |mask, o| {
+                        let word = planes[o * words + shot / 64];
+                        mask | ((word >> (shot % 64)) & 1) << o
+                    })
+                }));
+            }
+            Reply::Line(line) => {
+                assert_eq!(line["ok"].as_bool(), Some(true), "{line:?}");
+                closed += 1;
+            }
         }
     }
     assert_eq!(async_errors, 1, "one error line for the bad frame");
@@ -582,7 +699,7 @@ fn frame_lines_decode_like_a_frames_line_and_refuse_bad_detectors() {
         "the bad frame enqueued nothing"
     );
     writeln!(socket, r#"{{"cmd":"shutdown"}}"#).expect("shutdown");
-    assert_eq!(next_line()["ok"].as_bool(), Some(true));
+    assert!(matches!(next_reply(), Reply::Line(line) if line["ok"].as_bool() == Some(true)));
     running.join().expect("server thread").expect("clean exit");
 }
 
@@ -611,44 +728,44 @@ fn open_fake_streams(
     (client, streams)
 }
 
-/// A peer that sends a malformed run line must not take the reader down,
-/// alias an observable or reach another stream: each bad line is refused
-/// whole and surfaced as one protocol error, and the next well-formed run
-/// still arrives.
+/// A peer that sends a malformed run frame must not take the reader down,
+/// alias an observable or reach another stream: each bad message is
+/// refused whole and surfaced as one protocol error, and the next
+/// well-formed run still arrives.
 #[test]
 fn malformed_run_lines_are_protocol_errors_not_reader_panics() {
     let bad = [
-        // `count` 0, and a `count` past the line cap on a stream whose
-        // empty `planes` would otherwise fit any count.
-        r#"{"stream":7,"seq":0,"count":0,"planes":[]}"#,
-        r#"{"stream":5,"seq":0,"count":4294967296,"planes":[]}"#,
+        // `count` 0, and a `count` past the cap on a stream whose empty
+        // planes would otherwise fit any count.
+        run_frame(7, 0, 0, &[]),
+        run_frame(5, 0, 4294967296, &[]),
         // Two observables need two words for one shot.
-        r#"{"stream":7,"seq":0,"count":1,"planes":[1]}"#,
-        r#"{"stream":7,"seq":0,"count":65,"planes":[0,0]}"#,
+        run_frame(7, 0, 1, &[1]),
+        run_frame(7, 0, 65, &[0, 0]),
         // A bit past `count`, in either observable's last word.
-        r#"{"stream":7,"seq":0,"count":2,"planes":[4,0]}"#,
-        r#"{"stream":7,"seq":0,"count":65,"planes":[0,0,0,2]}"#,
+        run_frame(7, 0, 2, &[4, 0]),
+        run_frame(7, 0, 65, &[0, 0, 0, 2]),
         // `seq + count` overflows u64.
-        r#"{"stream":7,"seq":18446744073709551615,"count":1,"planes":[0,0]}"#,
-        // Non-integer words.
-        r#"{"stream":7,"seq":0,"count":1,"planes":[1e3,0]}"#,
-        r#"{"stream":7,"seq":0,"count":1,"planes":[0,-1]}"#,
-        r#"{"stream":7,"seq":0,"count":1,"planes":["x",0]}"#,
-        // An unknown stream, and no stream at all.
-        r#"{"stream":8,"seq":0,"count":1,"planes":[1,0]}"#,
-        r#"{"seq":0,"count":1,"planes":[1,0]}"#,
+        run_frame(7, u64::MAX, 1, &[0, 0]),
+        // An unknown stream.
+        run_frame(8, 0, 1, &[1, 0]),
+        // A run without a `count`, a request frame, and a line that is not
+        // JSON.
+        frame(RUN, 7, &[0]),
+        frame(WORD_BLOCKS, 7, &[1, 0, 0, 0, 0]),
+        b"not json\n".to_vec(),
     ];
-    let good = r#"{"stream":7,"seq":0,"count":3,"planes":[5,2]}"#;
-    let lines = bad.iter().chain([&good]).map(|l| l.to_string()).collect();
+    let good = run_frame(7, 0, 3, &[5, 2]);
+    let replies = bad.iter().chain([&good]).cloned().collect();
     const STREAMS: &[(u64, u64)] = &[(7, 2), (9, 2), (5, 0)];
-    let (addr, fake) = fake_server(STREAMS, lines);
+    let (addr, fake) = fake_server(STREAMS, replies);
     let (client, streams) = open_fake_streams(&addr, STREAMS);
 
     for (seq, flips) in [(0, 0b01), (1, 0b10), (2, 0b01)] {
         let correction = streams[0]
             .corrections
             .recv_timeout(Duration::from_secs(30))
-            .expect("the reader survives the bad lines and delivers the good one");
+            .expect("the reader survives the bad messages and delivers the good one");
         assert_eq!((correction.seq, correction.flips), (seq, flips));
     }
     let errors = client.take_protocol_errors();
@@ -656,21 +773,21 @@ fn malformed_run_lines_are_protocol_errors_not_reader_panics() {
     for stream in &streams {
         assert!(
             stream.corrections.try_recv().is_err(),
-            "refused lines deliver nothing, to any stream"
+            "refused messages deliver nothing, to any stream"
         );
     }
     drop(client);
     fake.join().expect("fake server thread");
 }
 
-/// Run lines of 1, 64, 65 and 130 shots from a non-zero `seq`, two
+/// Run frames of 1, 64, 65 and 130 shots from a non-zero `seq`, two
 /// observables: every shot flattens to its own `Correction`, in order.
 #[test]
 fn run_lines_flatten_into_ordered_corrections() {
     // Shot `seq` flips a pattern of both observables that changes within
     // every word.
     let flips = |seq: u64| (seq * 7 + seq / 3) % 4;
-    let mut lines = Vec::new();
+    let mut replies = Vec::new();
     let mut seq = 1000u64;
     for count in [1u64, 64, 65, 130] {
         let words = count.div_ceil(64) as usize;
@@ -682,14 +799,10 @@ fn run_lines_flatten_into_ordered_corrections() {
                 }
             }
         }
-        let planes: Vec<String> = planes.iter().map(u64::to_string).collect();
-        lines.push(format!(
-            r#"{{"stream":3,"seq":{seq},"count":{count},"planes":[{}]}}"#,
-            planes.join(",")
-        ));
+        replies.push(run_frame(3, seq, count, &planes));
         seq += count;
     }
-    let (addr, fake) = fake_server(&[(3, 2)], lines);
+    let (addr, fake) = fake_server(&[(3, 2)], replies);
     let (client, streams) = open_fake_streams(&addr, &[(3, 2)]);
 
     for seq in 1000..seq {
@@ -782,9 +895,11 @@ fn raw_connection(addr: &str) -> (std::net::TcpStream, impl FnMut() -> Value) {
     (socket, next_line)
 }
 
-/// A frame line or `close` whose `stream` is missing or not a non-negative
-/// integer is refused by name — never read as some huge stream id — and a
-/// frame line's refusal stays tagged `"async"`.
+/// A `close` whose `stream` is missing or not a non-negative integer is
+/// refused by name — never read as some huge stream id. A frame always
+/// carries a `u64` stream, so a frame's half of the rule is that one on a
+/// stream nobody opened is refused by its id, tagged `"async"`; the retired
+/// JSON frame spellings, whatever their `stream`, are unknown commands.
 #[test]
 fn a_missing_or_ill_typed_stream_is_refused_by_name() {
     use std::io::Write;
@@ -795,6 +910,17 @@ fn a_missing_or_ill_typed_stream_is_refused_by_name() {
     let running = std::thread::spawn(move || server.run());
     let (mut socket, mut next_line) = raw_connection(&addr);
 
+    for request in [
+        index_frames(u64::MAX, &[vec![1]]),
+        frame(WORD_BLOCKS, u64::MAX, &[1, 1]),
+    ] {
+        socket.write_all(&request).expect("frame");
+        let response = next_line();
+        let expected = format!("unknown stream {}", u64::MAX);
+        assert_eq!(response["error"].as_str(), Some(&*expected), "{response:?}");
+        assert_eq!(response["async"].as_bool(), Some(true), "{response:?}");
+        assert_eq!(response["stream"].as_u64(), Some(u64::MAX), "{response:?}");
+    }
     let expected = "`stream` must be a non-negative integer";
     for stream in [
         "",
@@ -807,11 +933,11 @@ fn a_missing_or_ill_typed_stream_is_refused_by_name() {
             ("frames", r#""frames":[[1]]"#),
             ("frames_packed", r#""blocks":[{"count":1,"planes":[1]}]"#),
         ] {
-            writeln!(socket, r#"{{"cmd":"{cmd}",{stream}{shots}}}"#).expect("frame line");
+            writeln!(socket, r#"{{"cmd":"{cmd}",{stream}{shots}}}"#).expect("retired line");
             let response = next_line();
-            assert_eq!(response["error"].as_str(), Some(expected), "{response:?}");
-            assert_eq!(response["async"].as_bool(), Some(true), "{response:?}");
-            assert!(response.get("stream").is_none(), "{response:?}");
+            let unknown = format!("unknown command `{cmd}`");
+            assert_eq!(response["error"].as_str(), Some(&*unknown), "{response:?}");
+            assert!(response.get("async").is_none(), "{response:?}");
         }
         writeln!(socket, r#"{{"cmd":"close",{stream}"x":0}}"#).expect("close");
         let response = next_line();
@@ -862,8 +988,8 @@ fn an_oversized_request_is_refused_before_it_is_sent() {
     let stream = client
         .open_stream("grid", 2, "standard", 5.0, 2, DecoderKind::UnionFind)
         .expect("open");
-    // Eleven bytes a detector: a line of about 9.9 MB.
-    let oversized = vec![vec![1_000_000_000usize; 900_000]];
+    // Eight bytes a detector: a frame of about 8.8 MB.
+    let oversized = vec![vec![1_000_000_000usize; 1_100_000]];
     let error = client
         .submit_frames(stream.id, &oversized)
         .expect_err("a line past the cap");
@@ -886,6 +1012,100 @@ fn an_oversized_request_is_refused_before_it_is_sent() {
         2,
         "nothing of the big line arrived"
     );
+    client.shutdown_server().expect("shutdown");
+    running.join().expect("server thread").expect("clean exit");
+}
+
+/// A frame split across the server's read timeout still decodes: each
+/// frame arrives in two writes with a pause longer than the timeout
+/// between them, one cut inside its header and one inside its payload.
+#[test]
+fn a_frame_split_across_the_read_timeout_still_decodes() {
+    use std::io::Write;
+
+    let server = NetServer::bind(
+        "127.0.0.1:0",
+        ServiceConfig::default().with_flush_deadline(Duration::from_micros(200)),
+    )
+    .expect("bind ephemeral port");
+    let addr = server.local_addr().expect("bound address").to_string();
+    let running = std::thread::spawn(move || server.run());
+    let arch = qccd_service::net::parse_arch("grid", 2, "standard", 5.0).expect("arch");
+    let program = DecodeProgram::compile(&arch, 2, DecoderKind::UnionFind).expect("compile");
+    let frames = frames_of(program.circuit(), 100, 17);
+
+    let (mut socket, mut next_reply) = raw_replies(&addr);
+    writeln!(
+        socket,
+        r#"{{"cmd":"open","gate_improvement":5.0,"distance":2}}"#
+    )
+    .expect("open");
+    let Reply::Line(response) = next_reply() else {
+        panic!("an open response")
+    };
+    let id = response["stream"].as_u64().expect("stream id");
+    for (shots, cut) in [(&frames[..40], 6), (&frames[40..], 200)] {
+        let request = index_frames(id, shots);
+        socket.write_all(&request[..cut]).expect("first half");
+        std::thread::sleep(Duration::from_millis(300));
+        socket.write_all(&request[cut..]).expect("second half");
+    }
+    writeln!(socket, r#"{{"cmd":"close","stream":{id}}}"#).expect("close");
+
+    let expected = offline_flips(&program, &frames);
+    let (mut flips, mut closed) = (Vec::new(), false);
+    while !closed || flips.len() < frames.len() {
+        match next_reply() {
+            Reply::Run(stream, seq, count, planes) => {
+                assert_eq!((stream, seq), (id, flips.len() as u64));
+                let words = count.div_ceil(64);
+                flips.extend((0..count).map(|shot| (planes[shot / 64] >> (shot % 64)) & 1));
+                assert_eq!(planes.len(), words, "one observable");
+            }
+            Reply::Line(line) => {
+                assert_eq!(line["ok"].as_bool(), Some(true), "{line:?}");
+                closed = true;
+            }
+        }
+    }
+    assert_eq!(flips, expected);
+    writeln!(socket, r#"{{"cmd":"shutdown"}}"#).expect("shutdown");
+    assert!(matches!(next_reply(), Reply::Line(line) if line["ok"].as_bool() == Some(true)));
+    running.join().expect("server thread").expect("clean exit");
+}
+
+/// A frame header that claims more than the cap is refused from the header
+/// alone, with the cap's error text, and closes only its own connection.
+#[test]
+fn an_oversized_frame_header_is_refused_and_closes_only_its_connection() {
+    use std::io::{Read, Write};
+
+    let server =
+        NetServer::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind ephemeral port");
+    let addr = server.local_addr().expect("bound address").to_string();
+    let running = std::thread::spawn(move || server.run());
+    let mut bystander = NetClient::connect(&addr).expect("an earlier connection");
+    bystander.ping().expect("ping");
+
+    let mut hostile = std::net::TcpStream::connect(&addr).expect("raw connection");
+    let words = (MAX_LINE_BYTES / 8) as u32;
+    let mut header = frame(WORD_BLOCKS, 0, &[]);
+    header[9..].copy_from_slice(&words.to_le_bytes());
+    hostile.write_all(&header).expect("a header alone");
+    let mut answer = String::new();
+    hostile
+        .read_to_string(&mut answer)
+        .expect("error line, then the server hangs up");
+    assert_eq!(
+        answer,
+        format!("{{\"error\":\"line exceeds {MAX_LINE_BYTES} bytes\",\"ok\":false}}\n")
+    );
+
+    bystander
+        .ping()
+        .expect("the earlier connection still answers");
+    let mut client = NetClient::connect(&addr).expect("a later connection");
+    client.ping().expect("the server still answers");
     client.shutdown_server().expect("shutdown");
     running.join().expect("server thread").expect("clean exit");
 }
