@@ -262,8 +262,9 @@ const READ_BYTES: usize = 64 << 10;
 
 /// One connection's receive buffer: bytes are appended as they arrive and
 /// whole messages are taken from the front. A message split across reads,
-/// or across a read timeout, stays buffered until its last byte arrives;
-/// the buffer grows by what arrived, never by what a header claims.
+/// or across a read timeout, stays buffered until its last byte arrives.
+/// The buffer grows one read's room at a time as bytes arrive, never by
+/// what a header claims.
 #[derive(Debug, Default)]
 struct Inbox {
     bytes: Vec<u8>,
@@ -412,7 +413,7 @@ impl FrameBuffers {
             })
     }
 
-    /// The shots of the last index-frame frame read.
+    /// The shots of the last index-frame request read.
     fn frames(&self) -> impl Iterator<Item = &[usize]> {
         self.spans.iter().map(|span| &self.detectors[span.clone()])
     }
@@ -930,17 +931,15 @@ fn read_server_messages(
                     String::from_utf8_lossy(line)
                 )),
             },
+            Ok(Some(Message::Frame(frame))) if frame.kind != RUN => note_error(format!(
+                "a request frame (kind {}) from the server",
+                frame.kind
+            )),
             Ok(Some(Message::Frame(frame))) => {
                 let routes = routes.lock().expect("correction router lock");
                 // Route strictly: a run for a stream this client did not
                 // open is dropped and surfaced as a protocol error.
                 match routes.get(&frame.stream) {
-                    _ if frame.kind != RUN => {
-                        note_error(format!(
-                            "a request frame (kind {}) from the server",
-                            frame.kind
-                        ));
-                    }
                     None => note_error(format!("correction for unknown stream {}", frame.stream)),
                     Some(route) => match read_run(frame.payload, route.num_observables) {
                         Ok(run) => drop(route.tx.send(run)),

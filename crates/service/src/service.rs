@@ -289,8 +289,8 @@ type DecodeJob = Job<Arc<ProgramShard>, BatchParts>;
 
 /// A contiguous run of corrections of one stream (`seq` =
 /// `first_seq + index`). Corrections travel the delivery channel — and the
-/// wire — in runs, one send or line per run instead of one per frame, and
-/// a [`RunCursor`] flattens them back into single [`Correction`]s.
+/// wire — in runs, one send or run frame per run instead of one per frame,
+/// and a [`RunCursor`] flattens them back into single [`Correction`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CorrectionRun {
     pub(crate) first_seq: u64,
