@@ -46,9 +46,12 @@
 //! Word blocks are the **shot-major** mode: each block carries up to 64
 //! shots pre-transposed into one plane word per detector (bit `s` of word
 //! `d` = shot `s` fired detector `d` — the [`WordBlock`] layout), so the
-//! per-frame transpose disappears from the service hot path. A request
-//! frame is submitted as one batch, and nothing of it is enqueued unless
-//! all of it is valid.
+//! per-frame transpose disappears from the service hot path. A block's
+//! plane count is its stream's detector count, which the frame does not
+//! carry: the client refuses a block of another width, and the server a
+//! payload that does not split into whole blocks. A request frame is
+//! submitted as one batch, and nothing of it is enqueued unless all of it
+//! is valid.
 //!
 //! Request frames are answered *asynchronously*, in per-stream submission
 //! order and interleaved with command responses, by **run frames** — one
@@ -865,6 +868,9 @@ pub struct NetClient {
     writer: TcpStream,
     /// The request being written, reused request after request.
     out: Vec<u8>,
+    /// Detectors per stream this client opened: a word block's plane count.
+    /// A frame does not carry it, so the client checks it.
+    detectors: HashMap<u64, usize>,
     responses: mpsc::Receiver<Value>,
     routes: Arc<Mutex<HashMap<u64, Route>>>,
     /// Malformed or unroutable messages the reader refused to deliver — a
@@ -983,6 +989,7 @@ impl NetClient {
         Ok(NetClient {
             writer: stream,
             out: Vec::new(),
+            detectors: HashMap::new(),
             responses,
             routes,
             protocol_errors,
@@ -1059,6 +1066,7 @@ impl NetClient {
             "decoder": decoder_name(decoder),
         }))?;
         let (id, num_detectors, num_observables) = open_reply(&response)?;
+        self.detectors.insert(id, num_detectors);
         let (tx, rx) = mpsc::channel();
         self.routes.lock().expect("correction router lock").insert(
             id,
@@ -1096,13 +1104,23 @@ impl NetClient {
     ///
     /// # Errors
     ///
-    /// Transport errors, or a frame longer than [`MAX_LINE_BYTES`]
-    /// (nothing is sent then).
+    /// Transport errors, a block whose plane count is not the detector
+    /// count of a stream this client opened, or a frame longer than
+    /// [`MAX_LINE_BYTES`] (nothing is sent then).
     pub fn submit_packed_words(
         &mut self,
         stream: u64,
         blocks: &[(Vec<u64>, usize)],
     ) -> Result<(), String> {
+        if let Some(&detectors) = self.detectors.get(&stream) {
+            if let Some((planes, _)) = blocks.iter().find(|(planes, _)| planes.len() != detectors) {
+                return Err(format!(
+                    "a word block of {} planes on stream {stream} of {detectors} detectors; \
+                     nothing was sent",
+                    planes.len()
+                ));
+            }
+        }
         self.send(|out| push_blocks_frame(out, stream, blocks))
     }
 

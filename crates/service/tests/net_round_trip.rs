@@ -973,9 +973,10 @@ fn a_deeply_nested_line_is_refused_and_the_connection_survives() {
     running.join().expect("server thread").expect("clean exit");
 }
 
-/// The client caps the lines it sends as the server caps the lines it
-/// reads: an oversized submission fails on the client, names the cap and
-/// sends nothing, so the connection and its other streams keep working.
+/// The client caps the requests it sends as the server caps what it reads:
+/// an oversized submission fails on the client, names the cap and sends
+/// nothing, so the connection and its other streams keep working. A word
+/// block of the wrong width is refused the same way.
 #[test]
 fn an_oversized_request_is_refused_before_it_is_sent() {
     let server =
@@ -994,6 +995,14 @@ fn an_oversized_request_is_refused_before_it_is_sent() {
         .submit_frames(stream.id, &oversized)
         .expect_err("a line past the cap");
     assert!(error.contains("MAX_LINE_BYTES"), "{error}");
+    // So is a word block whose plane count is not the stream's detector
+    // count: the frame does not carry it, so the server could misread the
+    // block boundaries.
+    let wide = vec![0u64; stream.num_detectors + 4];
+    let error = client
+        .submit_packed_words(stream.id, &[(wide, 1)])
+        .expect_err("a block of the wrong width");
+    assert!(error.contains("nothing was sent"), "{error}");
 
     client.ping().expect("the connection is still up");
     client
