@@ -153,45 +153,45 @@ fn early_stopped_estimates_are_pinned_at_d3() {
         3,
         &[
             Case {
-                name: "max_failures 370 (stops in block 9)",
-                config: base.with_max_failures(370),
-                estimate: (40960, 384, 0x3f83_3333_3333_3333, 0x3f3f_34c6_756d_1fde),
+                name: "max_failures 340 (stops in block 9)",
+                config: base.with_max_failures(340),
+                estimate: (40960, 354, 0x3f81_b333_3333_3333, 0x3f3d_f934_1189_5afe),
                 cache: [
-                    [13658, 827, 149, 0, 505, 135, 0, 0, 0],
-                    [16459, 877, 184, 0, 604, 164, 0, 0, 0],
-                    [16459, 877, 184, 0, 604, 164, 0, 0, 0],
+                    [13639, 768, 144, 0, 508, 132, 0, 0, 0],
+                    [16392, 832, 172, 0, 611, 157, 0, 0, 0],
+                    [16392, 832, 172, 0, 611, 157, 0, 0, 0],
                 ],
             },
             Case {
-                name: "target_std_error 4.6e-4 (stops in block 10)",
-                config: base.with_target_std_error(4.6e-4),
-                estimate: (45056, 410, 0x3f82_a2e8_ba2e_8ba3, 0x3f3d_5167_c48d_8e3e),
+                name: "target_std_error 4.4e-4 (stops in block 10)",
+                config: base.with_target_std_error(4.4e-4),
+                estimate: (45056, 381, 0x3f81_5174_5d17_45d1, 0x3f3c_4573_ca31_fbd8),
                 cache: [
-                    [15021, 848, 164, 0, 554, 150, 0, 0, 0],
-                    [16459, 877, 184, 0, 604, 164, 0, 0, 0],
-                    [16459, 877, 184, 0, 604, 164, 0, 0, 0],
+                    [14995, 794, 158, 0, 559, 145, 0, 0, 0],
+                    [16392, 832, 172, 0, 611, 157, 0, 0, 0],
+                    [16392, 832, 172, 0, 611, 157, 0, 0, 0],
                 ],
             },
             Case {
-                name: "importance_bias 2 and target_std_error 2.45e-4 (stops in block 13)",
+                name: "importance_bias 2 and target_std_error 2.43e-4 (stops in block 13)",
                 config: base
                     .with_importance_bias(2.0)
-                    .with_target_std_error(2.45e-4),
-                estimate: (57344, 1820, 0x3f82_00ea_6263_9c5d, 0x3f2f_7e6b_44fb_8159),
+                    .with_target_std_error(2.43e-4),
+                estimate: (57344, 1738, 0x3f81_739a_538b_712a, 0x3f2f_5ad5_de99_c009),
                 cache: [
-                    [31053, 1341, 1332, 0, 185, 711, 0, 0, 0],
-                    [33235, 1364, 1425, 0, 200, 760, 0, 0, 0],
-                    [35527, 1390, 1514, 0, 217, 807, 0, 0, 0],
+                    [30966, 1326, 1272, 0, 218, 678, 0, 0, 0],
+                    [33217, 1356, 1368, 0, 231, 729, 0, 0, 0],
+                    [35557, 1375, 1471, 0, 244, 780, 0, 0, 0],
                 ],
             },
             Case {
                 name: "no criterion",
                 config: base,
-                estimate: (80920, 721, 0x3f82_3f6c_99c6_f421, 0x3f35_a646_ccf5_e4d9),
+                estimate: (80920, 682, 0x3f81_42bd_5c8e_08a8, 0x3f35_0f9b_ae7c_a4a4),
                 cache: [
-                    [27625, 1021, 306, 0, 992, 273, 0, 0, 0],
-                    [27625, 1021, 306, 0, 992, 273, 0, 0, 0],
-                    [27625, 1021, 306, 0, 992, 273, 0, 0, 0],
+                    [27432, 984, 303, 0, 997, 268, 0, 0, 0],
+                    [27432, 984, 303, 0, 997, 268, 0, 0, 0],
+                    [27432, 984, 303, 0, 997, 268, 0, 0, 0],
                 ],
             },
         ],
@@ -206,45 +206,45 @@ fn early_stopped_estimates_are_pinned_at_d5() {
         5,
         &[
             Case {
-                name: "max_failures 380 (stops in block 10)",
-                config: base.with_max_failures(380),
-                estimate: (45056, 392, 0x3f81_d174_5d17_45d1, 0x3f3c_ac48_5fd8_37c0),
+                name: "max_failures 345 (stops in block 10)",
+                config: base.with_max_failures(345),
+                estimate: (45056, 358, 0x3f80_45d1_745d_1746, 0x3f3b_6967_8719_4751),
                 cache: [
-                    [13730, 11245, 15559, 0, 0, 704, 0, 0, 0],
-                    [15217, 11977, 16989, 0, 0, 768, 0, 0, 0],
-                    [15217, 11977, 16989, 0, 0, 768, 0, 0, 0],
+                    [13779, 11244, 15459, 0, 0, 704, 0, 0, 0],
+                    [15293, 12018, 16852, 0, 0, 768, 0, 0, 0],
+                    [15293, 12018, 16852, 0, 0, 768, 0, 0, 0],
                 ],
             },
             Case {
-                name: "target_std_error 4.8e-4 (stops in block 9)",
-                config: base.with_target_std_error(4.8e-4),
-                estimate: (40960, 362, 0x3f82_1999_9999_999a, 0x3f3e_4ea8_4fc8_1ae8),
+                name: "target_std_error 4.5e-4 (stops in block 9)",
+                config: base.with_target_std_error(4.5e-4),
+                estimate: (40960, 330, 0x3f80_8000_0000_0000, 0x3f3c_f2b8_1a91_3e2b),
                 cache: [
-                    [12243, 10444, 14161, 0, 0, 640, 0, 0, 0],
-                    [15217, 11977, 16989, 0, 0, 768, 0, 0, 0],
-                    [15217, 11977, 16989, 0, 0, 768, 0, 0, 0],
+                    [12281, 10459, 14074, 0, 0, 640, 0, 0, 0],
+                    [15293, 12018, 16852, 0, 0, 768, 0, 0, 0],
+                    [15293, 12018, 16852, 0, 0, 768, 0, 0, 0],
                 ],
             },
             Case {
-                name: "importance_bias 2 and target_std_error 4.05e-4 (stops in block 9)",
+                name: "importance_bias 2 and target_std_error 4.95e-4 (stops in block 10)",
                 config: base
                     .with_importance_bias(2.0)
-                    .with_target_std_error(4.05e-4),
-                estimate: (40960, 2176, 0x3f80_1221_c5ad_6471, 0x3f3a_3e46_78c2_7db1),
+                    .with_target_std_error(4.95e-4),
+                estimate: (45056, 2306, 0x3f81_da78_b472_70af, 0x3f3f_e221_a386_78b7),
                 cache: [
-                    [2531, 6063, 31923, 0, 0, 640, 0, 0, 0],
-                    [3246, 7110, 38266, 0, 0, 768, 0, 0, 0],
-                    [3246, 7110, 38266, 0, 0, 768, 0, 0, 0],
+                    [2803, 6485, 35280, 0, 0, 704, 0, 0, 0],
+                    [3130, 6991, 38495, 0, 0, 768, 0, 0, 0],
+                    [3130, 6991, 38495, 0, 0, 768, 0, 0, 0],
                 ],
             },
             Case {
                 name: "no criterion",
                 config: base,
-                estimate: (80920, 672, 0x3f81_01f2_e3d4_c5b7, 0x3f34_e844_8a60_eb6e),
+                estimate: (80920, 667, 0x3f80_e18d_a778_243e, 0x3f34_d47c_26cb_c0a3),
                 cache: [
-                    [27612, 16975, 28097, 0, 0, 1265, 0, 0, 0],
-                    [27612, 16975, 28097, 0, 0, 1265, 0, 0, 0],
-                    [27612, 16975, 28097, 0, 0, 1265, 0, 0, 0],
+                    [27632, 17223, 27772, 0, 0, 1265, 0, 0, 0],
+                    [27632, 17223, 27772, 0, 0, 1265, 0, 0, 0],
+                    [27632, 17223, 27772, 0, 0, 1265, 0, 0, 0],
                 ],
             },
         ],

@@ -10,7 +10,7 @@
 //! `Decoder::decode` calls. A pure speed change leaves every constant
 //! byte-identical; there is no regeneration switch on purpose. The batch
 //! hashes also depend on the sampled stream, so a sampler change that
-//! moves `golden_sweep` and `golden_word_stats` moves them too.
+//! moves `golden_sampler_stream` moves them too.
 
 use qccd_core::{ArchitectureConfig, Compiler};
 use qccd_decoder::{DecodeScratch, Decoder, DecodingGraph, MemoConfig, UnionFindDecoder};
@@ -65,10 +65,10 @@ fn prediction_hash(
 
 /// `(gate improvement, distance, shots, seed, FNV-1a)`.
 const GOLDEN_POINTS: [(f64, usize, usize, u64, u64); 4] = [
-    (1.0, 3, 8192, 2026, 0x62c8_a160_296e_5536),
-    (5.0, 5, 8192, 2027, 0x5deb_5d91_d737_92e0),
-    (1.0, 5, 4096, 2028, 0x6229_f9c8_69f6_6c69),
-    (1000.0, 7, 16384, 2029, 0x465c_6904_8544_d125),
+    (1.0, 3, 8192, 2026, 0x4ebe_1fe5_8f4a_3df4),
+    (5.0, 5, 8192, 2027, 0x9c91_fd18_34d8_94a3),
+    (1.0, 5, 4096, 2028, 0x8672_50b8_d9e4_f102),
+    (1000.0, 7, 16384, 2029, 0x00bd_72af_87f5_66db),
 ];
 
 #[test]
@@ -91,10 +91,10 @@ fn batch_predictions_are_pinned_with_and_without_the_memo() {
 /// d = 5 points, fig10's dense regime: at 1X most noisy shots carry 5–16
 /// defects. Pinned with the memo disabled, so every noisy shot is decoded.
 const DENSE_POINTS: [(usize, f64, usize, u64, u64); 4] = [
-    (5, 1.0, 4096, 2030, 0xa593_6231_24ae_f9f5),
-    (5, 5.0, 8192, 2031, 0xe2c8_11da_1798_69f4),
-    (12, 1.0, 4096, 2032, 0xea41_337e_7245_7f98),
-    (12, 5.0, 8192, 2033, 0x495a_8f45_4250_6c97),
+    (5, 1.0, 4096, 2030, 0x3f2e_1a75_7b15_0cf9),
+    (5, 5.0, 8192, 2031, 0xe12f_3569_aaef_c761),
+    (12, 1.0, 4096, 2032, 0x0b1c_572a_8dcb_37df),
+    (12, 5.0, 8192, 2033, 0x6d28_fc9e_5226_183f),
 ];
 
 #[test]

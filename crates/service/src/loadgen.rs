@@ -739,9 +739,9 @@ mod tests {
         assert_eq!(
             (frames, blocks, flips(&by_frames)),
             (
-                0xf636_841c_8179_d624,
-                0x5115_aa59_536c_4b3d,
-                0xae49_b4dc_64f4_4044
+                0xbe8a_88dd_3d8d_c12d,
+                0x8cbc_768b_ca98_e1d8,
+                0x6252_73b3_9cce_dd65
             ),
             "wire frames, wire blocks, offline flips"
         );

@@ -32,9 +32,9 @@
 //! chunk is built.
 
 use std::borrow::Cow;
+use std::sync::OnceLock;
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use rand::{RngCore, SplitMix64};
 
 use qccd_circuit::MeasurementRef;
 
@@ -149,12 +149,9 @@ impl SyndromeChunk {
     fn flip_detector(&mut self, detector: usize, word: usize, bits: u64) {
         let plane_word = &mut self.detectors.plane_mut(detector)[word];
         *plane_word ^= bits;
+        let occupied = u64::from(*plane_word != 0);
         let mask = &mut self.occupancy[(word / 64) * self.num_detectors + detector];
-        if *plane_word != 0 {
-            *mask |= 1u64 << (word % 64);
-        } else {
-            *mask &= !(1u64 << (word % 64));
-        }
+        *mask = *mask & !(1u64 << (word % 64)) | occupied << (word % 64);
     }
 
     /// Debug builds: every occupancy bit agrees with its plane word, and no
@@ -520,44 +517,107 @@ impl SyndromeChunkBuilder {
 /// Channels whose probabilities share a binary exponent, walked together.
 #[derive(Debug, Clone)]
 struct Bucket {
-    /// Largest probability in the bucket (at most 1).
-    p_max: f64,
-    /// `(channel, probability)`, in op order.
+    /// `1 / λ` with `λ = −ln(1 − p_max)` for the bucket's largest
+    /// probability `p_max` (0 when `p_max = 1`).
+    gap_scale: f64,
+    /// `(channel, p / p_max)`, in op order.
     channels: Vec<(u32, f64)>,
 }
 
 impl Bucket {
-    /// Calls `fire(rng, channel, shot)` for every `(channel, shot)` of a
+    /// Calls `fire(channel, shot, v)` for every `(channel, shot)` of a
     /// `shots`-shot block in which a channel of this bucket fires: one
-    /// geometric-skipping walk at `p_max` over the flattened index space
-    /// (candidate `i` is channel `i / shots` of the bucket in shot
-    /// `i % shots`), each candidate kept with probability `p / p_max`.
+    /// geometric-skipping walk at `p_max` over the block's `channels × shots`
+    /// candidates, each kept when a uniform `u < q`; then `v = u / q`.
     fn walk(
         &self,
-        rng: &mut ChaCha8Rng,
+        rng: &mut SplitMix64,
+        ziggurat: &Ziggurat,
         shots: usize,
-        mut fire: impl FnMut(&mut ChaCha8Rng, usize, usize),
+        mut fire: impl FnMut(usize, usize, f64),
     ) {
         let shots = shots as u64;
-        let candidates = self.channels.len() as u64 * shots;
-        let certain = self.p_max >= 1.0;
-        let log_miss = (-self.p_max).ln_1p();
-        let mut next = 0u64;
+        // The next candidate is shot `shot` of the bucket's channel `at`; a
+        // gap divides only when it leaves the channel.
+        let (mut at, mut shot) = (0usize, 0u64);
         loop {
-            if !certain {
-                // Geometric gap to the next candidate; `1 - u` avoids
-                // ln(0), and the cast saturates.
-                let u: f64 = rng.gen();
-                next = next.saturating_add(((1.0 - u).ln() / log_miss) as u64);
+            // ⌊E / λ⌋ is geometric with success probability `p_max`; the cast saturates.
+            shot = shot.saturating_add((ziggurat.exp1(rng) * self.gap_scale) as u64);
+            if shot >= shots {
+                at = at.saturating_add((shot / shots) as usize);
+                shot %= shots;
             }
-            if next >= candidates {
+            let Some(&(channel, q)) = self.channels.get(at) else {
                 break;
+            };
+            let u = unit(rng.next_u64());
+            if u < q {
+                fire(channel as usize, shot as usize, u / q);
             }
-            let (channel, p) = self.channels[(next / shots) as usize];
-            let shot = (next % shots) as usize;
-            next += 1;
-            if p == self.p_max || rng.gen::<f64>() * self.p_max < p {
-                fire(rng, channel as usize, shot);
+            shot += 1;
+        }
+    }
+}
+
+/// The top 53 bits of `bits` as a uniform `f64` on `[0, 1)`.
+fn unit(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// A 256-layer ziggurat for the exponential law Exp(1) (Marsaglia & Tsang,
+/// "The Ziggurat Method for Generating Random Variables", 2000). Layer `i`
+/// is the rectangle `[0, x[i]) × [f[i], f[i + 1])` under `f(x) = e^{-x}`,
+/// every layer of area [`Ziggurat::V`]; layer 0 is the base strip
+/// `[0, x[0]) × [0, f(R))`, whose part past `x[1] = R` stands for the tail.
+#[derive(Debug)]
+struct Ziggurat {
+    /// Layer edges, decreasing: `x[0] = V / f(R)`, `x[1] = R`, …, `x[256] = 0`.
+    x: [f64; 257],
+    /// `f[i] = e^{-x[i]}` for `i ≥ 1`; `f[0] = 0`, the base strip's floor.
+    f: [f64; 257],
+}
+
+impl Ziggurat {
+    /// The base strip's edge.
+    const R: f64 = 7.697_117_470_131_05;
+    /// The area of every layer, `e^{-R} (R + 1)`.
+    const V: f64 = 3.949_659_822_581_556e-3;
+
+    fn new() -> Self {
+        let (mut x, mut f) = ([0.0; 257], [0.0; 257]);
+        (x[0], x[1]) = (Self::V * Self::R.exp(), Self::R);
+        for i in 1..256 {
+            f[i] = (-x[i]).exp();
+            x[i + 1] = -(f[i] + Self::V / x[i]).ln();
+        }
+        // The top layer closes at the mode; pin it against rounding.
+        (x[256], f[256]) = (0.0, 1.0);
+        Ziggurat { x, f }
+    }
+
+    /// The table every sampler shares, built on first use.
+    fn get() -> &'static Ziggurat {
+        static TABLE: OnceLock<Ziggurat> = OnceLock::new();
+        TABLE.get_or_init(Ziggurat::new)
+    }
+
+    /// One Exp(1) draw: a uniform point of a uniform layer, kept when under
+    /// the curve; one generator step serves about 99 % of draws.
+    #[inline]
+    fn exp1(&self, rng: &mut SplitMix64) -> f64 {
+        loop {
+            let bits = rng.next_u64();
+            let i = (bits & 0xff) as usize;
+            let x = unit(bits) * self.x[i];
+            if x < self.x[i + 1] {
+                return x;
+            }
+            if i == 0 {
+                // Past R the law is R + Exp(1) again; `1 - u` avoids ln(0).
+                return Self::R - (1.0 - unit(rng.next_u64())).ln();
+            }
+            if self.f[i] + (self.f[i + 1] - self.f[i]) * unit(rng.next_u64()) < (-x).exp() {
+                return x;
             }
         }
     }
@@ -568,7 +628,8 @@ impl Bucket {
 /// ascending exponent order.
 fn bucket_channels(probabilities: &[f64]) -> Vec<Bucket> {
     // One slot per value of the top 12 bits (sign and exponent) of an
-    // `f64`: first its channel count, then its bucket's index.
+    // `f64`: its largest probability, and first its channel count, then
+    // its bucket's index.
     const EXPONENTS: usize = 1 << 11;
     let exponent = |p: f64| (p.to_bits() >> 52) as usize;
     let firing = || {
@@ -576,22 +637,22 @@ fn bucket_channels(probabilities: &[f64]) -> Vec<Bucket> {
             .filter(|&(_, &p)| p > 0.0)
             .map(|(channel, &p)| (channel as u32, p.min(1.0)))
     };
-    let mut slots = vec![0u32; EXPONENTS];
+    let mut slots = vec![(0u32, 0.0f64); EXPONENTS];
     for (_, p) in firing() {
-        slots[exponent(p)] += 1;
+        let (count, p_max) = &mut slots[exponent(p)];
+        (*count, *p_max) = (*count + 1, p.max(*p_max));
     }
     let mut buckets = Vec::new();
-    for slot in slots.iter_mut().filter(|slot| **slot > 0) {
+    for (slot, p_max) in slots.iter_mut().filter(|(count, _)| *count > 0) {
         buckets.push(Bucket {
-            p_max: 0.0,
+            gap_scale: -1.0 / (-*p_max).ln_1p(),
             channels: Vec::with_capacity(*slot as usize),
         });
         *slot = buckets.len() as u32 - 1;
     }
     for (channel, p) in firing() {
-        let bucket = &mut buckets[slots[exponent(p)] as usize];
-        bucket.p_max = bucket.p_max.max(p);
-        bucket.channels.push((channel, p));
+        let (bucket, p_max) = slots[exponent(p)];
+        buckets[bucket as usize].channels.push((channel, p / p_max));
     }
     buckets
 }
@@ -605,13 +666,20 @@ fn bucket_channels(probabilities: &[f64]) -> Vec<Bucket> {
 /// (the detectors and observables it flips), so a shot's detector events are
 /// the XOR of the signatures of the faults that occur in it. The cost is
 /// proportional to the number of faults placed, not to `ops × shots`.
-/// Channels are bucketed by the binary exponent of their probability; each
-/// bucket is one geometric-skipping walk at its largest probability over the
-/// flattened `channels × shots` index space of a block, thinned per channel,
-/// so a bucket proposes at most twice the faults it places. A channel that
-/// fires picks one of its components uniformly — the channel's mutually
-/// exclusive Paulis, not the detector error model's independent-mechanism
-/// approximation.
+///
+/// Each block draws from its own [`SplitMix64`] stream, seeded with
+/// [`block_seed`]. Channels are bucketed by the binary exponent of their
+/// probability; each bucket is one geometric-skipping walk at its largest
+/// probability `p_max` over the flattened `channels × shots` index space of
+/// a block, so a bucket proposes at most twice the faults it places. A
+/// proposal costs two generator steps: its gap, `⌊E / λ⌋` candidates with
+/// `E ~ Exp(1)` from a 256-layer ziggurat (Marsaglia & Tsang 2000) and
+/// `λ = −ln(1 − p_max)` once per bucket, which is exactly geometric; and one
+/// uniform `u`, which keeps the candidate when `u < q = p / p_max` and then
+/// picks component `⌊(u / q) · n⌋` of the channel's `n` (given `u < q`,
+/// `u / q` is uniform on `[0, 1)`). A channel that fires thus picks one of
+/// its components uniformly — the channel's mutually exclusive Paulis, not
+/// the detector error model's independent-mechanism approximation.
 ///
 /// # Determinism
 ///
@@ -764,22 +832,20 @@ impl<'t> DetectorChunkSampler<'t> {
             self.num_observables(),
         );
         let last_block = (first_block + self.blocks_per_chunk).min(self.num_blocks());
+        let ziggurat = Ziggurat::get();
         for block in first_block..last_block {
             let block_shots = self.shots_in_block(block);
             let first_shot = (block - first_block) * CANONICAL_BLOCK_SHOTS;
-            let mut rng = ChaCha8Rng::seed_from_u64(block_seed(self.seed, block as u64));
+            let mut rng = SplitMix64::new(block_seed(self.seed, block as u64));
             for bucket in &self.buckets {
-                bucket.walk(&mut rng, block_shots, |rng, channel, shot| {
+                bucket.walk(&mut rng, ziggurat, block_shots, |channel, shot, v| {
                     let shot = first_shot + shot;
                     if let Some((ratios, log_weights)) = weights.as_mut() {
                         log_weights[shot] += ratios[channel];
                     }
                     // The channel's Paulis are mutually exclusive: one fires.
                     let components = self.table.component_ids(channel);
-                    let component = match components.len() {
-                        1 => components[0],
-                        n => components[rng.gen_range(0..n)],
-                    };
+                    let component = components[(v * components.len() as f64) as usize];
                     let (detectors, observables) = self.table.signature(component);
                     let (word, bit) = (shot / 64, 1u64 << (shot % 64));
                     for &d in detectors {
@@ -1179,6 +1245,63 @@ mod tests {
     fn builder_rejects_wrong_block_plane_count() {
         let mut builder = SyndromeChunkBuilder::new(3, 1);
         builder.push_word_block(&[1, 1], 1);
+    }
+
+    #[test]
+    fn every_ziggurat_layer_has_the_same_area() {
+        let (r, v) = (Ziggurat::R, Ziggurat::V);
+        // The base strip: the rectangle under f(R) plus the tail past R.
+        assert!(
+            (v - (-r).exp() * (r + 1.0)).abs() < 1e-17,
+            "V and R disagree"
+        );
+        let z = Ziggurat::new();
+        assert!(z.x.windows(2).all(|edge| edge[0] > edge[1]));
+        for i in 0..256 {
+            let area = z.x[i] * (z.f[i + 1] - z.f[i]);
+            assert!((area - v).abs() < 1e-12 * v, "layer {i} has area {area}");
+        }
+    }
+
+    #[test]
+    fn ziggurat_draws_follow_the_exponential_law() {
+        const DRAWS: usize = 1 << 20;
+        const BINS: usize = 128;
+        let z = Ziggurat::new();
+        let mut rng = SplitMix64::new(7);
+        let mut counts = [0.0f64; BINS];
+        let (mut tail, mut tail_excess) = (0usize, 0.0);
+        for _ in 0..DRAWS {
+            let e = z.exp1(&mut rng);
+            // The CDF 1 − e^{−x} maps Exp(1) to uniform: equal-probability bins.
+            let u = -(-e).exp_m1();
+            counts[((u * BINS as f64) as usize).min(BINS - 1)] += 1.0;
+            if e >= Ziggurat::R {
+                tail += 1;
+                tail_excess += e - Ziggurat::R;
+            }
+        }
+        let expected = (DRAWS / BINS) as f64;
+        let chi2: f64 = counts
+            .iter()
+            .map(|c| (c - expected).powi(2) / expected)
+            .sum();
+        // The upper 4σ point of χ² with 127 degrees of freedom is about 201.
+        assert!(
+            chi2 < 201.0,
+            "χ² {chi2:.1} over {BINS} equal-probability bins"
+        );
+        // The tail: a share e^{−R} of draws, each R + Exp(1).
+        let mean = DRAWS as f64 * (-Ziggurat::R).exp();
+        assert!(
+            (tail as f64 - mean).abs() < 4.0 * mean.sqrt(),
+            "{tail} tail draws"
+        );
+        let excess = tail_excess / tail as f64;
+        assert!(
+            (excess - 1.0).abs() < 4.0 / (tail as f64).sqrt(),
+            "tail mean {excess}"
+        );
     }
 
     #[test]

@@ -67,14 +67,14 @@ const SHAPES: [(usize, usize); 4] = [
 
 /// One FNV-1a per `POINTS × SHAPES` entry, in that order.
 const STREAM_HASHES: [u64; 8] = [
-    0xbaad_df91_18dd_3da2,
-    0x4ad6_9dd2_52eb_1426,
-    0xf4d5_bb56_4f65_786a,
-    0xfe1c_5904_6453_0dae,
-    0xdb27_8af8_23cd_9777,
-    0x109c_32dd_8fa2_e217,
-    0xdff8_4b0c_5441_2adf,
-    0x47da_479c_43b7_a953,
+    0x5bf3_4161_56a7_65b5,
+    0x8087_4f83_f304_dc95,
+    0xce49_c4cb_b810_f710,
+    0xa838_fe04_de5d_dfd4,
+    0x867f_e028_4792_0510,
+    0x35b0_e065_3f60_4a34,
+    0x8386_efd1_3378_ed00,
+    0x448a_9132_d543_01f8,
 ];
 
 #[test]
@@ -103,7 +103,7 @@ const BIAS: f64 = 20.0;
 /// `(planes FNV-1a, FNV-1a of every chunk's log-weight sum bits)` of the
 /// 1000X d = 7 point sampled from its biased table over 10 000 shots in
 /// 4 096-shot chunks.
-const WEIGHTED_HASHES: (u64, u64) = (0xcf63_01f4_ed65_f21a, 0x9b6f_4547_8876_299f);
+const WEIGHTED_HASHES: (u64, u64) = (0xa389_5165_5673_6908, 0xe807_5d09_d28a_c5cf);
 
 #[test]
 fn weighted_planes_and_log_weight_sums_are_pinned() {
