@@ -166,7 +166,7 @@ fn tcp_round_trip_with_loadgen_and_shutdown() {
         shots: 1024,
         seed: 7,
         rate: None,
-        shot_major: false, // the per-shot `frames` wire command
+        shot_major: false, // per-shot index frames on the wire
         ..LoadgenOptions::default()
     };
     // The replay shuts the server down over the wire.
@@ -211,7 +211,7 @@ fn multi_connection_packed_round_trip() {
         shots: 2048,
         seed: 21,
         rate: None,
-        shot_major: true, // the `frames_packed` wire command
+        shot_major: true, // shot-major word-block frames on the wire
     };
     let report = replay_over_tcp(&addr, &options, 0)
         .expect("multi-connection packed round trip")
