@@ -569,7 +569,6 @@ fn unit(bits: u64) -> f64 {
 /// is the rectangle `[0, x[i]) × [f[i], f[i + 1])` under `f(x) = e^{-x}`,
 /// every layer of area [`Ziggurat::V`]; layer 0 is the base strip
 /// `[0, x[0]) × [0, f(R))`, whose part past `x[1] = R` stands for the tail.
-#[derive(Debug)]
 struct Ziggurat {
     /// Layer edges, decreasing: `x[0] = V / f(R)`, `x[1] = R`, …, `x[256] = 0`.
     x: [f64; 257],
