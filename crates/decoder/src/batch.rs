@@ -151,30 +151,14 @@ impl PartialOrd for HeapEntry {
 /// Per-shot working state of the exact matching decoder.
 #[derive(Debug, Clone)]
 pub(crate) struct MatchingScratch {
-    /// One Dijkstra state (distance, incoming edge) per defect slot.
-    pub(crate) dijkstras: Vec<DijkstraState>,
+    /// One Dijkstra state per defect slot: each node's `(distance, path
+    /// mask)`, `(+inf, 0)` between epochs.
+    pub(crate) dijkstras: Vec<EpochVec<(f64, u64)>>,
     pub(crate) heap: std::collections::BinaryHeap<HeapEntry>,
     /// The shot's index of each defect node (`u32::MAX` = not a defect).
     pub(crate) defect_index: EpochVec<u32>,
     /// The matching problem on the defects and their boundary twins.
     pub(crate) blossom: Blossom,
-}
-
-/// Reusable Dijkstra arrays (distances default to `+inf` between epochs).
-#[derive(Debug, Clone)]
-pub(crate) struct DijkstraState {
-    pub(crate) dist: EpochVec<f64>,
-    /// Incoming edge per node (sentinel `u32::MAX` = none).
-    pub(crate) via: EpochVec<u32>,
-}
-
-impl Default for DijkstraState {
-    fn default() -> Self {
-        DijkstraState {
-            dist: EpochVec::new(f64::INFINITY),
-            via: EpochVec::new(u32::MAX),
-        }
-    }
 }
 
 impl Default for MatchingScratch {
@@ -192,7 +176,8 @@ impl MatchingScratch {
     /// Ensures at least `defects` Dijkstra slots exist.
     pub(crate) fn ensure_defect_slots(&mut self, defects: usize) {
         if self.dijkstras.len() < defects {
-            self.dijkstras.resize_with(defects, DijkstraState::default);
+            self.dijkstras
+                .resize_with(defects, || EpochVec::new((f64::INFINITY, 0)));
         }
     }
 }

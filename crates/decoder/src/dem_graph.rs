@@ -19,45 +19,36 @@
 //! Parallel mechanisms merge into one edge per endpoint pair. Probabilities
 //! combine as the parity of independent events; the edge carries the
 //! observables of its likeliest constituent, and every merge that discarded
-//! a differing observable set is counted.
+//! a differing observable set is counted. Observables are `u64` masks from
+//! the start (a mechanism's list is a set, so a repeated index cancels):
+//! the carried observables, a split's owed remainder and the conflict test
+//! are all masks.
 //!
-//! The graph also fixes the one layout both decoders read: per-edge
-//! endpoints with the boundary at node `num_detectors()`, one observable
-//! bitmask per edge (a correction is a `u64` mask, so a graph holds at most
-//! 64 observables), and a CSR incidence of `(edge, opposite endpoint)`
-//! pairs per node in ascending edge order, whose boundary row lists the
-//! boundary edges.
+//! The graph is one flat table per edge field, and both decoders read
+//! these tables: endpoints with the boundary at node `num_detectors()`, the
+//! observable mask (a correction is a `u64` mask, so a graph holds at most
+//! 64 observables), the weight and the probability; plus a CSR incidence
+//! of `(edge, opposite endpoint)` pairs per node in ascending edge order,
+//! whose boundary row lists the boundary edges.
+
+use std::ops::Range;
 
 use qccd_sim::DetectorErrorModel;
 
-/// Index of a detector vertex in the decoding graph.
-pub type DetectorIndex = usize;
-
-/// One edge of the decoding graph.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecodingEdge {
-    /// First endpoint (a detector).
-    pub a: DetectorIndex,
-    /// Second endpoint, or `None` for the virtual boundary.
-    pub b: Option<DetectorIndex>,
-    /// Probability that this edge's mechanism fires.
-    pub probability: f64,
-    /// Log-likelihood weight `ln((1−p)/p)`, clamped to be non-negative.
-    pub weight: f64,
-    /// Logical observables flipped when this edge's mechanism fires.
-    pub observables: Vec<u32>,
-}
-
-/// A decoding graph derived from a detector error model.
+/// A decoding graph derived from a detector error model. Edge `e` is entry
+/// `e` of each per-edge table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodingGraph {
     num_detectors: usize,
     num_observables: usize,
-    edges: Vec<DecodingEdge>,
     /// Per-edge endpoints, the boundary as node `num_detectors`.
-    pub(crate) endpoints: Vec<(u32, u32)>,
+    endpoints: Vec<(u32, u32)>,
     /// Per-edge observable bitmask.
-    pub(crate) masks: Vec<u64>,
+    masks: Vec<u64>,
+    /// Per-edge log-likelihood weight.
+    weights: Vec<f64>,
+    /// Per-edge parity-combined probability.
+    probabilities: Vec<f64>,
     /// Node `v`'s `(edge, opposite endpoint)` pairs are
     /// `incident[incident_start[v]..incident_start[v + 1]]`, in ascending
     /// edge order; the boundary's row holds the boundary edges.
@@ -72,8 +63,9 @@ pub struct DecodingGraph {
     observable_conflicts: usize,
 }
 
-/// Endpoints of an edge: a detector and a second detector or the boundary.
-type Endpoints = (DetectorIndex, Option<DetectorIndex>);
+/// Endpoints of an edge under construction: a detector and a second
+/// detector or `None` for the boundary, which sorts first.
+type Endpoints = (u32, Option<u32>);
 
 /// One edge under construction: all mechanisms seen between its endpoints.
 struct Merged {
@@ -82,10 +74,15 @@ struct Merged {
     probability: f64,
     /// Probability of the likeliest graph-like constituent.
     likeliest: f64,
-    /// The model error whose observables the edge carries: the first
-    /// graph-like constituent, or a later one that was likelier than every
+    /// The observable mask the edge carries: the first graph-like
+    /// constituent's, or a later one's that was likelier than every
     /// constituent before it.
-    carrier: usize,
+    mask: u64,
+}
+
+/// The XOR fold of an observable set into a mask.
+fn mask_of(observables: &[u32]) -> u64 {
+    observables.iter().fold(0, |mask, &o| mask ^ (1u64 << o))
 }
 
 impl DecodingGraph {
@@ -102,6 +99,7 @@ impl DecodingGraph {
             dem.num_observables
         );
         let num_detectors = dem.num_detectors;
+        let boundary = u32::try_from(num_detectors).expect("graph indices fit in u32");
         let combine = |p: f64, q: f64| p * (1.0 - q) + q * (1.0 - p);
 
         // Graph-like mechanisms become edges, merged by endpoints: sort
@@ -110,32 +108,30 @@ impl DecodingGraph {
         // contributes directly to the logical error floor and is ignored.
         let mut order: Vec<(Endpoints, usize)> = (dem.errors.iter().enumerate())
             .filter(|(_, e)| e.is_graphlike())
-            .filter_map(|(i, e)| {
-                let &a = e.detectors.first()?;
-                Some(((a as usize, e.detectors.get(1).map(|&b| b as usize)), i))
-            })
+            .filter_map(|(i, e)| Some(((*e.detectors.first()?, e.detectors.get(1).copied()), i)))
             .collect();
         order.sort_unstable();
         let mut merged: Vec<Merged> = Vec::new();
         let mut observable_conflicts = 0;
         for &(endpoints, i) in &order {
             let error = &dem.errors[i];
+            let mask = mask_of(&error.observables);
             if merged.last().is_none_or(|edge| edge.endpoints != endpoints) {
                 merged.push(Merged {
                     endpoints,
                     probability: 0.0,
                     likeliest: 0.0,
-                    carrier: i,
+                    mask,
                 });
             }
             let edge = merged.last_mut().expect("every run starts an edge");
             edge.probability = combine(edge.probability, error.probability);
-            if dem.errors[edge.carrier].observables != error.observables {
+            if edge.mask != mask {
                 observable_conflicts += 1;
             }
             if error.probability > edge.likeliest {
                 edge.likeliest = error.probability;
-                edge.carrier = i;
+                edge.mask = mask;
             }
         }
 
@@ -144,7 +140,7 @@ impl DecodingGraph {
         let mut decomposed_hyperedges = 0;
         let mut undecomposed_hyperedges = 0;
         for error in dem.errors.iter().filter(|e| !e.is_graphlike()) {
-            let Some(parts) = split(&error.detectors, &error.observables, dem, &merged) else {
+            let Some(parts) = split(&error.detectors, mask_of(&error.observables), &merged) else {
                 undecomposed_hyperedges += 1;
                 continue;
             };
@@ -155,59 +151,44 @@ impl DecodingGraph {
             }
         }
 
-        let edges: Vec<DecodingEdge> = merged
-            .into_iter()
-            .map(|edge| {
-                let p = edge.probability.clamp(1e-12, 0.5);
-                DecodingEdge {
-                    a: edge.endpoints.0,
-                    b: edge.endpoints.1,
-                    probability: edge.probability,
-                    weight: ((1.0 - p) / p).ln().max(0.0),
-                    observables: dem.errors[edge.carrier].observables.clone(),
-                }
-            })
-            .collect();
-        let index = |i: usize| u32::try_from(i).expect("graph indices fit in u32");
-        let boundary = index(num_detectors);
-        let endpoints: Vec<(u32, u32)> = edges
-            .iter()
-            .map(|e| (index(e.a), e.b.map_or(boundary, index)))
-            .collect();
-        let masks = edges
-            .iter()
-            .map(|e| e.observables.iter().fold(0, |m, &o| m ^ (1u64 << o)))
-            .collect();
-        // Counting sort by node: every row comes out in ascending edge order.
-        let mut incident_start = vec![0u32; num_detectors + 2];
-        for &(a, b) in &endpoints {
-            incident_start[a as usize + 1] += 1;
-            incident_start[b as usize + 1] += 1;
-        }
-        for v in 0..=num_detectors {
-            incident_start[v + 1] += incident_start[v];
-        }
-        let mut fill = incident_start.clone();
-        let mut incident = vec![(0, 0); 2 * endpoints.len()];
-        for (edge, &(a, b)) in (0..).zip(&endpoints) {
-            for (v, other) in [(a, b), (b, a)] {
-                incident[fill[v as usize] as usize] = (edge, other);
-                fill[v as usize] += 1;
-            }
-        }
-
-        DecodingGraph {
+        let mut graph = DecodingGraph {
             num_detectors,
             num_observables: dem.num_observables,
-            edges,
-            endpoints,
-            masks,
-            incident_start,
-            incident,
+            endpoints: Vec::with_capacity(merged.len()),
+            masks: Vec::with_capacity(merged.len()),
+            weights: Vec::with_capacity(merged.len()),
+            probabilities: Vec::with_capacity(merged.len()),
+            incident_start: vec![0; num_detectors + 2],
+            incident: vec![(0, 0); 2 * merged.len()],
             decomposed_hyperedges,
             undecomposed_hyperedges,
             observable_conflicts,
+        };
+        for edge in &merged {
+            let p = edge.probability.clamp(1e-12, 0.5);
+            let (a, b) = edge.endpoints;
+            graph.endpoints.push((a, b.unwrap_or(boundary)));
+            graph.masks.push(edge.mask);
+            graph.weights.push(((1.0 - p) / p).ln().max(0.0));
+            graph.probabilities.push(edge.probability);
         }
+        // Counting sort by node: every row comes out in ascending edge order.
+        let start = &mut graph.incident_start;
+        for &(a, b) in &graph.endpoints {
+            start[a as usize + 1] += 1;
+            start[b as usize + 1] += 1;
+        }
+        for v in 0..=num_detectors {
+            start[v + 1] += start[v];
+        }
+        let mut fill = start.clone();
+        for (edge, &(a, b)) in (0..).zip(&graph.endpoints) {
+            for (v, other) in [(a, b), (b, a)] {
+                graph.incident[fill[v as usize] as usize] = (edge, other);
+                fill[v as usize] += 1;
+            }
+        }
+        graph
     }
 
     /// Number of detector vertices.
@@ -226,16 +207,46 @@ impl DecodingGraph {
         self.num_observables
     }
 
-    /// All edges.
-    pub fn edges(&self) -> &[DecodingEdge] {
-        &self.edges
+    /// Number of edges.
+    pub fn num_edges(&self) -> usize {
+        self.endpoints.len()
+    }
+
+    /// Per-edge endpoints: a mechanism's first detector, then its second or
+    /// the boundary node `num_detectors()`. Edges are sorted by the first,
+    /// then by the second, a boundary edge before its detector's pairs.
+    pub fn endpoints(&self) -> &[(u32, u32)] {
+        &self.endpoints
+    }
+
+    /// Per-edge observable masks: bit `o` is set when the edge flips
+    /// logical observable `o`.
+    pub fn masks(&self) -> &[u64] {
+        &self.masks
+    }
+
+    /// Per-edge log-likelihood weights `ln((1−p)/p)`, with `p` clamped to
+    /// `[1e-12, 0.5]`, so every weight is non-negative.
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
+    }
+
+    /// Per-edge probabilities: the parity of every mechanism merged into
+    /// the edge, unclamped.
+    pub fn probabilities(&self) -> &[f64] {
+        &self.probabilities
+    }
+
+    /// Where a node's row lies in the incidence, and in any per-node table
+    /// laid out like it.
+    pub(crate) fn row(&self, node: u32) -> Range<usize> {
+        self.incident_start[node as usize] as usize..self.incident_start[node as usize + 1] as usize
     }
 
     /// The `(edge, opposite endpoint)` pairs of a node, in ascending edge
     /// order; the boundary node's are its boundary edges.
     pub(crate) fn incident(&self, node: u32) -> &[(u32, u32)] {
-        let start = self.incident_start[node as usize] as usize;
-        &self.incident[start..self.incident_start[node as usize + 1] as usize]
+        &self.incident[self.row(node)]
     }
 
     /// Number of hyperedges that were split into existing edges.
@@ -259,25 +270,20 @@ impl DecodingGraph {
 
     /// Returns `true` if the graph has no edges (e.g. a noiseless circuit).
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.endpoints.is_empty()
     }
 }
 
 /// Depth-first search for a split of `detectors` into endpoint sets of
-/// existing edges whose observables XOR to `observables`: the first detector
-/// is taken alone or paired with each later one, in index order. Returns the
-/// parts as indices into `known`, which is sorted by endpoints.
-fn split(
-    detectors: &[u32],
-    observables: &[u32],
-    dem: &DetectorErrorModel,
-    known: &[Merged],
-) -> Option<Vec<usize>> {
+/// existing edges whose masks XOR to `owed`: the first detector is taken
+/// alone or paired with each later one, in index order. Returns the parts
+/// as indices into `known`, which is sorted by endpoints.
+fn split(detectors: &[u32], owed: u64, known: &[Merged]) -> Option<Vec<usize>> {
     let Some((&first, rest)) = detectors.split_first() else {
-        return observables.is_empty().then(Vec::new);
+        return (owed == 0).then(Vec::new);
     };
     for partner in std::iter::once(None).chain((0..rest.len()).map(Some)) {
-        let key = (first as usize, partner.map(|i| rest[i] as usize));
+        let key = (first, partner.map(|i| rest[i]));
         let Ok(part) = known.binary_search_by(|edge| edge.endpoints.cmp(&key)) else {
             continue;
         };
@@ -285,22 +291,12 @@ fn split(
         if let Some(i) = partner {
             remaining.remove(i);
         }
-        let owed = xor_sets(observables, &dem.errors[known[part].carrier].observables);
-        if let Some(mut parts) = split(&remaining, &owed, dem, known) {
+        if let Some(mut parts) = split(&remaining, owed ^ known[part].mask, known) {
             parts.push(part);
             return Some(parts);
         }
     }
     None
-}
-
-/// Symmetric difference of two observable-index sets, sorted.
-fn xor_sets(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let only_a = a.iter().filter(|x| !b.contains(x));
-    let only_b = b.iter().filter(|x| !a.contains(x));
-    let mut out: Vec<u32> = only_a.chain(only_b).copied().collect();
-    out.sort_unstable();
-    out
 }
 
 #[cfg(test)]
@@ -320,8 +316,10 @@ mod tests {
         }
     }
 
-    fn edge(graph: &DecodingGraph, a: usize, b: Option<usize>) -> &DecodingEdge {
-        let found = graph.edges().iter().find(|e| e.a == a && e.b == b);
+    /// The index of the edge between `a` and `b` (`None`: the boundary).
+    fn edge(graph: &DecodingGraph, a: u32, b: Option<u32>) -> usize {
+        let key = (a, b.unwrap_or(graph.num_detectors() as u32));
+        let found = graph.endpoints().iter().position(|&e| e == key);
         found.unwrap_or_else(|| panic!("no edge ({a}, {b:?})"))
     }
 
@@ -341,13 +339,12 @@ mod tests {
             1,
         );
         let graph = DecodingGraph::from_dem(&model);
-        assert_eq!(graph.edges().len(), 2);
+        assert_eq!(graph.num_edges(), 2);
         assert_eq!(graph.num_detectors(), 2);
         assert_eq!(graph.decomposed_hyperedges(), 0);
-        let boundary_edge = graph.edges().iter().find(|e| e.b.is_none()).unwrap();
-        assert_eq!(boundary_edge.a, 0);
-        assert_eq!(boundary_edge.observables, vec![0]);
-        assert!(boundary_edge.weight > 0.0);
+        let boundary_edge = edge(&graph, 0, None);
+        assert_eq!(graph.masks()[boundary_edge], 1);
+        assert!(graph.weights()[boundary_edge] > 0.0);
     }
 
     #[test]
@@ -368,14 +365,15 @@ mod tests {
         assert_eq!(graph.decomposed_hyperedges(), 1);
         assert_eq!(graph.undecomposed_hyperedges(), 0);
         // The hyperedge parts merge into the existing parallel edges.
-        assert_eq!(graph.edges().len(), 2);
+        assert_eq!(graph.num_edges(), 2);
         let e01 = edge(&graph, 0, Some(1));
         let e23 = edge(&graph, 2, Some(3));
         // Probabilities were combined.
-        assert!(e01.probability > 0.05 && e01.probability < 0.07);
+        let p01 = graph.probabilities()[e01];
+        assert!(p01 > 0.05 && p01 < 0.07);
         // Observable assignment follows the matching graph-like mechanism.
-        assert!(e01.observables.is_empty());
-        assert_eq!(e23.observables, vec![0]);
+        assert_eq!(graph.masks()[e01], 0);
+        assert_eq!(graph.masks()[e23], 1);
     }
 
     #[test]
@@ -397,7 +395,7 @@ mod tests {
         );
         let graph = DecodingGraph::from_dem(&model);
         assert_eq!(graph.decomposed_hyperedges(), 1);
-        assert_eq!(graph.edges().len(), 6);
+        assert_eq!(graph.num_edges(), 6);
         for (a, b, grew) in [
             (0, None, true),
             (1, None, true),
@@ -406,7 +404,8 @@ mod tests {
             (0, Some(2), false),
             (1, Some(3), false),
         ] {
-            assert_eq!(edge(&graph, a, b).probability > 0.2, grew, "({a}, {b:?})");
+            let p = graph.probabilities()[edge(&graph, a, b)];
+            assert_eq!(p > 0.2, grew, "({a}, {b:?})");
         }
     }
 
@@ -427,10 +426,11 @@ mod tests {
         );
         let graph = DecodingGraph::from_dem(&model);
         assert_eq!(graph.decomposed_hyperedges(), 1);
-        assert!(edge(&graph, 0, Some(1)).probability < 0.2);
-        assert!(edge(&graph, 0, Some(2)).probability > 0.2);
-        assert!(edge(&graph, 1, Some(3)).probability > 0.2);
-        assert_eq!(edge(&graph, 0, Some(2)).observables, vec![0]);
+        let p = |a, b| graph.probabilities()[edge(&graph, a, Some(b))];
+        assert!(p(0, 1) < 0.2);
+        assert!(p(0, 2) > 0.2);
+        assert!(p(1, 3) > 0.2);
+        assert_eq!(graph.masks()[edge(&graph, 0, Some(2))], 1);
     }
 
     #[test]
@@ -447,8 +447,8 @@ mod tests {
         let graph = DecodingGraph::from_dem(&model);
         assert_eq!(graph.decomposed_hyperedges(), 0);
         assert_eq!(graph.undecomposed_hyperedges(), 2);
-        assert_eq!(graph.edges().len(), 1);
-        assert_eq!(graph.edges()[0].probability, 0.01);
+        assert_eq!(graph.num_edges(), 1);
+        assert_eq!(graph.probabilities(), &[0.01]);
         assert!(graph.incident(2).is_empty());
     }
 
@@ -460,9 +460,8 @@ mod tests {
             1,
         );
         let graph = DecodingGraph::from_dem(&model);
-        assert_eq!(graph.edges().len(), 1);
-        assert_eq!(graph.edges()[0].observables, vec![0]);
-        assert!((graph.edges()[0].probability - 0.26).abs() < 1e-12);
+        assert_eq!(graph.masks(), &[1]);
+        assert!((graph.probabilities()[0] - 0.26).abs() < 1e-12);
         assert_eq!(graph.observable_conflicts(), 1);
     }
 
@@ -474,8 +473,8 @@ mod tests {
             0,
         );
         let graph = DecodingGraph::from_dem(&model);
-        assert_eq!(graph.edges().len(), 1);
-        assert!((graph.edges()[0].probability - 0.18).abs() < 1e-12);
+        assert_eq!(graph.num_edges(), 1);
+        assert!((graph.probabilities()[0] - 0.18).abs() < 1e-12);
         assert_eq!(graph.observable_conflicts(), 0);
     }
 
@@ -496,9 +495,8 @@ mod tests {
         assert_eq!(graph.incident(2).len(), 1);
         // The boundary's row holds the boundary edges.
         assert_eq!(graph.incident(3), &[(0, 0)]);
-        for (i, &(a, b)) in (0..).zip(&graph.endpoints) {
-            let edge = &graph.edges()[i as usize];
-            assert_eq!((a as usize, b as usize), (edge.a, edge.b.unwrap_or(3)));
+        assert_eq!(graph.endpoints(), &[(0, 3), (0, 1), (1, 2)]);
+        for (i, &(a, b)) in (0..).zip(graph.endpoints()) {
             assert!(graph.incident(a).contains(&(i, b)));
             assert!(graph.incident(b).contains(&(i, a)));
         }
@@ -519,7 +517,7 @@ mod tests {
             64,
         );
         let graph = DecodingGraph::from_dem(&model);
-        assert_eq!(graph.masks, vec![1 | 1 << 63, 1 << 5]);
+        assert_eq!(graph.masks(), &[1 | 1 << 63, 1 << 5]);
     }
 
     #[test]
@@ -543,15 +541,34 @@ mod tests {
             0,
         );
         let graph = DecodingGraph::from_dem(&model);
-        let rare = graph.edges().iter().find(|e| e.a == 0).unwrap();
-        let common = graph.edges().iter().find(|e| e.a == 1).unwrap();
-        assert!(rare.weight > common.weight);
+        let rare = graph.weights()[edge(&graph, 0, Some(1))];
+        let common = graph.weights()[edge(&graph, 1, Some(2))];
+        assert!(rare > common);
     }
 
     #[test]
-    fn xor_sets_behaviour() {
-        assert_eq!(xor_sets(&[0, 1], &[1, 2]), vec![0, 2]);
-        assert_eq!(xor_sets(&[], &[3]), vec![3]);
-        assert!(xor_sets(&[4], &[4]).is_empty());
+    fn a_repeated_observable_index_cancels() {
+        // Observable lists are sets: `[1, 1]` flips nothing, as `[]` does,
+        // so the parallel merge below discards no observable, and the
+        // hyperedge's `[0, 0, 0]` is observable 0 alone, which {0,1}+{2,3}
+        // reproduces.
+        let model = dem(
+            vec![
+                err(0.1, vec![0, 1], vec![]),
+                err(0.2, vec![0, 1], vec![1, 1]),
+                err(0.1, vec![2, 3], vec![0, 1, 1]),
+                err(0.05, vec![0, 1, 2, 3], vec![0, 0, 0]),
+            ],
+            4,
+            2,
+        );
+        let graph = DecodingGraph::from_dem(&model);
+        assert_eq!(graph.observable_conflicts(), 0);
+        assert_eq!(graph.masks(), &[0, 1]);
+        assert_eq!(graph.decomposed_hyperedges(), 1);
+        assert_eq!(graph.undecomposed_hyperedges(), 0);
+        let merged = 0.1 * 0.8 + 0.2 * 0.9;
+        let split = merged * 0.95 + 0.05 * (1.0 - merged);
+        assert!((graph.probabilities()[0] - split).abs() < 1e-12);
     }
 }

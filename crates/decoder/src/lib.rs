@@ -5,8 +5,8 @@
 //!
 //! * [`DecodingGraph`] — matching graph construction from a detector error
 //!   model (hyperedges are split only into edges that single faults of the
-//!   same model produce; what cannot be split is left out and counted). It
-//!   builds the one edge and incidence layout both decoders read;
+//!   same model produce; what cannot be split is left out and counted). Its
+//!   flat per-edge tables and incidence are what both decoders read;
 //! * [`UnionFindDecoder`] — weighted union-find decoder (the default);
 //! * [`ExactMatchingDecoder`] — minimum-weight perfect matching of every
 //!   shot by Edmonds' blossom algorithm, the accuracy reference;
@@ -146,7 +146,7 @@ mod sweep;
 mod union_find;
 
 pub use batch::{DecodeScratch, PredictionChunk, SyndromeChunk};
-pub use dem_graph::{DecodingEdge, DecodingGraph, DetectorIndex};
+pub use dem_graph::DecodingGraph;
 pub use ler::{
     estimate_logical_error_rate_from_table, estimate_logical_error_rate_report,
     fit_lambda_weighted, zero_failure_upper_bound, DecoderKind, EstimateReport, EstimatorConfig,

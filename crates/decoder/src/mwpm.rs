@@ -30,21 +30,23 @@
 //!   matches the rest at minimum weight, and a defect matched at the
 //!   penalty flips nothing. The penalty comes from the shot's own weights;
 //!   nothing falls back to another decoder;
-//! * the prediction is the XOR of the observable masks along the matched
-//!   pairs' shortest paths.
+//! * each search keeps, beside a node's distance, the XOR of the
+//!   observable masks along its shortest path, so the prediction is the
+//!   XOR of the matched targets' masks, with no path walk.
 //!
 //! The Dijkstra states and the blossom's arrays live in the shared
 //! [`DecodeScratch`], so batched decoding reuses them across shots, and the
-//! searches run over epoch-stamped distance arrays, so they never pay an
-//! O(nodes) reset. The searches and path walks read the graph's own
-//! incidence, endpoint and observable-mask tables (see [`DecodingGraph`]),
-//! the same tables union-find reads.
+//! searches run over epoch-stamped `(distance, path mask)` arrays, so they
+//! never pay an O(nodes) reset. The searches read the graph's own
+//! incidence, weight and observable-mask tables (see [`DecodingGraph`]),
+//! the tables union-find reads.
 
 use std::collections::BinaryHeap;
 use std::num::NonZeroU64;
 
-use crate::batch::{DijkstraState, HeapEntry, MatchingScratch};
+use crate::batch::{HeapEntry, MatchingScratch};
 use crate::memo::next_memo_token;
+use crate::scratch::EpochVec;
 use crate::{DecodeScratch, Decoder, DecodingGraph};
 
 /// Exact minimum-weight matching decoder: a blossom on the boundary-twin
@@ -56,30 +58,31 @@ pub struct ExactMatchingDecoder {
     memo_token: NonZeroU64,
 }
 
-/// Dijkstra from `source`, writing per-node distances and incoming edges
-/// into `state`; node index `graph.num_detectors()` is the virtual
-/// boundary. `settled(node, distance)` hears of each node as its distance
-/// becomes final, and the search stops when it returns `true`: the nodes
-/// settled by then keep their final distance and incoming edge, the rest
-/// may read a longer distance or `+inf`.
+/// Dijkstra from `source`, writing each reached node's `(distance, path
+/// mask)` into `state`, where the mask is the XOR of the observable masks
+/// along the path that distance was reached by; node index
+/// `graph.num_detectors()` is the virtual boundary. `settled(node,
+/// distance)` hears of each node as its distance becomes final, and the
+/// search stops when it returns `true`: the nodes settled by then keep
+/// their final distance and its path's mask, the rest may read a longer
+/// distance or `+inf` (mask 0).
 fn shortest_paths(
     graph: &DecodingGraph,
     source: usize,
-    state: &mut DijkstraState,
+    state: &mut EpochVec<(f64, u64)>,
     heap: &mut BinaryHeap<HeapEntry>,
     mut settled: impl FnMut(usize, f64) -> bool,
 ) {
-    let n = graph.num_nodes();
-    state.dist.begin(n);
-    state.via.begin(n);
+    state.begin(graph.num_nodes());
     heap.clear();
-    state.dist.set(source, 0.0);
+    state.set(source, (0.0, 0));
     heap.push(HeapEntry {
         distance: 0.0,
         node: source,
     });
     while let Some(HeapEntry { distance, node }) = heap.pop() {
-        if distance > state.dist.get(node) {
+        let (best, mask) = state.get(node);
+        if distance > best {
             continue;
         }
         if settled(node, distance) {
@@ -87,10 +90,9 @@ fn shortest_paths(
         }
         for &(edge, next) in graph.incident(node as u32) {
             let next = next as usize;
-            let candidate = distance + graph.edges()[edge as usize].weight.max(1e-9);
-            if candidate < state.dist.get(next) {
-                state.dist.set(next, candidate);
-                state.via.set(next, edge);
+            let candidate = distance + graph.weights()[edge as usize].max(1e-9);
+            if candidate < state.get(next).0 {
+                state.set(next, (candidate, mask ^ graph.masks()[edge as usize]));
                 heap.push(HeapEntry {
                     distance: candidate,
                     node: next,
@@ -100,52 +102,34 @@ fn shortest_paths(
     }
 }
 
-/// The XOR of the observable masks along the shortest path (described by
-/// `via`, rooted at `source`) from `target` back to `source`.
-fn path_observables(
-    graph: &DecodingGraph,
-    state: &DijkstraState,
-    source: usize,
-    mut target: usize,
-) -> u64 {
-    let mut flips = 0;
-    while target != source {
-        let edge = state.via.get(target);
-        assert_ne!(edge, u32::MAX, "path must exist");
-        flips ^= graph.masks[edge as usize];
-        let (a, b) = graph.endpoints[edge as usize];
-        target = if a as usize == target { b } else { a } as usize;
-    }
-    flips
-}
-
-/// The shortest-path distance from defect `i` to defect `j > i`, or to the
-/// boundary for `j == i`, read from `i`'s search (`+inf` without a path).
-/// A pair the search stopped short of reads a longer distance, which still
-/// fails the `d_ij < b_i + b_j` test that makes it an edge.
-fn pair_cost(
+/// The shortest path from defect `i` to defect `j > i`, or to the boundary
+/// for `j == i`, as `(distance, path mask)` read from `i`'s search (`+inf`
+/// without a path). A pair the search stopped short of reads a longer
+/// distance, which still fails the `d_ij < b_i + b_j` test that makes it an
+/// edge.
+fn pair(
     graph: &DecodingGraph,
     defects: &[usize],
-    searches: &[DijkstraState],
+    searches: &[EpochVec<(f64, u64)>],
     i: usize,
     j: usize,
-) -> f64 {
+) -> (f64, u64) {
     let target = if i == j {
         graph.num_detectors()
     } else {
         defects[j]
     };
-    searches[i].dist.get(target)
+    searches[i].get(target)
 }
 
-/// The pairs of the last [`ExactMatchingDecoder::match_defects`] as
-/// `(i, j, cost)` with `i <= j`: `j == i` is a match to the boundary, which
-/// costs `+inf` where it was made at the penalty.
+/// The `(cost, path mask)` of each pair of the last
+/// [`ExactMatchingDecoder::match_defects`]; a match to the boundary costs
+/// `+inf` where it was made at the penalty.
 fn matched_pairs<'a>(
     graph: &'a DecodingGraph,
     defects: &'a [usize],
     s: &'a MatchingScratch,
-) -> impl Iterator<Item = (usize, usize, f64)> + 'a {
+) -> impl Iterator<Item = (f64, u64)> + 'a {
     let n = defects.len();
     (0..n).filter_map(move |i| {
         let mate = s
@@ -153,7 +137,7 @@ fn matched_pairs<'a>(
             .mate(i)
             .expect("the twin graph has a perfect matching");
         let j = if mate == n + i { i } else { mate };
-        (j >= i).then(|| (i, j, pair_cost(graph, defects, &s.dijkstras, i, j)))
+        (j >= i).then(|| pair(graph, defects, &s.dijkstras, i, j))
     })
 }
 
@@ -190,7 +174,7 @@ impl ExactMatchingDecoder {
             let (searches, later) = dijkstras.split_at_mut(i + 1);
             let reach = later[..n - 1 - i]
                 .iter()
-                .map(|search| search.dist.get(boundary))
+                .map(|search| search.get(boundary).0)
                 .fold(0.0, f64::max);
             let (mut pending, mut to_boundary) = (n - 1 - i, f64::INFINITY);
             shortest_paths(
@@ -210,7 +194,7 @@ impl ExactMatchingDecoder {
             );
         }
 
-        let cost = |i, j| pair_cost(&self.graph, defects, dijkstras, i, j);
+        let cost = |i, j| pair(&self.graph, defects, dijkstras, i, j).0;
         let kept = |i, j| cost(i, j) < cost(i, i) + cost(j, j);
         // Above every finite matching: a defect left without a path to the
         // boundary is joined to its twin at this cost.
@@ -249,7 +233,7 @@ impl ExactMatchingDecoder {
         let s = &mut scratch.matching;
         self.match_defects(fired_detectors, s);
         let total: f64 = matched_pairs(&self.graph, fired_detectors, s)
-            .map(|(.., cost)| cost)
+            .map(|(cost, _)| cost)
             .sum();
         total.is_finite().then_some(total)
     }
@@ -262,13 +246,9 @@ impl Decoder for ExactMatchingDecoder {
         }
         let s = &mut scratch.matching;
         self.match_defects(fired_detectors, s);
-        let boundary = self.graph.num_detectors();
         matched_pairs(&self.graph, fired_detectors, s)
-            .filter(|&(.., cost)| cost.is_finite())
-            .fold(0, |flips, (i, j, _)| {
-                let target = if i == j { boundary } else { fired_detectors[j] };
-                flips ^ path_observables(&self.graph, &s.dijkstras[i], fired_detectors[i], target)
-            })
+            .filter(|&(cost, _)| cost.is_finite())
+            .fold(0, |flips, (_, mask)| flips ^ mask)
     }
 
     fn num_observables(&self) -> usize {

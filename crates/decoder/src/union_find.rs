@@ -15,9 +15,10 @@
 //!
 //! The decoder is near-linear in the number of grown edges, which below
 //! threshold is proportional to the number of detection events, so millions
-//! of shots can be decoded in seconds. The edge endpoints and observable
-//! masks are the graph's flat tables; the decoder keeps one more, the
-//! graph's incidence rows with each edge's length inline.
+//! of shots can be decoded in seconds. The edge endpoints, observable
+//! masks and weights are the graph's flat tables; the decoder keeps one
+//! more, laid out like the graph's incidence and indexed by its row
+//! offsets: each row's edges with their lengths inline, shortest first.
 //!
 //! # State layout
 //!
@@ -62,10 +63,9 @@ const NONE: u32 = u32::MAX;
 pub struct UnionFindDecoder {
     graph: DecodingGraph,
     /// Per-node rows of `(edge, opposite endpoint, length)`: the graph's
-    /// incidence with each edge's discretised length (growth units).
+    /// incidence with each edge's discretised length (growth units), row
+    /// `v` at `graph.row(v)`.
     arcs: Vec<Arc>,
-    /// Row `v` is `arcs[rows[v]..rows[v + 1]]`.
-    rows: Vec<u32>,
     /// Syndrome-memo ownership token (see [`crate::memo`]).
     memo_token: NonZeroU64,
 }
@@ -73,36 +73,28 @@ pub struct UnionFindDecoder {
 impl UnionFindDecoder {
     /// Creates a decoder for the given decoding graph.
     pub fn new(graph: DecodingGraph) -> Self {
-        let lengths: Vec<u32> = graph
-            .edges()
-            .iter()
-            .map(|e| ((2.0 * e.weight).round() as u32).clamp(1, 100))
-            .collect();
-        let mut rows = vec![0];
         let mut arcs = Vec::new();
         for v in 0..graph.num_nodes() as u32 {
             let start = arcs.len();
             arcs.extend(graph.incident(v).iter().map(|&(edge, other)| Arc {
                 edge,
                 other,
-                length: lengths[edge as usize],
+                length: ((2.0 * graph.weights()[edge as usize]).round() as u32).clamp(1, 100),
             }));
             // Shortest first: a scan finds its minimum early, and the rest
             // of the row seldom takes the branches that move it.
             arcs[start..].sort_by_key(|arc| arc.length);
-            rows.push(arcs.len() as u32);
         }
         UnionFindDecoder {
             graph,
             arcs,
-            rows,
             memo_token: next_memo_token(),
         }
     }
 
     /// The incidence row of node `v`, shortest edge first.
     fn row(&self, v: u32) -> &[Arc] {
-        &self.arcs[self.rows[v as usize] as usize..self.rows[v as usize + 1] as usize]
+        &self.arcs[self.graph.row(v)]
     }
 
     /// Growth phase: grow active clusters until all are neutral. Every
@@ -214,7 +206,7 @@ impl UnionFindDecoder {
             s.merges.sort_unstable();
             for index in 0..s.merges.len() {
                 let edge = s.merges[index];
-                let (a, b) = self.graph.endpoints[edge as usize];
+                let (a, b) = self.graph.endpoints()[edge as usize];
                 // Record the grown edge in the peeling adjacency (cycle
                 // edges included: they are valid non-tree edges).
                 s.link_grown(a, edge, b);
@@ -278,7 +270,7 @@ impl UnionFindDecoder {
             // flag is ignored.
             for &(v, edge, parent) in s.order[1..].iter().rev() {
                 if s.nodes[v as usize].defect {
-                    flips ^= self.graph.masks[edge as usize];
+                    flips ^= self.graph.masks()[edge as usize];
                     s.nodes[parent as usize].defect ^= true;
                 }
             }
@@ -293,7 +285,7 @@ impl Decoder for UnionFindDecoder {
             return 0;
         }
         let s = &mut scratch.union_find;
-        s.begin(self.graph.num_nodes(), self.graph.edges().len());
+        s.begin(self.graph.num_nodes(), self.graph.num_edges());
         // The boundary is seeded without a frontier: a cluster that touches
         // it never grows again.
         let boundary = self.graph.num_detectors();

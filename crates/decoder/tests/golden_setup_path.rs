@@ -72,13 +72,22 @@ fn dem_hash(dem: &DetectorErrorModel) -> u64 {
 }
 
 fn graph_hash(graph: &DecodingGraph) -> u64 {
-    let mut hash = fnv1a_word(FNV_OFFSET, graph.edges().len() as u64);
-    for edge in graph.edges() {
-        hash = fnv1a_word(hash, edge.a as u64);
-        hash = fnv1a_word(hash, edge.b.map_or(u64::MAX, |b| b as u64));
-        hash = fnv1a_word(hash, edge.probability.to_bits());
-        hash = fnv1a_word(hash, edge.weight.to_bits());
-        hash = fnv1a_set(hash, &edge.observables);
+    let boundary = graph.num_detectors() as u32;
+    let mut hash = fnv1a_word(FNV_OFFSET, graph.num_edges() as u64);
+    for edge in 0..graph.num_edges() {
+        let (a, b) = graph.endpoints()[edge];
+        let b = if b == boundary {
+            u64::MAX
+        } else {
+            u64::from(b)
+        };
+        let mask = graph.masks()[edge];
+        let observables: Vec<u32> = (0..64).filter(|&o| mask >> o & 1 == 1).collect();
+        hash = fnv1a_word(hash, u64::from(a));
+        hash = fnv1a_word(hash, b);
+        hash = fnv1a_word(hash, graph.probabilities()[edge].to_bits());
+        hash = fnv1a_word(hash, graph.weights()[edge].to_bits());
+        hash = fnv1a_set(hash, &observables);
     }
     hash
 }

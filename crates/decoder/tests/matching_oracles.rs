@@ -149,14 +149,13 @@ fn random_dem(rng: &mut Rng, n: usize, isolated: usize) -> DetectorErrorModel {
 /// edge at least 1e-9 long as the decoder walks it.
 fn floyd_warshall(graph: &DecodingGraph) -> Vec<Vec<f64>> {
     let nodes = graph.num_nodes();
-    let boundary = graph.num_detectors();
     let mut dist = vec![vec![f64::INFINITY; nodes]; nodes];
     for (node, row) in dist.iter_mut().enumerate() {
         row[node] = 0.0;
     }
-    for edge in graph.edges() {
-        let (a, b) = (edge.a, edge.b.unwrap_or(boundary));
-        let length = edge.weight.max(1e-9);
+    for (&(a, b), &weight) in graph.endpoints().iter().zip(graph.weights()) {
+        let (a, b) = (a as usize, b as usize);
+        let length = weight.max(1e-9);
         dist[a][b] = dist[a][b].min(length);
         dist[b][a] = dist[b][a].min(length);
     }

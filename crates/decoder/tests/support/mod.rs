@@ -67,11 +67,10 @@ impl Ord for Entry {
 /// boundary is node `num_detectors()`), with every edge at least 1e-9
 /// long as the exact decoder walks it; unreachable nodes read `+inf`.
 pub fn distances_from(graph: &DecodingGraph, source: usize) -> Vec<f64> {
-    let boundary = graph.num_detectors();
     let mut adjacent = vec![Vec::new(); graph.num_nodes()];
-    for edge in graph.edges() {
-        let (a, b) = (edge.a, edge.b.unwrap_or(boundary));
-        let length = edge.weight.max(1e-9);
+    for (&(a, b), &weight) in graph.endpoints().iter().zip(graph.weights()) {
+        let (a, b) = (a as usize, b as usize);
+        let length = weight.max(1e-9);
         adjacent[a].push((b, length));
         adjacent[b].push((a, length));
     }

@@ -22,7 +22,7 @@ pub struct DemError {
     pub probability: f64,
     /// Indices of the detectors it flips.
     pub detectors: Vec<u32>,
-    /// Indices of the logical observables it flips.
+    /// Indices of the logical observables it flips, a set: a repeated index cancels.
     pub observables: Vec<u32>,
 }
 

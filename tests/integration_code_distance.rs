@@ -93,9 +93,9 @@ fn graph_of(circuit: &NoisyCircuit) -> (DetectorErrorModel, DecodingGraph) {
 fn fault_distance(graph: &DecodingGraph) -> Option<usize> {
     let boundary = graph.num_detectors();
     let mut neighbours: Vec<Vec<(usize, usize)>> = vec![Vec::new(); boundary + 1];
-    for edge in graph.edges() {
-        let (a, b) = (edge.a, edge.b.unwrap_or(boundary));
-        let flips = usize::from(edge.observables.contains(&0));
+    for (&(a, b), &mask) in graph.endpoints().iter().zip(graph.masks()) {
+        let (a, b) = (a as usize, b as usize);
+        let flips = (mask & 1) as usize;
         neighbours[a].push((b, flips));
         neighbours[b].push((a, flips));
     }
