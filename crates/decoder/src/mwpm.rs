@@ -32,7 +32,7 @@
 //!   nothing falls back to another decoder;
 //! * each search keeps, beside a node's distance, the XOR of the
 //!   observable masks along its shortest path, so the prediction is the
-//!   XOR of the matched targets' masks, with no path walk.
+//!   XOR of the matched targets' masks.
 //!
 //! The Dijkstra states and the blossom's arrays live in the shared
 //! [`DecodeScratch`], so batched decoding reuses them across shots, and the

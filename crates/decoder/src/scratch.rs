@@ -1,6 +1,6 @@
 //! Epoch-stamped scratch buffers for the matching decoders' Dijkstra arrays.
 //!
-//! Each Dijkstra search needs a per-node `(distance, path mask)` array.
+//! Each Dijkstra search needs per-node `(distance, path mask)` slots.
 //! Allocating (or even zeroing) them per search dominates the runtime of
 //! cheap shots, so they are reused across searches and invalidated in O(1)
 //! with an *epoch stamp*: every slot remembers the epoch in which it was
