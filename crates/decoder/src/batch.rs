@@ -51,15 +51,12 @@
 //! test battery (`tests/prop_word_parallel_identity.rs`) pins this contract
 //! across decoders, configurations and noise levels.
 
-use std::cmp::Ordering;
-
 pub use qccd_sim::SyndromeChunk;
 
 use qccd_sim::BitPlanes;
 
 use crate::blossom::Blossom;
 use crate::memo::SyndromeMemo;
-use crate::scratch::EpochVec;
 use crate::union_find::UnionFindScratch;
 use crate::{CacheStats, Decoder, MemoConfig};
 
@@ -123,65 +120,6 @@ impl PredictionChunk {
     }
 }
 
-/// Min-heap entry for the Dijkstra searches of the exact matching decoder.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct HeapEntry {
-    pub(crate) distance: f64,
-    pub(crate) node: usize,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for a min-heap; distances are finite by construction.
-        other
-            .distance
-            .partial_cmp(&self.distance)
-            .unwrap_or(Ordering::Equal)
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Per-shot working state of the exact matching decoder.
-#[derive(Debug, Clone)]
-pub(crate) struct MatchingScratch {
-    /// One Dijkstra state per defect slot: each node's `(distance, path
-    /// mask)`, `(+inf, 0)` between epochs.
-    pub(crate) dijkstras: Vec<EpochVec<(f64, u64)>>,
-    pub(crate) heap: std::collections::BinaryHeap<HeapEntry>,
-    /// The shot's index of each defect node (`u32::MAX` = not a defect).
-    pub(crate) defect_index: EpochVec<u32>,
-    /// The matching problem on the defects and their boundary twins.
-    pub(crate) blossom: Blossom,
-}
-
-impl Default for MatchingScratch {
-    fn default() -> Self {
-        MatchingScratch {
-            dijkstras: Vec::new(),
-            heap: std::collections::BinaryHeap::new(),
-            defect_index: EpochVec::new(u32::MAX),
-            blossom: Blossom::default(),
-        }
-    }
-}
-
-impl MatchingScratch {
-    /// Ensures at least `defects` Dijkstra slots exist.
-    pub(crate) fn ensure_defect_slots(&mut self, defects: usize) {
-        if self.dijkstras.len() < defects {
-            self.dijkstras
-                .resize_with(defects, || EpochVec::new((f64::INFINITY, 0)));
-        }
-    }
-}
-
 /// Reusable decoding state shared by every decoder implementation.
 ///
 /// Create one per worker thread, pass it to
@@ -190,7 +128,8 @@ impl MatchingScratch {
 /// as many chunks as you like; buffers grow to the high-water mark of the
 /// decoding problem and are never cleared wholesale between shots: the
 /// union-find state resets only the slots the previous shot touched, and the
-/// exact matching decoder's Dijkstra arrays are epoch-stamped.
+/// exact matching decoder keeps only its blossom here (its shortest-path
+/// rows live in the decoder).
 ///
 /// The scratch also hosts the per-decoder [syndrome memo](crate::memo):
 /// cached predictions survive across chunks (they are keyed by defect set,
@@ -210,7 +149,9 @@ pub struct DecodeScratch {
     pub(crate) tile_hot: Vec<Vec<(u32, u64)>>,
     /// Union-find state (see the `union_find` module).
     pub(crate) union_find: UnionFindScratch,
-    pub(crate) matching: MatchingScratch,
+    /// The exact matching decoder's matching problem (see the `mwpm`
+    /// module).
+    pub(crate) blossom: Blossom,
     /// Per-decoder prediction cache consulted by the batch decode loop.
     pub(crate) memo: SyndromeMemo,
 }

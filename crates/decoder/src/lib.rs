@@ -9,7 +9,9 @@
 //!   flat per-edge tables and incidence are what both decoders read;
 //! * [`UnionFindDecoder`] — weighted union-find decoder (the default);
 //! * [`ExactMatchingDecoder`] — minimum-weight perfect matching of every
-//!   shot by Edmonds' blossom algorithm, the accuracy reference;
+//!   shot by Edmonds' blossom algorithm, the accuracy reference. Its
+//!   shortest paths come from per-node rows the decoder fills once, the
+//!   first time a defect lands on a node;
 //! * [`estimate_logical_error_rate_report`] (a circuit) and
 //!   [`estimate_logical_error_rate_from_table`] (a fault table) — Monte-Carlo
 //!   logical error rate estimation, one entry point per input;
@@ -141,7 +143,6 @@ mod greedy;
 mod ler;
 pub mod memo;
 mod mwpm;
-mod scratch;
 mod sweep;
 mod union_find;
 

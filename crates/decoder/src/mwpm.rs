@@ -11,8 +11,11 @@
 //! **exact** matching decoder used as an accuracy reference and as an
 //! ablation point. It is exact on every shot, whatever its defect count:
 //!
-//! * one Dijkstra per defect gives its shortest-path distance `b_i` to the
-//!   virtual boundary and `d_ij` to the other defects of the shot;
+//! * a defect's *row* holds every node's shortest-path distance from it, so
+//!   it gives the defect's distance `b_i` to the virtual boundary and `d_ij`
+//!   to the other defects of the shot. A row is one full Dijkstra, run the
+//!   first time a defect lands on its node and kept by the decoder, so a
+//!   shot on nodes seen before runs no search at all;
 //! * the defects are matched on the boundary-twin graph: defect `i` gets a
 //!   twin `i'`, `(i, i')` costs `b_i`, `(i, j)` costs `d_ij`, and the twins
 //!   `i'` and `j'` of a pair join at zero. A minimum-cost perfect matching
@@ -20,8 +23,7 @@
 //!   other or to the boundary, and Edmonds' blossom algorithm
 //!   (`blossom.rs`, dense, O(n³) in the defect count) finds it. A pair is
 //!   an edge only where `d_ij < b_i + b_j`: a matching that uses a longer
-//!   pair costs no less with both sent to the boundary, so each search
-//!   also stops once no later defect can be that close;
+//!   pair costs no less with both sent to the boundary;
 //! * a defect with no path to the boundary joins its twin at a penalty one
 //!   more than the sum of every finite cost of the shot, which is more
 //!   than any matching along paths costs, and a pair with no path is no
@@ -30,69 +32,107 @@
 //!   matches the rest at minimum weight, and a defect matched at the
 //!   penalty flips nothing. The penalty comes from the shot's own weights;
 //!   nothing falls back to another decoder;
-//! * each search keeps, beside a node's distance, the XOR of the
-//!   observable masks along its shortest path, so the prediction is the
-//!   XOR of the matched targets' masks.
+//! * a row keeps, beside a node's distance, the XOR of the observable masks
+//!   along its shortest path, so the prediction is the XOR of the matched
+//!   targets' masks.
 //!
-//! The Dijkstra states and the blossom's arrays live in the shared
-//! [`DecodeScratch`], so batched decoding reuses them across shots, and the
-//! searches run over epoch-stamped `(distance, path mask)` arrays, so they
-//! never pay an O(nodes) reset. The searches read the graph's own
-//! incidence, weight and observable-mask tables (see [`DecodingGraph`]),
-//! the tables union-find reads.
+//! A row is a pure function of the graph and its source, so the rows live
+//! in the decoder rather than in a [`DecodeScratch`]: threads that share a
+//! decoder may race to fill a row without changing a bit, and each row is
+//! searched once per decoder, not once per worker. The blossom's arrays
+//! live in the shared scratch, so batched decoding reuses them across
+//! shots. The searches read the graph's own incidence, weight and
+//! observable-mask tables (see [`DecodingGraph`]), the tables union-find
+//! reads.
 
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::fmt;
 use std::num::NonZeroU64;
+use std::sync::OnceLock;
 
-use crate::batch::{HeapEntry, MatchingScratch};
+use crate::blossom::Blossom;
 use crate::memo::next_memo_token;
-use crate::scratch::EpochVec;
 use crate::{DecodeScratch, Decoder, DecodingGraph};
 
+/// Every node's `(distance, path mask)` from one source node.
+type Row = Box<[(f64, u64)]>;
+
 /// Exact minimum-weight matching decoder: a blossom on the boundary-twin
-/// graph of each shot's defects.
-#[derive(Debug, Clone)]
+/// graph of each shot's defects, with shortest paths read from per-node
+/// rows.
+///
+/// A filled row takes 16 bytes per node, and only the nodes a defect has
+/// landed on have one, so the rows of an `n`-node graph take at most
+/// 16·n² bytes: 0.6 MB at grid d = 7 (193 nodes), 8.3 MB at d = 11 (721
+/// nodes).
+#[derive(Clone)]
 pub struct ExactMatchingDecoder {
     graph: DecodingGraph,
+    /// Row `s` holds every node's `(distance, path mask)` from node `s`,
+    /// filled by [`shortest_paths`] the first time a defect lands on `s`.
+    rows: Vec<OnceLock<Row>>,
     /// Syndrome-memo ownership token (see [`crate::memo`]).
     memo_token: NonZeroU64,
 }
 
-/// Dijkstra from `source`, writing each reached node's `(distance, path
-/// mask)` into `state`, where the mask is the XOR of the observable masks
-/// along the path that distance was reached by; node index
-/// `graph.num_detectors()` is the virtual boundary. `settled(node,
-/// distance)` hears of each node as its distance becomes final, and the
-/// search stops when it returns `true`: the nodes settled by then keep
-/// their final distance and its path's mask, the rest may read a longer
-/// distance or `+inf` (mask 0).
-fn shortest_paths(
-    graph: &DecodingGraph,
-    source: usize,
-    state: &mut EpochVec<(f64, u64)>,
-    heap: &mut BinaryHeap<HeapEntry>,
-    mut settled: impl FnMut(usize, f64) -> bool,
-) {
-    state.begin(graph.num_nodes());
-    heap.clear();
-    state.set(source, (0.0, 0));
+impl fmt::Debug for ExactMatchingDecoder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The rows are derived from the graph and may hold n² entries.
+        f.debug_struct("ExactMatchingDecoder")
+            .field("graph", &self.graph)
+            .field("memo_token", &self.memo_token)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Min-heap entry of [`shortest_paths`].
+#[derive(PartialEq)]
+struct HeapEntry {
+    distance: f64,
+    node: usize,
+}
+
+impl Eq for HeapEntry {}
+
+impl Ord for HeapEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reverse for a min-heap; distances are finite by construction.
+        other
+            .distance
+            .partial_cmp(&self.distance)
+            .unwrap_or(Ordering::Equal)
+    }
+}
+
+impl PartialOrd for HeapEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// One full Dijkstra from `source`: each node's `(distance, path mask)`,
+/// where the mask is the XOR of the observable masks along the path that
+/// distance was reached by, and `(+inf, 0)` where no path reaches it. Node
+/// index `graph.num_detectors()` is the virtual boundary.
+fn shortest_paths(graph: &DecodingGraph, source: usize) -> Row {
+    let mut row = vec![(f64::INFINITY, 0); graph.num_nodes()].into_boxed_slice();
+    let mut heap = BinaryHeap::new();
+    row[source] = (0.0, 0);
     heap.push(HeapEntry {
         distance: 0.0,
         node: source,
     });
     while let Some(HeapEntry { distance, node }) = heap.pop() {
-        let (best, mask) = state.get(node);
+        let (best, mask) = row[node];
         if distance > best {
             continue;
-        }
-        if settled(node, distance) {
-            return;
         }
         for &(edge, next) in graph.incident(node as u32) {
             let next = next as usize;
             let candidate = distance + graph.weights()[edge as usize].max(1e-9);
-            if candidate < state.get(next).0 {
-                state.set(next, (candidate, mask ^ graph.masks()[edge as usize]));
+            if candidate < row[next].0 {
+                row[next] = (candidate, mask ^ graph.masks()[edge as usize]);
                 heap.push(HeapEntry {
                     distance: candidate,
                     node: next,
@@ -100,101 +140,37 @@ fn shortest_paths(
             }
         }
     }
-}
-
-/// The shortest path from defect `i` to defect `j > i`, or to the boundary
-/// for `j == i`, as `(distance, path mask)` read from `i`'s search (`+inf`
-/// without a path). A pair the search stopped short of reads a longer
-/// distance, which still fails the `d_ij < b_i + b_j` test that makes it an
-/// edge.
-fn pair(
-    graph: &DecodingGraph,
-    defects: &[usize],
-    searches: &[EpochVec<(f64, u64)>],
-    i: usize,
-    j: usize,
-) -> (f64, u64) {
-    let target = if i == j {
-        graph.num_detectors()
-    } else {
-        defects[j]
-    };
-    searches[i].get(target)
-}
-
-/// The `(cost, path mask)` of each pair of the last
-/// [`ExactMatchingDecoder::match_defects`]; a match to the boundary costs
-/// `+inf` where it was made at the penalty.
-fn matched_pairs<'a>(
-    graph: &'a DecodingGraph,
-    defects: &'a [usize],
-    s: &'a MatchingScratch,
-) -> impl Iterator<Item = (f64, u64)> + 'a {
-    let n = defects.len();
-    (0..n).filter_map(move |i| {
-        let mate = s
-            .blossom
-            .mate(i)
-            .expect("the twin graph has a perfect matching");
-        let j = if mate == n + i { i } else { mate };
-        (j >= i).then(|| pair(graph, defects, &s.dijkstras, i, j))
-    })
+    row
 }
 
 impl ExactMatchingDecoder {
     /// Creates a decoder for the given decoding graph.
     pub fn new(graph: DecodingGraph) -> Self {
         ExactMatchingDecoder {
+            rows: (0..graph.num_nodes()).map(|_| OnceLock::new()).collect(),
             graph,
             memo_token: next_memo_token(),
         }
     }
 
-    /// Runs one Dijkstra per defect (`s.dijkstras[i]` rooted at
-    /// `defects[i]`) and solves the shot's boundary-twin matching into
-    /// `s.blossom`: defect `i` is vertex `i` and its twin vertex `n + i`.
-    /// The searches run from the last defect to the first, so search `i`
-    /// knows every later `b_j` and stops once it has settled the boundary
-    /// and passed `b_i + max b_j` or settled every later defect.
-    fn match_defects(&self, defects: &[usize], s: &mut MatchingScratch) {
-        let n = defects.len();
-        let boundary = self.graph.num_detectors();
-        s.ensure_defect_slots(n);
-        let MatchingScratch {
-            dijkstras,
-            heap,
-            defect_index,
-            blossom,
-        } = s;
-        defect_index.begin(self.graph.num_nodes());
-        for (i, &d) in defects.iter().enumerate() {
-            defect_index.set(d, i as u32);
-        }
-        for i in (0..n).rev() {
-            let (searches, later) = dijkstras.split_at_mut(i + 1);
-            let reach = later[..n - 1 - i]
-                .iter()
-                .map(|search| search.get(boundary).0)
-                .fold(0.0, f64::max);
-            let (mut pending, mut to_boundary) = (n - 1 - i, f64::INFINITY);
-            shortest_paths(
-                &self.graph,
-                defects[i],
-                &mut searches[i],
-                heap,
-                |node, distance| {
-                    let j = defect_index.get(node);
-                    if node == boundary {
-                        to_boundary = distance;
-                    } else if j != u32::MAX && j as usize > i {
-                        pending -= 1;
-                    }
-                    distance >= to_boundary + if pending == 0 { 0.0 } else { reach }
-                },
-            );
-        }
+    /// The shortest path from defect `i` to defect `j > i`, or to the
+    /// boundary for `j == i`, as `(distance, path mask)` read from `i`'s row
+    /// (`+inf` without a path), which is filled on first use.
+    fn pair(&self, defects: &[usize], i: usize, j: usize) -> (f64, u64) {
+        let source = defects[i];
+        let target = if i == j {
+            self.graph.num_detectors()
+        } else {
+            defects[j]
+        };
+        self.rows[source].get_or_init(|| shortest_paths(&self.graph, source))[target]
+    }
 
-        let cost = |i, j| pair(&self.graph, defects, dijkstras, i, j).0;
+    /// Solves the shot's boundary-twin matching into `blossom`: defect `i`
+    /// is vertex `i` and its twin vertex `n + i`.
+    fn match_defects(&self, defects: &[usize], blossom: &mut Blossom) {
+        let n = defects.len();
+        let cost = |i, j| self.pair(defects, i, j).0;
         let kept = |i, j| cost(i, j) < cost(i, i) + cost(j, j);
         // Above every finite matching: a defect left without a path to the
         // boundary is joined to its twin at this cost.
@@ -225,14 +201,32 @@ impl ExactMatchingDecoder {
         blossom.solve();
     }
 
+    /// The `(cost, path mask)` of each pair of the last
+    /// [`ExactMatchingDecoder::match_defects`] on `blossom`; a match to the
+    /// boundary costs `+inf` where it was made at the penalty.
+    fn matched_pairs<'a>(
+        &'a self,
+        defects: &'a [usize],
+        blossom: &'a Blossom,
+    ) -> impl Iterator<Item = (f64, u64)> + 'a {
+        let n = defects.len();
+        (0..n).filter_map(move |i| {
+            let mate = blossom
+                .mate(i)
+                .expect("the twin graph has a perfect matching");
+            let j = if mate == n + i { i } else { mate };
+            (j >= i).then(|| self.pair(defects, i, j))
+        })
+    }
+
     /// Returns the minimum total matching weight of the given defect set, or
     /// `None` when no matching pairs every defect along a path. Exposed for
     /// tests and decoder-comparison diagnostics.
     pub fn matching_weight(&self, fired_detectors: &[usize]) -> Option<f64> {
-        let mut scratch = DecodeScratch::new();
-        let s = &mut scratch.matching;
-        self.match_defects(fired_detectors, s);
-        let total: f64 = matched_pairs(&self.graph, fired_detectors, s)
+        let mut blossom = Blossom::default();
+        self.match_defects(fired_detectors, &mut blossom);
+        let total: f64 = self
+            .matched_pairs(fired_detectors, &blossom)
             .map(|(cost, _)| cost)
             .sum();
         total.is_finite().then_some(total)
@@ -244,9 +238,9 @@ impl Decoder for ExactMatchingDecoder {
         if fired_detectors.is_empty() || self.graph.is_empty() {
             return 0;
         }
-        let s = &mut scratch.matching;
-        self.match_defects(fired_detectors, s);
-        matched_pairs(&self.graph, fired_detectors, s)
+        let blossom = &mut scratch.blossom;
+        self.match_defects(fired_detectors, blossom);
+        self.matched_pairs(fired_detectors, blossom)
             .filter(|&(cost, _)| cost.is_finite())
             .fold(0, |flips, (_, mask)| flips ^ mask)
     }
@@ -444,17 +438,33 @@ mod tests {
     fn scratch_reuse_matches_fresh_decoding() {
         let dec = decoder(9, 0.02);
         let mut scratch = DecodeScratch::new();
-        for syndrome in [
+        let syndromes = [
             vec![0usize],
             vec![8],
             vec![3, 4],
             vec![0, 4, 8],
             vec![1, 2, 6, 7],
-        ] {
-            let reused = dec.decode_shot(&syndrome, &mut scratch);
+        ];
+        for syndrome in &syndromes {
+            let reused = dec.decode_shot(syndrome, &mut scratch);
             assert_eq!(
                 vec![reused == 1],
-                dec.decode(&syndrome),
+                dec.decode(syndrome),
+                "syndrome {syndrome:?}"
+            );
+        }
+        // A second decoder fills its rows in the reverse order and must
+        // read the same masks and weights.
+        let reversed = decoder(9, 0.02);
+        for syndrome in syndromes.iter().rev() {
+            assert_eq!(
+                reversed.decode_shot(syndrome, &mut scratch),
+                dec.decode_shot(syndrome, &mut scratch),
+                "syndrome {syndrome:?}"
+            );
+            assert_eq!(
+                reversed.matching_weight(syndrome).map(f64::to_bits),
+                dec.matching_weight(syndrome).map(f64::to_bits),
                 "syndrome {syndrome:?}"
             );
         }

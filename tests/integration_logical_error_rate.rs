@@ -82,7 +82,6 @@ fn decoders_rank_exact_union_find() {
 }
 
 #[test]
-#[ignore = "about 5 s in a release build; run with --include-ignored"]
 fn exact_is_no_worse_than_union_find_at_d7() {
     // At d = 7 on 1X gates many shots carry more than 14 defects, where
     // the exact decoder once handed shots to union-find; its blossom
