@@ -154,8 +154,7 @@ impl<T: Default> Command<T> {
     /// Runs the subcommand: prints its help, or hands its options to `f`.
     fn run(&self, args: &[String], f: impl FnOnce(T) -> Result<(), String>) -> Result<(), String> {
         let Some(options) = self.parse(args)? else {
-            println!("{}", self.help());
-            return Ok(());
+            return say(&self.help());
         };
         f(options)
     }
@@ -651,9 +650,24 @@ fn metrics_flags() -> Command<MetricsOptions> {
     })
 }
 
-/// Writes a rendered artifact to `<out>/<name>.<ext>` or to `stdout`. A
-/// reader that closed the pipe early (`artifacts run fig10 | head`) has
-/// everything it asked for, so a broken pipe is success.
+/// The command's result after a write to stdout. A reader that closed the
+/// pipe early (`artifacts run fig10 | head`) has everything it asked for,
+/// so a broken pipe is success.
+fn stdout_result(printed: std::io::Result<()>) -> Result<(), String> {
+    match printed {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("cannot write stdout: {e}")),
+        _ => Ok(()),
+    }
+}
+
+/// Prints `text` and a newline, reading a closed pipe as [`stdout_result`]
+/// does.
+fn say(text: &str) -> Result<(), String> {
+    stdout_result(writeln!(std::io::stdout().lock(), "{text}"))
+}
+
+/// Writes a rendered artifact to `<out>/<name>.<ext>` or to `stdout` (a
+/// closed pipe is success, see [`stdout_result`]).
 fn emit_rendered(
     name: &str,
     rendered: &str,
@@ -670,10 +684,7 @@ fn emit_rendered(
         }
         None => writeln!(stdout, "{rendered}"),
     };
-    match printed {
-        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("cannot write stdout: {e}")),
-        _ => Ok(()),
-    }
+    stdout_result(printed)
 }
 
 /// The registry spec `name`; an unknown name points at `artifacts list`.
@@ -957,24 +968,21 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let registry = ExperimentRegistry::builtin();
     let rest = args.get(1..).unwrap_or_default();
     match args.first().map(String::as_str) {
-        None | Some("help" | "-h" | HELP) => {
-            println!("{}", usage());
-            Ok(())
-        }
+        None | Some("help" | "-h" | HELP) => say(&usage()),
         Some("list") => {
-            println!("{:<24}  {:<20}  TITLE", "NAME", "KIND");
+            let mut table = format!("{:<24}  {:<20}  TITLE", "NAME", "KIND");
             for spec in registry.specs() {
-                println!("{:<24}  {:<20}  {}", spec.name, spec.kind.tag(), spec.title);
+                let row = format!("{:<24}  {:<20}  {}", spec.name, spec.kind.tag(), spec.title);
+                table.extend(["\n", row.as_str()]);
             }
-            Ok(())
+            say(&table)
         }
         Some("show") => {
             let name = args
                 .get(1)
                 .ok_or("show needs a spec name (try `artifacts list`)")?;
             let spec = serde_json::to_string_pretty(&lookup(&registry, name)?.to_json());
-            println!("{}", spec.expect("spec serialization cannot fail"));
-            Ok(())
+            say(&spec.expect("spec serialization cannot fail"))
         }
         Some("run") => run_flags().run(rest, |o| run_command(&o, &registry)),
         Some("serve") => serve_flags().run(rest, |o| serve_command(&o)),
@@ -989,8 +997,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             }
             Some(HELP) => {
                 let (run, status) = (sweep_run_flags().help(), sweep_status_flags().help());
-                println!("{run}\n{status}");
-                Ok(())
+                say(&format!("{run}\n{status}"))
             }
             other => Err(format!(
                 "sweep needs an action (run|resume|status), got {other:?}"
@@ -1002,8 +1009,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             let value =
                 serde_json::from_str(&text).map_err(|_| format!("{path} is not valid JSON"))?;
             validate_artifact_json(&value).map_err(|e| format!("{path}: {e}"))?;
-            println!("{path}: OK");
-            Ok(())
+            say(&format!("{path}: OK"))
         }
         Some(other) => Err(format!("unknown command `{other}`\n{}", usage())),
     }

@@ -18,8 +18,8 @@
 //! Every builtin artefact regenerates in seconds, so nothing caches whole
 //! artefacts; the one persistent result store is the sweeprun point store
 //! behind `artifacts sweep run`, which keeps the per-point outcomes of the
-//! only artefacts that can get expensive (LER and rare-event grids with
-//! user-sized shot counts) and re-merges a finished store in milliseconds
+//! only artefacts that can get expensive (LER grids with user-sized shot
+//! counts) and re-merges a finished store in milliseconds
 //! (see [`point_job`]).
 //!
 //! Tables, timing-series keys and the table2/table3/ext_* JSON payloads keep
@@ -48,11 +48,11 @@ pub use point_job::{merge_artifact, spec_point_job, SpecPointJob};
 pub use registry::{artifact_from_outcomes, point_grid, run_spec, ExperimentRegistry, RunError};
 pub use spec::{
     ArchPoint, CodeSpec, CompileCase, ExperimentKind, ExperimentSpec, LerOutput, LerSweepSpec,
-    RareEventLerSpec, SpecError, TimingMetric, TimingSweepSpec,
+    SpecError, TimingMetric, TimingSweepSpec,
 };
 pub use sweep::{
-    evaluate_ler_point, ler_curves_from_outcomes, ler_sweep_points, rare_event_points,
-    run_ler_sweep, LerCurve, LerOutcome, LerPoint, ScheduleCache, DEFAULT_SWEEP_SEED,
+    evaluate_ler_point, ler_curves_from_outcomes, ler_sweep_points, run_ler_sweep, LerCurve,
+    LerOutcome, LerPoint, ScheduleCache, DEFAULT_SWEEP_SEED,
 };
 
 /// Renders an aligned text table (the pretty emitter of every artifact).

@@ -16,8 +16,7 @@
 //! compiles only the schedules of the points it still has to compute. The
 //! cache never changes an outcome (see [`crate::sweep`]).
 //!
-//! Only specs with a point grid (LER sweeps and rare-event comparisons) run
-//! through the store: they are the Monte-Carlo sweeps whose cost grows with
+//! Only specs with a point grid (LER sweeps) run through the store: they are the Monte-Carlo sweeps whose cost grows with
 //! the shot count a user asks for, and their outcomes are pure functions of
 //! `(spec, index, seed)`. Timing sweeps are deterministic too (modelled round
 //! and shot times), but they are millisecond compiles with no shot count to
@@ -268,29 +267,6 @@ mod tests {
         spec
     }
 
-    /// The registry's rare-event comparison, shrunk to a fast grid.
-    fn tiny_rare_event_spec() -> ExperimentSpec {
-        let registry = ExperimentRegistry::builtin();
-        let mut spec = registry
-            .get("rare_event_ler")
-            .expect("the registry has the rare-event comparison")
-            .clone();
-        if let ExperimentKind::RareEventLer(kind) = &mut spec.kind {
-            kind.configurations = vec![
-                crate::spec::ArchPoint::grid(2, 10.0).with_label("10X c2"),
-                crate::spec::ArchPoint::grid(2, 1000.0).with_label("1000X c2"),
-            ];
-            kind.sample_distances = vec![2, 3];
-            kind.shots = 128;
-            kind.biased_shots = 64;
-            kind.bias = 8.0;
-        } else {
-            panic!("rare_event_ler changed kind");
-        }
-        spec.name = "tiny-rare-event-test".to_string();
-        spec
-    }
-
     /// fig10's full 3 × 3 × 2 grid at a token shot count.
     fn small_fig10() -> ExperimentSpec {
         let mut spec = ExperimentRegistry::builtin().get("fig10").unwrap().clone();
@@ -343,56 +319,23 @@ mod tests {
     }
 
     #[test]
-    fn rare_event_merge_is_bit_identical_to_run_spec() {
-        let spec = tiny_rare_event_spec();
-        let reference = crate::run_spec(&spec).unwrap();
-
-        let base =
-            std::env::temp_dir().join(format!("qccd-point-job-rare-event-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
-        std::fs::create_dir_all(&base).unwrap();
-
-        let job = spec_point_job(&spec).unwrap();
-        // 2 configurations x 2 distances x (plain + biased).
-        assert_eq!(job.num_points(), 8);
-        let (store, _) = PointStore::open(&base, &job.descriptor(), job.seed_table()).unwrap();
-        let summary =
-            qccd_sweeprun::run_job(&job, &store, qccd_sweeprun::CoordinatorConfig::default())
-                .unwrap();
-        assert_eq!(summary.computed, 8);
-
-        let merged = merge_artifact(&spec, &store).unwrap();
-        assert_eq!(merged.title, reference.title);
-        assert_eq!(merged.headers, reference.headers);
-        assert_eq!(merged.rows, reference.rows);
-        assert_eq!(merged.notes, reference.notes);
-        assert_eq!(merged.data.to_string(), reference.data.to_string());
-        assert_eq!(merged.metadata.spec_hash, reference.metadata.spec_hash);
-
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
-    #[test]
     fn run_spec_equals_assembly_of_its_outcomes_after_a_codec_round_trip() {
-        for spec in [tiny_spec(), tiny_rare_event_spec()] {
-            let reference = crate::run_spec(&spec).unwrap();
-            let points = point_grid(&spec).expect("both tiny specs are grids");
-            let outcomes: Vec<LerOutcome> = crate::run_ler_sweep(spec.seed, &points)
-                .iter()
-                .map(|outcome| {
-                    // Through a serialized string, like the store does.
-                    let text = outcome_to_json(outcome).to_string();
-                    outcome_from_json(&serde_json::from_str(&text).unwrap()).unwrap()
-                })
-                .collect();
-            let assembled = artifact_from_outcomes(&spec, &outcomes).unwrap();
-            assert_eq!(
-                assembled.to_json().to_string(),
-                reference.to_json().to_string(),
-                "{}",
-                spec.name
-            );
-        }
+        let spec = tiny_spec();
+        let reference = crate::run_spec(&spec).unwrap();
+        let points = point_grid(&spec).expect("the tiny spec is a grid");
+        let outcomes: Vec<LerOutcome> = crate::run_ler_sweep(spec.seed, &points)
+            .iter()
+            .map(|outcome| {
+                // Through a serialized string, like the store does.
+                let text = outcome_to_json(outcome).to_string();
+                outcome_from_json(&serde_json::from_str(&text).unwrap()).unwrap()
+            })
+            .collect();
+        let assembled = artifact_from_outcomes(&spec, &outcomes).unwrap();
+        assert_eq!(
+            assembled.to_json().to_string(),
+            reference.to_json().to_string()
+        );
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //!
 //! [`ExperimentRegistry::builtin`] registers all thirteen paper artefacts
 //! (fig08a/fig08b/fig09/fig10/fig11/fig12/fig13a/fig13b/table2/table3/
-//! ext_surgery/ext_decoder_comparison/ext_ablation_clustering) plus the
-//! rare_event_ler validation;
+//! ext_surgery/ext_decoder_comparison/ext_ablation_clustering);
 //! [`ExperimentRegistry::run`] resolves a name and executes its spec,
 //! producing an [`Artifact`]. Every runner walks its points in input order;
 //! a Monte-Carlo point `i` samples at [`sweep_seed`]`(spec seed, i)`.
@@ -29,12 +28,12 @@ use crate::artifact::{Artifact, ArtifactMetadata};
 use crate::fmt_f64;
 use crate::spec::{
     ArchPoint, ClusteringAblationSpec, CodeSpec, CompileCase, CompilerBoundsSpec,
-    DecoderComparisonSpec, ExperimentKind, ExperimentSpec, LerOutput, LerSweepSpec,
-    RareEventLerSpec, SpecError, SurgerySpec, TimingMetric, TimingSweepSpec,
+    DecoderComparisonSpec, ExperimentKind, ExperimentSpec, LerOutput, LerSweepSpec, SpecError,
+    SurgerySpec, TimingMetric, TimingSweepSpec,
 };
 use crate::sweep::{
-    ler_curves_from_outcomes, ler_sweep_points, rare_event_points, run_ler_sweep, LerCurve,
-    LerOutcome, LerPoint, ScheduleCache, DEFAULT_SWEEP_SEED,
+    ler_curves_from_outcomes, ler_sweep_points, run_ler_sweep, LerCurve, LerOutcome, LerPoint,
+    ScheduleCache, DEFAULT_SWEEP_SEED,
 };
 
 /// Errors surfaced when resolving or executing a registered experiment.
@@ -154,9 +153,7 @@ pub fn run_spec(spec: &ExperimentSpec) -> Result<Artifact, RunError> {
         return artifact_from_outcomes(spec, &outcomes);
     }
     let output = match &spec.kind {
-        ExperimentKind::LerSweep(_) | ExperimentKind::RareEventLer(_) => {
-            unreachable!("grid kinds returned above")
-        }
+        ExperimentKind::LerSweep(_) => unreachable!("grid kinds returned above"),
         ExperimentKind::TimingSweep(kind) => run_timing_sweep(kind),
         ExperimentKind::CompilerBounds(kind) => run_compiler_bounds(kind),
         ExperimentKind::BaselineComparison(kind) => run_baseline_comparison(kind),
@@ -196,8 +193,7 @@ fn configurations(points: &[ArchPoint]) -> Vec<(String, ArchitectureConfig)> {
 
 /// The flat grid of independent Monte-Carlo points of `spec`, in the index
 /// (and therefore seed) order every execution tier agrees on:
-/// [`ler_sweep_points`] of an [`ExperimentKind::LerSweep`],
-/// [`rare_event_points`] of an [`ExperimentKind::RareEventLer`]. `None` for
+/// [`ler_sweep_points`] of an [`ExperimentKind::LerSweep`]. `None` for
 /// the other kinds, which are not grids of such points (timing sweeps are
 /// millisecond compiles, no shot count to grow; the rest single compiles).
 pub fn point_grid(spec: &ExperimentSpec) -> Option<Vec<LerPoint>> {
@@ -209,15 +205,6 @@ pub fn point_grid(spec: &ExperimentSpec) -> Option<Vec<LerPoint>> {
             kind.decoder,
             kind.estimator,
         )),
-        ExperimentKind::RareEventLer(kind) => Some(rare_event_points(
-            &configurations(&kind.configurations),
-            &kind.sample_distances,
-            kind.shots,
-            kind.biased_shots,
-            kind.bias,
-            kind.decoder,
-            kind.estimator,
-        )),
         _ => None,
     }
 }
@@ -225,8 +212,7 @@ pub fn point_grid(spec: &ExperimentSpec) -> Option<Vec<LerPoint>> {
 /// The error of asking a spec without a [`point_grid`] for one.
 pub(crate) fn not_a_grid(spec: &ExperimentSpec) -> SpecError {
     SpecError(format!(
-        "`{}` is not a LER sweep; only LER and rare-event sweeps support point-store \
-         orchestration",
+        "`{}` is not a LER sweep; only LER sweeps support point-store orchestration",
         spec.name
     ))
 }
@@ -256,17 +242,15 @@ pub fn artifact_from_outcomes(
             outcomes.len()
         ))));
     }
-    let output = match &spec.kind {
-        ExperimentKind::LerSweep(kind) => {
-            let configurations = configurations(&kind.configurations);
-            let curves =
-                ler_curves_from_outcomes(&configurations, &kind.sample_distances, outcomes);
-            ler_sweep_output(kind, &configurations, &curves)
-        }
-        ExperimentKind::RareEventLer(kind) => rare_event_output(kind, outcomes),
-        _ => unreachable!("only the two grid kinds have a point grid"),
+    let ExperimentKind::LerSweep(kind) = &spec.kind else {
+        unreachable!("only LER sweeps have a point grid")
     };
-    Ok(artifact(spec, output))
+    let configurations = configurations(&kind.configurations);
+    let curves = ler_curves_from_outcomes(&configurations, &kind.sample_distances, outcomes);
+    Ok(artifact(
+        spec,
+        ler_sweep_output(kind, &configurations, &curves),
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -559,176 +543,6 @@ fn fmt_rate(rate: f64) -> String {
     } else {
         format!("{rate:.2e}")
     }
-}
-
-// ---------------------------------------------------------------------------
-// Rare-event LER comparison (importance-sampling validation)
-// ---------------------------------------------------------------------------
-
-/// JSON encoding of one estimate (plain or biased) in the rare-event
-/// artifact.
-fn rare_event_estimate_json(outcome: &LerOutcome) -> Value {
-    match &outcome.result {
-        Ok(est) => serde_json::json!({
-            "seed": Value::from(outcome.seed),
-            "shots": est.shots as u64,
-            "failures": est.failures as u64,
-            "ler": est.logical_error_rate,
-            "std_error": est.std_error,
-            "upper_bound": est.is_upper_bound(),
-        }),
-        Err(e) => serde_json::json!({ "error": e.clone() }),
-    }
-}
-
-/// Renders one rare-event estimate cell: `ler ± σ`, `< bound` for
-/// zero-failure estimates, or the compile-error marker.
-fn rare_event_estimate_cell(outcome: &LerOutcome) -> String {
-    match &outcome.result {
-        Ok(est) => match est.upper_bound_95() {
-            Some(bound) => upper_bound_cell(bound),
-            None => format!(
-                "{} +/- {}",
-                fmt_rate(est.logical_error_rate),
-                fmt_rate(est.std_error)
-            ),
-        },
-        Err(_) => "compile error".to_string(),
-    }
-}
-
-/// The agreement cell and JSON of a plain/biased estimate pair: the gap in
-/// combined standard deviations when both estimates resolved, or the bound
-/// check when one of them saw zero failures.
-fn rare_event_agreement(
-    plain: &qccd_decoder::LogicalErrorEstimate,
-    biased: &qccd_decoder::LogicalErrorEstimate,
-) -> (String, Value) {
-    match (plain.is_upper_bound(), biased.is_upper_bound()) {
-        (false, false) => {
-            let gap = (plain.logical_error_rate - biased.logical_error_rate).abs();
-            let sigma = gap / plain.std_error.hypot(biased.std_error);
-            (
-                format!("{} sigma", fmt_f64(sigma)),
-                serde_json::json!({ "sigma": sigma }),
-            )
-        }
-        (true, false) => {
-            // Plain MC never saw a failure: the resolved importance-sampled
-            // estimate must sit below the plain 95% upper bound.
-            let below = biased.logical_error_rate <= plain.std_error;
-            (
-                if below { "below bound" } else { "ABOVE BOUND" }.to_string(),
-                serde_json::json!({ "below_bound": below }),
-            )
-        }
-        (false, true) => {
-            let below = plain.logical_error_rate <= biased.std_error;
-            (
-                if below { "below bound" } else { "ABOVE BOUND" }.to_string(),
-                serde_json::json!({ "below_bound": below }),
-            )
-        }
-        (true, true) => ("unresolved".to_string(), Value::Null),
-    }
-}
-
-/// The shot-efficiency factor of the importance-sampled estimate: how many
-/// times more decoded shots the plain-MC estimator would need to reach the
-/// importance-sampled relative error — `(N_plain·r_plain²)/(N_is·r_is²)`
-/// with `r = σ/p̂` (shots to reach relative error ρ scale as `N·(r/ρ)²`).
-/// `None` when either side has no resolved relative error (zero failures).
-fn rare_event_efficiency(
-    plain: &qccd_decoder::LogicalErrorEstimate,
-    biased: &qccd_decoder::LogicalErrorEstimate,
-) -> Option<f64> {
-    if plain.is_upper_bound() || biased.is_upper_bound() || plain.shots == 0 || biased.shots == 0 {
-        return None;
-    }
-    let rp = plain.std_error / plain.logical_error_rate;
-    let rb = biased.std_error / biased.logical_error_rate;
-    Some((plain.shots as f64 * rp * rp) / (biased.shots as f64 * rb * rb))
-}
-
-fn rare_event_output(kind: &RareEventLerSpec, outcomes: &[LerOutcome]) -> RunnerOutput {
-    let headers = vec![
-        "Configuration".to_string(),
-        "d".to_string(),
-        format!("Plain MC ({} shots)", kind.shots),
-        format!(
-            "Importance ({} shots, bias {})",
-            kind.biased_shots, kind.bias
-        ),
-        "Agreement".to_string(),
-        "Speedup @ equal rel. error".to_string(),
-    ];
-
-    let mut rows = Vec::new();
-    let mut entries = Vec::new();
-    let mut pairs = outcomes.chunks(2);
-    for point in &kind.configurations {
-        let label = point.display_label();
-        for &d in &kind.sample_distances {
-            let pair = pairs.next().expect("outcome count was validated");
-            let (plain, biased) = (&pair[0], &pair[1]);
-            let mut entry = serde_json::json!({
-                "label": label,
-                "topology": format!("{}", point.topology),
-                "capacity": point.capacity,
-                "wiring": format!("{}", point.wiring),
-                "gate_improvement": point.gate_improvement,
-                "distance": d,
-                "bias": kind.bias,
-                "plain": rare_event_estimate_json(plain),
-                "biased": rare_event_estimate_json(biased),
-            });
-            let (agreement_cell, speedup_cell) = match (&plain.result, &biased.result) {
-                (Ok(p), Ok(b)) => {
-                    let (cell, json) = rare_event_agreement(p, b);
-                    entry["agreement"] = json;
-                    let speedup = rare_event_efficiency(p, b);
-                    entry["speedup"] = match speedup {
-                        Some(x) => Value::from(x),
-                        None => Value::Null,
-                    };
-                    (
-                        cell,
-                        speedup.map(fmt_f64).unwrap_or_else(|| "inf".to_string()),
-                    )
-                }
-                _ => {
-                    entry["agreement"] = Value::Null;
-                    entry["speedup"] = Value::Null;
-                    ("-".to_string(), "-".to_string())
-                }
-            };
-            rows.push(vec![
-                label.clone(),
-                format!("d={d}"),
-                rare_event_estimate_cell(plain),
-                rare_event_estimate_cell(biased),
-                agreement_cell,
-                speedup_cell,
-            ]);
-            entries.push(entry);
-        }
-    }
-
-    let notes = vec![
-        format!(
-            "Importance sampling scales every physical noise probability by {} (clamped at 0.5), \
-             decodes against the unbiased error model, and reweights each shot by its likelihood \
-             ratio — both columns are unbiased estimators of the same logical error rate.",
-            kind.bias
-        ),
-        "Reading: `< b` marks a zero-failure estimate reported as its 95% upper bound (rule of \
-         three); agreement is the gap between the two estimates in combined standard deviations \
-         (or the bound check when plain MC never failed); the speedup column is how many times \
-         more decoded shots plain MC would need to match the importance-sampled relative error \
-         (`inf` when plain MC saw no failures at all)."
-            .to_string(),
-    ];
-    (headers, rows, notes, Value::Array(entries))
 }
 
 // ---------------------------------------------------------------------------
@@ -1148,7 +962,7 @@ fn run_clustering_ablation(kind: &ClusteringAblationSpec) -> RunnerOutput {
 }
 
 // ---------------------------------------------------------------------------
-// Built-in specs (the thirteen paper artefacts plus the rare-event validation)
+// Built-in specs (the thirteen paper artefacts)
 // ---------------------------------------------------------------------------
 
 fn ler_spec(
@@ -1458,34 +1272,6 @@ fn builtin_specs() -> Vec<ExperimentSpec> {
         }),
     });
 
-    // Rare-event validation: the importance-sampled estimator against plain
-    // Monte Carlo where a distance-d code makes failures rare. At 5X both
-    // estimators resolve every distance — the overlap rows cross-check them
-    // within their combined error bars, and the speedup column shows the
-    // biased run needing several times fewer decoded shots at equal relative
-    // error. At 20X d=3 they still overlap; from d=5 plain MC sees no failure
-    // in 200k shots and renders its 95% upper bound, while the biased run
-    // still produces a resolved estimate below that bound.
-    specs.push(ExperimentSpec {
-        name: "rare_event_ler".into(),
-        title: "Rare-event validation: importance-sampled vs plain Monte-Carlo LER \
-                (grid c2, standard wiring)"
-            .into(),
-        seed: DEFAULT_SWEEP_SEED,
-        kind: ExperimentKind::RareEventLer(RareEventLerSpec {
-            configurations: vec![
-                ArchPoint::grid(2, 5.0).with_label("5X c2"),
-                ArchPoint::grid(2, 20.0).with_label("20X c2"),
-            ],
-            sample_distances: vec![3, 5, 7],
-            shots: 200_000,
-            biased_shots: 40_000,
-            bias: 6.0,
-            decoder: DecoderKind::default(),
-            estimator: Default::default(),
-        }),
-    });
-
     // Extension E2: clustering ablation.
     specs.push(ExperimentSpec {
         name: "ext_ablation_clustering".into(),
@@ -1521,7 +1307,6 @@ mod tests {
             "fig12",
             "fig13a",
             "fig13b",
-            "rare_event_ler",
             "table2",
             "table3",
         ];
@@ -1843,61 +1628,6 @@ mod tests {
         let (_, rows, _, _) = run_decoder_comparison(kind, spec.seed, &schedules);
         assert_eq!(rows.len(), 4);
         assert_eq!(schedules.len(), 2);
-    }
-
-    #[test]
-    fn rare_event_artifact_renders_bounds_and_agreement() {
-        let registry = ExperimentRegistry::builtin();
-        let mut spec = registry.get("rare_event_ler").unwrap().clone();
-        if let ExperimentKind::RareEventLer(kind) = &mut spec.kind {
-            kind.configurations = vec![
-                crate::spec::ArchPoint::grid(2, 1.0).with_label("1X c2"),
-                crate::spec::ArchPoint::grid(2, 1000.0).with_label("1000X c2"),
-            ];
-            kind.sample_distances = vec![2, 3];
-            kind.shots = 128;
-            kind.biased_shots = 64;
-            kind.bias = 8.0;
-        } else {
-            panic!("rare_event_ler changed kind");
-        }
-        spec.name = "tiny-rare-event-render-test".to_string();
-        let artifact = run_spec(&spec).unwrap();
-
-        assert_eq!(
-            artifact.headers,
-            vec![
-                "Configuration",
-                "d",
-                "Plain MC (128 shots)",
-                "Importance (64 shots, bias 8)",
-                "Agreement",
-                "Speedup @ equal rel. error",
-            ]
-        );
-        assert_eq!(artifact.rows.len(), 4);
-        // The noisy 1X configuration resolves on both estimators: its cells
-        // carry error bars and a sigma-agreement figure.
-        assert!(
-            artifact.rows[0][2].contains("+/-"),
-            "{:?}",
-            artifact.rows[0]
-        );
-        assert!(
-            artifact.rows[0][4].ends_with("sigma"),
-            "{:?}",
-            artifact.rows[0]
-        );
-        // The 1000X configuration never fails at these shot counts: both
-        // estimates render as rule-of-three upper bounds (3/128 and 3/64),
-        // never as a bare zero.
-        for row in &artifact.rows[2..] {
-            assert_eq!(row[2], "< 2.3e-2", "{row:?}");
-            assert_eq!(row[3], "< 4.6e-2", "{row:?}");
-            assert_eq!(row[4], "unresolved", "{row:?}");
-            assert_eq!(row[5], "inf", "{row:?}");
-        }
-        crate::artifact::validate_artifact_json(&artifact.to_json()).unwrap();
     }
 
     #[test]

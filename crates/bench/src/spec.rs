@@ -25,7 +25,10 @@
 //! required is refused like a missing key, and an optional field may be
 //! written either way. A wrong type is refused with an error that names the
 //! field and says what it must be. Unknown keys are ignored, so files written
-//! before a knob was retired still load. Each enum spelling (decoder, merge
+//! before a knob was retired still load, except where ignoring one would
+//! run a different experiment than the file asks for: a retired
+//! importance-sampling field or kind is refused by name (see
+//! [`ExperimentSpec::from_json`]). Each enum spelling (decoder, merge
 //! orientation, timing metric, experiment kind) is written once and read in
 //! both directions.
 //!
@@ -206,7 +209,7 @@ pub(crate) fn each<T>(
 }
 
 fn estimator_to_json(config: &EstimatorConfig) -> Value {
-    let mut value = serde_json::json!({
+    serde_json::json!({
         "chunk_shots": config.chunk_shots,
         "num_threads": config.num_threads,
         "target_std_error": config.target_std_error,
@@ -215,16 +218,18 @@ fn estimator_to_json(config: &EstimatorConfig) -> Value {
             "max_defects": config.memo.max_defects,
             "max_entries": config.memo.max_entries,
         },
-    });
-    // Emitted only when set so every pre-rare-event spec keeps its canonical
-    // encoding — and therefore its content hash and point store.
-    if let Some(bias) = config.importance_bias {
-        value["importance_bias"] = serde_json::json!(bias);
-    }
-    value
+    })
 }
 
 fn estimator_from_json(value: &Value) -> Result<EstimatorConfig, SpecError> {
+    // Ignoring a bias would quietly run plain Monte Carlo where the file
+    // asked for an importance-sampled estimate.
+    if !matches!(value.get("importance_bias"), None | Some(Value::Null)) {
+        return err(
+            "field `importance_bias` is retired: importance sampling was removed and plain \
+             Monte Carlo is the only estimator; delete the field and size `shots` instead",
+        );
+    }
     let memo: &Value = req(value, "memo")?;
     Ok(EstimatorConfig {
         chunk_shots: req(value, "chunk_shots")?,
@@ -235,7 +240,6 @@ fn estimator_from_json(value: &Value) -> Result<EstimatorConfig, SpecError> {
             max_defects: req(memo, "max_defects")?,
             max_entries: req(memo, "max_entries")?,
         },
-        importance_bias: opt(value, "importance_bias")?,
     })
 }
 
@@ -724,39 +728,11 @@ pub struct ClusteringAblationSpec {
     pub capacities: Vec<usize>,
 }
 
-/// Importance-sampled rare-event LER validation: every `(configuration,
-/// distance)` point is evaluated twice — plain Monte Carlo with `shots`
-/// shots and importance-sampled with `biased_shots` shots at bias factor
-/// `bias` — and the artefact reports both estimates side by side with their
-/// 2σ agreement and the shot-efficiency ratio at equal relative error.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RareEventLerSpec {
-    /// The architecture grid.
-    pub configurations: Vec<ArchPoint>,
-    /// Code distances to evaluate under both estimators.
-    pub sample_distances: Vec<usize>,
-    /// Plain Monte-Carlo shots per point.
-    pub shots: usize,
-    /// Importance-sampled shots per point (typically far fewer).
-    pub biased_shots: usize,
-    /// Bias factor: every noise probability is scaled by this (clamped at
-    /// 0.5) in the sampled circuit.
-    pub bias: f64,
-    /// Decoder for every point.
-    pub decoder: DecoderKind,
-    /// Monte-Carlo pipeline configuration shared by both estimators (the
-    /// biased points additionally carry `importance_bias = bias`). Its own
-    /// `importance_bias` must be unset; validation refuses it.
-    pub estimator: EstimatorConfig,
-}
-
 /// The experiment family and its parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExperimentKind {
     /// Monte-Carlo LER sweep with fits and derived outputs.
     LerSweep(LerSweepSpec),
-    /// Importance-sampled vs plain-MC rare-event LER comparison.
-    RareEventLer(RareEventLerSpec),
     /// Compile-only timing sweep.
     TimingSweep(TimingSweepSpec),
     /// Compiler versus theoretical bounds.
@@ -790,6 +766,7 @@ pub struct ExperimentSpec {
 /// and `artifacts list` read it through [`ExperimentKind::tag`].
 mod tag {
     pub const LER_SWEEP: &str = "ler_sweep";
+    /// The retired importance-sampling comparison, refused by name.
     pub const RARE_EVENT_LER: &str = "rare_event_ler";
     pub const TIMING_SWEEP: &str = "timing_sweep";
     pub const COMPILER_BOUNDS: &str = "compiler_bounds";
@@ -804,7 +781,6 @@ impl ExperimentKind {
     pub fn tag(&self) -> &'static str {
         match self {
             ExperimentKind::LerSweep(_) => tag::LER_SWEEP,
-            ExperimentKind::RareEventLer(_) => tag::RARE_EVENT_LER,
             ExperimentKind::TimingSweep(_) => tag::TIMING_SWEEP,
             ExperimentKind::CompilerBounds(_) => tag::COMPILER_BOUNDS,
             ExperimentKind::BaselineComparison(_) => tag::BASELINE_COMPARISON,
@@ -826,15 +802,6 @@ impl ExperimentSpec {
                 "decoder": spec.decoder.spelling(),
                 "estimator": estimator_to_json(&spec.estimator),
                 "outputs": Value::Array(spec.outputs.iter().map(LerOutput::to_json).collect()),
-            }),
-            ExperimentKind::RareEventLer(spec) => serde_json::json!({
-                "configurations": arch_points_to_json(&spec.configurations),
-                "sample_distances": spec.sample_distances.clone(),
-                "shots": spec.shots,
-                "biased_shots": spec.biased_shots,
-                "bias": spec.bias,
-                "decoder": spec.decoder.spelling(),
-                "estimator": estimator_to_json(&spec.estimator),
             }),
             ExperimentKind::TimingSweep(spec) => serde_json::json!({
                 "configurations": arch_points_to_json(&spec.configurations),
@@ -882,8 +849,9 @@ impl ExperimentSpec {
     ///
     /// # Errors
     ///
-    /// Returns a [`SpecError`] on missing fields, ill-typed values or an
-    /// unknown experiment family.
+    /// Returns a [`SpecError`] on missing fields, ill-typed values, an
+    /// unknown experiment family, or the retired `rare_event_ler` kind and
+    /// `estimator.importance_bias` field (named in the message).
     pub fn from_json(value: &Value) -> Result<Self, SpecError> {
         let experiment: &Value = req(value, "experiment")?;
         let kind = match req::<String>(experiment, "experiment")?.as_str() {
@@ -895,15 +863,14 @@ impl ExperimentSpec {
                 estimator: estimator_from_json(req(experiment, "estimator")?)?,
                 outputs: each(experiment, "outputs", LerOutput::from_json)?,
             }),
-            tag::RARE_EVENT_LER => ExperimentKind::RareEventLer(RareEventLerSpec {
-                configurations: each(experiment, "configurations", ArchPoint::from_json)?,
-                sample_distances: req(experiment, "sample_distances")?,
-                shots: req(experiment, "shots")?,
-                biased_shots: req(experiment, "biased_shots")?,
-                bias: req(experiment, "bias")?,
-                decoder: req(experiment, "decoder")?,
-                estimator: estimator_from_json(req(experiment, "estimator")?)?,
-            }),
+            tag::RARE_EVENT_LER => {
+                return err(format!(
+                    "experiment kind `{}` is retired: importance sampling was removed; run \
+                     its configurations as a `{}` with plain Monte Carlo",
+                    tag::RARE_EVENT_LER,
+                    tag::LER_SWEEP
+                ))
+            }
             tag::TIMING_SWEEP => ExperimentKind::TimingSweep(TimingSweepSpec {
                 configurations: each(experiment, "configurations", ArchPoint::from_json)?,
                 distances: req(experiment, "distances")?,
@@ -969,16 +936,6 @@ impl ExperimentSpec {
                 None => Ok(()),
             }
         }
-        // `FaultTable::biased` asserts the same condition; a user file must
-        // be refused here, not abort the sweep.
-        fn bias_at_least_one(bias: Option<f64>, what: &str) -> Result<(), SpecError> {
-            match bias {
-                Some(bias) if !(bias.is_finite() && bias >= 1.0) => err(format!(
-                    "{what} must be a finite factor of at least 1, got {bias}"
-                )),
-                _ => Ok(()),
-            }
-        }
         if self.name.is_empty() {
             return err("spec name must be non-empty");
         }
@@ -997,38 +954,11 @@ impl ExperimentSpec {
                 if spec.shots == 0 {
                     return err("LER sweep needs a positive shot count");
                 }
-                bias_at_least_one(spec.estimator.importance_bias, "`importance_bias`")?;
                 for point in &spec.configurations {
                     point.validate()?;
                 }
                 for output in &spec.outputs {
                     output.validate()?;
-                }
-                Ok(())
-            }
-            ExperimentKind::RareEventLer(spec) => {
-                if spec.configurations.is_empty() {
-                    return err("rare-event LER comparison needs at least one configuration");
-                }
-                if spec.sample_distances.is_empty() {
-                    return err("rare-event LER comparison needs at least one sample distance");
-                }
-                distances_at_least_two(&spec.sample_distances, "rare-event LER comparison")?;
-                if spec.shots == 0 || spec.biased_shots == 0 {
-                    return err("rare-event LER comparison needs positive shot counts");
-                }
-                bias_at_least_one(Some(spec.bias), "rare-event bias")?;
-                // The plain Monte-Carlo twin of every point runs this
-                // estimator as given, so a bias here would make it a second
-                // biased estimate.
-                if let Some(bias) = spec.estimator.importance_bias {
-                    return err(format!(
-                        "rare-event LER comparison refuses `estimator.importance_bias` \
-                         ({bias}): the spec's `bias` is its only bias"
-                    ));
-                }
-                for point in &spec.configurations {
-                    point.validate()?;
                 }
                 Ok(())
             }
@@ -1200,16 +1130,6 @@ mod tests {
         }
         assert!(bad_distance.validate().is_err());
 
-        // A bias below 1 would trip `FaultTable::biased`'s assert in the
-        // middle of a sweep.
-        for bias in [0.5, f64::NAN, f64::INFINITY] {
-            let mut bad_bias = sample_spec();
-            if let ExperimentKind::LerSweep(ref mut s) = bad_bias.kind {
-                s.estimator.importance_bias = Some(bias);
-            }
-            let message = bad_bias.validate().unwrap_err().to_string();
-            assert!(message.contains("finite factor of at least 1"), "{message}");
-        }
         let surgery_d1 = ExperimentSpec {
             name: "s".into(),
             title: "s".into(),
@@ -1231,19 +1151,35 @@ mod tests {
     }
 
     #[test]
-    fn a_rare_event_spec_refuses_an_estimator_bias() {
-        // The plain Monte-Carlo half of the comparison must run unbiased.
-        let registry = crate::registry::ExperimentRegistry::builtin();
-        let builtin = registry.get("rare_event_ler").expect("builtin spec");
-        assert_eq!(builtin.validate(), Ok(()));
-        for bias in [1.0, 8.0] {
-            let mut spec = builtin.clone();
-            if let ExperimentKind::RareEventLer(ref mut s) = spec.kind {
-                s.estimator.importance_bias = Some(bias);
-            }
-            let message = spec.validate().unwrap_err().to_string();
-            assert!(message.contains("`bias` is its only bias"), "{message}");
+    fn retired_importance_sampling_is_refused_by_name() {
+        // Ignoring either would run plain Monte Carlo where the file asked
+        // for an importance-sampled estimate.
+        let ler = sample_spec().to_json();
+        for bias in [serde_json::json!(6.0), serde_json::json!(1.0)] {
+            let mut biased = ler.clone();
+            biased["experiment"]["estimator"]["importance_bias"] = bias;
+            let message = ExperimentSpec::from_json(&biased).unwrap_err().to_string();
+            assert!(
+                message.contains("`importance_bias` is retired"),
+                "{message}"
+            );
         }
+        // `null` reads as absent, like every optional field.
+        let mut null_bias = ler.clone();
+        null_bias["experiment"]["estimator"]["importance_bias"] = Value::Null;
+        assert_eq!(ExperimentSpec::from_json(&null_bias), Ok(sample_spec()));
+
+        let mut rare_event = ler;
+        rare_event["experiment"]["experiment"] = Value::from("rare_event_ler");
+        rare_event["experiment"]["biased_shots"] = Value::from(40_000);
+        rare_event["experiment"]["bias"] = Value::from(6.0);
+        let message = ExperimentSpec::from_json(&rare_event)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            message.contains("kind `rare_event_ler` is retired"),
+            "{message}"
+        );
     }
 
     #[test]

@@ -254,38 +254,6 @@ pub fn ler_sweep_points(
         .collect()
 }
 
-/// The flat point grid of a rare-event LER comparison: configuration-major,
-/// then distance, with the plain Monte-Carlo point immediately before its
-/// importance-sampled twin — configuration `c`, distance index `d` maps to
-/// indices `2·(c·distances.len() + d)` (plain) and `+1` (biased). Like
-/// [`ler_sweep_points`], this is the index (and therefore seed) assignment
-/// every execution tier must agree on.
-#[allow(clippy::too_many_arguments)]
-pub fn rare_event_points(
-    configurations: &[(String, ArchitectureConfig)],
-    distances: &[usize],
-    shots: usize,
-    biased_shots: usize,
-    bias: f64,
-    decoder: DecoderKind,
-    estimator: EstimatorConfig,
-) -> Vec<LerPoint> {
-    configurations
-        .iter()
-        .flat_map(|(label, arch)| {
-            distances.iter().flat_map(move |&d| {
-                let plain = LerPoint::new(label.clone(), arch.clone(), d, shots)
-                    .with_decoder(decoder)
-                    .with_estimator(estimator);
-                let biased = LerPoint::new(label.clone(), arch.clone(), d, biased_shots)
-                    .with_decoder(decoder)
-                    .with_estimator(estimator.with_importance_bias(bias));
-                [plain, biased]
-            })
-        })
-        .collect()
-}
-
 /// Groups configuration-major sweep outcomes back into per-configuration
 /// fitted curves. Outcomes must be in grid order ([`ler_sweep_points`]) —
 /// exactly `configurations.len() × distances.len()` entries.
@@ -452,40 +420,6 @@ mod tests {
             assert!(curve.points.is_empty());
             assert!(curve.fit.is_none());
             assert!(curve.outcomes.is_empty());
-        }
-    }
-
-    #[test]
-    fn rare_event_points_pair_plain_before_biased() {
-        let configurations = vec![
-            ("a".to_string(), grid_arch(2, 10.0)),
-            ("b".to_string(), grid_arch(3, 10.0)),
-        ];
-        let distances = [2usize, 3];
-        let points = rare_event_points(
-            &configurations,
-            &distances,
-            64,
-            16,
-            8.0,
-            DecoderKind::ExactMatching,
-            EstimatorConfig::default(),
-        );
-        assert_eq!(points.len(), configurations.len() * distances.len() * 2);
-        for (c, (label, _)) in configurations.iter().enumerate() {
-            for (i, &d) in distances.iter().enumerate() {
-                let base = 2 * (c * distances.len() + i);
-                let (plain, biased) = (&points[base], &points[base + 1]);
-                for point in [plain, biased] {
-                    assert_eq!(&point.label, label);
-                    assert_eq!(point.distance, d);
-                    assert_eq!(point.decoder, DecoderKind::ExactMatching);
-                }
-                assert_eq!(plain.shots, 64);
-                assert_eq!(plain.estimator.importance_bias, None);
-                assert_eq!(biased.shots, 16);
-                assert_eq!(biased.estimator.importance_bias, Some(8.0));
-            }
         }
     }
 

@@ -6,9 +6,8 @@
 //! re-weighted table must equal `FaultTable::from_circuit` of the point
 //! compiled and lowered afresh — signatures and every channel probability,
 //! including WISE's cooled constants, the cubed three-gate channels of
-//! in-chain gate swaps at capacity 5 and 12, and the importance-sampled
-//! twins of `rare_event_ler` — and a point that does not compile must
-//! carry the same error.
+//! in-chain gate swaps at capacity 5 and 12 — and a point that does not
+//! compile must carry the same error.
 //!
 //! The default run covers d ≤ 5; the ignored test covers every builtin
 //! distance and runs in release:
@@ -27,7 +26,6 @@ struct Coverage {
     points: usize,
     cooled: usize,
     gate_swaps: usize,
-    biased: usize,
 }
 
 fn check_builtin_grids(max_distance: usize) -> Coverage {
@@ -66,24 +64,25 @@ fn check_builtin_grids(max_distance: usize) -> Coverage {
             }
             coverage.points += 1;
             coverage.cooled += usize::from(point.arch.noise.cooled);
-            coverage.biased += usize::from(point.estimator.importance_bias.is_some());
         }
     }
     assert!(coverage.cooled > 0, "a WISE point: {coverage:?}");
     assert!(coverage.gate_swaps > 0, "a gate-swap point: {coverage:?}");
-    assert!(coverage.biased > 0, "a biased twin: {coverage:?}");
     coverage
 }
 
 #[test]
 fn reweighted_tables_equal_fresh_compiles_up_to_d5() {
     let coverage = check_builtin_grids(5);
-    assert_eq!(coverage.points, 64, "{coverage:?}");
+    assert_eq!(coverage.points, 56, "{coverage:?}");
 }
 
 #[test]
 #[ignore = "every builtin distance; run in release with --include-ignored"]
 fn reweighted_tables_equal_fresh_compiles_at_every_builtin_distance() {
     let coverage = check_builtin_grids(usize::MAX);
-    assert!(coverage.points > 64, "{coverage:?}");
+    // No builtin grid samples past d = 5 at the moment, so this run checks
+    // the same 56 points as the default one; a grid that samples further
+    // raises the count here.
+    assert_eq!(coverage.points, 56, "{coverage:?}");
 }

@@ -17,8 +17,8 @@ use serde_json::Value;
 use qccd_bench::point_job::{outcome_from_json, outcome_to_json};
 use qccd_bench::spec::{
     ArchPoint, ClusteringAblationSpec, CodeSpec, CompileCase, CompilerBoundsSpec,
-    DecoderComparisonSpec, ExperimentKind, ExperimentSpec, LerOutput, LerSweepSpec,
-    RareEventLerSpec, SurgerySpec, TimingMetric, TimingSweepSpec,
+    DecoderComparisonSpec, ExperimentKind, ExperimentSpec, LerOutput, LerSweepSpec, SurgerySpec,
+    TimingMetric, TimingSweepSpec,
 };
 use qccd_bench::{ExperimentRegistry, LerOutcome};
 use qccd_decoder::{CacheStats, DecoderKind, EstimatorConfig, LogicalErrorEstimate, MemoConfig};
@@ -79,30 +79,23 @@ fn compile_cases() -> impl Strategy<Value = Vec<CompileCase>> {
 }
 
 fn estimators() -> impl Strategy<Value = EstimatorConfig> {
-    (
-        (1usize..100_000, any::<bool>(), any::<bool>(), 1usize..8),
-        (any::<bool>(), 1.0f64..64.0),
+    (1usize..100_000, any::<bool>(), any::<bool>(), 1usize..8).prop_map(
+        |(chunk_shots, early_stop, disable_memo, max_defects)| {
+            let mut config = EstimatorConfig::default().with_chunk_shots(chunk_shots);
+            if early_stop {
+                config = config.with_target_std_error(1e-3).with_max_failures(100);
+            }
+            let memo = if disable_memo {
+                MemoConfig::disabled()
+            } else {
+                MemoConfig {
+                    max_defects,
+                    ..MemoConfig::default()
+                }
+            };
+            EstimatorConfig { memo, ..config }
+        },
     )
-        .prop_map(
-            |((chunk_shots, early_stop, disable_memo, max_defects), (biased, bias))| {
-                let mut config = EstimatorConfig::default().with_chunk_shots(chunk_shots);
-                if early_stop {
-                    config = config.with_target_std_error(1e-3).with_max_failures(100);
-                }
-                if biased {
-                    config = config.with_importance_bias(bias);
-                }
-                let memo = if disable_memo {
-                    MemoConfig::disabled()
-                } else {
-                    MemoConfig {
-                        max_defects,
-                        ..MemoConfig::default()
-                    }
-                };
-                EstimatorConfig { memo, ..config }
-            },
-        )
 }
 
 fn ler_outputs() -> impl Strategy<Value = Vec<LerOutput>> {
@@ -163,22 +156,6 @@ fn spec_suite() -> impl Strategy<Value = Vec<ExperimentSpec>> {
                             decoder,
                             estimator,
                             outputs,
-                        }),
-                    ),
-                    spec(
-                        "rare_event",
-                        ExperimentKind::RareEventLer(RareEventLerSpec {
-                            configurations: points.clone(),
-                            sample_distances: distances.clone(),
-                            shots,
-                            biased_shots: 1 + shots / 3,
-                            bias: 1.0 + (shots % 50) as f64,
-                            decoder,
-                            // The spec's `bias` is its only bias.
-                            estimator: EstimatorConfig {
-                                importance_bias: None,
-                                ..estimator
-                            },
                         }),
                     ),
                     spec(
@@ -448,7 +425,6 @@ fn registry_is_complete_and_every_spec_resolves_validates_and_round_trips() {
         "fig12",
         "fig13a",
         "fig13b",
-        "rare_event_ler",
         "table2",
         "table3",
     ];

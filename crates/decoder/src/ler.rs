@@ -86,17 +86,6 @@ pub struct EstimatorConfig {
     /// [`DecodeScratch`](crate::DecodeScratch) (memoization is on by
     /// default; it never changes decoded bits).
     pub memo: MemoConfig,
-    /// Importance-sampling bias factor. When set, shots are sampled from a
-    /// biased copy of the circuit's fault table with every noise probability
-    /// scaled by this factor (clamped at 0.5), decoded against the
-    /// *original* circuit's decoding graph, and each failing shot is
-    /// reweighted by its likelihood ratio — an unbiased rare-event estimator
-    /// with delta-method error bars (see [`FaultTable::biased`]). Still
-    /// deterministic per
-    /// `(shots, seed)`: weights are folded in canonical block order, so the
-    /// estimate is bit-identical across chunk sizes and thread counts. Must
-    /// be a finite factor ≥ 1; `None` (the default) is plain Monte Carlo.
-    pub importance_bias: Option<f64>,
 }
 
 impl Default for EstimatorConfig {
@@ -107,7 +96,6 @@ impl Default for EstimatorConfig {
             target_std_error: None,
             max_failures: None,
             memo: MemoConfig::default(),
-            importance_bias: None,
         }
     }
 }
@@ -136,14 +124,6 @@ impl EstimatorConfig {
         self.max_failures = Some(failures);
         self
     }
-
-    /// Enables importance sampling with the given bias factor (a finite
-    /// factor ≥ 1 by which every noise probability is scaled, clamped at
-    /// 0.5). See [`EstimatorConfig::importance_bias`].
-    pub fn with_importance_bias(mut self, bias: f64) -> Self {
-        self.importance_bias = Some(bias);
-        self
-    }
 }
 
 /// The result of a Monte-Carlo logical error rate estimate.
@@ -157,8 +137,7 @@ pub struct LogicalErrorEstimate {
     pub failures: usize,
     /// Per-shot logical error probability.
     pub logical_error_rate: f64,
-    /// Binomial standard error of the estimate (delta-method standard error
-    /// for importance-sampled estimates). When **zero** failures were
+    /// Binomial standard error of the estimate. When **zero** failures were
     /// observed this instead carries the one-sided 95% Clopper–Pearson upper
     /// bound `1 − 0.05^(1/shots)` (≈ 3/shots, the rule of three): reporting
     /// σ = 0 there would claim an exactly-known rate of 0 from finite data
@@ -200,28 +179,6 @@ impl LogicalErrorEstimate {
             std_error,
         }
     }
-
-    /// Builds an importance-sampled estimate from per-failing-shot weight
-    /// sums: `p̂ = Σwf / N` with the delta-method variance
-    /// `Var(p̂) = (Σ(wf)² / N − p̂²) / N`. A weighted estimate with zero
-    /// failures falls back to the plain-MC Clopper–Pearson bound, which is
-    /// conservative (the biased channel makes failures strictly *more*
-    /// likely, so observing none is stronger evidence than under plain MC).
-    fn from_weighted(shots: usize, failures: usize, weight_sum: f64, weight_sq_sum: f64) -> Self {
-        let n = shots as f64;
-        let p = weight_sum / n;
-        let std_error = if failures == 0 && shots > 0 {
-            zero_failure_upper_bound(shots)
-        } else {
-            ((weight_sq_sum / n - p * p).max(0.0) / n).sqrt()
-        };
-        LogicalErrorEstimate {
-            shots,
-            failures,
-            logical_error_rate: p,
-            std_error,
-        }
-    }
 }
 
 /// The one-sided 95% Clopper–Pearson upper bound on a rate after observing
@@ -254,39 +211,26 @@ pub struct EstimateReport {
     pub cache: CacheStats,
 }
 
-/// Shots, failures and importance-sampling `(Σw, Σw²)` over the failing
-/// shots (zero for plain Monte Carlo) of a run of canonical sampling
-/// blocks: one block of a chunk, or the prefix the fold has reached.
+/// Shots and failures of a run of canonical sampling blocks: one block of
+/// a chunk, or the prefix the fold has reached.
 #[derive(Debug, Default, Clone, Copy)]
 struct Tally {
     shots: usize,
     failures: usize,
-    weight_sum: f64,
-    weight_sq_sum: f64,
 }
 
 impl Tally {
     /// The estimate at this tally.
-    fn estimate(&self, weighted: bool) -> LogicalErrorEstimate {
-        if weighted {
-            LogicalErrorEstimate::from_weighted(
-                self.shots,
-                self.failures,
-                self.weight_sum,
-                self.weight_sq_sum,
-            )
-        } else {
-            LogicalErrorEstimate::from_counts(self.shots, self.failures)
-        }
+    fn estimate(&self) -> LogicalErrorEstimate {
+        LogicalErrorEstimate::from_counts(self.shots, self.failures)
     }
 
     /// Whether an early-stop criterion of `config` is met at this tally.
     fn stop(&self, config: &EstimatorConfig) -> bool {
         config.max_failures.is_some_and(|max| self.failures >= max)
-            || config.target_std_error.is_some_and(|target| {
-                self.failures > 0
-                    && self.estimate(config.importance_bias.is_some()).std_error <= target
-            })
+            || config
+                .target_std_error
+                .is_some_and(|target| self.failures > 0 && self.estimate().std_error <= target)
     }
 }
 
@@ -297,24 +241,17 @@ struct ChunkOutcome {
     blocks: Vec<Tally>,
 }
 
-/// Samples chunk `index` (from the biased table, with per-shot log-weights,
-/// when `weights` carries the fire log-ratios and base term), decodes it
-/// and tallies each of its canonical blocks: failures are shots whose
-/// predicted observable flips disagree with the actual ones, found
-/// word-parallel by XOR + popcount.
+/// Samples chunk `index`, decodes it and tallies each of its canonical
+/// blocks: failures are shots whose predicted observable flips disagree
+/// with the actual ones, found word-parallel by XOR + popcount.
 fn decode_chunk(
     sampler: &DetectorChunkSampler<'_>,
     decoder: &dyn Decoder,
     scratch: &mut DecodeScratch,
     config: &EstimatorConfig,
     index: usize,
-    weights: Option<(&[f64], f64)>,
 ) -> ChunkOutcome {
-    let mut log_weights = Vec::new();
-    let chunk = match weights {
-        Some((ratios, _)) => sampler.sample_chunk_weighted(index, ratios, &mut log_weights),
-        None => sampler.sample_chunk(index),
-    };
+    let chunk = sampler.sample_chunk(index);
     scratch.set_memo_config(config.memo);
     let before = scratch.cache_stats();
     let prediction = decoder.decode_batch(&chunk, scratch);
@@ -336,28 +273,9 @@ fn decode_chunk(
     let blocks = mismatch
         .chunks(BLOCK_WORDS)
         .enumerate()
-        .map(|(block, words)| {
-            let first_shot = block * CANONICAL_BLOCK_SHOTS;
-            let mut tally = Tally {
-                shots: (chunk.num_shots() - first_shot).min(CANONICAL_BLOCK_SHOTS),
-                ..Tally::default()
-            };
-            for (w, &bits) in words.iter().enumerate() {
-                tally.failures += bits.count_ones() as usize;
-                let Some((_, base)) = weights else { continue };
-                // Walk failing shots in ascending shot order (words ascend,
-                // trailing_zeros scans bits low to high) so the block's
-                // sums are a pure function of the sampled bits.
-                let mut rest = bits;
-                while rest != 0 {
-                    let shot = first_shot + w * 64 + rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    let weight = (base + log_weights[shot]).exp();
-                    tally.weight_sum += weight;
-                    tally.weight_sq_sum += weight * weight;
-                }
-            }
-            tally
+        .map(|(block, words)| Tally {
+            shots: (chunk.num_shots() - block * CANONICAL_BLOCK_SHOTS).min(CANONICAL_BLOCK_SHOTS),
+            failures: words.iter().map(|bits| bits.count_ones() as usize).sum(),
         })
         .collect();
     ChunkOutcome { cache, blocks }
@@ -375,7 +293,6 @@ fn run_pipeline(
     sampler: &DetectorChunkSampler<'_>,
     decoder: &(dyn Decoder + Send + Sync),
     config: &EstimatorConfig,
-    weights: Option<(&[f64], f64)>,
 ) -> EstimateReport {
     // One scratch per worker thread, reused across every chunk that worker
     // decodes.
@@ -397,20 +314,18 @@ fn run_pipeline(
             .map(|index| {
                 SCRATCH.with(|scratch| {
                     let scratch = &mut scratch.borrow_mut();
-                    decode_chunk(sampler, decoder, scratch, config, index, weights)
+                    decode_chunk(sampler, decoder, scratch, config, index)
                 })
             })
             .collect();
         // Block by block in canonical order — never per-chunk subtotals —
-        // so the weighted f64 sums and the stopping block are invariant
-        // under the chunk size and the thread count.
+        // so the stopping block is invariant under the chunk size and the
+        // thread count.
         for outcome in &outcomes {
             cache.merge(&outcome.cache);
             for block in &outcome.blocks {
                 totals.shots += block.shots;
                 totals.failures += block.failures;
-                totals.weight_sum += block.weight_sum;
-                totals.weight_sq_sum += block.weight_sq_sum;
                 if totals.stop(config) {
                     break 'waves;
                 }
@@ -418,7 +333,7 @@ fn run_pipeline(
         }
     }
     EstimateReport {
-        estimate: totals.estimate(weights.is_some()),
+        estimate: totals.estimate(),
         cache,
     }
 }
@@ -449,8 +364,8 @@ fn run_pipeline(
 /// seed derived only from `(seed, block index)`.
 ///
 /// Chunks are decoded in waves, one parallel map a wave, and one fold
-/// walks the decoded blocks in canonical order, adding each block's shots,
-/// failures and importance weights to the running totals. So a fixed
+/// walks the decoded blocks in canonical order, adding each block's shots
+/// and failures to the running totals. So a fixed
 /// `(shots, seed)` produces a **bit-identical** estimate regardless of the
 /// configured chunk size or the number of rayon threads.
 ///
@@ -495,28 +410,16 @@ pub fn estimate_logical_error_rate_from_table(
     decoder_kind: DecoderKind,
     config: &EstimatorConfig,
 ) -> EstimateReport {
-    // The decoder (and its decoding graph / fault priors) always comes from
-    // the *original* fault table: importance sampling biases only what is
-    // sampled, never how syndromes are decoded, so biased and plain runs
-    // estimate the same quantity.
     let graph = DecodingGraph::from_dem(&table.dem());
     let decoder = decoder_kind.build(graph);
-    let biased = config.importance_bias.map(|bias| table.biased(bias));
-    let (sampled, weights) = match &biased {
-        Some(biased) => (
-            &biased.table,
-            Some((biased.fire_log_ratios.as_slice(), biased.base_log_weight)),
-        ),
-        None => (table, None),
-    };
-    let sampler = DetectorChunkSampler::from_table(sampled, shots, seed, config.chunk_shots);
+    let sampler = DetectorChunkSampler::from_table(table, shots, seed, config.chunk_shots);
     match config.num_threads {
         Some(threads) => rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("thread pool construction cannot fail")
-            .install(|| run_pipeline(&sampler, decoder.as_ref(), config, weights)),
-        None => run_pipeline(&sampler, decoder.as_ref(), config, weights),
+            .install(|| run_pipeline(&sampler, decoder.as_ref(), config)),
+        None => run_pipeline(&sampler, decoder.as_ref(), config),
     }
 }
 
@@ -1157,131 +1060,6 @@ pub(crate) mod tests {
         let clean =
             fit_lambda_weighted(&[(3, 0.1, 0.01), (5, 0.02, 0.004), (7, 0.004, 0.001)]).unwrap();
         assert_eq!(clean.dropped_points, 0);
-    }
-
-    #[test]
-    fn importance_sampling_agrees_with_plain_mc() {
-        let p = 0.02;
-        let code = repetition_code(5);
-        let circuit = noisy_memory(&code, 2, p);
-        // ~13 plain failures expected: a zero-failure stream is a 2e-6 event,
-        // not a seed to be hunted.
-        let shots = 64 * CANONICAL_BLOCK_SHOTS;
-        let plain = estimate_logical_error_rate_report(
-            &circuit,
-            shots,
-            21,
-            DecoderKind::UnionFind,
-            &EstimatorConfig::default(),
-        )
-        .unwrap()
-        .estimate;
-        let biased = estimate_logical_error_rate_report(
-            &circuit,
-            shots,
-            21,
-            DecoderKind::UnionFind,
-            &EstimatorConfig::default().with_importance_bias(5.0),
-        )
-        .unwrap()
-        .estimate;
-        assert!(plain.failures > 0, "plain MC must converge at this point");
-        assert!(
-            biased.failures > plain.failures,
-            "the biased channel must make failures more common ({} vs {})",
-            biased.failures,
-            plain.failures
-        );
-        let sigma = (plain.std_error.powi(2) + biased.std_error.powi(2)).sqrt();
-        let gap = (plain.logical_error_rate - biased.logical_error_rate).abs();
-        assert!(
-            gap <= 3.0 * sigma,
-            "importance-sampled {} vs plain {} differ by {gap} > 3σ = {}",
-            biased.logical_error_rate,
-            plain.logical_error_rate,
-            3.0 * sigma
-        );
-    }
-
-    #[test]
-    fn importance_sampled_estimate_is_invariant_under_chunk_size_and_threads() {
-        let p = 0.02;
-        let code = repetition_code(5);
-        let circuit = noisy_memory(&code, 2, p);
-        let shots = 3 * CANONICAL_BLOCK_SHOTS + 500;
-        let config = EstimatorConfig::default().with_importance_bias(6.0);
-        let reference = estimate_logical_error_rate_report(
-            &circuit,
-            shots,
-            42,
-            DecoderKind::UnionFind,
-            &config.with_chunk_shots(1).with_num_threads(1),
-        )
-        .unwrap()
-        .estimate;
-        assert!(reference.failures > 0);
-        for (chunk_shots, threads) in [
-            (CANONICAL_BLOCK_SHOTS, 2),
-            (2 * CANONICAL_BLOCK_SHOTS, 3),
-            (usize::MAX, 4),
-        ] {
-            let estimate = estimate_logical_error_rate_report(
-                &circuit,
-                shots,
-                42,
-                DecoderKind::UnionFind,
-                &config
-                    .with_chunk_shots(chunk_shots)
-                    .with_num_threads(threads),
-            )
-            .unwrap()
-            .estimate;
-            assert_eq!(
-                (estimate.shots, estimate.failures),
-                (reference.shots, reference.failures),
-                "chunk_shots={chunk_shots} threads={threads}"
-            );
-            // The weighted f64 sums must be bit-identical, not just close.
-            assert_eq!(
-                estimate.logical_error_rate.to_bits(),
-                reference.logical_error_rate.to_bits(),
-                "chunk_shots={chunk_shots} threads={threads}"
-            );
-            assert_eq!(estimate.std_error.to_bits(), reference.std_error.to_bits());
-        }
-    }
-
-    #[test]
-    fn bias_one_reduces_to_plain_monte_carlo() {
-        // With bias = 1 every weight is exactly 1, so the weighted estimate
-        // must reproduce the plain counts and (up to expression rounding)
-        // the binomial standard error.
-        let p = 0.03;
-        let code = repetition_code(3);
-        let circuit = noisy_memory(&code, 2, p);
-        let shots = 2 * CANONICAL_BLOCK_SHOTS;
-        let plain = estimate_logical_error_rate_report(
-            &circuit,
-            shots,
-            9,
-            DecoderKind::UnionFind,
-            &EstimatorConfig::default(),
-        )
-        .unwrap()
-        .estimate;
-        let weighted = estimate_logical_error_rate_report(
-            &circuit,
-            shots,
-            9,
-            DecoderKind::UnionFind,
-            &EstimatorConfig::default().with_importance_bias(1.0),
-        )
-        .unwrap()
-        .estimate;
-        assert_eq!(weighted.shots, plain.shots);
-        assert_eq!(weighted.failures, plain.failures);
-        assert!((weighted.logical_error_rate - plain.logical_error_rate).abs() < 1e-12);
-        assert!((weighted.std_error - plain.std_error).abs() < 1e-12);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! (d3 and d5, about one failure in a hundred shots), each stop criterion
 //! is tuned so the stop lands at canonical block 9 or later and never on
 //! the last block of a three-block chunk. For every criterion — a failure cap, a target
-//! standard error, a target standard error on the importance-sampled
-//! estimator, and none — and for every chunk size and thread count below,
+//! standard error, and none — and for every chunk size and thread count below,
 //! the decoded shots, the failures and the f64 bits of the rate and its
 //! standard error equal the pinned constants. On one thread every
 //! `CacheStats` field is pinned per chunk size (the chunk holding the
@@ -173,18 +172,6 @@ fn early_stopped_estimates_are_pinned_at_d3() {
                 ],
             },
             Case {
-                name: "importance_bias 2 and target_std_error 2.43e-4 (stops in block 13)",
-                config: base
-                    .with_importance_bias(2.0)
-                    .with_target_std_error(2.43e-4),
-                estimate: (57344, 1738, 0x3f81_739a_538b_712a, 0x3f2f_5ad5_de99_c009),
-                cache: [
-                    [30966, 1326, 1272, 0, 218, 678, 0, 0, 0],
-                    [33217, 1356, 1368, 0, 231, 729, 0, 0, 0],
-                    [35557, 1375, 1471, 0, 244, 780, 0, 0, 0],
-                ],
-            },
-            Case {
                 name: "no criterion",
                 config: base,
                 estimate: (80920, 682, 0x3f81_42bd_5c8e_08a8, 0x3f35_0f9b_ae7c_a4a4),
@@ -223,18 +210,6 @@ fn early_stopped_estimates_are_pinned_at_d5() {
                     [12281, 10459, 14074, 0, 0, 640, 0, 0, 0],
                     [15293, 12018, 16852, 0, 0, 768, 0, 0, 0],
                     [15293, 12018, 16852, 0, 0, 768, 0, 0, 0],
-                ],
-            },
-            Case {
-                name: "importance_bias 2 and target_std_error 4.95e-4 (stops in block 10)",
-                config: base
-                    .with_importance_bias(2.0)
-                    .with_target_std_error(4.95e-4),
-                estimate: (45056, 2306, 0x3f81_da78_b472_70af, 0x3f3f_e221_a386_78b7),
-                cache: [
-                    [2803, 6485, 35280, 0, 0, 704, 0, 0, 0],
-                    [3130, 6991, 38495, 0, 0, 768, 0, 0, 0],
-                    [3130, 6991, 38495, 0, 0, 768, 0, 0, 0],
                 ],
             },
             Case {

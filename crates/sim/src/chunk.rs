@@ -784,45 +784,9 @@ impl<'t> DetectorChunkSampler<'t> {
     /// Samples one chunk. Chunks are independent: this method can be called
     /// from many threads at once and in any order.
     pub fn sample_chunk(&self, chunk_index: usize) -> SyndromeChunk {
-        self.sample_chunk_inner(chunk_index, None)
-    }
-
-    /// Samples one chunk while recording per-shot importance-sampling log
-    /// weights.
-    ///
-    /// `fire_log_ratios[k]` is the log-likelihood-ratio increment applied to
-    /// a shot whenever the `k`-th noise channel (in op order) fires in it —
-    /// see [`crate::BiasedTable::fire_log_ratios`]. `log_weights` is
-    /// resized to the chunk's shot count; entry `s` holds the accumulated
-    /// increments for local shot `s` (global shot `shot_offset + s`), with
-    /// the shot-independent base term left to the caller. The sampled chunk
-    /// is bit-identical to [`DetectorChunkSampler::sample_chunk`].
-    pub fn sample_chunk_weighted(
-        &self,
-        chunk_index: usize,
-        fire_log_ratios: &[f64],
-        log_weights: &mut Vec<f64>,
-    ) -> SyndromeChunk {
-        self.sample_chunk_inner(chunk_index, Some((fire_log_ratios, log_weights)))
-    }
-
-    fn sample_chunk_inner(
-        &self,
-        chunk_index: usize,
-        mut weights: Option<(&[f64], &mut Vec<f64>)>,
-    ) -> SyndromeChunk {
         let chunk_shots = self.shots_in_chunk(chunk_index);
         let first_block = chunk_index * self.blocks_per_chunk;
         let shot_offset = first_block * CANONICAL_BLOCK_SHOTS;
-        if let Some((ratios, log_weights)) = weights.as_mut() {
-            assert_eq!(
-                ratios.len(),
-                self.table.num_channels(),
-                "one log-ratio per noise channel"
-            );
-            log_weights.clear();
-            log_weights.resize(chunk_shots, 0.0);
-        }
         let mut chunk = SyndromeChunk::zeroed(
             chunk_index,
             shot_offset,
@@ -839,9 +803,6 @@ impl<'t> DetectorChunkSampler<'t> {
             for bucket in &self.buckets {
                 bucket.walk(&mut rng, ziggurat, block_shots, |channel, shot, v| {
                     let shot = first_shot + shot;
-                    if let Some((ratios, log_weights)) = weights.as_mut() {
-                        log_weights[shot] += ratios[channel];
-                    }
                     // The channel's Paulis are mutually exclusive: one fires.
                     let components = self.table.component_ids(channel);
                     let component = components[(v * components.len() as f64) as usize];

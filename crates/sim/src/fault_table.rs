@@ -436,8 +436,8 @@ impl FaultTable {
     }
 
     /// The same signatures under other channel probabilities, one per
-    /// channel in op order — the re-weight behind importance sampling and
-    /// behind sweeps that share one schedule across gate improvements.
+    /// channel in op order — the re-weight behind sweeps that share one
+    /// schedule across gate improvements.
     ///
     /// # Panics
     ///
@@ -475,5 +475,25 @@ impl FaultTable {
             &self.signature_bits[at(0)..at(1)],
             &self.signature_bits[at(1)..at(2)],
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qccd_circuit::QubitId;
+
+    #[test]
+    #[should_panic(expected = "one probability per channel")]
+    fn a_reweight_must_cover_every_channel() {
+        let mut circuit = NoisyCircuit::new();
+        for p in [1e-3, 2e-3] {
+            circuit.push_noise(NoiseChannel::BitFlip {
+                qubit: QubitId::new(0),
+                p,
+            });
+        }
+        let table = FaultTable::from_circuit(&circuit).unwrap();
+        table.with_probabilities(vec![1e-2]);
     }
 }

@@ -63,7 +63,6 @@ mod dem;
 mod fault_table;
 mod frame;
 mod noisy_circuit;
-mod rare_event;
 mod sampler;
 mod tableau;
 
@@ -76,6 +75,5 @@ pub use dem::{DemError, DetectorErrorModel};
 pub use fault_table::FaultTable;
 pub use frame::FrameSampler;
 pub use noisy_circuit::{NoiseChannel, NoisyCircuit, NoisyOp, ResolvedAnnotations};
-pub use rare_event::{BiasedTable, MAX_BIASED_PROBABILITY};
 pub use sampler::{verify_detectors, VerificationError};
 pub use tableau::TableauSimulator;

@@ -275,6 +275,27 @@ fn double_flip_circuit(p: f64) -> NoisyCircuit {
     c
 }
 
+/// Detector 0 reads qubit 0 after two flips of probability `p`; a CNOT
+/// between them copies the first onto qubit 1, which detector 1 reads.
+fn copied_double_flip_circuit(p: f64) -> NoisyCircuit {
+    let mut c = NoisyCircuit::new();
+    c.push_gate(Instruction::Reset(q(0)));
+    c.push_gate(Instruction::Reset(q(1)));
+    c.push_noise(NoiseChannel::BitFlip { qubit: q(0), p });
+    c.push_gate(Instruction::Cnot {
+        control: q(0),
+        target: q(1),
+    });
+    c.push_noise(NoiseChannel::BitFlip { qubit: q(0), p });
+    c.push_gate(Instruction::Measure(q(0)));
+    c.push_gate(Instruction::Measure(q(1)));
+    for i in 0..2 {
+        c.add_detector(Detector::new(vec![MeasurementRef::new(q(i), 0)]));
+    }
+    c.add_observable(LogicalObservable::new(vec![MeasurementRef::new(q(0), 0)]));
+    c
+}
+
 #[test]
 fn faults_cancelling_a_word_back_to_zero_clear_its_bit() {
     // Two certain flips: every word of detector 0 is written twice and ends
@@ -285,17 +306,17 @@ fn faults_cancelling_a_word_back_to_zero_clear_its_bit() {
     assert!(chunk.detector_plane(0).iter().all(|&word| word == 0));
     assert!(chunk.detector_plane(1).iter().any(|&word| word != 0));
     assert_index_exact(&chunk);
-    // One-shot chunks at p = 0.4: the lone lane flips twice in about one
-    // shot in six, cancelling its word back to zero. The log weights (1 and
-    // 2 for the two flips of qubit 0, in op order) tell which shots did.
-    let circuit = double_flip_circuit(0.4);
-    let (mut cancelled, mut log_weights) = (0, Vec::new());
+    // One-shot chunks at p = 0.4: qubit 0 flips before and after a CNOT
+    // that copies its first flip onto detector 1, so a shot with detector 1
+    // fired and detector 0 quiet flipped detector 0's lone word twice, back
+    // to zero (about one shot in six).
+    let circuit = copied_double_flip_circuit(0.4);
+    let mut cancelled = 0;
     for seed in 0..300 {
         let sampler = sample_detector_chunks(&circuit, 1, seed, 1).expect("valid");
-        let chunk = sampler.sample_chunk_weighted(0, &[1.0, 0.0, 2.0], &mut log_weights);
+        let chunk = sampler.sample_chunk(0);
         assert_index_exact(&chunk);
-        if log_weights[0] == 3.0 {
-            assert_eq!(chunk.detector_plane(0)[0], 0);
+        if chunk.detector_plane(1)[0] != 0 && chunk.detector_plane(0)[0] == 0 {
             cancelled += 1;
         }
     }

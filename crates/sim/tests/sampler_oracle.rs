@@ -13,7 +13,7 @@
 //!   a 3-qubit circuit adds the tableau simulator with explicitly sampled
 //!   Paulis as a third leg.
 //! * **Channel semantics** — exclusive components, `p ∈ {0, 1}`, thinning
-//!   within a bucket, ragged blocks, weighted identity.
+//!   within a bucket, ragged blocks.
 
 mod oracle;
 
@@ -495,22 +495,20 @@ fn a_lone_depolarize2_fires_one_of_its_fifteen_symptoms_never_two() {
         .collect();
     assert_eq!(codes, (1..16).collect::<Vec<u32>>());
 
-    // With a log-ratio of 1 the weight of a shot counts the channel's
-    // fires in it: at most one, and exactly when a symptom shows.
     let sampler = sample_detector_chunks(&circuit, SHOTS, 41, SHOTS).unwrap();
-    let mut fires = Vec::new();
-    let chunk = sampler.sample_chunk_weighted(0, &[1.0], &mut fires);
+    let chunk = sampler.sample_chunk(0);
     let mut patterns = [0u64; 16];
-    for (shot, &fired) in fires.iter().enumerate() {
+    for shot in 0..SHOTS {
         let pattern = (0..4).fold(0, |acc, d| {
             acc | usize::from(chunk.detector_fired(shot, d)) << d
         });
-        assert_eq!(fired, f64::from(u8::from(pattern != 0)), "shot {shot}");
         patterns[pattern] += 1;
     }
     // Exclusive components: the identity keeps 1 − p and each symptom gets
     // p / 15. Fifteen *independent* mechanisms of p / 15 (a DEM sampler)
-    // would leave the identity 0.0625 + 0.9375 · 0.9⁸ = 0.466 instead.
+    // would leave the identity 0.0625 + 0.9375 · 0.9⁸ = 0.466 instead, and
+    // a channel that fired twice in a shot would XOR two symptoms, moving
+    // mass between the patterns.
     let expected = |pattern: usize| SHOTS as f64 * if pattern == 0 { 1.0 - p } else { p / 15.0 };
     let chi2: f64 = patterns
         .iter()
@@ -584,30 +582,5 @@ fn a_ragged_last_block_sets_no_bit_beyond_its_shots() {
         assert_eq!(last & beyond, 0, "observable, chunk_shots {chunk_shots}");
         // The certain channel fills exactly the valid lanes.
         assert_eq!(*chunk.detector_plane(1).last().unwrap(), chunk.tail_mask());
-    }
-}
-
-#[test]
-fn weighted_sampling_is_the_same_bits_plus_the_sum_of_fired_ratios() {
-    // Ratios are distinct powers of two, so the expected weight of a shot —
-    // the sum over the channels whose detector fired — is exact in f64.
-    let ps = [0.3, 0.02, 0.021, 0.5, 1.0, 0.004];
-    let ratios: Vec<f64> = (0..ps.len()).map(|k| f64::from(1u32 << k)).collect();
-    let circuit = independent_bit_flips(&ps);
-    let total = 2 * CANONICAL_BLOCK_SHOTS + 100;
-    let sampler = sample_detector_chunks(&circuit, total, 54, CANONICAL_BLOCK_SHOTS).unwrap();
-    let mut log_weights = Vec::new();
-    for index in 0..sampler.num_chunks() {
-        let plain = sampler.sample_chunk(index);
-        let weighted = sampler.sample_chunk_weighted(index, &ratios, &mut log_weights);
-        assert_eq!(plain, weighted, "chunk {index}");
-        assert_eq!(log_weights.len(), plain.num_shots());
-        for (shot, &weight) in log_weights.iter().enumerate() {
-            let expected: f64 = (0..ps.len())
-                .filter(|&k| plain.detector_fired(shot, k))
-                .map(|k| ratios[k])
-                .sum();
-            assert_eq!(weight, expected, "chunk {index} shot {shot}");
-        }
     }
 }
